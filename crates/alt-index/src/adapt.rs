@@ -27,22 +27,12 @@ pub(crate) struct RetrainPlan {
 ///   `[8, 4 × base]`. Near-linear spans (time-series appends) tighten ε
 ///   and rebuild into near-conflict-free models; adversarial spans keep
 ///   a coarse ε instead of shattering into hundreds of tiny models.
-///
-/// With `adaptive` off this reproduces the fixed behaviour (bulk-load ε,
-/// one unconditional doubling).
 pub(crate) fn plan_retrain(
     merged: &[(u64, u64)],
     overflow_len: usize,
     base_epsilon: f64,
     prev_expansions: u32,
-    adaptive: bool,
 ) -> RetrainPlan {
-    if !adaptive {
-        return RetrainPlan {
-            epsilon: base_epsilon,
-            expansions: prev_expansions.saturating_add(1),
-        };
-    }
     let ratio = overflow_len as f64 / merged.len().max(1) as f64;
     let expansions = if ratio > 0.5 {
         prev_expansions.saturating_add(2)
@@ -92,15 +82,8 @@ mod tests {
     }
 
     #[test]
-    fn non_adaptive_reproduces_fixed_knobs() {
-        let p = plan_retrain(&linear_span(1000), 900, 512.0, 3, false);
-        assert_eq!(p.epsilon, 512.0);
-        assert_eq!(p.expansions, 4);
-    }
-
-    #[test]
     fn near_linear_span_tightens_epsilon() {
-        let p = plan_retrain(&linear_span(10_000), 0, 512.0, 0, true);
+        let p = plan_retrain(&linear_span(10_000), 0, 512.0, 0);
         assert!(
             p.epsilon < 64.0,
             "perfect fit should shrink ε, got {}",
@@ -113,7 +96,7 @@ mod tests {
     fn hard_span_keeps_coarse_epsilon_but_is_clamped() {
         // Quadratic gaps: the endpoint fit is terrible at the low end.
         let span: Vec<(u64, u64)> = (1..=10_000u64).map(|i| (i * i, i)).collect();
-        let p = plan_retrain(&span, 0, 64.0, 0, true);
+        let p = plan_retrain(&span, 0, 64.0, 0);
         assert!(
             p.epsilon > 64.0,
             "hard data should coarsen ε, got {}",
@@ -125,10 +108,10 @@ mod tests {
     #[test]
     fn expansions_follow_overflow_share() {
         let span = linear_span(1000);
-        assert_eq!(plan_retrain(&span, 900, 64.0, 1, true).expansions, 3);
-        assert_eq!(plan_retrain(&span, 200, 64.0, 1, true).expansions, 2);
+        assert_eq!(plan_retrain(&span, 900, 64.0, 1).expansions, 3);
+        assert_eq!(plan_retrain(&span, 200, 64.0, 1).expansions, 2);
         assert_eq!(
-            plan_retrain(&span, 10, 64.0, 1, true).expansions,
+            plan_retrain(&span, 10, 64.0, 1).expansions,
             1,
             "in-place churn must not inflate capacity"
         );
@@ -136,7 +119,7 @@ mod tests {
 
     #[test]
     fn tiny_spans_fall_back_to_base_epsilon() {
-        let p = plan_retrain(&linear_span(8), 0, 256.0, 0, true);
+        let p = plan_retrain(&linear_span(8), 0, 256.0, 0);
         assert_eq!(p.epsilon, 256.0);
     }
 }

@@ -1,62 +1,5 @@
 //! Tuning knobs for ALT-index construction and behaviour.
 
-use std::time::Duration;
-
-/// Where retraining runs relative to the thread whose insert tripped the
-/// overflow trigger (§III-F).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RetrainMode {
-    /// Retrain on the inserting thread, inside the insert call — the
-    /// paper's original behaviour, and the A/B baseline for the
-    /// background scheduler.
-    Inline,
-    /// Inserting threads only *enqueue* a prioritized retrain request;
-    /// a budgeted worker pool (see [`BgRetrainPolicy`]) performs the
-    /// collect → build → reconcile → swap off the hot path.
-    Background,
-}
-
-/// Budget knobs for the background retrain worker pool (only read when
-/// [`AltConfig::retrain_mode`] is [`RetrainMode::Background`]).
-///
-/// The pool is deliberately rate-limitable in the style of the
-/// resilience crate's tiered policies: a bounded queue sheds excess
-/// requests (the next overflow insert simply re-enqueues), and an
-/// optional minimum interval between drained retrains keeps a worker
-/// from monopolizing memory bandwidth on small hosts.
-#[derive(Debug, Clone)]
-pub struct BgRetrainPolicy {
-    /// Worker threads servicing the retrain queue.
-    pub workers: usize,
-    /// Maximum queued requests; beyond this, enqueues are dropped (and
-    /// counted as `alt.retrain_bg_dropped` under the `metrics` feature).
-    pub max_queue: usize,
-    /// Minimum pause between retrains drained by one worker
-    /// (`Duration::ZERO` = no throttle).
-    pub min_interval: Duration,
-    /// Consecutive contained background-retrain panics before the pool
-    /// trips **degraded mode**: background retrains stop being enqueued
-    /// and overflowing inserts fall back to contained inline retrains,
-    /// keeping a throughput floor while whatever is killing the workers
-    /// persists (DESIGN.md §16). Counted as `alt.degraded_mode_entries`.
-    pub fail_streak_limit: u32,
-    /// Consecutive *clean* inline retrains (while degraded) before the
-    /// pool leaves degraded mode and resumes background scheduling.
-    pub recover_after: u32,
-}
-
-impl Default for BgRetrainPolicy {
-    fn default() -> Self {
-        Self {
-            workers: 1,
-            max_queue: 64,
-            min_interval: Duration::ZERO,
-            fail_streak_limit: 3,
-            recover_after: 2,
-        }
-    }
-}
-
 /// Configuration for [`crate::AltIndex`].
 ///
 /// Defaults follow the paper's recommendations (§III-D: ε =
@@ -75,19 +18,12 @@ pub struct AltConfig {
     /// Enable dynamic retraining (§III-F). Off = overflowed models keep
     /// spilling into ART (part of the hot-write comparison).
     pub retrain: bool,
-    /// Whether retrains run inline on the inserting thread or in the
-    /// background worker pool. Defaults to [`RetrainMode::Inline`] (the
-    /// paper's behaviour); [`RetrainMode::Background`] moves the
-    /// collect/build/swap off the hot path.
-    pub retrain_mode: RetrainMode,
-    /// Worker-pool budget for [`RetrainMode::Background`].
-    pub bg_retrain: BgRetrainPolicy,
-    /// Adapt each retrain's ε and gap-expansion factor to the error
-    /// distribution observed at collect time (endpoint-fit rank errors
-    /// and the span's overflow share) instead of reusing the bulk-load ε
-    /// and unconditionally doubling the gap budget. On by default; turn
-    /// off to reproduce the fixed-knob behaviour.
-    pub adaptive_retrain: bool,
+    /// Worker threads that run retrains off the inserting thread. `0`
+    /// (the default) spawns nothing: the thread whose insert tripped the
+    /// overflow trigger runs the rebuild itself. With `n > 0` inserting
+    /// threads only enqueue a prioritized request and a pool of `n`
+    /// workers (`sched.rs`) runs the same rebuild.
+    pub retrain_workers: usize,
     /// Enable opportunistic write-back of ART entries into tombstoned GPL
     /// slots during reads (Algorithm 2 lines 10-13).
     pub write_back: bool,
@@ -122,10 +58,10 @@ impl AltConfig {
         }
     }
 
-    /// Default configuration with background retraining enabled.
+    /// Default configuration with one background retrain worker.
     pub fn background() -> Self {
         Self {
-            retrain_mode: RetrainMode::Background,
+            retrain_workers: 1,
             ..Default::default()
         }
     }
@@ -138,9 +74,7 @@ impl Default for AltConfig {
             gap_factor: 1.25,
             fast_pointers: true,
             retrain: true,
-            retrain_mode: RetrainMode::Inline,
-            bg_retrain: BgRetrainPolicy::default(),
-            adaptive_retrain: true,
+            retrain_workers: 0,
             write_back: true,
             build_threads: default_build_threads(),
             contention: resilience::global(),
@@ -176,13 +110,11 @@ mod tests {
     }
 
     #[test]
-    fn default_mode_is_inline_and_background_flips_it() {
-        assert_eq!(AltConfig::default().retrain_mode, RetrainMode::Inline);
+    fn default_retrains_on_the_caller_and_background_adds_a_worker() {
+        assert_eq!(AltConfig::default().retrain_workers, 0);
         let bg = AltConfig::background();
-        assert_eq!(bg.retrain_mode, RetrainMode::Background);
-        assert!(bg.retrain, "background mode implies retraining on");
-        assert!(bg.bg_retrain.workers >= 1);
-        assert!(bg.bg_retrain.max_queue >= 1);
+        assert_eq!(bg.retrain_workers, 1);
+        assert!(bg.retrain, "a worker pool implies retraining on");
     }
 
     #[test]

@@ -3,13 +3,13 @@
 //! [`crate::chaos_hook`] for the chaos testkit.
 //!
 //! Sites instrumented in this crate (all structural paths; see
-//! DESIGN.md §16 for the per-site rollback argument):
+//! DESIGN.md §14 for the per-site rollback argument):
 //!
 //! | site                | where                         | channel |
 //! |---------------------|-------------------------------|---------|
-//! | `retrain.collect`   | span snapshot (both paths)    | panic/delay |
+//! | `retrain.collect`   | phase-1 span snapshot         | panic/delay |
 //! | `retrain.build`     | GPL re-segmentation           | panic/error/alloc-fail (clean abort) |
-//! | `retrain.reconcile` | background phase-2 delta      | panic/error/alloc-fail (clean abort) |
+//! | `retrain.reconcile` | phase-2 delta                 | panic/error/alloc-fail (clean abort) |
 //! | `retrain.swap`      | post-RCU-swap, pre-retire     | panic/delay (publish guard covers it) |
 //! | `retrain.absorb`    | post-swap ART absorption      | panic/delay |
 //! | `sched.enqueue`     | scheduler admission           | panic/error (request shed) |

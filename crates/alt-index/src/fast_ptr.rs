@@ -175,12 +175,12 @@ impl FastPointerBuffer {
             // SAFETY: segment just ensured; off < capacity.
             unsafe { (*base.add(off)).store(node, Ordering::Release) };
             self.len.store(idx + 1, Ordering::Release);
+            crate::chaos_hook::point("fastptr.merge.pre_install");
             // SAFETY: `node` came from `lca_node` above; the epoch pin
             // inside try_set_buffer_slot's caller contract is satisfied
             // because lca_node and this call happen back-to-back — if the
             // node was replaced in between, the version lock inside
             // reports Obsolete and we retry.
-            crate::chaos_hook::point("fastptr.merge.pre_install");
             match unsafe { art.try_set_buffer_slot(node, idx) } {
                 SetSlotResult::Installed => return idx,
                 SetSlotResult::Merged(existing) => {

@@ -26,9 +26,9 @@ use std::sync::Arc;
 ///
 /// All index operations live on [`AltCore`], reached through `Deref`;
 /// this wrapper additionally owns the background retrain worker pool
-/// when [`RetrainMode::Background`](crate::config::RetrainMode) is
-/// configured, so dropping the index shuts the workers down before the
-/// core is torn down.
+/// when [`retrain_workers`](AltConfig::retrain_workers) is nonzero, so
+/// dropping the index shuts the workers down before the core is torn
+/// down.
 ///
 /// ```
 /// use alt_index::AltIndex;
@@ -60,10 +60,11 @@ impl AltIndex {
     /// Build over sorted, unique pairs (no key 0) with explicit
     /// configuration.
     pub fn bulk_load_with(pairs: &[(u64, u64)], cfg: AltConfig) -> Self {
-        let bg = cfg.retrain && cfg.retrain_mode == crate::config::RetrainMode::Background;
-        let shared = bg.then(|| Arc::new(crate::sched::SchedShared::new(cfg.bg_retrain.clone())));
+        let workers = if cfg.retrain { cfg.retrain_workers } else { 0 };
+        let shared = (workers > 0).then(Arc::<crate::sched::SchedShared>::default);
         let core = Arc::new(AltCore::build(pairs, cfg, shared.clone()));
-        let sched = shared.map(|sh| crate::sched::spawn_workers(sh, Arc::downgrade(&core)));
+        let sched =
+            shared.map(|sh| crate::sched::spawn_workers(sh, Arc::downgrade(&core), workers));
         Self { sched, core }
     }
 
@@ -94,11 +95,12 @@ pub struct FaultStats {
     pub worker_respawns: u64,
     /// Transitions into degraded mode (`alt.degraded_mode_entries`).
     pub degraded_mode_entries: u64,
-    /// Retrains aborted cleanly or rolled back after a contained inline
-    /// panic (`alt.retrain_rollbacks`).
+    /// Retrains aborted cleanly or rolled back after a contained panic
+    /// on the inserting thread (`alt.retrain_rollbacks`).
     pub retrain_rollbacks: u64,
     /// Whether the pool is *currently* in degraded mode (background
-    /// scheduling suspended, overflows retraining inline, contained).
+    /// scheduling suspended, overflows rebuilt by the inserting thread,
+    /// contained).
     pub degraded: bool,
 }
 
@@ -124,8 +126,8 @@ pub struct AltCore {
     /// accounting; `retrains` is the numerator.
     pub(crate) retrain_attempts: AtomicUsize,
     /// Retrains that aborted cleanly (injected or real build/reconcile
-    /// failure) or whose contained inline panic was rolled back by the
-    /// drop-guards. Always-on so fault tests and benches can read it in
+    /// failure) or whose contained panic on the inserting thread was
+    /// rolled back by the drop-guards. Always-on so fault tests and benches can read it in
     /// any build; mirrored into `obs` under the `metrics` feature.
     pub(crate) rollbacks: AtomicUsize,
     /// Bumped immediately before every directory swap. Scans snapshot it
@@ -133,8 +135,8 @@ pub struct AltCore {
     /// unchanged epoch proves no retrain published (and therefore no
     /// ART absorption started a new generation) mid-scan.
     pub(crate) dir_epoch: AtomicUsize,
-    /// Background retrain queue (present only in background mode; the
-    /// worker pool itself is owned by [`AltIndex`]).
+    /// Background retrain queue (present only with `retrain_workers >
+    /// 0`; the worker pool itself is owned by [`AltIndex`]).
     pub(crate) sched: Option<Arc<crate::sched::SchedShared>>,
 }
 
@@ -261,7 +263,7 @@ impl AltCore {
         let n = dir.models.len();
         let shard = n.div_ceil(threads.max(1));
         if threads <= 1 || n < PARALLEL_BUILD_MIN {
-            self.register_fast_pointer_range(dir, 0, n);
+            self.register_fast_pointers(&dir.models, None);
             return;
         }
         std::thread::scope(|s| {
@@ -274,17 +276,23 @@ impl AltCore {
                     // the directory cannot be swapped during construction.
                     let guard = epoch::pin();
                     let dir = self.dir_ref(&guard);
-                    self.register_fast_pointer_range(dir, start, end);
+                    self.register_fast_pointers(&dir.models[start..end], dir.upper_bound(end - 1));
                 });
                 start = end;
             }
         });
     }
 
-    fn register_fast_pointer_range(&self, dir: &ModelDir, start: usize, end: usize) {
-        for (i, m) in dir.models[start..end].iter().enumerate() {
-            let slot = match dir.upper_bound(start + i) {
-                Some(next_first) => self.buffer.register(&self.art, m.first_key, next_first),
+    /// Register a fast pointer for each of `models` (a key-ordered run
+    /// of neighbours, reusing buffer entries via the merge scheme). A
+    /// model's interval ends at its successor's first key; `next_after`
+    /// is that bound for the last one — `None` at the directory tail,
+    /// whose open-ended interval gets no shortcut.
+    pub(crate) fn register_fast_pointers(&self, models: &[Arc<GplModel>], next_after: Option<u64>) {
+        for (i, m) in models.iter().enumerate() {
+            let upper = models.get(i + 1).map(|n| n.first_key).or(next_after);
+            let slot = match upper {
+                Some(u) => self.buffer.register(&self.art, m.first_key, u),
                 None => NO_FAST,
             };
             m.fast_slot.store(slot, Ordering::Release);
@@ -425,9 +433,9 @@ impl AltCore {
     /// Lock order is `dir_lock` → slot lock → ART node locks, the same
     /// global order every other path uses (retrain: `dir_lock` →
     /// `op_lock.write` → slot reads; slot writers: `op_lock.read` → slot
-    /// lock → ART). `maybe_retrain` only `try_lock`s `dir_lock`, so an
-    /// escalated op can never deadlock a retrain trigger — it just shows
-    /// up as `RetrainSkippedBusy`.
+    /// lock → ART). An inserting thread only `try_lock`s `dir_lock` for
+    /// its retrain, so an escalated op can never deadlock a retrain
+    /// trigger — it just shows up as `RetrainSkippedBusy`.
     pub(crate) fn get_pessimistic(&self, key: u64) -> Option<u64> {
         let _dl = self.dir_lock.lock();
         let guard = epoch::pin();

@@ -60,6 +60,6 @@ pub mod slots;
 pub mod spin;
 pub mod stats;
 
-pub use config::{default_build_threads, AltConfig, BgRetrainPolicy, RetrainMode};
+pub use config::{default_build_threads, AltConfig};
 pub use index::{AltCore, AltIndex, FaultStats};
 pub use stats::{AltStats, ArtProbe};

@@ -3,17 +3,21 @@
 //!
 //! When a model's overflow inserts exceed its build size, the span is
 //! rebuilt: live slot entries are merged with the span's ART residents,
-//! re-segmented with GPL at a doubled gap budget (the paper's "temporal
-//! buffer twice larger / doubled train slope"), and the fresh model(s)
-//! are swapped into the directory RCU-style. ART keys absorbed by the new
-//! slots are then deleted from ART; keys that still conflict stay there.
-//! If the retrained model was the last one, re-segmentation naturally
-//! grows new tail models for out-of-range insertions.
+//! re-segmented with GPL at knobs planned from the collected data
+//! (`adapt.rs`), and the fresh model(s) are swapped into the directory
+//! RCU-style. ART keys absorbed by the new slots are then deleted from
+//! ART; keys that still conflict stay there. If the retrained model was
+//! the last one, re-segmentation naturally grows new tail models for
+//! out-of-range insertions.
+//!
+//! There is one rebuild, `AltCore::retrain_span`, whichever thread
+//! runs it: the inserting thread (no worker pool, or the pool is
+//! degraded) or a `sched.rs` worker. DESIGN.md §14 has the protocol and
+//! its safety argument.
 
 use crate::adapt::plan_retrain;
 use crate::index::{segment_and_build, AltCore};
-use crate::model::{GplModel, NO_FAST};
-use crate::sched::SchedShared;
+use crate::model::GplModel;
 use crate::slots::SlotState;
 use crossbeam_epoch as epoch;
 use std::collections::BTreeMap;
@@ -21,12 +25,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-/// One span's data captured under the model's write lock: live slot
-/// entries, the span's ART residents, and their merge (slot copy wins
-/// on the rare double-presence — write-back deletes the ART copy on
-/// sight anyway). All three are key-sorted.
+/// One span's data captured under the model's write lock: the span's
+/// ART residents, and their merge with the live slot entries (slot copy
+/// wins on the rare double-presence — write-back deletes the ART copy on
+/// sight anyway). Both are key-sorted.
 struct SpanSnapshot {
-    slot_pairs: Vec<(u64, u64)>,
     art_pairs: Vec<(u64, u64)>,
     merged: Vec<(u64, u64)>,
 }
@@ -38,7 +41,7 @@ struct SpanSnapshot {
 /// drop — including during an unwind — so a panic between the swap and
 /// the retire store can never leave readers consulting a replaced
 /// model's slots while writers target the new one (the lost-update
-/// hazard DESIGN.md §16 walks through).
+/// hazard DESIGN.md §14 walks through).
 struct RetireOnDrop<'a>(&'a GplModel);
 
 impl Drop for RetireOnDrop<'_> {
@@ -62,34 +65,42 @@ impl AltCore {
     }
 
     /// Wait until every queued and in-flight background retrain has
-    /// finished. A no-op in inline mode — inline retrains complete
-    /// before the triggering insert returns.
+    /// finished. A no-op without a worker pool — a caller-run retrain
+    /// completes before the triggering insert returns.
     pub fn retrain_quiesce(&self) {
         if let Some(s) = &self.sched {
             s.quiesce();
         }
     }
 
-    /// Post-insert retrain dispatch: retrain inline (the paper's
-    /// behaviour) or enqueue a prioritized request for the background
-    /// worker pool, depending on
-    /// [`retrain_mode`](crate::config::AltConfig::retrain_mode).
+    /// Post-insert retrain dispatch: enqueue a prioritized request for
+    /// the worker pool, or — with no pool, or a degraded one — run the
+    /// rebuild on this (the inserting) thread.
     pub(crate) fn trigger_retrain(&self, key: u64) {
-        let Some(sched) = &self.sched else {
-            // Inline mode: contain the structural path so a panic
-            // (injected or real) mid-retrain can't take the inserting
-            // thread — and with it the caller's whole workload — down.
-            self.contained_inline_retrain(key, None);
-            return;
-        };
-        if sched.is_degraded() {
-            // Degraded mode: background scheduling is suspended after
-            // repeated worker panics; serve the overflow with a
-            // contained inline retrain (the throughput floor) and feed
-            // the recovery streak.
-            self.contained_inline_retrain(key, Some(sched));
+        if !self.cfg.retrain {
             return;
         }
+        let sched = match &self.sched {
+            Some(sched) if !sched.is_degraded() => sched,
+            sched => {
+                // Contain the structural path so a panic (injected or
+                // real) mid-retrain can't take the inserting thread —
+                // and with it the caller's whole workload — down. The
+                // drop-guards inside the retrain have already released
+                // every lock and completed or never started the publish,
+                // so a contained panic counts as a rollback. With a
+                // degraded pool this is the throughput floor, and the
+                // outcome feeds the scheduler's recovery streak.
+                let ok = catch_unwind(AssertUnwindSafe(|| self.retrain_span(key, false))).is_ok();
+                if !ok {
+                    self.count_rollback();
+                }
+                if let Some(s) = sched {
+                    s.note_caller_result(ok);
+                }
+                return;
+            }
+        };
         let guard = epoch::pin();
         let m = self.dir_ref(&guard).model_for(key);
         if m.is_retired() || !m.wants_retrain() {
@@ -115,27 +126,6 @@ impl AltCore {
         }
     }
 
-    /// Run [`Self::maybe_retrain`] inside `catch_unwind`. A contained
-    /// panic counts as a rollback (the drop-guards inside the retrain
-    /// have already released every lock and completed or never started
-    /// the publish); in degraded mode the outcome feeds the scheduler's
-    /// recovery streak.
-    fn contained_inline_retrain(&self, key_hint: u64, sched: Option<&SchedShared>) {
-        match catch_unwind(AssertUnwindSafe(|| self.maybe_retrain(key_hint))) {
-            Ok(()) => {
-                if let Some(s) = sched {
-                    s.note_inline_result(true);
-                }
-            }
-            Err(_) => {
-                self.count_rollback();
-                if let Some(s) = sched {
-                    s.note_inline_result(false);
-                }
-            }
-        }
-    }
-
     /// Count one rolled-back (or contained-after-publish) retrain.
     pub(crate) fn count_rollback(&self) {
         self.rollbacks.fetch_add(1, Ordering::Relaxed);
@@ -153,23 +143,36 @@ impl AltCore {
         let mut art_pairs: Vec<(u64, u64)> = Vec::new();
         self.art.range(lo, hi, &mut art_pairs);
         let merged = merge_pairs(&slot_pairs, &art_pairs);
-        SpanSnapshot {
-            slot_pairs,
-            art_pairs,
-            merged,
-        }
+        SpanSnapshot { art_pairs, merged }
     }
 
-    /// Attempt to retrain the model covering `key_hint`. Quietly returns
-    /// if another structural change is in flight or the model no longer
-    /// wants retraining.
-    pub(crate) fn maybe_retrain(&self, key_hint: u64) {
-        if !self.cfg.retrain {
-            return;
-        }
-        // One structural change at a time; droppers just skip (the next
-        // overflow insert will retry).
-        let Some(_dl) = self.dir_lock.try_lock() else {
+    /// Rebuild the model covering `key_hint` if it still wants it. The
+    /// one retrain path: an inserting thread passes `may_block: false`
+    /// and quietly skips when another structural change is in flight
+    /// (the next overflow insert retries); a worker passes `true` and
+    /// waits its turn on `dir_lock`, so a drained request is never lost.
+    ///
+    /// The model's `op_lock` write side is taken twice, briefly, so
+    /// writers to the span never stall for the GPL re-segmentation:
+    ///
+    /// 1. **Collect** — snapshot the span (slots + ART range), then
+    ///    release the write lock. Writers resume against the *old*
+    ///    layout while the new models are built from the snapshot.
+    /// 2. **Reconcile + publish** — re-take the write lock, re-collect,
+    ///    and diff the two snapshots: every key inserted, updated, or
+    ///    removed during the build is applied to the still-private new
+    ///    models (or to the conflict set). Then: conflicts into ART,
+    ///    fast pointers, epoch bump, RCU swap, retire, absorb.
+    ///
+    /// DESIGN.md §14 argues why the swap is race-free whichever thread
+    /// runs this, and what a panic at each hold site leaves behind.
+    pub(crate) fn retrain_span(&self, key_hint: u64, may_block: bool) {
+        // One structural change at a time.
+        let _dl = if may_block {
+            self.dir_lock.lock()
+        } else if let Some(dl) = self.dir_lock.try_lock() {
+            dl
+        } else {
             crate::metrics_hook::retrain_skipped_busy();
             return;
         };
@@ -183,23 +186,18 @@ impl AltCore {
         self.retrain_attempts.fetch_add(1, Ordering::Relaxed);
         crate::metrics_hook::retrain_attempt();
 
-        // Block writers to this model for the copy phase; readers stay
-        // lock-free and are redirected by the `retired` flag afterwards.
-        let _wl = m.op_lock.write();
+        // Phase 1: snapshot under a short writer stall, then let writers
+        // back in for the build. Readers stay lock-free throughout.
         let t_collect = crate::metrics_hook::now_ns();
-
-        // Failpoint inside the write-locked section: an injected panic
-        // here unwinds through `_wl` and `_dl` (both RAII-released) and
-        // is contained by `trigger_retrain`; no state has changed yet.
-        crate::fail_hook::point("retrain.collect");
-        let snap = self.collect_span(dir, mi, m);
-        let SpanSnapshot {
-            slot_pairs,
-            art_pairs,
-            merged,
-        } = snap;
+        let before = {
+            let _wl = m.op_lock.write();
+            // Injected panic: unwinds through `_wl`/`_dl` (RAII) into
+            // the caller's `catch_unwind`; nothing has changed yet.
+            crate::fail_hook::point("retrain.collect");
+            self.collect_span(dir, mi, m)
+        };
         crate::metrics_hook::retrain_collect_done(t_collect);
-        if merged.is_empty() {
+        if before.merged.is_empty() {
             // Everything in the span was removed; nothing to refactor.
             // The overflow inserts that tripped the trigger are gone with
             // the rest of the span, so reset the accounting — leaving it
@@ -211,6 +209,8 @@ impl AltCore {
             return;
         }
 
+        // Build off the write lock: concurrent inserts/updates/removes
+        // proceed against the old layout and are reconciled below.
         let t_build = crate::metrics_hook::now_ns();
         // Fallible build: an injected Error/AllocFail (or, one day, a
         // real fallible-allocation failure) aborts the retrain cleanly
@@ -221,185 +221,10 @@ impl AltCore {
             return;
         }
         let plan = plan_retrain(
-            &merged,
-            art_pairs.len(),
-            self.epsilon,
-            m.expansions,
-            self.cfg.adaptive_retrain,
-        );
-        let (models, conflicts) = segment_and_build(
-            &merged,
-            plan.epsilon,
-            self.cfg.gap_factor,
-            plan.expansions,
-            Some(m.first_key),
-        );
-
-        // Conflict keys that came from the learned layer must move down
-        // to ART before the swap so no reader window misses them.
-        {
-            let mut ci = 0usize;
-            for &(k, v) in &slot_pairs {
-                while ci < conflicts.len() && conflicts[ci].0 < k {
-                    ci += 1;
-                }
-                if ci < conflicts.len() && conflicts[ci].0 == k {
-                    self.art.upsert(k, v);
-                }
-            }
-        }
-
-        // Register fast pointers for the new models (reusing entries via
-        // the merge scheme).
-        if self.cfg.fast_pointers {
-            let next_after = dir.upper_bound(mi);
-            for (i, nm) in models.iter().enumerate() {
-                let upper = models.get(i + 1).map(|n| n.first_key).or(next_after);
-                let slot = match upper {
-                    Some(u) => self.buffer.register(&self.art, nm.first_key, u),
-                    None => NO_FAST,
-                };
-                nm.fast_slot.store(slot, Ordering::Release);
-            }
-        }
-
-        crate::metrics_hook::retrain_build_done(t_build);
-        let t_swap = crate::metrics_hook::now_ns();
-
-        // Publish the new directory and retire the old snapshot. The
-        // epoch bump must precede the swap: scans that saw the old epoch
-        // and miss this swap will re-read it, notice the change, and
-        // retry instead of mixing an old slot walk with a post-absorb
-        // ART view.
-        let new_dir = dir.replace(mi, models);
-        self.dir_epoch.fetch_add(1, Ordering::Release);
-        crate::chaos_hook::point("retrain.pre_swap");
-        let old = self
-            .dir
-            .swap(epoch::Owned::new(new_dir), Ordering::AcqRel, &guard);
-        // The new directory is now published: from here the old model
-        // MUST end up retired even if we unwind, or readers that cached
-        // it would keep serving replaced slots while writers target the
-        // new ones. The guard stores `retired` on drop (armed only
-        // after the swap — see its doc comment).
-        let retire_guard = RetireOnDrop(m);
-        // SAFETY: `old` was just unlinked under `dir_lock`; readers still
-        // holding it are protected by their epoch pins.
-        unsafe { guard.defer_destroy(old) };
-        // Widen the window between directory publication and the retired
-        // flag — readers caught here must still find every key.
-        crate::chaos_hook::point("retrain.post_swap");
-        crate::fail_hook::point("retrain.swap");
-        drop(retire_guard);
-        crate::metrics_hook::retrain_swap_done(t_swap);
-        let t_cleanup = crate::metrics_hook::now_ns();
-
-        // Remove the ART keys the new slots absorbed (everything in the
-        // span except the still-conflicting ones). Readers racing these
-        // deletes see `retired` and retry against the new directory. A
-        // panic mid-pass leaves the remaining keys present in *both*
-        // layers — benign double presence the op paths already handle
-        // (the slot copy wins and the values are equal; the next retrain
-        // of the span merges them away).
-        {
-            let mut ci = 0usize;
-            for &(k, _) in &art_pairs {
-                while ci < conflicts.len() && conflicts[ci].0 < k {
-                    ci += 1;
-                }
-                let still_conflicts = ci < conflicts.len() && conflicts[ci].0 == k;
-                if !still_conflicts {
-                    crate::chaos_hook::point("retrain.absorb_remove");
-                    crate::fail_hook::point("retrain.absorb");
-                    self.art.remove(k);
-                }
-            }
-        }
-        crate::metrics_hook::retrain_cleanup_done(t_cleanup);
-        self.retrains.fetch_add(1, Ordering::Relaxed);
-        crate::metrics_hook::retrain_completed();
-    }
-
-    /// Two-phase retrain run by a background worker (§III-F moved off
-    /// the hot path).
-    ///
-    /// The inline path holds the model's `op_lock` write side across
-    /// collect *and* build, so writers to the span stall for the whole
-    /// GPL re-segmentation. Here the write lock is taken twice, briefly:
-    ///
-    /// 1. **Collect** — snapshot the span (slots + ART range), then
-    ///    release the write lock. Writers resume against the *old*
-    ///    layout while the new models are built from the snapshot.
-    /// 2. **Reconcile + publish** — re-take the write lock, re-collect,
-    ///    and diff the two snapshots: every key inserted, updated, or
-    ///    removed during the build is applied to the still-private new
-    ///    models (or to the conflict set). Then the usual publish
-    ///    sequence runs: conflicts into ART, fast pointers, epoch bump,
-    ///    RCU swap, retire, absorb.
-    ///
-    /// The swap is race-free off-thread for the same reasons it is
-    /// inline: `dir_lock` (held throughout) freezes the directory and
-    /// serializes structural changes; both collect windows run under
-    /// the model's write lock, so each snapshot is a quiesced image of
-    /// the span; and the epoch bump before the swap sends concurrent
-    /// scans into their re-read loop exactly as an inline retrain
-    /// would. Readers never block: they follow `retired` to the new
-    /// directory once published. The one new obligation is that the
-    /// delta application preserves the reader invariant "an ART-
-    /// resident key's predicted slot is never Empty" — it does, because
-    /// delta-removes leave tombstones (not empties) and delta-conflicts
-    /// point at occupied slots.
-    pub(crate) fn retrain_background(&self, key_hint: u64) {
-        if !self.cfg.retrain {
-            return;
-        }
-        // Workers serialize on `dir_lock` like every structural change;
-        // blocking (not `try_lock`) is fine off the hot path and means a
-        // drained request is never silently lost to a racing escalation.
-        let _dl = self.dir_lock.lock();
-        let guard = epoch::pin();
-        let dir = self.dir_ref(&guard);
-        let mi = dir.locate(key_hint);
-        let m = &dir.models[mi];
-        if m.is_retired() || !m.wants_retrain() {
-            return;
-        }
-        self.retrain_attempts.fetch_add(1, Ordering::Relaxed);
-        crate::metrics_hook::retrain_attempt();
-
-        // Phase 1: snapshot under a short writer stall, then let writers
-        // back in for the build.
-        let t_collect = crate::metrics_hook::now_ns();
-        let before = {
-            let _wl = m.op_lock.write();
-            // Injected panic: unwinds through `_wl`/`_dl` (RAII) into
-            // the worker's `catch_unwind`; nothing has changed yet.
-            crate::fail_hook::point("retrain.collect");
-            self.collect_span(dir, mi, m)
-        };
-        crate::metrics_hook::retrain_collect_done(t_collect);
-        if before.merged.is_empty() {
-            // As in the inline path: span emptied, reset the trigger.
-            m.art_inserts.store(0, Ordering::Relaxed);
-            crate::metrics_hook::retrain_empty_span();
-            return;
-        }
-
-        // Build off the write lock: concurrent inserts/updates/removes
-        // proceed against the old layout and are reconciled below.
-        let t_build = crate::metrics_hook::now_ns();
-        // Fallible build, as in the inline path: clean abort, trigger
-        // accounting left high so the next overflow insert retries.
-        if crate::fail_hook::should_fail("retrain.build") {
-            self.count_rollback();
-            return;
-        }
-        let plan = plan_retrain(
             &before.merged,
             before.art_pairs.len(),
             self.epsilon,
             m.expansions,
-            self.cfg.adaptive_retrain,
         );
         let (models, conflicts) = segment_and_build(
             &before.merged,
@@ -412,6 +237,9 @@ impl AltCore {
         // or drop (conflicted keys removed mid-build) entries.
         let mut conflict_map: BTreeMap<u64, u64> = conflicts.into_iter().collect();
         crate::metrics_hook::retrain_build_done(t_build);
+        // Widen the window in which writers mutate the span being
+        // rebuilt — everything they do here must survive the reconcile.
+        crate::chaos_hook::point("retrain.build_window");
 
         // Phase 2: writers stalled again for reconcile + publish.
         let _wl = m.op_lock.write();
@@ -434,45 +262,47 @@ impl AltCore {
         for (&k, &v) in &conflict_map {
             self.art.upsert(k, v);
         }
-
-        // Fast pointers for the new models (reusing entries via the
-        // merge scheme), exactly as inline.
         if self.cfg.fast_pointers {
-            let next_after = dir.upper_bound(mi);
-            for (i, nm) in models.iter().enumerate() {
-                let upper = models.get(i + 1).map(|n| n.first_key).or(next_after);
-                let slot = match upper {
-                    Some(u) => self.buffer.register(&self.art, nm.first_key, u),
-                    None => NO_FAST,
-                };
-                nm.fast_slot.store(slot, Ordering::Release);
-            }
+            self.register_fast_pointers(&models, dir.upper_bound(mi));
         }
 
+        // Publish the new directory and retire the old snapshot. The
+        // epoch bump must precede the swap: scans that saw the old epoch
+        // and miss this swap will re-read it, notice the change, and
+        // retry instead of mixing an old slot walk with a post-absorb
+        // ART view.
         let t_swap = crate::metrics_hook::now_ns();
         let new_dir = dir.replace(mi, models);
         self.dir_epoch.fetch_add(1, Ordering::Release);
-        crate::chaos_hook::point("retrain.bg.swap");
         crate::chaos_hook::point("retrain.pre_swap");
         let old = self
             .dir
             .swap(epoch::Owned::new(new_dir), Ordering::AcqRel, &guard);
-        // Publish-completion guard, as in the inline path: armed only
-        // after the swap, stores `retired` even on unwind.
+        // The new directory is now published: from here the old model
+        // MUST end up retired even if we unwind, or readers that cached
+        // it would keep serving replaced slots while writers target the
+        // new ones. The guard stores `retired` on drop (armed only
+        // after the swap — see its doc comment).
         let retire_guard = RetireOnDrop(m);
         // SAFETY: `old` was just unlinked under `dir_lock`; readers still
         // holding it are protected by their epoch pins.
         unsafe { guard.defer_destroy(old) };
+        // Widen the window between directory publication and the retired
+        // flag — readers caught here must still find every key.
         crate::chaos_hook::point("retrain.post_swap");
         crate::fail_hook::point("retrain.swap");
         drop(retire_guard);
         crate::metrics_hook::retrain_swap_done(t_swap);
-        let t_cleanup = crate::metrics_hook::now_ns();
 
-        // Absorb pass over the *phase-2* ART snapshot: every span key
-        // still in ART that the new slots absorbed gets deleted; the
-        // still-conflicting ones stay. A panic mid-pass leaves benign
-        // double presence, exactly as inline.
+        // Remove the ART keys the new slots absorbed (everything in the
+        // span's phase-2 ART snapshot except the still-conflicting
+        // ones). Readers racing these deletes see `retired` and retry
+        // against the new directory. A panic mid-pass leaves the
+        // remaining keys present in *both* layers — benign double
+        // presence the op paths already handle (the slot copy wins and
+        // the values are equal; the next retrain of the span merges them
+        // away).
+        let t_cleanup = crate::metrics_hook::now_ns();
         for &(k, _) in &after.art_pairs {
             if !conflict_map.contains_key(&k) {
                 crate::chaos_hook::point("retrain.absorb_remove");
@@ -611,6 +441,80 @@ mod tests {
         assert_eq!(merge_pairs(&a, &[]), a.to_vec());
     }
 
+    proptest::proptest! {
+        /// `apply_delta` is on the path of every retrain: whatever
+        /// writers did to the span during the off-lock build, the
+        /// private models plus the conflict set must end up holding
+        /// exactly the phase-2 snapshot, in a shape readers can serve.
+        #[test]
+        fn apply_delta_reproduces_the_after_snapshot(
+            before in proptest::collection::btree_set(1u64..4_000, 1..300),
+            // (kind, key, value): insert-if-absent / update-if-present /
+            // remove, drawn over a universe wider than `before` on both
+            // sides (keys below the span floor and past its last key).
+            ops in proptest::collection::vec((0u8..3, 1u64..5_000, 0u64..1_000_000), 0..400),
+            eps in 2.0f64..64.0,
+            expansions in 0u32..3,
+        ) {
+            let before: Vec<(u64, u64)> = before.into_iter().map(|k| (k, k ^ 0xABCD)).collect();
+            let (models, conflicts) =
+                segment_and_build(&before, eps, 1.25, expansions, Some(before[0].0));
+            let mut conflict_map: BTreeMap<u64, u64> = conflicts.into_iter().collect();
+
+            let mut after: BTreeMap<u64, u64> = before.iter().copied().collect();
+            for (kind, k, v) in ops {
+                match kind {
+                    0 => {
+                        after.entry(k).or_insert(v);
+                    }
+                    1 => {
+                        after.entry(k).and_modify(|slot| *slot = v);
+                    }
+                    _ => {
+                        after.remove(&k);
+                    }
+                }
+            }
+            let after: Vec<(u64, u64)> = after.into_iter().collect();
+            apply_delta(&models, &before, &after, &mut conflict_map);
+
+            // Live slot entries, each at the slot its routed model
+            // predicts (the only place a reader looks for it).
+            let mut live: BTreeMap<u64, u64> = BTreeMap::new();
+            for m in &models {
+                let mut misplaced = None;
+                m.slots.for_each_live(|slot, k, v| {
+                    let owner = locate_new_model(&models, k);
+                    let placed = std::ptr::eq(owner, &**m) && m.predict(k) == slot;
+                    if !placed || live.insert(k, v).is_some() {
+                        misplaced = Some(k);
+                    }
+                });
+                proptest::prop_assert!(
+                    misplaced.is_none(),
+                    "key {misplaced:?} misplaced or duplicated"
+                );
+            }
+            // (b) no key is in both layers.
+            for k in conflict_map.keys() {
+                proptest::prop_assert!(!live.contains_key(k), "key {k} in slots and conflicts");
+            }
+            // (a) live slots ∪ conflicts == `after`, exactly.
+            let mut union = live;
+            union.extend(conflict_map.iter().map(|(&k, &v)| (k, v)));
+            proptest::prop_assert_eq!(union.into_iter().collect::<Vec<_>>(), after);
+            // (c) the reader invariant: a conflict key's predicted slot is
+            // never Empty (an Empty slot reads as "key absent").
+            for &k in conflict_map.keys() {
+                let m = locate_new_model(&models, k);
+                proptest::prop_assert!(
+                    m.slots.read(m.predict(k)).0 != SlotState::Empty,
+                    "conflict key {k} predicts an Empty slot"
+                );
+            }
+        }
+    }
+
     #[test]
     fn hot_insert_burst_triggers_retrain_and_keeps_all_keys() {
         // Small bulk load, then a dense burst into one region — the
@@ -666,7 +570,7 @@ mod tests {
 
     #[test]
     fn empty_span_retrain_resets_overflow_accounting() {
-        // Regression: `maybe_retrain` on a fully-emptied span used to
+        // Regression: a retrain of a fully-emptied span used to
         // bail out leaving `art_inserts` above the trigger threshold, so
         // `wants_retrain()` stayed true and every later overflow insert
         // paid another futile collect-and-bail pass.
@@ -692,7 +596,7 @@ mod tests {
         m.art_inserts
             .store(m.build_size.max(16) + 100, Ordering::Relaxed);
         assert!(m.wants_retrain());
-        idx.maybe_retrain(target);
+        idx.retrain_span(target, false);
         assert_eq!(idx.retrain_attempt_count(), 1, "one collect-and-bail pass");
         assert_eq!(idx.retrain_count(), 0, "nothing to publish");
         assert!(
@@ -789,10 +693,9 @@ mod tests {
 
     #[test]
     fn background_burst_retrains_off_hot_path() {
-        // Same hot-write burst as the inline test, but in Background
-        // mode: the inserting thread only enqueues; the worker pool does
-        // the two-phase rebuild. After quiesce, retrains happened and
-        // every key is intact.
+        // Same hot-write burst as above, but with a worker pool: the
+        // inserting thread only enqueues; a worker does the rebuild.
+        // After quiesce, retrains happened and every key is intact.
         let pairs: Vec<(u64, u64)> = (1..=2_000u64).map(|i| (i * 1_000, i)).collect();
         let idx = AltIndex::bulk_load_with(
             &pairs,
@@ -874,7 +777,7 @@ mod tests {
     #[test]
     fn background_final_state_matches_inline() {
         // A/B: the same deterministic op sequence lands in the same final
-        // state whether retrains run inline or on the worker pool.
+        // state whether retrains run on the caller or on the worker pool.
         let pairs: Vec<(u64, u64)> = (1..=1_000u64).map(|i| (i * 1_000, i)).collect();
         let run = |cfg: AltConfig| {
             let idx = AltIndex::bulk_load_with(&pairs, cfg);
@@ -903,7 +806,7 @@ mod tests {
         };
         let (len_inline, dump_inline) = run(cfg.clone());
         let (len_bg, dump_bg) = run(AltConfig {
-            retrain_mode: crate::config::RetrainMode::Background,
+            retrain_workers: 1,
             ..cfg
         });
         assert_eq!(len_inline, len_bg);

@@ -1,30 +1,36 @@
-//! The background retrain scheduler: a budgeted worker pool draining a
-//! bounded priority queue of retrain requests.
+//! The background retrain scheduler: a worker pool draining a bounded
+//! priority queue of retrain requests.
 //!
-//! In [`RetrainMode::Background`](crate::config::RetrainMode) the
-//! inserting thread no longer pays the §III-F collect/build/swap on the
-//! hot path — it enqueues a request prioritized by the span's observed
-//! overflow pressure (plus the process-wide escalation pressure the
-//! `obs` counters record, when the `metrics` feature is on) and returns.
-//! Workers pop the highest-pressure span first, FIFO among ties, and
-//! run [`AltCore::retrain_background`](crate::index::AltCore) —
-//! the two-phase variant whose build runs *outside* the model's write
-//! lock (see `retrain.rs`).
+//! With [`retrain_workers`](crate::config::AltConfig::retrain_workers)
+//! above zero the inserting thread no longer pays the §III-F rebuild on
+//! the hot path — it enqueues a request prioritized by the span's
+//! observed overflow pressure (plus the process-wide escalation pressure
+//! the `obs` counters record, when the `metrics` feature is on) and
+//! returns. Workers pop the highest-pressure span first, FIFO among
+//! ties, and run [`AltCore::retrain_span`](crate::index::AltCore) — the
+//! same function an inserting thread runs when there is no pool.
 //!
-//! Budgeting follows the resilience crate's tiered-policy style: the
-//! queue is bounded (excess requests are shed — the next overflow
-//! insert re-enqueues), duplicate requests for a span already queued
-//! are coalesced, and an optional minimum interval throttles each
-//! worker's drain rate.
+//! The queue is bounded (excess requests are shed — the next overflow
+//! insert re-enqueues) and duplicate requests for a span already queued
+//! are coalesced.
 
-use crate::config::BgRetrainPolicy;
 use crate::index::AltCore;
 use std::collections::{BinaryHeap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
 use std::thread::JoinHandle;
-use std::time::Instant;
+
+/// Queued requests beyond this are shed (and counted as
+/// `alt.retrain_bg_dropped`); the next overflow insert re-enqueues.
+const MAX_QUEUE: usize = 64;
+/// Consecutive contained worker panics that trip **degraded mode**:
+/// requests stop being enqueued and overflowing inserts run the rebuild
+/// themselves, contained — a throughput floor while whatever is killing
+/// the workers persists (DESIGN.md §16).
+const FAIL_STREAK_LIMIT: u32 = 3;
+/// Consecutive clean caller-run retrains that end a degraded episode.
+const RECOVER_AFTER: u32 = 2;
 
 /// One queued retrain request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,13 +82,13 @@ impl Queue {
 
 /// State shared between enqueuers (inserting threads), the worker pool,
 /// and `quiesce` waiters.
+#[derive(Default)]
 pub(crate) struct SchedShared {
     q: Mutex<Queue>,
     /// Workers wait here for work (or shutdown).
     work: Condvar,
     /// `quiesce` callers wait here for the queue to drain.
     idle: Condvar,
-    policy: BgRetrainPolicy,
     /// Requests shed at admission or dropped mid-drain. Always-on (the
     /// `metrics` feature additionally mirrors it into `obs`) so fault
     /// tests and benches can observe it in any build.
@@ -96,11 +102,11 @@ pub(crate) struct SchedShared {
     /// Transitions into degraded mode.
     degraded_entries: AtomicU64,
     /// Degraded mode flag: background scheduling suspended, overflows
-    /// fall back to contained inline retrains.
+    /// are rebuilt by the inserting thread, contained.
     degraded: AtomicBool,
     /// Consecutive contained worker panics (reset by a clean drain).
     fail_streak: AtomicU32,
-    /// Consecutive clean inline retrains while degraded (recovery).
+    /// Consecutive clean caller-run retrains while degraded (recovery).
     clean_streak: AtomicU32,
 }
 
@@ -117,22 +123,6 @@ impl Drop for InFlightGuard<'_> {
 }
 
 impl SchedShared {
-    pub(crate) fn new(policy: BgRetrainPolicy) -> Self {
-        Self {
-            q: Mutex::new(Queue::default()),
-            work: Condvar::new(),
-            idle: Condvar::new(),
-            policy,
-            dropped: AtomicU64::new(0),
-            bg_panics: AtomicU64::new(0),
-            respawns: AtomicU64::new(0),
-            degraded_entries: AtomicU64::new(0),
-            degraded: AtomicBool::new(false),
-            fail_streak: AtomicU32::new(0),
-            clean_streak: AtomicU32::new(0),
-        }
-    }
-
     /// Lock the queue, recovering from poison: the shim `parking_lot`
     /// build never poisons, and under std mutexes a worker that panicked
     /// while holding the queue lock has left it in a consistent state
@@ -164,7 +154,7 @@ impl SchedShared {
     pub(crate) fn enqueue_unchecked(&self, span_key: u64, key_hint: u64, priority: u64) -> bool {
         crate::chaos_hook::point("retrain.bg.enqueue");
         let mut q = self.lock_q();
-        if q.shutdown || q.heap.len() >= self.policy.max_queue.max(1) {
+        if q.shutdown || q.heap.len() >= MAX_QUEUE {
             drop(q);
             self.count_dropped();
             return false;
@@ -235,39 +225,13 @@ impl SchedShared {
         self.idle.notify_all();
     }
 
-    /// Rate-limit between drained retrains. Returns false on shutdown.
-    fn throttle(&self) -> bool {
-        let dur = self.policy.min_interval;
-        let mut q = self.lock_q();
-        if dur.is_zero() {
-            return !q.shutdown;
-        }
-        let deadline = Instant::now() + dur;
-        loop {
-            if q.shutdown {
-                return false;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return true;
-            }
-            // Spurious wakeups (including notify for new work) just
-            // re-check the deadline; the worker stays throttled.
-            let (g, _) = self
-                .work
-                .wait_timeout(q, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner);
-            q = g;
-        }
-    }
-
     fn count_dropped(&self) {
         self.dropped.fetch_add(1, Ordering::Relaxed);
         crate::metrics_hook::retrain_bg_dropped();
     }
 
     /// Whether the pool is in degraded mode (background scheduling
-    /// suspended; overflows retrain inline, contained).
+    /// suspended; overflows retrain on the inserting thread, contained).
     pub(crate) fn is_degraded(&self) -> bool {
         self.degraded.load(Ordering::Relaxed)
     }
@@ -279,9 +243,7 @@ impl SchedShared {
         self.bg_panics.fetch_add(1, Ordering::Relaxed);
         crate::metrics_hook::retrain_bg_panic();
         let streak = self.fail_streak.fetch_add(1, Ordering::Relaxed) + 1;
-        if streak >= self.policy.fail_streak_limit.max(1)
-            && !self.degraded.swap(true, Ordering::Relaxed)
-        {
+        if streak >= FAIL_STREAK_LIMIT && !self.degraded.swap(true, Ordering::Relaxed) {
             self.degraded_entries.fetch_add(1, Ordering::Relaxed);
             crate::metrics_hook::degraded_entry();
             return true;
@@ -294,10 +256,11 @@ impl SchedShared {
         self.fail_streak.store(0, Ordering::Relaxed);
     }
 
-    /// Record the outcome of a contained inline retrain run *because*
-    /// the pool is degraded. `recover_after` consecutive clean runs end
-    /// the degraded episode and resume background scheduling.
-    pub(crate) fn note_inline_result(&self, ok: bool) {
+    /// Record the outcome of a contained caller-run retrain run
+    /// *because* the pool is degraded. [`RECOVER_AFTER`] consecutive
+    /// clean runs end the degraded episode and resume background
+    /// scheduling.
+    pub(crate) fn note_caller_result(&self, ok: bool) {
         if !self.degraded.load(Ordering::Relaxed) {
             return;
         }
@@ -306,7 +269,7 @@ impl SchedShared {
             return;
         }
         let streak = self.clean_streak.fetch_add(1, Ordering::Relaxed) + 1;
-        if streak >= self.policy.recover_after.max(1) {
+        if streak >= RECOVER_AFTER {
             self.clean_streak.store(0, Ordering::Relaxed);
             self.fail_streak.store(0, Ordering::Relaxed);
             self.degraded.store(false, Ordering::Relaxed);
@@ -352,8 +315,11 @@ impl Drop for SchedHandle {
 /// continues in place, so the OS thread survives and the queue keeps
 /// draining. Repeated consecutive panics trip degraded mode (see
 /// [`SchedShared::note_panic`] and DESIGN.md §16).
-pub(crate) fn spawn_workers(shared: Arc<SchedShared>, core: Weak<AltCore>) -> SchedHandle {
-    let n = shared.policy.workers.max(1);
+pub(crate) fn spawn_workers(
+    shared: Arc<SchedShared>,
+    core: Weak<AltCore>,
+    n: usize,
+) -> SchedHandle {
     let workers = (0..n)
         .map(|i| {
             let shared = Arc::clone(&shared);
@@ -380,7 +346,7 @@ pub(crate) fn spawn_workers(shared: Arc<SchedShared>, core: Weak<AltCore>) -> Sc
                                 crate::metrics_hook::retrain_bg_drained();
                                 match core.upgrade() {
                                     Some(core) => {
-                                        core.retrain_background(req.key_hint);
+                                        core.retrain_span(req.key_hint, true);
                                         true
                                     }
                                     None => false,
@@ -390,12 +356,12 @@ pub(crate) fn spawn_workers(shared: Arc<SchedShared>, core: Weak<AltCore>) -> Sc
                         match outcome {
                             Ok(alive) => {
                                 shared.note_bg_clean();
-                                if !alive || !shared.throttle() {
+                                if !alive {
                                     break;
                                 }
                             }
                             Err(_) => {
-                                // Contained panic. `retrain_background`'s
+                                // Contained panic. `retrain_span`'s
                                 // drop-guards have already rolled partial
                                 // state back (locks released, publish
                                 // completed or never started).
@@ -414,9 +380,6 @@ pub(crate) fn spawn_workers(shared: Arc<SchedShared>, core: Weak<AltCore>) -> Sc
                                         req.priority,
                                     );
                                 }
-                                if !shared.throttle() {
-                                    break;
-                                }
                             }
                         }
                     }
@@ -432,18 +395,9 @@ mod tests {
     use super::*;
     use std::time::Duration;
 
-    fn policy(max_queue: usize) -> BgRetrainPolicy {
-        BgRetrainPolicy {
-            workers: 1,
-            max_queue,
-            min_interval: Duration::ZERO,
-            ..Default::default()
-        }
-    }
-
     #[test]
     fn pops_highest_priority_first_fifo_among_ties() {
-        let s = SchedShared::new(policy(16));
+        let s = SchedShared::default();
         assert!(s.enqueue(10, 11, 1));
         assert!(s.enqueue(20, 21, 5));
         assert!(s.enqueue(30, 31, 5));
@@ -454,12 +408,14 @@ mod tests {
 
     #[test]
     fn duplicate_spans_coalesce_and_full_queue_sheds() {
-        let s = SchedShared::new(policy(2));
+        let s = SchedShared::default();
         assert!(s.enqueue(10, 11, 1));
         assert!(!s.enqueue(10, 12, 9), "same span coalesces");
-        assert!(s.enqueue(20, 21, 1));
-        assert!(!s.enqueue(30, 31, 1), "queue full sheds");
-        assert_eq!(s.depth(), 2);
+        for span in 1..MAX_QUEUE as u64 {
+            assert!(s.enqueue(span * 100, span * 100 + 1, 1));
+        }
+        assert!(!s.enqueue(5, 6, 1), "queue full sheds");
+        assert_eq!(s.depth(), MAX_QUEUE);
         // Popping a span frees its dedup slot for re-enqueueing.
         let r = s.pop().unwrap();
         assert!(s.enqueue(r.span_key, r.key_hint, 1));
@@ -467,7 +423,7 @@ mod tests {
 
     #[test]
     fn quiesce_waits_for_in_flight_work() {
-        let s = Arc::new(SchedShared::new(policy(16)));
+        let s = Arc::new(SchedShared::default());
         assert!(s.enqueue(10, 11, 1));
         let r = s.pop().unwrap();
         assert_eq!(r.span_key, 10);
@@ -485,7 +441,7 @@ mod tests {
 
     #[test]
     fn shutdown_unblocks_pop_and_quiesce() {
-        let s = Arc::new(SchedShared::new(policy(16)));
+        let s = Arc::new(SchedShared::default());
         let s2 = Arc::clone(&s);
         let popper = std::thread::spawn(move || s2.pop());
         std::thread::sleep(Duration::from_millis(10));
@@ -501,7 +457,7 @@ mod tests {
         // `done()`, leaving `in_flight` nonzero and every quiesce()
         // caller parked forever. The InFlightGuard must run `done()`
         // during unwind.
-        let s = Arc::new(SchedShared::new(policy(16)));
+        let s = Arc::new(SchedShared::default());
         assert!(s.enqueue(10, 11, 1));
         let r = s.pop().unwrap();
         assert_eq!(r.span_key, 10);
@@ -516,8 +472,8 @@ mod tests {
 
     #[test]
     fn degraded_mode_trips_after_streak_and_recovers() {
-        // Defaults: fail_streak_limit = 3, recover_after = 2.
-        let s = SchedShared::new(policy(16));
+        // FAIL_STREAK_LIMIT = 3, RECOVER_AFTER = 2.
+        let s = SchedShared::default();
         assert!(!s.is_degraded());
         assert!(!s.note_panic());
         assert!(!s.note_panic());
@@ -527,14 +483,14 @@ mod tests {
         assert_eq!(s.fault_counts().3, 1, "one degraded-mode entry");
         assert_eq!(s.fault_counts().1, 4, "every contained panic counted");
 
-        // Recovery needs `recover_after` *consecutive* clean inlines.
-        s.note_inline_result(true);
-        assert!(s.is_degraded(), "one clean inline is not enough");
-        s.note_inline_result(false);
-        s.note_inline_result(true);
-        assert!(s.is_degraded(), "failed inline reset the recovery streak");
-        s.note_inline_result(true);
-        assert!(!s.is_degraded(), "two consecutive clean inlines recover");
+        // Recovery needs RECOVER_AFTER *consecutive* clean caller runs.
+        s.note_caller_result(true);
+        assert!(s.is_degraded(), "one clean run is not enough");
+        s.note_caller_result(false);
+        s.note_caller_result(true);
+        assert!(s.is_degraded(), "failed run reset the recovery streak");
+        s.note_caller_result(true);
+        assert!(!s.is_degraded(), "two consecutive clean runs recover");
 
         // The fail streak was reset on recovery: it takes a full new
         // streak to re-enter.
@@ -546,27 +502,12 @@ mod tests {
 
     #[test]
     fn clean_drain_resets_the_fail_streak() {
-        let s = SchedShared::new(policy(16));
+        let s = SchedShared::default();
         assert!(!s.note_panic());
         assert!(!s.note_panic());
         s.note_bg_clean();
         assert!(!s.note_panic(), "streak restarted after a clean drain");
         assert!(!s.note_panic());
         assert!(s.note_panic());
-    }
-
-    #[test]
-    fn throttle_observes_shutdown() {
-        let s = Arc::new(SchedShared::new(BgRetrainPolicy {
-            workers: 1,
-            max_queue: 16,
-            min_interval: Duration::from_secs(60),
-            ..Default::default()
-        }));
-        let s2 = Arc::clone(&s);
-        let t = std::thread::spawn(move || s2.throttle());
-        std::thread::sleep(Duration::from_millis(10));
-        s.shutdown();
-        assert!(!t.join().unwrap(), "shutdown must end the throttle wait");
     }
 }

@@ -117,10 +117,10 @@ impl Class {
             let bytes = self.slot * SLOTS_PER_CHUNK;
             let layout = std::alloc::Layout::from_size_align(bytes, 64).unwrap();
             let grow_failed = crate::fail_hook::should_fail("art.arena.grow");
-            // SAFETY: `layout` has nonzero size.
             let chunk = if grow_failed {
                 std::ptr::null_mut()
             } else {
+                // SAFETY: `layout` has nonzero size.
                 unsafe { std::alloc::alloc(layout) }
             };
             if chunk.is_null() {

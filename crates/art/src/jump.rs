@@ -552,8 +552,9 @@ mod tests {
                 other => panic!("unexpected {other:?}"),
             }
         }
-        // Old pointer is obsolete and reports fallback (memory still alive
-        // under our pin).
+        // Old pointer is obsolete and reports fallback.
+        // SAFETY: `node` was a live node of `t` when read above and its
+        // memory is still alive under our pin.
         let hdr = unsafe { node::header(node) };
         assert!(hdr.version.is_obsolete());
     }

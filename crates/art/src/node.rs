@@ -903,6 +903,10 @@ mod tests {
 
     #[test]
     fn node4_insert_find_remove() {
+        // SAFETY: every pointer used below was returned by `alloc`,
+        // `make_leaf`, `grow` or `shrink` in this test and is not yet
+        // freed; the nodes are private to this thread, mutated only under
+        // their version lock, and each is freed exactly once.
         unsafe {
             let p = alloc(NodeType::N4);
             header(p).version.lock();
@@ -930,6 +934,10 @@ mod tests {
 
     #[test]
     fn grow_preserves_children_and_metadata() {
+        // SAFETY: every pointer used below was returned by `alloc`,
+        // `make_leaf`, `grow` or `shrink` in this test and is not yet
+        // freed; the nodes are private to this thread, mutated only under
+        // their version lock, and each is freed exactly once.
         unsafe {
             let p = alloc(NodeType::N4);
             header(p).set_prefix(&[7, 8], 3);
@@ -959,6 +967,10 @@ mod tests {
 
     #[test]
     fn full_growth_chain_4_to_256() {
+        // SAFETY: every pointer used below was returned by `alloc`,
+        // `make_leaf`, `grow` or `shrink` in this test and is not yet
+        // freed; the nodes are private to this thread, mutated only under
+        // their version lock, and each is freed exactly once.
         unsafe {
             let mut p = alloc(NodeType::N4);
             header(p).version.lock();
@@ -988,6 +1000,10 @@ mod tests {
 
     #[test]
     fn shrink_preserves_children() {
+        // SAFETY: every pointer used below was returned by `alloc`,
+        // `make_leaf`, `grow` or `shrink` in this test and is not yet
+        // freed; the nodes are private to this thread, mutated only under
+        // their version lock, and each is freed exactly once.
         unsafe {
             let p = alloc(NodeType::N16);
             header(p).version.lock();
@@ -1009,6 +1025,10 @@ mod tests {
 
     #[test]
     fn node48_index_paths() {
+        // SAFETY: every pointer used below was returned by `alloc`,
+        // `make_leaf`, `grow` or `shrink` in this test and is not yet
+        // freed; the nodes are private to this thread, mutated only under
+        // their version lock, and each is freed exactly once.
         unsafe {
             let p = alloc(NodeType::N48);
             header(p).version.lock();
@@ -1040,6 +1060,10 @@ mod tests {
         // possible from this in-crate test; real stores are provably
         // 0..=47 or EMPTY48, see `node48_slot`) and check every lookup
         // path reports a miss.
+        // SAFETY: every pointer used below was returned by `alloc`,
+        // `make_leaf`, `grow` or `shrink` in this test and is not yet
+        // freed; the nodes are private to this thread, mutated only under
+        // their version lock, and each is freed exactly once.
         unsafe {
             let p = alloc(NodeType::N48);
             header(p).version.lock();
@@ -1071,6 +1095,10 @@ mod tests {
 
     #[test]
     fn racing_find_matches_scalar_on_quiescent_nodes() {
+        // SAFETY: every pointer used below was returned by `alloc`,
+        // `make_leaf`, `grow` or `shrink` in this test and is not yet
+        // freed; the nodes are private to this thread, mutated only under
+        // their version lock, and each is freed exactly once.
         unsafe {
             for ty in [NodeType::N4, NodeType::N16, NodeType::N48, NodeType::N256] {
                 let p = alloc(ty);
@@ -1099,6 +1127,10 @@ mod tests {
 
     #[test]
     fn replace_child_swaps_pointer() {
+        // SAFETY: every pointer used below was returned by `alloc`,
+        // `make_leaf`, `grow` or `shrink` in this test and is not yet
+        // freed; the nodes are private to this thread, mutated only under
+        // their version lock, and each is freed exactly once.
         unsafe {
             let p = alloc(NodeType::N4);
             header(p).version.lock();

@@ -52,8 +52,10 @@ pub struct Art {
 }
 
 // SAFETY: all shared state is managed through atomics, version locks, and
-// epoch-based reclamation.
+// epoch-based reclamation; the hook is `Send + Sync` by its trait bound.
 unsafe impl Send for Art {}
+// SAFETY: as for `Send` — `&Art` only exposes the atomics and the
+// version-locked, epoch-protected node graph behind `root`.
 unsafe impl Sync for Art {}
 
 impl Default for Art {

@@ -39,6 +39,10 @@ fn check_node(ty: NodeType, bytes: &[u8]) -> Result<(), TestCaseError> {
             order.push(bytes[hi]);
         }
     }
+    // SAFETY: every pointer used below was returned by `node::alloc`,
+    // `make_leaf` or `grow` in this test and is not yet freed; the nodes
+    // are private to this thread, mutated only under their version
+    // lock, and each is freed exactly once.
     unsafe {
         let p = node::alloc(ty);
         node::header(p).version.lock();
@@ -96,6 +100,10 @@ proptest! {
     /// boundary shapes) and everything between are all probed.
     #[test]
     fn growth_chain_equivalence(bytes in byte_set(256)) {
+        // SAFETY: every pointer used below was returned by `node::alloc`,
+        // `make_leaf` or `grow` in this test and is not yet freed; the nodes
+        // are private to this thread, mutated only under their version
+        // lock, and each is freed exactly once.
         unsafe {
             let mut p = node::alloc(NodeType::N4);
             node::header(p).version.lock();
@@ -133,6 +141,10 @@ proptest! {
 /// kernels; results must be identical in both positions.
 #[test]
 fn toggle_off_matches_toggle_on() {
+    // SAFETY: every pointer used below was returned by `node::alloc`,
+    // `make_leaf` or `grow` in this test and is not yet freed; the nodes
+    // are private to this thread, mutated only under their version
+    // lock, and each is freed exactly once.
     unsafe {
         let p = node::alloc(NodeType::N16);
         node::header(p).version.lock();

@@ -198,10 +198,16 @@ impl BatchServer {
                 .name("region-flusher".into())
                 .spawn(move || loop {
                     {
-                        let down = lock(&shared.shutdown);
+                        // `_while` checks the flag before the first wait: a
+                        // shutdown signalled during the sweep below is seen
+                        // at once, not after a whole `flush_interval`.
                         let (down, _) = shared
                             .wake
-                            .wait_timeout(down, shared.cfg.flush_interval)
+                            .wait_timeout_while(
+                                lock(&shared.shutdown),
+                                shared.cfg.flush_interval,
+                                |down| !*down,
+                            )
                             .unwrap_or_else(std::sync::PoisonError::into_inner);
                         if *down {
                             return;

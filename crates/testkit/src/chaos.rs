@@ -169,14 +169,16 @@ mod tests {
 
     #[test]
     fn disabled_points_are_cheap_and_silent() {
+        let generation = GENERATION.load(Ordering::Acquire);
         let before = hits();
         for _ in 0..1000 {
             point("test.disabled");
         }
         // No schedule in this test -> the counter must not move because
         // of *our* calls (other tests may run in parallel, so only check
-        // when nothing else installed a schedule).
-        if GENERATION.load(Ordering::Acquire).is_multiple_of(2) {
+        // when none of them had a schedule installed at any point since
+        // `before` was read: an unchanged, even generation).
+        if generation.is_multiple_of(2) && GENERATION.load(Ordering::Acquire) == generation {
             assert_eq!(hits(), before);
         }
     }

@@ -40,6 +40,9 @@ struct Deferred {
     call: Box<dyn FnOnce()>,
 }
 
+// SAFETY: `call` is only ever built by `defer_unchecked`, whose caller
+// guarantees the closure is sound to run from any thread; `epoch` is a
+// plain integer.
 unsafe impl Send for Deferred {}
 
 fn registry() -> &'static Mutex<Vec<Arc<Participant>>> {
@@ -134,10 +137,11 @@ pub struct Guard {
     _not_send: PhantomData<*mut ()>,
 }
 
-// `&Guard` escapes through `unprotected()`'s `'static` reference; sharing
-// a reference across threads is harmless because every `&self` method
-// only touches global synchronized state. The type stays `!Send` so the
-// thread-local pin bookkeeping in `Drop` runs on the pinning thread.
+// SAFETY: `&Guard` escapes through `unprotected()`'s `'static`
+// reference; sharing a reference across threads is harmless because
+// every `&self` method only touches global synchronized state. The type
+// stays `!Send` so the thread-local pin bookkeeping in `Drop` runs on
+// the pinning thread.
 unsafe impl Sync for Guard {}
 
 /// Pin the current epoch. Pins nest; the thread unpins when the last
@@ -346,7 +350,13 @@ pub struct Atomic<T> {
     ptr: AtomicPtr<T>,
 }
 
+// SAFETY: the only field is an `AtomicPtr`; moving the handle moves
+// ownership of the pointee, so another thread may read and drop the `T`
+// (`T: Send + Sync`).
 unsafe impl<T: Send + Sync> Send for Atomic<T> {}
+// SAFETY: `&Atomic<T>` hands out `&T` to any thread (`T: Sync`) and lets
+// any thread swap the pointee out and later drop it (`T: Send`); the
+// pointer itself is only touched through atomic operations.
 unsafe impl<T: Send + Sync> Sync for Atomic<T> {}
 
 impl<T> Atomic<T> {
@@ -417,13 +427,20 @@ mod tests {
     fn atomic_load_swap_roundtrip() {
         let a = Atomic::new(7u64);
         let guard = pin();
+        // SAFETY: `a` always holds a live allocation, and `guard` is held.
         assert_eq!(unsafe { *a.load(Ordering::Acquire, &guard).deref() }, 7);
         let old = a.swap(Owned::new(8), Ordering::AcqRel, &guard);
+        // SAFETY: `old` was just unlinked and is not destroyed before
+        // `guard` drops.
         assert_eq!(unsafe { *old.deref() }, 7);
+        // SAFETY: `old` is unlinked, so no new reader can reach it.
         unsafe { guard.defer_destroy(old) };
+        // SAFETY: as for the first load.
         assert_eq!(unsafe { *a.load(Ordering::Acquire, &guard).deref() }, 8);
         drop(guard);
         // Clean up the final snapshot.
+        // SAFETY: no other thread can reach `a`, and its current pointee
+        // was never handed to `defer_destroy`.
         unsafe {
             let g = unprotected();
             let p = a.load(Ordering::Relaxed, g);
@@ -435,6 +452,7 @@ mod tests {
     fn unprotected_defers_run_immediately() {
         let ran = Arc::new(AtomicBool::new(false));
         let r = Arc::clone(&ran);
+        // SAFETY: the closure only stores to an `Arc<AtomicBool>` it owns.
         unsafe {
             unprotected().defer_unchecked(move || r.store(true, Ordering::SeqCst));
         }
@@ -458,13 +476,19 @@ mod tests {
                 Ordering::AcqRel,
                 &guard,
             );
+            // SAFETY: `old` is unlinked, so no new reader can reach it.
             unsafe { guard.defer_destroy(old) };
         }
         // Drive epoch advancement: repeated pin/unpin cycles collect.
-        for _ in 0..10 * COLLECT_EVERY {
+        // Sibling tests pin concurrently and can hold the epoch back, so
+        // wait on a deadline rather than an iteration count.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while !dropped.load(Ordering::SeqCst) && std::time::Instant::now() < deadline {
             drop(pin());
         }
         assert!(dropped.load(Ordering::SeqCst), "deferred destructor ran");
+        // SAFETY: no other thread can reach `a`, and its current pointee
+        // was never handed to `defer_destroy`.
         unsafe {
             let g = unprotected();
             let p = a.load(Ordering::Relaxed, g);
@@ -484,6 +508,8 @@ mod tests {
                     let mut last = 0;
                     while !stop.load(Ordering::Relaxed) {
                         let guard = pin();
+                        // SAFETY: `a` always holds a live allocation;
+                        // a swapped-out one outlives this guard.
                         let v = unsafe { *a.load(Ordering::Acquire, &guard).deref() };
                         assert!(v >= last);
                         last = v;
@@ -494,12 +520,15 @@ mod tests {
         for i in 1..=2_000u64 {
             let guard = pin();
             let old = a.swap(Owned::new(i), Ordering::AcqRel, &guard);
+            // SAFETY: `old` is unlinked, so no new reader can reach it.
             unsafe { guard.defer_destroy(old) };
         }
         stop.store(true, Ordering::Relaxed);
         for r in readers {
             r.join().unwrap();
         }
+        // SAFETY: the readers are joined, so no other thread can reach
+        // `a`, and its current pointee was never handed to `defer_destroy`.
         unsafe {
             let g = unprotected();
             let p = a.load(Ordering::Relaxed, g);

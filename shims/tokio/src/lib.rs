@@ -35,10 +35,19 @@ const DONE: u8 = 4;
 
 type BoxFuture = Pin<Box<dyn Future<Output = ()> + Send + 'static>>;
 
+/// Run queue plus the shutdown flag, under one mutex: a worker's "empty
+/// and not shut down → wait" is then atomic with respect to
+/// `Runtime::drop` setting the flag, so the wake-up cannot be lost.
+#[derive(Default)]
+struct Queue {
+    tasks: std::collections::VecDeque<Arc<Task>>,
+    shutdown: bool,
+}
+
+#[derive(Default)]
 struct Injector {
-    queue: Mutex<std::collections::VecDeque<Arc<Task>>>,
+    queue: Mutex<Queue>,
     available: Condvar,
-    shutdown: Mutex<bool>,
 }
 
 fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
@@ -47,17 +56,17 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
 
 impl Injector {
     fn push(&self, task: Arc<Task>) {
-        lock(&self.queue).push_back(task);
+        lock(&self.queue).tasks.push_back(task);
         self.available.notify_one();
     }
 
     fn pop(&self) -> Option<Arc<Task>> {
         let mut q = lock(&self.queue);
         loop {
-            if let Some(t) = q.pop_front() {
+            if let Some(t) = q.tasks.pop_front() {
                 return Some(t);
             }
-            if *lock(&self.shutdown) {
+            if q.shutdown {
                 return None;
             }
             q = self
@@ -252,11 +261,7 @@ pub mod runtime {
 
         /// Build the runtime, spawning its worker threads.
         pub fn build(&mut self) -> std::io::Result<Runtime> {
-            let injector = Arc::new(Injector {
-                queue: Mutex::new(std::collections::VecDeque::new()),
-                available: Condvar::new(),
-                shutdown: Mutex::new(false),
-            });
+            let injector = Arc::new(Injector::default());
             let workers = (0..self.workers)
                 .map(|i| {
                     let inj = Arc::clone(&injector);
@@ -342,7 +347,7 @@ pub mod runtime {
 
     impl Drop for Runtime {
         fn drop(&mut self) {
-            *lock(&self.injector.shutdown) = true;
+            lock(&self.injector.queue).shutdown = true;
             self.injector.available.notify_all();
             for w in self.workers.drain(..) {
                 let _ = w.join();
@@ -609,5 +614,37 @@ mod tests {
                 super::task::yield_now().await;
             }
         });
+    }
+
+    #[test]
+    fn dropping_a_runtime_with_idle_workers_never_hangs() {
+        // Regression: `Runtime::drop` used to set the shutdown flag under
+        // its own mutex, so it could fire `notify_all` between a worker's
+        // flag check and its condvar wait and the join below never
+        // returned (~1 serving run in 70; this loop reproduced it two runs
+        // in three before the fix). The watchdog turns a hang into
+        // a failure instead of a stuck test binary.
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for _ in 0..20_000 {
+                let rt = Builder::new_multi_thread()
+                    .worker_threads(4)
+                    .build()
+                    .unwrap();
+                // A finished task sends each worker back through `pop`'s
+                // check-then-wait while the drop below races it.
+                let handles: Vec<_> = (0..4).map(|_| rt.spawn(async {})).collect();
+                rt.block_on(async {
+                    for h in handles {
+                        h.await.unwrap();
+                    }
+                });
+                drop(rt);
+            }
+            let _ = done_tx.send(());
+        });
+        done_rx
+            .recv_timeout(std::time::Duration::from_secs(180))
+            .expect("Runtime::drop hung: a worker missed the shutdown wake-up");
     }
 }

@@ -43,12 +43,13 @@ fn quiet_injected_panics() {
     });
 }
 
-/// Which retrain mode(s) can reach a site.
+/// Which thread(s) can reach a site.
 #[derive(Clone, Copy, PartialEq)]
 enum Reach {
-    /// Both paths: alternate inline / background across seeds.
+    /// The inserting thread and the workers: alternate
+    /// `retrain_workers` 0 / 1 across seeds.
     Both,
-    /// Background-only (scheduler or phase-2 reconcile).
+    /// Scheduler sites, reached only with a worker pool.
     BackgroundOnly,
 }
 
@@ -187,7 +188,7 @@ fn site_retrain_build() {
 
 #[test]
 fn site_retrain_reconcile() {
-    sweep_site("retrain.reconcile", true, Reach::BackgroundOnly);
+    sweep_site("retrain.reconcile", true, Reach::Both);
 }
 
 #[test]
@@ -274,7 +275,7 @@ fn sustained_worker_kill_trips_degraded_mode_and_recovers() {
             ..AltConfig::background()
         },
     );
-    // Every retrain — background or inline — dies at collect time.
+    // Every retrain — on a worker or on the caller — dies at collect time.
     let g = failpoint::install("retrain.collect", FailAction::Panic, Trigger::Always);
 
     // Sustained kills: the worker panics per drained request; after the
@@ -302,7 +303,7 @@ fn sustained_worker_kill_trips_degraded_mode_and_recovers() {
     );
     assert!(
         fs.retrain_rollbacks >= 1,
-        "degraded-mode inline retrains also die (contained) and count as rollbacks: {fs:?}"
+        "degraded-mode caller-run retrains also die (contained) and count as rollbacks: {fs:?}"
     );
     assert_eq!(
         idx.retrain_count(),
@@ -313,7 +314,7 @@ fn sustained_worker_kill_trips_degraded_mode_and_recovers() {
         assert_eq!(idx.get(k), Some(k), "throughput floor lost key {k}");
     }
 
-    // Fault clears: degraded-mode inline retrains run clean, the
+    // Fault clears: degraded-mode caller-run retrains run clean, the
     // recovery streak (default 2) ends the episode, and background
     // retraining resumes and completes.
     drop(g);
@@ -325,7 +326,7 @@ fn sustained_worker_kill_trips_degraded_mode_and_recovers() {
     let fs2 = idx.fault_stats();
     assert!(
         !fs2.degraded,
-        "clean inline retrains must end the degraded episode: {fs2:?}"
+        "clean caller-run retrains must end the degraded episode: {fs2:?}"
     );
     assert!(idx.retrain_count() > 0, "retrains complete after recovery");
     for &k in burst.iter().chain(follow.iter()).step_by(199) {

@@ -1,4 +1,4 @@
-//! Distribution-shift workloads under the oracle, background vs inline.
+//! Distribution-shift workloads under the oracle, worker pool vs caller-run.
 //!
 //! Two guarantees per (shift kind × seed):
 //!
@@ -7,11 +7,11 @@
 //!    a concurrent run recorded through the testkit is checked by exact
 //!    per-thread sequential replay (`check_disjoint`), while the worker
 //!    pool's two-phase rebuilds race every operation.
-//! 2. **Inline equivalence** — after quiescing the scheduler, replaying
-//!    the *identical* deterministic streams against an inline-retrain
-//!    index yields the same length and the same full key/value dump:
-//!    moving retraining off the hot path must not change what the index
-//!    stores, only when the work happens.
+//! 2. **Caller-run equivalence** — after quiescing the scheduler,
+//!    replaying the *identical* deterministic streams against a
+//!    `retrain_workers: 0` index yields the same length and the same
+//!    full key/value dump: moving retraining off the hot path must not
+//!    change what the index stores, only when the work happens.
 //!
 //! 8 seeds per kind (the ISSUE acceptance bar), alternating thread
 //! counts, exercises all three generators: monotonic append, rolling
@@ -26,7 +26,7 @@ use workloads::{Op, ShiftKind, ShiftPlan};
 const SEEDS: u64 = 8;
 const OPS_PER_THREAD: usize = 12_000;
 
-/// Tight ε + background mode: overflow (and therefore queued rebuilds)
+/// Tight ε + a worker pool: overflow (and therefore queued rebuilds)
 /// happen many times within one run.
 fn bg_config() -> AltConfig {
     AltConfig {
@@ -80,10 +80,11 @@ fn run_recorded(idx: &AltIndex, plan: &ShiftPlan, threads: usize) -> Vec<History
     })
 }
 
-/// Replay the same streams sequentially against an inline-mode index.
+/// Replay the same streams sequentially against a `retrain_workers: 0`
+/// index.
 fn run_inline(plan: &ShiftPlan, threads: usize) -> AltIndex {
     let idx = AltIndex::bulk_load_with(&plan.initial_pairs(), inline_config());
-    // Round-robin across threads' streams so inline retrains see an
+    // Round-robin across threads' streams so caller-run retrains see an
     // interleaving, not one thread's ops en bloc. Any interleaving is
     // valid: the streams are key-disjoint across threads.
     let mut streams: Vec<_> = (0..threads)
