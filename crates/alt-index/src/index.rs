@@ -131,9 +131,10 @@ pub struct AltCore {
     /// any build; mirrored into `obs` under the `metrics` feature.
     pub(crate) rollbacks: AtomicUsize,
     /// Bumped immediately before every directory swap. Scans snapshot it
-    /// before reading ART and re-check it after walking the slots: an
-    /// unchanged epoch proves no retrain published (and therefore no
-    /// ART absorption started a new generation) mid-scan.
+    /// before their first ART read and re-check it after their last slot
+    /// walk: an unchanged epoch over a directory that is still the
+    /// published one proves no retrain published (and therefore no ART
+    /// absorption started a new generation) mid-scan.
     pub(crate) dir_epoch: AtomicUsize,
     /// Background retrain queue (present only with `retrain_workers >
     /// 0`; the worker pool itself is owned by [`AltIndex`]).

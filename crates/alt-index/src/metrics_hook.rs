@@ -5,10 +5,10 @@
 //! Sites instrumented in this crate: slot-version read/lock retries
 //! (`slots.rs`), fast-pointer jump hits vs de-optimized root fallbacks
 //! and registration retries (`index.rs`, `fast_ptr.rs`), scan directory-
-//! epoch retries (`scan.rs`), write-back attempts, the retrain
-//! phases (`retrain.rs`), and the AMAC batch-lookup engine (`batch.rs`:
-//! calls/keys, per-stage prefetches, learned-hit vs ART-handoff split,
-//! per-key restarts).
+//! epoch retries, chunks and ART entries read (`scan.rs`), write-back
+//! attempts, the retrain phases (`retrain.rs`), and the AMAC
+//! batch-lookup engine (`batch.rs`: calls/keys, per-stage prefetches,
+//! learned-hit vs ART-handoff split, per-key restarts).
 
 #[cfg(feature = "metrics")]
 mod real {
@@ -37,6 +37,12 @@ mod real {
     #[inline]
     pub(crate) fn scan_epoch_retry() {
         obs::incr(Counter::ScanEpochRetry);
+    }
+    /// One scan chunk ran; its ART read returned `art_keys` entries.
+    #[inline]
+    pub(crate) fn scan_chunk(art_keys: usize) {
+        obs::incr(Counter::ScanChunk);
+        obs::add(Counter::ScanArtKey, art_keys as u64);
     }
     #[inline]
     pub(crate) fn write_back_attempt() {
@@ -187,6 +193,8 @@ mod real {
     pub(crate) fn fastptr_register_retry() {}
     #[inline(always)]
     pub(crate) fn scan_epoch_retry() {}
+    #[inline(always)]
+    pub(crate) fn scan_chunk(_art_keys: usize) {}
     #[inline(always)]
     pub(crate) fn write_back_attempt() {}
     #[inline(always)]

@@ -68,6 +68,16 @@ impl GplModel {
         self.model.predict_clamped(key, self.slots.capacity())
     }
 
+    /// Roughly the last key that predicts to `slot`: the placement
+    /// function inverted, for sizing a scan chunk. Not exact — whoever
+    /// needs the slot of the returned key predicts it again.
+    pub fn key_near_slot(&self, slot: usize) -> u64 {
+        // A zero slope (single-key model) divides to infinity; the cast
+        // and the add both saturate.
+        let span = (slot as f64 + 0.5) / self.model.slope;
+        self.model.first_key.saturating_add(span as u64)
+    }
+
     /// Whether this model has been replaced in the directory.
     #[inline]
     pub fn is_retired(&self) -> bool {

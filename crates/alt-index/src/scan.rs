@@ -1,184 +1,189 @@
 //! Range queries: the paper's two-step scan (§III-G) — a slot walk over
-//! the learned layer merged with an ART range query.
+//! the learned layer merged with an ART range query — done in bounded
+//! key-interval chunks.
 //!
 //! Keys in a GPL model sit at their predicted slots, and the placement
-//! function is monotone, so walking slots in order yields keys in order;
-//! models themselves are sorted, so the learned-layer side of the merge
-//! is a simple forward walk.
+//! function is monotone, so walking slots in order yields keys in order
+//! and the slot-resident keys of a key interval lie inside the slot
+//! window its two ends predict to; models themselves are sorted, so the
+//! learned-layer side of the merge is a forward walk. A scan advances in
+//! chunks `[cursor, kb]` sized from the models to hold about what it
+//! still needs: per chunk one ART read of the interval, then one walk of
+//! its slot window, merged as they come. DESIGN.md §18 has the protocol
+//! and its ordering argument.
 
+use crate::dir::ModelDir;
 use crate::index::AltCore;
 use crate::slots::SlotState;
 use crossbeam_epoch as epoch;
 use std::sync::atomic::Ordering;
 
+/// Most keys a chunk is sized for, and the ART entries it can hold (on
+/// the stack) between its ART read and its slot walk.
+const CHUNK_KEYS: usize = 128;
+
+/// Most a run of short chunks may multiply the next one's size by.
+const MAX_BOOST: usize = 64;
+
 impl AltCore {
     /// Append every `(key, value)` with `lo <= key <= hi`, ascending.
     /// Returns the number appended.
-    ///
-    /// Ordering against concurrent structure changes: ART is read
-    /// *before* the slot walk (write-back claims the slot before deleting
-    /// the ART copy, so a key missing from the later ART read is already
-    /// visible in the slots), and the whole collection retries if the
-    /// directory epoch moved (a retrain absorbed ART keys into slots we
-    /// may have walked too early — §III-F redirection for scans).
     pub fn range(&self, lo: u64, hi: u64, out: &mut Vec<(u64, u64)>) -> usize {
+        self.collect(lo, hi, usize::MAX, out)
+    }
+
+    /// Scan at most `n` entries starting at `lo` (the paper's scan
+    /// workload: 100-key scans), ascending. Returns the count.
+    pub fn scan_n(&self, lo: u64, n: usize, out: &mut Vec<(u64, u64)>) -> usize {
+        self.collect(lo, u64::MAX, n, out)
+    }
+
+    /// Append the first `limit` entries of `[lo, hi]` to `out`.
+    ///
+    /// Ordering against concurrent structure changes: within every chunk
+    /// ART is read *before* the slot walk (write-back claims the slot
+    /// before deleting the ART copy, so a key missing from the ART read
+    /// is already visible in the slots), and the whole collection
+    /// retries if a retrain published meanwhile (its absorb moves ART
+    /// keys into slots of models this pass does not walk — §III-F
+    /// redirection for scans).
+    fn collect(&self, lo: u64, hi: u64, limit: usize, out: &mut Vec<(u64, u64)>) -> usize {
         let before = out.len();
-        if lo > hi {
+        let lo = lo.max(1); // key 0 is reserved
+        if lo > hi || limit == 0 {
             return 0;
         }
-        let lo = lo.max(1); // key 0 is reserved
         let guard = epoch::pin();
-
-        let mut learned: Vec<(u64, u64)> = Vec::new();
-        let mut art_side: Vec<(u64, u64)> = Vec::new();
         // Retrain churn can move the directory epoch every pass; once the
         // retry budget runs out, one pass under `dir_lock` (the only
         // place the epoch is bumped) is guaranteed to validate.
         let mut retry = crate::contention::Retry::seeded(lo);
         let mut dl = None;
         loop {
-            learned.clear();
-            art_side.clear();
             let epoch_pre = self.dir_epoch.load(Ordering::Acquire);
-
-            // Step 1: ART range.
-            self.art.range(lo, hi, &mut art_side);
-
-            // Step 2: learned layer walk (after the ART read — see
-            // above). Placement is monotone, so the window
-            // [predict(lo), predict(hi)] bounds the qualifying slots
-            // within each model — no need to touch the rest.
             let dir = self.dir_ref(&guard);
-            let start = dir.locate(lo);
-            for mi in start..dir.len() {
-                let m = &dir.models[mi];
-                if m.first_key > hi {
-                    // Every key in this and later models exceeds hi.
-                    break;
-                }
-                let s0 = if mi == start { m.predict(lo) } else { 0 };
-                let s1 = m.predict(hi); // clamped to capacity-1 internally
-                for slot in s0..=s1 {
-                    if let (SlotState::Occupied { key, value }, _) = m.slots.read(slot) {
-                        if key >= lo && key <= hi {
-                            learned.push((key, value));
-                        }
-                    }
-                }
-            }
-            if self.dir_epoch.load(Ordering::Acquire) == epoch_pre {
+            self.collect_chunks(dir, lo, hi, before.saturating_add(limit), out);
+            // The epoch is bumped before the swap, so a pass that began
+            // between the two reads an unchanged epoch over the old
+            // directory: it must also still be the published one.
+            if self.dir_epoch.load(Ordering::Acquire) == epoch_pre
+                && std::ptr::eq(self.dir_ref(&guard), dir)
+            {
                 break;
             }
+            out.truncate(before);
             crate::metrics_hook::scan_epoch_retry();
             if crate::contention::wait_or_escalate_with(&mut retry, &self.cfg.contention) {
                 dl = Some(self.dir_lock.lock());
             }
         }
         drop(dl);
-
-        // Merge (both ascending); on the transient double-presence the
-        // learned copy wins.
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < learned.len() && j < art_side.len() {
-            match learned[i].0.cmp(&art_side[j].0) {
-                std::cmp::Ordering::Less => {
-                    out.push(learned[i]);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    out.push(art_side[j]);
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    out.push(learned[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        out.extend_from_slice(&learned[i..]);
-        out.extend_from_slice(&art_side[j..]);
         out.len() - before
     }
 
-    /// Scan at most `n` entries starting at `lo` (the paper's scan
-    /// workload: 100-key scans), ascending. Returns the count.
-    pub fn scan_n(&self, lo: u64, n: usize, out: &mut Vec<(u64, u64)>) -> usize {
-        let before = out.len();
-        if n == 0 {
-            return 0;
-        }
-        let lo = lo.max(1);
-        let guard = epoch::pin();
-
-        // Same ordering discipline as `range`: ART first, slots second,
-        // retry when the directory epoch moves mid-collection, escalate
-        // to one pass under `dir_lock` when the budget runs out.
-        let mut learned: Vec<(u64, u64)> = Vec::with_capacity(n);
-        let mut art_side: Vec<(u64, u64)> = Vec::with_capacity(n);
-        let mut retry = crate::contention::Retry::seeded(lo);
-        let mut dl = None;
+    /// One pass over `dir`: chunk after chunk from `lo` until `out` is
+    /// `full` entries long or `hi` is passed.
+    fn collect_chunks(
+        &self,
+        dir: &ModelDir,
+        lo: u64,
+        hi: u64,
+        full: usize,
+        out: &mut Vec<(u64, u64)>,
+    ) {
+        let mut art_side = [(0u64, 0u64); CHUNK_KEYS];
+        let mut cursor = lo;
+        // Doubles with every chunk that came up short: the data is
+        // sparser here than the models' build density says.
+        let mut boost = 1usize;
         loop {
-            learned.clear();
-            art_side.clear();
-            let epoch_pre = self.dir_epoch.load(Ordering::Acquire);
+            let had = out.len();
+            let need = (full - had).min(CHUNK_KEYS);
+            let first = dir.locate(cursor);
+            let m = &dir.models[first];
+            let first_slot = m.predict(cursor);
+            // A quarter over: a chunk that comes up short costs another
+            // ART descent, one that overshoots only the tail of its reads.
+            let mut kb = chunk_end(dir, first, first_slot, (need + need / 4 + 4) * boost)
+                .max(cursor)
+                .min(hi);
+            m.slots.prefetch_window(first_slot, m.predict(kb));
 
-            // Collect up to n from ART.
-            self.art.scan_n(lo, n, &mut art_side);
+            // Step 1: ART. A full buffer ends the chunk at its last key.
+            let mut art_len = 0;
+            self.art.scan_with(cursor, kb, need, |k, v| {
+                art_side[art_len] = (k, v);
+                art_len += 1;
+            });
+            if art_len == need {
+                kb = art_side[art_len - 1].0;
+            }
+            crate::metrics_hook::scan_chunk(art_len);
+            crate::chaos_hook::point("scan.chunk.post_art");
 
-            // Collect up to n from the learned layer, starting at lo's
-            // predicted slot (placement is monotone).
-            let dir = self.dir_ref(&guard);
-            let start = dir.locate(lo);
-            'outer: for mi in start..dir.len() {
-                let m = &dir.models[mi];
-                let s0 = if mi == start { m.predict(lo) } else { 0 };
-                for slot in s0..m.slots.capacity() {
+            // Step 2: the slot window of the same interval, merged with
+            // the ART side as it is walked; on the transient
+            // double-presence the slot copy wins.
+            let mut from_art = art_side[..art_len].iter().copied().peekable();
+            'walk: for (mi, m) in dir.models.iter().enumerate().skip(first) {
+                if mi > first && m.first_key > kb {
+                    break;
+                }
+                let from = if mi == first { first_slot } else { 0 };
+                for slot in m.slots.occupied(from, m.predict(kb)) {
                     if let (SlotState::Occupied { key, value }, _) = m.slots.read(slot) {
-                        if key >= lo {
-                            learned.push((key, value));
-                            if learned.len() >= n {
-                                break 'outer;
-                            }
+                        if key < cursor || key > kb {
+                            continue;
+                        }
+                        out.extend(std::iter::from_fn(|| from_art.next_if(|a| a.0 < key)));
+                        from_art.next_if(|a| a.0 == key);
+                        out.push((key, value));
+                        if out.len() >= full {
+                            break 'walk;
                         }
                     }
                 }
             }
-            if self.dir_epoch.load(Ordering::Acquire) == epoch_pre {
-                break;
+            out.extend(from_art);
+            out.truncate(full);
+            if out.len() == full || kb >= hi {
+                return;
             }
-            crate::metrics_hook::scan_epoch_retry();
-            if crate::contention::wait_or_escalate_with(&mut retry, &self.cfg.contention) {
-                dl = Some(self.dir_lock.lock());
-            }
-        }
-        drop(dl);
-
-        // Merge-truncate.
-        let (mut i, mut j) = (0usize, 0usize);
-        while out.len() - before < n && (i < learned.len() || j < art_side.len()) {
-            let take_learned = match (learned.get(i), art_side.get(j)) {
-                (Some(a), Some(b)) => {
-                    if a.0 == b.0 {
-                        j += 1;
-                        true
-                    } else {
-                        a.0 < b.0
-                    }
-                }
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            if take_learned {
-                out.push(learned[i]);
-                i += 1;
+            cursor = kb + 1;
+            boost = if out.len() - had < need {
+                (2 * boost).min(MAX_BOOST)
             } else {
-                out.push(art_side[j]);
-                j += 1;
-            }
+                (boost / 2).max(1)
+            };
         }
-        out.len() - before
+    }
+}
+
+/// Where a chunk that starts at slot `from` of model `mi` should end to
+/// hold about `want` keys, going by each model's build-time density:
+/// inside `mi` if its remaining slots are expected to hold that many,
+/// else on through whole following models (fb has models of a few keys —
+/// a chunk per model would cost an ART descent each) to the one they run
+/// out in.
+fn chunk_end(dir: &ModelDir, mut mi: usize, mut from: usize, want: usize) -> u64 {
+    let mut want = want as f64;
+    loop {
+        let m = &dir.models[mi];
+        let slots = m.slots.capacity();
+        let keys_per_slot = m.build_size.max(1) as f64 / slots as f64;
+        let to = from.saturating_add((want / keys_per_slot) as usize);
+        if to < slots {
+            return m.key_near_slot(to);
+        }
+        let Some(next_first) = dir.upper_bound(mi) else {
+            return u64::MAX;
+        };
+        want -= (slots - from) as f64 * keys_per_slot;
+        if want <= 0.0 {
+            return next_first - 1;
+        }
+        mi += 1;
+        from = 0;
     }
 }
 

@@ -10,6 +10,9 @@
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
+/// Most cache lines one [`SlotArray::prefetch_window`] call asks for.
+const PREFETCH_LINES: usize = 16;
+
 /// One consistent snapshot of a slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SlotState {
@@ -105,6 +108,45 @@ impl SlotArray {
     pub fn prefetch(&self, i: usize) {
         prefetch::prefetch_read(&self.slots[i] as *const Slot);
         prefetch::prefetch_read(&self.occupancy[i / 64] as *const AtomicU64);
+    }
+
+    /// Hint the CPU to fetch the slots `from..=to` ahead of a walk over
+    /// them, up to `PREFETCH_LINES` cache lines (a longer walk is a
+    /// sequential stream the hardware picks up by itself), plus the
+    /// window's first occupancy word.
+    pub fn prefetch_window(&self, from: usize, to: usize) {
+        let to = to.min(self.capacity() - 1);
+        if from > to {
+            return;
+        }
+        prefetch::prefetch_read(&self.occupancy[from / 64] as *const AtomicU64);
+        let start = &self.slots[from] as *const Slot as *const u8;
+        let bytes = (to - from + 1) * std::mem::size_of::<Slot>();
+        for line in 0..bytes.div_ceil(64).min(PREFETCH_LINES) {
+            prefetch::prefetch_read(start.wrapping_add(64 * line));
+        }
+    }
+
+    /// The slots of `from..=to` whose occupancy bit is set, ascending:
+    /// every slot of the window that a key was ever claimed into. Each
+    /// still has to go through [`SlotArray::read`]; the ones left out
+    /// need not — a claim sets the bit before it unlocks the slot and
+    /// nothing ever clears it, so a bit seen clear means no claim of the
+    /// slot had completed when the word was loaded: the `Empty` that
+    /// `read` would have returned then.
+    pub fn occupied(&self, from: usize, to: usize) -> Occupied<'_> {
+        let to = to.min(self.capacity() - 1);
+        let bits = if from <= to {
+            self.occupancy[from / 64].load(Ordering::Acquire) & (u64::MAX << (from % 64))
+        } else {
+            0
+        };
+        Occupied {
+            words: &self.occupancy,
+            word: from / 64,
+            bits,
+            to,
+        }
     }
 
     /// Current version of a slot (for later re-validation via
@@ -300,7 +342,7 @@ impl SlotArray {
     /// Iterate live entries in slot order, yielding `(slot, key, value)`.
     /// Snapshot-consistent per slot, not across slots.
     pub fn for_each_live(&self, mut f: impl FnMut(usize, u64, u64)) {
-        for i in 0..self.capacity() {
+        for i in self.occupied(0, self.capacity() - 1) {
             if let (SlotState::Occupied { key, value }, _) = self.read(i) {
                 f(i, key, value);
             }
@@ -312,6 +354,37 @@ impl SlotArray {
         let mut n = 0;
         self.for_each_live(|_, _, _| n += 1);
         n
+    }
+}
+
+/// Iterator over the set occupancy bits of a slot window (see
+/// [`SlotArray::occupied`]).
+pub struct Occupied<'a> {
+    words: &'a [AtomicU64],
+    /// The word `bits` was loaded from.
+    word: usize,
+    /// Its set bits not yet yielded.
+    bits: u64,
+    /// Last slot of the window.
+    to: usize,
+}
+
+impl Iterator for Occupied<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        while self.bits == 0 {
+            if self.word >= self.to / 64 {
+                return None;
+            }
+            self.word += 1;
+            self.bits = self.words[self.word].load(Ordering::Acquire);
+        }
+        let slot = self.word * 64 + self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        // Past `to` in the window's last word: so is every bit left.
+        (slot <= self.to).then_some(slot)
     }
 }
 

@@ -731,6 +731,72 @@ pub unsafe fn for_each_child(p: NodePtr, mut f: impl FnMut(u8, NodePtr)) {
     }
 }
 
+/// The first child at walk position `pos` or later whose key byte lies
+/// in `lo..=hi`, as `(position to resume from, byte, child)`; `None` once
+/// no such child is left. A walk starts at position 0 and yields children
+/// in ascending byte order.
+///
+/// A position is an array index in the sorted node types and a key byte
+/// in Node48/Node256, so a bounded walk touches the entries between the
+/// two bytes and nothing else of the node.
+///
+/// # Safety
+/// `p` must be a live internal node pointer. Under concurrency the result
+/// is untrusted until the node's version validates (as for
+/// [`find_child_racing`]): a mid-shift view may pair a byte with its
+/// neighbour's child.
+pub unsafe fn next_child(p: NodePtr, pos: usize, lo: u8, hi: u8) -> Option<(usize, u8, NodePtr)> {
+    let hdr = header(p);
+    match hdr.node_type {
+        NodeType::N4 => {
+            let n = as_node!(p, Node4);
+            next_sorted(&n.keys, &n.children, hdr.count().min(4), pos, lo, hi)
+        }
+        NodeType::N16 => {
+            let n = as_node!(p, Node16);
+            next_sorted(&n.keys, &n.children, hdr.count().min(16), pos, lo, hi)
+        }
+        NodeType::N48 => {
+            let n = as_node!(p, Node48);
+            (pos.max(lo as usize)..=hi as usize).find_map(|byte| {
+                let c = node48_slot(n, byte as u8);
+                (c != 0).then_some((byte + 1, byte as u8, c))
+            })
+        }
+        NodeType::N256 => {
+            let n = as_node!(p, Node256);
+            (pos.max(lo as usize)..=hi as usize).find_map(|byte| {
+                let c = n.children[byte].load(Ordering::Acquire);
+                (c != 0).then_some((byte + 1, byte as u8, c))
+            })
+        }
+    }
+}
+
+fn next_sorted(
+    keys: &[AtomicU8],
+    children: &[AtomicUsize],
+    cnt: usize,
+    pos: usize,
+    lo: u8,
+    hi: u8,
+) -> Option<(usize, u8, NodePtr)> {
+    for i in pos..cnt {
+        let b = keys[i].load(Ordering::Acquire);
+        if b < lo {
+            continue;
+        }
+        if b > hi {
+            return None;
+        }
+        let c = children[i].load(Ordering::Acquire);
+        if c != 0 {
+            return Some((i + 1, b, c));
+        }
+    }
+    None
+}
+
 /// Grow a full node into the next larger type, copying children, prefix,
 /// match level, and the fast-pointer buffer slot. The original node must
 /// be write-locked; the returned node is fresh and unshared.

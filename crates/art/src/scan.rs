@@ -1,12 +1,17 @@
-//! Range scans.
+//! Range scans: one ordered, bounded descent.
 //!
-//! Scans are implemented as repeated "smallest leaf with key >= cursor"
-//! descents. Each descent validates node versions on the way down and
-//! restarts from the root on any conflict, so the scan is always
-//! consistent with *some* point-in-time state per returned entry — the
-//! same per-key guarantee the paper's two-layer merged scan provides.
+//! [`Art::scan_with`] walks the subtrees that intersect `[lo, hi]` in key
+//! order and hands each entry to a visitor until a result limit is met;
+//! `range`, `scan_n` and `seek_ge` are that walk with a different bound,
+//! limit or sink. The walk validates node versions as it goes (optimistic
+//! lock coupling, as in `get`). On a conflict it starts again from the
+//! root *after the last entry it delivered*, so an entry is never
+//! retracted, every conflict still leaves the scan further on, and each
+//! returned entry is consistent with some point-in-time state — the same
+//! per-key guarantee the paper's two-layer merged scan provides.
 
 use crate::node::{self, NodePtr};
+use crate::olc::VersionLock;
 use crate::tree::Art;
 use crossbeam_epoch as epoch;
 use std::sync::atomic::Ordering;
@@ -14,79 +19,45 @@ use std::sync::atomic::Ordering;
 /// Restart marker for optimistic descents.
 struct Restart;
 
-/// How many whole-scan optimistic retries before degrading to the
-/// per-key seek path (which makes progress under any write rate).
-const DFS_RETRIES: usize = 4;
-
 impl Art {
     /// Append every `(key, value)` with `lo <= key <= hi` to `out` in
     /// ascending key order; returns the number appended.
-    ///
-    /// Fast path: a single optimistic DFS over the bounded subtrees
-    /// (pruning by each subtree's key interval, which the descent knows
-    /// exactly from the accumulated path bytes). Under sustained write
-    /// conflicts it degrades to per-key successor seeks.
     pub fn range(&self, lo: u64, hi: u64, out: &mut Vec<(u64, u64)>) -> usize {
-        self.collect(lo, hi, usize::MAX, out)
+        self.scan_with(lo, hi, usize::MAX, |k, v| out.push((k, v)))
     }
 
-    /// Scan at most `n` entries starting at `lo`, ascending.
+    /// Append at most `n` entries starting at `lo`, ascending; returns
+    /// the number appended.
     pub fn scan_n(&self, lo: u64, n: usize, out: &mut Vec<(u64, u64)>) -> usize {
-        self.collect(lo, u64::MAX, n, out)
-    }
-
-    fn collect(&self, lo: u64, hi: u64, limit: usize, out: &mut Vec<(u64, u64)>) -> usize {
-        if limit == 0 || lo > hi {
-            return 0;
-        }
-        let before = out.len();
-        {
-            let guard = epoch::pin();
-            let _ = &guard;
-            for _ in 0..DFS_RETRIES {
-                let root = self.root.load(Ordering::Acquire);
-                if root == 0 {
-                    return 0;
-                }
-                let mut remaining = limit;
-                match dfs_collect(root, 0, 0, lo, hi, &mut remaining, out, None) {
-                    Ok(()) => return out.len() - before,
-                    Err(Restart) => out.truncate(before),
-                }
-            }
-        }
-        // Degraded path: per-key successor seeks (each internally
-        // consistent), bounded progress regardless of writer pressure.
-        let mut cursor = lo;
-        while out.len() - before < limit {
-            match self.seek_ge(cursor) {
-                Some((k, v)) if k <= hi => {
-                    out.push((k, v));
-                    if k == u64::MAX {
-                        break;
-                    }
-                    cursor = k + 1;
-                }
-                _ => break,
-            }
-        }
-        out.len() - before
+        self.scan_with(lo, u64::MAX, n, |k, v| out.push((k, v)))
     }
 
     /// Smallest key >= `cursor` with its value, if any.
     pub fn seek_ge(&self, cursor: u64) -> Option<(u64, u64)> {
-        let guard = epoch::pin();
-        let _ = &guard;
-        loop {
+        let mut hit = None;
+        self.scan_with(cursor, u64::MAX, 1, |k, v| hit = Some((k, v)));
+        hit
+    }
+
+    /// Call `visit(key, value)` for the first `limit` entries with
+    /// `lo <= key <= hi`, in ascending key order; returns how many were
+    /// visited. Nothing is allocated.
+    pub fn scan_with(&self, lo: u64, hi: u64, limit: usize, visit: impl FnMut(u64, u64)) -> usize {
+        let mut walk = Walk {
+            next: Some(lo),
+            hi,
+            limit,
+            seen: 0,
+            visit,
+        };
+        let _guard = epoch::pin();
+        while let Some(lo) = walk.pending() {
             let root = self.root.load(Ordering::Acquire);
-            if root == 0 {
-                return None;
-            }
-            match min_leaf_ge(root, cursor, None) {
-                Ok(res) => return res,
-                Err(Restart) => continue,
+            if root == 0 || walk.descend(root, 0, 0, lo, None).is_ok() {
+                break;
             }
         }
+        walk.seen
     }
 }
 
@@ -101,229 +72,112 @@ fn below_mask(depth: usize) -> u64 {
     }
 }
 
-/// Ordered DFS over the subtree at `p`, collecting keys in `[lo, hi]`
-/// until `remaining` hits zero. `acc` holds the path bytes above `p`
-/// (low bits zero); `depth` is the number of those bytes — together they
-/// bound the subtree's key interval exactly, enabling pruning.
-///
-/// The caller holds an epoch pin. `Err(Restart)` on any version conflict.
-#[allow(clippy::too_many_arguments)]
-fn dfs_collect(
-    p: NodePtr,
-    acc: u64,
-    depth: usize,
-    lo: u64,
+/// One scan's progress, kept across restarts of its descent.
+struct Walk<F> {
+    /// Smallest key not yet ruled on (`None`: the key space is used up).
+    next: Option<u64>,
     hi: u64,
-    remaining: &mut usize,
-    out: &mut Vec<(u64, u64)>,
-    parent: Option<(&crate::olc::VersionLock, u64)>,
-) -> Result<(), Restart> {
-    if *remaining == 0 {
-        return Ok(());
-    }
-    if node::is_leaf(p) {
-        // SAFETY: epoch pinned by the caller.
-        let leaf = unsafe { node::leaf_ref(p) };
-        // Lock coupling: only trust the leaf if the parent snapshot that
-        // led here is still current.
-        if let Some((plock, pv)) = parent {
-            if !plock.validate(pv) {
-                return Err(Restart);
-            }
-        }
-        if leaf.key >= lo && leaf.key <= hi {
-            out.push((leaf.key, leaf.value.load(Ordering::Acquire)));
-            *remaining -= 1;
-        }
-        return Ok(());
-    }
-    // SAFETY: epoch pinned by the caller.
-    let hdr = unsafe { node::header(p) };
-    let v = hdr.version.read_lock_spin().ok_or(Restart)?;
-    if let Some((plock, pv)) = parent {
-        if !plock.validate(pv) {
-            return Err(Restart);
-        }
-    }
-    let (prefix, plen, _) = hdr.prefix();
-    let mut acc = acc;
-    for (i, &b) in prefix[..plen].iter().enumerate() {
-        if depth + i < 8 {
-            acc |= (b as u64) << (56 - 8 * (depth + i));
-        }
-    }
-    let disc = depth + plen;
-    // Subtree interval after consuming the prefix.
-    let span_lo = acc;
-    let span_hi = acc | below_mask(disc);
-    // Snapshot children before validating.
-    let mut kids: Vec<(u8, NodePtr)> = Vec::with_capacity(hdr.count().min(256));
-    // SAFETY: epoch pinned.
-    unsafe { node::for_each_child(p, |b, c| kids.push((b, c))) };
-    if !hdr.version.validate(v) {
-        return Err(Restart);
-    }
-    if span_hi < lo || span_lo > hi {
-        return Ok(());
-    }
-    for (b, c) in kids {
-        if *remaining == 0 {
-            return Ok(());
-        }
-        if disc >= 8 {
-            break;
-        }
-        let child_acc = acc | (b as u64) << (56 - 8 * disc);
-        let child_hi = child_acc | below_mask(disc + 1);
-        if child_hi < lo {
-            continue;
-        }
-        if child_acc > hi {
-            break;
-        }
-        dfs_collect(
-            c,
-            child_acc,
-            disc + 1,
-            lo,
-            hi,
-            remaining,
-            out,
-            Some((&hdr.version, v)),
-        )?;
-    }
-    Ok(())
+    limit: usize,
+    seen: usize,
+    visit: F,
 }
 
-/// Smallest leaf with key >= cursor in the subtree at `p`.
-///
-/// The caller holds an epoch pin. Returns `Err(Restart)` on any version
-/// conflict or obsolete node.
-fn min_leaf_ge(
-    p: NodePtr,
-    cursor: u64,
-    parent: Option<(&crate::olc::VersionLock, u64)>,
-) -> Result<Option<(u64, u64)>, Restart> {
-    if node::is_leaf(p) {
-        // SAFETY: epoch pinned by the caller.
-        let leaf = unsafe { node::leaf_ref(p) };
-        if let Some((plock, pv)) = parent {
-            if !plock.validate(pv) {
+impl<F: FnMut(u64, u64)> Walk<F> {
+    /// The lower bound still to be scanned, or `None` when the scan is
+    /// complete.
+    fn pending(&self) -> Option<u64> {
+        self.next
+            .filter(|&lo| lo <= self.hi && self.seen < self.limit)
+    }
+
+    /// Ordered DFS over the subtree at `p`, visiting keys in `[lo, hi]`
+    /// until the scan is complete. `acc` holds the path bytes above `p`
+    /// (low bits zero) and `depth` is the number of those bytes —
+    /// together they bound the subtree's key interval exactly, so only
+    /// the children between `lo`'s byte and `hi`'s are enumerated.
+    ///
+    /// The caller holds an epoch pin. `Err(Restart)` on any version
+    /// conflict; `self.next` then says where to resume.
+    fn descend(
+        &mut self,
+        p: NodePtr,
+        acc: u64,
+        depth: usize,
+        lo: u64,
+        parent: Option<(&VersionLock, u64)>,
+    ) -> Result<(), Restart> {
+        let parent_valid = || parent.is_none_or(|(lock, v)| lock.validate(v));
+        if node::is_leaf(p) {
+            // SAFETY: epoch pinned by the caller.
+            let leaf = unsafe { node::leaf_ref(p) };
+            // Lock coupling: only trust the leaf if the parent snapshot
+            // that led here is still current.
+            if !parent_valid() {
                 return Err(Restart);
             }
+            if leaf.key >= lo && leaf.key <= self.hi {
+                (self.visit)(leaf.key, leaf.value.load(Ordering::Acquire));
+                self.seen += 1;
+                self.next = leaf.key.checked_add(1);
+            }
+            return Ok(());
         }
-        return Ok(if leaf.key >= cursor {
-            Some((leaf.key, leaf.value.load(Ordering::Acquire)))
-        } else {
-            None
-        });
-    }
-    // SAFETY: epoch pinned by the caller.
-    let hdr = unsafe { node::header(p) };
-    let v = hdr.version.read_lock_spin().ok_or(Restart)?;
-    if let Some((plock, pv)) = parent {
-        if !plock.validate(pv) {
+        // SAFETY: epoch pinned by the caller.
+        let hdr = unsafe { node::header(p) };
+        let v = hdr.version.read_lock_spin().ok_or(Restart)?;
+        if !parent_valid() {
             return Err(Restart);
         }
-    }
-    let (prefix, plen, lvl) = hdr.prefix();
-    let depth = lvl;
-
-    // Compare the node's prefix against the cursor bytes: if the subtree's
-    // span is entirely above the cursor, every leaf qualifies; if entirely
-    // below, none does.
-    let mut cmp = std::cmp::Ordering::Equal;
-    for i in 0..plen {
-        if depth + i >= 8 {
-            break;
+        // A published node's prefix never changes (a prefix change
+        // replaces the node), so the interval needs no validation.
+        let (prefix, plen, _) = hdr.prefix();
+        let mut acc = acc;
+        for (i, &b) in prefix[..plen].iter().enumerate() {
+            if depth + i < 8 {
+                acc |= (b as u64) << (56 - 8 * (depth + i));
+            }
         }
-        let cb = node::key_byte(cursor, depth + i);
-        match prefix[i].cmp(&cb) {
-            std::cmp::Ordering::Equal => continue,
-            other => {
-                cmp = other;
+        let disc = depth + plen;
+        let span_hi = acc | below_mask(disc);
+        if disc >= 8 || span_hi < lo || acc > self.hi {
+            return Ok(());
+        }
+        // A bound lying inside the subtree's interval shares its path
+        // bytes, so the bound's next byte limits the children; a bound
+        // outside leaves that side open.
+        let lo_byte = if acc < lo {
+            node::key_byte(lo, disc)
+        } else {
+            0
+        };
+        let hi_byte = if span_hi > self.hi {
+            node::key_byte(self.hi, disc)
+        } else {
+            u8::MAX
+        };
+        // Children are read one position at a time, each read validated
+        // before it is used; the one after the child being descended
+        // into is read early so its line is on its way.
+        let child_at = |pos| {
+            // SAFETY: epoch pinned; the read is discarded unless the
+            // validation below succeeds.
+            let c = unsafe { node::next_child(p, pos, lo_byte, hi_byte) };
+            hdr.version.validate(v).then_some(c).ok_or(Restart)
+        };
+        let mut child = child_at(0)?;
+        while let Some((pos, byte, c)) = child {
+            child = child_at(pos)?;
+            if let Some((_, _, ahead)) = child {
+                prefetch::prefetch_read((ahead & !1) as *const u8);
+            }
+            let child_acc = acc | (byte as u64) << (56 - 8 * disc);
+            self.descend(c, child_acc, disc + 1, lo, Some((&hdr.version, v)))?;
+            if self.pending().is_none() {
                 break;
             }
         }
+        Ok(())
     }
-    // Snapshot children in order before validating.
-    let mut kids: Vec<(u8, NodePtr)> = Vec::with_capacity(hdr.count().min(256));
-    // SAFETY: epoch pinned.
-    unsafe { node::for_each_child(p, |b, c| kids.push((b, c))) };
-    if !hdr.version.validate(v) {
-        return Err(Restart);
-    }
-
-    match cmp {
-        std::cmp::Ordering::Greater => {
-            // Whole subtree > cursor prefix: take the overall minimum.
-            for (_, c) in kids {
-                if let Some(found) = min_leaf(c, Some((&hdr.version, v)))? {
-                    return Ok(Some(found));
-                }
-            }
-            Ok(None)
-        }
-        std::cmp::Ordering::Less => Ok(None),
-        std::cmp::Ordering::Equal => {
-            let disc = depth + plen;
-            if disc >= 8 {
-                return Ok(None);
-            }
-            let cb = node::key_byte(cursor, disc);
-            for (b, c) in kids {
-                if b < cb {
-                    continue;
-                }
-                let found = if b == cb {
-                    min_leaf_ge(c, cursor, Some((&hdr.version, v)))?
-                } else {
-                    min_leaf(c, Some((&hdr.version, v)))?
-                };
-                if found.is_some() {
-                    return Ok(found);
-                }
-            }
-            Ok(None)
-        }
-    }
-}
-
-/// Leftmost leaf of the subtree at `p`.
-fn min_leaf(
-    p: NodePtr,
-    parent: Option<(&crate::olc::VersionLock, u64)>,
-) -> Result<Option<(u64, u64)>, Restart> {
-    if node::is_leaf(p) {
-        // SAFETY: epoch pinned by the caller.
-        let leaf = unsafe { node::leaf_ref(p) };
-        if let Some((plock, pv)) = parent {
-            if !plock.validate(pv) {
-                return Err(Restart);
-            }
-        }
-        return Ok(Some((leaf.key, leaf.value.load(Ordering::Acquire))));
-    }
-    // SAFETY: epoch pinned by the caller.
-    let hdr = unsafe { node::header(p) };
-    let v = hdr.version.read_lock_spin().ok_or(Restart)?;
-    if let Some((plock, pv)) = parent {
-        if !plock.validate(pv) {
-            return Err(Restart);
-        }
-    }
-    let mut kids: Vec<(u8, NodePtr)> = Vec::with_capacity(hdr.count().min(256));
-    // SAFETY: epoch pinned.
-    unsafe { node::for_each_child(p, |b, c| kids.push((b, c))) };
-    if !hdr.version.validate(v) {
-        return Err(Restart);
-    }
-    for (_, c) in kids {
-        if let Some(found) = min_leaf(c, Some((&hdr.version, v)))? {
-            return Ok(Some(found));
-        }
-    }
-    Ok(None)
 }
 
 #[cfg(test)]

@@ -57,12 +57,8 @@ impl Art {
 
     /// Visit every `(key, value)` in ascending order (consistent at
     /// rest; under concurrency equivalent to `range(0, MAX)` semantics).
-    pub fn for_each(&self, mut f: impl FnMut(u64, u64)) {
-        let mut out = Vec::new();
-        self.range(0, u64::MAX, &mut out);
-        for (k, v) in out {
-            f(k, v);
-        }
+    pub fn for_each(&self, f: impl FnMut(u64, u64)) {
+        self.scan_with(0, u64::MAX, usize::MAX, f);
     }
 
     /// Smallest key in the tree.

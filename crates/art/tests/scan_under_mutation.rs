@@ -195,3 +195,111 @@ fn scans_racing_jump_inserts_see_no_torn_or_skipped_pairs() {
         assert_eq!(keys.len(), committed.len() + inserted.len());
     });
 }
+
+/// Limited scans walk the children of eight sibling nodes by position
+/// while a writer takes each of those nodes through every type and back
+/// (N4 → N16 → N48 → N256 → … → N4): inserts shift a sorted node's
+/// entries right under the scan, removes shift them left (the move that
+/// lets an unvalidated walk step over an entry), and every grow or
+/// shrink replaces the node the scan is positioned in. A failed
+/// validation resumes the scan after the last key it delivered — so
+/// what it returns must still be sorted, duplicate-free, untorn, no
+/// longer than its limit, and must hold every stable key up to the last
+/// one returned.
+#[test]
+fn limited_scans_racing_grow_and_shrink_of_their_node_keep_every_stable_key() {
+    let art = Arc::new(Art::new());
+    // Node `n` sits at byte 6 below `base | n << 16`; its children are
+    // leaves. Three stable children each, so it can shrink back to an N4.
+    let base = 0x0102_0304_0500_0000u64;
+    let key = |n: u64, b: u64| base | n << 16 | b << 8 | 0x42;
+    let stable: Vec<u64> = (0..8)
+        .flat_map(|n| [0x40, 0x80, 0xC0].map(|b| key(n, b)))
+        .collect();
+    for &k in &stable {
+        art.insert(k, k ^ MAGIC);
+    }
+
+    let scanners = 3usize;
+    let stop = Arc::new(AtomicBool::new(false));
+    let barrier = Arc::new(Barrier::new(1 + scanners));
+    std::thread::scope(|s| {
+        let writer = {
+            let (art, stop, barrier) = (Arc::clone(&art), Arc::clone(&stop), Arc::clone(&barrier));
+            s.spawn(move || {
+                barrier.wait();
+                // Some 60 bytes around and between the stable ones, in an
+                // order that keeps inserting below entries already there.
+                let churn: Vec<u64> = (0..64)
+                    .map(|i| (i * 67 + 1) % 256)
+                    .filter(|b| b % 0x40 != 0)
+                    .collect();
+                let mut cycles = 0u32;
+                while !stop.load(Ordering::Relaxed) {
+                    for n in 0..8 {
+                        for &b in &churn {
+                            assert!(art.insert(key(n, b), key(n, b) ^ MAGIC));
+                        }
+                    }
+                    assert_eq!(art.structure_stats().n256, 8, "the nodes never grew");
+                    for n in 0..8 {
+                        for &b in &churn {
+                            assert_eq!(art.remove(key(n, b)), Some(key(n, b) ^ MAGIC));
+                        }
+                    }
+                    cycles += 1;
+                }
+                cycles
+            })
+        };
+        let scans: Vec<_> = (0..scanners)
+            .map(|sid| {
+                let (art, barrier, stable) = (Arc::clone(&art), Arc::clone(&barrier), &stable);
+                s.spawn(move || {
+                    barrier.wait();
+                    let mut out = Vec::new();
+                    for round in 0..40_000usize {
+                        let lo = stable[(round * 7 + sid) % stable.len()] - (round % 2) as u64;
+                        let limit = [1, 3, 10, 600][round % 4];
+                        out.clear();
+                        assert_eq!(art.scan_n(lo, limit, &mut out), out.len());
+                        assert!(out.len() <= limit, "limit {limit} overrun: {}", out.len());
+                        for w in out.windows(2) {
+                            assert!(w[0].0 < w[1].0, "scan out of order: {w:x?}");
+                        }
+                        for &(k, v) in &out {
+                            assert!(k >= lo, "scan leaked {k:#x} below {lo:#x}");
+                            assert_eq!(v, k ^ MAGIC, "torn pair for key {k:#x}");
+                        }
+                        // A scan that stopped at its limit vouches for the
+                        // keys up to its last one; a shorter one ran to
+                        // the end of the tree.
+                        let upto = if out.len() == limit {
+                            out[limit - 1].0
+                        } else {
+                            u64::MAX
+                        };
+                        let mut it = out.iter();
+                        for &sk in stable.iter().filter(|&&sk| sk >= lo && sk <= upto) {
+                            assert!(
+                                it.any(|&(k, _)| k == sk),
+                                "scan_n({lo:#x}, {limit}) skipped stable key {sk:#x}"
+                            );
+                        }
+                    }
+                })
+            })
+            .collect();
+        // Stop the writer before looking at the results, or a scanner's
+        // failed assertion would leave it (and the scope) running.
+        let scans: Vec<_> = scans.into_iter().map(|h| h.join()).collect();
+        stop.store(true, Ordering::Relaxed);
+        assert!(
+            writer.join().unwrap() > 0,
+            "the writer never completed a cycle"
+        );
+        for result in scans {
+            result.unwrap();
+        }
+    });
+}

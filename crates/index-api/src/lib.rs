@@ -134,21 +134,25 @@ pub trait ConcurrentIndex: Send + Sync {
     /// appended.
     fn range(&self, lo: Key, hi: Key, out: &mut Vec<(Key, Value)>) -> usize;
 
-    /// Scan at most `n` entries starting at `lo` (inclusive), ascending.
-    /// This is the paper's "scan workload" shape (100-key scans). Default
+    /// Scan: append the first `n` entries with `key >= lo` to `out`, in
+    /// ascending key order (fewer if the index runs out). Like
+    /// [`range`](Self::range) it appends — what `out` already holds
+    /// stays — and returns the number of entries appended. This is the
+    /// paper's "scan workload" shape (100-key scans). Default
     /// implementation does a bounded range and truncates; implementations
     /// with native iteration may override.
     fn scan(&self, lo: Key, n: usize, out: &mut Vec<(Key, Value)>) -> usize {
         // Default: exponentially widen the range until enough entries or
         // the key space is exhausted.
+        let start = out.len();
         let mut width: u64 = 1 << 16;
         loop {
-            out.clear();
+            out.truncate(start);
             let hi = lo.saturating_add(width);
             self.range(lo, hi, out);
-            if out.len() >= n || hi == Key::MAX {
-                out.truncate(n);
-                return out.len();
+            if out.len() - start >= n || hi == Key::MAX {
+                out.truncate(start.saturating_add(n));
+                return out.len() - start;
             }
             width = width.saturating_mul(64);
         }
@@ -306,6 +310,21 @@ mod tests {
         assert_eq!(n, 10);
         assert_eq!(out[0].0, 5000);
         assert_eq!(out[9].0, 14000);
+    }
+
+    #[test]
+    fn scan_default_appends_to_a_non_empty_out() {
+        let idx = RefIndex(Mutex::new(BTreeMap::new()));
+        for k in 1..=100u64 {
+            idx.insert(k << 20, k).unwrap();
+        }
+        // The second widening pass must drop the first pass's entries and
+        // nothing else.
+        let mut out = vec![(7, 7)];
+        assert_eq!(idx.scan(1 << 20, 3, &mut out), 3);
+        assert_eq!(out, [(7, 7), (1 << 20, 1), (2 << 20, 2), (3 << 20, 3)]);
+        assert_eq!(idx.scan(101 << 20, 3, &mut out), 0);
+        assert_eq!(out.len(), 4);
     }
 
     #[test]

@@ -51,6 +51,13 @@ pub enum Counter {
     /// Scans that re-collected because the directory epoch moved
     /// mid-walk (a retrain published; §III-F redirection for scans).
     ScanEpochRetry,
+    /// Key-interval chunks executed by scans (one ART read plus one slot
+    /// window walk each); per scan, it says whether chunks are sized
+    /// right — 1 is the aim.
+    ScanChunk,
+    /// ART entries read by scan chunks; per scan, against the scan
+    /// length, it says how much of the ART side was read for nothing.
+    ScanArtKey,
     /// Opportunistic write-back attempts (Algorithm 2 lines 10-13).
     WriteBackAttempt,
     /// Write-backs that actually moved an ART entry into its predicted
@@ -179,13 +186,15 @@ pub enum Counter {
 
 impl Counter {
     /// All counters, in rendering order.
-    pub const ALL: [Counter; 49] = [
+    pub const ALL: [Counter; 51] = [
         Counter::SlotReadRetry,
         Counter::SlotLockRetry,
         Counter::FastPtrJumpHit,
         Counter::FastPtrDeopt,
         Counter::FastPtrRegisterRetry,
         Counter::ScanEpochRetry,
+        Counter::ScanChunk,
+        Counter::ScanArtKey,
         Counter::WriteBackAttempt,
         Counter::WriteBackMoved,
         Counter::RetrainAttempt,
@@ -240,6 +249,8 @@ impl Counter {
             Counter::FastPtrDeopt => "alt.fastptr_deopt",
             Counter::FastPtrRegisterRetry => "alt.fastptr_register_retry",
             Counter::ScanEpochRetry => "alt.scan_epoch_retry",
+            Counter::ScanChunk => "alt.scan_chunk",
+            Counter::ScanArtKey => "alt.scan_art_key",
             Counter::WriteBackAttempt => "alt.write_back_attempt",
             Counter::WriteBackMoved => "alt.write_back_moved",
             Counter::RetrainAttempt => "alt.retrain_attempt",

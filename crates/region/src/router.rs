@@ -494,55 +494,49 @@ impl<I: ConcurrentIndex + BulkLoad + 'static> ConcurrentIndex for RegionIndex<I>
     }
 
     fn scan(&self, lo: Key, n: usize, out: &mut Vec<(Key, Value)>) -> usize {
-        out.clear();
-        if n == 0 {
-            return 0;
-        }
+        let start = out.len();
+        let full = start.saturating_add(n);
         let mut retry = Retry::new();
-        let mut tmp: Vec<(Key, Value)> = Vec::new();
+        // One shard's share, appended at `out[from..]`. A shard's engine
+        // may overrun the shard's range (scan is count-bounded, not
+        // key-bounded); clamp to `[.., s.hi]` so residual post-split keys
+        // are never surfaced.
+        let scan_shard = |s: &Shard<I>, out: &mut Vec<(Key, Value)>| {
+            let from = out.len();
+            s.index.scan(lo.max(s.lo), full - from, out);
+            let within = out[from..].partition_point(|&(k, _)| k <= s.hi);
+            out.truncate(from + within);
+        };
         'attempt: loop {
-            out.clear();
+            out.truncate(start);
             let shards = self.inner.snapshot();
             let table = RouteTable { shards };
             for s in table.shards[table.idx_of(lo)..].iter() {
-                tmp.clear();
-                s.index.scan(lo.max(s.lo), n - out.len(), &mut tmp);
-                // A shard's engine may overrun the shard's range (scan is
-                // count-bounded, not key-bounded); clamp to `[.., s.hi]`
-                // so residual post-split keys are never surfaced.
-                let within = tmp.partition_point(|&(k, _)| k <= s.hi);
-                tmp.truncate(within);
+                if out.len() >= full {
+                    break;
+                }
+                scan_shard(s, out);
                 if s.retired.load(Ordering::Acquire) {
                     self.inner.note_retry();
                     match retry.step_global() {
                         Step::Wait(_) => continue 'attempt,
                         Step::Escalate => {
                             let _structural = lock(&self.inner.struct_lock);
-                            out.clear();
+                            out.truncate(start);
                             let shards = self.inner.snapshot();
                             let table = RouteTable { shards };
                             for s in table.shards[table.idx_of(lo)..].iter() {
-                                tmp.clear();
-                                s.index.scan(lo.max(s.lo), n - out.len(), &mut tmp);
-                                let within = tmp.partition_point(|&(k, _)| k <= s.hi);
-                                tmp.truncate(within);
-                                out.extend_from_slice(&tmp);
-                                if out.len() >= n {
+                                if out.len() >= full {
                                     break;
                                 }
+                                scan_shard(s, out);
                             }
-                            out.truncate(n);
-                            return out.len();
+                            return out.len() - start;
                         }
                     }
                 }
-                out.extend_from_slice(&tmp);
-                if out.len() >= n {
-                    break;
-                }
             }
-            out.truncate(n);
-            return out.len();
+            return out.len() - start;
         }
     }
 

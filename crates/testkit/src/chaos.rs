@@ -37,6 +37,15 @@ static NEXT_THREAD: AtomicUsize = AtomicUsize::new(0);
 /// compare before/after deltas).
 static HITS: AtomicU64 = AtomicU64::new(0);
 
+/// Hits per site, in an open-addressed table keyed by the site's hash
+/// (0 marks a free entry). Relaxed atomics only, like [`HITS`]: a lock
+/// here would order the very accesses the points exist to race.
+static SITE_HITS: [(AtomicU64, AtomicU64); SITE_TABLE] =
+    [const { (AtomicU64::new(0), AtomicU64::new(0)) }; SITE_TABLE];
+/// Entries of [`SITE_HITS`]; several times the number of sites in the
+/// workspace, so probes stay short and the table never fills.
+const SITE_TABLE: usize = 256;
+
 thread_local! {
     static LOCAL: Cell<LocalChaos> = const {
         Cell::new(LocalChaos { generation: 0, rng_state: 0 })
@@ -95,6 +104,36 @@ pub fn hits() -> u64 {
     HITS.load(Ordering::Relaxed)
 }
 
+/// Hits of one site under any schedule, like [`hits`] (0 for a site no
+/// thread has reached). Lets a test name the points its workload must
+/// reach instead of trusting the total.
+pub fn site_hits(site: &str) -> u64 {
+    site_entry(site_hash(site), false).map_or(0, |hits| hits.load(Ordering::Relaxed))
+}
+
+/// The counter of the site with hash `hash`. A site's first hit claims
+/// it a free entry (`claim`); a lookup of a site never hit finds `None`,
+/// as does a hit once the table is full of other sites.
+fn site_entry(hash: u64, claim: bool) -> Option<&'static AtomicU64> {
+    let hash = hash.max(1); // 0 marks a free entry
+    for probe in 0..SITE_TABLE {
+        let (key, hits) = &SITE_HITS[(hash as usize).wrapping_add(probe) % SITE_TABLE];
+        let owner = match key.load(Ordering::Relaxed) {
+            0 if claim => key
+                .compare_exchange(0, hash, Ordering::Relaxed, Ordering::Relaxed)
+                .map_or_else(|taken_by| taken_by, |_| hash),
+            owner => owner,
+        };
+        if owner == hash {
+            return Some(hits);
+        }
+        if owner == 0 {
+            return None;
+        }
+    }
+    None
+}
+
 /// The chaos hook. Instrumented crates call this (through their cfg'd
 /// forwarder) at protocol-critical sites. `site` names the call site for
 /// diagnostics; it also salts the per-call decision so distinct sites
@@ -124,7 +163,8 @@ fn perturb(site: &'static str, generation: u32) {
             rng_state: mixer.next_u64(),
         };
     }
-    let mut rng = SplitMix64::new(local.rng_state ^ site_hash(site));
+    let site = site_hash(site);
+    let mut rng = SplitMix64::new(local.rng_state ^ site);
     let roll = rng.next_below(1024) as u32;
     // Advance the thread-local stream regardless of the outcome so the
     // decision sequence stays a function of the call count alone.
@@ -132,6 +172,9 @@ fn perturb(site: &'static str, generation: u32) {
     local.rng_state = stream.next_u64();
     LOCAL.with(|c| c.set(local));
     HITS.fetch_add(1, Ordering::Relaxed);
+    if let Some(hits) = site_entry(site, true) {
+        hits.fetch_add(1, Ordering::Relaxed);
+    }
 
     if roll >= INTENSITY.load(Ordering::Relaxed) {
         return;
@@ -191,6 +234,12 @@ mod tests {
             point("test.enabled");
         }
         assert!(hits() - before >= 100, "chaos points should register hits");
+        // Per site too. (In this test, not one of its own: a second
+        // schedule guard dropping mid-way would switch this one off.)
+        point("test.other_site");
+        assert_eq!(site_hits("test.enabled"), 100);
+        assert_eq!(site_hits("test.other_site"), 1);
+        assert_eq!(site_hits("test.never_reached"), 0);
         drop(guard);
     }
 

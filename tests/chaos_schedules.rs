@@ -248,13 +248,29 @@ fn chaos_finedex() {
 #[test]
 #[cfg(feature = "chaos")]
 fn chaos_points_are_exercised() {
+    // One point per protocol the scenario's ops go through: slot read and
+    // claim, ART lock coupling, and the scan's chunk (between its ART read
+    // and its slot walk).
+    const SITES: [&str; 4] = [
+        "slots.read.pre_validate",
+        "slots.lock.held",
+        "olc.validate",
+        "scan.chunk.post_art",
+    ];
     let scenario = Scenario::shared(0xFEED_FACE);
     let idx = AltIndex::bulk_load(&scenario.initial_pairs());
     let before = testkit::chaos::hits();
+    let sites_before = SITES.map(testkit::chaos::site_hits);
     scenario.run(&idx).unwrap();
     let delta = testkit::chaos::hits() - before;
     assert!(
         delta > 1_000,
         "expected thousands of chaos-point hits, got {delta}"
     );
+    for (site, was) in SITES.iter().zip(sites_before) {
+        assert!(
+            testkit::chaos::site_hits(site) > was,
+            "chaos point {site} was never reached"
+        );
+    }
 }

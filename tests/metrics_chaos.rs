@@ -2,9 +2,10 @@
 //! concurrent run must light up the retry counters the telemetry exists
 //! to expose — slot read retries (slot-version protocol, §III-E), OLC
 //! restarts (ART-OPT layer), and scan directory-epoch retries (§III-F
-//! retrain vs scan validation). If those stay zero either the hooks fell
-//! off the hot paths or the chaos schedule stopped reaching them; both
-//! are regressions this test pins down.
+//! retrain vs scan validation) — and the two counters that say what the
+//! scans did, chunks executed and ART entries read. If those stay zero
+//! either the hooks fell off the hot paths or the chaos schedule stopped
+//! reaching them; both are regressions this test pins down.
 //!
 //! Run with: `cargo test --features "chaos metrics" --test metrics_chaos`
 #![cfg(all(feature = "chaos", feature = "metrics"))]
@@ -99,6 +100,9 @@ fn chaos_run_reports_hot_path_retries() {
         Counter::SlotReadRetry,
         Counter::OlcRestart,
         Counter::ScanEpochRetry,
+        // Where a scan's time went: chunks run, ART entries they read.
+        Counter::ScanChunk,
+        Counter::ScanArtKey,
     ];
 
     // One round is normally enough; allow a few reseeded rounds so the
