@@ -35,7 +35,7 @@ use datasets::rng::SplitMix64;
 use index_api::ConcurrentIndex;
 use region::{BatchServer, RegionConfig, RegionIndex, ServeConfig, ServeError};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use workloads::{LatencyHistogram, Zipf};
 
 #[derive(Clone, Copy, PartialEq)]
@@ -62,6 +62,9 @@ struct Measured {
     shed_rate: f64,
     /// Mean `get_batch` ring occupancy (1.0 in per-key/direct modes).
     avg_batch: f64,
+    /// Which path flushed: what explains a change in `avg_batch`.
+    ring_flushes: u64,
+    leader_flushes: u64,
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -85,7 +88,6 @@ fn run_mode(
             ServeConfig {
                 ring_width: if mode == Mode::Batched { ring } else { 1 },
                 max_depth,
-                flush_interval: Duration::from_micros(100),
             },
         ))),
     };
@@ -186,19 +188,17 @@ fn run_mode(
     });
     let secs = start.elapsed().as_secs_f64();
     drop(rt);
-    let avg_batch = match &server {
-        Some(srv) => {
-            let st = srv.stats();
-            st.batched_keys as f64 / st.flushes.max(1) as f64
-        }
-        None => 1.0,
-    };
-    drop(server);
+    let st = server.map(|srv| srv.stats()).unwrap_or_default();
     Measured {
         mops: served as f64 / secs / 1e6,
         p999_us: all.quantile(0.999) as f64 / 1_000.0,
         shed_rate: shed as f64 / (served + shed).max(1) as f64,
-        avg_batch,
+        avg_batch: match st.flushes {
+            0 => 1.0,
+            flushes => st.batched_keys as f64 / flushes as f64,
+        },
+        ring_flushes: st.ring_flushes,
+        leader_flushes: st.leader_flushes,
     }
 }
 
@@ -284,13 +284,19 @@ fn main() {
                     .value("shed_rate", m.shed_rate)
                     .emit();
                 if mode == Mode::Batched {
-                    Row::new("service_throughput")
-                        .index("ALT-region")
-                        .dataset(ds.name())
-                        .workload(&format!("{}+shards{shards}", mode.label()))
-                        .x(conns as f64)
-                        .value("avg_batch", m.avg_batch)
-                        .emit();
+                    for (metric, v) in [
+                        ("avg_batch", m.avg_batch),
+                        ("ring_flushes", m.ring_flushes as f64),
+                        ("leader_flushes", m.leader_flushes as f64),
+                    ] {
+                        Row::new("service_throughput")
+                            .index("ALT-region")
+                            .dataset(ds.name())
+                            .workload(&format!("{}+shards{shards}", mode.label()))
+                            .x(conns as f64)
+                            .value(metric, v)
+                            .emit();
+                    }
                 }
             }
         }

@@ -19,10 +19,12 @@
 //!   shard's `retired` flag after each read and re-route if the shard was
 //!   replaced mid-flight.
 //! * [`BatchServer`] — the serving front-end. Per-shard submission queues
-//!   accumulate in-flight gets; a full ring (or the background flusher)
-//!   executes one `get_batch` per queue, so the AMAC engines see real
-//!   batches on the serving path. Admission control sheds load through
-//!   the `resilience` retry budget when queues stay full.
+//!   accumulate in-flight gets; the submitter that fills a ring, or the
+//!   queue's group-commit leader after one yield, executes one
+//!   `get_batch` per queue, so the AMAC engines see real batches on the
+//!   serving path with no thread of the server's own. Admission control
+//!   sheds load through the `resilience` retry budget when the server
+//!   stays saturated.
 //!
 //! The router is index-agnostic: any `ConcurrentIndex + BulkLoad` works
 //! as the per-shard engine (`RegionIndex<AltIndex>`, `RegionIndex<Art>`,

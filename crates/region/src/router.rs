@@ -11,7 +11,9 @@
 //!
 //! * **Readers** (`get`/`get_batch`/`range`/`scan`) pin, load the table,
 //!   clone the routed shard's `Arc`, and execute against its index with
-//!   no locks. After the read they validate the shard's `retired` flag:
+//!   no locks (`get_batch` clones nothing: it keeps the pin, and with it
+//!   the table and its shards, for the length of the batch). After the
+//!   read they validate the shard's `retired` flag:
 //!   a structural change sets `retired` (Release) at publish time,
 //!   *before* any cleanup deletes touch the old index, so a reader that
 //!   could have observed cleanup effects must observe `retired == true` —
@@ -72,6 +74,11 @@ impl<I> Shard<I> {
             retired: AtomicBool::new(false),
             ops: AtomicU64::new(0),
         })
+    }
+
+    /// Whether `key` lies in this shard's routed range.
+    fn owns(&self, key: Key) -> bool {
+        self.lo <= key && key <= self.hi
     }
 }
 
@@ -143,25 +150,27 @@ pub(crate) struct Inner<I> {
 }
 
 impl<I> Inner<I> {
-    /// Clone the current shard list under an epoch pin (the `Arc`s keep
-    /// the shards alive after the guard drops, even if the table is
-    /// swapped and reclaimed).
-    pub(crate) fn snapshot(&self) -> Vec<Arc<Shard<I>>> {
+    /// Run `f` on the current routing table under an epoch pin, which
+    /// keeps the table — and through its `Arc`s every shard in it — alive
+    /// for the whole call even if it is swapped out meanwhile.
+    pub(crate) fn with_table<R>(&self, f: impl FnOnce(&RouteTable<I>) -> R) -> R {
         let guard = epoch::pin();
         let t = self.table.load(Ordering::Acquire, &guard);
         // SAFETY: the table pointer is never null after construction and
-        // is loaded under the pin; defer_destroy delays reclamation past
-        // this guard.
-        unsafe { t.deref() }.shards.clone()
+        // is loaded under the pin, which is held until `f` returns;
+        // defer_destroy delays reclamation past this guard.
+        f(unsafe { t.deref() })
+    }
+
+    /// Clone the current shard list (the `Arc`s keep the shards alive
+    /// after the pin drops, even if the table is swapped and reclaimed).
+    pub(crate) fn snapshot(&self) -> Vec<Arc<Shard<I>>> {
+        self.with_table(|t| t.shards.clone())
     }
 
     /// Route `key` to its current shard.
     pub(crate) fn route(&self, key: Key) -> Arc<Shard<I>> {
-        let guard = epoch::pin();
-        let t = self.table.load(Ordering::Acquire, &guard);
-        // SAFETY: as in `snapshot`.
-        let table = unsafe { t.deref() };
-        Arc::clone(&table.shards[table.idx_of(key)])
+        self.with_table(|t| Arc::clone(&t.shards[t.idx_of(key)]))
     }
 
     pub(crate) fn note_retry(&self) {
@@ -269,7 +278,7 @@ impl<I: ConcurrentIndex + BulkLoad + 'static> RegionIndex<I> {
 
     /// Current shard count (may be stale by the next structural change).
     pub fn shard_count(&self) -> usize {
-        self.inner.snapshot().len()
+        self.inner.with_table(|t| t.shards.len())
     }
 
     /// The current shard ranges, ascending and contiguous — exposed for
@@ -307,6 +316,22 @@ impl<I: ConcurrentIndex + BulkLoad + 'static> RegionIndex<I> {
             merges: s.merges.load(Ordering::Relaxed),
             migrated_keys: s.migrated_keys.load(Ordering::Relaxed),
             route_retries: s.route_retries.load(Ordering::Relaxed),
+        }
+    }
+
+    /// One shard's share of a batch, validated like a `get`: if the shard
+    /// was replaced mid-batch, redo its keys through the validated
+    /// single-key path (per-key linearizability is all `get_batch`
+    /// promises).
+    fn shard_batch(&self, shard: &Shard<I>, keys: &[Key], out: &mut [Option<Value>]) {
+        shard.index.get_batch(keys, out);
+        if shard.retired.load(Ordering::Acquire) {
+            self.inner.note_retry();
+            for (&k, o) in keys.iter().zip(out) {
+                *o = self.get(k);
+            }
+        } else {
+            shard.ops.fetch_add(keys.len() as u64, Ordering::Relaxed);
         }
     }
 
@@ -409,55 +434,53 @@ impl<I: ConcurrentIndex + BulkLoad + 'static> ConcurrentIndex for RegionIndex<I>
             out.len(),
             keys.len()
         );
-        if keys.is_empty() {
+        let Some(&first) = keys.first() else {
             return;
-        }
-        // Group positions by shard under one table load, then run one
-        // sub-batch per shard so each AMAC engine sees a coherent ring.
-        let shards = self.inner.snapshot();
-        let table = RouteTable { shards };
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); table.shards.len()];
-        for (pos, &k) in keys.iter().enumerate() {
-            groups[table.idx_of(k)].push(pos);
-        }
-        let mut gkeys: Vec<Key> = Vec::new();
-        let mut gout: Vec<Option<Value>> = Vec::new();
-        for (si, group) in groups.iter().enumerate() {
-            if group.is_empty() {
-                continue;
+        };
+        // One pin for the whole batch, held across the shard calls: the
+        // table keeps every shard alive, so nothing is cloned.
+        self.inner.with_table(|table| {
+            let shard = &*table.shards[table.idx_of(first)];
+            if keys.iter().all(|&k| shard.owns(k)) {
+                // One shard owns every key — what the serving front-end's
+                // per-domain queues send: its engine reads and writes the
+                // caller's slices directly.
+                return self.shard_batch(shard, keys, &mut out[..keys.len()]);
             }
-            let shard = &table.shards[si];
-            gkeys.clear();
-            gkeys.extend(group.iter().map(|&p| keys[p]));
-            gout.clear();
-            gout.resize(gkeys.len(), None);
-            shard.index.get_batch(&gkeys, &mut gout);
-            if shard.retired.load(Ordering::Acquire) {
-                // The shard was replaced mid-batch: redo this group
-                // through the validated single-key path (per-key
-                // linearizability is all `get_batch` promises).
-                self.inner.note_retry();
-                for &p in group {
-                    out[p] = self.get(keys[p]);
-                }
-            } else {
-                shard.ops.fetch_add(group.len() as u64, Ordering::Relaxed);
-                for (&p, v) in group.iter().zip(gout.iter()) {
-                    out[p] = *v;
+            // Mixed: one sub-batch per shard so each AMAC engine sees a
+            // coherent ring, gathered through stack arrays 64 keys at a
+            // time. `todo` holds the chunk positions still unanswered.
+            for (keys, out) in keys.chunks(64).zip(out.chunks_mut(64)) {
+                let mut todo = u64::MAX >> (64 - keys.len());
+                while todo != 0 {
+                    let shard = &*table.shards[table.idx_of(keys[todo.trailing_zeros() as usize])];
+                    let (mut gkeys, mut gpos, mut n) = ([0; 64], [0; 64], 0);
+                    let mut rest = todo;
+                    while rest != 0 {
+                        let p = rest.trailing_zeros() as usize;
+                        rest &= rest - 1;
+                        if shard.owns(keys[p]) {
+                            (gkeys[n], gpos[n]) = (keys[p], p);
+                            n += 1;
+                            todo &= !(1 << p);
+                        }
+                    }
+                    let mut gout = [None; 64];
+                    self.shard_batch(shard, &gkeys[..n], &mut gout[..n]);
+                    for (&p, v) in gpos[..n].iter().zip(gout) {
+                        out[p] = v;
+                    }
                 }
             }
-        }
+        });
     }
 
     fn batch_domains(&self) -> usize {
-        self.inner.snapshot().len()
+        self.inner.with_table(|t| t.shards.len())
     }
 
     fn batch_domain_of(&self, key: Key) -> usize {
-        let guard = epoch::pin();
-        let t = self.inner.table.load(Ordering::Acquire, &guard);
-        // SAFETY: as in `Inner::snapshot`.
-        unsafe { t.deref() }.idx_of(key)
+        self.inner.with_table(|t| t.idx_of(key))
     }
 
     fn range(&self, lo: Key, hi: Key, out: &mut Vec<(Key, Value)>) -> usize {
@@ -625,6 +648,38 @@ mod tests {
         for (i, &k) in keys.iter().enumerate() {
             assert_eq!(out[i], idx.get(k), "key {k}");
         }
+    }
+
+    #[test]
+    fn get_batch_routes_like_get_on_every_path() {
+        let idx = build(1000, 4);
+        idx.insert(Key::MAX, 7).unwrap();
+        let b = idx.shard_bounds();
+        let check = |keys: &[Key]| {
+            let mut out = vec![Some(0xDEAD); keys.len()];
+            idx.get_batch(keys, &mut out);
+            for (&k, got) in keys.iter().zip(out) {
+                assert_eq!(got, idx.get(k), "key {k} of {keys:?}");
+            }
+        };
+        // One shard owns the batch: an inner one, the first from key 0,
+        // the last up to `Key::MAX`, and the two keys either side of a
+        // boundary taken one shard at a time.
+        check(&[b[1].0, b[1].0 + 5, b[1].1, b[1].1 - 10]);
+        check(&[0, 10, 11, b[0].1]);
+        check(&[Key::MAX, b[3].0, Key::MAX - 1]);
+        check(&[b[2].1]);
+        check(&[b[3].0]);
+        // Straddling: a boundary pair, both ends of the key space, and a
+        // batch longer than one 64-key chunk that touches every shard in
+        // no particular order.
+        check(&[b[2].1, b[3].0]);
+        check(&[Key::MAX, 0, 10, Key::MAX]);
+        let long: Vec<Key> = (0..150u64).map(|i| i * 7919 % 10_050).collect();
+        check(&long);
+        assert!(b
+            .iter()
+            .all(|&(lo, hi)| long.iter().any(|&k| lo <= k && k <= hi)));
     }
 
     #[test]

@@ -14,17 +14,23 @@
 //!   any timer.
 //!
 //! Under load the AMAC engines (DESIGN.md §13) thus see real batches on
-//! the serving path with zero extra threads on the critical path. A
-//! background flusher still sweeps the queues on a short interval as a
-//! straggler bound for requests whose leader already flushed.
+//! the serving path, and no thread but the submitters' own is involved.
+//! Every drain empties its queue and the next push into an empty queue
+//! makes a new leader, so a nonempty queue always has a flush coming —
+//! also when the leader is cancelled: its flush is the `Drop` of a guard
+//! it holds across the yield, so a leader dropped mid-yield flushes on
+//! its way out. A flush works from stack arrays and leaves the queue its
+//! buffer: it allocates nothing.
 //!
 //! # Overload semantics (DESIGN.md §17)
 //!
 //! Admission is a bound on **in-flight requests** (queued plus executing
-//! in a ring). A submitter that finds the server saturated retries
-//! through the `resilience` global retry budget (spin → yield → park,
-//! the repo-wide contention policy); if the budget escalates — the
-//! server stayed saturated through the whole backoff ladder — the
+//! in a ring). A submitter that finds the server saturated first flushes
+//! whatever is queued — the leaders that owe those flushes may be stuck
+//! behind it in the executor — and then retries through the `resilience`
+//! global retry budget (spin → yield → park, the repo-wide contention
+//! policy), now waiting for the index alone; if the budget escalates —
+//! the server stayed saturated through the whole backoff ladder — the
 //! request is **shed** with [`ServeError::Overloaded`] rather than
 //! queued into unbounded latency. Under saturation the system therefore
 //! degrades by rejecting, not by collapsing: P99.9 of *served* requests
@@ -35,25 +41,24 @@ use crate::router::lock;
 use index_api::{ConcurrentIndex, Key, Value};
 use resilience::{Retry, Step};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::sync::{Arc, Mutex, MutexGuard};
 use tokio::sync::oneshot;
+
+/// Widest ring a flush executes: the size of its stack arrays.
+const MAX_RING: usize = 64;
 
 /// Tuning knobs for a [`BatchServer`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Submissions that fill a queue to this depth trigger an inline
     /// `get_batch` flush. Multiples of the AMAC ring width (8) make the
-    /// engines' rings run full.
+    /// engines' rings run full. At most 64.
     pub ring_width: usize,
     /// Admission bound on **in-flight requests** (queued plus currently
     /// executing in a `get_batch` ring), across the whole server.
     /// Submissions beyond it back off and eventually shed. Must be at
     /// least `ring_width`.
     pub max_depth: usize,
-    /// Background sweep interval for partially-filled queues (straggler
-    /// latency bound while traffic ramps down).
-    pub flush_interval: Duration,
 }
 
 impl Default for ServeConfig {
@@ -61,7 +66,6 @@ impl Default for ServeConfig {
         ServeConfig {
             ring_width: 16,
             max_depth: 1024,
-            flush_interval: Duration::from_micros(100),
         }
     }
 }
@@ -72,7 +76,8 @@ pub enum ServeError {
     /// The submission queue stayed full through the whole retry budget;
     /// the request was shed by admission control.
     Overloaded,
-    /// The server shut down while the request was in flight.
+    /// The ring holding the request was dropped unanswered (the index
+    /// panicked mid-batch).
     Shutdown,
 }
 
@@ -80,7 +85,7 @@ impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ServeError::Overloaded => write!(f, "request shed: submission queue saturated"),
-            ServeError::Shutdown => write!(f, "server shut down"),
+            ServeError::Shutdown => write!(f, "request dropped unanswered"),
         }
     }
 }
@@ -92,8 +97,13 @@ impl std::error::Error for ServeError {}
 pub struct ServeStats {
     /// Requests completed with a result.
     pub served: u64,
-    /// `get_batch` flushes executed (inline + background).
+    /// `get_batch` flushes executed: `ring_flushes + leader_flushes`.
     pub flushes: u64,
+    /// Flushes by a submitter inline: its push filled the ring, or it
+    /// found the server saturated and flushed what was queued.
+    pub ring_flushes: u64,
+    /// Flushes by a group-commit leader after its yield (or on its drop).
+    pub leader_flushes: u64,
     /// Keys submitted across all flushes.
     pub batched_keys: u64,
     /// Requests shed by admission control.
@@ -103,7 +113,8 @@ pub struct ServeStats {
 #[derive(Default)]
 struct StatsInner {
     served: AtomicU64,
-    flushes: AtomicU64,
+    ring_flushes: AtomicU64,
+    leader_flushes: AtomicU64,
     batched_keys: AtomicU64,
     shed: AtomicU64,
 }
@@ -113,7 +124,10 @@ struct Pending {
     tx: oneshot::Sender<Option<Value>>,
 }
 
-struct Shared {
+/// An async batching front-end over any [`ConcurrentIndex`]. Cheap to
+/// share: callers hold it in an `Arc` and submit from any number of
+/// tasks. See the module docs for the batching and overload protocol.
+pub struct BatchServer {
     index: Arc<dyn ConcurrentIndex>,
     queues: Vec<Mutex<Vec<Pending>>>,
     cfg: ServeConfig,
@@ -123,65 +137,38 @@ struct Shared {
     /// full rings are drained inline, so queues themselves never jam,
     /// but a slow `get_batch` under overload keeps requests in flight.
     in_flight: AtomicU64,
-    /// Flusher shutdown flag + wakeup: a condvar (not a bare sleep) so
-    /// `Drop` can interrupt an arbitrarily long flush interval.
-    shutdown: Mutex<bool>,
-    wake: Condvar,
 }
 
-impl Shared {
-    /// Execute one ring: a single `get_batch` over the drained queue,
-    /// then complete every oneshot.
-    fn flush(&self, batch: Vec<Pending>) {
-        if batch.is_empty() {
-            return;
-        }
-        let keys: Vec<Key> = batch.iter().map(|p| p.key).collect();
-        let mut out: Vec<Option<Value>> = vec![None; keys.len()];
-        self.index.get_batch(&keys, &mut out);
-        self.stats.flushes.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .batched_keys
-            .fetch_add(keys.len() as u64, Ordering::Relaxed);
-        metrics_hook::batch_flush();
-        let answered = batch.len() as u64;
-        for (p, v) in batch.into_iter().zip(out) {
-            // A dropped receiver (cancelled caller) is fine.
-            let _ = p.tx.send(v);
-        }
-        self.in_flight.fetch_sub(answered, Ordering::Release);
-    }
-
-    /// Drain-and-flush every queue once (background sweep / shutdown).
-    fn sweep(&self) {
-        for q in &self.queues {
-            let batch = std::mem::take(&mut *lock(q));
-            self.flush(batch);
-        }
-    }
+/// Group-commit leadership, held across the leader's yield: dropping it
+/// flushes the leader's queue, whether the leader was resumed or
+/// cancelled.
+struct LeaderFlush<'a> {
+    server: &'a BatchServer,
+    domain: usize,
 }
 
-/// An async batching front-end over any [`ConcurrentIndex`]. Cheap to
-/// share: callers hold it in an `Arc` and submit from any number of
-/// tasks. See the module docs for the batching and overload protocol.
-pub struct BatchServer {
-    shared: Arc<Shared>,
-    flusher: Option<std::thread::JoinHandle<()>>,
+impl Drop for LeaderFlush<'_> {
+    fn drop(&mut self) {
+        let s = self.server;
+        s.flush(lock(&s.queues[self.domain]), &s.stats.leader_flushes);
+    }
 }
 
 impl BatchServer {
     /// Build a server over `index` with one submission queue per batch
     /// domain ([`ConcurrentIndex::batch_domains`] — the region router
-    /// reports its shard count, monolithic indexes report 1). Spawns the
-    /// background flusher thread.
+    /// reports its shard count, monolithic indexes report 1).
     pub fn new(index: Arc<dyn ConcurrentIndex>, cfg: ServeConfig) -> Self {
-        assert!(cfg.ring_width > 0, "ring_width must be positive");
+        assert!(
+            (1..=MAX_RING).contains(&cfg.ring_width),
+            "ring_width must be in 1..={MAX_RING}"
+        );
         assert!(
             cfg.max_depth >= cfg.ring_width,
             "max_depth must be at least ring_width"
         );
         let domains = index.batch_domains().max(1);
-        let shared = Arc::new(Shared {
+        BatchServer {
             index,
             queues: (0..domains)
                 .map(|_| Mutex::new(Vec::with_capacity(cfg.ring_width)))
@@ -189,46 +176,45 @@ impl BatchServer {
             cfg,
             stats: StatsInner::default(),
             in_flight: AtomicU64::new(0),
-            shutdown: Mutex::new(false),
-            wake: Condvar::new(),
-        });
-        let flusher = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("region-flusher".into())
-                .spawn(move || loop {
-                    {
-                        // `_while` checks the flag before the first wait: a
-                        // shutdown signalled during the sweep below is seen
-                        // at once, not after a whole `flush_interval`.
-                        let (down, _) = shared
-                            .wake
-                            .wait_timeout_while(
-                                lock(&shared.shutdown),
-                                shared.cfg.flush_interval,
-                                |down| !*down,
-                            )
-                            .unwrap_or_else(std::sync::PoisonError::into_inner);
-                        if *down {
-                            return;
-                        }
-                    }
-                    shared.sweep();
-                })
-                .expect("spawn region flusher thread")
-        };
-        BatchServer {
-            shared,
-            flusher: Some(flusher),
         }
     }
 
+    /// Execute one ring: drain the queue (at most `ring_width` deep, as
+    /// every push that fills it flushes under the same lock) into stack
+    /// arrays, release it, run a single `get_batch` and complete every
+    /// oneshot. One drain per call: coming back for requests pushed
+    /// meanwhile would take the batch their own leader is forming.
+    fn flush(&self, mut queue: MutexGuard<'_, Vec<Pending>>, path: &AtomicU64) {
+        let n = queue.len();
+        if n == 0 {
+            return;
+        }
+        let mut keys = [0; MAX_RING];
+        let mut txs = [const { None }; MAX_RING];
+        for (i, p) in queue.drain(..).enumerate() {
+            keys[i] = p.key;
+            txs[i] = Some(p.tx);
+        }
+        drop(queue);
+        let mut out = [None; MAX_RING];
+        self.index.get_batch(&keys[..n], &mut out[..n]);
+        path.fetch_add(1, Ordering::Relaxed);
+        self.stats
+            .batched_keys
+            .fetch_add(n as u64, Ordering::Relaxed);
+        metrics_hook::batch_flush();
+        for (tx, v) in txs.into_iter().flatten().zip(out) {
+            // A dropped receiver (cancelled caller) is fine.
+            let _ = tx.send(v);
+        }
+        self.in_flight.fetch_sub(n as u64, Ordering::Release);
+    }
+
     /// Submit one point lookup. Resolves when the ring containing it is
-    /// flushed (inline on ring fill, or by the background sweep). Sheds
+    /// flushed (inline on ring fill, or by its queue's leader). Sheds
     /// with [`ServeError::Overloaded`] when admission control gives up.
     pub async fn get(&self, key: Key) -> Result<Option<Value>, ServeError> {
-        let s = &*self.shared;
-        let d = s.index.batch_domain_of(key) % s.queues.len();
+        let d = self.index.batch_domain_of(key) % self.queues.len();
         // Admission: reserve an in-flight slot, backing off (and finally
         // shedding) while the server is saturated. The waits block the
         // executor thread briefly — acceptable for the shimmed
@@ -236,57 +222,63 @@ impl BatchServer {
         // want: saturation should slow submitters down before shedding.
         let mut retry = Retry::new();
         loop {
-            let cur = s.in_flight.load(Ordering::Acquire);
-            if (cur as usize) < s.cfg.max_depth
-                && s.in_flight
+            let cur = self.in_flight.load(Ordering::Acquire);
+            if (cur as usize) < self.cfg.max_depth
+                && self
+                    .in_flight
                     .compare_exchange(cur, cur + 1, Ordering::AcqRel, Ordering::Acquire)
                     .is_ok()
             {
                 break;
             }
-            if (cur as usize) < s.cfg.max_depth {
+            if (cur as usize) < self.cfg.max_depth {
                 continue; // lost the CAS race, not saturated — just retry
+            }
+            // Saturated. Whatever is still queued may be waiting for a
+            // leader that the executor will not poll before this wait is
+            // over — possibly one queued behind this very task — so
+            // flush it here: afterwards every in-flight request is inside
+            // some thread's `get_batch`, and waiting for a slot is
+            // waiting for the index only.
+            for q in &self.queues {
+                self.flush(lock(q), &self.stats.ring_flushes);
             }
             match retry.step_global() {
                 Step::Wait(_) => {}
                 Step::Escalate => {
-                    s.stats.shed.fetch_add(1, Ordering::Relaxed);
+                    self.stats.shed.fetch_add(1, Ordering::Relaxed);
                     return Err(ServeError::Overloaded);
                 }
             }
         }
-        let (rx, lead) = {
-            let mut q = lock(&s.queues[d]);
-            let (tx, rx) = oneshot::channel();
+        let (tx, rx) = oneshot::channel();
+        let lead = {
+            let mut q = lock(&self.queues[d]);
             q.push(Pending { key, tx });
-            let len = q.len();
-            let ready = if len >= s.cfg.ring_width {
-                Some(std::mem::take(&mut *q))
-            } else {
-                None
-            };
-            drop(q);
-            if let Some(batch) = ready {
-                s.flush(batch);
-                (rx, false)
-            } else {
-                (rx, len == 1)
+            match q.len() {
+                len if len >= self.cfg.ring_width => {
+                    self.flush(q, &self.stats.ring_flushes);
+                    false
+                }
+                len => len == 1,
             }
         };
         if lead {
             // Group-commit leadership: the first submitter into an empty
             // queue yields to the executor once — letting every runnable
             // peer pile its request on — then flushes whatever
-            // accumulated. Batch sizes adapt to the instantaneous load
-            // (1 when idle, up to ring_width under load) without waiting
-            // on the background sweep interval.
+            // accumulated (the guard's drop). Batch sizes adapt to the
+            // instantaneous load: 1 when idle, up to ring_width under
+            // load.
+            let _flush = LeaderFlush {
+                server: self,
+                domain: d,
+            };
             tokio::task::yield_now().await;
-            let batch = std::mem::take(&mut *lock(&s.queues[d]));
-            s.flush(batch);
         }
         match rx.await {
             Ok(v) => {
-                s.stats.served.fetch_add(1, Ordering::Relaxed);
+                self.stats.served.fetch_add(1, Ordering::Relaxed);
                 Ok(v)
             }
             Err(_) => Err(ServeError::Shutdown),
@@ -295,26 +287,19 @@ impl BatchServer {
 
     /// Snapshot of the serving counters.
     pub fn stats(&self) -> ServeStats {
-        let s = &self.shared.stats;
+        let s = &self.stats;
+        let (ring, leader) = (
+            s.ring_flushes.load(Ordering::Relaxed),
+            s.leader_flushes.load(Ordering::Relaxed),
+        );
         ServeStats {
             served: s.served.load(Ordering::Relaxed),
-            flushes: s.flushes.load(Ordering::Relaxed),
+            flushes: ring + leader,
+            ring_flushes: ring,
+            leader_flushes: leader,
             batched_keys: s.batched_keys.load(Ordering::Relaxed),
             shed: s.shed.load(Ordering::Relaxed),
         }
-    }
-}
-
-impl Drop for BatchServer {
-    fn drop(&mut self) {
-        *lock(&self.shared.shutdown) = true;
-        self.shared.wake.notify_all();
-        if let Some(h) = self.flusher.take() {
-            let _ = h.join();
-        }
-        // Complete any stragglers so awaiting callers resolve instead of
-        // seeing Shutdown.
-        self.shared.sweep();
     }
 }
 
@@ -323,6 +308,10 @@ mod tests {
     use super::*;
     use crate::testutil::MapIndex;
     use index_api::BulkLoad;
+    use std::future::Future;
+    use std::pin::pin;
+    use std::task::{Context, Poll, Waker};
+    use std::time::Duration;
     use tokio::runtime::Builder;
 
     fn server(cfg: ServeConfig) -> (Arc<BatchServer>, Vec<(Key, Value)>) {
@@ -364,13 +353,11 @@ mod tests {
             .worker_threads(2)
             .build()
             .unwrap();
+        // No thread but the submitters' own exists: full rings and
+        // group-commit leaders alone must complete every request.
         let cfg = ServeConfig {
             ring_width: 8,
             max_depth: 64,
-            // Effectively disable the background sweep: only full rings
-            // and group-commit leaders flush, so those paths alone must
-            // complete every request.
-            flush_interval: Duration::from_secs(3600),
         };
         let (srv, _) = server(cfg);
         let handles: Vec<_> = (0..64u64)
@@ -391,6 +378,94 @@ mod tests {
         // leader flushes), but batching must hold: at least the 8
         // full-ring minimum, and well under one flush per request.
         assert!((8..=32).contains(&st.flushes), "flushes {}", st.flushes);
+    }
+
+    #[test]
+    fn dropped_leader_still_answers_its_followers() {
+        // No runtime and no thread at all: the futures are polled by
+        // hand. The leader is dropped while suspended in its yield; the
+        // flush it owed its follower must happen on that drop.
+        let (srv, _) = server(ServeConfig::default());
+        let cx = &mut Context::from_waker(Waker::noop());
+        let mut follower = pin!(srv.get(6));
+        {
+            let mut leader = pin!(srv.get(3));
+            assert!(leader.as_mut().poll(cx).is_pending(), "leader yields");
+            assert!(follower.as_mut().poll(cx).is_pending(), "follower waits");
+        }
+        assert_eq!(follower.as_mut().poll(cx), Poll::Ready(Ok(Some(2))));
+        let st = srv.stats();
+        assert_eq!((st.leader_flushes, st.ring_flushes), (1, 0));
+        assert_eq!((st.flushes, st.batched_keys, st.served), (1, 2, 1));
+    }
+
+    #[test]
+    fn cancelled_follower_leaks_no_admission_capacity() {
+        let (srv, _) = server(ServeConfig {
+            ring_width: 4,
+            max_depth: 4,
+        });
+        let cx = &mut Context::from_waker(Waker::noop());
+        {
+            let mut leader = pin!(srv.get(3));
+            assert!(leader.as_mut().poll(cx).is_pending());
+            for key in [6, 9] {
+                // Admitted and queued, then cancelled.
+                assert!(pin!(srv.get(key)).poll(cx).is_pending());
+            }
+            // The leader's flush answers all three, listening or not.
+            assert_eq!(leader.as_mut().poll(cx), Poll::Ready(Ok(Some(1))));
+        }
+        // All `max_depth` slots are free again: a leaked one would make
+        // the fourth admission back off and shed.
+        let mut gets: Vec<_> = (1..=4u64).map(|k| Box::pin(srv.get(k * 3))).collect();
+        let polled: Vec<_> = gets.iter_mut().map(|g| g.as_mut().poll(cx)).collect();
+        assert_eq!(polled[..3], [Poll::Pending; 3]);
+        assert_eq!(polled[3], Poll::Ready(Ok(Some(4))), "fills the ring");
+        for (k, g) in (1..=3u64).zip(&mut gets) {
+            assert_eq!(g.as_mut().poll(cx), Poll::Ready(Ok(Some(k))));
+        }
+        drop(gets);
+        let st = srv.stats();
+        assert_eq!((st.shed, st.served, st.batched_keys), (0, 5, 7));
+        assert_eq!((st.leader_flushes, st.ring_flushes), (1, 1));
+    }
+
+    #[test]
+    fn saturated_submitter_flushes_what_is_queued_instead_of_waiting() {
+        // Two queues (a two-shard router), one request in each: both
+        // slots are taken, neither ring is full, and the two leaders that
+        // would flush are not being polled. A third submitter must not
+        // wait for them (here it would wait out the whole ladder and
+        // shed): it flushes what is queued and takes a freed slot.
+        let pairs: Vec<(Key, Value)> = (1..=500u64).map(|k| (k * 3, k)).collect();
+        let cfg = crate::RegionConfig {
+            initial_shards: 2,
+            ..Default::default()
+        };
+        let index = crate::RegionIndex::<MapIndex>::bulk_load_with(&pairs, cfg);
+        let srv = BatchServer::new(
+            Arc::new(index),
+            ServeConfig {
+                ring_width: 2,
+                max_depth: 2,
+            },
+        );
+        let cx = &mut Context::from_waker(Waker::noop());
+        let (mut low, mut high) = (pin!(srv.get(3)), pin!(srv.get(1500)));
+        assert!(low.as_mut().poll(cx).is_pending());
+        assert!(high.as_mut().poll(cx).is_pending());
+        let mut third = pin!(srv.get(6));
+        assert!(
+            third.as_mut().poll(cx).is_pending(),
+            "admitted; now a leader"
+        );
+        assert_eq!(low.as_mut().poll(cx), Poll::Ready(Ok(Some(1))));
+        assert_eq!(high.as_mut().poll(cx), Poll::Ready(Ok(Some(500))));
+        assert_eq!(third.as_mut().poll(cx), Poll::Ready(Ok(Some(2))));
+        let st = srv.stats();
+        assert_eq!((st.shed, st.served, st.batched_keys), (0, 3, 3));
+        assert_eq!((st.ring_flushes, st.leader_flushes), (2, 1));
     }
 
     #[test]
@@ -436,7 +511,6 @@ mod tests {
             ServeConfig {
                 ring_width: 1,
                 max_depth: 1,
-                flush_interval: Duration::from_secs(3600),
             },
         ));
         let rt = Builder::new_multi_thread()

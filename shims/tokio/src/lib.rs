@@ -3,27 +3,45 @@
 //! [`runtime::Builder`]/[`runtime::Runtime`] with `spawn` + `block_on`,
 //! [`task::JoinHandle`], and [`sync::oneshot`] channels.
 //!
-//! The design is the textbook work-queue executor:
+//! The design is a work-queue executor with one run queue per worker:
 //!
 //! * Each spawned future becomes a reference-counted task whose waker
-//!   re-enqueues it onto a shared injector queue (state machine
-//!   Idle → Queued → Running → {Idle, Notified, Done} so concurrent
-//!   wakes never double-poll and never lose a notification).
-//! * A fixed pool of worker threads pops tasks and polls them; workers
-//!   park on a condvar when the queue is empty.
+//!   makes it runnable again (state machine Idle → Queued → Running →
+//!   {Idle, Notified, Done} so concurrent wakes never double-poll and
+//!   never lose a notification).
+//! * Every worker thread owns a run queue that no other thread touches
+//!   (it is a thread-local, so it needs no lock). A wake issued on a
+//!   worker of the task's own runtime goes there; every other wake — a
+//!   non-worker thread, `block_on`, a worker of another runtime — goes to
+//!   the runtime's shared queue, which signals its condvar only when a
+//!   worker is parked on it.
+//! * A worker polls its own queue first, gives the shared queue a turn
+//!   every `SHARED_EVERY` (8) polls (tasks that keep each other runnable
+//!   cannot starve it), and parks when both are empty. After each poll a
+//!   worker with a backlog hands half of it to the shared queue if a
+//!   sibling is parked, so nothing waits behind one thread while another
+//!   sleeps.
+//! * A task woken *during its own poll* — what [`task::yield_now`] does —
+//!   goes to the back of the **shared** queue: behind everything this
+//!   worker already has to run and everything already waiting to be
+//!   picked up.
+//! * A panic in a poll is caught: the task is dropped, its
+//!   [`task::JoinHandle`] resolves to an error, the worker carries on.
 //! * `block_on` polls on the calling thread with a park/unpark waker —
 //!   it does not require (or occupy) a worker.
 //!
 //! There is no I/O driver and no timer wheel: this workspace's serving
-//! front-end is CPU-bound (in-memory index lookups) and does its own
-//! time-based flushing with a plain thread. `Builder::enable_all` is
-//! accepted and ignored so call sites stay source-compatible with the
-//! upstream crate.
+//! front-end is CPU-bound (in-memory index lookups) and needs neither.
+//! `Builder::enable_all` is accepted and ignored so call sites stay
+//! source-compatible with the upstream crate.
 
+use std::cell::{Cell, RefCell};
+use std::collections::VecDeque;
 use std::future::Future;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::pin::Pin;
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, Weak};
 use std::task::{Context, Poll, Wake, Waker};
 
 /// Task states for the wake/poll handshake.
@@ -33,55 +51,140 @@ const RUNNING: u8 = 2;
 const NOTIFIED: u8 = 3;
 const DONE: u8 = 4;
 
+/// A worker gives the shared queue a turn at least once in this many
+/// polls. Small keeps the tail short for whatever waits there (spawns,
+/// wakes from other threads, yielded tasks); the cost is one uncontended
+/// lock per turn.
+const SHARED_EVERY: u32 = 8;
+
 type BoxFuture = Pin<Box<dyn Future<Output = ()> + Send + 'static>>;
 
-/// Run queue plus the shutdown flag, under one mutex: a worker's "empty
-/// and not shut down → wait" is then atomic with respect to
+/// Shared run queue plus the shutdown flag, under one mutex: a worker's
+/// "empty and not shut down → wait" is then atomic with respect to
 /// `Runtime::drop` setting the flag, so the wake-up cannot be lost.
 #[derive(Default)]
 struct Queue {
-    tasks: std::collections::VecDeque<Arc<Task>>,
+    tasks: VecDeque<Arc<Task>>,
     shutdown: bool,
 }
 
+/// What the threads of one runtime share.
 #[derive(Default)]
-struct Injector {
+struct Shared {
     queue: Mutex<Queue>,
     available: Condvar,
+    /// Workers waiting on `available`. Written under `queue`'s lock;
+    /// `push` reads it there (exact, so no wake-up is lost and none is
+    /// signalled to nobody), `share_backlog` reads it bare, as a hint.
+    parked: AtomicUsize,
 }
+
+/// The shared queue's answer to a worker that found the runtime dropped.
+struct ShuttingDown;
 
 fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-impl Injector {
-    fn push(&self, task: Arc<Task>) {
-        lock(&self.queue).tasks.push_back(task);
-        self.available.notify_one();
+impl Shared {
+    /// Queue `tasks` at the back and wake one parked worker, if any.
+    fn push(&self, tasks: impl IntoIterator<Item = Arc<Task>>) {
+        let wake = {
+            let mut q = lock(&self.queue);
+            q.tasks.extend(tasks);
+            self.parked.load(Ordering::Relaxed) > 0
+        };
+        if wake {
+            self.available.notify_one();
+        }
     }
 
-    fn pop(&self) -> Option<Arc<Task>> {
+    /// The task at the front. With `wait`, parks until there is one.
+    /// Queued tasks are not run once the runtime is shutting down.
+    fn pop(&self, wait: bool) -> Result<Option<Arc<Task>>, ShuttingDown> {
         let mut q = lock(&self.queue);
         loop {
-            if let Some(t) = q.tasks.pop_front() {
-                return Some(t);
-            }
             if q.shutdown {
-                return None;
+                return Err(ShuttingDown);
             }
+            if let Some(t) = q.tasks.pop_front() {
+                return Ok(Some(t));
+            }
+            if !wait {
+                return Ok(None);
+            }
+            self.parked.fetch_add(1, Ordering::Relaxed);
             q = self
                 .available
                 .wait(q)
                 .unwrap_or_else(PoisonError::into_inner);
+            self.parked.fetch_sub(1, Ordering::Relaxed);
         }
     }
+}
+
+thread_local! {
+    /// The runtime this thread is a worker of (null on any other thread) …
+    static WORKER_OF: Cell<*const Shared> = const { Cell::new(std::ptr::null()) };
+    /// … and that worker's own run queue.
+    static LOCAL: RefCell<VecDeque<Arc<Task>>> = const { RefCell::new(VecDeque::new()) };
+}
+
+fn pop_local() -> Option<Arc<Task>> {
+    LOCAL.with_borrow_mut(VecDeque::pop_front)
+}
+
+/// While a sibling is parked, hand it the newer half of this worker's
+/// backlog through the shared queue. A backlog of one is not worth a
+/// wake-up: this worker runs it next.
+fn share_backlog(shared: &Shared) {
+    if shared.parked.load(Ordering::Relaxed) == 0 {
+        return;
+    }
+    LOCAL.with_borrow_mut(|q| {
+        if q.len() >= 2 {
+            let keep = q.len() - q.len() / 2;
+            shared.push(q.drain(keep..));
+        }
+    });
+}
+
+/// A worker thread's whole life.
+fn work(shared: &Arc<Shared>) {
+    WORKER_OF.set(Arc::as_ptr(shared));
+    let mut polls = 0u32;
+    loop {
+        polls = polls.wrapping_add(1);
+        let own = if polls.is_multiple_of(SHARED_EVERY) {
+            None
+        } else {
+            pop_local()
+        };
+        let task = match own {
+            Some(task) => task,
+            // The shared queue's turn, or nothing of its own to run —
+            // only then may the worker wait there.
+            None => match shared.pop(LOCAL.with_borrow(VecDeque::is_empty)) {
+                Ok(Some(task)) => task,
+                Ok(None) => continue,
+                Err(ShuttingDown) => break,
+            },
+        };
+        task.run();
+        share_backlog(shared);
+    }
+    // From here on this thread's wakes go to the shared queue. Take the
+    // backlog out before dropping it: a future's `Drop` may wake a task.
+    WORKER_OF.set(std::ptr::null());
+    drop(LOCAL.take());
 }
 
 /// One spawned future plus its scheduling state.
 struct Task {
     state: AtomicU8,
     future: Mutex<Option<BoxFuture>>,
-    injector: std::sync::Weak<Injector>,
+    /// Weak: the shared queue owns tasks, not the other way round.
+    runtime: Weak<Shared>,
 }
 
 impl Wake for Task {
@@ -98,9 +201,7 @@ impl Wake for Task {
                         .compare_exchange(IDLE, QUEUED, Ordering::AcqRel, Ordering::Acquire)
                         .is_ok()
                     {
-                        if let Some(inj) = self.injector.upgrade() {
-                            inj.push(Arc::clone(self));
-                        }
+                        Arc::clone(self).schedule();
                         return;
                     }
                 }
@@ -121,6 +222,25 @@ impl Wake for Task {
 }
 
 impl Task {
+    /// Make a `QUEUED` task runnable: on this thread's own queue when the
+    /// thread is a worker of the task's runtime, on that runtime's shared
+    /// queue otherwise.
+    fn schedule(self: Arc<Self>) {
+        if WORKER_OF.get() == self.runtime.as_ptr() {
+            LOCAL.with_borrow_mut(|q| q.push_back(self));
+        } else {
+            self.schedule_shared();
+        }
+    }
+
+    /// Queue a `QUEUED` task at the back of its runtime's shared queue. A
+    /// task whose runtime is gone is dropped.
+    fn schedule_shared(self: Arc<Self>) {
+        if let Some(rt) = self.runtime.upgrade() {
+            rt.push(Some(self));
+        }
+    }
+
     /// Poll the task once; reschedule per the state machine.
     fn run(self: Arc<Self>) {
         self.state.store(RUNNING, Ordering::Release);
@@ -131,27 +251,28 @@ impl Task {
         };
         let waker = Waker::from(Arc::clone(&self));
         let mut cx = Context::from_waker(&waker);
-        match fut.as_mut().poll(&mut cx) {
-            Poll::Ready(()) => {
-                self.state.store(DONE, Ordering::Release);
-            }
-            Poll::Pending => {
+        match catch_unwind(AssertUnwindSafe(|| fut.as_mut().poll(&mut cx))) {
+            Ok(Poll::Pending) => {
                 *slot = Some(fut);
                 drop(slot);
                 // A wake that arrived while we were RUNNING moved us to
-                // NOTIFIED; convert it into a re-enqueue. Otherwise go
-                // idle and let the next wake enqueue us.
+                // NOTIFIED — the task yielded, or a peer was quicker than
+                // this poll. It goes to the back of the shared queue, not
+                // of this worker's own: behind everything runnable.
+                // Otherwise go idle and let the next wake schedule us.
                 if self
                     .state
                     .compare_exchange(RUNNING, IDLE, Ordering::AcqRel, Ordering::Acquire)
                     .is_err()
                 {
                     self.state.store(QUEUED, Ordering::Release);
-                    if let Some(inj) = self.injector.upgrade() {
-                        inj.push(self);
-                    }
+                    self.schedule_shared();
                 }
             }
+            // Finished or panicked: either way the future is dropped
+            // here, and dropping it without an output is what tells the
+            // `JoinHandle` that the task failed.
+            Ok(Poll::Ready(())) | Err(_) => self.state.store(DONE, Ordering::Release),
         }
     }
 }
@@ -160,20 +281,15 @@ impl Task {
 pub mod task {
     use super::*;
 
-    pub(crate) struct JoinState<T> {
-        pub(crate) value: Option<T>,
-        pub(crate) waker: Option<Waker>,
-    }
-
     /// An owned handle awaiting the output of a spawned task (a subset
-    /// of tokio's: no abort, join never errors).
+    /// of tokio's: no abort).
     pub struct JoinHandle<T> {
-        pub(crate) state: Arc<Mutex<JoinState<T>>>,
+        pub(crate) output: sync::oneshot::Receiver<T>,
     }
 
-    /// The error type of awaiting a [`JoinHandle`]. The shim's handles
-    /// cannot be aborted and panics propagate on the worker, so this is
-    /// uninhabited in practice; it exists for source compatibility.
+    /// The error of awaiting a [`JoinHandle`] whose task was dropped
+    /// before it produced its output: it panicked, or its runtime was
+    /// dropped first.
     #[derive(Debug)]
     pub struct JoinError(());
 
@@ -188,20 +304,18 @@ pub mod task {
     impl<T> Future for JoinHandle<T> {
         type Output = Result<T, JoinError>;
 
-        fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-            let mut s = lock(&self.state);
-            if let Some(v) = s.value.take() {
-                return Poll::Ready(Ok(v));
-            }
-            s.waker = Some(cx.waker().clone());
-            Poll::Pending
+        fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+            Pin::new(&mut self.output)
+                .poll(cx)
+                .map(|r| r.map_err(|_| JoinError(())))
         }
     }
 
-    /// Yield back to the executor once: the task re-enqueues behind
-    /// every currently runnable task and resumes on a later pass. The
-    /// batching front-end uses this for group-commit leadership —
-    /// yield, let concurrent submitters pile onto the queue, then flush.
+    /// Yield back to the executor once: the task goes to the back of the
+    /// runtime's shared queue — behind every task its worker already has
+    /// to run — and resumes on a later pass. The batching front-end uses
+    /// this for group-commit leadership: yield, let concurrent submitters
+    /// pile onto the queue, then flush.
     pub fn yield_now() -> YieldNow {
         YieldNow { yielded: false }
     }
@@ -220,8 +334,8 @@ pub mod task {
             }
             self.yielded = true;
             // Wake before returning Pending: the executor sees the
-            // NOTIFIED state and re-enqueues at the back of the run
-            // queue (or unparks `block_on`).
+            // NOTIFIED state and re-queues the task behind the others
+            // (or unparks `block_on`).
             cx.waker().wake_by_ref();
             Poll::Pending
         }
@@ -261,26 +375,22 @@ pub mod runtime {
 
         /// Build the runtime, spawning its worker threads.
         pub fn build(&mut self) -> std::io::Result<Runtime> {
-            let injector = Arc::new(Injector::default());
+            let shared = Arc::new(Shared::default());
             let workers = (0..self.workers)
                 .map(|i| {
-                    let inj = Arc::clone(&injector);
+                    let shared = Arc::clone(&shared);
                     std::thread::Builder::new()
                         .name(format!("tokio-shim-{i}"))
-                        .spawn(move || {
-                            while let Some(task) = inj.pop() {
-                                task.run();
-                            }
-                        })
+                        .spawn(move || work(&shared))
                 })
                 .collect::<std::io::Result<Vec<_>>>()?;
-            Ok(Runtime { injector, workers })
+            Ok(Runtime { shared, workers })
         }
     }
 
     /// A pool of worker threads polling spawned futures.
     pub struct Runtime {
-        injector: Arc<Injector>,
+        pub(crate) shared: Arc<Shared>,
         workers: Vec<std::thread::JoinHandle<()>>,
     }
 
@@ -297,29 +407,17 @@ pub mod runtime {
             F: Future + Send + 'static,
             F::Output: Send + 'static,
         {
-            let state = Arc::new(Mutex::new(task::JoinState {
-                value: None,
-                waker: None,
-            }));
-            let out = Arc::clone(&state);
-            let wrapped = async move {
-                let v = future.await;
-                let waker = {
-                    let mut s = lock(&out);
-                    s.value = Some(v);
-                    s.waker.take()
-                };
-                if let Some(w) = waker {
-                    w.wake();
-                }
-            };
+            let (tx, output) = sync::oneshot::channel();
             let task = Arc::new(Task {
                 state: AtomicU8::new(QUEUED),
-                future: Mutex::new(Some(Box::pin(wrapped))),
-                injector: Arc::downgrade(&self.injector),
+                future: Mutex::new(Some(Box::pin(async move {
+                    // A dropped handle is fine: nobody wants the output.
+                    let _ = tx.send(future.await);
+                }))),
+                runtime: Arc::downgrade(&self.shared),
             });
-            self.injector.push(task);
-            task::JoinHandle { state }
+            task.schedule();
+            task::JoinHandle { output }
         }
 
         /// Drive a future to completion on the calling thread.
@@ -345,10 +443,13 @@ pub mod runtime {
         }
     }
 
+    /// Stops the workers after the poll each is in and drops every task
+    /// still queued, unpolled: those in a worker's own queue as the
+    /// worker exits, those in the shared queue with the runtime.
     impl Drop for Runtime {
         fn drop(&mut self) {
-            lock(&self.injector.queue).shutdown = true;
-            self.injector.available.notify_all();
+            lock(&self.shared.queue).shutdown = true;
+            self.shared.available.notify_all();
             for w in self.workers.drain(..) {
                 let _ = w.join();
             }
@@ -463,10 +564,40 @@ pub mod sync {
 
 #[cfg(test)]
 mod tests {
-    use super::runtime::Builder;
+    use super::runtime::{Builder, Runtime};
     use super::sync::oneshot;
+    use super::task::yield_now;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
+    use std::sync::{mpsc, Arc, Mutex};
+    use std::task::{Poll, Waker};
+
+    fn runtime(workers: usize) -> Runtime {
+        Builder::new_multi_thread()
+            .worker_threads(workers)
+            .build()
+            .unwrap()
+    }
+
+    /// Run `test` on a thread of its own and fail if it takes more than
+    /// a minute: a hang becomes a failure instead of a stuck test binary.
+    fn within_a_minute(test: impl FnOnce() + Send + 'static) {
+        let (done_tx, done_rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            test();
+            let _ = done_tx.send(());
+        });
+        done_rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("hung (or panicked: see above)");
+    }
+
+    /// Wait until `n` workers of `rt` are parked: every task spawned so
+    /// far has then been polled and is suspended (or done).
+    fn until_parked(rt: &Runtime, n: usize) {
+        while rt.shared.parked.load(Ordering::Relaxed) < n {
+            std::thread::yield_now();
+        }
+    }
 
     #[test]
     fn block_on_returns_ready_value() {
@@ -646,5 +777,239 @@ mod tests {
         done_rx
             .recv_timeout(std::time::Duration::from_secs(180))
             .expect("Runtime::drop hung: a worker missed the shutdown wake-up");
+    }
+
+    #[test]
+    fn a_panicking_task_fails_its_handle_and_spares_the_worker() {
+        let rt = runtime(1);
+        let batch = |n: usize, bad: Option<usize>| -> Vec<_> {
+            (0..n)
+                .map(|i| {
+                    rt.spawn(async move {
+                        yield_now().await;
+                        assert!(Some(i) != bad, "the one task that panics (expected)");
+                        i
+                    })
+                })
+                .collect()
+        };
+        let first = batch(100, Some(37));
+        let results = rt.block_on(async {
+            let mut results = Vec::new();
+            for h in first {
+                results.push(h.await);
+            }
+            results
+        });
+        for (i, r) in results.iter().enumerate() {
+            match r {
+                Ok(v) => assert_eq!(*v, i),
+                Err(_) => assert_eq!(i, 37, "only the panicking task fails"),
+            }
+        }
+        assert!(results[37].is_err());
+        // The single worker survived: tasks spawned afterwards still run.
+        let second = batch(10, None);
+        rt.block_on(async {
+            for (i, h) in second.into_iter().enumerate() {
+                assert_eq!(h.await.unwrap(), i);
+            }
+        });
+    }
+
+    /// Two tasks that keep each other runnable forever: each waits for
+    /// its turn, passes the turn on and wakes the other.
+    #[derive(Default)]
+    struct Rally {
+        turn: AtomicUsize,
+        wakers: [Mutex<Option<Waker>>; 2],
+        passes: AtomicUsize,
+    }
+
+    async fn rally(r: Arc<Rally>, me: usize) {
+        loop {
+            std::future::poll_fn(|cx| {
+                *r.wakers[me].lock().unwrap() = Some(cx.waker().clone());
+                if r.turn.load(Ordering::SeqCst) == me {
+                    Poll::Ready(())
+                } else {
+                    Poll::Pending
+                }
+            })
+            .await;
+            r.passes.fetch_add(1, Ordering::Relaxed);
+            r.turn.store(1 - me, Ordering::SeqCst);
+            let other = r.wakers[1 - me].lock().unwrap().take();
+            if let Some(w) = other {
+                w.wake();
+            }
+        }
+    }
+
+    #[test]
+    fn tasks_that_wake_each_other_forever_do_not_starve_the_shared_queue() {
+        within_a_minute(|| {
+            // On one worker the two players hand each other over through
+            // its own queue, which therefore never runs empty.
+            let rt = runtime(1);
+            let r = Arc::new(Rally::default());
+            rt.spawn(rally(Arc::clone(&r), 0));
+            rt.spawn(rally(Arc::clone(&r), 1));
+            while r.passes.load(Ordering::Relaxed) < 100 {
+                std::thread::yield_now();
+            }
+            let outsider = rt.spawn(async { 7 });
+            assert_eq!(rt.block_on(outsider).unwrap(), 7);
+            // Nor do they keep the runtime from shutting down.
+            drop(rt);
+        });
+    }
+
+    #[test]
+    fn a_parked_sibling_is_handed_part_of_a_backlog() {
+        within_a_minute(|| {
+            let rt = runtime(2);
+            // The first two peers to resume wait for each other, each
+            // blocking its worker: they can only meet on two threads.
+            let meet = Arc::new(std::sync::Barrier::new(2));
+            let resumed = Arc::new(AtomicUsize::new(0));
+            let (txs, peers): (Vec<_>, Vec<_>) = (0..64)
+                .map(|_| {
+                    let (tx, rx) = oneshot::channel::<()>();
+                    let (meet, resumed) = (Arc::clone(&meet), Arc::clone(&resumed));
+                    let peer = rt.spawn(async move {
+                        rx.await.unwrap();
+                        if resumed.fetch_add(1, Ordering::SeqCst) < 2 {
+                            meet.wait();
+                        }
+                        std::thread::current().id()
+                    });
+                    (tx, peer)
+                })
+                .unzip();
+            // All 64 suspended, both workers asleep. One of them gets the
+            // task below and, with it, all 64 wake-ups on its own queue.
+            until_parked(&rt, 2);
+            rt.spawn(async move {
+                for tx in txs {
+                    tx.send(()).unwrap();
+                }
+            });
+            let mut threads = Vec::new();
+            for p in peers {
+                threads.push(rt.block_on(p).unwrap());
+            }
+            threads.sort_unstable_by_key(|t| format!("{t:?}"));
+            threads.dedup();
+            assert_eq!(threads.len(), 2, "both workers polled peers");
+        });
+    }
+
+    #[test]
+    fn wakes_from_other_threads_and_runtimes_reach_the_tasks_own_runtime() {
+        within_a_minute(|| {
+            let (a, b) = (runtime(1), runtime(1));
+            // Resumed by `wake`, the task reports whose worker polls it.
+            let resumed_on = |wake: &dyn Fn(oneshot::Sender<()>)| {
+                let (tx, rx) = oneshot::channel::<()>();
+                let task = a.spawn(async move {
+                    rx.await.unwrap();
+                    super::WORKER_OF.get() as usize
+                });
+                until_parked(&a, 1);
+                wake(tx);
+                a.block_on(task).unwrap()
+            };
+            let own = Arc::as_ptr(&a.shared) as usize;
+            let from_thread = resumed_on(&|tx| {
+                std::thread::spawn(move || tx.send(()).unwrap());
+            });
+            assert_eq!(from_thread, own, "woken from a plain thread");
+            let from_b = resumed_on(&|tx| {
+                b.spawn(async move { tx.send(()).unwrap() });
+            });
+            assert_eq!(from_b, own, "woken from a worker of another runtime");
+        });
+    }
+
+    #[test]
+    fn dropping_a_runtime_drops_the_tasks_still_queued() {
+        within_a_minute(|| {
+            let rt = runtime(1);
+            let probe = Arc::new(());
+            // 100 suspended peers, to be woken on the worker itself …
+            let txs: Vec<_> = (0..100)
+                .map(|_| {
+                    let (tx, rx) = oneshot::channel::<()>();
+                    let probe = Arc::clone(&probe);
+                    rt.spawn(async move {
+                        let _ = rx.await;
+                        drop(probe);
+                    });
+                    tx
+                })
+                .collect();
+            until_parked(&rt, 1);
+            // … by a task that first holds the worker until the runtime
+            // is shutting down.
+            let (entered_tx, entered_rx) = mpsc::channel();
+            let (release_tx, release_rx) = mpsc::channel::<()>();
+            rt.spawn(async move {
+                entered_tx.send(()).unwrap();
+                release_rx.recv().unwrap();
+                for tx in txs {
+                    tx.send(()).unwrap();
+                }
+            });
+            entered_rx.recv().unwrap();
+            // … and 100 tasks that wait in the shared queue meanwhile.
+            for _ in 0..100 {
+                let probe = Arc::clone(&probe);
+                rt.spawn(async move { drop(probe) });
+            }
+            let shared = Arc::clone(&rt.shared);
+            let dropper = std::thread::spawn(move || drop(rt));
+            while !super::lock(&shared.queue).shutdown {
+                std::thread::yield_now();
+            }
+            // The worker finds ~100 tasks on its own queue and 100 on the
+            // shared one, polls a few at most, and exits; the drop returns.
+            release_tx.send(()).unwrap();
+            dropper.join().unwrap();
+            drop(shared);
+            assert_eq!(Arc::strong_count(&probe), 1, "a queued task leaked");
+        });
+    }
+
+    #[test]
+    fn yield_now_queues_behind_a_task_waiting_in_the_shared_queue() {
+        within_a_minute(|| {
+            let rt = runtime(1);
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let (entered_tx, entered_rx) = mpsc::channel();
+            let (release_tx, release_rx) = mpsc::channel::<()>();
+            let y = {
+                let log = Arc::clone(&log);
+                rt.spawn(async move {
+                    // Hold the worker until `x` is queued behind us.
+                    entered_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                    log.lock().unwrap().push("y yields");
+                    yield_now().await;
+                    log.lock().unwrap().push("y resumes");
+                })
+            };
+            entered_rx.recv().unwrap();
+            let x = {
+                let log = Arc::clone(&log);
+                rt.spawn(async move { log.lock().unwrap().push("x runs") })
+            };
+            release_tx.send(()).unwrap();
+            rt.block_on(async {
+                y.await.unwrap();
+                x.await.unwrap();
+            });
+            assert_eq!(*log.lock().unwrap(), ["y yields", "x runs", "y resumes"]);
+        });
     }
 }

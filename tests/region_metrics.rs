@@ -58,7 +58,6 @@ fn region_structural_and_serving_counters_light_up() {
         ServeConfig {
             ring_width: 4,
             max_depth: 64,
-            flush_interval: Duration::from_millis(100),
         },
     );
     let srv = Arc::new(srv);
@@ -78,9 +77,20 @@ fn region_structural_and_serving_counters_light_up() {
         }
     });
     drop(rt);
+    // Every request was batched, and every flush is one of the two kinds:
+    // four full rings at most, the rest by group-commit leaders.
+    let st = srv.stats();
+    assert_eq!((st.served, st.batched_keys), (16, 16));
+    assert_eq!(st.flushes, st.ring_flushes + st.leader_flushes);
+    assert!(st.flushes > 0 && st.ring_flushes <= 4, "{st:?}");
     drop(srv);
 
     let delta = obs::snapshot().delta(&before);
+    assert_eq!(
+        delta.get(Counter::RegionBatchFlush),
+        st.ring_flushes + st.leader_flushes,
+        "the obs counter and the two serve counters count the same flushes"
+    );
     for c in [
         Counter::RegionSplit,
         Counter::RegionMerge,
