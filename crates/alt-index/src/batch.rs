@@ -28,7 +28,7 @@
 //! scalar `get` interleaved at the same instants could have returned.
 
 use crate::index::AltCore;
-use crate::model::{GplModel, NO_FAST};
+use crate::model::GplModel;
 use crate::slots::SlotState;
 use art::{BatchCursor, BatchStep, RING_WIDTH};
 use crossbeam_epoch::{self as epoch, Guard};
@@ -178,7 +178,7 @@ fn restage<'g>(idx: &AltCore, fl: &mut Flight<'g>, guard: &'g Guard) {
 /// stage (the directory may have been republished).
 fn restart<'g>(idx: &AltCore, fl: &mut Flight<'g>, guard: &'g Guard) -> Option<Option<u64>> {
     crate::metrics_hook::batch_restart();
-    if crate::contention::wait_or_escalate_with(&mut fl.retry, &idx.cfg.contention) {
+    if crate::contention::wait_or_escalate(&mut fl.retry) {
         return Some(idx.get_pessimistic(fl.key));
     }
     restage(idx, fl, guard);
@@ -241,7 +241,7 @@ fn step<'g>(idx: &AltCore, fl: &mut Flight<'g>, guard: &'g Guard) -> Option<Opti
                 BatchStep::Pending => None,
                 BatchStep::Done(Some(v)) => {
                     if idx.cfg.write_back && tombstone {
-                        idx.try_write_back(m, pred, fl.key, v);
+                        idx.try_write_back(m, pred, fl.key);
                     }
                     Some(Some(v))
                 }
@@ -268,20 +268,12 @@ fn step<'g>(idx: &AltCore, fl: &mut Flight<'g>, guard: &'g Guard) -> Option<Opti
 /// the handoff split is recorded by the caller).
 #[inline]
 fn fast_cursor(idx: &AltCore, m: &GplModel, key: u64) -> BatchCursor {
-    if idx.cfg.fast_pointers && key >= m.first_key {
-        let fs = m.fast();
-        if fs != NO_FAST {
-            let node = idx.buffer.get(fs);
-            if node != 0 {
-                // SAFETY: `node` is maintained by the replace-hook
-                // protocol, the caller's epoch pin spans the cursor's
-                // whole life, and the key lies in the model's interval
-                // (checked above), so the jump covers it.
-                return unsafe { idx.art.batch_cursor_from(node, key) };
-            }
-        }
-    }
-    idx.art.batch_cursor(key)
+    let node = idx.jump_node(m, key).unwrap_or(0);
+    // SAFETY: `node` comes from `jump_node` under the ring's epoch pin,
+    // which spans the cursor's whole life, and the key lies in the
+    // model's interval, which the jump covers; a null node starts the
+    // cursor at the root.
+    unsafe { idx.art.batch_cursor_from(node, key) }
 }
 
 #[cfg(test)]

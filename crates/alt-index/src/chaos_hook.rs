@@ -1,8 +1,9 @@
 //! Forwarders to `testkit`'s chaos engine, compiled away entirely unless
 //! the `chaos` (or `chaos-mutate`) feature is enabled.
 //!
-//! Sites instrumented in this crate: slot-array claim/read/update/remove
-//! (`slots.rs`), the fast-pointer append spin lock (`spin.rs`), the
+//! Sites instrumented in this crate: slot-array lock/install/read/remove
+//! (`slots.rs`) and the slot-locked update and remove decisions
+//! (`index.rs`), the fast-pointer append spin lock (`spin.rs`), the
 //! retrain directory swap (`retrain.rs`), fast-pointer registration
 //! merging (`fast_ptr.rs`), and the AMAC batch engine's per-step
 //! `batch.stage` point (`batch.rs` — perturbs the interleaving of

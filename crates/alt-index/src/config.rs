@@ -36,14 +36,6 @@ pub struct AltConfig {
     /// contract). Defaults to the host's available parallelism. Only
     /// affects construction — never steady-state operations or retrains.
     pub build_threads: usize,
-    /// Backoff tiers and retry budget for this index's operation-level
-    /// optimistic loops (get/insert/update/remove/scan — the loops with
-    /// a pessimistic escalation). Defaults to the process-global policy
-    /// ([`resilience::global`], overridable via `ALT_RESILIENCE_*` env
-    /// vars), snapshotted when the config is created. Inner primitives
-    /// shared across indexes (slot arrays, spin locks, ART's OLC) always
-    /// follow the process-global policy.
-    pub contention: resilience::ContentionPolicy,
 }
 
 impl AltConfig {
@@ -77,7 +69,6 @@ impl Default for AltConfig {
             retrain_workers: 0,
             write_back: true,
             build_threads: default_build_threads(),
-            contention: resilience::global(),
         }
     }
 }

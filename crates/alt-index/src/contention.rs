@@ -19,20 +19,7 @@ pub(crate) use resilience::Retry;
 #[cold]
 #[inline(never)]
 pub(crate) fn wait_or_escalate(retry: &mut Retry) -> bool {
-    step(retry.step_global())
-}
-
-/// [`wait_or_escalate`] against an explicit policy (the per-index
-/// `AltConfig::contention`).
-#[cold]
-#[inline(never)]
-pub(crate) fn wait_or_escalate_with(retry: &mut Retry, pol: &resilience::ContentionPolicy) -> bool {
-    step(retry.step(pol))
-}
-
-#[inline]
-fn step(step: resilience::Step) -> bool {
-    match step {
+    match retry.step_global() {
         resilience::Step::Escalate => {
             crate::metrics_hook::escalation();
             true

@@ -11,7 +11,7 @@ use crate::config::AltConfig;
 use crate::dir::ModelDir;
 use crate::fast_ptr::{BufferHook, FastPointerBuffer};
 use crate::model::{build_model, GplModel, NO_FAST};
-use crate::slots::{ClaimResult, SlotState};
+use crate::slots::SlotState;
 use art::{Art, FromResult};
 use crossbeam_epoch::{self as epoch, Atomic, Guard};
 use index_api::{IndexError, Result};
@@ -119,7 +119,11 @@ pub struct AltCore {
     pub(crate) epsilon: f64,
     /// Serializes structural directory changes (retrains).
     pub(crate) dir_lock: Mutex<()>,
-    pub(crate) len: AtomicUsize,
+    /// Live keys. Every insert and remove writes it, so it sits on a
+    /// cache line of its own: next to `dir`, `art` or `buffer` each write
+    /// would take the line every reader starts from away from the other
+    /// cores.
+    pub(crate) len: OwnLine<AtomicUsize>,
     pub(crate) retrains: AtomicUsize,
     /// Retrain attempts that got past the trigger checks (completed or
     /// not) — the denominator for the paper's retrain-effectiveness
@@ -140,6 +144,10 @@ pub struct AltCore {
     /// 0`; the worker pool itself is owned by [`AltIndex`]).
     pub(crate) sched: Option<Arc<crate::sched::SchedShared>>,
 }
+
+/// A value alone on its cache line.
+#[repr(align(64))]
+pub(crate) struct OwnLine<T>(pub(crate) T);
 
 impl AltCore {
     /// Construct the core (shared by every [`AltIndex`] constructor).
@@ -186,7 +194,7 @@ impl AltCore {
             cfg,
             epsilon,
             dir_lock: Mutex::new(()),
-            len: AtomicUsize::new(pairs.len()),
+            len: OwnLine(AtomicUsize::new(pairs.len())),
             retrains: AtomicUsize::new(0),
             retrain_attempts: AtomicUsize::new(0),
             rollbacks: AtomicUsize::new(0),
@@ -229,7 +237,7 @@ impl AltCore {
 
     /// Number of live keys.
     pub fn len(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
+        self.len.0.load(Ordering::Relaxed)
     }
 
     /// Whether the index is empty.
@@ -304,28 +312,37 @@ impl AltCore {
     // ART access through the fast pointer buffer
     // -----------------------------------------------------------------
 
-    /// ART lookup for a key routed through model `m` (the secondary query
-    /// that replaces the classic error-bounded search).
+    /// The ART node model `m`'s fast pointer resolves to for `key`.
+    /// `None`: no shortcut applies (fast pointers off, or `key` below the
+    /// interval the pointer was registered for); `Some(0)`: one applies
+    /// but the model has none yet or its buffer entry was de-optimized.
     ///
     /// The caller must hold an epoch pin taken *before* reading `m` from
-    /// the directory (the buffer pointer contract).
+    /// the directory, and keep it for as long as it uses the node (the
+    /// buffer pointer contract: the replace-hook protocol keeps the entry
+    /// current, the pin keeps the node it names from being reclaimed).
+    pub(crate) fn jump_node(&self, m: &GplModel, key: u64) -> Option<art::NodePtr> {
+        if !self.cfg.fast_pointers || key < m.first_key {
+            return None;
+        }
+        Some(match m.fast() {
+            NO_FAST => 0,
+            fs => self.buffer.get(fs),
+        })
+    }
+
+    /// ART lookup for a key routed through model `m` (the secondary query
+    /// that replaces the classic error-bounded search). Pin contract as
+    /// for [`AltCore::jump_node`].
     pub(crate) fn art_get(&self, m: &GplModel, key: u64) -> Option<u64> {
-        if self.cfg.fast_pointers && key >= m.first_key {
-            let fs = m.fast();
-            if fs != NO_FAST {
-                let node = self.buffer.get(fs);
-                if node != 0 {
-                    // SAFETY: `node` is maintained by the replace-hook
-                    // protocol; we are pinned (caller contract), so it is
-                    // not reclaimed while we use it; the key lies in the
-                    // model's interval so the jump covers it.
-                    match unsafe { self.art.get_from(node, key) } {
-                        FromResult::Done(v, _) => {
-                            crate::metrics_hook::fastptr_jump_hit();
-                            return v;
-                        }
-                        FromResult::Fallback => {}
-                    }
+        if let Some(node) = self.jump_node(m, key) {
+            if node != 0 {
+                // SAFETY: `node` comes from `jump_node` under the caller's
+                // pin, and `key` lies in the model's interval, which the
+                // jump covers.
+                if let FromResult::Done(v, _) = unsafe { self.art.get_from(node, key) } {
+                    crate::metrics_hook::fastptr_jump_hit();
+                    return v;
                 }
             }
             // No shortcut, a de-optimized (zeroed) entry, or an obsolete
@@ -338,19 +355,13 @@ impl AltCore {
     /// ART insert routed through model `m`. Returns true if inserted,
     /// false if the key already existed.
     pub(crate) fn art_insert(&self, m: &GplModel, key: u64, value: u64) -> bool {
-        if self.cfg.fast_pointers && key >= m.first_key {
-            let fs = m.fast();
-            if fs != NO_FAST {
-                let node = self.buffer.get(fs);
-                if node != 0 {
-                    // SAFETY: as in `art_get`.
-                    match unsafe { self.art.insert_from(node, key, value) } {
-                        FromResult::Done(ins, _) => {
-                            crate::metrics_hook::fastptr_jump_hit();
-                            return ins;
-                        }
-                        FromResult::Fallback => {}
-                    }
+        if let Some(node) = self.jump_node(m, key) {
+            if node != 0 {
+                // SAFETY: as in `art_get`.
+                if let FromResult::Done(ins, _) = unsafe { self.art.insert_from(node, key, value) }
+                {
+                    crate::metrics_hook::fastptr_jump_hit();
+                    return ins;
                 }
             }
             crate::metrics_hook::fastptr_deopt();
@@ -381,10 +392,7 @@ impl AltCore {
                     // means the key cannot exist — unless the model was
                     // concurrently replaced (different predictions).
                     if m.is_retired() {
-                        if crate::contention::wait_or_escalate_with(
-                            &mut retry,
-                            &self.cfg.contention,
-                        ) {
+                        if crate::contention::wait_or_escalate(&mut retry) {
                             return self.get_pessimistic(key);
                         }
                         continue;
@@ -397,7 +405,7 @@ impl AltCore {
                     match self.art_get(m, key) {
                         Some(v) => {
                             if self.cfg.write_back && state == SlotState::Tombstone {
-                                self.try_write_back(m, pred, key, v);
+                                self.try_write_back(m, pred, key);
                             }
                             return Some(v);
                         }
@@ -405,10 +413,7 @@ impl AltCore {
                             // The miss is only conclusive if nothing moved
                             // under us.
                             if m.is_retired() || !m.slots.version_unchanged(pred, ver) {
-                                if crate::contention::wait_or_escalate_with(
-                                    &mut retry,
-                                    &self.cfg.contention,
-                                ) {
+                                if crate::contention::wait_or_escalate(&mut retry) {
                                     return self.get_pessimistic(key);
                                 }
                                 continue;
@@ -427,8 +432,8 @@ impl AltCore {
     /// `dir_lock` freezes the directory (no retrain can publish, so the
     /// current generation's models cannot retire and predictions are
     /// stable); the predicted slot's *write lock* is the per-key
-    /// serialization point — every inserter of `key` must take it before
-    /// publishing (see `insert`), so a slot-or-ART miss observed under
+    /// serialization point — every writer of `key` decides under it (see
+    /// [`AltCore::with_live_model`]), so a slot-or-ART miss observed under
     /// it is conclusive without any version re-validation.
     ///
     /// Lock order is `dir_lock` → slot lock → ART node locks, the same
@@ -450,9 +455,49 @@ impl AltCore {
         })
     }
 
-    /// Opportunistic write-back (Algorithm 2 lines 10-13): move an ART
-    /// entry into the tombstoned slot it predicts to.
-    pub(crate) fn try_write_back(&self, m: &GplModel, pred: usize, key: u64, value: u64) {
+    /// Run `f` against the live model that owns `key`, holding the read
+    /// side of its `op_lock`: the entry of every slot writer.
+    ///
+    /// Retraining collects a span's slots under the write side and retires
+    /// the old model before releasing it, so a writer that holds the read
+    /// side and has seen `!is_retired()` works on a model that cannot be
+    /// replaced under it — its slot writes cannot land after a collection
+    /// and be dropped by the directory swap (the lost update the chaos
+    /// oracle once found), and every writer of `key` predicts the same
+    /// slot. A retired model means a retrain published between the
+    /// directory read and the lock: look again. That churn is the only
+    /// retry source here, so once the budget is spent the loop takes
+    /// `dir_lock`, under which no retrain runs and the next pass cannot
+    /// find a retired model. `dir_lock` bounds the retries and nothing
+    /// else: `f`'s decision needs only the slot lock (lock order as in
+    /// [`AltCore::get_pessimistic`]).
+    fn with_live_model<R>(&self, key: u64, f: impl FnOnce(&ModelDir, &GplModel) -> R) -> R {
+        let guard = epoch::pin();
+        let mut retry = crate::contention::Retry::seeded(key);
+        let mut _dl = None;
+        loop {
+            let dir = self.dir_ref(&guard);
+            let m = dir.model_for(key);
+            let rl = m.op_lock.read();
+            if !m.is_retired() {
+                return f(dir, m);
+            }
+            drop(rl);
+            if crate::contention::wait_or_escalate(&mut retry) {
+                _dl = Some(self.dir_lock.lock());
+            }
+        }
+    }
+
+    /// Opportunistic write-back (Algorithm 2 lines 10-13): move `key`'s
+    /// ART entry into the tombstoned slot it predicts to. One decision
+    /// under the slot lock, like every other write of `key`: the value
+    /// installed is the one taken out of ART under the lock, so no update
+    /// is lost between a read and the move, and an entry a remover got to
+    /// first is not brought back. Between the ART removal and the install
+    /// the key is in neither layer, which no reader can conclude from —
+    /// its slot read waits out the lock or fails the version re-check.
+    pub(crate) fn try_write_back(&self, m: &GplModel, pred: usize, key: u64) {
         crate::metrics_hook::write_back_attempt();
         // Never fight a retrain for this optimization.
         let Some(_rl) = m.op_lock.try_read() else {
@@ -461,23 +506,15 @@ impl AltCore {
         if m.is_retired() {
             return;
         }
-        if m.slots.claim(pred, key, value) == ClaimResult::Written {
-            crate::metrics_hook::write_back_moved();
-            match self.art.remove(key) {
-                Some(fresh) => {
-                    if fresh != value {
-                        // The ART copy was updated after we read it; keep
-                        // the freshest value.
-                        m.slots.update_if_key(pred, key, fresh);
-                    }
-                }
-                None => {
-                    // A concurrent remover beat us to the ART entry: the
-                    // key is supposed to be gone. Undo our resurrection.
-                    m.slots.remove_if_key(pred, key);
+        m.slots.with_write(pred, |g| {
+            // Still the tombstone the caller saw, not reclaimed since.
+            if g.state() == SlotState::Tombstone {
+                if let Some(value) = self.art.remove(key) {
+                    g.install(key, value);
+                    crate::metrics_hook::write_back_moved();
                 }
             }
-        }
+        });
     }
 
     /// Insert a new key.
@@ -485,89 +522,82 @@ impl AltCore {
         if key == 0 {
             return Err(IndexError::ReservedKey);
         }
-        let mut want_retrain = false;
-        let mut retry = crate::contention::Retry::seeded(key);
-        let res = loop {
-            let guard = epoch::pin();
-            let dir = self.dir_ref(&guard);
-            let m = dir.model_for(key);
-            let _rl = m.op_lock.read();
-            if m.is_retired() {
-                // The only retry source here is retrain churn: escalating
-                // under `dir_lock` stops it.
-                if crate::contention::wait_or_escalate_with(&mut retry, &self.cfg.contention) {
-                    break self.insert_pessimistic(key, value, &mut want_retrain);
-                }
-                continue;
-            }
-            break self.place(dir, m, key, value, &mut want_retrain);
-        };
-        if res.is_ok() {
-            self.len.fetch_add(1, Ordering::Relaxed);
-            if want_retrain {
-                self.trigger_retrain(key);
-            }
+        if self.place(key, value, false) {
+            Ok(())
+        } else {
+            Err(IndexError::DuplicateKey)
         }
-        res
     }
 
-    /// The slot-vs-ART placement decision shared by the optimistic and
-    /// escalated insert paths. The caller holds `m.op_lock.read()` and
-    /// has checked `m` is not retired; an epoch pin covering the `dir`
-    /// read must be live.
+    /// Insert-or-update.
+    pub fn upsert(&self, key: u64, value: u64) -> Result<()> {
+        if key == 0 {
+            return Err(IndexError::ReservedKey);
+        }
+        self.place(key, value, true);
+        Ok(())
+    }
+
+    /// Put `key` into the index unless it is there already, in which case
+    /// `overwrite` says whether it takes `value`. Returns whether the key
+    /// was inserted.
     ///
     /// The whole decision runs under the predicted slot's write lock.
-    /// That slot is the per-key serialization point: every inserter of
+    /// That slot is the per-key serialization point: every writer of
     /// `key` under this model generation predicts the same slot, so
     /// holding its lock across the ART presence check / ART publication
     /// means a racing claim and a racing ART insert of the same key can
-    /// never interleave. The earlier publish-then-recheck protocol let a
-    /// losing insert transiently expose its value through ART before
-    /// undoing it — a failed insert whose value concurrent readers could
-    /// observe (caught by the chaos testkit's oracle).
-    fn place(
-        &self,
-        dir: &ModelDir,
-        m: &GplModel,
-        key: u64,
-        value: u64,
-        want_retrain: &mut bool,
-    ) -> Result<()> {
+    /// never interleave, and neither can a remove between an upsert's
+    /// "is it there" and its write. The earlier publish-then-recheck
+    /// protocol let a losing insert transiently expose its value through
+    /// ART before undoing it — a failed insert whose value concurrent
+    /// readers could observe (caught by the chaos testkit's oracle).
+    fn place(&self, key: u64, value: u64, overwrite: bool) -> bool {
         enum Placed {
             Slot,
             Art,
-            Dup,
+            Existed,
         }
-        let pred = m.predict(key);
-        let placed = m.slots.with_write(pred, |g| match g.state() {
-            SlotState::Occupied { key: k, .. } if k == key => Placed::Dup,
-            SlotState::Empty => {
-                g.install(key, value);
-                Placed::Slot
-            }
-            SlotState::Tombstone => {
-                // The key may still live in ART from before the
-                // resident was removed; checked under the lock so the
-                // answer cannot go stale before we claim.
-                if self.art_get(m, key).is_some() {
-                    Placed::Dup
-                } else {
+        let mut want_retrain = false;
+        let placed = self.with_live_model(key, |dir, m| {
+            let pred = m.predict(key);
+            let placed = m.slots.with_write(pred, |g| match g.state() {
+                SlotState::Occupied { key: k, .. } if k == key => {
+                    if overwrite {
+                        g.set_value(value);
+                    }
+                    Placed::Existed
+                }
+                SlotState::Empty => {
                     g.install(key, value);
                     Placed::Slot
                 }
-            }
-            SlotState::Occupied { .. } => {
-                if self.art_insert(m, key, value) {
-                    Placed::Art
-                } else {
-                    Placed::Dup
+                SlotState::Tombstone => {
+                    // The key may still live in ART from before the
+                    // resident was removed; checked under the lock so the
+                    // answer cannot go stale before we claim.
+                    let in_art = if overwrite {
+                        self.art.update(key, value)
+                    } else {
+                        self.art_get(m, key).is_some()
+                    };
+                    if in_art {
+                        Placed::Existed
+                    } else {
+                        g.install(key, value);
+                        Placed::Slot
+                    }
                 }
-            }
-        });
-        match placed {
-            Placed::Dup => Err(IndexError::DuplicateKey),
-            Placed::Slot => Ok(()),
-            Placed::Art => {
+                SlotState::Occupied { .. } => {
+                    let in_art = overwrite && self.art.update(key, value);
+                    if in_art || !self.art_insert(m, key, value) {
+                        Placed::Existed
+                    } else {
+                        Placed::Art
+                    }
+                }
+            });
+            if let Placed::Art = placed {
                 let overflow = m.art_inserts.fetch_add(1, Ordering::Relaxed) + 1;
                 // A model built when ART was shallow has no shortcut
                 // (or a near-root one). (Re-)resolve the LCA lazily as
@@ -585,25 +615,20 @@ impl AltCore {
                         }
                     }
                 }
-                *want_retrain = m.wants_retrain();
-                Ok(())
+                want_retrain = m.wants_retrain();
             }
+            placed
+        });
+        if let Placed::Existed = placed {
+            return false;
         }
-    }
-
-    /// Escalated insert: under `dir_lock` no retrain can publish, so the
-    /// freshly-loaded model cannot retire and the placement runs exactly
-    /// once. See `get_pessimistic` for the lock-order argument.
-    fn insert_pessimistic(&self, key: u64, value: u64, want_retrain: &mut bool) -> Result<()> {
-        let _dl = self.dir_lock.lock();
-        let guard = epoch::pin();
-        let dir = self.dir_ref(&guard);
-        let m = dir.model_for(key);
-        // Keeps "every slot writer holds the op-lock read side"
-        // unconditionally true (uncontended here: retrain, the only
-        // write-side taker, needs `dir_lock` first).
-        let _rl = m.op_lock.read();
-        self.place(dir, m, key, value, want_retrain)
+        self.len.0.fetch_add(1, Ordering::Relaxed);
+        // Outside `with_live_model`: the rebuild takes the write side of
+        // the `op_lock` this thread held the read side of.
+        if want_retrain {
+            self.trigger_retrain(key);
+        }
+        true
     }
 
     /// Update an existing key in place.
@@ -611,88 +636,22 @@ impl AltCore {
         if key == 0 {
             return Err(IndexError::ReservedKey);
         }
-        let guard = epoch::pin();
-        let mut retry = crate::contention::Retry::seeded(key);
-        macro_rules! retry_or_escalate {
-            () => {
-                if crate::contention::wait_or_escalate_with(&mut retry, &self.cfg.contention) {
-                    return self.update_pessimistic(key, value);
-                }
-                continue;
-            };
-        }
-        loop {
-            let dir = self.dir_ref(&guard);
-            let m = dir.model_for(key);
-            // The op lock + retired re-check are load-bearing for every
-            // slot writer: retraining collects slot contents under the
-            // write side, so a slot update outside the read side can land
-            // after collection and be silently dropped by the directory
-            // swap (lost update — found by the chaos testkit oracle).
-            let _rl = m.op_lock.read();
-            if m.is_retired() {
-                retry_or_escalate!();
-            }
-            let pred = m.predict(key);
-            let (state, ver) = m.slots.read(pred);
-            match state {
+        let updated = self.with_live_model(key, |_, m| {
+            m.slots.with_write(m.predict(key), |g| match g.state() {
                 SlotState::Occupied { key: k, .. } if k == key => {
-                    if m.slots.update_if_key(pred, key, value) {
-                        return Ok(());
-                    }
-                    retry_or_escalate!(); // slot changed under us
+                    crate::chaos_hook::point("slots.update.locked");
+                    g.set_value(value);
+                    true
                 }
-                SlotState::Empty => {
-                    if m.is_retired() {
-                        retry_or_escalate!();
-                    }
-                    return Err(IndexError::KeyNotFound);
-                }
-                SlotState::Tombstone | SlotState::Occupied { .. } => {
-                    if self.art.update(key, value) {
-                        return Ok(());
-                    }
-                    if m.is_retired() || !m.slots.version_unchanged(pred, ver) {
-                        retry_or_escalate!();
-                    }
-                    return Err(IndexError::KeyNotFound);
-                }
-            }
-        }
-    }
-
-    /// Escalated update: `dir_lock` freezes the directory, the predicted
-    /// slot's write lock serializes against every inserter/remover of
-    /// `key`, so the slot-or-ART decision is conclusive in one pass. See
-    /// `get_pessimistic` for the lock-order argument.
-    fn update_pessimistic(&self, key: u64, value: u64) -> Result<()> {
-        let _dl = self.dir_lock.lock();
-        let guard = epoch::pin();
-        let dir = self.dir_ref(&guard);
-        let m = dir.model_for(key);
-        let _rl = m.op_lock.read();
-        let pred = m.predict(key);
-        m.slots.with_write(pred, |g| match g.state() {
-            SlotState::Occupied { key: k, .. } if k == key => {
-                g.set_value(value);
-                Ok(())
-            }
-            SlotState::Empty => Err(IndexError::KeyNotFound),
-            SlotState::Tombstone | SlotState::Occupied { .. } => {
-                if self.art.update(key, value) {
-                    Ok(())
-                } else {
-                    Err(IndexError::KeyNotFound)
-                }
-            }
-        })
-    }
-
-    /// Insert-or-update.
-    pub fn upsert(&self, key: u64, value: u64) -> Result<()> {
-        match self.insert(key, value) {
-            Err(IndexError::DuplicateKey) => self.update(key, value),
-            other => other,
+                // A key in ART never predicts an empty slot.
+                SlotState::Empty => false,
+                SlotState::Tombstone | SlotState::Occupied { .. } => self.art.update(key, value),
+            })
+        });
+        if updated {
+            Ok(())
+        } else {
+            Err(IndexError::KeyNotFound)
         }
     }
 
@@ -701,94 +660,18 @@ impl AltCore {
         if key == 0 {
             return None;
         }
-        let guard = epoch::pin();
-        let mut retry = crate::contention::Retry::seeded(key);
-        macro_rules! retry_or_escalate {
-            () => {
-                if crate::contention::wait_or_escalate_with(&mut retry, &self.cfg.contention) {
-                    return self.remove_pessimistic(key);
-                }
-                continue;
-            };
-        }
-        loop {
-            let dir = self.dir_ref(&guard);
-            let m = dir.model_for(key);
-            let _rl = m.op_lock.read();
-            if m.is_retired() {
-                retry_or_escalate!();
-            }
-            let pred = m.predict(key);
-            let (state, ver) = m.slots.read(pred);
-            match state {
-                SlotState::Occupied { key: k, .. } if k == key => {
-                    // Tombstone the slot AND clear the transient ART copy
-                    // (retrain double-presence / write-back undo window)
-                    // in one critical section on the predicted slot — the
-                    // per-key serialization point (see `insert`). With the
-                    // ART clear outside the lock, a racing insert of `key`
-                    // could land in ART after another key reclaimed the
-                    // tombstone, and the late clear would silently delete
-                    // that *successful* insert (lost key, caught by the
-                    // chaos oracle). Under the lock no new ART copy of
-                    // `key` can appear: every inserter of `key` must take
-                    // this same slot lock first.
-                    let removed = m.slots.with_write(pred, |g| match g.state() {
-                        SlotState::Occupied { key: k, value } if k == key => {
-                            crate::chaos_hook::point("slots.remove.pre_tombstone");
-                            g.clear();
-                            self.art.remove(key);
-                            Some(value)
-                        }
-                        _ => None,
-                    });
-                    match removed {
-                        Some(v) => {
-                            self.len.fetch_sub(1, Ordering::Relaxed);
-                            return Some(v);
-                        }
-                        None => {
-                            retry_or_escalate!();
-                        }
-                    }
-                }
-                SlotState::Empty => {
-                    if m.is_retired() {
-                        retry_or_escalate!();
-                    }
-                    return None;
-                }
-                SlotState::Tombstone | SlotState::Occupied { .. } => match self.art.remove(key) {
-                    Some(v) => {
-                        self.len.fetch_sub(1, Ordering::Relaxed);
-                        return Some(v);
-                    }
-                    None => {
-                        if m.is_retired() || !m.slots.version_unchanged(pred, ver) {
-                            retry_or_escalate!();
-                        }
-                        return None;
-                    }
-                },
-            }
-        }
-    }
-
-    /// Escalated remove: one conclusive pass under `dir_lock` + the
-    /// predicted slot's write lock (the per-key serialization point —
-    /// the tombstone + ART clear stay inside one critical section for
-    /// the same reason as the optimistic path). See `get_pessimistic`
-    /// for the lock-order argument.
-    fn remove_pessimistic(&self, key: u64) -> Option<u64> {
-        let removed = {
-            let _dl = self.dir_lock.lock();
-            let guard = epoch::pin();
-            let dir = self.dir_ref(&guard);
-            let m = dir.model_for(key);
-            let _rl = m.op_lock.read();
-            let pred = m.predict(key);
-            m.slots.with_write(pred, |g| match g.state() {
+        let removed = self.with_live_model(key, |_, m| {
+            m.slots.with_write(m.predict(key), |g| match g.state() {
                 SlotState::Occupied { key: k, value } if k == key => {
+                    // Tombstone the slot AND clear the transient ART copy
+                    // (retrain double-presence) in one critical section.
+                    // With the ART clear outside the lock, a racing insert
+                    // of `key` could land in ART after another key
+                    // reclaimed the tombstone, and the late clear would
+                    // silently delete that *successful* insert (lost key,
+                    // caught by the chaos oracle). Under the lock no new
+                    // ART copy of `key` can appear: every inserter of
+                    // `key` must take this same slot lock first.
                     crate::chaos_hook::point("slots.remove.pre_tombstone");
                     g.clear();
                     self.art.remove(key);
@@ -797,9 +680,9 @@ impl AltCore {
                 SlotState::Empty => None,
                 SlotState::Tombstone | SlotState::Occupied { .. } => self.art.remove(key),
             })
-        };
+        });
         if removed.is_some() {
-            self.len.fetch_sub(1, Ordering::Relaxed);
+            self.len.0.fetch_sub(1, Ordering::Relaxed);
         }
         removed
     }

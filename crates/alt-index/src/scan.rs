@@ -41,12 +41,12 @@ impl AltCore {
     /// Append the first `limit` entries of `[lo, hi]` to `out`.
     ///
     /// Ordering against concurrent structure changes: within every chunk
-    /// ART is read *before* the slot walk (write-back claims the slot
-    /// before deleting the ART copy, so a key missing from the ART read
-    /// is already visible in the slots), and the whole collection
-    /// retries if a retrain published meanwhile (its absorb moves ART
-    /// keys into slots of models this pass does not walk — §III-F
-    /// redirection for scans).
+    /// ART is read *before* the slot walk (write-back moves a key from
+    /// ART into its slot under the slot's lock, which a slot read waits
+    /// out, so a key missing from the ART read is in its slot by the time
+    /// the walk reads it), and the whole collection retries if a retrain
+    /// published meanwhile (its absorb moves ART keys into slots of
+    /// models this pass does not walk — §III-F redirection for scans).
     fn collect(&self, lo: u64, hi: u64, limit: usize, out: &mut Vec<(u64, u64)>) -> usize {
         let before = out.len();
         let lo = lo.max(1); // key 0 is reserved
@@ -73,7 +73,7 @@ impl AltCore {
             }
             out.truncate(before);
             crate::metrics_hook::scan_epoch_retry();
-            if crate::contention::wait_or_escalate_with(&mut retry, &self.cfg.contention) {
+            if crate::contention::wait_or_escalate(&mut retry) {
                 dl = Some(self.dir_lock.lock());
             }
         }

@@ -29,20 +29,6 @@ pub enum SlotState {
     Tombstone,
 }
 
-/// Outcome of a claim attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ClaimResult {
-    /// The entry was written into the slot.
-    Written,
-    /// The slot is (now) occupied by this same key.
-    SameKey {
-        /// The value currently stored for the key.
-        value: u64,
-    },
-    /// The slot is (now) occupied by a different key — go to ART.
-    OtherKey,
-}
-
 /// One slot record. Version, key, and value are interleaved so a lookup
 /// touches one or two cache lines instead of three separate arrays (the
 /// layout matters more than anything else on the slot-hit fast path).
@@ -286,34 +272,6 @@ impl SlotArray {
         f(&SlotGuard { arr: self, i })
     }
 
-    /// Try to install `(key, value)` into slot `i`. Claims the slot if it
-    /// is empty or a tombstone; reports who owns it otherwise. This is the
-    /// write-write conflict protocol of §III-E.
-    pub fn claim(&self, i: usize, key: u64, value: u64) -> ClaimResult {
-        self.with_write(i, |g| match g.state() {
-            SlotState::Empty | SlotState::Tombstone => {
-                g.install(key, value);
-                ClaimResult::Written
-            }
-            SlotState::Occupied { key: cur, value: v } if cur == key => {
-                ClaimResult::SameKey { value: v }
-            }
-            SlotState::Occupied { .. } => ClaimResult::OtherKey,
-        })
-    }
-
-    /// Update the value of slot `i` if it currently holds `key`.
-    pub fn update_if_key(&self, i: usize, key: u64, value: u64) -> bool {
-        self.with_write(i, |g| {
-            let ok = matches!(g.state(), SlotState::Occupied { key: k, .. } if k == key);
-            crate::chaos_hook::point("slots.update.locked");
-            if ok {
-                g.set_value(value);
-            }
-            ok
-        })
-    }
-
     /// Tombstone slot `i` if it currently holds `key`; returns the removed
     /// value.
     pub fn remove_if_key(&self, i: usize, key: u64) -> Option<u64> {
@@ -450,11 +408,23 @@ impl SlotGuard<'_> {
 mod tests {
     use super::*;
 
+    /// The shape of every slot write: decide under the slot's lock. This
+    /// one installs unless a live key holds the slot.
+    fn put(s: &SlotArray, i: usize, key: u64, value: u64) -> bool {
+        s.with_write(i, |g| match g.state() {
+            SlotState::Occupied { .. } => false,
+            SlotState::Empty | SlotState::Tombstone => {
+                g.install(key, value);
+                true
+            }
+        })
+    }
+
     #[test]
-    fn empty_then_claim_then_read() {
+    fn empty_then_install_then_read() {
         let s = SlotArray::new(8);
         assert_eq!(s.read(3).0, SlotState::Empty);
-        assert_eq!(s.claim(3, 42, 420), ClaimResult::Written);
+        assert!(put(&s, 3, 42, 420));
         assert_eq!(
             s.read(3).0,
             SlotState::Occupied {
@@ -465,24 +435,23 @@ mod tests {
     }
 
     #[test]
-    fn claim_conflicts() {
+    fn a_decision_sees_the_resident_under_the_lock() {
         let s = SlotArray::new(4);
-        s.claim(0, 7, 70);
-        assert_eq!(s.claim(0, 7, 71), ClaimResult::SameKey { value: 70 });
-        assert_eq!(s.claim(0, 8, 80), ClaimResult::OtherKey);
-        // Value unchanged by failed claims.
+        put(&s, 0, 7, 70);
+        assert!(!put(&s, 0, 7, 71), "same key");
+        assert!(!put(&s, 0, 8, 80), "other key");
         assert_eq!(s.read(0).0, SlotState::Occupied { key: 7, value: 70 });
     }
 
     #[test]
     fn tombstone_lifecycle() {
         let s = SlotArray::new(4);
-        s.claim(1, 9, 90);
+        put(&s, 1, 9, 90);
         assert_eq!(s.remove_if_key(1, 8), None, "wrong key");
         assert_eq!(s.remove_if_key(1, 9), Some(90));
         assert_eq!(s.read(1).0, SlotState::Tombstone);
         // A tombstone can be re-claimed by any key.
-        assert_eq!(s.claim(1, 11, 110), ClaimResult::Written);
+        assert!(put(&s, 1, 11, 110));
         assert_eq!(
             s.read(1).0,
             SlotState::Occupied {
@@ -493,13 +462,16 @@ mod tests {
     }
 
     #[test]
-    fn update_if_key_paths() {
+    fn set_value_keeps_the_key() {
         let s = SlotArray::new(2);
-        assert!(!s.update_if_key(0, 5, 1), "empty slot");
-        s.claim(0, 5, 1);
-        assert!(s.update_if_key(0, 5, 2));
+        put(&s, 0, 5, 1);
+        let (_, v0) = s.read(0);
+        s.with_write(0, |g| g.set_value(2));
         assert_eq!(s.read(0).0, SlotState::Occupied { key: 5, value: 2 });
-        assert!(!s.update_if_key(0, 6, 3), "different key");
+        assert!(
+            !s.version_unchanged(0, v0),
+            "a reader of the old value must notice"
+        );
     }
 
     #[test]
@@ -508,7 +480,7 @@ mod tests {
         let (_, v0) = s.read(0);
         let (_, v0b) = s.read(0);
         assert_eq!(v0, v0b, "reads do not bump versions");
-        s.claim(0, 1, 1);
+        put(&s, 0, 1, 1);
         assert!(!s.version_unchanged(0, v0));
         let (_, v1) = s.read(0);
         assert!(v1 > v0);
@@ -526,9 +498,9 @@ mod tests {
     #[test]
     fn for_each_live_skips_empty_and_tombstones() {
         let s = SlotArray::new(8);
-        s.claim(1, 10, 100);
-        s.claim(4, 40, 400);
-        s.claim(6, 60, 600);
+        put(&s, 1, 10, 100);
+        put(&s, 4, 40, 400);
+        put(&s, 6, 60, 600);
         s.remove_if_key(4, 40);
         let mut seen = Vec::new();
         s.for_each_live(|i, k, v| seen.push((i, k, v)));
@@ -546,7 +518,7 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 let mut wins = 0;
                 for i in 0..16 {
-                    if s.claim(i, t * 100 + i as u64, t) == ClaimResult::Written {
+                    if put(&s, i, t * 100 + i as u64, t) {
                         wins += 1;
                     }
                 }
@@ -563,7 +535,7 @@ mod tests {
         use std::sync::atomic::{AtomicBool, Ordering};
         use std::sync::Arc;
         let s = Arc::new(SlotArray::new(1));
-        s.claim(0, 1, 1);
+        put(&s, 0, 1, 1);
         let stop = Arc::new(AtomicBool::new(false));
         // Writer cycles key/value pairs where key == value.
         let w = {
@@ -573,7 +545,7 @@ mod tests {
                 let mut k = 2u64;
                 while !stop.load(Ordering::Relaxed) {
                     s.remove_if_key(0, k - 1);
-                    s.claim(0, k, k);
+                    put(&s, 0, k, k);
                     k += 1;
                 }
             })

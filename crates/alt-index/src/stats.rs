@@ -4,7 +4,6 @@
 //! and the memory breakdown (Fig 8(a)).
 
 use crate::index::AltCore;
-use crate::model::NO_FAST;
 use crate::slots::SlotState;
 use art::FromResult;
 use crossbeam_epoch as epoch;
@@ -144,23 +143,14 @@ impl AltCore {
         }
         let (found_root, root_hops) = self.art.get_with_depth(key);
         found_root?;
-        let jump_hops = {
-            let fs = m.fast();
-            if fs == NO_FAST || key < m.first_key {
-                None
-            } else {
-                let node = self.buffer.get(fs);
-                if node == 0 {
-                    None
-                } else {
-                    // SAFETY: buffer-maintained pointer under the pin taken
-                    // above (`guard`).
-                    match unsafe { self.art.get_from(node, key) } {
-                        FromResult::Done(Some(_), hops) => Some(hops),
-                        _ => None,
-                    }
-                }
-            }
+        let jump_hops = match self.jump_node(m, key) {
+            // SAFETY: buffer-maintained pointer under the pin taken above
+            // (`guard`).
+            Some(node) if node != 0 => match unsafe { self.art.get_from(node, key) } {
+                FromResult::Done(Some(_), hops) => Some(hops),
+                _ => None,
+            },
+            _ => None,
         };
         Some(ArtProbe {
             jump_hops,

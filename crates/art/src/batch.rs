@@ -9,10 +9,9 @@
 //! (memory-level parallelism à la AMAC, Kocberber et al., and the
 //! interleaved probing of the "Benchmarking Learned Indexes" study).
 //!
-//! Each step replays exactly one hop of `jump::descend_get` under the
-//! same optimistic-lock-coupling protocol: snapshot the node's version,
-//! re-validate the parent snapshot taken last step, locate the child,
-//! re-validate, couple. A failed validation restarts *that key only*
+//! Each step is one [`hop`] of the scalar descent (`tree::descend_leaf`
+//! runs the same function in a loop), followed by a prefetch of the child
+//! it found. A failed validation restarts *that key only*
 //! from the root, charged against a per-key [`crate::contention`] budget
 //! whose exhaustion escalates to the scalar path (which owns the
 //! guaranteed-progress pessimistic descent). Results are therefore
@@ -21,7 +20,7 @@
 
 use crate::node::{self, NodePtr};
 use crate::olc::Version;
-use crate::tree::Art;
+use crate::tree::{coupled_ok, hop, leaf_value, Art, Hop};
 use crossbeam_epoch as epoch;
 use std::sync::atomic::Ordering;
 
@@ -39,10 +38,10 @@ pub struct BatchCursor {
     p: NodePtr,
     /// Key depth in bytes at `p`.
     depth: usize,
-    /// Lock-coupling snapshot of the parent: re-validated after the
-    /// current node's version is in hand, exactly like the scalar
-    /// descent.
-    parent: Option<(NodePtr, Version)>,
+    /// Lock-coupling snapshot of the parent (`0` = none), handed to the
+    /// next [`hop`].
+    parent: NodePtr,
+    parent_v: Version,
     retry: crate::contention::Retry,
 }
 
@@ -74,7 +73,8 @@ impl Art {
             key,
             p: root,
             depth: 0,
-            parent: None,
+            parent: 0,
+            parent_v: 0,
             retry: crate::contention::Retry::seeded(key),
         }
     }
@@ -105,7 +105,8 @@ impl Art {
             key,
             p: start,
             depth: hdr.match_level(),
-            parent: None,
+            parent: 0,
+            parent_v: 0,
             retry: crate::contention::Retry::seeded(key),
         }
     }
@@ -126,60 +127,25 @@ impl Art {
             return BatchStep::Done(None);
         }
         if node::is_leaf(p) {
-            let leaf = node::leaf_ref(p);
-            let value = (leaf.key == cur.key).then(|| leaf.value.load(Ordering::Acquire));
-            if let Some((pp, pv)) = cur.parent {
-                if !node::header(pp).version.validate(pv) {
-                    return self.batch_restart(cur);
-                }
+            let value = (node::leaf_ref(p).key == cur.key).then(|| leaf_value(p));
+            if !coupled_ok(cur.parent, cur.parent_v) {
+                return self.batch_restart(cur);
             }
             return BatchStep::Done(value);
         }
-        let hdr = node::header(p);
-        let v = match hdr.version.read_lock_spin() {
-            Some(v) => v,
-            None => return self.batch_restart(cur),
-        };
-        // Lock coupling: the parent snapshot is only trusted once the
-        // child's version is in hand (see `jump::descend_get`).
-        if let Some((pp, pv)) = cur.parent {
-            if !node::header(pp).version.validate(pv) {
-                return self.batch_restart(cur);
+        match hop(p, cur.key, cur.depth, cur.parent, cur.parent_v) {
+            Hop::Restart => self.batch_restart(cur),
+            Hop::Miss | Hop::Child { child: 0, .. } => BatchStep::Done(None),
+            Hop::Child {
+                child, v, depth, ..
+            } => {
+                prefetch_node(child);
+                crate::metrics_hook::batch_prefetch();
+                (cur.parent, cur.parent_v) = (p, v);
+                (cur.p, cur.depth) = (child, depth);
+                BatchStep::Pending
             }
         }
-        let (prefix, plen, _) = hdr.prefix();
-        for i in 0..plen {
-            if cur.depth + i >= 8 || prefix[i] != node::key_byte(cur.key, cur.depth + i) {
-                return if hdr.version.validate(v) {
-                    BatchStep::Done(None)
-                } else {
-                    self.batch_restart(cur)
-                };
-            }
-        }
-        let depth = cur.depth + plen;
-        if depth >= 8 {
-            return if hdr.version.validate(v) {
-                BatchStep::Done(None)
-            } else {
-                self.batch_restart(cur)
-            };
-        }
-        // Optimistic read section — the racing SIMD search result is
-        // discarded unless the validate just below succeeds (§15).
-        let child = node::find_child_racing(p, node::key_byte(cur.key, depth));
-        if !hdr.version.validate(v) {
-            return self.batch_restart(cur);
-        }
-        if child == 0 {
-            return BatchStep::Done(None);
-        }
-        prefetch_node(child);
-        crate::metrics_hook::batch_prefetch();
-        cur.parent = Some((p, v));
-        cur.p = child;
-        cur.depth = depth + 1;
-        BatchStep::Pending
     }
 
     /// A version conflict on `cur`: charge the per-key budget and either
@@ -194,7 +160,7 @@ impl Art {
         prefetch_node(root);
         cur.p = root;
         cur.depth = 0;
-        cur.parent = None;
+        cur.parent = 0;
         BatchStep::Pending
     }
 

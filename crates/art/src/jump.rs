@@ -16,7 +16,10 @@
 //! reading the slot and (2) keeps the slot updated from the hook.
 
 use crate::node::{self, NodePtr, NO_SLOT};
-use crate::tree::{split_depth, Art, FromResult, SetSlotResult};
+use crate::tree::{
+    coupled_ok, descend_leaf, leaf_value, prefix_mismatch, split_depth, Abort, Art, FromResult,
+    SetSlotResult,
+};
 use crossbeam_epoch as epoch;
 use std::sync::atomic::Ordering;
 
@@ -25,20 +28,9 @@ impl Art {
     /// traversed (the Fig 10(a) "average lookup length" metric).
     pub fn get_with_depth(&self, key: u64) -> (Option<u64>, u32) {
         let guard = epoch::pin();
-        let mut retry = crate::contention::Retry::seeded(key);
-        loop {
-            let root = self.root.load(Ordering::Acquire);
-            if let Ok(r) = descend_get(root, key, 0) {
-                return r;
-            }
-            if crate::contention::wait_or_escalate(&mut retry) {
-                // Guaranteed-progress fallback: pessimistic descent.
-                let (leafp, hops) = self.pessimistic_leaf(key, &guard);
-                // SAFETY: pinned epoch (see `Art::get_pessimistic`).
-                let v = leafp.map(|lp| unsafe { node::leaf_ref(lp) }.value.load(Ordering::Acquire));
-                return (v, hops);
-            }
-        }
+        let (leaf, hops) = self.leaf(key, &guard);
+        // SAFETY: found under `guard`, still held.
+        (leaf.map(|l| unsafe { leaf_value(l) }), hops)
     }
 
     /// Point lookup resuming from `start` (a pointer maintained by the
@@ -52,42 +44,29 @@ impl Art {
     /// [`FromResult::Fallback`] by retrying from the root.
     pub unsafe fn get_from(&self, start: NodePtr, key: u64) -> FromResult<Option<u64>> {
         let _guard = epoch::pin();
-        if start == 0 || node::is_leaf(start) {
-            crate::metrics_hook::jump_fallback();
-            return FromResult::Fallback;
-        }
-        let hdr = node::header(start);
-        if hdr.version.is_obsolete() {
-            crate::metrics_hook::jump_fallback();
-            return FromResult::Fallback;
-        }
-        // Widen the gap between the obsolete check and the descent — a
-        // replacement landing here must still end in Fallback or a valid
-        // read, never a torn traversal.
-        crate::chaos_hook::point("jump.get_from.entry");
-        let depth = hdr.match_level();
-        // Retry locally on version conflicts; fall back if the node dies
-        // or the retry budget runs out (the root path has its own
-        // guaranteed-progress escalation).
-        let mut retry = crate::contention::Retry::seeded(key);
-        loop {
-            if hdr.version.is_obsolete() {
-                crate::metrics_hook::jump_fallback();
-                return FromResult::Fallback;
-            }
-            match descend_get(start, key, depth) {
-                Ok((v, d)) => {
+        if start != 0 && !node::is_leaf(start) {
+            let hdr = node::header(start);
+            let depth = hdr.match_level();
+            // Retry locally on version conflicts; fall back if the node
+            // dies or the retry budget runs out (the root path has its own
+            // guaranteed-progress escalation).
+            let mut retry = crate::contention::Retry::seeded(key);
+            while !hdr.version.is_obsolete() {
+                // Widen the gap between the obsolete check and the descent
+                // — a replacement landing here must still end in Fallback
+                // or a valid read, never a torn traversal.
+                crate::chaos_hook::point("jump.get_from.entry");
+                if let Ok((leaf, hops)) = descend_leaf(start, key, depth) {
                     crate::metrics_hook::jump_resume();
-                    return FromResult::Done(v, d);
+                    return FromResult::Done(leaf.map(|l| leaf_value(l)), hops);
                 }
-                Err(()) => {
-                    if crate::contention::wait_or_escalate(&mut retry) {
-                        crate::metrics_hook::jump_fallback();
-                        return FromResult::Fallback;
-                    }
+                if crate::contention::wait_or_escalate(&mut retry) {
+                    break;
                 }
             }
         }
+        crate::metrics_hook::jump_fallback();
+        FromResult::Fallback
     }
 
     /// Insert resuming from `start`. Returns `Done(true)` if inserted,
@@ -99,96 +78,27 @@ impl Art {
     /// Same contract as [`Art::get_from`].
     pub unsafe fn insert_from(&self, start: NodePtr, key: u64, value: u64) -> FromResult<bool> {
         let guard = epoch::pin();
-        if start == 0 || node::is_leaf(start) {
-            crate::metrics_hook::jump_fallback();
-            return FromResult::Fallback;
-        }
-        let hdr = node::header(start);
-        // Budget the local retries; on exhaustion de-optimize to a root
-        // insert (which carries its own escalation discipline).
-        let mut retry = crate::contention::Retry::seeded(key);
-        macro_rules! retry_or_fallback {
-            () => {{
-                if crate::contention::wait_or_escalate(&mut retry) {
-                    crate::metrics_hook::jump_fallback();
-                    return FromResult::Fallback;
+        if start != 0 && !node::is_leaf(start) {
+            let hdr = node::header(start);
+            // Budget the local retries; on exhaustion de-optimize to a
+            // root insert (which carries its own escalation discipline).
+            let mut retry = crate::contention::Retry::seeded(key);
+            while !hdr.version.is_obsolete() {
+                match self.descend_insert(start, key, value, false, &guard) {
+                    Ok(inserted) => {
+                        crate::metrics_hook::jump_resume();
+                        return FromResult::Done(inserted, 0);
+                    }
+                    Err(Abort::NeedsParent) => break,
+                    Err(Abort::Restart) => {
+                        if crate::contention::wait_or_escalate(&mut retry) {
+                            break;
+                        }
+                    }
                 }
-                continue;
-            }};
-        }
-        loop {
-            if hdr.version.is_obsolete() {
-                crate::metrics_hook::jump_fallback();
-                return FromResult::Fallback;
-            }
-            // The descend-insert needs the parent when a structural change
-            // hits `start` itself. Detect those cases up front: prefix
-            // mismatch at start, or start full without a child for the
-            // next byte.
-            let v = match hdr.version.read_lock_spin() {
-                Some(v) => v,
-                None => {
-                    crate::metrics_hook::jump_fallback();
-                    return FromResult::Fallback;
-                }
-            };
-            let depth = hdr.match_level();
-            let (prefix, plen, _) = hdr.prefix();
-            let mut mismatch = false;
-            for i in 0..plen {
-                if depth + i >= 8 || prefix[i] != node::key_byte(key, depth + i) {
-                    mismatch = true;
-                    break;
-                }
-            }
-            if mismatch {
-                if hdr.version.validate(v) {
-                    crate::metrics_hook::jump_fallback();
-                    return FromResult::Fallback;
-                }
-                retry_or_fallback!();
-            }
-            let disc = depth + plen;
-            if disc >= 8 {
-                crate::metrics_hook::jump_fallback();
-                return FromResult::Fallback;
-            }
-            let b = node::key_byte(key, disc);
-            // Optimistic read section — the racing SIMD search result is
-            // discarded unless the validate just below succeeds (§15).
-            let child = node::find_child_racing(start, b);
-            let full = node::is_full(start);
-            if !hdr.version.validate(v) {
-                retry_or_fallback!();
-            }
-            if child == 0 && full {
-                // Expansion at the jump node needs its parent.
-                crate::metrics_hook::jump_fallback();
-                return FromResult::Fallback;
-            }
-            match self.descend_insert(start, key, value, false, &guard) {
-                Ok(inserted) => {
-                    crate::metrics_hook::jump_resume();
-                    return FromResult::Done(inserted, 0);
-                }
-                Err(()) => retry_or_fallback!(),
             }
         }
-    }
-
-    /// Remove resuming from `start`. `Done(Some(v))` if removed.
-    ///
-    /// The jump node itself is never merged away by this call (a removal
-    /// that would restructure `start` falls back), keeping the buffer
-    /// contract simple.
-    ///
-    /// # Safety
-    /// Same contract as [`Art::get_from`].
-    pub unsafe fn remove_from(&self, start: NodePtr, key: u64) -> FromResult<Option<u64>> {
-        // Structural removals are rare in the evaluated workloads; route
-        // through the root which handles all cases.
-        let _ = start;
-        let _ = key;
+        crate::metrics_hook::jump_fallback();
         FromResult::Fallback
     }
 
@@ -214,69 +124,53 @@ impl Art {
             }
             first = false;
             let mut p = self.root.load(Ordering::Acquire);
-            if p == 0 || node::is_leaf(p) {
-                return None;
-            }
             let mut depth = 0usize;
             let mut best: Option<(NodePtr, usize)> = None;
-            let mut coupled: Option<(&crate::olc::VersionLock, u64)> = None;
+            let (mut parent, mut parent_v) = (0, 0);
+            // Not the shared `hop`: this walk follows two keys at once and
+            // stops where they part, which a single-key hop cannot say.
             loop {
                 if p == 0 || node::is_leaf(p) {
                     return best;
                 }
                 // SAFETY: epoch pinned.
                 let hdr = unsafe { node::header(p) };
-                let v = match hdr.version.read_lock_spin() {
-                    Some(v) => v,
-                    None => continue 'restart,
+                let Some(v) = hdr.version.read_lock_spin() else {
+                    continue 'restart;
                 };
-                // Lock coupling (see `Art::get`).
-                if let Some((plock, pv)) = coupled {
-                    if !plock.validate(pv) {
-                        continue 'restart;
-                    }
+                // Lock coupling, as in `hop`.
+                // SAFETY: epoch pinned; `parent` is null or the node above.
+                if !unsafe { coupled_ok(parent, parent_v) } {
+                    continue 'restart;
                 }
                 let (prefix, plen, _) = hdr.prefix();
+                let prefix = &prefix[..plen];
+                let disc = depth + plen;
                 // Both keys must match the node's full prefix for the node
                 // to stay on both paths.
-                for i in 0..plen {
-                    let pos = depth + i;
-                    if pos >= 8
-                        || prefix[i] != node::key_byte(k1, pos)
-                        || prefix[i] != node::key_byte(k2, pos)
-                    {
-                        return if hdr.version.validate(v) {
-                            best
-                        } else {
-                            continue 'restart;
-                        };
-                    }
-                }
-                let disc = depth + plen;
-                if disc >= 8 {
-                    return if hdr.version.validate(v) {
-                        best
-                    } else {
-                        continue 'restart;
-                    };
-                }
-                let b1 = node::key_byte(k1, disc);
-                let b2 = node::key_byte(k2, disc);
+                let on_both = prefix_mismatch(prefix, k1, depth) == plen
+                    && prefix_mismatch(prefix, k2, depth) == plen
+                    && disc < 8;
                 if !hdr.version.validate(v) {
                     continue 'restart;
                 }
-                // This node is on both paths.
-                best = Some((p, depth));
-                if b1 != b2 {
+                if !on_both {
                     return best;
                 }
-                // SAFETY: epoch pinned; optimistic read section — result
-                // discarded unless the validate below succeeds (§15).
+                best = Some((p, depth));
+                let b1 = node::key_byte(k1, disc);
+                if b1 != node::key_byte(k2, disc) {
+                    return best;
+                }
+                // Own child search, not `hop`'s: the keys could have
+                // parted just above. SAFETY: epoch pinned; optimistic read
+                // section — result discarded unless the validate below
+                // succeeds (§15).
                 let child = unsafe { node::find_child_racing(p, b1) };
                 if !hdr.version.validate(v) {
                     continue 'restart;
                 }
-                coupled = Some((&hdr.version, v));
+                (parent, parent_v) = (p, v);
                 p = child;
                 depth = disc + 1;
             }
@@ -315,72 +209,6 @@ impl Art {
     /// the fast-pointer construction logic and tests.
     pub fn diverge_depth(k1: u64, k2: u64) -> usize {
         split_depth(k1, k2, 0)
-    }
-}
-
-/// Optimistic descend-get from `p` at `depth`; counts traversed nodes.
-fn descend_get(mut p: NodePtr, key: u64, mut depth: usize) -> Result<(Option<u64>, u32), ()> {
-    let mut hops = 0u32;
-    // Lock coupling: re-validate the previous node once the next node's
-    // version is in hand (see `Art::get`).
-    let mut coupled: Option<(&crate::olc::VersionLock, u64)> = None;
-    loop {
-        if p == 0 {
-            return Ok((None, hops));
-        }
-        hops += 1;
-        if node::is_leaf(p) {
-            // SAFETY: epoch pinned by the caller.
-            let leaf = unsafe { node::leaf_ref(p) };
-            if let Some((plock, pv)) = coupled {
-                if !plock.validate(pv) {
-                    return Err(());
-                }
-            }
-            return Ok((
-                if leaf.key == key {
-                    Some(leaf.value.load(Ordering::Acquire))
-                } else {
-                    None
-                },
-                hops,
-            ));
-        }
-        // SAFETY: epoch pinned by the caller.
-        let hdr = unsafe { node::header(p) };
-        let v = hdr.version.read_lock_spin().ok_or(())?;
-        if let Some((plock, pv)) = coupled {
-            if !plock.validate(pv) {
-                return Err(());
-            }
-        }
-        let (prefix, plen, _) = hdr.prefix();
-        for i in 0..plen {
-            if depth + i >= 8 || prefix[i] != node::key_byte(key, depth + i) {
-                return if hdr.version.validate(v) {
-                    Ok((None, hops))
-                } else {
-                    Err(())
-                };
-            }
-        }
-        depth += plen;
-        if depth >= 8 {
-            return if hdr.version.validate(v) {
-                Ok((None, hops))
-            } else {
-                Err(())
-            };
-        }
-        // SAFETY: epoch pinned by the caller; optimistic read section —
-        // result discarded unless the validate below succeeds (§15).
-        let child = unsafe { node::find_child_racing(p, node::key_byte(key, depth)) };
-        if !hdr.version.validate(v) {
-            return Err(());
-        }
-        coupled = Some((&hdr.version, v));
-        p = child;
-        depth += 1;
     }
 }
 
@@ -478,16 +306,48 @@ mod tests {
     }
 
     #[test]
-    fn insert_from_falls_back_on_prefix_mismatch() {
+    fn insert_from_falls_back_when_the_jump_node_must_be_replaced() {
+        let t = Art::new();
+        let base = 0x7777_0000_0000_0000u64;
+        for i in 1..=4u64 {
+            t.insert(base + i, i);
+        }
+        t.insert(1, 9); // the cluster's Node4 hangs under a root
+        let (node, depth) = t.lca_node(base + 1, base + 4).unwrap();
+        assert_eq!(depth, 1);
+        // SAFETY: fresh pointer, single-threaded.
+        unsafe {
+            // Prefix extraction: the key diverges inside the node's prefix.
+            let res = t.insert_from(node, 0x7777_1100_0000_0000, 9);
+            assert_eq!(res, FromResult::Fallback);
+            // Expansion: the node is full and has no child for the byte.
+            assert_eq!(t.insert_from(node, base + 5, 5), FromResult::Fallback);
+        }
+        assert_eq!(t.len(), 5, "a fallback changes nothing");
+        // SAFETY: as above; falling back left the node live.
+        let res = unsafe { t.get_from(node, base + 4) };
+        assert_eq!(res, FromResult::Done(Some(4), 2));
+        // The root path, which knows the parent, makes both changes.
+        assert!(t.insert(0x7777_1100_0000_0000, 9));
+        assert!(t.insert(base + 5, 5));
+        assert_eq!(t.get(base + 5), Some(5));
+    }
+
+    #[test]
+    fn insert_from_the_root_needs_no_parent() {
         let t = Art::new();
         let base = 0x7777_0000_0000_0000u64;
         t.insert(base + 1, 1);
         t.insert(base + 2, 2);
-        let (node, _) = t.lca_node(base + 1, base + 2).unwrap();
-        // A key that diverges inside/above the jump node's prefix.
+        let (node, depth) = t.lca_node(base + 1, base + 2).unwrap();
+        assert_eq!(depth, 0, "the only internal node is the root");
+        // A key that diverges inside the root's prefix splits it in place
+        // of a root insert.
         // SAFETY: fresh pointer, single-threaded.
         let res = unsafe { t.insert_from(node, 0x1111_0000_0000_0000, 9) };
-        assert_eq!(res, FromResult::Fallback);
+        assert_eq!(res, FromResult::Done(true, 0));
+        assert_eq!(t.get(0x1111_0000_0000_0000), Some(9));
+        assert_eq!(t.get(base + 2), Some(2));
     }
 
     #[test]

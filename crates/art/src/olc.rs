@@ -37,24 +37,9 @@ impl VersionLock {
         }
     }
 
-    /// Snapshot the version for an optimistic read. Returns `None` (caller
-    /// must restart) while the node is write-locked; returns the obsolete
-    /// marker via [`is_obsolete`](Self::is_obsolete) checks on the caller
-    /// side.
-    #[inline]
-    pub fn read_lock(&self) -> Option<Version> {
-        let v = self.word.load(Ordering::Acquire);
-        if v & LOCK_BIT != 0 {
-            return None;
-        }
-        // Widen the snapshot-to-use window: whatever the reader does with
-        // this version must survive a writer slipping in right here.
-        crate::chaos_hook::point("olc.read_lock");
-        Some(v)
-    }
-
-    /// Wait (tiered backoff) until the node is not write-locked, then
-    /// return the snapshot. Returns `None` if the node became obsolete
+    /// Snapshot the version for an optimistic read: wait (tiered backoff)
+    /// until the node is not write-locked, then return the snapshot to
+    /// validate later. Returns `None` if the node became obsolete
     /// (caller restarts from a stable ancestor). The wait never
     /// escalates: the current lock holder's progress is the guarantee,
     /// and past the budget the wait parks instead of burning CPU.
@@ -151,13 +136,6 @@ impl VersionLock {
     }
 }
 
-/// Whether a version snapshot carries the obsolete bit.
-#[allow(dead_code)]
-#[inline]
-pub fn snapshot_obsolete(v: Version) -> bool {
-    v & OBSOLETE_BIT != 0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,28 +144,34 @@ mod tests {
     #[test]
     fn read_snapshot_validates_when_unchanged() {
         let l = VersionLock::new();
-        let v = l.read_lock().unwrap();
+        let v = l.read_lock_spin().unwrap();
         assert!(l.validate(v));
     }
 
     #[test]
     fn write_cycle_invalidates_readers() {
         let l = VersionLock::new();
-        let v = l.read_lock().unwrap();
+        let v = l.read_lock_spin().unwrap();
         assert!(l.upgrade(v));
         assert!(l.is_locked());
-        assert!(l.read_lock().is_none(), "locked node rejects readers");
-        l.unlock();
+        assert!(!l.validate(v), "a locked node fails validation");
+        // A reader that arrives now waits the writer out and gets the
+        // version it leaves behind.
+        let v2 = std::thread::scope(|s| {
+            let reader = s.spawn(|| l.read_lock_spin().unwrap());
+            l.unlock();
+            reader.join().unwrap()
+        });
         assert!(!l.is_locked());
         assert!(!l.validate(v), "version moved after a write");
-        let v2 = l.read_lock().unwrap();
         assert_ne!(v, v2);
+        assert!(l.validate(v2));
     }
 
     #[test]
     fn upgrade_fails_on_stale_snapshot() {
         let l = VersionLock::new();
-        let v = l.read_lock().unwrap();
+        let v = l.read_lock_spin().unwrap();
         assert!(l.lock());
         l.unlock();
         assert!(!l.upgrade(v));

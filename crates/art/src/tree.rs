@@ -2,6 +2,7 @@
 //! updates, and removals with optimistic lock coupling.
 
 use crate::node::{self, NodePtr, NodeType, NO_SLOT};
+use crate::olc::Version;
 use crossbeam_epoch::{self as epoch, Guard};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -151,30 +152,28 @@ impl Art {
     /// Point lookup.
     pub fn get(&self, key: u64) -> Option<u64> {
         let guard = epoch::pin();
-        let mut retry = crate::contention::Retry::seeded(key);
-        loop {
-            match self.get_attempt(key, &guard) {
-                Ok(v) => return v,
-                Err(()) => {
-                    if crate::contention::wait_or_escalate(&mut retry) {
-                        return self.get_pessimistic(key, &guard);
-                    }
-                }
-            }
-        }
+        let leaf = self.leaf(key, &guard).0?;
+        // SAFETY: found under `guard`, still held.
+        Some(unsafe { leaf_value(leaf) })
     }
 
-    /// Guaranteed-progress lookup: pessimistic lock-coupled descent.
-    fn get_pessimistic(&self, key: u64, guard: &Guard) -> Option<u64> {
-        let leafp = self.pessimistic_leaf(key, guard).0?;
-        // SAFETY: the leaf was reachable under its locked parent; the
-        // epoch pin keeps it alive past a racing removal, like the
-        // optimistic path after validation.
-        Some(
-            unsafe { node::leaf_ref(leafp) }
-                .value
-                .load(Ordering::Acquire),
-        )
+    /// `key`'s leaf and the number of nodes visited on the way (every
+    /// node, the leaf included, a null child not): optimistic descents
+    /// from the root until one validates, then — retry budget spent —
+    /// the pessimistic one. Every root-based read and `update` is this
+    /// plus a load or a store on the leaf's value.
+    pub(crate) fn leaf(&self, key: u64, guard: &Guard) -> (Option<NodePtr>, u32) {
+        let mut retry = crate::contention::Retry::seeded(key);
+        loop {
+            let root = self.root.load(Ordering::Acquire);
+            // SAFETY: `root` was just read from this tree under `guard`.
+            if let Ok(found) = unsafe { descend_leaf(root, key, 0) } {
+                return found;
+            }
+            if crate::contention::wait_or_escalate(&mut retry) {
+                return self.pessimistic_leaf(key, guard);
+            }
+        }
     }
 
     /// Pessimistic lock-coupled descent to `key`'s leaf: every internal
@@ -196,9 +195,12 @@ impl Art {
     /// progress: it fires only when a committed root replacement landed
     /// between the root load and the lock acquisition.
     ///
-    /// Returns the leaf (if found) plus the number of nodes traversed
-    /// (same counting as the optimistic `descend_get` in `jump.rs`).
-    pub(crate) fn pessimistic_leaf(&self, key: u64, _guard: &Guard) -> (Option<NodePtr>, u32) {
+    /// Returns what [`Art::leaf`] does, counted the same way. Kept out of
+    /// line: it runs once per exhausted retry budget, and inlined it
+    /// doubles the code on every lookup's path.
+    #[cold]
+    #[inline(never)]
+    fn pessimistic_leaf(&self, key: u64, _guard: &Guard) -> (Option<NodePtr>, u32) {
         'restart: loop {
             let root = self.root.load(Ordering::Acquire);
             if root == 0 {
@@ -223,19 +225,14 @@ impl Art {
             let mut hops = 1u32;
             loop {
                 let (prefix, plen, _) = hdr.prefix();
-                for i in 0..plen {
-                    if depth + i >= 8 || prefix[i] != node::key_byte(key, depth + i) {
-                        hdr.version.unlock();
-                        return (None, hops);
-                    }
-                }
+                let matched = prefix_mismatch(&prefix[..plen], key, depth) == plen;
                 depth += plen;
-                if depth >= 8 {
-                    hdr.version.unlock();
-                    return (None, hops);
-                }
-                // SAFETY: `cur` is write-locked and live.
-                let child = unsafe { node::find_child(cur, node::key_byte(key, depth)) };
+                let child = if matched && depth < 8 {
+                    // SAFETY: `cur` is write-locked and live.
+                    unsafe { node::find_child(cur, node::key_byte(key, depth)) }
+                } else {
+                    0
+                };
                 if child == 0 {
                     hdr.version.unlock();
                     return (None, hops);
@@ -265,72 +262,6 @@ impl Art {
         }
     }
 
-    fn get_attempt(&self, key: u64, _guard: &Guard) -> Result<Option<u64>, ()> {
-        let mut p = self.root.load(Ordering::Acquire);
-        let mut depth = 0usize;
-        // Lock coupling: the previous node's version is re-validated
-        // after the next node's version is acquired, so a child that was
-        // demoted/replaced between the parent validation and the child
-        // read (e.g. a racing prefix extraction) forces a restart instead
-        // of a descent with stale path bytes.
-        let mut coupled: Option<(&crate::olc::VersionLock, u64)> = None;
-        loop {
-            if p == 0 {
-                return Ok(None);
-            }
-            if node::is_leaf(p) {
-                // SAFETY: pointer read under the pinned epoch.
-                let leaf = unsafe { node::leaf_ref(p) };
-                if let Some((plock, pv)) = coupled {
-                    if !plock.validate(pv) {
-                        return Err(());
-                    }
-                }
-                return Ok(if leaf.key == key {
-                    Some(leaf.value.load(Ordering::Acquire))
-                } else {
-                    None
-                });
-            }
-            // SAFETY: internal pointer read under the pinned epoch.
-            let hdr = unsafe { node::header(p) };
-            let v = hdr.version.read_lock_spin().ok_or(())?;
-            if let Some((plock, pv)) = coupled {
-                if !plock.validate(pv) {
-                    return Err(());
-                }
-            }
-            let (prefix, plen, _lvl) = hdr.prefix();
-            for i in 0..plen {
-                if depth + i >= 8 || prefix[i] != node::key_byte(key, depth + i) {
-                    return if hdr.version.validate(v) {
-                        Ok(None)
-                    } else {
-                        Err(())
-                    };
-                }
-            }
-            depth += plen;
-            if depth >= 8 {
-                return if hdr.version.validate(v) {
-                    Ok(None)
-                } else {
-                    Err(())
-                };
-            }
-            // SAFETY: as above; optimistic read section — the racing
-            // SIMD search result is discarded unless the validate just
-            // below succeeds (DESIGN.md §15).
-            let child = unsafe { node::find_child_racing(p, node::key_byte(key, depth)) };
-            if !hdr.version.validate(v) {
-                return Err(());
-            }
-            coupled = Some((&hdr.version, v));
-            p = child;
-            depth += 1;
-        }
-    }
-
     // -----------------------------------------------------------------
     // Insert / update
     // -----------------------------------------------------------------
@@ -346,95 +277,19 @@ impl Art {
         self.insert_inner(key, value, true)
     }
 
-    /// Update an existing key in place. Returns `false` if absent.
+    /// Update an existing key in place. Returns `false` if absent. The
+    /// store after the leaf lookup linearizes like a read at the same
+    /// point would, on the optimistic and the pessimistic path alike.
     pub fn update(&self, key: u64, value: u64) -> bool {
         let guard = epoch::pin();
-        let mut retry = crate::contention::Retry::seeded(key);
-        loop {
-            match self.get_leaf_attempt(key, &guard) {
-                Ok(Some(leafp)) => {
-                    // SAFETY: leaf read under the pinned epoch.
-                    unsafe { node::leaf_ref(leafp) }
-                        .value
-                        .store(value, Ordering::Release);
-                    return true;
-                }
-                Ok(None) => return false,
-                Err(()) => {
-                    if crate::contention::wait_or_escalate(&mut retry) {
-                        // Pessimistic path; the store after the locks are
-                        // released linearizes exactly like the optimistic
-                        // store after validation.
-                        return match self.pessimistic_leaf(key, &guard).0 {
-                            Some(leafp) => {
-                                // SAFETY: pinned epoch (see above).
-                                unsafe { node::leaf_ref(leafp) }
-                                    .value
-                                    .store(value, Ordering::Release);
-                                true
-                            }
-                            None => false,
-                        };
-                    }
-                }
-            }
-        }
-    }
-
-    fn get_leaf_attempt(&self, key: u64, _guard: &Guard) -> Result<Option<NodePtr>, ()> {
-        let mut p = self.root.load(Ordering::Acquire);
-        let mut depth = 0usize;
-        let mut coupled: Option<(&crate::olc::VersionLock, u64)> = None;
-        loop {
-            if p == 0 {
-                return Ok(None);
-            }
-            if node::is_leaf(p) {
-                // SAFETY: pinned epoch.
-                let leaf = unsafe { node::leaf_ref(p) };
-                if let Some((plock, pv)) = coupled {
-                    if !plock.validate(pv) {
-                        return Err(());
-                    }
-                }
-                return Ok(if leaf.key == key { Some(p) } else { None });
-            }
-            // SAFETY: pinned epoch.
-            let hdr = unsafe { node::header(p) };
-            let v = hdr.version.read_lock_spin().ok_or(())?;
-            if let Some((plock, pv)) = coupled {
-                if !plock.validate(pv) {
-                    return Err(());
-                }
-            }
-            let (prefix, plen, _) = hdr.prefix();
-            for i in 0..plen {
-                if depth + i >= 8 || prefix[i] != node::key_byte(key, depth + i) {
-                    return if hdr.version.validate(v) {
-                        Ok(None)
-                    } else {
-                        Err(())
-                    };
-                }
-            }
-            depth += plen;
-            if depth >= 8 {
-                return if hdr.version.validate(v) {
-                    Ok(None)
-                } else {
-                    Err(())
-                };
-            }
-            // SAFETY: pinned epoch; optimistic read section — result
-            // discarded unless the validate below succeeds (§15).
-            let child = unsafe { node::find_child_racing(p, node::key_byte(key, depth)) };
-            if !hdr.version.validate(v) {
-                return Err(());
-            }
-            coupled = Some((&hdr.version, v));
-            p = child;
-            depth += 1;
-        }
+        let Some(leafp) = self.leaf(key, &guard).0 else {
+            return false;
+        };
+        // SAFETY: leaf read under the pinned epoch.
+        unsafe { node::leaf_ref(leafp) }
+            .value
+            .store(value, Ordering::Release);
+        true
     }
 
     fn insert_inner(&self, key: u64, value: u64, overwrite: bool) -> bool {
@@ -448,21 +303,21 @@ impl Art {
         loop {
             match self.insert_attempt(key, value, overwrite, &guard) {
                 Ok(inserted) => return inserted,
-                Err(()) => {
+                Err(_) => {
                     let _ = crate::contention::wait_or_escalate(&mut retry);
                 }
             }
         }
     }
 
-    /// One optimistic insert attempt. `Err(())` = restart.
+    /// One optimistic insert attempt from the root.
     fn insert_attempt(
         &self,
         key: u64,
         value: u64,
         overwrite: bool,
         guard: &Guard,
-    ) -> Result<bool, ()> {
+    ) -> Result<bool, Abort> {
         let rootp = self.root.load(Ordering::Acquire);
         // Case: empty tree.
         if rootp == 0 {
@@ -479,7 +334,7 @@ impl Art {
                 Err(_) => {
                     // SAFETY: `leaf` was never published.
                     unsafe { node::dealloc(leaf) };
-                    return Err(());
+                    return Err(Abort::Restart);
                 }
             }
         }
@@ -513,7 +368,7 @@ impl Art {
                         self.untrack_fresh(new4);
                         node::dealloc(new4);
                     }
-                    return Err(());
+                    return Err(Abort::Restart);
                 }
             }
         }
@@ -527,8 +382,14 @@ impl Art {
     }
 
     /// Descend from internal node `start` (at its own match level) and
-    /// perform the insert. `parent == 0` means `start`'s slot is the tree
-    /// root. Returns Err(()) to restart from the caller's entry point.
+    /// perform the insert. `start` is the tree root or the node a jump
+    /// landed on ([`Art::insert_from`]); nothing above it is known, so a
+    /// change that replaces `start` itself (prefix extraction, expansion)
+    /// goes through only at the root and is [`Abort::NeedsParent`]
+    /// anywhere else.
+    ///
+    /// Not the shared [`hop`]: a prefix mismatch here is not a miss but
+    /// the place to split, so the walk needs *where* the prefix diverged.
     pub(crate) fn descend_insert(
         &self,
         start: NodePtr,
@@ -536,54 +397,29 @@ impl Art {
         value: u64,
         overwrite: bool,
         guard: &Guard,
-    ) -> Result<bool, ()> {
-        let mut parent: NodePtr = 0;
-        let mut parent_v: u64 = 0;
-        let mut parent_byte: u8 = 0;
-        let mut p = start;
+    ) -> Result<bool, Abort> {
+        let mut at = At::top(start);
         // SAFETY: pinned epoch; start is internal by contract.
-        let mut depth = unsafe { node::header(p) }.match_level();
+        let mut depth = unsafe { node::header(start) }.match_level();
         loop {
             // SAFETY: pinned epoch.
-            let hdr = unsafe { node::header(p) };
-            let v = hdr.version.read_lock_spin().ok_or(())?;
-            // Lock coupling: with the current node's version in hand,
-            // re-validate the parent snapshot so a racing child
-            // replacement/demotion cannot leave us on a stale path.
-            if parent != 0 {
-                // SAFETY: pinned epoch.
-                let phdr = unsafe { node::header(parent) };
-                if !phdr.version.validate(parent_v) {
-                    return Err(());
-                }
+            let hdr = unsafe { node::header(at.p) };
+            at.v = hdr.version.read_lock_spin().ok_or(Abort::Restart)?;
+            // Lock coupling, as in `hop`.
+            // SAFETY: pinned epoch; `at.parent` is null or a node of this
+            // descent.
+            if !unsafe { coupled_ok(at.parent, at.parent_v) } {
+                return Err(Abort::Restart);
             }
             debug_assert_eq!(hdr.match_level(), depth);
             let (prefix, plen, _) = hdr.prefix();
 
             // 1) Prefix comparison.
-            let mut mismatch = plen;
-            for i in 0..plen {
-                if depth + i >= 8 || prefix[i] != node::key_byte(key, depth + i) {
-                    mismatch = i;
-                    break;
-                }
-            }
+            let mismatch = prefix_mismatch(&prefix[..plen], key, depth);
             if mismatch < plen {
                 // Prefix extraction (§III-C scenario ①): insert a new
                 // parent discriminating at depth + mismatch.
-                self.split_prefix(
-                    p,
-                    v,
-                    parent,
-                    parent_v,
-                    parent_byte,
-                    &prefix[..plen],
-                    mismatch,
-                    depth,
-                    key,
-                    value,
-                    guard,
-                )?;
+                self.split_prefix(at, &prefix[..plen], mismatch, depth, key, value, guard)?;
                 self.bump_count();
                 return Ok(true);
             }
@@ -591,44 +427,33 @@ impl Art {
             if ndepth >= 8 {
                 // Cannot happen with unique 8-byte keys: an internal node
                 // always discriminates at a byte < 8. Treat as restart.
-                return Err(());
+                return Err(Abort::Restart);
             }
             let b = node::key_byte(key, ndepth);
+            // Own child search, not `hop`'s: see the function docs.
             // SAFETY: pinned epoch; optimistic read section — result
             // discarded unless the validate below succeeds (§15).
-            let child = unsafe { node::find_child_racing(p, b) };
-            if !hdr.version.validate(v) {
-                return Err(());
+            let child = unsafe { node::find_child_racing(at.p, b) };
+            if !hdr.version.validate(at.v) {
+                return Err(Abort::Restart);
             }
 
             if child == 0 {
                 // 2) Empty slot here: add a leaf (growing if full).
                 // SAFETY: pinned epoch; validated snapshot.
-                if unsafe { node::is_full(p) } {
-                    self.grow_and_insert(
-                        p,
-                        v,
-                        parent,
-                        parent_v,
-                        parent_byte,
-                        b,
-                        key,
-                        value,
-                        guard,
-                    )?;
+                if unsafe { node::is_full(at.p) } {
+                    self.grow_and_insert(at, b, key, value, guard)?;
                 } else {
-                    if !hdr.version.upgrade(v) {
-                        return Err(());
+                    // Upgrade succeeding means the version is unchanged
+                    // since the validated read, so the snapshot (slot
+                    // empty, node not full) still holds under the lock.
+                    if !hdr.version.upgrade(at.v) {
+                        return Err(Abort::Restart);
                     }
-                    // Re-check under the lock: a racing insert may have
-                    // filled the slot or the node between validate and
-                    // upgrade... upgrade succeeding means version unchanged
-                    // since the validated read, so the snapshot still
-                    // holds.
                     let leaf = node::make_leaf(key, value);
                     self.track_alloc(leaf);
                     // SAFETY: write lock held, node not full, byte absent.
-                    unsafe { node::insert_child(p, b, leaf) };
+                    unsafe { node::insert_child(at.p, b, leaf) };
                     hdr.version.unlock();
                 }
                 self.bump_count();
@@ -644,28 +469,25 @@ impl Art {
                     }
                     // Re-validate: the leaf we touched must still be the
                     // one reachable under this version.
-                    if !hdr.version.validate(v) {
-                        return Err(());
+                    if !hdr.version.validate(at.v) {
+                        return Err(Abort::Restart);
                     }
                     return Ok(false);
                 }
                 // 3) Leaf split: replace the leaf with a Node4 holding
                 // both leaves.
-                if !hdr.version.upgrade(v) {
-                    return Err(());
+                if !hdr.version.upgrade(at.v) {
+                    return Err(Abort::Restart);
                 }
                 let new4 = self.make_split_node(leaf.key, child, key, value, ndepth + 1);
                 // SAFETY: write lock held; byte `b` maps to `child`.
-                unsafe { node::replace_child(p, b, new4) };
+                unsafe { node::replace_child(at.p, b, new4) };
                 hdr.version.unlock();
                 self.bump_count();
                 return Ok(true);
             }
 
-            parent = p;
-            parent_v = v;
-            parent_byte = b;
-            p = child;
+            at = at.below(child, b);
             depth = ndepth + 1;
         }
     }
@@ -698,6 +520,64 @@ impl Art {
         new4
     }
 
+    /// Write-lock `at.p` for replacement together with whatever holds its
+    /// slot — the parent, taken first (lock order: parent, then node) —
+    /// by upgrading the descent's snapshots. A failed upgrade releases
+    /// what was taken and restarts.
+    ///
+    /// A parentless `at.p` must be the tree root, checked *before* the
+    /// upgrade and before the caller allocates anything: a root slot that
+    /// points to an internal node only changes under that node's write
+    /// lock, so `root == p` seen between the snapshot and a successful
+    /// upgrade still holds under the lock, and [`Art::publish`]'s CAS
+    /// cannot fail. Otherwise `p` is the start of a jump, whose parent
+    /// only a descent from the root would know.
+    fn lock_with_parent(&self, at: At) -> Result<(), Abort> {
+        if at.parent == 0 {
+            if self.root.load(Ordering::Acquire) != at.p {
+                return Err(Abort::NeedsParent);
+            }
+        } else {
+            // SAFETY: pinned epoch.
+            let phdr = unsafe { node::header(at.parent) };
+            if !phdr.version.upgrade(at.parent_v) {
+                return Err(Abort::Restart);
+            }
+        }
+        // SAFETY: pinned epoch.
+        if !unsafe { node::header(at.p) }.version.upgrade(at.v) {
+            self.unlock_parent(at);
+            return Err(Abort::Restart);
+        }
+        Ok(())
+    }
+
+    /// Release the parent lock [`Art::lock_with_parent`] took, if any.
+    fn unlock_parent(&self, at: At) {
+        if at.parent != 0 {
+            // SAFETY: pinned epoch; locked by `lock_with_parent`.
+            unsafe { node::header(at.parent) }.version.unlock();
+        }
+    }
+
+    /// Publish `new` in the slot the write-locked `at.p` hangs from — its
+    /// parent's child pointer, or the tree root — and release the parent.
+    /// The caller holds the locks of [`Art::lock_with_parent`] and goes on
+    /// to move `p`'s buffer slot, mark `p` obsolete and retire it.
+    fn publish(&self, at: At, new: NodePtr) {
+        if at.parent != 0 {
+            // SAFETY: parent write-locked; `parent_byte` maps to `p`.
+            unsafe { node::replace_child(at.parent, at.parent_byte, new) };
+            self.unlock_parent(at);
+        } else {
+            let swapped = self
+                .root
+                .compare_exchange(at.p, new, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok();
+            assert!(swapped, "root changed while its node was write-locked");
+        }
+    }
+
     /// Prefix extraction: the key diverges inside `p`'s compressed prefix
     /// at `mismatch`. Create a new parent Node4 covering the shared part,
     /// with a *demoted copy* of `p` (shorter prefix, deeper match level)
@@ -712,37 +592,16 @@ impl Art {
     #[allow(clippy::too_many_arguments)]
     fn split_prefix(
         &self,
-        p: NodePtr,
-        v: u64,
-        parent: NodePtr,
-        parent_v: u64,
-        parent_byte: u8,
+        at: At,
         prefix: &[u8],
         mismatch: usize,
         depth: usize,
         key: u64,
         value: u64,
         guard: &Guard,
-    ) -> Result<(), ()> {
-        // Lock order: parent first, then node.
-        let phdr = if parent != 0 {
-            // SAFETY: pinned epoch.
-            let phdr = unsafe { node::header(parent) };
-            if !phdr.version.upgrade(parent_v) {
-                return Err(());
-            }
-            Some(phdr)
-        } else {
-            None
-        };
-        // SAFETY: pinned epoch.
-        let hdr = unsafe { node::header(p) };
-        if !hdr.version.upgrade(v) {
-            if let Some(ph) = phdr {
-                ph.version.unlock();
-            }
-            return Err(());
-        }
+    ) -> Result<(), Abort> {
+        self.lock_with_parent(at)?;
+        let p = at.p;
         // Build: demoted copy of p + fresh leaf under a new Node4 parent.
         // SAFETY: p write-locked.
         let demoted = unsafe { node::clone_node(p) };
@@ -765,37 +624,12 @@ impl Art {
             node::insert_child(newp, node::key_byte(key, depth + mismatch), leaf);
             nhdr.version.unlock();
         }
-        // Publish.
-        if let Some(ph) = phdr {
-            // SAFETY: parent write-locked; parent_byte maps to p.
-            unsafe { node::replace_child(parent, parent_byte, newp) };
-            ph.version.unlock();
-        } else {
-            let ok = self
-                .root
-                .compare_exchange(p, newp, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok();
-            if !ok {
-                // p is not the tree root (e.g. a jump-started insert whose
-                // start node needs restructuring): roll back the fresh,
-                // unpublished allocations and let the caller retry/fall
-                // back.
-                self.untrack_fresh(newp);
-                self.untrack_fresh(demoted);
-                self.untrack_fresh(leaf);
-                // SAFETY: never published.
-                unsafe {
-                    node::dealloc(newp);
-                    node::dealloc(demoted);
-                    node::dealloc(leaf);
-                }
-                hdr.version.unlock();
-                return Err(());
-            }
-        }
+        self.publish(at, newp);
         // Move the buffer slot to the new parent (§III-C ①: "this GPL
         // model's fast pointer needs to be updated to this newly created
         // node").
+        // SAFETY: p write-locked.
+        let hdr = unsafe { node::header(p) };
         let slot = hdr.buffer_slot.swap(NO_SLOT, Ordering::AcqRel);
         if slot != NO_SLOT {
             // SAFETY: newp live (just published).
@@ -811,79 +645,39 @@ impl Art {
 
     /// Node expansion (§III-C scenario ②): `p` is full; replace it with
     /// the next larger node type, then insert.
-    #[allow(clippy::too_many_arguments)]
     fn grow_and_insert(
         &self,
-        p: NodePtr,
-        v: u64,
-        parent: NodePtr,
-        parent_v: u64,
-        parent_byte: u8,
+        at: At,
         byte: u8,
         key: u64,
         value: u64,
         guard: &Guard,
-    ) -> Result<(), ()> {
-        // Lock order: parent first, then node.
-        let phdr = if parent != 0 {
-            // SAFETY: pinned epoch.
-            let phdr = unsafe { node::header(parent) };
-            if !phdr.version.upgrade(parent_v) {
-                return Err(());
-            }
-            Some(phdr)
-        } else {
-            None
-        };
-        // SAFETY: pinned epoch.
-        let hdr = unsafe { node::header(p) };
-        if !hdr.version.upgrade(v) {
-            if let Some(ph) = phdr {
-                ph.version.unlock();
-            }
-            return Err(());
-        }
+    ) -> Result<(), Abort> {
+        self.lock_with_parent(at)?;
         // SAFETY: p write-locked.
-        let big = unsafe { node::grow(p) };
+        let big = unsafe { node::grow(at.p) };
         self.track_alloc(big);
         let leaf = node::make_leaf(key, value);
         self.track_alloc(leaf);
         // SAFETY: big fresh and unshared.
         unsafe { node::insert_child(big, byte, leaf) };
-        if let Some(ph) = phdr {
-            // SAFETY: parent write-locked; parent_byte maps to p.
-            unsafe { node::replace_child(parent, parent_byte, big) };
-            ph.version.unlock();
-        } else {
-            let ok = self
-                .root
-                .compare_exchange(p, big, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok();
-            if !ok {
-                // p is not the tree root (jump-started insert whose start
-                // node filled up concurrently): roll back the fresh
-                // allocations; the caller retries and its pre-checks see
-                // the full node, falling back to a root insert.
-                self.untrack_fresh(big);
-                self.untrack_fresh(leaf);
-                // SAFETY: never published.
-                unsafe {
-                    node::dealloc(big);
-                    node::dealloc(leaf);
-                }
-                hdr.version.unlock();
-                return Err(());
-            }
-        }
-        // Fast-pointer transfer: grow() copied the slot onto `big`.
-        // SAFETY: header read while p is still locked.
-        let slot = unsafe { node::header(big) }
+        self.publish(at, big);
+        self.retire_replaced(at.p, big, guard);
+        Ok(())
+    }
+
+    /// Finish replacing the write-locked `p` by its published same-shape
+    /// copy `new` (a grow or a shrink, which carried `p`'s buffer slot
+    /// over): repoint the fast pointer, mark `p` obsolete, retire it.
+    fn retire_replaced(&self, p: NodePtr, new: NodePtr, guard: &Guard) {
+        // SAFETY: `new` is live (just published).
+        let slot = unsafe { node::header(new) }
             .buffer_slot
             .load(Ordering::Acquire);
-        self.fire_hook(slot, big);
-        hdr.version.unlock_obsolete();
+        self.fire_hook(slot, new);
+        // SAFETY: `p` is still write-locked by the caller.
+        unsafe { node::header(p) }.version.unlock_obsolete();
         self.retire(guard, p);
-        Ok(())
     }
 
     // -----------------------------------------------------------------
@@ -900,14 +694,14 @@ impl Art {
         loop {
             match self.remove_attempt(key, &guard) {
                 Ok(r) => return r,
-                Err(()) => {
+                Err(_) => {
                     let _ = crate::contention::wait_or_escalate(&mut retry);
                 }
             }
         }
     }
 
-    fn remove_attempt(&self, key: u64, guard: &Guard) -> Result<Option<u64>, ()> {
+    fn remove_attempt(&self, key: u64, guard: &Guard) -> Result<Option<u64>, Abort> {
         let rootp = self.root.load(Ordering::Acquire);
         if rootp == 0 {
             return Ok(None);
@@ -928,88 +722,49 @@ impl Art {
                     self.drop_count();
                     return Ok(Some(val));
                 }
-                Err(_) => return Err(()),
+                Err(_) => return Err(Abort::Restart),
             }
         }
 
-        let mut parent: NodePtr = 0;
-        let mut parent_v: u64 = 0;
-        let mut parent_byte: u8 = 0;
-        let mut p = rootp;
+        let mut at = At::top(rootp);
         let mut depth = 0usize;
         loop {
-            // SAFETY: pinned epoch.
-            let hdr = unsafe { node::header(p) };
-            let v = hdr.version.read_lock_spin().ok_or(())?;
-            // Lock coupling (see get_attempt).
-            if parent != 0 {
-                // SAFETY: pinned epoch.
-                let phdr = unsafe { node::header(parent) };
-                if !phdr.version.validate(parent_v) {
-                    return Err(());
+            // SAFETY: pinned epoch; `at` walks nodes read from this tree.
+            match unsafe { hop(at.p, key, depth, at.parent, at.parent_v) } {
+                Hop::Restart => return Err(Abort::Restart),
+                Hop::Miss => return Ok(None),
+                Hop::Child {
+                    child,
+                    byte,
+                    v,
+                    depth: below,
+                } => {
+                    at.v = v;
+                    if child == 0 {
+                        return Ok(None);
+                    }
+                    if node::is_leaf(child) {
+                        // SAFETY: pinned epoch.
+                        let leaf = unsafe { node::leaf_ref(child) };
+                        if leaf.key != key {
+                            return Ok(None);
+                        }
+                        let val = leaf.value.load(Ordering::Acquire);
+                        self.remove_leaf(at, byte, child, guard)?;
+                        self.drop_count();
+                        return Ok(Some(val));
+                    }
+                    at = at.below(child, byte);
+                    depth = below;
                 }
             }
-            let (prefix, plen, _) = hdr.prefix();
-            for i in 0..plen {
-                if depth + i >= 8 || prefix[i] != node::key_byte(key, depth + i) {
-                    return if hdr.version.validate(v) {
-                        Ok(None)
-                    } else {
-                        Err(())
-                    };
-                }
-            }
-            depth += plen;
-            if depth >= 8 {
-                return if hdr.version.validate(v) {
-                    Ok(None)
-                } else {
-                    Err(())
-                };
-            }
-            let b = node::key_byte(key, depth);
-            // SAFETY: pinned epoch; optimistic read section — result
-            // discarded unless the validate below succeeds (§15).
-            let child = unsafe { node::find_child_racing(p, b) };
-            if !hdr.version.validate(v) {
-                return Err(());
-            }
-            if child == 0 {
-                return Ok(None);
-            }
-            if node::is_leaf(child) {
-                // SAFETY: pinned epoch.
-                let leaf = unsafe { node::leaf_ref(child) };
-                if leaf.key != key {
-                    return Ok(None);
-                }
-                let val = leaf.value.load(Ordering::Acquire);
-                self.remove_leaf(p, v, parent, parent_v, parent_byte, b, child, guard)?;
-                self.drop_count();
-                return Ok(Some(val));
-            }
-            parent = p;
-            parent_v = v;
-            parent_byte = b;
-            p = child;
-            depth += 1;
         }
     }
 
-    /// Remove leaf `child` (under byte `b`) from `p`, merging/shrinking as
-    /// needed.
-    #[allow(clippy::too_many_arguments)]
-    fn remove_leaf(
-        &self,
-        p: NodePtr,
-        v: u64,
-        parent: NodePtr,
-        parent_v: u64,
-        parent_byte: u8,
-        b: u8,
-        child: NodePtr,
-        guard: &Guard,
-    ) -> Result<(), ()> {
+    /// Remove leaf `child` (under byte `b`) from `at.p`, merging/shrinking
+    /// as needed.
+    fn remove_leaf(&self, at: At, b: u8, child: NodePtr, guard: &Guard) -> Result<(), Abort> {
+        let p = at.p;
         // SAFETY: pinned epoch.
         let hdr = unsafe { node::header(p) };
         let cnt = hdr.count();
@@ -1018,8 +773,8 @@ impl Art {
         // SAFETY: pinned epoch (type/count reads validated by upgrade).
         let needs_shrink = unsafe { node::shrink_candidate(p) };
         if cnt > 2 && !needs_shrink {
-            if !hdr.version.upgrade(v) {
-                return Err(());
+            if !hdr.version.upgrade(at.v) {
+                return Err(Abort::Restart);
             }
             // SAFETY: write lock held; byte b present.
             unsafe { node::remove_child(p, b) };
@@ -1028,168 +783,302 @@ impl Art {
             return Ok(());
         }
 
-        // Structural cases need the parent locked first.
-        let phdr = if parent != 0 {
-            // SAFETY: pinned epoch.
-            let phdr = unsafe { node::header(parent) };
-            if !phdr.version.upgrade(parent_v) {
-                return Err(());
-            }
-            Some(phdr)
-        } else {
-            None
-        };
-        if !hdr.version.upgrade(v) {
-            if let Some(ph) = phdr {
-                ph.version.unlock();
-            }
-            return Err(());
-        }
+        // Structural cases replace `p` in its parent's slot.
+        self.lock_with_parent(at)?;
 
-        if cnt == 2 {
-            // Case B: merge — pull the surviving sibling up into p's slot.
-            let mut sibling: NodePtr = 0;
-            let mut sib_byte: u8 = 0;
+        if cnt > 2 {
+            // Case C: shrink to the next smaller type after removing.
             // SAFETY: write lock held.
-            unsafe {
-                node::for_each_child(p, |kb, c| {
-                    if kb != b {
-                        sibling = c;
-                        sib_byte = kb;
-                    }
-                });
-            }
-            debug_assert!(sibling != 0);
-            // An internal sibling absorbs p's prefix plus the
-            // discriminating byte. Like prefix extraction, this is done on
-            // a *copy* — a live node's (prefix, match_level) never changes
-            // — and the original sibling is retired as obsolete so stale
-            // fast-pointer jumps fall back instead of descending with
-            // outdated path bytes.
-            let mut retired_sibling = false;
-            let replacement = if node::is_leaf(sibling) {
-                sibling
-            } else {
-                // SAFETY: pinned epoch; sibling is only reachable through
-                // the locked p, so locking it cannot deadlock.
-                let shdr = unsafe { node::header(sibling) };
-                if !shdr.version.lock() {
-                    hdr.version.unlock();
-                    if let Some(ph) = phdr {
-                        ph.version.unlock();
-                    }
-                    return Err(());
-                }
-                let (pprefix, pplen, plvl) = hdr.prefix();
-                let (sprefix, splen, _) = shdr.prefix();
-                let mut combined = [0u8; crate::node::MAX_PREFIX];
-                let mut n = 0;
-                for &x in &pprefix[..pplen] {
-                    combined[n] = x;
-                    n += 1;
-                }
-                combined[n] = sib_byte;
-                n += 1;
-                for &x in &sprefix[..splen] {
-                    combined[n] = x;
-                    n += 1;
-                }
-                // SAFETY: sibling write-locked.
-                let copy = unsafe { node::clone_node(sibling) };
-                self.track_alloc(copy);
-                // SAFETY: copy fresh and unshared.
-                unsafe { node::header(copy) }.set_prefix(&combined[..n], plvl);
-                // The copy inherited the sibling's own buffer slot (if
-                // any); the hook fires after publication below.
-                retired_sibling = true;
-                // Keep the sibling locked until after publication; it is
-                // marked obsolete below.
-                copy
-            };
-            if let Some(ph) = phdr {
-                // SAFETY: parent write-locked.
-                unsafe { node::replace_child(parent, parent_byte, replacement) };
-                ph.version.unlock();
-            } else {
-                let ok = self
-                    .root
-                    .compare_exchange(p, replacement, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok();
-                if !ok {
-                    // Root-slot CAS can only fail if p was not the root;
-                    // removals always descend from the root, so this is a
-                    // genuine invariant violation.
-                    unreachable!("root changed while its node was write-locked");
-                }
-            }
-            if retired_sibling {
-                // SAFETY: sibling still write-locked from above.
-                let shdr = unsafe { node::header(sibling) };
-                let s2 = shdr.buffer_slot.load(Ordering::Acquire);
-                self.fire_hook(s2, replacement);
-                shdr.version.unlock_obsolete();
-                self.retire(guard, sibling);
-            }
-            // p disappears. Its buffer slot (if any) cannot follow a leaf;
-            // repoint internal replacements, de-optimize otherwise
-            // (§III-C: the buffer "will find that invalid pointer and
-            // update its value to prevent illegal visits").
-            let slot = hdr.buffer_slot.swap(NO_SLOT, Ordering::AcqRel);
-            if slot != NO_SLOT {
-                if !node::is_leaf(replacement) {
-                    // SAFETY: replacement is live (just linked).
-                    let rhdr = unsafe { node::header(replacement) };
-                    // Only take the slot if the replacement has none
-                    // (slots are 1:1 with nodes); otherwise fall back to
-                    // root jumps.
-                    if rhdr
-                        .buffer_slot
-                        .compare_exchange(NO_SLOT, slot, Ordering::AcqRel, Ordering::Acquire)
-                        .is_ok()
-                    {
-                        self.fire_hook(slot, replacement);
-                    } else {
-                        self.fire_hook(slot, 0);
-                    }
-                } else {
-                    self.fire_hook(slot, 0);
-                }
-            }
-            hdr.version.unlock_obsolete();
-            self.retire(guard, p);
+            unsafe { node::remove_child(p, b) };
+            // SAFETY: write lock held.
+            let small = unsafe { node::shrink(p) };
+            self.track_alloc(small);
+            self.publish(at, small);
+            self.retire_replaced(p, small, guard);
             self.retire(guard, child);
             return Ok(());
         }
 
-        // Case C: shrink to the next smaller type after removing.
+        // Case B: merge — pull the surviving sibling up into p's slot.
+        let mut sibling: NodePtr = 0;
+        let mut sib_byte: u8 = 0;
         // SAFETY: write lock held.
-        unsafe { node::remove_child(p, b) };
-        // SAFETY: write lock held.
-        let small = unsafe { node::shrink(p) };
-        self.track_alloc(small);
-        if let Some(ph) = phdr {
-            // SAFETY: parent write-locked.
-            unsafe { node::replace_child(parent, parent_byte, small) };
-            ph.version.unlock();
-        } else {
-            let ok = self
-                .root
-                .compare_exchange(p, small, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok();
-            if !ok {
-                unreachable!("root changed while its node was write-locked");
-            }
+        unsafe {
+            node::for_each_child(p, |kb, c| {
+                if kb != b {
+                    sibling = c;
+                    sib_byte = kb;
+                }
+            });
         }
-        // SAFETY: header read while p still locked.
-        let slot = unsafe { node::header(small) }
-            .buffer_slot
-            .load(Ordering::Acquire);
-        self.fire_hook(slot, small);
+        debug_assert!(sibling != 0);
+        // An internal sibling absorbs p's prefix plus the
+        // discriminating byte. Like prefix extraction, this is done on
+        // a *copy* — a live node's (prefix, match_level) never changes
+        // — and the original sibling is retired as obsolete so stale
+        // fast-pointer jumps fall back instead of descending with
+        // outdated path bytes.
+        let replacement = if node::is_leaf(sibling) {
+            sibling
+        } else {
+            // SAFETY: pinned epoch; sibling is only reachable through
+            // the locked p, so locking it cannot deadlock.
+            let shdr = unsafe { node::header(sibling) };
+            if !shdr.version.lock() {
+                hdr.version.unlock();
+                self.unlock_parent(at);
+                return Err(Abort::Restart);
+            }
+            let (pprefix, pplen, plvl) = hdr.prefix();
+            let (sprefix, splen, _) = shdr.prefix();
+            let mut combined = [0u8; crate::node::MAX_PREFIX];
+            let mut n = 0;
+            for &x in &pprefix[..pplen] {
+                combined[n] = x;
+                n += 1;
+            }
+            combined[n] = sib_byte;
+            n += 1;
+            for &x in &sprefix[..splen] {
+                combined[n] = x;
+                n += 1;
+            }
+            // SAFETY: sibling write-locked.
+            let copy = unsafe { node::clone_node(sibling) };
+            self.track_alloc(copy);
+            // SAFETY: copy fresh and unshared.
+            unsafe { node::header(copy) }.set_prefix(&combined[..n], plvl);
+            // The copy inherited the sibling's own buffer slot (if
+            // any); the hook fires after publication below. The sibling
+            // stays locked until then.
+            copy
+        };
+        self.publish(at, replacement);
+        if replacement != sibling {
+            // SAFETY: sibling still write-locked from above.
+            let shdr = unsafe { node::header(sibling) };
+            let s2 = shdr.buffer_slot.load(Ordering::Acquire);
+            self.fire_hook(s2, replacement);
+            shdr.version.unlock_obsolete();
+            self.retire(guard, sibling);
+        }
+        // p disappears. Its buffer slot (if any) cannot follow a leaf;
+        // repoint internal replacements, de-optimize otherwise
+        // (§III-C: the buffer "will find that invalid pointer and
+        // update its value to prevent illegal visits").
+        let slot = hdr.buffer_slot.swap(NO_SLOT, Ordering::AcqRel);
+        if slot != NO_SLOT {
+            // Only take the slot if the replacement is internal and has
+            // none (slots are 1:1 with nodes); otherwise fall back to
+            // root jumps.
+            let moved = !node::is_leaf(replacement)
+                // SAFETY: replacement is live (just linked).
+                && unsafe { node::header(replacement) }
+                    .buffer_slot
+                    .compare_exchange(NO_SLOT, slot, Ordering::AcqRel, Ordering::Acquire)
+                    .is_ok();
+            self.fire_hook(slot, if moved { replacement } else { 0 });
+        }
         hdr.version.unlock_obsolete();
         self.retire(guard, p);
         self.retire(guard, child);
         Ok(())
     }
+}
+
+/// Why an optimistic attempt gave up.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Abort {
+    /// A version check or lock upgrade failed: retry from the attempt's
+    /// entry point.
+    Restart,
+    /// The change would replace a node whose parent the descent never saw
+    /// — the start of a jump. Only a descent from the root can make it.
+    NeedsParent,
+}
+
+/// Where a writer's descent stands: node `p` snapshotted at version `v`,
+/// hanging under byte `parent_byte` of `parent` snapshotted at `parent_v`.
+/// `parent == 0` at the top of the descent: the root, or a jump's start.
+#[derive(Clone, Copy)]
+struct At {
+    p: NodePtr,
+    v: Version,
+    parent: NodePtr,
+    parent_v: Version,
+    parent_byte: u8,
+}
+
+impl At {
+    fn top(p: NodePtr) -> Self {
+        Self {
+            p,
+            v: 0,
+            parent: 0,
+            parent_v: 0,
+            parent_byte: 0,
+        }
+    }
+
+    /// One level down, through `byte` to `child` (version not yet read).
+    fn below(self, child: NodePtr, byte: u8) -> Self {
+        Self {
+            p: child,
+            v: 0,
+            parent: self.p,
+            parent_v: self.v,
+            parent_byte: byte,
+        }
+    }
+}
+
+/// What one optimistic [`hop`] over an internal node found.
+pub(crate) enum Hop {
+    /// The key is not under the node: its compressed prefix, or the key's
+    /// length, rules it out.
+    Miss,
+    /// The node's child for the key's next byte `byte` — null, a leaf or
+    /// an internal node — read under the node's version `v`, which still
+    /// validated afterwards. `depth` is the key depth below `byte`.
+    Child {
+        child: NodePtr,
+        byte: u8,
+        v: Version,
+        depth: usize,
+    },
+    /// A version moved under the hop: restart the descent.
+    Restart,
+}
+
+/// One hop of the optimistic-lock-coupled descent, the step every
+/// key-directed walk of the tree shares (point reads, `update`, `remove`,
+/// jumps, the batch engine): snapshot `p`'s version, re-validate the
+/// coupled parent, match `p`'s compressed prefix against `key` at
+/// `depth`, find the child for the next key byte, validate.
+///
+/// The parent is re-validated only once the child's version is in hand,
+/// so a child that was demoted or replaced between the parent's validation
+/// and this read (a racing prefix extraction, say) restarts the descent
+/// instead of letting it walk on with stale path bytes.
+///
+/// # Safety
+/// `p` is an internal node and `parent` null or an internal node, both
+/// read from one tree under an epoch pin the caller still holds.
+#[inline(always)]
+pub(crate) unsafe fn hop(
+    p: NodePtr,
+    key: u64,
+    depth: usize,
+    parent: NodePtr,
+    parent_v: Version,
+) -> Hop {
+    let hdr = node::header(p);
+    let Some(v) = hdr.version.read_lock_spin() else {
+        return Hop::Restart;
+    };
+    if !coupled_ok(parent, parent_v) {
+        return Hop::Restart;
+    }
+    let (prefix, plen, _) = hdr.prefix();
+    let below = depth + plen;
+    if prefix_mismatch(&prefix[..plen], key, depth) < plen || below >= 8 {
+        return if hdr.version.validate(v) {
+            Hop::Miss
+        } else {
+            Hop::Restart
+        };
+    }
+    let byte = node::key_byte(key, below);
+    // Optimistic read section — the racing SIMD search result is
+    // discarded unless the validate just below succeeds (DESIGN.md §15).
+    let child = node::find_child_racing(p, byte);
+    if !hdr.version.validate(v) {
+        return Hop::Restart;
+    }
+    Hop::Child {
+        child,
+        byte,
+        v,
+        depth: below + 1,
+    }
+}
+
+/// Whether the coupled parent snapshot still holds (`parent == 0`: there
+/// is none).
+///
+/// # Safety
+/// As for [`hop`]'s `parent`.
+#[inline(always)]
+pub(crate) unsafe fn coupled_ok(parent: NodePtr, parent_v: Version) -> bool {
+    parent == 0 || node::header(parent).version.validate(parent_v)
+}
+
+/// Index of the first byte of a node's compressed `prefix` that `key` does
+/// not continue with at `depth` (`prefix.len()` if it matches throughout).
+#[inline(always)]
+pub(crate) fn prefix_mismatch(prefix: &[u8], key: u64, depth: usize) -> usize {
+    for i in 0..prefix.len() {
+        if depth + i >= 8 || prefix[i] != node::key_byte(key, depth + i) {
+            return i;
+        }
+    }
+    prefix.len()
+}
+
+/// One optimistic descent from `start` (the root at depth 0, or a jump
+/// node at its match level) to `key`'s leaf. Returns the leaf, if the key
+/// is there, and the number of nodes visited — every node, the leaf
+/// included, a null child not (Fig 10(a)'s lookup length). `Err` =
+/// restart.
+///
+/// # Safety
+/// `start` is null or was read from a tree under an epoch pin the caller
+/// still holds, and `depth` is its key depth.
+#[inline]
+pub(crate) unsafe fn descend_leaf(
+    start: NodePtr,
+    key: u64,
+    depth: usize,
+) -> Result<(Option<NodePtr>, u32), Abort> {
+    let (mut p, mut depth) = (start, depth);
+    let (mut parent, mut parent_v) = (0, 0);
+    let mut hops = 0u32;
+    loop {
+        if p == 0 {
+            return Ok((None, hops));
+        }
+        hops += 1;
+        if node::is_leaf(p) {
+            let found = node::leaf_ref(p).key == key;
+            if !coupled_ok(parent, parent_v) {
+                return Err(Abort::Restart);
+            }
+            return Ok((found.then_some(p), hops));
+        }
+        match hop(p, key, depth, parent, parent_v) {
+            Hop::Restart => return Err(Abort::Restart),
+            Hop::Miss => return Ok((None, hops)),
+            Hop::Child {
+                child,
+                v,
+                depth: below,
+                ..
+            } => {
+                (parent, parent_v) = (p, v);
+                (p, depth) = (child, below);
+            }
+        }
+    }
+}
+
+/// The value of a leaf a descent returned.
+///
+/// # Safety
+/// `leaf` came from [`descend_leaf`] or [`Art::leaf`] under an epoch pin
+/// the caller still holds (it keeps the leaf alive past a racing removal).
+#[inline(always)]
+pub(crate) unsafe fn leaf_value(leaf: NodePtr) -> u64 {
+    node::leaf_ref(leaf).value.load(Ordering::Acquire)
 }
 
 /// First byte position >= `depth` where the two keys differ.

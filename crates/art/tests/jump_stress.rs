@@ -4,10 +4,18 @@
 //! outdated path bytes. The tree's invariant (a live node's prefix and
 //! match level never change; nodes are replaced and retired instead) is
 //! what these tests exercise.
+//!
+//! ```sh
+//! cargo test -p art --features chaos --test jump_stress
+//! ```
 
 use art::{Art, FromResult, ReplaceHook, SetSlotResult};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Mutex};
+
+/// Both tests run under a chaos schedule (live with `--features chaos`,
+/// inert otherwise); schedules are process-global, so one test at a time.
+static SCHEDULE_OWNER: Mutex<()> = Mutex::new(());
 
 /// A miniature fast-pointer buffer: one slot, hook-maintained.
 struct OneSlot(AtomicUsize);
@@ -41,6 +49,8 @@ fn register(art: &Art, buf: &OneSlot, k1: u64, k2: u64) -> bool {
 /// and every jump-inserted key must be readable from the root.
 #[test]
 fn jumps_stay_correct_under_structural_churn() {
+    let _serial = SCHEDULE_OWNER.lock().unwrap_or_else(|e| e.into_inner());
+    let _chaos = testkit::chaos::install_schedule(0x1A3B_0001, 128);
     let buf = Arc::new(OneSlot(AtomicUsize::new(0)));
     let art = Arc::new(Art::with_hook(Arc::new(OneSlotHookProxy(Arc::clone(&buf)))));
 
@@ -140,6 +150,8 @@ impl ReplaceHook for OneSlotHookProxy {
 /// stay reachable.
 #[test]
 fn jump_pointer_survives_merges_and_shrinks() {
+    let _serial = SCHEDULE_OWNER.lock().unwrap_or_else(|e| e.into_inner());
+    let _chaos = testkit::chaos::install_schedule(0x1A3B_0002, 128);
     let buf = Arc::new(OneSlot(AtomicUsize::new(0)));
     let art = Arc::new(Art::with_hook(Arc::new(OneSlotHookProxy(Arc::clone(&buf)))));
     let base = 0x0F0E_0D0C_0000_0000u64;

@@ -20,8 +20,9 @@
 //!
 //! The process-global resilience policy and the chaos schedule are
 //! process-wide, so every test serializes on one mutex and restores the
-//! default policy through an RAII guard. Indexes are built *after*
-//! `set_global` (AltConfig snapshots the global policy at construction).
+//! default policy through an RAII guard. Every retry loop, at every
+//! layer, reads the global policy on its first retry, so a `set_global`
+//! takes effect on the next contended op of an index already built.
 
 use alt_index::{AltConfig, AltIndex};
 use art::Art;
