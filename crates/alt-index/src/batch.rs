@@ -32,6 +32,7 @@ use crate::model::GplModel;
 use crate::slots::SlotState;
 use art::{BatchCursor, BatchStep, RING_WIDTH};
 use crossbeam_epoch::{self as epoch, Guard};
+use probe::metrics::{self, Counter};
 
 /// The paused state of one in-flight key.
 enum Stage<'g> {
@@ -55,7 +56,7 @@ enum Stage<'g> {
 struct Flight<'g> {
     ki: usize,
     key: u64,
-    retry: crate::contention::Retry,
+    retry: resilience::Retry,
     stage: Stage<'g>,
 }
 
@@ -72,8 +73,8 @@ impl AltCore {
             out.len(),
             keys.len()
         );
-        crate::metrics_hook::batch_lookups();
-        crate::metrics_hook::batch_keys(keys.len());
+        metrics::incr(Counter::AltBatchLookups);
+        metrics::add(Counter::AltBatchKeys, keys.len() as u64);
         // One pin for the whole batch: it keeps every flight's model
         // reference (possibly from a superseded directory) and every ART
         // cursor's node pointers alive until the ring drains.
@@ -151,11 +152,11 @@ fn fill<'g>(
         // grouped path probes exactly the scalar path's slot.
         let pred = learned::LinearModel::clamp_pos(pf[i], m.slots.capacity());
         m.slots.prefetch(pred);
-        crate::metrics_hook::batch_prefetch();
+        metrics::incr(Counter::AltBatchPrefetch);
         ring.push(Flight {
             ki: kis[i],
             key: ks[i],
-            retry: crate::contention::Retry::seeded(ks[i]),
+            retry: resilience::Retry::seeded(ks[i]),
             stage: Stage::Probe { m, pred },
         });
     }
@@ -169,7 +170,7 @@ fn restage<'g>(idx: &AltCore, fl: &mut Flight<'g>, guard: &'g Guard) {
     let m: &'g GplModel = dir.model_for(fl.key);
     let pred = m.predict(fl.key);
     m.slots.prefetch(pred);
-    crate::metrics_hook::batch_prefetch();
+    metrics::incr(Counter::AltBatchPrefetch);
     fl.stage = Stage::Probe { m, pred };
 }
 
@@ -177,8 +178,8 @@ fn restage<'g>(idx: &AltCore, fl: &mut Flight<'g>, guard: &'g Guard) {
 /// the conclusive pessimistic lookup or send the key back to the predict
 /// stage (the directory may have been republished).
 fn restart<'g>(idx: &AltCore, fl: &mut Flight<'g>, guard: &'g Guard) -> Option<Option<u64>> {
-    crate::metrics_hook::batch_restart();
-    if crate::contention::wait_or_escalate(&mut fl.retry) {
+    metrics::incr(Counter::AltBatchRestart);
+    if resilience::wait_or_escalate(&mut fl.retry, &crate::LAYER) {
         return Some(idx.get_pessimistic(fl.key));
     }
     restage(idx, fl, guard);
@@ -188,14 +189,14 @@ fn restart<'g>(idx: &AltCore, fl: &mut Flight<'g>, guard: &'g Guard) -> Option<O
 /// Advance one flight by one stage. `Some(result)` retires the key.
 #[inline]
 fn step<'g>(idx: &AltCore, fl: &mut Flight<'g>, guard: &'g Guard) -> Option<Option<u64>> {
-    crate::chaos_hook::point("batch.stage");
+    probe::chaos::point("batch.stage");
     match &mut fl.stage {
         Stage::Probe { m, pred } => {
             let (m, pred) = (*m, *pred);
             let (state, ver) = m.slots.read(pred);
             match state {
                 SlotState::Occupied { key: k, value } if k == fl.key => {
-                    crate::metrics_hook::batch_learned_hit();
+                    metrics::incr(Counter::AltBatchLearnedHit);
                     Some(Some(value))
                 }
                 SlotState::Empty => {
@@ -204,7 +205,7 @@ fn step<'g>(idx: &AltCore, fl: &mut Flight<'g>, guard: &'g Guard) -> Option<Opti
                     if m.is_retired() {
                         restart(idx, fl, guard)
                     } else {
-                        crate::metrics_hook::batch_learned_hit();
+                        metrics::incr(Counter::AltBatchLearnedHit);
                         Some(None)
                     }
                 }
@@ -212,9 +213,9 @@ fn step<'g>(idx: &AltCore, fl: &mut Flight<'g>, guard: &'g Guard) -> Option<Opti
                     // Conflict data: hand off to the interleaved ART
                     // descent, entering through the model's fast pointer
                     // when one is registered.
-                    crate::metrics_hook::batch_art_handoff();
+                    metrics::incr(Counter::AltBatchArtHandoff);
                     let cur = fast_cursor(idx, m, fl.key);
-                    crate::metrics_hook::batch_prefetch();
+                    metrics::incr(Counter::AltBatchPrefetch);
                     fl.stage = Stage::Art {
                         m,
                         pred,

@@ -16,6 +16,7 @@
 
 use crate::model::NO_FAST;
 use art::{Art, ReplaceHook, SetSlotResult};
+use probe::metrics::{self, Counter};
 use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicUsize, Ordering};
 
 /// log2 of the first segment's capacity.
@@ -148,8 +149,8 @@ impl FastPointerBuffer {
         // graceful failure mode is *de-optimization* — hand back
         // `NO_FAST` (the model walks from the ART root) and count it.
         // Checked before the append lock so a Delay can't hold it.
-        if crate::fail_hook::should_fail("fastptr.install") {
-            crate::metrics_hook::fastptr_deopt();
+        if probe::fail::eval("fastptr.install").is_err() {
+            metrics::incr(Counter::FastPtrDeopt);
             return NO_FAST;
         }
         // One logical registration, however many times the install loop
@@ -157,7 +158,7 @@ impl FastPointerBuffer {
         // one per `Obsolete` (node-replaced-under-us) retry, overstating
         // the merge scheme's savings in the Fig 10(b) comparison.
         self.unmerged_registrations.fetch_add(1, Ordering::Relaxed);
-        let mut retry = crate::contention::Retry::seeded(k1);
+        let mut retry = resilience::Retry::seeded(k1);
         loop {
             let Some((node, _depth)) = art.lca_node(k1, k2) else {
                 return NO_FAST;
@@ -166,7 +167,7 @@ impl FastPointerBuffer {
             // Widen the gap between LCA resolution and slot installation:
             // a node replacement landing here must drive the Obsolete
             // retry path, never a stale pointer.
-            crate::chaos_hook::point("fastptr.register.locked");
+            probe::chaos::point("fastptr.register.locked");
             let idx = self.len.load(Ordering::Acquire);
             let (seg, off) = locate(idx as usize);
             self.ensure_segment(seg);
@@ -175,7 +176,7 @@ impl FastPointerBuffer {
             // SAFETY: segment just ensured; off < capacity.
             unsafe { (*base.add(off)).store(node, Ordering::Release) };
             self.len.store(idx + 1, Ordering::Release);
-            crate::chaos_hook::point("fastptr.merge.pre_install");
+            probe::chaos::point("fastptr.merge.pre_install");
             // SAFETY: `node` came from `lca_node` above; the epoch pin
             // inside try_set_buffer_slot's caller contract is satisfied
             // because lca_node and this call happen back-to-back — if the
@@ -196,9 +197,9 @@ impl FastPointerBuffer {
                     // the append lock first — backing off may park, and
                     // other registrations must not wait behind our nap.
                     drop(_g);
-                    crate::metrics_hook::fastptr_register_retry();
-                    if crate::contention::wait_or_escalate(&mut retry) {
-                        crate::metrics_hook::fastptr_deopt();
+                    metrics::incr(Counter::FastPtrRegisterRetry);
+                    if resilience::wait_or_escalate(&mut retry, &crate::LAYER) {
+                        metrics::incr(Counter::FastPtrDeopt);
                         return NO_FAST;
                     }
                     continue;

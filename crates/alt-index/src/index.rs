@@ -18,6 +18,7 @@ use index_api::{IndexError, Result};
 use learned::gpl::{gpl_segment, gpl_segment_parallel, Segment};
 use learned::LinearModel;
 use parking_lot::Mutex;
+use probe::metrics::{self, Counter};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -131,8 +132,9 @@ pub struct AltCore {
     pub(crate) retrain_attempts: AtomicUsize,
     /// Retrains that aborted cleanly (injected or real build/reconcile
     /// failure) or whose contained panic on the inserting thread was
-    /// rolled back by the drop-guards. Always-on so fault tests and benches can read it in
-    /// any build; mirrored into `obs` under the `metrics` feature.
+    /// rolled back by the drop-guards. Always-on so fault tests and
+    /// benches can read it in any build; mirrored into `probe::metrics`
+    /// under the `metrics` feature.
     pub(crate) rollbacks: AtomicUsize,
     /// Bumped immediately before every directory swap. Scans snapshot it
     /// before their first ART read and re-check it after their last slot
@@ -151,7 +153,7 @@ pub(crate) struct OwnLine<T>(pub(crate) T);
 
 impl AltCore {
     /// Construct the core (shared by every [`AltIndex`] constructor).
-    fn build(
+    pub(crate) fn build(
         pairs: &[(u64, u64)],
         cfg: AltConfig,
         sched: Option<Arc<crate::sched::SchedShared>>,
@@ -174,7 +176,7 @@ impl AltCore {
                 for chunk in conflicts.chunks(shard) {
                     let art = &art;
                     s.spawn(move || {
-                        crate::chaos_hook::point("bulk.par.art");
+                        probe::chaos::point("bulk.par.art");
                         for &(k, v) in chunk {
                             art.insert(k, v);
                         }
@@ -212,7 +214,7 @@ impl AltCore {
 
     /// Snapshot of the always-on fault/self-healing counters (DESIGN.md
     /// §16). Available in every build — the `metrics` feature
-    /// additionally mirrors each event into the `obs` sink; the `fault`
+    /// additionally mirrors each event into `probe::metrics`; the `fault`
     /// feature is what makes the *injection* sites live.
     pub fn fault_stats(&self) -> FaultStats {
         let (bg_dropped, bg_panics, worker_respawns, degraded_mode_entries) = self
@@ -280,7 +282,7 @@ impl AltCore {
             while start < n {
                 let end = (start + shard).min(n);
                 s.spawn(move || {
-                    crate::chaos_hook::point("bulk.par.fastptr");
+                    probe::chaos::point("bulk.par.fastptr");
                     // Re-pin per worker (epoch guards are thread-local);
                     // the directory cannot be swapped during construction.
                     let guard = epoch::pin();
@@ -341,13 +343,13 @@ impl AltCore {
                 // pin, and `key` lies in the model's interval, which the
                 // jump covers.
                 if let FromResult::Done(v, _) = unsafe { self.art.get_from(node, key) } {
-                    crate::metrics_hook::fastptr_jump_hit();
+                    metrics::incr(Counter::FastPtrJumpHit);
                     return v;
                 }
             }
             // No shortcut, a de-optimized (zeroed) entry, or an obsolete
             // jump node: the Fig 10(b) de-optimization path.
-            crate::metrics_hook::fastptr_deopt();
+            metrics::incr(Counter::FastPtrDeopt);
         }
         self.art.get(key)
     }
@@ -360,11 +362,11 @@ impl AltCore {
                 // SAFETY: as in `art_get`.
                 if let FromResult::Done(ins, _) = unsafe { self.art.insert_from(node, key, value) }
                 {
-                    crate::metrics_hook::fastptr_jump_hit();
+                    metrics::incr(Counter::FastPtrJumpHit);
                     return ins;
                 }
             }
-            crate::metrics_hook::fastptr_deopt();
+            metrics::incr(Counter::FastPtrDeopt);
         }
         self.art.insert(key, value)
     }
@@ -379,7 +381,7 @@ impl AltCore {
             return None;
         }
         let guard = epoch::pin();
-        let mut retry = crate::contention::Retry::seeded(key);
+        let mut retry = resilience::Retry::seeded(key);
         loop {
             let dir = self.dir_ref(&guard);
             let m = dir.model_for(key);
@@ -392,7 +394,7 @@ impl AltCore {
                     // means the key cannot exist — unless the model was
                     // concurrently replaced (different predictions).
                     if m.is_retired() {
-                        if crate::contention::wait_or_escalate(&mut retry) {
+                        if resilience::wait_or_escalate(&mut retry, &crate::LAYER) {
                             return self.get_pessimistic(key);
                         }
                         continue;
@@ -413,7 +415,7 @@ impl AltCore {
                             // The miss is only conclusive if nothing moved
                             // under us.
                             if m.is_retired() || !m.slots.version_unchanged(pred, ver) {
-                                if crate::contention::wait_or_escalate(&mut retry) {
+                                if resilience::wait_or_escalate(&mut retry, &crate::LAYER) {
                                     return self.get_pessimistic(key);
                                 }
                                 continue;
@@ -473,7 +475,7 @@ impl AltCore {
     /// [`AltCore::get_pessimistic`]).
     fn with_live_model<R>(&self, key: u64, f: impl FnOnce(&ModelDir, &GplModel) -> R) -> R {
         let guard = epoch::pin();
-        let mut retry = crate::contention::Retry::seeded(key);
+        let mut retry = resilience::Retry::seeded(key);
         let mut _dl = None;
         loop {
             let dir = self.dir_ref(&guard);
@@ -483,7 +485,7 @@ impl AltCore {
                 return f(dir, m);
             }
             drop(rl);
-            if crate::contention::wait_or_escalate(&mut retry) {
+            if resilience::wait_or_escalate(&mut retry, &crate::LAYER) {
                 _dl = Some(self.dir_lock.lock());
             }
         }
@@ -498,7 +500,7 @@ impl AltCore {
     /// the key is in neither layer, which no reader can conclude from —
     /// its slot read waits out the lock or fails the version re-check.
     pub(crate) fn try_write_back(&self, m: &GplModel, pred: usize, key: u64) {
-        crate::metrics_hook::write_back_attempt();
+        metrics::incr(Counter::WriteBackAttempt);
         // Never fight a retrain for this optimization.
         let Some(_rl) = m.op_lock.try_read() else {
             return;
@@ -511,7 +513,7 @@ impl AltCore {
             if g.state() == SlotState::Tombstone {
                 if let Some(value) = self.art.remove(key) {
                     g.install(key, value);
-                    crate::metrics_hook::write_back_moved();
+                    metrics::incr(Counter::WriteBackMoved);
                 }
             }
         });
@@ -639,7 +641,7 @@ impl AltCore {
         let updated = self.with_live_model(key, |_, m| {
             m.slots.with_write(m.predict(key), |g| match g.state() {
                 SlotState::Occupied { key: k, .. } if k == key => {
-                    crate::chaos_hook::point("slots.update.locked");
+                    probe::chaos::point("slots.update.locked");
                     g.set_value(value);
                     true
                 }
@@ -672,7 +674,7 @@ impl AltCore {
                     // caught by the chaos oracle). Under the lock no new
                     // ART copy of `key` can appear: every inserter of
                     // `key` must take this same slot lock first.
-                    crate::chaos_hook::point("slots.remove.pre_tombstone");
+                    probe::chaos::point("slots.remove.pre_tombstone");
                     g.clear();
                     self.art.remove(key);
                     Some(value)
@@ -765,7 +767,7 @@ pub(crate) fn segment_and_build_parallel(
             .map(|group| {
                 let segments = &segments;
                 s.spawn(move || {
-                    crate::chaos_hook::point("bulk.par.models");
+                    probe::chaos::point("bulk.par.models");
                     let mut models = Vec::with_capacity(group.len());
                     let mut conflicts = Vec::new();
                     for seg in &segments[group] {

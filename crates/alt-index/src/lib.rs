@@ -44,14 +44,10 @@
 mod adapt;
 mod api;
 mod batch;
-pub(crate) mod chaos_hook;
 pub mod config;
-pub(crate) mod contention;
 pub mod dir;
-pub(crate) mod fail_hook;
 pub mod fast_ptr;
 pub mod index;
-pub(crate) mod metrics_hook;
 pub mod model;
 pub mod retrain;
 pub mod scan;
@@ -63,3 +59,13 @@ pub mod stats;
 pub use config::{default_build_threads, AltConfig};
 pub use index::{AltCore, AltIndex, FaultStats};
 pub use stats::{AltStats, ArtProbe};
+
+use probe::metrics::Counter;
+
+/// The counters this crate's retry loops record their backoff tiers and
+/// escalations under (`resilience::wait_or_escalate`).
+pub(crate) const LAYER: resilience::LayerCounters = resilience::LayerCounters {
+    escalation: Counter::AltEscalation,
+    backoff_yield: Counter::AltBackoffYield,
+    backoff_park: Counter::AltBackoffPark,
+};

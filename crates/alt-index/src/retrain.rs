@@ -20,6 +20,7 @@ use crate::index::{segment_and_build, AltCore};
 use crate::model::GplModel;
 use crate::slots::SlotState;
 use crossbeam_epoch as epoch;
+use probe::metrics::{self, Counter, Phase};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
@@ -106,14 +107,12 @@ impl AltCore {
         if m.is_retired() || !m.wants_retrain() {
             return;
         }
-        // Priority = the span's overflow pressure (scaled so a span at
-        // exactly its trigger threshold scores 256), boosted by the
-        // process-wide escalation pressure the obs counters record —
-        // spans whose congestion is already forcing pessimistic
-        // fallbacks drain first.
+        // Priority = the span's overflow pressure, scaled so a span at
+        // exactly its trigger threshold scores 256. Nothing process-wide
+        // goes in: a request's rank depends on its own span alone, in
+        // every build.
         let overflow = m.art_inserts.load(Ordering::Relaxed) as u64;
-        let pressure = overflow.saturating_mul(256) / m.build_size.max(16) as u64;
-        let priority = pressure.saturating_add(crate::metrics_hook::escalation_pressure());
+        let priority = overflow.saturating_mul(256) / m.build_size.max(16) as u64;
         // Containment: an injected panic at `sched.enqueue` unwinds to
         // here, not into the inserting thread's caller. The request is
         // simply lost — the next overflow insert re-triggers.
@@ -122,14 +121,14 @@ impl AltCore {
         }))
         .is_err()
         {
-            crate::metrics_hook::retrain_bg_dropped();
+            metrics::incr(Counter::RetrainBgDropped);
         }
     }
 
     /// Count one rolled-back (or contained-after-publish) retrain.
     pub(crate) fn count_rollback(&self) {
         self.rollbacks.fetch_add(1, Ordering::Relaxed);
-        crate::metrics_hook::retrain_rollback();
+        metrics::incr(Counter::RetrainRollback);
     }
 
     /// Collect the span of `dir.models[mi]`: live slots + the ART range.
@@ -173,7 +172,7 @@ impl AltCore {
         } else if let Some(dl) = self.dir_lock.try_lock() {
             dl
         } else {
-            crate::metrics_hook::retrain_skipped_busy();
+            metrics::incr(Counter::RetrainSkippedBusy);
             return;
         };
         let guard = epoch::pin();
@@ -184,19 +183,19 @@ impl AltCore {
             return;
         }
         self.retrain_attempts.fetch_add(1, Ordering::Relaxed);
-        crate::metrics_hook::retrain_attempt();
+        metrics::incr(Counter::RetrainAttempt);
 
         // Phase 1: snapshot under a short writer stall, then let writers
         // back in for the build. Readers stay lock-free throughout.
-        let t_collect = crate::metrics_hook::now_ns();
+        let t_collect = metrics::now_ns();
         let before = {
             let _wl = m.op_lock.write();
             // Injected panic: unwinds through `_wl`/`_dl` (RAII) into
             // the caller's `catch_unwind`; nothing has changed yet.
-            crate::fail_hook::point("retrain.collect");
+            probe::fail::point("retrain.collect");
             self.collect_span(dir, mi, m)
         };
-        crate::metrics_hook::retrain_collect_done(t_collect);
+        metrics::record_phase_ns(Phase::RetrainCollect, metrics::now_ns() - t_collect);
         if before.merged.is_empty() {
             // Everything in the span was removed; nothing to refactor.
             // The overflow inserts that tripped the trigger are gone with
@@ -205,18 +204,18 @@ impl AltCore {
             // overflow insert straight back here for another futile
             // collect-and-bail pass.
             m.art_inserts.store(0, Ordering::Relaxed);
-            crate::metrics_hook::retrain_empty_span();
+            metrics::incr(Counter::RetrainEmptySpan);
             return;
         }
 
         // Build off the write lock: concurrent inserts/updates/removes
         // proceed against the old layout and are reconciled below.
-        let t_build = crate::metrics_hook::now_ns();
+        let t_build = metrics::now_ns();
         // Fallible build: an injected Error/AllocFail (or, one day, a
         // real fallible-allocation failure) aborts the retrain cleanly
         // before anything shared is touched. `art_inserts` is left high
         // on purpose — the next overflow insert retries (self-healing).
-        if crate::fail_hook::should_fail("retrain.build") {
+        if probe::fail::eval("retrain.build").is_err() {
             self.count_rollback();
             return;
         }
@@ -236,24 +235,24 @@ impl AltCore {
         // Mutable conflict set: the delta below may add (new collisions)
         // or drop (conflicted keys removed mid-build) entries.
         let mut conflict_map: BTreeMap<u64, u64> = conflicts.into_iter().collect();
-        crate::metrics_hook::retrain_build_done(t_build);
+        metrics::record_phase_ns(Phase::RetrainBuild, metrics::now_ns() - t_build);
         // Widen the window in which writers mutate the span being
         // rebuilt — everything they do here must survive the reconcile.
-        crate::chaos_hook::point("retrain.build_window");
+        probe::chaos::point("retrain.build_window");
 
         // Phase 2: writers stalled again for reconcile + publish.
         let _wl = m.op_lock.write();
-        let t_reconcile = crate::metrics_hook::now_ns();
+        let t_reconcile = metrics::now_ns();
         // Fallible reconcile: aborting here discards the private build
         // entirely — the old directory is still published, no shared
         // state was touched, and the write lock releases on return.
-        if crate::fail_hook::should_fail("retrain.reconcile") {
+        if probe::fail::eval("retrain.reconcile").is_err() {
             self.count_rollback();
             return;
         }
         let after = self.collect_span(dir, mi, m);
         apply_delta(&models, &before.merged, &after.merged, &mut conflict_map);
-        crate::metrics_hook::retrain_reconcile_done(t_reconcile);
+        metrics::record_phase_ns(Phase::RetrainReconcile, metrics::now_ns() - t_reconcile);
 
         // Every still-conflicting key must be reachable through ART
         // before the swap so no reader window misses it. (Keys that
@@ -271,10 +270,10 @@ impl AltCore {
         // and miss this swap will re-read it, notice the change, and
         // retry instead of mixing an old slot walk with a post-absorb
         // ART view.
-        let t_swap = crate::metrics_hook::now_ns();
+        let t_swap = metrics::now_ns();
         let new_dir = dir.replace(mi, models);
         self.dir_epoch.fetch_add(1, Ordering::Release);
-        crate::chaos_hook::point("retrain.pre_swap");
+        probe::chaos::point("retrain.pre_swap");
         let old = self
             .dir
             .swap(epoch::Owned::new(new_dir), Ordering::AcqRel, &guard);
@@ -289,10 +288,10 @@ impl AltCore {
         unsafe { guard.defer_destroy(old) };
         // Widen the window between directory publication and the retired
         // flag — readers caught here must still find every key.
-        crate::chaos_hook::point("retrain.post_swap");
-        crate::fail_hook::point("retrain.swap");
+        probe::chaos::point("retrain.post_swap");
+        probe::fail::point("retrain.swap");
         drop(retire_guard);
-        crate::metrics_hook::retrain_swap_done(t_swap);
+        metrics::record_phase_ns(Phase::RetrainSwap, metrics::now_ns() - t_swap);
 
         // Remove the ART keys the new slots absorbed (everything in the
         // span's phase-2 ART snapshot except the still-conflicting
@@ -302,17 +301,17 @@ impl AltCore {
         // presence the op paths already handle (the slot copy wins and
         // the values are equal; the next retrain of the span merges them
         // away).
-        let t_cleanup = crate::metrics_hook::now_ns();
+        let t_cleanup = metrics::now_ns();
         for &(k, _) in &after.art_pairs {
             if !conflict_map.contains_key(&k) {
-                crate::chaos_hook::point("retrain.absorb_remove");
-                crate::fail_hook::point("retrain.absorb");
+                probe::chaos::point("retrain.absorb_remove");
+                probe::fail::point("retrain.absorb");
                 self.art.remove(k);
             }
         }
-        crate::metrics_hook::retrain_cleanup_done(t_cleanup);
+        metrics::record_phase_ns(Phase::RetrainCleanup, metrics::now_ns() - t_cleanup);
         self.retrains.fetch_add(1, Ordering::Relaxed);
-        crate::metrics_hook::retrain_completed();
+        metrics::incr(Counter::RetrainCompleted);
     }
 }
 

@@ -16,6 +16,7 @@ use crate::dir::ModelDir;
 use crate::index::AltCore;
 use crate::slots::SlotState;
 use crossbeam_epoch as epoch;
+use probe::metrics::{self, Counter};
 use std::sync::atomic::Ordering;
 
 /// Most keys a chunk is sized for, and the ART entries it can hold (on
@@ -57,7 +58,7 @@ impl AltCore {
         // Retrain churn can move the directory epoch every pass; once the
         // retry budget runs out, one pass under `dir_lock` (the only
         // place the epoch is bumped) is guaranteed to validate.
-        let mut retry = crate::contention::Retry::seeded(lo);
+        let mut retry = resilience::Retry::seeded(lo);
         let mut dl = None;
         loop {
             let epoch_pre = self.dir_epoch.load(Ordering::Acquire);
@@ -72,8 +73,8 @@ impl AltCore {
                 break;
             }
             out.truncate(before);
-            crate::metrics_hook::scan_epoch_retry();
-            if crate::contention::wait_or_escalate(&mut retry) {
+            metrics::incr(Counter::ScanEpochRetry);
+            if resilience::wait_or_escalate(&mut retry, &crate::LAYER) {
                 dl = Some(self.dir_lock.lock());
             }
         }
@@ -118,8 +119,9 @@ impl AltCore {
             if art_len == need {
                 kb = art_side[art_len - 1].0;
             }
-            crate::metrics_hook::scan_chunk(art_len);
-            crate::chaos_hook::point("scan.chunk.post_art");
+            metrics::incr(Counter::ScanChunk);
+            metrics::add(Counter::ScanArtKey, art_len as u64);
+            probe::chaos::point("scan.chunk.post_art");
 
             // Step 2: the slot window of the same interval, merged with
             // the ART side as it is walked; on the transient

@@ -4,10 +4,10 @@
 //! With [`retrain_workers`](crate::config::AltConfig::retrain_workers)
 //! above zero the inserting thread no longer pays the §III-F rebuild on
 //! the hot path — it enqueues a request prioritized by the span's
-//! observed overflow pressure (plus the process-wide escalation pressure
-//! the `obs` counters record, when the `metrics` feature is on) and
-//! returns. Workers pop the highest-pressure span first, FIFO among
-//! ties, and run [`AltCore::retrain_span`](crate::index::AltCore) — the
+//! observed overflow pressure (`256 × art_inserts / build_size`, the
+//! same in every build) and returns. Workers pop the highest-pressure
+//! span first, FIFO among ties, and run
+//! [`AltCore::retrain_span`](crate::index::AltCore) — the
 //! same function an inserting thread runs when there is no pool.
 //!
 //! The queue is bounded (excess requests are shed — the next overflow
@@ -15,6 +15,7 @@
 //! are coalesced.
 
 use crate::index::AltCore;
+use probe::metrics::{self, Counter};
 use std::collections::{BinaryHeap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -35,7 +36,7 @@ const RECOVER_AFTER: u32 = 2;
 /// One queued retrain request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Request {
-    /// Overflow/escalation pressure at enqueue time; higher drains first.
+    /// The span's overflow pressure at enqueue time; higher drains first.
     priority: u64,
     /// Enqueue sequence number; lower (older) drains first among equal
     /// priorities.
@@ -90,8 +91,8 @@ pub(crate) struct SchedShared {
     /// `quiesce` callers wait here for the queue to drain.
     idle: Condvar,
     /// Requests shed at admission or dropped mid-drain. Always-on (the
-    /// `metrics` feature additionally mirrors it into `obs`) so fault
-    /// tests and benches can observe it in any build.
+    /// `metrics` feature additionally mirrors it into `probe::metrics`)
+    /// so fault tests and benches can observe it in any build.
     dropped: AtomicU64,
     /// Background retrain executions contained by `catch_unwind`.
     bg_panics: AtomicU64,
@@ -140,7 +141,7 @@ impl SchedShared {
         // holding it; an injected Panic unwinds into the caller's
         // containment in `trigger_retrain`). Error/AllocFail shed the
         // request — the next overflow insert simply re-enqueues.
-        if crate::fail_hook::should_fail("sched.enqueue") {
+        if probe::fail::eval("sched.enqueue").is_err() {
             self.count_dropped();
             return false;
         }
@@ -152,7 +153,7 @@ impl SchedShared {
     /// persistent injection at `sched.enqueue` can't turn one contained
     /// panic into an infinite inject→re-enqueue loop.
     pub(crate) fn enqueue_unchecked(&self, span_key: u64, key_hint: u64, priority: u64) -> bool {
-        crate::chaos_hook::point("retrain.bg.enqueue");
+        probe::chaos::point("retrain.bg.enqueue");
         let mut q = self.lock_q();
         if q.shutdown || q.heap.len() >= MAX_QUEUE {
             drop(q);
@@ -172,7 +173,7 @@ impl SchedShared {
             key_hint,
             span_key,
         });
-        crate::metrics_hook::retrain_bg_enqueued();
+        metrics::incr(Counter::RetrainBgEnqueued);
         drop(q);
         self.work.notify_one();
         true
@@ -227,7 +228,7 @@ impl SchedShared {
 
     fn count_dropped(&self) {
         self.dropped.fetch_add(1, Ordering::Relaxed);
-        crate::metrics_hook::retrain_bg_dropped();
+        metrics::incr(Counter::RetrainBgDropped);
     }
 
     /// Whether the pool is in degraded mode (background scheduling
@@ -241,11 +242,11 @@ impl SchedShared {
     /// mode (at most once per degraded episode).
     fn note_panic(&self) -> bool {
         self.bg_panics.fetch_add(1, Ordering::Relaxed);
-        crate::metrics_hook::retrain_bg_panic();
+        metrics::incr(Counter::RetrainBgPanic);
         let streak = self.fail_streak.fetch_add(1, Ordering::Relaxed) + 1;
         if streak >= FAIL_STREAK_LIMIT && !self.degraded.swap(true, Ordering::Relaxed) {
             self.degraded_entries.fetch_add(1, Ordering::Relaxed);
-            crate::metrics_hook::degraded_entry();
+            metrics::incr(Counter::RetrainDegradedEntry);
             return true;
         }
         false
@@ -335,15 +336,15 @@ pub(crate) fn spawn_workers(
                         let outcome = {
                             let _in_flight = InFlightGuard(&shared);
                             catch_unwind(AssertUnwindSafe(|| {
-                                crate::chaos_hook::point("retrain.bg.drain");
-                                if crate::fail_hook::should_fail("sched.drain") {
+                                probe::chaos::point("retrain.bg.drain");
+                                if probe::fail::eval("sched.drain").is_err() {
                                     // Injected Error: drop this request
                                     // on the floor; the next overflow
                                     // insert for the span re-enqueues.
                                     shared.count_dropped();
                                     return true;
                                 }
-                                crate::metrics_hook::retrain_bg_drained();
+                                metrics::incr(Counter::RetrainBgDrained);
                                 match core.upgrade() {
                                     Some(core) => {
                                         core.retrain_span(req.key_hint, true);
@@ -367,7 +368,7 @@ pub(crate) fn spawn_workers(
                                 // completed or never started).
                                 shared.note_panic();
                                 shared.respawns.fetch_add(1, Ordering::Relaxed);
-                                crate::metrics_hook::worker_respawn();
+                                metrics::incr(Counter::RetrainWorkerRespawn);
                                 if !shared.is_degraded() {
                                     // Give the span another chance — but
                                     // never from inside a degraded
@@ -404,6 +405,39 @@ mod tests {
         assert!(s.enqueue(40, 41, 3));
         let order: Vec<u64> = (0..4).map(|_| s.pop().unwrap().span_key).collect();
         assert_eq!(order, vec![20, 30, 40, 10]);
+    }
+
+    /// Regression: the priority used to add the process-wide, cumulative
+    /// `alt.escalation` total, so in a `metrics` build a later request
+    /// outranked an earlier one whatever its span's overflow (and one
+    /// index's escalations reordered another's queue). Only a `metrics`
+    /// build moves the counter, so only there can this fail.
+    #[test]
+    fn a_request_ranks_by_its_spans_overflow_alone() {
+        use crate::config::AltConfig;
+        use std::sync::atomic::Ordering::Relaxed;
+
+        // Two far-apart dense runs: at least one model each.
+        let pairs: Vec<(u64, u64)> = (1..=2_000u64)
+            .chain(1 << 40..(1 << 40) + 2_000)
+            .map(|k| (k, k))
+            .collect();
+        let queue = Arc::new(SchedShared::default());
+        let core = AltCore::build(&pairs, AltConfig::default(), Some(Arc::clone(&queue)));
+        let guard = crossbeam_epoch::pin();
+        let dir = core.dir_ref(&guard);
+        let (hot, warm) = (dir.model_for(1), dir.model_for(1 << 40));
+        assert_ne!(hot.first_key, warm.first_key);
+        hot.art_inserts.store(8 * hot.build_size.max(16), Relaxed);
+        warm.art_inserts.store(2 * warm.build_size.max(16), Relaxed);
+
+        core.trigger_retrain(1);
+        probe::metrics::add(Counter::AltEscalation, 1_000_000);
+        core.trigger_retrain(1 << 40);
+
+        assert_eq!(queue.depth(), 2);
+        assert_eq!(queue.pop().unwrap().span_key, hot.first_key);
+        assert_eq!(queue.pop().unwrap().span_key, warm.first_key);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! "used"; a used slot whose key is 0 is a tombstone (the paper's remove
 //! "sets the key to zero").
 
+use probe::metrics::{self, Counter};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// Most cache lines one [`SlotArray::prefetch_window`] call asks for.
@@ -154,12 +155,12 @@ impl SlotArray {
     /// it escalates to a locked read, so the snapshot completes even
     /// against a pathological writer schedule.
     pub fn read(&self, i: usize) -> (SlotState, u32) {
-        let mut retry = crate::contention::Retry::seeded(i as u64);
+        let mut retry = resilience::Retry::seeded(i as u64);
         loop {
             let v1 = self.slots[i].version.load(Ordering::Acquire);
             if v1 & 1 == 1 {
-                crate::metrics_hook::slot_read_retry();
-                if crate::contention::wait_or_escalate(&mut retry) {
+                metrics::incr(Counter::SlotReadRetry);
+                if resilience::wait_or_escalate(&mut retry, &crate::LAYER) {
                     return self.read_locked(i);
                 }
                 continue;
@@ -170,24 +171,24 @@ impl SlotArray {
                 if self.slots[i].version.load(Ordering::Acquire) == v1 {
                     return (SlotState::Empty, v1);
                 }
-                crate::metrics_hook::slot_read_retry();
-                if crate::contention::wait_or_escalate(&mut retry) {
+                metrics::incr(Counter::SlotReadRetry);
+                if resilience::wait_or_escalate(&mut retry, &crate::LAYER) {
                     return self.read_locked(i);
                 }
                 continue;
             }
             let key = self.slots[i].key.load(Ordering::Acquire);
-            crate::chaos_hook::point("slots.read.between_loads");
+            probe::chaos::point("slots.read.between_loads");
             let value = self.slots[i].value.load(Ordering::Acquire);
-            crate::chaos_hook::point("slots.read.pre_validate");
+            probe::chaos::point("slots.read.pre_validate");
             // The mutation self-test deliberately skips this re-validation
             // (chaos-mutate builds only) to prove the harness catches the
             // resulting torn reads.
-            if !crate::chaos_hook::mutate_skip_slot_revalidation()
+            if !probe::chaos::mutate_skip_slot_revalidation()
                 && self.slots[i].version.load(Ordering::Acquire) != v1
             {
-                crate::metrics_hook::slot_read_retry();
-                if crate::contention::wait_or_escalate(&mut retry) {
+                metrics::incr(Counter::SlotReadRetry);
+                if resilience::wait_or_escalate(&mut retry, &crate::LAYER) {
                     return self.read_locked(i);
                 }
                 continue;
@@ -222,7 +223,7 @@ impl SlotArray {
     /// path's progress guarantee — but it does park past the budget so a
     /// long queue stops burning CPU.
     fn lock(&self, i: usize) -> u32 {
-        let mut retry = crate::contention::Retry::seeded(i as u64);
+        let mut retry = resilience::Retry::seeded(i as u64);
         loop {
             let v = self.slots[i].version.load(Ordering::Acquire);
             if v & 1 == 0
@@ -233,14 +234,14 @@ impl SlotArray {
             {
                 // Stretch the odd-version (writer-in-progress) window so
                 // racing readers actually observe it.
-                crate::chaos_hook::point("slots.lock.held");
+                probe::chaos::point("slots.lock.held");
                 return v;
             }
             // Let the testkit perturb lock-acquisition interleavings
             // (who wins a contended CAS), not just the held window.
-            crate::chaos_hook::point("slots.lock.spin");
-            crate::metrics_hook::slot_lock_retry();
-            crate::contention::wait(&mut retry);
+            probe::chaos::point("slots.lock.spin");
+            metrics::incr(Counter::SlotLockRetry);
+            resilience::wait(&mut retry, &crate::LAYER);
         }
     }
 
@@ -277,7 +278,7 @@ impl SlotArray {
     pub fn remove_if_key(&self, i: usize, key: u64) -> Option<u64> {
         self.with_write(i, |g| match g.state() {
             SlotState::Occupied { key: k, value } if k == key => {
-                crate::chaos_hook::point("slots.remove.pre_tombstone");
+                probe::chaos::point("slots.remove.pre_tombstone");
                 g.clear();
                 Some(value)
             }
@@ -383,11 +384,11 @@ impl SlotGuard<'_> {
             // Tombstone reclaim by a *different* key: the window between
             // the two stores is where skipped read-side re-validation
             // leaks the old resident's value.
-            crate::chaos_hook::point("slots.claim.tombstone_write");
+            probe::chaos::point("slots.claim.tombstone_write");
             slot.value.store(value, Ordering::Release);
         } else {
             slot.key.store(key, Ordering::Release);
-            crate::chaos_hook::point("slots.claim.mid_write");
+            probe::chaos::point("slots.claim.mid_write");
             slot.value.store(value, Ordering::Release);
             self.arr.set_occupied(self.i);
         }

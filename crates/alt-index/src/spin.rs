@@ -30,16 +30,16 @@ impl SpinLock {
     /// never escalates — the holder's progress is the guarantee — but it
     /// parks past the retry budget so long waits stop burning CPU.
     pub fn lock(&self) -> SpinGuard<'_> {
-        let mut retry = crate::contention::Retry::new();
+        let mut retry = resilience::Retry::new();
         loop {
             if !self.flag.swap(true, Ordering::Acquire) {
                 // Stretch the critical section so lock-free readers race
                 // the locked writer more often.
-                crate::chaos_hook::point("spin.lock.held");
+                probe::chaos::point("spin.lock.held");
                 return SpinGuard(self);
             }
             while self.flag.load(Ordering::Relaxed) {
-                crate::contention::wait(&mut retry);
+                resilience::wait(&mut retry, &crate::LAYER);
             }
         }
     }

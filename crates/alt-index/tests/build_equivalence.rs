@@ -206,13 +206,13 @@ fn chaos_perturbed_parallel_build_stays_equivalent() {
     for s in 0..8u64 {
         let pairs = generate_pairs(Dataset::Longlat, 24_000, 100 + s);
         let serial = build(&pairs, Some(16.0), 1);
-        let before = testkit::chaos::hits();
+        let before = probe::chaos::hits();
         let par = {
-            let _g = testkit::chaos::install_schedule(0xB111D + s, 384);
+            let _g = probe::chaos::install_schedule(0xB111D + s, 384);
             build(&pairs, Some(16.0), 8)
         };
         assert!(
-            testkit::chaos::hits() > before,
+            probe::chaos::hits() > before,
             "seed {s}: parallel build hit no chaos points"
         );
         assert_equivalent(&serial, &par, &pairs, &format!("chaos seed {s}"));

@@ -72,10 +72,10 @@ fn run_round(round: u64) -> Arc<FastPointerBuffer> {
 fn unmerged_counts_logical_calls_not_retries() {
     // High intensity: delay at (almost) every chaos point, so the
     // pre-install window is wide open for the expander thread.
-    let _guard = testkit::chaos::install_schedule(0x0FA5_7B0F, 1024);
+    let _guard = probe::chaos::install_schedule(0x0FA5_7B0F, 1024);
 
     #[cfg(feature = "metrics")]
-    let before = obs::snapshot();
+    let before = probe::metrics::snapshot();
 
     let rounds = 48u64;
     for r in 0..rounds {
@@ -93,9 +93,9 @@ fn unmerged_counts_logical_calls_not_retries() {
     // when the metrics hooks are compiled in.
     #[cfg(feature = "metrics")]
     {
-        let delta = obs::snapshot().delta(&before);
+        let delta = probe::metrics::snapshot().delta(&before);
         assert!(
-            delta.get(obs::Counter::FastPtrRegisterRetry) > 0,
+            delta.get(probe::metrics::Counter::FastPtrRegisterRetry) > 0,
             "no register retry fired in {rounds} forced races — the \
              regression this test guards was not exercised"
         );

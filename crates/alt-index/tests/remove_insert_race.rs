@@ -68,7 +68,7 @@ fn find_open_slot_key() -> u64 {
 }
 
 fn run_round(seed: u64, base: u64) {
-    let _guard = testkit::chaos::install_schedule(seed, 384);
+    let _guard = probe::chaos::install_schedule(seed, 384);
     let idx = Arc::new(build_index());
 
     // base, base+1, base+2 all predict the same empty slot.

@@ -10,9 +10,9 @@
 //! inserts, removes and bursts dense enough to force retrains.
 
 use alt_index::{AltConfig, AltIndex};
+use probe::SplitMix64;
 use proptest::prelude::*;
 use std::collections::btree_map::{BTreeMap, Entry};
-use testkit::SplitMix64;
 
 /// `got == want`, reporting the first difference rather than both lists.
 fn same(got: &[(u64, u64)], want: &[(u64, u64)], what: &str) -> Result<(), TestCaseError> {

@@ -108,7 +108,7 @@ fn updates_never_go_backwards_through_write_back() {
     let neighbour = key + 1;
     let mut written_back = 0;
     for round in 0..ROUNDS {
-        let _chaos = testkit::chaos::install_schedule(0xB10C_0000 + round, 384);
+        let _chaos = probe::chaos::install_schedule(0xB10C_0000 + round, 384);
         let start = (round + 1) << 32;
         park_in_art(&idx, key, neighbour, start);
         let updating = AtomicUsize::new(1);
@@ -152,7 +152,7 @@ fn a_removed_key_stays_removed_through_write_back() {
     let key = find_open_slot_key(&idx);
     let neighbour = key + 1;
     for round in 0..ROUNDS {
-        let _chaos = testkit::chaos::install_schedule(0xB10C_8000 + round, 384);
+        let _chaos = probe::chaos::install_schedule(0xB10C_8000 + round, 384);
         park_in_art(&idx, key, neighbour, round);
         let removed = AtomicBool::new(false);
         let reading = AtomicUsize::new(2);

@@ -51,6 +51,7 @@
 //! solve. Threads pick a shard by a thread-local id, so disjoint writer
 //! threads don't contend.
 
+use probe::metrics::{self, Counter};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -101,8 +102,12 @@ impl Class {
 
     fn alloc(&self, shard_id: usize) -> *mut u8 {
         // Failpoint checked before taking the shard lock (an injected
-        // Delay must not sleep while holding it).
-        if crate::fail_hook::should_fail("art.arena.alloc") {
+        // Delay must not sleep while holding it). `fire(..).is_some()`,
+        // here and at `art.arena.grow`: *every* injected action, Panic
+        // included, is a failed allocation — node allocation runs inside
+        // OLC write sections, and unwinding out of one would strand
+        // version locks that have no RAII release (DESIGN.md §16).
+        if probe::fail::fire("art.arena.alloc").is_some() {
             return self.alloc_fallback();
         }
         let mut sh = self.shards[shard_id % SHARDS]
@@ -116,7 +121,7 @@ impl Class {
             // the arena is process-global (see module docs).
             let bytes = self.slot * SLOTS_PER_CHUNK;
             let layout = std::alloc::Layout::from_size_align(bytes, 64).unwrap();
-            let grow_failed = crate::fail_hook::should_fail("art.arena.grow");
+            let grow_failed = probe::fail::fire("art.arena.grow").is_some();
             let chunk = if grow_failed {
                 std::ptr::null_mut()
             } else {
@@ -150,7 +155,7 @@ impl Class {
     #[cold]
     fn alloc_fallback(&self) -> *mut u8 {
         ALLOC_FAILS.fetch_add(1, Ordering::Relaxed);
-        crate::metrics_hook::arena_alloc_fail();
+        metrics::incr(Counter::ArenaAllocFail);
         let layout = std::alloc::Layout::from_size_align(self.slot, 64).unwrap();
         // SAFETY: `layout` has nonzero size.
         let p = unsafe { std::alloc::alloc(layout) };

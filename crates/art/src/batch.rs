@@ -22,6 +22,7 @@ use crate::node::{self, NodePtr};
 use crate::olc::Version;
 use crate::tree::{coupled_ok, hop, leaf_value, Art, Hop};
 use crossbeam_epoch as epoch;
+use probe::metrics::{self, Counter};
 use std::sync::atomic::Ordering;
 
 /// Width of the in-flight ring in [`Art::get_batch_amac`]. Eight keys
@@ -42,7 +43,7 @@ pub struct BatchCursor {
     /// next [`hop`].
     parent: NodePtr,
     parent_v: Version,
-    retry: crate::contention::Retry,
+    retry: resilience::Retry,
 }
 
 /// Outcome of one [`Art::batch_step`].
@@ -75,7 +76,7 @@ impl Art {
             depth: 0,
             parent: 0,
             parent_v: 0,
-            retry: crate::contention::Retry::seeded(key),
+            retry: resilience::Retry::seeded(key),
         }
     }
 
@@ -107,7 +108,7 @@ impl Art {
             depth: hdr.match_level(),
             parent: 0,
             parent_v: 0,
-            retry: crate::contention::Retry::seeded(key),
+            retry: resilience::Retry::seeded(key),
         }
     }
 
@@ -121,7 +122,7 @@ impl Art {
     /// pin.
     #[inline]
     pub unsafe fn batch_step(&self, cur: &mut BatchCursor) -> BatchStep {
-        crate::chaos_hook::point("batch.stage");
+        probe::chaos::point("batch.stage");
         let p = cur.p;
         if p == 0 {
             return BatchStep::Done(None);
@@ -140,7 +141,7 @@ impl Art {
                 child, v, depth, ..
             } => {
                 prefetch_node(child);
-                crate::metrics_hook::batch_prefetch();
+                metrics::incr(Counter::ArtBatchPrefetch);
                 (cur.parent, cur.parent_v) = (p, v);
                 (cur.p, cur.depth) = (child, depth);
                 BatchStep::Pending
@@ -152,8 +153,8 @@ impl Art {
     /// escalate or restart the descent from the root.
     #[cold]
     fn batch_restart(&self, cur: &mut BatchCursor) -> BatchStep {
-        crate::metrics_hook::batch_restart();
-        if crate::contention::wait_or_escalate(&mut cur.retry) {
+        metrics::incr(Counter::ArtBatchRestart);
+        if resilience::wait_or_escalate(&mut cur.retry, &crate::LAYER) {
             return BatchStep::Escalate;
         }
         let root = self.root.load(Ordering::Acquire);
@@ -175,7 +176,7 @@ impl Art {
             out.len(),
             keys.len()
         );
-        crate::metrics_hook::batch_keys(keys.len());
+        metrics::add(Counter::ArtBatchKeys, keys.len() as u64);
         // One pin for the whole batch: every cursor's node pointers stay
         // dereferenceable until the ring drains.
         let _guard = epoch::pin();

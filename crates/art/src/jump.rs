@@ -21,6 +21,7 @@ use crate::tree::{
     SetSlotResult,
 };
 use crossbeam_epoch as epoch;
+use probe::metrics::{self, Counter};
 use std::sync::atomic::Ordering;
 
 impl Art {
@@ -50,22 +51,22 @@ impl Art {
             // Retry locally on version conflicts; fall back if the node
             // dies or the retry budget runs out (the root path has its own
             // guaranteed-progress escalation).
-            let mut retry = crate::contention::Retry::seeded(key);
+            let mut retry = resilience::Retry::seeded(key);
             while !hdr.version.is_obsolete() {
                 // Widen the gap between the obsolete check and the descent
                 // — a replacement landing here must still end in Fallback
                 // or a valid read, never a torn traversal.
-                crate::chaos_hook::point("jump.get_from.entry");
+                probe::chaos::point("jump.get_from.entry");
                 if let Ok((leaf, hops)) = descend_leaf(start, key, depth) {
-                    crate::metrics_hook::jump_resume();
+                    metrics::incr(Counter::ArtJumpResume);
                     return FromResult::Done(leaf.map(|l| leaf_value(l)), hops);
                 }
-                if crate::contention::wait_or_escalate(&mut retry) {
+                if resilience::wait_or_escalate(&mut retry, &crate::LAYER) {
                     break;
                 }
             }
         }
-        crate::metrics_hook::jump_fallback();
+        metrics::incr(Counter::ArtJumpFallback);
         FromResult::Fallback
     }
 
@@ -82,23 +83,23 @@ impl Art {
             let hdr = node::header(start);
             // Budget the local retries; on exhaustion de-optimize to a
             // root insert (which carries its own escalation discipline).
-            let mut retry = crate::contention::Retry::seeded(key);
+            let mut retry = resilience::Retry::seeded(key);
             while !hdr.version.is_obsolete() {
                 match self.descend_insert(start, key, value, false, &guard) {
                     Ok(inserted) => {
-                        crate::metrics_hook::jump_resume();
+                        metrics::incr(Counter::ArtJumpResume);
                         return FromResult::Done(inserted, 0);
                     }
                     Err(Abort::NeedsParent) => break,
                     Err(Abort::Restart) => {
-                        if crate::contention::wait_or_escalate(&mut retry) {
+                        if resilience::wait_or_escalate(&mut retry, &crate::LAYER) {
                             break;
                         }
                     }
                 }
             }
         }
-        crate::metrics_hook::jump_fallback();
+        metrics::incr(Counter::ArtJumpFallback);
         FromResult::Fallback
     }
 
@@ -116,10 +117,10 @@ impl Art {
         // Restart budget: exhausting it returns `None`, a pure
         // de-optimization (the caller simply registers no fast pointer
         // for this model boundary and jumps start from the root).
-        let mut retry = crate::contention::Retry::seeded(k1 ^ k2.rotate_left(32));
+        let mut retry = resilience::Retry::seeded(k1 ^ k2.rotate_left(32));
         let mut first = true;
         'restart: loop {
-            if !first && crate::contention::wait_or_escalate(&mut retry) {
+            if !first && resilience::wait_or_escalate(&mut retry, &crate::LAYER) {
                 return None;
             }
             first = false;

@@ -27,11 +27,7 @@
 mod api;
 pub(crate) mod arena;
 mod batch;
-pub(crate) mod chaos_hook;
-pub(crate) mod contention;
-pub(crate) mod fail_hook;
 mod jump;
-pub(crate) mod metrics_hook;
 // Exposed (unstably) for the scalar-vs-SIMD equivalence suite
 // (tests/simd_equivalence.rs) and the batch_lookup bench; the stable
 // surface is the re-export list below.
@@ -48,3 +44,13 @@ pub use node::{key_byte, key_bytes, NodePtr, NodeType, MAX_PREFIX, NO_SLOT};
 pub use olc::VersionLock;
 pub use stats::ArtStats;
 pub use tree::{Art, FromResult, ReplaceHook, SetSlotResult};
+
+use probe::metrics::Counter;
+
+/// The counters this crate's retry loops record their backoff tiers and
+/// escalations under (`resilience::wait_or_escalate`).
+pub(crate) const LAYER: resilience::LayerCounters = resilience::LayerCounters {
+    escalation: Counter::ArtEscalation,
+    backoff_yield: Counter::ArtBackoffYield,
+    backoff_park: Counter::ArtBackoffPark,
+};

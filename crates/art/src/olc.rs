@@ -8,6 +8,7 @@
 //! unlock (adding 2 while the lock bit is set carries into the counter and
 //! clears the lock in a single add).
 
+use probe::metrics::{self, Counter};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 const OBSOLETE_BIT: u64 = 0b01;
@@ -45,17 +46,17 @@ impl VersionLock {
     /// and past the budget the wait parks instead of burning CPU.
     #[inline]
     pub fn read_lock_spin(&self) -> Option<Version> {
-        let mut retry = crate::contention::Retry::new();
+        let mut retry = resilience::Retry::new();
         loop {
             let v = self.word.load(Ordering::Acquire);
             if v & OBSOLETE_BIT != 0 {
                 return None;
             }
             if v & LOCK_BIT == 0 {
-                crate::chaos_hook::point("olc.read_lock_spin");
+                probe::chaos::point("olc.read_lock_spin");
                 return Some(v);
             }
-            crate::contention::wait(&mut retry);
+            resilience::wait(&mut retry, &crate::LAYER);
         }
     }
 
@@ -66,10 +67,10 @@ impl VersionLock {
         // Delay *before* the validating load: reads done since the
         // snapshot stay exposed to concurrent writers a little longer, so
         // a buggy caller that skips re-reads gets caught.
-        crate::chaos_hook::point("olc.validate");
+        probe::chaos::point("olc.validate");
         let ok = self.word.load(Ordering::Acquire) == snapshot;
         if !ok {
-            crate::metrics_hook::olc_restart();
+            metrics::incr(Counter::OlcRestart);
         }
         ok
     }
@@ -78,7 +79,7 @@ impl VersionLock {
     /// `false`) if the version moved.
     #[inline]
     pub fn upgrade(&self, snapshot: Version) -> bool {
-        crate::chaos_hook::point("olc.upgrade");
+        probe::chaos::point("olc.upgrade");
         self.word
             .compare_exchange(
                 snapshot,
@@ -93,7 +94,7 @@ impl VersionLock {
     /// `false` if the node is obsolete.
     #[inline]
     pub fn lock(&self) -> bool {
-        let mut retry = crate::contention::Retry::new();
+        let mut retry = resilience::Retry::new();
         loop {
             let v = self.word.load(Ordering::Acquire);
             if v & OBSOLETE_BIT != 0 {
@@ -102,7 +103,7 @@ impl VersionLock {
             if v & LOCK_BIT == 0 && self.upgrade(v) {
                 return true;
             }
-            crate::contention::wait(&mut retry);
+            resilience::wait(&mut retry, &crate::LAYER);
         }
     }
 

@@ -10,9 +10,9 @@
 //! identity).
 
 use art::{Art, FromResult};
+use probe::SplitMix64;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use testkit::SplitMix64;
 
 /// A key from a universe small enough that paths share long prefixes
 /// (compressed prefixes to split, two-child nodes to merge) with one wide

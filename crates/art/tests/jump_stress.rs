@@ -50,7 +50,7 @@ fn register(art: &Art, buf: &OneSlot, k1: u64, k2: u64) -> bool {
 #[test]
 fn jumps_stay_correct_under_structural_churn() {
     let _serial = SCHEDULE_OWNER.lock().unwrap_or_else(|e| e.into_inner());
-    let _chaos = testkit::chaos::install_schedule(0x1A3B_0001, 128);
+    let _chaos = probe::chaos::install_schedule(0x1A3B_0001, 128);
     let buf = Arc::new(OneSlot(AtomicUsize::new(0)));
     let art = Arc::new(Art::with_hook(Arc::new(OneSlotHookProxy(Arc::clone(&buf)))));
 
@@ -151,7 +151,7 @@ impl ReplaceHook for OneSlotHookProxy {
 #[test]
 fn jump_pointer_survives_merges_and_shrinks() {
     let _serial = SCHEDULE_OWNER.lock().unwrap_or_else(|e| e.into_inner());
-    let _chaos = testkit::chaos::install_schedule(0x1A3B_0002, 128);
+    let _chaos = probe::chaos::install_schedule(0x1A3B_0002, 128);
     let buf = Arc::new(OneSlot(AtomicUsize::new(0)));
     let art = Arc::new(Art::with_hook(Arc::new(OneSlotHookProxy(Arc::clone(&buf)))));
     let base = 0x0F0E_0D0C_0000_0000u64;

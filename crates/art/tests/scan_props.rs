@@ -9,9 +9,9 @@
 //! included — and result limits of 0, 1, exactly what is there, and more.
 
 use art::Art;
+use probe::SplitMix64;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use testkit::SplitMix64;
 
 /// Three bytes of compressed prefix above a Node256.
 const WIDE: u64 = 0x5A5A_5A00_0000_0000;

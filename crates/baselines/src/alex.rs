@@ -22,6 +22,7 @@ use crossbeam_epoch as epoch;
 use index_api::{BulkLoad, ConcurrentIndex, IndexError, Key, Result, Value};
 use learned::LinearModel;
 use parking_lot::Mutex;
+use probe::metrics::{self, Counter};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -464,7 +465,7 @@ impl ConcurrentIndex for AlexLike {
             return None;
         }
         let guard = epoch::pin();
-        let mut retry = crate::contention::Retry::seeded(key);
+        let mut retry = resilience::Retry::seeded(key);
         loop {
             let dir = self.dir.load(&guard);
             let node = &dir.nodes[dir.locate(key)];
@@ -476,14 +477,14 @@ impl ConcurrentIndex for AlexLike {
                 if node.retired.load(Ordering::Acquire) {
                     // Retired ⇒ a split committed; the reload is bounded
                     // by split progress, but charge the budget anyway.
-                    if crate::contention::wait_or_escalate(&mut retry) {
+                    if resilience::wait_or_escalate(&mut retry, &crate::LAYER) {
                         return self.get_locked(key);
                     }
                     continue;
                 }
                 return res;
             }
-            if crate::contention::wait_or_escalate(&mut retry) {
+            if resilience::wait_or_escalate(&mut retry, &crate::LAYER) {
                 return self.get_locked(key);
             }
         }
@@ -501,7 +502,7 @@ impl ConcurrentIndex for AlexLike {
                     continue;
                 }
                 prefetch::prefetch_read_ref(&dir.nodes[dir.locate(k)]);
-                crate::metrics_hook::batch_prefetch();
+                metrics::incr(Counter::BaselineBatchPrefetch);
             }
         });
     }

@@ -23,7 +23,7 @@ pub(crate) const PREFETCH_GROUP: usize = 16;
 /// prefetch-pass / probe-pass over [`PREFETCH_GROUP`]-sized groups.
 /// `prefetch_group` receives each group of keys and is expected to issue
 /// one prefetch per key (skipping the reserved key 0) and record it via
-/// [`crate::metrics_hook::batch_prefetch`].
+/// `Counter::BaselineBatchPrefetch`.
 pub(crate) fn get_batch_grouped<I, F>(
     idx: &I,
     keys: &[u64],

@@ -19,6 +19,7 @@ use index_api::{BulkLoad, ConcurrentIndex, IndexError, Key, Result, Value};
 use learned::search::{bounded_search, bounded_search_pos};
 use learned::{lpa_segment, LinearModel};
 use parking_lot::Mutex;
+use probe::metrics::{self, Counter};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -214,7 +215,7 @@ impl ConcurrentIndex for FinedexLike {
                     continue;
                 }
                 prefetch::prefetch_read_ref(self.locate(k));
-                crate::metrics_hook::batch_prefetch();
+                metrics::incr(Counter::BaselineBatchPrefetch);
             }
         });
     }

@@ -31,11 +31,8 @@
 
 pub mod alex;
 pub(crate) mod batch;
-pub(crate) mod chaos_hook;
-pub(crate) mod contention;
 pub mod finedex;
 pub mod lipp;
-pub(crate) mod metrics_hook;
 pub mod rcu;
 pub mod seqlock;
 pub mod xindex;
@@ -44,3 +41,13 @@ pub use alex::AlexLike;
 pub use finedex::FinedexLike;
 pub use lipp::LippLike;
 pub use xindex::XIndexLike;
+
+use probe::metrics::Counter;
+
+/// The counters this crate's retry loops record their backoff tiers and
+/// escalations under (`resilience::wait_or_escalate`).
+pub(crate) const LAYER: resilience::LayerCounters = resilience::LayerCounters {
+    escalation: Counter::BaselineEscalation,
+    backoff_yield: Counter::BaselineBackoffYield,
+    backoff_park: Counter::BaselineBackoffPark,
+};

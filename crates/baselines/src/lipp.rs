@@ -20,6 +20,7 @@
 use crate::seqlock::SeqLock;
 use index_api::{BulkLoad, ConcurrentIndex, IndexError, Key, Result, Value};
 use learned::LinearModel;
+use probe::metrics::{self, Counter};
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -183,7 +184,7 @@ impl ConcurrentIndex for LippLike {
             return None;
         }
         let mut node = &self.root;
-        let mut retry = crate::contention::Retry::seeded(key);
+        let mut retry = resilience::Retry::seeded(key);
         let mut escalated = false;
         loop {
             let slot = node.predict(key);
@@ -238,7 +239,7 @@ impl ConcurrentIndex for LippLike {
             }
             // Validation failed: retry the same node, escalating to the
             // write-locked descent once the budget runs out.
-            escalated = crate::contention::wait_or_escalate(&mut retry);
+            escalated = resilience::wait_or_escalate(&mut retry, &crate::LAYER);
         }
     }
 
@@ -253,8 +254,8 @@ impl ConcurrentIndex for LippLike {
                 let slot = self.root.predict(k);
                 prefetch::prefetch_read_ref(&self.root.tags[slot]);
                 prefetch::prefetch_read_ref(&self.root.keys[slot]);
-                crate::metrics_hook::batch_prefetch();
-                crate::metrics_hook::batch_prefetch();
+                metrics::incr(Counter::BaselineBatchPrefetch);
+                metrics::incr(Counter::BaselineBatchPrefetch);
             }
         });
     }

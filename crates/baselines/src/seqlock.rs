@@ -2,6 +2,7 @@
 //! scheme" ALEX+ and LIPP+ adopt (Wongkham et al., VLDB 2022). Writers
 //! are mutually exclusive; readers validate a version snapshot.
 
+use probe::metrics::{self, Counter};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Even = stable, odd = writer in progress.
@@ -22,25 +23,25 @@ impl SeqLock {
     /// budget instead of burning CPU.
     #[inline]
     pub fn read_begin(&self) -> u64 {
-        let mut retry = crate::contention::Retry::new();
+        let mut retry = resilience::Retry::new();
         loop {
             let v = self.v.load(Ordering::Acquire);
             if v & 1 == 0 {
-                crate::chaos_hook::point("seqlock.read_begin");
+                probe::chaos::point("seqlock.read_begin");
                 return v;
             }
-            crate::metrics_hook::seqlock_read_retry();
-            crate::contention::wait(&mut retry);
+            metrics::incr(Counter::SeqlockReadRetry);
+            resilience::wait(&mut retry, &crate::LAYER);
         }
     }
 
     /// True if nothing was written since the snapshot.
     #[inline]
     pub fn read_validate(&self, snapshot: u64) -> bool {
-        crate::chaos_hook::point("seqlock.read_validate");
+        probe::chaos::point("seqlock.read_validate");
         let ok = self.v.load(Ordering::Acquire) == snapshot;
         if !ok {
-            crate::metrics_hook::seqlock_read_retry();
+            metrics::incr(Counter::SeqlockReadRetry);
         }
         ok
     }
@@ -48,7 +49,7 @@ impl SeqLock {
     /// Acquire the write side (tiered backoff while contended).
     #[inline]
     pub fn write_lock(&self) {
-        let mut retry = crate::contention::Retry::new();
+        let mut retry = resilience::Retry::new();
         loop {
             let v = self.v.load(Ordering::Relaxed);
             if v & 1 == 0
@@ -59,10 +60,10 @@ impl SeqLock {
             {
                 // Stretch the odd-version window racing readers must ride
                 // out.
-                crate::chaos_hook::point("seqlock.write_lock.held");
+                probe::chaos::point("seqlock.write_lock.held");
                 return;
             }
-            crate::contention::wait(&mut retry);
+            resilience::wait(&mut retry, &crate::LAYER);
         }
     }
 

@@ -20,6 +20,7 @@ use index_api::{BulkLoad, ConcurrentIndex, IndexError, Key, Result, Value};
 use learned::search::bounded_search;
 use learned::LinearModel;
 use parking_lot::{Condvar, Mutex};
+use probe::metrics::{self, Counter};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -334,7 +335,7 @@ impl ConcurrentIndex for XIndexLike {
                     continue;
                 }
                 prefetch::prefetch_read_ref(&dir.groups[dir.locate(k)]);
-                crate::metrics_hook::batch_prefetch();
+                metrics::incr(Counter::BaselineBatchPrefetch);
             }
         });
     }

@@ -1,12 +1,13 @@
 //! Seeded schedule-perturbing chaos points.
 //!
 //! Instrumented crates call [`point`] at protocol-critical sites (slot
-//! claim, version validate, lock acquire, directory swap, …). When a
+//! claim, version validate, lock acquire, directory swap, …; TESTING.md
+//! "Chaos points" lists every site and the file it perturbs). When a
 //! chaos schedule is installed, each call consults a **per-thread**
 //! deterministic SplitMix64 stream and, with configured probability,
 //! perturbs the schedule: a bounded spin, a `thread::yield_now`, or a
-//! short sleep. With no schedule installed the call is two relaxed
-//! atomic loads and returns.
+//! short sleep. With no schedule installed the call is one atomic load
+//! and returns; without the `chaos` feature it is nothing at all.
 //!
 //! Determinism model: the perturbation *decisions* are a pure function
 //! of `(seed, thread-registration-index, call-count)`. The OS still
@@ -15,12 +16,27 @@
 //! Crucially the decision path shares no mutable state between threads —
 //! cross-thread synchronization here would order the very accesses we
 //! are trying to race.
+//!
+//! # Mutation self-test
+//!
+//! [`mutate_skip_slot_revalidation`] is the runtime switch of a
+//! deliberately-broken protocol variant: with the `chaos-mutate` feature
+//! on and [`set_mutation`]`(true)`, `SlotArray::read` in `alt-index`
+//! skips its version re-validation, and `tests/mutation_selftest.rs`
+//! asserts the oracle flags a violation within the CI seed matrix. The
+//! flag is process-global, which is why that test lives in its **own**
+//! integration-test binary: cargo runs each test binary as a separate
+//! process, so enabling the mutation there cannot poison tests running
+//! elsewhere in parallel.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 
-use crate::SplitMix64;
+use crate::{site_hash, SplitMix64};
+
+/// Whether [`point`] does anything in this build (the `chaos` feature).
+pub const ENABLED: bool = cfg!(feature = "chaos");
 
 /// Global schedule generation. Even = disabled, odd = enabled. Bumped
 /// twice per install so threads can detect schedule changes and re-seed
@@ -36,6 +52,8 @@ static NEXT_THREAD: AtomicUsize = AtomicUsize::new(0);
 /// relaxed — used only to assert instrumentation is actually reached;
 /// compare before/after deltas).
 static HITS: AtomicU64 = AtomicU64::new(0);
+/// The mutation self-test's runtime switch.
+static MUTATION: AtomicBool = AtomicBool::new(false);
 
 /// Hits per site, in an open-addressed table keyed by the site's hash
 /// (0 marks a free entry). Relaxed atomics only, like [`HITS`]: a lock
@@ -134,17 +152,33 @@ fn site_entry(hash: u64, claim: bool) -> Option<&'static AtomicU64> {
     None
 }
 
-/// The chaos hook. Instrumented crates call this (through their cfg'd
-/// forwarder) at protocol-critical sites. `site` names the call site for
-/// diagnostics; it also salts the per-call decision so distinct sites
-/// perturb independently.
-#[inline]
+/// The chaos point. `site` names the call site for diagnostics; it also
+/// salts the per-call decision so distinct sites perturb independently.
+/// Never unwinds. Compiles to nothing without the `chaos` feature.
+#[inline(always)]
 pub fn point(site: &'static str) {
-    let generation = GENERATION.load(Ordering::Acquire);
-    if generation.is_multiple_of(2) {
-        return; // No schedule installed.
+    if ENABLED {
+        let generation = GENERATION.load(Ordering::Acquire);
+        // Even: no schedule installed.
+        if !generation.is_multiple_of(2) {
+            perturb(site, generation);
+        }
     }
-    perturb(site, generation);
+}
+
+/// Turn the compiled-in mutation on or off (a no-op unless built with
+/// `chaos-mutate`).
+pub fn set_mutation(on: bool) {
+    MUTATION.store(on, Ordering::Release);
+}
+
+/// Whether the deliberately-broken slot read (skipped version
+/// re-validation) is active: only ever true when built with
+/// `chaos-mutate` *and* [`set_mutation`]`(true)` was called. Constant
+/// `false`, folded away, without the feature.
+#[inline(always)]
+pub fn mutate_skip_slot_revalidation() -> bool {
+    cfg!(feature = "chaos-mutate") && MUTATION.load(Ordering::Acquire)
 }
 
 #[cold]
@@ -196,16 +230,6 @@ fn perturb(site: &'static str, generation: u32) {
     }
 }
 
-fn site_hash(site: &str) -> u64 {
-    // FNV-1a, compile-time-stable across runs (no RandomState).
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in site.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,6 +250,7 @@ mod tests {
         }
     }
 
+    #[cfg(feature = "chaos")]
     #[test]
     fn installed_schedule_counts_hits() {
         let before = hits();
@@ -243,8 +268,26 @@ mod tests {
         drop(guard);
     }
 
+    #[cfg(not(feature = "chaos"))]
     #[test]
-    fn site_hash_distinguishes_sites() {
-        assert_ne!(site_hash("slots.read"), site_hash("slots.claim"));
+    fn verbs_are_nothing_when_the_feature_is_off() {
+        let _guard = install_schedule(42, 1024);
+        for _ in 0..100 {
+            point("test.off");
+        }
+        assert_eq!(hits(), 0);
+        assert_eq!(site_hits("test.off"), 0);
+    }
+
+    #[test]
+    fn mutation_flag_needs_the_feature_and_the_switch() {
+        assert!(!mutate_skip_slot_revalidation());
+        set_mutation(true);
+        assert_eq!(
+            mutate_skip_slot_revalidation(),
+            cfg!(feature = "chaos-mutate")
+        );
+        set_mutation(false);
+        assert!(!mutate_skip_slot_revalidation());
     }
 }

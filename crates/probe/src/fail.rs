@@ -1,11 +1,21 @@
 //! Deterministic fault injection behind named sites.
 //!
-//! The shape mirrors `testkit::chaos`: instrumented crates call a
-//! per-crate `fail_hook` forwarder that is compiled away entirely unless
-//! their `fault` feature is on, so a default build pays nothing. With the
-//! feature on, every call lands here: an installed **failpoint** decides
-//! — deterministically, per its trigger policy — whether the site fires,
+//! Instrumented crates call [`point`], [`eval`] or [`fire`] at a site
+//! that DESIGN.md §16 has a rollback argument for (its table lists every
+//! site, where it sits and which actions it honours). Without the `fault`
+//! feature the three verbs compile to nothing, so a default build pays
+//! nothing. With it, an installed **failpoint** decides —
+//! deterministically, per its trigger policy — whether the site fires,
 //! and if so which [`FailAction`] it takes.
+//!
+//! Which verb a site uses is its contract: [`point`] where there is no
+//! error channel (Panic unwinds, Delay sleeps, Error/AllocFail are
+//! ignored), [`eval`] where the caller can abort cleanly on `Err`, and
+//! [`fire`] where the caller maps *every* action onto its own failure
+//! channel — the ART arena treats any injected action, Panic included, as
+//! a failed allocation (`fire(..).is_some()`), because unwinding out of
+//! the allocator would strand OLC version locks that have no RAII
+//! release.
 //!
 //! Actions:
 //!
@@ -29,15 +39,22 @@
 //!
 //! Configuration is programmatic ([`install`], returning a [`FailGuard`]
 //! that uninstalls on drop) or environmental: `ALT_FAIL_POINTS`
-//! (`site=action[@trigger];...`, see [`install_from_env`]) and
-//! `ALT_FAIL_SEED` are read once, on the first evaluated site, so any
-//! fault-enabled binary honours them without code changes.
+//! and `ALT_FAIL_SEED` are read once, on the first evaluated site (or the
+//! first [`install`]), so any fault-enabled binary honours them without
+//! code changes. `ALT_FAIL_POINTS` is split on `;` into
+//! `site=action[@trigger]`, where action is `panic`, `error`,
+//! `alloc_fail` or `delay:<ms>`, and trigger is a decimal `N` (n-th hit)
+//! or `pP` (probability P/1024); no trigger = every hit. Example:
+//! `ALT_FAIL_POINTS="retrain.build=error@3;sched.drain=panic@p64"`.
+//! Env-installed failpoints have no guard: they live for the process.
 
-#![warn(missing_docs)]
-
-use std::sync::atomic::{AtomicI32, AtomicU64, Ordering};
+use crate::{site_hash, SplitMix64};
+use std::sync::atomic::{AtomicI32, Ordering};
 use std::sync::{Mutex, Once, PoisonError};
 use std::time::Duration;
+
+/// Whether the verbs do anything in this build (the `fault` feature).
+pub const ENABLED: bool = cfg!(feature = "fault");
 
 /// What an installed failpoint does when its trigger fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,10 +126,6 @@ static REGISTRY: Mutex<Registry> = Mutex::new(Registry {
 static ACTIVE: AtomicI32 = AtomicI32::new(-1);
 static ENV_INIT: Once = Once::new();
 
-/// Total hits across all sites (installed or not evaluated — only
-/// evaluated sites count). Vacuity checks compare before/after deltas.
-static TOTAL_HITS: AtomicU64 = AtomicU64::new(0);
-
 fn registry() -> std::sync::MutexGuard<'static, Registry> {
     // A panicking *injected* thread may hold this lock only between
     // trigger evaluation and return — never across the panic itself —
@@ -181,15 +194,20 @@ pub fn fires(site: &str) -> u64 {
         .sum()
 }
 
-/// Total evaluated hits across every site, process-wide, monotonic.
-pub fn total_hits() -> u64 {
-    TOTAL_HITS.load(Ordering::Relaxed)
-}
-
 /// Low-level evaluation: record a hit at `site` and return the fired
 /// action, if any. [`FailAction::Delay`] is executed here (the sleep) and
 /// reported as `None`; the caller decides what Panic/Error/AllocFail mean.
+/// Constant `None`, folded away, without the `fault` feature.
+#[inline(always)]
 pub fn fire(site: &'static str) -> Option<FailAction> {
+    if ENABLED {
+        evaluate(site)
+    } else {
+        None
+    }
+}
+
+fn evaluate(site: &'static str) -> Option<FailAction> {
     let n = ACTIVE.load(Ordering::Acquire);
     if n == 0 {
         return None;
@@ -206,7 +224,6 @@ pub fn fire(site: &'static str) -> Option<FailAction> {
         let mut fired = None;
         for e in r.entries.iter_mut().filter(|e| e.site == site) {
             e.hits += 1;
-            TOTAL_HITS.fetch_add(1, Ordering::Relaxed);
             let fires = match e.trigger {
                 Trigger::Always => true,
                 Trigger::Nth(n) => e.hits == n,
@@ -235,6 +252,7 @@ pub fn fire(site: &'static str) -> Option<FailAction> {
 
 /// Evaluate `site`: execute Panic (unwinds from here) and Delay
 /// in place, surface Error/AllocFail to the caller.
+#[inline(always)]
 pub fn eval(site: &'static str) -> Result<(), Injected> {
     match fire(site) {
         None | Some(FailAction::Delay(_)) => Ok(()),
@@ -246,6 +264,7 @@ pub fn eval(site: &'static str) -> Result<(), Injected> {
 
 /// Evaluate `site` at a point with no error channel: Panic and Delay
 /// execute; Error/AllocFail injections are ignored (documented per site).
+#[inline(always)]
 pub fn point(site: &'static str) {
     let _ = eval(site);
 }
@@ -275,17 +294,6 @@ fn init_env() {
         }
         ACTIVE.store(r.entries.len() as i32, Ordering::Release);
     });
-}
-
-/// Install every failpoint named in `ALT_FAIL_POINTS` (idempotent; also
-/// happens automatically on the first evaluated site). Format, split on
-/// `;`: `site=action[@trigger]` where action is `panic`, `error`,
-/// `alloc_fail`, or `delay:<ms>`, and trigger is a decimal `N` (n-th hit)
-/// or `pP` (probability P/1024); no trigger = every hit. Example:
-/// `ALT_FAIL_POINTS="retrain.build=error@3;sched.drain=panic@p64"`.
-/// Env-installed failpoints have no guard: they live for the process.
-pub fn install_from_env() {
-    init_env();
 }
 
 fn parse_spec(spec: &str) -> Vec<(String, FailAction, Trigger)> {
@@ -336,34 +344,6 @@ fn parse_spec(spec: &str) -> Vec<(String, FailAction, Trigger)> {
     out
 }
 
-fn site_hash(site: &str) -> u64 {
-    // FNV-1a: compile-time-stable across runs.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in site.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn new(seed: u64) -> Self {
-        Self(seed)
-    }
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-    fn next_below(&mut self, bound: u64) -> u64 {
-        self.next_u64() % bound.max(1)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -383,6 +363,18 @@ mod tests {
         assert_eq!(fire("test.nothing"), None);
     }
 
+    #[cfg(not(feature = "fault"))]
+    #[test]
+    fn verbs_are_nothing_when_the_feature_is_off() {
+        let _l = lock();
+        let _g = install("test.off", FailAction::Panic, Trigger::Always);
+        point("test.off");
+        assert_eq!(eval("test.off"), Ok(()));
+        assert_eq!(fire("test.off"), None);
+        assert_eq!(hits("test.off"), 0);
+    }
+
+    #[cfg(feature = "fault")]
     #[test]
     fn nth_trigger_fires_exactly_once() {
         let _l = lock();
@@ -397,6 +389,7 @@ mod tests {
         assert_eq!(eval("test.nth"), Ok(()), "guard drop uninstalls");
     }
 
+    #[cfg(feature = "fault")]
     #[test]
     fn panic_action_carries_injected_payload() {
         let _l = lock();
@@ -409,6 +402,7 @@ mod tests {
         assert_eq!(p.site, "test.panic");
     }
 
+    #[cfg(feature = "fault")]
     #[test]
     fn alloc_fail_surfaces_and_delay_passes() {
         let _l = lock();
@@ -420,6 +414,7 @@ mod tests {
         assert_eq!(fires("test.delay"), 1);
     }
 
+    #[cfg(feature = "fault")]
     #[test]
     fn probability_is_seeded_and_deterministic() {
         let _l = lock();
@@ -472,6 +467,7 @@ mod tests {
         );
     }
 
+    #[cfg(feature = "fault")]
     #[test]
     fn first_firing_wins_across_stacked_entries() {
         let _l = lock();

@@ -3,7 +3,10 @@
 //! track tail latency without keeping every sample. Quantiles report
 //! the bucket lower edge of the exact sorted-sample quantile: at most
 //! one sub-bucket width (1/32 ≈ 3.1%) below the true value, never
-//! above it (proven by `tests/histogram_props.rs`).
+//! above it (proven by `crates/workloads/tests/histogram_props.rs`; the
+//! type is re-exported as `workloads::LatencyHistogram`, and lives here
+//! because [`crate::metrics`]' phase timers share its bucket layout and
+//! this crate sits below `workloads` in the dependency graph).
 //!
 //! Buckets: 64 magnitude tiers (one per leading-bit position) × 32
 //! linear sub-buckets each, covering the full `u64` nanosecond range.
@@ -29,9 +32,9 @@ impl Default for LatencyHistogram {
 }
 
 impl LatencyHistogram {
-    /// Total number of buckets. External recorders (e.g. the `obs`
-    /// crate's atomic histograms) size their count arrays with this and
-    /// share the exact same bucket layout via
+    /// Total number of buckets. External recorders (e.g.
+    /// [`crate::metrics`]' atomic phase histograms) size their count
+    /// arrays with this and share the exact same bucket layout via
     /// [`LatencyHistogram::bucket_index`].
     pub const NUM_BUCKETS: usize = TIERS * SUB;
 

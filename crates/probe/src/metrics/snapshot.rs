@@ -7,28 +7,26 @@
 //! That is the right trade for telemetry — `delta` between a snapshot
 //! taken before and after a measured region attributes events to it.
 
-use crate::counters::{self, Counter, NUM_COUNTERS};
-use crate::phases::{self, Phase, NUM_PHASES};
+use super::{phase_counts, total, Counter, Phase};
+use crate::histogram::LatencyHistogram;
 use std::fmt::Write as _;
-use workloads::LatencyHistogram;
+
+const NUM_COUNTERS: usize = Counter::ALL.len();
 
 /// A point-in-time reading of all counters and phase histograms.
 #[derive(Clone)]
 pub struct MetricsSnapshot {
     counts: [u64; NUM_COUNTERS],
-    phases: Vec<Vec<u64>>, // NUM_PHASES × LatencyHistogram::NUM_BUCKETS
+    phases: Vec<Vec<u64>>, // Phase::ALL.len() × LatencyHistogram::NUM_BUCKETS
 }
 
 /// Capture the current value of every counter and phase histogram.
 pub fn snapshot() -> MetricsSnapshot {
     let mut counts = [0u64; NUM_COUNTERS];
     for (i, c) in Counter::ALL.iter().enumerate() {
-        counts[i] = counters::total(*c);
+        counts[i] = total(*c);
     }
-    let phases = Phase::ALL
-        .iter()
-        .map(|p| phases::phase_counts(*p))
-        .collect();
+    let phases = Phase::ALL.iter().map(|p| phase_counts(*p)).collect();
     MetricsSnapshot { counts, phases }
 }
 
@@ -45,11 +43,13 @@ impl MetricsSnapshot {
         for (i, c) in counts.iter_mut().enumerate() {
             *c = self.counts[i].saturating_sub(earlier.counts[i]);
         }
-        let phases = (0..NUM_PHASES)
-            .map(|p| {
-                self.phases[p]
-                    .iter()
-                    .zip(&earlier.phases[p])
+        let phases = self
+            .phases
+            .iter()
+            .zip(&earlier.phases)
+            .map(|(now, then)| {
+                now.iter()
+                    .zip(then)
                     .map(|(a, b)| a.saturating_sub(*b))
                     .collect()
             })
@@ -103,8 +103,8 @@ impl MetricsSnapshot {
         }
         if self.total_events() == 0 {
             out.push_str(
-                "  (all zero — either nothing ran, or the instrumented crates \
-                 were built without the `metrics` feature)\n",
+                "  (all zero — either nothing ran, or this build is without \
+                 the `metrics` feature)\n",
             );
         }
         out
@@ -120,10 +120,11 @@ impl std::fmt::Debug for MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{incr, record_phase_ns};
 
+    #[cfg(feature = "metrics")]
     #[test]
     fn delta_attributes_events_to_the_region() {
+        use crate::metrics::{incr, record_phase_ns};
         let before = snapshot();
         incr(Counter::ScanEpochRetry);
         incr(Counter::ScanEpochRetry);

@@ -32,8 +32,6 @@
 
 #![warn(missing_docs)]
 
-mod chaos_hook;
-mod metrics_hook;
 mod router;
 mod serve;
 mod structure;

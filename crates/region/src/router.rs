@@ -28,9 +28,10 @@
 //!   `retired` and re-route). Each write therefore executes exactly once
 //!   on a live shard.
 
-use crate::{metrics_hook, RegionConfig};
+use crate::RegionConfig;
 use crossbeam_epoch::{self as epoch, Atomic};
 use index_api::{BulkLoad, ConcurrentIndex, Key, Result, Value};
+use probe::metrics::{self, Counter};
 use resilience::{Retry, Step};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
@@ -175,7 +176,7 @@ impl<I> Inner<I> {
 
     pub(crate) fn note_retry(&self) {
         self.stats.route_retries.fetch_add(1, Ordering::Relaxed);
-        metrics_hook::route_retry();
+        metrics::incr(Counter::RegionRouteRetry);
     }
 }
 

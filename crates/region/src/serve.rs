@@ -36,9 +36,9 @@
 //! degrades by rejecting, not by collapsing: P99.9 of *served* requests
 //! stays bounded by `max_depth` × flush latency.
 
-use crate::metrics_hook;
 use crate::router::lock;
 use index_api::{ConcurrentIndex, Key, Value};
+use probe::metrics::{self, Counter};
 use resilience::{Retry, Step};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -202,7 +202,7 @@ impl BatchServer {
         self.stats
             .batched_keys
             .fetch_add(n as u64, Ordering::Relaxed);
-        metrics_hook::batch_flush();
+        metrics::incr(Counter::RegionBatchFlush);
         for (tx, v) in txs.into_iter().flatten().zip(out) {
             // A dropped receiver (cancelled caller) is fine.
             let _ = tx.send(v);

@@ -27,6 +27,10 @@
 //! given at construction), so a fixed seed yields a reproducible wait
 //! sequence — the property the proptests in this crate pin down.
 //!
+//! Call sites use the [`wait_or_escalate`] / [`wait`] pair, which step a
+//! [`Retry`] against the global policy and record the tier transitions
+//! and the escalation under the calling layer's [`LayerCounters`].
+//!
 //! Everything is per-attempt stack-local; the only shared state is the
 //! process-global default [`ContentionPolicy`], read lazily on the first
 //! *retry* (never on first-try success) and overridable per-index via
@@ -35,6 +39,8 @@
 
 #![warn(missing_docs)]
 
+use probe::metrics::{self, Counter};
+use probe::SplitMix64;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Once;
 use std::time::Duration;
@@ -126,21 +132,12 @@ pub struct WaitStep {
     pub park_ns: u64,
 }
 
-#[inline]
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Stack-local tiered backoff. Construction is free (two integers); the
 /// first `wait` call is the first cost a contended path pays.
 #[derive(Debug, Clone)]
 pub struct Backoff {
     attempts: u32,
-    rng: u64,
+    rng: SplitMix64,
 }
 
 impl Default for Backoff {
@@ -162,7 +159,7 @@ impl Backoff {
     pub const fn seeded(seed: u64) -> Self {
         Backoff {
             attempts: 0,
-            rng: seed,
+            rng: SplitMix64::new(seed),
         }
     }
 
@@ -198,7 +195,7 @@ impl Backoff {
                 let base = pol.park_ns_base.saturating_shl(k).min(pol.park_ns_max);
                 // 50–100% of the doubled base, deterministically jittered
                 // so parked threads don't wake in lockstep.
-                park_ns = base / 2 + splitmix64(&mut self.rng) % (base / 2 + 1);
+                park_ns = base / 2 + self.rng.next_below(base / 2 + 1);
                 std::thread::sleep(Duration::from_nanos(park_ns));
             }
         }
@@ -367,6 +364,71 @@ impl Retry {
         let pol = *self.cached.get_or_insert_with(global);
         self.backoff.wait(&pol)
     }
+}
+
+/// The three counters one layer (`alt.*`, `art.*`, `baseline.*`) records
+/// its contention under.
+#[derive(Debug, Clone, Copy)]
+pub struct LayerCounters {
+    /// A retry budget ran out and the caller took its pessimistic
+    /// fallback.
+    pub escalation: Counter,
+    /// A retry loop entered the Yield tier.
+    pub backoff_yield: Counter,
+    /// A retry loop entered the Park tier.
+    pub backoff_park: Counter,
+}
+
+impl LayerCounters {
+    fn record(&self, step: WaitStep) {
+        match step.tier {
+            Tier::Yield if step.transition => metrics::incr(self.backoff_yield),
+            Tier::Park if step.transition => metrics::incr(self.backoff_park),
+            _ => {}
+        }
+    }
+}
+
+/// Charge one retry against the process-global policy: waits one backoff
+/// step (recording tier transitions) and returns `true` exactly once
+/// when the budget is exhausted — the caller then switches to its
+/// guaranteed-progress pessimistic fallback (a locked read, a `dir_lock`
+/// scan pass, a lock-coupled descent, a de-optimized shortcut) or, where
+/// it has none, keeps retrying with parked waits. The escalation itself
+/// is recorded here.
+///
+/// First-try successes never get here — constructing a `Retry` is a few
+/// integers on the stack and the policy is only loaded on the first
+/// actual retry. `#[cold]` keeps the body out of the retry loops;
+/// `#[inline]` (not `inline(never)`) gives each calling crate its own
+/// out-of-line copy, so the call is direct — through a cross-crate
+/// symbol LLVM hoisted the callee's address and `layer` into the
+/// first-try path of `SlotArray::read`.
+#[cold]
+#[inline]
+pub fn wait_or_escalate(retry: &mut Retry, layer: &LayerCounters) -> bool {
+    match retry.step_global() {
+        Step::Escalate => {
+            metrics::incr(layer.escalation);
+            true
+        }
+        Step::Wait(step) => {
+            layer.record(step);
+            false
+        }
+    }
+}
+
+/// Backoff-only wait for loops whose progress is already guaranteed by
+/// the current holder (slot, spin, version-lock and seqlock acquisition):
+/// tiers advance and are recorded, but the wait never escalates — there
+/// is nothing more pessimistic than the lock the caller is already
+/// queueing for.
+#[cold]
+#[inline]
+pub fn wait(retry: &mut Retry, layer: &LayerCounters) {
+    let step = retry.wait_global();
+    layer.record(step);
 }
 
 // --- process-global default policy -----------------------------------

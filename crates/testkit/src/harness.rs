@@ -11,7 +11,7 @@ use std::sync::{Barrier, Mutex, PoisonError};
 use index_api::{ConcurrentIndex, Key, Value};
 
 use crate::oracle::{self, History, OracleReport, Recorder};
-use crate::{chaos, SplitMix64};
+use probe::{chaos, SplitMix64};
 
 /// How threads share the key space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -21,7 +21,12 @@
 #![forbid(unsafe_code)]
 
 pub mod driver;
-pub mod histogram;
+/// The log-bucketed latency histogram, re-exported from [`probe`] (whose
+/// phase timers share its bucket layout, and which this crate sits
+/// above).
+pub mod histogram {
+    pub use probe::histogram::*;
+}
 pub mod mix;
 pub mod ops;
 pub mod shift;

@@ -1,16 +1,17 @@
-//! Drive the concurrency testkit end to end from the public API.
+//! Drive the concurrency testkit (`testkit` + `probe::chaos`) end to end
+//! from the public API.
 //!
 //! ```sh
-//! cargo run --release --example chaos_demo                    # hooks compiled out
+//! cargo run --release --example chaos_demo                    # points compiled out
 //! cargo run --release --example chaos_demo --features chaos   # perturbed run
 //! cargo run --release --example chaos_demo --features chaos -- 31337
 //! ```
 //!
 //! With `--features chaos` the run installs a seeded schedule, hammers an
 //! `AltIndex` with a shared-key scenario plus ART with a disjoint one,
-//! reports the chaos-point hit count, and oracle-checks both histories.
-//! Without the feature the same binary shows the hooks are compiled out
-//! (zero hits).
+//! reports the chaos-point hit count (`probe::chaos::hits`), and
+//! oracle-checks both histories. Without the feature the same binary
+//! shows `probe::chaos::point` is compiled out (zero hits).
 
 use alt_index::AltIndex;
 use index_api::BulkLoad;
@@ -28,7 +29,7 @@ fn main() {
         },
     };
 
-    let before = testkit::chaos::hits();
+    let before = probe::chaos::hits();
 
     let shared = Scenario::shared(seed);
     let alt = AltIndex::bulk_load(&shared.initial_pairs());
@@ -50,12 +51,12 @@ fn main() {
         }
     }
 
-    let hits = testkit::chaos::hits() - before;
+    let hits = probe::chaos::hits() - before;
     if cfg!(feature = "chaos") {
         println!("chaos points hit: {hits} (feature `chaos` on)");
         assert!(hits > 0, "chaos feature on but no instrumented site fired");
     } else {
-        println!("chaos points hit: {hits} (feature `chaos` off — hooks compiled out)");
-        assert_eq!(hits, 0, "hooks must vanish without the chaos feature");
+        println!("chaos points hit: {hits} (feature `chaos` off — points compiled out)");
+        assert_eq!(hits, 0, "points must vanish without the chaos feature");
     }
 }

@@ -7,17 +7,18 @@
 //!
 //! Builds an ALT-index, runs a concurrent read/insert/scan mix that
 //! exercises every instrumented layer (slot versions, fast pointers,
-//! scans, retrains, ART OLC), then prints the [`obs::MetricsSnapshot`]
-//! delta for the measured region. With `chaos` also enabled, a seeded
-//! schedule perturbs the interleavings so the retry counters light up
-//! even on an otherwise quiet machine.
+//! scans, retrains, ART OLC), then prints the
+//! [`probe::metrics::MetricsSnapshot`] delta for the measured region.
+//! With `chaos` also enabled, a seeded schedule perturbs the
+//! interleavings so the retry counters light up even on an otherwise
+//! quiet machine.
 
 use alt::alt_index::AltIndex;
 use std::sync::Arc;
 
 fn main() {
-    #[cfg(feature = "chaos")]
-    let _guard = testkit::chaos::install_schedule(0xA17_1DE, 64);
+    // Perturbs nothing unless the `chaos` feature is on too.
+    let _guard = probe::chaos::install_schedule(0xA17_1DE, 64);
 
     // Quadratic keys are hard for linear models: the directory holds many
     // GPL models (so fast pointers actually register — a single model has
@@ -26,7 +27,7 @@ fn main() {
     let pairs: Vec<(u64, u64)> = (1..=100_000u64).map(|i| (i * i, i)).collect();
     let idx = Arc::new(AltIndex::bulk_load_default(&pairs));
 
-    let before = obs::snapshot();
+    let before = probe::metrics::snapshot();
 
     // Two insert threads hammering one dense region (drives overflow
     // inserts through the fast-pointer path and triggers retrains), a
@@ -66,11 +67,13 @@ fn main() {
         h.join().unwrap();
     }
 
-    let delta = obs::snapshot().delta(&before);
+    let delta = probe::metrics::snapshot().delta(&before);
     println!("metrics for the measured region:\n{}", delta.render());
 
     assert!(
-        delta.get(obs::Counter::FastPtrJumpHit) + delta.get(obs::Counter::FastPtrDeopt) > 0,
+        delta.get(probe::metrics::Counter::FastPtrJumpHit)
+            + delta.get(probe::metrics::Counter::FastPtrDeopt)
+            > 0,
         "inserts routed to ART must have gone through the fast-pointer path"
     );
     println!(

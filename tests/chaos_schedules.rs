@@ -259,17 +259,17 @@ fn chaos_points_are_exercised() {
     ];
     let scenario = Scenario::shared(0xFEED_FACE);
     let idx = AltIndex::bulk_load(&scenario.initial_pairs());
-    let before = testkit::chaos::hits();
-    let sites_before = SITES.map(testkit::chaos::site_hits);
+    let before = probe::chaos::hits();
+    let sites_before = SITES.map(probe::chaos::site_hits);
     scenario.run(&idx).unwrap();
-    let delta = testkit::chaos::hits() - before;
+    let delta = probe::chaos::hits() - before;
     assert!(
         delta > 1_000,
         "expected thousands of chaos-point hits, got {delta}"
     );
     for (site, was) in SITES.iter().zip(sites_before) {
         assert!(
-            testkit::chaos::site_hits(site) > was,
+            probe::chaos::site_hits(site) > was,
             "chaos point {site} was never reached"
         );
     }

@@ -14,7 +14,7 @@
 #![cfg(feature = "fault")]
 
 use alt_index::{AltConfig, AltIndex};
-use failpoint::{FailAction, Trigger};
+use probe::fail::{FailAction, Trigger};
 use std::sync::{Mutex, MutexGuard, Once, PoisonError};
 use testkit::harness::Scenario;
 
@@ -34,7 +34,7 @@ fn quiet_injected_panics() {
         std::panic::set_hook(Box::new(move |info| {
             if info
                 .payload()
-                .downcast_ref::<failpoint::InjectedPanic>()
+                .downcast_ref::<probe::fail::InjectedPanic>()
                 .is_none()
             {
                 prev(info);
@@ -91,7 +91,7 @@ fn sweep_site(site: &'static str, error_channel: bool, reach: Reach) {
     quiet_injected_panics();
     let mut any_hit = false;
     for s in 0..8u64 {
-        failpoint::set_seed(0xF417_0000 + s);
+        probe::fail::set_seed(0xF417_0000 + s);
         let seed = 7_000 + s;
         let mut scenario = if s % 2 == 0 {
             Scenario::disjoint(seed)
@@ -110,7 +110,7 @@ fn sweep_site(site: &'static str, error_channel: bool, reach: Reach) {
         };
         let idx = AltIndex::bulk_load_with(&scenario.initial_pairs(), cfg);
 
-        let g = failpoint::install(site, action_for(error_channel, s), trigger_for(s));
+        let g = probe::fail::install(site, action_for(error_channel, s), trigger_for(s));
 
         // Injected phase 1: the oracle-checked concurrent workload.
         if let Err(report) = scenario.run(&idx) {
@@ -123,7 +123,7 @@ fn sweep_site(site: &'static str, error_channel: bool, reach: Reach) {
         }
         // Quiesce must terminate even with workers dying mid-drain.
         idx.retrain_quiesce();
-        any_hit |= failpoint::hits(site) > 0;
+        any_hit |= probe::fail::hits(site) > 0;
 
         // Still serving under active injection: point reads + a scan.
         for &k in burst.iter().step_by(97) {
@@ -224,7 +224,7 @@ fn site_fastptr_install() {
 #[test]
 fn site_arena_alloc() {
     // Arena sites map every action onto the allocation-failure channel
-    // (see crates/art/src/fail_hook.rs), served by the single-slot
+    // (`probe::fail::fire(..).is_some()` in crates/art/src/arena.rs), served by the single-slot
     // fallback.
     sweep_site("art.arena.alloc", true, Reach::Both);
 }
@@ -247,7 +247,7 @@ fn arena_fallback_is_counted_and_lossless() {
             ..Default::default()
         },
     );
-    let g = failpoint::install("art.arena.grow", FailAction::AllocFail, Trigger::Always);
+    let g = probe::fail::install("art.arena.grow", FailAction::AllocFail, Trigger::Always);
     // Dense conflicts overflow into ART; every chunk refill "fails" and
     // the single-slot fallback must serve each node allocation.
     for k in burst_keys(50_001, 3_000) {
@@ -276,7 +276,7 @@ fn sustained_worker_kill_trips_degraded_mode_and_recovers() {
         },
     );
     // Every retrain — on a worker or on the caller — dies at collect time.
-    let g = failpoint::install("retrain.collect", FailAction::Panic, Trigger::Always);
+    let g = probe::fail::install("retrain.collect", FailAction::Panic, Trigger::Always);
 
     // Sustained kills: the worker panics per drained request; after the
     // fail-streak limit (default 3, guaranteed reachable because a

@@ -12,14 +12,14 @@
 
 use alt_index::AltIndex;
 use index_api::BulkLoad;
-use obs::Counter;
+use probe::metrics::Counter;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 
 /// One chaos round: updaters, readers, scanners, and a retrain-driving
 /// insert burst all hammering the same index.
 fn run_round(seed: u64) {
-    let _guard = testkit::chaos::install_schedule(seed, 512);
+    let _guard = probe::chaos::install_schedule(seed, 512);
 
     // Stride-1000 bulk keys leave slot gaps; the dense burst below both
     // collides into occupied slots (ART overflow -> retrains) and keeps
@@ -95,7 +95,7 @@ fn run_round(seed: u64) {
 
 #[test]
 fn chaos_run_reports_hot_path_retries() {
-    let before = obs::snapshot();
+    let before = probe::metrics::snapshot();
     let wanted = [
         Counter::SlotReadRetry,
         Counter::OlcRestart,
@@ -111,13 +111,13 @@ fn chaos_run_reports_hot_path_retries() {
     loop {
         run_round(0xC0FFEE + rounds);
         rounds += 1;
-        let delta = obs::snapshot().delta(&before);
+        let delta = probe::metrics::snapshot().delta(&before);
         if wanted.iter().all(|&c| delta.get(c) > 0) || rounds == 6 {
             break;
         }
     }
 
-    let delta = obs::snapshot().delta(&before);
+    let delta = probe::metrics::snapshot().delta(&before);
     for &c in &wanted {
         assert!(
             delta.get(c) > 0,

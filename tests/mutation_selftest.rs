@@ -3,7 +3,7 @@
 //!
 //! Built with `--features chaos-mutate`, `alt-index`'s `SlotArray::read`
 //! skips its version re-validation whenever
-//! `testkit::mutation::enable()` has been called — the classic torn-read
+//! `probe::chaos::set_mutation(true)` has been called — the classic torn-read
 //! bug in optimistic slot protocols. Shared-key chaos scenarios hammer
 //! individual slots (concurrent claim/update/remove of the same keys),
 //! and the last-writer-wins oracle must flag a violation (a value that
@@ -54,7 +54,7 @@ fn harness_detects_skipped_slot_revalidation() {
             .expect("control run (mutation off) must pass");
     }
 
-    testkit::mutation::enable();
+    probe::chaos::set_mutation(true);
     let mut caught = None;
     'seeds: for s in 0..SEED_BUDGET {
         for kpt in [1, 2] {
@@ -66,7 +66,7 @@ fn harness_detects_skipped_slot_revalidation() {
             }
         }
     }
-    testkit::mutation::disable();
+    probe::chaos::set_mutation(false);
 
     let (seeds_used, report) = caught.unwrap_or_else(|| {
         panic!(

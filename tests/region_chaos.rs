@@ -201,9 +201,9 @@ fn region_merge_ticks_collapse_shards() {
 fn region_chaos_points_are_exercised() {
     let scenario = Scenario::shared(seed_base() + 13_900);
     let idx = RegionIndex::<AltIndex>::bulk_load_with(&scenario.initial_pairs(), churn_cfg());
-    let before = testkit::chaos::hits();
+    let before = probe::chaos::hits();
     scenario.run(&idx).unwrap();
-    let delta = testkit::chaos::hits() - before;
+    let delta = probe::chaos::hits() - before;
     assert!(delta > 0, "no chaos-point hits during the region run");
     assert!(
         idx.stats().splits > 0,

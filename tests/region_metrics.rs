@@ -1,6 +1,6 @@
 //! Acceptance test for the ISSUE 10 region observability: the
 //! `region.{split,merge,migrated_keys,route_retries,batch_flushes}`
-//! counters (obs `RegionSplit` / `RegionMerge` / `RegionMigratedKeys` /
+//! counters (`probe::metrics` `RegionSplit` / `RegionMerge` / `RegionMigratedKeys` /
 //! `RegionRouteRetry` / `RegionBatchFlush`) must light up when the
 //! structural and serving paths they instrument actually run. If one
 //! stays zero the hook fell off its hot path — the regression this test
@@ -17,7 +17,7 @@
 
 use alt_index::AltIndex;
 use index_api::ConcurrentIndex;
-use obs::Counter;
+use probe::metrics::Counter;
 use region::{BatchServer, RegionConfig, RegionIndex, ServeConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
@@ -40,7 +40,7 @@ fn tick_cfg() -> RegionConfig {
 /// half), one idle tick merges, and one full serving ring flushes.
 #[test]
 fn region_structural_and_serving_counters_light_up() {
-    let before = obs::snapshot();
+    let before = probe::metrics::snapshot();
 
     let pairs: Vec<(u64, u64)> = (1..=400u64).map(|k| (k * 5, k)).collect();
     let idx = RegionIndex::<AltIndex>::bulk_load_with(&pairs, tick_cfg());
@@ -85,11 +85,11 @@ fn region_structural_and_serving_counters_light_up() {
     assert!(st.flushes > 0 && st.ring_flushes <= 4, "{st:?}");
     drop(srv);
 
-    let delta = obs::snapshot().delta(&before);
+    let delta = probe::metrics::snapshot().delta(&before);
     assert_eq!(
         delta.get(Counter::RegionBatchFlush),
         st.ring_flushes + st.leader_flushes,
-        "the obs counter and the two serve counters count the same flushes"
+        "the probe counter and the two serve counters count the same flushes"
     );
     for c in [
         Counter::RegionSplit,
@@ -110,7 +110,7 @@ fn region_structural_and_serving_counters_light_up() {
 /// split while the main thread ticks; any reader mid-`get` across the
 /// table swap observes the retired shard and re-routes.
 fn route_retry_round(seed: u64) {
-    let _guard = testkit::chaos::install_schedule(seed, 512);
+    let _guard = probe::chaos::install_schedule(seed, 512);
     let pairs: Vec<(u64, u64)> = (1..=2_000u64).map(|k| (k * 5, k)).collect();
     let idx = Arc::new(RegionIndex::<AltIndex>::bulk_load_with(&pairs, tick_cfg()));
 
@@ -147,17 +147,17 @@ fn route_retry_round(seed: u64) {
 
 #[test]
 fn route_retries_are_observable_under_swap_races() {
-    let before = obs::snapshot();
+    let before = probe::metrics::snapshot();
     let mut rounds = 0u64;
     loop {
         route_retry_round(0x7E61_0000 + rounds);
         rounds += 1;
-        let delta = obs::snapshot().delta(&before);
+        let delta = probe::metrics::snapshot().delta(&before);
         if delta.get(Counter::RegionRouteRetry) > 0 || rounds == 8 {
             break;
         }
     }
-    let delta = obs::snapshot().delta(&before);
+    let delta = probe::metrics::snapshot().delta(&before);
     assert!(
         delta.get(Counter::RegionRouteRetry) > 0,
         "no reader ever re-routed across {rounds} swap-race round(s):\n{}",

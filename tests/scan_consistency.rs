@@ -103,7 +103,7 @@ fn short_scans_crossing_spans_under_write_back_and_retrain() {
     // Unperturbed, a 1 µs scan almost never has a retrain's publish and
     // absorb land between its ART read and its slot walk.
     #[cfg(feature = "chaos")]
-    let _schedule = testkit::chaos::install_schedule(0x5CA7, 512);
+    let _schedule = probe::chaos::install_schedule(0x5CA7, 512);
 
     // Blocks of 160 keys, alternating strides: with a tight ε each block
     // is a model or two, and 160 ART residents retrain it.

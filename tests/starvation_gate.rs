@@ -89,8 +89,8 @@ fn set_policy(pol: resilience::ContentionPolicy) -> PolicyGuard {
 }
 
 #[cfg(feature = "chaos")]
-fn schedule(seed: u64) -> Option<testkit::chaos::ScheduleGuard> {
-    Some(testkit::chaos::install_schedule(seed, 384))
+fn schedule(seed: u64) -> Option<probe::chaos::ScheduleGuard> {
+    Some(probe::chaos::install_schedule(seed, 384))
 }
 #[cfg(not(feature = "chaos"))]
 fn schedule(_seed: u64) -> Option<()> {
@@ -263,7 +263,7 @@ fn starvation_gate_self_test_livelocks_without_escalation() {
 
     let _gate = GATE.lock().unwrap_or_else(|p| p.into_inner());
     let _pol = set_policy(livelock_policy());
-    let _sched = testkit::chaos::install_schedule(0xA17, 1024);
+    let _sched = probe::chaos::install_schedule(0xA17, 1024);
     let idx = build_alt();
     let stop = AtomicBool::new(false);
     let completed = AtomicU64::new(0);
