@@ -7,29 +7,33 @@
 # function in a default build, shows up here by name. Exits 1 and lists
 # the symbols otherwise.
 #
-# As a self-check the same listing must be non-empty with the features
-# on; pass --self-check to run that second (slower) build too.
+# The gate fails closed: `nm` must succeed on the binary cargo reports
+# having built, and the listing must name `alt_index::` symbols (the
+# code the probes sit in) — a missing tool, a wrong path or a stripped
+# binary is a failure, not "no symbols".
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 pattern='probe::(chaos|fail|metrics)::'
-bin="${CARGO_TARGET_DIR:-target}/release/examples/quickstart"
 
-cargo build --release --example quickstart
-if leaked=$(nm -C "$bin" | grep -E "$pattern"); then
+# Ask cargo where the binary is instead of guessing target/ (a relative
+# CARGO_TARGET_DIR or a --target triple moves it).
+bin=$(cargo build --release --example quickstart --message-format=json |
+    sed -n 's/.*"executable":"\([^"]*quickstart[^"]*\)".*/\1/p' | tail -n 1)
+if [ -z "$bin" ] || [ ! -x "$bin" ]; then
+    echo "check_probes_off: cargo reported no quickstart executable"
+    exit 1
+fi
+
+symbols=$(nm -C "$bin")
+if ! grep -q 'alt_index::' <<<"$symbols"; then
+    echo "check_probes_off: no alt_index:: symbol in nm -C $bin;" \
+        "the listing is empty or stripped, so it proves nothing"
+    exit 1
+fi
+if leaked=$(grep -E "$pattern" <<<"$symbols"); then
     echo "probe symbols in a default build of quickstart:"
     echo "$leaked"
     exit 1
 fi
 echo "check_probes_off: no probe::{chaos,fail,metrics} symbol in $bin"
-
-if [ "${1:-}" = "--self-check" ]; then
-    cargo build --release --example quickstart --features "chaos metrics fault"
-    # (No `grep -q`: it would close the pipe on `nm` under pipefail.)
-    if ! nm -C "$bin" | grep -cE "$pattern" >/dev/null; then
-        echo "self-check failed: no probe symbol with the features on either;" \
-            "the pattern no longer matches how symbols are named"
-        exit 1
-    fi
-    echo "check_probes_off: self-check saw probe symbols with the features on"
-fi
