@@ -156,7 +156,7 @@ fn fill<'g>(
         ring.push(Flight {
             ki: kis[i],
             key: ks[i],
-            retry: resilience::Retry::seeded(ks[i]),
+            retry: resilience::Retry::new(),
             stage: Stage::Probe { m, pred },
         });
     }
@@ -179,7 +179,7 @@ fn restage<'g>(idx: &AltCore, fl: &mut Flight<'g>, guard: &'g Guard) {
 /// stage (the directory may have been republished).
 fn restart<'g>(idx: &AltCore, fl: &mut Flight<'g>, guard: &'g Guard) -> Option<Option<u64>> {
     metrics::incr(Counter::AltBatchRestart);
-    if resilience::wait_or_escalate(&mut fl.retry, &crate::LAYER) {
+    if fl.retry.wait_or_escalate(&crate::LAYER) {
         return Some(idx.get_pessimistic(fl.key));
     }
     restage(idx, fl, guard);

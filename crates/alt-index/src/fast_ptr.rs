@@ -158,7 +158,7 @@ impl FastPointerBuffer {
         // one per `Obsolete` (node-replaced-under-us) retry, overstating
         // the merge scheme's savings in the Fig 10(b) comparison.
         self.unmerged_registrations.fetch_add(1, Ordering::Relaxed);
-        let mut retry = resilience::Retry::seeded(k1);
+        let mut retry = resilience::Retry::new();
         loop {
             let Some((node, _depth)) = art.lca_node(k1, k2) else {
                 return NO_FAST;
@@ -198,7 +198,7 @@ impl FastPointerBuffer {
                     // other registrations must not wait behind our nap.
                     drop(_g);
                     metrics::incr(Counter::FastPtrRegisterRetry);
-                    if resilience::wait_or_escalate(&mut retry, &crate::LAYER) {
+                    if retry.wait_or_escalate(&crate::LAYER) {
                         metrics::incr(Counter::FastPtrDeopt);
                         return NO_FAST;
                     }

@@ -381,7 +381,7 @@ impl AltCore {
             return None;
         }
         let guard = epoch::pin();
-        let mut retry = resilience::Retry::seeded(key);
+        let mut retry = resilience::Retry::new();
         loop {
             let dir = self.dir_ref(&guard);
             let m = dir.model_for(key);
@@ -394,7 +394,7 @@ impl AltCore {
                     // means the key cannot exist — unless the model was
                     // concurrently replaced (different predictions).
                     if m.is_retired() {
-                        if resilience::wait_or_escalate(&mut retry, &crate::LAYER) {
+                        if retry.wait_or_escalate(&crate::LAYER) {
                             return self.get_pessimistic(key);
                         }
                         continue;
@@ -415,7 +415,7 @@ impl AltCore {
                             // The miss is only conclusive if nothing moved
                             // under us.
                             if m.is_retired() || !m.slots.version_unchanged(pred, ver) {
-                                if resilience::wait_or_escalate(&mut retry, &crate::LAYER) {
+                                if retry.wait_or_escalate(&crate::LAYER) {
                                     return self.get_pessimistic(key);
                                 }
                                 continue;
@@ -475,7 +475,7 @@ impl AltCore {
     /// [`AltCore::get_pessimistic`]).
     fn with_live_model<R>(&self, key: u64, f: impl FnOnce(&ModelDir, &GplModel) -> R) -> R {
         let guard = epoch::pin();
-        let mut retry = resilience::Retry::seeded(key);
+        let mut retry = resilience::Retry::new();
         let mut _dl = None;
         loop {
             let dir = self.dir_ref(&guard);
@@ -485,7 +485,7 @@ impl AltCore {
                 return f(dir, m);
             }
             drop(rl);
-            if resilience::wait_or_escalate(&mut retry, &crate::LAYER) {
+            if retry.wait_or_escalate(&crate::LAYER) {
                 _dl = Some(self.dir_lock.lock());
             }
         }

@@ -63,9 +63,9 @@ pub use stats::{AltStats, ArtProbe};
 use probe::metrics::Counter;
 
 /// The counters this crate's retry loops record their backoff tiers and
-/// escalations under (`resilience::wait_or_escalate`).
-pub(crate) const LAYER: resilience::LayerCounters = resilience::LayerCounters {
-    escalation: Counter::AltEscalation,
-    backoff_yield: Counter::AltBackoffYield,
-    backoff_park: Counter::AltBackoffPark,
-};
+/// escalations under (`resilience::Retry::wait_or_escalate`).
+pub(crate) const LAYER: resilience::LayerCounters = resilience::LayerCounters::new(
+    Counter::AltEscalation,
+    Counter::AltBackoffYield,
+    Counter::AltBackoffPark,
+);

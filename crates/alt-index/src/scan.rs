@@ -58,7 +58,7 @@ impl AltCore {
         // Retrain churn can move the directory epoch every pass; once the
         // retry budget runs out, one pass under `dir_lock` (the only
         // place the epoch is bumped) is guaranteed to validate.
-        let mut retry = resilience::Retry::seeded(lo);
+        let mut retry = resilience::Retry::new();
         let mut dl = None;
         loop {
             let epoch_pre = self.dir_epoch.load(Ordering::Acquire);
@@ -74,7 +74,7 @@ impl AltCore {
             }
             out.truncate(before);
             metrics::incr(Counter::ScanEpochRetry);
-            if resilience::wait_or_escalate(&mut retry, &crate::LAYER) {
+            if retry.wait_or_escalate(&crate::LAYER) {
                 dl = Some(self.dir_lock.lock());
             }
         }

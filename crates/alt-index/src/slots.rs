@@ -155,12 +155,12 @@ impl SlotArray {
     /// it escalates to a locked read, so the snapshot completes even
     /// against a pathological writer schedule.
     pub fn read(&self, i: usize) -> (SlotState, u32) {
-        let mut retry = resilience::Retry::seeded(i as u64);
+        let mut retry = resilience::Retry::new();
         loop {
             let v1 = self.slots[i].version.load(Ordering::Acquire);
             if v1 & 1 == 1 {
                 metrics::incr(Counter::SlotReadRetry);
-                if resilience::wait_or_escalate(&mut retry, &crate::LAYER) {
+                if retry.wait_or_escalate(&crate::LAYER) {
                     return self.read_locked(i);
                 }
                 continue;
@@ -172,7 +172,7 @@ impl SlotArray {
                     return (SlotState::Empty, v1);
                 }
                 metrics::incr(Counter::SlotReadRetry);
-                if resilience::wait_or_escalate(&mut retry, &crate::LAYER) {
+                if retry.wait_or_escalate(&crate::LAYER) {
                     return self.read_locked(i);
                 }
                 continue;
@@ -188,7 +188,7 @@ impl SlotArray {
                 && self.slots[i].version.load(Ordering::Acquire) != v1
             {
                 metrics::incr(Counter::SlotReadRetry);
-                if resilience::wait_or_escalate(&mut retry, &crate::LAYER) {
+                if retry.wait_or_escalate(&crate::LAYER) {
                     return self.read_locked(i);
                 }
                 continue;
@@ -223,7 +223,7 @@ impl SlotArray {
     /// path's progress guarantee — but it does park past the budget so a
     /// long queue stops burning CPU.
     fn lock(&self, i: usize) -> u32 {
-        let mut retry = resilience::Retry::seeded(i as u64);
+        let mut retry = resilience::Retry::new();
         loop {
             let v = self.slots[i].version.load(Ordering::Acquire);
             if v & 1 == 0
@@ -241,7 +241,7 @@ impl SlotArray {
             // (who wins a contended CAS), not just the held window.
             probe::chaos::point("slots.lock.spin");
             metrics::incr(Counter::SlotLockRetry);
-            resilience::wait(&mut retry, &crate::LAYER);
+            retry.wait(&crate::LAYER);
         }
     }
 

@@ -39,7 +39,7 @@ impl SpinLock {
                 return SpinGuard(self);
             }
             while self.flag.load(Ordering::Relaxed) {
-                resilience::wait(&mut retry, &crate::LAYER);
+                retry.wait(&crate::LAYER);
             }
         }
     }

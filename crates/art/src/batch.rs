@@ -12,7 +12,7 @@
 //! Each step is one [`hop`] of the scalar descent (`tree::descend_leaf`
 //! runs the same function in a loop), followed by a prefetch of the child
 //! it found. A failed validation restarts *that key only*
-//! from the root, charged against a per-key [`crate::contention`] budget
+//! from the root, charged against a per-key [`resilience::Retry`] budget
 //! whose exhaustion escalates to the scalar path (which owns the
 //! guaranteed-progress pessimistic descent). Results are therefore
 //! per-key linearizable: every outcome is one a scalar `get` interleaved
@@ -76,7 +76,7 @@ impl Art {
             depth: 0,
             parent: 0,
             parent_v: 0,
-            retry: resilience::Retry::seeded(key),
+            retry: resilience::Retry::new(),
         }
     }
 
@@ -108,7 +108,7 @@ impl Art {
             depth: hdr.match_level(),
             parent: 0,
             parent_v: 0,
-            retry: resilience::Retry::seeded(key),
+            retry: resilience::Retry::new(),
         }
     }
 
@@ -154,7 +154,7 @@ impl Art {
     #[cold]
     fn batch_restart(&self, cur: &mut BatchCursor) -> BatchStep {
         metrics::incr(Counter::ArtBatchRestart);
-        if resilience::wait_or_escalate(&mut cur.retry, &crate::LAYER) {
+        if cur.retry.wait_or_escalate(&crate::LAYER) {
             return BatchStep::Escalate;
         }
         let root = self.root.load(Ordering::Acquire);

@@ -51,7 +51,7 @@ impl Art {
             // Retry locally on version conflicts; fall back if the node
             // dies or the retry budget runs out (the root path has its own
             // guaranteed-progress escalation).
-            let mut retry = resilience::Retry::seeded(key);
+            let mut retry = resilience::Retry::new();
             while !hdr.version.is_obsolete() {
                 // Widen the gap between the obsolete check and the descent
                 // — a replacement landing here must still end in Fallback
@@ -61,7 +61,7 @@ impl Art {
                     metrics::incr(Counter::ArtJumpResume);
                     return FromResult::Done(leaf.map(|l| leaf_value(l)), hops);
                 }
-                if resilience::wait_or_escalate(&mut retry, &crate::LAYER) {
+                if retry.wait_or_escalate(&crate::LAYER) {
                     break;
                 }
             }
@@ -83,7 +83,7 @@ impl Art {
             let hdr = node::header(start);
             // Budget the local retries; on exhaustion de-optimize to a
             // root insert (which carries its own escalation discipline).
-            let mut retry = resilience::Retry::seeded(key);
+            let mut retry = resilience::Retry::new();
             while !hdr.version.is_obsolete() {
                 match self.descend_insert(start, key, value, false, &guard) {
                     Ok(inserted) => {
@@ -92,7 +92,7 @@ impl Art {
                     }
                     Err(Abort::NeedsParent) => break,
                     Err(Abort::Restart) => {
-                        if resilience::wait_or_escalate(&mut retry, &crate::LAYER) {
+                        if retry.wait_or_escalate(&crate::LAYER) {
                             break;
                         }
                     }
@@ -117,10 +117,10 @@ impl Art {
         // Restart budget: exhausting it returns `None`, a pure
         // de-optimization (the caller simply registers no fast pointer
         // for this model boundary and jumps start from the root).
-        let mut retry = resilience::Retry::seeded(k1 ^ k2.rotate_left(32));
+        let mut retry = resilience::Retry::new();
         let mut first = true;
         'restart: loop {
-            if !first && resilience::wait_or_escalate(&mut retry, &crate::LAYER) {
+            if !first && retry.wait_or_escalate(&crate::LAYER) {
                 return None;
             }
             first = false;

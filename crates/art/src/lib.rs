@@ -48,9 +48,9 @@ pub use tree::{Art, FromResult, ReplaceHook, SetSlotResult};
 use probe::metrics::Counter;
 
 /// The counters this crate's retry loops record their backoff tiers and
-/// escalations under (`resilience::wait_or_escalate`).
-pub(crate) const LAYER: resilience::LayerCounters = resilience::LayerCounters {
-    escalation: Counter::ArtEscalation,
-    backoff_yield: Counter::ArtBackoffYield,
-    backoff_park: Counter::ArtBackoffPark,
-};
+/// escalations under (`resilience::Retry::wait_or_escalate`).
+pub(crate) const LAYER: resilience::LayerCounters = resilience::LayerCounters::new(
+    Counter::ArtEscalation,
+    Counter::ArtBackoffYield,
+    Counter::ArtBackoffPark,
+);

@@ -56,7 +56,7 @@ impl VersionLock {
                 probe::chaos::point("olc.read_lock_spin");
                 return Some(v);
             }
-            resilience::wait(&mut retry, &crate::LAYER);
+            retry.wait(&crate::LAYER);
         }
     }
 
@@ -103,7 +103,7 @@ impl VersionLock {
             if v & LOCK_BIT == 0 && self.upgrade(v) {
                 return true;
             }
-            resilience::wait(&mut retry, &crate::LAYER);
+            retry.wait(&crate::LAYER);
         }
     }
 

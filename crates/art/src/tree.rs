@@ -163,14 +163,14 @@ impl Art {
     /// the pessimistic one. Every root-based read and `update` is this
     /// plus a load or a store on the leaf's value.
     pub(crate) fn leaf(&self, key: u64, guard: &Guard) -> (Option<NodePtr>, u32) {
-        let mut retry = resilience::Retry::seeded(key);
+        let mut retry = resilience::Retry::new();
         loop {
             let root = self.root.load(Ordering::Acquire);
             // SAFETY: `root` was just read from this tree under `guard`.
             if let Ok(found) = unsafe { descend_leaf(root, key, 0) } {
                 return found;
             }
-            if resilience::wait_or_escalate(&mut retry, &crate::LAYER) {
+            if retry.wait_or_escalate(&crate::LAYER) {
                 return self.pessimistic_leaf(key, guard);
             }
         }
@@ -299,12 +299,12 @@ impl Art {
         // terminates with probability 1 under any finite write rate. Past
         // the budget the escalation is recorded once and further waits
         // park instead of burning CPU.
-        let mut retry = resilience::Retry::seeded(key);
+        let mut retry = resilience::Retry::new();
         loop {
             match self.insert_attempt(key, value, overwrite, &guard) {
                 Ok(inserted) => return inserted,
                 Err(_) => {
-                    let _ = resilience::wait_or_escalate(&mut retry, &crate::LAYER);
+                    let _ = retry.wait_or_escalate(&crate::LAYER);
                 }
             }
         }
@@ -690,12 +690,12 @@ impl Art {
         // Structural writer: same no-fallback discipline as
         // `insert_inner` — escalation is recorded once, then parked
         // retries (each restart implies a committed conflicting write).
-        let mut retry = resilience::Retry::seeded(key);
+        let mut retry = resilience::Retry::new();
         loop {
             match self.remove_attempt(key, &guard) {
                 Ok(r) => return r,
                 Err(_) => {
-                    let _ = resilience::wait_or_escalate(&mut retry, &crate::LAYER);
+                    let _ = retry.wait_or_escalate(&crate::LAYER);
                 }
             }
         }

@@ -465,7 +465,7 @@ impl ConcurrentIndex for AlexLike {
             return None;
         }
         let guard = epoch::pin();
-        let mut retry = resilience::Retry::seeded(key);
+        let mut retry = resilience::Retry::new();
         loop {
             let dir = self.dir.load(&guard);
             let node = &dir.nodes[dir.locate(key)];
@@ -477,14 +477,14 @@ impl ConcurrentIndex for AlexLike {
                 if node.retired.load(Ordering::Acquire) {
                     // Retired ⇒ a split committed; the reload is bounded
                     // by split progress, but charge the budget anyway.
-                    if resilience::wait_or_escalate(&mut retry, &crate::LAYER) {
+                    if retry.wait_or_escalate(&crate::LAYER) {
                         return self.get_locked(key);
                     }
                     continue;
                 }
                 return res;
             }
-            if resilience::wait_or_escalate(&mut retry, &crate::LAYER) {
+            if retry.wait_or_escalate(&crate::LAYER) {
                 return self.get_locked(key);
             }
         }

@@ -45,9 +45,9 @@ pub use xindex::XIndexLike;
 use probe::metrics::Counter;
 
 /// The counters this crate's retry loops record their backoff tiers and
-/// escalations under (`resilience::wait_or_escalate`).
-pub(crate) const LAYER: resilience::LayerCounters = resilience::LayerCounters {
-    escalation: Counter::BaselineEscalation,
-    backoff_yield: Counter::BaselineBackoffYield,
-    backoff_park: Counter::BaselineBackoffPark,
-};
+/// escalations under (`resilience::Retry::wait_or_escalate`).
+pub(crate) const LAYER: resilience::LayerCounters = resilience::LayerCounters::new(
+    Counter::BaselineEscalation,
+    Counter::BaselineBackoffYield,
+    Counter::BaselineBackoffPark,
+);

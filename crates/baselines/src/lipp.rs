@@ -184,7 +184,7 @@ impl ConcurrentIndex for LippLike {
             return None;
         }
         let mut node = &self.root;
-        let mut retry = resilience::Retry::seeded(key);
+        let mut retry = resilience::Retry::new();
         let mut escalated = false;
         loop {
             let slot = node.predict(key);
@@ -239,7 +239,7 @@ impl ConcurrentIndex for LippLike {
             }
             // Validation failed: retry the same node, escalating to the
             // write-locked descent once the budget runs out.
-            escalated = resilience::wait_or_escalate(&mut retry, &crate::LAYER);
+            escalated = retry.wait_or_escalate(&crate::LAYER);
         }
     }
 

@@ -31,7 +31,7 @@ impl SeqLock {
                 return v;
             }
             metrics::incr(Counter::SeqlockReadRetry);
-            resilience::wait(&mut retry, &crate::LAYER);
+            retry.wait(&crate::LAYER);
         }
     }
 
@@ -63,7 +63,7 @@ impl SeqLock {
                 probe::chaos::point("seqlock.write_lock.held");
                 return;
             }
-            resilience::wait(&mut retry, &crate::LAYER);
+            retry.wait(&crate::LAYER);
         }
     }
 

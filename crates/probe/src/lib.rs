@@ -48,8 +48,7 @@ pub mod histogram;
 pub mod metrics;
 
 /// SplitMix64: the one deterministic stream behind chaos decisions,
-/// probabilistic failpoint triggers, backoff jitter and the testkit's
-/// operation scripts. (`datasets::rng` keeps its own copy: this crate
+/// probabilistic failpoint triggers and the testkit's operation scripts. (`datasets::rng` keeps its own copy: this crate
 /// sits below `datasets` and must stay dependency-free.)
 #[derive(Debug, Clone)]
 pub struct SplitMix64 {

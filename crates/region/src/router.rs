@@ -17,9 +17,10 @@
 //!   a structural change sets `retired` (Release) at publish time,
 //!   *before* any cleanup deletes touch the old index, so a reader that
 //!   could have observed cleanup effects must observe `retired == true` —
-//!   it discards the result and re-routes on the fresh table. Retries are
-//!   bounded by the `resilience` budget; escalation takes the structural
-//!   lock and performs one conclusive, race-free pass.
+//!   it discards the result and re-routes on the fresh table. Every such
+//!   loop is [`RegionIndex::routed`]: retries walk the `resilience`
+//!   ladder, and once its budget is spent the same attempt runs once more
+//!   under the structural lock, where nothing retires.
 //! * **Writers** (`insert`/`update`/`upsert`/`remove`) additionally hold
 //!   the shard's `gate` read-lock across the operation. A split/merge
 //!   takes the gate *write*-lock to freeze the shard, so by the time the
@@ -32,7 +33,7 @@ use crate::RegionConfig;
 use crossbeam_epoch::{self as epoch, Atomic};
 use index_api::{BulkLoad, ConcurrentIndex, Key, Result, Value};
 use probe::metrics::{self, Counter};
-use resilience::{Retry, Step};
+use resilience::{LayerCounters, Retry};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 
@@ -336,32 +337,40 @@ impl<I: ConcurrentIndex + BulkLoad + 'static> RegionIndex<I> {
         }
     }
 
-    /// Write-path template: route, enter the shard's gate, re-validate
-    /// liveness, execute. Escalation takes the structural lock, under
-    /// which the routed shard is necessarily live.
-    fn write_op<R>(&self, key: Key, op: impl Fn(&I) -> R) -> R {
+    /// The one routed-operation driver. `attempt` routes on the current
+    /// table, runs, and reports `None` when a shard it used had retired
+    /// (having undone whatever it appended). Failed attempts walk the
+    /// retry ladder; once the budget is spent the structural lock is taken
+    /// and kept, and the same attempt runs under it — no split or merge
+    /// can publish meanwhile, so the shards it routes to are live and it
+    /// succeeds.
+    fn routed<R>(&self, mut attempt: impl FnMut() -> Option<R>) -> R {
         let mut retry = Retry::new();
+        let mut _structural = None;
         loop {
-            let shard = self.inner.route(key);
-            let gate = shard.gate.read().unwrap_or_else(PoisonError::into_inner);
-            if !shard.retired.load(Ordering::Acquire) {
-                let r = op(&shard.index);
-                drop(gate);
-                shard.ops.fetch_add(1, Ordering::Relaxed);
+            if let Some(r) = attempt() {
                 return r;
             }
-            drop(gate);
             self.inner.note_retry();
-            match retry.step_global() {
-                Step::Wait(_) => {}
-                Step::Escalate => {
-                    let _structural = lock(&self.inner.struct_lock);
-                    let shard = self.inner.route(key);
-                    let _gate = shard.gate.read().unwrap_or_else(PoisonError::into_inner);
-                    return op(&shard.index);
-                }
+            if retry.wait_or_escalate(&LayerCounters::UNCOUNTED) {
+                _structural = Some(lock(&self.inner.struct_lock));
             }
         }
+    }
+
+    /// Write-path template: route, enter the shard's gate, re-validate
+    /// liveness, execute.
+    fn write_op<R>(&self, key: Key, op: impl Fn(&I) -> R) -> R {
+        self.routed(|| {
+            let shard = self.inner.route(key);
+            let _gate = shard.gate.read().unwrap_or_else(PoisonError::into_inner);
+            if shard.retired.load(Ordering::Acquire) {
+                return None;
+            }
+            let r = op(&shard.index);
+            shard.ops.fetch_add(1, Ordering::Relaxed);
+            Some(r)
+        })
     }
 }
 
@@ -391,25 +400,15 @@ impl<I: ConcurrentIndex + BulkLoad + 'static> BulkLoad for RegionIndex<I> {
 
 impl<I: ConcurrentIndex + BulkLoad + 'static> ConcurrentIndex for RegionIndex<I> {
     fn get(&self, key: Key) -> Option<Value> {
-        let mut retry = Retry::new();
-        loop {
+        self.routed(|| {
             let shard = self.inner.route(key);
             let v = shard.index.get(key);
-            if !shard.retired.load(Ordering::Acquire) {
-                shard.ops.fetch_add(1, Ordering::Relaxed);
-                return v;
+            if shard.retired.load(Ordering::Acquire) {
+                return None;
             }
-            self.inner.note_retry();
-            match retry.step_global() {
-                Step::Wait(_) => {}
-                Step::Escalate => {
-                    // Conclusive pass: no structural change can retire
-                    // the routed shard while we hold the lock.
-                    let _structural = lock(&self.inner.struct_lock);
-                    return self.inner.route(key).index.get(key);
-                }
-            }
-        }
+            shard.ops.fetch_add(1, Ordering::Relaxed);
+            Some(v)
+        })
     }
 
     fn insert(&self, key: Key, value: Value) -> Result<()> {
@@ -486,82 +485,47 @@ impl<I: ConcurrentIndex + BulkLoad + 'static> ConcurrentIndex for RegionIndex<I>
 
     fn range(&self, lo: Key, hi: Key, out: &mut Vec<(Key, Value)>) -> usize {
         let start = out.len();
-        let mut retry = Retry::new();
-        'attempt: loop {
+        self.routed(|| {
             out.truncate(start);
-            let shards = self.inner.snapshot();
-            for s in shards.iter() {
+            for s in self.inner.snapshot().iter() {
                 if s.hi < lo || s.lo > hi {
                     continue;
                 }
                 s.index.range(lo.max(s.lo), hi.min(s.hi), out);
                 if s.retired.load(Ordering::Acquire) {
-                    self.inner.note_retry();
-                    match retry.step_global() {
-                        Step::Wait(_) => continue 'attempt,
-                        Step::Escalate => {
-                            let _structural = lock(&self.inner.struct_lock);
-                            out.truncate(start);
-                            for s in self.inner.snapshot().iter() {
-                                if s.hi < lo || s.lo > hi {
-                                    continue;
-                                }
-                                s.index.range(lo.max(s.lo), hi.min(s.hi), out);
-                            }
-                            return out.len() - start;
-                        }
-                    }
+                    return None;
                 }
             }
-            return out.len() - start;
-        }
+            Some(out.len() - start)
+        })
     }
 
     fn scan(&self, lo: Key, n: usize, out: &mut Vec<(Key, Value)>) -> usize {
         let start = out.len();
         let full = start.saturating_add(n);
-        let mut retry = Retry::new();
-        // One shard's share, appended at `out[from..]`. A shard's engine
-        // may overrun the shard's range (scan is count-bounded, not
-        // key-bounded); clamp to `[.., s.hi]` so residual post-split keys
-        // are never surfaced.
-        let scan_shard = |s: &Shard<I>, out: &mut Vec<(Key, Value)>| {
-            let from = out.len();
-            s.index.scan(lo.max(s.lo), full - from, out);
-            let within = out[from..].partition_point(|&(k, _)| k <= s.hi);
-            out.truncate(from + within);
-        };
-        'attempt: loop {
+        self.routed(|| {
             out.truncate(start);
-            let shards = self.inner.snapshot();
-            let table = RouteTable { shards };
+            let table = RouteTable {
+                shards: self.inner.snapshot(),
+            };
             for s in table.shards[table.idx_of(lo)..].iter() {
                 if out.len() >= full {
                     break;
                 }
-                scan_shard(s, out);
+                // One shard's share. Its engine may overrun the shard's
+                // range (scan is count-bounded, not key-bounded); clamp to
+                // `[.., s.hi]` so residual post-split keys are never
+                // surfaced.
+                let from = out.len();
+                s.index.scan(lo.max(s.lo), full - from, out);
+                let within = out[from..].partition_point(|&(k, _)| k <= s.hi);
+                out.truncate(from + within);
                 if s.retired.load(Ordering::Acquire) {
-                    self.inner.note_retry();
-                    match retry.step_global() {
-                        Step::Wait(_) => continue 'attempt,
-                        Step::Escalate => {
-                            let _structural = lock(&self.inner.struct_lock);
-                            out.truncate(start);
-                            let shards = self.inner.snapshot();
-                            let table = RouteTable { shards };
-                            for s in table.shards[table.idx_of(lo)..].iter() {
-                                if out.len() >= full {
-                                    break;
-                                }
-                                scan_shard(s, out);
-                            }
-                            return out.len() - start;
-                        }
-                    }
+                    return None;
                 }
             }
-            return out.len() - start;
-        }
+            Some(out.len() - start)
+        })
     }
 
     fn memory_usage(&self) -> usize {
@@ -692,6 +656,43 @@ mod tests {
             seen.insert(idx.batch_domain_of(k));
         }
         assert_eq!(seen.len(), 4);
+    }
+
+    /// Ops issued while a split/merge is in progress are served by
+    /// `routed`'s pass under `struct_lock`; they must get the right answer
+    /// and count towards the shard's hot/cold tally like any other op.
+    #[test]
+    fn ops_served_under_the_structural_lock_are_answered_and_counted() {
+        let idx = build(100, 1);
+        let escalated = u64::from(resilience::BUDGET) + 1;
+        let mut retries = 0;
+        for (i, op) in [0, 1].into_iter().enumerate() {
+            // A structural change in progress: the lock is held and the
+            // shard already carries its `retired` mark.
+            let structural = idx.freeze_maintenance();
+            let old = idx.inner.route(50);
+            old.retired.store(true, Ordering::Release);
+            std::thread::scope(|s| {
+                let served = s.spawn(|| match op {
+                    0 => idx.get(50),
+                    _ => idx.remove(50),
+                });
+                // Every optimistic attempt fails until the budget is spent
+                // and the op queues for the lock; only then publish the
+                // shard's successor and let go.
+                retries += escalated;
+                while idx.stats().route_retries < retries {
+                    std::thread::yield_now();
+                }
+                let fresh = Shard::new(old.lo, old.hi, Arc::clone(&old.index));
+                idx.inner.publish(vec![Arc::clone(&fresh)], &[]);
+                drop(structural);
+                assert_eq!(served.join().unwrap(), Some(51), "op {i}");
+                assert_eq!(fresh.ops.load(Ordering::Relaxed), 1, "op {i}");
+            });
+        }
+        assert_eq!(idx.stats().route_retries, retries);
+        assert_eq!(idx.get(50), None);
     }
 
     #[test]

@@ -28,10 +28,9 @@
 //! in a ring). A submitter that finds the server saturated first flushes
 //! whatever is queued — the leaders that owe those flushes may be stuck
 //! behind it in the executor — and then retries through the `resilience`
-//! global retry budget (spin → yield → park, the repo-wide contention
-//! policy), now waiting for the index alone; if the budget escalates —
-//! the server stayed saturated through the whole backoff ladder — the
-//! request is **shed** with [`ServeError::Overloaded`] rather than
+//! ladder (spin → yield → park), now waiting for the index alone; if the
+//! budget escalates — the server stayed saturated through the whole
+//! ladder — the request is **shed** with [`ServeError::Overloaded`] rather than
 //! queued into unbounded latency. Under saturation the system therefore
 //! degrades by rejecting, not by collapsing: P99.9 of *served* requests
 //! stays bounded by `max_depth` × flush latency.
@@ -39,7 +38,7 @@
 use crate::router::lock;
 use index_api::{ConcurrentIndex, Key, Value};
 use probe::metrics::{self, Counter};
-use resilience::{Retry, Step};
+use resilience::{LayerCounters, Retry};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use tokio::sync::oneshot;
@@ -243,12 +242,9 @@ impl BatchServer {
             for q in &self.queues {
                 self.flush(lock(q), &self.stats.ring_flushes);
             }
-            match retry.step_global() {
-                Step::Wait(_) => {}
-                Step::Escalate => {
-                    self.stats.shed.fetch_add(1, Ordering::Relaxed);
-                    return Err(ServeError::Overloaded);
-                }
+            if retry.wait_or_escalate(&LayerCounters::UNCOUNTED) {
+                self.stats.shed.fetch_add(1, Ordering::Relaxed);
+                return Err(ServeError::Overloaded);
             }
         }
         let (tx, rx) = oneshot::channel();

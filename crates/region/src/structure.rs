@@ -79,7 +79,7 @@ impl<I: ConcurrentIndex + BulkLoad + 'static> Inner<I> {
     /// matters: retire *after* the swap so a reader that still routed
     /// through the old table and missed the new one sees `retired` on
     /// its post-read validation — the flag is the reader's only signal).
-    fn publish(&self, shards: Vec<Arc<Shard<I>>>, old: &[&Arc<Shard<I>>]) {
+    pub(crate) fn publish(&self, shards: Vec<Arc<Shard<I>>>, old: &[&Arc<Shard<I>>]) {
         debug_assert!(!shards.is_empty());
         debug_assert_eq!(shards[0].lo, 0);
         debug_assert_eq!(shards.last().expect("nonempty").hi, Key::MAX);

@@ -535,4 +535,131 @@ mod tests {
             drop(p.into_owned());
         }
     }
+
+    /// A value whose `Drop` poisons it before the memory goes back to the
+    /// allocator: a reader that still holds it sees the poison (or, once
+    /// the block is reused, a different `id`) instead of reading on
+    /// through a dangling reference unnoticed.
+    struct Canary {
+        id: u64,
+        word: std::sync::atomic::AtomicU64,
+        drops: Arc<AtomicUsize>,
+    }
+    const LIVE: u64 = 0x11FE_11FE_11FE_11FE;
+    const POISON: u64 = 0xDEAD_DEAD_DEAD_DEAD;
+
+    impl Canary {
+        fn new(id: u64, drops: &Arc<AtomicUsize>) -> Self {
+            Canary {
+                id,
+                word: std::sync::atomic::AtomicU64::new(LIVE),
+                drops: Arc::clone(drops),
+            }
+        }
+    }
+
+    impl Drop for Canary {
+        fn drop(&mut self) {
+            self.word.store(POISON, Ordering::SeqCst);
+            self.drops.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// Swap `next` in and retire what it replaced.
+    fn replace(a: &Atomic<Canary>, next: Canary) {
+        let guard = pin();
+        let old = a.swap(Owned::new(next), Ordering::AcqRel, &guard);
+        // SAFETY: `old` is unlinked, so no new reader can reach it, and
+        // only the one swap that unlinked it retires it.
+        unsafe { guard.defer_destroy(old) };
+    }
+
+    /// Free `a`'s last value once no other thread can reach it.
+    fn finish(a: &Atomic<Canary>) {
+        // SAFETY: the caller has joined every other thread, and the
+        // current pointee was never handed to `defer_destroy`.
+        unsafe { drop(a.load(Ordering::Relaxed, unprotected()).into_owned()) };
+    }
+
+    #[test]
+    fn readers_pinned_across_a_retirement_storm_never_see_a_reclaimed_value() {
+        const SWAPS: u64 = 20_000;
+        let drops = Arc::new(AtomicUsize::new(0));
+        let a = Atomic::new(Canary::new(0, &drops));
+        let swaps = std::sync::atomic::AtomicU64::new(0);
+        std::thread::scope(|s| {
+            for _ in 0..3 {
+                s.spawn(|| {
+                    while swaps.load(Ordering::Relaxed) < SWAPS {
+                        let guard = pin();
+                        let pinned_at = swaps.load(Ordering::Relaxed);
+                        // SAFETY: `a` always holds a live allocation, and
+                        // one swapped out after this load is retired, not
+                        // freed, until `guard` drops.
+                        let held = unsafe { a.load(Ordering::Acquire, &guard).deref() };
+                        let id = held.id;
+                        // Hold the guard while a few hundred successors
+                        // are published and retired around it.
+                        while swaps.load(Ordering::Relaxed) < (pinned_at + 300).min(SWAPS) {
+                            assert_eq!(held.word.load(Ordering::SeqCst), LIVE, "value {id}");
+                            assert_eq!(held.id, id, "value {id}'s memory was reused");
+                            std::hint::spin_loop();
+                        }
+                    }
+                });
+            }
+            for i in 1..=SWAPS {
+                replace(&a, Canary::new(i, &drops));
+                swaps.store(i, Ordering::Relaxed);
+            }
+        });
+        // The storm must have reclaimed along the way, or the readers
+        // checked nothing: every 64th unpin of the writer collects.
+        let reclaimed = drops.load(Ordering::SeqCst);
+        assert!(reclaimed > 0, "nothing was reclaimed during the storm");
+        assert!(reclaimed as u64 <= SWAPS, "a value was dropped twice");
+        finish(&a);
+    }
+
+    #[test]
+    fn dropping_the_outer_guard_first_keeps_the_thread_pinned() {
+        let drops = Arc::new(AtomicUsize::new(0));
+        let a = Atomic::new(Canary::new(0, &drops));
+        let outer = pin();
+        let inner = pin();
+        // SAFETY: `a` holds a live allocation; `inner` outlives `held`.
+        let held = unsafe { a.load(Ordering::Acquire, &inner).deref() };
+        drop(outer);
+        LOCAL.with(|l| {
+            assert_eq!(l.pin_depth.get(), 1);
+            assert_ne!(l.participant.epoch.load(Ordering::SeqCst), IDLE);
+        });
+        // Another thread retires the value and then collects as hard as
+        // it can: with this thread still pinned the epoch can move on by
+        // one at most, which is one short of freeing it.
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                replace(&a, Canary::new(1, &drops));
+                for _ in 0..100 * COLLECT_EVERY {
+                    drop(pin());
+                }
+            });
+        });
+        assert_eq!(drops.load(Ordering::SeqCst), 0, "freed under a live guard");
+        assert_eq!(held.word.load(Ordering::SeqCst), LIVE);
+        drop(inner);
+        LOCAL.with(|l| assert_eq!(l.participant.epoch.load(Ordering::SeqCst), IDLE));
+        // Unpinned, the same collection loop frees it (a sibling test's
+        // pin can hold the epoch back, so wait on a deadline).
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while drops.load(Ordering::SeqCst) == 0 && std::time::Instant::now() < deadline {
+            drop(pin());
+        }
+        assert_eq!(
+            drops.load(Ordering::SeqCst),
+            1,
+            "retired value was never freed"
+        );
+        finish(&a);
+    }
 }

@@ -12,99 +12,78 @@
 //! * **ALEX+ (seqlock baseline)** — seqlock-validated reads escalating
 //!   to a write-locked read.
 //!
-//! Each gate runs ≥ 8 seeds. A chaos-gated mutation-style self-test
-//! re-runs the AltIndex gate with escalation *disabled* and asserts the
-//! victim fails to finish its quota inside the watchdog — proving the
-//! gate actually detects livelock (and that escalation is what prevents
-//! it), then unsticks the victim by stopping the antagonist.
+//! Each gate runs ≥ 8 seeds. What bounds a victim op is the retry
+//! ladder's escalation (`crates/resilience`, DESIGN.md §11): past the
+//! budget the op takes its family's pessimistic fallback. A chaos build
+//! has a five-retry budget, so there the fallbacks are what the victims
+//! actually run — and with `--features "chaos metrics"` each gate also
+//! asserts that its family's `*.escalation` counter moved, i.e. that the
+//! bound was met *by* the fallback and not for lack of contention. A
+//! chaos-off build walks the production ladder (80 retries) under the
+//! same bound.
 //!
-//! The process-global resilience policy and the chaos schedule are
-//! process-wide, so every test serializes on one mutex and restores the
-//! default policy through an RAII guard. Every retry loop, at every
-//! layer, reads the global policy on its first retry, so a `set_global`
-//! takes effect on the next contended op of an index already built.
+//! The chaos schedule is process-wide, so every test serializes on one
+//! mutex.
 
 use alt_index::{AltConfig, AltIndex};
 use art::Art;
 use baselines::AlexLike;
 use index_api::ConcurrentIndex;
+use probe::metrics::{self, Counter};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// Serializes gate runs (process-global policy + chaos schedule).
+/// Serializes gate runs (process-global chaos schedule and counters).
 static GATE: Mutex<()> = Mutex::new(());
 
-/// Victim ops per seed in the progress phase.
+/// Victim ops per seed and victim in the AltIndex gate.
 const OPS: usize = 64;
+/// Chaos intensity (per 1024) of the AltIndex gate, whose victims spend
+/// their budget on one read in four at this setting.
+const MILD: u32 = 384;
+/// Intensity and victim ops of the ART and seqlock gates. Their read
+/// windows are a few instructions wide, so six failed validations in a
+/// row need most chaos points to perturb; at `MILD` × `OPS` a run sees
+/// 0–5 escalations, here a few hundred.
+const HARD: u32 = 768;
+const OPS_HARD: usize = 256;
 /// Per-op wall-clock bound. Generous: an escalated op is bounded by a
 /// handful of capped parks plus one locked pass (microseconds to low
 /// milliseconds); 2 s only trips on genuine stalls.
 const PER_OP: Duration = Duration::from_secs(2);
 
-/// Progress-phase policy: tight budget, *small* parks. Escalation fires
-/// after five retries, so a victim op pays at most a few hundred
-/// microseconds of backoff before its guaranteed-progress fallback.
-/// The antagonists share this policy (it is process-global), so their
-/// contended retries stay cheap too.
-fn progress_policy() -> resilience::ContentionPolicy {
-    resilience::ContentionPolicy {
-        spin_retries: 2,
-        yield_retries: 1,
-        park_retries: 2,
-        park_ns_base: 50_000, // 50 µs
-        park_ns_max: 400_000,
-        escalate: true,
+/// Run one family's gate over 8 seeds (`run(seed)` builds the index and
+/// returns what [`drive_progress`] does) and, where the build can tell,
+/// check that the family's fallback is what kept the victims inside the
+/// bound.
+fn gate(label: &str, escalation: Counter, run: impl Fn(u64) -> Duration) {
+    let _gate = GATE.lock().unwrap_or_else(|p| p.into_inner());
+    let before = metrics::total(escalation);
+    let worst = (0..8u64).map(run).max().expect("eight seeds");
+    let escalations = metrics::total(escalation) - before;
+    eprintln!(
+        "{label}: slowest victim op {worst:?}, {} = {escalations}",
+        escalation.name()
+    );
+    if probe::chaos::ENABLED && metrics::ENABLED {
+        assert!(
+            escalations > 0,
+            "{label}: no victim or antagonist ever spent its retry budget — \
+             the gate no longer exercises the pessimistic fallback"
+        );
     }
 }
 
-/// Livelock-control policy: the same tight budget but with *large*
-/// (20–80 ms) parks and escalation disabled. A failing op is throttled
-/// to a few dozen attempts per second, which is what makes the
-/// self-test's "victim cannot finish its quota" assertion deterministic
-/// instead of a race over raw retry throughput.
-#[cfg(feature = "chaos")]
-fn livelock_policy() -> resilience::ContentionPolicy {
-    resilience::ContentionPolicy {
-        spin_retries: 2,
-        yield_retries: 1,
-        park_retries: 2,
-        park_ns_base: 40_000_000, // 40 ms (jittered down to 20 ms)
-        park_ns_max: 80_000_000,
-        escalate: false,
-    }
-}
-
-/// Restores the default process-global policy even on panic.
-struct PolicyGuard;
-impl Drop for PolicyGuard {
-    fn drop(&mut self) {
-        resilience::set_global(resilience::ContentionPolicy::default());
-    }
-}
-
-fn set_policy(pol: resilience::ContentionPolicy) -> PolicyGuard {
-    resilience::set_global(pol);
-    PolicyGuard
-}
-
-#[cfg(feature = "chaos")]
-fn schedule(seed: u64) -> Option<probe::chaos::ScheduleGuard> {
-    Some(probe::chaos::install_schedule(seed, 384))
-}
-#[cfg(not(feature = "chaos"))]
-fn schedule(_seed: u64) -> Option<()> {
-    None
-}
-
-/// Progress phase: 2 victims × `OPS` reads each race 3 antagonist
+/// Progress phase: 2 victims × `ops` reads each race 3 antagonist
 /// threads; every read must finish inside `PER_OP`.
 fn drive_progress(
     label: &str,
     seed: u64,
+    ops: usize,
     victim_op: impl Fn() + Sync,
     antagonist_op: impl Fn(u64) + Sync,
-) {
+) -> Duration {
     let stop = AtomicBool::new(false);
     std::thread::scope(|s| {
         for a in 0u64..3 {
@@ -123,7 +102,7 @@ fn drive_progress(
             let victim_op = &victim_op;
             victims.push(s.spawn(move || {
                 let mut worst = Duration::ZERO;
-                for _ in 0..OPS {
+                for _ in 0..ops {
                     let t0 = Instant::now();
                     victim_op();
                     worst = worst.max(t0.elapsed());
@@ -131,15 +110,18 @@ fn drive_progress(
                 worst
             }));
         }
-        for v in victims {
-            let worst = v.join().expect("victim panicked");
-            assert!(
-                worst < PER_OP,
-                "{label} seed {seed}: victim op took {worst:?} (bound {PER_OP:?})"
-            );
-        }
+        // Stop the antagonists BEFORE judging, so a failure fails instead
+        // of leaving them spinning under a scope that never ends.
+        let joined: Vec<_> = victims.into_iter().map(|v| v.join()).collect();
         stop.store(true, Ordering::Relaxed);
-    });
+        let worst = joined.into_iter().map(|w| w.expect("victim panicked"));
+        let worst = worst.max().expect("two victims");
+        assert!(
+            worst < PER_OP,
+            "{label} seed {seed}: victim op took {worst:?} (bound {PER_OP:?})"
+        );
+        worst
+    })
 }
 
 fn build_alt() -> AltIndex {
@@ -159,31 +141,28 @@ const ALT_HOT: u64 = 4096 * 2;
 
 #[test]
 fn starvation_gate_alt_index() {
-    let _gate = GATE.lock().unwrap_or_else(|p| p.into_inner());
-    for seed in 0..8u64 {
-        let _pol = set_policy(progress_policy());
-        let _sched = schedule(seed);
+    gate("alt-index", Counter::AltEscalation, |seed| {
+        let _sched = probe::chaos::install_schedule(seed, MILD);
         let idx = build_alt();
         drive_progress(
             "alt-index",
             seed,
+            OPS,
             || {
                 assert!(idx.get(ALT_HOT).is_some());
             },
             |i| {
                 idx.update(ALT_HOT, i).unwrap();
             },
-        );
-    }
+        )
+    });
 }
 
 #[test]
 fn starvation_gate_art() {
-    let _gate = GATE.lock().unwrap_or_else(|p| p.into_inner());
     let base = 0xAA00_0000_0000_0000u64;
-    for seed in 0..8u64 {
-        let _pol = set_policy(progress_policy());
-        let _sched = schedule(seed.wrapping_add(0x100));
+    gate("art", Counter::ArtEscalation, |seed| {
+        let _sched = probe::chaos::install_schedule(seed.wrapping_add(0x100), HARD);
         let t = Art::new();
         for i in 1..=64u64 {
             t.insert(base + i, i);
@@ -195,6 +174,7 @@ fn starvation_gate_art() {
         drive_progress(
             "art",
             seed,
+            OPS_HARD,
             || {
                 assert_eq!(t.get(base + 1), Some(1));
             },
@@ -202,16 +182,14 @@ fn starvation_gate_art() {
                 t.remove(churn);
                 t.insert(churn, i);
             },
-        );
-    }
+        )
+    });
 }
 
 #[test]
 fn starvation_gate_seqlock_baseline() {
-    let _gate = GATE.lock().unwrap_or_else(|p| p.into_inner());
-    for seed in 0..8u64 {
-        let _pol = set_policy(progress_policy());
-        let _sched = schedule(seed.wrapping_add(0x200));
+    gate("alex+/seqlock", Counter::BaselineEscalation, |seed| {
+        let _sched = probe::chaos::install_schedule(seed.wrapping_add(0x200), HARD);
         let pairs: Vec<(u64, u64)> = (1..=4096u64).map(|i| (i * 4, i)).collect();
         let a = AlexLike::build(&pairs);
         let hot = 2048 * 4;
@@ -228,6 +206,7 @@ fn starvation_gate_seqlock_baseline() {
         drive_progress(
             "alex+/seqlock",
             seed,
+            OPS_HARD,
             || {
                 assert!(a.get(hot).is_some());
             },
@@ -236,69 +215,6 @@ fn starvation_gate_seqlock_baseline() {
                 let _ = a.get(cold);
                 a.update(hot, i).unwrap();
             },
-        );
-    }
-}
-
-/// Mutation-style self-test: with escalation disabled and a
-/// max-intensity chaos schedule, the victim must FAIL to finish its
-/// quota inside the watchdog — the condition the gate exists to detect.
-/// The mechanics: chaos stretches the victim's optimistic read window
-/// (two in-window chaos points, occasional µs-scale sleeps) past the
-/// lone antagonist's tight update period, so validation keeps failing;
-/// the tight budget's 20–80 ms parks then throttle the victim to well
-/// under `QUOTA / watchdog` attempts. A *single* antagonist is
-/// deliberate — the victim takes no lock, so the antagonist never
-/// contends and never parks, keeping its update period microseconds
-/// (multiple antagonists would park on each other and hand the victim
-/// quiet windows). Stopping the antagonist then unsticks the victim
-/// with no escalation at all, confirming the gate measures livelock,
-/// not deadlock.
-#[test]
-#[cfg(feature = "chaos")]
-fn starvation_gate_self_test_livelocks_without_escalation() {
-    use std::sync::atomic::AtomicU64;
-    const QUOTA: u64 = 60;
-    const WATCHDOG: Duration = Duration::from_millis(800);
-
-    let _gate = GATE.lock().unwrap_or_else(|p| p.into_inner());
-    let _pol = set_policy(livelock_policy());
-    let _sched = probe::chaos::install_schedule(0xA17, 1024);
-    let idx = build_alt();
-    let stop = AtomicBool::new(false);
-    let completed = AtomicU64::new(0);
-    std::thread::scope(|s| {
-        {
-            let stop = &stop;
-            let idx = &idx;
-            s.spawn(move || {
-                let mut i = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    idx.update(ALT_HOT, i).unwrap();
-                    i = i.wrapping_add(1);
-                }
-            });
-        }
-        let victim = {
-            let idx = &idx;
-            let completed = &completed;
-            s.spawn(move || {
-                for _ in 0..QUOTA {
-                    assert!(idx.get(ALT_HOT).is_some());
-                    completed.fetch_add(1, Ordering::Relaxed);
-                }
-            })
-        };
-        std::thread::sleep(WATCHDOG);
-        let done = completed.load(Ordering::Relaxed);
-        // Stop the antagonist BEFORE asserting so a failure doesn't hang
-        // the suite; the victim always drains once the antagonist stops.
-        stop.store(true, Ordering::Relaxed);
-        victim.join().expect("victim panicked");
-        assert!(
-            done < QUOTA,
-            "escalation-disabled victim finished {done}/{QUOTA} ops inside the \
-             watchdog — the starvation gate could not detect a livelock"
-        );
+        )
     });
 }
