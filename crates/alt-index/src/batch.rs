@@ -18,10 +18,11 @@
 //! The driver round-robins the ring so every prefetch gets a full
 //! revolution of other keys' work before its line is touched.
 //!
-//! Per-key linearizability: every transition replays the scalar
-//! protocol exactly — the same slot version snapshot, the same
-//! `is_retired` / `version_unchanged` re-validations before a miss is
-//! declared conclusive, the same per-key retry budget escalating to
+//! Per-key linearizability: every transition runs the scalar protocol
+//! itself — the same slot version snapshot, the one reader's verdict on it
+//! ([`SlotState::probe`](crate::slots::SlotState::probe)), the one
+//! [`GplModel::miss_is_final`] re-validation before a miss is declared
+//! conclusive, the same per-key retry budget escalating to
 //! [`AltIndex::get_pessimistic`]. Interleaving other keys between a
 //! key's stages only widens the window between its snapshot and its
 //! validation; it never skips a validation, so each result is one some
@@ -29,7 +30,7 @@
 
 use crate::index::AltCore;
 use crate::model::GplModel;
-use crate::slots::SlotState;
+use crate::slots::Probe;
 use art::{BatchCursor, BatchStep, RING_WIDTH};
 use crossbeam_epoch::{self as epoch, Guard};
 use probe::metrics::{self, Counter};
@@ -194,22 +195,17 @@ fn step<'g>(idx: &AltCore, fl: &mut Flight<'g>, guard: &'g Guard) -> Option<Opti
         Stage::Probe { m, pred } => {
             let (m, pred) = (*m, *pred);
             let (state, ver) = m.slots.read(pred);
-            match state {
-                SlotState::Occupied { key: k, value } if k == fl.key => {
+            match state.probe(fl.key) {
+                Probe::Hit(value) => {
                     metrics::incr(Counter::AltBatchLearnedHit);
                     Some(Some(value))
                 }
-                SlotState::Empty => {
-                    // An empty predicted slot is conclusive unless the
-                    // model was replaced mid-probe (Algorithm 2 line 5-6).
-                    if m.is_retired() {
-                        restart(idx, fl, guard)
-                    } else {
-                        metrics::incr(Counter::AltBatchLearnedHit);
-                        Some(None)
-                    }
+                Probe::Absent if !m.is_retired() => {
+                    metrics::incr(Counter::AltBatchLearnedHit);
+                    Some(None)
                 }
-                SlotState::Tombstone | SlotState::Occupied { .. } => {
+                Probe::Absent => restart(idx, fl, guard),
+                Probe::Art { tombstone } => {
                     // Conflict data: hand off to the interleaved ART
                     // descent, entering through the model's fast pointer
                     // when one is registered.
@@ -220,7 +216,7 @@ fn step<'g>(idx: &AltCore, fl: &mut Flight<'g>, guard: &'g Guard) -> Option<Opti
                         m,
                         pred,
                         ver,
-                        tombstone: state == SlotState::Tombstone,
+                        tombstone,
                         cur,
                     };
                     None
@@ -246,15 +242,8 @@ fn step<'g>(idx: &AltCore, fl: &mut Flight<'g>, guard: &'g Guard) -> Option<Opti
                     }
                     Some(Some(v))
                 }
-                BatchStep::Done(None) => {
-                    // The miss is only conclusive if nothing moved under
-                    // us — same re-validation as the scalar path.
-                    if m.is_retired() || !m.slots.version_unchanged(pred, ver) {
-                        restart(idx, fl, guard)
-                    } else {
-                        Some(None)
-                    }
-                }
+                BatchStep::Done(None) if m.miss_is_final(pred, ver) => Some(None),
+                BatchStep::Done(None) => restart(idx, fl, guard),
                 // The cursor's budget ran out: the scalar path owns the
                 // guaranteed-progress escalation chain.
                 BatchStep::Escalate => Some(AltCore::get(idx, fl.key)),

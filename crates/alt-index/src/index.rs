@@ -11,7 +11,7 @@ use crate::config::AltConfig;
 use crate::dir::ModelDir;
 use crate::fast_ptr::{BufferHook, FastPointerBuffer};
 use crate::model::{build_model, GplModel, NO_FAST};
-use crate::slots::SlotState;
+use crate::slots::{Probe, SlotState};
 use art::{Art, FromResult};
 use crossbeam_epoch::{self as epoch, Atomic, Guard};
 use index_api::{IndexError, Result};
@@ -387,43 +387,27 @@ impl AltCore {
             let m = dir.model_for(key);
             let pred = m.predict(key);
             let (state, ver) = m.slots.read(pred);
-            match state {
-                SlotState::Occupied { key: k, value } if k == key => return Some(value),
-                SlotState::Empty => {
-                    // Algorithm 2 line 5-6: an unoccupied predicted slot
-                    // means the key cannot exist — unless the model was
-                    // concurrently replaced (different predictions).
-                    if m.is_retired() {
-                        if retry.wait_or_escalate(&crate::LAYER) {
-                            return self.get_pessimistic(key);
+            // A conclusive answer returns; what falls out of the match is
+            // a verdict a concurrent retrain or writer may have undone.
+            match state.probe(key) {
+                Probe::Hit(value) => return Some(value),
+                Probe::Absent if !m.is_retired() => return None,
+                Probe::Absent => {}
+                // Conflict data: the direct ART query replaces the classic
+                // secondary search.
+                Probe::Art { tombstone } => match self.art_get(m, key) {
+                    Some(v) => {
+                        if self.cfg.write_back && tombstone {
+                            self.try_write_back(m, pred, key);
                         }
-                        continue;
+                        return Some(v);
                     }
-                    return None;
-                }
-                SlotState::Tombstone | SlotState::Occupied { .. } => {
-                    // Conflict data: the direct ART query replaces the
-                    // classic secondary search.
-                    match self.art_get(m, key) {
-                        Some(v) => {
-                            if self.cfg.write_back && state == SlotState::Tombstone {
-                                self.try_write_back(m, pred, key);
-                            }
-                            return Some(v);
-                        }
-                        None => {
-                            // The miss is only conclusive if nothing moved
-                            // under us.
-                            if m.is_retired() || !m.slots.version_unchanged(pred, ver) {
-                                if retry.wait_or_escalate(&crate::LAYER) {
-                                    return self.get_pessimistic(key);
-                                }
-                                continue;
-                            }
-                            return None;
-                        }
-                    }
-                }
+                    None if m.miss_is_final(pred, ver) => return None,
+                    None => {}
+                },
+            }
+            if retry.wait_or_escalate(&crate::LAYER) {
+                return self.get_pessimistic(key);
             }
         }
     }
@@ -450,10 +434,10 @@ impl AltCore {
         let dir = self.dir_ref(&guard);
         let m = dir.model_for(key);
         let pred = m.predict(key);
-        m.slots.with_write(pred, |g| match g.state() {
-            SlotState::Occupied { key: k, value } if k == key => Some(value),
-            SlotState::Empty => None,
-            SlotState::Tombstone | SlotState::Occupied { .. } => self.art_get(m, key),
+        m.slots.with_write(pred, |g| match g.state().probe(key) {
+            Probe::Hit(value) => Some(value),
+            Probe::Absent => None,
+            Probe::Art { .. } => self.art_get(m, key),
         })
     }
 

@@ -84,6 +84,15 @@ impl GplModel {
         self.retired.load(Ordering::Acquire)
     }
 
+    /// Whether an ART miss for a key predicted to slot `pred`, read at
+    /// version `ver` before the descent, is conclusive: nothing moved
+    /// under the reader — the model is still the live one and no writer of
+    /// the key (they all decide under the slot's lock) has been by since.
+    #[inline(always)]
+    pub fn miss_is_final(&self, pred: usize, ver: u32) -> bool {
+        !self.is_retired() && self.slots.version_unchanged(pred, ver)
+    }
+
     /// The model's fast-pointer buffer slot.
     #[inline]
     pub fn fast(&self) -> u32 {

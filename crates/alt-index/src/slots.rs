@@ -30,6 +30,37 @@ pub enum SlotState {
     Tombstone,
 }
 
+/// What a reader looking for one key concludes from the slot the model
+/// predicts for it: the verdict of `get`, of the pessimistic fallback and
+/// of the batch engine's probe stage alike.
+#[derive(Debug, Clone, Copy)]
+pub enum Probe {
+    /// The slot holds the key: its value.
+    Hit(u64),
+    /// Never claimed, so the key is absent (Algorithm 2 lines 5-6) —
+    /// unless the model has retired: its successor predicts otherwise.
+    Absent,
+    /// Conflict data: the key, if present, lives in ART. A hit there under
+    /// a `tombstone` may be written back into the slot.
+    Art {
+        /// The slot is free to take the key back.
+        tombstone: bool,
+    },
+}
+
+impl SlotState {
+    /// The reader's verdict on this snapshot of `key`'s predicted slot.
+    #[inline(always)]
+    pub fn probe(self, key: u64) -> Probe {
+        match self {
+            SlotState::Occupied { key: k, value } if k == key => Probe::Hit(value),
+            SlotState::Empty => Probe::Absent,
+            SlotState::Tombstone => Probe::Art { tombstone: true },
+            SlotState::Occupied { .. } => Probe::Art { tombstone: false },
+        }
+    }
+}
+
 /// One slot record. Version, key, and value are interleaved so a lookup
 /// touches one or two cache lines instead of three separate arrays (the
 /// layout matters more than anything else on the slot-hit fast path).

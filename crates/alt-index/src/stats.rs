@@ -4,7 +4,7 @@
 //! and the memory breakdown (Fig 8(a)).
 
 use crate::index::AltCore;
-use crate::slots::SlotState;
+use crate::slots::Probe;
 use art::FromResult;
 use crossbeam_epoch as epoch;
 
@@ -136,11 +136,9 @@ impl AltCore {
         let dir = self.dir_ref(&guard);
         let m = dir.model_for(key);
         let pred = m.predict(key);
-        match m.slots.read(pred).0 {
-            SlotState::Occupied { key: k, .. } if k == key => return None,
-            SlotState::Empty => return None,
-            _ => {}
-        }
+        let Probe::Art { .. } = m.slots.read(pred).0.probe(key) else {
+            return None;
+        };
         let (found_root, root_hops) = self.art.get_with_depth(key);
         found_root?;
         let jump_hops = match self.jump_node(m, key) {

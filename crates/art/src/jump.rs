@@ -167,7 +167,7 @@ impl Art {
                 // parted just above. SAFETY: epoch pinned; optimistic read
                 // section — result discarded unless the validate below
                 // succeeds (§15).
-                let child = unsafe { node::find_child_racing(p, b1) };
+                let child = unsafe { node::find_child(p, b1) };
                 if !hdr.version.validate(v) {
                     continue 'restart;
                 }

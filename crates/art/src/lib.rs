@@ -28,9 +28,9 @@ mod api;
 pub(crate) mod arena;
 mod batch;
 mod jump;
-// Exposed (unstably) for the scalar-vs-SIMD equivalence suite
-// (tests/simd_equivalence.rs) and the batch_lookup bench; the stable
-// surface is the re-export list below.
+// Exposed (unstably) for the child-search oracle suite
+// (tests/simd_equivalence.rs); the stable surface is the re-export list
+// below.
 #[doc(hidden)]
 pub mod node;
 mod olc;

@@ -19,6 +19,7 @@
 //!   replacement can repair the buffer in O(1).
 
 use crate::olc::VersionLock;
+use std::mem::{needs_drop, offset_of};
 use std::sync::atomic::{AtomicU16, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 
 /// Sentinel for "no fast-pointer buffer entry references this node".
@@ -116,6 +117,11 @@ impl NodeHeader {
     fn set_count(&self, n: usize) {
         self.num_children.store(n as u16, Ordering::Release);
     }
+
+    #[inline]
+    fn kind(&self) -> &'static Kind {
+        &KINDS[self.node_type as usize]
+    }
 }
 
 /// A leaf holding one key-value pair. The value is atomic so updates are
@@ -128,23 +134,20 @@ pub struct Leaf {
     pub value: AtomicU64,
 }
 
-/// Node4: sorted key bytes + children.
+/// Node4 and Node16: `N` sorted key bytes + their children, one layout
+/// generic over the fan-out.
 #[repr(C)]
-pub struct Node4 {
+pub struct SortedNode<const N: usize> {
     /// Common header.
     pub hdr: NodeHeader,
-    keys: [AtomicU8; 4],
-    children: [AtomicUsize; 4],
+    keys: [AtomicU8; N],
+    children: [AtomicUsize; N],
 }
 
-/// Node16: sorted key bytes + children.
-#[repr(C)]
-pub struct Node16 {
-    /// Common header.
-    pub hdr: NodeHeader,
-    keys: [AtomicU8; 16],
-    children: [AtomicUsize; 16],
-}
+/// Up to 4 children.
+pub type Node4 = SortedNode<4>;
+/// Up to 16 children.
+pub type Node16 = SortedNode<16>;
 
 /// Node48: 256-entry byte index into a 48-pointer array.
 #[repr(C)]
@@ -165,6 +168,38 @@ pub struct Node256 {
 
 const EMPTY48: u8 = 0xFF;
 
+/// What differs between the node kinds besides the layout itself,
+/// indexed by `NodeType as usize`.
+struct Kind {
+    size: usize,
+    capacity: usize,
+    larger: Option<NodeType>,
+    smaller: Option<NodeType>,
+    /// A removal from a node with at most this many children shrinks it
+    /// to `smaller`.
+    shrink_at: usize,
+}
+
+#[rustfmt::skip]
+const KINDS: [Kind; 4] = [
+    Kind { size: size_of::<Node4>(), capacity: 4, larger: Some(NodeType::N16), smaller: None, shrink_at: 0 },
+    Kind { size: size_of::<Node16>(), capacity: 16, larger: Some(NodeType::N48), smaller: Some(NodeType::N4), shrink_at: 4 },
+    Kind { size: size_of::<Node48>(), capacity: 48, larger: Some(NodeType::N256), smaller: Some(NodeType::N16), shrink_at: 13 },
+    Kind { size: size_of::<Node256>(), capacity: 256, larger: None, smaller: Some(NodeType::N48), shrink_at: 38 },
+];
+
+// What the unsafe code below takes from the layouts.
+const _: () = {
+    // `find_child` loads 16 key bytes whatever the fan-out. In the 4-way
+    // node the load runs on into the children array and must end inside
+    // the allocation; in the 16-way node it is the key array exactly.
+    assert!(offset_of!(Node4, keys) + 16 <= size_of::<Node4>());
+    assert!(offset_of!(Node16, keys) + 16 == offset_of!(Node16, children));
+    // `dealloc` returns a slot without running a destructor.
+    assert!(!needs_drop::<Leaf>() && !needs_drop::<Node4>() && !needs_drop::<Node16>());
+    assert!(!needs_drop::<Node48>() && !needs_drop::<Node256>());
+};
+
 // ---------------------------------------------------------------------
 // Tagged pointer helpers
 // ---------------------------------------------------------------------
@@ -183,16 +218,10 @@ pub fn is_leaf(p: NodePtr) -> bool {
 /// fast-pointer jumps and AMAC ring prefetches pay off. Arena slots are
 /// ≥16-aligned, so bit 0 is always free for the leaf tag.
 pub fn make_leaf(key: u64, value: u64) -> NodePtr {
-    let p = crate::arena::arena_alloc(std::mem::size_of::<Leaf>()) as *mut Leaf;
-    // SAFETY: fresh, exclusively owned slot of sufficient size and
-    // alignment (16-byte slots, Leaf is 16 bytes / 8-aligned).
-    unsafe {
-        p.write(Leaf {
-            key,
-            value: AtomicU64::new(value),
-        });
-    }
-    p as usize | 1
+    arena_new(Leaf {
+        key,
+        value: AtomicU64::new(value),
+    }) | 1
 }
 
 /// Dereference a tagged leaf pointer.
@@ -217,10 +246,37 @@ pub unsafe fn header<'g>(p: NodePtr) -> &'g NodeHeader {
     &*(p as *const NodeHeader)
 }
 
-macro_rules! as_node {
-    ($p:expr, $t:ty) => {
-        &*($p as *const $t)
-    };
+/// A live internal node, borrowed as the layout its header names. The two
+/// sorted kinds are one variant: what is done to them differs only in the
+/// length of the arrays.
+enum Node<'g> {
+    Sorted {
+        keys: &'g [AtomicU8],
+        children: &'g [AtomicUsize],
+    },
+    N48(&'g Node48),
+    N256(&'g Node256),
+}
+
+/// Borrow the node behind `p`: the one place a `NodePtr` is cast to a
+/// node layout.
+///
+/// # Safety
+/// As for [`header`].
+#[inline(always)]
+unsafe fn view<'g>(p: NodePtr) -> Node<'g> {
+    fn sorted<const N: usize>(n: &SortedNode<N>) -> Node<'_> {
+        Node::Sorted {
+            keys: &n.keys,
+            children: &n.children,
+        }
+    }
+    match header(p).node_type {
+        NodeType::N4 => sorted(&*(p as *const Node4)),
+        NodeType::N16 => sorted(&*(p as *const Node16)),
+        NodeType::N48 => Node::N48(&*(p as *const Node48)),
+        NodeType::N256 => Node::N256(&*(p as *const Node256)),
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -238,57 +294,51 @@ fn atomic_usize_array<const N: usize>() -> [AtomicUsize; N] {
 /// Write `val` into a fresh arena slot sized/aligned for `T` and return
 /// the untagged pointer value.
 fn arena_new<T>(val: T) -> usize {
-    let p = crate::arena::arena_alloc(std::mem::size_of::<T>()) as *mut T;
-    // SAFETY: fresh, exclusively owned slot; internal-node slots are
-    // 64-aligned (≥ align_of::<T>() for every node type).
+    let p = crate::arena::arena_alloc(size_of::<T>()) as *mut T;
+    // SAFETY: fresh, exclusively owned slot; leaf slots are 16-aligned and
+    // internal-node slots 64-aligned (≥ align_of::<T>() for every layout).
     unsafe { p.write(val) };
     p as usize
+}
+
+fn new_sorted<const N: usize>(hdr: NodeHeader) -> NodePtr {
+    arena_new(SortedNode::<N> {
+        hdr,
+        keys: atomic_u8_array(0),
+        children: atomic_usize_array(),
+    })
 }
 
 /// Allocate an empty internal node of the given type from the slab arena
 /// (see [`make_leaf`] for why nodes don't come from `Box`).
 pub fn alloc(node_type: NodeType) -> NodePtr {
+    let hdr = NodeHeader::new(node_type);
     match node_type {
-        NodeType::N4 => arena_new(Node4 {
-            hdr: NodeHeader::new(NodeType::N4),
-            keys: atomic_u8_array(0),
-            children: atomic_usize_array(),
-        }),
-        NodeType::N16 => arena_new(Node16 {
-            hdr: NodeHeader::new(NodeType::N16),
-            keys: atomic_u8_array(0),
-            children: atomic_usize_array(),
-        }),
+        NodeType::N4 => new_sorted::<4>(hdr),
+        NodeType::N16 => new_sorted::<16>(hdr),
         NodeType::N48 => arena_new(Node48 {
-            hdr: NodeHeader::new(NodeType::N48),
+            hdr,
             index: atomic_u8_array(EMPTY48),
             children: atomic_usize_array(),
         }),
         NodeType::N256 => arena_new(Node256 {
-            hdr: NodeHeader::new(NodeType::N256),
+            hdr,
             children: atomic_usize_array(),
         }),
     }
 }
 
 /// Size in bytes of the allocation behind a tagged pointer.
-pub fn alloc_size(p: NodePtr) -> usize {
+///
+/// # Safety
+/// `p` must be a live pointer produced by [`alloc`] or [`make_leaf`]: an
+/// internal node's size is read from its header.
+pub unsafe fn alloc_size(p: NodePtr) -> usize {
     if is_leaf(p) {
-        return std::mem::size_of::<Leaf>();
+        size_of::<Leaf>()
+    } else {
+        header(p).kind().size
     }
-    // SAFETY: caller guarantees `p` is live; we only read the type tag.
-    match unsafe { header(p) }.node_type {
-        NodeType::N4 => std::mem::size_of::<Node4>(),
-        NodeType::N16 => std::mem::size_of::<Node16>(),
-        NodeType::N48 => std::mem::size_of::<Node48>(),
-        NodeType::N256 => std::mem::size_of::<Node256>(),
-    }
-}
-
-/// Drop `T` in place and return its slot to the arena free list.
-unsafe fn arena_drop<T>(p: *mut T) {
-    std::ptr::drop_in_place(p);
-    crate::arena::arena_dealloc(p as *mut u8, std::mem::size_of::<T>());
 }
 
 /// Immediately return the slot behind a tagged pointer to the arena.
@@ -300,21 +350,11 @@ unsafe fn arena_drop<T>(p: *mut T) {
 /// unpinned (see `crate::arena` docs / DESIGN.md §15).
 ///
 /// # Safety
-/// `p` must be a live pointer produced by [`alloc`] or [`make_leaf`], not
-/// reachable by any other thread.
+/// `p` must be null or a live pointer produced by [`alloc`] or
+/// [`make_leaf`], not reachable by any other thread.
 pub unsafe fn dealloc(p: NodePtr) {
-    if p == 0 {
-        return;
-    }
-    if is_leaf(p) {
-        arena_drop((p & !1) as *mut Leaf);
-        return;
-    }
-    match header(p).node_type {
-        NodeType::N4 => arena_drop(p as *mut Node4),
-        NodeType::N16 => arena_drop(p as *mut Node16),
-        NodeType::N48 => arena_drop(p as *mut Node48),
-        NodeType::N256 => arena_drop(p as *mut Node256),
+    if p != 0 {
+        crate::arena::arena_dealloc((p & !1) as *mut u8, alloc_size(p));
     }
 }
 
@@ -339,121 +379,59 @@ pub unsafe fn dealloc_subtree(p: NodePtr) {
 // responsible for epoch protection and, for mutations, the write lock).
 // ---------------------------------------------------------------------
 
-/// Find the child pointer for `byte`, or 0 if absent.
+impl Node48 {
+    /// The two dependent loads of a Node48 lookup: `index[byte]` →
+    /// `children[idx]`.
+    ///
+    /// The only values ever stored into `index[byte]` are [`EMPTY48`] (the
+    /// initial fill and `remove_child`) and `slot as u8` for a slot found
+    /// by scanning the 48-entry children array (`insert_child`), so at
+    /// rest every entry is in `0..=47` or `EMPTY48`. A racing optimistic
+    /// reader still cannot see anything else — `AtomicU8` rules out torn
+    /// bytes. The bound check is therefore defense in depth: if a corrupt
+    /// value ever did appear, clamping it (as this code once did with
+    /// `.min(47)`) would silently return `children[47]` — a live pointer
+    /// to the *wrong* child, which version validation cannot catch because
+    /// the node itself was never locked. Treating `idx >= 48` as "absent"
+    /// instead keeps the failure mode a miss, never a wrong descent.
+    #[inline(always)]
+    fn child(&self, byte: u8) -> NodePtr {
+        match self
+            .children
+            .get(self.index[byte as usize].load(Ordering::Acquire) as usize)
+        {
+            Some(c) => c.load(Ordering::Acquire),
+            None => 0,
+        }
+    }
+}
+
+/// Find the child pointer for `byte`, or 0 if absent. The sorted kinds
+/// search their keys with one 16-lane compare (SSE2/NEON via
+/// `crates/simd`; per-byte atomic loads in a scalar build); Node48 and
+/// Node256 are O(1) pointer chases.
 ///
 /// # Safety
-/// `p` must be a live internal node pointer.
+/// `p` must be a live internal node pointer, **and** the result is
+/// untrusted until the node's version validates: nothing derived from it
+/// may be dereferenced before that validation succeeds (DESIGN.md §15).
+/// A caller that holds the node's write lock meets this trivially — no
+/// writer races its load, and the version it would validate is its own.
 pub unsafe fn find_child(p: NodePtr, byte: u8) -> NodePtr {
-    let hdr = header(p);
-    match hdr.node_type {
-        NodeType::N4 => {
-            let n = as_node!(p, Node4);
-            let cnt = hdr.count().min(4);
-            for i in 0..cnt {
-                if n.keys[i].load(Ordering::Acquire) == byte {
-                    return n.children[i].load(Ordering::Acquire);
-                }
-            }
-            0
-        }
-        NodeType::N16 => {
-            let n = as_node!(p, Node16);
-            let cnt = hdr.count().min(16);
-            for i in 0..cnt {
-                if n.keys[i].load(Ordering::Acquire) == byte {
-                    return n.children[i].load(Ordering::Acquire);
-                }
-            }
-            0
-        }
-        NodeType::N48 => {
-            let n = as_node!(p, Node48);
-            node48_slot(n, byte)
-        }
-        NodeType::N256 => {
-            let n = as_node!(p, Node256);
-            n.children[byte as usize].load(Ordering::Acquire)
-        }
-    }
-}
-
-/// The two dependent Node48 loads (`index[byte]` → `children[idx]`) with
-/// the out-of-range bound check shared by [`find_child`] and
-/// [`find_child_racing`].
-///
-/// The only values ever stored into `index[byte]` are [`EMPTY48`] (the
-/// initial fill and `remove_child`) and `slot as u8` for a slot found by
-/// scanning the 48-entry children array (`insert_child` /
-/// `insert_child_unchecked_count`), so at rest every entry is in
-/// `0..=47` or `EMPTY48`. A racing optimistic reader still cannot see
-/// anything else — `AtomicU8` (and the per-byte atomicity the SIMD path
-/// relies on, DESIGN.md §15) rules out torn bytes. The bound check is
-/// therefore defense in depth: if a corrupt value ever did appear,
-/// clamping it (as this code once did with `.min(47)`) would silently
-/// return `children[47]` — a live pointer to the *wrong* child, which
-/// version validation cannot catch because the node itself was never
-/// locked. Treating `idx >= 48` as "absent" instead keeps the failure
-/// mode a miss, never a wrong descent.
-#[inline(always)]
-unsafe fn node48_slot(n: &Node48, byte: u8) -> NodePtr {
-    let idx = n.index[byte as usize].load(Ordering::Acquire) as usize;
-    if idx >= 48 {
-        // EMPTY48 (0xFF) and any out-of-range value mean "absent".
-        0
-    } else {
-        n.children[idx].load(Ordering::Acquire)
-    }
-}
-
-/// [`find_child`] with vectorized key search for the sorted node types —
-/// one 16-lane compare instead of a per-byte load loop (SSE2/NEON via
-/// `crates/simd`; identical scalar semantics when SIMD is disabled).
-///
-/// Node48/Node256 lookups are already O(1) pointer chases and share the
-/// scalar helpers (including the Node48 bound check).
-///
-/// # Safety
-/// `p` must be a live internal node pointer, **and** the caller must be
-/// inside an optimistic read section: the result is untrusted until the
-/// node's version validates, and nothing derived from it may be
-/// dereferenced before that validation succeeds (DESIGN.md §15). The
-/// write-locked paths keep using [`find_child`], whose per-byte atomic
-/// loads need no such protocol.
-pub unsafe fn find_child_racing(p: NodePtr, byte: u8) -> NodePtr {
-    let hdr = header(p);
-    match hdr.node_type {
-        NodeType::N4 => {
-            let n = as_node!(p, Node4);
-            let cnt = hdr.count().min(4);
-            // SAFETY: the 16-byte vector load starts at `keys` and stays
-            // inside the Node4 allocation — the 4 key bytes are followed
-            // by (padding +) 32 bytes of children, so ≥16 bytes of the
-            // node remain readable. Lanes ≥ cnt are masked off by
-            // `find_byte16`. The racing-read result is revalidated by
-            // the caller per this function's contract.
-            match simd::find_byte16(n.keys.as_ptr() as *const u8, byte, cnt) {
-                Some(i) => n.children[i].load(Ordering::Acquire),
+    match view(p) {
+        Node::Sorted { keys, children } => {
+            let cnt = header(p).count().min(keys.len());
+            // SAFETY: 16 bytes from `keys` on stay inside the node (the
+            // `const` assertions above); lanes ≥ cnt are masked off by
+            // `find_byte16`; the caller revalidates a racing read per
+            // this function's contract.
+            match simd::find_byte16(keys.as_ptr() as *const u8, byte, cnt) {
+                Some(i) => children[i].load(Ordering::Acquire),
                 None => 0,
             }
         }
-        NodeType::N16 => {
-            let n = as_node!(p, Node16);
-            let cnt = hdr.count().min(16);
-            // SAFETY: `keys` is exactly 16 in-bounds bytes; caller
-            // revalidates per this function's contract.
-            match simd::find_byte16(n.keys.as_ptr() as *const u8, byte, cnt) {
-                Some(i) => n.children[i].load(Ordering::Acquire),
-                None => 0,
-            }
-        }
-        NodeType::N48 => {
-            let n = as_node!(p, Node48);
-            node48_slot(n, byte)
-        }
-        NodeType::N256 => {
-            let n = as_node!(p, Node256);
-            n.children[byte as usize].load(Ordering::Acquire)
-        }
+        Node::N48(n) => n.child(byte),
+        Node::N256(n) => n.children[byte as usize].load(Ordering::Acquire),
     }
 }
 
@@ -463,58 +441,34 @@ pub unsafe fn find_child_racing(p: NodePtr, byte: u8) -> NodePtr {
 /// `p` must be a live internal node pointer.
 pub unsafe fn is_full(p: NodePtr) -> bool {
     let hdr = header(p);
-    let cap = match hdr.node_type {
-        NodeType::N4 => 4,
-        NodeType::N16 => 16,
-        NodeType::N48 => 48,
-        NodeType::N256 => 256,
-    };
-    hdr.count() >= cap
+    hdr.count() >= hdr.kind().capacity
 }
 
-/// Insert a child under `byte`. The node must be write-locked and not
-/// full, and `byte` must not already be present.
+/// Insert a child under `byte`. The node must be write-locked (or not yet
+/// published) and not full, and `byte` must not already be present.
 ///
 /// # Safety
 /// `p` live internal node, write lock held by the caller.
 pub unsafe fn insert_child(p: NodePtr, byte: u8, child: NodePtr) {
     let hdr = header(p);
     let cnt = hdr.count();
-    match hdr.node_type {
-        NodeType::N4 => {
-            let n = as_node!(p, Node4);
-            insert_sorted(&n.keys, &n.children, cnt, byte, child);
-        }
-        NodeType::N16 => {
-            let n = as_node!(p, Node16);
-            insert_sorted(&n.keys, &n.children, cnt, byte, child);
-        }
-        NodeType::N48 => {
-            let n = as_node!(p, Node48);
-            // Find a free slot in the children array.
-            let mut slot = usize::MAX;
-            for (i, c) in n.children.iter().enumerate() {
-                if c.load(Ordering::Relaxed) == 0 {
-                    slot = i;
-                    break;
-                }
-            }
-            debug_assert!(slot != usize::MAX, "insert into full Node48");
+    match view(p) {
+        Node::Sorted { keys, children } => insert_sorted(keys, children, cnt, byte, child),
+        Node::N48(n) => {
+            let free = |c: &AtomicUsize| c.load(Ordering::Relaxed) == 0;
+            let slot = n.children.iter().position(free).expect("Node48 has room");
             n.children[slot].store(child, Ordering::Release);
             n.index[byte as usize].store(slot as u8, Ordering::Release);
         }
-        NodeType::N256 => {
-            let n = as_node!(p, Node256);
-            n.children[byte as usize].store(child, Ordering::Release);
-        }
+        Node::N256(n) => n.children[byte as usize].store(child, Ordering::Release),
     }
     hdr.set_count(cnt + 1);
 }
 
 // Audit note (optimistic readers vs the shift loops below, incl. the
-// SIMD vector search in `find_child_racing` — DESIGN.md §15): the writer
-// holds the node's version lock for the whole shift, so every concurrent
-// reader of this node is an *optimistic* one that snapshotted the version
+// vector search in `find_child` — DESIGN.md §15): the writer holds the
+// node's version lock for the whole shift, so every concurrent reader of
+// this node is an *optimistic* one that snapshotted the version
 // beforehand and will fail `validate` afterwards — any conclusion drawn
 // from a mid-shift view is discarded before it is acted on. What must
 // hold even for a doomed reader is memory safety of the read itself:
@@ -527,7 +481,7 @@ pub unsafe fn insert_child(p: NodePtr, byte: u8, child: NodePtr) {
 //   or a pointer that was live at some point during the shift: the
 //   shifts only copy existing entries (transiently duplicating a
 //   neighbor, never inventing a pointer), `insert_sorted` moves
-//   right-to-left before storing the new child, and `remove_sorted`
+//   right-to-left before storing the new child, and `remove_child`
 //   moves left-to-right before clearing the vacated tail slot. Epoch
 //   reclamation keeps "live at some point while the reader was pinned"
 //   dereferenceable, so a doomed reader may descend into the *wrong*
@@ -540,32 +494,32 @@ pub unsafe fn insert_child(p: NodePtr, byte: u8, child: NodePtr) {
 // The `node.shift` chaos point widens the mid-shift windows under the
 // `chaos` feature so the seeded schedule sweeps actually exercise these
 // interleavings (see tests/chaos_schedules.rs).
-unsafe fn insert_sorted(
+fn insert_sorted(
     keys: &[AtomicU8],
     children: &[AtomicUsize],
     cnt: usize,
     byte: u8,
     child: NodePtr,
 ) {
-    let mut pos = cnt;
-    for i in 0..cnt {
-        if keys[i].load(Ordering::Relaxed) > byte {
-            pos = i;
-            break;
-        }
-    }
+    let above = |k: &AtomicU8| k.load(Ordering::Relaxed) > byte;
+    let pos = keys[..cnt].iter().position(above).unwrap_or(cnt);
     // Shift right from the end so concurrent optimistic readers (who will
     // fail validation anyway) never observe an out-of-bounds index.
-    let mut i = cnt;
-    while i > pos {
+    for i in (pos..cnt).rev() {
         probe::chaos::point("node.shift");
-        keys[i].store(keys[i - 1].load(Ordering::Relaxed), Ordering::Release);
-        children[i].store(children[i - 1].load(Ordering::Relaxed), Ordering::Release);
-        i -= 1;
+        keys[i + 1].store(keys[i].load(Ordering::Relaxed), Ordering::Release);
+        children[i + 1].store(children[i].load(Ordering::Relaxed), Ordering::Release);
     }
     probe::chaos::point("node.shift");
     keys[pos].store(byte, Ordering::Release);
     children[pos].store(child, Ordering::Release);
+}
+
+/// Where `byte` sits among the first `cnt` sorted keys of a node its
+/// caller has write-locked. The byte must be there.
+fn sorted_pos(keys: &[AtomicU8], cnt: usize, byte: u8) -> usize {
+    let found = |k: &AtomicU8| k.load(Ordering::Relaxed) == byte;
+    keys[..cnt].iter().position(found).expect("byte present")
 }
 
 /// Replace the child pointer stored under `byte` (which must exist).
@@ -574,39 +528,12 @@ unsafe fn insert_sorted(
 /// # Safety
 /// `p` live internal node, write lock held.
 pub unsafe fn replace_child(p: NodePtr, byte: u8, child: NodePtr) {
-    let hdr = header(p);
-    match hdr.node_type {
-        NodeType::N4 => {
-            let n = as_node!(p, Node4);
-            for i in 0..hdr.count() {
-                if n.keys[i].load(Ordering::Relaxed) == byte {
-                    n.children[i].store(child, Ordering::Release);
-                    return;
-                }
-            }
-            unreachable!("replace_child: byte not found in Node4");
-        }
-        NodeType::N16 => {
-            let n = as_node!(p, Node16);
-            for i in 0..hdr.count() {
-                if n.keys[i].load(Ordering::Relaxed) == byte {
-                    n.children[i].store(child, Ordering::Release);
-                    return;
-                }
-            }
-            unreachable!("replace_child: byte not found in Node16");
-        }
-        NodeType::N48 => {
-            let n = as_node!(p, Node48);
-            let idx = n.index[byte as usize].load(Ordering::Relaxed);
-            debug_assert!(idx != EMPTY48);
-            n.children[idx as usize].store(child, Ordering::Release);
-        }
-        NodeType::N256 => {
-            let n = as_node!(p, Node256);
-            n.children[byte as usize].store(child, Ordering::Release);
-        }
-    }
+    let slot = match view(p) {
+        Node::Sorted { keys, children } => &children[sorted_pos(keys, header(p).count(), byte)],
+        Node::N48(n) => &n.children[n.index[byte as usize].load(Ordering::Relaxed) as usize],
+        Node::N256(n) => &n.children[byte as usize],
+    };
+    slot.store(child, Ordering::Release);
 }
 
 /// Remove the child under `byte` (which must exist). Node must be
@@ -617,17 +544,21 @@ pub unsafe fn replace_child(p: NodePtr, byte: u8, child: NodePtr) {
 pub unsafe fn remove_child(p: NodePtr, byte: u8) {
     let hdr = header(p);
     let cnt = hdr.count();
-    match hdr.node_type {
-        NodeType::N4 => {
-            let n = as_node!(p, Node4);
-            remove_sorted(&n.keys, &n.children, cnt, byte);
+    match view(p) {
+        Node::Sorted { keys, children } => {
+            // Left-to-right copy, then clear the vacated tail slot last —
+            // see the audit note above `insert_sorted` for why every
+            // mid-shift view a doomed optimistic reader can take is
+            // memory-safe.
+            for i in sorted_pos(keys, cnt, byte)..cnt - 1 {
+                probe::chaos::point("node.shift");
+                keys[i].store(keys[i + 1].load(Ordering::Relaxed), Ordering::Release);
+                children[i].store(children[i + 1].load(Ordering::Relaxed), Ordering::Release);
+            }
+            probe::chaos::point("node.shift");
+            children[cnt - 1].store(0, Ordering::Release);
         }
-        NodeType::N16 => {
-            let n = as_node!(p, Node16);
-            remove_sorted(&n.keys, &n.children, cnt, byte);
-        }
-        NodeType::N48 => {
-            let n = as_node!(p, Node48);
+        Node::N48(n) => {
             let idx = n.index[byte as usize].load(Ordering::Relaxed);
             debug_assert!(idx != EMPTY48);
             // Order matters for doomed optimistic readers: retract the
@@ -649,33 +580,9 @@ pub unsafe fn remove_child(p: NodePtr, byte: u8) {
             probe::chaos::point("node.shift");
             n.children[idx as usize].store(0, Ordering::Release);
         }
-        NodeType::N256 => {
-            let n = as_node!(p, Node256);
-            n.children[byte as usize].store(0, Ordering::Release);
-        }
+        Node::N256(n) => n.children[byte as usize].store(0, Ordering::Release),
     }
     hdr.set_count(cnt - 1);
-}
-
-unsafe fn remove_sorted(keys: &[AtomicU8], children: &[AtomicUsize], cnt: usize, byte: u8) {
-    let mut pos = usize::MAX;
-    for i in 0..cnt {
-        if keys[i].load(Ordering::Relaxed) == byte {
-            pos = i;
-            break;
-        }
-    }
-    debug_assert!(pos != usize::MAX, "remove_child: byte not found");
-    // Left-to-right copy, then clear the vacated tail slot last — see the
-    // audit note above `insert_sorted` for why every mid-shift view a
-    // doomed optimistic reader can take is memory-safe.
-    for i in pos..cnt - 1 {
-        probe::chaos::point("node.shift");
-        keys[i].store(keys[i + 1].load(Ordering::Relaxed), Ordering::Release);
-        children[i].store(children[i + 1].load(Ordering::Relaxed), Ordering::Release);
-    }
-    probe::chaos::point("node.shift");
-    children[cnt - 1].store(0, Ordering::Release);
 }
 
 /// Visit every (byte, child) pair in ascending byte order.
@@ -684,50 +591,10 @@ unsafe fn remove_sorted(keys: &[AtomicU8], children: &[AtomicUsize], cnt: usize,
 /// `p` must be a live internal node pointer. Under concurrency the caller
 /// must validate the node's version afterwards.
 pub unsafe fn for_each_child(p: NodePtr, mut f: impl FnMut(u8, NodePtr)) {
-    let hdr = header(p);
-    match hdr.node_type {
-        NodeType::N4 => {
-            let n = as_node!(p, Node4);
-            for i in 0..hdr.count().min(4) {
-                let c = n.children[i].load(Ordering::Acquire);
-                if c != 0 {
-                    f(n.keys[i].load(Ordering::Acquire), c);
-                }
-            }
-        }
-        NodeType::N16 => {
-            let n = as_node!(p, Node16);
-            for i in 0..hdr.count().min(16) {
-                let c = n.children[i].load(Ordering::Acquire);
-                if c != 0 {
-                    f(n.keys[i].load(Ordering::Acquire), c);
-                }
-            }
-        }
-        NodeType::N48 => {
-            let n = as_node!(p, Node48);
-            for byte in 0..=255u8 {
-                let idx = n.index[byte as usize].load(Ordering::Acquire) as usize;
-                // Same bound check as `node48_slot`: EMPTY48 and any
-                // (impossible-at-rest) out-of-range value mean "absent",
-                // never a clamped wrong slot.
-                if idx < 48 {
-                    let c = n.children[idx].load(Ordering::Acquire);
-                    if c != 0 {
-                        f(byte, c);
-                    }
-                }
-            }
-        }
-        NodeType::N256 => {
-            let n = as_node!(p, Node256);
-            for byte in 0..=255u16 {
-                let c = n.children[byte as usize].load(Ordering::Acquire);
-                if c != 0 {
-                    f(byte as u8, c);
-                }
-            }
-        }
+    let mut pos = 0;
+    while let Some((next, byte, child)) = next_child(p, pos, 0, u8::MAX) {
+        f(byte, child);
+        pos = next;
     }
 }
 
@@ -743,58 +610,55 @@ pub unsafe fn for_each_child(p: NodePtr, mut f: impl FnMut(u8, NodePtr)) {
 /// # Safety
 /// `p` must be a live internal node pointer. Under concurrency the result
 /// is untrusted until the node's version validates (as for
-/// [`find_child_racing`]): a mid-shift view may pair a byte with its
-/// neighbour's child.
+/// [`find_child`]): a mid-shift view may pair a byte with its neighbour's
+/// child.
 pub unsafe fn next_child(p: NodePtr, pos: usize, lo: u8, hi: u8) -> Option<(usize, u8, NodePtr)> {
-    let hdr = header(p);
-    match hdr.node_type {
-        NodeType::N4 => {
-            let n = as_node!(p, Node4);
-            next_sorted(&n.keys, &n.children, hdr.count().min(4), pos, lo, hi)
+    /// Node48/Node256: a position is a key byte.
+    fn by_byte(
+        mut bytes: std::ops::RangeInclusive<usize>,
+        child: impl Fn(u8) -> NodePtr,
+    ) -> Option<(usize, u8, NodePtr)> {
+        bytes.find_map(|byte| {
+            let c = child(byte as u8);
+            (c != 0).then_some((byte + 1, byte as u8, c))
+        })
+    }
+    let bytes = pos.max(lo as usize)..=hi as usize;
+    match view(p) {
+        Node::Sorted { keys, children } => {
+            for i in pos..header(p).count().min(keys.len()) {
+                let b = keys[i].load(Ordering::Acquire);
+                if b < lo {
+                    continue;
+                }
+                if b > hi {
+                    break;
+                }
+                let c = children[i].load(Ordering::Acquire);
+                if c != 0 {
+                    return Some((i + 1, b, c));
+                }
+            }
+            None
         }
-        NodeType::N16 => {
-            let n = as_node!(p, Node16);
-            next_sorted(&n.keys, &n.children, hdr.count().min(16), pos, lo, hi)
-        }
-        NodeType::N48 => {
-            let n = as_node!(p, Node48);
-            (pos.max(lo as usize)..=hi as usize).find_map(|byte| {
-                let c = node48_slot(n, byte as u8);
-                (c != 0).then_some((byte + 1, byte as u8, c))
-            })
-        }
-        NodeType::N256 => {
-            let n = as_node!(p, Node256);
-            (pos.max(lo as usize)..=hi as usize).find_map(|byte| {
-                let c = n.children[byte].load(Ordering::Acquire);
-                (c != 0).then_some((byte + 1, byte as u8, c))
-            })
-        }
+        Node::N48(n) => by_byte(bytes, |byte| n.child(byte)),
+        Node::N256(n) => by_byte(bytes, |byte| {
+            n.children[byte as usize].load(Ordering::Acquire)
+        }),
     }
 }
 
-fn next_sorted(
-    keys: &[AtomicU8],
-    children: &[AtomicUsize],
-    cnt: usize,
-    pos: usize,
-    lo: u8,
-    hi: u8,
-) -> Option<(usize, u8, NodePtr)> {
-    for i in pos..cnt {
-        let b = keys[i].load(Ordering::Acquire);
-        if b < lo {
-            continue;
-        }
-        if b > hi {
-            return None;
-        }
-        let c = children[i].load(Ordering::Acquire);
-        if c != 0 {
-            return Some((i + 1, b, c));
-        }
-    }
-    None
+/// A fresh, unshared `node_type` node with `p`'s children, prefix, match
+/// level and fast-pointer buffer slot.
+unsafe fn copy_as(p: NodePtr, node_type: NodeType) -> NodePtr {
+    let (src, newp) = (header(p), alloc(node_type));
+    let dst = header(newp);
+    let (bytes, len, lvl) = src.prefix();
+    dst.set_prefix(&bytes[..len], lvl);
+    dst.buffer_slot
+        .store(src.buffer_slot.load(Ordering::Acquire), Ordering::Release);
+    for_each_child(p, |b, c| insert_child(newp, b, c));
+    newp
 }
 
 /// Grow a full node into the next larger type, copying children, prefix,
@@ -804,16 +668,7 @@ fn next_sorted(
 /// # Safety
 /// `p` live internal node, write lock held.
 pub unsafe fn grow(p: NodePtr) -> NodePtr {
-    let hdr = header(p);
-    let next = match hdr.node_type {
-        NodeType::N4 => NodeType::N16,
-        NodeType::N16 => NodeType::N48,
-        NodeType::N48 => NodeType::N256,
-        NodeType::N256 => unreachable!("Node256 cannot grow"),
-    };
-    let newp = alloc(next);
-    copy_into(p, newp);
-    newp
+    copy_as(p, header(p).kind().larger.expect("Node256 cannot grow"))
 }
 
 /// Shrink an underfull node into the next smaller type (see
@@ -822,16 +677,8 @@ pub unsafe fn grow(p: NodePtr) -> NodePtr {
 /// # Safety
 /// `p` live internal node, write lock held.
 pub unsafe fn shrink(p: NodePtr) -> NodePtr {
-    let hdr = header(p);
-    let smaller = match hdr.node_type {
-        NodeType::N16 => NodeType::N4,
-        NodeType::N48 => NodeType::N16,
-        NodeType::N256 => NodeType::N48,
-        NodeType::N4 => unreachable!("Node4 shrinks by merging, not by type change"),
-    };
-    let newp = alloc(smaller);
-    copy_into(p, newp);
-    newp
+    let smaller = header(p).kind().smaller;
+    copy_as(p, smaller.expect("Node4 shrinks by merging, not by type"))
 }
 
 /// Whether removing one child would leave the node small enough to shrink
@@ -841,77 +688,7 @@ pub unsafe fn shrink(p: NodePtr) -> NodePtr {
 /// `p` live internal node.
 pub unsafe fn shrink_candidate(p: NodePtr) -> bool {
     let hdr = header(p);
-    match hdr.node_type {
-        NodeType::N4 => false,
-        NodeType::N16 => hdr.count() <= 4,
-        NodeType::N48 => hdr.count() <= 13,
-        NodeType::N256 => hdr.count() <= 38,
-    }
-}
-
-unsafe fn copy_into(src: NodePtr, dst: NodePtr) {
-    let shdr = header(src);
-    let dhdr = header(dst);
-    let (bytes, len, lvl) = shdr.prefix();
-    dhdr.set_prefix(&bytes[..len], lvl);
-    dhdr.buffer_slot
-        .store(shdr.buffer_slot.load(Ordering::Acquire), Ordering::Release);
-    let mut cnt = 0usize;
-    for_each_child(src, |b, c| {
-        insert_child_unchecked_count(dst, b, c);
-        cnt += 1;
-    });
-    dhdr.set_count(cnt);
-}
-
-/// insert_child without count bookkeeping (used by copy_into which sets
-/// the count once at the end).
-unsafe fn insert_child_unchecked_count(p: NodePtr, byte: u8, child: NodePtr) {
-    let hdr = header(p);
-    let cnt = hdr.count();
-    hdr.set_count(cnt); // no-op, keeps symmetry
-    match hdr.node_type {
-        NodeType::N4 => {
-            let n = as_node!(p, Node4);
-            // copy_into visits in ascending order: append.
-            let pos = current_len(&n.keys, &n.children);
-            n.keys[pos].store(byte, Ordering::Relaxed);
-            n.children[pos].store(child, Ordering::Relaxed);
-        }
-        NodeType::N16 => {
-            let n = as_node!(p, Node16);
-            let pos = current_len(&n.keys, &n.children);
-            n.keys[pos].store(byte, Ordering::Relaxed);
-            n.children[pos].store(child, Ordering::Relaxed);
-        }
-        NodeType::N48 => {
-            let n = as_node!(p, Node48);
-            let mut slot = usize::MAX;
-            for (i, c) in n.children.iter().enumerate() {
-                if c.load(Ordering::Relaxed) == 0 {
-                    slot = i;
-                    break;
-                }
-            }
-            n.children[slot].store(child, Ordering::Relaxed);
-            n.index[byte as usize].store(slot as u8, Ordering::Relaxed);
-        }
-        NodeType::N256 => {
-            let n = as_node!(p, Node256);
-            n.children[byte as usize].store(child, Ordering::Relaxed);
-        }
-    }
-}
-
-unsafe fn current_len(_keys: &[AtomicU8], children: &[AtomicUsize]) -> usize {
-    let mut len = 0;
-    for c in children {
-        if c.load(Ordering::Relaxed) == 0 {
-            break;
-        }
-        len += 1;
-    }
-    len
+    hdr.kind().smaller.is_some() && hdr.count() <= hdr.kind().shrink_at
 }
 
 /// Clone a node (same type, same children/prefix/metadata) — used when a
@@ -922,9 +699,7 @@ unsafe fn current_len(_keys: &[AtomicU8], children: &[AtomicUsize]) -> usize {
 /// # Safety
 /// `p` live internal node, write lock held by the caller.
 pub unsafe fn clone_node(p: NodePtr) -> NodePtr {
-    let newp = alloc(header(p).node_type);
-    copy_into(p, newp);
-    newp
+    copy_as(p, header(p).node_type)
 }
 
 /// Extract the byte of `key` at byte position `depth` (0 = most
@@ -967,6 +742,31 @@ mod tests {
         }
     }
 
+    /// The arena's five size classes and `art.arena_bytes_per_key` depend
+    /// on these; the child search on the key offsets (see the `const`
+    /// assertions).
+    #[test]
+    fn layouts_are_pinned() {
+        assert_eq!(size_of::<Leaf>(), 16);
+        assert_eq!(size_of::<NodeHeader>(), 24);
+        let sizes = [
+            size_of::<Node4>(),
+            size_of::<Node16>(),
+            size_of::<Node48>(),
+            size_of::<Node256>(),
+        ];
+        assert_eq!(sizes, [64, 168, 664, 2072]);
+        assert_eq!(sizes, KINDS.each_ref().map(|k| k.size));
+        assert_eq!(
+            (offset_of!(Node4, keys), offset_of!(Node4, children)),
+            (24, 32)
+        );
+        assert_eq!(
+            (offset_of!(Node16, keys), offset_of!(Node16, children)),
+            (24, 40)
+        );
+    }
+
     #[test]
     fn node4_insert_find_remove() {
         // SAFETY: every pointer used below was returned by `alloc`,
@@ -998,36 +798,63 @@ mod tests {
         }
     }
 
+    /// `grow`, `shrink` and `clone_node` all copy through `insert_child`:
+    /// whatever the source and destination kinds, the copy has the expected
+    /// type and the source's children (in byte order), count, prefix,
+    /// match level and buffer slot, and answers every search alike.
     #[test]
     fn grow_preserves_children_and_metadata() {
-        // SAFETY: every pointer used below was returned by `alloc`,
-        // `make_leaf`, `grow` or `shrink` in this test and is not yet
-        // freed; the nodes are private to this thread, mutated only under
-        // their version lock, and each is freed exactly once.
-        unsafe {
-            let p = alloc(NodeType::N4);
-            header(p).set_prefix(&[7, 8], 3);
-            header(p).buffer_slot.store(42, Ordering::Relaxed);
-            header(p).version.lock();
-            for b in [5u8, 1, 9, 200] {
-                insert_child(p, b, make_leaf(b as u64, b as u64));
+        use NodeType::*;
+        type Copy = unsafe fn(NodePtr) -> NodePtr;
+        let cases: [(NodeType, usize, Copy, NodeType); 10] = [
+            (N4, 4, grow, N16),
+            (N16, 16, grow, N48),
+            (N48, 48, grow, N256),
+            (N16, 4, shrink, N4),
+            (N48, 13, shrink, N16),
+            (N256, 38, shrink, N48),
+            (N4, 3, clone_node, N4),
+            (N16, 9, clone_node, N16),
+            (N48, 30, clone_node, N48),
+            (N256, 200, clone_node, N256),
+        ];
+        for (from, n, copy, to) in cases {
+            // SAFETY: every pointer used below was returned by `alloc`,
+            // `make_leaf`, `grow`, `shrink` or `clone_node` in this test
+            // and is not yet freed; the nodes are private to this thread,
+            // mutated only under their version lock, and each is freed
+            // exactly once.
+            unsafe {
+                let p = alloc(from);
+                header(p).set_prefix(&[7, 8], 3);
+                header(p).buffer_slot.store(42, Ordering::Relaxed);
+                header(p).version.lock();
+                // 37 is odd, so the bytes are distinct — and out of order.
+                let mut bytes: Vec<u8> = (0..n).map(|i| (i * 37 % 256) as u8).collect();
+                for &b in &bytes {
+                    insert_child(p, b, make_leaf(b as u64, b as u64));
+                }
+                assert_eq!(is_full(p), n == header(p).kind().capacity);
+                let new = copy(p);
+                assert_eq!(header(new).node_type, to, "{from:?} x{n}");
+                assert_eq!(header(new).count(), n, "{from:?} -> {to:?}");
+                let (prefix, len, lvl) = header(new).prefix();
+                assert_eq!((&prefix[..len], lvl), (&[7u8, 8][..], 3));
+                assert_eq!(header(new).buffer_slot.load(Ordering::Relaxed), 42);
+                let mut seen = Vec::new();
+                for_each_child(new, |b, c| {
+                    assert_eq!(leaf_ref(c).key, b as u64);
+                    seen.push(b);
+                });
+                bytes.sort_unstable();
+                assert_eq!(seen, bytes, "{from:?} -> {to:?}");
+                for b in 0..=255u8 {
+                    assert_eq!(find_child(new, b), find_child(p, b), "{from:?} -> {to:?}");
+                }
+                header(p).version.unlock();
+                dealloc(p); // children now owned by `new`
+                dealloc_subtree(new);
             }
-            assert!(is_full(p));
-            let big = grow(p);
-            assert_eq!(header(big).node_type, NodeType::N16);
-            assert_eq!(header(big).count(), 4);
-            let (bytes, len, lvl) = header(big).prefix();
-            assert_eq!((&bytes[..len], lvl), (&[7u8, 8][..], 3));
-            assert_eq!(header(big).buffer_slot.load(Ordering::Relaxed), 42);
-            let mut seen = Vec::new();
-            for_each_child(big, |b, c| {
-                assert_eq!(leaf_ref(c).key, b as u64);
-                seen.push(b);
-            });
-            assert_eq!(seen, vec![1, 5, 9, 200]);
-            header(p).version.unlock();
-            dealloc(p); // children now owned by `big`
-            dealloc_subtree(big);
         }
     }
 
@@ -1061,31 +888,6 @@ mod tests {
             }
             header(p).version.unlock();
             dealloc_subtree(p);
-        }
-    }
-
-    #[test]
-    fn shrink_preserves_children() {
-        // SAFETY: every pointer used below was returned by `alloc`,
-        // `make_leaf`, `grow` or `shrink` in this test and is not yet
-        // freed; the nodes are private to this thread, mutated only under
-        // their version lock, and each is freed exactly once.
-        unsafe {
-            let p = alloc(NodeType::N16);
-            header(p).version.lock();
-            for b in [9u8, 3, 7] {
-                insert_child(p, b, make_leaf(b as u64, 0));
-            }
-            assert!(shrink_candidate(p));
-            let small = shrink(p);
-            assert_eq!(header(small).node_type, NodeType::N4);
-            assert_eq!(header(small).count(), 3);
-            let mut seen = Vec::new();
-            for_each_child(small, |b, _| seen.push(b));
-            assert_eq!(seen, vec![3, 7, 9]);
-            header(p).version.unlock();
-            dealloc(p);
-            dealloc_subtree(small);
         }
     }
 
@@ -1124,7 +926,7 @@ mod tests {
         // resolved to `children[47]` — a live pointer to the WRONG
         // child — instead of "absent". Poke such a value directly (only
         // possible from this in-crate test; real stores are provably
-        // 0..=47 or EMPTY48, see `node48_slot`) and check every lookup
+        // 0..=47 or EMPTY48, see `Node48::child`) and check every lookup
         // path reports a miss.
         // SAFETY: every pointer used below was returned by `alloc`,
         // `make_leaf`, `grow` or `shrink` in this test and is not yet
@@ -1139,16 +941,13 @@ mod tests {
                 insert_child(p, b as u8, make_leaf(b as u64, 0));
             }
             assert!(is_full(p));
-            let n = as_node!(p, Node48);
+            let Node::N48(n) = view(p) else {
+                unreachable!("allocated as a Node48")
+            };
             assert!(n.children[47].load(Ordering::Relaxed) != 0);
             // Byte 255 was never inserted; plant a corrupt index entry.
             n.index[255].store(200, Ordering::Release);
             assert_eq!(find_child(p, 255), 0, "find_child must report a miss");
-            assert_eq!(
-                find_child_racing(p, 255),
-                0,
-                "find_child_racing must report a miss"
-            );
             let mut seen_255 = false;
             for_each_child(p, |b, _| seen_255 |= b == 255);
             assert!(!seen_255, "for_each_child must skip the corrupt entry");
@@ -1156,38 +955,6 @@ mod tests {
             n.index[255].store(EMPTY48, Ordering::Release);
             header(p).version.unlock();
             dealloc_subtree(p);
-        }
-    }
-
-    #[test]
-    fn racing_find_matches_scalar_on_quiescent_nodes() {
-        // SAFETY: every pointer used below was returned by `alloc`,
-        // `make_leaf`, `grow` or `shrink` in this test and is not yet
-        // freed; the nodes are private to this thread, mutated only under
-        // their version lock, and each is freed exactly once.
-        unsafe {
-            for ty in [NodeType::N4, NodeType::N16, NodeType::N48, NodeType::N256] {
-                let p = alloc(ty);
-                header(p).version.lock();
-                let cap = match ty {
-                    NodeType::N4 => 4u16,
-                    NodeType::N16 => 16,
-                    NodeType::N48 => 48,
-                    NodeType::N256 => 256,
-                };
-                for b in 0..cap {
-                    insert_child(p, (b * 5 % 256) as u8, make_leaf(b as u64, 0));
-                }
-                for byte in 0..=255u16 {
-                    assert_eq!(
-                        find_child(p, byte as u8),
-                        find_child_racing(p, byte as u8),
-                        "{ty:?} byte {byte}"
-                    );
-                }
-                header(p).version.unlock();
-                dealloc_subtree(p);
-            }
         }
     }
 

@@ -109,7 +109,10 @@ impl Art {
     }
 
     pub(crate) fn track_alloc(&self, p: NodePtr) {
-        self.mem.fetch_add(node::alloc_size(p), Ordering::Relaxed);
+        // SAFETY: every caller passes a node or leaf it has just allocated
+        // and not yet freed.
+        let size = unsafe { node::alloc_size(p) };
+        self.mem.fetch_add(size, Ordering::Relaxed);
     }
 
     /// Retire a replaced/unlinked allocation: memory is reclaimed after
@@ -118,12 +121,12 @@ impl Art {
         if p == 0 {
             return;
         }
-        self.mem.fetch_sub(node::alloc_size(p), Ordering::Relaxed);
-        // SAFETY: `p` has been unlinked from the tree by the caller (under
-        // the appropriate locks), so no new readers can find it; existing
-        // readers are protected by their epoch pins, which `defer` waits
-        // out before running the destructor.
+        // SAFETY: `p` was live in the tree until the caller unlinked it
+        // (under the appropriate locks), so no new readers can find it;
+        // existing readers are protected by their epoch pins, which `defer`
+        // waits out before running the destructor.
         unsafe {
+            self.mem.fetch_sub(node::alloc_size(p), Ordering::Relaxed);
             guard.defer_unchecked(move || node::dealloc(p));
         }
     }
@@ -228,7 +231,8 @@ impl Art {
                 let matched = prefix_mismatch(&prefix[..plen], key, depth) == plen;
                 depth += plen;
                 let child = if matched && depth < 8 {
-                    // SAFETY: `cur` is write-locked and live.
+                    // SAFETY: `cur` is live and write-locked, so nothing
+                    // races the search and its result needs no validation.
                     unsafe { node::find_child(cur, node::key_byte(key, depth)) }
                 } else {
                     0
@@ -378,7 +382,10 @@ impl Art {
     }
 
     fn untrack_fresh(&self, p: NodePtr) {
-        self.mem.fetch_sub(node::alloc_size(p), Ordering::Relaxed);
+        // SAFETY: `p` is a never-published allocation its caller still
+        // owns and frees only after this.
+        let size = unsafe { node::alloc_size(p) };
+        self.mem.fetch_sub(size, Ordering::Relaxed);
     }
 
     /// Descend from internal node `start` (at its own match level) and
@@ -433,7 +440,7 @@ impl Art {
             // Own child search, not `hop`'s: see the function docs.
             // SAFETY: pinned epoch; optimistic read section — result
             // discarded unless the validate below succeeds (§15).
-            let child = unsafe { node::find_child_racing(at.p, b) };
+            let child = unsafe { node::find_child(at.p, b) };
             if !hdr.version.validate(at.v) {
                 return Err(Abort::Restart);
             }
@@ -989,9 +996,9 @@ pub(crate) unsafe fn hop(
         };
     }
     let byte = node::key_byte(key, below);
-    // Optimistic read section — the racing SIMD search result is
-    // discarded unless the validate just below succeeds (DESIGN.md §15).
-    let child = node::find_child_racing(p, byte);
+    // Optimistic read section — the racing search result is discarded
+    // unless the validate just below succeeds (DESIGN.md §15).
+    let child = node::find_child(p, byte);
     if !hdr.version.validate(v) {
         return Hop::Restart;
     }

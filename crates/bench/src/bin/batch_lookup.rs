@@ -7,11 +7,10 @@
 //!
 //! Sweeps `--batch-width` (default {1, 8, 16, 32, 64}; width 1 is the
 //! scalar `get` loop, the baseline) over every selected index and
-//! dataset, and reruns the whole width sweep under each `--simd`
-//! kill-switch position (default {off, on}) so the vectorized child
-//! search / grouped predict can be compared against the per-byte scalar
-//! kernels on the same stream (`speedup_simd` rows, emitted on the
-//! simd-on pass per width measured in both positions). The lookup
+//! dataset. Every row carries a `simd` tag naming the child-search
+//! kernel the build compiled (`off` = `--features simd/force-scalar`), so
+//! the vector search is compared against the per-byte kernel by running
+//! two builds on the same stream. The lookup
 //! stream is a deterministic shuffle of loaded and absent keys (90/10),
 //! the same stream for every width, so rows are directly comparable.
 //! When the sweep includes width 1, a `speedup_vs_width1` row is
@@ -25,7 +24,7 @@ use bench::Setup;
 use std::hint::black_box;
 use std::time::Instant;
 
-/// Timed passes per (index, dataset, width, simd-mode) point; best time
+/// Timed passes per (index, dataset, width) point; best time
 /// wins (5, up from 2, after a recorded run where two consecutive
 /// points caught host interference in both passes — construction
 /// dominates the run, so extra passes are nearly free).
@@ -59,24 +58,18 @@ fn lookup_stream(setup: &Setup, ops: usize, seed: u64) -> Vec<u64> {
 fn main() {
     let args = Args::parse();
     let sweep = args.batch_width_sweep();
-    let modes = args.simd_mode_sweep();
+    let vector = !simd::SCALAR_BUILD;
     banner(
         "batch_lookup",
         &format!(
-            "keys={}, ops={}, batch-width sweep {:?}, simd sweep {:?}, seed={}",
+            "keys={}, ops={}, batch-width sweep {:?}, simd {}, seed={}",
             args.keys,
             args.ops,
             sweep,
-            modes
-                .iter()
-                .map(|&m| if m { "on" } else { "off" })
-                .collect::<Vec<_>>(),
+            if vector { "on" } else { "off (scalar build)" },
             args.seed
         ),
     );
-    if simd::SCALAR_BUILD {
-        println!("note: force-scalar build — both simd positions run the scalar kernels");
-    }
     for ds in &args.datasets {
         let setup = Setup::half(*ds, args.keys, args.seed);
         let stream = lookup_stream(&setup, args.ops, args.seed ^ 0xBA7C);
@@ -88,83 +81,53 @@ fn main() {
             // Reference results from the scalar path, used both to keep
             // the batched runs honest and to avoid dead-code elimination.
             let expect_hits: usize = stream.iter().filter(|&&k| idx.get(k).is_some()).count();
-            // Per-mode width-1 baselines for the speedup_vs_width1 rows.
-            let mut width1_mops = vec![None::<f64>; modes.len()];
+            // Width-1 baseline for the speedup_vs_width1 rows.
+            let mut width1_mops = None::<f64>;
             for &w in &sweep {
-                // The simd positions are interleaved *inside* the rep
-                // loop so the off/on pair for a width is measured
-                // back-to-back — minutes of drift between two separate
-                // sweeps would otherwise swamp the kernel difference on
-                // a busy host.
-                let mut best = vec![f64::INFINITY; modes.len()];
+                let mut best = f64::INFINITY;
                 for _ in 0..REPS {
-                    for (mi, &simd_on) in modes.iter().enumerate() {
-                        simd::set_enabled(simd_on);
-                        let mut hits = 0usize;
-                        let mut out = vec![None; w];
-                        let start = Instant::now();
-                        if w == 1 {
-                            for &k in &stream {
-                                hits += usize::from(black_box(idx.get(k)).is_some());
-                            }
-                        } else {
-                            for chunk in stream.chunks(w) {
-                                idx.get_batch(chunk, &mut out[..chunk.len()]);
-                                hits += black_box(&out[..chunk.len()])
-                                    .iter()
-                                    .filter(|o| o.is_some())
-                                    .count();
-                            }
-                        }
-                        let elapsed = start.elapsed().as_secs_f64();
-                        assert_eq!(
-                            hits,
-                            expect_hits,
-                            "{} width {w} simd {simd_on}: batched hit count diverged from scalar",
-                            kind.name()
-                        );
-                        best[mi] = best[mi].min(elapsed);
-                    }
-                }
-                for (mi, &simd_on) in modes.iter().enumerate() {
-                    let mops = stream.len() as f64 / best[mi] / 1e6;
+                    let mut hits = 0usize;
+                    let mut out = vec![None; w];
+                    let start = Instant::now();
                     if w == 1 {
-                        width1_mops[mi] = Some(mops);
+                        for &k in &stream {
+                            hits += usize::from(black_box(idx.get(k)).is_some());
+                        }
+                    } else {
+                        for chunk in stream.chunks(w) {
+                            idx.get_batch(chunk, &mut out[..chunk.len()]);
+                            hits += black_box(&out[..chunk.len()])
+                                .iter()
+                                .filter(|o| o.is_some())
+                                .count();
+                        }
                     }
+                    let elapsed = start.elapsed().as_secs_f64();
+                    assert_eq!(
+                        hits,
+                        expect_hits,
+                        "{} width {w}: batched hit count diverged from scalar",
+                        kind.name()
+                    );
+                    best = best.min(elapsed);
+                }
+                let mops = stream.len() as f64 / best / 1e6;
+                if w == 1 {
+                    width1_mops = Some(mops);
+                }
+                let row = || {
                     Row::new("batch_lookup")
                         .index(kind.name())
                         .dataset(ds.name())
                         .workload("read-only")
                         .x(w as f64)
-                        .mops(mops)
-                        .value("elapsed_ms", best[mi] * 1e3)
-                        .simd(simd_on)
-                        .emit();
-                    if let (Some(base), true) = (width1_mops[mi], w != 1) {
-                        Row::new("batch_lookup")
-                            .index(kind.name())
-                            .dataset(ds.name())
-                            .workload("read-only")
-                            .x(w as f64)
-                            .value("speedup_vs_width1", mops / base)
-                            .simd(simd_on)
-                            .emit();
-                    }
-                    if simd_on {
-                        if let Some(base_mi) = modes.iter().position(|&m| !m) {
-                            Row::new("batch_lookup")
-                                .index(kind.name())
-                                .dataset(ds.name())
-                                .workload("read-only")
-                                .x(w as f64)
-                                .value("speedup_simd", best[base_mi] / best[mi])
-                                .simd(true)
-                                .emit();
-                        }
-                    }
+                        .simd(vector)
+                };
+                row().mops(mops).value("elapsed_ms", best * 1e3).emit();
+                if let (Some(base), true) = (width1_mops, w != 1) {
+                    row().value("speedup_vs_width1", mops / base).emit();
                 }
             }
-            simd::set_enabled(true);
             drop(idx);
         }
     }

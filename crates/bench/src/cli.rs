@@ -39,13 +39,6 @@ pub struct Args {
     /// experiment sweeps all of them; empty = the default
     /// {1, 8, 16, 32, 64} sweep. Width 1 is the scalar baseline.
     pub batch_widths: Vec<usize>,
-    /// SIMD kill-switch positions to sweep (`--simd on`, `--simd off`,
-    /// `--simd off,on`). The batch_lookup experiment reruns its width
-    /// sweep under each position via `simd::set_enabled`; empty = the
-    /// default {off, on} so every report carries a scalar baseline next
-    /// to the vectorized rows. On force-scalar builds both positions run
-    /// the same kernels (the rows then document that fact).
-    pub simd_modes: Vec<bool>,
     /// Time-bucket width in milliseconds for throughput-over-time
     /// curves (the retrain_shift experiment).
     pub bucket_ms: u64,
@@ -66,7 +59,6 @@ impl Default for Args {
             chaos_seed: None,
             build_threads: Vec::new(),
             batch_widths: Vec::new(),
-            simd_modes: Vec::new(),
             bucket_ms: 50,
         }
     }
@@ -142,22 +134,12 @@ impl Args {
                         })
                         .collect();
                 }
-                "--simd" => {
-                    out.simd_modes = val()
-                        .split(',')
-                        .map(|s| match s {
-                            "on" => true,
-                            "off" => false,
-                            other => panic!("--simd entries must be on|off, got {other}"),
-                        })
-                        .collect();
-                }
                 "--help" | "-h" => {
                     eprintln!(
                         "flags: --keys N --threads N --ops N --datasets a,b \
                          --part a|b|c|d|e --theta F --seed N --indexes x,y \
                          --metrics --chaos-seed N --build-threads 1,2,8 \
-                         --batch-width 1,8,32 --simd off,on --bucket-ms N"
+                         --batch-width 1,8,32 --bucket-ms N"
                     );
                     std::process::exit(0);
                 }
@@ -202,18 +184,6 @@ impl Args {
             vec![1, 8, 16, 32, 64]
         } else {
             self.batch_widths.clone()
-        }
-    }
-
-    /// The SIMD kill-switch positions the batch_lookup experiment
-    /// sweeps: the `--simd` list as given, or {off, on} (scalar baseline
-    /// first so the vectorized pass can report `speedup_simd` against
-    /// it).
-    pub fn simd_mode_sweep(&self) -> Vec<bool> {
-        if self.simd_modes.is_empty() {
-            vec![false, true]
-        } else {
-            self.simd_modes.clone()
         }
     }
 
@@ -309,25 +279,6 @@ mod tests {
         let d = parse(&[]);
         assert!(d.batch_widths.is_empty());
         assert_eq!(d.batch_width_sweep(), vec![1, 8, 16, 32, 64]);
-    }
-
-    #[test]
-    fn simd_flag_and_sweeps() {
-        let a = parse(&["--simd", "on"]);
-        assert_eq!(a.simd_modes, vec![true]);
-        assert_eq!(a.simd_mode_sweep(), vec![true]);
-        assert_eq!(
-            parse(&["--simd", "off,on"]).simd_mode_sweep(),
-            vec![false, true]
-        );
-
-        let d = parse(&[]);
-        assert!(d.simd_modes.is_empty());
-        assert_eq!(
-            d.simd_mode_sweep(),
-            vec![false, true],
-            "scalar baseline first"
-        );
     }
 
     #[test]

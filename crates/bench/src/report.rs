@@ -22,9 +22,9 @@ pub struct Row {
     pub value: Option<f64>,
     /// What `value` measures.
     pub metric: String,
-    /// SIMD kill-switch position the row was measured under, if the
-    /// experiment sweeps it (batch_lookup): `Some(true)` = vector
-    /// kernels on, `Some(false)` = forced scalar.
+    /// Which child-search kernel the measuring build compiled, for the
+    /// experiment that depends on it (batch_lookup): `Some(true)` = the
+    /// vector kernel, `Some(false)` = a `simd::SCALAR_BUILD`.
     pub simd: Option<bool>,
     /// The host's available parallelism at run time. Always recorded:
     /// throughput numbers are meaningless without knowing how many
@@ -117,7 +117,7 @@ impl Row {
         self.value = Some(v);
         self
     }
-    /// Tag the row with the SIMD kill-switch position it ran under.
+    /// Tag the row with the child-search kernel it ran on (`on` = vector).
     pub fn simd(mut self, on: bool) -> Self {
         self.simd = Some(on);
         self

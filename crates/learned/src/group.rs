@@ -3,9 +3,9 @@
 //! `alt_index::batch` admits up to a ring's worth of keys at once; each
 //! admission needs one [`LinearModel::predict_f`]. Doing those multiplies
 //! one at a time wastes the vector unit, so [`predict_f_group`] gathers
-//! the group's slopes and key deltas into contiguous lanes and runs the
-//! multiplies through [`simd::mul_f64_slices`] (packed `_mm_mul_pd` /
-//! NEON `vmulq_f64`).
+//! the group's slopes and key deltas into contiguous lanes and multiplies
+//! them in one plain loop, which the compiler packs (`mulpd` on x86_64,
+//! `fmul.2d` on aarch64) — no intrinsic, no `unsafe`.
 //!
 //! **Bit-identical by construction:** every lane performs exactly the
 //! scalar computation — the same `(key - first_key) as f64` conversion
@@ -19,7 +19,7 @@
 use crate::linear::LinearModel;
 
 /// `out[i] = models[i].predict_f(keys[i])`, bit-identically, with the
-/// multiplies packed through the vector unit.
+/// multiplies in one loop the vector unit can take.
 ///
 /// # Panics
 /// Panics if the three slices differ in length.
@@ -46,7 +46,9 @@ pub fn predict_f_group(models: &[LinearModel], keys: &[u64], out: &mut [f64]) {
                 deltas[i] = (k - m.first_key) as f64;
             }
         }
-        simd::mul_f64_slices(&slopes[..n], &deltas[..n], &mut out[start..start + n]);
+        for ((o, s), d) in out[start..start + n].iter_mut().zip(&slopes).zip(&deltas) {
+            *o = s * d;
+        }
         start += n;
     }
 }

@@ -1,26 +1,20 @@
-//! Portable SIMD kernels for the index hot paths.
+//! The SIMD kernel of the ART child search, with the same cfg-dispatch
+//! shape as `crates/prefetch`.
 //!
-//! Two kernels live here, both with the same cfg-dispatch shape as
-//! `crates/prefetch`:
-//!
-//! * **Byte-equality search** ([`find_byte16`], [`match_mask16`]) — the
-//!   classic ART Node16 trick: load 16 key bytes with one vector load,
-//!   compare all lanes against the needle at once, and reduce the match
-//!   bitmap with `movemask`/`trailing_zeros`. On x86_64 this is SSE2
-//!   (`_mm_loadu_si128` + `_mm_cmpeq_epi8` + `_mm_movemask_epi8`,
-//!   baseline on every x86_64 target, no runtime feature detection
-//!   needed); on aarch64 it is NEON (`vceqq_u8` + a bit-select reduce);
-//!   elsewhere, and under `force-scalar` or ThreadSanitizer, a per-byte
-//!   atomic scalar loop with identical results.
-//! * **Packed f64 multiply** ([`mul_f64_slices`]) — two-lane
-//!   `_mm_mul_pd` over slope/delta arrays for the grouped GPL predict in
-//!   `alt_index::batch`. IEEE-754 multiplication is bit-identical
-//!   between the packed and scalar forms, so this kernel needs no
-//!   equivalence gate — only the byte-search kernels read racing memory.
+//! **Byte-equality search** ([`find_byte16`], [`match_mask16`]) — the
+//! classic ART Node16 trick: load 16 key bytes with one vector load,
+//! compare all lanes against the needle at once, and reduce the match
+//! bitmap with `movemask`/`trailing_zeros`. On x86_64 this is SSE2
+//! (`_mm_loadu_si128` + `_mm_cmpeq_epi8` + `_mm_movemask_epi8`, baseline
+//! on every x86_64 target, no runtime feature detection needed); on
+//! aarch64 it is NEON (`vceqq_u8` + a bit-select reduce); elsewhere, and
+//! under `force-scalar` or ThreadSanitizer, a per-byte atomic scalar loop
+//! with identical results. Which one is compiled is fixed at build time
+//! ([`SCALAR_BUILD`]); nothing selects between them at run time.
 //!
 //! # Safety model (full argument: DESIGN.md §15)
 //!
-//! The byte-search kernels are used on ART node key arrays that are
+//! The kernel is used on ART node key arrays that are
 //! *concurrently mutated* by writers holding the node's OLC lock. The
 //! scalar code reads those arrays one `AtomicU8` at a time; a vector
 //! load reads all 16 bytes in one non-atomic access, which is formally a
@@ -47,49 +41,24 @@
 //! their contracts, and compile the scalar fallback under
 //! ThreadSanitizer (see `build.rs`) so the sanitizer job checks the
 //! surrounding protocol rather than flagging the deliberate race.
-//!
-//! # Runtime kill-switch
-//!
-//! [`set_enabled`]/[`enabled`] gate the vector paths at runtime so one
-//! process can measure and cross-check both paths (the `batch_lookup`
-//! bench sweeps simd on/off; the equivalence proptests compare both).
-//! The switch defaults to **on**; `force-scalar` builds ignore it and
-//! always take the scalar path.
 
 #![warn(missing_docs)]
 
-use core::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use core::sync::atomic::{AtomicU8, Ordering};
 
-/// True when this build compiles the scalar reference kernels regardless
-/// of the runtime switch: the `force-scalar` feature, a ThreadSanitizer
-/// build (detected by `build.rs`), or an architecture without a wired-up
-/// vector unit.
+/// True when this build compiles the scalar reference kernel: the
+/// `force-scalar` feature, a ThreadSanitizer build (detected by
+/// `build.rs`), or an architecture without a wired-up vector unit.
 pub const SCALAR_BUILD: bool = cfg!(any(
     feature = "force-scalar",
     simd_force_scalar_build,
     not(any(target_arch = "x86_64", target_arch = "aarch64"))
 ));
 
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Enable or disable the vector kernels at runtime. With `false`, every
-/// kernel runs its scalar reference implementation — used by the
-/// equivalence proptests and the `batch_lookup` on/off sweep. No-op in
-/// [`SCALAR_BUILD`] configurations (they are always scalar).
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Release);
-}
-
-/// Whether the vector kernels are active: compiled in and not disabled
-/// via [`set_enabled`].
-#[inline(always)]
-pub fn enabled() -> bool {
-    !SCALAR_BUILD && ENABLED.load(Ordering::Acquire)
-}
-
 /// Scalar reference: per-byte `AtomicU8` relaxed loads. This is the
-/// fallback body for both kernels and the TSan-clean path — reading
-/// through atomics makes the mid-shift interleavings defined behavior.
+/// kernel of a [`SCALAR_BUILD`], the TSan-clean path — reading through
+/// atomics makes the mid-shift interleavings defined behavior — and what
+/// the tests below compare the vector kernel against.
 ///
 /// # Safety
 /// `block` must point to at least 16 consecutive bytes inside one live
@@ -124,10 +93,6 @@ unsafe fn match_mask16_scalar(block: *const u8, needle: u8) -> u16 {
 ///   from it before that validation (DESIGN.md §15).
 #[inline(always)]
 pub unsafe fn match_mask16(block: *const u8, needle: u8) -> u16 {
-    if !enabled() {
-        // SAFETY: forwarded caller contract.
-        return unsafe { match_mask16_scalar(block, needle) };
-    }
     #[cfg(all(
         target_arch = "x86_64",
         not(any(feature = "force-scalar", simd_force_scalar_build))
@@ -189,58 +154,6 @@ pub unsafe fn find_byte16(block: *const u8, needle: u8, count: usize) -> Option<
     }
 }
 
-/// Elementwise `out[i] = a[i] * b[i]` over f64 slices, two lanes at a
-/// time where a vector unit exists. IEEE-754 multiplication is exact and
-/// deterministic, so this is bit-identical to the scalar loop on every
-/// path — callers need no equivalence gate and no racing-read caveat
-/// (inputs are plain owned slices).
-///
-/// # Panics
-/// Panics if the three slices differ in length.
-#[inline]
-pub fn mul_f64_slices(a: &[f64], b: &[f64], out: &mut [f64]) {
-    assert!(a.len() == b.len() && a.len() == out.len());
-    let mut i = 0;
-    #[cfg(all(
-        target_arch = "x86_64",
-        not(any(feature = "force-scalar", simd_force_scalar_build))
-    ))]
-    if enabled() {
-        // SAFETY: SSE2 is baseline x86_64; `loadu`/`storeu` have no
-        // alignment requirement and `i + 2 <= len` keeps every access in
-        // bounds of the checked-equal-length slices.
-        unsafe {
-            use core::arch::x86_64::*;
-            while i + 2 <= a.len() {
-                let va = _mm_loadu_pd(a.as_ptr().add(i));
-                let vb = _mm_loadu_pd(b.as_ptr().add(i));
-                _mm_storeu_pd(out.as_mut_ptr().add(i), _mm_mul_pd(va, vb));
-                i += 2;
-            }
-        }
-    }
-    #[cfg(all(
-        target_arch = "aarch64",
-        not(any(feature = "force-scalar", simd_force_scalar_build))
-    ))]
-    if enabled() {
-        // SAFETY: NEON is baseline aarch64; same bounds argument as SSE2.
-        unsafe {
-            use core::arch::aarch64::*;
-            while i + 2 <= a.len() {
-                let va = vld1q_f64(a.as_ptr().add(i));
-                let vb = vld1q_f64(b.as_ptr().add(i));
-                vst1q_f64(out.as_mut_ptr().add(i), vmulq_f64(va, vb));
-                i += 2;
-            }
-        }
-    }
-    while i < a.len() {
-        out[i] = a[i] * b[i];
-        i += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -263,8 +176,14 @@ mod tests {
         block[15] = 99;
         for needle in [0u8, 11, 99, 255, block[7]] {
             // SAFETY: `block` is a live 16-byte array with no writers.
-            let got = unsafe { match_mask16(block.as_ptr(), needle) };
+            let (got, scalar) = unsafe {
+                (
+                    match_mask16(block.as_ptr(), needle),
+                    match_mask16_scalar(block.as_ptr(), needle),
+                )
+            };
             assert_eq!(got, mask_ref(&block, needle), "needle {needle}");
+            assert_eq!(scalar, got, "needle {needle}");
         }
     }
 
@@ -284,33 +203,5 @@ mod tests {
         }
         // SAFETY: live array, no writers.
         assert_eq!(unsafe { find_byte16(block.as_ptr(), 2, 16) }, None);
-    }
-
-    #[test]
-    fn runtime_toggle_switches_to_scalar() {
-        let block: [u8; 16] = core::array::from_fn(|i| i as u8);
-        set_enabled(false);
-        // SAFETY: live array, no writers.
-        let off = unsafe { find_byte16(block.as_ptr(), 9, 16) };
-        set_enabled(true);
-        // SAFETY: live array, no writers.
-        let on = unsafe { find_byte16(block.as_ptr(), 9, 16) };
-        assert_eq!(off, Some(9));
-        assert_eq!(on, Some(9));
-    }
-
-    #[test]
-    fn mul_f64_bit_identical_to_scalar() {
-        let a: Vec<f64> = (0..17).map(|i| (i as f64) * 1.25e-3 + 0.1).collect();
-        let b: Vec<f64> = (0..17).map(|i| (i as f64).mul_add(3.5, -7.0)).collect();
-        let mut out = vec![0.0; 17];
-        mul_f64_slices(&a, &b, &mut out);
-        for i in 0..17 {
-            assert_eq!(out[i].to_bits(), (a[i] * b[i]).to_bits(), "lane {i}");
-        }
-        // Odd length exercises the scalar tail.
-        let mut out3 = vec![0.0; 3];
-        mul_f64_slices(&a[..3], &b[..3], &mut out3);
-        assert_eq!(out3[2].to_bits(), (a[2] * b[2]).to_bits());
     }
 }

@@ -38,10 +38,7 @@ run bulk_build --keys "$KEYS" --build-threads "$BUILD_THREADS"
 # per line — the shape scripts/summarize_results.py parses).
 grep '#json' "results/bulk_build$SUFFIX.txt" | sed 's/^#json //' \
     > "results/BENCH_bulk_build$SUFFIX.json"
-# SIMD kill-switch positions the batch_lookup sweep records (scalar
-# baseline first, so the simd-on pass emits speedup_simd rows).
-SIMD_MODES=${SIMD_MODES:-off,on}
-run batch_lookup --keys "$KEYS" --ops "$OPS" --batch-width "$BATCH_WIDTHS" --simd "$SIMD_MODES"
+run batch_lookup --keys "$KEYS" --ops "$OPS" --batch-width "$BATCH_WIDTHS"
 # The machine-readable batched-lookup baseline (same JSON-lines shape).
 grep '#json' "results/batch_lookup$SUFFIX.txt" | sed 's/^#json //' \
     > "results/BENCH_batch_lookup$SUFFIX.json"

@@ -179,18 +179,16 @@ fn chaos_art() {
     sweep::<Art>("art");
 }
 
-/// The SIMD-child-search satellite (ISSUE 7): 8 seeds whose optimistic
-/// descents run the vectorized `find_child_racing` (explicitly enabled,
-/// in case another test left the kill-switch off) against concurrent
-/// structural writers — with `--features chaos` the `node.shift` points
-/// widen the mid-shift windows the racing vector loads can observe, and
-/// the oracle flags any result that escaped OLC revalidation. A final
-/// seed repeats with the vector paths disabled so the scalar fallback
-/// sees the same schedule family.
+/// 8 seeds whose optimistic descents run the child search — one racing
+/// 16-lane load per sorted node in a default build, per-byte atomic loads
+/// under `--features simd/force-scalar` (CI's `simd` job runs both) —
+/// against concurrent structural writers. With `--features chaos` the
+/// `node.shift` points widen the mid-shift windows the search can
+/// observe, and the oracle flags any result that escaped OLC
+/// revalidation.
 #[test]
 fn chaos_art_simd_search() {
     let base = seed_base();
-    simd::set_enabled(true);
     for s in 0..8u64 {
         let seed = base + 11_000 + s;
         let mut scenario = if s % 2 == 0 {
@@ -199,21 +197,12 @@ fn chaos_art_simd_search() {
             Scenario::shared(seed)
         };
         // Mixed batched/scalar reads so both the AMAC ring descent and
-        // the plain get path run the vector search.
+        // the plain get path run the search.
         scenario.batch_width = if s % 2 == 0 { art::RING_WIDTH } else { 0 };
         let idx = Art::bulk_load(&scenario.initial_pairs());
         if let Err(report) = scenario.run(&idx) {
             panic!("art+simd seed {seed} ({:?}): {report}", scenario.partition);
         }
-    }
-    simd::set_enabled(false);
-    let seed = base + 11_100;
-    let scenario = Scenario::shared(seed);
-    let idx = Art::bulk_load(&scenario.initial_pairs());
-    let res = scenario.run(&idx);
-    simd::set_enabled(true);
-    if let Err(report) = res {
-        panic!("art+simd-disabled seed {seed}: {report}");
     }
 }
 
