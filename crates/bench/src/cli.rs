@@ -1,11 +1,16 @@
-//! A tiny flag parser for the experiment binaries (keeps the workspace
-//! free of a CLI dependency).
+//! The one flag parser of the `figures` binary (keeps the workspace free
+//! of a CLI dependency): positional experiment names plus the union of
+//! the flags the experiments read.
 
 use datasets::Dataset;
+use workloads::{Mix, YcsbKind};
 
-/// Common experiment parameters.
+/// Experiment selection and parameters.
 #[derive(Debug, Clone)]
 pub struct Args {
+    /// Positional experiment names (`table1`, `fig7`, `fig7c`, `abl-a` …;
+    /// comma lists are split): ids or groups of [`crate::registry`].
+    pub experiments: Vec<String>,
     /// Total dataset size (the evaluation bulk-loads 50% of it unless an
     /// experiment says otherwise).
     pub keys: usize,
@@ -30,10 +35,10 @@ pub struct Args {
     /// crate's `chaos` feature; see [`crate::chaos`]).
     pub chaos_seed: Option<u64>,
     /// Construction thread counts (`--build-threads 1,2,8`). The
-    /// bulk_build experiment sweeps all of them; every other bin uses the
-    /// first entry for its one-off index construction. Empty = serial
-    /// plus the host's available parallelism (bulk_build) / available
-    /// parallelism (other bins).
+    /// bulk_build experiment sweeps all of them; every other experiment
+    /// uses the first entry for its one-off index construction. Empty =
+    /// serial plus the host's available parallelism (bulk_build) /
+    /// available parallelism (the others).
     pub build_threads: Vec<usize>,
     /// Batch widths (`--batch-width 1,8,32`). The batch_lookup
     /// experiment sweeps all of them; empty = the default
@@ -42,11 +47,36 @@ pub struct Args {
     /// Time-bucket width in milliseconds for throughput-over-time
     /// curves (the retrain_shift experiment).
     pub bucket_ms: u64,
+    /// `--mix read,insert,scan` percentages of the free-form `ycsb`
+    /// experiment.
+    pub mix: Mix,
+    /// `--batch N` (N >= 2) routes runs of consecutive reads of a driven
+    /// experiment through `get_batch` in N-wide flushes (see
+    /// `workloads::DriverConfig::batch`); rows are then labelled
+    /// `<workload>+batchN`.
+    pub batch: usize,
+    /// `--ycsb d|e`: the `ycsb` experiment runs the YCSB D (latest-read)
+    /// or E (scan-heavy) generator instead of `--mix`.
+    pub ycsb: Option<YcsbKind>,
+    /// `--connections 4,32,256`: the connection counts the
+    /// service_throughput experiment sweeps.
+    pub connections: Vec<usize>,
+    /// `--shards N`: initial region shards (service_throughput).
+    pub shards: usize,
+    /// `--ring N`: `get_batch` ring width of the batched serving mode
+    /// (service_throughput).
+    pub ring: usize,
+    /// `--max-depth N`: admission-control depth (service_throughput).
+    pub max_depth: usize,
+    /// `--burst N` (N >= 2): open-loop bursts of N concurrent requests
+    /// per connection instead of a closed loop (service_throughput).
+    pub burst: usize,
 }
 
 impl Default for Args {
     fn default() -> Self {
         Self {
+            experiments: Vec::new(),
             keys: 2_000_000,
             threads: default_threads(),
             ops: 200_000,
@@ -60,6 +90,14 @@ impl Default for Args {
             build_threads: Vec::new(),
             batch_widths: Vec::new(),
             bucket_ms: 50,
+            mix: Mix::BALANCED,
+            batch: 0,
+            ycsb: None,
+            connections: vec![4, 32, 256],
+            shards: 4,
+            ring: 32,
+            max_depth: 4096,
+            burst: 1,
         }
     }
 }
@@ -75,6 +113,26 @@ pub fn default_threads() -> usize {
 /// the workload harness's 32-thread ceiling).
 pub fn default_build_threads() -> usize {
     alt_index::default_build_threads()
+}
+
+/// Every flag, for `--help` and the unknown-flag message.
+const USAGE: &str = "usage: figures <experiment>[,<experiment>…] [flags] | figures --list
+flags: --keys N --threads N --ops N --datasets a,b --part a|b|c|d|e
+--theta F --seed N --indexes x,y --metrics --chaos-seed N
+--build-threads 1,2,8 --batch-width 1,8,32 --bucket-ms N --batch N
+(ycsb) --mix r,i,s --ycsb d|e
+(service_throughput) --connections 8,64 --shards N --ring N --max-depth N --burst N";
+
+/// Parse an integer that must be at least `min`.
+fn num(flag: &str, v: &str, min: usize) -> usize {
+    let n: usize = v.parse().unwrap_or_else(|_| panic!("{flag} {v}"));
+    assert!(n >= min, "{flag} must be >= {min}");
+    n
+}
+
+/// Parse a comma list of integers, each at least `min`.
+fn list(flag: &str, v: &str, min: usize) -> Vec<usize> {
+    v.split(',').map(|s| num(flag, s, min)).collect()
 }
 
 impl Args {
@@ -94,7 +152,7 @@ impl Args {
             };
             match flag.as_str() {
                 "--keys" => out.keys = parse_human(&val()),
-                "--threads" => out.threads = val().parse().expect("--threads"),
+                "--threads" => out.threads = num(&flag, &val(), 0),
                 "--ops" => out.ops = parse_human(&val()),
                 "--part" => out.part = val().to_ascii_lowercase(),
                 "--theta" => out.theta = val().parse().expect("--theta"),
@@ -110,47 +168,41 @@ impl Args {
                 }
                 "--metrics" => out.metrics = true,
                 "--chaos-seed" => out.chaos_seed = Some(val().parse().expect("--chaos-seed")),
-                "--build-threads" => {
-                    out.build_threads = val()
-                        .split(',')
-                        .map(|s| {
-                            let t: usize = s.parse().expect("--build-threads");
-                            assert!(t >= 1, "--build-threads entries must be >= 1");
-                            t
-                        })
-                        .collect();
+                "--build-threads" => out.build_threads = list(&flag, &val(), 1),
+                "--batch-width" => out.batch_widths = list(&flag, &val(), 1),
+                "--bucket-ms" => out.bucket_ms = num(&flag, &val(), 1) as u64,
+                "--mix" => {
+                    let p = list(&flag, &val(), 0);
+                    assert_eq!(p.len(), 3, "--mix read,insert,scan");
+                    out.mix = Mix::new(p[0] as u8, p[1] as u8, p[2] as u8);
                 }
-                "--bucket-ms" => {
-                    out.bucket_ms = val().parse().expect("--bucket-ms");
-                    assert!(out.bucket_ms >= 1, "--bucket-ms must be >= 1");
-                }
-                "--batch-width" => {
-                    out.batch_widths = val()
-                        .split(',')
-                        .map(|s| {
-                            let w: usize = s.parse().expect("--batch-width");
-                            assert!(w >= 1, "--batch-width entries must be >= 1");
-                            w
-                        })
-                        .collect();
-                }
-                "--help" | "-h" => {
-                    eprintln!(
-                        "flags: --keys N --threads N --ops N --datasets a,b \
-                         --part a|b|c|d|e --theta F --seed N --indexes x,y \
-                         --metrics --chaos-seed N --build-threads 1,2,8 \
-                         --batch-width 1,8,32 --bucket-ms N"
-                    );
+                "--batch" => out.batch = num(&flag, &val(), 0),
+                "--ycsb" => out.ycsb = Some(YcsbKind::parse(&val()).expect("--ycsb d|e")),
+                "--connections" => out.connections = list(&flag, &val(), 1),
+                "--shards" => out.shards = num(&flag, &val(), 0),
+                "--ring" => out.ring = num(&flag, &val(), 0),
+                "--max-depth" => out.max_depth = num(&flag, &val(), 0),
+                "--burst" => out.burst = num(&flag, &val(), 1),
+                "--help" | "-h" | "--list" => {
+                    if flag != "--list" {
+                        eprintln!("{USAGE}\nexperiments:");
+                    }
+                    for e in crate::registry::EXPERIMENTS {
+                        println!("{}", e.id);
+                    }
                     std::process::exit(0);
                 }
-                other => panic!("unknown flag {other} (try --help)"),
+                name if !name.starts_with('-') => {
+                    out.experiments.extend(name.split(',').map(str::to_string));
+                }
+                other => panic!("unknown flag {other}\n{USAGE}"),
             }
         }
         out
     }
 
-    /// The construction thread count for bins that build each index once
-    /// (everything except bulk_build, which sweeps
+    /// The construction thread count for experiments that build each
+    /// index once (everything except bulk_build, which sweeps
     /// [`Args::build_threads_sweep`]): first `--build-threads` entry, or
     /// the host's available parallelism.
     pub fn construction_threads(&self) -> usize {
@@ -285,6 +337,48 @@ mod tests {
     fn bucket_ms_flag() {
         assert_eq!(parse(&[]).bucket_ms, 50);
         assert_eq!(parse(&["--bucket-ms", "10"]).bucket_ms, 10);
+    }
+
+    #[test]
+    fn ycsb_and_service_flags_through_the_one_parser() {
+        let a = parse(&[
+            "ycsb,service_throughput",
+            "--mix",
+            "95,5,0",
+            "--batch",
+            "16",
+            "--ycsb",
+            "e",
+            "--connections",
+            "8,64",
+            "--shards",
+            "4",
+            "--ring",
+            "32",
+            "--max-depth",
+            "4096",
+            "--burst",
+            "2",
+            "fig7c",
+        ]);
+        assert_eq!(a.experiments, ["ycsb", "service_throughput", "fig7c"]);
+        assert_eq!(a.mix, Mix::new(95, 5, 0));
+        assert_eq!(a.batch, 16);
+        assert_eq!(a.ycsb, Some(YcsbKind::E));
+        assert_eq!(a.connections, vec![8, 64]);
+        assert_eq!((a.shards, a.ring, a.max_depth, a.burst), (4, 32, 4096, 2));
+
+        let d = parse(&[]);
+        assert!(d.experiments.is_empty());
+        assert_eq!((d.mix, d.batch, d.ycsb), (Mix::BALANCED, 0, None));
+        assert_eq!(d.connections, vec![4, 32, 256]);
+        assert_eq!((d.shards, d.ring, d.max_depth, d.burst), (4, 32, 4096, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown flag --nope")]
+    fn unknown_flag_panics_with_usage() {
+        parse(&["table1", "--nope"]);
     }
 
     #[test]

@@ -41,6 +41,13 @@ impl IndexKind {
         IndexKind::Art,
     ];
 
+    /// The competitors `--indexes` selects (all six by default).
+    pub fn selected(args: &crate::Args) -> impl Iterator<Item = IndexKind> + '_ {
+        Self::COMPETITORS
+            .into_iter()
+            .filter(|kind| args.wants_index(kind.name()))
+    }
+
     /// Display name (matches the paper's labels).
     pub fn name(&self) -> &'static str {
         match self {
@@ -53,12 +60,6 @@ impl IndexKind {
             IndexKind::XIndex => "XIndex",
             IndexKind::Finedex => "FINEdex",
         }
-    }
-
-    /// Bulk-load this index over sorted unique pairs, using the host's
-    /// available parallelism for the indexes with a parallel builder.
-    pub fn build(&self, pairs: &[(u64, u64)]) -> Arc<dyn ConcurrentIndex> {
-        self.build_threaded(pairs, alt_index::default_build_threads())
     }
 
     /// Bulk-load with an explicit construction thread count (the
@@ -110,7 +111,7 @@ mod tests {
             IndexKind::XIndex,
             IndexKind::Finedex,
         ] {
-            let idx = kind.build(&pairs);
+            let idx = kind.build_threaded(&pairs, 2);
             assert_eq!(idx.len(), pairs.len(), "{}", kind.name());
             for &(k, v) in pairs.iter().step_by(997) {
                 assert_eq!(idx.get(k), Some(v), "{} key {k}", kind.name());

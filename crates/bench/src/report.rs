@@ -181,6 +181,19 @@ impl Row {
     }
 }
 
+/// Repetitions behind every best-of measurement (bulk_build's builds,
+/// batch_lookup's passes): construction dominates those runs, so extra
+/// passes are nearly free, and two were once both caught by host
+/// interference.
+pub const REPS: usize = 3;
+
+/// The best (largest) of a set of throughput measurements — the one
+/// repetition policy: best of [`REPS`] passes, or best over a sweep
+/// (service_throughput's saturation row).
+pub fn best(mops: impl IntoIterator<Item = f64>) -> f64 {
+    mops.into_iter().fold(0.0, f64::max)
+}
+
 /// Print an experiment banner with the run configuration.
 pub fn banner(name: &str, detail: &str) {
     println!("== {name}: {detail}");

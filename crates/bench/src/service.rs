@@ -1,36 +1,31 @@
-//! Serving-path throughput: the region router + async batched front-end
+//! **service_throughput**: the region router + async batched front-end
 //! under an open-ended fan of simulated connections (DESIGN.md §17).
 //!
 //! Each *connection* is an async task on the shimmed tokio runtime that
 //! issues zipfian point lookups back-to-back. Three serving modes are
-//! measured at every connection count:
+//! measured at every `--connections` count:
 //!
 //! * `direct`  — each connection calls `ConcurrentIndex::get` in a loop
 //!   (no front-end; the zero-overhead reference),
 //! * `perkey`  — every request goes through a [`region::BatchServer`]
 //!   with `ring_width = 1`, i.e. classic request-at-a-time serving with
 //!   the front-end's queue/completion machinery,
-//! * `batched` — the same front-end with a real ring width, so
+//! * `batched` — the same front-end with the `--ring` width, so
 //!   concurrent in-flight requests accumulate into AMAC `get_batch`
-//!   rings (one submission queue per region shard).
+//!   rings (one submission queue per region shard, `--shards`).
 //!
 //! `batched` vs `perkey` therefore isolates what batching buys on the
 //! serving path; `direct` shows the front-end's intrinsic overhead.
 //! Rows record throughput of *served* requests, sampled P99.9 latency,
 //! and the shed rate (admission control rejects rather than queueing
-//! unboundedly once `--max-depth` requests are in flight). A final
-//! `saturation_mops` row per mode reports the best throughput over the
-//! connection sweep, plus a `batched_vs_perkey` speedup row.
-//!
-//! ```sh
-//! cargo run --release -p bench --bin service_throughput -- \
-//!     --keys 2m --threads 8 --ops 20k --datasets fb \
-//!     --connections 8,64,512 --shards 4 --ring 32
-//! ```
+//! unboundedly once `--max-depth` requests are in flight; `--burst N`
+//! makes demand open-loop so it engages). A final `saturation_mops` row
+//! per mode reports the best throughput over the connection sweep, plus
+//! a `batched_vs_perkey` speedup row.
 
+use crate::report::best;
+use crate::{Args, Row, Setup};
 use alt_index::AltIndex;
-use bench::report::banner;
-use bench::{Args, Row, Setup};
 use datasets::rng::SplitMix64;
 use index_api::ConcurrentIndex;
 use region::{BatchServer, RegionConfig, RegionIndex, ServeConfig, ServeError};
@@ -67,39 +62,33 @@ struct Measured {
     leader_flushes: u64,
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Serve `conns` connections of `args.ops` requests each in `mode`.
 fn run_mode(
+    args: &Args,
     index: &Arc<dyn ConcurrentIndex>,
     loaded: &Arc<Vec<u64>>,
     mode: Mode,
     conns: usize,
-    reqs_per_conn: usize,
-    workers: usize,
-    ring: usize,
-    max_depth: usize,
-    burst: usize,
-    theta: f64,
-    seed: u64,
 ) -> Measured {
-    let server = match mode {
-        Mode::Direct => None,
-        Mode::PerKey | Mode::Batched => Some(Arc::new(BatchServer::new(
-            Arc::clone(index),
-            ServeConfig {
-                ring_width: if mode == Mode::Batched { ring } else { 1 },
-                max_depth,
-            },
-        ))),
-    };
+    let server = (mode != Mode::Direct).then(|| {
+        let config = ServeConfig {
+            ring_width: if mode == Mode::Batched { args.ring } else { 1 },
+            max_depth: args.max_depth,
+        };
+        Arc::new(BatchServer::new(Arc::clone(index), config))
+    });
+    // Open-loop bursts only make sense through the front-end.
+    let burst = if mode == Mode::Direct { 1 } else { args.burst };
+    let (reqs_per_conn, seed) = (args.ops, args.seed);
     let rt = Arc::new(
         tokio::runtime::Builder::new_multi_thread()
-            .worker_threads(workers)
+            .worker_threads(args.threads)
             .build()
             .expect("runtime"),
     );
     // One shared sampler: `Zipf::new` precomputes a zeta sum over the
     // whole key count, far too expensive to redo per connection.
-    let zipf = Arc::new(Zipf::new(loaded.len().max(1) as u64, theta));
+    let zipf = Arc::new(Zipf::new(loaded.len().max(1) as u64, args.theta));
     let start = Instant::now();
     let handles: Vec<_> = (0..conns)
         .map(|c| {
@@ -150,8 +139,7 @@ fn run_mode(
                     // Closed loop: one request at a time per connection.
                     for i in 0..reqs_per_conn {
                         let key = key_at(&mut rng);
-                        let sample = i % 8 == 0;
-                        let t0 = sample.then(Instant::now);
+                        let t0 = (i % 8 == 0).then(Instant::now);
                         let ok = match &server {
                             None => {
                                 let _ = index.get(key);
@@ -202,44 +190,9 @@ fn run_mode(
     }
 }
 
-fn main() {
-    // Split off the sweep flags before the common parser.
-    let mut connections: Vec<usize> = vec![4, 32, 256];
-    let mut shards = 4usize;
-    let mut ring = 32usize;
-    let mut max_depth = 4096usize;
-    let mut burst = 1usize;
-    let mut rest = Vec::new();
-    let mut argv = std::env::args().skip(1);
-    while let Some(a) = argv.next() {
-        let mut val = |flag: &str| {
-            argv.next()
-                .unwrap_or_else(|| panic!("{flag} needs a value"))
-        };
-        match a.as_str() {
-            "--connections" => {
-                connections = val("--connections")
-                    .split(',')
-                    .map(|s| s.parse().expect("--connections list"))
-                    .collect();
-            }
-            "--shards" => shards = val("--shards").parse().expect("--shards"),
-            "--ring" => ring = val("--ring").parse().expect("--ring"),
-            "--max-depth" => max_depth = val("--max-depth").parse().expect("--max-depth"),
-            "--burst" => burst = val("--burst").parse().expect("--burst"),
-            _ => rest.push(a),
-        }
-    }
-    assert!(burst >= 1, "--burst must be at least 1");
-    let args = Args::parse_from(rest);
-    banner(
-        "service_throughput",
-        &format!(
-            "keys={} threads={} reqs/conn={} connections={connections:?} shards={shards} ring={ring} max_depth={max_depth} burst={burst}",
-            args.keys, args.threads, args.ops
-        ),
-    );
-
+/// The experiment: every mode over the connection sweep, per dataset.
+pub fn run(args: &Args) {
+    let shards = args.shards;
     for &ds in &args.datasets {
         let setup = Setup::half(ds, args.keys, args.seed);
         let region = RegionIndex::<AltIndex>::bulk_load_with(
@@ -254,72 +207,36 @@ fn main() {
         let index: Arc<dyn ConcurrentIndex> = Arc::new(region);
         let loaded = Arc::new(setup.loaded_keys());
 
-        let modes = [Mode::Direct, Mode::PerKey, Mode::Batched];
-        let mut best = [0.0f64; 3];
-        for &conns in &connections {
-            for (mi, &mode) in modes.iter().enumerate() {
-                // Open-loop bursts only make sense through the front-end.
-                let mode_burst = if mode == Mode::Direct { 1 } else { burst };
-                let m = run_mode(
-                    &index,
-                    &loaded,
-                    mode,
-                    conns,
-                    args.ops,
-                    args.threads,
-                    ring,
-                    max_depth,
-                    mode_burst,
-                    args.theta,
-                    args.seed,
-                );
-                best[mi] = best[mi].max(m.mops);
-                Row::new("service_throughput")
-                    .index("ALT-region")
-                    .dataset(ds.name())
-                    .workload(&format!("{}+shards{shards}", mode.label()))
-                    .x(conns as f64)
-                    .mops(m.mops)
-                    .p999(m.p999_us)
-                    .value("shed_rate", m.shed_rate)
-                    .emit();
-                if mode == Mode::Batched {
-                    for (metric, v) in [
-                        ("avg_batch", m.avg_batch),
-                        ("ring_flushes", m.ring_flushes as f64),
-                        ("leader_flushes", m.leader_flushes as f64),
-                    ] {
-                        Row::new("service_throughput")
-                            .index("ALT-region")
-                            .dataset(ds.name())
-                            .workload(&format!("{}+shards{shards}", mode.label()))
-                            .x(conns as f64)
-                            .value(metric, v)
-                            .emit();
-                    }
-                }
-            }
-        }
-        // Saturation summary: best served throughput over the sweep.
-        for (mi, &mode) in modes.iter().enumerate() {
+        let row = |mode: Mode| {
             Row::new("service_throughput")
                 .index("ALT-region")
                 .dataset(ds.name())
                 .workload(&format!("{}+shards{shards}", mode.label()))
-                .mops(best[mi])
-                .value("saturation_mops", best[mi])
+        };
+        let [_, perkey, batched] = [Mode::Direct, Mode::PerKey, Mode::Batched].map(|mode| {
+            // Saturation: best served throughput over the sweep.
+            let saturation = best(args.connections.iter().map(|&conns| {
+                let m = run_mode(args, &index, &loaded, mode, conns);
+                let at = || row(mode).x(conns as f64);
+                at().mops(m.mops)
+                    .p999(m.p999_us)
+                    .value("shed_rate", m.shed_rate)
+                    .emit();
+                if mode == Mode::Batched {
+                    at().value("avg_batch", m.avg_batch).emit();
+                    at().value("ring_flushes", m.ring_flushes as f64).emit();
+                    at().value("leader_flushes", m.leader_flushes as f64).emit();
+                }
+                m.mops
+            }));
+            row(mode)
+                .mops(saturation)
+                .value("saturation_mops", saturation)
                 .emit();
-        }
-        Row::new("service_throughput")
-            .index("ALT-region")
-            .dataset(ds.name())
-            .workload(&format!("batched+shards{shards}"))
-            .value(
-                "batched_vs_perkey",
-                best[2] / best[1].max(f64::MIN_POSITIVE),
-            )
+            saturation
+        });
+        row(Mode::Batched)
+            .value("batched_vs_perkey", batched / perkey.max(f64::MIN_POSITIVE))
             .emit();
     }
-
-    bench::metrics::emit_if_requested(&args, "service_throughput");
 }

@@ -24,7 +24,7 @@ impl Setup {
         assert!((0.0..=1.0).contains(&bulk_ratio));
         let pairs = Self::pairs(dataset, keys, seed);
         let mut bulk = Vec::with_capacity((keys as f64 * bulk_ratio) as usize + 1);
-        let mut reserve = Vec::with_capacity(keys - bulk.capacity() + 1);
+        let mut reserve = Vec::with_capacity(keys.saturating_sub(bulk.capacity()));
         // Interleaved split: take ratio-fraction into bulk round-robin.
         let mut acc = 0.0f64;
         for &(k, v) in &pairs {
@@ -100,6 +100,16 @@ mod tests {
         assert_eq!(s.bulk.len() + s.reserve.len(), 100_000);
         let loaded: std::collections::HashSet<u64> = s.loaded_keys().into_iter().collect();
         assert!(s.reserve.iter().all(|k| !loaded.contains(k)));
+    }
+
+    /// The two ends of the ratio range (fig3a/fig4/fig8d load 100%); the
+    /// capacity hints must not underflow in a debug build.
+    #[test]
+    fn ratio_one_loads_everything_and_ratio_zero_reserves_everything() {
+        let all = Setup::new(Dataset::Osm, 10_000, 1.0, 1);
+        assert_eq!((all.bulk.len(), all.reserve.len()), (10_000, 0));
+        let none = Setup::new(Dataset::Osm, 10_000, 0.0, 1);
+        assert_eq!((none.bulk.len(), none.reserve.len()), (0, 10_000));
     }
 
     #[test]

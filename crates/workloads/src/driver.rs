@@ -1,46 +1,49 @@
-//! The multi-threaded measurement driver: runs a [`WorkloadPlan`] over
-//! any [`ConcurrentIndex`] and reports throughput plus sampled tail
-//! latencies (the paper reports million ops/sec and P99.9 µs).
+//! The multi-threaded measurement driver: one loop that runs one [`Op`]
+//! stream per thread over any [`ConcurrentIndex`] and reports throughput,
+//! sampled tail latencies (the paper reports million ops/sec and P99.9
+//! µs) and, when asked, completions per fixed-width time bucket (the
+//! throughput-over-time curves behind the retrain-stall measurement).
+//!
+//! The streams are the caller's — [`crate::WorkloadPlan::stream`],
+//! [`crate::YcsbPlan::stream`], [`crate::ShiftPlan::stream`] — so the
+//! same deterministic streams can be replayed against a second index;
+//! their count is the thread count.
 
 use crate::histogram::LatencyHistogram;
 use crate::mix::Op;
-use crate::ops::WorkloadPlan;
 use index_api::ConcurrentIndex;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::Barrier;
 use std::time::Instant;
 
 /// Driver knobs.
 #[derive(Debug, Clone)]
 pub struct DriverConfig {
-    /// Worker thread count.
-    pub threads: usize,
-    /// Operations per thread.
-    pub ops_per_thread: usize,
-    /// Measure latency on every `latency_sample_every`-th operation
-    /// (1 = all; higher values keep the timer overhead off the hot path).
+    /// Measure latency on every `latency_sample_every`-th timed unit (an
+    /// operation, or one whole `get_batch` flush; 1 = all; higher values
+    /// keep the timer overhead off the hot path).
     pub latency_sample_every: usize,
     /// Batched-read width: `>= 2` buffers consecutive `Op::Read`s and
     /// issues them through [`ConcurrentIndex::get_batch`] (flushing early
     /// at any write/scan so ordering against mutations is preserved);
-    /// `0` or `1` keeps the scalar read path. Sampled latencies then
-    /// measure whole-batch flushes rather than single reads.
+    /// `0` or `1` keeps the scalar read path.
     pub batch: usize,
+    /// Width in milliseconds of [`RunResult::buckets`]; `0` records no
+    /// buckets and keeps the per-operation clock read off the hot path.
+    pub bucket_ms: u64,
 }
 
 impl Default for DriverConfig {
     fn default() -> Self {
         Self {
-            threads: 4,
-            ops_per_thread: 100_000,
             latency_sample_every: 16,
             batch: 0,
+            bucket_ms: 0,
         }
     }
 }
 
 /// Results of one run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RunResult {
     /// Total operations executed.
     pub total_ops: usize,
@@ -61,34 +64,21 @@ pub struct RunResult {
     /// Total reads issued.
     pub reads: usize,
     /// Inserts that were rejected as duplicates (should be 0 with
-    /// disjoint reserve slices).
+    /// thread-disjoint streams).
     pub failed_inserts: usize,
-}
-
-/// Results of one bucketed run ([`run_streams_timed`]).
-#[derive(Debug, Clone)]
-pub struct TimedResult {
-    /// Total operations executed.
-    pub total_ops: usize,
-    /// Wall-clock seconds (max across threads).
-    pub secs: f64,
-    /// Overall throughput in million operations per second.
-    pub mops: f64,
-    /// Width of each time bucket in milliseconds.
+    /// Width of each time bucket in milliseconds (the
+    /// [`DriverConfig::bucket_ms`] of the run).
     pub bucket_ms: u64,
     /// Operations completed per fixed-width time bucket since the
     /// barrier, summed across threads. `buckets[i]` covers
-    /// `[i * bucket_ms, (i+1) * bucket_ms)`; throughput-over-time curves
-    /// plot `buckets[i] / bucket_ms` against `i * bucket_ms`.
+    /// `[i * bucket_ms, (i+1) * bucket_ms)`; empty when `bucket_ms` is 0.
     pub buckets: Vec<u64>,
-    /// Inserts rejected as duplicates (0 for thread-disjoint streams).
-    pub failed_inserts: usize,
 }
 
-impl TimedResult {
+impl RunResult {
     /// Per-bucket throughput in million ops/sec, for curve plotting.
     pub fn bucket_mops(&self) -> Vec<f64> {
-        let per_sec = 1_000.0 / self.bucket_ms as f64;
+        let per_sec = 1_000.0 / self.bucket_ms.max(1) as f64;
         self.buckets
             .iter()
             .map(|&n| n as f64 * per_sec / 1e6)
@@ -96,153 +86,140 @@ impl TimedResult {
     }
 }
 
-/// Run one explicit operation stream per thread with sampled latency
-/// measurement — [`run_workload`]'s measurement (throughput + P50/P99/
-/// P99.9), but over caller-supplied streams (e.g.
-/// [`crate::YcsbPlan::stream`]) instead of a [`WorkloadPlan`].
-pub fn run_streams<I, S>(index: &I, streams: Vec<S>, latency_sample_every: usize) -> RunResult
-where
-    I: ConcurrentIndex + ?Sized + Sync,
-    S: Iterator<Item = Op> + Send,
-{
-    let sample_every = latency_sample_every.max(1);
-    let barrier = Barrier::new(streams.len().max(1));
-    let per_thread: Vec<(f64, LatencyHistogram, usize, usize, usize, usize)> =
-        std::thread::scope(|s| {
-            let barrier = &barrier;
-            let handles: Vec<_> = streams
-                .into_iter()
-                .map(|stream| {
-                    s.spawn(move || {
-                        let mut lat = LatencyHistogram::new();
-                        let mut scan_buf: Vec<(u64, u64)> = Vec::with_capacity(128);
-                        let mut reads = 0usize;
-                        let mut hits = 0usize;
-                        let mut failed = 0usize;
-                        let mut n = 0usize;
-                        barrier.wait();
-                        let start = Instant::now();
-                        for op in stream {
-                            let sampled = n.is_multiple_of(sample_every);
-                            let t0 = if sampled { Some(Instant::now()) } else { None };
-                            match op {
-                                Op::Read(k) => {
-                                    reads += 1;
-                                    if index.get(k).is_some() {
-                                        hits += 1;
-                                    }
-                                }
-                                Op::Insert(k, v) => {
-                                    if index.insert(k, v).is_err() {
-                                        failed += 1;
-                                    }
-                                }
-                                Op::Remove(k) => {
-                                    index.remove(k);
-                                }
-                                Op::Scan(k, len) => {
-                                    scan_buf.clear();
-                                    index.scan(k, len, &mut scan_buf);
-                                }
-                            }
-                            if let Some(t0) = t0 {
-                                lat.record(t0.elapsed().as_nanos() as u64);
-                            }
-                            n += 1;
-                        }
-                        (start.elapsed().as_secs_f64(), lat, n, reads, hits, failed)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .collect()
-        });
+/// One thread's counters; [`run`] sums them into the [`RunResult`].
+struct Worker<'a> {
+    cfg: &'a DriverConfig,
+    start: Instant,
+    lat: LatencyHistogram,
+    buckets: Vec<u64>,
+    /// Timed units so far (operations and batch flushes): the sampling
+    /// clock.
+    units: usize,
+    ops: usize,
+    reads: usize,
+    hits: usize,
+    failed: usize,
+}
 
-    let mut all_lat = LatencyHistogram::new();
-    let mut max_secs = 0.0f64;
-    let mut total_ops = 0usize;
-    let mut reads = 0usize;
-    let mut read_hits = 0usize;
-    let mut failed_inserts = 0usize;
-    for (secs, lat, n, r, h, f) in per_thread {
-        max_secs = max_secs.max(secs);
-        all_lat.merge(&lat);
-        total_ops += n;
-        reads += r;
-        read_hits += h;
-        failed_inserts += f;
+impl Worker<'_> {
+    /// Start a timed unit: `Some(now)` when this one is sampled.
+    fn begin(&self) -> Option<Instant> {
+        self.units
+            .is_multiple_of(self.cfg.latency_sample_every.max(1))
+            .then(Instant::now)
     }
-    let pct = |p: f64| -> f64 { all_lat.quantile(p) as f64 / 1_000.0 };
-    RunResult {
-        total_ops,
-        secs: max_secs,
-        mops: if max_secs > 0.0 {
-            total_ops as f64 / max_secs / 1e6
-        } else {
-            0.0
-        },
-        p50_us: pct(0.50),
-        p99_us: pct(0.99),
-        p999_us: pct(0.999),
-        read_hits,
-        reads,
-        failed_inserts,
+
+    /// Finish a timed unit that completed `ops` operations.
+    fn end(&mut self, t0: Option<Instant>, ops: usize) {
+        if let Some(t0) = t0 {
+            self.lat.record(t0.elapsed().as_nanos() as u64);
+        }
+        self.units += 1;
+        self.ops += ops;
+        if self.cfg.bucket_ms == 0 {
+            return; // no buckets: no per-operation clock read
+        }
+        let b = (self.start.elapsed().as_millis() as u64 / self.cfg.bucket_ms) as usize;
+        if b >= self.buckets.len() {
+            self.buckets.resize(b + 1, 0);
+        }
+        self.buckets[b] += ops as u64;
+    }
+
+    /// Drain the buffered read keys through `get_batch` as one timed
+    /// unit (a no-op on an empty buffer).
+    fn flush<I: ConcurrentIndex + ?Sized>(
+        &mut self,
+        index: &I,
+        keys: &mut Vec<u64>,
+        out: &mut [Option<u64>],
+    ) {
+        if keys.is_empty() {
+            return;
+        }
+        let out = &mut out[..keys.len()];
+        let t0 = self.begin();
+        index.get_batch(keys, out);
+        self.reads += keys.len();
+        self.hits += out.iter().filter(|o| o.is_some()).count();
+        self.end(t0, keys.len());
+        keys.clear();
+    }
+
+    /// Execute `stream` to exhaustion; returns the elapsed seconds.
+    fn drive<I: ConcurrentIndex + ?Sized>(
+        &mut self,
+        index: &I,
+        stream: impl Iterator<Item = Op>,
+    ) -> f64 {
+        let batch = self.cfg.batch;
+        let mut keys: Vec<u64> = Vec::with_capacity(batch);
+        let mut out: Vec<Option<u64>> = vec![None; batch];
+        let mut scan_buf: Vec<(u64, u64)> = Vec::with_capacity(128);
+        self.start = Instant::now();
+        for op in stream {
+            if batch >= 2 {
+                // Buffer consecutive reads; a write or scan flushes first
+                // so the read sees every earlier mutation.
+                if let Op::Read(k) = op {
+                    keys.push(k);
+                    if keys.len() == batch {
+                        self.flush(index, &mut keys, &mut out);
+                    }
+                    continue;
+                }
+                self.flush(index, &mut keys, &mut out);
+            }
+            let t0 = self.begin();
+            match op {
+                Op::Read(k) => {
+                    self.reads += 1;
+                    self.hits += usize::from(index.get(k).is_some());
+                }
+                Op::Insert(k, v) => self.failed += usize::from(index.insert(k, v).is_err()),
+                Op::Remove(k) => {
+                    index.remove(k);
+                }
+                Op::Scan(k, len) => {
+                    scan_buf.clear();
+                    index.scan(k, len, &mut scan_buf);
+                }
+            }
+            self.end(t0, 1);
+        }
+        self.flush(index, &mut keys, &mut out);
+        self.start.elapsed().as_secs_f64()
     }
 }
 
-/// Run one explicit operation stream per thread, recording per-bucket
-/// op completions — the throughput-over-time measurement behind the
-/// retrain-stall curves. Unlike [`run_workload`] the streams are
-/// supplied by the caller (e.g. [`crate::ShiftPlan::stream`]), so the
-/// same deterministic streams can be replayed against a second index.
-pub fn run_streams_timed<I, S>(index: &I, streams: Vec<S>, bucket_ms: u64) -> TimedResult
+/// Run one operation stream per thread over `index`, all threads
+/// released together by a barrier. Blocks until every stream is
+/// exhausted.
+pub fn run<I, S>(index: &I, streams: Vec<S>, cfg: &DriverConfig) -> RunResult
 where
-    I: ConcurrentIndex + ?Sized + Sync,
+    I: ConcurrentIndex + ?Sized,
     S: Iterator<Item = Op> + Send,
 {
-    let threads = streams.len().max(1);
-    let bucket_ms = bucket_ms.max(1);
-    let barrier = Barrier::new(threads);
-    let per_thread: Vec<(f64, Vec<u64>, usize, usize)> = std::thread::scope(|s| {
+    let barrier = Barrier::new(streams.len().max(1));
+    let workers: Vec<(f64, Worker)> = std::thread::scope(|s| {
         let barrier = &barrier;
         let handles: Vec<_> = streams
             .into_iter()
             .map(|stream| {
                 s.spawn(move || {
-                    let mut buckets: Vec<u64> = Vec::new();
-                    let mut scan_buf: Vec<(u64, u64)> = Vec::with_capacity(128);
-                    let mut failed = 0usize;
-                    let mut n = 0usize;
+                    let mut w = Worker {
+                        cfg,
+                        start: Instant::now(),
+                        lat: LatencyHistogram::new(),
+                        buckets: Vec::new(),
+                        units: 0,
+                        ops: 0,
+                        reads: 0,
+                        hits: 0,
+                        failed: 0,
+                    };
                     barrier.wait();
-                    let start = Instant::now();
-                    for op in stream {
-                        match op {
-                            Op::Read(k) => {
-                                let _ = index.get(k);
-                            }
-                            Op::Insert(k, v) => {
-                                if index.insert(k, v).is_err() {
-                                    failed += 1;
-                                }
-                            }
-                            Op::Remove(k) => {
-                                index.remove(k);
-                            }
-                            Op::Scan(k, len) => {
-                                scan_buf.clear();
-                                index.scan(k, len, &mut scan_buf);
-                            }
-                        }
-                        n += 1;
-                        let b = (start.elapsed().as_millis() as u64 / bucket_ms) as usize;
-                        if b >= buckets.len() {
-                            buckets.resize(b + 1, 0);
-                        }
-                        buckets[b] += 1;
-                    }
-                    (start.elapsed().as_secs_f64(), buckets, n, failed)
+                    (w.drive(index, stream), w)
                 })
             })
             .collect();
@@ -252,203 +229,38 @@ where
             .collect()
     });
 
-    let mut merged: Vec<u64> = Vec::new();
-    let mut max_secs = 0.0f64;
-    let mut total_ops = 0usize;
-    let mut failed_inserts = 0usize;
-    for (secs, buckets, n, failed) in per_thread {
-        max_secs = max_secs.max(secs);
-        total_ops += n;
-        failed_inserts += failed;
-        if buckets.len() > merged.len() {
-            merged.resize(buckets.len(), 0);
+    let mut r = RunResult {
+        bucket_ms: cfg.bucket_ms,
+        ..RunResult::default()
+    };
+    let mut lat = LatencyHistogram::new();
+    for (secs, w) in workers {
+        r.secs = r.secs.max(secs);
+        lat.merge(&w.lat);
+        r.total_ops += w.ops;
+        r.reads += w.reads;
+        r.read_hits += w.hits;
+        r.failed_inserts += w.failed;
+        if w.buckets.len() > r.buckets.len() {
+            r.buckets.resize(w.buckets.len(), 0);
         }
-        for (m, b) in merged.iter_mut().zip(buckets) {
+        for (m, b) in r.buckets.iter_mut().zip(w.buckets) {
             *m += b;
         }
     }
-    TimedResult {
-        total_ops,
-        secs: max_secs,
-        mops: if max_secs > 0.0 {
-            total_ops as f64 / max_secs / 1e6
-        } else {
-            0.0
-        },
-        bucket_ms,
-        buckets: merged,
-        failed_inserts,
+    if r.secs > 0.0 {
+        r.mops = r.total_ops as f64 / r.secs / 1e6;
     }
-}
-
-/// Drain the buffered read keys through `get_batch`, recording the
-/// flush latency when sampled and folding hits into the read counters.
-#[allow(clippy::too_many_arguments)]
-fn flush_batch<I: ConcurrentIndex + ?Sized>(
-    index: &I,
-    keys: &mut Vec<u64>,
-    out: &mut [Option<u64>],
-    sampled: bool,
-    lat: &mut LatencyHistogram,
-    reads: &mut usize,
-    hits: &mut usize,
-) {
-    if keys.is_empty() {
-        return;
-    }
-    let t0 = sampled.then(Instant::now);
-    index.get_batch(keys, &mut out[..keys.len()]);
-    if let Some(t0) = t0 {
-        lat.record(t0.elapsed().as_nanos() as u64);
-    }
-    *reads += keys.len();
-    *hits += out[..keys.len()].iter().filter(|o| o.is_some()).count();
-    keys.clear();
-}
-
-/// Run `plan` over `index` with `cfg`. Blocks until all threads finish.
-pub fn run_workload<I: ConcurrentIndex + ?Sized + 'static>(
-    index: &Arc<I>,
-    plan: &WorkloadPlan,
-    cfg: &DriverConfig,
-) -> RunResult {
-    let threads = cfg.threads.max(1);
-    let barrier = Arc::new(Barrier::new(threads));
-    let read_hits = Arc::new(AtomicUsize::new(0));
-    let reads = Arc::new(AtomicUsize::new(0));
-    let failed = Arc::new(AtomicUsize::new(0));
-
-    let mut handles = Vec::with_capacity(threads);
-    for t in 0..threads {
-        let index = Arc::clone(index);
-        let barrier = Arc::clone(&barrier);
-        let read_hits = Arc::clone(&read_hits);
-        let reads = Arc::clone(&reads);
-        let failed = Arc::clone(&failed);
-        let stream = plan.stream(t, threads, cfg.ops_per_thread);
-        let sample_every = cfg.latency_sample_every.max(1);
-        let batch = cfg.batch;
-        handles.push(std::thread::spawn(move || {
-            let mut lat = LatencyHistogram::new();
-            let mut scan_buf: Vec<(u64, u64)> = Vec::with_capacity(128);
-            let mut batch_keys: Vec<u64> = Vec::with_capacity(batch);
-            let mut batch_out: Vec<Option<u64>> = vec![None; batch.max(1)];
-            let mut flushes = 0usize;
-            let mut local_reads = 0usize;
-            let mut local_hits = 0usize;
-            let mut local_failed = 0usize;
-            barrier.wait();
-            let start = Instant::now();
-            let mut n = 0usize;
-            for op in stream {
-                if batch >= 2 {
-                    // Buffer consecutive reads; a write or scan flushes
-                    // first so the read sees every earlier mutation.
-                    if let Op::Read(k) = op {
-                        batch_keys.push(k);
-                        n += 1;
-                        if batch_keys.len() == batch {
-                            flush_batch(
-                                &*index,
-                                &mut batch_keys,
-                                &mut batch_out,
-                                flushes.is_multiple_of(sample_every),
-                                &mut lat,
-                                &mut local_reads,
-                                &mut local_hits,
-                            );
-                            flushes += 1;
-                        }
-                        continue;
-                    }
-                    if !batch_keys.is_empty() {
-                        flush_batch(
-                            &*index,
-                            &mut batch_keys,
-                            &mut batch_out,
-                            flushes.is_multiple_of(sample_every),
-                            &mut lat,
-                            &mut local_reads,
-                            &mut local_hits,
-                        );
-                        flushes += 1;
-                    }
-                }
-                let sampled = n.is_multiple_of(sample_every);
-                let t0 = if sampled { Some(Instant::now()) } else { None };
-                match op {
-                    Op::Read(k) => {
-                        local_reads += 1;
-                        if index.get(k).is_some() {
-                            local_hits += 1;
-                        }
-                    }
-                    Op::Insert(k, v) => {
-                        if index.insert(k, v).is_err() {
-                            local_failed += 1;
-                        }
-                    }
-                    Op::Remove(k) => {
-                        index.remove(k);
-                    }
-                    Op::Scan(k, len) => {
-                        scan_buf.clear();
-                        index.scan(k, len, &mut scan_buf);
-                    }
-                }
-                if let Some(t0) = t0 {
-                    lat.record(t0.elapsed().as_nanos() as u64);
-                }
-                n += 1;
-            }
-            flush_batch(
-                &*index,
-                &mut batch_keys,
-                &mut batch_out,
-                flushes.is_multiple_of(sample_every),
-                &mut lat,
-                &mut local_reads,
-                &mut local_hits,
-            );
-            let secs = start.elapsed().as_secs_f64();
-            read_hits.fetch_add(local_hits, Ordering::Relaxed);
-            reads.fetch_add(local_reads, Ordering::Relaxed);
-            failed.fetch_add(local_failed, Ordering::Relaxed);
-            (secs, lat, n)
-        }));
-    }
-
-    let mut all_lat = LatencyHistogram::new();
-    let mut max_secs = 0.0f64;
-    let mut total_ops = 0usize;
-    for h in handles {
-        let (secs, lat, n) = h.join().expect("worker panicked");
-        max_secs = max_secs.max(secs);
-        all_lat.merge(&lat);
-        total_ops += n;
-    }
-    let pct = |p: f64| -> f64 { all_lat.quantile(p) as f64 / 1_000.0 };
-    RunResult {
-        total_ops,
-        secs: max_secs,
-        mops: if max_secs > 0.0 {
-            total_ops as f64 / max_secs / 1e6
-        } else {
-            0.0
-        },
-        p50_us: pct(0.50),
-        p99_us: pct(0.99),
-        p999_us: pct(0.999),
-        read_hits: read_hits.load(Ordering::Relaxed),
-        reads: reads.load(Ordering::Relaxed),
-        failed_inserts: failed.load(Ordering::Relaxed),
-    }
+    let pct = |p: f64| lat.quantile(p) as f64 / 1_000.0;
+    (r.p50_us, r.p99_us, r.p999_us) = (pct(0.50), pct(0.99), pct(0.999));
+    r
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::mix::Mix;
+    use crate::ops::{OpStream, WorkloadPlan};
     use index_api::{BulkLoad, IndexError, Key, Result, Value};
     use std::collections::BTreeMap;
     use std::sync::Mutex;
@@ -503,44 +315,48 @@ mod tests {
         }
     }
 
+    /// Even keys loaded, odd keys reserved, bulk-loaded into a fresh
+    /// reference index.
+    fn fixture(n: u64, mix: Mix, theta: f64, seed: u64) -> (RefIndex, WorkloadPlan) {
+        let loaded: Vec<u64> = (1..=n).map(|i| i * 2).collect();
+        let reserve: Vec<u64> = (1..=n).map(|i| i * 2 + 1).collect();
+        let pairs: Vec<(u64, u64)> = loaded.iter().map(|&k| (k, k)).collect();
+        (
+            RefIndex::bulk_load(&pairs),
+            WorkloadPlan::new(loaded, reserve, mix, theta, seed),
+        )
+    }
+
+    fn streams(plan: &WorkloadPlan, threads: usize, ops: usize) -> Vec<OpStream> {
+        (0..threads).map(|t| plan.stream(t, threads, ops)).collect()
+    }
+
+    fn cfg(latency_sample_every: usize, batch: usize, bucket_ms: u64) -> DriverConfig {
+        DriverConfig {
+            latency_sample_every,
+            batch,
+            bucket_ms,
+        }
+    }
+
     #[test]
     fn balanced_run_reports_sane_numbers() {
-        let loaded: Vec<u64> = (1..=5_000u64).map(|i| i * 2).collect();
-        let reserve: Vec<u64> = (1..=5_000u64).map(|i| i * 2 + 1).collect();
-        let pairs: Vec<(u64, u64)> = loaded.iter().map(|&k| (k, k)).collect();
-        let idx = Arc::new(RefIndex::bulk_load(&pairs));
-        let plan = WorkloadPlan::new(loaded, reserve, Mix::BALANCED, 0.99, 1);
-        let cfg = DriverConfig {
-            threads: 4,
-            ops_per_thread: 2_000,
-            latency_sample_every: 4,
-            batch: 0,
-        };
-        let r = run_workload(&idx, &plan, &cfg);
+        let (idx, plan) = fixture(5_000, Mix::BALANCED, 0.99, 1);
+        let r = run(&idx, streams(&plan, 4, 2_000), &cfg(4, 0, 0));
         assert_eq!(r.total_ops, 8_000);
         assert!(r.mops > 0.0);
         assert!(r.p999_us >= r.p99_us && r.p99_us >= r.p50_us);
         assert_eq!(r.failed_inserts, 0, "reserve slices are disjoint");
         assert_eq!(r.read_hits, r.reads, "every read key was loaded");
+        assert!(r.buckets.is_empty(), "bucket_ms = 0 records no buckets");
     }
 
     #[test]
     fn batched_run_matches_scalar_counters() {
-        let loaded: Vec<u64> = (1..=5_000u64).map(|i| i * 2).collect();
-        let reserve: Vec<u64> = (1..=5_000u64).map(|i| i * 2 + 1).collect();
-        let pairs: Vec<(u64, u64)> = loaded.iter().map(|&k| (k, k)).collect();
-        let idx = Arc::new(RefIndex::bulk_load(&pairs));
-        let plan = WorkloadPlan::new(loaded, reserve, Mix::BALANCED, 0.99, 1);
-        let mut cfg = DriverConfig {
-            threads: 2,
-            ops_per_thread: 2_000,
-            latency_sample_every: 4,
-            batch: 0,
-        };
-        let scalar = run_workload(&idx, &plan, &cfg);
-        cfg.batch = 16;
-        let idx = Arc::new(RefIndex::bulk_load(&pairs));
-        let batched = run_workload(&idx, &plan, &cfg);
+        let (idx, plan) = fixture(5_000, Mix::BALANCED, 0.99, 1);
+        let scalar = run(&idx, streams(&plan, 2, 2_000), &cfg(4, 0, 0));
+        let (idx, _) = fixture(5_000, Mix::BALANCED, 0.99, 1);
+        let batched = run(&idx, streams(&plan, 2, 2_000), &cfg(4, 16, 0));
         // Same plan, fresh index: identical op/read/hit accounting, every
         // op executed exactly once through either path.
         assert_eq!(batched.total_ops, scalar.total_ops);
@@ -550,15 +366,58 @@ mod tests {
         assert!(batched.mops > 0.0);
     }
 
+    /// One fixed single-thread stream — reads of loaded and of absent
+    /// keys, a fresh insert, a duplicate insert, a remove, a scan, and a
+    /// read tail that is not a multiple of the batch width — must count
+    /// the same through the scalar path and through `get_batch`, with
+    /// every op in exactly one bucket either way.
+    #[test]
+    fn batch_8_and_batch_0_agree_on_a_fixed_stream() {
+        let mut ops = Vec::new();
+        for i in 1..=40u64 {
+            ops.push(Op::Read(i * 2)); // loaded
+            ops.push(Op::Read(i * 2 + 1)); // absent until inserted below
+            if i % 5 == 0 {
+                ops.push(Op::Insert(i * 2 + 1, i)); // fresh
+                ops.push(Op::Insert(i * 2, i)); // duplicate of a loaded key
+                ops.push(Op::Read(i * 2 + 1)); // now present
+            }
+            if i % 9 == 0 {
+                ops.push(Op::Remove(i * 2));
+                ops.push(Op::Read(i * 2)); // now absent
+                ops.push(Op::Scan(i, 10));
+            }
+        }
+        ops.extend((1..=5u64).map(|i| Op::Read(i * 2)));
+        let results: Vec<RunResult> = [0usize, 8]
+            .into_iter()
+            .map(|batch| {
+                let (idx, _) = fixture(100, Mix::READ_ONLY, 0.5, 1);
+                run(&idx, vec![ops.clone().into_iter()], &cfg(1, batch, 1))
+            })
+            .collect();
+        let (scalar, batched) = (&results[0], &results[1]);
+        assert_eq!(scalar.total_ops, ops.len());
+        assert_eq!(scalar.failed_inserts, 8, "one duplicate per fifth key");
+        assert!(scalar.read_hits > 0 && scalar.read_hits < scalar.reads);
+        for r in [scalar, batched] {
+            assert_eq!(r.total_ops, scalar.total_ops);
+            assert_eq!(r.reads, scalar.reads);
+            assert_eq!(r.read_hits, scalar.read_hits);
+            assert_eq!(r.failed_inserts, scalar.failed_inserts);
+            assert_eq!(r.buckets.iter().sum::<u64>() as usize, r.total_ops);
+        }
+    }
+
     #[test]
     fn timed_run_buckets_account_for_every_op() {
         use crate::shift::{ShiftKind, ShiftPlan};
         let plan = ShiftPlan::new(ShiftKind::RollingWindow, 11);
-        let idx = Arc::new(RefIndex::bulk_load(&plan.initial_pairs()));
+        let idx = RefIndex::bulk_load(&plan.initial_pairs());
         let threads = 2;
         let ops = 5_000;
         let streams: Vec<_> = (0..threads).map(|t| plan.stream(t, threads, ops)).collect();
-        let r = run_streams_timed(&*idx, streams, 5);
+        let r = run(&idx, streams, &cfg(16, 0, 5));
         assert_eq!(r.total_ops, threads * ops);
         assert_eq!(
             r.buckets.iter().sum::<u64>() as usize,
@@ -573,17 +432,8 @@ mod tests {
 
     #[test]
     fn scan_workload_runs() {
-        let loaded: Vec<u64> = (1..=2_000u64).map(|i| i * 3).collect();
-        let pairs: Vec<(u64, u64)> = loaded.iter().map(|&k| (k, k)).collect();
-        let idx = Arc::new(RefIndex::bulk_load(&pairs));
-        let plan = WorkloadPlan::new(loaded, Vec::new(), Mix::SCAN, 0.5, 2);
-        let cfg = DriverConfig {
-            threads: 2,
-            ops_per_thread: 200,
-            latency_sample_every: 1,
-            batch: 0,
-        };
-        let r = run_workload(&idx, &plan, &cfg);
+        let (idx, plan) = fixture(2_000, Mix::SCAN, 0.5, 2);
+        let r = run(&idx, streams(&plan, 2, 200), &cfg(1, 0, 0));
         assert_eq!(r.total_ops, 400);
         assert_eq!(r.reads, 0);
     }

@@ -11,11 +11,11 @@
 //!   window, sudden mid-run shift) for exercising retraining.
 //! * [`ycsb`] — YCSB scenarios D (latest-read) and E (scan-heavy), the
 //!   two shapes the classic mixes don't cover.
-//! * [`driver`] — spawns N threads over any
-//!   [`index_api::ConcurrentIndex`], measuring throughput and sampled
-//!   P50/P99/P99.9 latencies; [`driver::run_streams_timed`] additionally
-//!   records throughput per fixed-width time bucket, the measurement
-//!   behind the retrain-stall curves.
+//! * [`driver`] — one measurement loop: [`driver::run`] executes one
+//!   operation stream per thread over any
+//!   [`index_api::ConcurrentIndex`], measuring throughput, sampled
+//!   P50/P99/P99.9 latencies and (when asked) throughput per fixed-width
+//!   time bucket, the measurement behind the retrain-stall curves.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -33,9 +33,7 @@ pub mod shift;
 pub mod ycsb;
 pub mod zipf;
 
-pub use driver::{
-    run_streams, run_streams_timed, run_workload, DriverConfig, RunResult, TimedResult,
-};
+pub use driver::{run, DriverConfig, RunResult};
 pub use histogram::LatencyHistogram;
 pub use mix::{Mix, Op};
 pub use ops::{OpStream, WorkloadPlan};

@@ -11,7 +11,7 @@ use alt::art::Art;
 use alt::baselines::{AlexLike, FinedexLike, LippLike, XIndexLike};
 use alt::datasets::{generate_pairs, Dataset};
 use alt::index_api::{BulkLoad, ConcurrentIndex};
-use alt::workloads::{run_workload, DriverConfig, Mix, WorkloadPlan};
+use alt::workloads::{self, DriverConfig, Mix, WorkloadPlan};
 use std::sync::Arc;
 
 fn main() {
@@ -48,12 +48,11 @@ fn main() {
     for (name, idx) in indexes {
         let plan = WorkloadPlan::new(loaded.clone(), reserve.clone(), Mix::BALANCED, 0.99, 9);
         let cfg = DriverConfig {
-            threads,
-            ops_per_thread: 100_000,
             latency_sample_every: 8,
-            batch: 0,
+            ..DriverConfig::default()
         };
-        let r = run_workload(&idx, &plan, &cfg);
+        let streams = (0..threads).map(|t| plan.stream(t, threads, 100_000));
+        let r = workloads::run(&*idx, streams.collect(), &cfg);
         println!(
             "{name:>10} {:>12.3} {:>12.2} {:>12.2} {:>12.1}",
             r.mops,

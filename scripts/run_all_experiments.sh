@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Regenerate every table/figure of the paper at laptop scale.
-# Results land in results/<name>.txt (table + #json lines).
-set -u
+# Regenerate every table/figure of the paper at laptop scale with the one
+# `figures` binary (`cargo build --release -p bench`). Results land in
+# results/<name>.txt (table + #json lines); a failing experiment stops
+# the script with a non-zero status and its name.
+set -euo pipefail
 cd "$(dirname "$0")/.."
 mkdir -p results
 
@@ -14,16 +16,28 @@ BUILD_THREADS=${BUILD_THREADS:-1,2,4,8}
 # Batch widths the batch_lookup sweep records (width 1 = scalar
 # baseline; see results/BENCH_batch_lookup.json).
 BATCH_WIDTHS=${BATCH_WIDTHS:-1,8,16,32,64}
-BIN=target/release
+FIGURES=target/release/figures
+SUFFIX=""
 
 run() {
-    local name="$1"; shift
+    local name="$1" out="results/$1$SUFFIX.txt"; shift
     echo ">>> $name $*"
-    "$BIN/$name" "$@" > "results/$name$SUFFIX.txt" 2>&1
-    grep -v '#json' "results/$name$SUFFIX.txt" | tail -n +2 | head -50
+    if ! "$FIGURES" "$name" "$@" > "$out" 2>&1; then
+        { grep -A1 'panicked at' "$out" || tail -n 5 "$out"; } >&2
+        echo "EXPERIMENT FAILED: $name (see $out)" >&2
+        exit 1
+    fi
+    grep -v '^#json\|^==' "$out" | head -50 || true
 }
 
-SUFFIX=""
+# The machine-readable baseline of an experiment: its #json rows as JSON
+# lines, one row object per line — the shape scripts/summarize_results.py
+# parses.
+bench_json() {
+    grep '#json' "results/$1$SUFFIX.txt" | sed 's/^#json //' \
+        > "results/BENCH_$1$SUFFIX.json"
+}
+
 run table1 --keys "$KEYS" --threads "$THREADS" --ops "$OPS"
 run fig3   --keys "$KEYS" --threads "$THREADS" --ops "$OPS"
 run fig4   --keys 500k
@@ -33,18 +47,16 @@ run fig8   --keys "$KEYS" --threads "$THREADS" --ops "$OPS"
 run fig9   --keys "$KEYS" --threads "$THREADS" --ops 25k
 run fig10  --keys "$KEYS"
 run ablation --keys "$KEYS" --threads "$THREADS" --ops "$OPS"
+run ycsb   --keys "$KEYS" --threads "$THREADS" --ops "$OPS"
 run bulk_build --keys "$KEYS" --build-threads "$BUILD_THREADS"
-# The machine-readable build-cost baseline (JSON lines, one row object
-# per line — the shape scripts/summarize_results.py parses).
-grep '#json' "results/bulk_build$SUFFIX.txt" | sed 's/^#json //' \
-    > "results/BENCH_bulk_build$SUFFIX.json"
+bench_json bulk_build
 run batch_lookup --keys "$KEYS" --ops "$OPS" --batch-width "$BATCH_WIDTHS"
-# The machine-readable batched-lookup baseline (same JSON-lines shape).
-grep '#json' "results/batch_lookup$SUFFIX.txt" | sed 's/^#json //' \
-    > "results/BENCH_batch_lookup$SUFFIX.json"
+bench_json batch_lookup
+# Throughput-over-time curves, caller-run vs worker-pool retraining.
 run retrain_shift --threads "$THREADS" --ops "$OPS" --bucket-ms "${BUCKET_MS:-50}"
-# The machine-readable throughput-over-time curves, inline vs background
-# retraining (same JSON-lines shape).
-grep '#json' "results/retrain_shift$SUFFIX.txt" | sed 's/^#json //' \
-    > "results/BENCH_retrain_shift$SUFFIX.json"
+bench_json retrain_shift
+# The closed-loop sweep only; results/BENCH_service_throughput.json also
+# holds an open-loop overload run (EXPERIMENTS.md "Serving throughput").
+run service_throughput --keys "$KEYS" --threads "$THREADS" --ops "$OPS" \
+    --datasets fb,osm --connections 8,64,256
 echo "ALL EXPERIMENTS DONE"

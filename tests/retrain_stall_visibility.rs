@@ -26,7 +26,7 @@
 //! 1.3–2.1 Mops/s.
 
 use alt_index::{AltConfig, AltIndex};
-use workloads::{run_streams_timed, ShiftKind, ShiftPlan, TimedResult};
+use workloads::{DriverConfig, RunResult, ShiftKind, ShiftPlan};
 
 const THREADS: usize = 2;
 const OPS_PER_THREAD: usize = 150_000;
@@ -34,7 +34,7 @@ const PRELOAD: u64 = 15_000;
 const BUCKET_MS: u64 = 10;
 const ATTEMPTS: usize = 4;
 
-fn run(plan: &ShiftPlan, background: bool) -> TimedResult {
+fn run(plan: &ShiftPlan, background: bool) -> RunResult {
     let cfg = if background {
         AltConfig::background()
     } else {
@@ -44,7 +44,11 @@ fn run(plan: &ShiftPlan, background: bool) -> TimedResult {
     let streams: Vec<_> = (0..THREADS)
         .map(|t| plan.stream(t, THREADS, OPS_PER_THREAD))
         .collect();
-    let r = run_streams_timed(&idx, streams, BUCKET_MS);
+    let cfg = DriverConfig {
+        bucket_ms: BUCKET_MS,
+        ..DriverConfig::default()
+    };
+    let r = workloads::run(&idx, streams, &cfg);
     idx.retrain_quiesce();
     assert!(
         idx.retrain_count() > 0,
@@ -55,7 +59,7 @@ fn run(plan: &ShiftPlan, background: bool) -> TimedResult {
 
 /// Interior buckets (the final, partially-filled bucket would read as a
 /// fake stall).
-fn interior(r: &TimedResult) -> Vec<f64> {
+fn interior(r: &RunResult) -> Vec<f64> {
     let mut m = r.bucket_mops();
     m.pop();
     m
