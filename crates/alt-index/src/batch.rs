@@ -105,15 +105,6 @@ impl AltCore {
 /// Top up the ring with fresh flights from the key stream. Reserved key
 /// 0 is answered inline (`None`, same as scalar `get`) without taking a
 /// ring slot.
-///
-/// Admission is *grouped*: the batch gathers every fresh key's model
-/// first, then computes all their predictions in one vectorized pass
-/// ([`learned::predict_f_group`] — packed f64 multiplies, bit-identical
-/// to the scalar `GplModel::predict`), and only then issues the slot
-/// prefetches. Besides using the vector unit, this orders all the
-/// directory walks before all the slot-line prefetches, so no admitted
-/// key's prefetch is wasted warming a line that a later admission's
-/// directory walk then evicts.
 #[inline]
 fn fill<'g>(
     idx: &AltCore,
@@ -123,56 +114,31 @@ fn fill<'g>(
     ring: &mut Vec<Flight<'g>>,
     guard: &'g Guard,
 ) {
-    let mut kis = [0usize; RING_WIDTH];
-    let mut ks = [0u64; RING_WIDTH];
-    let mut models: [Option<&'g GplModel>; RING_WIDTH] = [None; RING_WIDTH];
-    let mut lms = [learned::LinearModel::point(0); RING_WIDTH];
-    let mut n = 0usize;
-    while *next < keys.len() && ring.len() + n < RING_WIDTH {
+    while *next < keys.len() && ring.len() < RING_WIDTH {
         let ki = *next;
         *next += 1;
         if keys[ki] == 0 {
             out[ki] = None;
             continue;
         }
-        let m: &'g GplModel = idx.dir_ref(guard).model_for(keys[ki]);
-        kis[n] = ki;
-        ks[n] = keys[ki];
-        models[n] = Some(m);
-        lms[n] = m.model;
-        n += 1;
-    }
-    if n == 0 {
-        return;
-    }
-    let mut pf = [0.0f64; RING_WIDTH];
-    learned::predict_f_group(&lms[..n], &ks[..n], &mut pf[..n]);
-    for i in 0..n {
-        let m = models[i].expect("gathered above");
-        // Same rounding as `GplModel::predict` (see `clamp_pos`), so the
-        // grouped path probes exactly the scalar path's slot.
-        let pred = learned::LinearModel::clamp_pos(pf[i], m.slots.capacity());
-        m.slots.prefetch(pred);
-        metrics::incr(Counter::AltBatchPrefetch);
         ring.push(Flight {
-            ki: kis[i],
-            key: ks[i],
+            ki,
+            key: keys[ki],
             retry: resilience::Retry::new(),
-            stage: Stage::Probe { m, pred },
+            stage: predict(idx, keys[ki], guard),
         });
     }
 }
 
-/// Recompute the key's (model, predicted slot) from the current
-/// directory and issue the slot prefetch.
+/// The predict stage: the key's (model, predicted slot) from the current
+/// directory, with the slot prefetch issued.
 #[inline]
-fn restage<'g>(idx: &AltCore, fl: &mut Flight<'g>, guard: &'g Guard) {
-    let dir = idx.dir_ref(guard);
-    let m: &'g GplModel = dir.model_for(fl.key);
-    let pred = m.predict(fl.key);
+fn predict<'g>(idx: &AltCore, key: u64, guard: &'g Guard) -> Stage<'g> {
+    let m: &'g GplModel = idx.dir_ref(guard).model_for(key);
+    let pred = m.predict(key);
     m.slots.prefetch(pred);
     metrics::incr(Counter::AltBatchPrefetch);
-    fl.stage = Stage::Probe { m, pred };
+    Stage::Probe { m, pred }
 }
 
 /// A failed validation: charge the key's budget, then either escalate to
@@ -183,7 +149,7 @@ fn restart<'g>(idx: &AltCore, fl: &mut Flight<'g>, guard: &'g Guard) -> Option<O
     if fl.retry.wait_or_escalate(&crate::LAYER) {
         return Some(idx.get_pessimistic(fl.key));
     }
-    restage(idx, fl, guard);
+    fl.stage = predict(idx, fl.key, guard);
     None
 }
 

@@ -27,14 +27,14 @@ pub struct AltConfig {
     /// Enable opportunistic write-back of ART entries into tombstoned GPL
     /// slots during reads (Algorithm 2 lines 10-13).
     pub write_back: bool,
-    /// Worker threads for bulk-load construction: chunked GPL
-    /// segmentation with a deterministic seam stitch, per-thread model
-    /// population (per-model ownership, no locking), and parallel conflict
-    /// insertion into ART plus fast-pointer registration. `1` runs the
-    /// serial build path bit-for-bit; any other value produces an
-    /// observably identical index (the build-equivalence suite's
-    /// contract). Defaults to the host's available parallelism. Only
-    /// affects construction — never steady-state operations or retrains.
+    /// Worker threads for the two bulk-load stages that carry the build:
+    /// model population (per-model ownership, no locking) and conflict
+    /// insertion into ART. GPL segmentation and fast-pointer registration
+    /// are a few percent of it and run as one serial pass each (DESIGN.md
+    /// §12), so every value produces an observably identical index (the
+    /// build-equivalence suite's contract). Defaults to the host's
+    /// available parallelism. Only affects construction — never
+    /// steady-state operations or retrains.
     pub build_threads: usize,
 }
 

@@ -15,10 +15,10 @@ use crate::slots::{Probe, SlotState};
 use art::{Art, FromResult};
 use crossbeam_epoch::{self as epoch, Atomic, Guard};
 use index_api::{IndexError, Result};
-use learned::gpl::{gpl_segment, gpl_segment_parallel, Segment};
+use learned::gpl::{GplSegmenter, Segment};
 use learned::LinearModel;
 use parking_lot::Mutex;
-use probe::metrics::{self, Counter};
+use probe::metrics::{self, Counter, Phase};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -164,33 +164,15 @@ impl AltCore {
         let art = Arc::new(Art::with_hook(Arc::new(BufferHook(Arc::clone(&buffer)))));
 
         let threads = cfg.build_threads.max(1);
-        let (models, conflicts) =
-            segment_and_build_parallel(pairs, epsilon, cfg.gap_factor, threads);
-        // Conflict eviction into ART. The tree's structure for a fixed key
-        // set is insertion-order independent (radix paths + node sizes
-        // come from the key bytes alone), so sharded concurrent inserts
-        // produce the same tree the serial loop would.
-        if threads > 1 && conflicts.len() >= PARALLEL_BUILD_MIN {
-            let shard = conflicts.len().div_ceil(threads);
-            std::thread::scope(|s| {
-                for chunk in conflicts.chunks(shard) {
-                    let art = &art;
-                    s.spawn(move || {
-                        probe::chaos::point("bulk.par.art");
-                        for &(k, v) in chunk {
-                            art.insert(k, v);
-                        }
-                    });
-                }
-            });
-        } else {
-            for &(k, v) in &conflicts {
-                art.insert(k, v);
-            }
-        }
-        let dir = ModelDir::new(models);
+        let t_start = metrics::now_ns();
+        let (models, conflicts, t_segmented) =
+            segment_and_build(pairs, epsilon, cfg.gap_factor, 0, None, threads);
+        let t_models = metrics::now_ns();
+        // Conflict eviction into ART.
+        art.insert_run(&conflicts, threads);
+        let t_art = metrics::now_ns();
         let idx = Self {
-            dir: Atomic::new(dir),
+            dir: Atomic::new(ModelDir::new(models)),
             art,
             buffer,
             cfg,
@@ -203,7 +185,14 @@ impl AltCore {
             dir_epoch: AtomicUsize::new(0),
             sched,
         };
-        idx.register_all_fast_pointers(threads);
+        // Construction step §III-C ①-③, in directory order on this thread:
+        // it is under 0.1 % of the build, and one registration order is
+        // what makes buffer slot indices the same for every thread count.
+        idx.register_fast_pointers(&idx.dir_ref(&epoch::pin()).models, None);
+        metrics::record_phase_ns(Phase::BulkSegment, t_segmented - t_start);
+        metrics::record_phase_ns(Phase::BulkModels, t_models - t_segmented);
+        metrics::record_phase_ns(Phase::BulkArt, t_art - t_models);
+        metrics::record_phase_ns(Phase::BulkFastPtr, metrics::now_ns() - t_art);
         idx
     }
 
@@ -254,52 +243,16 @@ impl AltCore {
         unsafe { self.dir.load(Ordering::Acquire, guard).deref() }
     }
 
-    /// (Re-)register fast pointers for every model in the current
-    /// directory (bulk-load construction step §III-C ①-③), sharding the
-    /// model range across up to `threads` workers.
-    ///
-    /// Safe to parallelize: each model's `fast_slot` is owned by exactly
-    /// one worker (contiguous index ranges), `FastPointerBuffer::register`
-    /// is already thread-safe (append spin lock + merge scheme), and the
-    /// registered *targets* (each model interval's LCA node) depend only
-    /// on the tree, not on registration order — so a parallel build's
-    /// jump behaviour is identical to a serial one's even though buffer
-    /// slot indices may come out permuted.
-    fn register_all_fast_pointers(&self, threads: usize) {
-        if !self.cfg.fast_pointers {
-            return;
-        }
-        let guard = epoch::pin();
-        let dir = self.dir_ref(&guard);
-        let n = dir.models.len();
-        let shard = n.div_ceil(threads.max(1));
-        if threads <= 1 || n < PARALLEL_BUILD_MIN {
-            self.register_fast_pointers(&dir.models, None);
-            return;
-        }
-        std::thread::scope(|s| {
-            let mut start = 0;
-            while start < n {
-                let end = (start + shard).min(n);
-                s.spawn(move || {
-                    probe::chaos::point("bulk.par.fastptr");
-                    // Re-pin per worker (epoch guards are thread-local);
-                    // the directory cannot be swapped during construction.
-                    let guard = epoch::pin();
-                    let dir = self.dir_ref(&guard);
-                    self.register_fast_pointers(&dir.models[start..end], dir.upper_bound(end - 1));
-                });
-                start = end;
-            }
-        });
-    }
-
     /// Register a fast pointer for each of `models` (a key-ordered run
     /// of neighbours, reusing buffer entries via the merge scheme). A
     /// model's interval ends at its successor's first key; `next_after`
     /// is that bound for the last one — `None` at the directory tail,
-    /// whose open-ended interval gets no shortcut.
+    /// whose open-ended interval gets no shortcut. Does nothing with fast
+    /// pointers off: every model keeps the [`NO_FAST`] it was built with.
     pub(crate) fn register_fast_pointers(&self, models: &[Arc<GplModel>], next_after: Option<u64>) {
+        if !self.cfg.fast_pointers {
+            return;
+        }
         for (i, m) in models.iter().enumerate() {
             let upper = models.get(i + 1).map(|n| n.first_key).or(next_after);
             let slot = match upper {
@@ -711,79 +664,103 @@ impl Drop for AltCore {
     }
 }
 
-/// Minimum work-item count (keys, conflicts, or models) below which the
-/// bulk-load pipeline stays serial: thread spawn/join costs more than the
-/// work it would split.
-pub(crate) const PARALLEL_BUILD_MIN: usize = 1024;
-
-/// One build worker's output: its group's models plus their conflicts.
-type BuiltGroup = (Vec<GplModel>, Vec<(u64, u64)>);
-
-/// Parallel variant of [`segment_and_build`] used only by bulk load
-/// (retrain keeps the serial path — its spans are small and it runs under
-/// `dir_lock`). Produces models and conflicts *identical* to the serial
-/// builder for any `threads`:
+/// GPL-segment `pairs` and build one gapped model per segment. Returns
+/// the models (sorted), all conflict data destined for ART, and the
+/// [`metrics::now_ns`] stamp at which segmentation ended (bulk load times
+/// the two stages apart; 0 without the `metrics` feature).
 ///
-/// * segmentation goes through [`gpl_segment_parallel`], which is
-///   bit-equal to [`gpl_segment`] by construction (seam stitch);
-/// * the segment list is then split into contiguous groups balanced by
-///   key count, and each group's models are built by one worker. A model
-///   is private to its worker until the join (`place_unsync` is exactly
-///   the thread-private placement the serial path uses), and group
-///   results are concatenated in order, so model order — and therefore
-///   conflict order, which feeds sorted ART bulk insertion — is
-///   unchanged.
-pub(crate) fn segment_and_build_parallel(
+/// Segmentation is one serial pass — under a tenth of the build, so
+/// splitting it costs more than it saves (DESIGN.md §12). Model population
+/// is where the time is: the segment list is split into at most `threads`
+/// contiguous groups balanced by key count, the first built on the
+/// calling thread and each other one on a worker. `threads == 1` (every
+/// retrain) and any small input are that same loop over one group. A model is private to its
+/// builder until the join (`place_unsync`) and group results are
+/// concatenated in order, so the output is the same for every `threads`.
+///
+/// `route_floor`: when replacing a directory span whose smallest key has
+/// been removed, the first replacement model must still *route* from the
+/// old span start — otherwise keys between the old and new lower bound
+/// would fall to the previous model, outside the key interval its fast
+/// pointer was registered for (the jump-validity contract of §III-C).
+pub(crate) fn segment_and_build(
     pairs: &[(u64, u64)],
     epsilon: f64,
     gap_factor: f64,
+    expansions: u32,
+    route_floor: Option<u64>,
     threads: usize,
-) -> (Vec<Arc<GplModel>>, Vec<(u64, u64)>) {
-    if threads <= 1 || pairs.len() < PARALLEL_BUILD_MIN {
-        return segment_and_build(pairs, epsilon, gap_factor, 0, None);
+) -> (Vec<Arc<GplModel>>, Vec<(u64, u64)>, u64) {
+    if pairs.is_empty() {
+        // Bootstrap model so the directory is never empty: anchored at
+        // key 1 with a modest slope so early inserts spread out.
+        let anchor = route_floor.unwrap_or(1).max(1);
+        let m = GplModel::new(
+            anchor,
+            LinearModel::new(anchor, 1.0 / 64.0),
+            1024,
+            0,
+            expansions,
+        );
+        return (vec![Arc::new(m)], Vec::new(), metrics::now_ns());
     }
-    let keys: Vec<u64> = pairs.iter().map(|p| p.0).collect();
-    let segments = gpl_segment_parallel(&keys, epsilon, threads);
-    let groups = partition_segments(&segments, threads, pairs.len());
-    let built: Vec<BuiltGroup> = std::thread::scope(|s| {
-        let handles: Vec<_> = groups
-            .into_iter()
+    let mut segmenter = GplSegmenter::new(epsilon);
+    let mut segments: Vec<Segment> = pairs
+        .iter()
+        .enumerate()
+        .filter_map(|(i, p)| segmenter.push(i, p.0))
+        .collect();
+    segments.extend(segmenter.finish());
+    let t_segmented = metrics::now_ns();
+
+    let build_group = |group: std::ops::Range<usize>| {
+        let mut models = Vec::with_capacity(group.len());
+        let mut conflicts = Vec::new();
+        for seg in &segments[group] {
+            let slice = &pairs[seg.start..seg.start + seg.len];
+            let (m, mut c) = build_model(slice, seg.model, gap_factor, expansions);
+            models.push(m);
+            conflicts.append(&mut c);
+        }
+        (models, conflicts)
+    };
+    let mut groups = partition_segments(&segments, threads, pairs.len()).into_iter();
+    let first = groups.next().expect("a non-empty input has a segment");
+    let (mut models, conflicts) = std::thread::scope(|s| {
+        let build_group = &build_group;
+        let workers: Vec<_> = groups
             .map(|group| {
-                let segments = &segments;
                 s.spawn(move || {
                     probe::chaos::point("bulk.par.models");
-                    let mut models = Vec::with_capacity(group.len());
-                    let mut conflicts = Vec::new();
-                    for seg in &segments[group] {
-                        let slice = &pairs[seg.start..seg.start + seg.len];
-                        let (m, mut c) = build_model(slice, seg.model, gap_factor, 0);
-                        models.push(m);
-                        conflicts.append(&mut c);
-                    }
-                    (models, conflicts)
+                    build_group(group)
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
+        let (mut models, mut conflicts) = build_group(first);
+        for w in workers {
+            let (ms, mut cs) = w.join().expect("model build worker panicked");
+            models.extend(ms);
+            conflicts.append(&mut cs);
+        }
+        (models, conflicts)
     });
-    let mut models = Vec::with_capacity(segments.len());
-    let mut conflicts = Vec::new();
-    for (ms, mut cs) in built {
-        models.extend(ms.into_iter().map(Arc::new));
-        conflicts.append(&mut cs);
+    if let Some(floor) = route_floor {
+        models[0].first_key = models[0].first_key.min(floor);
     }
-    (models, conflicts)
+    let models = models.into_iter().map(Arc::new).collect();
+    (models, conflicts, t_segmented)
 }
 
 /// Split `segments` into at most `groups` contiguous index ranges of
 /// roughly `total_keys / groups` keys each (models vary wildly in span,
-/// so balancing by segment *count* would skew the build).
+/// so balancing by segment *count* would skew the build), and no fewer
+/// than [`Art::PARALLEL_MIN_KEYS`] — a small input is one group.
 fn partition_segments(
     segments: &[Segment],
     groups: usize,
     total_keys: usize,
 ) -> Vec<std::ops::Range<usize>> {
-    let target = total_keys.div_ceil(groups).max(1);
+    let target = total_keys.div_ceil(groups).max(Art::PARALLEL_MIN_KEYS);
     let mut out = Vec::with_capacity(groups);
     let mut start = 0;
     let mut acc = 0;
@@ -799,54 +776,6 @@ fn partition_segments(
         out.push(start..segments.len());
     }
     out
-}
-
-/// GPL-segment `pairs` and build one gapped model per segment. Returns
-/// the models (sorted) and all conflict data destined for ART.
-///
-/// `route_floor`: when replacing a directory span whose smallest key has
-/// been removed, the first replacement model must still *route* from the
-/// old span start — otherwise keys between the old and new lower bound
-/// would fall to the previous model, outside the key interval its fast
-/// pointer was registered for (the jump-validity contract of §III-C).
-pub(crate) fn segment_and_build(
-    pairs: &[(u64, u64)],
-    epsilon: f64,
-    gap_factor: f64,
-    expansions: u32,
-    route_floor: Option<u64>,
-) -> (Vec<Arc<GplModel>>, Vec<(u64, u64)>) {
-    if pairs.is_empty() {
-        // Bootstrap model so the directory is never empty: anchored at
-        // key 1 with a modest slope so early inserts spread out.
-        let anchor = route_floor.unwrap_or(1).max(1);
-        let m = GplModel::new(
-            anchor,
-            LinearModel::new(anchor, 1.0 / 64.0),
-            1024,
-            0,
-            expansions,
-        );
-        return (vec![Arc::new(m)], Vec::new());
-    }
-    let keys: Vec<u64> = pairs.iter().map(|p| p.0).collect();
-    let segments = gpl_segment(&keys, epsilon);
-    let mut raw = Vec::with_capacity(segments.len());
-    let mut conflicts = Vec::new();
-    for seg in segments {
-        let slice = &pairs[seg.start..seg.start + seg.len];
-        let (m, mut c) = build_model(slice, seg.model, gap_factor, expansions);
-        raw.push(m);
-        conflicts.append(&mut c);
-    }
-    if let Some(floor) = route_floor {
-        if let Some(first) = raw.first_mut() {
-            if first.first_key > floor {
-                first.first_key = floor;
-            }
-        }
-    }
-    (raw.into_iter().map(Arc::new).collect(), conflicts)
 }
 
 #[cfg(test)]

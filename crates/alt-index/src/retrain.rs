@@ -121,7 +121,7 @@ impl AltCore {
         }))
         .is_err()
         {
-            metrics::incr(Counter::RetrainBgDropped);
+            sched.count_dropped();
         }
     }
 
@@ -225,12 +225,13 @@ impl AltCore {
             self.epsilon,
             m.expansions,
         );
-        let (models, conflicts) = segment_and_build(
+        let (models, conflicts, _) = segment_and_build(
             &before.merged,
             plan.epsilon,
             self.cfg.gap_factor,
             plan.expansions,
             Some(m.first_key),
+            1,
         );
         // Mutable conflict set: the delta below may add (new collisions)
         // or drop (conflicted keys removed mid-build) entries.
@@ -261,9 +262,7 @@ impl AltCore {
         for (&k, &v) in &conflict_map {
             self.art.upsert(k, v);
         }
-        if self.cfg.fast_pointers {
-            self.register_fast_pointers(&models, dir.upper_bound(mi));
-        }
+        self.register_fast_pointers(&models, dir.upper_bound(mi));
 
         // Publish the new directory and retire the old snapshot. The
         // epoch bump must precede the swap: scans that saw the old epoch
@@ -456,8 +455,8 @@ mod tests {
             expansions in 0u32..3,
         ) {
             let before: Vec<(u64, u64)> = before.into_iter().map(|k| (k, k ^ 0xABCD)).collect();
-            let (models, conflicts) =
-                segment_and_build(&before, eps, 1.25, expansions, Some(before[0].0));
+            let (models, conflicts, _) =
+                segment_and_build(&before, eps, 1.25, expansions, Some(before[0].0), 1);
             let mut conflict_map: BTreeMap<u64, u64> = conflicts.into_iter().collect();
 
             let mut after: BTreeMap<u64, u64> = before.iter().copied().collect();

@@ -226,7 +226,9 @@ impl SchedShared {
         self.idle.notify_all();
     }
 
-    fn count_dropped(&self) {
+    /// Count one shed background request — the only place either
+    /// `dropped` tally moves, so they cannot disagree.
+    pub(crate) fn count_dropped(&self) {
         self.dropped.fetch_add(1, Ordering::Relaxed);
         metrics::incr(Counter::RetrainBgDropped);
     }

@@ -96,6 +96,15 @@ impl AltCore {
             .collect()
     }
 
+    /// Every model's fast-pointer buffer slot index, in directory order.
+    /// Registration runs in that order on one thread, so the indices are
+    /// the same for every `build_threads` (the build-equivalence suite).
+    pub fn fast_slots(&self) -> Vec<u32> {
+        let guard = epoch::pin();
+        let dir = self.dir_ref(&guard);
+        dir.models.iter().map(|m| m.fast()).collect()
+    }
+
     /// FNV-1a digest of the learned layer's physical layout: every model's
     /// span followed by every live slot's `(slot, key, value)`. Two builds
     /// with equal digests placed every slot-resident key identically.

@@ -3,25 +3,23 @@
 //! `build_threads = T` must produce an *observably identical* index to
 //! the serial build (`T = 1`):
 //!
-//! * **directory layout** — same model spans (`directory_spans`), which
-//!   follows from `gpl_segment_parallel` being bit-equal to the serial
-//!   segmenter (seam stitching; see DESIGN.md §12);
+//! * **directory layout** — same model spans (`directory_spans`):
+//!   segmentation is the same serial pass at every thread count
+//!   (DESIGN.md §12);
 //! * **slot placements** — byte-equal learned-layer layout
 //!   (`learned_layout_digest`);
 //! * **conflict set** — the same keys evicted into ART, checked per key
 //!   via `probe_art_hops` (Some/None partition) and `stats()` layer
 //!   counts;
-//! * **fast-pointer targets** — equal `jump_hops` per ART resident.
-//!   Buffer slot *indices* may come out permuted (registration order is
-//!   nondeterministic across workers) but the registered targets — each
-//!   model interval's LCA node — depend only on the tree, so observable
-//!   jump behaviour is identical;
+//! * **fast pointers** — equal `jump_hops` per ART resident, and equal
+//!   buffer slot *indices* per model (`fast_slots`): registration runs in
+//!   directory order on one thread whatever the thread count;
 //! * **behaviour** — per-key `get`, full `range` scan, and absent-key
 //!   probes agree.
 //!
 //! The chaos-gated test additionally perturbs the parallel build's
-//! interleavings (seam stitch, sharded ART inserts, sharded fast-pointer
-//! registration) and re-asserts equivalence.
+//! interleavings (sharded model population, sharded ART inserts) and
+//! re-asserts equivalence.
 
 use alt_index::{AltConfig, AltIndex};
 use datasets::{generate_pairs, Dataset};
@@ -54,6 +52,11 @@ fn assert_equivalent(serial: &AltIndex, par: &AltIndex, pairs: &[(u64, u64)], la
         serial.learned_layout_digest(),
         par.learned_layout_digest(),
         "{label}: slot placements differ"
+    );
+    assert_eq!(
+        serial.fast_slots(),
+        par.fast_slots(),
+        "{label}: fast-pointer buffer slot indices differ"
     );
     let (ss, ps) = (serial.stats(), par.stats());
     assert_eq!(
@@ -133,10 +136,9 @@ proptest! {
     }
 }
 
-/// Deterministic sweep at a scale where every parallel path engages
-/// (chunked segmentation, seam stitching, sharded model build, sharded
-/// ART insertion, sharded fast-pointer registration), over all four
-/// generated datasets and the auto-ε rule.
+/// Deterministic sweep at a scale where both parallel stages engage
+/// (sharded model build, sharded ART insertion), over all four generated
+/// datasets.
 #[test]
 fn equivalence_at_scale_on_every_dataset() {
     for ds in datasets::ALL_DATASETS {
@@ -198,23 +200,27 @@ fn post_build_mutations_agree() {
 }
 
 /// Chaos coverage of the parallel-population code paths: a
-/// schedule-perturbing run must traverse the new chaos points
-/// (`gpl.stitch.*`, `bulk.par.*`) and still produce an equivalent index.
+/// schedule-perturbing run must traverse both workers' chaos points
+/// (`bulk.par.models`, `bulk.par.art`) and still produce an equivalent
+/// index.
 #[cfg(feature = "chaos")]
 #[test]
 fn chaos_perturbed_parallel_build_stays_equivalent() {
     for s in 0..8u64 {
         let pairs = generate_pairs(Dataset::Longlat, 24_000, 100 + s);
         let serial = build(&pairs, Some(16.0), 1);
-        let before = probe::chaos::hits();
+        const SITES: [&str; 2] = ["bulk.par.models", "bulk.par.art"];
+        let before = SITES.map(probe::chaos::site_hits);
         let par = {
             let _g = probe::chaos::install_schedule(0xB111D + s, 384);
             build(&pairs, Some(16.0), 8)
         };
-        assert!(
-            probe::chaos::hits() > before,
-            "seed {s}: parallel build hit no chaos points"
-        );
+        for (site, was) in SITES.iter().zip(before) {
+            assert!(
+                probe::chaos::site_hits(site) > was,
+                "seed {s}: parallel build never reached {site}"
+            );
+        }
         assert_equivalent(&serial, &par, &pairs, &format!("chaos seed {s}"));
     }
 }

@@ -57,38 +57,47 @@ impl ConcurrentIndex for Art {
     }
 }
 
-impl BulkLoad for Art {
-    fn bulk_load(pairs: &[(Key, Value)]) -> Self {
-        index_api::debug_validate_bulk_input(pairs);
-        let t = Art::new();
-        for &(k, v) in pairs {
-            t.insert(k, v);
-        }
-        t
-    }
+impl Art {
+    /// Fewest keys worth giving a build worker of its own: below this,
+    /// spawn and join cost more than the work they split.
+    pub const PARALLEL_MIN_KEYS: usize = 1024;
 
-    /// Parallel bulk load: shard the sorted input and insert concurrently.
+    /// Insert a sorted run of new keys from up to `threads` threads, one
+    /// contiguous shard of at least [`Self::PARALLEL_MIN_KEYS`] keys each
+    /// (the first on the calling thread, so a short run spawns nothing).
     /// ART's structure for a fixed key set is insertion-order independent
     /// (radix paths and node sizes come from the key bytes alone), so the
-    /// resulting tree is identical to the serial build's.
-    fn bulk_load_threaded(pairs: &[(Key, Value)], threads: usize) -> Self {
-        index_api::debug_validate_bulk_input(pairs);
-        let threads = threads.max(1);
-        if threads == 1 || pairs.len() < 1024 {
-            return Self::bulk_load(pairs);
-        }
-        let t = Art::new();
-        let shard = pairs.len().div_ceil(threads);
+    /// tree is the same for every `threads`.
+    pub fn insert_run(&self, run: &[(Key, Value)], threads: usize) {
+        let insert = |shard: &[(Key, Value)]| {
+            for &(k, v) in shard {
+                self.insert(k, v);
+            }
+        };
+        let shard = run.len().div_ceil(threads.max(1));
+        let mut shards = run.chunks(shard.max(Self::PARALLEL_MIN_KEYS));
+        let first = shards.next().unwrap_or_default();
         std::thread::scope(|s| {
-            for chunk in pairs.chunks(shard) {
-                let t = &t;
+            for shard in shards {
                 s.spawn(move || {
-                    for &(k, v) in chunk {
-                        t.insert(k, v);
-                    }
+                    probe::chaos::point("bulk.par.art");
+                    insert(shard)
                 });
             }
+            insert(first)
         });
+    }
+}
+
+impl BulkLoad for Art {
+    fn bulk_load(pairs: &[(Key, Value)]) -> Self {
+        Self::bulk_load_threaded(pairs, 1)
+    }
+
+    fn bulk_load_threaded(pairs: &[(Key, Value)], threads: usize) -> Self {
+        index_api::debug_validate_bulk_input(pairs);
+        let t = Art::new();
+        t.insert_run(pairs, threads);
         t
     }
 }

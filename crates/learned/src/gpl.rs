@@ -162,130 +162,6 @@ pub fn gpl_segment(keys: &[u64], epsilon: f64) -> Vec<Segment> {
     out
 }
 
-/// Minimum keys per chunk before the parallel splitter engages. Below
-/// this, thread spawn/join overhead dominates and the serial scan wins,
-/// so [`gpl_segment_parallel`] silently degrades to [`gpl_segment`].
-pub const MIN_PARALLEL_CHUNK: usize = 256;
-
-/// Segment a full sorted key array with error bound `epsilon`, using up
-/// to `threads` worker threads. **Produces exactly the same segment list
-/// as [`gpl_segment`] for every thread count** — this is the contract the
-/// build-equivalence suite (and ALT-index's parallel bulk load) relies on.
-///
-/// How: the input is split into `threads` contiguous chunks and each
-/// chunk is segmented independently (absolute indices, so chunk results
-/// are directly comparable with the serial run). GPL is self-synchronizing:
-/// the segmenter's state after a cut at position `i` depends only on `i`
-/// (the cone restarts from the key at `i`), so as soon as the serial scan
-/// cuts at a position where a chunk's independent run also cut, the two
-/// runs produce identical segments for the rest of that chunk. A
-/// sequential *seam-stitch* pass exploits this: it splices precomputed
-/// chunk segments wherever the runs are synchronized and re-runs the
-/// segmenter key-by-key only across the (rare) unsynchronized seam
-/// stretches. The stitch is O(segments + seam keys); the chunk scans are
-/// the parallel O(n) bulk of the work.
-///
-/// Worst case: data so linear that chunks produce a single segment each
-/// never re-synchronizes, and the stitch degenerates to a serial re-scan.
-/// That is inherent (the serial output genuinely has segments spanning
-/// every seam) and still correct.
-pub fn gpl_segment_parallel(keys: &[u64], epsilon: f64, threads: usize) -> Vec<Segment> {
-    let n = keys.len();
-    let t = threads.min(n / MIN_PARALLEL_CHUNK).max(1);
-    if t == 1 {
-        return gpl_segment(keys, epsilon);
-    }
-    let bounds: Vec<usize> = (0..=t).map(|i| i * n / t).collect();
-    let chunk_segs: Vec<Vec<Segment>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..t)
-            .map(|c| {
-                let bounds = &bounds;
-                s.spawn(move || {
-                    probe::chaos::point("gpl.par.chunk");
-                    let mut seg = GplSegmenter::new(epsilon);
-                    let mut out = Vec::new();
-                    let lo = bounds[c];
-                    for (off, &k) in keys[lo..bounds[c + 1]].iter().enumerate() {
-                        if let Some(done) = seg.push(lo + off, k) {
-                            out.push(done);
-                        }
-                    }
-                    out.extend(seg.finish());
-                    out
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    stitch_chunks(keys, epsilon, &bounds, &chunk_segs)
-}
-
-/// Merge per-chunk segment lists into the serial segmentation.
-///
-/// Loop invariant at the top of each iteration: `out` equals the serial
-/// segmentation of `keys[..i]`, and the serial segmenter is *fresh* at
-/// `i` (its last cut was exactly at `i`). Induction step:
-///
-/// * If chunk `c` (the chunk containing `i`) also has a segment starting
-///   at `i`, both runs saw identical keys from an identical fresh state,
-///   so the chunk's remaining segments are exactly what serial produces —
-///   splice them. Only the chunk's *last* segment is withheld (its
-///   `finish()` was forced by the chunk boundary, not by a cone
-///   violation, so serial might extend it across the seam); its start is
-///   a genuine serial cut, so the invariant is re-established there. The
-///   final chunk has no seam after it, so everything splices.
-/// * Otherwise, replay serial segmentation key-by-key from `i` until its
-///   next cut `k` (each emitted segment is serial-exact by construction),
-///   which restores the invariant at `k` and lets splicing retry —
-///   typically inside the next chunk.
-///
-/// Termination: every iteration either returns or strictly advances `i`
-/// (a replayed cut lands at `k > i`, and a splice that doesn't advance is
-/// immediately followed by a replay that does).
-fn stitch_chunks(
-    keys: &[u64],
-    epsilon: f64,
-    bounds: &[usize],
-    chunk_segs: &[Vec<Segment>],
-) -> Vec<Segment> {
-    let n = keys.len();
-    let last_chunk = chunk_segs.len() - 1;
-    let mut out = Vec::new();
-    let mut i = 0usize;
-    let mut c = 0usize;
-    while i < n {
-        while bounds[c + 1] <= i {
-            c += 1;
-        }
-        if let Ok(j) = chunk_segs[c].binary_search_by_key(&i, |s| s.start) {
-            probe::chaos::point("gpl.stitch.splice");
-            if c == last_chunk {
-                out.extend_from_slice(&chunk_segs[c][j..]);
-                return out;
-            }
-            let withheld = chunk_segs[c].len() - 1;
-            out.extend_from_slice(&chunk_segs[c][j..withheld]);
-            i = chunk_segs[c][withheld].start;
-        }
-        probe::chaos::point("gpl.stitch.seam");
-        let mut seg = GplSegmenter::new(epsilon);
-        let mut k = i;
-        loop {
-            if k >= n {
-                out.extend(seg.finish());
-                return out;
-            }
-            if let Some(done) = seg.push(k, keys[k]) {
-                out.push(done);
-                i = k;
-                break;
-            }
-            k += 1;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -368,65 +244,6 @@ mod tests {
         let keys: Vec<u64> = (0..100u64).map(|i| i * 10).collect();
         let segs = gpl_segment(&keys, 0.0);
         assert_eq!(segs.len(), 1, "collinear points have zero error");
-    }
-
-    /// The data shapes the parallel tests sweep: linear (worst case for
-    /// stitching — every seam re-runs), quadratic (frequent cuts, splices
-    /// engage), steppy (cuts forced at irregular positions), and a noisy
-    /// mix (cut positions not aligned with chunk bounds).
-    fn shapes() -> Vec<(&'static str, Vec<u64>)> {
-        vec![
-            ("linear", (0..6000u64).map(|i| 5 + i * 17).collect()),
-            ("quadratic", (0..6000u64).map(|i| i * i + 1).collect()),
-            (
-                "steppy",
-                (0..6000u64)
-                    .map(|i| i * 3 + (i / 500) * 1_000_000 + 1)
-                    .collect(),
-            ),
-            (
-                "noisy",
-                (0..6000u64)
-                    .map(|i| i * 97 + (i.wrapping_mul(2654435761) % 89) + 1)
-                    .collect(),
-            ),
-        ]
-    }
-
-    #[test]
-    fn parallel_matches_serial_across_thread_counts() {
-        for (label, keys) in shapes() {
-            for eps in [1.0, 8.0, 64.0] {
-                let serial = gpl_segment(&keys, eps);
-                for t in [1, 2, 3, 5, 8, 16] {
-                    let par = gpl_segment_parallel(&keys, eps, t);
-                    assert_eq!(par, serial, "shape={label} eps={eps} threads={t}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_handles_tiny_and_empty_inputs() {
-        assert!(gpl_segment_parallel(&[], 4.0, 8).is_empty());
-        for n in [1usize, 2, 7, 255, 256, 257, 511, 513] {
-            let keys: Vec<u64> = (0..n as u64).map(|i| i * i + 3).collect();
-            assert_eq!(
-                gpl_segment_parallel(&keys, 2.0, 8),
-                gpl_segment(&keys, 2.0),
-                "n={n}"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_threads_beyond_input_degrade_to_serial() {
-        let keys: Vec<u64> = (0..300u64).map(|i| i * 7 + 1).collect();
-        // 300 keys / 256 floor = t clamps to 1: identical object-for-object.
-        assert_eq!(
-            gpl_segment_parallel(&keys, 4.0, 64),
-            gpl_segment(&keys, 4.0)
-        );
     }
 
     #[test]

@@ -25,7 +25,6 @@
 #![forbid(unsafe_code)]
 
 pub mod gpl;
-pub mod group;
 pub mod linear;
 pub mod lpa;
 pub mod optimal;
@@ -33,8 +32,7 @@ pub mod rmi;
 pub mod search;
 pub mod shrinking_cone;
 
-pub use gpl::{gpl_segment, gpl_segment_parallel, GplSegmenter, Segment};
-pub use group::predict_f_group;
+pub use gpl::{gpl_segment, GplSegmenter, Segment};
 pub use linear::LinearModel;
 pub use lpa::lpa_segment;
 pub use optimal::{optimal_segment, optimal_segment_count};

@@ -40,19 +40,10 @@ impl LinearModel {
     /// Predict a slot index, clamped to `[0, capacity)`.
     #[inline]
     pub fn predict_clamped(&self, key: u64, capacity: usize) -> usize {
-        Self::clamp_pos(self.predict_f(key), capacity)
-    }
-
-    /// Round a fractional position (from [`Self::predict_f`] or the
-    /// grouped [`crate::predict_f_group`]) to a slot index in
-    /// `[0, capacity)`. Keeping the rounding in one place guarantees the
-    /// batched path computes exactly the slot the scalar path would.
-    #[inline]
-    pub fn clamp_pos(p: f64, capacity: usize) -> usize {
         debug_assert!(capacity > 0);
         // Round to nearest: keys were *placed* by the same rounding, so
         // prediction and placement agree exactly.
-        let p = (p + 0.5) as usize;
+        let p = (self.predict_f(key) + 0.5) as usize;
         p.min(capacity - 1)
     }
 

@@ -10,12 +10,12 @@
 //!    duplication, and every eviction is justified by a real collision;
 //! 3. **monotonicity** — gapped placement never re-orders keys, which is
 //!    what lets slot walks produce sorted scans.
-//! 4. **parallel determinism** — chunked segmentation + seam stitching
-//!    ([`learned::gpl_segment_parallel`]) reproduces the serial segment
-//!    list exactly for any thread count, the contract ALT-index's
-//!    parallel bulk load (and the build-equivalence suite) stands on.
+//! 4. **streaming** — feeding a `(key, value)` array's keys to
+//!    [`learned::GplSegmenter`] one at a time, the way ALT-index's bulk
+//!    load and retrain segment, gives exactly [`learned::gpl_segment`]'s
+//!    list over the key array.
 
-use learned::{gpl_segment, gpl_segment_parallel, LinearModel};
+use learned::{gpl_segment, GplSegmenter, LinearModel};
 use proptest::collection::btree_set;
 use proptest::prelude::*;
 
@@ -117,21 +117,22 @@ proptest! {
         }
     }
 
-    /// Invariant 4: the parallel segmenter is a drop-in for the serial
-    /// one — identical output for every thread count, including thread
-    /// counts that do not divide the input evenly and inputs small enough
-    /// that the splitter degrades to the serial path.
+    /// Invariant 4: streaming `pairs`' keys through the segmenter equals
+    /// segmenting the copied-out key array.
     #[test]
-    fn parallel_segmentation_equals_serial(
+    fn pushing_pairs_one_at_a_time_equals_gpl_segment(
         keys in sorted_keys(2000),
         eps in 0.5f64..64.0,
-        threads in 1usize..12,
     ) {
-        let serial = gpl_segment(&keys, eps);
-        prop_assert_eq!(
-            gpl_segment_parallel(&keys, eps, threads), serial,
-            "threads={}", threads
-        );
+        let pairs: Vec<(u64, u64)> = keys.iter().map(|&k| (k, !k)).collect();
+        let mut segmenter = GplSegmenter::new(eps);
+        let mut streamed: Vec<_> = pairs
+            .iter()
+            .enumerate()
+            .filter_map(|(i, p)| segmenter.push(i, p.0))
+            .collect();
+        streamed.extend(segmenter.finish());
+        prop_assert_eq!(streamed, gpl_segment(&keys, eps));
     }
 
     /// Invariant 3: placement preserves key order across slots, so a

@@ -15,7 +15,8 @@
 //!   one thread-local read plus one uncontended relaxed `fetch_add`.
 //!   Reading a counter sums its shards — reads are rare (snapshots),
 //!   writes are the hot path;
-//! * [`Phase`] — timed phases (retrain collect/build/swap/cleanup),
+//! * [`Phase`] — timed phases (retrain collect/build/swap/cleanup, the
+//!   four bulk-load stages),
 //!   timed as `let t0 = now_ns(); …; record_phase_ns(p, now_ns() - t0)`
 //!   into atomic histograms that share
 //!   [`LatencyHistogram`]'s bucket
@@ -241,7 +242,7 @@ named_enum! {
 
 named_enum! {
     /// Every timed hot-path phase.
-    pub enum Phase[5] {
+    pub enum Phase[9] {
         /// Retrain: collecting live slots + the span's ART range and merging
         /// them (runs under the model's write lock — this is the writer
         /// stall window of §III-F).
@@ -254,11 +255,22 @@ named_enum! {
         /// Retrain: removing the ART keys the new slots absorbed
         /// (write-back of §III-F).
         RetrainCleanup => "retrain.cleanup_ns",
-        /// Background retrain only: re-collecting the span and applying the
+        /// Retrain: re-collecting the span and applying the
         /// insert/update/remove delta that accumulated while the build ran
         /// outside the write lock (the second, short writer stall of the
         /// two-phase scheme).
         RetrainReconcile => "retrain.reconcile_ns",
+        /// Bulk load: the serial GPL pass over the input (one sample per
+        /// build, like the three below).
+        BulkSegment => "bulk.segment_ns",
+        /// Bulk load: populating the gapped models, on `build_threads`
+        /// workers.
+        BulkModels => "bulk.models_ns",
+        /// Bulk load: inserting the conflict data into ART, on
+        /// `build_threads` workers.
+        BulkArt => "bulk.art_ns",
+        /// Bulk load: registering one fast pointer per model.
+        BulkFastPtr => "bulk.fastptr_ns",
     }
 }
 

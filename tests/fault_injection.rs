@@ -335,6 +335,52 @@ fn sustained_worker_kill_trips_degraded_mode_and_recovers() {
     assert_eq!(idx.len(), 2_000 + burst.len() + follow.len());
 }
 
+/// Regression: `trigger_retrain` contains a panic injected at
+/// `sched.enqueue` and loses the request — a shed like any other, so the
+/// always-on `bg_dropped` must count it. The containment arm used to bump
+/// only the `metrics` counter, and `fault_stats()` under-reported exactly
+/// these requests.
+#[test]
+fn a_panicked_enqueue_counts_as_dropped() {
+    let _l = serial();
+    quiet_injected_panics();
+    probe::fail::set_seed(0xF417_D509);
+    let pairs: Vec<(u64, u64)> = (1..=2_000u64).map(|i| (i * 1_000, i)).collect();
+    let idx = AltIndex::bulk_load_with(
+        &pairs,
+        AltConfig {
+            epsilon: Some(16.0),
+            ..AltConfig::background()
+        },
+    );
+    // One enqueue in four dies. A single overflowing span is queued at
+    // most once, so nothing else sheds a request here.
+    let g = probe::fail::install(
+        "sched.enqueue",
+        FailAction::Panic,
+        Trigger::Probability(256),
+    );
+    let burst: Vec<u64> = burst_keys(3_000_001, 8_000).collect();
+    for &k in &burst {
+        idx.insert(k, k).unwrap();
+    }
+    idx.retrain_quiesce();
+    let injected = probe::fail::fires("sched.enqueue");
+    drop(g);
+    assert!(
+        injected > 0,
+        "no enqueue ever panicked — the test is vacuous"
+    );
+    assert_eq!(
+        idx.fault_stats().bg_dropped,
+        injected,
+        "every request lost to an injected enqueue panic is a dropped one"
+    );
+    for &k in burst.iter().step_by(97) {
+        assert_eq!(idx.get(k), Some(k));
+    }
+}
+
 #[test]
 fn uninstalled_failpoints_change_nothing() {
     // With the feature on but nothing installed, the fast-path gate
