@@ -19,6 +19,7 @@ use learned::gpl::{GplSegmenter, Segment};
 use learned::LinearModel;
 use parking_lot::Mutex;
 use probe::metrics::{self, Counter, Phase};
+use probe::striped::Striped;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -120,11 +121,12 @@ pub struct AltCore {
     pub(crate) epsilon: f64,
     /// Serializes structural directory changes (retrains).
     pub(crate) dir_lock: Mutex<()>,
-    /// Live keys. Every insert and remove writes it, so it sits on a
-    /// cache line of its own: next to `dir`, `art` or `buffer` each write
-    /// would take the line every reader starts from away from the other
-    /// cores.
-    pub(crate) len: OwnLine<AtomicUsize>,
+    /// Live keys. Every insert and remove writes it, so each writer
+    /// thread has a stripe of its own: one atomic next to `dir`, `art` or
+    /// `buffer` would take the line every reader starts from away from
+    /// the other cores on each write, and on a line of its own it would
+    /// still bounce between the writers.
+    pub(crate) len: Striped,
     pub(crate) retrains: AtomicUsize,
     /// Retrain attempts that got past the trigger checks (completed or
     /// not) — the denominator for the paper's retrain-effectiveness
@@ -147,10 +149,6 @@ pub struct AltCore {
     pub(crate) sched: Option<Arc<crate::sched::SchedShared>>,
 }
 
-/// A value alone on its cache line.
-#[repr(align(64))]
-pub(crate) struct OwnLine<T>(pub(crate) T);
-
 impl AltCore {
     /// Construct the core (shared by every [`AltIndex`] constructor).
     pub(crate) fn build(
@@ -171,6 +169,8 @@ impl AltCore {
         // Conflict eviction into ART.
         art.insert_run(&conflicts, threads);
         let t_art = metrics::now_ns();
+        let len = Striped::new();
+        len.add(pairs.len() as u64);
         let idx = Self {
             dir: Atomic::new(ModelDir::new(models)),
             art,
@@ -178,7 +178,7 @@ impl AltCore {
             cfg,
             epsilon,
             dir_lock: Mutex::new(()),
-            len: OwnLine(AtomicUsize::new(pairs.len())),
+            len,
             retrains: AtomicUsize::new(0),
             retrain_attempts: AtomicUsize::new(0),
             rollbacks: AtomicUsize::new(0),
@@ -228,7 +228,7 @@ impl AltCore {
 
     /// Number of live keys.
     pub fn len(&self) -> usize {
-        self.len.0.load(Ordering::Relaxed)
+        self.len.sum() as usize
     }
 
     /// Whether the index is empty.
@@ -561,7 +561,7 @@ impl AltCore {
         if let Placed::Existed = placed {
             return false;
         }
-        self.len.0.fetch_add(1, Ordering::Relaxed);
+        self.len.add(1);
         // Outside `with_live_model`: the rebuild takes the write side of
         // the `op_lock` this thread held the read side of.
         if want_retrain {
@@ -621,7 +621,7 @@ impl AltCore {
             })
         });
         if removed.is_some() {
-            self.len.0.fetch_sub(1, Ordering::Relaxed);
+            self.len.sub(1);
         }
         removed
     }
@@ -754,21 +754,27 @@ pub(crate) fn segment_and_build(
 /// Split `segments` into at most `groups` contiguous index ranges of
 /// roughly `total_keys / groups` keys each (models vary wildly in span,
 /// so balancing by segment *count* would skew the build), and no fewer
-/// than [`Art::PARALLEL_MIN_KEYS`] — a small input is one group.
+/// than [`Art::PARALLEL_MIN_KEYS`] — a small input is one group. The
+/// group count is settled first, and a group closes only while a full
+/// minimum remains for the ones after it, so the tail is never a worker
+/// spawned for a handful of keys.
 fn partition_segments(
     segments: &[Segment],
     groups: usize,
     total_keys: usize,
 ) -> Vec<std::ops::Range<usize>> {
-    let target = total_keys.div_ceil(groups).max(Art::PARALLEL_MIN_KEYS);
+    let groups = groups.min(total_keys / Art::PARALLEL_MIN_KEYS).max(1);
+    let target = total_keys.div_ceil(groups);
     let mut out = Vec::with_capacity(groups);
     let mut start = 0;
     let mut acc = 0;
+    let mut left = total_keys;
     for (i, s) in segments.iter().enumerate() {
         acc += s.len;
-        if acc >= target {
+        if acc >= target && left - acc >= Art::PARALLEL_MIN_KEYS {
             out.push(start..i + 1);
             start = i + 1;
+            left -= acc;
             acc = 0;
         }
     }

@@ -67,6 +67,8 @@ fn assert_equivalent(serial: &AltIndex, par: &AltIndex, pairs: &[(u64, u64)], la
         ss.keys_in_art, ps.keys_in_art,
         "{label}: ART conflict count"
     );
+    // Counted on per-thread stripes, by however many builders there were.
+    assert_eq!(ss.memory_art, ps.memory_art, "{label}: ART node bytes");
     assert_eq!(serial.len(), par.len(), "{label}: len");
     for &(k, v) in pairs {
         assert_eq!(par.get(k), Some(v), "{label}: get({k})");

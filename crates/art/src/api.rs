@@ -64,7 +64,9 @@ impl Art {
 
     /// Insert a sorted run of new keys from up to `threads` threads, one
     /// contiguous shard of at least [`Self::PARALLEL_MIN_KEYS`] keys each
-    /// (the first on the calling thread, so a short run spawns nothing).
+    /// (the first on the calling thread, so a short run spawns nothing):
+    /// the shard count is settled first, then the size, so no thread is
+    /// spawned for a remainder.
     /// ART's structure for a fixed key set is insertion-order independent
     /// (radix paths and node sizes come from the key bytes alone), so the
     /// tree is the same for every `threads`.
@@ -74,8 +76,8 @@ impl Art {
                 self.insert(k, v);
             }
         };
-        let shard = run.len().div_ceil(threads.max(1));
-        let mut shards = run.chunks(shard.max(Self::PARALLEL_MIN_KEYS));
+        let shards = threads.min(run.len() / Self::PARALLEL_MIN_KEYS).max(1);
+        let mut shards = run.chunks(run.len().div_ceil(shards).max(1));
         let first = shards.next().unwrap_or_default();
         std::thread::scope(|s| {
             for shard in shards {

@@ -48,10 +48,20 @@
 //! structural writes (node growth, leaf creation) which already take
 //! OLC write locks, so a short uncontended mutex is noise there — and it
 //! sidesteps the ABA problem a lock-free Treiber free list would have to
-//! solve. Threads pick a shard by a thread-local id, so disjoint writer
-//! threads don't contend.
+//! solve. Threads pick a shard by their stripe id
+//! (`probe::striped::stripe_id`, the workspace's one thread→stripe
+//! assignment), so disjoint writer threads don't contend — neither for a
+//! lock nor for a cache line: a `Shard` is 128-aligned, so no two shard
+//! mutexes (or their free lists) share a line. 128 rather than 64
+//! because the adjacent-line prefetcher pairs 64-byte lines, the same
+//! reason the stripes themselves are 128. Unpadded, the 48-byte
+//! `Mutex<Shard>`s sat three to a pair of lines, and thread *n*'s every
+//! leaf allocation took thread *n+1*'s mutex line with it: with the
+//! tree's own counters, the reason a two-thread bulk load ran slower
+//! than a one-thread one (DESIGN.md §12).
 
 use probe::metrics::{self, Counter};
+use probe::striped::stripe_id;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -65,10 +75,13 @@ const CLASS_SIZES: [usize; 5] = [16, 64, 256, 832, 2112];
 /// balloon (largest class: 2112 B × 64 ≈ 132 KiB per refill).
 const SLOTS_PER_CHUNK: usize = 64;
 
-/// Shards per class. Power of two; the 1-core CI host sees one shard,
-/// larger hosts spread structural writers out.
+/// Shards per class. Divides `probe::striped::STRIPES`, so threads on
+/// distinct stripes (mod 8) get distinct shards; the 1-core CI host sees
+/// one shard, larger hosts spread structural writers out.
 const SHARDS: usize = 8;
+const _: () = assert!(probe::striped::STRIPES.is_multiple_of(SHARDS));
 
+#[repr(align(128))]
 struct Shard {
     /// Recycled slots, LIFO (a just-freed slot is cache-hot).
     free: Vec<usize>,
@@ -76,6 +89,9 @@ struct Shard {
     bump: usize,
     end: usize,
 }
+
+// Lock word and shard, line-isolated from the next element's.
+const _: () = assert!(std::mem::size_of::<Mutex<Shard>>().is_multiple_of(128));
 
 struct Class {
     slot: usize,
@@ -189,18 +205,6 @@ static ALLOCATED_BYTES: AtomicUsize = AtomicUsize::new(0);
 /// tests and benches can read it without the `metrics` feature.
 static ALLOC_FAILS: AtomicUsize = AtomicUsize::new(0);
 
-std::thread_local! {
-    static SHARD_ID: usize = {
-        static NEXT: AtomicUsize = AtomicUsize::new(0);
-        NEXT.fetch_add(1, Ordering::Relaxed)
-    };
-}
-
-#[inline]
-fn shard_id() -> usize {
-    SHARD_ID.try_with(|s| *s).unwrap_or(0)
-}
-
 #[inline]
 fn class_of_size(size: usize) -> &'static Class {
     let idx = match size {
@@ -222,7 +226,7 @@ fn class_of_size(size: usize) -> &'static Class {
 /// with room to spare; a layout change that outgrows the table fails
 /// loudly here rather than corrupting).
 pub(crate) fn arena_alloc(size: usize) -> *mut u8 {
-    class_of_size(size).alloc(shard_id())
+    class_of_size(size).alloc(stripe_id())
 }
 
 /// Return a slot previously obtained from [`arena_alloc`] with the same
@@ -233,7 +237,7 @@ pub(crate) fn arena_alloc(size: usize) -> *mut u8 {
 /// must not be freed twice, and no other thread may still dereference it
 /// — in tree code that means the free goes through epoch reclamation.
 pub(crate) unsafe fn arena_dealloc(p: *mut u8, size: usize) {
-    class_of_size(size).dealloc(p, shard_id());
+    class_of_size(size).dealloc(p, stripe_id());
 }
 
 /// Monotonic total of chunk bytes requested from the system allocator.
@@ -288,7 +292,7 @@ mod tests {
         // Drain any recycled slots first so both come from the bump.
         let cls = class_of_size(64);
         let drain: Vec<*mut u8> = std::iter::from_fn(|| {
-            let mut sh = cls.shards[shard_id() % SHARDS]
+            let mut sh = cls.shards[stripe_id() % SHARDS]
                 .lock()
                 .unwrap_or_else(|e| e.into_inner());
             sh.free.pop().map(|p| p as *mut u8)

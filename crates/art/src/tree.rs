@@ -4,6 +4,7 @@
 use crate::node::{self, NodePtr, NodeType, NO_SLOT};
 use crate::olc::Version;
 use crossbeam_epoch::{self as epoch, Guard};
+use probe::striped::Striped;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -47,8 +48,15 @@ pub enum FromResult<T> {
 /// A concurrent adaptive radix tree mapping `u64` keys to `u64` values.
 pub struct Art {
     pub(crate) root: AtomicUsize,
-    count: AtomicUsize,
-    mem: AtomicUsize,
+    /// Keys in the tree, and bytes of live nodes and leaves. Every insert
+    /// and remove writes both, from every writer thread, so each thread
+    /// writes a stripe of its own: as two plain atomics beside `root` they
+    /// were the one line all writers (and every reader's root load)
+    /// contended for. `Striped` is 128-aligned and a whole number of
+    /// lines, which leaves `root` and `hook` on a line nothing writes per
+    /// operation.
+    count: Striped,
+    mem: Striped,
     pub(crate) hook: Option<Arc<dyn ReplaceHook>>,
 }
 
@@ -77,25 +85,22 @@ impl Art {
     pub fn new() -> Self {
         Self {
             root: AtomicUsize::new(0),
-            count: AtomicUsize::new(0),
-            mem: AtomicUsize::new(0),
+            count: Striped::new(),
+            mem: Striped::new(),
             hook: None,
         }
     }
 
     /// An empty tree that fires `hook` on fast-pointer invalidations.
     pub fn with_hook(hook: Arc<dyn ReplaceHook>) -> Self {
-        Self {
-            root: AtomicUsize::new(0),
-            count: AtomicUsize::new(0),
-            mem: AtomicUsize::new(0),
-            hook: Some(hook),
-        }
+        let mut tree = Self::new();
+        tree.hook = Some(hook);
+        tree
     }
 
     /// Number of keys in the tree (racy under concurrency, exact at rest).
     pub fn len(&self) -> usize {
-        self.count.load(Ordering::Relaxed)
+        self.count.sum() as usize
     }
 
     /// Whether the tree is empty.
@@ -105,14 +110,14 @@ impl Art {
 
     /// Approximate bytes allocated for nodes and leaves.
     pub fn memory_usage(&self) -> usize {
-        self.mem.load(Ordering::Relaxed) + std::mem::size_of::<Self>()
+        self.mem.sum() as usize + std::mem::size_of::<Self>()
     }
 
     pub(crate) fn track_alloc(&self, p: NodePtr) {
         // SAFETY: every caller passes a node or leaf it has just allocated
         // and not yet freed.
         let size = unsafe { node::alloc_size(p) };
-        self.mem.fetch_add(size, Ordering::Relaxed);
+        self.mem.add(size as u64);
     }
 
     /// Retire a replaced/unlinked allocation: memory is reclaimed after
@@ -126,17 +131,17 @@ impl Art {
         // existing readers are protected by their epoch pins, which `defer`
         // waits out before running the destructor.
         unsafe {
-            self.mem.fetch_sub(node::alloc_size(p), Ordering::Relaxed);
+            self.mem.sub(node::alloc_size(p) as u64);
             guard.defer_unchecked(move || node::dealloc(p));
         }
     }
 
     pub(crate) fn bump_count(&self) {
-        self.count.fetch_add(1, Ordering::Relaxed);
+        self.count.add(1);
     }
 
     fn drop_count(&self) {
-        self.count.fetch_sub(1, Ordering::Relaxed);
+        self.count.sub(1);
     }
 
     /// Fire the replace hook if `slot` is a live buffer slot.
@@ -385,7 +390,7 @@ impl Art {
         // SAFETY: `p` is a never-published allocation its caller still
         // owns and frees only after this.
         let size = unsafe { node::alloc_size(p) };
-        self.mem.fetch_sub(size, Ordering::Relaxed);
+        self.mem.sub(size as u64);
     }
 
     /// Descend from internal node `start` (at its own match level) and
@@ -1300,5 +1305,43 @@ mod tests {
                 assert_eq!(t.get(k), None, "even {k}");
             }
         }
+    }
+
+    /// `len` and `memory_usage` are striped per thread: the removers'
+    /// `sub`s land on other stripes than the inserters' `add`s (and wrap
+    /// them below zero), and the sums must still be exact at rest. The
+    /// reference goes through the same inserts and removes on one thread
+    /// rather than holding just the survivors: node shrinking has
+    /// hysteresis, so node bytes depend on what a tree once held.
+    #[test]
+    fn striped_counts_match_a_one_thread_tree_after_cross_thread_removes() {
+        let (threads, per) = (4u64, 4_000u64);
+        let key = |i: u64| 1 + i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % (1 << 40);
+        let keys = |id: u64| (id * per..(id + 1) * per).map(key);
+        let doomed = |id: u64| keys(id).step_by(2);
+        let tree = Art::new();
+        std::thread::scope(|s| {
+            for id in 0..threads {
+                let tree = &tree;
+                s.spawn(move || keys(id).for_each(|k| assert!(tree.insert(k, k))));
+            }
+        });
+        // Four *other* threads: each scope spawns fresh ones.
+        std::thread::scope(|s| {
+            for id in 0..threads {
+                let tree = &tree;
+                s.spawn(move || doomed(id).for_each(|k| assert_eq!(tree.remove(k), Some(k))));
+            }
+        });
+        let reference = Art::new();
+        (0..threads)
+            .flat_map(keys)
+            .for_each(|k| assert!(reference.insert(k, k)));
+        (0..threads)
+            .flat_map(doomed)
+            .for_each(|k| assert_eq!(reference.remove(k), Some(k)));
+        assert_eq!(tree.len() as u64, threads * per / 2);
+        assert_eq!(tree.len(), reference.len());
+        assert_eq!(tree.memory_usage(), reference.memory_usage());
     }
 }

@@ -20,7 +20,7 @@
 //!   argument; which of the three verbs a site uses says which actions it
 //!   honours.
 //! * [`metrics`] (`metrics`) — [`metrics::incr`] / [`metrics::add`] count
-//!   hot-path events into sharded atomics, [`metrics::now_ns`] +
+//!   hot-path events into striped atomics, [`metrics::now_ns`] +
 //!   [`metrics::record_phase_ns`] time phases.
 //!
 //! The families stay separate verbs on purpose: a site that may perturb
@@ -38,6 +38,11 @@
 //!
 //! [`histogram`] is here because the phase timers share its bucket
 //! layout and `workloads`, which re-exports it, sits above this crate.
+//! [`striped`] is the one part that is *not* a probe and is never off:
+//! the per-thread-striped counter the metrics bank is made of, which the
+//! indexes also keep their own always-on counts in (and the thread→stripe
+//! id ART's arena shards by). It sits outside the three gated modules so
+//! the gate above keeps meaning what it says.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -46,6 +51,7 @@ pub mod chaos;
 pub mod fail;
 pub mod histogram;
 pub mod metrics;
+pub mod striped;
 
 /// SplitMix64: the one deterministic stream behind chaos decisions,
 /// probabilistic failpoint triggers and the testkit's operation scripts. (`datasets::rng` keeps its own copy: this crate

@@ -1,4 +1,4 @@
-//! Hot-path metrics: sharded event counters and phase timers.
+//! Hot-path metrics: striped event counters and phase timers.
 //!
 //! The concurrent hot paths of this workspace are optimistic protocols:
 //! slot-version reads that retry, OLC descents that restart, scans that
@@ -9,12 +9,11 @@
 //! measure exactly it. This module is the shared sink:
 //!
 //! * [`Counter`] — every countable hot-path event, recorded through
-//!   [`incr`]/[`add`] into **cache-line-padded sharded atomics**: every
-//!   thread is pinned (round-robin, at first use) to one shard, so
-//!   concurrent increments land on different cache lines and a bump is
-//!   one thread-local read plus one uncontended relaxed `fetch_add`.
-//!   Reading a counter sums its shards — reads are rare (snapshots),
-//!   writes are the hot path;
+//!   [`incr`]/[`add`] into one [`Striped`] each: every thread bumps a
+//!   cache-line-padded stripe of its own, so a bump is one thread-local
+//!   read plus one uncontended relaxed `fetch_add`. Reading a counter
+//!   sums its stripes — reads are rare (snapshots), writes are the hot
+//!   path;
 //! * [`Phase`] — timed phases (retrain collect/build/swap/cleanup, the
 //!   four bulk-load stages),
 //!   timed as `let t0 = now_ns(); …; record_phase_ns(p, now_ns() - t0)`
@@ -36,8 +35,8 @@ mod snapshot;
 pub use snapshot::{snapshot, MetricsSnapshot};
 
 use crate::histogram::LatencyHistogram;
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use crate::striped::Striped;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -274,22 +273,10 @@ named_enum! {
     }
 }
 
-/// Shards per counter. Enough that a typical thread count maps ~1:1;
-/// threads beyond this wrap around and share (correctness is unaffected,
-/// only padding efficiency).
-const SHARDS: usize = 16;
-
-/// One shard, padded to 128 bytes: two cache lines, so adjacent-line
-/// hardware prefetchers cannot re-introduce false sharing either.
-#[repr(align(128))]
-struct Shard(AtomicU64);
-
 // Const-item initializers so the whole registry is a zero-init static.
 #[allow(clippy::declare_interior_mutable_const)]
-const ZERO_SHARD: Shard = Shard(AtomicU64::new(0));
-#[allow(clippy::declare_interior_mutable_const)]
-const ZERO_COUNTER: [Shard; SHARDS] = [ZERO_SHARD; SHARDS];
-static COUNTERS: [[Shard; SHARDS]; Counter::ALL.len()] = [ZERO_COUNTER; Counter::ALL.len()];
+const ZERO_COUNTER: Striped = Striped::new();
+static COUNTERS: [Striped; Counter::ALL.len()] = [ZERO_COUNTER; Counter::ALL.len()];
 
 #[allow(clippy::declare_interior_mutable_const)]
 const ZERO_BUCKET: AtomicU64 = AtomicU64::new(0);
@@ -299,34 +286,11 @@ const ZERO_HIST: [AtomicU64; LatencyHistogram::NUM_BUCKETS] =
 static PHASES: [[AtomicU64; LatencyHistogram::NUM_BUCKETS]; Phase::ALL.len()] =
     [ZERO_HIST; Phase::ALL.len()];
 
-/// Round-robin shard assignment: the first recording on each thread
-/// claims the next shard index, and the thread keeps it for life.
-static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    static MY_SHARD: Cell<usize> = const { Cell::new(usize::MAX) };
-}
-
-#[inline]
-fn shard_id() -> usize {
-    MY_SHARD.with(|c| {
-        let s = c.get();
-        if s != usize::MAX {
-            return s;
-        }
-        let s = NEXT_SHARD.fetch_add(1, Ordering::Relaxed) % SHARDS;
-        c.set(s);
-        s
-    })
-}
-
 /// Add `n` to a counter (relaxed; this is the hot path).
 #[inline(always)]
 pub fn add(counter: Counter, n: u64) {
     if ENABLED {
-        COUNTERS[counter as usize][shard_id()]
-            .0
-            .fetch_add(n, Ordering::Relaxed);
+        COUNTERS[counter as usize].add(n);
     }
 }
 
@@ -336,17 +300,14 @@ pub fn incr(counter: Counter) {
     add(counter, 1);
 }
 
-/// Current total of a counter (sums the shards; snapshot-time only —
-/// this walks every shard, so it is not a hot-path read).
+/// Current total of a counter (sums the stripes; snapshot-time only —
+/// this walks every stripe, so it is not a hot-path read).
 #[inline(always)]
 pub fn total(counter: Counter) -> u64 {
     if !ENABLED {
         return 0;
     }
-    COUNTERS[counter as usize]
-        .iter()
-        .map(|s| s.0.load(Ordering::Relaxed))
-        .sum()
+    COUNTERS[counter as usize].sum()
 }
 
 /// Nanoseconds since a process-wide epoch (the first call). Monotonic;
