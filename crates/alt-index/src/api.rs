@@ -1,48 +1,48 @@
 //! [`index_api::ConcurrentIndex`] / [`index_api::BulkLoad`] adapters so
 //! the benchmark harness drives ALT-index uniformly with the baselines.
 
-use crate::index::{AltCore, AltIndex};
+use crate::index::AltIndex;
 use index_api::{BulkLoad, ConcurrentIndex, Key, Result, Value};
 
 impl ConcurrentIndex for AltIndex {
     fn get(&self, key: Key) -> Option<Value> {
-        AltCore::get(&self.core, key)
+        AltIndex::get(self, key)
     }
 
     fn insert(&self, key: Key, value: Value) -> Result<()> {
-        AltCore::insert(&self.core, key, value)
+        AltIndex::insert(self, key, value)
     }
 
     fn update(&self, key: Key, value: Value) -> Result<()> {
-        AltCore::update(&self.core, key, value)
+        AltIndex::update(self, key, value)
     }
 
     fn upsert(&self, key: Key, value: Value) -> Result<()> {
-        AltCore::upsert(&self.core, key, value)
+        AltIndex::upsert(self, key, value)
     }
 
     fn remove(&self, key: Key) -> Option<Value> {
-        AltCore::remove(&self.core, key)
+        AltIndex::remove(self, key)
     }
 
     fn get_batch(&self, keys: &[Key], out: &mut [Option<Value>]) {
-        AltCore::get_batch_amac(&self.core, keys, out)
+        AltIndex::get_batch_amac(self, keys, out)
     }
 
     fn range(&self, lo: Key, hi: Key, out: &mut Vec<(Key, Value)>) -> usize {
-        AltCore::range(&self.core, lo, hi, out)
+        AltIndex::range(self, lo, hi, out)
     }
 
     fn scan(&self, lo: Key, n: usize, out: &mut Vec<(Key, Value)>) -> usize {
-        AltCore::scan_n(&self.core, lo, n, out)
+        AltIndex::scan_n(self, lo, n, out)
     }
 
     fn memory_usage(&self) -> usize {
-        AltCore::memory_usage(&self.core)
+        AltIndex::memory_usage(self)
     }
 
     fn len(&self) -> usize {
-        AltCore::len(&self.core)
+        AltIndex::len(self)
     }
 
     fn name(&self) -> &'static str {

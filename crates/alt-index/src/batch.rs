@@ -28,7 +28,7 @@
 //! validation; it never skips a validation, so each result is one some
 //! scalar `get` interleaved at the same instants could have returned.
 
-use crate::index::AltCore;
+use crate::index::AltIndex;
 use crate::model::GplModel;
 use crate::slots::Probe;
 use art::{BatchCursor, BatchStep, RING_WIDTH};
@@ -61,7 +61,7 @@ struct Flight<'g> {
     stage: Stage<'g>,
 }
 
-impl AltCore {
+impl AltIndex {
     /// Batched point lookup over the AMAC ring: `out[i] = get(keys[i])`
     /// with up to [`RING_WIDTH`] lookups in flight, their directory,
     /// slot, and ART-node misses overlapped by software prefetching.
@@ -107,7 +107,7 @@ impl AltCore {
 /// ring slot.
 #[inline]
 fn fill<'g>(
-    idx: &AltCore,
+    idx: &AltIndex,
     keys: &[u64],
     out: &mut [Option<u64>],
     next: &mut usize,
@@ -133,7 +133,7 @@ fn fill<'g>(
 /// The predict stage: the key's (model, predicted slot) from the current
 /// directory, with the slot prefetch issued.
 #[inline]
-fn predict<'g>(idx: &AltCore, key: u64, guard: &'g Guard) -> Stage<'g> {
+fn predict<'g>(idx: &AltIndex, key: u64, guard: &'g Guard) -> Stage<'g> {
     let m: &'g GplModel = idx.dir_ref(guard).model_for(key);
     let pred = m.predict(key);
     m.slots.prefetch(pred);
@@ -144,7 +144,7 @@ fn predict<'g>(idx: &AltCore, key: u64, guard: &'g Guard) -> Stage<'g> {
 /// A failed validation: charge the key's budget, then either escalate to
 /// the conclusive pessimistic lookup or send the key back to the predict
 /// stage (the directory may have been republished).
-fn restart<'g>(idx: &AltCore, fl: &mut Flight<'g>, guard: &'g Guard) -> Option<Option<u64>> {
+fn restart<'g>(idx: &AltIndex, fl: &mut Flight<'g>, guard: &'g Guard) -> Option<Option<u64>> {
     metrics::incr(Counter::AltBatchRestart);
     if fl.retry.wait_or_escalate(&crate::LAYER) {
         return Some(idx.get_pessimistic(fl.key));
@@ -155,7 +155,7 @@ fn restart<'g>(idx: &AltCore, fl: &mut Flight<'g>, guard: &'g Guard) -> Option<O
 
 /// Advance one flight by one stage. `Some(result)` retires the key.
 #[inline]
-fn step<'g>(idx: &AltCore, fl: &mut Flight<'g>, guard: &'g Guard) -> Option<Option<u64>> {
+fn step<'g>(idx: &AltIndex, fl: &mut Flight<'g>, guard: &'g Guard) -> Option<Option<u64>> {
     probe::chaos::point("batch.stage");
     match &mut fl.stage {
         Stage::Probe { m, pred } => {
@@ -212,7 +212,7 @@ fn step<'g>(idx: &AltCore, fl: &mut Flight<'g>, guard: &'g Guard) -> Option<Opti
                 BatchStep::Done(None) => restart(idx, fl, guard),
                 // The cursor's budget ran out: the scalar path owns the
                 // guaranteed-progress escalation chain.
-                BatchStep::Escalate => Some(AltCore::get(idx, fl.key)),
+                BatchStep::Escalate => Some(idx.get(fl.key)),
             }
         }
     }
@@ -223,7 +223,7 @@ fn step<'g>(idx: &AltCore, fl: &mut Flight<'g>, guard: &'g Guard) -> Option<Opti
 /// `AltIndex::art_get`'s jump path, minus its hit/de-opt accounting —
 /// the handoff split is recorded by the caller).
 #[inline]
-fn fast_cursor(idx: &AltCore, m: &GplModel, key: u64) -> BatchCursor {
+fn fast_cursor(idx: &AltIndex, m: &GplModel, key: u64) -> BatchCursor {
     let node = idx.jump_node(m, key).unwrap_or(0);
     // SAFETY: `node` comes from `jump_node` under the ring's epoch pin,
     // which spans the cursor's whole life, and the key lies in the

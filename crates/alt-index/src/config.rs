@@ -15,15 +15,10 @@ pub struct AltConfig {
     /// Enable the fast pointer buffer (§III-C). Off = every ART access
     /// starts at the root (the Fig 10(a) ablation).
     pub fast_pointers: bool,
-    /// Enable dynamic retraining (§III-F). Off = overflowed models keep
-    /// spilling into ART (part of the hot-write comparison).
+    /// Enable dynamic retraining (§III-F): the thread whose insert
+    /// tripped a model's overflow trigger rebuilds it. Off = overflowed
+    /// models keep spilling into ART (part of the hot-write comparison).
     pub retrain: bool,
-    /// Worker threads that run retrains off the inserting thread. `0`
-    /// (the default) spawns nothing: the thread whose insert tripped the
-    /// overflow trigger runs the rebuild itself. With `n > 0` inserting
-    /// threads only enqueue a prioritized request and a pool of `n`
-    /// workers (`sched.rs`) runs the same rebuild.
-    pub retrain_workers: usize,
     /// Enable opportunistic write-back of ART entries into tombstoned GPL
     /// slots during reads (Algorithm 2 lines 10-13).
     pub write_back: bool,
@@ -49,14 +44,6 @@ impl AltConfig {
             None => (n as f64 / 1000.0).max(Self::MIN_EPSILON),
         }
     }
-
-    /// Default configuration with one background retrain worker.
-    pub fn background() -> Self {
-        Self {
-            retrain_workers: 1,
-            ..Default::default()
-        }
-    }
 }
 
 impl Default for AltConfig {
@@ -66,7 +53,6 @@ impl Default for AltConfig {
             gap_factor: 1.25,
             fast_pointers: true,
             retrain: true,
-            retrain_workers: 0,
             write_back: true,
             build_threads: default_build_threads(),
         }
@@ -98,14 +84,6 @@ mod tests {
         let c = AltConfig::default();
         assert_eq!(c.build_threads, default_build_threads());
         assert!(c.build_threads >= 1);
-    }
-
-    #[test]
-    fn default_retrains_on_the_caller_and_background_adds_a_worker() {
-        assert_eq!(AltConfig::default().retrain_workers, 0);
-        let bg = AltConfig::background();
-        assert_eq!(bg.retrain_workers, 1);
-        assert!(bg.retrain, "a worker pool implies retraining on");
     }
 
     #[test]

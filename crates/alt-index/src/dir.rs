@@ -134,7 +134,7 @@ mod tests {
     use learned::LinearModel;
 
     fn mk(first: u64) -> Arc<GplModel> {
-        Arc::new(GplModel::new(first, LinearModel::point(first), 4, 0, 0))
+        Arc::new(GplModel::new(first, LinearModel::point(first), 4, 0))
     }
 
     fn dir(firsts: &[u64]) -> ModelDir {

@@ -23,14 +23,9 @@ use probe::striped::Striped;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// The ALT-index handle: a concurrent hybrid learned index over
-/// `u64 -> u64`.
-///
-/// All index operations live on [`AltCore`], reached through `Deref`;
-/// this wrapper additionally owns the background retrain worker pool
-/// when [`retrain_workers`](AltConfig::retrain_workers) is nonzero, so
-/// dropping the index shuts the workers down before the core is torn
-/// down.
+/// The ALT-index: a concurrent hybrid learned index over `u64 -> u64` —
+/// the model directory over gapped slot arrays, the ART-OPT conflict
+/// layer, and the fast-pointer buffer.
 ///
 /// ```
 /// use alt_index::AltIndex;
@@ -41,77 +36,6 @@ use std::sync::Arc;
 /// assert_eq!(idx.get(5), Some(99));
 /// ```
 pub struct AltIndex {
-    // Field order is load-bearing: the scheduler handle drops first,
-    // signalling shutdown and joining every worker (each holds only a
-    // `Weak<AltCore>`), so the core's teardown below never races a
-    // live worker.
-    // Held only for its Drop (shutdown + join the worker pool).
-    #[allow(dead_code)]
-    sched: Option<crate::sched::SchedHandle>,
-    pub(crate) core: Arc<AltCore>,
-}
-
-impl std::ops::Deref for AltIndex {
-    type Target = AltCore;
-    fn deref(&self) -> &AltCore {
-        &self.core
-    }
-}
-
-impl AltIndex {
-    /// Build over sorted, unique pairs (no key 0) with explicit
-    /// configuration.
-    pub fn bulk_load_with(pairs: &[(u64, u64)], cfg: AltConfig) -> Self {
-        let workers = if cfg.retrain { cfg.retrain_workers } else { 0 };
-        let shared = (workers > 0).then(Arc::<crate::sched::SchedShared>::default);
-        let core = Arc::new(AltCore::build(pairs, cfg, shared.clone()));
-        let sched =
-            shared.map(|sh| crate::sched::spawn_workers(sh, Arc::downgrade(&core), workers));
-        Self { sched, core }
-    }
-
-    /// Build with the default configuration.
-    pub fn bulk_load_default(pairs: &[(u64, u64)]) -> Self {
-        Self::bulk_load_with(pairs, AltConfig::default())
-    }
-
-    /// An empty index (everything bootstraps through inserts + retrain).
-    pub fn new(cfg: AltConfig) -> Self {
-        Self::bulk_load_with(&[], cfg)
-    }
-}
-
-/// Snapshot of the fault-containment and self-healing counters kept by
-/// the index and its background retrain pool (see
-/// [`AltCore::fault_stats`] and DESIGN.md §16).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultStats {
-    /// Background retrain requests shed at admission or dropped
-    /// mid-drain (`alt.retrain_bg_dropped`).
-    pub bg_dropped: u64,
-    /// Background retrain executions that panicked and were contained
-    /// by the worker pool (`alt.retrain_bg_panics`).
-    pub bg_panics: u64,
-    /// Worker-loop restarts after a contained panic
-    /// (`alt.worker_respawns`).
-    pub worker_respawns: u64,
-    /// Transitions into degraded mode (`alt.degraded_mode_entries`).
-    pub degraded_mode_entries: u64,
-    /// Retrains aborted cleanly or rolled back after a contained panic
-    /// on the inserting thread (`alt.retrain_rollbacks`).
-    pub retrain_rollbacks: u64,
-    /// Whether the pool is *currently* in degraded mode (background
-    /// scheduling suspended, overflows rebuilt by the inserting thread,
-    /// contained).
-    pub degraded: bool,
-}
-
-/// The index state and every operation on it: the model directory over
-/// gapped slot arrays, the ART-OPT conflict layer, and the fast-pointer
-/// buffer. [`AltIndex`] wraps this in an `Arc` so background retrain
-/// workers can hold weak references; user code reaches it through the
-/// wrapper's `Deref`.
-pub struct AltCore {
     pub(crate) dir: Atomic<ModelDir>,
     pub(crate) art: Arc<Art>,
     pub(crate) buffer: Arc<FastPointerBuffer>,
@@ -133,10 +57,10 @@ pub struct AltCore {
     /// accounting; `retrains` is the numerator.
     pub(crate) retrain_attempts: AtomicUsize,
     /// Retrains that aborted cleanly (injected or real build/reconcile
-    /// failure) or whose contained panic on the inserting thread was
-    /// rolled back by the drop-guards. Always-on so fault tests and
-    /// benches can read it in any build; mirrored into `probe::metrics`
-    /// under the `metrics` feature.
+    /// failure) or whose contained panic was rolled back by the
+    /// drop-guards. Always-on so fault tests and benches can read it in
+    /// any build; mirrored into `probe::metrics` under the `metrics`
+    /// feature.
     pub(crate) rollbacks: AtomicUsize,
     /// Bumped immediately before every directory swap. Scans snapshot it
     /// before their first ART read and re-check it after their last slot
@@ -144,18 +68,12 @@ pub struct AltCore {
     /// published one proves no retrain published (and therefore no ART
     /// absorption started a new generation) mid-scan.
     pub(crate) dir_epoch: AtomicUsize,
-    /// Background retrain queue (present only with `retrain_workers >
-    /// 0`; the worker pool itself is owned by [`AltIndex`]).
-    pub(crate) sched: Option<Arc<crate::sched::SchedShared>>,
 }
 
-impl AltCore {
-    /// Construct the core (shared by every [`AltIndex`] constructor).
-    pub(crate) fn build(
-        pairs: &[(u64, u64)],
-        cfg: AltConfig,
-        sched: Option<Arc<crate::sched::SchedShared>>,
-    ) -> Self {
+impl AltIndex {
+    /// Build over sorted, unique pairs (no key 0) with explicit
+    /// configuration.
+    pub fn bulk_load_with(pairs: &[(u64, u64)], cfg: AltConfig) -> Self {
         index_api::debug_validate_bulk_input(pairs);
         let epsilon = cfg.effective_epsilon(pairs.len());
         let buffer = Arc::new(FastPointerBuffer::new());
@@ -164,7 +82,7 @@ impl AltCore {
         let threads = cfg.build_threads.max(1);
         let t_start = metrics::now_ns();
         let (models, conflicts, t_segmented) =
-            segment_and_build(pairs, epsilon, cfg.gap_factor, 0, None, threads);
+            segment_and_build(pairs, epsilon, cfg.gap_factor, None, threads);
         let t_models = metrics::now_ns();
         // Conflict eviction into ART.
         art.insert_run(&conflicts, threads);
@@ -183,7 +101,6 @@ impl AltCore {
             retrain_attempts: AtomicUsize::new(0),
             rollbacks: AtomicUsize::new(0),
             dir_epoch: AtomicUsize::new(0),
-            sched,
         };
         // Construction step §III-C ①-③, in directory order on this thread:
         // it is under 0.1 % of the build, and one registration order is
@@ -196,29 +113,19 @@ impl AltCore {
         idx
     }
 
+    /// Build with the default configuration.
+    pub fn bulk_load_default(pairs: &[(u64, u64)]) -> Self {
+        Self::bulk_load_with(pairs, AltConfig::default())
+    }
+
+    /// An empty index (everything bootstraps through inserts + retrain).
+    pub fn new(cfg: AltConfig) -> Self {
+        Self::bulk_load_with(&[], cfg)
+    }
+
     /// The configuration this index was built with.
     pub fn config(&self) -> &AltConfig {
         &self.cfg
-    }
-
-    /// Snapshot of the always-on fault/self-healing counters (DESIGN.md
-    /// §16). Available in every build — the `metrics` feature
-    /// additionally mirrors each event into `probe::metrics`; the `fault`
-    /// feature is what makes the *injection* sites live.
-    pub fn fault_stats(&self) -> FaultStats {
-        let (bg_dropped, bg_panics, worker_respawns, degraded_mode_entries) = self
-            .sched
-            .as_ref()
-            .map(|s| s.fault_counts())
-            .unwrap_or((0, 0, 0, 0));
-        FaultStats {
-            bg_dropped,
-            bg_panics,
-            worker_respawns,
-            degraded_mode_entries,
-            retrain_rollbacks: self.rollbacks.load(Ordering::Relaxed) as u64,
-            degraded: self.sched.as_ref().is_some_and(|s| s.is_degraded()),
-        }
     }
 
     /// The GPL error bound in effect.
@@ -288,7 +195,7 @@ impl AltCore {
 
     /// ART lookup for a key routed through model `m` (the secondary query
     /// that replaces the classic error-bounded search). Pin contract as
-    /// for [`AltCore::jump_node`].
+    /// for [`AltIndex::jump_node`].
     pub(crate) fn art_get(&self, m: &GplModel, key: u64) -> Option<u64> {
         if let Some(node) = self.jump_node(m, key) {
             if node != 0 {
@@ -372,7 +279,7 @@ impl AltCore {
     /// current generation's models cannot retire and predictions are
     /// stable); the predicted slot's *write lock* is the per-key
     /// serialization point — every writer of `key` decides under it (see
-    /// [`AltCore::with_live_model`]), so a slot-or-ART miss observed under
+    /// [`AltIndex::with_live_model`]), so a slot-or-ART miss observed under
     /// it is conclusive without any version re-validation.
     ///
     /// Lock order is `dir_lock` → slot lock → ART node locks, the same
@@ -409,7 +316,7 @@ impl AltCore {
     /// `dir_lock`, under which no retrain runs and the next pass cannot
     /// find a retired model. `dir_lock` bounds the retries and nothing
     /// else: `f`'s decision needs only the slot lock (lock order as in
-    /// [`AltCore::get_pessimistic`]).
+    /// [`AltIndex::get_pessimistic`]).
     fn with_live_model<R>(&self, key: u64, f: impl FnOnce(&ModelDir, &GplModel) -> R) -> R {
         let guard = epoch::pin();
         let mut retry = resilience::Retry::new();
@@ -636,7 +543,7 @@ impl AltCore {
     }
 }
 
-impl Drop for AltCore {
+impl Drop for AltIndex {
     fn drop(&mut self) {
         // SAFETY: mirrors the `dir_ref` invariant ("the directory is
         // always initialized and only replaced under `dir_lock` with
@@ -687,7 +594,6 @@ pub(crate) fn segment_and_build(
     pairs: &[(u64, u64)],
     epsilon: f64,
     gap_factor: f64,
-    expansions: u32,
     route_floor: Option<u64>,
     threads: usize,
 ) -> (Vec<Arc<GplModel>>, Vec<(u64, u64)>, u64) {
@@ -695,13 +601,7 @@ pub(crate) fn segment_and_build(
         // Bootstrap model so the directory is never empty: anchored at
         // key 1 with a modest slope so early inserts spread out.
         let anchor = route_floor.unwrap_or(1).max(1);
-        let m = GplModel::new(
-            anchor,
-            LinearModel::new(anchor, 1.0 / 64.0),
-            1024,
-            0,
-            expansions,
-        );
+        let m = GplModel::new(anchor, LinearModel::new(anchor, 1.0 / 64.0), 1024, 0);
         return (vec![Arc::new(m)], Vec::new(), metrics::now_ns());
     }
     let mut segmenter = GplSegmenter::new(epsilon);
@@ -718,7 +618,7 @@ pub(crate) fn segment_and_build(
         let mut conflicts = Vec::new();
         for seg in &segments[group] {
             let slice = &pairs[seg.start..seg.start + seg.len];
-            let (m, mut c) = build_model(slice, seg.model, gap_factor, expansions);
+            let (m, mut c) = build_model(slice, seg.model, gap_factor);
             models.push(m);
             conflicts.append(&mut c);
         }

@@ -51,13 +51,12 @@ pub mod index;
 pub mod model;
 pub mod retrain;
 pub mod scan;
-pub(crate) mod sched;
 pub mod slots;
 pub mod spin;
 pub mod stats;
 
 pub use config::{default_build_threads, AltConfig};
-pub use index::{AltCore, AltIndex, FaultStats};
+pub use index::AltIndex;
 pub use stats::{AltStats, ArtProbe};
 
 use probe::metrics::Counter;

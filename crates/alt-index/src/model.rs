@@ -26,9 +26,6 @@ pub struct GplModel {
     /// Keys absorbed into the slots at build time (the retrain trigger
     /// compares overflow inserts against this).
     pub build_size: usize,
-    /// How many expansions this span has been through (each doubles the
-    /// gap budget).
-    pub expansions: u32,
     /// Runtime inserts that overflowed into ART through this model.
     pub art_inserts: AtomicUsize,
     /// Set (under `op_lock` write) once the model has been replaced in the
@@ -42,20 +39,13 @@ pub struct GplModel {
 
 impl GplModel {
     /// Create a model with the given placement function and capacity.
-    pub fn new(
-        first_key: u64,
-        model: LinearModel,
-        capacity: usize,
-        build_size: usize,
-        expansions: u32,
-    ) -> Self {
+    pub fn new(first_key: u64, model: LinearModel, capacity: usize, build_size: usize) -> Self {
         Self {
             first_key,
             model,
             slots: SlotArray::new(capacity.max(1)),
             fast_slot: AtomicU32::new(NO_FAST),
             build_size,
-            expansions,
             art_inserts: AtomicUsize::new(0),
             retired: AtomicBool::new(false),
             op_lock: RwLock::new(()),
@@ -121,17 +111,15 @@ pub fn build_model(
     pairs: &[(u64, u64)],
     segment_model: LinearModel,
     gap_factor: f64,
-    expansions: u32,
 ) -> (GplModel, Vec<(u64, u64)>) {
     debug_assert!(!pairs.is_empty());
     let first_key = pairs[0].0;
-    let factor = gap_factor * f64::from(1u32 << expansions.min(8));
-    let placement = LinearModel::new(first_key, segment_model.slope * factor);
+    let placement = LinearModel::new(first_key, segment_model.slope * gap_factor);
     // Capacity: one slot past the last key's prediction.
     let last = pairs[pairs.len() - 1].0;
     let capacity = (placement.predict_f(last) + 1.5) as usize;
     let capacity = capacity.max(1);
-    let model = GplModel::new(first_key, placement, capacity, pairs.len(), expansions);
+    let model = GplModel::new(first_key, placement, capacity, pairs.len());
     let mut conflicts = Vec::new();
     for &(k, v) in pairs {
         let slot = model.predict(k);
@@ -152,7 +140,7 @@ mod tests {
         let pairs: Vec<(u64, u64)> = (0..1000u64).map(|i| (i * 10 + 1, i)).collect();
         let seg =
             LinearModel::fit_endpoints(&pairs.iter().map(|p| p.0).collect::<Vec<_>>()).unwrap();
-        let (m, conflicts) = build_model(&pairs, seg, 1.5, 0);
+        let (m, conflicts) = build_model(&pairs, seg, 1.5);
         assert!(conflicts.is_empty(), "{} conflicts", conflicts.len());
         // Every key is at exactly its predicted slot.
         for &(k, v) in &pairs {
@@ -169,7 +157,7 @@ mod tests {
         // Clustered keys with a tiny slope: many collisions.
         let pairs: Vec<(u64, u64)> = (0..100u64).map(|i| (1000 + i, i)).collect();
         let seg = LinearModel::new(1000, 0.1); // 10 keys per slot
-        let (m, conflicts) = build_model(&pairs, seg, 1.0, 0);
+        let (m, conflicts) = build_model(&pairs, seg, 1.0);
         assert!(!conflicts.is_empty());
         assert_eq!(m.slots.live_count() + conflicts.len(), pairs.len());
         // Conflicts preserve input order (sorted).
@@ -179,19 +167,9 @@ mod tests {
     }
 
     #[test]
-    fn expansions_double_the_gap_budget() {
-        let pairs: Vec<(u64, u64)> = (0..500u64).map(|i| (i * 3 + 7, i)).collect();
-        let seg =
-            LinearModel::fit_endpoints(&pairs.iter().map(|p| p.0).collect::<Vec<_>>()).unwrap();
-        let (m0, _) = build_model(&pairs, seg, 1.2, 0);
-        let (m1, _) = build_model(&pairs, seg, 1.2, 1);
-        assert!(m1.slots.capacity() >= m0.slots.capacity() * 2 - 2);
-    }
-
-    #[test]
     fn single_key_model() {
         let pairs = [(42u64, 1u64)];
-        let (m, conflicts) = build_model(&pairs, LinearModel::point(42), 1.2, 0);
+        let (m, conflicts) = build_model(&pairs, LinearModel::point(42), 1.2);
         assert!(conflicts.is_empty());
         assert_eq!(m.slots.capacity(), 1);
         assert_eq!(m.predict(42), 0);
@@ -200,7 +178,7 @@ mod tests {
 
     #[test]
     fn retrain_trigger_threshold() {
-        let m = GplModel::new(1, LinearModel::point(1), 4, 100, 0);
+        let m = GplModel::new(1, LinearModel::point(1), 4, 100);
         assert!(!m.wants_retrain());
         m.art_inserts.store(101, Ordering::Relaxed);
         assert!(m.wants_retrain());

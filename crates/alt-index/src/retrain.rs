@@ -3,20 +3,19 @@
 //!
 //! When a model's overflow inserts exceed its build size, the span is
 //! rebuilt: live slot entries are merged with the span's ART residents,
-//! re-segmented with GPL at knobs planned from the collected data
-//! (`adapt.rs`), and the fresh model(s) are swapped into the directory
-//! RCU-style. ART keys absorbed by the new slots are then deleted from
-//! ART; keys that still conflict stay there. If the retrained model was
-//! the last one, re-segmentation naturally grows new tail models for
-//! out-of-range insertions.
+//! re-segmented with GPL at the ε observed in the collected data
+//! (`adapt.rs`) and the bulk-load density, and the fresh model(s) are
+//! swapped into the directory RCU-style. ART keys absorbed by the new
+//! slots are then deleted from ART; keys that still conflict stay there.
+//! If the retrained model was the last one, re-segmentation naturally
+//! grows new tail models for out-of-range insertions.
 //!
-//! There is one rebuild, `AltCore::retrain_span`, whichever thread
-//! runs it: the inserting thread (no worker pool, or the pool is
-//! degraded) or a `sched.rs` worker. DESIGN.md §14 has the protocol and
+//! There is one rebuild, `AltIndex::retrain_span`, run by the thread
+//! whose insert tripped the trigger. DESIGN.md §14 has the protocol and
 //! its safety argument.
 
-use crate::adapt::plan_retrain;
-use crate::index::{segment_and_build, AltCore};
+use crate::adapt::observed_epsilon;
+use crate::index::{segment_and_build, AltIndex};
 use crate::model::GplModel;
 use crate::slots::SlotState;
 use crossbeam_epoch as epoch;
@@ -51,7 +50,7 @@ impl Drop for RetireOnDrop<'_> {
     }
 }
 
-impl AltCore {
+impl AltIndex {
     /// Number of completed retrains (Fig 8(b) hot-write diagnostics).
     pub fn retrain_count(&self) -> usize {
         self.retrains.load(Ordering::Relaxed)
@@ -59,74 +58,35 @@ impl AltCore {
 
     /// Number of retrain attempts that got past the trigger checks,
     /// whether or not they published a new directory. An attempt count
-    /// racing far ahead of [`AltCore::retrain_count`] means the trigger
+    /// racing far ahead of [`AltIndex::retrain_count`] means the trigger
     /// accounting is broken (e.g. an overflow counter that never resets).
     pub fn retrain_attempt_count(&self) -> usize {
         self.retrain_attempts.load(Ordering::Relaxed)
     }
 
-    /// Wait until every queued and in-flight background retrain has
-    /// finished. A no-op without a worker pool — a caller-run retrain
-    /// completes before the triggering insert returns.
-    pub fn retrain_quiesce(&self) {
-        if let Some(s) = &self.sched {
-            s.quiesce();
-        }
+    /// Retrains that aborted cleanly or whose panic was contained and
+    /// rolled back — the old directory kept serving (DESIGN.md §16).
+    pub fn retrain_rollback_count(&self) -> usize {
+        self.rollbacks.load(Ordering::Relaxed)
     }
 
-    /// Post-insert retrain dispatch: enqueue a prioritized request for
-    /// the worker pool, or — with no pool, or a degraded one — run the
-    /// rebuild on this (the inserting) thread.
+    /// Post-insert retrain dispatch: run the rebuild on this (the
+    /// inserting) thread, contained — a panic (injected or real)
+    /// mid-retrain must not take the caller's whole workload down. The
+    /// drop-guards inside the retrain have already released every lock
+    /// and completed or never started the publish, so a contained panic
+    /// counts as a rollback.
     pub(crate) fn trigger_retrain(&self, key: u64) {
         if !self.cfg.retrain {
             return;
         }
-        let sched = match &self.sched {
-            Some(sched) if !sched.is_degraded() => sched,
-            sched => {
-                // Contain the structural path so a panic (injected or
-                // real) mid-retrain can't take the inserting thread —
-                // and with it the caller's whole workload — down. The
-                // drop-guards inside the retrain have already released
-                // every lock and completed or never started the publish,
-                // so a contained panic counts as a rollback. With a
-                // degraded pool this is the throughput floor, and the
-                // outcome feeds the scheduler's recovery streak.
-                let ok = catch_unwind(AssertUnwindSafe(|| self.retrain_span(key, false))).is_ok();
-                if !ok {
-                    self.count_rollback();
-                }
-                if let Some(s) = sched {
-                    s.note_caller_result(ok);
-                }
-                return;
-            }
-        };
-        let guard = epoch::pin();
-        let m = self.dir_ref(&guard).model_for(key);
-        if m.is_retired() || !m.wants_retrain() {
-            return;
-        }
-        // Priority = the span's overflow pressure, scaled so a span at
-        // exactly its trigger threshold scores 256. Nothing process-wide
-        // goes in: a request's rank depends on its own span alone, in
-        // every build.
-        let overflow = m.art_inserts.load(Ordering::Relaxed) as u64;
-        let priority = overflow.saturating_mul(256) / m.build_size.max(16) as u64;
-        // Containment: an injected panic at `sched.enqueue` unwinds to
-        // here, not into the inserting thread's caller. The request is
-        // simply lost — the next overflow insert re-triggers.
-        if catch_unwind(AssertUnwindSafe(|| {
-            sched.enqueue(m.first_key, key, priority)
-        }))
-        .is_err()
-        {
-            sched.count_dropped();
+        if catch_unwind(AssertUnwindSafe(|| self.retrain_span(key))).is_err() {
+            self.count_rollback();
         }
     }
 
     /// Count one rolled-back (or contained-after-publish) retrain.
-    pub(crate) fn count_rollback(&self) {
+    fn count_rollback(&self) {
         self.rollbacks.fetch_add(1, Ordering::Relaxed);
         metrics::incr(Counter::RetrainRollback);
     }
@@ -145,11 +105,9 @@ impl AltCore {
         SpanSnapshot { art_pairs, merged }
     }
 
-    /// Rebuild the model covering `key_hint` if it still wants it. The
-    /// one retrain path: an inserting thread passes `may_block: false`
-    /// and quietly skips when another structural change is in flight
-    /// (the next overflow insert retries); a worker passes `true` and
-    /// waits its turn on `dir_lock`, so a drained request is never lost.
+    /// Rebuild the model covering `key_hint` if it still wants it,
+    /// quietly skipping when another structural change is in flight (the
+    /// next overflow insert retries).
     ///
     /// The model's `op_lock` write side is taken twice, briefly, so
     /// writers to the span never stall for the GPL re-segmentation:
@@ -163,15 +121,11 @@ impl AltCore {
     ///    models (or to the conflict set). Then: conflicts into ART,
     ///    fast pointers, epoch bump, RCU swap, retire, absorb.
     ///
-    /// DESIGN.md §14 argues why the swap is race-free whichever thread
-    /// runs this, and what a panic at each hold site leaves behind.
-    pub(crate) fn retrain_span(&self, key_hint: u64, may_block: bool) {
+    /// DESIGN.md §14 argues why the swap is race-free and what a panic
+    /// at each hold site leaves behind.
+    pub(crate) fn retrain_span(&self, key_hint: u64) {
         // One structural change at a time.
-        let _dl = if may_block {
-            self.dir_lock.lock()
-        } else if let Some(dl) = self.dir_lock.try_lock() {
-            dl
-        } else {
+        let Some(_dl) = self.dir_lock.try_lock() else {
             metrics::incr(Counter::RetrainSkippedBusy);
             return;
         };
@@ -219,17 +173,10 @@ impl AltCore {
             self.count_rollback();
             return;
         }
-        let plan = plan_retrain(
-            &before.merged,
-            before.art_pairs.len(),
-            self.epsilon,
-            m.expansions,
-        );
         let (models, conflicts, _) = segment_and_build(
             &before.merged,
-            plan.epsilon,
+            observed_epsilon(&before.merged, self.epsilon),
             self.cfg.gap_factor,
-            plan.expansions,
             Some(m.first_key),
             1,
         );
@@ -452,11 +399,10 @@ mod tests {
             // sides (keys below the span floor and past its last key).
             ops in proptest::collection::vec((0u8..3, 1u64..5_000, 0u64..1_000_000), 0..400),
             eps in 2.0f64..64.0,
-            expansions in 0u32..3,
         ) {
             let before: Vec<(u64, u64)> = before.into_iter().map(|k| (k, k ^ 0xABCD)).collect();
             let (models, conflicts, _) =
-                segment_and_build(&before, eps, 1.25, expansions, Some(before[0].0), 1);
+                segment_and_build(&before, eps, 1.25, Some(before[0].0), 1);
             let mut conflict_map: BTreeMap<u64, u64> = conflicts.into_iter().collect();
 
             let mut after: BTreeMap<u64, u64> = before.iter().copied().collect();
@@ -594,7 +540,7 @@ mod tests {
         m.art_inserts
             .store(m.build_size.max(16) + 100, Ordering::Relaxed);
         assert!(m.wants_retrain());
-        idx.retrain_span(target, false);
+        idx.retrain_span(target);
         assert_eq!(idx.retrain_attempt_count(), 1, "one collect-and-bail pass");
         assert_eq!(idx.retrain_count(), 0, "nothing to publish");
         assert!(
@@ -690,39 +636,8 @@ mod tests {
     }
 
     #[test]
-    fn background_burst_retrains_off_hot_path() {
-        // Same hot-write burst as above, but with a worker pool: the
-        // inserting thread only enqueues; a worker does the rebuild.
-        // After quiesce, retrains happened and every key is intact.
-        let pairs: Vec<(u64, u64)> = (1..=2_000u64).map(|i| (i * 1_000, i)).collect();
-        let idx = AltIndex::bulk_load_with(
-            &pairs,
-            AltConfig {
-                epsilon: Some(64.0),
-                ..AltConfig::background()
-            },
-        );
-        let burst: Vec<u64> = (500_001..=520_000u64).filter(|k| k % 1000 != 0).collect();
-        for &k in &burst {
-            idx.insert(k, k).unwrap();
-        }
-        idx.retrain_quiesce();
-        assert!(
-            idx.retrain_count() > 0,
-            "background workers must have retrained the hot span"
-        );
-        for &k in &burst {
-            assert_eq!(idx.get(k), Some(k), "hot key {k}");
-        }
-        for &(k, v) in &pairs {
-            assert_eq!(idx.get(k), Some(v), "bulk key {k}");
-        }
-        assert_eq!(idx.len(), 2_000 + burst.len());
-    }
-
-    #[test]
-    fn background_concurrent_mutations_during_rebuild_are_kept() {
-        // Writers keep inserting/removing while the worker rebuilds the
+    fn concurrent_mutations_during_rebuild_are_kept() {
+        // Writers keep inserting/removing while a sibling rebuilds the
         // same span off-lock — the phase-2 reconcile must fold every
         // concurrent change into the swapped-in models.
         let pairs: Vec<(u64, u64)> = (1..=500u64).map(|i| (i * 10_000, i)).collect();
@@ -730,7 +645,7 @@ mod tests {
             &pairs,
             AltConfig {
                 epsilon: Some(32.0),
-                ..AltConfig::background()
+                ..Default::default()
             },
         ));
         let threads = 4u64;
@@ -744,7 +659,7 @@ mod tests {
                     let k = base + i * 2;
                     idx.insert(k, k).unwrap();
                     // Churn: remove every fourth key again right away,
-                    // racing any in-progress background rebuild.
+                    // racing any in-progress rebuild.
                     if i % 4 == 3 {
                         assert_eq!(idx.remove(k), Some(k), "own remove {k}");
                     } else {
@@ -756,7 +671,6 @@ mod tests {
         for h in hs {
             h.join().unwrap();
         }
-        idx.retrain_quiesce();
         let mut live = 0usize;
         for t in 0..threads {
             for i in 0..per {
@@ -770,44 +684,5 @@ mod tests {
             }
         }
         assert_eq!(idx.len(), 500 + live);
-    }
-
-    #[test]
-    fn background_final_state_matches_inline() {
-        // A/B: the same deterministic op sequence lands in the same final
-        // state whether retrains run on the caller or on the worker pool.
-        let pairs: Vec<(u64, u64)> = (1..=1_000u64).map(|i| (i * 1_000, i)).collect();
-        let run = |cfg: AltConfig| {
-            let idx = AltIndex::bulk_load_with(&pairs, cfg);
-            let mut x = 0x9e37_79b9_7f4a_7c15u64;
-            for i in 0..30_000u64 {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                let k = 200_001 + (x % 400_000);
-                if i % 5 == 4 {
-                    idx.remove(k);
-                } else {
-                    let _ = idx
-                        .insert(k, k ^ 0x5555)
-                        .or_else(|_| idx.update(k, k ^ 0x5555));
-                }
-            }
-            idx.retrain_quiesce();
-            let mut out = Vec::new();
-            idx.range(1, u64::MAX, &mut out);
-            (idx.len(), out)
-        };
-        let cfg = AltConfig {
-            epsilon: Some(64.0),
-            ..Default::default()
-        };
-        let (len_inline, dump_inline) = run(cfg.clone());
-        let (len_bg, dump_bg) = run(AltConfig {
-            retrain_workers: 1,
-            ..cfg
-        });
-        assert_eq!(len_inline, len_bg);
-        assert_eq!(dump_inline, dump_bg);
     }
 }

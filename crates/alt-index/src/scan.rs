@@ -13,7 +13,7 @@
 //! and its ordering argument.
 
 use crate::dir::ModelDir;
-use crate::index::AltCore;
+use crate::index::AltIndex;
 use crate::slots::SlotState;
 use crossbeam_epoch as epoch;
 use probe::metrics::{self, Counter};
@@ -26,7 +26,7 @@ const CHUNK_KEYS: usize = 128;
 /// Most a run of short chunks may multiply the next one's size by.
 const MAX_BOOST: usize = 64;
 
-impl AltCore {
+impl AltIndex {
     /// Append every `(key, value)` with `lo <= key <= hi`, ascending.
     /// Returns the number appended.
     pub fn range(&self, lo: u64, hi: u64, out: &mut Vec<(u64, u64)>) -> usize {

@@ -3,7 +3,7 @@
 //! (Fig 10(b)), ART lookup lengths with/without the shortcut (Fig 10(a)),
 //! and the memory breakdown (Fig 8(a)).
 
-use crate::index::AltCore;
+use crate::index::AltIndex;
 use crate::slots::Probe;
 use art::FromResult;
 use crossbeam_epoch as epoch;
@@ -57,7 +57,7 @@ pub struct ArtProbe {
     pub root_hops: u32,
 }
 
-impl AltCore {
+impl AltIndex {
     /// Take a structural snapshot (O(slots) — intended for experiment
     /// checkpoints, not hot paths).
     pub fn stats(&self) -> AltStats {

@@ -106,9 +106,9 @@ fn expansion_swap_loses_and_duplicates_nothing() {
 }
 
 #[test]
-fn repeated_expansions_keep_writeback_working() {
-    // Several bursts into the same span stack expansions (doubled gap
-    // budget each time); write-back must hold at every generation.
+fn repeated_retrains_keep_writeback_working() {
+    // Several bursts into the same span stack retrain generations;
+    // write-back must hold at every one.
     let mut model: BTreeMap<u64, u64> = (1..=1_000u64).map(|i| (i * 10_000, i)).collect();
     let pairs: Vec<(u64, u64)> = model.iter().map(|(&k, &v)| (k, v)).collect();
     let idx = AltIndex::bulk_load_with(

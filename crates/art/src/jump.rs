@@ -17,8 +17,7 @@
 
 use crate::node::{self, NodePtr, NO_SLOT};
 use crate::tree::{
-    coupled_ok, descend_leaf, leaf_value, prefix_mismatch, split_depth, Abort, Art, FromResult,
-    SetSlotResult,
+    coupled_ok, descend_leaf, leaf_value, prefix_mismatch, Abort, Art, FromResult, SetSlotResult,
 };
 use crossbeam_epoch as epoch;
 use probe::metrics::{self, Counter};
@@ -204,12 +203,6 @@ impl Art {
         };
         hdr.version.unlock();
         res
-    }
-
-    /// First differing byte position of two distinct keys — exposed for
-    /// the fast-pointer construction logic and tests.
-    pub fn diverge_depth(k1: u64, k2: u64) -> usize {
-        split_depth(k1, k2, 0)
     }
 }
 

@@ -8,7 +8,6 @@ use crate::{Args, IndexKind, Row, Setup};
 use alt_index::{AltConfig, AltIndex};
 use baselines::{AlexLike, FinedexLike, LippLike, XIndexLike};
 use datasets::Dataset;
-use index_api::ConcurrentIndex;
 use learned::{gpl_segment, lpa_segment, optimal_segment_count, shrinking_cone_segment};
 use std::hint::black_box;
 use std::time::Instant;
@@ -456,24 +455,18 @@ fn stall_ratio(r: &RunResult) -> f64 {
     m[0] / median
 }
 
-/// **retrain_shift**: throughput-over-time under distribution shift,
-/// caller-run vs worker-pool retraining. Each of the three shift
-/// workloads (monotonic append, rolling window, sudden mid-run shift)
-/// runs twice over an ALT-index built from the same preload: once with
-/// the paper's §III-F retrain run by the inserting thread on the hot path
-/// (`alt-caller`, `retrain_workers = 0`), once with the budgeted worker
-/// pool (`alt-pool`, `AltConfig::background()`). The driver records
-/// operations completed per `--bucket-ms` bucket (default 50), so the
-/// caller-run retrain stalls show up as dips in the curve and the pool
-/// runs show how much of the dip the scheduler removes.
+/// **retrain_shift**: throughput-over-time under distribution shift.
+/// Each of the three shift workloads (monotonic append, rolling window,
+/// sudden mid-run shift) runs over an ALT-index built from the same
+/// preload, the paper's §III-F retrain run by the inserting thread. The
+/// driver records operations completed per `--bucket-ms` bucket (default
+/// 50), so a retrain stall would show up as a dip in the curve.
 ///
-/// Rows: per (workload, mode) a `summary` row with overall `mops` and
-/// `stall_ratio`, `summary` rows for total `retrains` and the always-on
-/// fault/self-healing counters (nonzero only when the queue sheds or the
-/// `fault` feature injects failures), and one `timeline` row per bucket
-/// (`x` = bucket start in ms, `mops` = that bucket's throughput). Both
-/// modes replay byte-identical streams; the final index lengths must
-/// agree.
+/// Rows: per workload a `summary` row with overall `mops` and
+/// `stall_ratio`, `summary` rows for total `retrains` and
+/// `retrain_rollbacks` (nonzero only when the `fault` feature injects
+/// failures), and one `timeline` row per bucket (`x` = bucket start in
+/// ms, `mops` = that bucket's throughput).
 pub fn retrain_shift(args: &Args) {
     // The preload must sit well below the per-run insert volume or the
     // tail model never overflows its own build size and nothing retrains
@@ -488,53 +481,31 @@ pub fn retrain_shift(args: &Args) {
     for kind in ShiftKind::ALL {
         let mut plan = ShiftPlan::new(kind, args.seed);
         plan.preload = preload;
-        let mut lens = Vec::new();
-        for (label, config) in [
-            ("alt-caller", AltConfig::default()),
-            ("alt-pool", AltConfig::background()),
+        let idx = AltIndex::bulk_load_default(&plan.initial_pairs());
+        let streams = (0..args.threads).map(|t| plan.stream(t, args.threads, args.ops));
+        let r = workloads::run(&idx, streams.collect(), &cfg);
+        assert_eq!(r.failed_inserts, 0, "shift streams are disjoint");
+        let row = |workload| {
+            Row::new("retrain_shift")
+                .index("alt")
+                .dataset(kind.label())
+                .workload(workload)
+        };
+        row("summary")
+            .mops(r.mops)
+            .value("stall_ratio", stall_ratio(&r))
+            .emit();
+        for (metric, v) in [
+            ("retrains", idx.retrain_count()),
+            ("retrain_rollbacks", idx.retrain_rollback_count()),
         ] {
-            if !args.wants_index(label) {
-                continue;
-            }
-            let idx = AltIndex::bulk_load_with(&plan.initial_pairs(), config);
-            let streams = (0..args.threads).map(|t| plan.stream(t, args.threads, args.ops));
-            let r = workloads::run(&idx, streams.collect(), &cfg);
-            idx.retrain_quiesce();
-            assert_eq!(r.failed_inserts, 0, "{label}: shift streams are disjoint");
-            lens.push(ConcurrentIndex::len(&idx));
-            let row = |workload| {
-                Row::new("retrain_shift")
-                    .index(label)
-                    .dataset(kind.label())
-                    .workload(workload)
-            };
-            row("summary")
-                .mops(r.mops)
-                .value("stall_ratio", stall_ratio(&r))
-                .emit();
-            let faults = idx.fault_stats();
-            for (metric, v) in [
-                ("retrains", idx.retrain_count() as u64),
-                ("retrain_bg_dropped", faults.bg_dropped),
-                ("retrain_bg_panics", faults.bg_panics),
-                ("worker_respawns", faults.worker_respawns),
-                ("degraded_mode_entries", faults.degraded_mode_entries),
-                ("retrain_rollbacks", faults.retrain_rollbacks),
-            ] {
-                row("summary").value(metric, v as f64).emit();
-            }
-            for (i, m) in r.bucket_mops().into_iter().enumerate() {
-                row("timeline")
-                    .x((i as u64 * r.bucket_ms) as f64)
-                    .mops(m)
-                    .emit();
-            }
+            row("summary").value(metric, v as f64).emit();
         }
-        assert!(
-            lens.windows(2).all(|w| w[0] == w[1]),
-            "{}: caller-run and worker-pool runs of identical streams \
-             must store the same number of keys",
-            kind.label()
-        );
+        for (i, m) in r.bucket_mops().into_iter().enumerate() {
+            row("timeline")
+                .x((i as u64 * r.bucket_ms) as f64)
+                .mops(m)
+                .emit();
+        }
     }
 }

@@ -12,11 +12,9 @@
 //!   implemented for the Fig 4 algorithm comparison.
 //! * [`lpa`] — the **Learning Probe Algorithm** of FINEdex, also for the
 //!   Fig 4 comparison and for the FINEdex baseline.
-//! * [`rmi`] — a two-stage Recursive Model Index used by the XIndex
-//!   baseline and the Fig 3 model-count experiment.
-//! * [`search`] — error-bounded binary and exponential search used wherever
-//!   a model prediction must be corrected (the baselines; never the
-//!   ALT-index learned layer, which is exact by construction).
+//! * [`search`] — error-bounded binary search used wherever a model
+//!   prediction must be corrected (the baselines; never the ALT-index
+//!   learned layer, which is exact by construction).
 //! * [`optimal`] — a reference ε-optimal segmenter (minimum segment
 //!   count) used to measure how close the O(n) algorithms come to the
 //!   optimum.
@@ -28,7 +26,6 @@ pub mod gpl;
 pub mod linear;
 pub mod lpa;
 pub mod optimal;
-pub mod rmi;
 pub mod search;
 pub mod shrinking_cone;
 
@@ -36,5 +33,4 @@ pub use gpl::{gpl_segment, GplSegmenter, Segment};
 pub use linear::LinearModel;
 pub use lpa::lpa_segment;
 pub use optimal::{optimal_segment, optimal_segment_count};
-pub use rmi::Rmi;
 pub use shrinking_cone::shrinking_cone_segment;

@@ -40,65 +40,6 @@ pub fn bounded_search_pos(keys: &[u64], key: u64, pred: usize, err: usize) -> Re
     }
 }
 
-/// Exponential search outward from `pred`: doubles the window until the
-/// key is bracketed, then binary-searches. Used when no error bound is
-/// known (e.g. ALEX-style nodes after drift). Returns the position if
-/// found.
-pub fn exponential_search(keys: &[u64], key: u64, pred: usize) -> Option<usize> {
-    let n = keys.len();
-    if n == 0 {
-        return None;
-    }
-    let pred = pred.min(n - 1);
-    if keys[pred] == key {
-        return Some(pred);
-    }
-    let mut step = 1usize;
-    if keys[pred] < key {
-        // Search right.
-        let lo = pred + 1;
-        let mut hi;
-        loop {
-            hi = (pred + step).min(n - 1);
-            if keys[hi] >= key || hi == n - 1 {
-                break;
-            }
-            step *= 2;
-        }
-        if lo > hi {
-            return None;
-        }
-        match keys[lo..=hi].binary_search(&key) {
-            Ok(p) => Some(lo + p),
-            Err(_) => None,
-        }
-    } else {
-        // Search left.
-        let mut lo;
-        loop {
-            lo = pred.saturating_sub(step);
-            if keys[lo] <= key || lo == 0 {
-                break;
-            }
-            step *= 2;
-        }
-        if pred == 0 {
-            return None;
-        }
-        match keys[lo..pred].binary_search(&key) {
-            Ok(p) => Some(lo + p),
-            Err(_) => None,
-        }
-    }
-}
-
-/// Count of comparisons a bounded binary search performs for a window of
-/// `2*err + 1` slots — used by the analytical latency model of §III-D.
-#[inline]
-pub fn bounded_search_cost(err: usize) -> u32 {
-    (2 * err as u64 + 1).next_power_of_two().trailing_zeros() + 1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,30 +71,5 @@ mod tests {
         assert_eq!(bounded_search_pos(&keys, 25, 2, 3), Err(2));
         assert_eq!(bounded_search_pos(&keys, 30, 2, 3), Ok(2));
         assert_eq!(bounded_search_pos(&keys, 5, 0, 1), Err(0));
-    }
-
-    #[test]
-    fn exponential_finds_keys_far_from_prediction() {
-        let keys: Vec<u64> = (0..1000u64).map(|i| i * 3).collect();
-        for (i, &k) in keys.iter().enumerate() {
-            assert_eq!(exponential_search(&keys, k, 500), Some(i));
-            assert_eq!(exponential_search(&keys, k, 0), Some(i));
-            assert_eq!(exponential_search(&keys, k, 999), Some(i));
-        }
-    }
-
-    #[test]
-    fn exponential_misses_absent_keys() {
-        let keys: Vec<u64> = (0..1000u64).map(|i| i * 3).collect();
-        assert_eq!(exponential_search(&keys, 1, 500), None);
-        assert_eq!(exponential_search(&keys, 2998, 0), None);
-        assert_eq!(exponential_search(&keys, 5000, 999), None);
-        assert_eq!(exponential_search(&[], 5, 0), None);
-    }
-
-    #[test]
-    fn search_cost_grows_with_error() {
-        assert!(bounded_search_cost(1) < bounded_search_cost(64));
-        assert!(bounded_search_cost(64) < bounded_search_cost(4096));
     }
 }

@@ -45,7 +45,7 @@
 //! `site=action[@trigger]`, where action is `panic`, `error`,
 //! `alloc_fail` or `delay:<ms>`, and trigger is a decimal `N` (n-th hit)
 //! or `pP` (probability P/1024); no trigger = every hit. Example:
-//! `ALT_FAIL_POINTS="retrain.build=error@3;sched.drain=panic@p64"`.
+//! `ALT_FAIL_POINTS="retrain.build=error@3;retrain.swap=panic@p64"`.
 //! Env-installed failpoints have no guard: they live for the process.
 
 use crate::{site_hash, SplitMix64};
@@ -437,7 +437,7 @@ mod tests {
 
     #[test]
     fn env_spec_parses_all_forms() {
-        let spec = "retrain.build=error@3; sched.drain=panic@p64;\
+        let spec = "retrain.build=error@3; retrain.swap=panic@p64;\
                     dir.replace=delay:5;art.arena.grow=alloc_fail;bogus;x=weird";
         let parsed = parse_spec(spec);
         assert_eq!(
@@ -449,7 +449,7 @@ mod tests {
                     Trigger::Nth(3)
                 ),
                 (
-                    "sched.drain".to_string(),
+                    "retrain.swap".to_string(),
                     FailAction::Panic,
                     Trigger::Probability(64)
                 ),

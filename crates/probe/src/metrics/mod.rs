@@ -84,7 +84,7 @@ named_enum! {
     /// range-sharded router + batched serving front-end. See `DESIGN.md`
     /// ("Observability") for what each one means and which paper figure it
     /// supports.
-    pub enum Counter[51] {
+    pub enum Counter[45] {
         /// Slot-version read retries: an optimistic slot read observed an
         /// odd (writer-in-progress) version or failed re-validation
         /// (§III-E).
@@ -128,14 +128,6 @@ named_enum! {
         /// Retrain triggers skipped because another structural change held
         /// the directory lock.
         RetrainSkippedBusy => "alt.retrain_skipped_busy",
-        /// Background-mode retrain requests accepted into the scheduler
-        /// queue by an inserting thread.
-        RetrainBgEnqueued => "alt.retrain_bg_enqueued",
-        /// Background-mode retrain requests shed (queue full or duplicate
-        /// span) — the next overflow insert re-enqueues.
-        RetrainBgDropped => "alt.retrain_bg_dropped",
-        /// Retrain requests popped by a background worker.
-        RetrainBgDrained => "alt.retrain_bg_drained",
         /// OLC restarts: a version validation failed, sending the reader
         /// back to a stable ancestor (Leis et al., DaMoN 2016).
         OlcRestart => "art.olc_restart",
@@ -205,17 +197,6 @@ named_enum! {
         /// Group prefetches issued by the baselines' batched lookups (first
         /// -level node/group/model lines fetched ahead of sequential probes).
         BaselineBatchPrefetch => "baseline.batch_prefetch",
-        /// Background retrain executions that panicked and were contained by
-        /// the worker pool's `catch_unwind` (injected or real).
-        RetrainBgPanic => "alt.retrain_bg_panics",
-        /// Worker-loop restarts after a contained panic — the pool's
-        /// "respawn" events (workers are contained in place, not re-spawned
-        /// as OS threads; see DESIGN.md §16).
-        RetrainWorkerRespawn => "alt.worker_respawns",
-        /// Transitions into degraded mode: repeated background-retrain
-        /// failures tripped the fail-streak limit and retrains fell back to
-        /// contained inline execution.
-        RetrainDegradedEntry => "alt.degraded_mode_entries",
         /// Retrains rolled back cleanly before publishing: an injected (or
         /// real) failure mid-collect/build/reconcile discarded the private
         /// build and released every lock, leaving the old directory serving.

@@ -1,7 +1,7 @@
 //! The workspace's one striped counter and its one thread→stripe
 //! assignment. Always compiled (no probe feature gates it): the metrics
 //! bank is built from it, and so are the counts an index keeps about
-//! itself on its write path — `Art`'s key count and node bytes, `AltCore`'s
+//! itself on its write path — `Art`'s key count and node bytes, `AltIndex`'s
 //! live keys — which every insert and remove bumps from every writer
 //! thread at once.
 //!

@@ -146,7 +146,7 @@ pub(crate) struct Inner<I> {
     pub(crate) struct_lock: Mutex<()>,
     pub(crate) cfg: RegionConfig,
     pub(crate) stats: StatsInner,
-    /// Background-worker shutdown flag + wakeup, `sched.rs`-style.
+    /// Background-worker shutdown flag + wakeup.
     pub(crate) shutdown: Mutex<bool>,
     pub(crate) wake: Condvar,
 }
@@ -287,27 +287,6 @@ impl<I: ConcurrentIndex + BulkLoad + 'static> RegionIndex<I> {
     /// invariant checks in tests.
     pub fn shard_bounds(&self) -> Vec<(Key, Key)> {
         self.inner.snapshot().iter().map(|s| (s.lo, s.hi)).collect()
-    }
-
-    /// Per-shard diagnostics: `(lo, hi, index_len, clamped_len, full_len)`
-    /// where `clamped_len` counts keys the router can reach (range limited
-    /// to the shard bounds) and `full_len` counts everything resident in
-    /// the backing index. `index_len != full_len` means the engine's
-    /// counter drifted; `full_len != clamped_len` means out-of-bounds
-    /// residue. Diagnostic aid for the structural invariants tests.
-    #[doc(hidden)]
-    pub fn shard_debug(&self) -> Vec<(Key, Key, usize, usize, usize)> {
-        self.inner
-            .snapshot()
-            .iter()
-            .map(|s| {
-                let mut clamped = Vec::new();
-                s.index.range(s.lo.max(1), s.hi, &mut clamped);
-                let mut full = Vec::new();
-                s.index.range(1, Key::MAX, &mut full);
-                (s.lo, s.hi, s.index.len(), clamped.len(), full.len())
-            })
-            .collect()
     }
 
     /// Snapshot of the always-on structural counters.

@@ -1,7 +1,6 @@
 //! The background maintenance worker: a single thread that wakes every
 //! `check_interval`, runs one maintenance pass (split the hottest shard,
-//! merge the coldest pair), and exits when the router drops. Same
-//! Mutex + Condvar shutdown shape as `alt-index`'s retrain scheduler.
+//! merge the coldest pair), and exits when the router drops.
 
 use crate::router::{lock, Inner};
 use index_api::{BulkLoad, ConcurrentIndex};

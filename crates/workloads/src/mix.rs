@@ -61,17 +61,6 @@ impl Mix {
             _ => "custom",
         }
     }
-
-    /// The five point-op workloads of Fig 7, in order.
-    pub fn figure7() -> [Mix; 5] {
-        [
-            Mix::READ_ONLY,
-            Mix::READ_HEAVY,
-            Mix::BALANCED,
-            Mix::WRITE_HEAVY,
-            Mix::WRITE_ONLY,
-        ]
-    }
 }
 
 #[cfg(test)]
@@ -84,12 +73,5 @@ mod tests {
         assert_eq!(Mix::BALANCED.label(), "balanced");
         assert_eq!(Mix::SCAN.label(), "scan");
         assert_eq!(Mix::new(30, 70, 0).label(), "custom");
-    }
-
-    #[test]
-    fn figure7_order() {
-        let f = Mix::figure7();
-        assert_eq!(f[0].read_pct, 100);
-        assert_eq!(f[4].insert_pct, 100);
     }
 }

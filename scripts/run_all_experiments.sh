@@ -52,7 +52,7 @@ run bulk_build --keys "$KEYS" --build-threads "$BUILD_THREADS"
 bench_json bulk_build
 run batch_lookup --keys "$KEYS" --ops "$OPS" --batch-width "$BATCH_WIDTHS"
 bench_json batch_lookup
-# Throughput-over-time curves, caller-run vs worker-pool retraining.
+# Throughput-over-time curves under distribution shift.
 run retrain_shift --threads "$THREADS" --ops "$OPS" --bucket-ms "${BUCKET_MS:-50}"
 bench_json retrain_shift
 # The closed-loop sweep only; results/BENCH_service_throughput.json also

@@ -3,13 +3,13 @@
 //! (panic / error / alloc-fail) and triggers (always / nth / seeded
 //! probability), injected mid-workload. After each injected phase the
 //! index must still serve (get/insert/scan), the testkit oracle must be
-//! clean, `retrain_quiesce` must terminate, and a follow-up uninjected
-//! retrain must succeed — the self-healing contract of DESIGN.md §16.
+//! clean, and a follow-up uninjected retrain must succeed — the
+//! self-healing contract of DESIGN.md §16.
 //!
-//! The sustained worker-kill test drives the degraded-mode state
-//! machine end to end: repeated contained background panics trip
-//! degraded mode (observable via [`alt_index::FaultStats`]) while
-//! throughput stays nonzero, and removing the fault recovers.
+//! The sustained-kill test holds the containment to its count: every
+//! retrain dies on the inserting thread, is caught and rolled back
+//! (`retrain_rollback_count`), inserts keep landing, and removing the
+//! fault lets the next overflow insert's retrain complete.
 
 #![cfg(feature = "fault")]
 
@@ -41,16 +41,6 @@ fn quiet_injected_panics() {
             }
         }));
     });
-}
-
-/// Which thread(s) can reach a site.
-#[derive(Clone, Copy, PartialEq)]
-enum Reach {
-    /// The inserting thread and the workers: alternate
-    /// `retrain_workers` 0 / 1 across seeds.
-    Both,
-    /// Scheduler sites, reached only with a worker pool.
-    BackgroundOnly,
 }
 
 /// Action rotation. `error_channel` sites accept Error/AllocFail
@@ -85,8 +75,8 @@ fn burst_keys(base: u64, n: u64) -> impl Iterator<Item = u64> {
     (base..base + n).filter(|k| k % 1000 != 0)
 }
 
-/// One site's sweep: 8 seeds × rotating action/trigger/partition/mode.
-fn sweep_site(site: &'static str, error_channel: bool, reach: Reach) {
+/// One site's sweep: 8 seeds × rotating action/trigger/partition.
+fn sweep_site(site: &'static str, error_channel: bool) {
     let _l = serial();
     quiet_injected_panics();
     let mut any_hit = false;
@@ -99,14 +89,9 @@ fn sweep_site(site: &'static str, error_channel: bool, reach: Reach) {
             Scenario::shared(seed)
         };
         scenario.keys_per_thread = 512;
-        let background = reach == Reach::BackgroundOnly || s % 2 == 0;
         let cfg = AltConfig {
             epsilon: Some(16.0),
-            ..if background {
-                AltConfig::background()
-            } else {
-                AltConfig::default()
-            }
+            ..Default::default()
         };
         let idx = AltIndex::bulk_load_with(&scenario.initial_pairs(), cfg);
 
@@ -121,8 +106,6 @@ fn sweep_site(site: &'static str, error_channel: bool, reach: Reach) {
         for &k in &burst {
             idx.insert(k, k).unwrap();
         }
-        // Quiesce must terminate even with workers dying mid-drain.
-        idx.retrain_quiesce();
         any_hit |= probe::fail::hits(site) > 0;
 
         // Still serving under active injection: point reads + a scan.
@@ -157,7 +140,6 @@ fn sweep_site(site: &'static str, error_channel: bool, reach: Reach) {
         for &k in &follow {
             idx.insert(k, k).unwrap();
         }
-        idx.retrain_quiesce();
         assert!(
             idx.retrain_count() > before,
             "{site} seed {seed}: uninjected retrain must complete after the fault clears"
@@ -178,47 +160,37 @@ fn sweep_site(site: &'static str, error_channel: bool, reach: Reach) {
 
 #[test]
 fn site_retrain_collect() {
-    sweep_site("retrain.collect", false, Reach::Both);
+    sweep_site("retrain.collect", false);
 }
 
 #[test]
 fn site_retrain_build() {
-    sweep_site("retrain.build", true, Reach::Both);
+    sweep_site("retrain.build", true);
 }
 
 #[test]
 fn site_retrain_reconcile() {
-    sweep_site("retrain.reconcile", true, Reach::Both);
+    sweep_site("retrain.reconcile", true);
 }
 
 #[test]
 fn site_retrain_swap() {
-    sweep_site("retrain.swap", false, Reach::Both);
+    sweep_site("retrain.swap", false);
 }
 
 #[test]
 fn site_retrain_absorb() {
-    sweep_site("retrain.absorb", false, Reach::Both);
-}
-
-#[test]
-fn site_sched_enqueue() {
-    sweep_site("sched.enqueue", true, Reach::BackgroundOnly);
-}
-
-#[test]
-fn site_sched_drain() {
-    sweep_site("sched.drain", true, Reach::BackgroundOnly);
+    sweep_site("retrain.absorb", false);
 }
 
 #[test]
 fn site_dir_replace() {
-    sweep_site("dir.replace", false, Reach::Both);
+    sweep_site("dir.replace", false);
 }
 
 #[test]
 fn site_fastptr_install() {
-    sweep_site("fastptr.install", true, Reach::Both);
+    sweep_site("fastptr.install", true);
 }
 
 #[test]
@@ -226,12 +198,12 @@ fn site_arena_alloc() {
     // Arena sites map every action onto the allocation-failure channel
     // (`probe::fail::fire(..).is_some()` in crates/art/src/arena.rs), served by the single-slot
     // fallback.
-    sweep_site("art.arena.alloc", true, Reach::Both);
+    sweep_site("art.arena.alloc", true);
 }
 
 #[test]
 fn site_arena_grow() {
-    sweep_site("art.arena.grow", true, Reach::Both);
+    sweep_site("art.arena.grow", true);
 }
 
 #[test]
@@ -264,7 +236,7 @@ fn arena_fallback_is_counted_and_lossless() {
 }
 
 #[test]
-fn sustained_worker_kill_trips_degraded_mode_and_recovers() {
+fn sustained_retrain_kill_is_contained_and_recovers() {
     let _l = serial();
     quiet_injected_panics();
     let pairs: Vec<(u64, u64)> = (1..=2_000u64).map(|i| (i * 1_000, i)).collect();
@@ -272,38 +244,25 @@ fn sustained_worker_kill_trips_degraded_mode_and_recovers() {
         &pairs,
         AltConfig {
             epsilon: Some(16.0),
-            ..AltConfig::background()
+            ..Default::default()
         },
     );
-    // Every retrain — on a worker or on the caller — dies at collect time.
+    // Every retrain dies at collect time, on the thread whose insert
+    // triggered it. Inserts must keep landing the whole time.
     let g = probe::fail::install("retrain.collect", FailAction::Panic, Trigger::Always);
-
-    // Sustained kills: the worker panics per drained request; after the
-    // fail-streak limit (default 3, guaranteed reachable because a
-    // panicked span is re-enqueued until degraded mode stops it) the
-    // pool degrades. Inserts must keep landing the whole time — that is
-    // the throughput floor.
     let burst: Vec<u64> = burst_keys(3_000_001, 30_000).collect();
     for &k in &burst {
         idx.insert(k, k).unwrap();
     }
-    idx.retrain_quiesce();
-    let fs = idx.fault_stats();
+    let injected = probe::fail::fires("retrain.collect");
     assert!(
-        fs.bg_panics >= 3,
-        "sustained kill must contain repeated worker panics, got {fs:?}"
-    );
-    assert!(
-        fs.degraded_mode_entries >= 1 && fs.degraded,
-        "the fail streak must trip (and hold) degraded mode: {fs:?}"
+        injected > 0,
+        "no retrain ever panicked — the test is vacuous"
     );
     assert_eq!(
-        fs.worker_respawns, fs.bg_panics,
-        "every contained panic restarts the worker loop in place"
-    );
-    assert!(
-        fs.retrain_rollbacks >= 1,
-        "degraded-mode caller-run retrains also die (contained) and count as rollbacks: {fs:?}"
+        idx.retrain_rollback_count() as u64,
+        injected,
+        "every contained retrain panic is a rollback"
     );
     assert_eq!(
         idx.retrain_count(),
@@ -311,74 +270,21 @@ fn sustained_worker_kill_trips_degraded_mode_and_recovers() {
         "no retrain can complete under the fault"
     );
     for &k in burst.iter().step_by(199) {
-        assert_eq!(idx.get(k), Some(k), "throughput floor lost key {k}");
+        assert_eq!(idx.get(k), Some(k), "contained panic lost key {k}");
     }
 
-    // Fault clears: degraded-mode caller-run retrains run clean, the
-    // recovery streak (default 2) ends the episode, and background
-    // retraining resumes and completes.
+    // Fault clears: the next overflow insert's retrain completes.
     drop(g);
     let follow: Vec<u64> = burst_keys(7_000_001, 30_000).collect();
     for &k in &follow {
         idx.insert(k, k).unwrap();
     }
-    idx.retrain_quiesce();
-    let fs2 = idx.fault_stats();
-    assert!(
-        !fs2.degraded,
-        "clean caller-run retrains must end the degraded episode: {fs2:?}"
-    );
     assert!(idx.retrain_count() > 0, "retrains complete after recovery");
+    assert_eq!(idx.retrain_rollback_count() as u64, injected);
     for &k in burst.iter().chain(follow.iter()).step_by(199) {
         assert_eq!(idx.get(k), Some(k));
     }
     assert_eq!(idx.len(), 2_000 + burst.len() + follow.len());
-}
-
-/// Regression: `trigger_retrain` contains a panic injected at
-/// `sched.enqueue` and loses the request — a shed like any other, so the
-/// always-on `bg_dropped` must count it. The containment arm used to bump
-/// only the `metrics` counter, and `fault_stats()` under-reported exactly
-/// these requests.
-#[test]
-fn a_panicked_enqueue_counts_as_dropped() {
-    let _l = serial();
-    quiet_injected_panics();
-    probe::fail::set_seed(0xF417_D509);
-    let pairs: Vec<(u64, u64)> = (1..=2_000u64).map(|i| (i * 1_000, i)).collect();
-    let idx = AltIndex::bulk_load_with(
-        &pairs,
-        AltConfig {
-            epsilon: Some(16.0),
-            ..AltConfig::background()
-        },
-    );
-    // One enqueue in four dies. A single overflowing span is queued at
-    // most once, so nothing else sheds a request here.
-    let g = probe::fail::install(
-        "sched.enqueue",
-        FailAction::Panic,
-        Trigger::Probability(256),
-    );
-    let burst: Vec<u64> = burst_keys(3_000_001, 8_000).collect();
-    for &k in &burst {
-        idx.insert(k, k).unwrap();
-    }
-    idx.retrain_quiesce();
-    let injected = probe::fail::fires("sched.enqueue");
-    drop(g);
-    assert!(
-        injected > 0,
-        "no enqueue ever panicked — the test is vacuous"
-    );
-    assert_eq!(
-        idx.fault_stats().bg_dropped,
-        injected,
-        "every request lost to an injected enqueue panic is a dropped one"
-    );
-    for &k in burst.iter().step_by(97) {
-        assert_eq!(idx.get(k), Some(k));
-    }
 }
 
 #[test]
@@ -391,11 +297,10 @@ fn uninstalled_failpoints_change_nothing() {
         &scenario.initial_pairs(),
         AltConfig {
             epsilon: Some(16.0),
-            ..AltConfig::background()
+            ..Default::default()
         },
     );
     scenario
         .run(&idx)
         .expect("clean run with no failpoints installed");
-    idx.retrain_quiesce();
 }

@@ -4,7 +4,7 @@
 
 use alt_index::{AltConfig, AltIndex};
 use art::Art;
-use learned::{gpl_segment, lpa_segment, shrinking_cone_segment, Rmi};
+use learned::{gpl_segment, lpa_segment, shrinking_cone_segment};
 use proptest::collection::{btree_set, vec as pvec};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -36,19 +36,6 @@ proptest! {
                 );
             }
             prop_assert_eq!(next, keys.len(), "{} covers input", name);
-        }
-    }
-
-    /// RMI finds exactly the trained keys.
-    #[test]
-    fn rmi_finds_all_and_only_trained_keys(keys in sorted_keys(300), probes in pvec(1u64..u64::MAX, 20)) {
-        let rmi = Rmi::train(&keys, 8);
-        for (i, &k) in keys.iter().enumerate() {
-            prop_assert_eq!(rmi.lookup(&keys, k), Some(i));
-        }
-        for &p in &probes {
-            let expect = keys.binary_search(&p).ok();
-            prop_assert_eq!(rmi.lookup(&keys, p), expect);
         }
     }
 

@@ -1,41 +1,36 @@
-//! Distribution-shift workloads under the oracle, worker pool vs caller-run.
+//! Distribution-shift workloads under the oracle, concurrent vs sequential.
 //!
 //! Two guarantees per (shift kind × seed):
 //!
-//! 1. **Oracle correctness under background retraining** — the shift
+//! 1. **Oracle correctness under concurrent retraining** — the shift
 //!    streams are thread-disjoint by construction (reads included), so
 //!    a concurrent run recorded through the testkit is checked by exact
-//!    per-thread sequential replay (`check_disjoint`), while the worker
-//!    pool's two-phase rebuilds race every operation.
-//! 2. **Caller-run equivalence** — after quiescing the scheduler,
-//!    replaying the *identical* deterministic streams against a
-//!    `retrain_workers: 0` index yields the same length and the same
-//!    full key/value dump: moving retraining off the hot path must not
-//!    change what the index stores, only when the work happens.
+//!    per-thread sequential replay (`check_disjoint`), while one
+//!    thread's two-phase rebuild races every other thread's operations.
+//! 2. **Sequential equivalence** — replaying the *identical*
+//!    deterministic streams on one thread, where every retrain runs
+//!    inline with the op stream, yields the same length and the same
+//!    full key/value dump: when a rebuild happens must not change what
+//!    the index stores.
 //!
-//! 8 seeds per kind (the ISSUE acceptance bar), alternating thread
-//! counts, exercises all three generators: monotonic append, rolling
-//! window, sudden mid-run shift.
+//! 8 seeds per kind, alternating thread counts, exercises all three
+//! generators: monotonic append, rolling window, sudden mid-run shift.
+//!
+//! And one bound: on monotone append a retrained index stays within a
+//! few dozen bytes per key (`append_retrains_at_the_bulk_load_density`).
 
 use alt_index::{AltConfig, AltIndex};
 use index_api::ConcurrentIndex;
 use std::sync::Barrier;
 use testkit::oracle::{check_disjoint, History, Recorder};
-use workloads::{Op, ShiftKind, ShiftPlan};
+use workloads::{DriverConfig, Op, ShiftKind, ShiftPlan};
 
 const SEEDS: u64 = 8;
 const OPS_PER_THREAD: usize = 12_000;
 
-/// Tight ε + a worker pool: overflow (and therefore queued rebuilds)
-/// happen many times within one run.
-fn bg_config() -> AltConfig {
-    AltConfig {
-        epsilon: Some(16.0),
-        ..AltConfig::background()
-    }
-}
-
-fn inline_config() -> AltConfig {
+/// Tight ε: overflow (and therefore rebuilds) happen many times within
+/// one run.
+fn config() -> AltConfig {
     AltConfig {
         epsilon: Some(16.0),
         ..AltConfig::default()
@@ -80,11 +75,10 @@ fn run_recorded(idx: &AltIndex, plan: &ShiftPlan, threads: usize) -> Vec<History
     })
 }
 
-/// Replay the same streams sequentially against a `retrain_workers: 0`
-/// index.
+/// Replay the same streams on one thread against a fresh index.
 fn run_inline(plan: &ShiftPlan, threads: usize) -> AltIndex {
-    let idx = AltIndex::bulk_load_with(&plan.initial_pairs(), inline_config());
-    // Round-robin across threads' streams so caller-run retrains see an
+    let idx = AltIndex::bulk_load_with(&plan.initial_pairs(), config());
+    // Round-robin across threads' streams so the retrains see an
     // interleaving, not one thread's ops en bloc. Any interleaving is
     // valid: the streams are key-disjoint across threads.
     let mut streams: Vec<_> = (0..threads)
@@ -133,29 +127,28 @@ fn sweep(kind: ShiftKind) {
         plan.preload = 4_000;
         let initial = plan.initial_pairs();
 
-        let bg = AltIndex::bulk_load_with(&initial, bg_config());
-        let histories = run_recorded(&bg, &plan, threads);
-        bg.retrain_quiesce();
-        if let Err(report) = check_disjoint(&bg, &initial, &histories) {
+        let concurrent = AltIndex::bulk_load_with(&initial, config());
+        let histories = run_recorded(&concurrent, &plan, threads);
+        if let Err(report) = check_disjoint(&concurrent, &initial, &histories) {
             panic!("{} seed {seed} ({threads} threads): {report}", kind.label());
         }
         assert!(
-            bg.retrain_count() > 0,
+            concurrent.retrain_count() > 0,
             "{} seed {seed}: run never retrained — the sweep is vacuous",
             kind.label()
         );
 
-        let inline = run_inline(&plan, threads);
+        let sequential = run_inline(&plan, threads);
         assert_eq!(
-            ConcurrentIndex::len(&bg),
-            ConcurrentIndex::len(&inline),
-            "{} seed {seed}: background and inline lengths diverged",
+            ConcurrentIndex::len(&concurrent),
+            ConcurrentIndex::len(&sequential),
+            "{} seed {seed}: concurrent and sequential lengths diverged",
             kind.label()
         );
         assert_eq!(
-            dump(&bg),
-            dump(&inline),
-            "{} seed {seed}: background and inline contents diverged",
+            dump(&concurrent),
+            dump(&sequential),
+            "{} seed {seed}: concurrent and sequential contents diverged",
             kind.label()
         );
     }
@@ -174,4 +167,29 @@ fn rolling_window_background_oracle_checked_and_inline_equivalent() {
 #[test]
 fn sudden_shift_background_oracle_checked_and_inline_equivalent() {
     sweep(ShiftKind::SuddenShift);
+}
+
+/// ROADMAP item 4(d), the space half: monotone append makes the tail
+/// model overflow again and again, and every rebuild must come out at
+/// the bulk-load density (`gap_factor` slots per key) however many
+/// generations the span has been through.
+#[test]
+fn append_retrains_at_the_bulk_load_density() {
+    const THREADS: usize = 2;
+    let mut plan = ShiftPlan::new(ShiftKind::Append, 1_000);
+    plan.preload = 15_000;
+    let idx = AltIndex::bulk_load_default(&plan.initial_pairs());
+    let streams: Vec<_> = (0..THREADS)
+        .map(|t| plan.stream(t, THREADS, 150_000))
+        .collect();
+    let r = workloads::run(&idx, streams, &DriverConfig::default());
+    assert_eq!(r.failed_inserts, 0, "append streams are disjoint");
+    assert!(idx.retrain_count() > 0, "append run never retrained");
+    let per_key = idx.memory_usage() / idx.len();
+    assert!(
+        per_key <= 64,
+        "{per_key} B/key after {} retrains over {} keys",
+        idx.retrain_count(),
+        idx.len()
+    );
 }
