@@ -10,8 +10,8 @@
 //!    predicted slot, issue a prefetch for the slot's cache line;
 //! 2. **Probe** — the optimistic slot read (same version protocol as the
 //!    scalar path). Learned-layer hits and conclusive misses finish
-//!    here; a tombstone or colliding occupant resolves the model's fast
-//!    pointer, prefetches the target node, and hands off to
+//!    here; a tombstone or colliding occupant prefetches the ART root and
+//!    hands off to
 //! 3. **ART descent** — the interleaved engine of `art::batch`, one
 //!    prefetch-then-advance hop per step.
 //!
@@ -173,10 +173,9 @@ fn step<'g>(idx: &AltIndex, fl: &mut Flight<'g>, guard: &'g Guard) -> Option<Opt
                 Probe::Absent => restart(idx, fl, guard),
                 Probe::Art { tombstone } => {
                     // Conflict data: hand off to the interleaved ART
-                    // descent, entering through the model's fast pointer
-                    // when one is registered.
+                    // descent.
                     metrics::incr(Counter::AltBatchArtHandoff);
-                    let cur = fast_cursor(idx, m, fl.key);
+                    let cur = idx.art.batch_cursor(fl.key);
                     metrics::incr(Counter::AltBatchPrefetch);
                     fl.stage = Stage::Art {
                         m,
@@ -218,20 +217,6 @@ fn step<'g>(idx: &AltIndex, fl: &mut Flight<'g>, guard: &'g Guard) -> Option<Opt
     }
 }
 
-/// Build the ART cursor for a handed-off key, entering through the
-/// model's fast pointer when it has a live one (the batch analogue of
-/// `AltIndex::art_get`'s jump path, minus its hit/de-opt accounting —
-/// the handoff split is recorded by the caller).
-#[inline]
-fn fast_cursor(idx: &AltIndex, m: &GplModel, key: u64) -> BatchCursor {
-    let node = idx.jump_node(m, key).unwrap_or(0);
-    // SAFETY: `node` comes from `jump_node` under the ring's epoch pin,
-    // which spans the cursor's whole life, and the key lies in the
-    // model's interval, which the jump covers; a null node starts the
-    // cursor at the root.
-    unsafe { idx.art.batch_cursor_from(node, key) }
-}
-
 #[cfg(test)]
 mod tests {
     use crate::config::AltConfig;
@@ -264,20 +249,6 @@ mod tests {
         idx.get_batch_amac(&keys, &mut out);
         for (i, &k) in keys.iter().enumerate() {
             assert_eq!(out[i], idx.get(k), "key {k}");
-        }
-    }
-
-    #[test]
-    fn batch_matches_scalar_without_fast_pointers() {
-        let (idx, pairs) = sample_index(AltConfig {
-            fast_pointers: false,
-            ..Default::default()
-        });
-        let keys: Vec<u64> = pairs.iter().step_by(97).map(|p| p.0).collect();
-        let mut out = vec![None; keys.len()];
-        idx.get_batch_amac(&keys, &mut out);
-        for (i, &k) in keys.iter().enumerate() {
-            assert_eq!(out[i], Some(pairs.iter().find(|p| p.0 == k).unwrap().1));
         }
     }
 

@@ -3,7 +3,7 @@
 /// Configuration for [`crate::AltIndex`].
 ///
 /// Defaults follow the paper's recommendations (§III-D: ε =
-/// `bulkload_number / 1000`; fast pointers and dynamic retraining on).
+/// `bulkload_number / 1000`; dynamic retraining on).
 #[derive(Debug, Clone)]
 pub struct AltConfig {
     /// GPL error bound ε. `None` = the paper's suggested
@@ -12,9 +12,6 @@ pub struct AltConfig {
     /// Extra slot budget per model: capacity ≈ gap_factor × span. The
     /// paper's "array gaps scheme to handle some coming insertions".
     pub gap_factor: f64,
-    /// Enable the fast pointer buffer (§III-C). Off = every ART access
-    /// starts at the root (the Fig 10(a) ablation).
-    pub fast_pointers: bool,
     /// Enable dynamic retraining (§III-F): the thread whose insert
     /// tripped a model's overflow trigger rebuilds it. Off = overflowed
     /// models keep spilling into ART (part of the hot-write comparison).
@@ -24,12 +21,11 @@ pub struct AltConfig {
     pub write_back: bool,
     /// Worker threads for the two bulk-load stages that carry the build:
     /// model population (per-model ownership, no locking) and conflict
-    /// insertion into ART. GPL segmentation and fast-pointer registration
-    /// are a few percent of it and run as one serial pass each (DESIGN.md
-    /// §12), so every value produces an observably identical index (the
-    /// build-equivalence suite's contract). Defaults to the host's
-    /// available parallelism. Only affects construction — never
-    /// steady-state operations or retrains.
+    /// insertion into ART. GPL segmentation is a few percent of it and
+    /// runs as one serial pass (DESIGN.md §12), so every value produces an
+    /// observably identical index (the build-equivalence suite's
+    /// contract). Defaults to the host's available parallelism. Only
+    /// affects construction — never steady-state operations or retrains.
     pub build_threads: usize,
 }
 
@@ -51,7 +47,6 @@ impl Default for AltConfig {
         Self {
             epsilon: None,
             gap_factor: 1.25,
-            fast_pointers: true,
             retrain: true,
             write_back: true,
             build_threads: default_build_threads(),

@@ -4,15 +4,14 @@
 //! Operation flow follows Algorithm 2 of the paper: every operation first
 //! locates a GPL model with a binary search over the (flat, sorted) model
 //! directory, computes the key's predicted slot with one calculation, and
-//! then either finishes in the slot or follows the model's fast pointer
-//! into the ART-OPT layer.
+//! then either finishes in the slot or searches the ART-OPT layer from its
+//! root.
 
 use crate::config::AltConfig;
 use crate::dir::ModelDir;
-use crate::fast_ptr::{BufferHook, FastPointerBuffer};
-use crate::model::{build_model, GplModel, NO_FAST};
+use crate::model::{build_model, GplModel};
 use crate::slots::{Probe, SlotState};
-use art::{Art, FromResult};
+use art::Art;
 use crossbeam_epoch::{self as epoch, Atomic, Guard};
 use index_api::{IndexError, Result};
 use learned::gpl::{GplSegmenter, Segment};
@@ -24,8 +23,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// The ALT-index: a concurrent hybrid learned index over `u64 -> u64` —
-/// the model directory over gapped slot arrays, the ART-OPT conflict
-/// layer, and the fast-pointer buffer.
+/// the model directory over gapped slot arrays, and the ART-OPT conflict
+/// layer.
 ///
 /// ```
 /// use alt_index::AltIndex;
@@ -37,8 +36,7 @@ use std::sync::Arc;
 /// ```
 pub struct AltIndex {
     pub(crate) dir: Atomic<ModelDir>,
-    pub(crate) art: Arc<Art>,
-    pub(crate) buffer: Arc<FastPointerBuffer>,
+    pub(crate) art: Art,
     pub(crate) cfg: AltConfig,
     /// GPL error bound fixed at construction (the paper's
     /// `bulkload_number / 1000` rule).
@@ -46,8 +44,8 @@ pub struct AltIndex {
     /// Serializes structural directory changes (retrains).
     pub(crate) dir_lock: Mutex<()>,
     /// Live keys. Every insert and remove writes it, so each writer
-    /// thread has a stripe of its own: one atomic next to `dir`, `art` or
-    /// `buffer` would take the line every reader starts from away from
+    /// thread has a stripe of its own: one atomic next to `dir` or `art`
+    /// would take the line every reader starts from away from
     /// the other cores on each write, and on a line of its own it would
     /// still bounce between the writers.
     pub(crate) len: Striped,
@@ -76,8 +74,7 @@ impl AltIndex {
     pub fn bulk_load_with(pairs: &[(u64, u64)], cfg: AltConfig) -> Self {
         index_api::debug_validate_bulk_input(pairs);
         let epsilon = cfg.effective_epsilon(pairs.len());
-        let buffer = Arc::new(FastPointerBuffer::new());
-        let art = Arc::new(Art::with_hook(Arc::new(BufferHook(Arc::clone(&buffer)))));
+        let art = Art::new();
 
         let threads = cfg.build_threads.max(1);
         let t_start = metrics::now_ns();
@@ -87,12 +84,14 @@ impl AltIndex {
         // Conflict eviction into ART.
         art.insert_run(&conflicts, threads);
         let t_art = metrics::now_ns();
+        metrics::record_phase_ns(Phase::BulkSegment, t_segmented - t_start);
+        metrics::record_phase_ns(Phase::BulkModels, t_models - t_segmented);
+        metrics::record_phase_ns(Phase::BulkArt, t_art - t_models);
         let len = Striped::new();
         len.add(pairs.len() as u64);
-        let idx = Self {
+        Self {
             dir: Atomic::new(ModelDir::new(models)),
             art,
-            buffer,
             cfg,
             epsilon,
             dir_lock: Mutex::new(()),
@@ -101,16 +100,7 @@ impl AltIndex {
             retrain_attempts: AtomicUsize::new(0),
             rollbacks: AtomicUsize::new(0),
             dir_epoch: AtomicUsize::new(0),
-        };
-        // Construction step §III-C ①-③, in directory order on this thread:
-        // it is under 0.1 % of the build, and one registration order is
-        // what makes buffer slot indices the same for every thread count.
-        idx.register_fast_pointers(&idx.dir_ref(&epoch::pin()).models, None);
-        metrics::record_phase_ns(Phase::BulkSegment, t_segmented - t_start);
-        metrics::record_phase_ns(Phase::BulkModels, t_models - t_segmented);
-        metrics::record_phase_ns(Phase::BulkArt, t_art - t_models);
-        metrics::record_phase_ns(Phase::BulkFastPtr, metrics::now_ns() - t_art);
-        idx
+        }
     }
 
     /// Build with the default configuration.
@@ -150,87 +140,6 @@ impl AltIndex {
         unsafe { self.dir.load(Ordering::Acquire, guard).deref() }
     }
 
-    /// Register a fast pointer for each of `models` (a key-ordered run
-    /// of neighbours, reusing buffer entries via the merge scheme). A
-    /// model's interval ends at its successor's first key; `next_after`
-    /// is that bound for the last one — `None` at the directory tail,
-    /// whose open-ended interval gets no shortcut. Does nothing with fast
-    /// pointers off: every model keeps the [`NO_FAST`] it was built with.
-    pub(crate) fn register_fast_pointers(&self, models: &[Arc<GplModel>], next_after: Option<u64>) {
-        if !self.cfg.fast_pointers {
-            return;
-        }
-        for (i, m) in models.iter().enumerate() {
-            let upper = models.get(i + 1).map(|n| n.first_key).or(next_after);
-            let slot = match upper {
-                Some(u) => self.buffer.register(&self.art, m.first_key, u),
-                None => NO_FAST,
-            };
-            m.fast_slot.store(slot, Ordering::Release);
-        }
-    }
-
-    // -----------------------------------------------------------------
-    // ART access through the fast pointer buffer
-    // -----------------------------------------------------------------
-
-    /// The ART node model `m`'s fast pointer resolves to for `key`.
-    /// `None`: no shortcut applies (fast pointers off, or `key` below the
-    /// interval the pointer was registered for); `Some(0)`: one applies
-    /// but the model has none yet or its buffer entry was de-optimized.
-    ///
-    /// The caller must hold an epoch pin taken *before* reading `m` from
-    /// the directory, and keep it for as long as it uses the node (the
-    /// buffer pointer contract: the replace-hook protocol keeps the entry
-    /// current, the pin keeps the node it names from being reclaimed).
-    pub(crate) fn jump_node(&self, m: &GplModel, key: u64) -> Option<art::NodePtr> {
-        if !self.cfg.fast_pointers || key < m.first_key {
-            return None;
-        }
-        Some(match m.fast() {
-            NO_FAST => 0,
-            fs => self.buffer.get(fs),
-        })
-    }
-
-    /// ART lookup for a key routed through model `m` (the secondary query
-    /// that replaces the classic error-bounded search). Pin contract as
-    /// for [`AltIndex::jump_node`].
-    pub(crate) fn art_get(&self, m: &GplModel, key: u64) -> Option<u64> {
-        if let Some(node) = self.jump_node(m, key) {
-            if node != 0 {
-                // SAFETY: `node` comes from `jump_node` under the caller's
-                // pin, and `key` lies in the model's interval, which the
-                // jump covers.
-                if let FromResult::Done(v, _) = unsafe { self.art.get_from(node, key) } {
-                    metrics::incr(Counter::FastPtrJumpHit);
-                    return v;
-                }
-            }
-            // No shortcut, a de-optimized (zeroed) entry, or an obsolete
-            // jump node: the Fig 10(b) de-optimization path.
-            metrics::incr(Counter::FastPtrDeopt);
-        }
-        self.art.get(key)
-    }
-
-    /// ART insert routed through model `m`. Returns true if inserted,
-    /// false if the key already existed.
-    pub(crate) fn art_insert(&self, m: &GplModel, key: u64, value: u64) -> bool {
-        if let Some(node) = self.jump_node(m, key) {
-            if node != 0 {
-                // SAFETY: as in `art_get`.
-                if let FromResult::Done(ins, _) = unsafe { self.art.insert_from(node, key, value) }
-                {
-                    metrics::incr(Counter::FastPtrJumpHit);
-                    return ins;
-                }
-            }
-            metrics::incr(Counter::FastPtrDeopt);
-        }
-        self.art.insert(key, value)
-    }
-
     // -----------------------------------------------------------------
     // Point operations (Algorithm 2)
     // -----------------------------------------------------------------
@@ -255,7 +164,7 @@ impl AltIndex {
                 Probe::Absent => {}
                 // Conflict data: the direct ART query replaces the classic
                 // secondary search.
-                Probe::Art { tombstone } => match self.art_get(m, key) {
+                Probe::Art { tombstone } => match self.art.get(key) {
                     Some(v) => {
                         if self.cfg.write_back && tombstone {
                             self.try_write_back(m, pred, key);
@@ -297,7 +206,7 @@ impl AltIndex {
         m.slots.with_write(pred, |g| match g.state().probe(key) {
             Probe::Hit(value) => Some(value),
             Probe::Absent => None,
-            Probe::Art { .. } => self.art_get(m, key),
+            Probe::Art { .. } => self.art.get(key),
         })
     }
 
@@ -317,7 +226,7 @@ impl AltIndex {
     /// find a retired model. `dir_lock` bounds the retries and nothing
     /// else: `f`'s decision needs only the slot lock (lock order as in
     /// [`AltIndex::get_pessimistic`]).
-    fn with_live_model<R>(&self, key: u64, f: impl FnOnce(&ModelDir, &GplModel) -> R) -> R {
+    fn with_live_model<R>(&self, key: u64, f: impl FnOnce(&GplModel) -> R) -> R {
         let guard = epoch::pin();
         let mut retry = resilience::Retry::new();
         let mut _dl = None;
@@ -326,7 +235,7 @@ impl AltIndex {
             let m = dir.model_for(key);
             let rl = m.op_lock.read();
             if !m.is_retired() {
-                return f(dir, m);
+                return f(m);
             }
             drop(rl);
             if retry.wait_or_escalate(&crate::LAYER) {
@@ -405,7 +314,7 @@ impl AltIndex {
             Existed,
         }
         let mut want_retrain = false;
-        let placed = self.with_live_model(key, |dir, m| {
+        let placed = self.with_live_model(key, |m| {
             let pred = m.predict(key);
             let placed = m.slots.with_write(pred, |g| match g.state() {
                 SlotState::Occupied { key: k, .. } if k == key => {
@@ -425,7 +334,7 @@ impl AltIndex {
                     let in_art = if overwrite {
                         self.art.update(key, value)
                     } else {
-                        self.art_get(m, key).is_some()
+                        self.art.get(key).is_some()
                     };
                     if in_art {
                         Placed::Existed
@@ -436,7 +345,7 @@ impl AltIndex {
                 }
                 SlotState::Occupied { .. } => {
                     let in_art = overwrite && self.art.update(key, value);
-                    if in_art || !self.art_insert(m, key, value) {
+                    if in_art || !self.art.insert(key, value) {
                         Placed::Existed
                     } else {
                         Placed::Art
@@ -444,23 +353,7 @@ impl AltIndex {
                 }
             });
             if let Placed::Art = placed {
-                let overflow = m.art_inserts.fetch_add(1, Ordering::Relaxed) + 1;
-                // A model built when ART was shallow has no shortcut
-                // (or a near-root one). (Re-)resolve the LCA lazily as
-                // the subtree grows: promptly while the model has no
-                // pointer, then occasionally to chase tree growth.
-                let fs = m.fast();
-                if self.cfg.fast_pointers
-                    && ((fs == NO_FAST && overflow % 32 == 1) || overflow.is_multiple_of(256))
-                {
-                    let mi = dir.locate(key);
-                    if let Some(upper) = dir.upper_bound(mi) {
-                        let slot = self.buffer.register(&self.art, m.first_key, upper);
-                        if slot != NO_FAST {
-                            m.fast_slot.store(slot, Ordering::Release);
-                        }
-                    }
-                }
+                m.art_inserts.fetch_add(1, Ordering::Relaxed);
                 want_retrain = m.wants_retrain();
             }
             placed
@@ -482,7 +375,7 @@ impl AltIndex {
         if key == 0 {
             return Err(IndexError::ReservedKey);
         }
-        let updated = self.with_live_model(key, |_, m| {
+        let updated = self.with_live_model(key, |m| {
             m.slots.with_write(m.predict(key), |g| match g.state() {
                 SlotState::Occupied { key: k, .. } if k == key => {
                     probe::chaos::point("slots.update.locked");
@@ -506,7 +399,7 @@ impl AltIndex {
         if key == 0 {
             return None;
         }
-        let removed = self.with_live_model(key, |_, m| {
+        let removed = self.with_live_model(key, |m| {
             m.slots.with_write(m.predict(key), |g| match g.state() {
                 SlotState::Occupied { key: k, value } if k == key => {
                     // Tombstone the slot AND clear the transient ART copy
@@ -533,13 +426,12 @@ impl AltIndex {
         removed
     }
 
-    /// Approximate resident bytes: learned layer + ART + fast pointer
-    /// buffer.
+    /// Approximate resident bytes: learned layer + ART.
     pub fn memory_usage(&self) -> usize {
         let guard = epoch::pin();
         let dir = self.dir_ref(&guard);
         let learned: usize = dir.models.iter().map(|m| m.memory_usage()).sum();
-        learned + dir.memory_usage() + self.art.memory_usage() + self.buffer.memory_usage()
+        learned + dir.memory_usage() + self.art.memory_usage()
     }
 }
 
@@ -588,8 +480,9 @@ impl Drop for AltIndex {
 /// `route_floor`: when replacing a directory span whose smallest key has
 /// been removed, the first replacement model must still *route* from the
 /// old span start — otherwise keys between the old and new lower bound
-/// would fall to the previous model, outside the key interval its fast
-/// pointer was registered for (the jump-validity contract of §III-C).
+/// would fall to the previous model, while the rebuild, which owns the
+/// whole old span (its reconcile pass places whatever was written there
+/// during the build), put them in this one.
 pub(crate) fn segment_and_build(
     pairs: &[(u64, u64)],
     epsilon: f64,

@@ -10,14 +10,14 @@
 //!   predicted slot, so this layer has **no prediction error** and never
 //!   performs a secondary search.
 //! * The **ART-OPT layer** ([`art`]) holds conflict data — keys whose
-//!   predicted slot is taken — behind a **fast pointer buffer** that lets
-//!   each model resume ART searches at an intermediate node instead of
-//!   the root.
+//!   predicted slot is taken — and is searched from its root. (The
+//!   paper's fast pointer buffer, which let a model resume ART searches at
+//!   an intermediate node, was built, measured out of cache and withdrawn:
+//!   EXPERIMENTS.md "Fast pointers".)
 //!
 //! Concurrency: slot-granularity optimistic versioning in the learned
-//! layer, spin-locked appends to the pointer buffer, and optimistic lock
-//! coupling in ART (§III-E of the paper). Overcrowded models are rebuilt
-//! on the fly (§III-F).
+//! layer and optimistic lock coupling in ART (§III-E of the paper).
+//! Overcrowded models are rebuilt on the fly (§III-F).
 //!
 //! # Quick start
 //!
@@ -46,13 +46,11 @@ mod api;
 mod batch;
 pub mod config;
 pub mod dir;
-pub mod fast_ptr;
 pub mod index;
 pub mod model;
 pub mod retrain;
 pub mod scan;
 pub mod slots;
-pub mod spin;
 pub mod stats;
 
 pub use config::{default_build_threads, AltConfig};

@@ -4,11 +4,7 @@
 use crate::slots::SlotArray;
 use learned::LinearModel;
 use parking_lot::RwLock;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
-
-/// Fast-pointer slot value meaning "no shortcut; search ART from the
-/// root".
-pub const NO_FAST: u32 = u32::MAX;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// One GPL model: a linear function plus a gapped slot array. Keys stored
 /// here sit at exactly `model.predict_clamped(key, capacity)` — the layer
@@ -21,8 +17,6 @@ pub struct GplModel {
     pub model: LinearModel,
     /// Slot storage.
     pub slots: SlotArray,
-    /// Index into the fast pointer buffer ([`NO_FAST`] = root searches).
-    pub fast_slot: AtomicU32,
     /// Keys absorbed into the slots at build time (the retrain trigger
     /// compares overflow inserts against this).
     pub build_size: usize,
@@ -44,7 +38,6 @@ impl GplModel {
             first_key,
             model,
             slots: SlotArray::new(capacity.max(1)),
-            fast_slot: AtomicU32::new(NO_FAST),
             build_size,
             art_inserts: AtomicUsize::new(0),
             retired: AtomicBool::new(false),
@@ -81,12 +74,6 @@ impl GplModel {
     #[inline(always)]
     pub fn miss_is_final(&self, pred: usize, ver: u32) -> bool {
         !self.is_retired() && self.slots.version_unchanged(pred, ver)
-    }
-
-    /// The model's fast-pointer buffer slot.
-    #[inline]
-    pub fn fast(&self) -> u32 {
-        self.fast_slot.load(Ordering::Acquire)
     }
 
     /// Approximate heap bytes for this model.

@@ -119,7 +119,7 @@ impl AltIndex {
     ///    and diff the two snapshots: every key inserted, updated, or
     ///    removed during the build is applied to the still-private new
     ///    models (or to the conflict set). Then: conflicts into ART,
-    ///    fast pointers, epoch bump, RCU swap, retire, absorb.
+    ///    epoch bump, RCU swap, retire, absorb.
     ///
     /// DESIGN.md §14 argues why the swap is race-free and what a panic
     /// at each hold site leaves behind.
@@ -209,7 +209,6 @@ impl AltIndex {
         for (&k, &v) in &conflict_map {
             self.art.upsert(k, v);
         }
-        self.register_fast_pointers(&models, dir.upper_bound(mi));
 
         // Publish the new directory and retire the old snapshot. The
         // epoch bump must precede the swap: scans that saw the old epoch

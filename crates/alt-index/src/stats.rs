@@ -1,11 +1,9 @@
 //! Introspection for the paper's "inside analysis" experiments (§IV-H):
-//! layer occupancy (Fig 10(c)), fast-pointer counts with/without merging
-//! (Fig 10(b)), ART lookup lengths with/without the shortcut (Fig 10(a)),
-//! and the memory breakdown (Fig 8(a)).
+//! layer occupancy (Fig 10(c)), ART lookup lengths, and the memory
+//! breakdown (Fig 8(a)).
 
 use crate::index::AltIndex;
 use crate::slots::Probe;
-use art::FromResult;
 use crossbeam_epoch as epoch;
 
 /// A point-in-time structural snapshot of an [`crate::AltIndex`].
@@ -17,9 +15,9 @@ pub struct AltStats {
     pub keys_in_learned: usize,
     /// Live keys resident in ART.
     pub keys_in_art: usize,
-    /// Fast pointer buffer entries after merging.
+    /// Always 0: the fast pointer buffer is gone; `altbench` reads this.
     pub fast_pointers: usize,
-    /// Registrations attempted — the count without the merge scheme.
+    /// Always 0: the fast pointer buffer is gone; `altbench` reads this.
     pub fast_pointers_unmerged: usize,
     /// Completed dynamic retrains.
     pub retrains: usize,
@@ -27,7 +25,7 @@ pub struct AltStats {
     pub memory_learned: usize,
     /// Bytes in the ART layer.
     pub memory_art: usize,
-    /// Bytes in the fast pointer buffer.
+    /// Always 0: the fast pointer buffer is gone; `altbench` reads this.
     pub memory_buffer: usize,
 }
 
@@ -43,15 +41,15 @@ impl AltStats {
 
     /// Total tracked bytes.
     pub fn memory_total(&self) -> usize {
-        self.memory_learned + self.memory_art + self.memory_buffer
+        self.memory_learned + self.memory_art
     }
 }
 
-/// Result of probing how an ART-resident key is reached (Fig 10(a)).
+/// Result of probing how an ART-resident key is reached.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArtProbe {
-    /// Nodes traversed when entering through the model's fast pointer
-    /// (`None` if the model has no usable pointer).
+    /// Always `None`: no access enters ART below the root; `altbench`
+    /// reads this.
     pub jump_hops: Option<u32>,
     /// Nodes traversed from the ART root.
     pub root_hops: u32,
@@ -73,12 +71,12 @@ impl AltIndex {
             num_models: dir.len(),
             keys_in_learned,
             keys_in_art: self.art.len(),
-            fast_pointers: self.buffer.len(),
-            fast_pointers_unmerged: self.buffer.unmerged_len(),
+            fast_pointers: 0,
+            fast_pointers_unmerged: 0,
             retrains: self.retrain_count(),
             memory_learned,
             memory_art: self.art.memory_usage(),
-            memory_buffer: self.buffer.memory_usage(),
+            memory_buffer: 0,
         }
     }
 
@@ -94,15 +92,6 @@ impl AltIndex {
             .iter()
             .map(|m| (m.first_key, m.slots.capacity(), m.build_size))
             .collect()
-    }
-
-    /// Every model's fast-pointer buffer slot index, in directory order.
-    /// Registration runs in that order on one thread, so the indices are
-    /// the same for every `build_threads` (the build-equivalence suite).
-    pub fn fast_slots(&self) -> Vec<u32> {
-        let guard = epoch::pin();
-        let dir = self.dir_ref(&guard);
-        dir.models.iter().map(|m| m.fast()).collect()
     }
 
     /// FNV-1a digest of the learned layer's physical layout: every model's
@@ -134,9 +123,9 @@ impl AltIndex {
         h
     }
 
-    /// For a key resident in the ART layer, measure the lookup length with
-    /// and without the fast-pointer shortcut. Returns `None` if the key is
-    /// not an ART resident (slot hit or absent).
+    /// For a key resident in the ART layer, measure the lookup length from
+    /// the root. Returns `None` if the key is not an ART resident (slot
+    /// hit or absent).
     pub fn probe_art_hops(&self, key: u64) -> Option<ArtProbe> {
         if key == 0 {
             return None;
@@ -150,17 +139,8 @@ impl AltIndex {
         };
         let (found_root, root_hops) = self.art.get_with_depth(key);
         found_root?;
-        let jump_hops = match self.jump_node(m, key) {
-            // SAFETY: buffer-maintained pointer under the pin taken above
-            // (`guard`).
-            Some(node) if node != 0 => match unsafe { self.art.get_from(node, key) } {
-                FromResult::Done(Some(_), hops) => Some(hops),
-                _ => None,
-            },
-            _ => None,
-        };
         Some(ArtProbe {
-            jump_hops,
+            jump_hops: None,
             root_hops,
         })
     }
@@ -193,87 +173,25 @@ mod tests {
     }
 
     #[test]
-    fn merge_scheme_reduces_pointer_count() {
-        let pairs: Vec<(u64, u64)> = (1..=50_000u64).map(|i| (i * 97 + i * i / 500, i)).collect();
-        let mut dedup = pairs;
-        dedup.dedup_by_key(|p| p.0);
-        let idx = AltIndex::bulk_load_with(
-            &dedup,
-            AltConfig {
-                epsilon: Some(64.0),
-                ..Default::default()
-            },
-        );
-        let s = idx.stats();
-        if s.fast_pointers_unmerged > 0 {
-            assert!(
-                s.fast_pointers <= s.fast_pointers_unmerged,
-                "merged {} !<= unmerged {}",
-                s.fast_pointers,
-                s.fast_pointers_unmerged
-            );
-        }
-        // Pointers never outnumber models (the paper's §III-C claim).
-        assert!(s.fast_pointers <= s.num_models);
-    }
-
-    #[test]
-    fn probe_reports_shorter_jumps() {
-        // The shortcut pays off when models are *narrow* relative to the
-        // ART's top-level fanout: many clusters scattered across the high
-        // bytes (root fanout), each dense cluster split into several
-        // models by curvature (deep interior LCAs). Stride-4 keys with +1
-        // inserts guarantee conflicts.
-        let cluster_key = |b: u64, i: u64| ((b + 1) << 40) + i * 4 + (i * i / 5_000) * 4;
-        let mut pairs: Vec<(u64, u64)> = Vec::new();
-        for b in 0..16u64 {
-            pairs.extend((1..=20_000u64).map(|i| (cluster_key(b, i), i)));
-        }
-        pairs.sort_unstable_by_key(|p| p.0);
-        pairs.dedup_by_key(|p| p.0);
-        let idx = AltIndex::bulk_load_with(
-            &pairs,
-            AltConfig {
-                epsilon: Some(8.0),
-                retrain: false,
-                ..Default::default()
-            },
-        );
-        assert!(
-            idx.stats().num_models > 32,
-            "need several models per cluster"
-        );
-        // Conflicts across every cluster's interior.
-        let conflicts: Vec<u64> = (0..16u64)
-            .flat_map(|b| (8_000..8_500u64).map(move |i| cluster_key(b, i) + 1))
-            .collect();
-        for (n, &k) in conflicts.iter().enumerate() {
-            idx.insert(k, n as u64).unwrap();
-        }
-        let mut probed = 0;
-        let mut improved = 0;
-        for &k in &conflicts {
-            if let Some(p) = idx.probe_art_hops(k) {
-                probed += 1;
-                if let Some(j) = p.jump_hops {
-                    assert!(j <= p.root_hops, "jump {j} > root {}", p.root_hops);
-                    if j < p.root_hops {
-                        improved += 1;
-                    }
-                }
-            }
-        }
-        assert!(probed > 0, "expected some ART residents");
-        // On a dense cluster most jumps skip at least the root.
-        assert!(improved > 0, "no probe improved over root lookup");
-    }
-
-    #[test]
-    fn probe_returns_none_for_slot_residents_and_absent_keys() {
+    fn probe_classifies_art_residents_and_counts_root_hops() {
         let pairs: Vec<(u64, u64)> = (1..=1_000u64).map(|i| (i * 10, i)).collect();
         let idx = AltIndex::bulk_load_default(&pairs);
         assert_eq!(idx.probe_art_hops(10), None, "slot resident");
         assert_eq!(idx.probe_art_hops(11), None, "absent key");
         assert_eq!(idx.probe_art_hops(0), None, "reserved key");
+        // Neighbours of a slot resident: those that collide with it live
+        // in ART, and the probe's length is the tree's own.
+        for k in 5_001..5_010u64 {
+            idx.insert(k, k).unwrap();
+        }
+        let in_art: Vec<_> = (5_001..5_010u64)
+            .filter_map(|k| idx.probe_art_hops(k).map(|p| (k, p)))
+            .collect();
+        assert_eq!(in_art.len(), idx.stats().keys_in_art);
+        assert!(!in_art.is_empty(), "expected some ART residents");
+        for (k, p) in in_art {
+            assert_eq!(p.jump_hops, None);
+            assert_eq!((Some(k), p.root_hops), idx.art.get_with_depth(k));
+        }
     }
 }

@@ -25,7 +25,6 @@ fn configs() -> Vec<(&'static str, AltConfig)> {
         (
             "no-features",
             AltConfig {
-                fast_pointers: false,
                 retrain: false,
                 write_back: false,
                 ..Default::default()

@@ -9,11 +9,8 @@
 //! * **slot placements** — byte-equal learned-layer layout
 //!   (`learned_layout_digest`);
 //! * **conflict set** — the same keys evicted into ART, checked per key
-//!   via `probe_art_hops` (Some/None partition) and `stats()` layer
-//!   counts;
-//! * **fast pointers** — equal `jump_hops` per ART resident, and equal
-//!   buffer slot *indices* per model (`fast_slots`): registration runs in
-//!   directory order on one thread whatever the thread count;
+//!   via `probe_art_hops` (Some/None partition, equal `root_hops` per ART
+//!   resident) and `stats()` layer counts;
 //! * **behaviour** — per-key `get`, full `range` scan, and absent-key
 //!   probes agree.
 //!
@@ -53,11 +50,6 @@ fn assert_equivalent(serial: &AltIndex, par: &AltIndex, pairs: &[(u64, u64)], la
         par.learned_layout_digest(),
         "{label}: slot placements differ"
     );
-    assert_eq!(
-        serial.fast_slots(),
-        par.fast_slots(),
-        "{label}: fast-pointer buffer slot indices differ"
-    );
     let (ss, ps) = (serial.stats(), par.stats());
     assert_eq!(
         ss.keys_in_learned, ps.keys_in_learned,
@@ -75,7 +67,7 @@ fn assert_equivalent(serial: &AltIndex, par: &AltIndex, pairs: &[(u64, u64)], la
         let (sp, pp) = (serial.probe_art_hops(k), par.probe_art_hops(k));
         assert_eq!(
             sp, pp,
-            "{label}: key {k} conflict placement / fast-pointer probe"
+            "{label}: key {k} conflict placement / lookup length"
         );
         // An absent neighbour must be absent in both.
         let miss = k + 1;

@@ -2,13 +2,12 @@
 //!
 //! `node::alloc` / `node::make_leaf` used to go through `Box::into_raw`,
 //! i.e. one `malloc` per node. That scatters sibling nodes across the
-//! heap, which defeats exactly the locality the fast-pointer jumps and
-//! the AMAC ring prefetches (DESIGN.md §13) try to exploit: a prefetch
-//! buys nothing when every pointer chase lands on a different page. This
-//! arena hands out nodes from large size-class chunks instead, so nodes
-//! allocated together (bulk build, subtree growth) sit densely on the
-//! same few pages, and a freed node's slot is recycled for the next node
-//! of the same class.
+//! heap, which defeats exactly the locality the AMAC ring prefetches
+//! (DESIGN.md §13) try to exploit: a prefetch buys nothing when every
+//! pointer chase lands on a different page. This arena hands out nodes
+//! from large size-class chunks instead, so nodes allocated together
+//! (bulk build, subtree growth) sit densely on the same few pages, and a
+//! freed node's slot is recycled for the next node of the same class.
 //!
 //! Design constraints (full argument: DESIGN.md §15):
 //!
@@ -27,9 +26,7 @@
 //!   is never handed out while a pre-retirement reader could still
 //!   dereference it. After reuse the memory is a *different live node of
 //!   the same class* — reachable-pointer readers racing a recycle are
-//!   already impossible by the epoch argument; stale fast-pointer entries
-//!   go through `buffer_slot` repair on replacement (§III-C), same as
-//!   with `Box`.
+//!   already impossible by the epoch argument, same as with `Box`.
 //! * **Leaf tag bit.** Tagged pointers use bit 0 to mark leaves, so every
 //!   slot must be at least 2-aligned. Slots are 8-or-64-byte aligned
 //!   (below), which also keeps the atomics inside nodes naturally

@@ -80,38 +80,6 @@ impl Art {
         }
     }
 
-    /// Start a batched lookup for `key` from `start`, a fast-pointer
-    /// node. Falls back to a root cursor if the node is unusable
-    /// (null/leaf/obsolete) — the same de-optimization as
-    /// [`Art::get_from`], minus its entry metrics (the caller records
-    /// the handoff split itself).
-    ///
-    /// # Safety
-    /// Same contract as [`Art::get_from`]: `start` must come from
-    /// [`Art::lca_node`] on this tree, be kept current through the
-    /// [`crate::ReplaceHook`] protocol, and cover the searched key; the
-    /// caller must hold one epoch pin from before reading the slot until
-    /// the cursor is finished.
-    #[inline]
-    pub unsafe fn batch_cursor_from(&self, start: NodePtr, key: u64) -> BatchCursor {
-        if start == 0 || node::is_leaf(start) {
-            return self.batch_cursor(key);
-        }
-        let hdr = node::header(start);
-        if hdr.version.is_obsolete() {
-            return self.batch_cursor(key);
-        }
-        prefetch_node(start);
-        BatchCursor {
-            key,
-            p: start,
-            depth: hdr.match_level(),
-            parent: 0,
-            parent_v: 0,
-            retry: resilience::Retry::new(),
-        }
-    }
-
     /// Advance `cur` by one hop of the optimistic descent.
     ///
     /// # Safety
@@ -281,27 +249,5 @@ mod tests {
         let mut out = vec![Some(7); 3];
         t.get_batch_amac(&[1, 2, 3], &mut out);
         assert_eq!(out, vec![None; 3]);
-    }
-
-    #[test]
-    fn cursor_from_fast_pointer_finds_subtree_keys() {
-        let t = sample_tree();
-        let base = 0x0102_0304_0000_0000u64;
-        let (node, _) = t.lca_node(base + 3, base + 512 * 3).expect("lca");
-        let _guard = crossbeam_epoch::pin();
-        // SAFETY: pointer fresh from lca_node under the pin; no mutation.
-        unsafe {
-            let mut cur = t.batch_cursor_from(node, base + 33 * 3);
-            loop {
-                match t.batch_step(&mut cur) {
-                    BatchStep::Pending => {}
-                    BatchStep::Done(v) => {
-                        assert_eq!(v, Some(33));
-                        break;
-                    }
-                    BatchStep::Escalate => panic!("uncontended descent escalated"),
-                }
-            }
-        }
     }
 }

@@ -4,16 +4,15 @@
 //! This crate is both a substrate and a baseline for the ALT-index
 //! reproduction:
 //!
-//! * As a **substrate**, it is the ART-OPT layer of ALT-index: every node
-//!   carries a `match_level` (its depth in key bytes) and a fast-pointer
-//!   `buffer_slot`, and the tree fires a [`ReplaceHook`] whenever a node
-//!   referenced by the fast-pointer buffer is replaced (node expansion,
-//!   prefix extraction, shrink, or merge) — the two invalidation scenarios
-//!   of §III-C of the paper. The [`Art::lca_node`] / [`Art::get_from`] /
-//!   [`Art::insert_from`] entry points let ALT-index resume searches from
-//!   an intermediate node instead of the root.
+//! * As a **substrate**, it is the ART-OPT layer of ALT-index, holding the
+//!   conflict data of the learned layer; every node carries a
+//!   `match_level` (its depth in key bytes).
 //! * As a **baseline**, it is the "ART" competitor of Table I and
-//!   Figs 7-9 (plain root-based operations).
+//!   Figs 7-9.
+//!
+//! Both enter the tree at the root: the paper's fast pointers (§III-C,
+//! searches resumed at an intermediate node) were built, measured out of
+//! cache and withdrawn — EXPERIMENTS.md "Fast pointers".
 //!
 //! Concurrency: readers are lock-free (version validation + epoch-based
 //! reclamation via `crossbeam-epoch`); writers lock at most a parent/child
@@ -40,10 +39,10 @@ mod tree;
 
 pub use arena::{arena_alloc_fail_count, arena_allocated_bytes};
 pub use batch::{BatchCursor, BatchStep, RING_WIDTH};
-pub use node::{key_byte, key_bytes, NodePtr, NodeType, MAX_PREFIX, NO_SLOT};
+pub use node::{key_byte, key_bytes, NodePtr, NodeType, MAX_PREFIX};
 pub use olc::VersionLock;
 pub use stats::ArtStats;
-pub use tree::{Art, FromResult, ReplaceHook, SetSlotResult};
+pub use tree::Art;
 
 use probe::metrics::Counter;
 

@@ -10,20 +10,13 @@
 //! * Keys are fixed 8-byte big-endian `u64`s, so an internal node's
 //!   compressed prefix is at most 7 bytes. The prefix bytes, prefix
 //!   length, and the node's `match_level` (its depth in key bytes — the
-//!   ALT-index paper's addition for fast-pointer jumps, §III-C) are packed
-//!   into one `AtomicU64` so they update atomically during prefix
-//!   extraction.
+//!   ALT-index paper's addition, §III-C) are packed into one `AtomicU64`
+//!   so they update atomically during prefix extraction.
 //! * Child pointers are `usize` with bit 0 tagging leaves. Null is 0.
-//! * Each header carries a `buffer_slot`: the index of the fast-pointer
-//!   buffer entry referencing this node (`NO_SLOT` if none), so node
-//!   replacement can repair the buffer in O(1).
 
 use crate::olc::VersionLock;
 use std::mem::{needs_drop, offset_of};
-use std::sync::atomic::{AtomicU16, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-
-/// Sentinel for "no fast-pointer buffer entry references this node".
-pub const NO_SLOT: u32 = u32::MAX;
+use std::sync::atomic::{AtomicU16, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 
 /// Maximum stored prefix bytes (8-byte keys → at most 7 shared bytes
 /// before a discriminating byte).
@@ -59,8 +52,6 @@ pub struct NodeHeader {
     pub node_type: NodeType,
     /// Number of live children.
     num_children: AtomicU16,
-    /// Fast-pointer buffer entry referencing this node, or [`NO_SLOT`].
-    pub buffer_slot: AtomicU32,
 }
 
 impl NodeHeader {
@@ -70,7 +61,6 @@ impl NodeHeader {
             prefix_word: AtomicU64::new(0),
             node_type,
             num_children: AtomicU16::new(0),
-            buffer_slot: AtomicU32::new(NO_SLOT),
         }
     }
 
@@ -214,8 +204,8 @@ pub fn is_leaf(p: NodePtr) -> bool {
 ///
 /// Leaves (and internal nodes, see [`alloc`]) come from the size-class
 /// slab arena (`crate::arena`), not the global allocator: nodes created
-/// together sit densely on the same pages, which is what makes the
-/// fast-pointer jumps and AMAC ring prefetches pay off. Arena slots are
+/// together sit densely on the same pages, which is what makes the AMAC
+/// ring prefetches pay off. Arena slots are
 /// ≥16-aligned, so bit 0 is always free for the leaf tag.
 pub fn make_leaf(key: u64, value: u64) -> NodePtr {
     arena_new(Leaf {
@@ -648,22 +638,20 @@ pub unsafe fn next_child(p: NodePtr, pos: usize, lo: u8, hi: u8) -> Option<(usiz
     }
 }
 
-/// A fresh, unshared `node_type` node with `p`'s children, prefix, match
-/// level and fast-pointer buffer slot.
+/// A fresh, unshared `node_type` node with `p`'s children, prefix and
+/// match level.
 unsafe fn copy_as(p: NodePtr, node_type: NodeType) -> NodePtr {
     let (src, newp) = (header(p), alloc(node_type));
     let dst = header(newp);
     let (bytes, len, lvl) = src.prefix();
     dst.set_prefix(&bytes[..len], lvl);
-    dst.buffer_slot
-        .store(src.buffer_slot.load(Ordering::Acquire), Ordering::Release);
     for_each_child(p, |b, c| insert_child(newp, b, c));
     newp
 }
 
-/// Grow a full node into the next larger type, copying children, prefix,
-/// match level, and the fast-pointer buffer slot. The original node must
-/// be write-locked; the returned node is fresh and unshared.
+/// Grow a full node into the next larger type, copying children, prefix
+/// and match level. The original node must be write-locked; the returned
+/// node is fresh and unshared.
 ///
 /// # Safety
 /// `p` live internal node, write lock held.
@@ -693,8 +681,7 @@ pub unsafe fn shrink_candidate(p: NodePtr) -> bool {
 
 /// Clone a node (same type, same children/prefix/metadata) — used when a
 /// node's prefix must change: the original is replaced and marked
-/// obsolete instead of mutated in place, so stale fast-pointer jumps can
-/// never descend with outdated path bytes.
+/// obsolete instead of mutated in place.
 ///
 /// # Safety
 /// `p` live internal node, write lock held by the caller.
@@ -800,8 +787,8 @@ mod tests {
 
     /// `grow`, `shrink` and `clone_node` all copy through `insert_child`:
     /// whatever the source and destination kinds, the copy has the expected
-    /// type and the source's children (in byte order), count, prefix,
-    /// match level and buffer slot, and answers every search alike.
+    /// type and the source's children (in byte order), count, prefix and
+    /// match level, and answers every search alike.
     #[test]
     fn grow_preserves_children_and_metadata() {
         use NodeType::*;
@@ -827,7 +814,6 @@ mod tests {
             unsafe {
                 let p = alloc(from);
                 header(p).set_prefix(&[7, 8], 3);
-                header(p).buffer_slot.store(42, Ordering::Relaxed);
                 header(p).version.lock();
                 // 37 is odd, so the bytes are distinct — and out of order.
                 let mut bytes: Vec<u8> = (0..n).map(|i| (i * 37 % 256) as u8).collect();
@@ -840,7 +826,6 @@ mod tests {
                 assert_eq!(header(new).count(), n, "{from:?} -> {to:?}");
                 let (prefix, len, lvl) = header(new).prefix();
                 assert_eq!((&prefix[..len], lvl), (&[7u8, 8][..], 3));
-                assert_eq!(header(new).buffer_slot.load(Ordering::Relaxed), 42);
                 let mut seen = Vec::new();
                 for_each_child(new, |b, c| {
                     assert_eq!(leaf_ref(c).key, b as u64);

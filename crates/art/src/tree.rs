@@ -1,49 +1,11 @@
 //! The concurrent ART structure: construction, point lookups, inserts,
 //! updates, and removals with optimistic lock coupling.
 
-use crate::node::{self, NodePtr, NodeType, NO_SLOT};
+use crate::node::{self, NodePtr, NodeType};
 use crate::olc::Version;
 use crossbeam_epoch::{self as epoch, Guard};
 use probe::striped::Striped;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-
-/// Callback fired when a node referenced by the fast-pointer buffer is
-/// replaced or removed. `new_node == 0` means "no valid replacement;
-/// de-optimize this entry to a root search".
-///
-/// The hook runs while the replaced node's write lock is held, so for a
-/// given buffer slot, invocations are serialized with
-/// [`Art::try_set_buffer_slot`].
-pub trait ReplaceHook: Send + Sync {
-    /// Buffer entry `slot` must now point at `new_node` (or 0 to fall back
-    /// to root searches).
-    fn node_replaced(&self, slot: u32, new_node: NodePtr);
-}
-
-/// Result of [`Art::try_set_buffer_slot`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SetSlotResult {
-    /// The slot was installed on the node.
-    Installed,
-    /// The node already carries a buffer slot (the paper's merge scheme:
-    /// reuse this one instead).
-    Merged(u32),
-    /// The node was replaced concurrently; re-resolve and retry.
-    Obsolete,
-}
-
-/// Result of a jump-started operation ([`Art::get_from`] /
-/// [`Art::insert_from`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FromResult<T> {
-    /// The operation completed from the jump node; payload plus the number
-    /// of nodes traversed (the Fig 10(a) "lookup length" metric).
-    Done(T, u32),
-    /// The jump node was obsolete or the operation needs the jump node's
-    /// parent; retry from the root.
-    Fallback,
-}
 
 /// A concurrent adaptive radix tree mapping `u64` keys to `u64` values.
 pub struct Art {
@@ -53,15 +15,13 @@ pub struct Art {
     /// writes a stripe of its own: as two plain atomics beside `root` they
     /// were the one line all writers (and every reader's root load)
     /// contended for. `Striped` is 128-aligned and a whole number of
-    /// lines, which leaves `root` and `hook` on a line nothing writes per
-    /// operation.
+    /// lines, which leaves `root` on a line nothing writes per operation.
     count: Striped,
     mem: Striped,
-    pub(crate) hook: Option<Arc<dyn ReplaceHook>>,
 }
 
 // SAFETY: all shared state is managed through atomics, version locks, and
-// epoch-based reclamation; the hook is `Send + Sync` by its trait bound.
+// epoch-based reclamation.
 unsafe impl Send for Art {}
 // SAFETY: as for `Send` — `&Art` only exposes the atomics and the
 // version-locked, epoch-protected node graph behind `root`.
@@ -87,15 +47,7 @@ impl Art {
             root: AtomicUsize::new(0),
             count: Striped::new(),
             mem: Striped::new(),
-            hook: None,
         }
-    }
-
-    /// An empty tree that fires `hook` on fast-pointer invalidations.
-    pub fn with_hook(hook: Arc<dyn ReplaceHook>) -> Self {
-        let mut tree = Self::new();
-        tree.hook = Some(hook);
-        tree
     }
 
     /// Number of keys in the tree (racy under concurrency, exact at rest).
@@ -144,15 +96,6 @@ impl Art {
         self.count.sub(1);
     }
 
-    /// Fire the replace hook if `slot` is a live buffer slot.
-    pub(crate) fn fire_hook(&self, slot: u32, new_node: NodePtr) {
-        if slot != NO_SLOT {
-            if let Some(h) = &self.hook {
-                h.node_replaced(slot, new_node);
-            }
-        }
-    }
-
     // -----------------------------------------------------------------
     // Lookup
     // -----------------------------------------------------------------
@@ -175,7 +118,7 @@ impl Art {
         loop {
             let root = self.root.load(Ordering::Acquire);
             // SAFETY: `root` was just read from this tree under `guard`.
-            if let Ok(found) = unsafe { descend_leaf(root, key, 0) } {
+            if let Ok(found) = unsafe { descend_leaf(root, key) } {
                 return found;
             }
             if retry.wait_or_escalate(&crate::LAYER) {
@@ -393,26 +336,22 @@ impl Art {
         self.mem.sub(size as u64);
     }
 
-    /// Descend from internal node `start` (at its own match level) and
-    /// perform the insert. `start` is the tree root or the node a jump
-    /// landed on ([`Art::insert_from`]); nothing above it is known, so a
-    /// change that replaces `start` itself (prefix extraction, expansion)
-    /// goes through only at the root and is [`Abort::NeedsParent`]
-    /// anywhere else.
+    /// Descend from the internal root node `root` and perform the
+    /// insert.
     ///
     /// Not the shared [`hop`]: a prefix mismatch here is not a miss but
     /// the place to split, so the walk needs *where* the prefix diverged.
-    pub(crate) fn descend_insert(
+    fn descend_insert(
         &self,
-        start: NodePtr,
+        root: NodePtr,
         key: u64,
         value: u64,
         overwrite: bool,
         guard: &Guard,
     ) -> Result<bool, Abort> {
-        let mut at = At::top(start);
-        // SAFETY: pinned epoch; start is internal by contract.
-        let mut depth = unsafe { node::header(start) }.match_level();
+        let mut at = At::top(root);
+        // SAFETY: pinned epoch; root is internal by contract.
+        let mut depth = unsafe { node::header(root) }.match_level();
         loop {
             // SAFETY: pinned epoch.
             let hdr = unsafe { node::header(at.p) };
@@ -429,8 +368,8 @@ impl Art {
             // 1) Prefix comparison.
             let mismatch = prefix_mismatch(&prefix[..plen], key, depth);
             if mismatch < plen {
-                // Prefix extraction (§III-C scenario ①): insert a new
-                // parent discriminating at depth + mismatch.
+                // Prefix extraction: insert a new parent discriminating
+                // at depth + mismatch.
                 self.split_prefix(at, &prefix[..plen], mismatch, depth, key, value, guard)?;
                 self.bump_count();
                 return Ok(true);
@@ -537,19 +476,13 @@ impl Art {
     /// by upgrading the descent's snapshots. A failed upgrade releases
     /// what was taken and restarts.
     ///
-    /// A parentless `at.p` must be the tree root, checked *before* the
-    /// upgrade and before the caller allocates anything: a root slot that
-    /// points to an internal node only changes under that node's write
-    /// lock, so `root == p` seen between the snapshot and a successful
-    /// upgrade still holds under the lock, and [`Art::publish`]'s CAS
-    /// cannot fail. Otherwise `p` is the start of a jump, whose parent
-    /// only a descent from the root would know.
+    /// A parentless `at.p` is the node the descent loaded from the root
+    /// slot before it took the snapshot `at.v`. A root slot that points to
+    /// an internal node only changes under that node's write lock, which
+    /// leaves the node obsolete — so a successful upgrade of `at.v` proves
+    /// `p` is still the root, and [`Art::publish`]'s CAS cannot fail.
     fn lock_with_parent(&self, at: At) -> Result<(), Abort> {
-        if at.parent == 0 {
-            if self.root.load(Ordering::Acquire) != at.p {
-                return Err(Abort::NeedsParent);
-            }
-        } else {
+        if at.parent != 0 {
             // SAFETY: pinned epoch.
             let phdr = unsafe { node::header(at.parent) };
             if !phdr.version.upgrade(at.parent_v) {
@@ -575,7 +508,7 @@ impl Art {
     /// Publish `new` in the slot the write-locked `at.p` hangs from — its
     /// parent's child pointer, or the tree root — and release the parent.
     /// The caller holds the locks of [`Art::lock_with_parent`] and goes on
-    /// to move `p`'s buffer slot, mark `p` obsolete and retire it.
+    /// to mark `p` obsolete and retire it.
     fn publish(&self, at: At, new: NodePtr) {
         if at.parent != 0 {
             // SAFETY: parent write-locked; `parent_byte` maps to `p`.
@@ -594,13 +527,10 @@ impl Art {
     /// at `mismatch`. Create a new parent Node4 covering the shared part,
     /// with a *demoted copy* of `p` (shorter prefix, deeper match level)
     /// and a new leaf as children; `p` itself is marked obsolete and
-    /// retired. Transfers `p`'s fast-pointer slot to the new parent
-    /// (§III-C scenario ①).
+    /// retired.
     ///
     /// `p` is replaced rather than demoted in place: a node's
-    /// (prefix, match_level) never changes while it is live, so a stale
-    /// fast-pointer jump can never descend with outdated path bytes — it
-    /// finds the node obsolete and falls back to the root.
+    /// (prefix, match_level) never changes while it is live.
     #[allow(clippy::too_many_arguments)]
     fn split_prefix(
         &self,
@@ -626,9 +556,6 @@ impl Art {
         unsafe {
             let dhdr = node::header(demoted);
             dhdr.set_prefix(&prefix[mismatch + 1..], depth + mismatch + 1);
-            // The buffer slot stays with the path position, i.e. moves to
-            // the new parent, not the demoted copy.
-            dhdr.buffer_slot.store(NO_SLOT, Ordering::Release);
             let nhdr = node::header(newp);
             nhdr.set_prefix(&prefix[..mismatch], depth);
             nhdr.version.lock();
@@ -637,26 +564,12 @@ impl Art {
             nhdr.version.unlock();
         }
         self.publish(at, newp);
-        // Move the buffer slot to the new parent (§III-C ①: "this GPL
-        // model's fast pointer needs to be updated to this newly created
-        // node").
-        // SAFETY: p write-locked.
-        let hdr = unsafe { node::header(p) };
-        let slot = hdr.buffer_slot.swap(NO_SLOT, Ordering::AcqRel);
-        if slot != NO_SLOT {
-            // SAFETY: newp live (just published).
-            unsafe { node::header(newp) }
-                .buffer_slot
-                .store(slot, Ordering::Release);
-            self.fire_hook(slot, newp);
-        }
-        hdr.version.unlock_obsolete();
-        self.retire(guard, p);
+        self.retire_replaced(p, guard);
         Ok(())
     }
 
-    /// Node expansion (§III-C scenario ②): `p` is full; replace it with
-    /// the next larger node type, then insert.
+    /// Node expansion: `p` is full; replace it with the next larger node
+    /// type, then insert.
     fn grow_and_insert(
         &self,
         at: At,
@@ -674,19 +587,13 @@ impl Art {
         // SAFETY: big fresh and unshared.
         unsafe { node::insert_child(big, byte, leaf) };
         self.publish(at, big);
-        self.retire_replaced(at.p, big, guard);
+        self.retire_replaced(at.p, guard);
         Ok(())
     }
 
-    /// Finish replacing the write-locked `p` by its published same-shape
-    /// copy `new` (a grow or a shrink, which carried `p`'s buffer slot
-    /// over): repoint the fast pointer, mark `p` obsolete, retire it.
-    fn retire_replaced(&self, p: NodePtr, new: NodePtr, guard: &Guard) {
-        // SAFETY: `new` is live (just published).
-        let slot = unsafe { node::header(new) }
-            .buffer_slot
-            .load(Ordering::Acquire);
-        self.fire_hook(slot, new);
+    /// Finish replacing the write-locked `p`, whose replacement is
+    /// published: mark `p` obsolete, retire it.
+    fn retire_replaced(&self, p: NodePtr, guard: &Guard) {
         // SAFETY: `p` is still write-locked by the caller.
         unsafe { node::header(p) }.version.unlock_obsolete();
         self.retire(guard, p);
@@ -806,7 +713,7 @@ impl Art {
             let small = unsafe { node::shrink(p) };
             self.track_alloc(small);
             self.publish(at, small);
-            self.retire_replaced(p, small, guard);
+            self.retire_replaced(p, guard);
             self.retire(guard, child);
             return Ok(());
         }
@@ -827,9 +734,7 @@ impl Art {
         // An internal sibling absorbs p's prefix plus the
         // discriminating byte. Like prefix extraction, this is done on
         // a *copy* — a live node's (prefix, match_level) never changes
-        // — and the original sibling is retired as obsolete so stale
-        // fast-pointer jumps fall back instead of descending with
-        // outdated path bytes.
+        // — and the original sibling is retired as obsolete.
         let replacement = if node::is_leaf(sibling) {
             sibling
         } else {
@@ -860,39 +765,14 @@ impl Art {
             self.track_alloc(copy);
             // SAFETY: copy fresh and unshared.
             unsafe { node::header(copy) }.set_prefix(&combined[..n], plvl);
-            // The copy inherited the sibling's own buffer slot (if
-            // any); the hook fires after publication below. The sibling
-            // stays locked until then.
+            // The sibling stays locked until the copy is published.
             copy
         };
         self.publish(at, replacement);
         if replacement != sibling {
-            // SAFETY: sibling still write-locked from above.
-            let shdr = unsafe { node::header(sibling) };
-            let s2 = shdr.buffer_slot.load(Ordering::Acquire);
-            self.fire_hook(s2, replacement);
-            shdr.version.unlock_obsolete();
-            self.retire(guard, sibling);
+            self.retire_replaced(sibling, guard);
         }
-        // p disappears. Its buffer slot (if any) cannot follow a leaf;
-        // repoint internal replacements, de-optimize otherwise
-        // (§III-C: the buffer "will find that invalid pointer and
-        // update its value to prevent illegal visits").
-        let slot = hdr.buffer_slot.swap(NO_SLOT, Ordering::AcqRel);
-        if slot != NO_SLOT {
-            // Only take the slot if the replacement is internal and has
-            // none (slots are 1:1 with nodes); otherwise fall back to
-            // root jumps.
-            let moved = !node::is_leaf(replacement)
-                // SAFETY: replacement is live (just linked).
-                && unsafe { node::header(replacement) }
-                    .buffer_slot
-                    .compare_exchange(NO_SLOT, slot, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok();
-            self.fire_hook(slot, if moved { replacement } else { 0 });
-        }
-        hdr.version.unlock_obsolete();
-        self.retire(guard, p);
+        self.retire_replaced(p, guard);
         self.retire(guard, child);
         Ok(())
     }
@@ -904,14 +784,11 @@ pub(crate) enum Abort {
     /// A version check or lock upgrade failed: retry from the attempt's
     /// entry point.
     Restart,
-    /// The change would replace a node whose parent the descent never saw
-    /// — the start of a jump. Only a descent from the root can make it.
-    NeedsParent,
 }
 
 /// Where a writer's descent stands: node `p` snapshotted at version `v`,
 /// hanging under byte `parent_byte` of `parent` snapshotted at `parent_v`.
-/// `parent == 0` at the top of the descent: the root, or a jump's start.
+/// `parent == 0` at the top of the descent: the root.
 #[derive(Clone, Copy)]
 struct At {
     p: NodePtr,
@@ -964,7 +841,7 @@ pub(crate) enum Hop {
 
 /// One hop of the optimistic-lock-coupled descent, the step every
 /// key-directed walk of the tree shares (point reads, `update`, `remove`,
-/// jumps, the batch engine): snapshot `p`'s version, re-validate the
+/// the batch engine): snapshot `p`'s version, re-validate the
 /// coupled parent, match `p`'s compressed prefix against `key` at
 /// `depth`, find the child for the next key byte, validate.
 ///
@@ -1037,22 +914,16 @@ pub(crate) fn prefix_mismatch(prefix: &[u8], key: u64, depth: usize) -> usize {
     prefix.len()
 }
 
-/// One optimistic descent from `start` (the root at depth 0, or a jump
-/// node at its match level) to `key`'s leaf. Returns the leaf, if the key
-/// is there, and the number of nodes visited — every node, the leaf
-/// included, a null child not (Fig 10(a)'s lookup length). `Err` =
-/// restart.
+/// One optimistic descent from `root` to `key`'s leaf. Returns the leaf,
+/// if the key is there, and the number of nodes visited — every node, the
+/// leaf included, a null child not (the lookup length). `Err` = restart.
 ///
 /// # Safety
-/// `start` is null or was read from a tree under an epoch pin the caller
-/// still holds, and `depth` is its key depth.
+/// `root` is null or was read from a tree's root slot under an epoch pin
+/// the caller still holds.
 #[inline]
-pub(crate) unsafe fn descend_leaf(
-    start: NodePtr,
-    key: u64,
-    depth: usize,
-) -> Result<(Option<NodePtr>, u32), Abort> {
-    let (mut p, mut depth) = (start, depth);
+unsafe fn descend_leaf(root: NodePtr, key: u64) -> Result<(Option<NodePtr>, u32), Abort> {
+    let (mut p, mut depth) = (root, 0);
     let (mut parent, mut parent_v) = (0, 0);
     let mut hops = 0u32;
     loop {
@@ -1304,6 +1175,96 @@ mod tests {
             } else {
                 assert_eq!(t.get(k), None, "even {k}");
             }
+        }
+    }
+
+    /// Readers descending from the root keep finding the keys *below* a
+    /// non-root node while writers replace it — the restart a racing
+    /// `split_prefix` / `grow_and_insert` / shrink / merge must force.
+    /// The stable cluster hangs off one depth-1 node with a five-byte
+    /// compressed prefix. A writer's cycle inserts keys that diverge
+    /// inside that prefix (the first extracts it; the fifth child grows
+    /// the new parent) and keys beside the stable ones (their leaf parents
+    /// grow N48 → N256), then removes them all again (shrinks, and a merge
+    /// that re-concatenates the prefix).
+    #[test]
+    fn root_readers_find_keys_below_a_non_root_node_being_replaced() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Barrier;
+        let base = 0x0102_0304_0500_0000u64;
+        let stable: Vec<u64> = (1..=2_000u64).map(|i| base + i * 7).collect();
+        let t = Art::new();
+        for &k in &stable {
+            t.insert(k, k);
+        }
+        // Scatter keys so the root is internal and the cluster sits below.
+        for i in 1..=32u64 {
+            t.insert(i << 56 | 0xAB, i);
+        }
+        let (writers, readers, cycles) = (2u64, 2usize, 60);
+        // Writer `w`'s keys: six that part from the cluster at byte 5, and
+        // every offset of the first four byte-6 blocks in three residue
+        // classes mod 7 that neither the stable keys (0) nor the other
+        // writer use.
+        let churn = |w: u64| -> Vec<u64> {
+            let beside = (1..1_024u64).filter(move |off| off % 7 % 2 == 1 - w && off % 7 != 0);
+            (1..=6)
+                .map(move |b| base + ((w * 6 + b) << 16) + 1)
+                .chain(beside.map(move |off| base + off))
+                .collect()
+        };
+        // One cycle alone does what the test is for: a level appears above
+        // the cluster and goes away again, the leaf parents reach N256.
+        let shape = |t: &Art| (t.get_with_depth(stable[0]).1, t.structure_stats().n256);
+        let before = shape(&t);
+        churn(0).iter().for_each(|&k| assert!(t.insert(k, !k)));
+        assert_eq!(shape(&t), (before.0 + 1, before.1 + 4));
+        churn(0)
+            .iter()
+            .for_each(|&k| assert_eq!(t.remove(k), Some(!k)));
+        assert_eq!(shape(&t), before);
+
+        let stop = AtomicBool::new(false);
+        let barrier = Barrier::new(writers as usize + readers);
+        std::thread::scope(|s| {
+            let writing: Vec<_> = (0..writers)
+                .map(|w| {
+                    let (t, barrier) = (&t, &barrier);
+                    s.spawn(move || {
+                        let keys = churn(w);
+                        barrier.wait();
+                        for _ in 0..cycles {
+                            keys.iter().for_each(|&k| assert!(t.insert(k, !k)));
+                            keys.iter().for_each(|&k| assert_eq!(t.remove(k), Some(!k)));
+                        }
+                    })
+                })
+                .collect();
+            let reading: Vec<_> = (0..readers)
+                .map(|_| {
+                    let (t, barrier, stop, stable) = (&t, &barrier, &stop, &stable);
+                    s.spawn(move || {
+                        barrier.wait();
+                        let mut passes = 0u32;
+                        while !stop.load(Ordering::Relaxed) || passes == 0 {
+                            for &k in stable {
+                                assert_eq!(t.get(k), Some(k), "stable key {k:#x} lost");
+                            }
+                            passes += 1;
+                        }
+                    })
+                })
+                .collect();
+            // Stop the readers whatever the writers' outcome, or a failed
+            // writer would leave them (and the scope) running.
+            let written: Vec<_> = writing.into_iter().map(|h| h.join()).collect();
+            stop.store(true, Ordering::Relaxed);
+            written.into_iter().for_each(|r| r.unwrap());
+            reading.into_iter().for_each(|h| h.join().unwrap());
+        });
+        assert_eq!(t.len(), stable.len() + 32);
+        for &k in &stable {
+            assert_eq!(t.get(k), Some(k));
         }
     }
 

@@ -1,15 +1,14 @@
 //! Every way down the tree answers alike, and counts its steps alike.
 //!
-//! `get`, `get_with_depth`, `get_batch_amac`, `get_from` and `update` all
-//! walk the same optimistic descent; this suite pins what that descent
-//! returns (against a `BTreeMap`, on trees that inserts and removes have
-//! pushed through prefix splits, merges, grows and shrinks) and what it
-//! counts: a hop is every node visited, the leaf included, a null child
-//! not (Fig 10(a)'s lookup length; `altbench` compares
-//! `alt.jump_hops_mean` / `alt.root_hops_mean` across commits for
-//! identity).
+//! `get`, `get_with_depth`, `get_batch_amac` and `update` all walk the
+//! same optimistic descent; this suite pins what that descent returns
+//! (against a `BTreeMap`, on trees that inserts and removes have pushed
+//! through prefix splits, merges, grows and shrinks) and what it counts: a
+//! hop is every node visited, the leaf included, a null child not (the
+//! lookup length; `altbench` compares `alt.root_hops_mean` across commits
+//! for identity).
 
-use art::{Art, FromResult};
+use art::Art;
 use probe::SplitMix64;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -45,30 +44,6 @@ fn check_reads(
         prop_assert_eq!(tree.get(k), want, "get({:#x})", k);
         prop_assert_eq!(tree.get_with_depth(k).0, want, "get_with_depth({:#x})", k);
         prop_assert_eq!(batch[i], want, "get_batch_amac({:#x})", k);
-    }
-    // Jumps: the LCA of two stored neighbours covers every key between
-    // them, stored or not, in no more hops than the root walk.
-    let stored: Vec<u64> = model.keys().copied().collect();
-    for w in stored.windows(4).step_by(3) {
-        let (k1, k2) = (w[0], w[3]);
-        let Some((node, _)) = tree.lca_node(k1, k2) else {
-            continue;
-        };
-        for k in w.iter().copied().chain([k1 + 1, k2 - 1]) {
-            // SAFETY: `node` is fresh from `lca_node`, nothing mutates the
-            // tree meanwhile, and `k` lies in `[k1, k2]`.
-            if let FromResult::Done(v, hops) = unsafe { tree.get_from(node, k) } {
-                prop_assert_eq!(v, model.get(&k).copied(), "get_from({:#x})", k);
-                let root_hops = tree.get_with_depth(k).1;
-                prop_assert!(
-                    hops <= root_hops,
-                    "jump {} > root {} for {:#x}",
-                    hops,
-                    root_hops,
-                    k
-                );
-            }
-        }
     }
     Ok(())
 }
@@ -119,15 +94,6 @@ proptest! {
     }
 }
 
-fn hops_from(tree: &Art, node: art::NodePtr, key: u64) -> (Option<u64>, u32) {
-    // SAFETY: callers pass a node fresh from `lca_node` on a tree nothing
-    // else touches, and a key under it.
-    match unsafe { tree.get_from(node, key) } {
-        FromResult::Done(v, hops) => (v, hops),
-        FromResult::Fallback => panic!("jump from a live node fell back"),
-    }
-}
-
 #[test]
 fn hop_counts_root_leaf() {
     let t = Art::new();
@@ -164,10 +130,6 @@ fn hop_counts_two_levels_with_compressed_prefix() {
         (None, 1),
         "prefix mismatch"
     );
-    let (node, depth) = t.lca_node(base + 1, base + 2).expect("the root node");
-    assert_eq!(depth, 0);
-    assert_eq!(hops_from(&t, node, base + 2), (Some(2), 2));
-    assert_eq!(hops_from(&t, node, base + 3), (None, 1));
 }
 
 #[test]
@@ -195,13 +157,6 @@ fn hop_counts_absent_key_under_a_full_path() {
         "root, wrong leaf"
     );
     assert_eq!(t.get_with_depth(0x0300_0000_0000_0000), (None, 1));
-    let (inner, depth) = t
-        .lca_node(0x0201_0000_0000_0000, 0x0202_0000_0000_0000)
-        .expect("the inner node");
-    assert_eq!(depth, 1);
-    assert_eq!(hops_from(&t, inner, 0x0202_0000_0000_0000), (Some(3), 2));
-    assert_eq!(hops_from(&t, inner, 0x0201_0000_0000_0099), (None, 2));
-    assert_eq!(hops_from(&t, inner, 0x0203_0000_0000_0000), (None, 1));
 
     // The batch engine walks the same nodes to the same answers.
     let keys = [

@@ -1,73 +1,33 @@
-//! Scan-under-mutation stress: range scans race writer threads that
-//! insert through the fast-pointer jump path (`get_from`/`insert_from`
-//! resume descents at the jump node's `match_level`). The scans must
-//! never return a torn pair (value not matching the key's committed
+//! Scan-under-mutation stress: range scans and point reads race writer
+//! threads that grow, shrink and replace the nodes under them. The scans
+//! must never return a torn pair (value not matching the key's committed
 //! value) and never skip a key that was committed before the scan began.
 
-use art::{Art, FromResult, ReplaceHook, SetSlotResult};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use art::Art;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 
 /// Every value committed anywhere in this test is `key ^ MAGIC`, so a
 /// torn key/value pairing is detectable from the pair alone.
 const MAGIC: u64 = 0xDEAD_BEEF_CAFE_F00D;
 
-/// A miniature one-slot fast-pointer buffer kept current by the tree's
-/// replace hook, as the ALT-index buffer does at scale.
-struct OneSlot(AtomicUsize);
-
-impl ReplaceHook for OneSlot {
-    fn node_replaced(&self, _slot: u32, new_node: usize) {
-        self.0.store(new_node, Ordering::Release);
-    }
-}
-
-struct OneSlotHookProxy(Arc<OneSlot>);
-
-impl ReplaceHook for OneSlotHookProxy {
-    fn node_replaced(&self, slot: u32, new_node: usize) {
-        self.0.node_replaced(slot, new_node);
-    }
-}
-
-fn register(art: &Art, buf: &OneSlot, k1: u64, k2: u64) -> bool {
-    for _ in 0..64 {
-        let Some((node, _)) = art.lca_node(k1, k2) else {
-            return false;
-        };
-        buf.0.store(node, Ordering::Release);
-        // SAFETY: node fresh from lca_node; retried on Obsolete.
-        match unsafe { art.try_set_buffer_slot(node, 0) } {
-            SetSlotResult::Installed | SetSlotResult::Merged(_) => return true,
-            SetSlotResult::Obsolete => continue,
-        }
-    }
-    false
-}
-
 #[test]
-fn scans_racing_jump_inserts_see_no_torn_or_skipped_pairs() {
-    let buf = Arc::new(OneSlot(AtomicUsize::new(0)));
-    let art = Arc::new(Art::with_hook(Arc::new(OneSlotHookProxy(Arc::clone(&buf)))));
+fn scans_racing_inserts_see_no_torn_or_skipped_pairs() {
+    let art = Arc::new(Art::new());
 
-    // Committed cluster: keys sharing 4 high bytes so the LCA sits deep
-    // (non-zero match_level) and every jump resumes mid-key.
+    // Committed cluster: keys sharing 4 high bytes, so the nodes the
+    // writers replace sit deep under a compressed prefix.
     let base = 0x0A0B_0C0D_0000_0000u64;
     let committed: Vec<u64> = (1..=3_000u64).map(|i| base + i * 32).collect();
     for &k in &committed {
         art.insert(k, k ^ MAGIC);
     }
-    // Root fanout so jumps actually skip levels.
+    // Root fanout, so the cluster hangs below an internal root.
     for i in 1..=32u64 {
         art.insert(i << 56 | 0x77, (i << 56 | 0x77) ^ MAGIC);
     }
     let lo = committed[0];
     let hi = *committed.last().unwrap();
-    assert!(register(&art, &buf, lo, hi), "registration failed");
-    // The cluster's shared bytes are path-compressed into the LCA's
-    // prefix, so jumps resume below the root with a non-trivial
-    // match_level-relative descent.
-    assert!(art.lca_node(lo, hi).is_some());
 
     let writers = 4usize;
     let scanners = 4usize;
@@ -75,13 +35,11 @@ fn scans_racing_jump_inserts_see_no_torn_or_skipped_pairs() {
     let barrier = Arc::new(Barrier::new(writers + scanners));
 
     std::thread::scope(|s| {
-        // Writers: insert fresh odd-offset keys inside [lo, hi] through
-        // the jump pointer (root fallback), forcing expansions and prefix
-        // extractions under the scanners' feet.
+        // Writers: insert fresh odd-offset keys inside [lo, hi], forcing
+        // expansions under the scanners' feet.
         let mut writer_handles = Vec::new();
         for t in 0..writers as u64 {
             let art = Arc::clone(&art);
-            let buf = Arc::clone(&buf);
             let barrier = Arc::clone(&barrier);
             let stop = Arc::clone(&stop);
             writer_handles.push(s.spawn(move || {
@@ -92,23 +50,13 @@ fn scans_racing_jump_inserts_see_no_torn_or_skipped_pairs() {
                         break;
                     }
                     // Odd offsets between the committed stride-32 keys,
-                    // inside the registered interval [lo, hi]; `t*2+1`
-                    // keeps the writers' key sets disjoint.
+                    // inside [lo, hi]; `t*2+1` keeps the writers' key sets
+                    // disjoint.
                     let k = lo + i * 8 + t * 2 + 1;
                     if k >= hi {
                         break;
                     }
-                    let node = buf.0.load(Ordering::Acquire);
-                    let ins = if node != 0 {
-                        // SAFETY: hook-maintained pointer; k in [lo, hi].
-                        match unsafe { art.insert_from(node, k, k ^ MAGIC) } {
-                            FromResult::Done(ins, _) => ins,
-                            FromResult::Fallback => art.insert(k, k ^ MAGIC),
-                        }
-                    } else {
-                        art.insert(k, k ^ MAGIC)
-                    };
-                    if ins {
+                    if art.insert(k, k ^ MAGIC) {
                         mine.push(k);
                     }
                 }
@@ -122,7 +70,6 @@ fn scans_racing_jump_inserts_see_no_torn_or_skipped_pairs() {
         let mut scan_handles = Vec::new();
         for sid in 0..scanners as u64 {
             let art = Arc::clone(&art);
-            let buf = Arc::clone(&buf);
             let committed = &committed;
             let barrier = Arc::clone(&barrier);
             scan_handles.push(s.spawn(move || {
@@ -151,20 +98,14 @@ fn scans_racing_jump_inserts_see_no_torn_or_skipped_pairs() {
                             "scan skipped committed key {ck:#x} in round {round}"
                         );
                     }
-                    // Interleave jump point-reads so scans and jumps
+                    // Interleave point reads so scans and descents
                     // contend on the same subtree versions.
                     let probe = committed[(wi * 7 + 13) % committed.len()];
-                    let node = buf.0.load(Ordering::Acquire);
-                    let got = if node != 0 {
-                        // SAFETY: hook-maintained pointer.
-                        match unsafe { art.get_from(node, probe) } {
-                            FromResult::Done(v, _) => v,
-                            FromResult::Fallback => art.get(probe),
-                        }
-                    } else {
-                        art.get(probe)
-                    };
-                    assert_eq!(got, Some(probe ^ MAGIC), "jump read of {probe:#x}");
+                    assert_eq!(
+                        art.get(probe),
+                        Some(probe ^ MAGIC),
+                        "point read of {probe:#x}"
+                    );
                 }
             }));
         }

@@ -13,9 +13,6 @@ use std::sync::Arc;
 pub enum IndexKind {
     /// The paper's contribution.
     Alt,
-    /// ALT-index with the fast pointer buffer disabled (Fig 10(a)
-    /// ablation: every ART access starts at the root).
-    AltNoFastPtr,
     /// ALT-index with dynamic retraining disabled.
     AltNoRetrain,
     /// Plain concurrent ART (optimistic lock coupling).
@@ -52,7 +49,6 @@ impl IndexKind {
     pub fn name(&self) -> &'static str {
         match self {
             IndexKind::Alt => "ALT-index",
-            IndexKind::AltNoFastPtr => "ALT-noFP",
             IndexKind::AltNoRetrain => "ALT-noRT",
             IndexKind::Art => "ART",
             IndexKind::Alex => "ALEX+",
@@ -69,14 +65,6 @@ impl IndexKind {
     pub fn build_threaded(&self, pairs: &[(u64, u64)], threads: usize) -> Arc<dyn ConcurrentIndex> {
         match self {
             IndexKind::Alt => Arc::new(AltIndex::bulk_load_threaded(pairs, threads)),
-            IndexKind::AltNoFastPtr => Arc::new(AltIndex::bulk_load_with(
-                pairs,
-                AltConfig {
-                    fast_pointers: false,
-                    build_threads: threads,
-                    ..Default::default()
-                },
-            )),
             IndexKind::AltNoRetrain => Arc::new(AltIndex::bulk_load_with(
                 pairs,
                 AltConfig {
@@ -103,7 +91,6 @@ mod tests {
         let pairs: Vec<(u64, u64)> = (1..=20_000u64).map(|i| (i * 7, i)).collect();
         for kind in [
             IndexKind::Alt,
-            IndexKind::AltNoFastPtr,
             IndexKind::AltNoRetrain,
             IndexKind::Art,
             IndexKind::Alex,

@@ -195,30 +195,11 @@ pub const EXPERIMENTS: &[Experiment] = &[
             ..Sweep::BASE
         },
     ),
-    // average ART lookup length with vs without the fast pointer buffer
-    // (shorter with)
-    func("fig10a", "fig10", studies::fig10a),
-    // fast pointer count with vs without the merge scheme (far fewer
-    // with)
-    func("fig10b", "fig10", studies::fig10b),
     // data share of the learned layer vs ART (>50 % learned, >80 % on
     // libio)
     func("fig10c", "fig10", studies::fig10c),
     // bulk-load time of ALT-index vs ALEX+ vs LIPP+ (ALT fastest)
     func("fig10d", "fig10", studies::fig10d),
-    // fast pointer buffer (§III-C) on/off, balanced
-    sweep(
-        "abl-a",
-        "ablation",
-        Sweep {
-            builds: &[
-                Build::Alt("fast-ptr-on", |c, _| c.fast_pointers = true),
-                Build::Alt("fast-ptr-off", |c, _| c.fast_pointers = false),
-            ],
-            cols: &[Col::P999],
-            ..Sweep::BASE
-        },
-    ),
     // dynamic retraining (§III-F) on/off, hot write; learned share after
     // the run
     sweep(
@@ -250,7 +231,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
             ..Sweep::BASE
         },
     ),
-    // free-form: eight index kinds under --mix r,i,s or --ycsb d|e
+    // free-form: seven index kinds under --mix r,i,s or --ycsb d|e
     func("ycsb", "ycsb", studies::ycsb),
     // construction time across --build-threads, speedup vs serial
     func("bulk_build", "bulk_build", studies::bulk_build),
@@ -331,8 +312,8 @@ mod tests {
         let mut expect = vec!["table1", "fig3a", "fig3b", "fig4", "fig6a", "fig6b"];
         expect.extend(["fig7a", "fig7b", "fig7c", "fig7d", "fig7e"]);
         expect.extend(["fig8a", "fig8b", "fig8c", "fig8d", "fig8e", "fig9"]);
-        expect.extend(["fig10a", "fig10b", "fig10c", "fig10d"]);
-        expect.extend(["abl-a", "abl-b", "abl-c", "abl-d", "ycsb"]);
+        expect.extend(["fig10c", "fig10d"]);
+        expect.extend(["abl-b", "abl-c", "abl-d", "ycsb"]);
         expect.extend(["bulk_build", "batch_lookup", "retrain_shift"]);
         expect.push("service_throughput");
         let got: Vec<&str> = EXPERIMENTS.iter().map(|e| e.id).collect();
@@ -351,7 +332,7 @@ mod tests {
         );
         assert_eq!(ids(&["fig7", "--part", "C"]), ["fig7c"]);
         assert_eq!(ids(&["fig10", "--part", "e"]), [] as [&str; 0]);
-        assert_eq!(ids(&["ablation"]), ["abl-a", "abl-b", "abl-c", "abl-d"]);
+        assert_eq!(ids(&["ablation"]), ["abl-b", "abl-c", "abl-d"]);
         assert_eq!(ids(&["ablation", "--part", "c"]), ["abl-c"]);
         // An id names its part itself; table order, not argument order.
         assert_eq!(ids(&["fig8e,fig3"]), ["fig3a", "fig3b", "fig8e"]);

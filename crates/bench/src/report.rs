@@ -230,9 +230,9 @@ mod tests {
 
     #[test]
     fn value_rows_carry_metric_names() {
-        let r = Row::new("fig10b").value("fast_pointers", 42.0);
+        let r = Row::new("fig10c").value("keys_in_art", 42.0);
         let js = r.to_json();
-        assert!(js.contains("\"metric\":\"fast_pointers\""));
+        assert!(js.contains("\"metric\":\"keys_in_art\""));
         assert!(js.contains("\"value\":42.0"));
     }
 

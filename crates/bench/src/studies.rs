@@ -130,63 +130,18 @@ pub fn fig8a(args: &Args) {
     }
 }
 
-/// Fig 10(a)–(c)'s subject: an ALT-index over the bulk half with the
-/// reserve inserted, so ART carries runtime conflict data too.
-fn fig10_index(args: &Args, ds: Dataset) -> (Setup, AltIndex) {
-    let setup = Setup::half(ds, args.keys, args.seed);
-    let idx = AltIndex::bulk_load_default(&setup.bulk);
-    for &k in &setup.reserve {
-        let _ = idx.insert(k, k ^ 0x5555);
-    }
-    (setup, idx)
-}
-
-/// **Fig 10(a)**: average ART lookup length with vs without the fast
-/// pointer buffer (shorter with), probing up to 50k ART residents.
-pub fn fig10a(args: &Args) {
-    for &ds in &args.datasets {
-        let (setup, idx) = fig10_index(args, ds);
-        let (mut jump_sum, mut root_sum, mut n) = (0u64, 0u64, 0u64);
-        let probes = setup.reserve.iter().step_by(7);
-        for p in probes.filter_map(|&k| idx.probe_art_hops(k)) {
-            if let Some(j) = p.jump_hops {
-                jump_sum += j as u64;
-                root_sum += p.root_hops as u64;
-                n += 1;
-            }
-            if n >= 50_000 {
-                break;
-            }
-        }
-        if n == 0 {
-            println!("# fig10a {}: no ART residents to probe", ds.name());
-            continue;
-        }
-        for (index, sum) in [("with-fast-ptr", jump_sum), ("without", root_sum)] {
-            value("fig10a", index, ds, "avg_lookup_len", sum as f64 / n as f64).emit();
-        }
-    }
-}
-
-/// **Fig 10(b)**: fast pointer count with vs without the merge scheme
-/// (far fewer with).
-pub fn fig10b(args: &Args) {
-    for &ds in &args.datasets {
-        let stats = fig10_index(args, ds).1.stats();
-        for (index, n) in [
-            ("with-merge", stats.fast_pointers),
-            ("without", stats.fast_pointers_unmerged),
-        ] {
-            value("fig10b", index, ds, "fast_pointers", n as f64).emit();
-        }
-    }
-}
-
 /// **Fig 10(c)**: data share of the learned layer vs ART per dataset
-/// (>50 % learned on real-world-like data, >80 % on libio).
+/// (>50 % learned on real-world-like data, >80 % on libio), over the bulk
+/// half with the reserve inserted, so ART carries runtime conflict data
+/// too.
 pub fn fig10c(args: &Args) {
     for &ds in &args.datasets {
-        let stats = fig10_index(args, ds).1.stats();
+        let setup = Setup::half(ds, args.keys, args.seed);
+        let idx = AltIndex::bulk_load_default(&setup.bulk);
+        for &k in &setup.reserve {
+            let _ = idx.insert(k, k ^ 0x5555);
+        }
+        let stats = idx.stats();
         for (metric, v) in [
             ("learned_share", stats.learned_share()),
             ("keys_in_art", stats.keys_in_art as f64),
@@ -261,13 +216,12 @@ pub fn abl_c(args: &Args) {
 }
 
 /// **ycsb**: the free-form companion to the fixed figures — any of the
-/// eight index kinds under `--mix r,i,s` (default balanced) or, with
+/// seven index kinds under `--mix r,i,s` (default balanced) or, with
 /// `--ycsb d|e`, the YCSB D (latest-read) / E (scan-heavy) generators
 /// (rows labelled `ycsb-d`/`ycsb-e`), as a [`Sweep`] built from the flags.
 pub fn ycsb(args: &Args) {
     const KINDS: &[Build] = &[
         Build::Kind(IndexKind::Alt),
-        Build::Kind(IndexKind::AltNoFastPtr),
         Build::Kind(IndexKind::AltNoRetrain),
         Build::Kind(IndexKind::Art),
         Build::Kind(IndexKind::Alex),

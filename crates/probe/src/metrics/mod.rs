@@ -2,11 +2,11 @@
 //!
 //! The concurrent hot paths of this workspace are optimistic protocols:
 //! slot-version reads that retry, OLC descents that restart, scans that
-//! re-collect when the directory epoch moves, fast-pointer jumps that
-//! de-optimize to root searches. None of that work is visible in the
-//! O(slots) `alt-index` stats snapshot, and the "Benchmarking Learned
-//! Indexes" methodology (and the paper's §III-C/§III-F analysis) says to
-//! measure exactly it. This module is the shared sink:
+//! re-collect when the directory epoch moves. None of that work is
+//! visible in the O(slots) `alt-index` stats snapshot, and the
+//! "Benchmarking Learned Indexes" methodology (and the paper's
+//! §III-C/§III-F analysis) says to measure exactly it. This module is the
+//! shared sink:
 //!
 //! * [`Counter`] — every countable hot-path event, recorded through
 //!   [`incr`]/[`add`] into one [`Striped`] each: every thread bumps a
@@ -15,7 +15,7 @@
 //!   sums its stripes — reads are rare (snapshots), writes are the hot
 //!   path;
 //! * [`Phase`] — timed phases (retrain collect/build/swap/cleanup, the
-//!   four bulk-load stages),
+//!   three bulk-load stages),
 //!   timed as `let t0 = now_ns(); …; record_phase_ns(p, now_ns() - t0)`
 //!   into atomic histograms that share
 //!   [`LatencyHistogram`]'s bucket
@@ -84,24 +84,13 @@ named_enum! {
     /// range-sharded router + batched serving front-end. See `DESIGN.md`
     /// ("Observability") for what each one means and which paper figure it
     /// supports.
-    pub enum Counter[45] {
+    pub enum Counter[40] {
         /// Slot-version read retries: an optimistic slot read observed an
         /// odd (writer-in-progress) version or failed re-validation
         /// (§III-E).
         SlotReadRetry => "alt.slot_read_retry",
         /// Slot write-lock acquisition retries (even→odd CAS lost).
         SlotLockRetry => "alt.slot_lock_retry",
-        /// ART operations that entered through a live fast pointer and
-        /// completed from the jump node (§III-C working as designed).
-        FastPtrJumpHit => "alt.fastptr_jump_hit",
-        /// ART operations that fell back to a root search although fast
-        /// pointers are enabled: no shortcut registered, a de-optimized
-        /// (zeroed) entry, or an obsolete jump node.
-        FastPtrDeopt => "alt.fastptr_deopt",
-        /// Fast-pointer registrations that retried because the resolved LCA
-        /// node was replaced before the slot installed (`SetSlotResult::
-        /// Obsolete`).
-        FastPtrRegisterRetry => "alt.fastptr_register_retry",
         /// Scans that re-collected because the directory epoch moved
         /// mid-walk (a retrain published; §III-F redirection for scans).
         ScanEpochRetry => "alt.scan_epoch_retry",
@@ -131,21 +120,14 @@ named_enum! {
         /// OLC restarts: a version validation failed, sending the reader
         /// back to a stable ancestor (Leis et al., DaMoN 2016).
         OlcRestart => "art.olc_restart",
-        /// Jump-path entries that resumed from the fast-pointer node and
-        /// completed there.
-        ArtJumpResume => "art.jump_resume",
-        /// Jump-path entries that reported `Fallback` (obsolete node, prefix
-        /// mismatch, or a structural change needing the parent).
-        ArtJumpFallback => "art.jump_fallback",
         /// Baseline seqlock read retries (spin on a writer or failed
         /// validation).
         SeqlockReadRetry => "baseline.seqlock_read_retry",
         /// Baseline RCU snapshot replacements published.
         RcuReplace => "baseline.rcu_replace",
-        /// ALT-index retry budgets exhausted: an optimistic point op, scan,
-        /// or fast-pointer registration escalated to its pessimistic
-        /// fallback (locked read, `dir_lock` scan pass, or `NO_FAST`
-        /// de-optimization).
+        /// ALT-index retry budgets exhausted: an optimistic point op or scan
+        /// escalated to its pessimistic fallback (locked read, `dir_lock`
+        /// scan pass).
         AltEscalation => "alt.escalation",
         /// ALT-index backoff entering the Yield tier (first yield of a
         /// contended retry loop).
@@ -154,9 +136,8 @@ named_enum! {
         /// sleeping instead of burning CPU).
         AltBackoffPark => "alt.backoff_park",
         /// ART retry budgets exhausted: a lookup switched to the pessimistic
-        /// lock-coupled descent, a jump-path entry de-optimized to the root,
-        /// or a structural writer passed its budget and kept (parked)
-        /// retrying.
+        /// lock-coupled descent, or a structural writer passed its budget
+        /// and kept (parked) retrying.
         ArtEscalation => "art.escalation",
         /// ART backoff entering the Yield tier.
         ArtBackoffYield => "art.backoff_yield",
@@ -180,7 +161,7 @@ named_enum! {
         /// a tombstone or a colliding key).
         AltBatchArtHandoff => "alt.batch_art_handoff",
         /// Software prefetches issued by the ALT-index batch stages
-        /// (directory slot lines + fast-pointer target nodes).
+        /// (predicted slot lines + the ART root at each handoff).
         AltBatchPrefetch => "alt.batch_prefetch",
         /// Per-key restarts inside the ALT-index batch engine (retired model
         /// or slot-version conflict sent one key back to the predict stage).
@@ -222,13 +203,13 @@ named_enum! {
 
 named_enum! {
     /// Every timed hot-path phase.
-    pub enum Phase[9] {
+    pub enum Phase[8] {
         /// Retrain: collecting live slots + the span's ART range and merging
         /// them (runs under the model's write lock — this is the writer
         /// stall window of §III-F).
         RetrainCollect => "retrain.collect_ns",
-        /// Retrain: GPL re-segmentation, model construction, conflict
-        /// demotion, and fast-pointer registration.
+        /// Retrain: GPL re-segmentation, model construction and conflict
+        /// demotion.
         RetrainBuild => "retrain.build_ns",
         /// Retrain: directory publication (epoch bump + RCU swap + retire).
         RetrainSwap => "retrain.swap_ns",
@@ -241,7 +222,7 @@ named_enum! {
         /// two-phase scheme).
         RetrainReconcile => "retrain.reconcile_ns",
         /// Bulk load: the serial GPL pass over the input (one sample per
-        /// build, like the three below).
+        /// build, like the two below).
         BulkSegment => "bulk.segment_ns",
         /// Bulk load: populating the gapped models, on `build_threads`
         /// workers.
@@ -249,8 +230,6 @@ named_enum! {
         /// Bulk load: inserting the conflict data into ART, on
         /// `build_threads` workers.
         BulkArt => "bulk.art_ns",
-        /// Bulk load: registering one fast pointer per model.
-        BulkFastPtr => "bulk.fastptr_ns",
     }
 }
 

@@ -6,8 +6,8 @@
 //! ```
 //!
 //! Builds an ALT-index, runs a concurrent read/insert/scan mix that
-//! exercises every instrumented layer (slot versions, fast pointers,
-//! scans, retrains, ART OLC), then prints the
+//! exercises every instrumented layer (slot versions, scans, retrains,
+//! ART OLC), then prints the
 //! [`probe::metrics::MetricsSnapshot`] delta for the measured region.
 //! With `chaos` also enabled, a seeded schedule perturbs the
 //! interleavings so the retry counters light up even on an otherwise
@@ -21,16 +21,14 @@ fn main() {
     let _guard = probe::chaos::install_schedule(0xA17_1DE, 64);
 
     // Quadratic keys are hard for linear models: the directory holds many
-    // GPL models (so fast pointers actually register — a single model has
-    // no upper neighbor to resolve an LCA against) and inserts between
-    // the squares conflict into ART.
+    // GPL models and inserts between the squares conflict into ART.
     let pairs: Vec<(u64, u64)> = (1..=100_000u64).map(|i| (i * i, i)).collect();
     let idx = Arc::new(AltIndex::bulk_load_default(&pairs));
 
     let before = probe::metrics::snapshot();
 
     // Two insert threads hammering one dense region (drives overflow
-    // inserts through the fast-pointer path and triggers retrains), a
+    // inserts into ART and triggers retrains), a
     // point-read thread, and a scan thread racing the retrains.
     let hot = 2_500_000_000u64; // inside the bulk range (squares reach 1e10)
     let mut handles = Vec::new();
@@ -71,10 +69,8 @@ fn main() {
     println!("metrics for the measured region:\n{}", delta.render());
 
     assert!(
-        delta.get(probe::metrics::Counter::FastPtrJumpHit)
-            + delta.get(probe::metrics::Counter::FastPtrDeopt)
-            > 0,
-        "inserts routed to ART must have gone through the fast-pointer path"
+        delta.get(probe::metrics::Counter::RetrainCompleted) > 0,
+        "the overflow inserts into the dense region must have retrained it"
     );
     println!(
         "total events recorded: {} (feature `metrics` on)",

@@ -19,7 +19,7 @@ fn main() {
     assert_eq!(idx.get(9), None);
 
     // Inserts: empty predicted slots absorb them in place; occupied ones
-    // route to the ART layer through the fast pointer buffer.
+    // route to the ART layer.
     for k in 1..=1_000u64 {
         idx.insert(k * 8 + 3, k).unwrap();
     }
@@ -42,12 +42,10 @@ fn main() {
     // Structural introspection (the paper's §IV-H metrics).
     let stats = idx.stats();
     println!(
-        "models = {}, learned share = {:.1}%, ART keys = {}, fast pointers = {} ({} unmerged), memory = {:.1} MiB",
+        "models = {}, learned share = {:.1}%, ART keys = {}, memory = {:.1} MiB",
         stats.num_models,
         stats.learned_share() * 100.0,
         stats.keys_in_art,
-        stats.fast_pointers,
-        stats.fast_pointers_unmerged,
         stats.memory_total() as f64 / (1 << 20) as f64,
     );
 }

@@ -189,11 +189,6 @@ fn site_dir_replace() {
 }
 
 #[test]
-fn site_fastptr_install() {
-    sweep_site("fastptr.install", true);
-}
-
-#[test]
 fn site_arena_alloc() {
     // Arena sites map every action onto the allocation-failure channel
     // (`probe::fail::fire(..).is_some()` in crates/art/src/arena.rs), served by the single-slot
