@@ -5,8 +5,7 @@
 //! reproduction:
 //!
 //! * As a **substrate**, it is the ART-OPT layer of ALT-index, holding the
-//!   conflict data of the learned layer; every node carries a
-//!   `match_level` (its depth in key bytes).
+//!   conflict data of the learned layer.
 //! * As a **baseline**, it is the "ART" competitor of Table I and
 //!   Figs 7-9.
 //!

@@ -8,10 +8,10 @@
 //!
 //! Layout notes:
 //! * Keys are fixed 8-byte big-endian `u64`s, so an internal node's
-//!   compressed prefix is at most 7 bytes. The prefix bytes, prefix
-//!   length, and the node's `match_level` (its depth in key bytes — the
-//!   ALT-index paper's addition, §III-C) are packed into one `AtomicU64`
-//!   so they update atomically during prefix extraction.
+//!   compressed prefix is at most 7 bytes. The prefix bytes and prefix
+//!   length are packed into one `AtomicU64` so a reader decodes them in
+//!   one load. A node does not record its depth: every descent starts at
+//!   the root at depth 0 and counts the bytes it consumes.
 //! * Child pointers are `usize` with bit 0 tagging leaves. Null is 0.
 
 use crate::olc::VersionLock;
@@ -45,8 +45,8 @@ pub enum NodeType {
 pub struct NodeHeader {
     /// Optimistic version lock.
     pub version: VersionLock,
-    /// Packed prefix: bytes 0..=6 = prefix bytes, byte 7 low nibble =
-    /// prefix length, byte 7 high nibble = match_level (node depth).
+    /// Packed prefix: bytes 0..=6 = prefix bytes, byte 7 = prefix
+    /// length.
     prefix_word: AtomicU64,
     /// Which concrete layout follows this header.
     pub node_type: NodeType,
@@ -64,36 +64,26 @@ impl NodeHeader {
         }
     }
 
-    /// Decode (prefix bytes, prefix length, match level).
+    /// Decode (prefix bytes, prefix length).
     #[inline]
-    pub fn prefix(&self) -> ([u8; MAX_PREFIX], usize, usize) {
+    pub fn prefix(&self) -> ([u8; MAX_PREFIX], usize) {
         let w = self.prefix_word.load(Ordering::Acquire);
         let mut bytes = [0u8; MAX_PREFIX];
         for (i, b) in bytes.iter_mut().enumerate() {
             *b = (w >> (8 * i)) as u8;
         }
-        let meta = (w >> 56) as u8;
-        ((bytes), (meta & 0x0F) as usize, (meta >> 4) as usize)
+        (bytes, (w >> 56) as usize)
     }
 
-    /// The node's depth in key bytes (bytes consumed on the path above
-    /// it, excluding its own prefix).
+    /// Atomically set prefix bytes and length.
     #[inline]
-    pub fn match_level(&self) -> usize {
-        ((self.prefix_word.load(Ordering::Acquire) >> 60) & 0x0F) as usize
-    }
-
-    /// Atomically set prefix bytes, length, and match level.
-    #[inline]
-    pub fn set_prefix(&self, bytes: &[u8], match_level: usize) {
+    pub fn set_prefix(&self, bytes: &[u8]) {
         debug_assert!(bytes.len() <= MAX_PREFIX);
-        debug_assert!(match_level <= 8);
         let mut w: u64 = 0;
         for (i, &b) in bytes.iter().enumerate() {
             w |= (b as u64) << (8 * i);
         }
         w |= (bytes.len() as u64) << 56;
-        w |= (match_level as u64) << 60;
         self.prefix_word.store(w, Ordering::Release);
     }
 
@@ -638,19 +628,18 @@ pub unsafe fn next_child(p: NodePtr, pos: usize, lo: u8, hi: u8) -> Option<(usiz
     }
 }
 
-/// A fresh, unshared `node_type` node with `p`'s children, prefix and
-/// match level.
+/// A fresh, unshared `node_type` node with `p`'s children and prefix.
 unsafe fn copy_as(p: NodePtr, node_type: NodeType) -> NodePtr {
     let (src, newp) = (header(p), alloc(node_type));
     let dst = header(newp);
-    let (bytes, len, lvl) = src.prefix();
-    dst.set_prefix(&bytes[..len], lvl);
+    let (bytes, len) = src.prefix();
+    dst.set_prefix(&bytes[..len]);
     for_each_child(p, |b, c| insert_child(newp, b, c));
     newp
 }
 
-/// Grow a full node into the next larger type, copying children, prefix
-/// and match level. The original node must be write-locked; the returned
+/// Grow a full node into the next larger type, copying children and
+/// prefix. The original node must be write-locked; the returned
 /// node is fresh and unshared.
 ///
 /// # Safety
@@ -710,15 +699,14 @@ mod tests {
     #[test]
     fn prefix_word_roundtrips() {
         let hdr = NodeHeader::new(NodeType::N4);
-        hdr.set_prefix(&[0xAA, 0xBB, 0xCC], 5);
-        let (bytes, len, lvl) = hdr.prefix();
+        hdr.set_prefix(&[0xAA, 0xBB, 0xCC]);
+        let (bytes, len) = hdr.prefix();
         assert_eq!(len, 3);
-        assert_eq!(lvl, 5);
         assert_eq!(&bytes[..3], &[0xAA, 0xBB, 0xCC]);
-        assert_eq!(hdr.match_level(), 5);
-        hdr.set_prefix(&[], 0);
-        let (_, len, lvl) = hdr.prefix();
-        assert_eq!((len, lvl), (0, 0));
+        hdr.set_prefix(&[0xFF; MAX_PREFIX]);
+        assert_eq!(hdr.prefix(), ([0xFF; MAX_PREFIX], MAX_PREFIX));
+        hdr.set_prefix(&[]);
+        assert_eq!(hdr.prefix().1, 0);
     }
 
     #[test]
@@ -787,8 +775,8 @@ mod tests {
 
     /// `grow`, `shrink` and `clone_node` all copy through `insert_child`:
     /// whatever the source and destination kinds, the copy has the expected
-    /// type and the source's children (in byte order), count, prefix and
-    /// match level, and answers every search alike.
+    /// type and the source's children (in byte order), count and prefix,
+    /// and answers every search alike.
     #[test]
     fn grow_preserves_children_and_metadata() {
         use NodeType::*;
@@ -813,7 +801,7 @@ mod tests {
             // exactly once.
             unsafe {
                 let p = alloc(from);
-                header(p).set_prefix(&[7, 8], 3);
+                header(p).set_prefix(&[7, 8]);
                 header(p).version.lock();
                 // 37 is odd, so the bytes are distinct — and out of order.
                 let mut bytes: Vec<u8> = (0..n).map(|i| (i * 37 % 256) as u8).collect();
@@ -824,8 +812,8 @@ mod tests {
                 let new = copy(p);
                 assert_eq!(header(new).node_type, to, "{from:?} x{n}");
                 assert_eq!(header(new).count(), n, "{from:?} -> {to:?}");
-                let (prefix, len, lvl) = header(new).prefix();
-                assert_eq!((&prefix[..len], lvl), (&[7u8, 8][..], 3));
+                let (prefix, len) = header(new).prefix();
+                assert_eq!(&prefix[..len], &[7u8, 8][..]);
                 let mut seen = Vec::new();
                 for_each_child(new, |b, c| {
                     assert_eq!(leaf_ref(c).key, b as u64);

@@ -130,7 +130,7 @@ impl<F: FnMut(u64, u64)> Walk<F> {
         }
         // A published node's prefix never changes (a prefix change
         // replaces the node), so the interval needs no validation.
-        let (prefix, plen, _) = hdr.prefix();
+        let (prefix, plen) = hdr.prefix();
         let mut acc = acc;
         for (i, &b) in prefix[..plen].iter().enumerate() {
             if depth + i < 8 {

@@ -172,10 +172,10 @@ impl Art {
             // replacements hold the victim's lock across publication and
             // mark it obsolete before unlocking.
             let mut cur = root;
-            let mut depth = hdr.match_level();
+            let mut depth = 0;
             let mut hops = 1u32;
             loop {
-                let (prefix, plen, _) = hdr.prefix();
+                let (prefix, plen) = hdr.prefix();
                 let matched = prefix_mismatch(&prefix[..plen], key, depth) == plen;
                 depth += plen;
                 let child = if matched && depth < 8 {
@@ -350,8 +350,7 @@ impl Art {
         guard: &Guard,
     ) -> Result<bool, Abort> {
         let mut at = At::top(root);
-        // SAFETY: pinned epoch; root is internal by contract.
-        let mut depth = unsafe { node::header(root) }.match_level();
+        let mut depth = 0;
         loop {
             // SAFETY: pinned epoch.
             let hdr = unsafe { node::header(at.p) };
@@ -362,8 +361,7 @@ impl Art {
             if !unsafe { coupled_ok(at.parent, at.parent_v) } {
                 return Err(Abort::Restart);
             }
-            debug_assert_eq!(hdr.match_level(), depth);
-            let (prefix, plen, _) = hdr.prefix();
+            let (prefix, plen) = hdr.prefix();
 
             // 1) Prefix comparison.
             let mismatch = prefix_mismatch(&prefix[..plen], key, depth);
@@ -460,7 +458,7 @@ impl Art {
         // SAFETY: new4 is fresh and unshared.
         unsafe {
             let hdr = node::header(new4);
-            hdr.set_prefix(&kb[depth..sd], depth);
+            hdr.set_prefix(&kb[depth..sd]);
             let leaf = node::make_leaf(key, value);
             self.track_alloc(leaf);
             hdr.version.lock();
@@ -525,12 +523,11 @@ impl Art {
 
     /// Prefix extraction: the key diverges inside `p`'s compressed prefix
     /// at `mismatch`. Create a new parent Node4 covering the shared part,
-    /// with a *demoted copy* of `p` (shorter prefix, deeper match level)
-    /// and a new leaf as children; `p` itself is marked obsolete and
-    /// retired.
+    /// with a *demoted copy* of `p` (shorter prefix) and a new leaf as
+    /// children; `p` itself is marked obsolete and retired.
     ///
-    /// `p` is replaced rather than demoted in place: a node's
-    /// (prefix, match_level) never changes while it is live.
+    /// `p` is replaced rather than demoted in place: a node's prefix
+    /// never changes while it is live.
     #[allow(clippy::too_many_arguments)]
     fn split_prefix(
         &self,
@@ -555,9 +552,9 @@ impl Art {
         // SAFETY: demoted and newp are fresh and unshared.
         unsafe {
             let dhdr = node::header(demoted);
-            dhdr.set_prefix(&prefix[mismatch + 1..], depth + mismatch + 1);
+            dhdr.set_prefix(&prefix[mismatch + 1..]);
             let nhdr = node::header(newp);
-            nhdr.set_prefix(&prefix[..mismatch], depth);
+            nhdr.set_prefix(&prefix[..mismatch]);
             nhdr.version.lock();
             node::insert_child(newp, prefix[mismatch], demoted);
             node::insert_child(newp, node::key_byte(key, depth + mismatch), leaf);
@@ -733,7 +730,7 @@ impl Art {
         debug_assert!(sibling != 0);
         // An internal sibling absorbs p's prefix plus the
         // discriminating byte. Like prefix extraction, this is done on
-        // a *copy* — a live node's (prefix, match_level) never changes
+        // a *copy* — a live node's prefix never changes
         // — and the original sibling is retired as obsolete.
         let replacement = if node::is_leaf(sibling) {
             sibling
@@ -746,8 +743,8 @@ impl Art {
                 self.unlock_parent(at);
                 return Err(Abort::Restart);
             }
-            let (pprefix, pplen, plvl) = hdr.prefix();
-            let (sprefix, splen, _) = shdr.prefix();
+            let (pprefix, pplen) = hdr.prefix();
+            let (sprefix, splen) = shdr.prefix();
             let mut combined = [0u8; crate::node::MAX_PREFIX];
             let mut n = 0;
             for &x in &pprefix[..pplen] {
@@ -764,7 +761,7 @@ impl Art {
             let copy = unsafe { node::clone_node(sibling) };
             self.track_alloc(copy);
             // SAFETY: copy fresh and unshared.
-            unsafe { node::header(copy) }.set_prefix(&combined[..n], plvl);
+            unsafe { node::header(copy) }.set_prefix(&combined[..n]);
             // The sibling stays locked until the copy is published.
             copy
         };
@@ -868,7 +865,7 @@ pub(crate) unsafe fn hop(
     if !coupled_ok(parent, parent_v) {
         return Hop::Restart;
     }
-    let (prefix, plen, _) = hdr.prefix();
+    let (prefix, plen) = hdr.prefix();
     let below = depth + plen;
     if prefix_mismatch(&prefix[..plen], key, depth) < plen || below >= 8 {
         return if hdr.version.validate(v) {

@@ -200,10 +200,9 @@ pub fn run(args: &Args) {
             RegionConfig {
                 initial_shards: shards,
                 construction_threads: args.construction_threads(),
-                ..RegionConfig::default()
             },
         );
-        assert_eq!(region.shard_count(), shards.clamp(1, 64));
+        assert_eq!(region.shard_count(), shards.max(1));
         let index: Arc<dyn ConcurrentIndex> = Arc::new(region);
         let loaded = Arc::new(setup.loaded_keys());
 

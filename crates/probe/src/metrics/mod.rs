@@ -81,10 +81,10 @@ named_enum! {
     /// The `alt.*` counters cover the ALT-index proper (§III of the paper),
     /// `art.*` the ART-OPT substrate, `baseline.*` the seqlock/RCU
     /// primitives every baseline index is built on, and `region.*` the
-    /// range-sharded router + batched serving front-end. See `DESIGN.md`
+    /// batched serving front-end. See `DESIGN.md`
     /// ("Observability") for what each one means and which paper figure it
     /// supports.
-    pub enum Counter[40] {
+    pub enum Counter[36] {
         /// Slot-version read retries: an optimistic slot read observed an
         /// odd (writer-in-progress) version or failed re-validation
         /// (§III-E).
@@ -185,17 +185,6 @@ named_enum! {
         /// Arena chunk-growth or slot allocations that failed (injected or
         /// real) and were served by the single-slot fallback path instead.
         ArenaAllocFail => "art.arena_alloc_fails",
-        /// Region-router shard splits published (two-phase copy + route-table
-        /// swap; see DESIGN.md §17).
-        RegionSplit => "region.split",
-        /// Region-router shard merges published (adjacent cold shards
-        /// coalesced back into one).
-        RegionMerge => "region.merge",
-        /// Keys copied between shard indexes by splits and merges.
-        RegionMigratedKeys => "region.migrated_keys",
-        /// Operations that re-routed because the shard they resolved turned
-        /// out to be retired (a split/merge published mid-flight).
-        RegionRouteRetry => "region.route_retries",
         /// Batches the serving front-end flushed into `get_batch` rings.
         RegionBatchFlush => "region.batch_flushes",
     }

@@ -1,23 +1,17 @@
 //! Range-sharded **region router**: wraps any [`index_api::ConcurrentIndex`]
-//! in N key-range shards behind a lock-free-read routing table, adapts the
-//! shard boundaries to observed hotspots (split/merge), and serves point
-//! lookups through an async batching front-end that turns in-flight
-//! requests into AMAC `get_batch` rings.
+//! in N key-range shards fixed at bulk load, and serves point lookups
+//! through an async batching front-end that turns in-flight requests into
+//! AMAC `get_batch` rings.
 //!
 //! # Architecture (DESIGN.md §17)
 //!
-//! * [`RegionIndex`] — the router. The routing table is an immutable
-//!   `Vec<Arc<Shard>>` published through a `crossbeam_epoch::Atomic`, the
-//!   same RCU shape as ALT-index's model directory: readers pin, load,
-//!   route, and never block. Structural changes (split/merge) build a new
-//!   table, swap it in, **retire** the replaced shards, and defer-destroy
-//!   the old table.
-//! * Split is a bounded two-phase copy: phase 1 copies the upper half of
-//!   the hot shard into a fresh index with no freeze; phase 2 freezes
-//!   writers (per-shard `gate` RwLock), reconciles what changed during
-//!   phase 1, and publishes. Readers are never frozen — they validate a
-//!   shard's `retired` flag after each read and re-route if the shard was
-//!   replaced mid-flight.
+//! * [`RegionIndex`] — the router. Bulk load cuts the key space at key
+//!   quantiles and builds one index per range; the shard list never
+//!   changes afterwards, so every operation binary-searches the bounds
+//!   and calls its shard's index directly. What the shards buy is one
+//!   batch domain each — a per-shard submission queue for the serving
+//!   front-end, so each AMAC ring runs on one index — and a
+//!   range-partitioned bulk load.
 //! * [`BatchServer`] — the serving front-end. Per-shard submission queues
 //!   accumulate in-flight gets; the submitter that fills a ring, or the
 //!   queue's group-commit leader after one yield, executes one
@@ -34,46 +28,17 @@
 
 mod router;
 mod serve;
-mod structure;
-mod worker;
 
-pub use router::{MaintenanceFreeze, MaintenanceReport, RegionIndex, RegionStats};
+pub use router::{RegionIndex, RegionStats};
 pub use serve::{BatchServer, ServeConfig, ServeError, ServeStats};
-
-use std::time::Duration;
 
 /// Tuning knobs for a [`RegionIndex`].
 #[derive(Debug, Clone)]
 pub struct RegionConfig {
-    /// Shard count at construction (boundaries are key-quantiles of the
-    /// bulk-load array). Clamped to at least 1.
+    /// Shard count (boundaries are key-quantiles of the bulk-load array;
+    /// duplicate boundaries collapse). Clamped to at least 1.
     pub initial_shards: usize,
-    /// Hard ceiling on the shard count; splits stop here.
-    pub max_shards: usize,
-    /// A shard must hold at least this many keys to be split (and the
-    /// two-phase copy moves about half of them).
-    pub min_split_keys: usize,
-    /// An adjacent shard pair is merge-eligible only when its combined
-    /// key count is at most this.
-    pub merge_max_keys: usize,
-    /// A shard is split-eligible when it absorbed at least this many
-    /// operations since the previous maintenance tick.
-    pub split_ops_threshold: u64,
-    /// An adjacent shard pair is merge-eligible when its combined
-    /// operations since the previous tick are at most this. Keep well
-    /// below [`RegionConfig::split_ops_threshold`] to avoid
-    /// split/merge ping-pong.
-    pub merge_ops_threshold: u64,
-    /// How often the background worker (when [`RegionConfig::auto`] is
-    /// set) runs a maintenance tick.
-    pub check_interval: Duration,
-    /// Spawn a background maintenance worker that splits hotspots and
-    /// merges cold neighbours automatically. When `false`, maintenance
-    /// only runs through explicit [`RegionIndex::tick`] calls.
-    pub auto: bool,
-    /// Worker threads used to bulk-load the per-shard indexes at
-    /// construction (split-built shards always build serially — they are
-    /// bounded by `min_split_keys`).
+    /// Worker threads each per-shard index is bulk-loaded with.
     pub construction_threads: usize,
 }
 
@@ -81,13 +46,6 @@ impl Default for RegionConfig {
     fn default() -> Self {
         RegionConfig {
             initial_shards: 4,
-            max_shards: 64,
-            min_split_keys: 4096,
-            merge_max_keys: 1024,
-            split_ops_threshold: 100_000,
-            merge_ops_threshold: 100,
-            check_interval: Duration::from_millis(50),
-            auto: false,
             construction_threads: 1,
         }
     }

@@ -35,16 +35,21 @@
 //! degrades by rejecting, not by collapsing: P99.9 of *served* requests
 //! stays bounded by `max_depth` × flush latency.
 
-use crate::router::lock;
 use index_api::{ConcurrentIndex, Key, Value};
 use probe::metrics::{self, Counter};
 use resilience::{LayerCounters, Retry};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use tokio::sync::oneshot;
 
 /// Widest ring a flush executes: the size of its stack arrays.
 const MAX_RING: usize = 64;
+
+/// Poison-tolerant mutex lock (the repo-wide idiom: a panicking holder
+/// must not wedge every later operation).
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Tuning knobs for a [`BatchServer`].
 #[derive(Debug, Clone)]

@@ -14,9 +14,8 @@
 //!
 //! [`Retry::wait_or_escalate`] reports the escalation: the caller switches
 //! to its guaranteed-progress pessimistic fallback (a locked read, a
-//! `dir_lock` scan pass, a lock-coupled descent, a de-optimized shortcut,
-//! the router's `struct_lock` pass) or, having none, keeps retrying with
-//! parked waits. [`Retry::wait`] is the same ladder for lock-acquisition
+//! `dir_lock` scan pass, a lock-coupled descent) or, having none, keeps
+//! retrying with parked waits. [`Retry::wait`] is the same ladder for lock-acquisition
 //! waits, whose holder already guarantees progress: it never escalates.
 //!
 //! There is no policy and no switch. The one thing the build decides is
@@ -83,8 +82,8 @@ pub struct LayerCounters {
 }
 
 impl LayerCounters {
-    /// A layer that records nothing (the region router, which counts its
-    /// re-routes itself).
+    /// A layer that records nothing (the serving front-end's admission
+    /// wait, which counts the requests it sheds itself).
     pub const UNCOUNTED: Self = LayerCounters {
         escalation: None,
         backoff_yield: None,
