@@ -9,8 +9,8 @@
 
 use crate::config::AltConfig;
 use crate::dir::ModelDir;
-use crate::model::{build_model, GplModel};
-use crate::slots::{Probe, SlotState};
+use crate::model::{fill, placement, GplModel};
+use crate::slots::{Probe, SlotArray, SlotState};
 use art::Art;
 use crossbeam_epoch::{self as epoch, Atomic, Guard};
 use index_api::{IndexError, Result};
@@ -507,11 +507,22 @@ pub(crate) fn segment_and_build(
     let t_segmented = metrics::now_ns();
 
     let build_group = |group: std::ops::Range<usize>| {
-        let mut models = Vec::with_capacity(group.len());
+        let segments = &segments[group];
+        let slice = |seg: &Segment| &pairs[seg.start..seg.start + seg.len];
+        // Plan the whole group first: its total size decides where the
+        // slot arrays live (`SlotArray::for_group`).
+        let (placements, capacities): (Vec<LinearModel>, Vec<usize>) = segments
+            .iter()
+            .map(|seg| placement(slice(seg), seg.model, gap_factor))
+            .unzip();
+        let mut models = Vec::with_capacity(segments.len());
         let mut conflicts = Vec::new();
-        for seg in &segments[group] {
-            let slice = &pairs[seg.start..seg.start + seg.len];
-            let (m, mut c) = build_model(slice, seg.model, gap_factor);
+        for ((seg, model), slots) in segments
+            .iter()
+            .zip(placements)
+            .zip(SlotArray::for_group(&capacities))
+        {
+            let (m, mut c) = fill(slice(seg), model, slots);
             models.push(m);
             conflicts.append(&mut c);
         }

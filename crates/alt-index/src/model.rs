@@ -34,10 +34,25 @@ pub struct GplModel {
 impl GplModel {
     /// Create a model with the given placement function and capacity.
     pub fn new(first_key: u64, model: LinearModel, capacity: usize, build_size: usize) -> Self {
+        Self::with_slots(
+            first_key,
+            model,
+            SlotArray::new(capacity.max(1)),
+            build_size,
+        )
+    }
+
+    /// A model over an already allocated slot array.
+    pub fn with_slots(
+        first_key: u64,
+        model: LinearModel,
+        slots: SlotArray,
+        build_size: usize,
+    ) -> Self {
         Self {
             first_key,
             model,
-            slots: SlotArray::new(capacity.max(1)),
+            slots,
             build_size,
             art_inserts: AtomicUsize::new(0),
             retired: AtomicBool::new(false),
@@ -90,23 +105,33 @@ impl GplModel {
     }
 }
 
-/// Place sorted `pairs` into a fresh model covering them. Returns the
-/// model and the pairs that collided (conflict data for ART). The first
-/// key of each collision keeps its slot; later keys are evicted, exactly
-/// like bulk loading in §III-A.
-pub fn build_model(
+/// The placement function and slot capacity of a model over sorted
+/// `pairs`: the segment's slope times the gap factor, anchored at the
+/// first key, and one slot past the last key's prediction. Bulk load plans
+/// a whole group with this before it allocates ([`SlotArray::for_group`]).
+pub fn placement(
     pairs: &[(u64, u64)],
     segment_model: LinearModel,
     gap_factor: f64,
-) -> (GplModel, Vec<(u64, u64)>) {
+) -> (LinearModel, usize) {
     debug_assert!(!pairs.is_empty());
-    let first_key = pairs[0].0;
-    let placement = LinearModel::new(first_key, segment_model.slope * gap_factor);
-    // Capacity: one slot past the last key's prediction.
+    let placement = LinearModel::new(pairs[0].0, segment_model.slope * gap_factor);
     let last = pairs[pairs.len() - 1].0;
     let capacity = (placement.predict_f(last) + 1.5) as usize;
-    let capacity = capacity.max(1);
-    let model = GplModel::new(first_key, placement, capacity, pairs.len());
+    (placement, capacity.max(1))
+}
+
+/// Place sorted `pairs` into a model with placement function `placement`
+/// over the empty array `slots`. Returns the model and the pairs that
+/// collided (conflict data for ART). The first key of each collision
+/// keeps its slot; later keys are evicted, exactly like bulk loading in
+/// §III-A.
+pub fn fill(
+    pairs: &[(u64, u64)],
+    placement: LinearModel,
+    slots: SlotArray,
+) -> (GplModel, Vec<(u64, u64)>) {
+    let model = GplModel::with_slots(pairs[0].0, placement, slots, pairs.len());
     let mut conflicts = Vec::new();
     for &(k, v) in pairs {
         let slot = model.predict(k);
@@ -121,6 +146,15 @@ pub fn build_model(
 mod tests {
     use super::*;
     use crate::slots::SlotState;
+
+    fn build_model(
+        pairs: &[(u64, u64)],
+        segment_model: LinearModel,
+        gap_factor: f64,
+    ) -> (GplModel, Vec<(u64, u64)>) {
+        let (placement, capacity) = placement(pairs, segment_model, gap_factor);
+        fill(pairs, placement, SlotArray::new(capacity))
+    }
 
     #[test]
     fn build_places_linear_keys_without_conflicts() {

@@ -7,12 +7,30 @@
 //! re-validate. An occupancy bitmap distinguishes "never used" from
 //! "used"; a used slot whose key is 0 is a tombstone (the paper's remove
 //! "sets the key to zero").
+//!
+//! Storage is a [`Region`] of zeroed memory, and nothing here ever writes
+//! the zeros: all-zero memory *is* an array of `Empty` slots (version 0
+//! is even, the occupancy bit is clear). A bulk-load group large enough
+//! carves all its arrays out of one huge-page region
+//! ([`SlotArray::for_group`]); anything smaller gets a heap region per
+//! array.
 
+use prefetch::pages::Region;
 use probe::metrics::{self, Counter};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Most cache lines one [`SlotArray::prefetch_window`] call asks for.
 const PREFETCH_LINES: usize = 16;
+
+/// Smallest group of arrays [`SlotArray::for_group`] maps as one shared
+/// huge-page region: glibc's largest mmap threshold on 64-bit. A request
+/// that big is a fresh `mmap` inside `malloc` anyway, so mapping it
+/// ourselves gives up no reuse of freed heap memory. Below it, per-array
+/// heap blocks reuse memory the process freed earlier: one shared region
+/// for `serve_zipf`'s small groups raised its `rss_bytes_per_key` 22 → 30,
+/// where glibc had been serving the arrays from memory set-up freed.
+pub const SHARED_REGION_MIN: usize = 32 << 20;
 
 /// One consistent snapshot of a slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,49 +89,136 @@ struct Slot {
 }
 
 /// A fixed-capacity array of versioned slots.
+///
+/// The two arrays live in `region` at `slots` and `occupancy`: raw
+/// pointers kept in the struct itself, so a probe loads them from the
+/// model as it loaded a `Box<[Slot]>`'s, with no hop through the `Arc`.
 pub struct SlotArray {
-    slots: Box<[Slot]>,
+    slots: *const Slot,
+    capacity: usize,
     /// One bit per slot; set once at first claim, never cleared.
-    occupancy: Box<[AtomicU64]>,
+    occupancy: *const AtomicU64,
+    region: Arc<Region>,
 }
 
+// SAFETY: the pointers address memory owned by `region` (kept alive by
+// the `Arc` beside them) and reserved for this array alone by `carve`;
+// it holds only atomics, so sharing or sending the array is sharing or
+// sending a `Box<[Slot]>` and a `Box<[AtomicU64]>`, which are both.
+unsafe impl Send for SlotArray {}
+// SAFETY: as above.
+unsafe impl Sync for SlotArray {}
+
 impl SlotArray {
-    /// An array of `capacity` empty slots.
+    /// An array of `capacity` empty slots, in a heap region of its own.
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "slot array needs at least one slot");
-        Self {
-            slots: (0..capacity)
-                .map(|_| Slot {
-                    version: AtomicU32::new(0),
-                    key: AtomicU64::new(0),
-                    value: AtomicU64::new(0),
-                })
-                .collect(),
-            occupancy: (0..capacity.div_ceil(64))
-                .map(|_| AtomicU64::new(0))
-                .collect(),
+        let region = Region::heap(Self::footprint(capacity));
+        Self::carve(region, &[capacity]).pop().expect("one array")
+    }
+
+    /// Empty arrays of the given capacities, for one bulk-load group: all
+    /// carved from one huge-page region when they take at least
+    /// [`SHARED_REGION_MIN`] bytes together (and the kernel maps it),
+    /// otherwise each in a heap region of its own ([`SlotArray::new`]).
+    pub fn for_group(capacities: &[usize]) -> Vec<Self> {
+        let bytes: usize = capacities.iter().map(|&c| Self::footprint(c)).sum();
+        match (bytes >= SHARED_REGION_MIN)
+            .then(|| Region::mapped(bytes))
+            .flatten()
+        {
+            Some(region) => Self::carve(region, capacities),
+            None => capacities.iter().map(|&c| Self::new(c)).collect(),
         }
+    }
+
+    /// Bytes an array of `capacity` slots takes in a region: its slots,
+    /// then its occupancy words, each rounded up to a cache line.
+    pub fn footprint(capacity: usize) -> usize {
+        Self::words_offset(capacity) + (capacity.div_ceil(64) * 8).next_multiple_of(64)
+    }
+
+    fn words_offset(capacity: usize) -> usize {
+        (capacity * std::mem::size_of::<Slot>()).next_multiple_of(64)
+    }
+
+    /// Arrays of the given capacities laid back to back in `region`, each
+    /// [`SlotArray::footprint`] bytes, starting at multiples of 64 bytes
+    /// into it (cache lines, in a mapped region). The region is freed when
+    /// the last of them drops. Taking it by value is what makes each
+    /// array's bytes its own: no region is carved twice.
+    ///
+    /// Panics if a capacity is 0 or the arrays do not fit.
+    pub fn carve(region: Region, capacities: &[usize]) -> Vec<Self> {
+        let region = Arc::new(region);
+        assert!(
+            capacities.iter().all(|&c| c > 0),
+            "slot array needs at least one slot"
+        );
+        // Every pointer below is in bounds, and each array's bytes are
+        // disjoint from the next's, because of these two checks.
+        let total: usize = capacities.iter().map(|&c| Self::footprint(c)).sum();
+        assert!(total <= region.size(), "slot arrays overrun their region");
+        assert_eq!(
+            region.as_ptr() as usize % std::mem::align_of::<Slot>(),
+            0,
+            "a region holds slots at its start"
+        );
+        let mut offset = 0;
+        capacities
+            .iter()
+            .map(|&capacity| {
+                let base = region.as_ptr().wrapping_add(offset);
+                offset += Self::footprint(capacity);
+                Self {
+                    slots: base as *const Slot,
+                    capacity,
+                    occupancy: base.wrapping_add(Self::words_offset(capacity)) as *const AtomicU64,
+                    region: Arc::clone(&region),
+                }
+            })
+            .collect()
+    }
+
+    #[inline(always)]
+    fn slot(&self, i: usize) -> &Slot {
+        // SAFETY: `carve` placed `capacity` slots at `slots`, aligned and
+        // inside the region this array keeps alive; the region started
+        // zeroed, which is a valid `Slot` (three atomics).
+        unsafe { &std::slice::from_raw_parts(self.slots, self.capacity)[i] }
+    }
+
+    #[inline(always)]
+    fn words(&self) -> &[AtomicU64] {
+        // SAFETY: as for `slot`: `capacity.div_ceil(64)` zero-initialized
+        // atomics at `occupancy`, aligned, inside the live region.
+        unsafe { std::slice::from_raw_parts(self.occupancy, self.capacity.div_ceil(64)) }
     }
 
     /// Number of slots.
     #[inline]
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.capacity
+    }
+
+    /// The region this array lives in, shared with the other arrays
+    /// carved from it.
+    pub fn region(&self) -> &Arc<Region> {
+        &self.region
     }
 
     /// Approximate heap bytes.
     pub fn memory_usage(&self) -> usize {
-        self.slots.len() * std::mem::size_of::<Slot>() + self.occupancy.len() * 8
+        self.capacity * std::mem::size_of::<Slot>() + self.capacity.div_ceil(64) * 8
     }
 
     #[inline]
     fn occupied_bit(&self, i: usize) -> bool {
-        self.occupancy[i / 64].load(Ordering::Acquire) >> (i % 64) & 1 == 1
+        self.words()[i / 64].load(Ordering::Acquire) >> (i % 64) & 1 == 1
     }
 
     #[inline]
     fn set_occupied(&self, i: usize) {
-        self.occupancy[i / 64].fetch_or(1 << (i % 64), Ordering::AcqRel);
+        self.words()[i / 64].fetch_or(1 << (i % 64), Ordering::AcqRel);
     }
 
     /// Hint the CPU to fetch slot `i`'s cache line ahead of a
@@ -124,8 +229,8 @@ impl SlotArray {
     /// and occupancy stays hot on its own compact array.
     #[inline]
     pub fn prefetch(&self, i: usize) {
-        prefetch::prefetch_read(&self.slots[i] as *const Slot);
-        prefetch::prefetch_read(&self.occupancy[i / 64] as *const AtomicU64);
+        prefetch::prefetch_read(self.slot(i) as *const Slot);
+        prefetch::prefetch_read(&self.words()[i / 64] as *const AtomicU64);
     }
 
     /// Hint the CPU to fetch the slots `from..=to` ahead of a walk over
@@ -137,8 +242,8 @@ impl SlotArray {
         if from > to {
             return;
         }
-        prefetch::prefetch_read(&self.occupancy[from / 64] as *const AtomicU64);
-        let start = &self.slots[from] as *const Slot as *const u8;
+        prefetch::prefetch_read(&self.words()[from / 64] as *const AtomicU64);
+        let start = self.slot(from) as *const Slot as *const u8;
         let bytes = (to - from + 1) * std::mem::size_of::<Slot>();
         for line in 0..bytes.div_ceil(64).min(PREFETCH_LINES) {
             prefetch::prefetch_read(start.wrapping_add(64 * line));
@@ -155,12 +260,12 @@ impl SlotArray {
     pub fn occupied(&self, from: usize, to: usize) -> Occupied<'_> {
         let to = to.min(self.capacity() - 1);
         let bits = if from <= to {
-            self.occupancy[from / 64].load(Ordering::Acquire) & (u64::MAX << (from % 64))
+            self.words()[from / 64].load(Ordering::Acquire) & (u64::MAX << (from % 64))
         } else {
             0
         };
         Occupied {
-            words: &self.occupancy,
+            words: self.words(),
             word: from / 64,
             bits,
             to,
@@ -171,13 +276,13 @@ impl SlotArray {
     /// [`SlotArray::version_unchanged`]).
     #[inline]
     pub fn version(&self, i: usize) -> u32 {
-        self.slots[i].version.load(Ordering::Acquire)
+        self.slot(i).version.load(Ordering::Acquire)
     }
 
     /// Whether a slot's version still equals `snapshot`.
     #[inline]
     pub fn version_unchanged(&self, i: usize, snapshot: u32) -> bool {
-        self.slots[i].version.load(Ordering::Acquire) == snapshot
+        self.slot(i).version.load(Ordering::Acquire) == snapshot
     }
 
     /// Read a consistent snapshot of slot `i`, together with the version
@@ -188,7 +293,7 @@ impl SlotArray {
     pub fn read(&self, i: usize) -> (SlotState, u32) {
         let mut retry = resilience::Retry::new();
         loop {
-            let v1 = self.slots[i].version.load(Ordering::Acquire);
+            let v1 = self.slot(i).version.load(Ordering::Acquire);
             if v1 & 1 == 1 {
                 metrics::incr(Counter::SlotReadRetry);
                 if retry.wait_or_escalate(&crate::LAYER) {
@@ -199,7 +304,7 @@ impl SlotArray {
             if !self.occupied_bit(i) {
                 // Occupancy is set before the first version bump; an even,
                 // unchanged version with a clear bit is a stable Empty.
-                if self.slots[i].version.load(Ordering::Acquire) == v1 {
+                if self.slot(i).version.load(Ordering::Acquire) == v1 {
                     return (SlotState::Empty, v1);
                 }
                 metrics::incr(Counter::SlotReadRetry);
@@ -208,15 +313,15 @@ impl SlotArray {
                 }
                 continue;
             }
-            let key = self.slots[i].key.load(Ordering::Acquire);
+            let key = self.slot(i).key.load(Ordering::Acquire);
             probe::chaos::point("slots.read.between_loads");
-            let value = self.slots[i].value.load(Ordering::Acquire);
+            let value = self.slot(i).value.load(Ordering::Acquire);
             probe::chaos::point("slots.read.pre_validate");
             // The mutation self-test deliberately skips this re-validation
             // (chaos-mutate builds only) to prove the harness catches the
             // resulting torn reads.
             if !probe::chaos::mutate_skip_slot_revalidation()
-                && self.slots[i].version.load(Ordering::Acquire) != v1
+                && self.slot(i).version.load(Ordering::Acquire) != v1
             {
                 metrics::incr(Counter::SlotReadRetry);
                 if retry.wait_or_escalate(&crate::LAYER) {
@@ -256,9 +361,10 @@ impl SlotArray {
     fn lock(&self, i: usize) -> u32 {
         let mut retry = resilience::Retry::new();
         loop {
-            let v = self.slots[i].version.load(Ordering::Acquire);
+            let v = self.slot(i).version.load(Ordering::Acquire);
             if v & 1 == 0
-                && self.slots[i]
+                && self
+                    .slot(i)
                     .version
                     .compare_exchange_weak(v, v + 1, Ordering::AcqRel, Ordering::Acquire)
                     .is_ok()
@@ -278,7 +384,7 @@ impl SlotArray {
 
     #[inline]
     fn unlock(&self, i: usize, pre: u32) {
-        self.slots[i]
+        self.slot(i)
             .version
             .store(pre.wrapping_add(2), Ordering::Release);
     }
@@ -323,8 +429,8 @@ impl SlotArray {
         if self.occupied_bit(i) {
             return false;
         }
-        self.slots[i].key.store(key, Ordering::Relaxed);
-        self.slots[i].value.store(value, Ordering::Relaxed);
+        self.slot(i).key.store(key, Ordering::Relaxed);
+        self.slot(i).value.store(value, Ordering::Relaxed);
         self.set_occupied(i);
         true
     }
@@ -344,6 +450,24 @@ impl SlotArray {
         let mut n = 0;
         self.for_each_live(|_, _, _| n += 1);
         n
+    }
+}
+
+impl Drop for SlotArray {
+    /// Hand this array's pages of a shared region back to the kernel, so a
+    /// retired model of a bulk-loaded group does not pin its memory until
+    /// the whole group goes. (A model is dropped only after its epoch
+    /// deferral, when no reader can still hold it.) The last array of a
+    /// region has nothing to hand back: the region's own drop unmaps it.
+    fn drop(&mut self) {
+        if Arc::strong_count(&self.region) > 1 {
+            let offset = self.slots as usize - self.region.as_ptr() as usize;
+            // SAFETY: `carve` reserved `offset..offset + footprint` for
+            // this array alone, `&mut self` means nothing refers into it,
+            // and `release` leaves the partial pages shared with a
+            // neighbour untouched.
+            unsafe { self.region.release(offset, Self::footprint(self.capacity)) };
+        }
     }
 }
 
@@ -393,13 +517,13 @@ impl SlotGuard<'_> {
         if !self.arr.occupied_bit(self.i) {
             return SlotState::Empty;
         }
-        let key = self.arr.slots[self.i].key.load(Ordering::Acquire);
+        let key = self.arr.slot(self.i).key.load(Ordering::Acquire);
         if key == 0 {
             SlotState::Tombstone
         } else {
             SlotState::Occupied {
                 key,
-                value: self.arr.slots[self.i].value.load(Ordering::Acquire),
+                value: self.arr.slot(self.i).value.load(Ordering::Acquire),
             }
         }
     }
@@ -409,7 +533,7 @@ impl SlotGuard<'_> {
     /// would lose its entry.
     pub fn install(&self, key: u64, value: u64) {
         debug_assert_ne!(key, 0);
-        let slot = &self.arr.slots[self.i];
+        let slot = self.arr.slot(self.i);
         if self.arr.occupied_bit(self.i) {
             slot.key.store(key, Ordering::Release);
             // Tombstone reclaim by a *different* key: the window between
@@ -427,12 +551,12 @@ impl SlotGuard<'_> {
 
     /// Overwrite the value, leaving the key in place.
     pub fn set_value(&self, value: u64) {
-        self.arr.slots[self.i].value.store(value, Ordering::Release);
+        self.arr.slot(self.i).value.store(value, Ordering::Release);
     }
 
     /// Tombstone the slot (key := 0).
     pub fn clear(&self) {
-        self.arr.slots[self.i].key.store(0, Ordering::Release);
+        self.arr.slot(self.i).key.store(0, Ordering::Release);
     }
 }
 
@@ -589,5 +713,107 @@ mod tests {
         }
         stop.store(true, Ordering::Relaxed);
         w.join().unwrap();
+    }
+
+    /// Arrays of `a` and `b` slots carved from one mapped region, A
+    /// first, and a handle that says whether the region still exists.
+    fn carved_pair(a: usize, b: usize) -> (SlotArray, SlotArray, std::sync::Weak<Region>) {
+        let bytes = SlotArray::footprint(a) + SlotArray::footprint(b);
+        let region = Region::mapped(bytes).expect("map a region");
+        let mut arrays = SlotArray::carve(region, &[a, b]);
+        let (b, a) = (arrays.pop().unwrap(), arrays.pop().unwrap());
+        let weak = Arc::downgrade(a.region());
+        (a, b, weak)
+    }
+
+    fn all_empty(s: &SlotArray) -> bool {
+        (0..s.capacity()).all(|i| s.read(i).0 == SlotState::Empty)
+            && s.occupied(0, s.capacity() - 1).next().is_none()
+    }
+
+    #[test]
+    fn a_fresh_region_reads_empty_at_every_slot() {
+        let (a, b, _) = carved_pair(1000, 333);
+        assert!(all_empty(&a) && all_empty(&b));
+        assert!(all_empty(&SlotArray::new(777)));
+        assert!(SlotArray::for_group(&[5, 64, 65]).iter().all(all_empty));
+    }
+
+    #[test]
+    fn adjacent_carved_arrays_are_isolated() {
+        // A's last occupancy word covers its slots 64..100.
+        let (a, b, _) = carved_pair(100, 100);
+        for i in 64..100 {
+            assert!(put(&a, i, i as u64 + 1, 1));
+        }
+        assert!(all_empty(&b), "A's last slot and bitmap word are A's alone");
+        assert_eq!(a.live_count(), 36);
+    }
+
+    #[test]
+    fn releasing_a_leaves_a_filled_b_intact() {
+        // Many pages each, so A's drop has whole pages to release.
+        let n = 3000;
+        let (a, b, weak) = carved_pair(n, n);
+        for i in 0..n {
+            assert!(put(&a, i, i as u64 + 1, 1));
+            assert!(put(&b, i, i as u64 + 1, i as u64));
+        }
+        drop(a);
+        let region = weak.upgrade().expect("B keeps the region");
+        // SAFETY: A's bytes, which no array refers to any more.
+        let a_bytes = unsafe { std::slice::from_raw_parts(region.as_ptr(), 4096) };
+        assert!(a_bytes.iter().all(|&x| x == 0), "A's first page went back");
+        for i in 0..n {
+            let (key, value) = (i as u64 + 1, i as u64);
+            assert_eq!(b.read(i).0, SlotState::Occupied { key, value });
+        }
+    }
+
+    #[test]
+    fn the_region_goes_with_its_last_array() {
+        let (a, b, weak) = carved_pair(10, 10);
+        drop(b);
+        assert!(weak.upgrade().is_some());
+        drop(a);
+        assert!(weak.upgrade().is_none(), "unmapped with the last array");
+    }
+
+    #[test]
+    fn a_shared_region_places_keys_as_heap_arrays_do() {
+        use crate::{AltConfig, AltIndex};
+        // fb 400k, seed 7: 35.6 MiB of slot arrays. One build thread is
+        // one group, carved from one shared region; two are two ~18 MiB
+        // groups of heap arrays. Both give the layout pinned at the
+        // parent commit, before slot arrays had regions.
+        let pairs = datasets::generate_pairs(datasets::Dataset::Fb, 400_000, 7);
+        for build_threads in [1, 2] {
+            let idx = AltIndex::bulk_load_with(
+                &pairs,
+                AltConfig {
+                    build_threads,
+                    ..Default::default()
+                },
+            );
+            let spans = idx.directory_spans();
+            let bytes: usize = spans.iter().map(|s| SlotArray::footprint(s.1)).sum();
+            assert!(bytes >= SHARED_REGION_MIN, "{bytes} B is one shared region");
+            assert_eq!(idx.learned_layout_digest(), 0x2400_713d_26f3_4000);
+            assert_eq!(spans_digest(&spans), 0xa112_e0ce_d8b7_afd9);
+        }
+    }
+
+    /// FNV-1a over `directory_spans`.
+    fn spans_digest(spans: &[(u64, usize, usize)]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for &(first, cap, size) in spans {
+            for x in [first, cap as u64, size as u64] {
+                for b in x.to_le_bytes() {
+                    h ^= u64::from(b);
+                    h = h.wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        h
     }
 }

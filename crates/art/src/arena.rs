@@ -19,6 +19,12 @@
 //!   every deferred `dealloc` sound by construction. The memory is not
 //!   leaked in the practical sense — freed slots go on free lists and are
 //!   reused by later allocations, process-wide.
+//! * **Chunks double, up to one huge page.** A (class, shard)'s first
+//!   chunk is 64 slots and each refill doubles the last, up to
+//!   [`HUGE_PAGE`]; those 2 MiB chunks are `Region::mapped` (huge-page
+//!   aligned, `MADV_HUGEPAGE`), so a descent through a large tree takes
+//!   one TLB entry per 2 MiB of nodes instead of one per 4 KiB. A small
+//!   tree never gets that far (a shard's leaves reach it after ~131k).
 //! * **Free slots are recycled only through the free list.** A doomed
 //!   optimistic reader can hold a pointer to a node that a writer just
 //!   retired. Epoch reclamation delays the `dealloc` (and hence the
@@ -57,6 +63,7 @@
 //! tree's own counters, the reason a two-thread bulk load ran slower
 //! than a one-thread one (DESIGN.md §12).
 
+use prefetch::pages::{Region, HUGE_PAGE};
 use probe::metrics::{self, Counter};
 use probe::striped::stripe_id;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -67,10 +74,10 @@ use std::sync::Mutex;
 /// multiples (see `class_of_size`).
 const CLASS_SIZES: [usize; 5] = [16, 64, 256, 832, 2112];
 
-/// Chunk size per refill, per class: big enough that a bulk build's
-/// nodes are page-dense, small enough that a tiny test process doesn't
-/// balloon (largest class: 2112 B × 64 ≈ 132 KiB per refill).
-const SLOTS_PER_CHUNK: usize = 64;
+/// A shard's first chunk of a class, in slots: small enough that a tiny
+/// tree doesn't balloon (largest class: 2112 B × 64 ≈ 132 KiB). Each
+/// refill doubles the last one, up to [`HUGE_PAGE`].
+const FIRST_CHUNK_SLOTS: usize = 64;
 
 /// Shards per class. Divides `probe::striped::STRIPES`, so threads on
 /// distinct stripes (mod 8) get distinct shards; the 1-core CI host sees
@@ -85,6 +92,8 @@ struct Shard {
     /// Current bump chunk: next unissued slot and the chunk's end.
     bump: usize,
     end: usize,
+    /// Bytes of the current chunk (0 before the first).
+    chunk: usize,
 }
 
 // Lock word and shard, line-isolated from the next element's.
@@ -106,6 +115,7 @@ impl Class {
             free: Vec::new(),
             bump: 0,
             end: 0,
+            chunk: 0,
         });
         Self {
             slot,
@@ -130,14 +140,23 @@ impl Class {
             return p as *mut u8;
         }
         if sh.bump >= sh.end {
-            // Refill: one 64-aligned chunk, intentionally never freed —
-            // the arena is process-global (see module docs).
-            let bytes = self.slot * SLOTS_PER_CHUNK;
-            let layout = std::alloc::Layout::from_size_align(bytes, 64).unwrap();
+            // Refill: a 64-aligned chunk twice the last one, intentionally
+            // never freed — the arena is process-global (see module docs).
+            let bytes = (sh.chunk * 2)
+                .max(self.slot * FIRST_CHUNK_SLOTS)
+                .min(HUGE_PAGE);
             let grow_failed = probe::fail::fire("art.arena.grow").is_some();
             let chunk = if grow_failed {
                 std::ptr::null_mut()
+            } else if bytes == HUGE_PAGE {
+                // A whole huge page: one TLB entry for ~2 MiB of nodes.
+                Region::mapped(bytes).map_or(std::ptr::null_mut(), |r| {
+                    let p = r.as_ptr();
+                    std::mem::forget(r);
+                    p
+                })
             } else {
+                let layout = std::alloc::Layout::from_size_align(bytes, 64).unwrap();
                 // SAFETY: `layout` has nonzero size.
                 unsafe { std::alloc::alloc(layout) }
             };
@@ -152,7 +171,8 @@ impl Class {
                 return self.alloc_fallback();
             }
             sh.bump = chunk as usize;
-            sh.end = chunk as usize + bytes;
+            sh.end = chunk as usize + bytes / self.slot * self.slot;
+            sh.chunk = bytes;
             ALLOCATED_BYTES.fetch_add(bytes, Ordering::Relaxed);
         }
         let p = sh.bump;
@@ -284,30 +304,66 @@ mod tests {
 
     #[test]
     fn consecutive_allocs_are_dense() {
-        // Two fresh bump allocations from one thread's shard are
-        // adjacent slots — the locality property the arena exists for.
-        // Drain any recycled slots first so both come from the bump.
-        let cls = class_of_size(64);
-        let drain: Vec<*mut u8> = std::iter::from_fn(|| {
-            let mut sh = cls.shards[stripe_id() % SHARDS]
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            sh.free.pop().map(|p| p as *mut u8)
-        })
-        .collect();
-        let a = arena_alloc(64) as usize;
-        let b = arena_alloc(64) as usize;
-        assert!(
-            b == a + 64 || a % (64 * SLOTS_PER_CHUNK) + 64 == 64 * SLOTS_PER_CHUNK,
-            "bump slots are adjacent unless a chunk boundary intervened (a={a:#x}, b={b:#x})"
-        );
-        // SAFETY: just allocated / drained from this shard's free list.
-        unsafe {
-            arena_dealloc(a as *mut u8, 64);
-            arena_dealloc(b as *mut u8, 64);
-            for p in drain {
-                arena_dealloc(p, 64);
+        // Two fresh bump allocations from one shard are adjacent slots —
+        // the locality property the arena exists for. A class of its own,
+        // so no other test's thread shares the shard.
+        let cls = Class::new(64);
+        let a = cls.alloc(0) as usize;
+        let b = cls.alloc(0) as usize;
+        assert_eq!(b, a + 64, "bump slots are adjacent");
+    }
+
+    #[test]
+    fn refills_double_up_to_huge_page_chunks() {
+        let cls = Class::new(CLASS_SIZES[3]);
+        let mut chunks = Vec::new();
+        let mut allocated = 0;
+        while allocated <= 2 * HUGE_PAGE {
+            cls.alloc(0);
+            allocated += cls.slot;
+            let sh = cls.shards[0].lock().unwrap_or_else(|e| e.into_inner());
+            if chunks.last() != Some(&sh.chunk) {
+                chunks.push(sh.chunk);
             }
         }
+        assert_eq!(chunks[0], cls.slot * FIRST_CHUNK_SLOTS);
+        for w in chunks.windows(2) {
+            assert_eq!(w[1], (2 * w[0]).min(HUGE_PAGE), "chunk sizes {chunks:?}");
+        }
+        assert_eq!(*chunks.last().unwrap(), HUGE_PAGE, "chunk sizes {chunks:?}");
+        let sh = cls.shards[0].lock().unwrap_or_else(|e| e.into_inner());
+        let start = sh.end - sh.chunk / cls.slot * cls.slot;
+        assert_eq!(start % HUGE_PAGE, 0, "the newest chunk is one huge page");
+    }
+
+    #[test]
+    fn a_failed_huge_page_refill_falls_back_to_one_slot() {
+        // Runs under `cargo test -p art --features fault --lib`.
+        if !probe::fail::ENABLED {
+            return;
+        }
+        use probe::fail::{FailAction, Trigger};
+        let cls = Class::new(CLASS_SIZES[0]);
+        let shard = || cls.shards[0].lock().unwrap_or_else(|e| e.into_inner());
+        // Up the ladder to a 2 MiB chunk, and use it up.
+        loop {
+            cls.alloc(0);
+            let sh = shard();
+            if sh.chunk == HUGE_PAGE && sh.bump == sh.end {
+                break;
+            }
+        }
+        let fails = arena_alloc_fail_count();
+        let g = probe::fail::install("art.arena.grow", FailAction::AllocFail, Trigger::Always);
+        let p = cls.alloc(0);
+        drop(g);
+        assert!(!p.is_null());
+        assert!(arena_alloc_fail_count() > fails, "served by the fallback");
+        let sh = shard();
+        assert_eq!(
+            (sh.chunk, sh.bump),
+            (HUGE_PAGE, sh.end),
+            "the failed refill left the shard as it was"
+        );
     }
 }

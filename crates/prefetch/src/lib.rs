@@ -1,4 +1,5 @@
-//! Portable software prefetch hints.
+//! Portable software prefetch hints, and the page hint ([`pages`]): the
+//! memory-system hints of the lookup paths.
 //!
 //! The AMAC-style batched lookup paths (see `alt_index::batch` and
 //! `art::batch`) overlap the cache misses of many in-flight keys by
@@ -24,6 +25,8 @@
 //! crate at all (the trait's default `get_batch` needs no prefetch).
 
 #![warn(missing_docs)]
+
+pub mod pages;
 
 /// Hint the CPU to fetch the cache line containing `p` for a read.
 ///

@@ -228,6 +228,30 @@ fn arena_fallback_is_counted_and_lossless() {
     for k in burst_keys(50_001, 3_000) {
         assert_eq!(idx.get(k), Some(k));
     }
+
+    // The same on a huge-page refill. A shard's leaf chunks double from
+    // 1 KiB and reach 2 MiB after ~131k leaves, so 300k inserts on this
+    // thread leave every later leaf refill of its shard a
+    // `Region::mapped` one; 140k more exhaust whatever 2 MiB chunk (131k
+    // leaves) is current, so the burst must ask for one and fail.
+    let tree = art::Art::new();
+    for k in 1..=300_000u64 {
+        assert!(tree.insert(k, k));
+    }
+    let before = art::arena_alloc_fail_count();
+    let g = probe::fail::install("art.arena.grow", FailAction::AllocFail, Trigger::Always);
+    let burst = 1_000_001..=1_140_000u64;
+    for k in burst.clone() {
+        assert!(tree.insert(k, k));
+    }
+    drop(g);
+    assert!(
+        art::arena_alloc_fail_count() > before,
+        "a failed 2 MiB refill must route through the fallback counter"
+    );
+    for k in burst {
+        assert_eq!(tree.get(k), Some(k), "lost {k} under a failed 2 MiB refill");
+    }
 }
 
 #[test]

@@ -1,0 +1,115 @@
+//! Slot arrays in memory regions (`alt_index::slots`, DESIGN.md §3): the
+//! crate's unit tests of carving, mirrored here so that tier-1
+//! `cargo test` runs them. A fresh region is all `Empty`, carved
+//! neighbours never see each other's writes or releases, the region lives
+//! exactly as long as its last array, and where the arrays live does not
+//! move a key.
+
+use alt_index::slots::{SlotArray, SlotState, SHARED_REGION_MIN};
+use alt_index::{AltConfig, AltIndex};
+use prefetch::pages::Region;
+use std::sync::{Arc, Weak};
+
+/// Install `key` into slot `i` unless a live key holds it.
+fn put(s: &SlotArray, i: usize, key: u64, value: u64) -> bool {
+    s.with_write(i, |g| match g.state() {
+        SlotState::Occupied { .. } => false,
+        SlotState::Empty | SlotState::Tombstone => {
+            g.install(key, value);
+            true
+        }
+    })
+}
+
+/// Arrays of `a` and `b` slots carved from one mapped region, A first,
+/// and a handle that says whether the region still exists.
+fn carved_pair(a: usize, b: usize) -> (SlotArray, SlotArray, Weak<Region>) {
+    let bytes = SlotArray::footprint(a) + SlotArray::footprint(b);
+    let region = Region::mapped(bytes).expect("map a region");
+    let mut arrays = SlotArray::carve(region, &[a, b]);
+    let (b, a) = (arrays.pop().unwrap(), arrays.pop().unwrap());
+    let weak = Arc::downgrade(a.region());
+    (a, b, weak)
+}
+
+fn all_empty(s: &SlotArray) -> bool {
+    (0..s.capacity()).all(|i| s.read(i).0 == SlotState::Empty)
+        && s.occupied(0, s.capacity() - 1).next().is_none()
+}
+
+#[test]
+fn a_fresh_region_reads_empty_at_every_slot() {
+    let (a, b, _) = carved_pair(1000, 333);
+    assert!(all_empty(&a) && all_empty(&b));
+    assert!(all_empty(&SlotArray::new(777)));
+    assert!(SlotArray::for_group(&[5, 64, 65]).iter().all(all_empty));
+}
+
+#[test]
+fn adjacent_carved_arrays_are_isolated() {
+    // A's last occupancy word covers its slots 64..100.
+    let (a, b, _) = carved_pair(100, 100);
+    for i in 64..100 {
+        assert!(put(&a, i, i as u64 + 1, 1));
+    }
+    assert!(all_empty(&b), "A's last slot and bitmap word are A's alone");
+    assert_eq!(a.live_count(), 36);
+}
+
+#[test]
+fn releasing_a_leaves_a_filled_b_intact() {
+    // Many pages each, so A's drop has whole pages to release.
+    let n = 3000;
+    let (a, b, weak) = carved_pair(n, n);
+    for i in 0..n {
+        assert!(put(&a, i, i as u64 + 1, 1));
+        assert!(put(&b, i, i as u64 + 1, i as u64));
+    }
+    drop(a);
+    assert!(weak.upgrade().is_some(), "B keeps the region");
+    for i in 0..n {
+        let (key, value) = (i as u64 + 1, i as u64);
+        assert_eq!(b.read(i).0, SlotState::Occupied { key, value });
+    }
+}
+
+#[test]
+fn the_region_goes_with_its_last_array() {
+    let (a, b, weak) = carved_pair(10, 10);
+    drop(b);
+    assert!(weak.upgrade().is_some());
+    drop(a);
+    assert!(weak.upgrade().is_none(), "unmapped with the last array");
+}
+
+#[test]
+fn a_shared_region_places_keys_as_heap_arrays_do() {
+    // fb 400k, seed 7: 35.6 MiB of slot arrays. One build thread is one
+    // group, carved from one shared region; two are two ~18 MiB groups of
+    // heap arrays. Both give the layout pinned at the parent commit,
+    // before slot arrays had regions (`build_equivalence`'s two digests).
+    let pairs = datasets::generate_pairs(datasets::Dataset::Fb, 400_000, 7);
+    for build_threads in [1, 2] {
+        let idx = AltIndex::bulk_load_with(
+            &pairs,
+            AltConfig {
+                build_threads,
+                ..Default::default()
+            },
+        );
+        let spans = idx.directory_spans();
+        let bytes: usize = spans.iter().map(|s| SlotArray::footprint(s.1)).sum();
+        assert!(bytes >= SHARED_REGION_MIN, "{bytes} B is one shared region");
+        assert_eq!(idx.learned_layout_digest(), 0x2400_713d_26f3_4000);
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for &(first, cap, size) in &spans {
+            for x in [first, cap as u64, size as u64] {
+                for b in x.to_le_bytes() {
+                    h ^= u64::from(b);
+                    h = h.wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        assert_eq!(h, 0xa112_e0ce_d8b7_afd9, "directory_spans moved");
+    }
+}
