@@ -47,7 +47,6 @@ enum Stage<'g> {
         m: &'g GplModel,
         pred: usize,
         ver: u32,
-        tombstone: bool,
         cur: BatchCursor,
     },
 }
@@ -171,42 +170,25 @@ fn step<'g>(idx: &AltIndex, fl: &mut Flight<'g>, guard: &'g Guard) -> Option<Opt
                     Some(None)
                 }
                 Probe::Absent => restart(idx, fl, guard),
-                Probe::Art { tombstone } => {
+                Probe::Art => {
                     // Conflict data: hand off to the interleaved ART
                     // descent.
                     metrics::incr(Counter::AltBatchArtHandoff);
                     let cur = idx.art.batch_cursor(fl.key);
                     metrics::incr(Counter::AltBatchPrefetch);
-                    fl.stage = Stage::Art {
-                        m,
-                        pred,
-                        ver,
-                        tombstone,
-                        cur,
-                    };
+                    fl.stage = Stage::Art { m, pred, ver, cur };
                     None
                 }
             }
         }
-        Stage::Art {
-            m,
-            pred,
-            ver,
-            tombstone,
-            cur,
-        } => {
-            let (m, pred, ver, tombstone) = (*m, *pred, *ver, *tombstone);
+        Stage::Art { m, pred, ver, cur } => {
+            let (m, pred, ver) = (*m, *pred, *ver);
             // SAFETY: the ring's epoch pin (`get_batch_amac`) has been
             // held since the cursor was created and outlives it.
             let step = unsafe { idx.art.batch_step(cur) };
             match step {
                 BatchStep::Pending => None,
-                BatchStep::Done(Some(v)) => {
-                    if idx.cfg.write_back && tombstone {
-                        idx.try_write_back(m, pred, fl.key);
-                    }
-                    Some(Some(v))
-                }
+                BatchStep::Done(Some(v)) => Some(Some(v)),
                 BatchStep::Done(None) if m.miss_is_final(pred, ver) => Some(None),
                 BatchStep::Done(None) => restart(idx, fl, guard),
                 // The cursor's budget ran out: the scalar path owns the

@@ -16,9 +16,6 @@ pub struct AltConfig {
     /// tripped a model's overflow trigger rebuilds it. Off = overflowed
     /// models keep spilling into ART (part of the hot-write comparison).
     pub retrain: bool,
-    /// Enable opportunistic write-back of ART entries into tombstoned GPL
-    /// slots during reads (Algorithm 2 lines 10-13).
-    pub write_back: bool,
     /// Worker threads for the two bulk-load stages that carry the build:
     /// model population (per-model ownership, no locking) and conflict
     /// insertion into ART. GPL segmentation is a few percent of it and
@@ -48,7 +45,6 @@ impl Default for AltConfig {
             epsilon: None,
             gap_factor: 1.25,
             retrain: true,
-            write_back: true,
             build_threads: default_build_threads(),
         }
     }

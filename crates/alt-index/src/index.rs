@@ -17,7 +17,7 @@ use index_api::{IndexError, Result};
 use learned::gpl::{GplSegmenter, Segment};
 use learned::LinearModel;
 use parking_lot::Mutex;
-use probe::metrics::{self, Counter, Phase};
+use probe::metrics::{self, Phase};
 use probe::striped::Striped;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -54,8 +54,8 @@ pub struct AltIndex {
     /// not) — the denominator for the paper's retrain-effectiveness
     /// accounting; `retrains` is the numerator.
     pub(crate) retrain_attempts: AtomicUsize,
-    /// Retrains that aborted cleanly (injected or real build/reconcile
-    /// failure) or whose contained panic was rolled back by the
+    /// Retrains that aborted cleanly (injected or real build failure)
+    /// or whose contained panic was rolled back by the
     /// drop-guards. Always-on so fault tests and benches can read it in
     /// any build; mirrored into `probe::metrics` under the `metrics`
     /// feature.
@@ -164,13 +164,8 @@ impl AltIndex {
                 Probe::Absent => {}
                 // Conflict data: the direct ART query replaces the classic
                 // secondary search.
-                Probe::Art { tombstone } => match self.art.get(key) {
-                    Some(v) => {
-                        if self.cfg.write_back && tombstone {
-                            self.try_write_back(m, pred, key);
-                        }
-                        return Some(v);
-                    }
+                Probe::Art => match self.art.get(key) {
+                    Some(v) => return Some(v),
                     None if m.miss_is_final(pred, ver) => return None,
                     None => {}
                 },
@@ -206,7 +201,7 @@ impl AltIndex {
         m.slots.with_write(pred, |g| match g.state().probe(key) {
             Probe::Hit(value) => Some(value),
             Probe::Absent => None,
-            Probe::Art { .. } => self.art.get(key),
+            Probe::Art => self.art.get(key),
         })
     }
 
@@ -242,34 +237,6 @@ impl AltIndex {
                 _dl = Some(self.dir_lock.lock());
             }
         }
-    }
-
-    /// Opportunistic write-back (Algorithm 2 lines 10-13): move `key`'s
-    /// ART entry into the tombstoned slot it predicts to. One decision
-    /// under the slot lock, like every other write of `key`: the value
-    /// installed is the one taken out of ART under the lock, so no update
-    /// is lost between a read and the move, and an entry a remover got to
-    /// first is not brought back. Between the ART removal and the install
-    /// the key is in neither layer, which no reader can conclude from —
-    /// its slot read waits out the lock or fails the version re-check.
-    pub(crate) fn try_write_back(&self, m: &GplModel, pred: usize, key: u64) {
-        metrics::incr(Counter::WriteBackAttempt);
-        // Never fight a retrain for this optimization.
-        let Some(_rl) = m.op_lock.try_read() else {
-            return;
-        };
-        if m.is_retired() {
-            return;
-        }
-        m.slots.with_write(pred, |g| {
-            // Still the tombstone the caller saw, not reclaimed since.
-            if g.state() == SlotState::Tombstone {
-                if let Some(value) = self.art.remove(key) {
-                    g.install(key, value);
-                    metrics::incr(Counter::WriteBackMoved);
-                }
-            }
-        });
     }
 
     /// Insert a new key.
@@ -479,10 +446,10 @@ impl Drop for AltIndex {
 ///
 /// `route_floor`: when replacing a directory span whose smallest key has
 /// been removed, the first replacement model must still *route* from the
-/// old span start — otherwise keys between the old and new lower bound
-/// would fall to the previous model, while the rebuild, which owns the
-/// whole old span (its reconcile pass places whatever was written there
-/// during the build), put them in this one.
+/// old span start, so the replacements tile the old span — otherwise keys
+/// between the old and new lower bound would fall to the previous model,
+/// whose slots were not built for them, and a retrain would move a
+/// neighbour's span boundary without holding its lock.
 pub(crate) fn segment_and_build(
     pairs: &[(u64, u64)],
     epsilon: f64,
@@ -690,33 +657,6 @@ mod tests {
         idx.insert(10, 11).unwrap();
         assert_eq!(idx.get(10), Some(11));
         assert_eq!(idx.len(), 1000);
-    }
-
-    #[test]
-    fn write_back_promotes_art_entry_into_tombstone() {
-        let p = pairs(100, 4);
-        let idx = AltIndex::bulk_load_default(&p);
-        // 41 and 42 predict near each other; force 42's neighborhood:
-        // insert a key that conflicts into ART, then remove the slot
-        // resident and read.
-        idx.insert(41, 410).unwrap(); // may be slot or ART
-        idx.insert(42, 420).unwrap();
-        idx.insert(43, 430).unwrap();
-        let before = idx.stats().keys_in_art;
-        if before == 0 {
-            return; // layout absorbed everything; nothing to exercise
-        }
-        // Remove slot residents around the conflicts, then read the ART
-        // keys: write-back should move at least one into the learned
-        // layer.
-        idx.remove(40);
-        idx.remove(44);
-        for k in [41u64, 42, 43] {
-            assert_eq!(idx.get(k), Some(k * 10));
-            assert_eq!(idx.get(k), Some(k * 10), "stable after write-back");
-        }
-        let after = idx.stats().keys_in_art;
-        assert!(after <= before, "write-back never grows ART");
     }
 
     #[test]

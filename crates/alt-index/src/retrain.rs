@@ -11,24 +11,21 @@
 //! grows new tail models for out-of-range insertions.
 //!
 //! There is one rebuild, `AltIndex::retrain_span`, run by the thread
-//! whose insert tripped the trigger. DESIGN.md §14 has the protocol and
-//! its safety argument.
+//! whose insert tripped the trigger, in one pass under the model's
+//! writer lock. DESIGN.md §14 has the protocol and its safety argument.
 
 use crate::adapt::observed_epsilon;
 use crate::index::{segment_and_build, AltIndex};
 use crate::model::GplModel;
-use crate::slots::SlotState;
 use crossbeam_epoch as epoch;
 use probe::metrics::{self, Counter, Phase};
-use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 
 /// One span's data captured under the model's write lock: the span's
-/// ART residents, and their merge with the live slot entries (slot copy
-/// wins on the rare double-presence — write-back deletes the ART copy on
-/// sight anyway). Both are key-sorted.
+/// ART residents, and their merge with the live slot entries (the slot
+/// copy wins on the double presence a contained panic mid-absorb
+/// leaves). Both are key-sorted.
 struct SpanSnapshot {
     art_pairs: Vec<(u64, u64)>,
     merged: Vec<(u64, u64)>,
@@ -109,20 +106,11 @@ impl AltIndex {
     /// quietly skipping when another structural change is in flight (the
     /// next overflow insert retries).
     ///
-    /// The model's `op_lock` write side is taken twice, briefly, so
-    /// writers to the span never stall for the GPL re-segmentation:
-    ///
-    /// 1. **Collect** — snapshot the span (slots + ART range), then
-    ///    release the write lock. Writers resume against the *old*
-    ///    layout while the new models are built from the snapshot.
-    /// 2. **Reconcile + publish** — re-take the write lock, re-collect,
-    ///    and diff the two snapshots: every key inserted, updated, or
-    ///    removed during the build is applied to the still-private new
-    ///    models (or to the conflict set). Then: conflicts into ART,
-    ///    epoch bump, RCU swap, retire, absorb.
-    ///
-    /// DESIGN.md §14 argues why the swap is race-free and what a panic
-    /// at each hold site leaves behind.
+    /// One pass under the model's `op_lock` write side, from collect to
+    /// absorb: writers to the span wait out the rebuild, so the span
+    /// collected is the span the new models hold. Readers stay lock-free
+    /// throughout. DESIGN.md §14 argues why the swap is race-free and what
+    /// a panic at each hold site leaves behind.
     pub(crate) fn retrain_span(&self, key_hint: u64) {
         // One structural change at a time.
         let Some(_dl) = self.dir_lock.try_lock() else {
@@ -139,18 +127,14 @@ impl AltIndex {
         self.retrain_attempts.fetch_add(1, Ordering::Relaxed);
         metrics::incr(Counter::RetrainAttempt);
 
-        // Phase 1: snapshot under a short writer stall, then let writers
-        // back in for the build. Readers stay lock-free throughout.
         let t_collect = metrics::now_ns();
-        let before = {
-            let _wl = m.op_lock.write();
-            // Injected panic: unwinds through `_wl`/`_dl` (RAII) into
-            // the caller's `catch_unwind`; nothing has changed yet.
-            probe::fail::point("retrain.collect");
-            self.collect_span(dir, mi, m)
-        };
+        let _wl = m.op_lock.write();
+        // Injected panic: unwinds through `_wl`/`_dl` (RAII) into the
+        // caller's `catch_unwind`; nothing has changed yet.
+        probe::fail::point("retrain.collect");
+        let span = self.collect_span(dir, mi, m);
         metrics::record_phase_ns(Phase::RetrainCollect, metrics::now_ns() - t_collect);
-        if before.merged.is_empty() {
+        if span.merged.is_empty() {
             // Everything in the span was removed; nothing to refactor.
             // The overflow inserts that tripped the trigger are gone with
             // the rest of the span, so reset the accounting — leaving it
@@ -162,8 +146,6 @@ impl AltIndex {
             return;
         }
 
-        // Build off the write lock: concurrent inserts/updates/removes
-        // proceed against the old layout and are reconciled below.
         let t_build = metrics::now_ns();
         // Fallible build: an injected Error/AllocFail (or, one day, a
         // real fallible-allocation failure) aborts the retrain cleanly
@@ -173,40 +155,21 @@ impl AltIndex {
             self.count_rollback();
             return;
         }
+        // `conflicts` is key-sorted, each key once.
         let (models, conflicts, _) = segment_and_build(
-            &before.merged,
-            observed_epsilon(&before.merged, self.epsilon),
+            &span.merged,
+            observed_epsilon(&span.merged, self.epsilon),
             self.cfg.gap_factor,
             Some(m.first_key),
             1,
         );
-        // Mutable conflict set: the delta below may add (new collisions)
-        // or drop (conflicted keys removed mid-build) entries.
-        let mut conflict_map: BTreeMap<u64, u64> = conflicts.into_iter().collect();
         metrics::record_phase_ns(Phase::RetrainBuild, metrics::now_ns() - t_build);
-        // Widen the window in which writers mutate the span being
-        // rebuilt — everything they do here must survive the reconcile.
-        probe::chaos::point("retrain.build_window");
 
-        // Phase 2: writers stalled again for reconcile + publish.
-        let _wl = m.op_lock.write();
-        let t_reconcile = metrics::now_ns();
-        // Fallible reconcile: aborting here discards the private build
-        // entirely — the old directory is still published, no shared
-        // state was touched, and the write lock releases on return.
-        if probe::fail::eval("retrain.reconcile").is_err() {
-            self.count_rollback();
-            return;
-        }
-        let after = self.collect_span(dir, mi, m);
-        apply_delta(&models, &before.merged, &after.merged, &mut conflict_map);
-        metrics::record_phase_ns(Phase::RetrainReconcile, metrics::now_ns() - t_reconcile);
-
-        // Every still-conflicting key must be reachable through ART
-        // before the swap so no reader window misses it. (Keys that
-        // conflicted at build time and were already ART residents are
-        // re-upserted with their current value — a no-op.)
-        for (&k, &v) in &conflict_map {
+        // Every conflicting key must be reachable through ART before the
+        // swap so no reader window misses it. (Conflicts that were already
+        // ART residents are re-upserted with their current value — a
+        // no-op.)
+        for &(k, v) in &conflicts {
             self.art.upsert(k, v);
         }
 
@@ -238,17 +201,16 @@ impl AltIndex {
         drop(retire_guard);
         metrics::record_phase_ns(Phase::RetrainSwap, metrics::now_ns() - t_swap);
 
-        // Remove the ART keys the new slots absorbed (everything in the
-        // span's phase-2 ART snapshot except the still-conflicting
-        // ones). Readers racing these deletes see `retired` and retry
-        // against the new directory. A panic mid-pass leaves the
-        // remaining keys present in *both* layers — benign double
-        // presence the op paths already handle (the slot copy wins and
-        // the values are equal; the next retrain of the span merges them
-        // away).
+        // Remove the ART keys the new slots absorbed (every collected ART
+        // resident that is not a conflict). Readers racing these deletes
+        // see `retired` and retry against the new directory. A panic
+        // mid-pass leaves the remaining keys present in *both* layers —
+        // benign double presence the op paths already handle (the slot
+        // copy wins and the values are equal; the next retrain of the span
+        // merges them away).
         let t_cleanup = metrics::now_ns();
-        for &(k, _) in &after.art_pairs {
-            if !conflict_map.contains_key(&k) {
+        for &(k, _) in &span.art_pairs {
+            if conflicts.binary_search_by_key(&k, |c| c.0).is_err() {
                 probe::chaos::point("retrain.absorb_remove");
                 probe::fail::point("retrain.absorb");
                 self.art.remove(k);
@@ -257,86 +219,6 @@ impl AltIndex {
         metrics::record_phase_ns(Phase::RetrainCleanup, metrics::now_ns() - t_cleanup);
         self.retrains.fetch_add(1, Ordering::Relaxed);
         metrics::incr(Counter::RetrainCompleted);
-    }
-}
-
-/// Route `key` to the model that will own it in `models` (sorted by
-/// `first_key`; keys below the first model's span route to it, matching
-/// the directory's `model_for`).
-fn locate_new_model(models: &[Arc<GplModel>], key: u64) -> &GplModel {
-    let i = models.partition_point(|m| m.first_key <= key);
-    &models[i.saturating_sub(1)]
-}
-
-/// Apply the differences between two span snapshots (`before` feeding
-/// the build, `after` collected at publish time — both key-sorted) to
-/// the still-private new `models`.
-///
-/// * A key added or revalued during the build is placed at its
-///   predicted slot (installing over Empty/Tombstone, revaluing a same-
-///   key resident) or, if the slot holds another key, recorded in
-///   `conflict_map` for the pre-swap ART upsert.
-/// * A key removed during the build is dropped from `conflict_map` or
-///   tombstoned out of its predicted slot.
-///
-/// The models are unpublished, so slot locks are uncontended and every
-/// mutation is ordinary `with_write` traffic.
-fn apply_delta(
-    models: &[Arc<GplModel>],
-    before: &[(u64, u64)],
-    after: &[(u64, u64)],
-    conflict_map: &mut BTreeMap<u64, u64>,
-) {
-    let upsert_new = |k: u64, v: u64, conflict_map: &mut BTreeMap<u64, u64>| {
-        if let Some(slot) = conflict_map.get_mut(&k) {
-            *slot = v;
-            return;
-        }
-        let m = locate_new_model(models, k);
-        let pred = m.predict(k);
-        m.slots.with_write(pred, |g| match g.state() {
-            SlotState::Occupied { key, .. } if key == k => g.set_value(v),
-            SlotState::Empty | SlotState::Tombstone => g.install(k, v),
-            SlotState::Occupied { .. } => {
-                conflict_map.insert(k, v);
-            }
-        });
-    };
-    let remove_new = |k: u64, conflict_map: &mut BTreeMap<u64, u64>| {
-        if conflict_map.remove(&k).is_some() {
-            return;
-        }
-        let m = locate_new_model(models, k);
-        m.slots.remove_if_key(m.predict(k), k);
-    };
-
-    let (mut i, mut j) = (0, 0);
-    while i < before.len() && j < after.len() {
-        let (bk, bv) = before[i];
-        let (ak, av) = after[j];
-        match bk.cmp(&ak) {
-            std::cmp::Ordering::Less => {
-                remove_new(bk, conflict_map);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                upsert_new(ak, av, conflict_map);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                if bv != av {
-                    upsert_new(ak, av, conflict_map);
-                }
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    for &(bk, _) in &before[i..] {
-        remove_new(bk, conflict_map);
-    }
-    for &(ak, av) in &after[j..] {
-        upsert_new(ak, av, conflict_map);
     }
 }
 
@@ -370,7 +252,10 @@ fn merge_pairs(a: &[(u64, u64)], b: &[(u64, u64)]) -> Vec<(u64, u64)> {
 mod tests {
     use super::*;
     use crate::config::AltConfig;
+    use crate::dir::ModelDir;
     use crate::index::AltIndex;
+    use crate::slots::SlotState;
+    use std::collections::BTreeMap;
     use std::sync::Arc;
 
     #[test]
@@ -386,49 +271,34 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// `apply_delta` is on the path of every retrain: whatever
-        /// writers did to the span during the off-lock build, the
-        /// private models plus the conflict set must end up holding
-        /// exactly the phase-2 snapshot, in a shape readers can serve.
+        /// A retrain publishes `segment_and_build`'s output over the
+        /// collected span, floored at the old span start: every key must
+        /// be exactly once where a reader routed through the new
+        /// directory looks for it, and the conflicts must be the sorted,
+        /// duplicate-free list the absorb searches.
         #[test]
-        fn apply_delta_reproduces_the_after_snapshot(
-            before in proptest::collection::btree_set(1u64..4_000, 1..300),
-            // (kind, key, value): insert-if-absent / update-if-present /
-            // remove, drawn over a universe wider than `before` on both
-            // sides (keys below the span floor and past its last key).
-            ops in proptest::collection::vec((0u8..3, 1u64..5_000, 0u64..1_000_000), 0..400),
+        fn a_rebuilt_span_serves_every_key_once(
+            keys in proptest::collection::btree_set(2u64..5_000, 1..300),
+            floor_gap in 0u64..64,
             eps in 2.0f64..64.0,
         ) {
-            let before: Vec<(u64, u64)> = before.into_iter().map(|k| (k, k ^ 0xABCD)).collect();
-            let (models, conflicts, _) =
-                segment_and_build(&before, eps, 1.25, Some(before[0].0), 1);
-            let mut conflict_map: BTreeMap<u64, u64> = conflicts.into_iter().collect();
-
-            let mut after: BTreeMap<u64, u64> = before.iter().copied().collect();
-            for (kind, k, v) in ops {
-                match kind {
-                    0 => {
-                        after.entry(k).or_insert(v);
-                    }
-                    1 => {
-                        after.entry(k).and_modify(|slot| *slot = v);
-                    }
-                    _ => {
-                        after.remove(&k);
-                    }
-                }
-            }
-            let after: Vec<(u64, u64)> = after.into_iter().collect();
-            apply_delta(&models, &before, &after, &mut conflict_map);
+            let pairs: Vec<(u64, u64)> = keys.into_iter().map(|k| (k, k ^ 0xABCD)).collect();
+            let floor = pairs[0].0.saturating_sub(floor_gap).max(1);
+            let (models, conflicts, _) = segment_and_build(&pairs, eps, 1.25, Some(floor), 1);
+            let dir = ModelDir::new(models);
+            proptest::prop_assert_eq!(dir.first_keys[0], floor);
+            proptest::prop_assert!(
+                conflicts.windows(2).all(|w| w[0].0 < w[1].0),
+                "conflicts not sorted and unique"
+            );
 
             // Live slot entries, each at the slot its routed model
             // predicts (the only place a reader looks for it).
             let mut live: BTreeMap<u64, u64> = BTreeMap::new();
-            for m in &models {
+            for m in &dir.models {
                 let mut misplaced = None;
                 m.slots.for_each_live(|slot, k, v| {
-                    let owner = locate_new_model(&models, k);
-                    let placed = std::ptr::eq(owner, &**m) && m.predict(k) == slot;
+                    let placed = Arc::ptr_eq(dir.model_for(k), m) && m.predict(k) == slot;
                     if !placed || live.insert(k, v).is_some() {
                         misplaced = Some(k);
                     }
@@ -438,18 +308,18 @@ mod tests {
                     "key {misplaced:?} misplaced or duplicated"
                 );
             }
-            // (b) no key is in both layers.
-            for k in conflict_map.keys() {
+            // No key is in both layers.
+            for (k, _) in &conflicts {
                 proptest::prop_assert!(!live.contains_key(k), "key {k} in slots and conflicts");
             }
-            // (a) live slots ∪ conflicts == `after`, exactly.
+            // Live slots ∪ conflicts == the input, exactly.
             let mut union = live;
-            union.extend(conflict_map.iter().map(|(&k, &v)| (k, v)));
-            proptest::prop_assert_eq!(union.into_iter().collect::<Vec<_>>(), after);
-            // (c) the reader invariant: a conflict key's predicted slot is
+            union.extend(conflicts.iter().copied());
+            proptest::prop_assert_eq!(union.into_iter().collect::<Vec<_>>(), pairs);
+            // The reader invariant: a conflict key's predicted slot is
             // never Empty (an Empty slot reads as "key absent").
-            for &k in conflict_map.keys() {
-                let m = locate_new_model(&models, k);
+            for &(k, _) in &conflicts {
+                let m = dir.model_for(k);
                 proptest::prop_assert!(
                     m.slots.read(m.predict(k)).0 != SlotState::Empty,
                     "conflict key {k} predicts an Empty slot"
@@ -637,8 +507,9 @@ mod tests {
     #[test]
     fn concurrent_mutations_during_rebuild_are_kept() {
         // Writers keep inserting/removing while a sibling rebuilds the
-        // same span off-lock — the phase-2 reconcile must fold every
-        // concurrent change into the swapped-in models.
+        // same span: they wait out the rebuild on the model's `op_lock`
+        // and retry against the new directory, so no change made before
+        // or after it is lost.
         let pairs: Vec<(u64, u64)> = (1..=500u64).map(|i| (i * 10_000, i)).collect();
         let idx = Arc::new(AltIndex::bulk_load_with(
             &pairs,

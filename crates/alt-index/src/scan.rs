@@ -41,13 +41,13 @@ impl AltIndex {
 
     /// Append the first `limit` entries of `[lo, hi]` to `out`.
     ///
-    /// Ordering against concurrent structure changes: within every chunk
-    /// ART is read *before* the slot walk (write-back moves a key from
-    /// ART into its slot under the slot's lock, which a slot read waits
-    /// out, so a key missing from the ART read is in its slot by the time
-    /// the walk reads it), and the whole collection retries if a retrain
-    /// published meanwhile (its absorb moves ART keys into slots of
-    /// models this pass does not walk — §III-F redirection for scans).
+    /// Ordering against concurrent structure changes: the only thing
+    /// that moves a present key between the layers is a retrain, whose
+    /// absorb moves ART keys into slots of models this pass does not
+    /// walk, so the whole collection retries if a retrain published
+    /// meanwhile (§III-F redirection for scans). Within every chunk ART
+    /// is read *before* the slot walk (DESIGN.md §18 says what that
+    /// order does and does not carry).
     fn collect(&self, lo: u64, hi: u64, limit: usize, out: &mut Vec<(u64, u64)>) -> usize {
         let before = out.len();
         let lo = lo.max(1); // key 0 is reserved

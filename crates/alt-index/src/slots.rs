@@ -58,12 +58,8 @@ pub enum Probe {
     /// Never claimed, so the key is absent (Algorithm 2 lines 5-6) —
     /// unless the model has retired: its successor predicts otherwise.
     Absent,
-    /// Conflict data: the key, if present, lives in ART. A hit there under
-    /// a `tombstone` may be written back into the slot.
-    Art {
-        /// The slot is free to take the key back.
-        tombstone: bool,
-    },
+    /// Conflict data: the key, if present, lives in ART.
+    Art,
 }
 
 impl SlotState {
@@ -73,8 +69,7 @@ impl SlotState {
         match self {
             SlotState::Occupied { key: k, value } if k == key => Probe::Hit(value),
             SlotState::Empty => Probe::Absent,
-            SlotState::Tombstone => Probe::Art { tombstone: true },
-            SlotState::Occupied { .. } => Probe::Art { tombstone: false },
+            SlotState::Tombstone | SlotState::Occupied { .. } => Probe::Art,
         }
     }
 }
@@ -410,19 +405,6 @@ impl SlotArray {
         f(&SlotGuard { arr: self, i })
     }
 
-    /// Tombstone slot `i` if it currently holds `key`; returns the removed
-    /// value.
-    pub fn remove_if_key(&self, i: usize, key: u64) -> Option<u64> {
-        self.with_write(i, |g| match g.state() {
-            SlotState::Occupied { key: k, value } if k == key => {
-                probe::chaos::point("slots.remove.pre_tombstone");
-                g.clear();
-                Some(value)
-            }
-            _ => None,
-        })
-    }
-
     /// Bulk placement during (re)construction: the array is still private
     /// to one thread, so skip the version protocol.
     pub fn place_unsync(&self, i: usize, key: u64, value: u64) -> bool {
@@ -576,6 +558,18 @@ mod tests {
         })
     }
 
+    /// Tombstone slot `i` if it holds `key`, as `remove` does; returns the
+    /// removed value.
+    fn take(s: &SlotArray, i: usize, key: u64) -> Option<u64> {
+        s.with_write(i, |g| match g.state() {
+            SlotState::Occupied { key: k, value } if k == key => {
+                g.clear();
+                Some(value)
+            }
+            _ => None,
+        })
+    }
+
     #[test]
     fn empty_then_install_then_read() {
         let s = SlotArray::new(8);
@@ -603,8 +597,8 @@ mod tests {
     fn tombstone_lifecycle() {
         let s = SlotArray::new(4);
         put(&s, 1, 9, 90);
-        assert_eq!(s.remove_if_key(1, 8), None, "wrong key");
-        assert_eq!(s.remove_if_key(1, 9), Some(90));
+        assert_eq!(take(&s, 1, 8), None, "wrong key");
+        assert_eq!(take(&s, 1, 9), Some(90));
         assert_eq!(s.read(1).0, SlotState::Tombstone);
         // A tombstone can be re-claimed by any key.
         assert!(put(&s, 1, 11, 110));
@@ -657,7 +651,7 @@ mod tests {
         put(&s, 1, 10, 100);
         put(&s, 4, 40, 400);
         put(&s, 6, 60, 600);
-        s.remove_if_key(4, 40);
+        take(&s, 4, 40);
         let mut seen = Vec::new();
         s.for_each_live(|i, k, v| seen.push((i, k, v)));
         assert_eq!(seen, vec![(1, 10, 100), (6, 60, 600)]);
@@ -700,7 +694,7 @@ mod tests {
             std::thread::spawn(move || {
                 let mut k = 2u64;
                 while !stop.load(Ordering::Relaxed) {
-                    s.remove_if_key(0, k - 1);
+                    take(&s, 0, k - 1);
                     put(&s, 0, k, k);
                     k += 1;
                 }

@@ -134,7 +134,7 @@ impl AltIndex {
         let dir = self.dir_ref(&guard);
         let m = dir.model_for(key);
         let pred = m.predict(key);
-        let Probe::Art { .. } = m.slots.read(pred).0.probe(key) else {
+        let Probe::Art = m.slots.read(pred).0.probe(key) else {
             return None;
         };
         let (found_root, root_hops) = self.art.get_with_depth(key);

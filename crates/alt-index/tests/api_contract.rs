@@ -23,10 +23,9 @@ fn configs() -> Vec<(&'static str, AltConfig)> {
             },
         ),
         (
-            "no-features",
+            "no-retrain",
             AltConfig {
                 retrain: false,
-                write_back: false,
                 ..Default::default()
             },
         ),

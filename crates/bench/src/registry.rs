@@ -216,9 +216,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
             ..Sweep::BASE
         },
     ),
-    // read write-back (Algorithm 2) on/off: remove slot residents,
-    // re-read ART residents
-    func("abl-c", "ablation", studies::abl_c),
     // gap factor sweep, balanced: throughput vs memory
     sweep(
         "abl-d",
@@ -313,7 +310,7 @@ mod tests {
         expect.extend(["fig7a", "fig7b", "fig7c", "fig7d", "fig7e"]);
         expect.extend(["fig8a", "fig8b", "fig8c", "fig8d", "fig8e", "fig9"]);
         expect.extend(["fig10c", "fig10d"]);
-        expect.extend(["abl-b", "abl-c", "abl-d", "ycsb"]);
+        expect.extend(["abl-b", "abl-d", "ycsb"]);
         expect.extend(["bulk_build", "batch_lookup", "retrain_shift"]);
         expect.push("service_throughput");
         let got: Vec<&str> = EXPERIMENTS.iter().map(|e| e.id).collect();
@@ -332,8 +329,9 @@ mod tests {
         );
         assert_eq!(ids(&["fig7", "--part", "C"]), ["fig7c"]);
         assert_eq!(ids(&["fig10", "--part", "e"]), [] as [&str; 0]);
-        assert_eq!(ids(&["ablation"]), ["abl-b", "abl-c", "abl-d"]);
-        assert_eq!(ids(&["ablation", "--part", "c"]), ["abl-c"]);
+        assert_eq!(ids(&["ablation"]), ["abl-b", "abl-d"]);
+        assert_eq!(ids(&["ablation", "--part", "d"]), ["abl-d"]);
+        assert_eq!(ids(&["ablation", "--part", "c"]), [] as [&str; 0]);
         // An id names its part itself; table order, not argument order.
         assert_eq!(ids(&["fig8e,fig3"]), ["fig3a", "fig3b", "fig8e"]);
         for e in EXPERIMENTS {

@@ -170,51 +170,6 @@ pub fn fig10d(args: &Args) {
     }
 }
 
-/// **Ablation (c)**: the read write-back (Algorithm 2) on/off. Insert
-/// conflicts, remove their slot neighbours, then re-read the ART
-/// residents four times on one thread: the write-back should promote
-/// them and speed up the re-reads.
-pub fn abl_c(args: &Args) {
-    for &ds in &args.datasets {
-        let setup = Setup::half(ds, args.keys, args.seed);
-        for (label, write_back) in [("write-back-on", true), ("write-back-off", false)] {
-            let config = AltConfig {
-                write_back,
-                retrain: false,
-                ..Default::default()
-            };
-            let idx = AltIndex::bulk_load_with(&setup.bulk, config);
-            let sample: Vec<u64> = setup
-                .reserve
-                .iter()
-                .step_by(4)
-                .copied()
-                .take(50_000)
-                .collect();
-            for &k in &sample {
-                let _ = idx.insert(k, k);
-            }
-            for &(k, _) in setup.bulk.iter().step_by(4).take(50_000) {
-                idx.remove(k);
-            }
-            let (s, found) = secs(|| {
-                (0..4)
-                    .flat_map(|_| &sample)
-                    .filter(|&&k| idx.get(k).is_some())
-                    .count()
-            });
-            assert_eq!(found, 4 * sample.len());
-            Row::new("abl-c")
-                .index(label)
-                .dataset(ds.name())
-                .workload("remove-reread")
-                .mops(found as f64 / s / 1e6)
-                .value("art_keys_after", idx.stats().keys_in_art as f64)
-                .emit();
-        }
-    }
-}
-
 /// **ycsb**: the free-form companion to the fixed figures — any of the
 /// seven index kinds under `--mix r,i,s` (default balanced) or, with
 /// `--ycsb d|e`, the YCSB D (latest-read) / E (scan-heavy) generators

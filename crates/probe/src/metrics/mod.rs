@@ -84,7 +84,7 @@ named_enum! {
     /// batched serving front-end. See `DESIGN.md`
     /// ("Observability") for what each one means and which paper figure it
     /// supports.
-    pub enum Counter[36] {
+    pub enum Counter[34] {
         /// Slot-version read retries: an optimistic slot read observed an
         /// odd (writer-in-progress) version or failed re-validation
         /// (§III-E).
@@ -101,11 +101,6 @@ named_enum! {
         /// ART entries read by scan chunks; per scan, against the scan
         /// length, it says how much of the ART side was read for nothing.
         ScanArtKey => "alt.scan_art_key",
-        /// Opportunistic write-back attempts (Algorithm 2 lines 10-13).
-        WriteBackAttempt => "alt.write_back_attempt",
-        /// Write-backs that actually moved an ART entry into its predicted
-        /// slot.
-        WriteBackMoved => "alt.write_back_moved",
         /// Retrain attempts that acquired the directory lock and collected
         /// the span.
         RetrainAttempt => "alt.retrain_attempt",
@@ -179,7 +174,7 @@ named_enum! {
         /// -level node/group/model lines fetched ahead of sequential probes).
         BaselineBatchPrefetch => "baseline.batch_prefetch",
         /// Retrains rolled back cleanly before publishing: an injected (or
-        /// real) failure mid-collect/build/reconcile discarded the private
+        /// real) failure mid-collect/build discarded the private
         /// build and released every lock, leaving the old directory serving.
         RetrainRollback => "alt.retrain_rollbacks",
         /// Arena chunk-growth or slot allocations that failed (injected or
@@ -192,24 +187,18 @@ named_enum! {
 
 named_enum! {
     /// Every timed hot-path phase.
-    pub enum Phase[8] {
+    pub enum Phase[7] {
         /// Retrain: collecting live slots + the span's ART range and merging
-        /// them (runs under the model's write lock — this is the writer
-        /// stall window of §III-F).
+        /// them (the first part of the writer stall of §III-F: the whole
+        /// retrain runs under the model's write lock).
         RetrainCollect => "retrain.collect_ns",
         /// Retrain: GPL re-segmentation, model construction and conflict
         /// demotion.
         RetrainBuild => "retrain.build_ns",
         /// Retrain: directory publication (epoch bump + RCU swap + retire).
         RetrainSwap => "retrain.swap_ns",
-        /// Retrain: removing the ART keys the new slots absorbed
-        /// (write-back of §III-F).
+        /// Retrain: removing the ART keys the new slots absorbed (§III-F).
         RetrainCleanup => "retrain.cleanup_ns",
-        /// Retrain: re-collecting the span and applying the
-        /// insert/update/remove delta that accumulated while the build ran
-        /// outside the write lock (the second, short writer stall of the
-        /// two-phase scheme).
-        RetrainReconcile => "retrain.reconcile_ns",
         /// Bulk load: the serial GPL pass over the input (one sample per
         /// build, like the two below).
         BulkSegment => "bulk.segment_ns",

@@ -98,15 +98,6 @@ impl<T> RwLock<T> {
         RwLockWriteGuard(self.0.write().unwrap_or_else(PoisonError::into_inner))
     }
 
-    /// Acquire shared access without blocking.
-    pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T>> {
-        match self.0.try_read() {
-            Ok(g) => Some(RwLockReadGuard(g)),
-            Err(sync::TryLockError::Poisoned(e)) => Some(RwLockReadGuard(e.into_inner())),
-            Err(sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
     /// Acquire exclusive access without blocking.
     pub fn try_write(&self) -> Option<RwLockWriteGuard<'_, T>> {
         match self.0.try_write() {

@@ -121,13 +121,13 @@ fn chaos_alt_index_parallel_built() {
     }
 }
 
-/// The retrain-protocol sweep: 16 seeds of the two-phase rebuild
-/// (off-lock build → reconcile → swap) racing the oracle's concurrent
+/// The retrain-protocol sweep: 16 seeds of the rebuild (collect → build
+/// → swap → absorb, one pass under the model's write lock, which the
+/// span's writers wait out) racing the oracle's concurrent
 /// insert/update/remove/scan threads. With `--features chaos` the
-/// `retrain.build_window` point holds the off-lock window open while
-/// writers mutate the span being rebuilt, and `retrain.{pre_swap,
-/// post_swap}` stretch the publish window. Tight ε makes overflow (and
-/// therefore retraining) frequent.
+/// `retrain.{pre_swap, post_swap, absorb_remove}` points stretch the
+/// publish window and the absorb under lock-free readers and scans.
+/// Tight ε makes overflow (and therefore retraining) frequent.
 #[test]
 fn chaos_alt_index_retrain_protocol() {
     let base = seed_base();

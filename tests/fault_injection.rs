@@ -169,11 +169,6 @@ fn site_retrain_build() {
 }
 
 #[test]
-fn site_retrain_reconcile() {
-    sweep_site("retrain.reconcile", true);
-}
-
-#[test]
 fn site_retrain_swap() {
     sweep_site("retrain.swap", false);
 }

@@ -1,6 +1,6 @@
 //! Integration: remove-heavy lifecycles across the two ALT-index layers —
-//! tombstone reuse, write-back promotion, resurrection guards, and
-//! interaction with retraining.
+//! tombstone reuse, reads that leave the layers as they are, resurrection
+//! guards, and interaction with retraining.
 
 use alt_index::{AltConfig, AltIndex};
 use datasets::{generate_pairs, Dataset};
@@ -29,9 +29,10 @@ fn full_drain_and_refill() {
 }
 
 #[test]
-fn write_back_promotes_and_art_shrinks() {
-    // Force plenty of ART residents, remove their slot neighbours, and
-    // read them twice: the second read should come from the slot.
+fn reads_under_tombstones_leave_art_unchanged() {
+    // Force plenty of ART residents, remove the slot residents their
+    // positions predict to, and read them through `get` and `get_batch`:
+    // readers never write, so every one stays in ART.
     let pairs: Vec<(u64, u64)> = (1..=50_000u64).map(|i| (i * 4, i)).collect();
     let idx = AltIndex::bulk_load_with(
         &pairs,
@@ -45,27 +46,33 @@ fn write_back_promotes_and_art_shrinks() {
     for &k in &conflicts {
         idx.insert(k, k).unwrap();
     }
+    let removed: Vec<u64> = (10_000..20_000u64).map(|i| i * 4).collect();
+    for &k in &removed {
+        assert_eq!(idx.remove(k), Some(k / 4));
+    }
     let art_before = idx.stats().keys_in_art;
     assert!(art_before > 0, "need conflict data in ART");
-    // Remove the slot residents whose positions the conflicts predict to.
-    for i in 10_000..20_000u64 {
-        assert_eq!(idx.remove(i * 4), Some(i));
+
+    let mut out = vec![None; conflicts.len()];
+    for _ in 0..2 {
+        for &k in &conflicts {
+            assert_eq!(idx.get(k), Some(k));
+        }
+        idx.get_batch_amac(&conflicts, &mut out);
+        for (&k, &got) in conflicts.iter().zip(&out) {
+            assert_eq!(got, Some(k), "batched {k}");
+        }
     }
-    // First read triggers write-back; second must still be correct.
-    for &k in &conflicts {
-        assert_eq!(idx.get(k), Some(k));
-    }
-    for &k in &conflicts {
-        assert_eq!(idx.get(k), Some(k));
-    }
-    let art_after = idx.stats().keys_in_art;
-    assert!(
-        art_after < art_before,
-        "write-back should move entries out of ART: {art_after} !< {art_before}"
+    assert_eq!(
+        idx.stats().keys_in_art,
+        art_before,
+        "a read moved entries out of ART"
     );
-    // Removed keys stay removed (no resurrection through write-back).
-    for i in 10_000..20_000u64 {
-        assert_eq!(idx.get(i * 4), None, "resurrected {}", i * 4);
+    // Removed keys stay removed.
+    idx.get_batch_amac(&removed, &mut out);
+    for (&k, &got) in removed.iter().zip(&out) {
+        assert_eq!(idx.get(k), None, "resurrected {k}");
+        assert_eq!(got, None, "batched: resurrected {k}");
     }
 }
 

@@ -6,7 +6,7 @@
 //!    streams are thread-disjoint by construction (reads included), so
 //!    a concurrent run recorded through the testkit is checked by exact
 //!    per-thread sequential replay (`check_disjoint`), while one
-//!    thread's two-phase rebuild races every other thread's operations.
+//!    thread's rebuild races every other thread's operations.
 //! 2. **Sequential equivalence** — replaying the *identical*
 //!    deterministic streams on one thread, where every retrain runs
 //!    inline with the op stream, yields the same length and the same

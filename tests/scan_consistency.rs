@@ -86,12 +86,13 @@ scan_tests! {
 /// Short scans (`n = 8`: one small chunk each, many per model) keep
 /// crossing a few spans whose keys are on the move between the layers
 /// while they stay present. One writer walks those spans and, beside each
-/// bulk key, lets a pinned key spill into ART (its slot is taken), empties
-/// the slot and reads the pinned key — the write-back that carries it from
-/// ART into the slot — publishing how many pinned keys are in. The ART
-/// residents it piles up also overflow the spans' small models, so they
-/// retrain under the scans, absorbing what is still in ART; a second
-/// writer churns more overflow into the same spans. A scan must return
+/// bulk key, lets a pinned key spill into ART (its slot is taken) and
+/// empties the slot again, publishing how many pinned keys are in. The
+/// ART residents it piles up overflow the spans' small models, so they
+/// retrain under the scans, and each retrain's absorb carries what is
+/// still in ART into the new slots — the one thing that moves a present
+/// key between the layers; a second writer churns more overflow into the
+/// same spans. A scan must return
 /// every bulk key and every pinned key published before it began, up to
 /// the last key it returned, whichever layer each was in when the chunk's
 /// ART read and its slot walk went past (with `--features chaos`, the
