@@ -41,7 +41,8 @@ pub struct AltIndex {
     /// GPL error bound fixed at construction (the paper's
     /// `bulkload_number / 1000` rule).
     pub(crate) epsilon: f64,
-    /// Serializes structural directory changes (retrains).
+    /// While it is held, no retrain runs: every retrain holds it from
+    /// start to end, so it is the one thing that republishes `dir`.
     pub(crate) dir_lock: Mutex<()>,
     /// Live keys. Every insert and remove writes it, so each writer
     /// thread has a stripe of its own: one atomic next to `dir` or `art`
@@ -54,18 +55,11 @@ pub struct AltIndex {
     /// not) — the denominator for the paper's retrain-effectiveness
     /// accounting; `retrains` is the numerator.
     pub(crate) retrain_attempts: AtomicUsize,
-    /// Retrains that aborted cleanly (injected or real build failure)
-    /// or whose contained panic was rolled back by the
-    /// drop-guards. Always-on so fault tests and benches can read it in
+    /// Retrains whose panic (injected or real) `trigger_retrain`
+    /// contained. Always-on so fault tests and benches can read it in
     /// any build; mirrored into `probe::metrics` under the `metrics`
     /// feature.
     pub(crate) rollbacks: AtomicUsize,
-    /// Bumped immediately before every directory swap. Scans snapshot it
-    /// before their first ART read and re-check it after their last slot
-    /// walk: an unchanged epoch over a directory that is still the
-    /// published one proves no retrain published (and therefore no ART
-    /// absorption started a new generation) mid-scan.
-    pub(crate) dir_epoch: AtomicUsize,
 }
 
 impl AltIndex {
@@ -99,7 +93,6 @@ impl AltIndex {
             retrains: AtomicUsize::new(0),
             retrain_attempts: AtomicUsize::new(0),
             rollbacks: AtomicUsize::new(0),
-            dir_epoch: AtomicUsize::new(0),
         }
     }
 
@@ -177,36 +170,28 @@ impl AltIndex {
     }
 
     /// Guaranteed-progress lookup fallback, used once the optimistic
-    /// loop's retry budget is exhausted.
+    /// loop's retry budget is exhausted: the writer protocol, reading.
     ///
-    /// `dir_lock` freezes the directory (no retrain can publish, so the
-    /// current generation's models cannot retire and predictions are
-    /// stable); the predicted slot's *write lock* is the per-key
-    /// serialization point — every writer of `key` decides under it (see
-    /// [`AltIndex::with_live_model`]), so a slot-or-ART miss observed under
-    /// it is conclusive without any version re-validation.
-    ///
-    /// Lock order is `dir_lock` → slot lock → ART node locks, the same
-    /// global order every other path uses (retrain: `dir_lock` →
-    /// `op_lock.write` → slot reads; slot writers: `op_lock.read` → slot
-    /// lock → ART). An inserting thread only `try_lock`s `dir_lock` for
-    /// its retrain, so an escalated op can never deadlock a retrain
-    /// trigger — it just shows up as `RetrainSkippedBusy`.
+    /// [`AltIndex::with_live_model`] holds the `op_lock` read side of the
+    /// key's live model, which keeps out the one retrain that could
+    /// retire it and move keys between the layers; the predicted slot's
+    /// *write lock* is the per-key serialization point — every writer of
+    /// `key` decides under it — so a slot-or-ART miss observed under it
+    /// is conclusive without any version re-validation.
     pub(crate) fn get_pessimistic(&self, key: u64) -> Option<u64> {
-        let _dl = self.dir_lock.lock();
-        let guard = epoch::pin();
-        let dir = self.dir_ref(&guard);
-        let m = dir.model_for(key);
-        let pred = m.predict(key);
-        m.slots.with_write(pred, |g| match g.state().probe(key) {
-            Probe::Hit(value) => Some(value),
-            Probe::Absent => None,
-            Probe::Art => self.art.get(key),
+        self.with_live_model(key, |m| {
+            m.slots
+                .with_write(m.predict(key), |g| match g.state().probe(key) {
+                    Probe::Hit(value) => Some(value),
+                    Probe::Absent => None,
+                    Probe::Art => self.art.get(key),
+                })
         })
     }
 
     /// Run `f` against the live model that owns `key`, holding the read
-    /// side of its `op_lock`: the entry of every slot writer.
+    /// side of its `op_lock`: the entry of every slot writer and of
+    /// [`AltIndex::get_pessimistic`].
     ///
     /// Retraining collects a span's slots under the write side and retires
     /// the old model before releasing it, so a writer that holds the read
@@ -219,8 +204,9 @@ impl AltIndex {
     /// retry source here, so once the budget is spent the loop takes
     /// `dir_lock`, under which no retrain runs and the next pass cannot
     /// find a retired model. `dir_lock` bounds the retries and nothing
-    /// else: `f`'s decision needs only the slot lock (lock order as in
-    /// [`AltIndex::get_pessimistic`]).
+    /// else: `f`'s decision needs only the slot lock. Lock order is
+    /// `dir_lock` → `op_lock` → slot lock → ART node locks, as in a
+    /// retrain (DESIGN.md §11).
     fn with_live_model<R>(&self, key: u64, f: impl FnOnce(&GplModel) -> R) -> R {
         let guard = epoch::pin();
         let mut retry = resilience::Retry::new();
@@ -748,5 +734,28 @@ mod tests {
         }
         let total: usize = hs.into_iter().map(|h| h.join().unwrap()).sum();
         assert_eq!(total, 199, "exactly one winner per key");
+    }
+
+    #[test]
+    fn a_pessimistic_get_does_not_wait_for_dir_lock() {
+        // The reader's fallback holds its model's `op_lock` read side,
+        // which already keeps retrains out: it must not queue behind
+        // `dir_lock`.
+        let idx = AltIndex::bulk_load_default(&pairs(1000, 10));
+        idx.insert(505, 7).unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            let dl = idx.dir_lock.lock();
+            let idx = &idx;
+            s.spawn(move || {
+                for k in [500, 505, 501] {
+                    tx.send(idx.get_pessimistic(k)).unwrap();
+                }
+            });
+            let wait = std::time::Duration::from_secs(5);
+            let got: Vec<_> = (0..3).map(|_| rx.recv_timeout(wait)).collect();
+            drop(dl);
+            assert_eq!(got, [Ok(Some(50)), Ok(Some(7)), Ok(None)]);
+        });
     }
 }

@@ -31,22 +31,6 @@ struct SpanSnapshot {
     merged: Vec<(u64, u64)>,
 }
 
-/// Publish-completion guard for the swap→retire window. Armed
-/// immediately *after* the RCU swap (never before: marking the model
-/// retired while the old directory is still published would send every
-/// reader into an infinite retry loop), it stores `retired = true` on
-/// drop — including during an unwind — so a panic between the swap and
-/// the retire store can never leave readers consulting a replaced
-/// model's slots while writers target the new one (the lost-update
-/// hazard DESIGN.md §14 walks through).
-struct RetireOnDrop<'a>(&'a GplModel);
-
-impl Drop for RetireOnDrop<'_> {
-    fn drop(&mut self) {
-        self.0.retired.store(true, Ordering::Release);
-    }
-}
-
 impl AltIndex {
     /// Number of completed retrains (Fig 8(b) hot-write diagnostics).
     pub fn retrain_count(&self) -> usize {
@@ -61,8 +45,8 @@ impl AltIndex {
         self.retrain_attempts.load(Ordering::Relaxed)
     }
 
-    /// Retrains that aborted cleanly or whose panic was contained and
-    /// rolled back — the old directory kept serving (DESIGN.md §16).
+    /// Retrains whose panic was contained — the old directory kept
+    /// serving, or the new one was complete (DESIGN.md §16).
     pub fn retrain_rollback_count(&self) -> usize {
         self.rollbacks.load(Ordering::Relaxed)
     }
@@ -70,22 +54,18 @@ impl AltIndex {
     /// Post-insert retrain dispatch: run the rebuild on this (the
     /// inserting) thread, contained — a panic (injected or real)
     /// mid-retrain must not take the caller's whole workload down. The
-    /// drop-guards inside the retrain have already released every lock
-    /// and completed or never started the publish, so a contained panic
-    /// counts as a rollback.
+    /// unwind has released every lock, and nothing that can unwind sits
+    /// between the publish and the retire store, so the publish either
+    /// never started or completed: a contained panic counts as a
+    /// rollback.
     pub(crate) fn trigger_retrain(&self, key: u64) {
         if !self.cfg.retrain {
             return;
         }
         if catch_unwind(AssertUnwindSafe(|| self.retrain_span(key))).is_err() {
-            self.count_rollback();
+            self.rollbacks.fetch_add(1, Ordering::Relaxed);
+            metrics::incr(Counter::RetrainRollback);
         }
-    }
-
-    /// Count one rolled-back (or contained-after-publish) retrain.
-    fn count_rollback(&self) {
-        self.rollbacks.fetch_add(1, Ordering::Relaxed);
-        metrics::incr(Counter::RetrainRollback);
     }
 
     /// Collect the span of `dir.models[mi]`: live slots + the ART range.
@@ -102,26 +82,25 @@ impl AltIndex {
         SpanSnapshot { art_pairs, merged }
     }
 
-    /// Rebuild the model covering `key_hint` if it still wants it,
-    /// quietly skipping when another structural change is in flight (the
-    /// next overflow insert retries).
+    /// Rebuild the model covering `key_hint` if it still wants it.
     ///
-    /// One pass under the model's `op_lock` write side, from collect to
-    /// absorb: writers to the span wait out the rebuild, so the span
-    /// collected is the span the new models hold. Readers stay lock-free
-    /// throughout. DESIGN.md §14 argues why the swap is race-free and what
-    /// a panic at each hold site leaves behind.
+    /// One pass under `dir_lock` and the model's `op_lock` write side,
+    /// from collect to absorb: writers to the span wait out the rebuild,
+    /// so the span collected is the span the new models hold. Readers
+    /// stay lock-free throughout. A retrain that finds `dir_lock` taken
+    /// waits its turn; its caller holds no lock, so that cannot deadlock.
+    /// DESIGN.md §14 argues why the swap is race-free and what a panic at
+    /// each hold site leaves behind.
     pub(crate) fn retrain_span(&self, key_hint: u64) {
         // One structural change at a time.
-        let Some(_dl) = self.dir_lock.try_lock() else {
-            metrics::incr(Counter::RetrainSkippedBusy);
-            return;
-        };
+        let _dl = self.dir_lock.lock();
         let guard = epoch::pin();
         let dir = self.dir_ref(&guard);
         let mi = dir.locate(key_hint);
         let m = &dir.models[mi];
-        if m.is_retired() || !m.wants_retrain() {
+        // Only a retrain retires a model, and it unpublishes it first.
+        debug_assert!(!m.is_retired(), "published model retired under dir_lock");
+        if !m.wants_retrain() {
             return;
         }
         self.retrain_attempts.fetch_add(1, Ordering::Relaxed);
@@ -147,14 +126,10 @@ impl AltIndex {
         }
 
         let t_build = metrics::now_ns();
-        // Fallible build: an injected Error/AllocFail (or, one day, a
-        // real fallible-allocation failure) aborts the retrain cleanly
-        // before anything shared is touched. `art_inserts` is left high
-        // on purpose — the next overflow insert retries (self-healing).
-        if probe::fail::eval("retrain.build").is_err() {
-            self.count_rollback();
-            return;
-        }
+        // Injected panic: nothing shared has been touched yet.
+        // `art_inserts` stays high on purpose — the next overflow insert
+        // retries (self-healing).
+        probe::fail::point("retrain.build");
         // `conflicts` is key-sorted, each key once.
         let (models, conflicts, _) = segment_and_build(
             &span.merged,
@@ -173,32 +148,28 @@ impl AltIndex {
             self.art.upsert(k, v);
         }
 
-        // Publish the new directory and retire the old snapshot. The
-        // epoch bump must precede the swap: scans that saw the old epoch
-        // and miss this swap will re-read it, notice the change, and
-        // retry instead of mixing an old slot walk with a post-absorb
-        // ART view.
+        // Publish the new directory, then retire the old model. Scans
+        // that walked the old directory see the pointer change and
+        // retry. Nothing between the swap and the retire store can
+        // unwind (a chaos point never panics): retiring before the swap
+        // would send every reader of the still-published model into an
+        // endless retry, and a swap left without its retire would let
+        // readers that cached the old model serve replaced slots while
+        // writers target the new ones.
         let t_swap = metrics::now_ns();
         let new_dir = dir.replace(mi, models);
-        self.dir_epoch.fetch_add(1, Ordering::Release);
         probe::chaos::point("retrain.pre_swap");
         let old = self
             .dir
             .swap(epoch::Owned::new(new_dir), Ordering::AcqRel, &guard);
-        // The new directory is now published: from here the old model
-        // MUST end up retired even if we unwind, or readers that cached
-        // it would keep serving replaced slots while writers target the
-        // new ones. The guard stores `retired` on drop (armed only
-        // after the swap — see its doc comment).
-        let retire_guard = RetireOnDrop(m);
-        // SAFETY: `old` was just unlinked under `dir_lock`; readers still
-        // holding it are protected by their epoch pins.
-        unsafe { guard.defer_destroy(old) };
         // Widen the window between directory publication and the retired
         // flag — readers caught here must still find every key.
         probe::chaos::point("retrain.post_swap");
+        m.retired.store(true, Ordering::Release);
+        // SAFETY: `old` was just unlinked under `dir_lock`; readers still
+        // holding it are protected by their epoch pins.
+        unsafe { guard.defer_destroy(old) };
         probe::fail::point("retrain.swap");
-        drop(retire_guard);
         metrics::record_phase_ns(Phase::RetrainSwap, metrics::now_ns() - t_swap);
 
         // Remove the ART keys the new slots absorbed (every collected ART
@@ -432,6 +403,57 @@ mod tests {
         );
         for k in 500_001..=500_010u64 {
             assert_eq!(idx.get(k), Some(k));
+        }
+    }
+
+    #[test]
+    fn a_retrain_waits_for_dir_lock_instead_of_skipping() {
+        // A retrain that finds `dir_lock` held must run once it is free,
+        // not give up and leave the overflowed model for a later insert.
+        let pairs: Vec<(u64, u64)> = (1..=2_000u64).map(|i| (i * 1_000, i)).collect();
+        let idx = AltIndex::bulk_load_with(
+            &pairs,
+            AltConfig {
+                epsilon: Some(64.0),
+                ..Default::default()
+            },
+        );
+        let target = 500_000u64;
+        {
+            let guard = epoch::pin();
+            let m = idx.dir_ref(&guard).model_for(target);
+            m.art_inserts
+                .store(m.build_size.max(16) + 100, Ordering::Relaxed);
+            assert!(m.wants_retrain());
+        }
+        let (done_tx, done) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            let dl = idx.dir_lock.lock();
+            let idx = &idx;
+            s.spawn(move || {
+                idx.retrain_span(target);
+                done_tx.send(()).unwrap();
+            });
+            let while_held = done.recv_timeout(std::time::Duration::from_millis(200));
+            let count_while_held = idx.retrain_count();
+            drop(dl);
+            assert!(
+                while_held.is_err(),
+                "retrain_span returned while dir_lock was held"
+            );
+            assert_eq!(
+                count_while_held, 0,
+                "no retrain runs while dir_lock is held"
+            );
+            done.recv().unwrap();
+        });
+        assert_eq!(
+            idx.retrain_count(),
+            1,
+            "the retrain ran once dir_lock was free"
+        );
+        for &(k, v) in &pairs {
+            assert_eq!(idx.get(k), Some(v), "key {k}");
         }
     }
 

@@ -17,7 +17,6 @@ use crate::index::AltIndex;
 use crate::slots::SlotState;
 use crossbeam_epoch as epoch;
 use probe::metrics::{self, Counter};
-use std::sync::atomic::Ordering;
 
 /// Most keys a chunk is sized for, and the ART entries it can hold (on
 /// the stack) between its ART read and its slot walk.
@@ -55,21 +54,17 @@ impl AltIndex {
             return 0;
         }
         let guard = epoch::pin();
-        // Retrain churn can move the directory epoch every pass; once the
-        // retry budget runs out, one pass under `dir_lock` (the only
-        // place the epoch is bumped) is guaranteed to validate.
+        // Retrain churn can republish the directory every pass; once the
+        // retry budget runs out, one pass under `dir_lock` (under which no
+        // retrain publishes) is guaranteed to validate.
         let mut retry = resilience::Retry::new();
         let mut dl = None;
         loop {
-            let epoch_pre = self.dir_epoch.load(Ordering::Acquire);
             let dir = self.dir_ref(&guard);
             self.collect_chunks(dir, lo, hi, before.saturating_add(limit), out);
-            // The epoch is bumped before the swap, so a pass that began
-            // between the two reads an unchanged epoch over the old
-            // directory: it must also still be the published one.
-            if self.dir_epoch.load(Ordering::Acquire) == epoch_pre
-                && std::ptr::eq(self.dir_ref(&guard), dir)
-            {
+            // The pin keeps `dir` allocated, so its address cannot come
+            // back: the same pointer means no retrain published meanwhile.
+            if std::ptr::eq(self.dir_ref(&guard), dir) {
                 break;
             }
             out.truncate(before);

@@ -104,7 +104,7 @@ impl Art {
         }
         match hop(p, cur.key, cur.depth, cur.parent, cur.parent_v) {
             Hop::Restart => self.batch_restart(cur),
-            Hop::Miss | Hop::Child { child: 0, .. } => BatchStep::Done(None),
+            Hop::Miss { .. } | Hop::Child { child: 0, .. } => BatchStep::Done(None),
             Hop::Child {
                 child, v, depth, ..
             } => {

@@ -25,7 +25,6 @@
 mod api;
 pub(crate) mod arena;
 mod batch;
-mod jump;
 // Exposed (unstably) for the child-search oracle suite
 // (tests/simd_equivalence.rs); the stable surface is the re-export list
 // below.

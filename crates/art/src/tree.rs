@@ -108,6 +108,15 @@ impl Art {
         Some(unsafe { leaf_value(leaf) })
     }
 
+    /// Point lookup, also reporting the number of nodes traversed (the
+    /// "average lookup length" metric).
+    pub fn get_with_depth(&self, key: u64) -> (Option<u64>, u32) {
+        let guard = epoch::pin();
+        let (leaf, hops) = self.leaf(key, &guard);
+        // SAFETY: found under `guard`, still held.
+        (leaf.map(|l| unsafe { leaf_value(l) }), hops)
+    }
+
     /// `key`'s leaf and the number of nodes visited on the way (every
     /// node, the leaf included, a null child not): optimistic descents
     /// from the root until one validates, then — retry budget spent —
@@ -336,11 +345,9 @@ impl Art {
         self.mem.sub(size as u64);
     }
 
-    /// Descend from the internal root node `root` and perform the
-    /// insert.
-    ///
-    /// Not the shared [`hop`]: a prefix mismatch here is not a miss but
-    /// the place to split, so the walk needs *where* the prefix diverged.
+    /// Descend from the internal root node `root` by [`hop`]s and
+    /// perform the insert where the key's path ends: in a prefix it
+    /// diverges from, in an empty child slot, or at a leaf.
     fn descend_insert(
         &self,
         root: NodePtr,
@@ -352,40 +359,32 @@ impl Art {
         let mut at = At::top(root);
         let mut depth = 0;
         loop {
-            // SAFETY: pinned epoch.
-            let hdr = unsafe { node::header(at.p) };
-            at.v = hdr.version.read_lock_spin().ok_or(Abort::Restart)?;
-            // Lock coupling, as in `hop`.
-            // SAFETY: pinned epoch; `at.parent` is null or a node of this
-            // descent.
-            if !unsafe { coupled_ok(at.parent, at.parent_v) } {
-                return Err(Abort::Restart);
-            }
-            let (prefix, plen) = hdr.prefix();
-
-            // 1) Prefix comparison.
-            let mismatch = prefix_mismatch(&prefix[..plen], key, depth);
-            if mismatch < plen {
-                // Prefix extraction: insert a new parent discriminating
-                // at depth + mismatch.
-                self.split_prefix(at, &prefix[..plen], mismatch, depth, key, value, guard)?;
-                self.bump_count();
-                return Ok(true);
-            }
-            let ndepth = depth + plen;
-            if ndepth >= 8 {
+            // SAFETY: pinned epoch; `at` walks nodes read from this tree.
+            let (child, b, below) = match unsafe { hop(at.p, key, depth, at.parent, at.parent_v) } {
+                Hop::Restart => return Err(Abort::Restart),
                 // Cannot happen with unique 8-byte keys: an internal node
                 // always discriminates at a byte < 8. Treat as restart.
-                return Err(Abort::Restart);
-            }
-            let b = node::key_byte(key, ndepth);
-            // Own child search, not `hop`'s: see the function docs.
-            // SAFETY: pinned epoch; optimistic read section — result
-            // discarded unless the validate below succeeds (§15).
-            let child = unsafe { node::find_child(at.p, b) };
-            if !hdr.version.validate(at.v) {
-                return Err(Abort::Restart);
-            }
+                Hop::Miss { mismatch, .. } if depth + mismatch >= 8 => return Err(Abort::Restart),
+                Hop::Miss { v, mismatch } => {
+                    // 1) Prefix extraction: insert a new parent
+                    // discriminating at depth + mismatch.
+                    at.v = v;
+                    self.split_prefix(at, mismatch, depth, key, value, guard)?;
+                    self.bump_count();
+                    return Ok(true);
+                }
+                Hop::Child {
+                    child,
+                    byte,
+                    v,
+                    depth: below,
+                } => {
+                    at.v = v;
+                    (child, byte, below)
+                }
+            };
+            // SAFETY: pinned epoch.
+            let hdr = unsafe { node::header(at.p) };
 
             if child == 0 {
                 // 2) Empty slot here: add a leaf (growing if full).
@@ -428,7 +427,7 @@ impl Art {
                 if !hdr.version.upgrade(at.v) {
                     return Err(Abort::Restart);
                 }
-                let new4 = self.make_split_node(leaf.key, child, key, value, ndepth + 1);
+                let new4 = self.make_split_node(leaf.key, child, key, value, below);
                 // SAFETY: write lock held; byte `b` maps to `child`.
                 unsafe { node::replace_child(at.p, b, new4) };
                 hdr.version.unlock();
@@ -437,7 +436,7 @@ impl Art {
             }
 
             at = at.below(child, b);
-            depth = ndepth + 1;
+            depth = below;
         }
     }
 
@@ -528,11 +527,9 @@ impl Art {
     ///
     /// `p` is replaced rather than demoted in place: a node's prefix
     /// never changes while it is live.
-    #[allow(clippy::too_many_arguments)]
     fn split_prefix(
         &self,
         at: At,
-        prefix: &[u8],
         mismatch: usize,
         depth: usize,
         key: u64,
@@ -541,6 +538,11 @@ impl Art {
     ) -> Result<(), Abort> {
         self.lock_with_parent(at)?;
         let p = at.p;
+        // The upgrade proved `p` unchanged since the hop compared its
+        // prefix, so this is that prefix and `mismatch` still holds.
+        // SAFETY: p write-locked.
+        let (prefix, plen) = unsafe { node::header(p) }.prefix();
+        let prefix = &prefix[..plen];
         // Build: demoted copy of p + fresh leaf under a new Node4 parent.
         // SAFETY: p write-locked.
         let demoted = unsafe { node::clone_node(p) };
@@ -648,7 +650,7 @@ impl Art {
             // SAFETY: pinned epoch; `at` walks nodes read from this tree.
             match unsafe { hop(at.p, key, depth, at.parent, at.parent_v) } {
                 Hop::Restart => return Err(Abort::Restart),
-                Hop::Miss => return Ok(None),
+                Hop::Miss { .. } => return Ok(None),
                 Hop::Child {
                     child,
                     byte,
@@ -821,8 +823,10 @@ impl At {
 /// What one optimistic [`hop`] over an internal node found.
 pub(crate) enum Hop {
     /// The key is not under the node: its compressed prefix, or the key's
-    /// length, rules it out.
-    Miss,
+    /// length, rules it out. `mismatch` is [`prefix_mismatch`]'s offset
+    /// for the prefix read under the node's version `v`, which still
+    /// validated afterwards: where an insert splits the prefix.
+    Miss { v: Version, mismatch: usize },
     /// The node's child for the key's next byte `byte` — null, a leaf or
     /// an internal node — read under the node's version `v`, which still
     /// validated afterwards. `depth` is the key depth below `byte`.
@@ -837,8 +841,8 @@ pub(crate) enum Hop {
 }
 
 /// One hop of the optimistic-lock-coupled descent, the step every
-/// key-directed walk of the tree shares (point reads, `update`, `remove`,
-/// the batch engine): snapshot `p`'s version, re-validate the
+/// key-directed walk of the tree shares (point reads, `update`, `insert`,
+/// `remove`, the batch engine): snapshot `p`'s version, re-validate the
 /// coupled parent, match `p`'s compressed prefix against `key` at
 /// `depth`, find the child for the next key byte, validate.
 ///
@@ -867,9 +871,10 @@ pub(crate) unsafe fn hop(
     }
     let (prefix, plen) = hdr.prefix();
     let below = depth + plen;
-    if prefix_mismatch(&prefix[..plen], key, depth) < plen || below >= 8 {
+    let mismatch = prefix_mismatch(&prefix[..plen], key, depth);
+    if mismatch < plen || below >= 8 {
         return if hdr.version.validate(v) {
-            Hop::Miss
+            Hop::Miss { v, mismatch }
         } else {
             Hop::Restart
         };
@@ -937,7 +942,7 @@ unsafe fn descend_leaf(root: NodePtr, key: u64) -> Result<(Option<NodePtr>, u32)
         }
         match hop(p, key, depth, parent, parent_v) {
             Hop::Restart => return Err(Abort::Restart),
-            Hop::Miss => return Ok((None, hops)),
+            Hop::Miss { .. } => return Ok((None, hops)),
             Hop::Child {
                 child,
                 v,

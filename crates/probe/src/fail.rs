@@ -23,8 +23,8 @@
 //!   containment layers (`catch_unwind` in the retrain paths) can tell an
 //!   injected death from a real bug in diagnostics.
 //! * **Error** / **AllocFail** — surfaced to the call site as
-//!   [`Injected`], for sites with a graceful failure channel (abort one
-//!   retrain, shed one request, fail one chunk refill).
+//!   [`Injected`], for sites with a graceful failure channel (fail one
+//!   chunk refill).
 //! * **Delay** — a bounded sleep, for widening windows without failing.
 //!
 //! Triggers:
@@ -45,7 +45,7 @@
 //! `site=action[@trigger]`, where action is `panic`, `error`,
 //! `alloc_fail` or `delay:<ms>`, and trigger is a decimal `N` (n-th hit)
 //! or `pP` (probability P/1024); no trigger = every hit. Example:
-//! `ALT_FAIL_POINTS="retrain.build=error@3;retrain.swap=panic@p64"`.
+//! `ALT_FAIL_POINTS="retrain.build=panic@3;retrain.swap=panic@p64"`.
 //! Env-installed failpoints have no guard: they live for the process.
 
 use crate::{site_hash, SplitMix64};

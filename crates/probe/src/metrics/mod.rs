@@ -2,7 +2,7 @@
 //!
 //! The concurrent hot paths of this workspace are optimistic protocols:
 //! slot-version reads that retry, OLC descents that restart, scans that
-//! re-collect when the directory epoch moves. None of that work is
+//! re-collect when the directory is republished. None of that work is
 //! visible in the O(slots) `alt-index` stats snapshot, and the
 //! "Benchmarking Learned Indexes" methodology (and the paper's
 //! §III-C/§III-F analysis) says to measure exactly it. This module is the
@@ -84,14 +84,14 @@ named_enum! {
     /// batched serving front-end. See `DESIGN.md`
     /// ("Observability") for what each one means and which paper figure it
     /// supports.
-    pub enum Counter[34] {
+    pub enum Counter[33] {
         /// Slot-version read retries: an optimistic slot read observed an
         /// odd (writer-in-progress) version or failed re-validation
         /// (§III-E).
         SlotReadRetry => "alt.slot_read_retry",
         /// Slot write-lock acquisition retries (even→odd CAS lost).
         SlotLockRetry => "alt.slot_lock_retry",
-        /// Scans that re-collected because the directory epoch moved
+        /// Scans that re-collected because the directory was republished
         /// mid-walk (a retrain published; §III-F redirection for scans).
         ScanEpochRetry => "alt.scan_epoch_retry",
         /// Key-interval chunks executed by scans (one ART read plus one slot
@@ -109,9 +109,6 @@ named_enum! {
         /// Retrain attempts that found the span empty (everything removed)
         /// and only reset the overflow accounting.
         RetrainEmptySpan => "alt.retrain_empty_span",
-        /// Retrain triggers skipped because another structural change held
-        /// the directory lock.
-        RetrainSkippedBusy => "alt.retrain_skipped_busy",
         /// OLC restarts: a version validation failed, sending the reader
         /// back to a stable ancestor (Leis et al., DaMoN 2016).
         OlcRestart => "art.olc_restart",
@@ -173,9 +170,9 @@ named_enum! {
         /// Group prefetches issued by the baselines' batched lookups (first
         /// -level node/group/model lines fetched ahead of sequential probes).
         BaselineBatchPrefetch => "baseline.batch_prefetch",
-        /// Retrains rolled back cleanly before publishing: an injected (or
-        /// real) failure mid-collect/build discarded the private
-        /// build and released every lock, leaving the old directory serving.
+        /// Retrains whose panic (injected or real) the inserting thread
+        /// contained: every lock released, and the directory either the
+        /// old one or the new one, complete.
         RetrainRollback => "alt.retrain_rollbacks",
         /// Arena chunk-growth or slot allocations that failed (injected or
         /// real) and were served by the single-slot fallback path instead.
@@ -195,7 +192,7 @@ named_enum! {
         /// Retrain: GPL re-segmentation, model construction and conflict
         /// demotion.
         RetrainBuild => "retrain.build_ns",
-        /// Retrain: directory publication (epoch bump + RCU swap + retire).
+        /// Retrain: directory publication (RCU swap + retire).
         RetrainSwap => "retrain.swap_ns",
         /// Retrain: removing the ART keys the new slots absorbed (§III-F).
         RetrainCleanup => "retrain.cleanup_ns",

@@ -25,15 +25,6 @@ impl<T> Mutex<T> {
         MutexGuard(Some(self.0.lock().unwrap_or_else(PoisonError::into_inner)))
     }
 
-    /// Acquire without blocking.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.0.try_lock() {
-            Ok(g) => Some(MutexGuard(Some(g))),
-            Err(sync::TryLockError::Poisoned(e)) => Some(MutexGuard(Some(e.into_inner()))),
-            Err(sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
     /// Consume the mutex, returning the inner value.
     pub fn into_inner(self) -> T {
         self.0.into_inner().unwrap_or_else(PoisonError::into_inner)
@@ -184,10 +175,6 @@ mod tests {
         let m = Mutex::new(1);
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
-        let g = m.lock();
-        assert!(m.try_lock().is_none());
-        drop(g);
-        assert!(m.try_lock().is_some());
     }
 
     #[test]

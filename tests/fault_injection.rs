@@ -165,7 +165,7 @@ fn site_retrain_collect() {
 
 #[test]
 fn site_retrain_build() {
-    sweep_site("retrain.build", true);
+    sweep_site("retrain.build", false);
 }
 
 #[test]

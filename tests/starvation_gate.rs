@@ -144,6 +144,13 @@ fn starvation_gate_alt_index() {
     gate("alt-index", Counter::AltEscalation, |seed| {
         let _sched = probe::chaos::install_schedule(seed, MILD);
         let idx = build_alt();
+        // Antagonists interleave a cold read between updates, for the
+        // reason the seqlock gate gives: without it, release-mode
+        // antagonists re-take the hot slot's lock — an unfair CAS lock —
+        // within nanoseconds of releasing it while chaos sleeps stretch
+        // the held window, and the victim's escalated locked read starves
+        // for seconds. The read's own chaos points put comparable
+        // off-lock time in every antagonist iteration.
         drive_progress(
             "alt-index",
             seed,
@@ -152,6 +159,8 @@ fn starvation_gate_alt_index() {
                 assert!(idx.get(ALT_HOT).is_some());
             },
             |i| {
+                let cold = (i % 8192).max(1) * 2;
+                let _ = idx.get(cold);
                 idx.update(ALT_HOT, i).unwrap();
             },
         )
