@@ -1,8 +1,9 @@
 //! The ε a retrain re-segments with, taken from the distribution
 //! *observed at collect time* instead of replaying the bulk-load knob
 //! (the DILI argument: layout decisions should follow the data actually
-//! seen, not fixed configuration). Capacity is not planned: a rebuilt
-//! model is sized as bulk load sizes one, `gap_factor` slots per key.
+//! seen, not fixed configuration). Capacity is not planned here: a
+//! retrain's models are sized as bulk load sizes them, their slopes
+//! chosen under the span's own slot budget (`model::placement`).
 
 /// ε for re-segmenting `merged` (a span's key-sorted live data): fit one
 /// line through the span's endpoints, sample (at most ~4k) keys'

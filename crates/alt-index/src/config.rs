@@ -9,8 +9,11 @@ pub struct AltConfig {
     /// GPL error bound ε. `None` = the paper's suggested
     /// `bulkload_size / 1000` (clamped to [`AltConfig::MIN_EPSILON`]).
     pub epsilon: Option<f64>,
-    /// Extra slot budget per model: capacity ≈ gap_factor × span. The
-    /// paper's "array gaps scheme to handle some coming insertions".
+    /// Sizes a build's slot budget: the slots every model would get at
+    /// `gap_factor` times GPL's cone-midpoint slope, summed over the
+    /// build. The slopes themselves are chosen under that budget, so it
+    /// no longer sets each model's spacing (DESIGN.md §3). The paper's
+    /// "array gaps scheme to handle some coming insertions".
     pub gap_factor: f64,
     /// Enable dynamic retraining (§III-F): the thread whose insert
     /// tripped a model's overflow trigger rebuilds it. Off = overflowed

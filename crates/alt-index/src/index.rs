@@ -458,24 +458,22 @@ pub(crate) fn segment_and_build(
         .collect();
     segments.extend(segmenter.finish());
     let t_segmented = metrics::now_ns();
+    // Planned over the whole build before it is split into groups, so the
+    // slopes do not depend on `threads`.
+    let plan = placement(pairs, &segments, gap_factor);
 
     let build_group = |group: std::ops::Range<usize>| {
-        let segments = &segments[group];
-        let slice = |seg: &Segment| &pairs[seg.start..seg.start + seg.len];
-        // Plan the whole group first: its total size decides where the
-        // slot arrays live (`SlotArray::for_group`).
-        let (placements, capacities): (Vec<LinearModel>, Vec<usize>) = segments
-            .iter()
-            .map(|seg| placement(slice(seg), seg.model, gap_factor))
-            .unzip();
-        let mut models = Vec::with_capacity(segments.len());
+        // The group's total size decides where its slot arrays live
+        // (`SlotArray::for_group`).
+        let capacities: Vec<usize> = plan[group.clone()].iter().map(|p| p.1).collect();
+        let mut models = Vec::with_capacity(group.len());
         let mut conflicts = Vec::new();
-        for ((seg, model), slots) in segments
+        for ((seg, &(model, _)), slots) in segments[group.clone()]
             .iter()
-            .zip(placements)
+            .zip(&plan[group])
             .zip(SlotArray::for_group(&capacities))
         {
-            let (m, mut c) = fill(slice(seg), model, slots);
+            let (m, mut c) = fill(&pairs[seg.start..seg.start + seg.len], model, slots);
             models.push(m);
             conflicts.append(&mut c);
         }
@@ -565,13 +563,18 @@ mod tests {
 
     #[test]
     fn bulk_load_hard_distribution_spills_to_art() {
-        // Quadratic gaps are hard for a linear model: expect conflicts in
-        // ART, but all keys must resolve.
-        let p: Vec<(u64, u64)> = (1..=20_000u64).map(|i| (i * i, i)).collect();
+        // Runs of 16 consecutive keys every 32: one segment at this ε,
+        // whose cone runs from slope 1 (the first run) to 1/2 (the next
+        // run's first key). Its budget, 1.25 × 0.75 slots per key unit,
+        // is short of the slope 1 a run needs to seat its keys apart, so
+        // keys spill to ART whatever slope is chosen. All must resolve.
+        let p: Vec<(u64, u64)> = (0..20_000u64)
+            .map(|i| ((i / 16) * 32 + i % 16 + 1, i))
+            .collect();
         let idx = AltIndex::bulk_load_with(
             &p,
             AltConfig {
-                epsilon: Some(512.0),
+                epsilon: Some(1e6),
                 ..Default::default()
             },
         );

@@ -2,6 +2,7 @@
 //! holding its keys at exactly their predicted slots.
 
 use crate::slots::SlotArray;
+use learned::gpl::Segment;
 use learned::LinearModel;
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -13,7 +14,8 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 pub struct GplModel {
     /// Smallest key the model was built over (also the model anchor).
     pub first_key: u64,
-    /// The placement model (slope already includes the gap factor).
+    /// The placement model: its slope is the one [`placement`] chose
+    /// under the build's slot budget, not the segment's own.
     pub model: LinearModel,
     /// Slot storage.
     pub slots: SlotArray,
@@ -105,20 +107,160 @@ impl GplModel {
     }
 }
 
-/// The placement function and slot capacity of a model over sorted
-/// `pairs`: the segment's slope times the gap factor, anchored at the
-/// first key, and one slot past the last key's prediction. Bulk load plans
-/// a whole group with this before it allocates ([`SlotArray::for_group`]).
+/// Gap-profile buckets: four per octave of a `u64` gap.
+const BUCKETS: usize = 64 * 4;
+
+/// The bucket of a gap of `gap ≥ 1` key units: its octave, and the two
+/// bits below its leading one.
+#[inline]
+fn bucket(gap: u64) -> usize {
+    let octave = 63 - gap.leading_zeros() as usize;
+    4 * octave + ((u128::from(gap) << 2 >> octave) as usize & 3)
+}
+
+/// The smallest gap in bucket `b`.
+fn bucket_floor(b: usize) -> f64 {
+    (1.0 + (b % 4) as f64 / 4.0) * 2f64.powi((b / 4) as i32)
+}
+
+/// One slope a model could take: the slots it costs, and how many of its
+/// keys are expected to own one.
+#[derive(Clone, Copy)]
+struct Choice {
+    slope: f64,
+    slots: usize,
+    residents: f64,
+}
+
+/// The slopes worth pricing for a model over sorted `pairs`: first the
+/// midpoint rule's `midpoint`, then one per bucket edge of the model's gap
+/// profile. Two keys `g` apart share a slot with probability about
+/// `max(0, 1 − s·g)`, so at slope `s` a model holds about
+/// `1 + Σ min(1, s·g)` residents.
+fn choices(pairs: &[(u64, u64)], midpoint: f64) -> Vec<Choice> {
+    // Gap count and sum per bucket; no sum can exceed the key range.
+    let mut profile = [(0u64, 0u64); BUCKETS];
+    let mut prev = pairs[0].0;
+    for &(key, _) in &pairs[1..] {
+        let gap = key - prev;
+        prev = key;
+        let b = &mut profile[bucket(gap)];
+        *b = (b.0 + 1, b.1 + gap);
+    }
+    let range = (prev - pairs[0].0) as f64;
+    let choice = |slope: f64, residents: f64| Choice {
+        slope,
+        // One slot past the last key's prediction.
+        slots: (slope * range + 1.5) as usize,
+        residents,
+    };
+    let at_midpoint = profile
+        .iter()
+        .map(|&(n, sum)| (n as f64).min(midpoint * sum as f64));
+    let mut out = vec![choice(midpoint, 1.0 + at_midpoint.sum::<f64>())];
+    // The buckets in use are `lo..hi`. At the edge of bucket `b`, every gap
+    // of a bucket from `b` up owns a slot, and every gap below it a share.
+    let lo = profile.iter().position(|b| b.0 > 0).unwrap_or(BUCKETS);
+    let hi = profile.iter().rposition(|b| b.0 > 0).map_or(0, |b| b + 1);
+    let (mut above, mut below) = ((pairs.len() - 1) as f64, 0.0);
+    for b in lo..=hi {
+        let slope = 1.0 / bucket_floor(b);
+        out.push(choice(slope, 1.0 + above + slope * below));
+        let (n, sum) = profile.get(b).copied().unwrap_or_default();
+        (above, below) = (above - n as f64, below + sum as f64);
+    }
+    out
+}
+
+/// The choices some price picks: the upper concave hull of
+/// `(slots, residents)`, fewest slots first, so that a model's gain
+/// `residents − λ·slots` rises along it to its best and then falls.
+fn hull(mut choices: Vec<Choice>) -> Vec<Choice> {
+    choices.sort_by(|a, b| {
+        a.slots
+            .cmp(&b.slots)
+            .then(b.residents.total_cmp(&a.residents))
+    });
+    let mut hull: Vec<Choice> = Vec::with_capacity(choices.len());
+    for c in choices {
+        if hull.last().is_some_and(|l| c.residents <= l.residents) {
+            continue;
+        }
+        // Drop the last point while it is not above the chord to `c`.
+        while let [.., a, b] = hull[..] {
+            let rise = |p: Choice| (p.residents - a.residents) / (p.slots - a.slots) as f64;
+            if rise(b) > rise(c) {
+                break;
+            }
+            hull.pop();
+        }
+        hull.push(c);
+    }
+    hull
+}
+
+/// Each segment's placement function and slot capacity: anchored at its
+/// first key, one slot past its last key's prediction, with the slopes
+/// chosen together under one slot budget. Bulk load and every retrain
+/// plan their whole build with this before anything is allocated
+/// ([`SlotArray::for_group`]).
+///
+/// The budget is what GPL's cone midpoint times `gap_factor` gives every
+/// segment. A single price λ per slot picks each model's slope to maximise
+/// `residents − λ·slots`, ties to fewer slots; the smallest λ whose picks
+/// fit the budget is found by bisection. At a price above any segment's
+/// key count every model takes its fewest slots, at most the midpoint's,
+/// so the budget always holds. λ depends on the segments alone, not on how
+/// they are later grouped (DESIGN.md §3, §12).
 pub fn placement(
     pairs: &[(u64, u64)],
-    segment_model: LinearModel,
+    segments: &[Segment],
     gap_factor: f64,
-) -> (LinearModel, usize) {
-    debug_assert!(!pairs.is_empty());
-    let placement = LinearModel::new(pairs[0].0, segment_model.slope * gap_factor);
-    let last = pairs[pairs.len() - 1].0;
-    let capacity = (placement.predict_f(last) + 1.5) as usize;
-    (placement, capacity.max(1))
+) -> Vec<(LinearModel, usize)> {
+    let mut budget = 0usize;
+    let options: Vec<Vec<Choice>> = segments
+        .iter()
+        .map(|s| {
+            let c = choices(&pairs[s.start..s.start + s.len], s.model.slope * gap_factor);
+            budget += c[0].slots;
+            hull(c)
+        })
+        .collect();
+    let pick = |hull: &[Choice], price: f64| {
+        let gain = |c: &Choice| c.residents - price * c.slots as f64;
+        hull[hull
+            .windows(2)
+            .take_while(|w| gain(&w[1]) > gain(&w[0]))
+            .count()]
+    };
+    // Saturating: at a low price a steep edge can cost a segment's whole
+    // key range in slots.
+    let spent = |price: f64| {
+        options
+            .iter()
+            .fold(0usize, |n, o| n.saturating_add(pick(o, price).slots))
+    };
+    let mut price = 0.0;
+    if spent(price) > budget {
+        let (mut lo, mut hi) = (0.0, pairs.len() as f64);
+        for _ in 0..64 {
+            let mid = (lo + hi) / 2.0;
+            if spent(mid) <= budget {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        price = hi;
+    }
+    segments
+        .iter()
+        .zip(&options)
+        .map(|(s, o)| {
+            let c = pick(o, price);
+            (LinearModel::new(pairs[s.start].0, c.slope), c.slots)
+        })
+        .collect()
 }
 
 /// Place sorted `pairs` into a model with placement function `placement`
@@ -152,7 +294,12 @@ mod tests {
         segment_model: LinearModel,
         gap_factor: f64,
     ) -> (GplModel, Vec<(u64, u64)>) {
-        let (placement, capacity) = placement(pairs, segment_model, gap_factor);
+        let segment = Segment {
+            start: 0,
+            len: pairs.len(),
+            model: segment_model,
+        };
+        let (placement, capacity) = placement(pairs, &[segment], gap_factor)[0];
         fill(pairs, placement, SlotArray::new(capacity))
     }
 
@@ -203,5 +350,114 @@ mod tests {
         assert!(!m.wants_retrain());
         m.art_inserts.store(101, Ordering::Relaxed);
         assert!(m.wants_retrain());
+    }
+
+    #[test]
+    fn a_bucket_starts_at_its_floor() {
+        for gap in [1u64, 2, 3, 5, 7, 10, 1000, 1 << 40, u64::MAX] {
+            let b = bucket(gap);
+            assert!(bucket_floor(b) <= gap as f64, "gap {gap} below bucket {b}");
+            assert!(b + 1 == BUCKETS || (gap as f64) < bucket_floor(b + 1));
+        }
+    }
+
+    /// The midpoint rule the budget is measured in: GPL's cone midpoint
+    /// times `gap_factor` for every segment.
+    fn midpoint_rule(
+        pairs: &[(u64, u64)],
+        segments: &[Segment],
+        gap_factor: f64,
+    ) -> Vec<(LinearModel, usize)> {
+        segments
+            .iter()
+            .map(|s| {
+                let (first, last) = (pairs[s.start].0, pairs[s.start + s.len - 1].0);
+                let model = LinearModel::new(first, s.model.slope * gap_factor);
+                (model, (model.predict_f(last) + 1.5) as usize)
+            })
+            .collect()
+    }
+
+    /// Keys that own a slot under `plan`: distinct predicted slots, since
+    /// a model's predictions rise with its keys.
+    fn residents(
+        pairs: &[(u64, u64)],
+        segments: &[Segment],
+        plan: &[(LinearModel, usize)],
+    ) -> usize {
+        let mut owned = 0;
+        for (s, &(model, slots)) in segments.iter().zip(plan) {
+            let keys = pairs[s.start..s.start + s.len].iter();
+            let mut at = keys
+                .map(|p| model.predict_clamped(p.0, slots))
+                .collect::<Vec<_>>();
+            at.dedup();
+            owned += at.len();
+        }
+        owned
+    }
+
+    fn segment(pairs: &[(u64, u64)], epsilon: f64) -> Vec<Segment> {
+        learned::gpl::gpl_segment(&pairs.iter().map(|p| p.0).collect::<Vec<_>>(), epsilon)
+    }
+
+    proptest::proptest! {
+        /// Whatever the keys, ε and `gap_factor`, the chosen slopes spend
+        /// no more slots than the midpoint rule; every multi-key model
+        /// gets a usable slope, and a single key keeps slope 0 in one slot.
+        #[test]
+        fn the_slopes_stay_inside_the_midpoint_budget(
+            // Each gap is `m << e`: runs, plateaus and wide holes alike.
+            gaps in proptest::collection::vec((1u64..8, 0u32..40), 0..400),
+            eps in 0.0f64..64.0,
+            gap_factor in 0.25f64..4.0,
+        ) {
+            let keys = std::iter::once(1).chain(gaps.iter().scan(1u64, |k, &(m, e)| {
+                *k += m << e;
+                Some(*k)
+            }));
+            let pairs: Vec<(u64, u64)> = keys.map(|k| (k, k)).collect();
+            let segments = segment(&pairs, eps);
+            let plan = placement(&pairs, &segments, gap_factor);
+            let budget: usize = midpoint_rule(&pairs, &segments, gap_factor).iter().map(|p| p.1).sum();
+            let spent: usize = plan.iter().map(|p| p.1).sum();
+            proptest::prop_assert!(spent <= budget, "{spent} slots over a budget of {budget}");
+            for (s, &(model, slots)) in segments.iter().zip(&plan) {
+                proptest::prop_assert_eq!(model.first_key, pairs[s.start].0);
+                if s.len == 1 {
+                    proptest::prop_assert_eq!((model.slope, slots), (0.0, 1));
+                } else {
+                    proptest::prop_assert!(model.slope.is_finite() && model.slope > 0.0, "slope {}", model.slope);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_budget_holds_at_least_the_midpoint_rules_residents() {
+        use datasets::Dataset;
+        let n = 200_000;
+        let epsilon = crate::AltConfig::default().effective_epsilon(n);
+        for ds in [Dataset::Fb, Dataset::Osm, Dataset::Libio] {
+            let pairs = datasets::generate_pairs(ds, n, 1);
+            let segments = segment(&pairs, epsilon);
+            let midpoint = midpoint_rule(&pairs, &segments, 1.25);
+            let chosen = placement(&pairs, &segments, 1.25);
+            let (was, now) = (
+                residents(&pairs, &segments, &midpoint),
+                residents(&pairs, &segments, &chosen),
+            );
+            eprintln!(
+                "{}: learned share {:.4} -> {:.4}",
+                ds.name(),
+                was as f64 / n as f64,
+                now as f64 / n as f64
+            );
+            assert!(
+                now >= was,
+                "{}: {now} residents against the midpoint's {was}",
+                ds.name()
+            );
+        }
     }
 }

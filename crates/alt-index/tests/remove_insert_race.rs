@@ -46,8 +46,8 @@ fn build_index() -> AltIndex {
 }
 
 /// Find a key whose predicted slot is *empty* after bulk load: inserted
-/// alone, it is served from the learned layer. With gap_factor 1.25 over
-/// a stride-1000 backbone, one slot covers ~800 key units, so the key's
+/// alone, it is served from the learned layer. Over a stride-1000
+/// backbone the chosen slope gives one slot ~900 key units, so the key's
 /// immediate neighbours predict the same slot — the collision cluster
 /// the race needs. The layout is deterministic (same bulk load, same
 /// config, retrain off), so one probe serves every round.

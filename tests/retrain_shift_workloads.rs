@@ -171,8 +171,8 @@ fn sudden_shift_background_oracle_checked_and_inline_equivalent() {
 
 /// ROADMAP item 4(d), the space half: monotone append makes the tail
 /// model overflow again and again, and every rebuild must come out at
-/// the bulk-load density (`gap_factor` slots per key) however many
-/// generations the span has been through.
+/// the bulk-load density (its span's own slot budget, spent as bulk load
+/// spends its) however many generations the span has been through.
 #[test]
 fn append_retrains_at_the_bulk_load_density() {
     const THREADS: usize = 2;
