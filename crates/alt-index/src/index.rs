@@ -138,6 +138,14 @@ impl AltIndex {
     // -----------------------------------------------------------------
 
     /// Point lookup.
+    ///
+    /// The slot's miss and the first ART miss are paid together, not one
+    /// after the other: the slot's lines are prefetched, then
+    /// [`Art::warm`] walks the tree's cached top and prefetches the first
+    /// node it does not expect cached, and only then is the slot read. The
+    /// verdict comes from the slot snapshot and, on conflict data, the
+    /// authoritative ART read, exactly as without the hints; they only
+    /// decide which lines are warm when those reads run.
     pub fn get(&self, key: u64) -> Option<u64> {
         if key == 0 {
             return None;
@@ -148,6 +156,8 @@ impl AltIndex {
             let dir = self.dir_ref(&guard);
             let m = dir.model_for(key);
             let pred = m.predict(key);
+            m.slots.prefetch(pred);
+            self.art.warm(key, &guard);
             let (state, ver) = m.slots.read(pred);
             // A conclusive answer returns; what falls out of the match is
             // a verdict a concurrent retrain or writer may have undone.

@@ -74,6 +74,17 @@ impl SlotState {
     }
 }
 
+/// The addresses [`SlotArray::prefetch`] hints for slot `i` of an array
+/// starting at `base`: the slot's first byte and its last. A 24-byte slot
+/// straddles a line boundary at 2 of every 8 indices, and there the
+/// second names the line with the key and value; elsewhere both name one
+/// line and the second hint is free.
+#[inline(always)]
+fn slot_hint_addrs(base: usize, i: usize) -> [usize; 2] {
+    let first = base + i * std::mem::size_of::<Slot>();
+    [first, first + std::mem::size_of::<Slot>() - 1]
+}
+
 /// One slot record. Version, key, and value are interleaved so a lookup
 /// touches one or two cache lines instead of three separate arrays (the
 /// layout matters more than anything else on the slot-hit fast path).
@@ -216,15 +227,17 @@ impl SlotArray {
         self.words()[i / 64].fetch_or(1 << (i % 64), Ordering::AcqRel);
     }
 
-    /// Hint the CPU to fetch slot `i`'s cache line ahead of a
-    /// [`SlotArray::read`] — the batched lookup path issues this one ring
-    /// revolution before the probe so the (version, key, value) triple is
-    /// resident by the time it is read. The occupancy word for `i` rides
-    /// along: at 24 bytes per slot most probes hit one line for the slot
-    /// and occupancy stays hot on its own compact array.
+    /// Hint the CPU to fetch slot `i` ahead of a [`SlotArray::read`]:
+    /// every line of its (version, key, value) record, and its occupancy
+    /// word. The batched lookup issues this one ring revolution before
+    /// the probe; the scalar `get` issues it before it warms the key's
+    /// ART path, so the two misses overlap.
     #[inline]
     pub fn prefetch(&self, i: usize) {
-        prefetch::prefetch_read(self.slot(i) as *const Slot);
+        debug_assert!(i < self.capacity);
+        for addr in slot_hint_addrs(self.slots as usize, i) {
+            prefetch::prefetch_read(addr as *const u8);
+        }
         prefetch::prefetch_read(&self.words()[i / 64] as *const AtomicU64);
     }
 
@@ -568,6 +581,23 @@ mod tests {
             }
             _ => None,
         })
+    }
+
+    #[test]
+    fn prefetch_hints_every_line_of_a_slot() {
+        let line = |addr: usize| addr / 64;
+        let base = 64 * 1_000;
+        let size = std::mem::size_of::<Slot>();
+        let mut straddling = 0;
+        for i in 0..16 {
+            let hinted = slot_hint_addrs(base, i).map(line);
+            let start = base + i * size;
+            for byte in start..start + size {
+                assert!(hinted.contains(&line(byte)), "slot {i}, byte {byte}");
+            }
+            straddling += usize::from(hinted[0] != hinted[1]);
+        }
+        assert_eq!(straddling, 4, "24-byte slots cross a line at 2 of every 8");
     }
 
     #[test]

@@ -20,7 +20,7 @@
 
 use crate::node::{self, NodePtr};
 use crate::olc::Version;
-use crate::tree::{coupled_ok, hop, leaf_value, Art, Hop};
+use crate::tree::{coupled_ok, hop, leaf_value, prefetch_node, Art, Hop};
 use crossbeam_epoch as epoch;
 use probe::metrics::{self, Counter};
 use std::sync::atomic::Ordering;
@@ -182,14 +182,6 @@ impl Art {
                 }
             }
         }
-    }
-}
-
-/// Prefetch the allocation behind a (possibly leaf-tagged) node pointer.
-#[inline(always)]
-fn prefetch_node(p: NodePtr) {
-    if p != 0 {
-        prefetch::prefetch_read((p & !1) as *const u8);
     }
 }
 
