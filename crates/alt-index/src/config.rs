@@ -8,6 +8,8 @@
 pub struct AltConfig {
     /// GPL error bound ε. `None` = the paper's suggested
     /// `bulkload_size / 1000` (clamped to [`AltConfig::MIN_EPSILON`]).
+    /// Fixed at bulk load and also every retrain's ε: a retrain rebuilds
+    /// its span exactly as bulk load would (DESIGN.md §14).
     pub epsilon: Option<f64>,
     /// Sizes a build's slot budget: the slots every model would get at
     /// `gap_factor` times GPL's cone-midpoint slope, summed over the

@@ -41,7 +41,6 @@
 // adaptors would obscure the byte-position math.
 #![allow(clippy::needless_range_loop)]
 
-mod adapt;
 mod api;
 mod batch;
 pub mod config;

@@ -2,11 +2,11 @@
 //! GPL model.
 //!
 //! When a model's overflow inserts exceed its build size, the span is
-//! rebuilt: live slot entries are merged with the span's ART residents,
-//! re-segmented with GPL at the ε observed in the collected data
-//! (`adapt.rs`) and the bulk-load density, and the fresh model(s) are
-//! swapped into the directory RCU-style. ART keys absorbed by the new
-//! slots are then deleted from ART; keys that still conflict stay there.
+//! rebuilt: live slot entries are merged with the span's ART residents
+//! and bulk-loaded again, by the bulk builder at the index's own ε and
+//! `gap_factor`, and the fresh model(s) are swapped into the directory
+//! RCU-style. ART keys absorbed by the new slots are then deleted from
+//! ART; keys that still conflict stay there.
 //! If the retrained model was the last one, re-segmentation naturally
 //! grows new tail models for out-of-range insertions.
 //!
@@ -14,7 +14,6 @@
 //! whose insert tripped the trigger, in one pass under the model's
 //! writer lock. DESIGN.md §14 has the protocol and its safety argument.
 
-use crate::adapt::observed_epsilon;
 use crate::index::{segment_and_build, AltIndex};
 use crate::model::GplModel;
 use crossbeam_epoch as epoch;
@@ -130,10 +129,12 @@ impl AltIndex {
         // `art_inserts` stays high on purpose — the next overflow insert
         // retries (self-healing).
         probe::fail::point("retrain.build");
-        // `conflicts` is key-sorted, each key once.
+        // The span's bulk load, at the index's own ε and `gap_factor`;
+        // the floor keeps the span's start. `conflicts` is key-sorted,
+        // each key once.
         let (models, conflicts, _) = segment_and_build(
             &span.merged,
-            observed_epsilon(&span.merged, self.epsilon),
+            self.epsilon,
             self.cfg.gap_factor,
             Some(m.first_key),
             1,

@@ -1,16 +1,15 @@
 //! Deterministic fault injection behind named sites.
 //!
-//! Instrumented crates call [`point`], [`eval`] or [`fire`] at a site
-//! that DESIGN.md §16 has a rollback argument for (its table lists every
+//! Instrumented crates call [`point`] or [`fire`] at a site that
+//! DESIGN.md §16 has a rollback argument for (its table lists every
 //! site, where it sits and which actions it honours). Without the `fault`
-//! feature the three verbs compile to nothing, so a default build pays
+//! feature the two verbs compile to nothing, so a default build pays
 //! nothing. With it, an installed **failpoint** decides —
 //! deterministically, per its trigger policy — whether the site fires,
 //! and if so which [`FailAction`] it takes.
 //!
 //! Which verb a site uses is its contract: [`point`] where there is no
-//! error channel (Panic unwinds, Delay sleeps, Error/AllocFail are
-//! ignored), [`eval`] where the caller can abort cleanly on `Err`, and
+//! error channel (Panic unwinds, Delay sleeps, AllocFail is ignored), and
 //! [`fire`] where the caller maps *every* action onto its own failure
 //! channel — the ART arena treats any injected action, Panic included, as
 //! a failed allocation (`fire(..).is_some()`), because unwinding out of
@@ -22,9 +21,8 @@
 //! * **Panic** — `panic_any` with an [`InjectedPanic`] payload, so
 //!   containment layers (`catch_unwind` in the retrain paths) can tell an
 //!   injected death from a real bug in diagnostics.
-//! * **Error** / **AllocFail** — surfaced to the call site as
-//!   [`Injected`], for sites with a graceful failure channel (fail one
-//!   chunk refill).
+//! * **AllocFail** — surfaced to a [`fire`] site, for sites with a
+//!   graceful failure channel (fail one chunk refill).
 //! * **Delay** — a bounded sleep, for widening windows without failing.
 //!
 //! Triggers:
@@ -42,8 +40,8 @@
 //! and `ALT_FAIL_SEED` are read once, on the first evaluated site (or the
 //! first [`install`]), so any fault-enabled binary honours them without
 //! code changes. `ALT_FAIL_POINTS` is split on `;` into
-//! `site=action[@trigger]`, where action is `panic`, `error`,
-//! `alloc_fail` or `delay:<ms>`, and trigger is a decimal `N` (n-th hit)
+//! `site=action[@trigger]`, where action is `panic`, `alloc_fail` or
+//! `delay:<ms>`, and trigger is a decimal `N` (n-th hit)
 //! or `pP` (probability P/1024); no trigger = every hit. Example:
 //! `ALT_FAIL_POINTS="retrain.build=panic@3;retrain.swap=panic@p64"`.
 //! Env-installed failpoints have no guard: they live for the process.
@@ -62,10 +60,8 @@ pub enum FailAction {
     /// `panic_any(InjectedPanic { site })` — simulates a thread dying
     /// mid-protocol. Containment layers recognise the payload.
     Panic,
-    /// Report a recoverable failure to the call site ([`Injected::Error`]).
-    Error,
-    /// Report an allocation failure to the call site
-    /// ([`Injected::AllocFail`]).
+    /// Report an allocation failure to a [`fire`] site; a [`point`]
+    /// site ignores it.
     AllocFail,
     /// Sleep this many milliseconds, then continue normally.
     Delay(u64),
@@ -80,16 +76,6 @@ pub enum Trigger {
     Nth(u64),
     /// Each hit fires with probability `p/1024`, from the seeded stream.
     Probability(u32),
-}
-
-/// The recoverable-failure half of [`FailAction`], returned by [`eval`]
-/// to sites that have an error channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Injected {
-    /// An injected operational error.
-    Error,
-    /// An injected allocation failure.
-    AllocFail,
 }
 
 /// Panic payload used by [`FailAction::Panic`] so containment code can
@@ -196,7 +182,7 @@ pub fn fires(site: &str) -> u64 {
 
 /// Low-level evaluation: record a hit at `site` and return the fired
 /// action, if any. [`FailAction::Delay`] is executed here (the sleep) and
-/// reported as `None`; the caller decides what Panic/Error/AllocFail mean.
+/// reported as `None`; the caller decides what Panic/AllocFail mean.
 /// Constant `None`, folded away, without the `fault` feature.
 #[inline(always)]
 pub fn fire(site: &'static str) -> Option<FailAction> {
@@ -250,23 +236,13 @@ fn evaluate(site: &'static str) -> Option<FailAction> {
     }
 }
 
-/// Evaluate `site`: execute Panic (unwinds from here) and Delay
-/// in place, surface Error/AllocFail to the caller.
-#[inline(always)]
-pub fn eval(site: &'static str) -> Result<(), Injected> {
-    match fire(site) {
-        None | Some(FailAction::Delay(_)) => Ok(()),
-        Some(FailAction::Panic) => std::panic::panic_any(InjectedPanic { site }),
-        Some(FailAction::Error) => Err(Injected::Error),
-        Some(FailAction::AllocFail) => Err(Injected::AllocFail),
-    }
-}
-
 /// Evaluate `site` at a point with no error channel: Panic and Delay
-/// execute; Error/AllocFail injections are ignored (documented per site).
+/// execute; AllocFail injections are ignored (documented per site).
 #[inline(always)]
 pub fn point(site: &'static str) {
-    let _ = eval(site);
+    if let Some(FailAction::Panic) = fire(site) {
+        std::panic::panic_any(InjectedPanic { site });
+    }
 }
 
 fn init_env() {
@@ -318,7 +294,6 @@ fn parse_spec(spec: &str) -> Vec<(String, FailAction, Trigger)> {
         } else {
             match action_s {
                 "panic" => FailAction::Panic,
-                "error" => FailAction::Error,
                 "alloc_fail" => FailAction::AllocFail,
                 _ => continue,
             }
@@ -359,7 +334,7 @@ mod tests {
     #[test]
     fn uninstalled_sites_are_silent() {
         let _l = lock();
-        assert_eq!(eval("test.nothing"), Ok(()));
+        point("test.nothing");
         assert_eq!(fire("test.nothing"), None);
     }
 
@@ -369,7 +344,6 @@ mod tests {
         let _l = lock();
         let _g = install("test.off", FailAction::Panic, Trigger::Always);
         point("test.off");
-        assert_eq!(eval("test.off"), Ok(()));
         assert_eq!(fire("test.off"), None);
         assert_eq!(hits("test.off"), 0);
     }
@@ -378,15 +352,15 @@ mod tests {
     #[test]
     fn nth_trigger_fires_exactly_once() {
         let _l = lock();
-        let g = install("test.nth", FailAction::Error, Trigger::Nth(3));
-        assert_eq!(eval("test.nth"), Ok(()));
-        assert_eq!(eval("test.nth"), Ok(()));
-        assert_eq!(eval("test.nth"), Err(Injected::Error));
-        assert_eq!(eval("test.nth"), Ok(()), "one-shot: hit 4 passes");
+        let g = install("test.nth", FailAction::AllocFail, Trigger::Nth(3));
+        assert_eq!(fire("test.nth"), None);
+        assert_eq!(fire("test.nth"), None);
+        assert_eq!(fire("test.nth"), Some(FailAction::AllocFail));
+        assert_eq!(fire("test.nth"), None, "one-shot: hit 4 passes");
         assert_eq!(hits("test.nth"), 4);
         assert_eq!(fires("test.nth"), 1);
         drop(g);
-        assert_eq!(eval("test.nth"), Ok(()), "guard drop uninstalls");
+        assert_eq!(fire("test.nth"), None, "guard drop uninstalls");
     }
 
     #[cfg(feature = "fault")]
@@ -407,10 +381,12 @@ mod tests {
     fn alloc_fail_surfaces_and_delay_passes() {
         let _l = lock();
         let g = install("test.af", FailAction::AllocFail, Trigger::Always);
-        assert_eq!(eval("test.af"), Err(Injected::AllocFail));
+        assert_eq!(fire("test.af"), Some(FailAction::AllocFail));
+        point("test.af");
+        assert_eq!(fires("test.af"), 2, "a point site ignores AllocFail");
         drop(g);
         let _g = install("test.delay", FailAction::Delay(1), Trigger::Always);
-        assert_eq!(eval("test.delay"), Ok(()), "delay is not a failure");
+        assert_eq!(fire("test.delay"), None, "delay is not a failure");
         assert_eq!(fires("test.delay"), 1);
     }
 
@@ -419,13 +395,21 @@ mod tests {
     fn probability_is_seeded_and_deterministic() {
         let _l = lock();
         set_seed(42);
-        let g = install("test.prob", FailAction::Error, Trigger::Probability(512));
-        let run: Vec<bool> = (0..64).map(|_| eval("test.prob").is_err()).collect();
+        let g = install(
+            "test.prob",
+            FailAction::AllocFail,
+            Trigger::Probability(512),
+        );
+        let run: Vec<bool> = (0..64).map(|_| fire("test.prob").is_some()).collect();
         drop(g);
         // Same seed + fresh hit counter → identical decision sequence.
         set_seed(42);
-        let g = install("test.prob", FailAction::Error, Trigger::Probability(512));
-        let rerun: Vec<bool> = (0..64).map(|_| eval("test.prob").is_err()).collect();
+        let g = install(
+            "test.prob",
+            FailAction::AllocFail,
+            Trigger::Probability(512),
+        );
+        let rerun: Vec<bool> = (0..64).map(|_| fire("test.prob").is_some()).collect();
         drop(g);
         assert_eq!(run, rerun);
         let fired = run.iter().filter(|&&b| b).count();
@@ -437,15 +421,15 @@ mod tests {
 
     #[test]
     fn env_spec_parses_all_forms() {
-        let spec = "retrain.build=error@3; retrain.swap=panic@p64;\
-                    dir.replace=delay:5;art.arena.grow=alloc_fail;bogus;x=weird";
+        let spec = "retrain.build=alloc_fail@3; retrain.swap=panic@p64;\
+                    dir.replace=delay:5;art.arena.grow=alloc_fail;bogus;x=weird;y=error";
         let parsed = parse_spec(spec);
         assert_eq!(
             parsed,
             vec![
                 (
                     "retrain.build".to_string(),
-                    FailAction::Error,
+                    FailAction::AllocFail,
                     Trigger::Nth(3)
                 ),
                 (
@@ -471,12 +455,12 @@ mod tests {
     #[test]
     fn first_firing_wins_across_stacked_entries() {
         let _l = lock();
-        let g1 = install("test.stack", FailAction::Error, Trigger::Nth(2));
+        let g1 = install("test.stack", FailAction::Panic, Trigger::Nth(2));
         let g2 = install("test.stack", FailAction::AllocFail, Trigger::Always);
         // Hit 1: first entry passes (nth=2), second fires AllocFail.
-        assert_eq!(eval("test.stack"), Err(Injected::AllocFail));
-        // Hit 2: first entry fires Error and wins.
-        assert_eq!(eval("test.stack"), Err(Injected::Error));
+        assert_eq!(fire("test.stack"), Some(FailAction::AllocFail));
+        // Hit 2: first entry fires Panic and wins.
+        assert_eq!(fire("test.stack"), Some(FailAction::Panic));
         drop(g1);
         drop(g2);
     }

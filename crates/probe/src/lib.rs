@@ -14,11 +14,10 @@
 //!   schedule at a protocol-critical site under an installed seed. It
 //!   never unwinds, so it may sit inside slot-locked and OLC write
 //!   sections.
-//! * [`fail`] (`fault`) — [`fail::point`] / [`fail::eval`] /
-//!   [`fail::fire`] inject a panic, an error, an allocation failure or a
-//!   delay. A failpoint may sit only where DESIGN.md §16 has a rollback
-//!   argument; which of the three verbs a site uses says which actions it
-//!   honours.
+//! * [`fail`] (`fault`) — [`fail::point`] / [`fail::fire`] inject a
+//!   panic, an allocation failure or a delay. A failpoint may sit only
+//!   where DESIGN.md §16 has a rollback argument; which of the two verbs
+//!   a site uses says which actions it honours.
 //! * [`metrics`] (`metrics`) — [`metrics::incr`] / [`metrics::add`] count
 //!   hot-path events into striped atomics, [`metrics::now_ns`] +
 //!   [`metrics::record_phase_ns`] time phases.

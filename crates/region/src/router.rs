@@ -170,30 +170,10 @@ impl<I: ConcurrentIndex + BulkLoad> ConcurrentIndex for RegionIndex<I> {
             // caller's slices directly.
             return shard.index.get_batch(keys, &mut out[..keys.len()]);
         }
-        // Mixed: one sub-batch per shard so each AMAC engine sees a
-        // coherent ring, gathered through stack arrays 64 keys at a time.
-        // `todo` holds the chunk positions still unanswered.
-        for (keys, out) in keys.chunks(64).zip(out.chunks_mut(64)) {
-            let mut todo = u64::MAX >> (64 - keys.len());
-            while todo != 0 {
-                let shard = &self.shards[self.idx_of(keys[todo.trailing_zeros() as usize])];
-                let (mut gkeys, mut gpos, mut n) = ([0; 64], [0; 64], 0);
-                let mut rest = todo;
-                while rest != 0 {
-                    let p = rest.trailing_zeros() as usize;
-                    rest &= rest - 1;
-                    if shard.owns(keys[p]) {
-                        (gkeys[n], gpos[n]) = (keys[p], p);
-                        n += 1;
-                        todo &= !(1 << p);
-                    }
-                }
-                let mut gout = [None; 64];
-                shard.index.get_batch(&gkeys[..n], &mut gout[..n]);
-                for (&p, v) in gpos[..n].iter().zip(gout) {
-                    out[p] = v;
-                }
-            }
+        // Spans shards: no caller sends one (`BatchServer` flushes one
+        // batch domain at a time), so it is the trait's loop of `get`s.
+        for (&k, o) in keys.iter().zip(out.iter_mut()) {
+            *o = self.get(k);
         }
     }
 

@@ -1,6 +1,6 @@
 //! Fault-injection suite (requires `--features fault`): every registered
 //! failpoint is exercised across ≥8 seeds with rotating actions
-//! (panic / error / alloc-fail) and triggers (always / nth / seeded
+//! (panic / alloc-fail / delay) and triggers (always / nth / seeded
 //! probability), injected mid-workload. After each injected phase the
 //! index must still serve (get/insert/scan), the testkit oracle must be
 //! clean, and a follow-up uninjected retrain must succeed — the
@@ -43,15 +43,15 @@ fn quiet_injected_panics() {
     });
 }
 
-/// Action rotation. `error_channel` sites accept Error/AllocFail
-/// gracefully; pure `point` sites ignore them, so those rotate panic
-/// with a short window-widening delay instead.
+/// Action rotation. `error_channel` (`fire`) sites accept AllocFail
+/// gracefully; pure `point` sites ignore it, so those rotate panic with
+/// a short window-widening delay instead.
 fn action_for(error_channel: bool, s: u64) -> FailAction {
     if error_channel {
         match s % 3 {
             0 => FailAction::Panic,
-            1 => FailAction::Error,
-            _ => FailAction::AllocFail,
+            1 => FailAction::AllocFail,
+            _ => FailAction::Delay(1),
         }
     } else if s % 3 == 2 {
         FailAction::Delay(1)

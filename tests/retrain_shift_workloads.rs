@@ -18,6 +18,8 @@
 //!
 //! And one bound: on monotone append a retrained index stays within a
 //! few dozen bytes per key (`append_retrains_at_the_bulk_load_density`).
+//! And one identity: a retrain rebuilds its span exactly as a bulk load
+//! of the span's pairs would (`a_retrain_rebuilds_its_span_as_bulk_load_would`).
 
 use alt_index::{AltConfig, AltIndex};
 use index_api::ConcurrentIndex;
@@ -191,5 +193,72 @@ fn append_retrains_at_the_bulk_load_density() {
         "{per_key} B/key after {} retrains over {} keys",
         idx.retrain_count(),
         idx.len()
+    );
+}
+
+/// A retrain is the bulk load of its span: same ε (the index's own, not
+/// one re-fitted to the span), same slot budget, same builder. After one
+/// model is overflowed into a retrain, the models now covering its old
+/// span must be exactly the models a fresh bulk load of the span's
+/// pairs builds.
+#[test]
+fn a_retrain_rebuilds_its_span_as_bulk_load_would() {
+    let cfg = || AltConfig {
+        epsilon: Some(64.0),
+        ..AltConfig::default()
+    };
+    // Runs of 500 keys at one of four densities, with jitter: the bulk
+    // load cuts models of a few hundred keys, and GPL's cuts depend on ε.
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let mut key = 0u64;
+    let pairs: Vec<(u64, u64)> = (0..20_000u64)
+        .map(|i| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            key += [50, 200, 120, 400][(i / 500 % 4) as usize] + (state >> 60);
+            (key, i)
+        })
+        .collect();
+    let idx = AltIndex::bulk_load_with(&pairs, cfg());
+    let before = idx.directory_spans();
+    assert!(
+        before.len() > 4,
+        "{} models: too few to pick one",
+        before.len()
+    );
+    let mi = before.len() / 2;
+    let (lo, hi) = (before[mi].0, before[mi + 1].0);
+
+    // Insert each resident's successor: it predicts to the resident's
+    // slot and spills into ART, so the model's overflow count climbs
+    // until it retrains.
+    let mut span_keys = Vec::new();
+    idx.range(lo, hi - 1, &mut span_keys);
+    'fill: for step in 1..50 {
+        for &(k, _) in &span_keys {
+            if idx.get(k + step).is_none() {
+                idx.insert(k + step, k).unwrap();
+                if idx.retrain_count() > 0 {
+                    break 'fill;
+                }
+            }
+        }
+    }
+    assert_eq!(idx.retrain_count(), 1, "the span never retrained");
+
+    let mut span = Vec::new();
+    idx.range(lo, hi - 1, &mut span);
+    let fresh = AltIndex::bulk_load_with(&span, cfg());
+    let rebuilt: Vec<_> = idx
+        .directory_spans()
+        .into_iter()
+        .filter(|&(first, _, _)| (lo..hi).contains(&first))
+        .collect();
+    assert_eq!(
+        rebuilt,
+        fresh.directory_spans(),
+        "span [{lo}, {hi}) of {} keys",
+        span.len()
     );
 }
