@@ -10,7 +10,7 @@
 use crate::config::AltConfig;
 use crate::dir::ModelDir;
 use crate::model::{fill, placement, GplModel};
-use crate::slots::{Probe, SlotArray, SlotState};
+use crate::slots::{Probe, SlotArray, SlotGuard, SlotState};
 use art::Art;
 use crossbeam_epoch::{self as epoch, Atomic, Guard};
 use index_api::{IndexError, Result};
@@ -182,56 +182,47 @@ impl AltIndex {
     /// Guaranteed-progress lookup fallback, used once the optimistic
     /// loop's retry budget is exhausted: the writer protocol, reading.
     ///
-    /// [`AltIndex::with_live_model`] holds the `op_lock` read side of the
-    /// key's live model, which keeps out the one retrain that could
-    /// retire it and move keys between the layers; the predicted slot's
-    /// *write lock* is the per-key serialization point — every writer of
-    /// `key` decides under it — so a slot-or-ART miss observed under it
-    /// is conclusive without any version re-validation.
+    /// [`AltIndex::with_live_model`] holds the predicted slot's *write
+    /// lock* of the key's live model. Every writer of `key` decides under
+    /// that lock, and a retrain that could retire the model and move keys
+    /// between the layers has to take it first, so a slot-or-ART miss
+    /// observed under it is conclusive without any version re-validation.
     pub(crate) fn get_pessimistic(&self, key: u64) -> Option<u64> {
-        self.with_live_model(key, |m| {
-            m.slots
-                .with_write(m.predict(key), |g| match g.state().probe(key) {
-                    Probe::Hit(value) => Some(value),
-                    Probe::Absent => None,
-                    Probe::Art => self.art.get(key),
-                })
+        self.with_live_model(key, |_, g| match g.state().probe(key) {
+            Probe::Hit(value) => Some(value),
+            Probe::Absent => None,
+            Probe::Art => self.art.get(key),
         })
     }
 
-    /// Run `f` against the live model that owns `key`, holding the read
-    /// side of its `op_lock`: the entry of every slot writer and of
+    /// Run `f` on the live model that owns `key`, under the write lock of
+    /// the slot `key` predicts to: the entry of every slot writer and of
     /// [`AltIndex::get_pessimistic`].
     ///
-    /// Retraining collects a span's slots under the write side and retires
-    /// the old model before releasing it, so a writer that holds the read
-    /// side and has seen `!is_retired()` works on a model that cannot be
-    /// replaced under it — its slot writes cannot land after a collection
-    /// and be dropped by the directory swap (the lost update the chaos
-    /// oracle once found), and every writer of `key` predicts the same
-    /// slot. A retired model means a retrain published between the
-    /// directory read and the lock: look again. That churn is the only
-    /// retry source here, so once the budget is spent the loop takes
-    /// `dir_lock`, under which no retrain runs and the next pass cannot
-    /// find a retired model. `dir_lock` bounds the retries and nothing
-    /// else: `f`'s decision needs only the slot lock. Lock order is
-    /// `dir_lock` → `op_lock` → slot lock → ART node locks, as in a
-    /// retrain (DESIGN.md §11).
-    fn with_live_model<R>(&self, key: u64, f: impl FnOnce(&GplModel) -> R) -> R {
+    /// A retrain stores `Closing` on the model, then sweeps its slots,
+    /// taking each slot's lock in turn. A writer that finds the model
+    /// `Live` under its slot lock holds that slot ahead of the sweep, so
+    /// the retrain collects what `f` does; one that locks the slot after
+    /// the sweep has passed sees `Closing` through the lock's
+    /// release/acquire, or `Retired` once the swap is done. Either way it
+    /// releases the slot and goes again under `dir_lock`: no retrain runs
+    /// while that is held, so the second pass finds the successor live,
+    /// and there is no third. Lock order is `dir_lock` → slot lock → ART
+    /// node locks, as in a retrain (DESIGN.md §11). One call site of `f`
+    /// keeps it inlined into the writers.
+    fn with_live_model<R>(&self, key: u64, mut f: impl FnMut(&GplModel, &SlotGuard<'_>) -> R) -> R {
         let guard = epoch::pin();
-        let mut retry = resilience::Retry::new();
-        let mut _dl = None;
+        let mut dl = None;
         loop {
-            let dir = self.dir_ref(&guard);
-            let m = dir.model_for(key);
-            let rl = m.op_lock.read();
-            if !m.is_retired() {
-                return f(m);
+            let m = self.dir_ref(&guard).model_for(key);
+            let live = m
+                .slots
+                .with_write(m.predict(key), |g| m.is_live().then(|| f(m, g)));
+            if let Some(r) = live {
+                return r;
             }
-            drop(rl);
-            if retry.wait_or_escalate(&crate::LAYER) {
-                _dl = Some(self.dir_lock.lock());
-            }
+            assert!(dl.is_none(), "a published model is closed under dir_lock");
+            dl = Some(self.dir_lock.lock());
         }
     }
 
@@ -277,56 +268,50 @@ impl AltIndex {
             Existed,
         }
         let mut want_retrain = false;
-        let placed = self.with_live_model(key, |m| {
-            let pred = m.predict(key);
-            let placed = m.slots.with_write(pred, |g| match g.state() {
-                SlotState::Occupied { key: k, .. } if k == key => {
-                    if overwrite {
-                        g.set_value(value);
-                    }
-                    Placed::Existed
+        let placed = self.with_live_model(key, |m, g| match g.state() {
+            SlotState::Occupied { key: k, .. } if k == key => {
+                if overwrite {
+                    g.set_value(value);
                 }
-                SlotState::Empty => {
+                Placed::Existed
+            }
+            SlotState::Empty => {
+                g.install(key, value);
+                Placed::Slot
+            }
+            SlotState::Tombstone => {
+                // The key may still live in ART from before the resident
+                // was removed; checked under the lock so the answer cannot
+                // go stale before we claim.
+                let in_art = if overwrite {
+                    self.art.update(key, value)
+                } else {
+                    self.art.get(key).is_some()
+                };
+                if in_art {
+                    Placed::Existed
+                } else {
                     g.install(key, value);
                     Placed::Slot
                 }
-                SlotState::Tombstone => {
-                    // The key may still live in ART from before the
-                    // resident was removed; checked under the lock so the
-                    // answer cannot go stale before we claim.
-                    let in_art = if overwrite {
-                        self.art.update(key, value)
-                    } else {
-                        self.art.get(key).is_some()
-                    };
-                    if in_art {
-                        Placed::Existed
-                    } else {
-                        g.install(key, value);
-                        Placed::Slot
-                    }
-                }
-                SlotState::Occupied { .. } => {
-                    let in_art = overwrite && self.art.update(key, value);
-                    if in_art || !self.art.insert(key, value) {
-                        Placed::Existed
-                    } else {
-                        Placed::Art
-                    }
-                }
-            });
-            if let Placed::Art = placed {
-                m.art_inserts.fetch_add(1, Ordering::Relaxed);
-                want_retrain = m.wants_retrain();
             }
-            placed
+            SlotState::Occupied { .. } => {
+                let in_art = overwrite && self.art.update(key, value);
+                if in_art || !self.art.insert(key, value) {
+                    Placed::Existed
+                } else {
+                    m.art_inserts.fetch_add(1, Ordering::Relaxed);
+                    want_retrain = m.wants_retrain();
+                    Placed::Art
+                }
+            }
         });
         if let Placed::Existed = placed {
             return false;
         }
         self.len.add(1);
-        // Outside `with_live_model`: the rebuild takes the write side of
-        // the `op_lock` this thread held the read side of.
+        // Outside `with_live_model`: the rebuild sweeps the slot lock
+        // this thread held, and waits for `dir_lock`.
         if want_retrain {
             self.trigger_retrain(key);
         }
@@ -338,17 +323,15 @@ impl AltIndex {
         if key == 0 {
             return Err(IndexError::ReservedKey);
         }
-        let updated = self.with_live_model(key, |m| {
-            m.slots.with_write(m.predict(key), |g| match g.state() {
-                SlotState::Occupied { key: k, .. } if k == key => {
-                    probe::chaos::point("slots.update.locked");
-                    g.set_value(value);
-                    true
-                }
-                // A key in ART never predicts an empty slot.
-                SlotState::Empty => false,
-                SlotState::Tombstone | SlotState::Occupied { .. } => self.art.update(key, value),
-            })
+        let updated = self.with_live_model(key, |_, g| match g.state() {
+            SlotState::Occupied { key: k, .. } if k == key => {
+                probe::chaos::point("slots.update.locked");
+                g.set_value(value);
+                true
+            }
+            // A key in ART never predicts an empty slot.
+            SlotState::Empty => false,
+            SlotState::Tombstone | SlotState::Occupied { .. } => self.art.update(key, value),
         });
         if updated {
             Ok(())
@@ -362,26 +345,24 @@ impl AltIndex {
         if key == 0 {
             return None;
         }
-        let removed = self.with_live_model(key, |m| {
-            m.slots.with_write(m.predict(key), |g| match g.state() {
-                SlotState::Occupied { key: k, value } if k == key => {
-                    // Tombstone the slot AND clear the transient ART copy
-                    // (retrain double-presence) in one critical section.
-                    // With the ART clear outside the lock, a racing insert
-                    // of `key` could land in ART after another key
-                    // reclaimed the tombstone, and the late clear would
-                    // silently delete that *successful* insert (lost key,
-                    // caught by the chaos oracle). Under the lock no new
-                    // ART copy of `key` can appear: every inserter of
-                    // `key` must take this same slot lock first.
-                    probe::chaos::point("slots.remove.pre_tombstone");
-                    g.clear();
-                    self.art.remove(key);
-                    Some(value)
-                }
-                SlotState::Empty => None,
-                SlotState::Tombstone | SlotState::Occupied { .. } => self.art.remove(key),
-            })
+        let removed = self.with_live_model(key, |_, g| match g.state() {
+            SlotState::Occupied { key: k, value } if k == key => {
+                // Tombstone the slot AND clear the transient ART copy
+                // (retrain double-presence) in one critical section. With
+                // the ART clear outside the lock, a racing insert of `key`
+                // could land in ART after another key reclaimed the
+                // tombstone, and the late clear would silently delete that
+                // *successful* insert (lost key, caught by the chaos
+                // oracle). Under the lock no new ART copy of `key` can
+                // appear: every inserter of `key` must take this same slot
+                // lock first.
+                probe::chaos::point("slots.remove.pre_tombstone");
+                g.clear();
+                self.art.remove(key);
+                Some(value)
+            }
+            SlotState::Empty => None,
+            SlotState::Tombstone | SlotState::Occupied { .. } => self.art.remove(key),
         });
         if removed.is_some() {
             self.len.sub(1);
@@ -751,8 +732,8 @@ mod tests {
 
     #[test]
     fn a_pessimistic_get_does_not_wait_for_dir_lock() {
-        // The reader's fallback holds its model's `op_lock` read side,
-        // which already keeps retrains out: it must not queue behind
+        // The reader's fallback holds its live model's slot lock, which
+        // already keeps a retrain's sweep out: it must not queue behind
         // `dir_lock`.
         let idx = AltIndex::bulk_load_default(&pairs(1000, 10));
         idx.insert(505, 7).unwrap();

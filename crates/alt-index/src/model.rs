@@ -4,8 +4,15 @@
 use crate::slots::SlotArray;
 use learned::gpl::Segment;
 use learned::LinearModel;
-use parking_lot::RwLock;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+
+/// `GplModel::lifecycle`: writers may change the slots.
+const LIVE: u8 = 0;
+/// A retrain is collecting the span: the model still serves every key,
+/// but writers go through `dir_lock` to its successor.
+const CLOSING: u8 = 1;
+/// Replaced in the directory: its successor predicts otherwise.
+const RETIRED: u8 = 2;
 
 /// One GPL model: a linear function plus a gapped slot array. Keys stored
 /// here sit at exactly `model.predict_clamped(key, capacity)` — the layer
@@ -24,13 +31,11 @@ pub struct GplModel {
     pub build_size: usize,
     /// Runtime inserts that overflowed into ART through this model.
     pub art_inserts: AtomicUsize,
-    /// Set (under `op_lock` write) once the model has been replaced in the
-    /// directory; operations that raced the swap retry against the new
-    /// directory.
-    pub retired: AtomicBool,
-    /// Writers take `read`; retraining takes `write` (§III-F). Lookups are
-    /// lock-free.
-    pub op_lock: RwLock<()>,
+    /// `Live → Closing → Retired`, stored only by a retrain under
+    /// `dir_lock` (DESIGN.md §14). A writer reads it under its slot lock
+    /// and proceeds only on `Live`; a reader only asks whether it is
+    /// `Retired`.
+    lifecycle: AtomicU8,
 }
 
 impl GplModel {
@@ -57,8 +62,7 @@ impl GplModel {
             slots,
             build_size,
             art_inserts: AtomicUsize::new(0),
-            retired: AtomicBool::new(false),
-            op_lock: RwLock::new(()),
+            lifecycle: AtomicU8::new(LIVE),
         }
     }
 
@@ -81,12 +85,36 @@ impl GplModel {
     /// Whether this model has been replaced in the directory.
     #[inline]
     pub fn is_retired(&self) -> bool {
-        self.retired.load(Ordering::Acquire)
+        self.lifecycle.load(Ordering::Acquire) == RETIRED
+    }
+
+    /// Whether writers may change this model. Read under a slot lock: a
+    /// retrain stores `Closing` before its sweep takes that lock, and the
+    /// sweep's unlock (Release) and the writer's lock (Acquire) carry the
+    /// store to a writer that locks the slot after the sweep has passed.
+    #[inline]
+    pub fn is_live(&self) -> bool {
+        self.lifecycle.load(Ordering::Acquire) == LIVE
+    }
+
+    /// Close the model to writers ahead of a retrain's sweep. The model
+    /// is live again when the returned guard drops, unless it was
+    /// retired by then.
+    pub(crate) fn close(&self) -> Closed<'_> {
+        self.lifecycle.store(CLOSING, Ordering::Release);
+        Closed(self)
+    }
+
+    /// Mark the model replaced, once its successor is published. The
+    /// Release pairs with [`GplModel::is_retired`]'s Acquire: a reader that
+    /// sees `Retired` also sees the directory swapped in before it.
+    pub(crate) fn retire(&self) {
+        self.lifecycle.store(RETIRED, Ordering::Release);
     }
 
     /// Whether an ART miss for a key predicted to slot `pred`, read at
     /// version `ver` before the descent, is conclusive: nothing moved
-    /// under the reader — the model is still the live one and no writer of
+    /// under the reader — the model has not been retired and no writer of
     /// the key (they all decide under the slot's lock) has been by since.
     #[inline(always)]
     pub fn miss_is_final(&self, pred: usize, ver: u32) -> bool {
@@ -104,6 +132,19 @@ impl GplModel {
     #[inline]
     pub fn wants_retrain(&self) -> bool {
         self.art_inserts.load(Ordering::Relaxed) > self.build_size.max(16)
+    }
+}
+
+/// A closed model that reopens on drop, whether the retrain that closed it
+/// returned early or unwound, unless it retired the model first.
+pub(crate) struct Closed<'a>(&'a GplModel);
+
+impl Drop for Closed<'_> {
+    fn drop(&mut self) {
+        // Only the retrain holding `dir_lock` stores a lifecycle.
+        if !self.0.is_retired() {
+            self.0.lifecycle.store(LIVE, Ordering::Release);
+        }
     }
 }
 

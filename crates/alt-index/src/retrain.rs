@@ -11,20 +11,22 @@
 //! grows new tail models for out-of-range insertions.
 //!
 //! There is one rebuild, `AltIndex::retrain_span`, run by the thread
-//! whose insert tripped the trigger, in one pass under the model's
-//! writer lock. DESIGN.md §14 has the protocol and its safety argument.
+//! whose insert tripped the trigger, in one pass under `dir_lock` with the
+//! model closed to writers. DESIGN.md §14 has the protocol and its safety
+//! argument.
 
 use crate::index::{segment_and_build, AltIndex};
 use crate::model::GplModel;
+use crate::slots::SlotState;
 use crossbeam_epoch as epoch;
 use probe::metrics::{self, Counter, Phase};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 
-/// One span's data captured under the model's write lock: the span's
-/// ART residents, and their merge with the live slot entries (the slot
-/// copy wins on the double presence a contained panic mid-absorb
-/// leaves). Both are key-sorted.
+/// One span's data captured from its closed model: the span's ART
+/// residents, and their merge with the live slot entries (the slot copy
+/// wins on the double presence a contained panic mid-absorb leaves). Both
+/// are key-sorted.
 struct SpanSnapshot {
     art_pairs: Vec<(u64, u64)>,
     merged: Vec<(u64, u64)>,
@@ -68,11 +70,25 @@ impl AltIndex {
     }
 
     /// Collect the span of `dir.models[mi]`: live slots + the ART range.
-    /// The caller must hold the model's `op_lock` write side (writers
-    /// quiesced) and `dir_lock` (directory frozen).
+    /// The caller must hold `dir_lock` (directory frozen) and have closed
+    /// the model.
+    ///
+    /// The sweep takes every slot's lock in order, `Empty` ones too: a
+    /// writer that found the model live may hold any slot, and one that
+    /// is installing into an `Empty` slot has not set its occupancy bit
+    /// yet. Each lock waits out that writer, and every writer after it
+    /// sees the model closed. So once the sweep is done no write to the
+    /// span is in flight or still to come, and the ART range read after
+    /// it is final too.
     fn collect_span(&self, dir: &crate::dir::ModelDir, mi: usize, m: &GplModel) -> SpanSnapshot {
         let mut slot_pairs: Vec<(u64, u64)> = Vec::with_capacity(m.build_size);
-        m.slots.for_each_live(|_, k, v| slot_pairs.push((k, v)));
+        for i in 0..m.slots.capacity() {
+            m.slots.with_write(i, |g| {
+                if let SlotState::Occupied { key, value } = g.state() {
+                    slot_pairs.push((key, value));
+                }
+            });
+        }
         let lo = if mi == 0 { 1 } else { m.first_key };
         let hi = dir.upper_bound(mi).map(|u| u - 1).unwrap_or(u64::MAX);
         let mut art_pairs: Vec<(u64, u64)> = Vec::new();
@@ -83,11 +99,11 @@ impl AltIndex {
 
     /// Rebuild the model covering `key_hint` if it still wants it.
     ///
-    /// One pass under `dir_lock` and the model's `op_lock` write side,
-    /// from collect to absorb: writers to the span wait out the rebuild,
-    /// so the span collected is the span the new models hold. Readers
-    /// stay lock-free throughout. A retrain that finds `dir_lock` taken
-    /// waits its turn; its caller holds no lock, so that cannot deadlock.
+    /// One pass under `dir_lock`, from collect to absorb, with the model
+    /// closed to writers: they wait out the rebuild on `dir_lock`, so the
+    /// span collected is the span the new models hold. Readers stay
+    /// lock-free throughout. A retrain that finds `dir_lock` taken waits
+    /// its turn; its caller holds no lock, so that cannot deadlock.
     /// DESIGN.md §14 argues why the swap is race-free and what a panic at
     /// each hold site leaves behind.
     pub(crate) fn retrain_span(&self, key_hint: u64) {
@@ -97,8 +113,9 @@ impl AltIndex {
         let dir = self.dir_ref(&guard);
         let mi = dir.locate(key_hint);
         let m = &dir.models[mi];
-        // Only a retrain retires a model, and it unpublishes it first.
-        debug_assert!(!m.is_retired(), "published model retired under dir_lock");
+        // Only a retrain closes a model, and it reopens or unpublishes it
+        // before it lets go of `dir_lock`.
+        debug_assert!(m.is_live(), "published model closed under dir_lock");
         if !m.wants_retrain() {
             return;
         }
@@ -106,8 +123,11 @@ impl AltIndex {
         metrics::incr(Counter::RetrainAttempt);
 
         let t_collect = metrics::now_ns();
-        let _wl = m.op_lock.write();
-        // Injected panic: unwinds through `_wl`/`_dl` (RAII) into the
+        // Dropped before `_dl`: however this returns or unwinds short of
+        // the swap, the model is live again before the next retrain or a
+        // writer waiting on `dir_lock` looks at it.
+        let _closed = m.close();
+        // Injected panic: unwinds through `_closed`/`_dl` (RAII) into the
         // caller's `catch_unwind`; nothing has changed yet.
         probe::fail::point("retrain.collect");
         let span = self.collect_span(dir, mi, m);
@@ -166,7 +186,7 @@ impl AltIndex {
         // Widen the window between directory publication and the retired
         // flag — readers caught here must still find every key.
         probe::chaos::point("retrain.post_swap");
-        m.retired.store(true, Ordering::Release);
+        m.retire();
         // SAFETY: `old` was just unlinked under `dir_lock`; readers still
         // holding it are protected by their epoch pins.
         unsafe { guard.defer_destroy(old) };
@@ -226,7 +246,6 @@ mod tests {
     use crate::config::AltConfig;
     use crate::dir::ModelDir;
     use crate::index::AltIndex;
-    use crate::slots::SlotState;
     use std::collections::BTreeMap;
     use std::sync::Arc;
 
@@ -459,6 +478,56 @@ mod tests {
     }
 
     #[test]
+    fn the_sweep_waits_for_a_writer_in_an_empty_slot() {
+        // A writer that found the model live before the retrain closed it
+        // still holds an `Empty` slot it is about to claim: no occupancy
+        // bit marks that slot yet. The sweep must wait for it and collect
+        // the key, not skip the slot and publish without it.
+        let pairs: Vec<(u64, u64)> = (1..=2_000u64).map(|i| (i * 1_000, i)).collect();
+        let idx = AltIndex::bulk_load_with(
+            &pairs,
+            AltConfig {
+                epsilon: Some(64.0),
+                ..Default::default()
+            },
+        );
+        let target = 500_000u64;
+        let guard = epoch::pin();
+        let dir = idx.dir_ref(&guard);
+        let m = dir.model_for(target);
+        let key = (m.first_key..m.first_key + 100_000)
+            .find(|&k| {
+                Arc::ptr_eq(dir.model_for(k), m) && m.slots.read(m.predict(k)).0 == SlotState::Empty
+            })
+            .expect("a key of the model predicting an empty slot");
+        let pred = m.predict(key);
+        let (held_tx, held) = std::sync::mpsc::channel();
+        let count_while_held = std::thread::scope(|s| {
+            let idx = &idx;
+            let writer = s.spawn(move || {
+                m.slots.with_write(pred, |g| {
+                    held_tx.send(()).unwrap();
+                    std::thread::sleep(std::time::Duration::from_millis(200));
+                    let count = idx.retrain_count();
+                    g.install(key, key);
+                    count
+                })
+            });
+            held.recv().unwrap();
+            m.art_inserts
+                .store(m.build_size.max(16) + 100, Ordering::Relaxed);
+            idx.retrain_span(target);
+            writer.join().unwrap()
+        });
+        assert_eq!(count_while_held, 0, "a retrain published past a held slot");
+        assert_eq!(idx.retrain_count(), 1);
+        assert_eq!(idx.get(key), Some(key), "the in-flight install was lost");
+        for &(k, v) in &pairs {
+            assert_eq!(idx.get(k), Some(v), "key {k}");
+        }
+    }
+
+    #[test]
     fn tail_growth_appends_models() {
         // Inserting past the last model's span must eventually grow new
         // tail models rather than drowning ART.
@@ -530,9 +599,9 @@ mod tests {
     #[test]
     fn concurrent_mutations_during_rebuild_are_kept() {
         // Writers keep inserting/removing while a sibling rebuilds the
-        // same span: they wait out the rebuild on the model's `op_lock`
-        // and retry against the new directory, so no change made before
-        // or after it is lost.
+        // same span: a writer the sweep finds in a slot is collected, one
+        // after it waits out the rebuild on `dir_lock` and retries against
+        // the new directory, so no change made before or after it is lost.
         let pairs: Vec<(u64, u64)> = (1..=500u64).map(|i| (i * 10_000, i)).collect();
         let idx = Arc::new(AltIndex::bulk_load_with(
             &pairs,

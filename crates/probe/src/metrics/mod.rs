@@ -117,9 +117,11 @@ named_enum! {
         SeqlockReadRetry => "baseline.seqlock_read_retry",
         /// Baseline RCU snapshot replacements published.
         RcuReplace => "baseline.rcu_replace",
-        /// ALT-index retry budgets exhausted: an optimistic point op or scan
-        /// escalated to its pessimistic fallback (locked read, `dir_lock`
-        /// scan pass).
+        /// ALT-index retry budgets exhausted: an optimistic get, slot read
+        /// or scan escalated to its pessimistic fallback (the writer
+        /// protocol's read, a locked slot read, the `dir_lock` scan pass).
+        /// Writers have no budget: a closed or retired model sends them
+        /// once through `dir_lock`, uncounted.
         AltEscalation => "alt.escalation",
         /// ALT-index backoff entering the Yield tier (first yield of a
         /// contended retry loop).

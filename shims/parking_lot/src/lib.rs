@@ -1,5 +1,5 @@
-//! Hermetic shim for `parking_lot`: the non-poisoning `Mutex`, `RwLock`,
-//! and `Condvar` API this workspace uses, implemented over `std::sync`.
+//! Hermetic shim for `parking_lot`: the non-poisoning `Mutex` and
+//! `Condvar` API this workspace uses, implemented over `std::sync`.
 //! Poisoned locks are recovered transparently (`parking_lot` has no
 //! poisoning at all, so this matches its semantics).
 
@@ -65,66 +65,6 @@ impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     }
 }
 
-/// A readers-writer lock whose `read()`/`write()` return guards directly.
-pub struct RwLock<T: ?Sized>(sync::RwLock<T>);
-
-/// Shared-access RAII guard for [`RwLock`].
-pub struct RwLockReadGuard<'a, T: ?Sized>(sync::RwLockReadGuard<'a, T>);
-/// Exclusive-access RAII guard for [`RwLock`].
-pub struct RwLockWriteGuard<'a, T: ?Sized>(sync::RwLockWriteGuard<'a, T>);
-
-impl<T> RwLock<T> {
-    /// A new unlocked lock.
-    pub const fn new(value: T) -> Self {
-        Self(sync::RwLock::new(value))
-    }
-
-    /// Acquire shared access, blocking.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        RwLockReadGuard(self.0.read().unwrap_or_else(PoisonError::into_inner))
-    }
-
-    /// Acquire exclusive access, blocking.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        RwLockWriteGuard(self.0.write().unwrap_or_else(PoisonError::into_inner))
-    }
-
-    /// Acquire exclusive access without blocking.
-    pub fn try_write(&self) -> Option<RwLockWriteGuard<'_, T>> {
-        match self.0.try_write() {
-            Ok(g) => Some(RwLockWriteGuard(g)),
-            Err(sync::TryLockError::Poisoned(e)) => Some(RwLockWriteGuard(e.into_inner())),
-            Err(sync::TryLockError::WouldBlock) => None,
-        }
-    }
-}
-
-impl<T: Default> Default for RwLock<T> {
-    fn default() -> Self {
-        Self::new(T::default())
-    }
-}
-
-impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.0
-    }
-}
-
-impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.0
-    }
-}
-
-impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.0
-    }
-}
-
 /// A condition variable whose `wait` takes `&mut MutexGuard` (the
 /// parking_lot calling convention).
 pub struct Condvar(sync::Condvar);
@@ -159,12 +99,6 @@ impl Default for Condvar {
     }
 }
 
-impl<T: ?Sized> fmt::Debug for RwLock<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_tuple("RwLock").finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,19 +109,6 @@ mod tests {
         let m = Mutex::new(1);
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
-    }
-
-    #[test]
-    fn rwlock_basic() {
-        let l = RwLock::new(5);
-        {
-            let r1 = l.read();
-            let r2 = l.read();
-            assert_eq!((*r1, *r2), (5, 5));
-            assert!(l.try_write().is_none());
-        }
-        *l.write() = 6;
-        assert_eq!(*l.read(), 6);
     }
 
     #[test]
