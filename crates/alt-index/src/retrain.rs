@@ -74,12 +74,12 @@ impl AltIndex {
     /// the model.
     ///
     /// The sweep takes every slot's lock in order, `Empty` ones too: a
-    /// writer that found the model live may hold any slot, and one that
-    /// is installing into an `Empty` slot has not set its occupancy bit
-    /// yet. Each lock waits out that writer, and every writer after it
-    /// sees the model closed. So once the sweep is done no write to the
-    /// span is in flight or still to come, and the ART range read after
-    /// it is final too.
+    /// writer that found the model live may hold any slot, and each lock
+    /// waits it out. Every writer after it sees the model closed through
+    /// that lock's release/acquire, which a sweep that only read an
+    /// unlocked word would not give it (DESIGN.md §14). So once the sweep
+    /// is done no write to the span is in flight or still to come, and
+    /// the ART range read after it is final too.
     fn collect_span(&self, dir: &crate::dir::ModelDir, mi: usize, m: &GplModel) -> SpanSnapshot {
         let mut slot_pairs: Vec<(u64, u64)> = Vec::with_capacity(m.build_size);
         for i in 0..m.slots.capacity() {
@@ -480,9 +480,9 @@ mod tests {
     #[test]
     fn the_sweep_waits_for_a_writer_in_an_empty_slot() {
         // A writer that found the model live before the retrain closed it
-        // still holds an `Empty` slot it is about to claim: no occupancy
-        // bit marks that slot yet. The sweep must wait for it and collect
-        // the key, not skip the slot and publish without it.
+        // still holds an `Empty` slot it is about to claim. The sweep must
+        // wait for it and collect the key, not skip the slot and publish
+        // without it.
         let pairs: Vec<(u64, u64)> = (1..=2_000u64).map(|i| (i * 1_000, i)).collect();
         let idx = AltIndex::bulk_load_with(
             &pairs,

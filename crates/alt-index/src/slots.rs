@@ -1,19 +1,20 @@
 //! Slot arrays for GPL models: the learned layer's storage, with the
 //! paper's slot-granularity optimistic concurrency (§III-E).
 //!
-//! Every slot carries an atomic version counter: even = stable, odd = a
-//! writer is in progress. Writers CAS even→odd, mutate, then store
-//! even+2; readers snapshot the version (retrying while odd), read, and
-//! re-validate. An occupancy bitmap distinguishes "never used" from
-//! "used"; a used slot whose key is 0 is a tombstone (the paper's remove
-//! "sets the key to zero").
+//! A slot's whole state is one atomic version word beside its key and
+//! value: bit 0 is the writer's lock (odd = a writer is in progress), bit
+//! 1 says the slot was ever *claimed*, and the bits above count writes.
+//! Writers CAS the lock bit on, mutate, then store the word unlocked with
+//! one more write counted; readers snapshot the word (retrying while
+//! locked), read, and re-validate. An unclaimed word is "never used"; a
+//! claimed slot whose key is 0 is a tombstone (the paper's remove "sets
+//! the key to zero").
 //!
 //! Storage is a [`Region`] of zeroed memory, and nothing here ever writes
 //! the zeros: all-zero memory *is* an array of `Empty` slots (version 0
-//! is even, the occupancy bit is clear). A bulk-load group large enough
-//! carves all its arrays out of one huge-page region
-//! ([`SlotArray::for_group`]); anything smaller gets a heap region per
-//! array.
+//! is unlocked and unclaimed). A bulk-load group large enough carves all
+//! its arrays out of one huge-page region ([`SlotArray::for_group`]);
+//! anything smaller gets a heap region per array.
 
 use prefetch::pages::Region;
 use probe::metrics::{self, Counter};
@@ -22,6 +23,14 @@ use std::sync::Arc;
 
 /// Most cache lines one [`SlotArray::prefetch_window`] call asks for.
 const PREFETCH_LINES: usize = 16;
+
+/// Version bit 0: a writer holds the slot.
+const LOCKED: u32 = 1;
+/// Version bit 1: a key was installed once. The first install sets it
+/// under the lock, the unlock's Release publishes it, nothing clears it.
+const CLAIMED: u32 = 2;
+/// What each unlock adds: one write, counted above the two flag bits.
+const WRITE: u32 = 4;
 
 /// Smallest group of arrays [`SlotArray::for_group`] maps as one shared
 /// huge-page region: glibc's largest mmap threshold on 64-bit. A request
@@ -96,21 +105,19 @@ struct Slot {
 
 /// A fixed-capacity array of versioned slots.
 ///
-/// The two arrays live in `region` at `slots` and `occupancy`: raw
-/// pointers kept in the struct itself, so a probe loads them from the
-/// model as it loaded a `Box<[Slot]>`'s, with no hop through the `Arc`.
+/// The slots live in `region` at `slots`: a raw pointer kept in the
+/// struct itself, so a probe loads it from the model as it loaded a
+/// `Box<[Slot]>`'s, with no hop through the `Arc`.
 pub struct SlotArray {
     slots: *const Slot,
     capacity: usize,
-    /// One bit per slot; set once at first claim, never cleared.
-    occupancy: *const AtomicU64,
     region: Arc<Region>,
 }
 
-// SAFETY: the pointers address memory owned by `region` (kept alive by
-// the `Arc` beside them) and reserved for this array alone by `carve`;
-// it holds only atomics, so sharing or sending the array is sharing or
-// sending a `Box<[Slot]>` and a `Box<[AtomicU64]>`, which are both.
+// SAFETY: the pointer addresses memory owned by `region` (kept alive by
+// the `Arc` beside it) and reserved for this array alone by `carve`; it
+// holds only atomics, so sharing or sending the array is sharing or
+// sending a `Box<[Slot]>`, which is both.
 unsafe impl Send for SlotArray {}
 // SAFETY: as above.
 unsafe impl Sync for SlotArray {}
@@ -138,12 +145,8 @@ impl SlotArray {
     }
 
     /// Bytes an array of `capacity` slots takes in a region: its slots,
-    /// then its occupancy words, each rounded up to a cache line.
+    /// rounded up to a cache line.
     pub fn footprint(capacity: usize) -> usize {
-        Self::words_offset(capacity) + (capacity.div_ceil(64) * 8).next_multiple_of(64)
-    }
-
-    fn words_offset(capacity: usize) -> usize {
         (capacity * std::mem::size_of::<Slot>()).next_multiple_of(64)
     }
 
@@ -178,7 +181,6 @@ impl SlotArray {
                 Self {
                     slots: base as *const Slot,
                     capacity,
-                    occupancy: base.wrapping_add(Self::words_offset(capacity)) as *const AtomicU64,
                     region: Arc::clone(&region),
                 }
             })
@@ -186,18 +188,16 @@ impl SlotArray {
     }
 
     #[inline(always)]
-    fn slot(&self, i: usize) -> &Slot {
+    fn slots(&self) -> &[Slot] {
         // SAFETY: `carve` placed `capacity` slots at `slots`, aligned and
         // inside the region this array keeps alive; the region started
         // zeroed, which is a valid `Slot` (three atomics).
-        unsafe { &std::slice::from_raw_parts(self.slots, self.capacity)[i] }
+        unsafe { std::slice::from_raw_parts(self.slots, self.capacity) }
     }
 
     #[inline(always)]
-    fn words(&self) -> &[AtomicU64] {
-        // SAFETY: as for `slot`: `capacity.div_ceil(64)` zero-initialized
-        // atomics at `occupancy`, aligned, inside the live region.
-        unsafe { std::slice::from_raw_parts(self.occupancy, self.capacity.div_ceil(64)) }
+    fn slot(&self, i: usize) -> &Slot {
+        &self.slots()[i]
     }
 
     /// Number of slots.
@@ -214,43 +214,30 @@ impl SlotArray {
 
     /// Approximate heap bytes.
     pub fn memory_usage(&self) -> usize {
-        self.capacity * std::mem::size_of::<Slot>() + self.capacity.div_ceil(64) * 8
-    }
-
-    #[inline]
-    fn occupied_bit(&self, i: usize) -> bool {
-        self.words()[i / 64].load(Ordering::Acquire) >> (i % 64) & 1 == 1
-    }
-
-    #[inline]
-    fn set_occupied(&self, i: usize) {
-        self.words()[i / 64].fetch_or(1 << (i % 64), Ordering::AcqRel);
+        self.capacity * std::mem::size_of::<Slot>()
     }
 
     /// Hint the CPU to fetch slot `i` ahead of a [`SlotArray::read`]:
-    /// every line of its (version, key, value) record, and its occupancy
-    /// word. The batched lookup issues this one ring revolution before
-    /// the probe; the scalar `get` issues it before it warms the key's
-    /// ART path, so the two misses overlap.
+    /// every line of its (version, key, value) record. The batched
+    /// lookup issues this one ring revolution before the probe; the
+    /// scalar `get` issues it before it warms the key's ART path, so the
+    /// two misses overlap.
     #[inline]
     pub fn prefetch(&self, i: usize) {
         debug_assert!(i < self.capacity);
         for addr in slot_hint_addrs(self.slots as usize, i) {
             prefetch::prefetch_read(addr as *const u8);
         }
-        prefetch::prefetch_read(&self.words()[i / 64] as *const AtomicU64);
     }
 
     /// Hint the CPU to fetch the slots `from..=to` ahead of a walk over
     /// them, up to `PREFETCH_LINES` cache lines (a longer walk is a
-    /// sequential stream the hardware picks up by itself), plus the
-    /// window's first occupancy word.
+    /// sequential stream the hardware picks up by itself).
     pub fn prefetch_window(&self, from: usize, to: usize) {
         let to = to.min(self.capacity() - 1);
         if from > to {
             return;
         }
-        prefetch::prefetch_read(&self.words()[from / 64] as *const AtomicU64);
         let start = self.slot(from) as *const Slot as *const u8;
         let bytes = (to - from + 1) * std::mem::size_of::<Slot>();
         for line in 0..bytes.div_ceil(64).min(PREFETCH_LINES) {
@@ -258,26 +245,33 @@ impl SlotArray {
         }
     }
 
-    /// The slots of `from..=to` whose occupancy bit is set, ascending:
-    /// every slot of the window that a key was ever claimed into. Each
-    /// still has to go through [`SlotArray::read`]; the ones left out
-    /// need not — a claim sets the bit before it unlocks the slot and
-    /// nothing ever clears it, so a bit seen clear means no claim of the
-    /// slot had completed when the word was loaded: the `Empty` that
-    /// `read` would have returned then.
+    /// The slots of `from..=to` whose version word is claimed or locked,
+    /// ascending: every slot of the window a key was ever installed in,
+    /// and any a writer holds. Each still has to go through
+    /// [`SlotArray::read`]; the ones left out need not — a word read
+    /// neither claimed nor locked means the slot was `Empty` at that load,
+    /// which is what `read` would have returned then.
     pub fn occupied(&self, from: usize, to: usize) -> Occupied<'_> {
         let to = to.min(self.capacity() - 1);
-        let bits = if from <= to {
-            self.words()[from / 64].load(Ordering::Acquire) & (u64::MAX << (from % 64))
-        } else {
-            0
-        };
         Occupied {
-            words: self.words(),
-            word: from / 64,
-            bits,
+            arr: self,
+            base: from,
+            bits: self.held(from, to),
             to,
         }
+    }
+
+    /// Bit `j` set for each slot `from + j` of `from..=to`, at most 64 of
+    /// them, whose version word is claimed or locked. One load per slot
+    /// and no branch on it: a walk that branched per slot cost osm's
+    /// 100-key scans about a quarter more per key.
+    #[inline]
+    fn held(&self, from: usize, to: usize) -> u64 {
+        let window = self.slots().get(from..=to.min(from + 63)).unwrap_or(&[]);
+        window.iter().enumerate().fold(0, |bits, (j, s)| {
+            let v = s.version.load(Ordering::Acquire);
+            bits | u64::from(v & (LOCKED | CLAIMED) != 0) << j
+        })
     }
 
     /// Current version of a slot (for later re-validation via
@@ -302,24 +296,16 @@ impl SlotArray {
         let mut retry = resilience::Retry::new();
         loop {
             let v1 = self.slot(i).version.load(Ordering::Acquire);
-            if v1 & 1 == 1 {
+            if v1 & LOCKED != 0 {
                 metrics::incr(Counter::SlotReadRetry);
                 if retry.wait_or_escalate(&crate::LAYER) {
                     return self.read_locked(i);
                 }
                 continue;
             }
-            if !self.occupied_bit(i) {
-                // Occupancy is set before the first version bump; an even,
-                // unchanged version with a clear bit is a stable Empty.
-                if self.slot(i).version.load(Ordering::Acquire) == v1 {
-                    return (SlotState::Empty, v1);
-                }
-                metrics::incr(Counter::SlotReadRetry);
-                if retry.wait_or_escalate(&crate::LAYER) {
-                    return self.read_locked(i);
-                }
-                continue;
+            if v1 & CLAIMED == 0 {
+                // Never claimed, and no writer: nothing here to validate.
+                return (SlotState::Empty, v1);
             }
             let key = self.slot(i).key.load(Ordering::Acquire);
             probe::chaos::point("slots.read.between_loads");
@@ -355,32 +341,31 @@ impl SlotArray {
     /// [`SlotArray::version_unchanged`] checks like any optimistic
     /// snapshot.
     fn read_locked(&self, i: usize) -> (SlotState, u32) {
-        let pre = self.lock(i);
+        self.lock(i);
         let state = SlotGuard { arr: self, i }.state();
-        self.unlock(i, pre);
-        (state, pre.wrapping_add(2))
+        (state, self.unlock(i))
     }
 
-    /// Lock slot `i` (even→odd CAS, backing off) and return the pre-lock
-    /// version. The caller must follow with [`SlotArray::unlock`]. The
+    /// Lock slot `i` (even→odd CAS, backing off). The caller must follow
+    /// with [`SlotArray::unlock`]. The
     /// wait never escalates — the current holder's progress is this
     /// path's progress guarantee — but it does park past the budget so a
     /// long queue stops burning CPU.
-    fn lock(&self, i: usize) -> u32 {
+    fn lock(&self, i: usize) {
         let mut retry = resilience::Retry::new();
         loop {
             let v = self.slot(i).version.load(Ordering::Acquire);
-            if v & 1 == 0
+            if v & LOCKED == 0
                 && self
                     .slot(i)
                     .version
-                    .compare_exchange_weak(v, v + 1, Ordering::AcqRel, Ordering::Acquire)
+                    .compare_exchange_weak(v, v | LOCKED, Ordering::AcqRel, Ordering::Acquire)
                     .is_ok()
             {
                 // Stretch the odd-version (writer-in-progress) window so
                 // racing readers actually observe it.
                 probe::chaos::point("slots.lock.held");
-                return v;
+                return;
             }
             // Let the testkit perturb lock-acquisition interleavings
             // (who wins a contended CAS), not just the held window.
@@ -390,11 +375,16 @@ impl SlotArray {
         }
     }
 
+    /// Release slot `i`: clear the lock bit and count one write, keeping
+    /// the claimed bit (the count wraps above it). Returns the word
+    /// stored. Only the holder writes a locked word, so its own load
+    /// sees the latest one.
     #[inline]
-    fn unlock(&self, i: usize, pre: u32) {
-        self.slot(i)
-            .version
-            .store(pre.wrapping_add(2), Ordering::Release);
+    fn unlock(&self, i: usize) -> u32 {
+        let version = &self.slot(i).version;
+        let v = (version.load(Ordering::Relaxed) & !LOCKED).wrapping_add(WRITE);
+        version.store(v, Ordering::Release);
+        v
     }
 
     /// Run `f` with slot `i` write-locked (version odd). The guard gives
@@ -407,26 +397,28 @@ impl SlotArray {
     /// "claim unless the key already lives elsewhere") do the whole
     /// decision inside `f`.
     pub fn with_write<R>(&self, i: usize, f: impl FnOnce(&SlotGuard<'_>) -> R) -> R {
-        struct Unlock<'a>(&'a SlotArray, usize, u32);
+        struct Unlock<'a>(&'a SlotArray, usize);
         impl Drop for Unlock<'_> {
             fn drop(&mut self) {
-                self.0.unlock(self.1, self.2);
+                self.0.unlock(self.1);
             }
         }
-        let pre = self.lock(i);
-        let _unlock = Unlock(self, i, pre);
+        self.lock(i);
+        let _unlock = Unlock(self, i);
         f(&SlotGuard { arr: self, i })
     }
 
     /// Bulk placement during (re)construction: the array is still private
     /// to one thread, so skip the version protocol.
     pub fn place_unsync(&self, i: usize, key: u64, value: u64) -> bool {
-        if self.occupied_bit(i) {
+        let slot = self.slot(i);
+        let v = slot.version.load(Ordering::Relaxed);
+        if v & CLAIMED != 0 {
             return false;
         }
-        self.slot(i).key.store(key, Ordering::Relaxed);
-        self.slot(i).value.store(value, Ordering::Relaxed);
-        self.set_occupied(i);
+        slot.key.store(key, Ordering::Relaxed);
+        slot.value.store(value, Ordering::Relaxed);
+        slot.version.store(v | CLAIMED, Ordering::Relaxed);
         true
     }
 
@@ -466,13 +458,13 @@ impl Drop for SlotArray {
     }
 }
 
-/// Iterator over the set occupancy bits of a slot window (see
-/// [`SlotArray::occupied`]).
+/// Iterator over the claimed or locked slots of a window (see
+/// [`SlotArray::occupied`]), built 64 slots at a time.
 pub struct Occupied<'a> {
-    words: &'a [AtomicU64],
-    /// The word `bits` was loaded from.
-    word: usize,
-    /// Its set bits not yet yielded.
+    arr: &'a SlotArray,
+    /// First slot of the block `bits` covers.
+    base: usize,
+    /// The block's held slots not yet yielded.
     bits: u64,
     /// Last slot of the window.
     to: usize,
@@ -484,16 +476,15 @@ impl Iterator for Occupied<'_> {
     #[inline]
     fn next(&mut self) -> Option<usize> {
         while self.bits == 0 {
-            if self.word >= self.to / 64 {
+            self.base += 64;
+            if self.base > self.to {
                 return None;
             }
-            self.word += 1;
-            self.bits = self.words[self.word].load(Ordering::Acquire);
+            self.bits = self.arr.held(self.base, self.to);
         }
-        let slot = self.word * 64 + self.bits.trailing_zeros() as usize;
+        let slot = self.base + self.bits.trailing_zeros() as usize;
         self.bits &= self.bits - 1;
-        // Past `to` in the window's last word: so is every bit left.
-        (slot <= self.to).then_some(slot)
+        Some(slot)
     }
 }
 
@@ -507,9 +498,15 @@ pub struct SlotGuard<'a> {
 }
 
 impl SlotGuard<'_> {
+    /// The holder's view of the version word: the lock's Acquire
+    /// ordered it after the last unlock, and no one else writes it now.
+    fn claimed(&self) -> bool {
+        self.arr.slot(self.i).version.load(Ordering::Relaxed) & CLAIMED != 0
+    }
+
     /// The slot's current state, read under the lock.
     pub fn state(&self) -> SlotState {
-        if !self.arr.occupied_bit(self.i) {
+        if !self.claimed() {
             return SlotState::Empty;
         }
         let key = self.arr.slot(self.i).key.load(Ordering::Acquire);
@@ -529,7 +526,7 @@ impl SlotGuard<'_> {
     pub fn install(&self, key: u64, value: u64) {
         debug_assert_ne!(key, 0);
         let slot = self.arr.slot(self.i);
-        if self.arr.occupied_bit(self.i) {
+        if self.claimed() {
             slot.key.store(key, Ordering::Release);
             // Tombstone reclaim by a *different* key: the window between
             // the two stores is where skipped read-side re-validation
@@ -540,7 +537,9 @@ impl SlotGuard<'_> {
             slot.key.store(key, Ordering::Release);
             probe::chaos::point("slots.claim.mid_write");
             slot.value.store(value, Ordering::Release);
-            self.arr.set_occupied(self.i);
+            // Under the lock: the unlock's Release publishes it with the
+            // key and value.
+            slot.version.fetch_or(CLAIMED, Ordering::Relaxed);
         }
     }
 
@@ -668,6 +667,71 @@ mod tests {
     }
 
     #[test]
+    fn a_lock_only_round_trip_leaves_a_slot_empty() {
+        // The round trip of the retrain's sweep and of `read_locked`.
+        let s = SlotArray::new(8);
+        let (_, v0) = s.read(3);
+        s.with_write(3, |g| assert_eq!(g.state(), SlotState::Empty));
+        let (state, v1) = s.read_locked(3);
+        assert_eq!(state, SlotState::Empty);
+        assert_eq!(v1, s.version(3), "read_locked returns the word it stored");
+        assert_ne!(v1, v0, "each unlock counts a write");
+        assert_eq!(v1 % 2, 0);
+        assert_eq!(s.read(3), (SlotState::Empty, v1));
+        assert!(all_empty(&s), "the walk skips an unclaimed slot");
+    }
+
+    #[test]
+    fn a_walk_yields_a_slot_held_for_its_first_claim() {
+        let s = SlotArray::new(100);
+        s.with_write(70, |g| {
+            assert_eq!(s.occupied(0, 99).collect::<Vec<_>>(), [70], "locked");
+            g.install(7, 70);
+            assert_eq!(s.occupied(0, 99).collect::<Vec<_>>(), [70]);
+        });
+        assert_eq!(s.occupied(0, 99).collect::<Vec<_>>(), [70], "claimed");
+    }
+
+    #[test]
+    fn a_walk_covers_exactly_its_window() {
+        let s = SlotArray::new(200);
+        for i in [3, 64, 70, 130, 199] {
+            put(&s, i, i as u64 + 1, 1);
+        }
+        let walk = |from, to| s.occupied(from, to).collect::<Vec<_>>();
+        assert_eq!(walk(0, 199), [3, 64, 70, 130, 199]);
+        assert_eq!(walk(4, 129), [64, 70]);
+        assert_eq!(walk(70, 70), [70]);
+        assert_eq!(walk(131, 500), [199], "clamped to the last slot");
+        assert_eq!(walk(71, 70), [] as [usize; 0]);
+    }
+
+    #[test]
+    fn an_unlock_keeps_the_claim_across_a_count_wrap() {
+        let s = SlotArray::new(1);
+        // Unclaimed, at the highest count: the first claim's unlock wraps.
+        s.slot(0).version.store(u32::MAX - 3, Ordering::Relaxed);
+        assert!(put(&s, 0, 5, 50));
+        let (state, v) = s.read(0);
+        assert_eq!(state, SlotState::Occupied { key: 5, value: 50 });
+        assert_eq!(v % 2, 0);
+        // Claimed, at the highest count: a lock-only round trip wraps.
+        s.slot(0).version.store(u32::MAX - 1, Ordering::Relaxed);
+        s.with_write(0, |_| ());
+        assert_eq!(s.read(0).0, SlotState::Occupied { key: 5, value: 50 });
+        assert_eq!(s.occupied(0, 0).collect::<Vec<_>>(), [0]);
+    }
+
+    #[test]
+    fn slot_and_model_sizes_are_pinned() {
+        // What the cache-line counts of a slot hit (DESIGN.md §3) and the
+        // model header's layout are reasoned from.
+        assert_eq!(std::mem::size_of::<Slot>(), 24);
+        assert_eq!(std::mem::size_of::<SlotArray>(), 24);
+        assert_eq!(std::mem::size_of::<crate::model::GplModel>(), 72);
+    }
+
+    #[test]
     fn place_unsync_respects_occupancy() {
         let s = SlotArray::new(4);
         assert!(s.place_unsync(2, 5, 50));
@@ -765,12 +829,12 @@ mod tests {
 
     #[test]
     fn adjacent_carved_arrays_are_isolated() {
-        // A's last occupancy word covers its slots 64..100.
+        // A's 2,400 B end mid-line; B starts on the next line.
         let (a, b, _) = carved_pair(100, 100);
         for i in 64..100 {
             assert!(put(&a, i, i as u64 + 1, 1));
         }
-        assert!(all_empty(&b), "A's last slot and bitmap word are A's alone");
+        assert!(all_empty(&b), "A's last slots are A's alone");
         assert_eq!(a.live_count(), 36);
     }
 
@@ -806,7 +870,7 @@ mod tests {
     #[test]
     fn a_shared_region_places_keys_as_heap_arrays_do() {
         use crate::{AltConfig, AltIndex};
-        // fb 400k, seed 7: 35.8 MiB of slot arrays. One build thread is
+        // fb 400k, seed 7: 35.5 MiB of slot arrays. One build thread is
         // one group, carved from one shared region; two are two ~18 MiB
         // groups of heap arrays. Both give the same pinned layout. The
         // digests were re-pinned when each model's slope came to be
