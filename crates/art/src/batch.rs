@@ -23,7 +23,6 @@ use crate::olc::Version;
 use crate::tree::{coupled_ok, hop, leaf_value, prefetch_node, Art, Hop};
 use crossbeam_epoch as epoch;
 use probe::metrics::{self, Counter};
-use std::sync::atomic::Ordering;
 
 /// Width of the in-flight ring in [`Art::get_batch_amac`]. Eight keys
 /// cover typical L2 miss latency (~10-20 ns of work per step vs ~40+ ns
@@ -35,7 +34,7 @@ pub const RING_WIDTH: usize = 8;
 #[derive(Debug)]
 pub struct BatchCursor {
     key: u64,
-    /// Current node (possibly a tagged leaf); `0` = empty tree.
+    /// Current node: the root, an internal node or a tagged leaf.
     p: NodePtr,
     /// Key depth in bytes at `p`.
     depth: usize,
@@ -63,16 +62,15 @@ pub enum BatchStep {
 impl Art {
     /// Start a batched lookup for `key` from the root.
     ///
-    /// Loads the root pointer and issues a prefetch for it, so the first
-    /// [`Art::batch_step`] (which dereferences the node) should be
-    /// separated from this call by work on other keys.
+    /// Issues a prefetch for the root, so the first [`Art::batch_step`]
+    /// (which dereferences the node) should be separated from this call by
+    /// work on other keys.
     #[inline]
     pub fn batch_cursor(&self, key: u64) -> BatchCursor {
-        let root = self.root.load(Ordering::Acquire);
-        prefetch_node(root);
+        prefetch_node(self.root);
         BatchCursor {
             key,
-            p: root,
+            p: self.root,
             depth: 0,
             parent: 0,
             parent_v: 0,
@@ -92,9 +90,6 @@ impl Art {
     pub unsafe fn batch_step(&self, cur: &mut BatchCursor) -> BatchStep {
         probe::chaos::point("batch.stage");
         let p = cur.p;
-        if p == 0 {
-            return BatchStep::Done(None);
-        }
         if node::is_leaf(p) {
             let value = (node::leaf_ref(p).key == cur.key).then(|| leaf_value(p));
             if !coupled_ok(cur.parent, cur.parent_v) {
@@ -125,9 +120,8 @@ impl Art {
         if cur.retry.wait_or_escalate(&crate::LAYER) {
             return BatchStep::Escalate;
         }
-        let root = self.root.load(Ordering::Acquire);
-        prefetch_node(root);
-        cur.p = root;
+        prefetch_node(self.root);
+        cur.p = self.root;
         cur.depth = 0;
         cur.parent = 0;
         BatchStep::Pending

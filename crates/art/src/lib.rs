@@ -15,7 +15,13 @@
 //!
 //! Concurrency: readers are lock-free (version validation + epoch-based
 //! reclamation via `crossbeam-epoch`); writers lock at most a parent/child
-//! pair. Values are updated in place through an atomic in the leaf.
+//! pair (a merge also its surviving child). Values are updated in place
+//! through an atomic in the leaf.
+//!
+//! The root is a Node256 with an empty prefix that lives as long as the
+//! tree, as in the OLC ART: nothing replaces it, so no write races for a
+//! root slot. A node's prefix changes in place under its lock and its
+//! parent's; a node is copied only to change its type (grow, shrink).
 
 #![warn(missing_docs)]
 // Prefix-comparison loops index with `depth + i` arithmetic; iterator

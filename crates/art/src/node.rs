@@ -10,8 +10,12 @@
 //! * Keys are fixed 8-byte big-endian `u64`s, so an internal node's
 //!   compressed prefix is at most 7 bytes. The prefix bytes and prefix
 //!   length are packed into one `AtomicU64` so a reader decodes them in
-//!   one load. A node does not record its depth: every descent starts at
-//!   the root at depth 0 and counts the bytes it consumes.
+//!   one load: a writer changes a live node's prefix in place under the
+//!   node's lock (prefix extraction and merge), and a racing reader sees
+//!   the whole old prefix or the whole new one, then fails validation. A
+//!   node does not record its depth: every descent starts at the root
+//!   at depth 0 and counts the bytes it consumes.
+//! * Only a change of type (grow, shrink) copies a node into a fresh one.
 //! * Child pointers are `usize` with bit 0 tagging leaves. Null is 0.
 
 use crate::olc::VersionLock;
@@ -671,16 +675,6 @@ pub unsafe fn shrink_candidate(p: NodePtr) -> bool {
     hdr.kind().smaller.is_some() && hdr.count() <= hdr.kind().shrink_at
 }
 
-/// Clone a node (same type, same children/prefix/metadata) — used when a
-/// node's prefix must change: the original is replaced and marked
-/// obsolete instead of mutated in place.
-///
-/// # Safety
-/// `p` live internal node, write lock held by the caller.
-pub unsafe fn clone_node(p: NodePtr) -> NodePtr {
-    copy_as(p, header(p).node_type)
-}
-
 /// Extract the byte of `key` at byte position `depth` (0 = most
 /// significant, big-endian).
 #[inline]
@@ -800,32 +794,27 @@ mod tests {
         }
     }
 
-    /// `grow`, `shrink` and `clone_node` all copy through `insert_child`:
-    /// whatever the source and destination kinds, the copy has the expected
-    /// type and the source's children (in byte order), count and prefix,
-    /// and answers every search alike.
+    /// `grow` and `shrink` both copy through `insert_child`: whatever the
+    /// source and destination kinds, the copy has the expected type and
+    /// the source's children (in byte order), count and prefix, and
+    /// answers every search alike.
     #[test]
     fn grow_preserves_children_and_metadata() {
         use NodeType::*;
         type Copy = unsafe fn(NodePtr) -> NodePtr;
-        let cases: [(NodeType, usize, Copy, NodeType); 10] = [
+        let cases: [(NodeType, usize, Copy, NodeType); 6] = [
             (N4, 4, grow, N16),
             (N16, 16, grow, N48),
             (N48, 48, grow, N256),
             (N16, 4, shrink, N4),
             (N48, 13, shrink, N16),
             (N256, 38, shrink, N48),
-            (N4, 3, clone_node, N4),
-            (N16, 9, clone_node, N16),
-            (N48, 30, clone_node, N48),
-            (N256, 200, clone_node, N256),
         ];
         for (from, n, copy, to) in cases {
             // SAFETY: every pointer used below was returned by `alloc`,
-            // `make_leaf`, `grow`, `shrink` or `clone_node` in this test
-            // and is not yet freed; the nodes are private to this thread,
-            // mutated only under their version lock, and each is freed
-            // exactly once.
+            // `make_leaf`, `grow` or `shrink` in this test and is not yet
+            // freed; the nodes are private to this thread, mutated only
+            // under their version lock, and each is freed exactly once.
             unsafe {
                 let p = alloc(from);
                 header(p).set_prefix(&[7, 8]);

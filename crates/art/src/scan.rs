@@ -52,8 +52,7 @@ impl Art {
         };
         let _guard = epoch::pin();
         while let Some(lo) = walk.pending() {
-            let root = self.root.load(Ordering::Acquire);
-            if root == 0 || walk.descend(root, 0, 0, lo, None).is_ok() {
+            if walk.descend(self.root, 0, 0, lo, None).is_ok() {
                 break;
             }
         }
@@ -128,8 +127,9 @@ impl<F: FnMut(u64, u64)> Walk<F> {
         if !parent_valid() {
             return Err(Restart);
         }
-        // A published node's prefix never changes (a prefix change
-        // replaces the node), so the interval needs no validation.
+        // A writer may be changing the prefix in place (DESIGN.md §15):
+        // the interval is trusted only once `v` validates, on the way out
+        // below or with the first child read.
         let (prefix, plen) = hdr.prefix();
         let mut acc = acc;
         for (i, &b) in prefix[..plen].iter().enumerate() {
@@ -140,7 +140,7 @@ impl<F: FnMut(u64, u64)> Walk<F> {
         let disc = depth + plen;
         let span_hi = acc | below_mask(disc);
         if disc >= 8 || span_hi < lo || acc > self.hi {
-            return Ok(());
+            return hdr.version.validate(v).then_some(()).ok_or(Restart);
         }
         // A bound lying inside the subtree's interval shares its path
         // bytes, so the bound's next byte limits the children; a bound

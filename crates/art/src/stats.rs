@@ -1,11 +1,10 @@
-//! Structural statistics: node-type census, depth distribution, and
-//! iteration helpers. Diagnostic traversals — consistent at rest, best
-//! effort under concurrency.
+//! Structural statistics: node-type census and depth distribution. A
+//! diagnostic traversal — consistent at rest, best effort under
+//! concurrency.
 
 use crate::node::{self, NodePtr, NodeType};
 use crate::tree::Art;
 use crossbeam_epoch as epoch;
-use std::sync::atomic::Ordering;
 
 /// A census of the tree's structure.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -47,23 +46,9 @@ impl Art {
     pub fn structure_stats(&self) -> ArtStats {
         let _guard = epoch::pin();
         let mut s = ArtStats::default();
-        let root = self.root.load(Ordering::Acquire);
-        if root != 0 {
-            // SAFETY: pinned epoch; best-effort traversal.
-            unsafe { census(root, 1, &mut s) };
-        }
+        // SAFETY: pinned epoch; best-effort traversal.
+        unsafe { census(self.root, 1, &mut s) };
         s
-    }
-
-    /// Visit every `(key, value)` in ascending order (consistent at
-    /// rest; under concurrency equivalent to `range(0, MAX)` semantics).
-    pub fn for_each(&self, f: impl FnMut(u64, u64)) {
-        self.scan_with(0, u64::MAX, usize::MAX, f);
-    }
-
-    /// Smallest key in the tree.
-    pub fn min_key(&self) -> Option<(u64, u64)> {
-        self.seek_ge(0)
     }
 }
 
@@ -109,11 +94,11 @@ mod tests {
     fn empty_and_single_leaf() {
         let t = Art::new();
         assert_eq!(t.structure_stats().leaves, 0);
-        assert_eq!(t.min_key(), None);
+        assert_eq!(t.seek_ge(0), None);
         t.insert(42, 1);
         let s = t.structure_stats();
-        assert_eq!((s.leaves, s.internal()), (1, 0));
-        assert_eq!(t.min_key(), Some((42, 1)));
+        assert_eq!((s.leaves, s.internal()), (1, 1));
+        assert_eq!(t.seek_ge(0), Some((42, 1)));
     }
 
     #[test]
@@ -124,12 +109,12 @@ mod tests {
             t.insert(0xAA00 + b, b);
         }
         let s = t.structure_stats();
-        assert_eq!(s.n256, 1, "{s:?}");
+        assert_eq!(s.n256, 2, "{s:?}");
         assert_eq!(s.leaves, 256);
     }
 
     #[test]
-    fn for_each_yields_sorted_everything() {
+    fn full_range_yields_sorted_everything() {
         let t = Art::new();
         let keys: Vec<u64> = (1..500u64).map(|i| i * 977 % 65_536 + 1).collect();
         let mut expect: Vec<u64> = keys.clone();
@@ -139,7 +124,7 @@ mod tests {
             t.insert(k, k);
         }
         let mut seen = Vec::new();
-        t.for_each(|k, _| seen.push(k));
-        assert_eq!(seen, expect);
+        t.range(0, u64::MAX, &mut seen);
+        assert_eq!(seen.iter().map(|&(k, _)| k).collect::<Vec<_>>(), expect);
     }
 }

@@ -5,17 +5,23 @@ use crate::node::{self, NodePtr, NodeType};
 use crate::olc::Version;
 use crossbeam_epoch::{self as epoch, Guard};
 use probe::striped::Striped;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 
 /// A concurrent adaptive radix tree mapping `u64` keys to `u64` values.
+///
+/// The root is a Node256 with an empty prefix that lives as long as the
+/// tree: [`Art::new`] allocates it, `Drop` frees it, and nothing replaces
+/// it or changes its prefix. Every other node therefore has a parent, and
+/// a writer changes a node's prefix in place under the node's lock and
+/// its parent's (DESIGN.md §15, "Prefixes change in place").
 pub struct Art {
-    pub(crate) root: AtomicUsize,
+    pub(crate) root: NodePtr,
     /// Keys in the tree, and bytes of live nodes and leaves. Every insert
     /// and remove writes both, from every writer thread, so each thread
     /// writes a stripe of its own: as two plain atomics beside `root` they
     /// were the one line all writers (and every reader's root load)
     /// contended for. `Striped` is 128-aligned and a whole number of
-    /// lines, which leaves `root` on a line nothing writes per operation.
+    /// lines, which leaves `root` on a line nothing writes.
     count: Striped,
     mem: Striped,
 }
@@ -36,18 +42,20 @@ impl Default for Art {
 impl Drop for Art {
     fn drop(&mut self) {
         // SAFETY: &mut self guarantees exclusive access.
-        unsafe { node::dealloc_subtree(self.root.load(Ordering::Relaxed)) };
+        unsafe { node::dealloc_subtree(self.root) };
     }
 }
 
 impl Art {
-    /// An empty tree.
+    /// An empty tree: a root Node256 with no children.
     pub fn new() -> Self {
-        Self {
-            root: AtomicUsize::new(0),
+        let t = Self {
+            root: node::alloc(NodeType::N256),
             count: Striped::new(),
             mem: Striped::new(),
-        }
+        };
+        t.track_alloc(t.root);
+        t
     }
 
     /// Number of keys in the tree (racy under concurrency, exact at rest).
@@ -119,18 +127,27 @@ impl Art {
 
     /// Warm the lines a lookup of `key` is about to miss on, and read
     /// nothing else: follow the key's path through the tree's cached top
-    /// (`WARM_HOPS` hops from the root), then prefetch the first node
-    /// reached — its header line and, in case it is a Node256 without a
-    /// prefix, the line that holds its child for the key's next byte.
-    /// `AltIndex::get` calls it between its slot prefetch and its slot
-    /// read, so an ART-resident key's first tree miss overlaps the slot's
-    /// miss instead of following it.
+    /// (`WARM_HOPS` hops from the root through nodes with more than one
+    /// child), then prefetch the first node reached — its header line and,
+    /// in case it is a Node256 without a prefix, the line that holds its
+    /// child for the key's next byte. `AltIndex::get` calls it between its
+    /// slot prefetch and its slot read, so an ART-resident key's first tree
+    /// miss overlaps the slot's miss instead of following it.
+    ///
+    /// Only the root can have a single child (every other node merges into
+    /// its parent when it drops to one), and a root over one child is a
+    /// level every path shares, cached like the one below it: it costs no
+    /// hop, so the walk ends at the same level whether the keys share their
+    /// first byte (fb) or not (osm).
     ///
     /// Hint-only: it takes no version snapshot and validates none, never
     /// waits on a locked node, has no chaos point and returns nothing. A
-    /// torn or stale read sends it down a wrong path, which costs one
-    /// wasted prefetch. It stops early at a null child, at a leaf (which
-    /// it prefetches, not reads) and at a prefix that rules the key out.
+    /// torn or stale read — a child count, a prefix that a writer is
+    /// changing in place, a child — sends it down a wrong path, which costs
+    /// one wasted prefetch. It stops early at a null child, at a leaf
+    /// (which it prefetches, not reads), at a prefix that rules the key
+    /// out, and after the key's eighth byte, so it takes at most eight
+    /// steps whatever it reads.
     ///
     /// `_guard` is the caller's pin. Every pointer the walk reads was in
     /// the tree at some instant after the pin began, so it is retired
@@ -140,18 +157,17 @@ impl Art {
     /// because nothing read here is believed.
     #[inline]
     pub fn warm(&self, key: u64, _guard: &Guard) {
-        let (mut p, mut depth) = (self.root.load(Ordering::Acquire), 0);
-        for _ in 0..WARM_HOPS {
-            if p == 0 || node::is_leaf(p) {
-                break;
-            }
+        let (mut p, mut depth, mut hops) = (self.root, 0, 0);
+        while hops < WARM_HOPS && p != 0 && !node::is_leaf(p) {
             // SAFETY: `p` is an internal node read from this tree under the
             // caller's pin `_guard`, so it is still allocated (above), and
-            // its prefix word is an atomic.
-            let (prefix, plen) = unsafe { node::header(p) }.prefix();
+            // its prefix word and child count are atomics.
+            let hdr = unsafe { node::header(p) };
+            let (prefix, plen) = hdr.prefix();
             if depth + plen >= 8 || prefix_mismatch(&prefix[..plen], key, depth) < plen {
                 return;
             }
+            hops += usize::from(hdr.count() > 1);
             depth += plen;
             // SAFETY: as above; the search reads atomics inside `p`, and
             // the child it returns is only walked as a hint under `_guard`.
@@ -165,16 +181,16 @@ impl Art {
     }
 
     /// `key`'s leaf and the number of nodes visited on the way (every
-    /// node, the leaf included, a null child not): optimistic descents
-    /// from the root until one validates, then — retry budget spent —
-    /// the pessimistic one. Every root-based read and `update` is this
-    /// plus a load or a store on the leaf's value.
+    /// node, the root and the leaf included, a null child not): optimistic
+    /// descents from the root until one validates, then — retry budget
+    /// spent — the pessimistic one. Every root-based read and `update` is
+    /// this plus a load or a store on the leaf's value.
     pub(crate) fn leaf(&self, key: u64, guard: &Guard) -> (Option<NodePtr>, u32) {
         let mut retry = resilience::Retry::new();
         loop {
-            let root = self.root.load(Ordering::Acquire);
-            // SAFETY: `root` was just read from this tree under `guard`.
-            if let Ok(found) = unsafe { descend_leaf(root, key) } {
+            // SAFETY: the root is an internal node of this tree, and
+            // `guard` pins the epoch.
+            if let Ok(found) = unsafe { descend_leaf(self.root, key) } {
                 return found;
             }
             if retry.wait_or_escalate(&crate::LAYER) {
@@ -184,11 +200,15 @@ impl Art {
     }
 
     /// Pessimistic lock-coupled descent to `key`'s leaf: every internal
-    /// node's *write* lock is taken top-down, with the parent's lock held
-    /// until the child's is acquired. No version validation (and hence no
-    /// restart) happens on the path — a child read under its locked
-    /// parent cannot be replaced, because every `replace_child` in this
-    /// crate runs under the parent's write lock.
+    /// node's *write* lock is taken top-down, from the root, with the
+    /// parent's lock held until the child's is acquired. No version
+    /// validation (and hence no restart) happens on the path: the root is
+    /// never replaced, and a child read under its locked parent cannot be
+    /// replaced or have its prefix changed, because every `replace_child`
+    /// and every prefix change in this crate runs under the parent's write
+    /// lock. Nor can that child be obsolete: a node is marked obsolete
+    /// only after its replacement is published in the parent, under the
+    /// same lock.
     ///
     /// Deadlock freedom: every *blocking* `lock()` in the tree (the
     /// couplings here and the sibling lock in `remove_leaf`) targets a
@@ -198,75 +218,51 @@ impl Art {
     /// own) — so wait-for edges always point down the tree and cannot
     /// form a cycle.
     ///
-    /// The restart on an obsolete root is bounded by structural
-    /// progress: it fires only when a committed root replacement landed
-    /// between the root load and the lock acquisition.
-    ///
     /// Returns what [`Art::leaf`] does, counted the same way. Kept out of
     /// line: it runs once per exhausted retry budget, and inlined it
     /// doubles the code on every lookup's path.
     #[cold]
     #[inline(never)]
     fn pessimistic_leaf(&self, key: u64, _guard: &Guard) -> (Option<NodePtr>, u32) {
-        'restart: loop {
-            let root = self.root.load(Ordering::Acquire);
-            if root == 0 {
-                return (None, 0);
-            }
-            if node::is_leaf(root) {
-                // SAFETY: pinned epoch; leaf keys are immutable.
-                let leaf = unsafe { node::leaf_ref(root) };
-                return (if leaf.key == key { Some(root) } else { None }, 1);
-            }
-            // SAFETY: pinned epoch.
-            let mut hdr = unsafe { node::header(root) };
-            if !hdr.version.lock() {
-                // Root replaced between the load and the lock.
-                continue 'restart;
-            }
-            // A successful lock proves `root` is still linked in place:
-            // replacements hold the victim's lock across publication and
-            // mark it obsolete before unlocking.
-            let mut cur = root;
-            let mut depth = 0;
-            let mut hops = 1u32;
-            loop {
-                let (prefix, plen) = hdr.prefix();
-                let matched = prefix_mismatch(&prefix[..plen], key, depth) == plen;
-                depth += plen;
-                let child = if matched && depth < 8 {
-                    // SAFETY: `cur` is live and write-locked, so nothing
-                    // races the search and its result needs no validation.
-                    unsafe { node::find_child(cur, node::key_byte(key, depth)) }
-                } else {
-                    0
-                };
-                if child == 0 {
-                    hdr.version.unlock();
-                    return (None, hops);
-                }
-                if node::is_leaf(child) {
-                    // SAFETY: read under the parent's write lock.
-                    let leaf = unsafe { node::leaf_ref(child) };
-                    let found = leaf.key == key;
-                    hdr.version.unlock();
-                    return (found.then_some(child), hops + 1);
-                }
-                // Couple: lock the child before releasing the parent.
-                // SAFETY: pinned epoch; child is live under its locked
-                // parent.
-                let chdr = unsafe { node::header(child) };
-                let got = chdr.version.lock();
-                debug_assert!(got, "child under a locked parent cannot be obsolete");
+        let mut cur = self.root;
+        // SAFETY: the root is live as long as the tree.
+        let mut hdr = unsafe { node::header(cur) };
+        let locked = hdr.version.lock();
+        assert!(locked, "the root is never obsolete");
+        let mut depth = 0;
+        let mut hops = 1u32;
+        loop {
+            let (prefix, plen) = hdr.prefix();
+            let matched = prefix_mismatch(&prefix[..plen], key, depth) == plen;
+            depth += plen;
+            let child = if matched && depth < 8 {
+                // SAFETY: `cur` is live and write-locked, so nothing races
+                // the search and its result needs no validation.
+                unsafe { node::find_child(cur, node::key_byte(key, depth)) }
+            } else {
+                0
+            };
+            if child == 0 {
                 hdr.version.unlock();
-                if !got {
-                    continue 'restart;
-                }
-                cur = child;
-                hdr = chdr;
-                depth += 1;
-                hops += 1;
+                return (None, hops);
             }
+            if node::is_leaf(child) {
+                // SAFETY: read under the parent's write lock.
+                let leaf = unsafe { node::leaf_ref(child) };
+                let found = leaf.key == key;
+                hdr.version.unlock();
+                return (found.then_some(child), hops + 1);
+            }
+            // Couple: lock the child before releasing the parent.
+            // SAFETY: pinned epoch; child is live under its locked parent.
+            let chdr = unsafe { node::header(child) };
+            let got = chdr.version.lock();
+            hdr.version.unlock();
+            assert!(got, "a child under a locked parent cannot be obsolete");
+            cur = child;
+            hdr = chdr;
+            depth += 1;
+            hops += 1;
         }
     }
 
@@ -309,7 +305,7 @@ impl Art {
         // park instead of burning CPU.
         let mut retry = resilience::Retry::new();
         loop {
-            match self.insert_attempt(key, value, overwrite, &guard) {
+            match self.descend_insert(key, value, overwrite, &guard) {
                 Ok(inserted) => return inserted,
                 Err(_) => {
                     let _ = retry.wait_or_escalate(&crate::LAYER);
@@ -318,92 +314,17 @@ impl Art {
         }
     }
 
-    /// One optimistic insert attempt from the root.
-    fn insert_attempt(
-        &self,
-        key: u64,
-        value: u64,
-        overwrite: bool,
-        guard: &Guard,
-    ) -> Result<bool, Abort> {
-        let rootp = self.root.load(Ordering::Acquire);
-        // Case: empty tree.
-        if rootp == 0 {
-            let leaf = node::make_leaf(key, value);
-            match self
-                .root
-                .compare_exchange(0, leaf, Ordering::AcqRel, Ordering::Acquire)
-            {
-                Ok(_) => {
-                    self.track_alloc(leaf);
-                    self.bump_count();
-                    return Ok(true);
-                }
-                Err(_) => {
-                    // SAFETY: `leaf` was never published.
-                    unsafe { node::dealloc(leaf) };
-                    return Err(Abort::Restart);
-                }
-            }
-        }
-        // Case: root is a leaf.
-        if node::is_leaf(rootp) {
-            // SAFETY: pinned epoch.
-            let leaf = unsafe { node::leaf_ref(rootp) };
-            if leaf.key == key {
-                if overwrite {
-                    leaf.value.store(value, Ordering::Release);
-                }
-                return Ok(false);
-            }
-            let new4 = self.make_split_node(leaf.key, rootp, key, value, 0);
-            match self
-                .root
-                .compare_exchange(rootp, new4, Ordering::AcqRel, Ordering::Acquire)
-            {
-                Ok(_) => {
-                    self.bump_count();
-                    return Ok(true);
-                }
-                Err(_) => {
-                    // SAFETY: new4 and its fresh leaf were never published;
-                    // the old leaf must survive.
-                    unsafe {
-                        let b = node::key_byte(key, split_depth(leaf.key, key, 0));
-                        let fresh = node::find_child(new4, b);
-                        self.untrack_fresh(fresh);
-                        node::dealloc(fresh);
-                        self.untrack_fresh(new4);
-                        node::dealloc(new4);
-                    }
-                    return Err(Abort::Restart);
-                }
-            }
-        }
-
-        // General case: descend with (parent, parent_version) tracking.
-        self.descend_insert(rootp, key, value, overwrite, guard)
-    }
-
-    fn untrack_fresh(&self, p: NodePtr) {
-        // SAFETY: `p` is a never-published allocation its caller still
-        // owns and frees only after this.
-        let size = unsafe { node::alloc_size(p) };
-        self.mem.sub(size as u64);
-    }
-
-    /// Descend from the internal root node `root` by [`hop`]s and
-    /// perform the insert where the key's path ends: in a prefix it
+    /// One optimistic insert attempt: descend from the root by [`hop`]s
+    /// and perform the insert where the key's path ends: in a prefix it
     /// diverges from, in an empty child slot, or at a leaf.
     fn descend_insert(
         &self,
-        root: NodePtr,
         key: u64,
         value: u64,
         overwrite: bool,
         guard: &Guard,
     ) -> Result<bool, Abort> {
-        let mut at = At::top(root);
+        let mut at = At::top(self.root);
         let mut depth = 0;
         loop {
             // SAFETY: pinned epoch; `at` walks nodes read from this tree.
@@ -414,9 +335,10 @@ impl Art {
                 Hop::Miss { mismatch, .. } if depth + mismatch >= 8 => return Err(Abort::Restart),
                 Hop::Miss { v, mismatch } => {
                     // 1) Prefix extraction: insert a new parent
-                    // discriminating at depth + mismatch.
+                    // discriminating at depth + mismatch. The root has no
+                    // prefix, so `at.p` has a parent.
                     at.v = v;
-                    self.split_prefix(at, mismatch, depth, key, value, guard)?;
+                    self.split_prefix(at, mismatch, depth, key, value)?;
                     self.bump_count();
                     return Ok(true);
                 }
@@ -434,7 +356,8 @@ impl Art {
             let hdr = unsafe { node::header(at.p) };
 
             if child == 0 {
-                // 2) Empty slot here: add a leaf (growing if full).
+                // 2) Empty slot here: add a leaf (growing if full; the
+                // root, a Node256, is never full at an empty slot).
                 // SAFETY: pinned epoch; validated snapshot.
                 if unsafe { node::is_full(at.p) } {
                     self.grow_and_insert(at, b, key, value, guard)?;
@@ -515,65 +438,17 @@ impl Art {
         new4
     }
 
-    /// Write-lock `at.p` for replacement together with whatever holds its
-    /// slot — the parent, taken first (lock order: parent, then node) —
-    /// by upgrading the descent's snapshots. A failed upgrade releases
-    /// what was taken and restarts.
-    ///
-    /// A parentless `at.p` is the node the descent loaded from the root
-    /// slot before it took the snapshot `at.v`. A root slot that points to
-    /// an internal node only changes under that node's write lock, which
-    /// leaves the node obsolete — so a successful upgrade of `at.v` proves
-    /// `p` is still the root, and [`Art::publish`]'s CAS cannot fail.
-    fn lock_with_parent(&self, at: At) -> Result<(), Abort> {
-        if at.parent != 0 {
-            // SAFETY: pinned epoch.
-            let phdr = unsafe { node::header(at.parent) };
-            if !phdr.version.upgrade(at.parent_v) {
-                return Err(Abort::Restart);
-            }
-        }
-        // SAFETY: pinned epoch.
-        if !unsafe { node::header(at.p) }.version.upgrade(at.v) {
-            self.unlock_parent(at);
-            return Err(Abort::Restart);
-        }
-        Ok(())
-    }
-
-    /// Release the parent lock [`Art::lock_with_parent`] took, if any.
-    fn unlock_parent(&self, at: At) {
-        if at.parent != 0 {
-            // SAFETY: pinned epoch; locked by `lock_with_parent`.
-            unsafe { node::header(at.parent) }.version.unlock();
-        }
-    }
-
-    /// Publish `new` in the slot the write-locked `at.p` hangs from — its
-    /// parent's child pointer, or the tree root — and release the parent.
-    /// The caller holds the locks of [`Art::lock_with_parent`] and goes on
-    /// to mark `p` obsolete and retire it.
-    fn publish(&self, at: At, new: NodePtr) {
-        if at.parent != 0 {
-            // SAFETY: parent write-locked; `parent_byte` maps to `p`.
-            unsafe { node::replace_child(at.parent, at.parent_byte, new) };
-            self.unlock_parent(at);
-        } else {
-            let swapped = self
-                .root
-                .compare_exchange(at.p, new, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok();
-            assert!(swapped, "root changed while its node was write-locked");
-        }
-    }
-
     /// Prefix extraction: the key diverges inside `p`'s compressed prefix
-    /// at `mismatch`. Create a new parent Node4 covering the shared part,
-    /// with a *demoted copy* of `p` (shorter prefix) and a new leaf as
-    /// children; `p` itself is marked obsolete and retired.
+    /// at `mismatch`. A new parent Node4 takes the shared part of the
+    /// prefix and hangs between `p`'s parent and `p`, beside a new leaf;
+    /// `p` keeps the rest of its prefix, shortened in place, and its
+    /// children.
     ///
-    /// `p` is replaced rather than demoted in place: a node's prefix
-    /// never changes while it is live.
+    /// `p`'s depth below its discriminating byte is unchanged, and its
+    /// prefix changes under its own lock and its parent's: a reader that
+    /// reached `p` through the old parent fails that parent's
+    /// re-validation in [`hop`], and one that reaches it through the new
+    /// Node4 waits for `p`'s lock (DESIGN.md §15).
     fn split_prefix(
         &self,
         at: At,
@@ -581,36 +456,30 @@ impl Art {
         depth: usize,
         key: u64,
         value: u64,
-        guard: &Guard,
     ) -> Result<(), Abort> {
-        self.lock_with_parent(at)?;
+        at.lock_with_parent()?;
         let p = at.p;
         // The upgrade proved `p` unchanged since the hop compared its
         // prefix, so this is that prefix and `mismatch` still holds.
         // SAFETY: p write-locked.
-        let (prefix, plen) = unsafe { node::header(p) }.prefix();
-        let prefix = &prefix[..plen];
-        // Build: demoted copy of p + fresh leaf under a new Node4 parent.
-        // SAFETY: p write-locked.
-        let demoted = unsafe { node::clone_node(p) };
-        self.track_alloc(demoted);
+        let hdr = unsafe { node::header(p) };
+        let (prefix, plen) = hdr.prefix();
         let leaf = node::make_leaf(key, value);
         self.track_alloc(leaf);
         let newp = node::alloc(NodeType::N4);
         self.track_alloc(newp);
-        // SAFETY: demoted and newp are fresh and unshared.
+        // SAFETY: newp is fresh and unshared.
         unsafe {
-            let dhdr = node::header(demoted);
-            dhdr.set_prefix(&prefix[mismatch + 1..]);
             let nhdr = node::header(newp);
             nhdr.set_prefix(&prefix[..mismatch]);
             nhdr.version.lock();
-            node::insert_child(newp, prefix[mismatch], demoted);
+            node::insert_child(newp, prefix[mismatch], p);
             node::insert_child(newp, node::key_byte(key, depth + mismatch), leaf);
             nhdr.version.unlock();
         }
-        self.publish(at, newp);
-        self.retire_replaced(p, guard);
+        hdr.set_prefix(&prefix[mismatch + 1..plen]);
+        at.publish(newp);
+        hdr.version.unlock();
         Ok(())
     }
 
@@ -624,7 +493,7 @@ impl Art {
         value: u64,
         guard: &Guard,
     ) -> Result<(), Abort> {
-        self.lock_with_parent(at)?;
+        at.lock_with_parent()?;
         // SAFETY: p write-locked.
         let big = unsafe { node::grow(at.p) };
         self.track_alloc(big);
@@ -632,7 +501,7 @@ impl Art {
         self.track_alloc(leaf);
         // SAFETY: big fresh and unshared.
         unsafe { node::insert_child(big, byte, leaf) };
-        self.publish(at, big);
+        at.publish(big);
         self.retire_replaced(at.p, guard);
         Ok(())
     }
@@ -667,31 +536,7 @@ impl Art {
     }
 
     fn remove_attempt(&self, key: u64, guard: &Guard) -> Result<Option<u64>, Abort> {
-        let rootp = self.root.load(Ordering::Acquire);
-        if rootp == 0 {
-            return Ok(None);
-        }
-        if node::is_leaf(rootp) {
-            // SAFETY: pinned epoch.
-            let leaf = unsafe { node::leaf_ref(rootp) };
-            if leaf.key != key {
-                return Ok(None);
-            }
-            let val = leaf.value.load(Ordering::Acquire);
-            match self
-                .root
-                .compare_exchange(rootp, 0, Ordering::AcqRel, Ordering::Acquire)
-            {
-                Ok(_) => {
-                    self.retire(guard, rootp);
-                    self.drop_count();
-                    return Ok(Some(val));
-                }
-                Err(_) => return Err(Abort::Restart),
-            }
-        }
-
-        let mut at = At::top(rootp);
+        let mut at = At::top(self.root);
         let mut depth = 0usize;
         loop {
             // SAFETY: pinned epoch; `at` walks nodes read from this tree.
@@ -727,17 +572,19 @@ impl Art {
     }
 
     /// Remove leaf `child` (under byte `b`) from `at.p`, merging/shrinking
-    /// as needed.
+    /// as needed. The root only ever loses the child, in place: it keeps
+    /// its type and may hold one child or none.
     fn remove_leaf(&self, at: At, b: u8, child: NodePtr, guard: &Guard) -> Result<(), Abort> {
         let p = at.p;
         // SAFETY: pinned epoch.
         let hdr = unsafe { node::header(p) };
         let cnt = hdr.count();
 
-        // Case A: node keeps >= 2 children and needs no shrink: in-place.
+        // Case A: the root, or a node that keeps >= 2 children and needs
+        // no shrink: in place.
         // SAFETY: pinned epoch (type/count reads validated by upgrade).
         let needs_shrink = unsafe { node::shrink_candidate(p) };
-        if cnt > 2 && !needs_shrink {
+        if p == self.root || (cnt > 2 && !needs_shrink) {
             if !hdr.version.upgrade(at.v) {
                 return Err(Abort::Restart);
             }
@@ -749,7 +596,7 @@ impl Art {
         }
 
         // Structural cases replace `p` in its parent's slot.
-        self.lock_with_parent(at)?;
+        at.lock_with_parent()?;
 
         if cnt > 2 {
             // Case C: shrink to the next smaller type after removing.
@@ -758,7 +605,7 @@ impl Art {
             // SAFETY: write lock held.
             let small = unsafe { node::shrink(p) };
             self.track_alloc(small);
-            self.publish(at, small);
+            at.publish(small);
             self.retire_replaced(p, guard);
             self.retire(guard, child);
             return Ok(());
@@ -777,46 +624,26 @@ impl Art {
             });
         }
         debug_assert!(sibling != 0);
-        // An internal sibling absorbs p's prefix plus the
-        // discriminating byte. Like prefix extraction, this is done on
-        // a *copy* — a live node's prefix never changes
-        // — and the original sibling is retired as obsolete.
-        let replacement = if node::is_leaf(sibling) {
-            sibling
+        if node::is_leaf(sibling) {
+            at.publish(sibling);
         } else {
+            // An internal sibling absorbs p's prefix plus the
+            // discriminating byte, in place under its lock: its depth
+            // below its own prefix is unchanged (DESIGN.md §15).
             // SAFETY: pinned epoch; sibling is only reachable through
             // the locked p, so locking it cannot deadlock.
             let shdr = unsafe { node::header(sibling) };
-            if !shdr.version.lock() {
-                hdr.version.unlock();
-                self.unlock_parent(at);
-                return Err(Abort::Restart);
-            }
+            let locked = shdr.version.lock();
+            assert!(locked, "a child under a locked parent cannot be obsolete");
             let (pprefix, pplen) = hdr.prefix();
             let (sprefix, splen) = shdr.prefix();
-            let mut combined = [0u8; crate::node::MAX_PREFIX];
-            let mut n = 0;
-            for &x in &pprefix[..pplen] {
-                combined[n] = x;
-                n += 1;
-            }
-            combined[n] = sib_byte;
-            n += 1;
-            for &x in &sprefix[..splen] {
-                combined[n] = x;
-                n += 1;
-            }
-            // SAFETY: sibling write-locked.
-            let copy = unsafe { node::clone_node(sibling) };
-            self.track_alloc(copy);
-            // SAFETY: copy fresh and unshared.
-            unsafe { node::header(copy) }.set_prefix(&combined[..n]);
-            // The sibling stays locked until the copy is published.
-            copy
-        };
-        self.publish(at, replacement);
-        if replacement != sibling {
-            self.retire_replaced(sibling, guard);
+            let mut combined = [0u8; node::MAX_PREFIX];
+            combined[..pplen].copy_from_slice(&pprefix[..pplen]);
+            combined[pplen] = sib_byte;
+            combined[pplen + 1..pplen + 1 + splen].copy_from_slice(&sprefix[..splen]);
+            shdr.set_prefix(&combined[..pplen + 1 + splen]);
+            at.publish(sibling);
+            shdr.version.unlock();
         }
         self.retire_replaced(p, guard);
         self.retire(guard, child);
@@ -824,25 +651,29 @@ impl Art {
     }
 }
 
-/// Hops [`Art::warm`] follows from the root before it prefetches: the
-/// levels that stay cached when the tree does not. The ART of `read_oc`'s
-/// fb index (3.6M of its 8M keys) by depth:
+/// Hops [`Art::warm`] follows from the root before it prefetches, counting
+/// only nodes with more than one child: the levels that stay cached when
+/// the tree does not. The ART of `read_oc`'s fb index (3.6M of its 8M
+/// keys) by depth:
 ///
-/// | depth | internal nodes | layouts | node bytes | leaves |
-/// |---|---|---|---|---|
-/// | 1 (root) | 1 | Node256 | 2 KB | — |
-/// | 2 | 126 | 125 Node256, 1 Node48 | 0.3 MB | — |
-/// | 3 | 30,517 | 18,401 Node256, 10,821 Node48, 1,295 smaller | 45.5 MB | 21 |
-/// | 4 | 940k | 792k Node4, 148k Node16 | 75.6 MB | 636k |
-/// | 5 | — | — | — | 2.98M |
+/// | depth | internal nodes | layouts | node bytes | leaves | counted |
+/// |---|---|---|---|---|---|
+/// | 1 (root) | 1 | Node256, one child | 2 KB | — | no |
+/// | 2 | 1 | Node256, 126 children, 3-byte prefix | 2 KB | — | hop 1 |
+/// | 3 | 126 | 125 Node256, 1 Node48 | 0.3 MB | — | hop 2 |
+/// | 4 | 30,517 | 18,401 Node256, 10,821 Node48, 1,295 smaller | 45.5 MB | 21 | |
+/// | 5 | 940k | 792k Node4, 148k Node16 | 75.6 MB | 636k | |
+/// | 6 | — | — | — | 2.98M | |
 ///
-/// Depth 3 is the first level that misses, so two hops end at the node
-/// whose miss can overlap the slot's. One hop prefetches a depth-2 node
-/// that is cached anyway. Three hops, or a walk to the leaf, make every
-/// get wait for the depth-3 miss before its slot is read: against no walk
-/// at all, three hops lost on median latency and the full walk on
-/// throughput too (EXPERIMENTS.md "The scalar get overlaps its slot miss
-/// and its tree miss").
+/// Depth 4 is the first level that misses, so two counted hops end at the
+/// node whose miss can overlap the slot's. osm's keys spread over the
+/// root's 256 children, so there the root is hop 1 and the walk again ends
+/// at the first level that misses. One hop prefetches a node that is
+/// cached anyway. Three hops, or a walk to the leaf, make every get wait
+/// for the first miss before its slot is read: against no walk at all,
+/// three hops lost on median latency and the full walk on throughput too
+/// (EXPERIMENTS.md "The scalar get overlaps its slot miss and its tree
+/// miss").
 const WARM_HOPS: usize = 2;
 
 /// Prefetch the allocation behind a (possibly leaf-tagged) node pointer:
@@ -896,6 +727,36 @@ impl At {
             parent_byte: byte,
         }
     }
+
+    /// Write-lock `p` together with its parent — taken first (lock order:
+    /// parent, then node) — by upgrading the descent's snapshots. A failed
+    /// upgrade releases what was taken and restarts. `p` is not the root:
+    /// the root's prefix and slot never change.
+    fn lock_with_parent(self) -> Result<(), Abort> {
+        // SAFETY: pinned epoch.
+        let (phdr, hdr) = unsafe { (node::header(self.parent), node::header(self.p)) };
+        if !phdr.version.upgrade(self.parent_v) {
+            return Err(Abort::Restart);
+        }
+        if !hdr.version.upgrade(self.v) {
+            phdr.version.unlock();
+            return Err(Abort::Restart);
+        }
+        Ok(())
+    }
+
+    /// Publish `new` in the parent's slot for `p` and release the parent.
+    /// The caller holds the locks of [`At::lock_with_parent`] and goes on
+    /// to release `p` — marking it obsolete and retiring it if `new`
+    /// replaces it.
+    fn publish(self, new: NodePtr) {
+        // SAFETY: pinned epoch; parent write-locked, and `parent_byte`
+        // maps to `p`.
+        unsafe {
+            node::replace_child(self.parent, self.parent_byte, new);
+            node::header(self.parent).version.unlock();
+        }
+    }
 }
 
 /// What one optimistic [`hop`] over an internal node found.
@@ -925,9 +786,10 @@ pub(crate) enum Hop {
 /// `depth`, find the child for the next key byte, validate.
 ///
 /// The parent is re-validated only once the child's version is in hand,
-/// so a child that was demoted or replaced between the parent's validation
-/// and this read (a racing prefix extraction, say) restarts the descent
-/// instead of letting it walk on with stale path bytes.
+/// so a child that was replaced, or whose prefix changed in place, between
+/// the parent's validation and this read (a racing prefix extraction, say)
+/// restarts the descent instead of letting it compare the new prefix at
+/// the old depth: every prefix change holds the parent's lock.
 ///
 /// # Safety
 /// `p` is an internal node and `parent` null or an internal node, both
@@ -972,8 +834,8 @@ pub(crate) unsafe fn hop(
     }
 }
 
-/// Whether the coupled parent snapshot still holds (`parent == 0`: there
-/// is none).
+/// Whether the coupled parent snapshot still holds (`parent == 0`: the
+/// root, which has none).
 ///
 /// # Safety
 /// As for [`hop`]'s `parent`.
@@ -996,11 +858,11 @@ pub(crate) fn prefix_mismatch(prefix: &[u8], key: u64, depth: usize) -> usize {
 
 /// One optimistic descent from `root` to `key`'s leaf. Returns the leaf,
 /// if the key is there, and the number of nodes visited — every node, the
-/// leaf included, a null child not (the lookup length). `Err` = restart.
+/// root and the leaf included, a null child not (the lookup length).
+/// `Err` = restart.
 ///
 /// # Safety
-/// `root` is null or was read from a tree's root slot under an epoch pin
-/// the caller still holds.
+/// `root` is a tree's root, and the caller holds an epoch pin.
 #[inline]
 unsafe fn descend_leaf(root: NodePtr, key: u64) -> Result<(Option<NodePtr>, u32), Abort> {
     let (mut p, mut depth) = (root, 0);
@@ -1290,7 +1152,7 @@ mod tests {
         let took = std::thread::scope(|s| {
             s.spawn(|| {
                 let _guard = epoch::pin();
-                let mut path = vec![t.root.load(Ordering::Acquire)];
+                let mut path = vec![t.root];
                 for depth in 0..2 {
                     let p = *path.last().unwrap();
                     // SAFETY: `p` is a live internal node of a tree no
@@ -1329,7 +1191,7 @@ mod tests {
         }
     }
 
-    /// The walk's early stops: an empty tree, a root that is a leaf, a key
+    /// The walk's early stops: an empty tree, a root over one leaf, a key
     /// that a compressed prefix rules out, and paths that reach a leaf
     /// within the two hops. It never treats a leaf as a node (in a debug
     /// build `node::header` asserts it is not handed one) and leaves the
@@ -1406,6 +1268,83 @@ mod tests {
             assert_eq!(t.get(k), Some(!k));
         }
         assert_eq!(t.len(), keys.len());
+    }
+
+    /// A cluster of three keys that share six bytes below the root's
+    /// byte 0x01 (a Node4 with a six-byte prefix, beside a leaf under 0x02),
+    /// and the node that holds them.
+    fn prefixed_cluster() -> (Art, Vec<u64>, NodePtr) {
+        let t = Art::new();
+        let mut keys: Vec<u64> = (1..=3).map(|i| 0x0102_0304_0506_0000 + i).collect();
+        keys.push(0x0200_0000_0000_0001);
+        for &k in &keys {
+            assert!(t.insert(k, !k));
+        }
+        let n = child(t.root, 0x01);
+        assert_eq!(prefix_of(n), [2, 3, 4, 5, 6, 0]);
+        (t, keys, n)
+    }
+
+    /// A key that leaves the cluster's prefix at its third byte.
+    const DIVERGING: u64 = 0x0102_03FF_0000_0000;
+
+    /// `p`'s child for `byte`. Only for a tree no other thread writes.
+    fn child(p: NodePtr, byte: u8) -> NodePtr {
+        // SAFETY: `p` is an internal node of a tree that only the calling
+        // thread uses; a node it unlinked stays allocated while the
+        // thread's epoch pin lasts, and every caller holds one.
+        unsafe { node::find_child(p, byte) }
+    }
+
+    /// `p`'s compressed prefix. As for [`child`].
+    fn prefix_of(p: NodePtr) -> Vec<u8> {
+        // SAFETY: as for `child`.
+        let (bytes, len) = unsafe { node::header(p) }.prefix();
+        bytes[..len].to_vec()
+    }
+
+    /// Whether `p` is unlocked and not obsolete. As for [`child`].
+    fn live(p: NodePtr) -> bool {
+        // SAFETY: as for `child`.
+        let lock = &unsafe { node::header(p) }.version;
+        !lock.is_locked() && !lock.is_obsolete()
+    }
+
+    /// Prefix extraction hangs the node itself under the new Node4, its
+    /// prefix shortened in place: the pointer stays the same, the node
+    /// stays live.
+    #[test]
+    fn prefix_extraction_shortens_the_node_in_place() {
+        let guard = epoch::pin();
+        let (t, keys, n) = prefixed_cluster();
+        assert!(t.insert(DIVERGING, 1));
+        let split = child(t.root, 0x01);
+        assert_ne!(split, n, "a Node4 above the cluster");
+        assert_eq!(prefix_of(split), [2, 3]);
+        assert_eq!(child(split, 0x04), n, "the node itself, not a copy");
+        assert_eq!(child(split, 0xFF), t.leaf(DIVERGING, &guard).0.unwrap());
+        assert_eq!(prefix_of(n), [5, 6, 0]);
+        assert!(live(n));
+        for &k in &keys {
+            assert_eq!(t.get(k), Some(!k));
+        }
+    }
+
+    /// Removing the diverging key merges the same node back into the
+    /// root's slot, its full prefix restored in place.
+    #[test]
+    fn merge_restores_the_prefix_in_place() {
+        let _guard = epoch::pin();
+        let (t, keys, n) = prefixed_cluster();
+        assert!(t.insert(DIVERGING, 1));
+        assert_eq!(t.remove(DIVERGING), Some(1));
+        assert_eq!(child(t.root, 0x01), n, "the node itself, not a copy");
+        assert_eq!(prefix_of(n), [2, 3, 4, 5, 6, 0]);
+        assert!(live(n));
+        for &k in &keys {
+            assert_eq!(t.get(k), Some(!k));
+        }
+        assert_eq!(t.get(DIVERGING), None);
     }
 
     /// Readers descending from the root keep finding the keys *below* a

@@ -4,9 +4,9 @@
 //! same optimistic descent; this suite pins what that descent returns
 //! (against a `BTreeMap`, on trees that inserts and removes have pushed
 //! through prefix splits, merges, grows and shrinks) and what it counts: a
-//! hop is every node visited, the leaf included, a null child not (the
-//! lookup length; `altbench` compares `alt.root_hops_mean` across commits
-//! for identity).
+//! hop is every node visited, the root and the leaf included, a null child
+//! not (the lookup length; `altbench` compares `alt.root_hops_mean` across
+//! commits for identity).
 
 use art::Art;
 use probe::SplitMix64;
@@ -99,35 +99,35 @@ fn hop_counts_root_leaf() {
     let t = Art::new();
     assert_eq!(
         t.get_with_depth(7),
-        (None, 0),
-        "empty tree: nothing visited"
+        (None, 1),
+        "empty tree: the root is visited"
     );
     t.insert(7, 70);
-    assert_eq!(t.get_with_depth(7), (Some(70), 1));
+    assert_eq!(t.get_with_depth(7), (Some(70), 2));
     assert_eq!(
         t.get_with_depth(8),
-        (None, 1),
+        (None, 2),
         "the leaf is visited to tell"
     );
 }
 
 #[test]
 fn hop_counts_two_levels_with_compressed_prefix() {
-    // One Node4 with a seven-byte prefix over two leaves.
+    // Under the root, one Node4 with a six-byte prefix over two leaves.
     let base = 0xAABB_CCDD_EEFF_0000u64;
     let t = Art::new();
     t.insert(base + 1, 1);
     t.insert(base + 2, 2);
-    assert_eq!(t.get_with_depth(base + 1), (Some(1), 2));
-    assert_eq!(t.get_with_depth(base + 2), (Some(2), 2));
+    assert_eq!(t.get_with_depth(base + 1), (Some(1), 3));
+    assert_eq!(t.get_with_depth(base + 2), (Some(2), 3));
     assert_eq!(
         t.get_with_depth(base + 3),
-        (None, 1),
+        (None, 2),
         "a null child is not a hop"
     );
     assert_eq!(
         t.get_with_depth(0xAABB_0000_0000_0001),
-        (None, 1),
+        (None, 2),
         "prefix mismatch"
     );
 }

@@ -182,7 +182,7 @@ fn limited_scans_racing_grow_and_shrink_of_their_node_keep_every_stable_key() {
                             assert!(art.insert(key(n, b), key(n, b) ^ MAGIC));
                         }
                     }
-                    assert_eq!(art.structure_stats().n256, 8, "the nodes never grew");
+                    assert_eq!(art.structure_stats().n256, 9, "the nodes never grew");
                     for n in 0..8 {
                         for &b in &churn {
                             assert_eq!(art.remove(key(n, b)), Some(key(n, b) ^ MAGIC));
@@ -243,4 +243,107 @@ fn limited_scans_racing_grow_and_shrink_of_their_node_keep_every_stable_key() {
             result.unwrap();
         }
     });
+}
+
+/// Scans across a cluster whose compressed prefix a writer shortens and
+/// lengthens in place: each churn key leaves the cluster's prefix at a
+/// different byte, so its insert is a prefix extraction that hangs the
+/// cluster's node under a new Node4 with a shorter prefix, and its remove
+/// a merge that gives the bytes back. A walk that believed a prefix read
+/// while one changed would place the cluster's interval at the wrong
+/// depth and step over it. Windows start below, inside and above the
+/// cluster; each must return every stable key it covers, sorted and
+/// untorn, and nothing but stable and churn keys.
+#[test]
+fn scans_racing_in_place_prefix_changes_keep_every_stable_key() {
+    let art = Arc::new(Art::new());
+    // Below the root's byte 0x01, one Node16 with the six-byte prefix
+    // 02 03 04 05 00 00 holds the cluster; short scans reach its prefix
+    // often.
+    let base = 0x0102_0304_0500_0000u64;
+    let stable: Vec<u64> = (1..=16u64).map(|i| base + i * 7).collect();
+    for &k in &stable {
+        art.insert(k, k ^ MAGIC);
+    }
+    let churn = [
+        0x0102_FF00_0000_0001u64, // leaves the prefix at byte 2
+        0x0102_0399_0000_0001,    // at byte 3
+        0x0102_0304_0566_0001,    // at byte 5
+    ];
+    let (first, last) = (stable[0], *stable.last().unwrap());
+    let windows = [
+        (base, last),
+        (first + 1, base | 0xFFFF),
+        (0x0100_0000_0000_0000, 0x0102_FFFF_FFFF_FFFF),
+        (stable[8], u64::MAX),
+        (0, first),
+    ];
+    let scanners = 2usize;
+    let stop = Arc::new(AtomicBool::new(false));
+    let barrier = Arc::new(Barrier::new(1 + scanners));
+    std::thread::scope(|s| {
+        let writer = {
+            let (art, stop, barrier) = (Arc::clone(&art), Arc::clone(&stop), Arc::clone(&barrier));
+            s.spawn(move || {
+                barrier.wait();
+                let mut cycles = 0u32;
+                while !stop.load(Ordering::Relaxed) {
+                    for &k in &churn {
+                        assert!(art.insert(k, k ^ MAGIC));
+                    }
+                    for &k in churn.iter().rev() {
+                        assert_eq!(art.remove(k), Some(k ^ MAGIC));
+                    }
+                    cycles += 1;
+                }
+                cycles
+            })
+        };
+        let scans: Vec<_> = (0..scanners)
+            .map(|sid| {
+                let (art, barrier, stable) = (Arc::clone(&art), Arc::clone(&barrier), &stable);
+                s.spawn(move || {
+                    barrier.wait();
+                    let mut out = Vec::new();
+                    for round in 0..100_000usize {
+                        let (lo, hi) = windows[(round + sid) % windows.len()];
+                        out.clear();
+                        art.range(lo, hi, &mut out);
+                        for w in out.windows(2) {
+                            assert!(w[0].0 < w[1].0, "scan out of order: {w:x?}");
+                        }
+                        for &(k, v) in &out {
+                            assert!((lo..=hi).contains(&k), "scan leaked {k:#x}");
+                            assert_eq!(v, k ^ MAGIC, "torn pair for key {k:#x}");
+                            assert!(
+                                stable.binary_search(&k).is_ok() || churn.contains(&k),
+                                "scan invented key {k:#x}"
+                            );
+                        }
+                        let mut it = out.iter();
+                        for &sk in stable.iter().filter(|&&sk| (lo..=hi).contains(&sk)) {
+                            assert!(
+                                it.any(|&(k, _)| k == sk),
+                                "range({lo:#x}, {hi:#x}) skipped stable key {sk:#x}"
+                            );
+                        }
+                    }
+                })
+            })
+            .collect();
+        // Stop the writer before looking at the results, or a scanner's
+        // failed assertion would leave it (and the scope) running.
+        let scans: Vec<_> = scans.into_iter().map(|h| h.join()).collect();
+        stop.store(true, Ordering::Relaxed);
+        assert!(
+            writer.join().unwrap() > 0,
+            "the writer never completed a cycle"
+        );
+        for result in scans {
+            result.unwrap();
+        }
+    });
+    let mut all = Vec::new();
+    art.range(0, u64::MAX, &mut all);
+    assert_eq!(all.iter().map(|&(k, _)| k).collect::<Vec<_>>(), stable);
 }
