@@ -251,13 +251,15 @@ fn chaos_finedex() {
 #[cfg(feature = "chaos")]
 fn chaos_points_are_exercised() {
     // One point per protocol the scenario's ops go through: slot read and
-    // claim, ART lock coupling, and the scan's chunk (between its ART read
-    // and its slot walk).
-    const SITES: [&str; 4] = [
+    // claim, ART lock coupling, the scan's chunk (between its ART read
+    // and its slot walk), and the epoch pin and retire under all of them.
+    const SITES: [&str; 6] = [
         "slots.read.pre_validate",
         "slots.lock.held",
         "olc.validate",
         "scan.chunk.post_art",
+        "epoch.pin.published",
+        "epoch.retire.queued",
     ];
     let scenario = Scenario::shared(0xFEED_FACE);
     let idx = AltIndex::bulk_load(&scenario.initial_pairs());
