@@ -10,6 +10,8 @@
 //! claimed slot whose key is 0 is a tombstone (the paper's remove "sets
 //! the key to zero").
 //!
+//! An array is a run of 64-byte [`Line`]s of three slots each: slot `i`
+//! is lane `i % 3` of line `i / 3`, so every slot lies in one cache line.
 //! Storage is a [`Region`] of zeroed memory, and nothing here ever writes
 //! the zeros: all-zero memory *is* an array of `Empty` slots (version 0
 //! is unlocked and unclaimed). A bulk-load group large enough carves all
@@ -23,6 +25,12 @@ use std::sync::Arc;
 
 /// Most cache lines one [`SlotArray::prefetch_window`] call asks for.
 const PREFETCH_LINES: usize = 16;
+
+/// Slots per [`Line`].
+const LANES: usize = 3;
+
+/// Bytes of one [`Line`]: a cache line.
+const LINE: usize = std::mem::size_of::<Line>();
 
 /// Version bit 0: a writer holds the slot.
 const LOCKED: u32 = 1;
@@ -83,33 +91,32 @@ impl SlotState {
     }
 }
 
-/// The addresses [`SlotArray::prefetch`] hints for slot `i` of an array
-/// starting at `base`: the slot's first byte and its last. A 24-byte slot
-/// straddles a line boundary at 2 of every 8 indices, and there the
-/// second names the line with the key and value; elsewhere both name one
-/// line and the second hint is free.
-#[inline(always)]
-fn slot_hint_addrs(base: usize, i: usize) -> [usize; 2] {
-    let first = base + i * std::mem::size_of::<Slot>();
-    [first, first + std::mem::size_of::<Slot>() - 1]
+/// Three slots in one cache line, each field indexed by lane. The three
+/// version words sit together, so a walk reads a line's words from 12
+/// adjacent bytes; the pad is the 4 B before the first 8-byte key.
+#[repr(C, align(64))]
+struct Line {
+    version: [AtomicU32; LANES],
+    _pad: u32,
+    key: [AtomicU64; LANES],
+    value: [AtomicU64; LANES],
 }
 
-/// One slot record. Version, key, and value are interleaved so a lookup
-/// touches one or two cache lines instead of three separate arrays (the
-/// layout matters more than anything else on the slot-hit fast path).
-struct Slot {
-    version: AtomicU32,
-    key: AtomicU64,
-    value: AtomicU64,
+/// One slot: its lane's three fields, all in one [`Line`].
+#[derive(Clone, Copy)]
+struct Slot<'a> {
+    version: &'a AtomicU32,
+    key: &'a AtomicU64,
+    value: &'a AtomicU64,
 }
 
 /// A fixed-capacity array of versioned slots.
 ///
-/// The slots live in `region` at `slots`: a raw pointer kept in the
+/// The lines live in `region` at `lines`: a raw pointer kept in the
 /// struct itself, so a probe loads it from the model as it loaded a
-/// `Box<[Slot]>`'s, with no hop through the `Arc`.
+/// `Box<[Line]>`'s, with no hop through the `Arc`.
 pub struct SlotArray {
-    slots: *const Slot,
+    lines: *const Line,
     capacity: usize,
     region: Arc<Region>,
 }
@@ -117,15 +124,19 @@ pub struct SlotArray {
 // SAFETY: the pointer addresses memory owned by `region` (kept alive by
 // the `Arc` beside it) and reserved for this array alone by `carve`; it
 // holds only atomics, so sharing or sending the array is sharing or
-// sending a `Box<[Slot]>`, which is both.
+// sending a `Box<[Line]>`, which is both.
 unsafe impl Send for SlotArray {}
 // SAFETY: as above.
 unsafe impl Sync for SlotArray {}
 
 impl SlotArray {
     /// An array of `capacity` empty slots, in a heap region of its own.
+    /// The heap block is only word-aligned (`Region::heap`), so it is
+    /// over-allocated by the most that aligning its start to a line can
+    /// skip, and [`SlotArray::carve`] starts at the first line boundary.
     pub fn new(capacity: usize) -> Self {
-        let region = Region::heap(Self::footprint(capacity));
+        let slack = LINE - std::mem::align_of::<u64>();
+        let region = Region::heap(Self::footprint(capacity) + slack);
         Self::carve(region, &[capacity]).pop().expect("one array")
     }
 
@@ -144,17 +155,17 @@ impl SlotArray {
         }
     }
 
-    /// Bytes an array of `capacity` slots takes in a region: its slots,
-    /// rounded up to a cache line.
+    /// Bytes an array of `capacity` slots takes in a region: whole lines
+    /// of three slots.
     pub fn footprint(capacity: usize) -> usize {
-        (capacity * std::mem::size_of::<Slot>()).next_multiple_of(64)
+        capacity.div_ceil(LANES) * LINE
     }
 
     /// Arrays of the given capacities laid back to back in `region`, each
-    /// [`SlotArray::footprint`] bytes, starting at multiples of 64 bytes
-    /// into it (cache lines, in a mapped region). The region is freed when
-    /// the last of them drops. Taking it by value is what makes each
-    /// array's bytes its own: no region is carved twice.
+    /// [`SlotArray::footprint`] bytes, from its first 64-byte boundary on
+    /// (its start, in a mapped region). The region is freed when the last
+    /// of them drops. Taking it by value is what makes each array's bytes
+    /// its own: no region is carved twice.
     ///
     /// Panics if a capacity is 0 or the arrays do not fit.
     pub fn carve(region: Region, capacities: &[usize]) -> Vec<Self> {
@@ -163,23 +174,22 @@ impl SlotArray {
             capacities.iter().all(|&c| c > 0),
             "slot array needs at least one slot"
         );
-        // Every pointer below is in bounds, and each array's bytes are
-        // disjoint from the next's, because of these two checks.
+        // Every pointer below is in bounds, aligned, and each array's
+        // bytes are disjoint from the next's, because of this check.
+        let start = (region.as_ptr() as usize).wrapping_neg() % LINE;
         let total: usize = capacities.iter().map(|&c| Self::footprint(c)).sum();
-        assert!(total <= region.size(), "slot arrays overrun their region");
-        assert_eq!(
-            region.as_ptr() as usize % std::mem::align_of::<Slot>(),
-            0,
-            "a region holds slots at its start"
+        assert!(
+            start + total <= region.size(),
+            "slot arrays overrun their region"
         );
-        let mut offset = 0;
+        let mut offset = start;
         capacities
             .iter()
             .map(|&capacity| {
                 let base = region.as_ptr().wrapping_add(offset);
                 offset += Self::footprint(capacity);
                 Self {
-                    slots: base as *const Slot,
+                    lines: base as *const Line,
                     capacity,
                     region: Arc::clone(&region),
                 }
@@ -187,17 +197,32 @@ impl SlotArray {
             .collect()
     }
 
+    /// The array's lines, the last one's spare lanes included.
     #[inline(always)]
-    fn slots(&self) -> &[Slot] {
-        // SAFETY: `carve` placed `capacity` slots at `slots`, aligned and
-        // inside the region this array keeps alive; the region started
-        // zeroed, which is a valid `Slot` (three atomics).
-        unsafe { std::slice::from_raw_parts(self.slots, self.capacity) }
+    fn lines(&self) -> &[Line] {
+        // SAFETY: `carve` placed `capacity.div_ceil(3)` lines at `lines`,
+        // aligned and inside the region this array keeps alive; the
+        // region started zeroed, which is a valid `Line` (atomics and a
+        // pad word).
+        unsafe { std::slice::from_raw_parts(self.lines, self.capacity.div_ceil(LANES)) }
     }
 
+    /// Slot `i`. Panics unless `i < capacity`: the last line's spare
+    /// lanes are never a slot.
     #[inline(always)]
-    fn slot(&self, i: usize) -> &Slot {
-        &self.slots()[i]
+    fn slot(&self, i: usize) -> Slot<'_> {
+        assert!(i < self.capacity, "slot index out of range");
+        // SAFETY: `i < capacity` (just checked), so line `i / 3` is one of
+        // the `capacity.div_ceil(3)` lines `carve` placed, as in `lines`.
+        // (A second bounds check here kept `read` from being inlined into
+        // `get` and the batch stage.)
+        let line = unsafe { &*self.lines.add(i / LANES) };
+        let lane = i % LANES;
+        Slot {
+            version: &line.version[lane],
+            key: &line.key[lane],
+            value: &line.value[lane],
+        }
     }
 
     /// Number of slots.
@@ -212,22 +237,20 @@ impl SlotArray {
         &self.region
     }
 
-    /// Approximate heap bytes.
+    /// Bytes the array takes in its region: [`SlotArray::footprint`].
     pub fn memory_usage(&self) -> usize {
-        self.capacity * std::mem::size_of::<Slot>()
+        Self::footprint(self.capacity)
     }
 
-    /// Hint the CPU to fetch slot `i` ahead of a [`SlotArray::read`]:
-    /// every line of its (version, key, value) record. The batched
+    /// Hint the CPU to fetch slot `i` ahead of a [`SlotArray::read`]: the
+    /// one line that holds its version, key and value. The batched
     /// lookup issues this one ring revolution before the probe; the
     /// scalar `get` issues it before it warms the key's ART path, so the
     /// two misses overlap.
     #[inline]
     pub fn prefetch(&self, i: usize) {
         debug_assert!(i < self.capacity);
-        for addr in slot_hint_addrs(self.slots as usize, i) {
-            prefetch::prefetch_read(addr as *const u8);
-        }
+        prefetch::prefetch_read(self.lines.wrapping_add(i / LANES) as *const u8);
     }
 
     /// Hint the CPU to fetch the slots `from..=to` ahead of a walk over
@@ -238,10 +261,9 @@ impl SlotArray {
         if from > to {
             return;
         }
-        let start = self.slot(from) as *const Slot as *const u8;
-        let bytes = (to - from + 1) * std::mem::size_of::<Slot>();
-        for line in 0..bytes.div_ceil(64).min(PREFETCH_LINES) {
-            prefetch::prefetch_read(start.wrapping_add(64 * line));
+        let (first, last) = (from / LANES, to / LANES);
+        for line in first..=last.min(first + PREFETCH_LINES - 1) {
+            prefetch::prefetch_read(self.lines.wrapping_add(line) as *const u8);
         }
     }
 
@@ -261,17 +283,38 @@ impl SlotArray {
         }
     }
 
-    /// Bit `j` set for each slot `from + j` of `from..=to`, at most 64 of
-    /// them, whose version word is claimed or locked. One load per slot
-    /// and no branch on it: a walk that branched per slot cost osm's
-    /// 100-key scans about a quarter more per key.
+    /// Bit `j` set for each slot `from + j` of `from..=to` (`to` at most
+    /// the last slot), at most 64 of them, whose version word is claimed
+    /// or locked. Built a line at a time: the line's three adjacent
+    /// words, one load each and no branch on them, shifted to where the
+    /// line's first lane falls in the window. A walk that branched per
+    /// slot cost osm's 100-key scans about a quarter more per key, and a
+    /// `u128` of whole lines shifted once at the end cost the masks of a
+    /// 181-slot walk a fifth more than this.
     #[inline]
     fn held(&self, from: usize, to: usize) -> u64 {
-        let window = self.slots().get(from..=to.min(from + 63)).unwrap_or(&[]);
-        window.iter().enumerate().fold(0, |bits, (j, s)| {
-            let v = s.version.load(Ordering::Acquire);
-            bits | u64::from(v & (LOCKED | CLAIMED) != 0) << j
-        })
+        let to = to.min(from + 63);
+        if from > to {
+            return 0;
+        }
+        let lines = &self.lines()[from / LANES..=to / LANES];
+        let mask = |line: &Line| {
+            line.version.iter().enumerate().fold(0u64, |m, (lane, v)| {
+                let v = v.load(Ordering::Acquire);
+                m | u64::from(v & (LOCKED | CLAIMED) != 0) << lane
+            })
+        };
+        // The first line's lanes before `from` shift out; line `j` after
+        // it starts at window bit `3j - skip`, which is at most `to - from`.
+        let skip = from % LANES;
+        let (first, rest) = lines.split_first().expect("from <= to");
+        let bits = rest
+            .iter()
+            .enumerate()
+            .fold(mask(first) >> skip, |bits, (j, line)| {
+                bits | mask(line) << (LANES * (j + 1) - skip)
+            });
+        bits & (u64::MAX >> (63 - (to - from)))
     }
 
     /// Current version of a slot (for later re-validation via
@@ -292,10 +335,12 @@ impl SlotArray {
     /// while a writer is mid-flight; once the retry budget is exhausted
     /// it escalates to a locked read, so the snapshot completes even
     /// against a pathological writer schedule.
+    #[inline]
     pub fn read(&self, i: usize) -> (SlotState, u32) {
+        let s = self.slot(i);
         let mut retry = resilience::Retry::new();
         loop {
-            let v1 = self.slot(i).version.load(Ordering::Acquire);
+            let v1 = s.version.load(Ordering::Acquire);
             if v1 & LOCKED != 0 {
                 metrics::incr(Counter::SlotReadRetry);
                 if retry.wait_or_escalate(&crate::LAYER) {
@@ -307,15 +352,15 @@ impl SlotArray {
                 // Never claimed, and no writer: nothing here to validate.
                 return (SlotState::Empty, v1);
             }
-            let key = self.slot(i).key.load(Ordering::Acquire);
+            let key = s.key.load(Ordering::Acquire);
             probe::chaos::point("slots.read.between_loads");
-            let value = self.slot(i).value.load(Ordering::Acquire);
+            let value = s.value.load(Ordering::Acquire);
             probe::chaos::point("slots.read.pre_validate");
             // The mutation self-test deliberately skips this re-validation
             // (chaos-mutate builds only) to prove the harness catches the
             // resulting torn reads.
             if !probe::chaos::mutate_skip_slot_revalidation()
-                && self.slot(i).version.load(Ordering::Acquire) != v1
+                && s.version.load(Ordering::Acquire) != v1
             {
                 metrics::incr(Counter::SlotReadRetry);
                 if retry.wait_or_escalate(&crate::LAYER) {
@@ -341,50 +386,10 @@ impl SlotArray {
     /// [`SlotArray::version_unchanged`] checks like any optimistic
     /// snapshot.
     fn read_locked(&self, i: usize) -> (SlotState, u32) {
-        self.lock(i);
-        let state = SlotGuard { arr: self, i }.state();
-        (state, self.unlock(i))
-    }
-
-    /// Lock slot `i` (even→odd CAS, backing off). The caller must follow
-    /// with [`SlotArray::unlock`]. The
-    /// wait never escalates — the current holder's progress is this
-    /// path's progress guarantee — but it does park past the budget so a
-    /// long queue stops burning CPU.
-    fn lock(&self, i: usize) {
-        let mut retry = resilience::Retry::new();
-        loop {
-            let v = self.slot(i).version.load(Ordering::Acquire);
-            if v & LOCKED == 0
-                && self
-                    .slot(i)
-                    .version
-                    .compare_exchange_weak(v, v | LOCKED, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-            {
-                // Stretch the odd-version (writer-in-progress) window so
-                // racing readers actually observe it.
-                probe::chaos::point("slots.lock.held");
-                return;
-            }
-            // Let the testkit perturb lock-acquisition interleavings
-            // (who wins a contended CAS), not just the held window.
-            probe::chaos::point("slots.lock.spin");
-            metrics::incr(Counter::SlotLockRetry);
-            retry.wait(&crate::LAYER);
-        }
-    }
-
-    /// Release slot `i`: clear the lock bit and count one write, keeping
-    /// the claimed bit (the count wraps above it). Returns the word
-    /// stored. Only the holder writes a locked word, so its own load
-    /// sees the latest one.
-    #[inline]
-    fn unlock(&self, i: usize) -> u32 {
-        let version = &self.slot(i).version;
-        let v = (version.load(Ordering::Relaxed) & !LOCKED).wrapping_add(WRITE);
-        version.store(v, Ordering::Release);
-        v
+        let slot = self.slot(i);
+        lock(slot.version);
+        let state = SlotGuard { slot }.state();
+        (state, unlock(slot.version))
     }
 
     /// Run `f` with slot `i` write-locked (version odd). The guard gives
@@ -397,15 +402,16 @@ impl SlotArray {
     /// "claim unless the key already lives elsewhere") do the whole
     /// decision inside `f`.
     pub fn with_write<R>(&self, i: usize, f: impl FnOnce(&SlotGuard<'_>) -> R) -> R {
-        struct Unlock<'a>(&'a SlotArray, usize);
+        struct Unlock<'a>(&'a AtomicU32);
         impl Drop for Unlock<'_> {
             fn drop(&mut self) {
-                self.0.unlock(self.1);
+                unlock(self.0);
             }
         }
-        self.lock(i);
-        let _unlock = Unlock(self, i);
-        f(&SlotGuard { arr: self, i })
+        let slot = self.slot(i);
+        lock(slot.version);
+        let _unlock = Unlock(slot.version);
+        f(&SlotGuard { slot })
     }
 
     /// Bulk placement during (re)construction: the array is still private
@@ -440,6 +446,43 @@ impl SlotArray {
     }
 }
 
+/// Lock a slot by its version word (even→odd CAS, backing off). The
+/// caller must follow with [`unlock`]. The wait never escalates — the
+/// current holder's progress is this path's progress guarantee — but it
+/// does park past the budget so a long queue stops burning CPU.
+fn lock(version: &AtomicU32) {
+    let mut retry = resilience::Retry::new();
+    loop {
+        let v = version.load(Ordering::Acquire);
+        if v & LOCKED == 0
+            && version
+                .compare_exchange_weak(v, v | LOCKED, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok()
+        {
+            // Stretch the odd-version (writer-in-progress) window so
+            // racing readers actually observe it.
+            probe::chaos::point("slots.lock.held");
+            return;
+        }
+        // Let the testkit perturb lock-acquisition interleavings
+        // (who wins a contended CAS), not just the held window.
+        probe::chaos::point("slots.lock.spin");
+        metrics::incr(Counter::SlotLockRetry);
+        retry.wait(&crate::LAYER);
+    }
+}
+
+/// Release a slot's lock: clear the lock bit and count one write, keeping
+/// the claimed bit (the count wraps above it). Returns the word stored.
+/// Only the holder writes a locked word, so its own load sees the latest
+/// one.
+#[inline]
+fn unlock(version: &AtomicU32) -> u32 {
+    let v = (version.load(Ordering::Relaxed) & !LOCKED).wrapping_add(WRITE);
+    version.store(v, Ordering::Release);
+    v
+}
+
 impl Drop for SlotArray {
     /// Hand this array's pages of a shared region back to the kernel, so a
     /// retired model of a bulk-loaded group does not pin its memory until
@@ -448,7 +491,7 @@ impl Drop for SlotArray {
     /// region has nothing to hand back: the region's own drop unmaps it.
     fn drop(&mut self) {
         if Arc::strong_count(&self.region) > 1 {
-            let offset = self.slots as usize - self.region.as_ptr() as usize;
+            let offset = self.lines as usize - self.region.as_ptr() as usize;
             // SAFETY: `carve` reserved `offset..offset + footprint` for
             // this array alone, `&mut self` means nothing refers into it,
             // and `release` leaves the partial pages shared with a
@@ -493,15 +536,14 @@ impl Iterator for Occupied<'_> {
 /// the version is odd for the guard's whole lifetime, so optimistic
 /// readers cannot validate against anything the closure does.
 pub struct SlotGuard<'a> {
-    arr: &'a SlotArray,
-    i: usize,
+    slot: Slot<'a>,
 }
 
 impl SlotGuard<'_> {
     /// The holder's view of the version word: the lock's Acquire
     /// ordered it after the last unlock, and no one else writes it now.
     fn claimed(&self) -> bool {
-        self.arr.slot(self.i).version.load(Ordering::Relaxed) & CLAIMED != 0
+        self.slot.version.load(Ordering::Relaxed) & CLAIMED != 0
     }
 
     /// The slot's current state, read under the lock.
@@ -509,13 +551,13 @@ impl SlotGuard<'_> {
         if !self.claimed() {
             return SlotState::Empty;
         }
-        let key = self.arr.slot(self.i).key.load(Ordering::Acquire);
+        let key = self.slot.key.load(Ordering::Acquire);
         if key == 0 {
             SlotState::Tombstone
         } else {
             SlotState::Occupied {
                 key,
-                value: self.arr.slot(self.i).value.load(Ordering::Acquire),
+                value: self.slot.value.load(Ordering::Acquire),
             }
         }
     }
@@ -525,7 +567,7 @@ impl SlotGuard<'_> {
     /// would lose its entry.
     pub fn install(&self, key: u64, value: u64) {
         debug_assert_ne!(key, 0);
-        let slot = self.arr.slot(self.i);
+        let slot = self.slot;
         if self.claimed() {
             slot.key.store(key, Ordering::Release);
             // Tombstone reclaim by a *different* key: the window between
@@ -545,12 +587,12 @@ impl SlotGuard<'_> {
 
     /// Overwrite the value, leaving the key in place.
     pub fn set_value(&self, value: u64) {
-        self.arr.slot(self.i).value.store(value, Ordering::Release);
+        self.slot.value.store(value, Ordering::Release);
     }
 
     /// Tombstone the slot (key := 0).
     pub fn clear(&self) {
-        self.arr.slot(self.i).key.store(0, Ordering::Release);
+        self.slot.key.store(0, Ordering::Release);
     }
 }
 
@@ -583,20 +625,85 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_hints_every_line_of_a_slot() {
-        let line = |addr: usize| addr / 64;
-        let base = 64 * 1_000;
-        let size = std::mem::size_of::<Slot>();
-        let mut straddling = 0;
-        for i in 0..16 {
-            let hinted = slot_hint_addrs(base, i).map(line);
-            let start = base + i * size;
-            for byte in start..start + size {
-                assert!(hinted.contains(&line(byte)), "slot {i}, byte {byte}");
+    fn three_slots_share_each_line_and_nothing_past_the_capacity_is_a_slot() {
+        for capacity in (1..=7).chain([2_998, 2_999, 3_000]) {
+            let s = SlotArray::new(capacity);
+            assert_eq!(SlotArray::footprint(capacity), capacity.div_ceil(3) * 64);
+            for i in 0..capacity {
+                let slot = s.slot(i);
+                let ends = [
+                    (slot.version as *const AtomicU32 as usize, 4),
+                    (slot.key as *const AtomicU64 as usize, 8),
+                    (slot.value as *const AtomicU64 as usize, 8),
+                ];
+                let line = ends[0].0 / 64;
+                for (addr, size) in ends {
+                    assert_eq!(addr / 64, line, "slot {i} of {capacity}");
+                    assert_eq!((addr + size - 1) / 64, line, "slot {i} of {capacity}");
+                }
+                assert_eq!(
+                    line - s.lines as usize / 64,
+                    i / 3,
+                    "slot {i} of {capacity}"
+                );
             }
-            straddling += usize::from(hinted[0] != hinted[1]);
+            // Claim every slot, and the last line's spare lanes behind the
+            // array's back: a walk still stops at the last slot.
+            for i in 0..capacity {
+                assert!(s.place_unsync(i, i as u64 + 1, 0));
+            }
+            for v in &s.lines().last().unwrap().version[(capacity - 1) % 3 + 1..] {
+                v.store(CLAIMED, Ordering::Relaxed);
+            }
+            let walk: Vec<usize> = s.occupied(0, usize::MAX).collect();
+            assert_eq!(
+                walk,
+                (0..capacity).collect::<Vec<_>>(),
+                "capacity {capacity}"
+            );
         }
-        assert_eq!(straddling, 4, "24-byte slots cross a line at 2 of every 8");
+    }
+
+    #[test]
+    fn a_walk_matches_a_slot_by_slot_filter_from_any_lane() {
+        let s = SlotArray::new(200);
+        let mut x: u64 = 0x9e37_79b9_7f4a_7c15;
+        for i in 0..200 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            if x.is_multiple_of(3) {
+                assert!(put(&s, i, i as u64 + 1, 1));
+            }
+        }
+        s.with_write(101, |_| {
+            for from in 0..200 {
+                for to in from..(from + 140).min(220) {
+                    let expect: Vec<usize> = (from..=to.min(199))
+                        .filter(|&i| i == 101 || s.read(i).0 != SlotState::Empty)
+                        .collect();
+                    let walk: Vec<usize> = s.occupied(from, to).collect();
+                    assert_eq!(walk, expect, "{from}..={to}");
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn every_array_starts_on_a_cache_line() {
+        let aligned = |s: &SlotArray| (s.lines as usize).is_multiple_of(64);
+        for capacity in (1..=7).chain([64, 65, 777]) {
+            assert!(aligned(&SlotArray::new(capacity)), "heap, {capacity}");
+        }
+        let heap = SlotArray::for_group(&[5, 64, 65]);
+        assert!(heap.iter().all(aligned), "a heap group");
+        assert!(!Arc::ptr_eq(heap[0].region(), heap[1].region()));
+        // 34.1 MB together: one shared mapped region.
+        let mapped = SlotArray::for_group(&[1_000_000, 600_000]);
+        assert!(Arc::ptr_eq(mapped[0].region(), mapped[1].region()));
+        assert!(mapped.iter().all(aligned), "a mapped group");
+        let (a, b, _) = carved_pair(100, 7);
+        assert!(aligned(&a) && aligned(&b), "carved from a mapped region");
     }
 
     #[test]
@@ -726,7 +833,8 @@ mod tests {
     fn slot_and_model_sizes_are_pinned() {
         // What the cache-line counts of a slot hit (DESIGN.md §3) and the
         // model header's layout are reasoned from.
-        assert_eq!(std::mem::size_of::<Slot>(), 24);
+        assert_eq!(std::mem::size_of::<Line>(), 64);
+        assert_eq!(std::mem::align_of::<Line>(), 64);
         assert_eq!(std::mem::size_of::<SlotArray>(), 24);
         assert_eq!(std::mem::size_of::<crate::model::GplModel>(), 72);
     }
@@ -829,7 +937,7 @@ mod tests {
 
     #[test]
     fn adjacent_carved_arrays_are_isolated() {
-        // A's 2,400 B end mid-line; B starts on the next line.
+        // A's last slot is lane 0 of its 34th line; B starts on the next.
         let (a, b, _) = carved_pair(100, 100);
         for i in 64..100 {
             assert!(put(&a, i, i as u64 + 1, 1));
@@ -870,14 +978,13 @@ mod tests {
     #[test]
     fn a_shared_region_places_keys_as_heap_arrays_do() {
         use crate::{AltConfig, AltIndex};
-        // fb 400k, seed 7: 35.5 MiB of slot arrays. One build thread is
+        // fb 450k, seed 7: 35.8 MiB of slot arrays. One build thread is
         // one group, carved from one shared region; two are two ~18 MiB
-        // groups of heap arrays. Both give the same pinned layout. The
-        // digests were re-pinned when each model's slope came to be
-        // chosen under the build's slot budget instead of at GPL's cone
-        // midpoint: that moves slopes and capacities, not where arrays
-        // live.
-        let pairs = datasets::generate_pairs(datasets::Dataset::Fb, 400_000, 7);
+        // groups of heap arrays. Both give the same pinned layout. The key
+        // count was 400k until slots came three to a line: its arrays
+        // shrank to 31.5 MiB, below `SHARED_REGION_MIN`, so it grew to
+        // keep one shared region, which moved both digests.
+        let pairs = datasets::generate_pairs(datasets::Dataset::Fb, 450_000, 7);
         for build_threads in [1, 2] {
             let idx = AltIndex::bulk_load_with(
                 &pairs,
@@ -889,8 +996,8 @@ mod tests {
             let spans = idx.directory_spans();
             let bytes: usize = spans.iter().map(|s| SlotArray::footprint(s.1)).sum();
             assert!(bytes >= SHARED_REGION_MIN, "{bytes} B is one shared region");
-            assert_eq!(idx.learned_layout_digest(), 0xbeab_f46b_ba6d_e608);
-            assert_eq!(spans_digest(&spans), 0xf8e0_aa99_e002_9e61);
+            assert_eq!(idx.learned_layout_digest(), 0x6805_aae1_34d8_a9da);
+            assert_eq!(spans_digest(&spans), 0x326b_dc0b_c8bf_8c22);
         }
     }
 
