@@ -40,7 +40,7 @@
 //! * **Cache-line alignment.** Internal-node slots are rounded up to
 //!   64-byte multiples and chunks are 64-aligned, so a node never
 //!   straddles a cache line boundary it doesn't have to: the header +
-//!   Node4/Node16 key bytes (the part the SIMD search and the descent
+//!   Node4/Node16 key bytes (the part the child search and the descent
 //!   touch first) land in the first line(s) of the slot. Leaves are
 //!   16-byte slots (a 4 KiB page holds 256) — padding them to 64 would
 //!   quadruple leaf memory for no locality gain, since a leaf is touched

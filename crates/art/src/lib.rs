@@ -32,7 +32,7 @@ mod api;
 pub(crate) mod arena;
 mod batch;
 // Exposed (unstably) for the child-search oracle suite
-// (tests/simd_equivalence.rs); the stable surface is the re-export list
+// (tests/child_search.rs); the stable surface is the re-export list
 // below.
 #[doc(hidden)]
 pub mod node;

@@ -174,11 +174,6 @@ const KINDS: [Kind; 4] = [
 
 // What the unsafe code below takes from the layouts.
 const _: () = {
-    // `find_child` loads 16 key bytes whatever the fan-out. In the 4-way
-    // node the load runs on into the children array and must end inside
-    // the allocation; in the 16-way node it is the key array exactly.
-    assert!(offset_of!(Node4, keys) + 16 <= size_of::<Node4>());
-    assert!(offset_of!(Node16, keys) + 16 == offset_of!(Node16, children));
     // `dealloc` returns a slot without running a destructor.
     assert!(!needs_drop::<Leaf>() && !needs_drop::<Node4>() && !needs_drop::<Node16>());
     assert!(!needs_drop::<Node48>() && !needs_drop::<Node256>());
@@ -391,9 +386,8 @@ impl Node48 {
 }
 
 /// Find the child pointer for `byte`, or 0 if absent. The sorted kinds
-/// search their keys with one 16-lane compare (SSE2/NEON via
-/// `crates/simd`; per-byte atomic loads in a scalar build); Node48 and
-/// Node256 are O(1) pointer chases.
+/// search their keys one `AtomicU8` at a time (`sorted_pos`); Node48
+/// and Node256 are O(1) pointer chases.
 ///
 /// # Safety
 /// `p` must be a live internal node pointer, **and** the result is
@@ -406,17 +400,10 @@ impl Node48 {
 /// caller's epoch pin keeps even a stale child allocated.
 pub unsafe fn find_child(p: NodePtr, byte: u8) -> NodePtr {
     match view(p) {
-        Node::Sorted { keys, children } => {
-            let cnt = header(p).count().min(keys.len());
-            // SAFETY: 16 bytes from `keys` on stay inside the node (the
-            // `const` assertions above); lanes ≥ cnt are masked off by
-            // `find_byte16`; the caller revalidates a racing read per
-            // this function's contract.
-            match simd::find_byte16(keys.as_ptr() as *const u8, byte, cnt) {
-                Some(i) => children[i].load(Ordering::Acquire),
-                None => 0,
-            }
-        }
+        Node::Sorted { keys, children } => match sorted_pos(keys, header(p).count(), byte) {
+            Some(i) => children[i].load(Ordering::Acquire),
+            None => 0,
+        },
         Node::N48(n) => n.child(byte),
         Node::N256(n) => n.children[byte as usize].load(Ordering::Acquire),
     }
@@ -453,27 +440,27 @@ pub unsafe fn insert_child(p: NodePtr, byte: u8, child: NodePtr) {
 }
 
 // Audit note (optimistic readers vs the shift loops below, incl. the
-// vector search in `find_child` — DESIGN.md §15): the writer holds the
+// child search in `find_child` — DESIGN.md §15): the writer holds the
 // node's version lock for the whole shift, so every concurrent reader of
 // this node is an *optimistic* one that snapshotted the version
 // beforehand and will fail `validate` afterwards — any conclusion drawn
 // from a mid-shift view is discarded before it is acted on. What must
 // hold even for a doomed reader is memory safety of the read itself:
 //
-// * Every load/store is a single aligned `AtomicU8`/`AtomicUsize` (or a
-//   per-byte-atomic vector load), so no torn *bytes* — a mid-shift view
-//   is some interleaving of old and new array states.
-// * Every child slot a reader can index (bounded by `count().min(N)` or
-//   a masked 16-lane match) holds, at every intermediate step, either 0
-//   or a pointer that was live at some point during the shift: the
-//   shifts only copy existing entries (transiently duplicating a
-//   neighbor, never inventing a pointer), `insert_sorted` moves
-//   right-to-left before storing the new child, and `remove_child`
-//   moves left-to-right before clearing the vacated tail slot. Epoch
-//   reclamation keeps "live at some point while the reader was pinned"
-//   dereferenceable, so a doomed reader may descend into the *wrong*
-//   (duplicated/stale) child but never into freed memory — and the
-//   caller's validate rejects the result before it escapes.
+// * Every load/store is a single aligned `AtomicU8`/`AtomicUsize`, so no
+//   torn *bytes* — a mid-shift view is some interleaving of old and new
+//   array states.
+// * Every child slot a reader can index (bounded by `count().min(N)`)
+//   holds, at every intermediate step, either 0 or a pointer that was
+//   live at some point during the shift: the shifts only copy existing
+//   entries (transiently duplicating a neighbor, never inventing a
+//   pointer), `insert_sorted` moves right-to-left before storing the new
+//   child, and `remove_child` moves left-to-right before clearing the
+//   vacated tail slot. Epoch reclamation keeps "live at some point while
+//   the reader was pinned" dereferenceable, so a doomed reader may
+//   descend into the *wrong* (duplicated/stale) child but never into
+//   freed memory — and the caller's validate rejects the result before
+//   it escapes.
 // * `count` is updated after the arrays (insert) or before them (remove,
 //   via the caller storing count last); either way readers clamp with
 //   `.min(N)` so a stale count cannot index out of bounds.
@@ -502,11 +489,16 @@ fn insert_sorted(
     children[pos].store(child, Ordering::Release);
 }
 
-/// Where `byte` sits among the first `cnt` sorted keys of a node its
-/// caller has write-locked. The byte must be there.
-fn sorted_pos(keys: &[AtomicU8], cnt: usize, byte: u8) -> usize {
+/// Where `byte` sits among the first `cnt` keys of a Node4/Node16, or
+/// `None` if it is not there: the one child search of the sorted kinds,
+/// shared by the optimistic reader ([`find_child`]) and the locked
+/// writers. A stale `cnt` is clamped to the array, and every key is one
+/// atomic load, so a reader racing a shift sees some interleaving of old
+/// and new bytes and its caller's validation discards the answer.
+#[inline(always)]
+fn sorted_pos(keys: &[AtomicU8], cnt: usize, byte: u8) -> Option<usize> {
     let found = |k: &AtomicU8| k.load(Ordering::Relaxed) == byte;
-    keys[..cnt].iter().position(found).expect("byte present")
+    keys[..cnt.min(keys.len())].iter().position(found)
 }
 
 /// Replace the child pointer stored under `byte` (which must exist).
@@ -516,7 +508,9 @@ fn sorted_pos(keys: &[AtomicU8], cnt: usize, byte: u8) -> usize {
 /// `p` live internal node, write lock held.
 pub unsafe fn replace_child(p: NodePtr, byte: u8, child: NodePtr) {
     let slot = match view(p) {
-        Node::Sorted { keys, children } => &children[sorted_pos(keys, header(p).count(), byte)],
+        Node::Sorted { keys, children } => {
+            &children[sorted_pos(keys, header(p).count(), byte).expect("byte present")]
+        }
         Node::N48(n) => &n.children[n.index[byte as usize].load(Ordering::Relaxed) as usize],
         Node::N256(n) => &n.children[byte as usize],
     };
@@ -537,7 +531,7 @@ pub unsafe fn remove_child(p: NodePtr, byte: u8) {
             // see the audit note above `insert_sorted` for why every
             // mid-shift view a doomed optimistic reader can take is
             // memory-safe.
-            for i in sorted_pos(keys, cnt, byte)..cnt - 1 {
+            for i in sorted_pos(keys, cnt, byte).expect("byte present")..cnt - 1 {
                 probe::chaos::point("node.shift");
                 keys[i].store(keys[i + 1].load(Ordering::Relaxed), Ordering::Release);
                 children[i].store(children[i + 1].load(Ordering::Relaxed), Ordering::Release);

@@ -67,9 +67,12 @@ impl FModel {
         self.dead[i / 64].load(Ordering::Acquire) >> (i % 64) & 1 == 1
     }
 
+    /// Tombstone position `i`; true if this call set the bit, so of two
+    /// racing removes exactly one takes the key.
     #[inline]
-    fn kill(&self, i: usize) {
-        self.dead[i / 64].fetch_or(1 << (i % 64), Ordering::AcqRel);
+    fn kill(&self, i: usize) -> bool {
+        let bit = 1 << (i % 64);
+        self.dead[i / 64].fetch_or(bit, Ordering::AcqRel) & bit == 0
     }
 
     fn find(&self, key: u64) -> Option<usize> {
@@ -270,8 +273,7 @@ impl ConcurrentIndex for FinedexLike {
         }
         let m = self.locate(key);
         if let Some(i) = m.find(key) {
-            if !m.is_dead(i) {
-                m.kill(i);
+            if m.kill(i) {
                 self.len.fetch_sub(1, Ordering::Relaxed);
                 return Some(m.vals[i].load(Ordering::Acquire));
             }
@@ -522,6 +524,34 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(f.len(), 40_000 + 24_000);
+    }
+
+    /// Two removers race on every array-resident key, released together
+    /// by a spinning barrier so both reach the key's tombstone bit at
+    /// about the same time: exactly one of them may take each key.
+    #[test]
+    fn racing_removes_take_each_key_once() {
+        let pairs: Vec<(u64, u64)> = (1..=2_000u64).map(|i| (i * 16, i)).collect();
+        let f = FinedexLike::build(&pairs);
+        let arrived = AtomicUsize::new(0);
+        let remover = || {
+            let mut taken = 0;
+            for (round, &(k, _)) in pairs.iter().enumerate() {
+                arrived.fetch_add(1, Ordering::SeqCst);
+                while arrived.load(Ordering::SeqCst) < 2 * (round + 1) {
+                    std::hint::spin_loop();
+                }
+                taken += usize::from(f.remove(k).is_some());
+            }
+            taken
+        };
+        let taken: usize = std::thread::scope(|s| {
+            let a = s.spawn(remover);
+            let b = s.spawn(remover);
+            a.join().unwrap() + b.join().unwrap()
+        });
+        assert_eq!(taken, pairs.len(), "a key was removed twice");
+        assert_eq!(f.len(), 0);
     }
 
     #[test]

@@ -235,8 +235,8 @@ pub const EXPERIMENTS: &[Experiment] = &[
     // single-thread get_batch throughput across --batch-width, speedup
     // vs width 1
     func("batch_lookup", "batch_lookup", studies::batch_lookup),
-    // throughput over time under distribution shift, caller-run vs
-    // worker-pool retraining
+    // throughput over time under distribution shift (append, rolling
+    // window, sudden shift), retrained by the inserting thread
     func("retrain_shift", "retrain_shift", studies::retrain_shift),
     // served throughput of direct / per-key / batched modes across
     // --connections

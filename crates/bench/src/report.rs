@@ -22,10 +22,6 @@ pub struct Row {
     pub value: Option<f64>,
     /// What `value` measures.
     pub metric: String,
-    /// Which child-search kernel the measuring build compiled, for the
-    /// experiment that depends on it (batch_lookup): `Some(true)` = the
-    /// vector kernel, `Some(false)` = a `simd::SCALAR_BUILD`.
-    pub simd: Option<bool>,
     /// The host's available parallelism at run time. Always recorded:
     /// throughput numbers are meaningless without knowing how many
     /// cores produced them (ROADMAP trust item).
@@ -74,7 +70,6 @@ impl Row {
             p999_us: None,
             value: None,
             metric: String::new(),
-            simd: None,
             parallelism: std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1),
@@ -117,11 +112,6 @@ impl Row {
         self.value = Some(v);
         self
     }
-    /// Tag the row with the child-search kernel it ran on (`on` = vector).
-    pub fn simd(mut self, on: bool) -> Self {
-        self.simd = Some(on);
-        self
-    }
 
     /// Serialize to one compact JSON object, omitting unset optional
     /// fields (the shape `scripts/summarize_results.py` parses).
@@ -147,9 +137,6 @@ impl Row {
         if !self.metric.is_empty() {
             fields.push(format!("\"metric\":\"{}\"", json_escape(&self.metric)));
         }
-        if let Some(on) = self.simd {
-            fields.push(format!("\"simd\":\"{}\"", if on { "on" } else { "off" }));
-        }
         fields.push(format!("\"parallelism\":{}", self.parallelism));
         format!("{{{}}}", fields.join(","))
     }
@@ -172,9 +159,6 @@ impl Row {
         }
         if let Some(v) = self.value {
             line += &format!(" {}={v:.4}", self.metric);
-        }
-        if let Some(on) = self.simd {
-            line += &format!(" simd={}", if on { "on" } else { "off" });
         }
         println!("{line}");
         println!("#json {}", self.to_json());
@@ -234,18 +218,6 @@ mod tests {
         let js = r.to_json();
         assert!(js.contains("\"metric\":\"keys_in_art\""));
         assert!(js.contains("\"value\":42.0"));
-    }
-
-    #[test]
-    fn simd_tag_emits_on_off() {
-        let js = Row::new("batch_lookup").simd(true).to_json();
-        assert!(js.contains("\"simd\":\"on\""));
-        let js = Row::new("batch_lookup").simd(false).to_json();
-        assert!(js.contains("\"simd\":\"off\""));
-        assert!(
-            !Row::new("batch_lookup").to_json().contains("\"simd\""),
-            "untagged rows omit the field"
-        );
     }
 
     #[test]

@@ -281,14 +281,10 @@ fn lookup_stream(setup: &Setup, ops: usize, seed: u64) -> Vec<u64> {
 /// Sweeps `--batch-width` (default {1, 8, 16, 32, 64}; width 1 is the
 /// scalar `get` loop, the baseline) over every selected index and
 /// dataset, best of [`REPS`] passes over one deterministic 90/10
-/// loaded/absent stream, the same for every width. Every row carries a
-/// `simd` tag naming the child-search kernel the build compiled (`off` =
-/// `--features simd/force-scalar`), so the vector search is compared
-/// against the per-byte kernel by running two builds on the same stream.
-/// When the sweep includes width 1, a `speedup_vs_width1` row follows
+/// loaded/absent stream, the same for every width. When the sweep
+/// includes width 1, a `speedup_vs_width1` row follows
 /// each wider point.
 pub fn batch_lookup(args: &Args) {
-    let vector = !simd::SCALAR_BUILD;
     for &ds in &args.datasets {
         let setup = Setup::half(ds, args.keys, args.seed);
         let stream = lookup_stream(&setup, args.ops, args.seed ^ 0xBA7C);
@@ -329,7 +325,6 @@ pub fn batch_lookup(args: &Args) {
                         .dataset(ds.name())
                         .workload("read-only")
                         .x(w as f64)
-                        .simd(vector)
                 };
                 row()
                     .mops(mops)

@@ -172,15 +172,14 @@ fn chaos_art() {
     sweep::<Art>("art");
 }
 
-/// 8 seeds whose optimistic descents run the child search — one racing
-/// 16-lane load per sorted node in a default build, per-byte atomic loads
-/// under `--features simd/force-scalar` (CI's `simd` job runs both) —
-/// against concurrent structural writers. With `--features chaos` the
+/// 8 seeds whose optimistic descents run the child search — per-byte
+/// atomic loads over a sorted node's keys, racing the shifts of
+/// concurrent structural writers. With `--features chaos` the
 /// `node.shift` points widen the mid-shift windows the search can
 /// observe, and the oracle flags any result that escaped OLC
 /// revalidation.
 #[test]
-fn chaos_art_simd_search() {
+fn chaos_art_child_search() {
     let base = seed_base();
     for s in 0..8u64 {
         let seed = base + 11_000 + s;
@@ -194,7 +193,10 @@ fn chaos_art_simd_search() {
         scenario.batch_width = if s % 2 == 0 { art::RING_WIDTH } else { 0 };
         let idx = Art::bulk_load(&scenario.initial_pairs());
         if let Err(report) = scenario.run(&idx) {
-            panic!("art+simd seed {seed} ({:?}): {report}", scenario.partition);
+            panic!(
+                "art child-search seed {seed} ({:?}): {report}",
+                scenario.partition
+            );
         }
     }
 }
