@@ -47,7 +47,7 @@ enum Stage<'g> {
         m: &'g GplModel,
         pred: usize,
         ver: u32,
-        cur: BatchCursor,
+        cur: BatchCursor<'g>,
     },
 }
 
@@ -106,7 +106,7 @@ impl AltIndex {
 /// ring slot.
 #[inline]
 fn fill<'g>(
-    idx: &AltIndex,
+    idx: &'g AltIndex,
     keys: &[u64],
     out: &mut [Option<u64>],
     next: &mut usize,
@@ -132,8 +132,8 @@ fn fill<'g>(
 /// The predict stage: the key's (model, predicted slot) from the current
 /// directory, with the slot prefetch issued.
 #[inline]
-fn predict<'g>(idx: &AltIndex, key: u64, guard: &'g Guard) -> Stage<'g> {
-    let m: &'g GplModel = idx.dir_ref(guard).model_for(key);
+fn predict<'g>(idx: &'g AltIndex, key: u64, guard: &'g Guard) -> Stage<'g> {
+    let m: &'g GplModel = idx.dir.load(guard).model_for(key);
     let pred = m.predict(key);
     m.slots.prefetch(pred);
     metrics::incr(Counter::AltBatchPrefetch);
@@ -143,7 +143,7 @@ fn predict<'g>(idx: &AltIndex, key: u64, guard: &'g Guard) -> Stage<'g> {
 /// A failed validation: charge the key's budget, then either escalate to
 /// the conclusive pessimistic lookup or send the key back to the predict
 /// stage (the directory may have been republished).
-fn restart<'g>(idx: &AltIndex, fl: &mut Flight<'g>, guard: &'g Guard) -> Option<Option<u64>> {
+fn restart<'g>(idx: &'g AltIndex, fl: &mut Flight<'g>, guard: &'g Guard) -> Option<Option<u64>> {
     metrics::incr(Counter::AltBatchRestart);
     if fl.retry.wait_or_escalate(&crate::LAYER) {
         return Some(idx.get_pessimistic(fl.key));
@@ -154,7 +154,7 @@ fn restart<'g>(idx: &AltIndex, fl: &mut Flight<'g>, guard: &'g Guard) -> Option<
 
 /// Advance one flight by one stage. `Some(result)` retires the key.
 #[inline]
-fn step<'g>(idx: &AltIndex, fl: &mut Flight<'g>, guard: &'g Guard) -> Option<Option<u64>> {
+fn step<'g>(idx: &'g AltIndex, fl: &mut Flight<'g>, guard: &'g Guard) -> Option<Option<u64>> {
     probe::chaos::point("batch.stage");
     match &mut fl.stage {
         Stage::Probe { m, pred } => {
@@ -174,7 +174,7 @@ fn step<'g>(idx: &AltIndex, fl: &mut Flight<'g>, guard: &'g Guard) -> Option<Opt
                     // Conflict data: hand off to the interleaved ART
                     // descent.
                     metrics::incr(Counter::AltBatchArtHandoff);
-                    let cur = idx.art.batch_cursor(fl.key);
+                    let cur = idx.art.batch_cursor(fl.key, guard);
                     metrics::incr(Counter::AltBatchPrefetch);
                     fl.stage = Stage::Art { m, pred, ver, cur };
                     None
@@ -183,10 +183,7 @@ fn step<'g>(idx: &AltIndex, fl: &mut Flight<'g>, guard: &'g Guard) -> Option<Opt
         }
         Stage::Art { m, pred, ver, cur } => {
             let (m, pred, ver) = (*m, *pred, *ver);
-            // SAFETY: the ring's epoch pin (`get_batch_amac`) has been
-            // held since the cursor was created and outlives it.
-            let step = unsafe { idx.art.batch_step(cur) };
-            match step {
+            match idx.art.batch_step(cur) {
                 BatchStep::Pending => None,
                 BatchStep::Done(Some(v)) => Some(Some(v)),
                 BatchStep::Done(None) if m.miss_is_final(pred, ver) => Some(None),

@@ -12,7 +12,7 @@ use crate::dir::ModelDir;
 use crate::model::{fill, placement, GplModel};
 use crate::slots::{Probe, SlotArray, SlotGuard, SlotState};
 use art::Art;
-use crossbeam_epoch::{self as epoch, Atomic, Guard};
+use crossbeam_epoch::{self as epoch, RcuCell};
 use index_api::{IndexError, Result};
 use learned::gpl::{GplSegmenter, Segment};
 use learned::LinearModel;
@@ -35,7 +35,7 @@ use std::sync::Arc;
 /// assert_eq!(idx.get(5), Some(99));
 /// ```
 pub struct AltIndex {
-    pub(crate) dir: Atomic<ModelDir>,
+    pub(crate) dir: RcuCell<ModelDir>,
     pub(crate) art: Art,
     pub(crate) cfg: AltConfig,
     /// GPL error bound fixed at construction (the paper's
@@ -84,7 +84,7 @@ impl AltIndex {
         let len = Striped::new();
         len.add(pairs.len() as u64);
         Self {
-            dir: Atomic::new(ModelDir::new(models)),
+            dir: RcuCell::new(ModelDir::new(models)),
             art,
             cfg,
             epsilon,
@@ -126,13 +126,6 @@ impl AltIndex {
         self.len() == 0
     }
 
-    pub(crate) fn dir_ref<'g>(&self, guard: &'g Guard) -> &'g ModelDir {
-        // SAFETY: the directory is always initialized (constructor) and
-        // only replaced under `dir_lock` with epoch-deferred destruction;
-        // the guard keeps the snapshot alive.
-        unsafe { self.dir.load(Ordering::Acquire, guard).deref() }
-    }
-
     // -----------------------------------------------------------------
     // Point operations (Algorithm 2)
     // -----------------------------------------------------------------
@@ -153,7 +146,7 @@ impl AltIndex {
         let guard = epoch::pin();
         let mut retry = resilience::Retry::new();
         loop {
-            let dir = self.dir_ref(&guard);
+            let dir = self.dir.load(&guard);
             let m = dir.model_for(key);
             let pred = m.predict(key);
             m.slots.prefetch(pred);
@@ -214,7 +207,7 @@ impl AltIndex {
         let guard = epoch::pin();
         let mut dl = None;
         loop {
-            let m = self.dir_ref(&guard).model_for(key);
+            let m = self.dir.load(&guard).model_for(key);
             let live = m
                 .slots
                 .with_write(m.predict(key), |g| m.is_live().then(|| f(m, g)));
@@ -373,37 +366,9 @@ impl AltIndex {
     /// Approximate resident bytes: learned layer + ART.
     pub fn memory_usage(&self) -> usize {
         let guard = epoch::pin();
-        let dir = self.dir_ref(&guard);
+        let dir = self.dir.load(&guard);
         let learned: usize = dir.models.iter().map(|m| m.memory_usage()).sum();
         learned + dir.memory_usage() + self.art.memory_usage()
-    }
-}
-
-impl Drop for AltIndex {
-    fn drop(&mut self) {
-        // SAFETY: mirrors the `dir_ref` invariant ("the directory is
-        // always initialized and only replaced under `dir_lock` with
-        // epoch-deferred destruction") at teardown:
-        // * `epoch::unprotected()` is sound because `&mut self` proves
-        //   no thread can be pinned on this index — every `dir_ref`
-        //   borrow is tied to a `Guard` that cannot outlive a shared
-        //   borrow of `self`, so no snapshot of the directory is still
-        //   in use and nothing can retire it concurrently.
-        // * The `Relaxed` load is sufficient for the same reason:
-        //   obtaining `&mut self` required external synchronization
-        //   (join/Arc teardown) that happens-after every prior
-        //   publication of `self.dir`, so this thread already observes
-        //   the final pointer; there is no concurrent writer left to
-        //   order against.
-        // * `into_owned` cannot double-free: retrains swap the old
-        //   directory into `defer_destroy`, never leaving two owners of
-        //   the current pointer.
-        unsafe {
-            let d = self.dir.load(Ordering::Relaxed, epoch::unprotected());
-            if !d.is_null() {
-                drop(d.into_owned());
-            }
-        }
     }
 }
 

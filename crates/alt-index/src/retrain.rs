@@ -110,7 +110,7 @@ impl AltIndex {
         // One structural change at a time.
         let _dl = self.dir_lock.lock();
         let guard = epoch::pin();
-        let dir = self.dir_ref(&guard);
+        let dir = self.dir.load(&guard);
         let mi = dir.locate(key_hint);
         let m = &dir.models[mi];
         // Only a retrain closes a model, and it reopens or unpublishes it
@@ -176,20 +176,17 @@ impl AltIndex {
         // would send every reader of the still-published model into an
         // endless retry, and a swap left without its retire would let
         // readers that cached the old model serve replaced slots while
-        // writers target the new ones.
+        // writers target the new ones. `replace` has already retired the
+        // old directory when `m.retire()` writes into it; `guard` keeps
+        // it allocated.
         let t_swap = metrics::now_ns();
         let new_dir = dir.replace(mi, models);
         probe::chaos::point("retrain.pre_swap");
-        let old = self
-            .dir
-            .swap(epoch::Owned::new(new_dir), Ordering::AcqRel, &guard);
+        self.dir.replace(new_dir, &guard);
         // Widen the window between directory publication and the retired
         // flag — readers caught here must still find every key.
         probe::chaos::point("retrain.post_swap");
         m.retire();
-        // SAFETY: `old` was just unlinked under `dir_lock`; readers still
-        // holding it are protected by their epoch pins.
-        unsafe { guard.defer_destroy(old) };
         probe::fail::point("retrain.swap");
         metrics::record_phase_ns(Phase::RetrainSwap, metrics::now_ns() - t_swap);
 
@@ -396,7 +393,7 @@ mod tests {
         // retrain path directly — it must take the empty-span early exit.
         let target = 500_000u64;
         let guard = epoch::pin();
-        let m = idx.dir_ref(&guard).model_for(target);
+        let m = idx.dir.load(&guard).model_for(target);
         m.art_inserts
             .store(m.build_size.max(16) + 100, Ordering::Relaxed);
         assert!(m.wants_retrain());
@@ -441,7 +438,7 @@ mod tests {
         let target = 500_000u64;
         {
             let guard = epoch::pin();
-            let m = idx.dir_ref(&guard).model_for(target);
+            let m = idx.dir.load(&guard).model_for(target);
             m.art_inserts
                 .store(m.build_size.max(16) + 100, Ordering::Relaxed);
             assert!(m.wants_retrain());
@@ -493,7 +490,7 @@ mod tests {
         );
         let target = 500_000u64;
         let guard = epoch::pin();
-        let dir = idx.dir_ref(&guard);
+        let dir = idx.dir.load(&guard);
         let m = dir.model_for(target);
         let key = (m.first_key..m.first_key + 100_000)
             .find(|&k| {

@@ -60,11 +60,11 @@ impl AltIndex {
         let mut retry = resilience::Retry::new();
         let mut dl = None;
         loop {
-            let dir = self.dir_ref(&guard);
+            let dir = self.dir.load(&guard);
             self.collect_chunks(dir, lo, hi, before.saturating_add(limit), out);
             // The pin keeps `dir` allocated, so its address cannot come
             // back: the same pointer means no retrain published meanwhile.
-            if std::ptr::eq(self.dir_ref(&guard), dir) {
+            if std::ptr::eq(self.dir.load(&guard), dir) {
                 break;
             }
             out.truncate(before);

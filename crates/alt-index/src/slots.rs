@@ -10,7 +10,7 @@
 //! claimed slot whose key is 0 is a tombstone (the paper's remove "sets
 //! the key to zero").
 //!
-//! An array is a run of 64-byte [`Line`]s of three slots each: slot `i`
+//! An array is a run of 64-byte `Line`s of three slots each: slot `i`
 //! is lane `i % 3` of line `i / 3`, so every slot lies in one cache line.
 //! Storage is a [`Region`] of zeroed memory, and nothing here ever writes
 //! the zeros: all-zero memory *is* an array of `Empty` slots (version 0

@@ -60,7 +60,7 @@ impl AltIndex {
     /// checkpoints, not hot paths).
     pub fn stats(&self) -> AltStats {
         let guard = epoch::pin();
-        let dir = self.dir_ref(&guard);
+        let dir = self.dir.load(&guard);
         let mut keys_in_learned = 0usize;
         let mut memory_learned = dir.memory_usage();
         for m in &dir.models {
@@ -87,7 +87,7 @@ impl AltIndex {
     /// to pin the serial-vs-parallel build contract.
     pub fn directory_spans(&self) -> Vec<(u64, usize, usize)> {
         let guard = epoch::pin();
-        let dir = self.dir_ref(&guard);
+        let dir = self.dir.load(&guard);
         dir.models
             .iter()
             .map(|m| (m.first_key, m.slots.capacity(), m.build_size))
@@ -110,7 +110,7 @@ impl AltIndex {
             }
         };
         let guard = epoch::pin();
-        let dir = self.dir_ref(&guard);
+        let dir = self.dir.load(&guard);
         for m in &dir.models {
             mix(m.first_key);
             mix(m.slots.capacity() as u64);
@@ -131,7 +131,7 @@ impl AltIndex {
             return None;
         }
         let guard = epoch::pin();
-        let dir = self.dir_ref(&guard);
+        let dir = self.dir.load(&guard);
         let m = dir.model_for(key);
         let pred = m.predict(key);
         let Probe::Art = m.slots.read(pred).0.probe(key) else {

@@ -21,8 +21,9 @@
 use crate::node::{self, NodePtr};
 use crate::olc::Version;
 use crate::tree::{coupled_ok, hop, leaf_value, prefetch_node, Art, Hop};
-use crossbeam_epoch as epoch;
+use crossbeam_epoch::{self as epoch, Guard};
 use probe::metrics::{self, Counter};
+use std::marker::PhantomData;
 
 /// Width of the in-flight ring in [`Art::get_batch_amac`]. Eight keys
 /// cover typical L2 miss latency (~10-20 ns of work per step vs ~40+ ns
@@ -30,9 +31,11 @@ use probe::metrics::{self, Counter};
 pub const RING_WIDTH: usize = 8;
 
 /// One in-flight batched lookup: the state of a paused optimistic
-/// descent between two [`Art::batch_step`] calls.
+/// descent between two [`Art::batch_step`] calls. It borrows the tree and
+/// the pin it was made under, so every node it points at stays allocated
+/// while it can be stepped.
 #[derive(Debug)]
-pub struct BatchCursor {
+pub struct BatchCursor<'g> {
     key: u64,
     /// Current node: the root, an internal node or a tagged leaf.
     p: NodePtr,
@@ -43,6 +46,7 @@ pub struct BatchCursor {
     parent: NodePtr,
     parent_v: Version,
     retry: resilience::Retry,
+    _pin: PhantomData<(&'g Art, &'g Guard)>,
 }
 
 /// Outcome of one [`Art::batch_step`].
@@ -60,13 +64,14 @@ pub enum BatchStep {
 }
 
 impl Art {
-    /// Start a batched lookup for `key` from the root.
+    /// Start a batched lookup for `key` from the root, under `guard`'s
+    /// pin.
     ///
     /// Issues a prefetch for the root, so the first [`Art::batch_step`]
     /// (which dereferences the node) should be separated from this call by
     /// work on other keys.
     #[inline]
-    pub fn batch_cursor(&self, key: u64) -> BatchCursor {
+    pub fn batch_cursor<'g>(&'g self, key: u64, _guard: &'g Guard) -> BatchCursor<'g> {
         prefetch_node(self.root);
         BatchCursor {
             key,
@@ -75,29 +80,33 @@ impl Art {
             parent: 0,
             parent_v: 0,
             retry: resilience::Retry::new(),
+            _pin: PhantomData,
         }
     }
 
-    /// Advance `cur` by one hop of the optimistic descent.
-    ///
-    /// # Safety
-    /// The caller must hold one epoch pin continuously from the cursor's
-    /// creation until it reports [`BatchStep::Done`] or
-    /// [`BatchStep::Escalate`] — every `NodePtr` the cursor holds
-    /// (current and coupled parent) is kept dereferenceable only by that
-    /// pin.
+    /// Advance `cur` by one hop of the optimistic descent. `self` is
+    /// borrowed for the cursor's own `'g` (`&mut` leaves no room to
+    /// shorten it), so a restart from this tree's root leaves the cursor
+    /// pointing into a tree that outlives it.
     #[inline]
-    pub unsafe fn batch_step(&self, cur: &mut BatchCursor) -> BatchStep {
+    pub fn batch_step<'g>(&'g self, cur: &mut BatchCursor<'g>) -> BatchStep {
         probe::chaos::point("batch.stage");
         let p = cur.p;
         if node::is_leaf(p) {
-            let value = (node::leaf_ref(p).key == cur.key).then(|| leaf_value(p));
-            if !coupled_ok(cur.parent, cur.parent_v) {
+            // SAFETY: `p` and `cur.parent` were read from a tree borrowed
+            // for `'g` (the cursor's, or `self` on a restart) under the pin
+            // `'g` borrows, which is still held.
+            let (value, ok) = unsafe {
+                let value = (node::leaf_ref(p).key == cur.key).then(|| leaf_value(p));
+                (value, coupled_ok(cur.parent, cur.parent_v))
+            };
+            if !ok {
                 return self.batch_restart(cur);
             }
             return BatchStep::Done(value);
         }
-        match hop(p, cur.key, cur.depth, cur.parent, cur.parent_v) {
+        // SAFETY: as for the leaf above.
+        match unsafe { hop(p, cur.key, cur.depth, cur.parent, cur.parent_v) } {
             Hop::Restart => self.batch_restart(cur),
             Hop::Miss { .. } | Hop::Child { child: 0, .. } => BatchStep::Done(None),
             Hop::Child {
@@ -115,7 +124,7 @@ impl Art {
     /// A version conflict on `cur`: charge the per-key budget and either
     /// escalate or restart the descent from the root.
     #[cold]
-    fn batch_restart(&self, cur: &mut BatchCursor) -> BatchStep {
+    fn batch_restart(&self, cur: &mut BatchCursor<'_>) -> BatchStep {
         metrics::incr(Counter::ArtBatchRestart);
         if cur.retry.wait_or_escalate(&crate::LAYER) {
             return BatchStep::Escalate;
@@ -141,11 +150,12 @@ impl Art {
         metrics::add(Counter::ArtBatchKeys, keys.len() as u64);
         // One pin for the whole batch: every cursor's node pointers stay
         // dereferenceable until the ring drains.
-        let _guard = epoch::pin();
+        let guard = epoch::pin();
         let mut next = 0usize;
-        let mut ring: Vec<(usize, BatchCursor)> = Vec::with_capacity(RING_WIDTH.min(keys.len()));
+        let mut ring: Vec<(usize, BatchCursor<'_>)> =
+            Vec::with_capacity(RING_WIDTH.min(keys.len()));
         while next < keys.len() && ring.len() < RING_WIDTH {
-            ring.push((next, self.batch_cursor(keys[next])));
+            ring.push((next, self.batch_cursor(keys[next], &guard)));
             next += 1;
         }
         let mut i = 0usize;
@@ -154,9 +164,7 @@ impl Art {
                 i = 0;
             }
             let (ki, cur) = &mut ring[i];
-            // SAFETY: `_guard` pins the epoch for every cursor's lifetime.
-            let step = unsafe { self.batch_step(cur) };
-            match step {
+            match self.batch_step(cur) {
                 BatchStep::Pending => i += 1,
                 done_or_escalate => {
                     let ki = *ki;
@@ -167,7 +175,7 @@ impl Art {
                     // Refill the slot so a fresh key's first dereference
                     // happens a full ring revolution after its prefetch.
                     if next < keys.len() {
-                        ring[i] = (next, self.batch_cursor(keys[next]));
+                        ring[i] = (next, self.batch_cursor(keys[next], &guard));
                         next += 1;
                         i += 1;
                     } else {

@@ -16,9 +16,8 @@
 //! tree, fixed-size bulk chunks instead of the cost model. Both affect
 //! constants, not the comparative behaviour.
 
-use crate::rcu::RcuCell;
 use crate::seqlock::SeqLock;
-use crossbeam_epoch as epoch;
+use crossbeam_epoch::{self as epoch, RcuCell};
 use index_api::{BulkLoad, ConcurrentIndex, IndexError, Key, Result, Value};
 use learned::LinearModel;
 use parking_lot::Mutex;
@@ -455,6 +454,7 @@ impl AlexLike {
         pivots.extend_from_slice(&dir.pivots[mi + 1..]);
         debug_assert!(pivots.windows(2).all(|w| w[0] < w[1]));
         self.splits.fetch_add(1, Ordering::Relaxed);
+        metrics::incr(Counter::RcuReplace);
         self.dir.replace(Dir { pivots, nodes }, &guard);
     }
 }

@@ -26,14 +26,12 @@
 //! absolute numbers.
 
 #![warn(missing_docs)]
-// The only unsafe in this crate is the epoch-RCU snapshot cell in `rcu`.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod alex;
 pub(crate) mod batch;
 pub mod finedex;
 pub mod lipp;
-pub mod rcu;
 pub mod seqlock;
 pub mod xindex;
 

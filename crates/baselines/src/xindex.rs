@@ -14,8 +14,7 @@
 //! dynamic root adjustment is omitted); group-level compaction is the
 //! behaviour that matters for the evaluated workloads.
 
-use crate::rcu::RcuCell;
-use crossbeam_epoch as epoch;
+use crossbeam_epoch::{self as epoch, RcuCell};
 use index_api::{BulkLoad, ConcurrentIndex, IndexError, Key, Result, Value};
 use learned::search::bounded_search;
 use learned::LinearModel;
@@ -143,6 +142,7 @@ impl Group {
             i += 1;
         }
         merged.extend_from_slice(&drained[j..]);
+        metrics::incr(Counter::RcuReplace);
         self.data.replace(GroupData::build(&merged), &guard);
         self.compact_requested.store(false, Ordering::Release);
         drop(buf);

@@ -1,8 +1,9 @@
-//! Hermetic shim for `crossbeam-epoch`: a small, self-contained
-//! epoch-based reclamation scheme exposing exactly the API surface this
-//! workspace uses (`pin`, `unprotected`, `Guard::{defer_destroy,
-//! defer_unchecked}`, `Atomic::{new, load, swap}`, `Owned::new`,
-//! `Shared::{is_null, deref, into_owned}`).
+//! Epoch-based reclamation for this workspace, in the shape of
+//! `crossbeam-epoch`: [`pin`] returns a [`Guard`], [`Guard::defer_unchecked`]
+//! retires a closure (ART's node retirement), and [`RcuCell`] is the one
+//! epoch-protected snapshot cell (ALT-index's model directory, the ALEX+
+//! and XIndex directories). `RcuCell` has no upstream twin; the rest
+//! mirrors crossbeam's signatures.
 //!
 //! The scheme is the classic three-epoch design:
 //!
@@ -18,8 +19,8 @@
 //! epoch and runs the destructors that are ready, so a thread that only
 //! reads never touches the garbage queue or the participant registry
 //! (DESIGN.md "Who reclaims"). Both are mutexes, which is fine because
-//! retirement only happens on structural changes (directory swaps, node
-//! replacements), never on point-op fast paths.
+//! retirement only happens on structural changes (directory replacements,
+//! node replacements), never on point-op fast paths.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -43,15 +44,17 @@ struct Participant {
 }
 
 /// A retired object awaiting reclamation. The closure captures raw
-/// pointers; `Send` is asserted by the `defer_unchecked` safety contract.
+/// pointers; `Send` is asserted by the `defer_unchecked` safety contract
+/// and by `RcuCell::replace`'s `T: Send` bound.
 struct Deferred {
     epoch: usize,
     call: Box<dyn FnOnce()>,
 }
 
-// SAFETY: `call` is only ever built by `defer_unchecked`, whose caller
-// guarantees the closure is sound to run from any thread; `epoch` is a
-// plain integer.
+// SAFETY: `call` is built either by `defer_unchecked`, whose caller
+// guarantees the closure is sound to run from any thread, or by
+// `RcuCell::replace`, whose closure only drops a boxed `T: Send`;
+// `epoch` is a plain integer.
 unsafe impl Send for Deferred {}
 
 struct LocalHandle {
@@ -135,19 +138,13 @@ fn retire(call: Box<dyn FnOnce()>) {
     }
 }
 
-/// A handle that keeps the current epoch pinned; loaded [`Shared`]
-/// pointers stay valid until it drops.
+/// A handle that keeps the current epoch pinned: a value borrowed through
+/// [`RcuCell::load`] or retired through [`Guard::defer_unchecked`] stays
+/// allocated until it drops. `!Send` and `!Sync`: the pin belongs to the
+/// thread that took it.
 pub struct Guard {
-    pinned: bool,
     _not_send: PhantomData<*mut ()>,
 }
-
-// SAFETY: `&Guard` escapes through `unprotected()`'s `'static`
-// reference; sharing a reference across threads is harmless because
-// every `&self` method only touches global synchronized state. The type
-// stays `!Send` so the thread-local pin bookkeeping in `Drop` runs on
-// the pinning thread.
-unsafe impl Sync for Guard {}
 
 /// Pin the current epoch. Pins nest; the thread is unpinned when the last
 /// guard drops.
@@ -169,50 +166,11 @@ pub fn pin() -> Guard {
         l.pin_depth.set(l.pin_depth.get() + 1);
     });
     Guard {
-        pinned: true,
         _not_send: PhantomData,
     }
-}
-
-/// A guard that performs no pinning: deferred functions run immediately.
-///
-/// # Safety
-///
-/// The caller must guarantee no other thread can concurrently access the
-/// data structures touched through this guard (e.g. inside `Drop` with
-/// `&mut self`).
-pub unsafe fn unprotected() -> &'static Guard {
-    static UNPROTECTED: Guard = Guard {
-        pinned: false,
-        _not_send: PhantomData,
-    };
-    &UNPROTECTED
 }
 
 impl Guard {
-    /// Defer dropping the boxed object behind `ptr` until no pinned guard
-    /// can still reference it.
-    ///
-    /// # Safety
-    ///
-    /// `ptr` must come from `Owned::new`/`Atomic::new`, be unlinked from
-    /// every shared location, and never be retired twice.
-    pub unsafe fn defer_destroy<T>(&self, ptr: Shared<'_, T>) {
-        // Erase `T` behind `*mut u8` + a monomorphized drop-glue pointer,
-        // so the deferred closure captures only `'static` data even when
-        // `T` itself is not `'static` (matches upstream's contract).
-        unsafe fn drop_glue<T>(raw: *mut u8) {
-            drop(Box::from_raw(raw.cast::<T>()));
-        }
-        let raw = ptr.raw.cast::<u8>();
-        let glue: unsafe fn(*mut u8) = drop_glue::<T>;
-        self.defer_unchecked(move || {
-            if !raw.is_null() {
-                glue(raw);
-            }
-        });
-    }
-
     /// Defer an arbitrary closure until two epochs from now. The calling
     /// thread may run ready destructors, its own or other threads', before
     /// this returns.
@@ -222,19 +180,12 @@ impl Guard {
     /// The closure must remain sound to call from any thread after every
     /// current guard drops (same contract as crossbeam's).
     pub unsafe fn defer_unchecked<F: FnOnce() + 'static>(&self, f: F) {
-        if self.pinned {
-            retire(Box::new(f));
-        } else {
-            f();
-        }
+        retire(Box::new(f));
     }
 }
 
 impl Drop for Guard {
     fn drop(&mut self) {
-        if !self.pinned {
-            return;
-        }
         // `try_with`: a guard dropped during thread teardown (after TLS
         // destruction) simply skips unpin bookkeeping — its participant
         // entry is already gone from the registry.
@@ -249,92 +200,86 @@ impl Drop for Guard {
     }
 }
 
-/// An owned heap allocation that can be published into an [`Atomic`].
-pub struct Owned<T> {
-    inner: Box<T>,
-}
-
-impl<T> Owned<T> {
-    /// Allocate `value` on the heap.
-    pub fn new(value: T) -> Self {
-        Self {
-            inner: Box::new(value),
-        }
-    }
-}
-
-/// A pointer loaded from an [`Atomic`], valid while its guard is pinned.
-pub struct Shared<'g, T> {
-    raw: *mut T,
-    _marker: PhantomData<&'g T>,
-}
-
-impl<'g, T> Shared<'g, T> {
-    /// Whether the pointer is null.
-    pub fn is_null(&self) -> bool {
-        self.raw.is_null()
-    }
-
-    /// Dereference under the guard's protection.
-    ///
-    /// # Safety
-    ///
-    /// The pointer must be non-null and loaded under the same pin that
-    /// `'g` borrows.
-    pub unsafe fn deref(&self) -> &'g T {
-        &*self.raw
-    }
-
-    /// Take back ownership of the allocation.
-    ///
-    /// # Safety
-    ///
-    /// The caller must be the only remaining owner (e.g. inside `Drop`).
-    pub unsafe fn into_owned(self) -> Owned<T> {
-        Owned {
-            inner: Box::from_raw(self.raw),
-        }
-    }
-}
-
-/// An atomic pointer to an epoch-managed heap allocation. As in
-/// crossbeam, dropping it does NOT free the pointee: owners reclaim
-/// through `unprotected()` + `into_owned` in their own `Drop` impls.
-pub struct Atomic<T> {
+/// An epoch-protected snapshot: readers borrow the current value under a
+/// pin with one `Acquire` load, and [`replace`](RcuCell::replace)
+/// publishes a successor and retires the old value until every guard
+/// that could still hold it has dropped. Dropping the cell frees the
+/// current value.
+///
+/// Concurrent replacements are memory-safe (each swap unlinks a value of
+/// its own); a caller that builds the successor from the current value
+/// serializes that read-modify-write itself.
+///
+/// ```
+/// let cell = crossbeam_epoch::RcuCell::new(vec![1, 2, 3]);
+/// let guard = crossbeam_epoch::pin();
+/// let before = cell.load(&guard);
+/// cell.replace(vec![4], &guard);
+/// assert_eq!(before, &[1, 2, 3]); // retired, not freed: `guard` is held
+/// assert_eq!(cell.load(&guard), &[4]);
+/// ```
+pub struct RcuCell<T> {
     ptr: AtomicPtr<T>,
+    /// The cell owns a `T`: it is `Send`/`Sync` exactly when `T` is, and
+    /// drop check knows that dropping it drops a `T`. (`replace`, which
+    /// hands values to other threads, asks for `T: Send` itself.)
+    _owns: PhantomData<Box<T>>,
 }
 
-// SAFETY: the only field is an `AtomicPtr`; moving the handle moves
-// ownership of the pointee, so another thread may read and drop the `T`
-// (`T: Send + Sync`).
-unsafe impl<T: Send + Sync> Send for Atomic<T> {}
-// SAFETY: `&Atomic<T>` hands out `&T` to any thread (`T: Sync`) and lets
-// any thread swap the pointee out and later drop it (`T: Send`); the
-// pointer itself is only touched through atomic operations.
-unsafe impl<T: Send + Sync> Sync for Atomic<T> {}
-
-impl<T> Atomic<T> {
-    /// Allocate `value` and point at it.
+impl<T> RcuCell<T> {
+    /// A cell holding `value`.
     pub fn new(value: T) -> Self {
         Self {
             ptr: AtomicPtr::new(Box::into_raw(Box::new(value))),
+            _owns: PhantomData,
         }
     }
 
-    /// Load the current pointer under `_guard`'s pin.
-    pub fn load<'g>(&self, ord: Ordering, _guard: &'g Guard) -> Shared<'g, T> {
-        Shared {
-            raw: self.ptr.load(ord),
-            _marker: PhantomData,
-        }
+    /// Borrow the current value. The borrow lives no longer than the pin
+    /// or the cell, so neither a collection nor dropping the cell can free
+    /// the value under it:
+    ///
+    /// ```compile_fail,E0505
+    /// let cell = crossbeam_epoch::RcuCell::new(vec![1u8]);
+    /// let guard = crossbeam_epoch::pin();
+    /// let r = cell.load(&guard);
+    /// drop(cell); // frees the value `r` points at
+    /// r.len();
+    /// ```
+    #[inline]
+    pub fn load<'g>(&'g self, _guard: &'g Guard) -> &'g T {
+        // SAFETY: the pointer always comes from `Box::into_raw`. A value
+        // replaced after this load is retired, not freed, while `_guard`
+        // (pinned on this thread: `Guard` is `!Send`) lives, and `'g`
+        // also borrows the cell, whose `Drop` frees the current value.
+        unsafe { &*self.ptr.load(Ordering::Acquire) }
     }
 
-    /// Swap in a new pointer, returning the previous one for retirement.
-    pub fn swap<'g>(&self, new: Owned<T>, ord: Ordering, _guard: &'g Guard) -> Shared<'g, T> {
-        Shared {
-            raw: self.ptr.swap(Box::into_raw(new.inner), ord),
-            _marker: PhantomData,
-        }
+    /// Publish `value` and retire the value it replaces.
+    pub fn replace(&self, value: T, _guard: &Guard)
+    where
+        T: Send + 'static,
+    {
+        let old = self
+            .ptr
+            .swap(Box::into_raw(Box::new(value)), Ordering::AcqRel);
+        // Widen the window between unlink and retire: readers still
+        // holding the old value must be protected by their pins.
+        probe::chaos::point("rcu.replace.unlinked");
+        // SAFETY: only this swap unlinked `old`, so it is retired once and
+        // the cell's `Drop` never sees it; every reader that loaded it is
+        // pinned, and `retire` frees it only after those pins drop. `T:
+        // Send` lets the collecting thread drop it.
+        retire(Box::new(move || drop(unsafe { Box::from_raw(old) })));
+    }
+}
+
+impl<T> Drop for RcuCell<T> {
+    fn drop(&mut self) {
+        // SAFETY: `&mut self` means no borrow from `load` is alive, and
+        // the current value was never retired: `replace` retires only
+        // what its swap took out.
+        drop(unsafe { Box::from_raw(*self.ptr.get_mut()) });
     }
 }
 
@@ -363,39 +308,15 @@ mod tests {
     }
 
     #[test]
-    fn atomic_load_swap_roundtrip() {
-        let a = Atomic::new(7u64);
+    fn load_and_replace() {
+        let cell = RcuCell::new(vec![1, 2, 3]);
         let guard = pin();
-        // SAFETY: `a` always holds a live allocation, and `guard` is held.
-        assert_eq!(unsafe { *a.load(Ordering::Acquire, &guard).deref() }, 7);
-        let old = a.swap(Owned::new(8), Ordering::AcqRel, &guard);
-        // SAFETY: `old` was just unlinked and is not destroyed before
-        // `guard` drops.
-        assert_eq!(unsafe { *old.deref() }, 7);
-        // SAFETY: `old` is unlinked, so no new reader can reach it.
-        unsafe { guard.defer_destroy(old) };
-        // SAFETY: as for the first load.
-        assert_eq!(unsafe { *a.load(Ordering::Acquire, &guard).deref() }, 8);
-        drop(guard);
-        // Clean up the final snapshot.
-        // SAFETY: no other thread can reach `a`, and its current pointee
-        // was never handed to `defer_destroy`.
-        unsafe {
-            let g = unprotected();
-            let p = a.load(Ordering::Relaxed, g);
-            drop(p.into_owned());
-        }
-    }
-
-    #[test]
-    fn unprotected_defers_run_immediately() {
-        let ran = Arc::new(AtomicBool::new(false));
-        let r = Arc::clone(&ran);
-        // SAFETY: the closure only stores to an `Arc<AtomicBool>` it owns.
-        unsafe {
-            unprotected().defer_unchecked(move || r.store(true, Ordering::SeqCst));
-        }
-        assert!(ran.load(Ordering::SeqCst));
+        let old = cell.load(&guard);
+        assert_eq!(old, &vec![1, 2, 3]);
+        cell.replace(vec![4], &guard);
+        // Retired, not freed, while `guard` is held.
+        assert_eq!(old, &vec![1, 2, 3]);
+        assert_eq!(cell.load(&guard), &vec![4]);
     }
 
     #[test]
@@ -407,17 +328,8 @@ mod tests {
             }
         }
         let dropped = Arc::new(AtomicBool::new(false));
-        let a = Atomic::new(Flag(Arc::clone(&dropped)));
-        {
-            let guard = pin();
-            let old = a.swap(
-                Owned::new(Flag(Arc::new(AtomicBool::new(false)))),
-                Ordering::AcqRel,
-                &guard,
-            );
-            // SAFETY: `old` is unlinked, so no new reader can reach it.
-            unsafe { guard.defer_destroy(old) };
-        }
+        let cell = RcuCell::new(Flag(Arc::clone(&dropped)));
+        cell.replace(Flag(Arc::new(AtomicBool::new(false))), &pin());
         // Drive epoch advancement: only a retiring thread collects.
         // Sibling tests pin concurrently and can hold the epoch back, so
         // wait on a deadline rather than an iteration count.
@@ -426,52 +338,41 @@ mod tests {
             collect_by_retiring();
         }
         assert!(dropped.load(Ordering::SeqCst), "deferred destructor ran");
-        // SAFETY: no other thread can reach `a`, and its current pointee
-        // was never handed to `defer_destroy`.
-        unsafe {
-            let g = unprotected();
-            let p = a.load(Ordering::Relaxed, g);
-            drop(p.into_owned());
-        }
+    }
+
+    #[test]
+    fn dropping_the_cell_frees_its_current_value() {
+        let drops = Arc::new(AtomicUsize::new(0));
+        let cell = RcuCell::new(Canary::new(0, &drops));
+        drop(cell);
+        assert_eq!(drops.load(Ordering::SeqCst), 1);
     }
 
     #[test]
     fn concurrent_swap_and_read_is_safe() {
-        let a = Arc::new(Atomic::new(0u64));
+        let cell = Arc::new(RcuCell::new(0u64));
         let stop = Arc::new(AtomicBool::new(false));
         let readers: Vec<_> = (0..4)
             .map(|_| {
-                let a = Arc::clone(&a);
+                let cell = Arc::clone(&cell);
                 let stop = Arc::clone(&stop);
                 std::thread::spawn(move || {
                     let mut last = 0;
                     while !stop.load(Ordering::Relaxed) {
                         let guard = pin();
-                        // SAFETY: `a` always holds a live allocation;
-                        // a swapped-out one outlives this guard.
-                        let v = unsafe { *a.load(Ordering::Acquire, &guard).deref() };
-                        assert!(v >= last);
+                        let v = *cell.load(&guard);
+                        assert!(v >= last, "snapshots move forward");
                         last = v;
                     }
                 })
             })
             .collect();
         for i in 1..=2_000u64 {
-            let guard = pin();
-            let old = a.swap(Owned::new(i), Ordering::AcqRel, &guard);
-            // SAFETY: `old` is unlinked, so no new reader can reach it.
-            unsafe { guard.defer_destroy(old) };
+            cell.replace(i, &pin());
         }
         stop.store(true, Ordering::Relaxed);
         for r in readers {
             r.join().unwrap();
-        }
-        // SAFETY: the readers are joined, so no other thread can reach
-        // `a`, and its current pointee was never handed to `defer_destroy`.
-        unsafe {
-            let g = unprotected();
-            let p = a.load(Ordering::Relaxed, g);
-            drop(p.into_owned());
         }
     }
 
@@ -504,27 +405,11 @@ mod tests {
         }
     }
 
-    /// Swap `next` in and retire what it replaced.
-    fn replace(a: &Atomic<Canary>, next: Canary) {
-        let guard = pin();
-        let old = a.swap(Owned::new(next), Ordering::AcqRel, &guard);
-        // SAFETY: `old` is unlinked, so no new reader can reach it, and
-        // only the one swap that unlinked it retires it.
-        unsafe { guard.defer_destroy(old) };
-    }
-
-    /// Free `a`'s last value once no other thread can reach it.
-    fn finish(a: &Atomic<Canary>) {
-        // SAFETY: the caller has joined every other thread, and the
-        // current pointee was never handed to `defer_destroy`.
-        unsafe { drop(a.load(Ordering::Relaxed, unprotected()).into_owned()) };
-    }
-
     #[test]
     fn readers_pinned_across_a_retirement_storm_never_see_a_reclaimed_value() {
         const SWAPS: u64 = 20_000;
         let drops = Arc::new(AtomicUsize::new(0));
-        let a = Atomic::new(Canary::new(0, &drops));
+        let cell = RcuCell::new(Canary::new(0, &drops));
         let swaps = std::sync::atomic::AtomicU64::new(0);
         // Stretches the pin, retire and collect windows in a build with
         // `probe/chaos` on (CI's chaos job); does nothing otherwise.
@@ -535,10 +420,7 @@ mod tests {
                     while swaps.load(Ordering::Relaxed) < SWAPS {
                         let guard = pin();
                         let pinned_at = swaps.load(Ordering::Relaxed);
-                        // SAFETY: `a` always holds a live allocation, and
-                        // one swapped out after this load is retired, not
-                        // freed, until `guard` drops.
-                        let held = unsafe { a.load(Ordering::Acquire, &guard).deref() };
+                        let held = cell.load(&guard);
                         let id = held.id;
                         // Hold the guard while a few hundred successors
                         // are published and retired around it.
@@ -551,7 +433,7 @@ mod tests {
                 });
             }
             for i in 1..=SWAPS {
-                replace(&a, Canary::new(i, &drops));
+                cell.replace(Canary::new(i, &drops), &pin());
                 swaps.store(i, Ordering::Relaxed);
             }
         });
@@ -565,23 +447,22 @@ mod tests {
                 "epoch.pin.published",
                 "epoch.retire.queued",
                 "epoch.collect.advanced",
+                "rcu.replace.unlinked",
             ] {
                 let hits = probe::chaos::site_hits(site);
                 assert!(hits > 0, "chaos point {site} was never reached");
             }
         }
         assert!(reclaimed as u64 <= SWAPS, "a value was dropped twice");
-        finish(&a);
     }
 
     #[test]
     fn dropping_the_outer_guard_first_keeps_the_thread_pinned() {
         let drops = Arc::new(AtomicUsize::new(0));
-        let a = Atomic::new(Canary::new(0, &drops));
+        let cell = RcuCell::new(Canary::new(0, &drops));
         let outer = pin();
         let inner = pin();
-        // SAFETY: `a` holds a live allocation; `inner` outlives `held`.
-        let held = unsafe { a.load(Ordering::Acquire, &inner).deref() };
+        let held = cell.load(&inner);
         drop(outer);
         LOCAL.with(|l| {
             assert_eq!(l.pin_depth.get(), 1);
@@ -592,7 +473,7 @@ mod tests {
         // one at most, which is one short of freeing it.
         std::thread::scope(|s| {
             s.spawn(|| {
-                replace(&a, Canary::new(1, &drops));
+                cell.replace(Canary::new(1, &drops), &pin());
                 for _ in 0..100 {
                     collect_by_retiring();
                 }
@@ -613,7 +494,6 @@ mod tests {
             1,
             "retired value was never freed"
         );
-        finish(&a);
     }
 
     #[test]
@@ -627,19 +507,11 @@ mod tests {
             }
         }
         let ran_on = Arc::new(Mutex::new(Vec::new()));
-        let a = Atomic::new(Noted(Arc::clone(&ran_on)));
+        let cell = RcuCell::new(Noted(Arc::clone(&ran_on)));
         std::thread::scope(|s| {
             s.spawn(|| {
                 for _ in 0..4 {
-                    let guard = pin();
-                    let old = a.swap(
-                        Owned::new(Noted(Arc::clone(&ran_on))),
-                        Ordering::AcqRel,
-                        &guard,
-                    );
-                    // SAFETY: `old` is unlinked, so no new reader can reach
-                    // it, and only the swap that unlinked it retires it.
-                    unsafe { guard.defer_destroy(old) };
+                    cell.replace(Noted(Arc::clone(&ran_on)), &pin());
                 }
             });
         });
@@ -658,9 +530,5 @@ mod tests {
             !ran_on.contains(&reader),
             "a read-only thread ran a destructor"
         );
-        drop(ran_on);
-        // SAFETY: both threads are joined, and the current pointee was
-        // never handed to `defer_destroy`.
-        unsafe { drop(a.load(Ordering::Relaxed, unprotected()).into_owned()) };
     }
 }
