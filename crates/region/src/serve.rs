@@ -1,17 +1,25 @@
-//! The async batched serving front-end: per-shard submission queues that
+//! The async batched serving front-end: submission queues that
 //! accumulate in-flight point lookups into `get_batch` rings.
 //!
-//! Every queued request is a `(key, oneshot)` pair. Two paths drain a
+//! Every queued request is a `(key, oneshot)` pair in one of the server's
+//! queues: one per (thread stripe, batch domain), the stripe being the
+//! submitting thread's [`probe::striped::stripe_id`]. A request therefore
+//! only ever meets requests from its own worker thread (past
+//! [`STRIPES`] threads, from the threads sharing its stripe), and its
+//! whole life — push, leader yield, flush, wake-up — stays on that
+//! worker: no queue line, yielded leader or woken task crosses cores.
+//! Two paths drain a
 //! queue into one [`ConcurrentIndex::get_batch`] call:
 //!
 //! * **ring fill** — the submitter whose push reaches `ring_width`
 //!   drains and executes the full ring inline;
 //! * **group-commit leadership** — the submitter that finds the queue
-//!   *empty* becomes the leader: it yields to the executor once (letting
-//!   every runnable peer pile its request on) and then flushes whatever
-//!   accumulated. Batch sizes therefore adapt to the instantaneous load
-//!   — 1 when idle, `ring_width` under saturation — without waiting on
-//!   any timer.
+//!   *empty* becomes the leader: it yields to the executor once (which
+//!   puts it behind every task its worker has queued, so every runnable
+//!   peer that could push onto this queue does so first) and then
+//!   flushes whatever accumulated. Batch sizes therefore adapt to the
+//!   instantaneous load — 1 when idle, `ring_width` under saturation —
+//!   without waiting on any timer.
 //!
 //! Under load the AMAC engines (DESIGN.md §13) thus see real batches on
 //! the serving path, and no thread but the submitters' own is involved.
@@ -22,21 +30,29 @@
 //! its way out. A flush works from stack arrays and leaves the queue its
 //! buffer: it allocates nothing.
 //!
+//! Nothing a request reads on this path shares a line with what another
+//! worker writes: each queue has a 128-byte line of its own, the counters
+//! are [`Striped`], and the admission gauge sits on a line of its own.
+//!
 //! # Overload semantics (DESIGN.md §17)
 //!
 //! Admission is a bound on **in-flight requests** (queued plus executing
 //! in a ring). A submitter that finds the server saturated first flushes
-//! whatever is queued — the leaders that owe those flushes may be stuck
-//! behind it in the executor — and then retries through the `resilience`
-//! ladder (spin → yield → park), now waiting for the index alone; if the
-//! budget escalates — the server stayed saturated through the whole
-//! ladder — the request is **shed** with [`ServeError::Overloaded`] rather than
-//! queued into unbounded latency. Under saturation the system therefore
-//! degrades by rejecting, not by collapsing: P99.9 of *served* requests
-//! stays bounded by `max_depth` × flush latency.
+//! whatever is queued, in every queue — the leaders that owe those
+//! flushes may be stuck behind it in the executor, or on other workers —
+//! and then retries through the `resilience` ladder (spin → yield →
+//! park), now waiting for the index alone; if the budget escalates — the
+//! server stayed saturated through the whole ladder — the request is
+//! **shed** with [`ServeError::Overloaded`] rather than queued into
+//! unbounded latency. Under saturation the system therefore degrades by
+//! rejecting, not by collapsing: P99.9 of *served* requests stays bounded
+//! by `max_depth` × flush latency. A flush gives its admission slots back
+//! also when `get_batch` panics; the callers of that ring get
+//! [`ServeError::Shutdown`].
 
 use index_api::{ConcurrentIndex, Key, Value};
 use probe::metrics::{self, Counter};
+use probe::striped::{self, Striped, STRIPES};
 use resilience::{LayerCounters, Retry};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -114,13 +130,15 @@ pub struct ServeStats {
     pub shed: u64,
 }
 
+/// The counters behind [`ServeStats`], striped: every request bumps
+/// `served` and every flush two more, from every worker at once.
 #[derive(Default)]
 struct StatsInner {
-    served: AtomicU64,
-    ring_flushes: AtomicU64,
-    leader_flushes: AtomicU64,
-    batched_keys: AtomicU64,
-    shed: AtomicU64,
+    served: Striped,
+    ring_flushes: Striped,
+    leader_flushes: Striped,
+    batched_keys: Striped,
+    shed: Striped,
 }
 
 struct Pending {
@@ -128,19 +146,29 @@ struct Pending {
     tx: oneshot::Sender<Option<Value>>,
 }
 
+/// A value on a 128-byte line of its own (two cache lines, so the
+/// adjacent-line prefetcher cannot pair it with a neighbour either).
+#[repr(align(128))]
+struct Line<T>(T);
+
 /// An async batching front-end over any [`ConcurrentIndex`]. Cheap to
 /// share: callers hold it in an `Arc` and submit from any number of
 /// tasks. See the module docs for the batching and overload protocol.
 pub struct BatchServer {
     index: Arc<dyn ConcurrentIndex>,
-    queues: Vec<Mutex<Vec<Pending>>>,
+    /// `STRIPES × domains` queues; a request goes to
+    /// `stripe_id() * domains + domain`.
+    queues: Vec<Line<Mutex<Vec<Pending>>>>,
+    domains: usize,
     cfg: ServeConfig,
     stats: StatsInner,
     /// Requests admitted but not yet answered (queued or inside a
     /// flush). This — not queue depth — is the admission-control gauge:
     /// full rings are drained inline, so queues themselves never jam,
     /// but a slow `get_batch` under overload keeps requests in flight.
-    in_flight: AtomicU64,
+    /// The one word every worker writes, so the fields above, which
+    /// every request reads, must not share its line.
+    in_flight: Line<AtomicU64>,
 }
 
 /// Group-commit leadership, held across the leader's yield: dropping it
@@ -148,20 +176,33 @@ pub struct BatchServer {
 /// cancelled.
 struct LeaderFlush<'a> {
     server: &'a BatchServer,
-    domain: usize,
+    queue: usize,
 }
 
 impl Drop for LeaderFlush<'_> {
     fn drop(&mut self) {
         let s = self.server;
-        s.flush(lock(&s.queues[self.domain]), &s.stats.leader_flushes);
+        s.flush(lock(&s.queues[self.queue].0), &s.stats.leader_flushes);
+    }
+}
+
+/// A flush's admission slots, given back when it drops: after the ring's
+/// answers are sent, or while a panicking `get_batch` unwinds.
+struct Admitted<'a> {
+    in_flight: &'a AtomicU64,
+    n: u64,
+}
+
+impl Drop for Admitted<'_> {
+    fn drop(&mut self) {
+        self.in_flight.fetch_sub(self.n, Ordering::Release);
     }
 }
 
 impl BatchServer {
-    /// Build a server over `index` with one submission queue per batch
-    /// domain ([`ConcurrentIndex::batch_domains`] — the region router
-    /// reports its shard count, monolithic indexes report 1).
+    /// Build a server over `index` with one submission queue per thread
+    /// stripe and batch domain ([`ConcurrentIndex::batch_domains`] — the
+    /// region router reports its shard count, monolithic indexes report 1).
     pub fn new(index: Arc<dyn ConcurrentIndex>, cfg: ServeConfig) -> Self {
         assert!(
             (1..=MAX_RING).contains(&cfg.ring_width),
@@ -174,12 +215,13 @@ impl BatchServer {
         let domains = index.batch_domains().max(1);
         BatchServer {
             index,
-            queues: (0..domains)
-                .map(|_| Mutex::new(Vec::with_capacity(cfg.ring_width)))
+            queues: (0..STRIPES * domains)
+                .map(|_| Line(Mutex::new(Vec::with_capacity(cfg.ring_width))))
                 .collect(),
+            domains,
             cfg,
             stats: StatsInner::default(),
-            in_flight: AtomicU64::new(0),
+            in_flight: Line(AtomicU64::new(0)),
         }
     }
 
@@ -188,7 +230,7 @@ impl BatchServer {
     /// arrays, release it, run a single `get_batch` and complete every
     /// oneshot. One drain per call: coming back for requests pushed
     /// meanwhile would take the batch their own leader is forming.
-    fn flush(&self, mut queue: MutexGuard<'_, Vec<Pending>>, path: &AtomicU64) {
+    fn flush(&self, mut queue: MutexGuard<'_, Vec<Pending>>, path: &Striped) {
         let n = queue.len();
         if n == 0 {
             return;
@@ -200,36 +242,38 @@ impl BatchServer {
             txs[i] = Some(p.tx);
         }
         drop(queue);
+        let _slots = Admitted {
+            in_flight: &self.in_flight.0,
+            n: n as u64,
+        };
         let mut out = [None; MAX_RING];
         self.index.get_batch(&keys[..n], &mut out[..n]);
-        path.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .batched_keys
-            .fetch_add(n as u64, Ordering::Relaxed);
+        path.add(1);
+        self.stats.batched_keys.add(n as u64);
         metrics::incr(Counter::RegionBatchFlush);
         for (tx, v) in txs.into_iter().flatten().zip(out) {
             // A dropped receiver (cancelled caller) is fine.
             let _ = tx.send(v);
         }
-        self.in_flight.fetch_sub(n as u64, Ordering::Release);
     }
 
     /// Submit one point lookup. Resolves when the ring containing it is
     /// flushed (inline on ring fill, or by its queue's leader). Sheds
     /// with [`ServeError::Overloaded`] when admission control gives up.
     pub async fn get(&self, key: Key) -> Result<Option<Value>, ServeError> {
-        let d = self.index.batch_domain_of(key) % self.queues.len();
+        let domains = self.domains;
+        let q = striped::stripe_id() * domains + self.index.batch_domain_of(key) % domains;
         // Admission: reserve an in-flight slot, backing off (and finally
         // shedding) while the server is saturated. The waits block the
         // executor thread briefly — acceptable for the shimmed
         // thread-per-worker runtime, and exactly the backpressure we
         // want: saturation should slow submitters down before shedding.
         let mut retry = Retry::new();
+        let in_flight = &self.in_flight.0;
         loop {
-            let cur = self.in_flight.load(Ordering::Acquire);
+            let cur = in_flight.load(Ordering::Acquire);
             if (cur as usize) < self.cfg.max_depth
-                && self
-                    .in_flight
+                && in_flight
                     .compare_exchange(cur, cur + 1, Ordering::AcqRel, Ordering::Acquire)
                     .is_ok()
             {
@@ -240,25 +284,26 @@ impl BatchServer {
             }
             // Saturated. Whatever is still queued may be waiting for a
             // leader that the executor will not poll before this wait is
-            // over — possibly one queued behind this very task — so
-            // flush it here: afterwards every in-flight request is inside
-            // some thread's `get_batch`, and waiting for a slot is
-            // waiting for the index only.
-            for q in &self.queues {
-                self.flush(lock(q), &self.stats.ring_flushes);
+            // over — possibly one queued behind this very task, or one on
+            // another worker — so flush every queue here: afterwards
+            // every in-flight request is inside some thread's
+            // `get_batch`, and waiting for a slot is waiting for the
+            // index only.
+            for queue in &self.queues {
+                self.flush(lock(&queue.0), &self.stats.ring_flushes);
             }
             if retry.wait_or_escalate(&LayerCounters::UNCOUNTED) {
-                self.stats.shed.fetch_add(1, Ordering::Relaxed);
+                self.stats.shed.add(1);
                 return Err(ServeError::Overloaded);
             }
         }
         let (tx, rx) = oneshot::channel();
         let lead = {
-            let mut q = lock(&self.queues[d]);
-            q.push(Pending { key, tx });
-            match q.len() {
+            let mut queue = lock(&self.queues[q].0);
+            queue.push(Pending { key, tx });
+            match queue.len() {
                 len if len >= self.cfg.ring_width => {
-                    self.flush(q, &self.stats.ring_flushes);
+                    self.flush(queue, &self.stats.ring_flushes);
                     false
                 }
                 len => len == 1,
@@ -266,20 +311,20 @@ impl BatchServer {
         };
         if lead {
             // Group-commit leadership: the first submitter into an empty
-            // queue yields to the executor once — letting every runnable
-            // peer pile its request on — then flushes whatever
-            // accumulated (the guard's drop). Batch sizes adapt to the
-            // instantaneous load: 1 when idle, up to ring_width under
-            // load.
+            // queue yields to the executor once — which runs every task
+            // its worker has queued first, so every peer that could push
+            // onto this queue does — then flushes whatever accumulated
+            // (the guard's drop). Batch sizes adapt to the instantaneous
+            // load: 1 when idle, up to ring_width under load.
             let _flush = LeaderFlush {
                 server: self,
-                domain: d,
+                queue: q,
             };
             tokio::task::yield_now().await;
         }
         match rx.await {
             Ok(v) => {
-                self.stats.served.fetch_add(1, Ordering::Relaxed);
+                self.stats.served.add(1);
                 Ok(v)
             }
             Err(_) => Err(ServeError::Shutdown),
@@ -289,17 +334,14 @@ impl BatchServer {
     /// Snapshot of the serving counters.
     pub fn stats(&self) -> ServeStats {
         let s = &self.stats;
-        let (ring, leader) = (
-            s.ring_flushes.load(Ordering::Relaxed),
-            s.leader_flushes.load(Ordering::Relaxed),
-        );
+        let (ring, leader) = (s.ring_flushes.sum(), s.leader_flushes.sum());
         ServeStats {
-            served: s.served.load(Ordering::Relaxed),
+            served: s.served.sum(),
             flushes: ring + leader,
             ring_flushes: ring,
             leader_flushes: leader,
-            batched_keys: s.batched_keys.load(Ordering::Relaxed),
-            shed: s.shed.load(Ordering::Relaxed),
+            batched_keys: s.batched_keys.sum(),
+            shed: s.shed.sum(),
         }
     }
 }
@@ -319,6 +361,58 @@ mod tests {
         let pairs: Vec<(Key, Value)> = (1..=500u64).map(|k| (k * 3, k)).collect();
         let index: Arc<dyn ConcurrentIndex> = Arc::new(MapIndex::bulk_load(&pairs));
         (Arc::new(BatchServer::new(index, cfg)), pairs)
+    }
+
+    /// Runs `f` on a fresh thread whose stripe — and so whose submission
+    /// queues — differ from stripe `not`. Stripes are claimed round-robin,
+    /// so that is the first thread unless a multiple of sixteen others
+    /// claimed one in between.
+    fn off_stripe<R: Send>(not: usize, f: impl FnOnce() -> R + Send) -> R {
+        let mut f = Some(f);
+        loop {
+            let ran = std::thread::scope(|s| {
+                s.spawn(|| (striped::stripe_id() != not).then(|| f.take().unwrap()()))
+                    .join()
+                    .unwrap_or_else(|e| std::panic::resume_unwind(e))
+            });
+            if let Some(out) = ran {
+                return out;
+            }
+        }
+    }
+
+    /// A [`MapIndex`] whose `get_batch` first calls a hook on the keys.
+    struct Hooked<F>(MapIndex, F);
+
+    impl<F: Fn(&[Key]) + Send + Sync> ConcurrentIndex for Hooked<F> {
+        fn get(&self, key: Key) -> Option<Value> {
+            self.0.get(key)
+        }
+        fn get_batch(&self, keys: &[Key], out: &mut [Option<Value>]) {
+            (self.1)(keys);
+            self.0.get_batch(keys, out)
+        }
+        fn insert(&self, k: Key, v: Value) -> index_api::Result<()> {
+            self.0.insert(k, v)
+        }
+        fn update(&self, k: Key, v: Value) -> index_api::Result<()> {
+            self.0.update(k, v)
+        }
+        fn remove(&self, k: Key) -> Option<Value> {
+            self.0.remove(k)
+        }
+        fn range(&self, lo: Key, hi: Key, out: &mut Vec<(Key, Value)>) -> usize {
+            self.0.range(lo, hi, out)
+        }
+        fn memory_usage(&self) -> usize {
+            self.0.memory_usage()
+        }
+        fn len(&self) -> usize {
+            self.0.len()
+        }
+        fn name(&self) -> &'static str {
+            "hooked"
+        }
     }
 
     #[test]
@@ -470,43 +564,119 @@ mod tests {
     }
 
     #[test]
+    fn two_threads_submitting_to_one_domain_form_two_batches() {
+        // One domain, two submitting threads: each thread's request leads
+        // a queue of its own, so neither waits for the other's leader.
+        let (srv, _) = server(ServeConfig::default());
+        let cx = &mut Context::from_waker(Waker::noop());
+        let mut mine = pin!(srv.get(3));
+        assert!(
+            mine.as_mut().poll(cx).is_pending(),
+            "leads this thread's queue"
+        );
+        off_stripe(striped::stripe_id(), || {
+            let cx = &mut Context::from_waker(Waker::noop());
+            let mut theirs = pin!(srv.get(6));
+            assert!(theirs.as_mut().poll(cx).is_pending(), "leads a queue too");
+            assert_eq!(theirs.as_mut().poll(cx), Poll::Ready(Ok(Some(2))));
+        });
+        assert_eq!(mine.as_mut().poll(cx), Poll::Ready(Ok(Some(1))));
+        let st = srv.stats();
+        assert_eq!((st.leader_flushes, st.ring_flushes), (2, 0));
+        assert_eq!((st.batched_keys, st.served), (2, 2));
+    }
+
+    #[test]
+    fn a_saturated_submitter_flushes_a_queue_another_threads_leader_owes() {
+        // `saturated_submitter_flushes_what_is_queued_instead_of_waiting`
+        // across threads: one domain, one leader on each of two threads
+        // holding both slots, neither polled. A third submitter flushes
+        // both queues, the other thread's too, and is admitted.
+        let (srv, _) = server(ServeConfig {
+            ring_width: 2,
+            max_depth: 2,
+        });
+        let cx = &mut Context::from_waker(Waker::noop());
+        let mut mine = pin!(srv.get(3));
+        assert!(mine.as_mut().poll(cx).is_pending());
+        let (queued_tx, queued_rx) = std::sync::mpsc::channel();
+        let (flushed_tx, flushed_rx) = std::sync::mpsc::channel();
+        let (me, srv_ref) = (striped::stripe_id(), &*srv);
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                off_stripe(me, move || {
+                    let cx = &mut Context::from_waker(Waker::noop());
+                    let mut theirs = pin!(srv_ref.get(6));
+                    assert!(theirs.as_mut().poll(cx).is_pending());
+                    queued_tx.send(()).unwrap();
+                    flushed_rx.recv().unwrap();
+                    assert_eq!(theirs.as_mut().poll(cx), Poll::Ready(Ok(Some(2))));
+                })
+            });
+            queued_rx.recv().unwrap();
+            let mut third = pin!(srv.get(9));
+            assert!(
+                third.as_mut().poll(cx).is_pending(),
+                "admitted; now a leader"
+            );
+            flushed_tx.send(()).unwrap();
+            assert_eq!(mine.as_mut().poll(cx), Poll::Ready(Ok(Some(1))));
+            assert_eq!(third.as_mut().poll(cx), Poll::Ready(Ok(Some(3))));
+        });
+        let st = srv.stats();
+        assert_eq!((st.shed, st.served, st.batched_keys), (0, 3, 3));
+        assert_eq!((st.ring_flushes, st.leader_flushes), (2, 1));
+    }
+
+    #[test]
+    fn a_panicking_flush_gives_its_slots_back() {
+        // Every ring holding key 13 panics in `get_batch`. Three such
+        // rings of two take six slots of a two-slot server; a leaked slot
+        // would shed every later request.
+        let index: Arc<dyn ConcurrentIndex> = Arc::new(Hooked(
+            MapIndex::bulk_load(&[(3, 1), (6, 2)]),
+            |keys: &[Key]| assert!(!keys.contains(&13), "a failing batch (expected)"),
+        ));
+        let srv = BatchServer::new(
+            index,
+            ServeConfig {
+                ring_width: 2,
+                max_depth: 2,
+            },
+        );
+        let cx = &mut Context::from_waker(Waker::noop());
+        for _ in 0..3 {
+            let mut leader = pin!(srv.get(3));
+            assert!(leader.as_mut().poll(cx).is_pending());
+            // The follower fills the ring and runs it inline: it panics.
+            let mut follower = Box::pin(srv.get(13));
+            let polled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                follower.as_mut().poll(cx)
+            }));
+            assert!(polled.is_err(), "the flush panicked");
+            drop(follower);
+            assert_eq!(
+                leader.as_mut().poll(cx),
+                Poll::Ready(Err(ServeError::Shutdown)),
+                "the dropped ring's caller"
+            );
+        }
+        let mut fresh = pin!(srv.get(6));
+        assert!(fresh.as_mut().poll(cx).is_pending(), "admitted");
+        assert_eq!(fresh.as_mut().poll(cx), Poll::Ready(Ok(Some(2))));
+        let st = srv.stats();
+        assert_eq!((st.shed, st.served), (0, 1));
+    }
+
+    #[test]
     fn saturated_server_sheds() {
         // With max_depth == 1 and an index whose get_batch blocks, the
         // single in-flight slot stays occupied for 50ms at a time while
         // 32 submitters hammer the server — admission control must shed.
-        struct SlowIndex(MapIndex);
-        impl ConcurrentIndex for SlowIndex {
-            fn get(&self, key: Key) -> Option<Value> {
-                self.0.get(key)
-            }
-            fn get_batch(&self, keys: &[Key], out: &mut [Option<Value>]) {
-                std::thread::sleep(Duration::from_millis(50));
-                self.0.get_batch(keys, out)
-            }
-            fn insert(&self, k: Key, v: Value) -> index_api::Result<()> {
-                self.0.insert(k, v)
-            }
-            fn update(&self, k: Key, v: Value) -> index_api::Result<()> {
-                self.0.update(k, v)
-            }
-            fn remove(&self, k: Key) -> Option<Value> {
-                self.0.remove(k)
-            }
-            fn range(&self, lo: Key, hi: Key, out: &mut Vec<(Key, Value)>) -> usize {
-                self.0.range(lo, hi, out)
-            }
-            fn memory_usage(&self) -> usize {
-                self.0.memory_usage()
-            }
-            fn len(&self) -> usize {
-                self.0.len()
-            }
-            fn name(&self) -> &'static str {
-                "slow"
-            }
-        }
-        let index: Arc<dyn ConcurrentIndex> =
-            Arc::new(SlowIndex(MapIndex::bulk_load(&[(3, 1), (6, 2)])));
+        let index: Arc<dyn ConcurrentIndex> = Arc::new(Hooked(
+            MapIndex::bulk_load(&[(3, 1), (6, 2)]),
+            |_: &[Key]| std::thread::sleep(Duration::from_millis(50)),
+        ));
         let srv = Arc::new(BatchServer::new(
             index,
             ServeConfig {

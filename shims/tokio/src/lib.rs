@@ -22,9 +22,13 @@
 //!   sibling is parked, so nothing waits behind one thread while another
 //!   sleeps.
 //! * A task woken *during its own poll* — what [`task::yield_now`] does —
-//!   goes to the back of the **shared** queue: behind everything this
-//!   worker already has to run and everything already waiting to be
-//!   picked up.
+//!   goes to the back of its worker's **own** queue when that queue holds
+//!   other tasks, and to the back of the **shared** queue otherwise: it
+//!   re-runs after everything its worker already has to run, and a task
+//!   with nothing to wait for locally still lets whatever waits to be
+//!   picked up go first. Either way a yielded task resumes only after
+//!   every task that was runnable beside it on its worker, and while
+//!   siblings are busy it stays on the worker it yielded on.
 //! * A panic in a poll is caught: the task is dropped, its
 //!   [`task::JoinHandle`] resolves to an error, the worker carries on.
 //! * `block_on` polls on the calling thread with a park/unpark waker —
@@ -257,16 +261,27 @@ impl Task {
                 drop(slot);
                 // A wake that arrived while we were RUNNING moved us to
                 // NOTIFIED — the task yielded, or a peer was quicker than
-                // this poll. It goes to the back of the shared queue, not
-                // of this worker's own: behind everything runnable.
-                // Otherwise go idle and let the next wake schedule us.
+                // this poll. It goes behind everything runnable: to the
+                // back of this worker's own queue if that holds anything,
+                // else to the back of the shared queue. Otherwise go idle
+                // and let the next wake schedule us. (Only a worker of the
+                // task's runtime runs it, so `LOCAL` is the right queue.)
                 if self
                     .state
                     .compare_exchange(RUNNING, IDLE, Ordering::AcqRel, Ordering::Acquire)
                     .is_err()
                 {
                     self.state.store(QUEUED, Ordering::Release);
-                    self.schedule_shared();
+                    let alone = LOCAL.with_borrow_mut(|q| {
+                        if q.is_empty() {
+                            return Some(self);
+                        }
+                        q.push_back(self);
+                        None
+                    });
+                    if let Some(task) = alone {
+                        task.schedule_shared();
+                    }
                 }
             }
             // Finished or panicked: either way the future is dropped
@@ -311,11 +326,12 @@ pub mod task {
         }
     }
 
-    /// Yield back to the executor once: the task goes to the back of the
-    /// runtime's shared queue — behind every task its worker already has
-    /// to run — and resumes on a later pass. The batching front-end uses
-    /// this for group-commit leadership: yield, let concurrent submitters
-    /// pile onto the queue, then flush.
+    /// Yield back to the executor once: the task goes to the back of its
+    /// worker's own queue if that holds other tasks, else to the back of
+    /// the runtime's shared queue — behind every task its worker already
+    /// has to run either way — and resumes on a later pass. The batching
+    /// front-end uses this for group-commit leadership: yield, let the
+    /// worker's other submitters pile onto the queue, then flush.
     pub fn yield_now() -> YieldNow {
         YieldNow { yielded: false }
     }
@@ -471,12 +487,17 @@ pub mod sync {
 
         /// The sending half; consumed by [`Sender::send`].
         pub struct Sender<T> {
-            chan: Arc<Mutex<Chan<T>>>,
+            /// `None` once `send` has taken it: the channel is then the
+            /// receiver's alone, and the drop has nothing to close.
+            chan: Option<Arc<Mutex<Chan<T>>>>,
         }
 
         /// The receiving half; await it for the value.
         pub struct Receiver<T> {
             chan: Arc<Mutex<Chan<T>>>,
+            /// A poll returned `Ready`: the sender has sent (and let go
+            /// of the channel) or dropped, so nobody reads `closed` again.
+            done: bool,
         }
 
         /// Error returned when the sender dropped without sending.
@@ -500,18 +521,21 @@ pub mod sync {
             }));
             (
                 Sender {
-                    chan: Arc::clone(&chan),
+                    chan: Some(Arc::clone(&chan)),
                 },
-                Receiver { chan },
+                Receiver { chan, done: false },
             )
         }
 
         impl<T> Sender<T> {
             /// Send the value, waking the receiver. Returns the value
             /// back if the receiver was dropped.
-            pub fn send(self, value: T) -> Result<(), T> {
+            pub fn send(mut self, value: T) -> Result<(), T> {
+                let Some(chan) = self.chan.take() else {
+                    return Err(value); // unreachable: only `send` takes it
+                };
                 let waker = {
-                    let mut c = lock(&self.chan);
+                    let mut c = lock(&chan);
                     if c.closed {
                         return Err(value);
                     }
@@ -527,8 +551,11 @@ pub mod sync {
 
         impl<T> Drop for Sender<T> {
             fn drop(&mut self) {
+                let Some(chan) = self.chan.take() else {
+                    return; // sent
+                };
                 let waker = {
-                    let mut c = lock(&self.chan);
+                    let mut c = lock(&chan);
                     c.closed = true;
                     c.waker.take()
                 };
@@ -540,23 +567,29 @@ pub mod sync {
 
         impl<T> Drop for Receiver<T> {
             fn drop(&mut self) {
-                lock(&self.chan).closed = true;
+                if !self.done {
+                    lock(&self.chan).closed = true;
+                }
             }
         }
 
         impl<T> Future for Receiver<T> {
             type Output = Result<T, RecvError>;
 
-            fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-                let mut c = lock(&self.chan);
-                if let Some(v) = c.value.take() {
-                    return Poll::Ready(Ok(v));
-                }
-                if c.closed {
-                    return Poll::Ready(Err(RecvError(())));
-                }
-                c.waker = Some(cx.waker().clone());
-                Poll::Pending
+            fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+                let ready = {
+                    let mut c = lock(&self.chan);
+                    match c.value.take() {
+                        Some(v) => Ok(v),
+                        None if c.closed => Err(RecvError(())),
+                        None => {
+                            c.waker = Some(cx.waker().clone());
+                            return Poll::Pending;
+                        }
+                    }
+                };
+                self.done = true;
+                Poll::Ready(ready)
             }
         }
     }
@@ -1010,6 +1043,74 @@ mod tests {
                 x.await.unwrap();
             });
             assert_eq!(*log.lock().unwrap(), ["y yields", "x runs", "y resumes"]);
+        });
+    }
+
+    #[test]
+    fn yield_now_queues_behind_its_own_workers_tasks_and_stays_on_that_worker() {
+        within_a_minute(|| {
+            let rt = runtime(2);
+            let log = Arc::new(Mutex::new(Vec::new()));
+            // Eight suspended peers: as many polls as lie between two
+            // shared-queue turns (`SHARED_EVERY`), so a yielded task in
+            // the shared queue would get its turn among them. Both
+            // workers then park.
+            let (txs, peers): (Vec<_>, Vec<_>) = (0..8)
+                .map(|i| {
+                    let (tx, rx) = oneshot::channel::<()>();
+                    let log = Arc::clone(&log);
+                    let peer = rt.spawn(async move {
+                        rx.await.unwrap();
+                        log.lock()
+                            .unwrap()
+                            .push((format!("p{i}"), std::thread::current().id()));
+                    });
+                    (tx, peer)
+                })
+                .unzip();
+            until_parked(&rt, 2);
+            // One worker is held by a task until `y` is done, so it never
+            // parks and the other worker never hands its backlog over.
+            let (entered_tx, entered_rx) = mpsc::channel();
+            let (release_tx, release_rx) = mpsc::channel::<()>();
+            let holder = rt.spawn(async move {
+                entered_tx.send(()).unwrap();
+                release_rx.recv().unwrap();
+            });
+            entered_rx.recv().unwrap();
+            // `y`, on the other worker, wakes the peers onto that worker's
+            // own queue and yields: it resumes there, after all eight.
+            let y = {
+                let log = Arc::clone(&log);
+                rt.spawn(async move {
+                    for tx in txs {
+                        tx.send(()).unwrap();
+                    }
+                    let me = || std::thread::current().id();
+                    log.lock().unwrap().push(("y yields".into(), me()));
+                    yield_now().await;
+                    log.lock().unwrap().push(("y resumes".into(), me()));
+                    release_tx.send(()).unwrap();
+                })
+            };
+            rt.block_on(async {
+                y.await.unwrap();
+                holder.await.unwrap();
+                for p in peers {
+                    p.await.unwrap();
+                }
+            });
+            let log = log.lock().unwrap();
+            let order: Vec<_> = log.iter().map(|(what, _)| what.as_str()).collect();
+            let mut want = vec!["y yields".to_string()];
+            want.extend((0..8).map(|i| format!("p{i}")));
+            want.push("y resumes".into());
+            assert_eq!(order, want);
+            let worker = log[0].1;
+            assert!(
+                log.iter().all(|&(_, t)| t == worker),
+                "one worker ran them all: {log:?}"
+            );
         });
     }
 }
