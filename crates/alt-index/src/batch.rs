@@ -8,10 +8,11 @@
 //!
 //! 1. **Predict** — locate the GPL model in the directory, compute the
 //!    predicted slot, issue a prefetch for the slot's cache line;
-//! 2. **Probe** — the optimistic slot read (same version protocol as the
-//!    scalar path). Learned-layer hits and conclusive misses finish
-//!    here; a tombstone or colliding occupant prefetches the ART root and
-//!    hands off to
+//! 2. **Probe** — the optimistic line snapshot (same version protocol as
+//!    the scalar path). Learned-layer hits and conclusive misses finish
+//!    here; the verdict `Art` (no lane holds the key, its own lane is
+//!    claimed and the line spilled) prefetches the ART root and hands
+//!    off to
 //! 3. **ART descent** — the interleaved engine of `art::batch`, one
 //!    prefetch-then-advance hop per step.
 //!
@@ -19,8 +20,8 @@
 //! revolution of other keys' work before its line is touched.
 //!
 //! Per-key linearizability: every transition runs the scalar protocol
-//! itself — the same slot version snapshot, the one reader's verdict on it
-//! ([`SlotState::probe`](crate::slots::SlotState::probe)), the one
+//! itself — the same line snapshot, the one reader's verdict on it
+//! ([`LineState::probe`](crate::slots::LineState::probe)), the one
 //! [`GplModel::miss_is_final`] re-validation before a miss is declared
 //! conclusive, the same per-key retry budget escalating to
 //! [`AltIndex::get_pessimistic`]. Interleaving other keys between a
@@ -39,10 +40,10 @@ use probe::metrics::{self, Counter};
 enum Stage<'g> {
     /// Slot prefetch issued; the optimistic probe runs next step.
     Probe { m: &'g GplModel, pred: usize },
-    /// Handed off to the interleaved ART descent. `ver` is the slot
-    /// snapshot from the probe — an ART miss is only conclusive if the
-    /// slot (and model) are unchanged since, exactly like the scalar
-    /// path.
+    /// Handed off to the interleaved ART descent. `ver` is the own lane's
+    /// version from the probe's line snapshot — an ART miss is only
+    /// conclusive if the line (and model) are unchanged since, exactly
+    /// like the scalar path.
     Art {
         m: &'g GplModel,
         pred: usize,
@@ -159,8 +160,8 @@ fn step<'g>(idx: &'g AltIndex, fl: &mut Flight<'g>, guard: &'g Guard) -> Option<
     match &mut fl.stage {
         Stage::Probe { m, pred } => {
             let (m, pred) = (*m, *pred);
-            let (state, ver) = m.slots.read(pred);
-            match state.probe(fl.key) {
+            let (verdict, ver) = m.slots.probe(pred, fl.key);
+            match verdict {
                 Probe::Hit(value) => {
                     metrics::incr(Counter::AltBatchLearnedHit);
                     Some(Some(value))

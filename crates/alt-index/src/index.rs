@@ -4,13 +4,14 @@
 //! Operation flow follows Algorithm 2 of the paper: every operation first
 //! locates a GPL model with a binary search over the (flat, sorted) model
 //! directory, computes the key's predicted slot with one calculation, and
-//! then either finishes in the slot or searches the ART-OPT layer from its
+//! then either finishes in that slot's cache line — the key's bucket of
+//! three lanes (DESIGN.md §3) — or searches the ART-OPT layer from its
 //! root.
 
 use crate::config::AltConfig;
 use crate::dir::ModelDir;
 use crate::model::{fill, placement, GplModel};
-use crate::slots::{Probe, SlotArray, SlotGuard, SlotState};
+use crate::slots::{LineGuard, Probe, SlotArray};
 use art::Art;
 use crossbeam_epoch::{self as epoch, RcuCell};
 use index_api::{IndexError, Result};
@@ -132,11 +133,11 @@ impl AltIndex {
 
     /// Point lookup.
     ///
-    /// The slot's miss and the first ART miss are paid together, not one
-    /// after the other: the slot's lines are prefetched, then
+    /// The line's miss and the first ART miss are paid together, not one
+    /// after the other: the predicted line is prefetched, then
     /// [`Art::warm`] walks the tree's cached top and prefetches the first
-    /// node it does not expect cached, and only then is the slot read. The
-    /// verdict comes from the slot snapshot and, on conflict data, the
+    /// node it does not expect cached, and only then is the line read. The
+    /// verdict comes from the line snapshot and, on conflict data, the
     /// authoritative ART read, exactly as without the hints; they only
     /// decide which lines are warm when those reads run.
     pub fn get(&self, key: u64) -> Option<u64> {
@@ -151,10 +152,10 @@ impl AltIndex {
             let pred = m.predict(key);
             m.slots.prefetch(pred);
             self.art.warm(key, &guard);
-            let (state, ver) = m.slots.read(pred);
+            let (verdict, ver) = m.slots.probe(pred, key);
             // A conclusive answer returns; what falls out of the match is
             // a verdict a concurrent retrain or writer may have undone.
-            match state.probe(key) {
+            match verdict {
                 Probe::Hit(value) => return Some(value),
                 Probe::Absent if !m.is_retired() => return None,
                 Probe::Absent => {}
@@ -175,10 +176,10 @@ impl AltIndex {
     /// Guaranteed-progress lookup fallback, used once the optimistic
     /// loop's retry budget is exhausted: the writer protocol, reading.
     ///
-    /// [`AltIndex::with_live_model`] holds the predicted slot's *write
+    /// [`AltIndex::with_live_model`] holds the predicted line's *write
     /// lock* of the key's live model. Every writer of `key` decides under
     /// that lock, and a retrain that could retire the model and move keys
-    /// between the layers has to take it first, so a slot-or-ART miss
+    /// between the layers has to take it first, so a line-or-ART miss
     /// observed under it is conclusive without any version re-validation.
     pub(crate) fn get_pessimistic(&self, key: u64) -> Option<u64> {
         self.with_live_model(key, |_, g| match g.state().probe(key) {
@@ -189,28 +190,28 @@ impl AltIndex {
     }
 
     /// Run `f` on the live model that owns `key`, under the write lock of
-    /// the slot `key` predicts to: the entry of every slot writer and of
-    /// [`AltIndex::get_pessimistic`].
+    /// the line `key` predicts into (its three lanes, in lane order): the
+    /// entry of every writer and of [`AltIndex::get_pessimistic`].
     ///
-    /// A retrain stores `Closing` on the model, then sweeps its slots,
-    /// taking each slot's lock in turn. A writer that finds the model
-    /// `Live` under its slot lock holds that slot ahead of the sweep, so
-    /// the retrain collects what `f` does; one that locks the slot after
+    /// A retrain stores `Closing` on the model, then sweeps its lines,
+    /// taking each line's lock in turn. A writer that finds the model
+    /// `Live` under its line lock holds that line ahead of the sweep, so
+    /// the retrain collects what `f` does; one that locks the line after
     /// the sweep has passed sees `Closing` through the lock's
     /// release/acquire, or `Retired` once the swap is done. Either way it
-    /// releases the slot and goes again under `dir_lock`: no retrain runs
+    /// releases the line and goes again under `dir_lock`: no retrain runs
     /// while that is held, so the second pass finds the successor live,
-    /// and there is no third. Lock order is `dir_lock` → slot lock → ART
+    /// and there is no third. Lock order is `dir_lock` → line lock → ART
     /// node locks, as in a retrain (DESIGN.md §11). One call site of `f`
     /// keeps it inlined into the writers.
-    fn with_live_model<R>(&self, key: u64, mut f: impl FnMut(&GplModel, &SlotGuard<'_>) -> R) -> R {
+    fn with_live_model<R>(&self, key: u64, mut f: impl FnMut(&GplModel, &LineGuard<'_>) -> R) -> R {
         let guard = epoch::pin();
         let mut dl = None;
         loop {
             let m = self.dir.load(&guard).model_for(key);
             let live = m
                 .slots
-                .with_write(m.predict(key), |g| m.is_live().then(|| f(m, g)));
+                .with_line(m.predict(key), |g| m.is_live().then(|| f(m, g)));
             if let Some(r) = live {
                 return r;
             }
@@ -244,16 +245,21 @@ impl AltIndex {
     /// `overwrite` says whether it takes `value`. Returns whether the key
     /// was inserted.
     ///
-    /// The whole decision runs under the predicted slot's write lock.
-    /// That slot is the per-key serialization point: every writer of
-    /// `key` under this model generation predicts the same slot, so
+    /// The whole decision runs under the predicted line's write lock.
+    /// That line is the per-key serialization point: every writer of
+    /// `key` under this model generation predicts into the same line, so
     /// holding its lock across the ART presence check / ART publication
     /// means a racing claim and a racing ART insert of the same key can
-    /// never interleave, and neither can a remove between an upsert's
-    /// "is it there" and its write. The earlier publish-then-recheck
-    /// protocol let a losing insert transiently expose its value through
-    /// ART before undoing it — a failed insert whose value concurrent
-    /// readers could observe (caught by the chaos testkit's oracle).
+    /// never interleave, neither can a remove between an upsert's "is it
+    /// there" and its write, and no two keys take one free lane. The
+    /// earlier publish-then-recheck protocol let a losing insert
+    /// transiently expose its value through ART before undoing it — a
+    /// failed insert whose value concurrent readers could observe (caught
+    /// by the chaos testkit's oracle).
+    ///
+    /// The key goes to its own lane unless a live key holds it, else to
+    /// another free lane of the line, else — past the spill bit, set
+    /// first — to ART (DESIGN.md §3 "A line is a bucket").
     fn place(&self, key: u64, value: u64, overwrite: bool) -> bool {
         enum Placed {
             Slot,
@@ -261,42 +267,38 @@ impl AltIndex {
             Existed,
         }
         let mut want_retrain = false;
-        let placed = self.with_live_model(key, |m, g| match g.state() {
-            SlotState::Occupied { key: k, .. } if k == key => {
+        let placed = self.with_live_model(key, |m, g| {
+            let line = g.state();
+            if let Some((lane, _)) = line.find(key) {
                 if overwrite {
-                    g.set_value(value);
+                    g.set_value(lane, value);
                 }
-                Placed::Existed
+                return Placed::Existed;
             }
-            SlotState::Empty => {
-                g.install(key, value);
-                Placed::Slot
-            }
-            SlotState::Tombstone => {
-                // The key may still live in ART from before the resident
-                // was removed; checked under the lock so the answer cannot
-                // go stale before we claim.
-                let in_art = if overwrite {
-                    self.art.update(key, value)
-                } else {
-                    self.art.get(key).is_some()
-                };
-                if in_art {
-                    Placed::Existed
-                } else {
-                    g.install(key, value);
-                    Placed::Slot
-                }
-            }
-            SlotState::Occupied { .. } => {
+            let Some(lane) = g.free_lane(&line) else {
+                g.spill();
                 let in_art = overwrite && self.art.update(key, value);
-                if in_art || !self.art.insert(key, value) {
+                return if in_art || !self.art.insert(key, value) {
                     Placed::Existed
                 } else {
                     m.art_inserts.fetch_add(1, Ordering::Relaxed);
                     want_retrain = m.wants_retrain();
                     Placed::Art
-                }
+                };
+            };
+            // The key may still live in ART, from before a lane came free;
+            // checked under the lock so the answer cannot go stale before
+            // we claim. Only past a claimed own lane and the spill bit.
+            let in_art = match line.probe(key) {
+                Probe::Art if overwrite => self.art.update(key, value),
+                Probe::Art => self.art.get(key).is_some(),
+                Probe::Hit(_) | Probe::Absent => false,
+            };
+            if in_art {
+                Placed::Existed
+            } else {
+                g.install(lane, key, value);
+                Placed::Slot
             }
         });
         if let Placed::Existed = placed {
@@ -316,15 +318,16 @@ impl AltIndex {
         if key == 0 {
             return Err(IndexError::ReservedKey);
         }
-        let updated = self.with_live_model(key, |_, g| match g.state() {
-            SlotState::Occupied { key: k, .. } if k == key => {
-                probe::chaos::point("slots.update.locked");
-                g.set_value(value);
-                true
+        let updated = self.with_live_model(key, |_, g| {
+            let line = g.state();
+            match line.find(key) {
+                Some((lane, _)) => {
+                    probe::chaos::point("slots.update.locked");
+                    g.set_value(lane, value);
+                    true
+                }
+                None => matches!(line.probe(key), Probe::Art) && self.art.update(key, value),
             }
-            // A key in ART never predicts an empty slot.
-            SlotState::Empty => false,
-            SlotState::Tombstone | SlotState::Occupied { .. } => self.art.update(key, value),
         });
         if updated {
             Ok(())
@@ -338,24 +341,27 @@ impl AltIndex {
         if key == 0 {
             return None;
         }
-        let removed = self.with_live_model(key, |_, g| match g.state() {
-            SlotState::Occupied { key: k, value } if k == key => {
-                // Tombstone the slot AND clear the transient ART copy
-                // (retrain double-presence) in one critical section. With
-                // the ART clear outside the lock, a racing insert of `key`
-                // could land in ART after another key reclaimed the
-                // tombstone, and the late clear would silently delete that
-                // *successful* insert (lost key, caught by the chaos
-                // oracle). Under the lock no new ART copy of `key` can
-                // appear: every inserter of `key` must take this same slot
-                // lock first.
-                probe::chaos::point("slots.remove.pre_tombstone");
-                g.clear();
-                self.art.remove(key);
-                Some(value)
+        let removed = self.with_live_model(key, |_, g| {
+            let line = g.state();
+            match line.find(key) {
+                Some((lane, value)) => {
+                    // Tombstone the lane AND clear the transient ART copy
+                    // (retrain double-presence) in one critical section.
+                    // With the ART clear outside the lock, a racing insert
+                    // of `key` could land in ART after another key
+                    // reclaimed the tombstone, and the late clear would
+                    // silently delete that *successful* insert (lost key,
+                    // caught by the chaos oracle). Under the lock no new
+                    // ART copy of `key` can appear: every inserter of `key`
+                    // must take this same line lock first.
+                    probe::chaos::point("slots.remove.pre_tombstone");
+                    g.clear(lane);
+                    self.art.remove(key);
+                    Some(value)
+                }
+                None if matches!(line.probe(key), Probe::Art) => self.art.remove(key),
+                None => None,
             }
-            SlotState::Empty => None,
-            SlotState::Tombstone | SlotState::Occupied { .. } => self.art.remove(key),
         });
         if removed.is_some() {
             self.len.sub(1);

@@ -6,17 +6,19 @@
 //!
 //! * The **learned index layer** is a flat array of linear *GPL models*
 //!   (built by the Greedy Pessimistic Linear segmentation algorithm,
-//!   [`learned::gpl`]). Every key stored here sits at exactly its
-//!   predicted slot, so this layer has **no prediction error** and never
-//!   performs a secondary search.
+//!   [`learned::gpl`]). Every key stored here sits in the 64-byte line
+//!   of its predicted slot — that slot or one of the line's two other
+//!   lanes — so this layer has **no prediction error** beyond one cache
+//!   line and never performs a secondary search.
 //! * The **ART-OPT layer** ([`art`]) holds conflict data — keys whose
-//!   predicted slot is taken — and is searched from its root. (The
+//!   predicted line is full — and is searched from its root. (The
 //!   paper's fast pointer buffer, which let a model resume ART searches at
 //!   an intermediate node, was built, measured out of cache and withdrawn:
 //!   EXPERIMENTS.md "Fast pointers".)
 //!
-//! Concurrency: slot-granularity optimistic versioning in the learned
-//! layer and optimistic lock coupling in ART (§III-E of the paper).
+//! Concurrency: the paper's slot versions taken to the line (a reader
+//! validates a line's three, a writer locks all three) in the learned
+//! layer, and optimistic lock coupling in ART (§III-E of the paper).
 //! Overcrowded models are rebuilt on the fly (§III-F).
 //!
 //! # Quick start

@@ -109,14 +109,14 @@ pub trait ConcurrentIndex: Send + Sync {
     /// ring: keys from one domain share the structures an AMAC engine
     /// overlaps (one directory, one tree), so batching them together
     /// actually hides the cache misses. A serving front-end keeps one
-    /// submission queue per domain and flushes each queue as its own
-    /// `get_batch` call (see `crates/region::BatchServer`).
+    /// submission queue per (thread stripe, domain) pair and flushes each
+    /// queue as its own `get_batch` call (see `crates/region::BatchServer`).
     ///
     /// Monolithic indexes are one domain (the default). The range-sharded
-    /// region router overrides this with its live shard count — the
-    /// domain map is a **routing hint**, not a correctness contract:
-    /// `get_batch` must answer correctly for any key mix regardless of
-    /// domain, and the count may go stale while shards split/merge.
+    /// region router overrides this with its shard count, which is fixed
+    /// when the router is bulk-loaded — the domain map is a **routing
+    /// hint**, not a correctness contract: `get_batch` must answer
+    /// correctly for any key mix regardless of domain.
     fn batch_domains(&self) -> usize {
         1
     }

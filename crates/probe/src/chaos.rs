@@ -19,18 +19,20 @@
 //!
 //! # Mutation self-test
 //!
-//! [`mutate_skip_slot_revalidation`] is the runtime switch of a
-//! deliberately-broken protocol variant: with the `chaos-mutate` feature
-//! on and [`set_mutation`]`(true)`, `SlotArray::read` in `alt-index`
-//! skips its version re-validation, and `tests/mutation_selftest.rs`
-//! asserts the oracle flags a violation within the CI seed matrix. The
-//! flag is process-global, which is why that test lives in its **own**
+//! [`mutated`] is the runtime selector of deliberately-broken protocol
+//! variants: with the `chaos-mutate` feature on and
+//! [`set_mutation`]`(Some(m))`, `alt-index`'s slot protocol runs
+//! [`Mutation`] `m` — a line snapshot that skips its version
+//! re-validation, a reader that looks only at its own lane, or a writer
+//! that locks only its own lane — and `tests/mutation_selftest.rs`
+//! asserts the oracle flags each within the CI seed matrix. The
+//! selector is process-global, which is why that test lives in its **own**
 //! integration-test binary: cargo runs each test binary as a separate
 //! process, so enabling the mutation there cannot poison tests running
 //! elsewhere in parallel.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::time::Duration;
 
 use crate::{site_hash, SplitMix64};
@@ -52,8 +54,9 @@ static NEXT_THREAD: AtomicUsize = AtomicUsize::new(0);
 /// relaxed — used only to assert instrumentation is actually reached;
 /// compare before/after deltas).
 static HITS: AtomicU64 = AtomicU64::new(0);
-/// The mutation self-test's runtime switch.
-static MUTATION: AtomicBool = AtomicBool::new(false);
+/// The mutation self-test's runtime selector: 0 for none, else a
+/// [`Mutation`]'s discriminant.
+static MUTATION: AtomicU8 = AtomicU8::new(0);
 
 /// Hits per site, in an open-addressed table keyed by the site's hash
 /// (0 marks a free entry). Relaxed atomics only, like [`HITS`]: a lock
@@ -166,19 +169,33 @@ pub fn point(site: &'static str) {
     }
 }
 
-/// Turn the compiled-in mutation on or off (a no-op unless built with
-/// `chaos-mutate`).
-pub fn set_mutation(on: bool) {
-    MUTATION.store(on, Ordering::Release);
+/// A deliberately broken variant of `alt-index`'s slot protocol, for the
+/// mutation self-test.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+pub enum Mutation {
+    /// The line snapshot skips its version re-validation: a torn read.
+    SkipSlotRevalidation = 1,
+    /// A reader compares only its own lane: a key in another lane of its
+    /// line reads as missing.
+    OwnLaneRead = 2,
+    /// A writer locks only its own lane, not the line: two writers of
+    /// one line decide over the same free lane at once.
+    OwnLaneLock = 3,
 }
 
-/// Whether the deliberately-broken slot read (skipped version
-/// re-validation) is active: only ever true when built with
-/// `chaos-mutate` *and* [`set_mutation`]`(true)` was called. Constant
+/// Select the compiled-in mutation, or none (a no-op unless built with
+/// `chaos-mutate`).
+pub fn set_mutation(m: Option<Mutation>) {
+    MUTATION.store(m.map_or(0, |m| m as u8), Ordering::Release);
+}
+
+/// Whether mutation `m` is active: only ever true when built with
+/// `chaos-mutate` *and* [`set_mutation`]`(Some(m))` was called. Constant
 /// `false`, folded away, without the feature.
 #[inline(always)]
-pub fn mutate_skip_slot_revalidation() -> bool {
-    cfg!(feature = "chaos-mutate") && MUTATION.load(Ordering::Acquire)
+pub fn mutated(m: Mutation) -> bool {
+    cfg!(feature = "chaos-mutate") && MUTATION.load(Ordering::Acquire) == m as u8
 }
 
 #[cold]
@@ -281,13 +298,19 @@ mod tests {
 
     #[test]
     fn mutation_flag_needs_the_feature_and_the_switch() {
-        assert!(!mutate_skip_slot_revalidation());
-        set_mutation(true);
-        assert_eq!(
-            mutate_skip_slot_revalidation(),
-            cfg!(feature = "chaos-mutate")
-        );
-        set_mutation(false);
-        assert!(!mutate_skip_slot_revalidation());
+        let all = [
+            Mutation::SkipSlotRevalidation,
+            Mutation::OwnLaneRead,
+            Mutation::OwnLaneLock,
+        ];
+        assert!(all.iter().all(|&m| !mutated(m)));
+        for on in all {
+            set_mutation(Some(on));
+            for m in all {
+                assert_eq!(mutated(m), m == on && cfg!(feature = "chaos-mutate"));
+            }
+        }
+        set_mutation(None);
+        assert!(all.iter().all(|&m| !mutated(m)));
     }
 }
