@@ -156,8 +156,8 @@ impl Retry {
     /// `#[cold]` keeps the body out of the retry loops; `#[inline]` (not
     /// `inline(never)`) gives each calling crate its own out-of-line copy,
     /// so the call is direct — through a cross-crate symbol LLVM hoisted
-    /// the callee's address and `layer` into the first-try path of
-    /// `SlotArray::read`.
+    /// the callee's address and `layer` into the first-try path of the
+    /// slot array's read.
     #[cold]
     #[inline]
     pub fn wait_or_escalate(&mut self, layer: &LayerCounters) -> bool {
