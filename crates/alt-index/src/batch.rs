@@ -20,8 +20,8 @@
 //! revolution of other keys' work before its line is touched.
 //!
 //! Per-key linearizability: every transition runs the scalar protocol
-//! itself — the same line snapshot, the one reader's verdict on it
-//! ([`LineState::probe`](crate::slots::LineState::probe)), the one
+//! itself — the same line snapshot and the one reader's verdict on it
+//! ([`SlotArray::probe`](crate::slots::SlotArray::probe)), the one
 //! [`GplModel::miss_is_final`] re-validation before a miss is declared
 //! conclusive, the same per-key retry budget escalating to
 //! [`AltIndex::get_pessimistic`]. Interleaving other keys between a
@@ -40,14 +40,14 @@ use probe::metrics::{self, Counter};
 enum Stage<'g> {
     /// Slot prefetch issued; the optimistic probe runs next step.
     Probe { m: &'g GplModel, pred: usize },
-    /// Handed off to the interleaved ART descent. `ver` is the own lane's
-    /// version from the probe's line snapshot — an ART miss is only
+    /// Handed off to the interleaved ART descent. `ver` is the line's
+    /// version from the probe's snapshot — an ART miss is only
     /// conclusive if the line (and model) are unchanged since, exactly
     /// like the scalar path.
     Art {
         m: &'g GplModel,
         pred: usize,
-        ver: u32,
+        ver: u64,
         cur: BatchCursor<'g>,
     },
 }

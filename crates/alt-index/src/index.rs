@@ -190,8 +190,8 @@ impl AltIndex {
     }
 
     /// Run `f` on the live model that owns `key`, under the write lock of
-    /// the line `key` predicts into (its three lanes, in lane order): the
-    /// entry of every writer and of [`AltIndex::get_pessimistic`].
+    /// the line `key` predicts into: the entry of every writer and of
+    /// [`AltIndex::get_pessimistic`].
     ///
     /// A retrain stores `Closing` on the model, then sweeps its lines,
     /// taking each line's lock in turn. A writer that finds the model
@@ -305,7 +305,7 @@ impl AltIndex {
             return false;
         }
         self.len.add(1);
-        // Outside `with_live_model`: the rebuild sweeps the slot lock
+        // Outside `with_live_model`: the rebuild sweeps the line lock
         // this thread held, and waits for `dir_lock`.
         if want_retrain {
             self.trigger_retrain(key);
@@ -703,7 +703,7 @@ mod tests {
 
     #[test]
     fn a_pessimistic_get_does_not_wait_for_dir_lock() {
-        // The reader's fallback holds its live model's slot lock, which
+        // The reader's fallback holds its live model's line lock, which
         // already keeps a retrain's sweep out: it must not queue behind
         // `dir_lock`.
         let idx = AltIndex::bulk_load_default(&pairs(1000, 10));

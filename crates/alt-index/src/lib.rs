@@ -16,9 +16,10 @@
 //!   an intermediate node, was built, measured out of cache and withdrawn:
 //!   EXPERIMENTS.md "Fast pointers".)
 //!
-//! Concurrency: the paper's slot versions taken to the line (a reader
-//! validates a line's three, a writer locks all three) in the learned
-//! layer, and optimistic lock coupling in ART (§III-E of the paper).
+//! Concurrency: the paper's slot versions taken to the line (one version
+//! word per line, which a reader validates and a writer locks) in the
+//! learned layer, and optimistic lock coupling in ART (§III-E of the
+//! paper).
 //! Overcrowded models are rebuilt on the fly (§III-F).
 //!
 //! # Quick start

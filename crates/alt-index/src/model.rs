@@ -114,13 +114,13 @@ impl GplModel {
     }
 
     /// Whether an ART miss for a key predicted to slot `pred`, whose line
-    /// was read at own-lane version `ver` before the descent, is
-    /// conclusive: nothing moved under the reader — the model has not been
-    /// retired and no writer of the key has been by since. They all decide
-    /// under the line's lock, and every line lock bumps all three lanes'
-    /// versions, so the own lane's word re-validates the whole line.
+    /// was read at version `ver` before the descent, is conclusive:
+    /// nothing moved under the reader — the model has not been retired and
+    /// no writer of the key has been by since. They all decide under the
+    /// line's lock, and every unlock counts a write in the line's one
+    /// version word, so that word re-validates the whole line.
     #[inline(always)]
-    pub fn miss_is_final(&self, pred: usize, ver: u32) -> bool {
+    pub fn miss_is_final(&self, pred: usize, ver: u64) -> bool {
         !self.is_retired() && self.slots.version_unchanged(pred, ver)
     }
 
@@ -365,7 +365,7 @@ mod tests {
         for &(k, v) in &pairs {
             let slot = m.predict(k);
             assert_eq!(
-                m.slots.read_line(slot).0.slots[slot % LANES],
+                m.slots.with_line(slot, |g| g.state().slots[g.own()]),
                 SlotState::Occupied { key: k, value: v }
             );
         }
@@ -393,7 +393,7 @@ mod tests {
             )
         });
         for &(k, _) in &conflicts {
-            let (line, _) = m.slots.read_line(m.predict(k));
+            let line = m.slots.with_line(m.predict(k), |g| g.state());
             let lanes = (m.slots.capacity() - m.predict(k) / LANES * LANES).min(LANES);
             assert!(line.slots[..lanes].iter().all(|s| s != &SlotState::Empty));
             assert!(line.spill, "conflict key {k}");
@@ -408,7 +408,7 @@ mod tests {
         assert_eq!(m.slots.capacity(), 1);
         assert_eq!(m.predict(42), 0);
         assert_eq!(
-            m.slots.read_line(0).0.slots[0],
+            m.slots.with_line(0, |g| g.state().slots[0]),
             SlotState::Occupied { key: 42, value: 1 }
         );
     }

@@ -191,17 +191,26 @@ impl AltIndex {
 
         // Remove the ART keys the new slots absorbed (every collected ART
         // resident that is not a conflict). Readers racing these deletes
-        // see `retired` and retry against the new directory. A panic
+        // see `retired` and retry against the new directory. Writers of
+        // the new models do not wait for this pass, so each delete runs
+        // under the key's new line lock and only while a lane of that line
+        // holds the key: one that removed the key and put it back into
+        // ART since the swap made that ART entry its only copy. A panic
         // mid-pass leaves the remaining keys present in *both* layers —
         // benign double presence the op paths already handle (the slot
-        // copy wins and the values are equal; the next retrain of the span
-        // merges them away).
+        // copy wins; the next retrain of the span merges them away).
         let t_cleanup = metrics::now_ns();
+        let published = self.dir.load(&guard);
         for &(k, _) in &span.art_pairs {
             if conflicts.binary_search_by_key(&k, |c| c.0).is_err() {
                 probe::chaos::point("retrain.absorb_remove");
                 probe::fail::point("retrain.absorb");
-                self.art.remove(k);
+                let m = published.model_for(k);
+                m.slots.with_line(m.predict(k), |g| {
+                    if g.state().find(k).is_some() {
+                        self.art.remove(k);
+                    }
+                });
             }
         }
         metrics::record_phase_ns(Phase::RetrainCleanup, metrics::now_ns() - t_cleanup);
@@ -311,7 +320,7 @@ mod tests {
             // never spilled reads as "absent unless in a lane").
             for &(k, _) in &conflicts {
                 let m = dir.model_for(k);
-                let (line, _) = m.slots.read_line(m.predict(k));
+                let line = m.slots.with_line(m.predict(k), |g| g.state());
                 let lanes = (m.slots.capacity() - m.predict(k) / LANES * LANES).min(LANES);
                 proptest::prop_assert!(
                     line.slots[..lanes].iter().all(|s| s != &SlotState::Empty),
@@ -517,7 +526,8 @@ mod tests {
             .find(|&k| {
                 Arc::ptr_eq(dir.model_for(k), m)
                     && lane(m.predict(k))
-                    && m.slots.read_line(m.predict(k)).0.slots[m.predict(k) % LANES]
+                    && m.slots
+                        .with_line(m.predict(k), |g| g.state().slots[g.own()])
                         == SlotState::Empty
             })
             .expect("a key of the model predicting an empty slot");

@@ -134,7 +134,7 @@ impl AltIndex {
                     0
                 };
                 let to = m.predict(kb) / LANES * LANES + LANES - 1;
-                for i in m.slots.held_lines(from, to) {
+                for i in m.slots.walk(from, to) {
                     for (key, value) in m.slots.read_sorted(i) {
                         // A lane with no live key reads key 0, below
                         // every cursor.

@@ -2,35 +2,33 @@
 //! paper's slot-granularity optimistic concurrency (§III-E) taken to the
 //! cache line.
 //!
-//! A slot's whole state is one atomic version word beside its key and
-//! value: bit 0 is the writer's lock (odd = a writer is in progress), bit
-//! 1 says the slot was ever *claimed*, and the bits above count writes.
-//! An unclaimed word is "never used"; a claimed slot whose key is 0 is a
-//! tombstone (the paper's remove "sets the key to zero").
-//!
 //! An array is a run of 64-byte `Line`s of three slots each: slot `i`
 //! is lane `i % 3` of line `i / 3`, so every slot lies in one cache line.
 //! The line is a bucket (DESIGN.md §3): a key's *own lane* is the slot it
 //! predicts, and it may also live in either other lane of that line. So
-//! the line is what a reader snapshots and what a writer locks: writers
-//! CAS the lock bit of all three lanes on, in lane order, decide over the
-//! line, then store each word unlocked with one more write counted;
-//! readers snapshot the three words (retrying while one is locked), read
-//! the line, and re-validate them. The line's fourth word is its *spill
-//! bit*, set before a key predicted into the line goes to ART.
+//! the line is what a reader snapshots and what a writer locks, and its
+//! whole state is one atomic version word beside its three keys and
+//! values: bit 0 is the writer's lock (odd = a writer is in progress),
+//! one bit per lane says the lane was ever *claimed*, one more is the
+//! line's *spill bit*, set before a key predicted into the line goes to
+//! ART, and the bits above count writes. A writer CASes the lock bit on,
+//! decides over the line, and stores the word unlocked with one more
+//! write counted; a reader loads the word (retrying while it is locked),
+//! reads the line, and re-loads the word. An unclaimed lane is "never
+//! used"; a claimed lane whose key is 0 is a tombstone (the paper's
+//! remove "sets the key to zero").
 //!
 //! Storage is a [`Region`] of zeroed memory, and nothing here ever writes
-//! the zeros: all-zero memory *is* an array of `Empty` slots (version 0
-//! is unlocked and unclaimed) in lines that never spilled. A bulk-load
-//! group large enough carves all its arrays out of one huge-page region
+//! the zeros: all-zero memory *is* an array of `Empty` slots (word 0 is
+//! unlocked, unclaimed and unspilled). A bulk-load group large enough
+//! carves all its arrays out of one huge-page region
 //! ([`SlotArray::for_group`]); anything smaller gets a heap region per
 //! array.
 
 use prefetch::pages::Region;
 use probe::chaos::Mutation;
 use probe::metrics::{self, Counter};
-use std::ops::Range;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Most cache lines one [`SlotArray::prefetch_window`] call asks for.
@@ -42,13 +40,23 @@ pub const LANES: usize = 3;
 /// Bytes of one [`Line`]: a cache line.
 const LINE: usize = std::mem::size_of::<Line>();
 
-/// Version bit 0: a writer holds the slot.
-const LOCKED: u32 = 1;
-/// Version bit 1: a key was installed once. The first install sets it
-/// under the lock, the unlock's Release publishes it, nothing clears it.
-const CLAIMED: u32 = 2;
-/// What each unlock adds: one write, counted above the two flag bits.
-const WRITE: u32 = 4;
+/// Version bit 0: a writer holds the line.
+const LOCKED: u64 = 1;
+/// Version bits 1..=3: lane `l` had a key installed once, `2 << l`. The
+/// first install sets it under the lock, the unlock's Release publishes
+/// it, nothing clears it.
+const CLAIMED: u64 = 0b1110;
+/// Version bit 4: a key predicted into the line went to ART. Set under the
+/// lock (or by the private build), never cleared.
+const SPILL: u64 = 16;
+/// What each unlock adds: one write, counted above the flag bits.
+const WRITE: u64 = 32;
+
+/// The claimed bit of `lane`.
+#[inline(always)]
+const fn claimed(lane: usize) -> u64 {
+    2 << lane
+}
 
 /// Smallest group of arrays [`SlotArray::for_group`] maps as one shared
 /// huge-page region: glibc's largest mmap threshold on 64-bit. A request
@@ -76,10 +84,10 @@ pub enum SlotState {
 }
 
 impl SlotState {
-    /// The state a version word and the key and value beside it spell.
+    /// The state a lane's claimed bit and the key and value in it spell.
     #[inline(always)]
-    fn of(version: u32, key: u64, value: u64) -> Self {
-        if version & CLAIMED == 0 {
+    fn of(claimed: bool, key: u64, value: u64) -> Self {
+        if !claimed {
             SlotState::Empty
         } else if key == 0 {
             SlotState::Tombstone
@@ -155,16 +163,12 @@ impl LineState {
     /// The line's live entries, ascending by key: its lanes hold them in
     /// no order.
     pub fn sorted_live(&self) -> impl Iterator<Item = (u64, u64)> {
-        self.sorted().into_iter().filter(|e| e.0 != 0)
-    }
-
-    /// The line's three entries ascending by key, a lane with no live key
-    /// as `(0, 0)`, which sorts first.
-    fn sorted(&self) -> [(u64, u64); LANES] {
         sort3(self.slots.map(|slot| match slot {
             SlotState::Occupied { key, value } => (key, value),
             _ => (0, 0),
         }))
+        .into_iter()
+        .filter(|e| e.0 != 0)
     }
 }
 
@@ -192,31 +196,16 @@ fn verdict(hit: Option<u64>, own_claimed: bool, spill: bool) -> Probe {
     }
 }
 
-/// Three slots in one cache line, each field indexed by lane. The three
-/// version words sit together, so a walk reads a line's words from 12
-/// adjacent bytes; the spill word is the 4 B before the first 8-byte key.
+/// Three slots in one cache line under one version word, each other
+/// field indexed by lane.
 #[repr(C, align(64))]
 struct Line {
-    version: [AtomicU32; LANES],
-    /// Nonzero once a key predicted into the line went to ART. Set under
-    /// the line lock (or by the private build), never cleared.
-    spill: AtomicU32,
+    version: AtomicU64,
     key: [AtomicU64; LANES],
     value: [AtomicU64; LANES],
 }
 
 impl Line {
-    /// The three version words, one Acquire load each.
-    #[inline(always)]
-    fn versions(&self) -> [u32; LANES] {
-        let [a, b, c] = &self.version;
-        [
-            a.load(Ordering::Acquire),
-            b.load(Ordering::Acquire),
-            c.load(Ordering::Acquire),
-        ]
-    }
-
     /// The three keys, or the three values: one Acquire load each.
     #[inline(always)]
     fn words(words: &[AtomicU64; LANES]) -> [u64; LANES] {
@@ -227,16 +216,16 @@ impl Line {
             c.load(Ordering::Acquire),
         ]
     }
-}
 
-/// The lanes a line lock takes: all three, in lane order. (Under the
-/// mutation self-test's `OwnLaneLock`, the own lane alone.)
-#[inline(always)]
-fn locked_lanes(own: usize) -> Range<usize> {
-    if probe::chaos::mutated(Mutation::OwnLaneLock) {
-        own..own + 1
-    } else {
-        0..LANES
+    /// The line as version word `v` and keys `key` spell it, taken for lane
+    /// `own`, with its values loaded now.
+    fn state(&self, v: u64, key: [u64; LANES], own: usize) -> LineState {
+        let value = Line::words(&self.value);
+        LineState {
+            slots: [0, 1, 2].map(|l| SlotState::of(v & claimed(l) != 0, key[l], value[l])),
+            own,
+            spill: v & SPILL != 0,
+        }
     }
 }
 
@@ -343,8 +332,8 @@ impl SlotArray {
         assert!(i < self.capacity, "slot index out of range");
         // SAFETY: `i < capacity` (just checked), so line `i / 3` is one of
         // the `capacity.div_ceil(3)` lines `carve` placed, as in `lines`.
-        // (A second bounds check here kept `read` from being inlined into
-        // `get` and the batch stage.)
+        // (A second bounds check here once kept the slot read from being
+        // inlined into `get` and the batch stage.)
         unsafe { &*self.lines.add(i / LANES) }
     }
 
@@ -397,244 +386,181 @@ impl SlotArray {
         }
     }
 
-    /// The slots of `from..=to` whose version word is claimed or locked,
-    /// ascending: every slot of the window a key was ever installed in,
-    /// and any a writer holds. Each still has to go through a read; the
-    /// ones left out need not — a word read neither claimed nor locked
-    /// means the slot was `Empty` at that load, which is what a read
-    /// would have returned then.
-    pub fn occupied(&self, from: usize, to: usize) -> Occupied<'_> {
+    /// The lines of `from..=to` whose version word is locked or has a
+    /// claimed lane, ascending, each as its first slot: every line of the
+    /// window a key was ever installed in, and any a writer holds. Each
+    /// still has to go through a read; the ones left out need not — a
+    /// word read neither locked nor claimed means every lane was `Empty`
+    /// at that load, which is what a read would have returned then.
+    pub fn walk(&self, from: usize, to: usize) -> impl Iterator<Item = usize> + '_ {
         let to = to.min(self.capacity() - 1);
-        Occupied {
-            arr: self,
-            base: from,
-            bits: self.held(from, to),
-            to,
-        }
+        let end = if from > to { 0 } else { to / LANES + 1 };
+        let (mut base, mut bits) = (from / LANES, 0u64);
+        std::iter::from_fn(move || {
+            while bits == 0 {
+                if base >= end {
+                    return None;
+                }
+                bits = self.held(base, end);
+                base += 64;
+            }
+            let line = base - 64 + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            Some(line * LANES)
+        })
     }
 
-    /// The lines of `from..=to` with a claimed or locked lane, ascending,
-    /// each once, as the first such slot in it: what a walk that reads a
-    /// line at a time ([`SlotArray::read_line`]) visits.
-    pub fn held_lines(&self, from: usize, to: usize) -> impl Iterator<Item = usize> + '_ {
-        let mut last = usize::MAX;
-        self.occupied(from, to)
-            .filter(move |&i| std::mem::replace(&mut last, i / LANES) != i / LANES)
-    }
-
-    /// Bit `j` set for each slot `from + j` of `from..=to` (`to` at most
-    /// the last slot), at most 64 of them, whose version word is claimed
-    /// or locked. Built a line at a time: the line's three adjacent
-    /// words, one load each and no branch on them, shifted to where the
-    /// line's first lane falls in the window. A walk that branched per
-    /// slot cost osm's 100-key scans about a quarter more per key, and a
-    /// `u128` of whole lines shifted once at the end cost the masks of a
-    /// 181-slot walk a fifth more than this.
+    /// Bit `j` set for each line `first + j` below `end`, at most 64 of
+    /// them, whose word is locked or has a claimed lane below the
+    /// capacity (the last line's spare lanes never count): one load per
+    /// line and no branch on it. A walk that branched per slot cost osm's
+    /// 100-key scans about a quarter more per key.
     #[inline]
-    fn held(&self, from: usize, to: usize) -> u64 {
-        let to = to.min(from + 63);
-        if from > to {
-            return 0;
-        }
-        let lines = &self.lines()[from / LANES..=to / LANES];
-        let mask = |line: &Line| {
-            line.version.iter().enumerate().fold(0u64, |m, (lane, v)| {
-                let v = v.load(Ordering::Acquire);
-                m | u64::from(v & (LOCKED | CLAIMED) != 0) << lane
-            })
-        };
-        // The first line's lanes before `from` shift out; line `j` after
-        // it starts at window bit `3j - skip`, which is at most `to - from`.
-        let skip = from % LANES;
-        let (first, rest) = lines.split_first().expect("from <= to");
-        let bits = rest
-            .iter()
-            .enumerate()
-            .fold(mask(first) >> skip, |bits, (j, line)| {
-                bits | mask(line) << (LANES * (j + 1) - skip)
-            });
-        bits & (u64::MAX >> (63 - (to - from)))
+    fn held(&self, first: usize, end: usize) -> u64 {
+        let lines = &self.lines()[first..end.min(first + 64)];
+        lines.iter().enumerate().fold(0, |bits, (j, line)| {
+            // The claimed bits of the lanes that are slots.
+            let claims = claimed(self.lanes_of((first + j) * LANES)) - claimed(0);
+            let mask = LOCKED | claims;
+            bits | u64::from(line.version.load(Ordering::Acquire) & mask != 0) << j
+        })
     }
 
-    /// Current version of a slot (for later re-validation via
-    /// [`SlotArray::version_unchanged`]). Every line lock bumps all three
-    /// of its lanes' versions, so this moves whenever the line was
+    /// Current version of slot `i`'s line (for later re-validation via
+    /// [`SlotArray::version_unchanged`]): it moves whenever the line was
     /// written, whichever lane changed.
     #[inline]
-    pub fn version(&self, i: usize) -> u32 {
-        self.line(i).version[i % LANES].load(Ordering::Acquire)
+    pub fn version(&self, i: usize) -> u64 {
+        self.line(i).version.load(Ordering::Acquire)
     }
 
-    /// Whether a slot's version still equals `snapshot`.
+    /// Whether slot `i`'s line's version still equals `snapshot`.
     #[inline]
-    pub fn version_unchanged(&self, i: usize, snapshot: u32) -> bool {
+    pub fn version_unchanged(&self, i: usize, snapshot: u64) -> bool {
         self.version(i) == snapshot
     }
 
-    /// The reader's verdict on `key`, predicted to slot `i`, from one
-    /// snapshot of the slot's line, with the own lane's version it was
-    /// taken at for a later [`SlotArray::version_unchanged`]: what
-    /// [`LineState::probe`] says of a [`SlotArray::read_line`] snapshot,
-    /// with no more loads than the verdict needs — the three version
-    /// words and keys, the matching lane's value, the spill word, and the
-    /// three words again. An own lane whose word is neither claimed nor
-    /// locked is the `Absent` rule with nothing to validate. Out of cache
-    /// the get loop is bound by how many misses of consecutive gets
-    /// overlap, so every instruction here counts: building the whole
-    /// `LineState` here instead cost `read_oc` about 5 % of its
-    /// throughput (EXPERIMENTS.md "A line is a bucket").
-    #[inline]
-    pub fn probe(&self, i: usize, key: u64) -> (Probe, u32) {
+    /// The one optimistic read of slot `i`'s line, with the version it was
+    /// taken at for a later [`SlotArray::version_unchanged`]: load the
+    /// word, and if `settled` answers from it alone, that is the answer;
+    /// else, once the word is unlocked, load the three keys, let `read`
+    /// take what else it needs, and re-load the word. Backs off (spin →
+    /// yield → park) while a writer is mid-flight; once the retry budget
+    /// is exhausted it reads under the writers' own line lock, so the
+    /// read completes even against a pathological writer schedule, and
+    /// returns the word that lock's unlock stored, valid like any
+    /// optimistic snapshot's.
+    #[inline(always)]
+    fn snapshot<R>(
+        &self,
+        i: usize,
+        settled: impl Fn(u64) -> Option<R>,
+        read: impl Fn(&Line, u64, [u64; LANES]) -> R,
+    ) -> (R, u64) {
         let line = self.line(i);
-        let own = i % LANES;
-        let lanes = if probe::chaos::mutated(Mutation::OwnLaneRead) {
-            1 << own
-        } else {
-            (1 << LANES) - 1
-        };
         let mut retry = resilience::Retry::new();
         loop {
-            let v = line.versions();
-            if v[own] & (LOCKED | CLAIMED) == 0 {
-                return (Probe::Absent, v[own]);
+            let v = line.version.load(Ordering::Acquire);
+            if let Some(r) = settled(v) {
+                return (r, v);
             }
-            if (v[0] | v[1] | v[2]) & LOCKED == 0 {
-                let k = Line::words(&line.key);
-                // Bit `l` for each lane `l` that holds the key. No closure
-                // and no branch per lane: a debug build's get is this
-                // code as written, and tests race it.
-                let hits = (usize::from(v[0] & CLAIMED != 0 && k[0] == key)
-                    | usize::from(v[1] & CLAIMED != 0 && k[1] == key) << 1
-                    | usize::from(v[2] & CLAIMED != 0 && k[2] == key) << 2)
-                    & lanes;
+            if v & LOCKED == 0 {
+                let key = Line::words(&line.key);
                 probe::chaos::point("slots.read.between_loads");
-                let value = if hits == 0 {
-                    None
-                } else {
-                    Some(line.value[hits.trailing_zeros() as usize].load(Ordering::Acquire))
-                };
-                let spill = line.spill.load(Ordering::Acquire) != 0;
+                let r = read(line, v, key);
                 probe::chaos::point("slots.read.pre_validate");
-                if probe::chaos::mutated(Mutation::SkipSlotRevalidation) || line.versions() == v {
-                    return (verdict(value, v[own] & CLAIMED != 0, spill), v[own]);
+                // The mutation self-test can skip this re-validation
+                // (chaos-mutate builds only) to prove the harness catches
+                // the resulting torn reads.
+                if probe::chaos::mutated(Mutation::SkipSlotRevalidation)
+                    || line.version.load(Ordering::Acquire) == v
+                {
+                    return (r, v);
                 }
             }
             metrics::incr(Counter::SlotReadRetry);
             if retry.wait_or_escalate(&crate::LAYER) {
-                let (line, v) = self.read_locked(i);
-                return (line.probe(key), v);
+                return self.escalate(i, read);
             }
         }
+    }
+
+    /// [`SlotArray::snapshot`]'s escalation: `read` under the writers' own
+    /// line lock, with the word its unlock stored. Cold and out of line:
+    /// the optimistic loop inlined into `get` carries only its call.
+    #[cold]
+    #[inline(never)]
+    fn escalate<R>(&self, i: usize, read: impl Fn(&Line, u64, [u64; LANES]) -> R) -> (R, u64) {
+        self.locked(i, |g| {
+            let v = g.line.version.load(Ordering::Relaxed);
+            read(g.line, v, Line::words(&g.line.key))
+        })
+    }
+
+    /// The reader's verdict on `key`, predicted to slot `i`, from one
+    /// snapshot of the slot's line, with the version it was taken at:
+    /// what [`LineState::probe`] says of the line, with no more loads than
+    /// the verdict needs — the word, the three keys, the matching lane's
+    /// value, and the word again. An own lane neither claimed nor locked
+    /// is the `Absent` rule with nothing to validate. Out of cache the get
+    /// loop is bound by how many misses of consecutive gets overlap, so
+    /// every instruction here counts: building the whole `LineState`
+    /// here instead cost `read_oc` about 5 % of its throughput
+    /// (EXPERIMENTS.md "A line is a bucket").
+    #[inline]
+    pub fn probe(&self, i: usize, key: u64) -> (Probe, u64) {
+        let own = claimed(i % LANES);
+        let lanes = if probe::chaos::mutated(Mutation::OwnLaneRead) {
+            own
+        } else {
+            CLAIMED
+        };
+        self.snapshot(
+            i,
+            |v| (v & (LOCKED | own) == 0).then_some(Probe::Absent),
+            |line, v, k| {
+                // The claimed bit of each lane that holds the key, with no
+                // branch per lane: a debug build's get is this code as
+                // written, and tests race it.
+                let hits = (u64::from(k[0] == key) << 1
+                    | u64::from(k[1] == key) << 2
+                    | u64::from(k[2] == key) << 3)
+                    & v
+                    & lanes;
+                let value = (hits != 0).then(|| {
+                    line.value[hits.trailing_zeros() as usize - 1].load(Ordering::Acquire)
+                });
+                verdict(value, v & own != 0, v & SPILL != 0)
+            },
+        )
     }
 
     /// Slot `i`'s line as a scan walks it: its three entries ascending by
     /// key, a lane with no live key as key 0, which sorts first. One
-    /// snapshot of the version words, keys and values, validated as
-    /// [`SlotArray::read_line`] validates its own, with no spill word and
-    /// no [`SlotState`]s: an unclaimed lane's key is still the region's
-    /// zero, and a tombstone's is 0, so the key word alone says whether a
-    /// lane is live. A `read_line` and a general sort of its live keys
-    /// per line cost `scan_mix` about a tenth of its throughput
-    /// (EXPERIMENTS.md "A line is a bucket").
+    /// snapshot of the keys and values, with no [`SlotState`]s: an
+    /// unclaimed lane's key is still the region's zero, and a tombstone's
+    /// is 0, so the key word alone says whether a lane is live. A
+    /// `LineState` and a general sort of its live keys per line cost
+    /// `scan_mix` about a tenth of its throughput (EXPERIMENTS.md "A line
+    /// is a bucket").
     #[inline]
     pub fn read_sorted(&self, i: usize) -> [(u64, u64); LANES] {
-        let line = self.line(i);
-        let mut retry = resilience::Retry::new();
-        loop {
-            let v = line.versions();
-            if (v[0] | v[1] | v[2]) & LOCKED == 0 {
-                let key = Line::words(&line.key);
-                probe::chaos::point("slots.read.between_loads");
+        let (sorted, _) = self.snapshot(
+            i,
+            |_| None,
+            |line, _, key| {
                 let value = Line::words(&line.value);
-                probe::chaos::point("slots.read.pre_validate");
-                if probe::chaos::mutated(Mutation::SkipSlotRevalidation) || line.versions() == v {
-                    return sort3([(key[0], value[0]), (key[1], value[1]), (key[2], value[2])]);
-                }
-            }
-            metrics::incr(Counter::SlotReadRetry);
-            if retry.wait_or_escalate(&crate::LAYER) {
-                return self.read_locked(i).0.sorted();
-            }
-        }
+                sort3([(key[0], value[0]), (key[1], value[1]), (key[2], value[2])])
+            },
+        );
+        sorted
     }
 
-    /// Read a consistent snapshot of slot `i`'s line, together with the
-    /// own lane's version it was taken at (always even): the three
-    /// version words, the keys, values and spill word, and the three
-    /// words again. Backs off (spin → yield → park) while a writer is
-    /// mid-flight; once the retry budget is exhausted it escalates to a
-    /// locked read, so the snapshot completes even against a pathological
-    /// writer schedule.
-    #[inline]
-    pub fn read_line(&self, i: usize) -> (LineState, u32) {
-        let line = self.line(i);
-        let own = i % LANES;
-        let mut retry = resilience::Retry::new();
-        loop {
-            let v = line.versions();
-            if (v[0] | v[1] | v[2]) & LOCKED != 0 {
-                metrics::incr(Counter::SlotReadRetry);
-                if retry.wait_or_escalate(&crate::LAYER) {
-                    return self.read_locked(i);
-                }
-                continue;
-            }
-            let key = Line::words(&line.key);
-            probe::chaos::point("slots.read.between_loads");
-            let value = Line::words(&line.value);
-            let spill = line.spill.load(Ordering::Acquire) != 0;
-            probe::chaos::point("slots.read.pre_validate");
-            // The mutation self-test can skip this re-validation
-            // (chaos-mutate builds only) to prove the harness catches the
-            // resulting torn reads.
-            if !probe::chaos::mutated(Mutation::SkipSlotRevalidation) && line.versions() != v {
-                metrics::incr(Counter::SlotReadRetry);
-                if retry.wait_or_escalate(&crate::LAYER) {
-                    return self.read_locked(i);
-                }
-                continue;
-            }
-            let slots = [
-                SlotState::of(v[0], key[0], value[0]),
-                SlotState::of(v[1], key[1], value[1]),
-                SlotState::of(v[2], key[2], value[2]),
-            ];
-            return (LineState { slots, own, spill }, v[own]);
-        }
-    }
-
-    /// Pessimistic read fallback: take the line's lock, snapshot it,
-    /// release. Guaranteed to terminate (lock waits have a holder that
-    /// finishes) at the cost of one version bump per lane, which may
-    /// bounce concurrent optimistic readers — acceptable, since this only
-    /// runs after a full retry budget of failed optimistic attempts. The
-    /// returned version is the own lane's post-unlock (even) version,
-    /// valid for [`SlotArray::version_unchanged`] checks like any
-    /// optimistic snapshot.
-    fn read_locked(&self, i: usize) -> (LineState, u32) {
-        let line = self.line(i);
-        let own = i % LANES;
-        let lanes = locked_lanes(own);
-        for lane in lanes.clone() {
-            lock(&line.version[lane]);
-        }
-        let state = self.guard(i).state();
-        let mut v = 0;
-        for lane in lanes {
-            let stored = unlock(&line.version[lane]);
-            if lane == own {
-                v = stored;
-            }
-        }
-        (state, v)
-    }
-
-    /// Run `f` with slot `i`'s line write-locked: its three lanes' locks,
-    /// taken in lane order (versions odd). The guard gives exclusive
-    /// read/write access to the line; concurrent optimistic readers spin
-    /// (or retry their validation) until `f` returns, and each unlock
-    /// counts a write on every lane. The locks are released even if `f`
-    /// panics.
+    /// Run `f` with slot `i`'s line write-locked (its version odd). The
+    /// guard gives exclusive read/write access to the line; concurrent
+    /// optimistic readers spin (or retry their validation) until `f`
+    /// returns, and the unlock counts one write. The lock is released
+    /// even if `f` panics.
     ///
     /// This is the per-key serialization point: every key that predicts
     /// a slot of the line decides here, so callers that must make a
@@ -642,30 +568,27 @@ impl SlotArray {
     /// a free lane unless the key already lives in ART") do the whole
     /// decision inside `f`.
     pub fn with_line<R>(&self, i: usize, f: impl FnOnce(&LineGuard<'_>) -> R) -> R {
-        struct Unlock<'a>(&'a Line, Range<usize>);
-        impl Drop for Unlock<'_> {
-            fn drop(&mut self) {
-                for lane in self.1.clone() {
-                    unlock(&self.0.version[lane]);
-                }
-            }
-        }
-        let line = self.line(i);
-        let lanes = locked_lanes(i % LANES);
-        for lane in lanes.clone() {
-            lock(&line.version[lane]);
-        }
-        let _unlock = Unlock(line, lanes);
-        f(&self.guard(i))
+        self.locked(i, f).0
     }
 
-    /// The guard of slot `i`'s line, for a caller that holds its lock.
-    fn guard(&self, i: usize) -> LineGuard<'_> {
-        LineGuard {
+    /// [`SlotArray::with_line`], with the word its unlock stored.
+    fn locked<R>(&self, i: usize, f: impl FnOnce(&LineGuard<'_>) -> R) -> (R, u64) {
+        struct Unlock<'a>(&'a AtomicU64);
+        impl Drop for Unlock<'_> {
+            fn drop(&mut self) {
+                unlock(self.0);
+            }
+        }
+        let guard = LineGuard {
             line: self.line(i),
             own: i % LANES,
             lanes: self.lanes_of(i),
-        }
+        };
+        lock(&guard.line.version);
+        let held = Unlock(&guard.line.version);
+        let r = f(&guard);
+        std::mem::forget(held);
+        (r, unlock(&guard.line.version))
     }
 
     /// Bulk placement during (re)construction, first pass: the array is
@@ -674,13 +597,13 @@ impl SlotArray {
     pub fn place_unsync(&self, i: usize, key: u64, value: u64) -> bool {
         let line = self.line(i);
         let lane = i % LANES;
-        let v = line.version[lane].load(Ordering::Relaxed);
-        if v & CLAIMED != 0 {
+        let v = line.version.load(Ordering::Relaxed);
+        if v & claimed(lane) != 0 {
             return false;
         }
         line.key[lane].store(key, Ordering::Relaxed);
         line.value[lane].store(value, Ordering::Relaxed);
-        line.version[lane].store(v | CLAIMED, Ordering::Relaxed);
+        line.version.store(v | claimed(lane), Ordering::Relaxed);
         true
     }
 
@@ -692,7 +615,8 @@ impl SlotArray {
         let first = i - i % LANES;
         let placed = (first..first + self.lanes_of(i)).any(|j| self.place_unsync(j, key, value));
         if !placed {
-            self.line(i).spill.store(1, Ordering::Relaxed);
+            let version = &self.line(i).version;
+            version.store(version.load(Ordering::Relaxed) | SPILL, Ordering::Relaxed);
         }
         placed
     }
@@ -700,10 +624,10 @@ impl SlotArray {
     /// Iterate live entries line by line, yielding `(slot, key, value)`
     /// in slot order. Snapshot-consistent per line, not across lines.
     pub fn for_each_live(&self, mut f: impl FnMut(usize, u64, u64)) {
-        for i in self.held_lines(0, self.capacity() - 1) {
-            let first = i - i % LANES;
-            for (lane, slot) in self.read_line(i).0.slots.into_iter().enumerate() {
-                if let SlotState::Occupied { key, value } = slot {
+        for first in self.walk(0, usize::MAX) {
+            let (line, _) = self.snapshot(first, |_| None, |line, v, key| line.state(v, key, 0));
+            for (lane, slot) in line.slots[..self.lanes_of(first)].iter().enumerate() {
+                if let SlotState::Occupied { key, value } = *slot {
                     f(first + lane, key, value);
                 }
             }
@@ -718,15 +642,17 @@ impl SlotArray {
     }
 }
 
-/// Lock a slot by its version word (even→odd CAS, backing off). The
-/// caller must follow with [`unlock`]. The wait never escalates — the
+/// Lock a line by its version word (unlocked→locked CAS, backing off).
+/// The caller must follow with [`unlock`]. The wait never escalates — the
 /// current holder's progress is this path's progress guarantee — but it
-/// does park past the budget so a long queue stops burning CPU.
-fn lock(version: &AtomicU32) {
+/// does park past the budget so a long queue stops burning CPU. (Under
+/// the mutation self-test's `SharedLineLock` the CAS skips the lock bit's
+/// check, so a second writer takes a held line.)
+fn lock(version: &AtomicU64) {
     let mut retry = resilience::Retry::new();
     loop {
         let v = version.load(Ordering::Acquire);
-        if v & LOCKED == 0
+        if (v & LOCKED == 0 || probe::chaos::mutated(Mutation::SharedLineLock))
             && version
                 .compare_exchange_weak(v, v | LOCKED, Ordering::AcqRel, Ordering::Acquire)
                 .is_ok()
@@ -744,12 +670,12 @@ fn lock(version: &AtomicU32) {
     }
 }
 
-/// Release a slot's lock: clear the lock bit and count one write, keeping
-/// the claimed bit (the count wraps above it). Returns the word stored.
-/// Only the holder writes a locked word, so its own load sees the latest
-/// one.
+/// Release a line's lock: clear the lock bit and count one write, keeping
+/// the claimed and spill bits (the count wraps above them). Returns the
+/// word stored. Only the holder writes a locked word, so its own load
+/// sees the latest one.
 #[inline]
-fn unlock(version: &AtomicU32) -> u32 {
+fn unlock(version: &AtomicU64) -> u64 {
     let v = (version.load(Ordering::Relaxed) & !LOCKED).wrapping_add(WRITE);
     version.store(v, Ordering::Release);
     v
@@ -773,39 +699,9 @@ impl Drop for SlotArray {
     }
 }
 
-/// Iterator over the claimed or locked slots of a window (see
-/// [`SlotArray::occupied`]), built 64 slots at a time.
-pub struct Occupied<'a> {
-    arr: &'a SlotArray,
-    /// First slot of the block `bits` covers.
-    base: usize,
-    /// The block's held slots not yet yielded.
-    bits: u64,
-    /// Last slot of the window.
-    to: usize,
-}
-
-impl Iterator for Occupied<'_> {
-    type Item = usize;
-
-    #[inline]
-    fn next(&mut self) -> Option<usize> {
-        while self.bits == 0 {
-            self.base += 64;
-            if self.base > self.to {
-                return None;
-            }
-            self.bits = self.arr.held(self.base, self.to);
-        }
-        let slot = self.base + self.bits.trailing_zeros() as usize;
-        self.bits &= self.bits - 1;
-        Some(slot)
-    }
-}
-
 /// Exclusive access to one write-locked line, handed to
 /// [`SlotArray::with_line`] closures. No version dance is needed inside:
-/// every lane's version is odd for the guard's whole lifetime, so
+/// the line's version is odd for the guard's whole lifetime, so
 /// optimistic readers cannot validate against anything the closure does.
 pub struct LineGuard<'a> {
     line: &'a Line,
@@ -821,25 +717,12 @@ impl LineGuard<'_> {
         self.own
     }
 
-    /// The line's current state, read under the lock. Each version word
-    /// is the holder's to write now, and its lock's Acquire ordered it
-    /// after the last unlock.
+    /// The line's current state, read under the lock. The version word is
+    /// the holder's to write now, and its lock's Acquire ordered it after
+    /// the last unlock.
     pub fn state(&self) -> LineState {
-        let line = self.line;
-        let (v, key, value) = (
-            line.versions(),
-            Line::words(&line.key),
-            Line::words(&line.value),
-        );
-        LineState {
-            slots: [
-                SlotState::of(v[0], key[0], value[0]),
-                SlotState::of(v[1], key[1], value[1]),
-                SlotState::of(v[2], key[2], value[2]),
-            ],
-            own: self.own,
-            spill: line.spill.load(Ordering::Relaxed) != 0,
-        }
+        let v = self.line.version.load(Ordering::Relaxed);
+        self.line.state(v, Line::words(&self.line.key), self.own)
     }
 
     /// The lane a key that is in no lane of `state` (this line's state)
@@ -861,18 +744,22 @@ impl LineGuard<'_> {
         }
     }
 
+    /// Set `bits` in the line's version word. Only the holder writes a
+    /// locked word, and the unlock's Release publishes the bits with the
+    /// key and value writes before it.
+    fn mark(&self, bits: u64) {
+        let version = &self.line.version;
+        version.store(version.load(Ordering::Relaxed) | bits, Ordering::Relaxed);
+    }
+
     /// Install `(key, value)` in `lane`, claiming it. Callers decide from
     /// [`LineGuard::state`] first; installing over a live *different* key
     /// would lose its entry.
     pub fn install(&self, lane: usize, key: u64, value: u64) {
         debug_assert_ne!(key, 0);
         debug_assert!(lane < self.lanes, "lane past the array's capacity");
-        let (version, k, v) = (
-            &self.line.version[lane],
-            &self.line.key[lane],
-            &self.line.value[lane],
-        );
-        if version.load(Ordering::Relaxed) & CLAIMED != 0 {
+        let (k, v) = (&self.line.key[lane], &self.line.value[lane]);
+        if self.line.version.load(Ordering::Relaxed) & claimed(lane) != 0 {
             k.store(key, Ordering::Release);
             // Tombstone reclaim by a *different* key: the window between
             // the two stores is where skipped read-side re-validation
@@ -883,9 +770,7 @@ impl LineGuard<'_> {
             k.store(key, Ordering::Release);
             probe::chaos::point("slots.claim.mid_write");
             v.store(value, Ordering::Release);
-            // Under the lock: the unlock's Release publishes it with the
-            // key and value.
-            version.fetch_or(CLAIMED, Ordering::Relaxed);
+            self.mark(claimed(lane));
         }
     }
 
@@ -903,7 +788,7 @@ impl LineGuard<'_> {
     /// ART. Under the lock, before the ART insert, so a reader whose
     /// snapshot validates after this holder's unlock sees it.
     pub fn spill(&self) {
-        self.line.spill.store(1, Ordering::Relaxed);
+        self.mark(SPILL);
     }
 }
 
@@ -911,10 +796,16 @@ impl LineGuard<'_> {
 mod tests {
     use super::*;
 
+    /// Slot `i`'s line through the one optimistic read, and the version it
+    /// was taken at.
+    fn line_state(s: &SlotArray, i: usize) -> (LineState, u64) {
+        s.snapshot(i, |_| None, |line, v, key| line.state(v, key, i % LANES))
+    }
+
     /// Slot `i`'s state and the version it was read at: its lane of a
     /// line snapshot.
-    fn read(s: &SlotArray, i: usize) -> (SlotState, u32) {
-        let (line, v) = s.read_line(i);
+    fn read(s: &SlotArray, i: usize) -> (SlotState, u64) {
+        let (line, v) = line_state(s, i);
         (line.slots[line.own], v)
     }
 
@@ -950,7 +841,7 @@ mod tests {
             for i in 0..capacity {
                 let (line, lane) = (s.line(i), i % 3);
                 let ends = [
-                    (&line.version[lane] as *const AtomicU32 as usize, 4),
+                    (&line.version as *const AtomicU64 as usize, 8),
                     (&line.key[lane] as *const AtomicU64 as usize, 8),
                     (&line.value[lane] as *const AtomicU64 as usize, 8),
                 ];
@@ -965,17 +856,24 @@ mod tests {
                     "slot {i} of {capacity}"
                 );
             }
-            // Claim every slot, and the last line's spare lanes behind the
-            // array's back: a walk still stops at the last slot.
+            // Claim the last line's spare lanes behind the array's back,
+            // with keys: alone they do not make the line held, and beside
+            // claimed slots a walk still stops at the last slot.
+            let last = s.lines().last().unwrap();
+            for lane in (capacity - 1) % 3 + 1..LANES {
+                last.key[lane].store(u64::MAX - lane as u64, Ordering::Relaxed);
+                last.version.fetch_or(claimed(lane), Ordering::Relaxed);
+            }
+            assert_eq!(s.walk(0, usize::MAX).next(), None, "capacity {capacity}");
             for i in 0..capacity {
                 assert!(s.place_unsync(i, i as u64 + 1, 0));
             }
-            for v in &s.lines().last().unwrap().version[(capacity - 1) % 3 + 1..] {
-                v.store(CLAIMED, Ordering::Relaxed);
-            }
-            let walk: Vec<usize> = s.occupied(0, usize::MAX).collect();
+            let walk: Vec<usize> = s.walk(0, usize::MAX).collect();
+            assert_eq!(walk, (0..capacity).step_by(3).collect::<Vec<_>>());
+            let mut live = Vec::new();
+            s.for_each_live(|i, _, _| live.push(i));
             assert_eq!(
-                walk,
+                live,
                 (0..capacity).collect::<Vec<_>>(),
                 "capacity {capacity}"
             );
@@ -997,14 +895,18 @@ mod tests {
         let empty: Vec<bool> = (0..200)
             .map(|i| read(&s, i).0 == SlotState::Empty)
             .collect();
-        // Slot 101's line lock holds slots 99, 100 and 101.
+        // Slot 101's line lock holds slots 99, 100 and 101. The walk
+        // yields the first slot of each line of the window with a held
+        // slot, whichever lanes the window starts and ends at.
         s.with_line(101, |_| {
             for from in 0..200 {
-                for to in from..(from + 140).min(220) {
-                    let expect: Vec<usize> = (from..=to.min(199))
+                for to in from..(from + 250).min(260) {
+                    let mut expect: Vec<usize> = (from / 3 * 3..(to.min(199) / 3 * 3 + 3).min(200))
                         .filter(|&i| (99..=101).contains(&i) || !empty[i])
+                        .map(|i| i / 3 * 3)
                         .collect();
-                    let walk: Vec<usize> = s.occupied(from, to).collect();
+                    expect.dedup();
+                    let walk: Vec<usize> = s.walk(from, to).collect();
                     assert_eq!(walk, expect, "{from}..={to}");
                 }
             }
@@ -1097,13 +999,13 @@ mod tests {
 
     #[test]
     fn a_lock_only_round_trip_leaves_a_slot_empty() {
-        // The round trip of the retrain's sweep and of `read_locked`.
+        // The round trip of the retrain's sweep and of an escalated read.
         let s = SlotArray::new(8);
         let (_, v0) = read(&s, 3);
         s.with_line(3, |g| assert_eq!(g.state().slots[0], SlotState::Empty));
-        let (state, v1) = s.read_locked(3);
+        let (state, v1) = s.locked(3, |g| g.state());
         assert_eq!(state.slots[0], SlotState::Empty);
-        assert_eq!(v1, s.version(3), "read_locked returns the word it stored");
+        assert_eq!(v1, s.version(3), "the lock returns the word it stored");
         assert_ne!(v1, v0, "each unlock counts a write");
         assert_eq!(v1 % 2, 0);
         assert_eq!(read(&s, 3), (SlotState::Empty, v1));
@@ -1114,13 +1016,12 @@ mod tests {
     fn a_walk_yields_a_slot_held_for_its_first_claim() {
         let s = SlotArray::new(100);
         s.with_line(70, |g| {
-            let line = [69, 70, 71];
-            assert_eq!(s.occupied(0, 99).collect::<Vec<_>>(), line, "locked");
+            assert_eq!(s.walk(0, 99).collect::<Vec<_>>(), [69], "locked");
             g.install(1, 7, 70);
-            assert_eq!(s.occupied(0, 99).collect::<Vec<_>>(), line);
-            assert_eq!(s.held_lines(0, 99).collect::<Vec<_>>(), [69]);
+            assert_eq!(s.walk(0, 99).collect::<Vec<_>>(), [69]);
         });
-        assert_eq!(s.occupied(0, 99).collect::<Vec<_>>(), [70], "claimed");
+        assert_eq!(s.walk(0, 99).collect::<Vec<_>>(), [69], "claimed");
+        assert_eq!(read(&s, 70).0, SlotState::Occupied { key: 7, value: 70 });
     }
 
     #[test]
@@ -1129,11 +1030,13 @@ mod tests {
         for i in [3, 64, 70, 130, 199] {
             put(&s, i, i as u64 + 1, 1);
         }
-        let walk = |from, to| s.occupied(from, to).collect::<Vec<_>>();
-        assert_eq!(walk(0, 199), [3, 64, 70, 130, 199]);
-        assert_eq!(walk(4, 129), [64, 70]);
-        assert_eq!(walk(70, 70), [70]);
-        assert_eq!(walk(131, 500), [199], "clamped to the last slot");
+        // Lines 1, 21, 23, 43 and 66: a window's edge lines count whole.
+        let walk = |from, to| s.walk(from, to).collect::<Vec<_>>();
+        assert_eq!(walk(0, 199), [3, 63, 69, 129, 198]);
+        assert_eq!(walk(6, 128), [63, 69]);
+        assert_eq!(walk(4, 129), [3, 63, 69, 129]);
+        assert_eq!(walk(70, 70), [69]);
+        assert_eq!(walk(131, 500), [129, 198], "clamped to the last slot");
         assert_eq!(walk(71, 70), [] as [usize; 0]);
     }
 
@@ -1141,16 +1044,17 @@ mod tests {
     fn an_unlock_keeps_the_claim_across_a_count_wrap() {
         let s = SlotArray::new(1);
         // Unclaimed, at the highest count: the first claim's unlock wraps.
-        s.line(0).version[0].store(u32::MAX - 3, Ordering::Relaxed);
+        let top = !(WRITE - 1);
+        s.line(0).version.store(top, Ordering::Relaxed);
         assert!(put(&s, 0, 5, 50));
         let (state, v) = read(&s, 0);
         assert_eq!(state, SlotState::Occupied { key: 5, value: 50 });
         assert_eq!(v % 2, 0);
         // Claimed, at the highest count: a lock-only round trip wraps.
-        s.line(0).version[0].store(u32::MAX - 1, Ordering::Relaxed);
+        s.line(0).version.store(top | claimed(0), Ordering::Relaxed);
         s.with_line(0, |_| ());
         assert_eq!(read(&s, 0).0, SlotState::Occupied { key: 5, value: 50 });
-        assert_eq!(s.occupied(0, 0).collect::<Vec<_>>(), [0]);
+        assert_eq!(s.walk(0, 0).collect::<Vec<_>>(), [0]);
     }
 
     /// Install `key` in `lane` of slot `i`'s line under its lock.
@@ -1181,7 +1085,7 @@ mod tests {
         take(&s, 4, 40);
         assert_eq!(verdict(4, 41), Some(u64::MAX), "a tombstone is claimed");
         assert_eq!(verdict(4, 50), Some(500));
-        let (line, _) = s.read_line(5);
+        let (line, _) = line_state(&s, 5);
         assert_eq!(line.own, 2);
         assert!(line.spill);
         assert_eq!(line.find(50), Some((2, 500)));
@@ -1214,7 +1118,7 @@ mod tests {
             for (lane, key) in lanes.into_iter().enumerate() {
                 put_lane(&s, 0, lane, key);
             }
-            let live: Vec<u64> = s.read_line(1).0.sorted_live().map(|e| e.0).collect();
+            let live: Vec<u64> = line_state(&s, 1).0.sorted_live().map(|e| e.0).collect();
             assert_eq!(live, [10, 20, 30], "lanes {lanes:?}");
             assert_eq!(s.read_sorted(1), [(10, 100), (20, 200), (30, 300)]);
             // A tombstone reads key 0, ahead of the live keys.
@@ -1222,7 +1126,7 @@ mod tests {
             let mut rest = [lanes[0], lanes[2]];
             rest.sort_unstable();
             assert_eq!(s.read_sorted(1).map(|e| e.0), [0, rest[0], rest[1]]);
-            let live: Vec<u64> = s.read_line(1).0.sorted_live().map(|e| e.0).collect();
+            let live: Vec<u64> = line_state(&s, 1).0.sorted_live().map(|e| e.0).collect();
             assert_eq!(live, rest, "lanes {lanes:?}, lane 1 removed");
         }
     }
@@ -1235,9 +1139,9 @@ mod tests {
         assert!(!s.place_unsync(3, 2, 2), "own lane taken");
         assert!(s.place_in_line_unsync(3, 2, 2), "lane 1 is free");
         assert!(!s.place_in_line_unsync(3, 3, 3), "no lane left");
-        assert!(s.read_line(3).0.spill);
-        assert!(!s.read_line(0).0.spill, "another line");
-        let (line, _) = s.read_line(4);
+        assert!(line_state(&s, 3).0.spill);
+        assert!(!line_state(&s, 0).0.spill, "another line");
+        let (line, _) = line_state(&s, 4);
         assert_eq!(
             line.slots[2],
             SlotState::Empty,
@@ -1268,10 +1172,10 @@ mod tests {
 
     #[test]
     fn a_write_to_one_lane_moves_every_lanes_version() {
-        // A reader's ART miss re-checks its own lane's version alone, so a
-        // writer of any other lane of the line must move it.
+        // A reader's ART miss re-checks the version of its own slot's line,
+        // so a writer of any other lane of the line must move it.
         let s = SlotArray::new(3);
-        let before: Vec<u32> = (0..3).map(|i| s.version(i)).collect();
+        let before: Vec<u64> = (0..3).map(|i| s.version(i)).collect();
         put_lane(&s, 2, 2, 5);
         for (i, v) in before.into_iter().enumerate() {
             assert!(!s.version_unchanged(i, v), "lane {i}");
@@ -1281,9 +1185,9 @@ mod tests {
 
     #[test]
     fn a_sweep_at_lane_0_waits_for_a_writer_of_lane_2() {
-        // A writer whose key predicts lane 2 holds the whole line, lane 0
-        // first, so a sweep that locks the line waits at lane 0 and then
-        // sees the writer's install (DESIGN.md §14).
+        // A writer whose key predicts lane 2 holds the whole line, so a
+        // sweep that locks the line for lane 0 waits for it and then sees
+        // the writer's install (DESIGN.md §14).
         use std::sync::atomic::AtomicBool;
         let s = SlotArray::new(6);
         let done = AtomicBool::new(false);
@@ -1298,13 +1202,46 @@ mod tests {
                 })
             });
             held.recv().unwrap();
-            assert_eq!(s.occupied(3, 5).collect::<Vec<_>>(), [3, 4, 5], "locked");
+            assert_eq!(s.walk(3, 5).collect::<Vec<_>>(), [3], "locked");
             let swept = s.with_line(3, |g| {
                 assert!(done.load(Ordering::Relaxed), "the sweep passed a held line");
                 g.state().sorted_live().collect::<Vec<_>>()
             });
             assert_eq!(swept, [(77, 770)]);
         });
+    }
+
+    #[test]
+    fn a_read_past_its_retry_budget_takes_the_line_lock_and_its_version() {
+        // A writer holds line 1 far past the reader's whole retry budget
+        // (a few ms of spins, yields and parks), so the probe escalates to
+        // the line lock and returns once the writer releases, with the
+        // word its own unlock stored: the writer's unlock counted one
+        // write, the reader's a second.
+        let s = SlotArray::new(6);
+        let (held_tx, held) = std::sync::mpsc::channel();
+        let (verdict, v) = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                s.with_line(4, |g| {
+                    held_tx.send(()).unwrap();
+                    std::thread::sleep(std::time::Duration::from_millis(500));
+                    g.install(g.own(), 44, 440);
+                })
+            });
+            held.recv().unwrap();
+            s.probe(4, 44)
+        });
+        assert!(matches!(verdict, Probe::Hit(440)), "{verdict:?}");
+        assert_eq!(v, claimed(1) + 2 * WRITE, "the escalated read's unlock");
+        assert!(s.version_unchanged(4, v), "no write since");
+        assert!(s.version_unchanged(5, v), "one word for the line");
+        assert_eq!(read(&s, 3).0, SlotState::Empty);
+        assert!(
+            s.version_unchanged(4, v),
+            "an optimistic read writes nothing"
+        );
+        put_lane(&s, 5, 2, 55);
+        assert!(!s.version_unchanged(4, v), "a write to another lane");
     }
 
     #[test]
@@ -1402,7 +1339,7 @@ mod tests {
 
     fn all_empty(s: &SlotArray) -> bool {
         (0..s.capacity()).all(|i| read(s, i).0 == SlotState::Empty)
-            && s.occupied(0, s.capacity() - 1).next().is_none()
+            && s.walk(0, usize::MAX).next().is_none()
     }
 
     #[test]

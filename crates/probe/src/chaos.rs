@@ -179,9 +179,10 @@ pub enum Mutation {
     /// A reader compares only its own lane: a key in another lane of its
     /// line reads as missing.
     OwnLaneRead = 2,
-    /// A writer locks only its own lane, not the line: two writers of
-    /// one line decide over the same free lane at once.
-    OwnLaneLock = 3,
+    /// The line lock admits a second holder (its CAS skips the lock bit's
+    /// check): two writers of one line decide over the same free lane at
+    /// once.
+    SharedLineLock = 3,
 }
 
 /// Select the compiled-in mutation, or none (a no-op unless built with
@@ -301,7 +302,7 @@ mod tests {
         let all = [
             Mutation::SkipSlotRevalidation,
             Mutation::OwnLaneRead,
-            Mutation::OwnLaneLock,
+            Mutation::SharedLineLock,
         ];
         assert!(all.iter().all(|&m| !mutated(m)));
         for on in all {

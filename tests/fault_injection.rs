@@ -302,6 +302,60 @@ fn sustained_retrain_kill_is_contained_and_recovers() {
 }
 
 #[test]
+fn a_key_put_back_into_art_during_the_absorb_is_kept() {
+    // A retrain publishes its models, then deletes the ART copies of the
+    // keys they absorbed, while writers of the new models go on. Held one
+    // second between the two (`retrain.swap`), every burst key is removed,
+    // a new neighbour is inserted and the key put back; where the
+    // neighbour took the key's lane of a full line, the key goes back to
+    // ART, and the absorb must leave that copy alone.
+    let _l = serial();
+    let pairs: Vec<(u64, u64)> = (1..=2_000u64).map(|i| (i * 1_000, i)).collect();
+    let idx = AltIndex::bulk_load_with(
+        &pairs,
+        AltConfig {
+            epsilon: Some(64.0),
+            ..Default::default()
+        },
+    );
+    let burst = |j: u64| 500_001 + 2 * j;
+    let g = probe::fail::install("retrain.swap", FailAction::Delay(1_000), Trigger::Nth(1));
+    let spans = idx.directory_spans();
+    let (keys, neighbours) = std::thread::scope(|s| {
+        let idx = &idx;
+        let overflow = s.spawn(move || {
+            let mut j = 0;
+            while idx.retrain_attempt_count() == 0 {
+                idx.insert(burst(j), burst(j)).unwrap();
+                j += 1;
+            }
+        });
+        while idx.directory_spans() == spans {
+            std::thread::yield_now();
+        }
+        let keys: Vec<u64> = (0..)
+            .map(burst)
+            .take_while(|&k| idx.get(k).is_some())
+            .collect();
+        let mut neighbours = 0;
+        for &k in &keys {
+            assert_eq!(idx.remove(k), Some(k));
+            neighbours += usize::from(idx.insert(k + 1, k + 1).is_ok());
+            idx.insert(k, k).unwrap();
+        }
+        assert_eq!(idx.retrain_count(), 0, "the absorb ran before the writes");
+        overflow.join().unwrap();
+        (keys, neighbours)
+    });
+    drop(g);
+    assert_eq!(idx.retrain_count(), 1);
+    for &k in &keys {
+        assert_eq!(idx.get(k), Some(k), "key {k} lost to the absorb");
+    }
+    assert_eq!(idx.len(), pairs.len() + keys.len() + neighbours);
+}
+
+#[test]
 fn uninstalled_failpoints_change_nothing() {
     // With the feature on but nothing installed, the fast-path gate
     // short-circuits: a full oracle-checked run behaves identically.

@@ -10,8 +10,8 @@
 //! * `OwnLaneRead` — a reader compares only the key's own lane, so a key
 //!   that took another lane of its line (DESIGN.md §3 "A line is a
 //!   bucket") reads as missing;
-//! * `OwnLaneLock` — a writer locks only its own lane, so two writers of
-//!   one line can take the same free lane.
+//! * `SharedLineLock` — the line lock admits a second holder, so two
+//!   writers of one line can take the same free lane.
 //!
 //! Chaos scenarios hammer individual lines (concurrent claim/update/
 //! remove of the same keys), and the oracle must flag a violation (a
@@ -22,7 +22,7 @@
 //! counts: a retrain rebuilds a dense universe at one slot per key, which
 //! leaves few keys sharing a line to tear, to miss in another lane or to
 //! race for one. A skipped re-validation is caught in about one
-//! retrain-on run of the dense shapes in 36, and in one in six with
+//! retrain-on run of the dense shapes in 30, and in three of eight with
 //! retraining off (TESTING.md "Mutation self-test").
 //!
 //! This test lives in its own integration-test binary on purpose: the
@@ -67,7 +67,7 @@ fn hunt(mutation: Mutation, seed: u64) -> [Scenario; 2] {
         // A reader's miss of its own key is caught exactly where each
         // thread owns its keys; the shared shape catches it at the end.
         Mutation::OwnLaneRead => [Scenario::disjoint(seed), dense(seed, 4)],
-        Mutation::OwnLaneLock => [dense(seed, 2), dense(seed, 4)],
+        Mutation::SharedLineLock => [dense(seed, 2), dense(seed, 4)],
     }
 }
 
@@ -83,7 +83,7 @@ fn index_for(scenario: &Scenario, retrain: bool) -> AltIndex {
 const MUTATIONS: [Mutation; 3] = [
     Mutation::SkipSlotRevalidation,
     Mutation::OwnLaneRead,
-    Mutation::OwnLaneLock,
+    Mutation::SharedLineLock,
 ];
 
 #[test]

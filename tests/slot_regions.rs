@@ -4,7 +4,7 @@
 //! writes or releases, the region lives exactly as long as its last array,
 //! and where the arrays live does not move a key.
 
-use alt_index::slots::{SlotArray, SlotState, LANES, SHARED_REGION_MIN};
+use alt_index::slots::{SlotArray, SlotState, SHARED_REGION_MIN};
 use alt_index::{AltConfig, AltIndex};
 use prefetch::pages::Region;
 use std::sync::{Arc, Weak};
@@ -31,14 +31,14 @@ fn carved_pair(a: usize, b: usize) -> (SlotArray, SlotArray, Weak<Region>) {
     (a, b, weak)
 }
 
-/// Slot `i`'s state: its lane of a line snapshot.
+/// Slot `i`'s state, read under its line's lock.
 fn slot(s: &SlotArray, i: usize) -> SlotState {
-    s.read_line(i).0.slots[i % LANES]
+    s.with_line(i, |g| g.state().slots[g.own()])
 }
 
 fn all_empty(s: &SlotArray) -> bool {
     (0..s.capacity()).all(|i| slot(s, i) == SlotState::Empty)
-        && s.occupied(0, s.capacity() - 1).next().is_none()
+        && s.walk(0, usize::MAX).next().is_none()
 }
 
 #[test]
