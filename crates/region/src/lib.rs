@@ -31,6 +31,8 @@ mod router;
 mod serve;
 
 pub use router::{RegionIndex, RegionStats};
+#[doc(hidden)]
+pub use serve::Credits;
 pub use serve::{BatchServer, ServeConfig, ServeError, ServeStats};
 
 /// Tuning knobs for a [`RegionIndex`].

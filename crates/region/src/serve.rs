@@ -30,23 +30,42 @@
 //! its way out. A flush works from stack arrays and leaves the queue its
 //! buffer: it allocates nothing.
 //!
-//! Nothing a request reads on this path shares a line with what another
-//! worker writes: each queue has a 128-byte line of its own, the counters
-//! are [`Striped`], and the admission gauge sits on a line of its own.
+//! In steady state nothing a request reads or writes on this path shares
+//! a line with what another worker writes: each queue has a 128-byte line
+//! of its own, the counters are [`Striped`], and admission takes its
+//! credit from a spare count on the submitting stripe's own line.
 //!
 //! # Overload semantics (DESIGN.md §17)
 //!
-//! Admission is a bound on **in-flight requests** (queued plus executing
-//! in a ring). A submitter that finds the server saturated first flushes
-//! whatever is queued, in every queue — the leaders that owe those
-//! flushes may be stuck behind it in the executor, or on other workers —
-//! and then retries through the `resilience` ladder (spin → yield →
-//! park), now waiting for the index alone; if the budget escalates — the
-//! server stayed saturated through the whole ladder — the request is
-//! **shed** with [`ServeError::Overloaded`] rather than queued into
-//! unbounded latency. Under saturation the system therefore degrades by
-//! rejecting, not by collapsing: P99.9 of *served* requests stays bounded
-//! by `max_depth` × flush latency. A flush gives its admission slots back
+//! Admission bounds **credits granted**, and a request holds one credit
+//! from its admission until its answer is sent (queued plus executing in
+//! a ring). Credits are handed out as in a sloppy counter (Boyd-Wickizer
+//! et al., OSDI 2010): a submitter takes one from its stripe's spare, and
+//! only a stripe whose spare is empty grants itself up to `chunk` more
+//! off the one global count, which never exceeds `max_depth`. A flush
+//! gives its requests' credits to the flushing thread's stripe, and only
+//! what would leave that stripe `chunk` or more spare goes back to the
+//! global count. `chunk` is `ring_width` when `max_depth ≥ 2 · STRIPES ·
+//! ring_width` (16 in the default config, whose `max_depth` is 1024) and
+//! 1 otherwise, when every request takes its credit off the global count
+//! itself. Idle
+//! stripes may therefore hold up to `STRIPES · (chunk − 1)` spare credits
+//! (240 by default), and shedding may begin that far below `max_depth`
+//! requests in flight; in-flight requests plus spare credits never
+//! exceed it.
+//!
+//! A submitter that finds the server saturated — its spare empty, the
+//! global count at `max_depth` — first flushes whatever is queued on its
+//! own stripe and retries from the spare those flushes gave back. If the
+//! server is still saturated it flushes every queue — the leaders that
+//! owe those flushes may be stuck behind it in the executor, or on other
+//! workers — and then retries through the `resilience` ladder (spin →
+//! yield → park), now waiting for the index alone; if the budget
+//! escalates — the server stayed saturated through the whole ladder — the
+//! request is **shed** with [`ServeError::Overloaded`] rather than queued
+//! into unbounded latency. Under saturation the system therefore degrades
+//! by rejecting, not by collapsing: P99.9 of *served* requests stays
+//! bounded by `max_depth` × flush latency. A flush gives its credits back
 //! also when `get_batch` panics; the callers of that ring get
 //! [`ServeError::Shutdown`].
 
@@ -75,9 +94,14 @@ pub struct ServeConfig {
     /// engines' rings run full. At most 64.
     pub ring_width: usize,
     /// Admission bound on **in-flight requests** (queued plus currently
-    /// executing in a `get_batch` ring), across the whole server.
-    /// Submissions beyond it back off and eventually shed. Must be at
-    /// least `ring_width`.
+    /// executing in a `get_batch` ring) plus the spare admission credits
+    /// the thread stripes hold, across the whole server. Submissions
+    /// beyond it back off and eventually shed. When it is at least
+    /// `2 · STRIPES · ring_width`, stripes take credits `ring_width` at a
+    /// time and keep fewer than `ring_width` spare each, so shedding may
+    /// begin up to `STRIPES · (ring_width − 1)` requests below it; below
+    /// that, every request takes its credit off the global count and the
+    /// bound is exact. Must be at least `ring_width`.
     pub max_depth: usize,
 }
 
@@ -162,13 +186,20 @@ pub struct BatchServer {
     domains: usize,
     cfg: ServeConfig,
     stats: StatsInner,
-    /// Requests admitted but not yet answered (queued or inside a
-    /// flush). This — not queue depth — is the admission-control gauge:
-    /// full rings are drained inline, so queues themselves never jam,
-    /// but a slow `get_batch` under overload keeps requests in flight.
-    /// The one word every worker writes, so the fields above, which
-    /// every request reads, must not share its line.
-    in_flight: Line<AtomicU64>,
+    /// Credits a stripe grants itself at a time: `ring_width` when
+    /// `max_depth` leaves room for every stripe to hold two grants, else
+    /// 1 (see the module docs).
+    chunk: u64,
+    /// Admission credits granted: held by requests admitted but not yet
+    /// answered (queued or inside a flush), or spare on some stripe. This
+    /// — not queue depth — is the admission-control gauge: full rings are
+    /// drained inline, so queues themselves never jam, but a slow
+    /// `get_batch` under overload keeps requests in flight. Never above
+    /// `max_depth`; every stripe writes it, once per `chunk` requests.
+    granted: Line<AtomicU64>,
+    /// Each stripe's spare credits, fewer than `chunk` once a give-back
+    /// has settled.
+    spare: [Line<AtomicU64>; STRIPES],
 }
 
 /// Group-commit leadership, held across the leader's yield: dropping it
@@ -186,16 +217,39 @@ impl Drop for LeaderFlush<'_> {
     }
 }
 
-/// A flush's admission slots, given back when it drops: after the ring's
-/// answers are sent, or while a panicking `get_batch` unwinds.
+/// A flush's admission credits, given back to the flushing thread's
+/// stripe when it drops: after the ring's answers are sent, or while a
+/// panicking `get_batch` unwinds.
 struct Admitted<'a> {
-    in_flight: &'a AtomicU64,
+    server: &'a BatchServer,
     n: u64,
 }
 
 impl Drop for Admitted<'_> {
     fn drop(&mut self) {
-        self.in_flight.fetch_sub(self.n, Ordering::Release);
+        self.server.give_back(striped::stripe_id(), self.n);
+    }
+}
+
+/// The admission credits, for tests: at rest, `granted` is the stripes'
+/// spare alone, and every stripe holds fewer than `chunk`.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Credits {
+    /// Credits granted off `max_depth`.
+    pub granted: u64,
+    /// Each stripe's spare credits.
+    pub spare: [u64; STRIPES],
+    /// Credits a stripe grants itself at a time.
+    pub chunk: u64,
+}
+
+impl Credits {
+    /// Requests admitted but not yet answered (exact at rest; a snapshot
+    /// taken mid-grant may see the spare before the grant, hence the
+    /// saturation).
+    pub fn unanswered(&self) -> u64 {
+        self.granted.saturating_sub(self.spare.iter().sum())
     }
 }
 
@@ -213,6 +267,11 @@ impl BatchServer {
             "max_depth must be at least ring_width"
         );
         let domains = index.batch_domains().max(1);
+        let chunk = if cfg.max_depth >= 2 * STRIPES * cfg.ring_width {
+            cfg.ring_width
+        } else {
+            1
+        };
         BatchServer {
             index,
             queues: (0..STRIPES * domains)
@@ -221,7 +280,73 @@ impl BatchServer {
             domains,
             cfg,
             stats: StatsInner::default(),
-            in_flight: Line(AtomicU64::new(0)),
+            chunk: chunk as u64,
+            granted: Line(AtomicU64::new(0)),
+            spare: std::array::from_fn(|_| Line(AtomicU64::new(0))),
+        }
+    }
+
+    /// Take one admission credit for a submitter on `stripe`: from the
+    /// stripe's spare, else by granting up to `chunk` credits off the
+    /// global count and keeping the rest as spare. False when the server
+    /// is saturated: the spare is empty and the global count is at
+    /// `max_depth`.
+    fn admit(&self, stripe: usize) -> bool {
+        if self.take_spare(stripe) {
+            return true;
+        }
+        let max = self.cfg.max_depth as u64;
+        let granted = &self.granted.0;
+        let mut cur = granted.load(Ordering::Acquire);
+        while cur < max {
+            let grant = self.chunk.min(max - cur);
+            match granted.compare_exchange_weak(
+                cur,
+                cur + grant,
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            ) {
+                Ok(_) => {
+                    self.give_back(stripe, grant - 1);
+                    return true;
+                }
+                Err(now) => cur = now,
+            }
+        }
+        false
+    }
+
+    /// Take one credit from `stripe`'s spare, if it has one.
+    fn take_spare(&self, stripe: usize) -> bool {
+        self.spare[stripe]
+            .0
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |c| c.checked_sub(1))
+            .is_ok()
+    }
+
+    /// Give `n` credits to `stripe`: it keeps them as spare up to
+    /// `chunk − 1`, and the rest go back to the global count.
+    fn give_back(&self, stripe: usize, n: u64) {
+        if n == 0 {
+            return;
+        }
+        let cap = self.chunk - 1;
+        let kept = self.spare[stripe]
+            .0
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |c| {
+                (c < cap).then(|| (c + n).min(cap))
+            })
+            .map_or(0, |c| (c + n).min(cap) - c);
+        if n > kept {
+            self.granted.0.fetch_sub(n - kept, Ordering::Release);
+        }
+    }
+
+    /// Flush every queue of the stripes in `stripes`.
+    fn flush_stripes(&self, stripes: std::ops::Range<usize>) {
+        let d = self.domains;
+        for queue in &self.queues[stripes.start * d..stripes.end * d] {
+            self.flush(lock(&queue.0), &self.stats.ring_flushes);
         }
     }
 
@@ -242,8 +367,8 @@ impl BatchServer {
             txs[i] = Some(p.tx);
         }
         drop(queue);
-        let _slots = Admitted {
-            in_flight: &self.in_flight.0,
+        let _credits = Admitted {
+            server: self,
             n: n as u64,
         };
         let mut out = [None; MAX_RING];
@@ -261,37 +386,28 @@ impl BatchServer {
     /// flushed (inline on ring fill, or by its queue's leader). Sheds
     /// with [`ServeError::Overloaded`] when admission control gives up.
     pub async fn get(&self, key: Key) -> Result<Option<Value>, ServeError> {
-        let domains = self.domains;
-        let q = striped::stripe_id() * domains + self.index.batch_domain_of(key) % domains;
-        // Admission: reserve an in-flight slot, backing off (and finally
-        // shedding) while the server is saturated. The waits block the
-        // executor thread briefly — acceptable for the shimmed
-        // thread-per-worker runtime, and exactly the backpressure we
-        // want: saturation should slow submitters down before shedding.
+        let (stripe, domains) = (striped::stripe_id(), self.domains);
+        let q = stripe * domains + self.index.batch_domain_of(key) % domains;
+        // Admission: take a credit, backing off (and finally shedding)
+        // while the server is saturated. The waits block the executor
+        // thread briefly — acceptable for the shimmed thread-per-worker
+        // runtime, and exactly the backpressure we want: saturation
+        // should slow submitters down before shedding.
         let mut retry = Retry::new();
-        let in_flight = &self.in_flight.0;
-        loop {
-            let cur = in_flight.load(Ordering::Acquire);
-            if (cur as usize) < self.cfg.max_depth
-                && in_flight
-                    .compare_exchange(cur, cur + 1, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-            {
-                break;
-            }
-            if (cur as usize) < self.cfg.max_depth {
-                continue; // lost the CAS race, not saturated — just retry
-            }
+        while !self.admit(stripe) {
             // Saturated. Whatever is still queued may be waiting for a
             // leader that the executor will not poll before this wait is
             // over — possibly one queued behind this very task, or one on
-            // another worker — so flush every queue here: afterwards
-            // every in-flight request is inside some thread's
-            // `get_batch`, and waiting for a slot is waiting for the
-            // index only.
-            for queue in &self.queues {
-                self.flush(lock(&queue.0), &self.stats.ring_flushes);
+            // another worker. This stripe's own queues come first: their
+            // flushes give their credits to this stripe's spare.
+            self.flush_stripes(stripe..stripe + 1);
+            if self.take_spare(stripe) {
+                break;
             }
+            // Then every queue: afterwards every in-flight request is
+            // inside some thread's `get_batch`, and waiting for a credit
+            // is waiting for the index only.
+            self.flush_stripes(0..STRIPES);
             if retry.wait_or_escalate(&LayerCounters::UNCOUNTED) {
                 self.stats.shed.add(1);
                 return Err(ServeError::Overloaded);
@@ -344,6 +460,16 @@ impl BatchServer {
             shed: s.shed.sum(),
         }
     }
+
+    /// Snapshot of the admission credits (racy while requests run).
+    #[doc(hidden)]
+    pub fn credits(&self) -> Credits {
+        Credits {
+            granted: self.granted.0.load(Ordering::Acquire),
+            spare: std::array::from_fn(|s| self.spare[s].0.load(Ordering::Relaxed)),
+            chunk: self.chunk,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -352,7 +478,7 @@ mod tests {
     use crate::testutil::MapIndex;
     use index_api::BulkLoad;
     use std::future::Future;
-    use std::pin::pin;
+    use std::pin::{pin, Pin};
     use std::task::{Context, Poll, Waker};
     use std::time::Duration;
     use tokio::runtime::Builder;
@@ -364,14 +490,14 @@ mod tests {
     }
 
     /// Runs `f` on a fresh thread whose stripe — and so whose submission
-    /// queues — differ from stripe `not`. Stripes are claimed round-robin,
-    /// so that is the first thread unless a multiple of sixteen others
-    /// claimed one in between.
-    fn off_stripe<R: Send>(not: usize, f: impl FnOnce() -> R + Send) -> R {
+    /// queues — is none of `not`. Stripes are claimed round-robin, so that
+    /// is one of the first few threads unless other threads claim stripes
+    /// in between.
+    fn off_stripe<R: Send>(not: &[usize], f: impl FnOnce() -> R + Send) -> R {
         let mut f = Some(f);
         loop {
             let ran = std::thread::scope(|s| {
-                s.spawn(|| (striped::stripe_id() != not).then(|| f.take().unwrap()()))
+                s.spawn(|| (!not.contains(&striped::stripe_id())).then(|| f.take().unwrap()()))
                     .join()
                     .unwrap_or_else(|e| std::panic::resume_unwind(e))
             });
@@ -412,6 +538,79 @@ mod tests {
         }
         fn name(&self) -> &'static str {
             "hooked"
+        }
+    }
+
+    /// A get polled once and still pending, movable to another thread.
+    type Held<'a> = Pin<Box<dyn Future<Output = Result<Option<Value>, ServeError>> + Send + 'a>>;
+
+    /// The smallest server that takes credits two at a time: ring 2 and
+    /// `max_depth` 2 · STRIPES · 2, over 32 batch domains. Returns two
+    /// keys of each domain.
+    fn credit_server() -> (BatchServer, Vec<[Key; 2]>) {
+        let pairs: Vec<(Key, Value)> = (1..=640u64).map(|k| (k * 3, k)).collect();
+        let cfg = crate::RegionConfig {
+            initial_shards: 32,
+            ..Default::default()
+        };
+        let index = crate::RegionIndex::<MapIndex>::bulk_load_with(&pairs, cfg);
+        let keys = (0..32)
+            .map(|d| {
+                let mut of = pairs
+                    .iter()
+                    .map(|&(k, _)| k)
+                    .filter(|&k| index.batch_domain_of(k) == d);
+                [of.next().unwrap(), of.next().unwrap()]
+            })
+            .collect();
+        let cfg = ServeConfig {
+            ring_width: 2,
+            max_depth: 2 * STRIPES * 2,
+        };
+        let srv = BatchServer::new(Arc::new(index), cfg);
+        assert_eq!(srv.credits().chunk, 2, "credits are engaged");
+        (srv, keys)
+    }
+
+    /// No stripe holds `chunk` spare credits or more, and the global
+    /// count is within `max_depth`.
+    fn assert_bounded(srv: &BatchServer) {
+        let c = srv.credits();
+        assert!(c.granted <= srv.cfg.max_depth as u64, "{c:?}");
+        assert!(c.spare.iter().all(|&s| s < c.chunk), "{c:?}");
+    }
+
+    /// Polls a get of each of `keys` once on the calling thread, each a
+    /// leader of its own queue, and returns them all still pending. Before
+    /// each poll, the server counts as saturated for this stripe when its
+    /// spare is empty and the global count is at `max_depth`; the poll
+    /// must take the saturated path (flush queued work) then and only
+    /// then, and leave the credits bounded.
+    fn lead<'a>(srv: &'a BatchServer, keys: impl IntoIterator<Item = Key>) -> Vec<Held<'a>> {
+        let cx = &mut Context::from_waker(Waker::noop());
+        let stripe = striped::stripe_id();
+        keys.into_iter()
+            .map(|key| {
+                let before = srv.credits();
+                let saturated =
+                    before.spare[stripe] == 0 && before.granted == srv.cfg.max_depth as u64;
+                let flushes = srv.stats().ring_flushes;
+                let mut get: Held<'a> = Box::pin(srv.get(key));
+                assert!(get.as_mut().poll(cx).is_pending(), "key {key} leads");
+                let flushed = srv.stats().ring_flushes > flushes;
+                assert_eq!(flushed, saturated, "key {key}, credits {before:?}");
+                assert_bounded(srv);
+                get
+            })
+            .collect()
+    }
+
+    /// Polls every held get to its answer.
+    fn answer(srv: &BatchServer, held: Vec<Held<'_>>) {
+        let cx = &mut Context::from_waker(Waker::noop());
+        for mut get in held {
+            assert!(matches!(get.as_mut().poll(cx), Poll::Ready(Ok(Some(_)))));
+            assert_bounded(srv);
         }
     }
 
@@ -574,7 +773,7 @@ mod tests {
             mine.as_mut().poll(cx).is_pending(),
             "leads this thread's queue"
         );
-        off_stripe(striped::stripe_id(), || {
+        off_stripe(&[striped::stripe_id()], || {
             let cx = &mut Context::from_waker(Waker::noop());
             let mut theirs = pin!(srv.get(6));
             assert!(theirs.as_mut().poll(cx).is_pending(), "leads a queue too");
@@ -604,7 +803,7 @@ mod tests {
         let (me, srv_ref) = (striped::stripe_id(), &*srv);
         std::thread::scope(|s| {
             s.spawn(move || {
-                off_stripe(me, move || {
+                off_stripe(&[me], move || {
                     let cx = &mut Context::from_waker(Waker::noop());
                     let mut theirs = pin!(srv_ref.get(6));
                     assert!(theirs.as_mut().poll(cx).is_pending());
@@ -661,6 +860,126 @@ mod tests {
                 "the dropped ring's caller"
             );
         }
+        let mut fresh = pin!(srv.get(6));
+        assert!(fresh.as_mut().poll(cx).is_pending(), "admitted");
+        assert_eq!(fresh.as_mut().poll(cx), Poll::Ready(Ok(Some(2))));
+        let st = srv.stats();
+        assert_eq!((st.shed, st.served), (0, 1));
+    }
+
+    #[test]
+    fn credits_are_granted_a_chunk_at_a_time_and_never_past_max_depth() {
+        // Three stripes lead one queue per domain each until the server
+        // saturates. `lead` checks every poll: the global count never
+        // passes `max_depth`, and the saturated path begins exactly when
+        // the requests in flight plus the stripes' spare reach it.
+        let (srv, keys) = credit_server();
+        let cx = &mut Context::from_waker(Waker::noop());
+        let a = striped::stripe_id();
+        // A full ring first: its flush leaves the global count odd, so a
+        // later grant must stop one short of a chunk at `max_depth`.
+        let mut leader = pin!(srv.get(keys[0][0]));
+        assert!(leader.as_mut().poll(cx).is_pending());
+        assert!(
+            pin!(srv.get(keys[0][1])).poll(cx).is_ready(),
+            "fills the ring"
+        );
+        assert!(leader.as_mut().poll(cx).is_ready());
+        let c = srv.credits();
+        assert_eq!((c.granted, c.spare[a], c.unanswered()), (1, 1, 0));
+        let first = |n: usize| keys[..n].iter().map(|k| k[0]).collect::<Vec<_>>();
+        let mine = lead(&srv, first(21));
+        let (b, theirs) = off_stripe(&[a], || (striped::stripe_id(), lead(&srv, first(21))));
+        let (c_stripe, flushed, held, last) = off_stripe(&[a, b], || {
+            let held = lead(&srv, first(21));
+            let c = srv.credits();
+            assert_eq!(c.granted, srv.cfg.max_depth as u64, "{c:?}");
+            assert_eq!(c.unanswered() + c.spare.iter().sum::<u64>(), c.granted);
+            // Saturated: the next submitter here flushes its own stripe's
+            // 21 queues, takes a credit they gave back, and touches no
+            // other stripe's queue.
+            let flushes = srv.stats().ring_flushes;
+            let last = lead(&srv, [keys[21][0]]);
+            let flushed = srv.stats().ring_flushes - flushes;
+            (striped::stripe_id(), flushed, held, last)
+        });
+        assert_eq!(flushed, 21, "only its own stripe's queues");
+        let c = srv.credits();
+        assert_eq!(c.unanswered(), 21 + 21 + 1, "{c:?}");
+        assert_eq!(c.spare[c_stripe], 0, "the credit it took");
+        answer(&srv, mine);
+        answer(&srv, theirs);
+        answer(&srv, held);
+        answer(&srv, last);
+        let c = srv.credits();
+        assert_eq!(c.unanswered(), 0, "{c:?}");
+        let st = srv.stats();
+        assert_eq!((st.shed, st.served, st.batched_keys), (0, 66, 66));
+    }
+
+    #[test]
+    fn a_flush_from_another_stripe_hands_its_credits_back_within_the_bound() {
+        // Two stripes hold every credit in leaders; a third stripe, with
+        // nothing queued of its own, finds the server saturated and
+        // flushes their queues. The credits of those flushes go to its
+        // own stripe, which keeps less than a chunk and returns the rest.
+        let (srv, keys) = credit_server();
+        let all = || keys.iter().map(|k| k[0]).collect::<Vec<_>>();
+        let a = striped::stripe_id();
+        let mine = lead(&srv, all());
+        let (b, theirs) = off_stripe(&[a], || (striped::stripe_id(), lead(&srv, all())));
+        let c = srv.credits();
+        assert_eq!((c.granted, c.unanswered()), (64, 64), "{c:?}");
+        let (c_stripe, third) = off_stripe(&[a, b], || {
+            let third = lead(&srv, [keys[0][1]]);
+            (striped::stripe_id(), third)
+        });
+        let st = srv.stats();
+        assert_eq!(st.ring_flushes, 64, "every other stripe's queue");
+        let c = srv.credits();
+        assert_eq!(c.unanswered(), 1, "{c:?}");
+        assert_eq!((c.granted, c.spare[c_stripe]), (1, 0), "{c:?}");
+        answer(&srv, mine);
+        answer(&srv, theirs);
+        answer(&srv, third);
+        let c = srv.credits();
+        assert_eq!(c.unanswered(), 0, "{c:?}");
+        assert_eq!(srv.stats().served, 65);
+    }
+
+    #[test]
+    fn a_panicking_flush_gives_its_credits_back() {
+        // `a_panicking_flush_gives_its_slots_back` with credits engaged:
+        // forty panicking rings of two would hold 80 of 64 credits if
+        // their flushes kept them.
+        let index: Arc<dyn ConcurrentIndex> = Arc::new(Hooked(
+            MapIndex::bulk_load(&[(3, 1), (6, 2)]),
+            |keys: &[Key]| assert!(!keys.contains(&13), "a failing batch (expected)"),
+        ));
+        let cfg = ServeConfig {
+            ring_width: 2,
+            max_depth: 2 * STRIPES * 2,
+        };
+        let srv = BatchServer::new(index, cfg);
+        assert_eq!(srv.credits().chunk, 2);
+        let cx = &mut Context::from_waker(Waker::noop());
+        for _ in 0..40 {
+            let mut leader = pin!(srv.get(3));
+            assert!(leader.as_mut().poll(cx).is_pending());
+            let mut follower = Box::pin(srv.get(13));
+            let polled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                follower.as_mut().poll(cx)
+            }));
+            assert!(polled.is_err(), "the flush panicked");
+            drop(follower);
+            assert_eq!(
+                leader.as_mut().poll(cx),
+                Poll::Ready(Err(ServeError::Shutdown))
+            );
+            assert_bounded(&srv);
+        }
+        let c = srv.credits();
+        assert_eq!(c.unanswered(), 0, "{c:?}");
         let mut fresh = pin!(srv.get(6));
         assert!(fresh.as_mut().poll(cx).is_pending(), "admitted");
         assert_eq!(fresh.as_mut().poll(cx), Poll::Ready(Ok(Some(2))));

@@ -17,9 +17,16 @@
 //!   worker is parked on it.
 //! * A worker polls its own queue first, gives the shared queue a turn
 //!   every `SHARED_EVERY` (8) polls (tasks that keep each other runnable
-//!   cannot starve it), and parks when both are empty. After each poll a
-//!   worker with a backlog hands half of it to the shared queue if a
-//!   sibling is parked, so nothing waits behind one thread while another
+//!   cannot starve it), and parks when both are empty. A turn first reads
+//!   the shared queue's task count, which sits on a line of its own and
+//!   is written only under the queue's lock, and takes the lock only when
+//!   the count is nonzero: a busy worker with nothing shared to run
+//!   neither locks nor misses on the lock's line. A count read as 0 just
+//!   before a push is read again at the next turn, and a worker with
+//!   nothing of its own to run always locks, so no task is stranded.
+//!   After each poll a worker with a backlog hands half of it to the
+//!   shared queue if a sibling is parked (a count of its own, off the
+//!   lock's line too), so nothing waits behind one thread while another
 //!   sleeps.
 //! * A task woken *during its own poll* — what [`task::yield_now`] does —
 //!   goes to the back of its worker's **own** queue when that queue holds
@@ -57,8 +64,9 @@ const DONE: u8 = 4;
 
 /// A worker gives the shared queue a turn at least once in this many
 /// polls. Small keeps the tail short for whatever waits there (spawns,
-/// wakes from other threads, yielded tasks); the cost is one uncontended
-/// lock per turn.
+/// wakes from other threads, yielded tasks); the cost is one load of the
+/// queue's task count per turn, and one uncontended lock when it is
+/// nonzero.
 const SHARED_EVERY: u32 = 8;
 
 type BoxFuture = Pin<Box<dyn Future<Output = ()> + Send + 'static>>;
@@ -72,15 +80,28 @@ struct Queue {
     shutdown: bool,
 }
 
+/// A value on a 128-byte line of its own (two cache lines, so the
+/// adjacent-line prefetcher cannot pair it with a neighbour either).
+#[derive(Default)]
+#[repr(align(128))]
+struct Line<T>(T);
+
 /// What the threads of one runtime share.
 #[derive(Default)]
 struct Shared {
     queue: Mutex<Queue>,
     available: Condvar,
+    /// What `queue` holds for a busy worker's turn: its tasks, plus one
+    /// once the runtime is shutting down. Written only under `queue`'s
+    /// lock and read bare, so a turn that reads 0 skips the lock; a task
+    /// pushed just after is seen at the next turn. Not on the lock's
+    /// line, which every push and pop writes.
+    pending: Line<AtomicUsize>,
     /// Workers waiting on `available`. Written under `queue`'s lock;
     /// `push` reads it there (exact, so no wake-up is lost and none is
-    /// signalled to nobody), `share_backlog` reads it bare, as a hint.
-    parked: AtomicUsize,
+    /// signalled to nobody), `share_backlog` reads it bare after every
+    /// poll, as a hint. Not on the lock's line either.
+    parked: Line<AtomicUsize>,
 }
 
 /// The shared queue's answer to a worker that found the runtime dropped.
@@ -91,12 +112,19 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
 }
 
 impl Shared {
+    /// Store what `q`, locked, holds for a busy worker's turn.
+    fn publish(&self, q: &Queue) {
+        let pending = q.tasks.len() + usize::from(q.shutdown);
+        self.pending.0.store(pending, Ordering::Relaxed);
+    }
+
     /// Queue `tasks` at the back and wake one parked worker, if any.
     fn push(&self, tasks: impl IntoIterator<Item = Arc<Task>>) {
         let wake = {
             let mut q = lock(&self.queue);
             q.tasks.extend(tasks);
-            self.parked.load(Ordering::Relaxed) > 0
+            self.publish(&q);
+            self.parked.0.load(Ordering::Relaxed) > 0
         };
         if wake {
             self.available.notify_one();
@@ -112,17 +140,18 @@ impl Shared {
                 return Err(ShuttingDown);
             }
             if let Some(t) = q.tasks.pop_front() {
+                self.publish(&q);
                 return Ok(Some(t));
             }
             if !wait {
                 return Ok(None);
             }
-            self.parked.fetch_add(1, Ordering::Relaxed);
+            self.parked.0.fetch_add(1, Ordering::Relaxed);
             q = self
                 .available
                 .wait(q)
                 .unwrap_or_else(PoisonError::into_inner);
-            self.parked.fetch_sub(1, Ordering::Relaxed);
+            self.parked.0.fetch_sub(1, Ordering::Relaxed);
         }
     }
 }
@@ -142,7 +171,7 @@ fn pop_local() -> Option<Arc<Task>> {
 /// backlog through the shared queue. A backlog of one is not worth a
 /// wake-up: this worker runs it next.
 fn share_backlog(shared: &Shared) {
-    if shared.parked.load(Ordering::Relaxed) == 0 {
+    if shared.parked.0.load(Ordering::Relaxed) == 0 {
         return;
     }
     LOCAL.with_borrow_mut(|q| {
@@ -159,11 +188,11 @@ fn work(shared: &Arc<Shared>) {
     let mut polls = 0u32;
     loop {
         polls = polls.wrapping_add(1);
-        let own = if polls.is_multiple_of(SHARED_EVERY) {
-            None
-        } else {
-            pop_local()
-        };
+        // The shared queue's turn, if it holds anything: its count is
+        // read without the lock.
+        let turn =
+            polls.is_multiple_of(SHARED_EVERY) && shared.pending.0.load(Ordering::Relaxed) > 0;
+        let own = if turn { None } else { pop_local() };
         let task = match own {
             Some(task) => task,
             // The shared queue's turn, or nothing of its own to run —
@@ -464,7 +493,11 @@ pub mod runtime {
     /// worker exits, those in the shared queue with the runtime.
     impl Drop for Runtime {
         fn drop(&mut self) {
-            lock(&self.shared.queue).shutdown = true;
+            let mut q = lock(&self.shared.queue);
+            q.shutdown = true;
+            // A busy worker looks at the queue only when it holds something.
+            self.shared.publish(&q);
+            drop(q);
             self.shared.available.notify_all();
             for w in self.workers.drain(..) {
                 let _ = w.join();
@@ -627,7 +660,7 @@ mod tests {
     /// Wait until `n` workers of `rt` are parked: every task spawned so
     /// far has then been polled and is suspended (or done).
     fn until_parked(rt: &Runtime, n: usize) {
-        while rt.shared.parked.load(Ordering::Relaxed) < n {
+        while rt.shared.parked.0.load(Ordering::Relaxed) < n {
             std::thread::yield_now();
         }
     }
@@ -857,6 +890,14 @@ mod tests {
         turn: AtomicUsize,
         wakers: [Mutex<Option<Waker>>; 2],
         passes: AtomicUsize,
+        /// Polls of either player by each worker of a two-worker runtime.
+        polls_by: Arc<[AtomicUsize; 2]>,
+    }
+
+    /// The index of the runtime worker this thread is, by its name.
+    fn worker_index() -> usize {
+        let name = std::thread::current().name().unwrap_or_default().to_owned();
+        name.trim_start_matches("tokio-shim-").parse().unwrap()
     }
 
     async fn rally(r: Arc<Rally>, me: usize) {
@@ -864,10 +905,13 @@ mod tests {
             std::future::poll_fn(|cx| {
                 *r.wakers[me].lock().unwrap() = Some(cx.waker().clone());
                 if r.turn.load(Ordering::SeqCst) == me {
-                    Poll::Ready(())
-                } else {
-                    Poll::Pending
+                    return Poll::Ready(());
                 }
+                // Every poll of a player ends here once.
+                if let Some(polls) = r.polls_by.get(worker_index()) {
+                    polls.fetch_add(1, Ordering::Relaxed);
+                }
+                Poll::Pending
             })
             .await;
             r.passes.fetch_add(1, Ordering::Relaxed);
@@ -895,6 +939,61 @@ mod tests {
             assert_eq!(rt.block_on(outsider).unwrap(), 7);
             // Nor do they keep the runtime from shutting down.
             drop(rt);
+        });
+    }
+
+    #[test]
+    fn a_task_woken_from_outside_runs_within_a_turn_of_a_busy_worker() {
+        within_a_minute(|| {
+            // Both workers run a rally, whose players reschedule each other
+            // on their worker's own queue, so neither ever waits on the
+            // shared queue: a task woken from this thread is seen only by
+            // a worker's shared-queue turn, which reads the queue's count
+            // without the lock.
+            let rt = runtime(2);
+            let polls_by = Arc::new([AtomicUsize::new(0), AtomicUsize::new(0)]);
+            for _ in 0..2 {
+                let r = Arc::new(Rally {
+                    polls_by: Arc::clone(&polls_by),
+                    ..Rally::default()
+                });
+                rt.spawn(rally(Arc::clone(&r), 0));
+                rt.spawn(rally(r, 1));
+            }
+            while polls_by.iter().any(|p| p.load(Ordering::Relaxed) < 1000) {
+                std::thread::yield_now();
+            }
+            for _ in 0..200 {
+                let parked = Arc::new(Mutex::new(None::<Waker>));
+                let (polled_tx, polled_rx) = mpsc::channel();
+                let (slot, counts) = (Arc::clone(&parked), Arc::clone(&polls_by));
+                rt.spawn(std::future::poll_fn(move |cx| {
+                    let mut slot = slot.lock().unwrap();
+                    if slot.is_none() {
+                        *slot = Some(cx.waker().clone());
+                        return Poll::Pending;
+                    }
+                    let w = worker_index();
+                    polled_tx
+                        .send((w, counts[w].load(Ordering::Relaxed)))
+                        .unwrap();
+                    Poll::Ready(())
+                }));
+                let waker = loop {
+                    if let Some(w) = parked.lock().unwrap().clone() {
+                        break w;
+                    }
+                    std::thread::yield_now();
+                };
+                waker.wake();
+                let at_wake = [0, 1].map(|w| polls_by[w].load(Ordering::Relaxed));
+                let (w, at_poll) = polled_rx.recv().unwrap();
+                let polls = at_poll - at_wake[w];
+                assert!(
+                    polls <= super::SHARED_EVERY as usize + 1,
+                    "worker {w} polled {polls} rally tasks first"
+                );
+            }
         });
     }
 
