@@ -16,8 +16,11 @@
 //! 3. **ART descent** — the interleaved engine of `art::batch`, one
 //!    prefetch-then-advance hop per step.
 //!
-//! The driver round-robins the ring so every prefetch gets a full
-//! revolution of other keys' work before its line is touched.
+//! The ring is [`art::drive_ring`], the one ART's batch runs too:
+//! it steps the flights round-robin and refills a retired key's slot in
+//! place, so every prefetch gets a full revolution of other keys' work
+//! before its line is touched. This module gives it a flight's start
+//! (the predict stage) and its step.
 //!
 //! Per-key linearizability: every transition runs the scalar protocol
 //! itself — the same line snapshot and the one reader's verdict on it
@@ -32,7 +35,7 @@
 use crate::index::AltIndex;
 use crate::model::GplModel;
 use crate::slots::Probe;
-use art::{BatchCursor, BatchStep, RING_WIDTH};
+use art::{drive_ring, BatchCursor, BatchStep};
 use crossbeam_epoch::{self as epoch, Guard};
 use probe::metrics::{self, Counter};
 
@@ -52,10 +55,9 @@ enum Stage<'g> {
     },
 }
 
-/// One in-flight key: its position in the output, its state-machine
-/// stage, and its personal retry budget.
+/// One in-flight key: its state-machine stage and its personal retry
+/// budget.
 struct Flight<'g> {
-    ki: usize,
     key: u64,
     retry: resilience::Retry,
     stage: Stage<'g>,
@@ -63,70 +65,30 @@ struct Flight<'g> {
 
 impl AltIndex {
     /// Batched point lookup over the AMAC ring: `out[i] = get(keys[i])`
-    /// with up to [`RING_WIDTH`] lookups in flight, their directory,
+    /// with up to [`art::RING_WIDTH`] lookups in flight, their directory,
     /// slot, and ART-node misses overlapped by software prefetching.
     /// This is the [`index_api::ConcurrentIndex::get_batch`]
     /// implementation for ALT-index.
     pub fn get_batch_amac(&self, keys: &[u64], out: &mut [Option<u64>]) {
-        assert!(
-            out.len() >= keys.len(),
-            "get_batch: out buffer ({}) shorter than keys ({})",
-            out.len(),
-            keys.len()
-        );
         metrics::incr(Counter::AltBatchLookups);
         metrics::add(Counter::AltBatchKeys, keys.len() as u64);
         // One pin for the whole batch: it keeps every flight's model
         // reference (possibly from a superseded directory) and every ART
         // cursor's node pointers alive until the ring drains.
         let guard = epoch::pin();
-        let mut next = 0usize;
-        let mut ring: Vec<Flight<'_>> = Vec::with_capacity(RING_WIDTH.min(keys.len()));
-        fill(self, keys, out, &mut next, &mut ring, &guard);
-        let mut i = 0usize;
-        while !ring.is_empty() {
-            if i >= ring.len() {
-                i = 0;
-            }
-            match step(self, &mut ring[i], &guard) {
-                None => i += 1,
-                Some(res) => {
-                    out[ring[i].ki] = res;
-                    ring.swap_remove(i);
-                    // Refill so a fresh key's probe lands a full ring
-                    // revolution after its prefetch.
-                    fill(self, keys, out, &mut next, &mut ring, &guard);
-                }
-            }
-        }
-    }
-}
-
-/// Top up the ring with fresh flights from the key stream. Reserved key
-/// 0 is answered inline (`None`, same as scalar `get`) without taking a
-/// ring slot.
-#[inline]
-fn fill<'g>(
-    idx: &'g AltIndex,
-    keys: &[u64],
-    out: &mut [Option<u64>],
-    next: &mut usize,
-    ring: &mut Vec<Flight<'g>>,
-    guard: &'g Guard,
-) {
-    while *next < keys.len() && ring.len() < RING_WIDTH {
-        let ki = *next;
-        *next += 1;
-        if keys[ki] == 0 {
-            out[ki] = None;
-            continue;
-        }
-        ring.push(Flight {
-            ki,
-            key: keys[ki],
-            retry: resilience::Retry::new(),
-            stage: predict(idx, keys[ki], guard),
-        });
+        drive_ring(
+            keys,
+            out,
+            // Reserved key 0 reads `None`, as scalar `get` answers it.
+            |key| {
+                (key != 0).then(|| Flight {
+                    key,
+                    retry: resilience::Retry::new(),
+                    stage: predict(self, key, &guard),
+                })
+            },
+            |fl| step(self, fl, &guard),
+        );
     }
 }
 

@@ -182,7 +182,7 @@ impl AltIndex {
     /// between the layers has to take it first, so a line-or-ART miss
     /// observed under it is conclusive without any version re-validation.
     pub(crate) fn get_pessimistic(&self, key: u64) -> Option<u64> {
-        self.with_live_model(key, |_, g| match g.state().probe(key) {
+        self.with_live_model(key, |_, g| match g.probe(key) {
             Probe::Hit(value) => Some(value),
             Probe::Absent => None,
             Probe::Art => self.art.get(key),
@@ -268,14 +268,13 @@ impl AltIndex {
         }
         let mut want_retrain = false;
         let placed = self.with_live_model(key, |m, g| {
-            let line = g.state();
-            if let Some((lane, _)) = line.find(key) {
+            if let Some((lane, _)) = g.find(key) {
                 if overwrite {
                     g.set_value(lane, value);
                 }
                 return Placed::Existed;
             }
-            let Some(lane) = g.free_lane(&line) else {
+            let Some(lane) = g.free_lane() else {
                 g.spill();
                 let in_art = overwrite && self.art.update(key, value);
                 return if in_art || !self.art.insert(key, value) {
@@ -289,7 +288,7 @@ impl AltIndex {
             // The key may still live in ART, from before a lane came free;
             // checked under the lock so the answer cannot go stale before
             // we claim. Only past a claimed own lane and the spill bit.
-            let in_art = match line.probe(key) {
+            let in_art = match g.probe(key) {
                 Probe::Art if overwrite => self.art.update(key, value),
                 Probe::Art => self.art.get(key).is_some(),
                 Probe::Hit(_) | Probe::Absent => false,
@@ -318,16 +317,13 @@ impl AltIndex {
         if key == 0 {
             return Err(IndexError::ReservedKey);
         }
-        let updated = self.with_live_model(key, |_, g| {
-            let line = g.state();
-            match line.find(key) {
-                Some((lane, _)) => {
-                    probe::chaos::point("slots.update.locked");
-                    g.set_value(lane, value);
-                    true
-                }
-                None => matches!(line.probe(key), Probe::Art) && self.art.update(key, value),
+        let updated = self.with_live_model(key, |_, g| match g.find(key) {
+            Some((lane, _)) => {
+                probe::chaos::point("slots.update.locked");
+                g.set_value(lane, value);
+                true
             }
+            None => matches!(g.probe(key), Probe::Art) && self.art.update(key, value),
         });
         if updated {
             Ok(())
@@ -342,8 +338,7 @@ impl AltIndex {
             return None;
         }
         let removed = self.with_live_model(key, |_, g| {
-            let line = g.state();
-            match line.find(key) {
+            match g.find(key) {
                 Some((lane, value)) => {
                     // Tombstone the lane AND clear the transient ART copy
                     // (retrain double-presence) in one critical section.
@@ -359,7 +354,7 @@ impl AltIndex {
                     self.art.remove(key);
                     Some(value)
                 }
-                None if matches!(line.probe(key), Probe::Art) => self.art.remove(key),
+                None if matches!(g.probe(key), Probe::Art) => self.art.remove(key),
                 None => None,
             }
         });

@@ -338,7 +338,7 @@ pub fn fill(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::slots::{SlotState, LANES};
+    use crate::slots::{Probe, SlotState, LANES};
 
     fn build_model(
         pairs: &[(u64, u64)],
@@ -365,7 +365,7 @@ mod tests {
         for &(k, v) in &pairs {
             let slot = m.predict(k);
             assert_eq!(
-                m.slots.with_line(slot, |g| g.state().slots[g.own()]),
+                m.slots.with_line(slot, |g| g.slot(g.own())),
                 SlotState::Occupied { key: k, value: v }
             );
         }
@@ -393,10 +393,12 @@ mod tests {
             )
         });
         for &(k, _) in &conflicts {
-            let line = m.slots.with_line(m.predict(k), |g| g.state());
             let lanes = (m.slots.capacity() - m.predict(k) / LANES * LANES).min(LANES);
-            assert!(line.slots[..lanes].iter().all(|s| s != &SlotState::Empty));
-            assert!(line.spill, "conflict key {k}");
+            m.slots.with_line(m.predict(k), |g| {
+                assert!((0..lanes).all(|l| g.slot(l) != SlotState::Empty));
+                // In no lane, past a claimed own lane: `Art` is the spill bit.
+                assert_eq!(g.probe(k), Probe::Art, "conflict key {k}");
+            });
         }
     }
 
@@ -408,7 +410,7 @@ mod tests {
         assert_eq!(m.slots.capacity(), 1);
         assert_eq!(m.predict(42), 0);
         assert_eq!(
-            m.slots.with_line(0, |g| g.state().slots[0]),
+            m.slots.with_line(0, |g| g.slot(0)),
             SlotState::Occupied { key: 42, value: 1 }
         );
     }

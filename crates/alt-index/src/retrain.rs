@@ -85,8 +85,9 @@ impl AltIndex {
     fn collect_span(&self, dir: &crate::dir::ModelDir, mi: usize, m: &GplModel) -> SpanSnapshot {
         let mut slot_pairs: Vec<(u64, u64)> = Vec::with_capacity(m.build_size);
         for i in (0..m.slots.capacity()).step_by(LANES) {
-            m.slots
-                .with_line(i, |g| slot_pairs.extend(g.state().sorted_live()));
+            m.slots.with_line(i, |g| {
+                slot_pairs.extend(g.sorted().into_iter().filter(|e| e.0 != 0))
+            });
         }
         let lo = if mi == 0 { 1 } else { m.first_key };
         let hi = dir.upper_bound(mi).map(|u| u - 1).unwrap_or(u64::MAX);
@@ -207,7 +208,7 @@ impl AltIndex {
                 probe::fail::point("retrain.absorb");
                 let m = published.model_for(k);
                 m.slots.with_line(m.predict(k), |g| {
-                    if g.state().find(k).is_some() {
+                    if g.find(k).is_some() {
                         self.art.remove(k);
                     }
                 });
@@ -320,14 +321,21 @@ mod tests {
             // never spilled reads as "absent unless in a lane").
             for &(k, _) in &conflicts {
                 let m = dir.model_for(k);
-                let line = m.slots.with_line(m.predict(k), |g| g.state());
                 let lanes = (m.slots.capacity() - m.predict(k) / LANES * LANES).min(LANES);
+                let (slots, verdict) = m.slots.with_line(m.predict(k), |g| {
+                    ((0..lanes).map(|l| g.slot(l)).collect::<Vec<_>>(), g.probe(k))
+                });
                 proptest::prop_assert!(
-                    line.slots[..lanes].iter().all(|s| s != &SlotState::Empty),
+                    slots.iter().all(|s| s != &SlotState::Empty),
                     "conflict key {k} predicts a line with an Empty lane"
                 );
-                proptest::prop_assert!(line.spill, "conflict key {k} in a line that never spilled");
-                proptest::prop_assert!(matches!(line.probe(k), crate::slots::Probe::Art));
+                // In no lane, past a claimed own lane: `Art` is the spill bit.
+                proptest::prop_assert_eq!(
+                    verdict,
+                    crate::slots::Probe::Art,
+                    "conflict key {} in a line that never spilled",
+                    k
+                );
             }
         }
     }
@@ -526,9 +534,7 @@ mod tests {
             .find(|&k| {
                 Arc::ptr_eq(dir.model_for(k), m)
                     && lane(m.predict(k))
-                    && m.slots
-                        .with_line(m.predict(k), |g| g.state().slots[g.own()])
-                        == SlotState::Empty
+                    && m.slots.with_line(m.predict(k), |g| g.slot(g.own())) == SlotState::Empty
             })
             .expect("a key of the model predicting an empty slot");
         let pred = m.predict(key);

@@ -18,6 +18,14 @@
 //! used"; a claimed lane whose key is 0 is a tombstone (the paper's
 //! remove "sets the key to zero").
 //!
+//! A line has one view: its word and its three keys. The optimistic read
+//! ([`SlotArray::probe`]) and the lock holder ([`LineGuard::probe`]) give
+//! a key the same verdict from them through one function, `verdict`; a
+//! writer's [`LineGuard::find`] and [`LineGuard::free_lane`] read the
+//! same word and keys; and the scan's [`SlotArray::read_sorted`] and the
+//! retrain's [`LineGuard::sorted`] sort the same three entries.
+//! [`SlotState`] is only how a test observes one lane.
+//!
 //! Storage is a [`Region`] of zeroed memory, and nothing here ever writes
 //! the zeros: all-zero memory *is* an array of `Empty` slots (word 0 is
 //! unlocked, unclaimed and unspilled). A bulk-load group large enough
@@ -42,17 +50,15 @@ const LINE: usize = std::mem::size_of::<Line>();
 
 /// Version bit 0: a writer holds the line.
 const LOCKED: u64 = 1;
-/// Version bits 1..=3: lane `l` had a key installed once, `2 << l`. The
-/// first install sets it under the lock, the unlock's Release publishes
-/// it, nothing clears it.
-const CLAIMED: u64 = 0b1110;
 /// Version bit 4: a key predicted into the line went to ART. Set under the
 /// lock (or by the private build), never cleared.
 const SPILL: u64 = 16;
 /// What each unlock adds: one write, counted above the flag bits.
 const WRITE: u64 = 32;
 
-/// The claimed bit of `lane`.
+/// Version bits 1..=3, the claimed bit of `lane`: the lane had a key
+/// installed once. The first install sets it under the lock, the unlock's
+/// Release publishes it, nothing clears it.
 #[inline(always)]
 const fn claimed(lane: usize) -> u64 {
     2 << lane
@@ -67,7 +73,9 @@ const fn claimed(lane: usize) -> u64 {
 /// where glibc had been serving the arrays from memory set-up freed.
 pub const SHARED_REGION_MIN: usize = 32 << 20;
 
-/// One consistent snapshot of a slot.
+/// One consistent snapshot of a slot: how a test observes a lane
+/// ([`LineGuard::slot`]). The protocol itself decides from the version
+/// word and the keys.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SlotState {
     /// Never claimed by any key.
@@ -85,7 +93,6 @@ pub enum SlotState {
 
 impl SlotState {
     /// The state a lane's claimed bit and the key and value in it spell.
-    #[inline(always)]
     fn of(claimed: bool, key: u64, value: u64) -> Self {
         if !claimed {
             SlotState::Empty
@@ -98,9 +105,9 @@ impl SlotState {
 }
 
 /// What a reader looking for one key concludes from the line the model
-/// predicts for it: the verdict of `get`, of the pessimistic fallback and
-/// of the batch engine's probe stage alike.
-#[derive(Debug, Clone, Copy)]
+/// predicts for it: the verdict of `get`, of the pessimistic fallback, of
+/// the batch engine's probe stage and of a writer alike.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Probe {
     /// A lane holds the key: its value.
     Hit(u64),
@@ -109,67 +116,6 @@ pub enum Probe {
     Absent,
     /// Conflict data: the key, if present, lives in ART.
     Art,
-}
-
-/// One consistent snapshot of a line, taken for one of its lanes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LineState {
-    /// The line's slots, by lane. A lane past the array's capacity is
-    /// never claimed, so it reads `Empty`.
-    pub slots: [SlotState; LANES],
-    /// The lane of the slot the snapshot was taken for: the looked-for
-    /// key's own lane.
-    pub own: usize,
-    /// Whether a key predicted into the line ever went to ART.
-    pub spill: bool,
-}
-
-impl LineState {
-    /// The lane holding `key`, and its value.
-    #[inline(always)]
-    pub fn find(&self, key: u64) -> Option<(usize, u64)> {
-        for lane in 0..LANES {
-            if let Some(value) = self.holds(lane, key) {
-                return Some((lane, value));
-            }
-        }
-        None
-    }
-
-    /// `lane`'s value, if it holds `key`.
-    #[inline(always)]
-    fn holds(&self, lane: usize, key: u64) -> Option<u64> {
-        match self.slots[lane] {
-            SlotState::Occupied { key: k, value } if k == key => Some(value),
-            _ => None,
-        }
-    }
-
-    /// The reader's verdict on `key`, whose own lane this is (DESIGN.md
-    /// §3 "A line is a bucket"): a hit in any lane; absent if the own lane
-    /// was never claimed, for a key leaves it only when it is claimed, or
-    /// if the line never spilled; otherwise ART. Writers ask it too, for a
-    /// key [`LineState::find`] did not find: `Art` is "it may be in ART".
-    #[inline(always)]
-    pub fn probe(&self, key: u64) -> Probe {
-        let hit = if probe::chaos::mutated(Mutation::OwnLaneRead) {
-            self.holds(self.own, key)
-        } else {
-            self.find(key).map(|(_, value)| value)
-        };
-        verdict(hit, self.slots[self.own] != SlotState::Empty, self.spill)
-    }
-
-    /// The line's live entries, ascending by key: its lanes hold them in
-    /// no order.
-    pub fn sorted_live(&self) -> impl Iterator<Item = (u64, u64)> {
-        sort3(self.slots.map(|slot| match slot {
-            SlotState::Occupied { key, value } => (key, value),
-            _ => (0, 0),
-        }))
-        .into_iter()
-        .filter(|e| e.0 != 0)
-    }
 }
 
 /// A line's three entries ascending by key: three compare-exchanges.
@@ -183,16 +129,39 @@ fn sort3(mut e: [(u64, u64); LANES]) -> [(u64, u64); LANES] {
     e
 }
 
-/// The verdict rule of [`LineState::probe`] (DESIGN.md §3 "A line is a
-/// bucket"), written once for it and for [`SlotArray::probe`]: the value
-/// if a lane holds the key; else absent if the own lane was never
-/// claimed or the line never spilled; else ART.
+/// The claimed bit of each lane of word `v` whose key in `k` is `key`,
+/// with no branch per lane: a debug build's get is this code as written,
+/// and tests race it.
 #[inline(always)]
-fn verdict(hit: Option<u64>, own_claimed: bool, spill: bool) -> Probe {
-    match hit {
-        Some(value) => Probe::Hit(value),
-        None if !own_claimed || !spill => Probe::Absent,
-        None => Probe::Art,
+fn hits(v: u64, k: [u64; LANES], key: u64) -> u64 {
+    (u64::from(k[0] == key) << 1 | u64::from(k[1] == key) << 2 | u64::from(k[2] == key) << 3) & v
+}
+
+/// The lane of the lowest claimed bit in a nonzero mask.
+#[inline(always)]
+fn lane_of(bits: u64) -> usize {
+    bits.trailing_zeros() as usize - 1
+}
+
+/// The one verdict on `key`, whose own lane is `own`, over `line` as its
+/// word `v` and keys `k` spell it (DESIGN.md §3 "A line is a bucket"):
+/// the value if a lane holds the key; else absent if the own lane was
+/// never claimed, for a key leaves it only when it is claimed, or if the
+/// line never spilled; else ART. The optimistic read
+/// ([`SlotArray::probe`]) and a read under the line lock
+/// ([`LineGuard::probe`]) both give it, and it loads only the matching
+/// lane's value.
+#[inline(always)]
+fn verdict(line: &Line, v: u64, k: [u64; LANES], own: usize, key: u64) -> Probe {
+    let own = claimed(own);
+    let mut hits = hits(v, k, key);
+    if probe::chaos::mutated(Mutation::OwnLaneRead) {
+        hits &= own;
+    }
+    match hits {
+        0 if v & own == 0 || v & SPILL == 0 => Probe::Absent,
+        0 => Probe::Art,
+        _ => Probe::Hit(line.value[lane_of(hits)].load(Ordering::Acquire)),
     }
 }
 
@@ -217,15 +186,14 @@ impl Line {
         ]
     }
 
-    /// The line as version word `v` and keys `key` spell it, taken for lane
-    /// `own`, with its values loaded now.
-    fn state(&self, v: u64, key: [u64; LANES], own: usize) -> LineState {
+    /// The line's three entries ascending by key, with keys `key` and its
+    /// values loaded now, a lane with no live key as key 0, which sorts
+    /// first: an unclaimed lane's key is still the region's zero, and a
+    /// tombstone's is 0, so the key word alone says whether a lane is live.
+    #[inline(always)]
+    fn sorted(&self, key: [u64; LANES]) -> [(u64, u64); LANES] {
         let value = Line::words(&self.value);
-        LineState {
-            slots: [0, 1, 2].map(|l| SlotState::of(v & claimed(l) != 0, key[l], value[l])),
-            own,
-            spill: v & SPILL != 0,
-        }
+        sort3([(key[0], value[0]), (key[1], value[1]), (key[2], value[2])])
     }
 }
 
@@ -498,62 +466,34 @@ impl SlotArray {
     }
 
     /// The reader's verdict on `key`, predicted to slot `i`, from one
-    /// snapshot of the slot's line, with the version it was taken at:
-    /// what [`LineState::probe`] says of the line, with no more loads than
-    /// the verdict needs — the word, the three keys, the matching lane's
-    /// value, and the word again. An own lane neither claimed nor locked
-    /// is the `Absent` rule with nothing to validate. Out of cache the get
-    /// loop is bound by how many misses of consecutive gets overlap, so
-    /// every instruction here counts: building the whole `LineState`
-    /// here instead cost `read_oc` about 5 % of its throughput
-    /// (EXPERIMENTS.md "A line is a bucket").
+    /// snapshot of the slot's line, with the version it was taken at: the
+    /// one `verdict`, with no more loads than it needs — the word, the
+    /// three keys, the matching lane's value, and the word again. An own
+    /// lane neither claimed nor locked is the `Absent` rule with nothing
+    /// to validate. Out of cache the get loop is bound by how many misses
+    /// of consecutive gets overlap, so every instruction here counts:
+    /// building a whole line view here instead cost `read_oc` about 5 % of
+    /// its throughput (EXPERIMENTS.md "A line is a bucket").
     #[inline]
     pub fn probe(&self, i: usize, key: u64) -> (Probe, u64) {
-        let own = claimed(i % LANES);
-        let lanes = if probe::chaos::mutated(Mutation::OwnLaneRead) {
-            own
-        } else {
-            CLAIMED
-        };
+        let own = i % LANES;
         self.snapshot(
             i,
-            |v| (v & (LOCKED | own) == 0).then_some(Probe::Absent),
-            |line, v, k| {
-                // The claimed bit of each lane that holds the key, with no
-                // branch per lane: a debug build's get is this code as
-                // written, and tests race it.
-                let hits = (u64::from(k[0] == key) << 1
-                    | u64::from(k[1] == key) << 2
-                    | u64::from(k[2] == key) << 3)
-                    & v
-                    & lanes;
-                let value = (hits != 0).then(|| {
-                    line.value[hits.trailing_zeros() as usize - 1].load(Ordering::Acquire)
-                });
-                verdict(value, v & own != 0, v & SPILL != 0)
-            },
+            |v| (v & (LOCKED | claimed(own)) == 0).then_some(Probe::Absent),
+            |line, v, k| verdict(line, v, k, own, key),
         )
     }
 
     /// Slot `i`'s line as a scan walks it: its three entries ascending by
-    /// key, a lane with no live key as key 0, which sorts first. One
-    /// snapshot of the keys and values, with no [`SlotState`]s: an
-    /// unclaimed lane's key is still the region's zero, and a tombstone's
-    /// is 0, so the key word alone says whether a lane is live. A
-    /// `LineState` and a general sort of its live keys per line cost
+    /// key, a lane with no live key as key 0 (`Line::sorted`). One
+    /// snapshot of the keys and values, with no [`SlotState`]s: a
+    /// whole-line view and a general sort of its live keys per line cost
     /// `scan_mix` about a tenth of its throughput (EXPERIMENTS.md "A line
     /// is a bucket").
     #[inline]
     pub fn read_sorted(&self, i: usize) -> [(u64, u64); LANES] {
-        let (sorted, _) = self.snapshot(
-            i,
-            |_| None,
-            |line, _, key| {
-                let value = Line::words(&line.value);
-                sort3([(key[0], value[0]), (key[1], value[1]), (key[2], value[2])])
-            },
-        );
-        sorted
+        self.snapshot(i, |_| None, |line, _, key| line.sorted(key))
+            .0
     }
 
     /// Run `f` with slot `i`'s line write-locked (its version odd). The
@@ -622,14 +562,17 @@ impl SlotArray {
     }
 
     /// Iterate live entries line by line, yielding `(slot, key, value)`
-    /// in slot order. Snapshot-consistent per line, not across lines.
+    /// in slot order. Snapshot-consistent per line, not across lines. A
+    /// lane is live when its key is not 0, as in `Line::sorted`.
     pub fn for_each_live(&self, mut f: impl FnMut(usize, u64, u64)) {
         for first in self.walk(0, usize::MAX) {
-            let (line, _) = self.snapshot(first, |_| None, |line, v, key| line.state(v, key, 0));
-            for (lane, slot) in line.slots[..self.lanes_of(first)].iter().enumerate() {
-                if let SlotState::Occupied { key, value } = *slot {
-                    f(first + lane, key, value);
-                }
+            let ((key, value), _) = self.snapshot(
+                first,
+                |_| None,
+                |line, _, key| (key, Line::words(&line.value)),
+            );
+            for lane in (0..self.lanes_of(first)).filter(|&l| key[l] != 0) {
+                f(first + lane, key[lane], value[lane]);
             }
         }
     }
@@ -717,31 +660,61 @@ impl LineGuard<'_> {
         self.own
     }
 
-    /// The line's current state, read under the lock. The version word is
+    /// The line's version word and keys, read under the lock: the word is
     /// the holder's to write now, and its lock's Acquire ordered it after
     /// the last unlock.
-    pub fn state(&self) -> LineState {
+    fn view(&self) -> (u64, [u64; LANES]) {
         let v = self.line.version.load(Ordering::Relaxed);
-        self.line.state(v, Line::words(&self.line.key), self.own)
+        (v, Line::words(&self.line.key))
     }
 
-    /// The lane a key that is in no lane of `state` (this line's state)
-    /// should take: its own lane unless a live key holds it, else a
-    /// tombstone, else an `Empty` lane (which some other key predicts,
-    /// and would find claimed), else none.
-    pub fn free_lane(&self, state: &LineState) -> Option<usize> {
-        let lanes = 0..self.lanes;
-        match state.slots[self.own] {
-            SlotState::Occupied { .. } => lanes
-                .clone()
-                .find(|&l| state.slots[l] == SlotState::Tombstone)
-                .or_else(|| {
-                    lanes
-                        .into_iter()
-                        .find(|&l| state.slots[l] == SlotState::Empty)
-                }),
-            _ => Some(self.own),
+    /// The lane holding `key`, and its value.
+    pub fn find(&self, key: u64) -> Option<(usize, u64)> {
+        let (v, k) = self.view();
+        let hits = hits(v, k, key);
+        (hits != 0).then(|| {
+            let lane = lane_of(hits);
+            (lane, self.line.value[lane].load(Ordering::Acquire))
+        })
+    }
+
+    /// The reader's `verdict` on `key`, whose own lane this is, from the
+    /// locked line: what [`SlotArray::probe`] says of it. Writers ask it
+    /// for a key [`LineGuard::find`] did not find: `Art` is "it may be in
+    /// ART".
+    pub fn probe(&self, key: u64) -> Probe {
+        let (v, k) = self.view();
+        verdict(self.line, v, k, self.own, key)
+    }
+
+    /// The line's entries ascending by key, a lane with no live key as
+    /// key 0: [`SlotArray::read_sorted`]'s view, under the lock.
+    pub fn sorted(&self) -> [(u64, u64); LANES] {
+        self.line.sorted(Line::words(&self.line.key))
+    }
+
+    /// The lane a key that is in no lane of this line should take: its
+    /// own lane unless a live key holds it, else a tombstone, else an
+    /// `Empty` lane (which some other key predicts, and would find
+    /// claimed), else none.
+    pub fn free_lane(&self) -> Option<usize> {
+        let (v, k) = self.view();
+        let is_claimed = |l: usize| v & claimed(l) != 0;
+        if !is_claimed(self.own) || k[self.own] == 0 {
+            return Some(self.own);
         }
+        let lanes = 0..self.lanes;
+        lanes
+            .clone()
+            .find(|&l| is_claimed(l) && k[l] == 0)
+            .or_else(|| lanes.into_iter().find(|&l| !is_claimed(l)))
+    }
+
+    /// `lane` as a test observes it.
+    pub fn slot(&self, lane: usize) -> SlotState {
+        let (v, k) = self.view();
+        let value = self.line.value[lane].load(Ordering::Acquire);
+        SlotState::of(v & claimed(lane) != 0, k[lane], value)
     }
 
     /// Set `bits` in the line's version word. Only the holder writes a
@@ -753,8 +726,8 @@ impl LineGuard<'_> {
     }
 
     /// Install `(key, value)` in `lane`, claiming it. Callers decide from
-    /// [`LineGuard::state`] first; installing over a live *different* key
-    /// would lose its entry.
+    /// [`LineGuard::find`] and [`LineGuard::free_lane`] first; installing
+    /// over a live *different* key would lose its entry.
     pub fn install(&self, lane: usize, key: u64, value: u64) {
         debug_assert_ne!(key, 0);
         debug_assert!(lane < self.lanes, "lane past the array's capacity");
@@ -796,23 +769,29 @@ impl LineGuard<'_> {
 mod tests {
     use super::*;
 
-    /// Slot `i`'s line through the one optimistic read, and the version it
-    /// was taken at.
-    fn line_state(s: &SlotArray, i: usize) -> (LineState, u64) {
-        s.snapshot(i, |_| None, |line, v, key| line.state(v, key, i % LANES))
+    /// Slot `i`'s state and the version it was read at, through the one
+    /// optimistic read of its line.
+    fn read(s: &SlotArray, i: usize) -> (SlotState, u64) {
+        let lane = i % LANES;
+        s.snapshot(
+            i,
+            |_| None,
+            |line, v, key| {
+                let value = line.value[lane].load(Ordering::Acquire);
+                SlotState::of(v & claimed(lane) != 0, key[lane], value)
+            },
+        )
     }
 
-    /// Slot `i`'s state and the version it was read at: its lane of a
-    /// line snapshot.
-    fn read(s: &SlotArray, i: usize) -> (SlotState, u64) {
-        let (line, v) = line_state(s, i);
-        (line.slots[line.own], v)
+    /// Whether slot `i`'s line has spilled.
+    fn spilled(s: &SlotArray, i: usize) -> bool {
+        s.version(i) & SPILL != 0
     }
 
     /// The shape of every slot write: decide under the line's lock. This
     /// one installs in slot `i` itself unless a live key holds it.
     fn put(s: &SlotArray, i: usize, key: u64, value: u64) -> bool {
-        s.with_line(i, |g| match g.state().slots[g.own()] {
+        s.with_line(i, |g| match g.slot(g.own()) {
             SlotState::Occupied { .. } => false,
             SlotState::Empty | SlotState::Tombstone => {
                 g.install(g.own(), key, value);
@@ -824,7 +803,7 @@ mod tests {
     /// Tombstone slot `i` if it holds `key`, as `remove` does; returns the
     /// removed value.
     fn take(s: &SlotArray, i: usize, key: u64) -> Option<u64> {
-        s.with_line(i, |g| match g.state().slots[g.own()] {
+        s.with_line(i, |g| match g.slot(g.own()) {
             SlotState::Occupied { key: k, value } if k == key => {
                 g.clear(g.own());
                 Some(value)
@@ -1002,9 +981,9 @@ mod tests {
         // The round trip of the retrain's sweep and of an escalated read.
         let s = SlotArray::new(8);
         let (_, v0) = read(&s, 3);
-        s.with_line(3, |g| assert_eq!(g.state().slots[0], SlotState::Empty));
-        let (state, v1) = s.locked(3, |g| g.state());
-        assert_eq!(state.slots[0], SlotState::Empty);
+        s.with_line(3, |g| assert_eq!(g.slot(0), SlotState::Empty));
+        let (state, v1) = s.locked(3, |g| g.slot(0));
+        assert_eq!(state, SlotState::Empty);
         assert_eq!(v1, s.version(3), "the lock returns the word it stored");
         assert_ne!(v1, v0, "each unlock counts a write");
         assert_eq!(v1 % 2, 0);
@@ -1085,13 +1064,80 @@ mod tests {
         take(&s, 4, 40);
         assert_eq!(verdict(4, 41), Some(u64::MAX), "a tombstone is claimed");
         assert_eq!(verdict(4, 50), Some(500));
-        let (line, _) = line_state(&s, 5);
-        assert_eq!(line.own, 2);
-        assert!(line.spill);
-        assert_eq!(line.find(50), Some((2, 500)));
-        assert_eq!(
-            line.sorted_live().collect::<Vec<_>>(),
-            [(30, 300), (50, 500)]
+        assert!(spilled(&s, 5));
+        s.with_line(5, |g| {
+            assert_eq!(g.own(), 2);
+            assert_eq!(g.find(50), Some((2, 500)));
+            assert_eq!(
+                g.sorted().map(|e| e.0),
+                [0, 30, 50],
+                "a tombstone reads key 0"
+            );
+            assert_eq!(g.sorted()[1..], [(30, 300), (50, 500)]);
+        });
+    }
+
+    #[test]
+    fn the_reader_and_the_lock_holder_give_one_verdict() {
+        // Every unlocked word of a line of one to three lanes, spilled or
+        // not, every own lane, and the looked-for key in no lane, in one
+        // lane, or removed from one (a tombstone): the optimistic probe
+        // and the lock holder's agree, and `find` names the lane of every
+        // hit. A lane is unclaimed (key 0), another key, the key, or a
+        // tombstone; a key leaves its own lane only once that lane is
+        // claimed, so a line with the key outside an unclaimed own lane is
+        // one no write makes, and is skipped.
+        const KEY: u64 = 7;
+        let mut seen = [0usize; 3];
+        for capacity in 1..=LANES {
+            let s = SlotArray::new(capacity);
+            for code in 0..4usize.pow(capacity as u32) {
+                let lanes: Vec<usize> = (0..capacity)
+                    .map(|l| code / 4usize.pow(l as u32) % 4)
+                    .collect();
+                let at: Vec<usize> = (0..capacity).filter(|&l| lanes[l] == 2).collect();
+                if at.len() > 1 {
+                    continue;
+                }
+                let claims = (0..capacity)
+                    .filter(|&l| lanes[l] != 0)
+                    .fold(0, |c, l| c | claimed(l));
+                for spill in [0, SPILL] {
+                    for own in 0..capacity {
+                        if at.first().is_some_and(|&l| l != own) && claims & claimed(own) == 0 {
+                            continue;
+                        }
+                        let line = s.line(0);
+                        line.version
+                            .store((5 * WRITE) | claims | spill, Ordering::Relaxed);
+                        for (l, &what) in lanes.iter().enumerate() {
+                            let key = [0, 100 + l as u64, KEY, 0][what];
+                            line.key[l].store(key, Ordering::Relaxed);
+                            line.value[l].store(1000 + l as u64, Ordering::Relaxed);
+                        }
+                        let want = match at.first() {
+                            Some(&l) => Probe::Hit(1000 + l as u64),
+                            None if claims & claimed(own) == 0 || spill == 0 => Probe::Absent,
+                            None => Probe::Art,
+                        };
+                        let case = format!("lanes {lanes:?}, spill {spill}, own {own}");
+                        assert_eq!(s.probe(own, KEY).0, want, "reader, {case}");
+                        let (held, found) = s.with_line(own, |g| (g.probe(KEY), g.find(KEY)));
+                        assert_eq!(held, want, "lock holder, {case}");
+                        let hit = found.map(|(lane, value)| (lane, Probe::Hit(value)));
+                        assert_eq!(hit, at.first().map(|&l| (l, want)), "find, {case}");
+                        seen[match want {
+                            Probe::Hit(_) => 0,
+                            Probe::Absent => 1,
+                            Probe::Art => 2,
+                        }] += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            seen.iter().all(|&n| n > 0),
+            "every verdict reached: {seen:?}"
         );
     }
 
@@ -1118,16 +1164,18 @@ mod tests {
             for (lane, key) in lanes.into_iter().enumerate() {
                 put_lane(&s, 0, lane, key);
             }
-            let live: Vec<u64> = line_state(&s, 1).0.sorted_live().map(|e| e.0).collect();
-            assert_eq!(live, [10, 20, 30], "lanes {lanes:?}");
             assert_eq!(s.read_sorted(1), [(10, 100), (20, 200), (30, 300)]);
+            assert_eq!(s.with_line(1, |g| g.sorted()), s.read_sorted(1));
             // A tombstone reads key 0, ahead of the live keys.
             assert_eq!(take(&s, 1, lanes[1]), Some(lanes[1] * 10));
             let mut rest = [lanes[0], lanes[2]];
             rest.sort_unstable();
             assert_eq!(s.read_sorted(1).map(|e| e.0), [0, rest[0], rest[1]]);
-            let live: Vec<u64> = line_state(&s, 1).0.sorted_live().map(|e| e.0).collect();
-            assert_eq!(live, rest, "lanes {lanes:?}, lane 1 removed");
+            assert_eq!(
+                s.with_line(1, |g| g.sorted()),
+                s.read_sorted(1),
+                "lanes {lanes:?}, lane 1 removed"
+            );
         }
     }
 
@@ -1139,11 +1187,10 @@ mod tests {
         assert!(!s.place_unsync(3, 2, 2), "own lane taken");
         assert!(s.place_in_line_unsync(3, 2, 2), "lane 1 is free");
         assert!(!s.place_in_line_unsync(3, 3, 3), "no lane left");
-        assert!(line_state(&s, 3).0.spill);
-        assert!(!line_state(&s, 0).0.spill, "another line");
-        let (line, _) = line_state(&s, 4);
+        assert!(spilled(&s, 3));
+        assert!(!spilled(&s, 0), "another line");
         assert_eq!(
-            line.slots[2],
+            s.with_line(4, |g| g.slot(2)),
             SlotState::Empty,
             "the spare lane is never a slot"
         );
@@ -1153,7 +1200,7 @@ mod tests {
     #[test]
     fn a_free_lane_is_the_own_one_then_a_tombstone_then_an_empty_one() {
         let s = SlotArray::new(5);
-        let free = |i: usize| s.with_line(i, |g| g.free_lane(&g.state()));
+        let free = |i: usize| s.with_line(i, |g| g.free_lane());
         assert_eq!(free(1), Some(1), "own lane empty");
         put_lane(&s, 1, 1, 7);
         assert_eq!(free(1), Some(0), "an empty lane");
@@ -1205,9 +1252,9 @@ mod tests {
             assert_eq!(s.walk(3, 5).collect::<Vec<_>>(), [3], "locked");
             let swept = s.with_line(3, |g| {
                 assert!(done.load(Ordering::Relaxed), "the sweep passed a held line");
-                g.state().sorted_live().collect::<Vec<_>>()
+                g.sorted()
             });
-            assert_eq!(swept, [(77, 770)]);
+            assert_eq!(swept, [(0, 0), (0, 0), (77, 770)]);
         });
     }
 

@@ -9,6 +9,12 @@
 //! (memory-level parallelism à la AMAC, Kocberber et al., and the
 //! interleaved probing of the "Benchmarking Learned Indexes" study).
 //!
+//! [`drive_ring`] is the one ring both indexes use: here
+//! each flight is a cursor, and ALT-index's is a learned-layer probe that
+//! may hand off to one. It steps the ring round-robin and refills a
+//! retired key's slot in place, so a fresh key's first step waits for
+//! every other key in flight to step once.
+//!
 //! Each step is one [`hop`] of the scalar descent (`tree::descend_leaf`
 //! runs the same function in a loop), followed by a prefetch of the child
 //! it found. A failed validation restarts *that key only*
@@ -25,7 +31,7 @@ use crossbeam_epoch::{self as epoch, Guard};
 use probe::metrics::{self, Counter};
 use std::marker::PhantomData;
 
-/// Width of the in-flight ring in [`Art::get_batch_amac`]. Eight keys
+/// Width of the in-flight ring of [`drive_ring`]. Eight keys
 /// cover typical L2 miss latency (~10-20 ns of work per step vs ~40+ ns
 /// stalls) without spilling cursor state out of registers/L1.
 pub const RING_WIDTH: usize = 8;
@@ -141,47 +147,81 @@ impl Art {
     /// [`index_api::ConcurrentIndex::get_batch`] implementation for the
     /// standalone ART baseline.
     pub fn get_batch_amac(&self, keys: &[u64], out: &mut [Option<u64>]) {
-        assert!(
-            out.len() >= keys.len(),
-            "get_batch: out buffer ({}) shorter than keys ({})",
-            out.len(),
-            keys.len()
-        );
         metrics::add(Counter::ArtBatchKeys, keys.len() as u64);
         // One pin for the whole batch: every cursor's node pointers stay
         // dereferenceable until the ring drains.
         let guard = epoch::pin();
-        let mut next = 0usize;
-        let mut ring: Vec<(usize, BatchCursor<'_>)> =
-            Vec::with_capacity(RING_WIDTH.min(keys.len()));
-        while next < keys.len() && ring.len() < RING_WIDTH {
-            ring.push((next, self.batch_cursor(keys[next], &guard)));
+        drive_ring(
+            keys,
+            out,
+            |key| Some(self.batch_cursor(key, &guard)),
+            |cur| match self.batch_step(cur) {
+                BatchStep::Pending => None,
+                BatchStep::Done(v) => Some(v),
+                BatchStep::Escalate => Some(self.get(cur.key)),
+            },
+        );
+    }
+}
+
+/// The one AMAC ring, which both indexes' `get_batch_amac` drive:
+/// `out[i]` gets `keys[i]`'s result, with up to [`RING_WIDTH`] lookups in
+/// flight. `start` begins a key's lookup, issuing its first prefetch, and
+/// `step` advances one by one stage, `Some(result)` once it is done. A key
+/// `start` declines reads `None` without taking a slot: ALT-index's
+/// reserved key 0 (a tree may hold key 0, so ART starts every key). The
+/// ring is stepped round-robin and a retired key's slot is refilled in
+/// place, so a fresh key's first step comes after every other key in
+/// flight has stepped once: a full revolution of other work between its
+/// prefetch and its first dereference. Once the keys run out, a retired
+/// key's slot is removed, keeping the order of the rest.
+///
+/// Panics if `out` is shorter than `keys`.
+pub fn drive_ring<S>(
+    keys: &[u64],
+    out: &mut [Option<u64>],
+    mut start: impl FnMut(u64) -> Option<S>,
+    mut step: impl FnMut(&mut S) -> Option<Option<u64>>,
+) {
+    assert!(
+        out.len() >= keys.len(),
+        "get_batch: out buffer ({}) shorter than keys ({})",
+        out.len(),
+        keys.len()
+    );
+    let mut next = 0;
+    // The next key's lookup and its index, answering declined keys on the
+    // way.
+    let mut fresh = |out: &mut [Option<u64>]| {
+        while let Some(&key) = keys.get(next) {
             next += 1;
-        }
-        let mut i = 0usize;
-        while !ring.is_empty() {
-            if i >= ring.len() {
-                i = 0;
+            match start(key) {
+                Some(flight) => return Some((next - 1, flight)),
+                None => out[next - 1] = None,
             }
-            let (ki, cur) = &mut ring[i];
-            match self.batch_step(cur) {
-                BatchStep::Pending => i += 1,
-                done_or_escalate => {
-                    let ki = *ki;
-                    out[ki] = match done_or_escalate {
-                        BatchStep::Done(v) => v,
-                        _ => Art::get(self, keys[ki]),
-                    };
-                    // Refill the slot so a fresh key's first dereference
-                    // happens a full ring revolution after its prefetch.
-                    if next < keys.len() {
-                        ring[i] = (next, self.batch_cursor(keys[next], &guard));
-                        next += 1;
-                        i += 1;
-                    } else {
-                        ring.swap_remove(i);
-                    }
-                }
+        }
+        None
+    };
+    let mut ring = Vec::with_capacity(RING_WIDTH.min(keys.len()));
+    ring.extend(std::iter::from_fn(|| fresh(out)).take(RING_WIDTH));
+    let mut i = 0;
+    while !ring.is_empty() {
+        if i >= ring.len() {
+            i = 0;
+        }
+        let (ki, s) = &mut ring[i];
+        let Some(result) = step(s) else {
+            i += 1;
+            continue;
+        };
+        out[*ki] = result;
+        match fresh(out) {
+            Some(flight) => {
+                ring[i] = flight;
+                i += 1;
+            }
+            None => {
+                ring.remove(i);
             }
         }
     }
@@ -234,6 +274,92 @@ mod tests {
             for (i, &k) in keys.iter().enumerate() {
                 assert_eq!(out[i], t.get(k), "width {width}, key {k:#x}");
             }
+        }
+    }
+
+    #[test]
+    fn the_ring_retires_each_key_once_and_steps_a_fresh_key_a_revolution_late() {
+        use std::cell::RefCell;
+        use std::collections::HashMap;
+        // A toy lookup: key `k` is pending for `k % 5` steps and retires
+        // with `10 k` on the next. Every fourth key is 0, which `start`
+        // declines, as ALT-index's does.
+        #[derive(Clone, Copy, Debug)]
+        enum Event {
+            Start(u64),
+            Step { key: u64, retired: bool },
+        }
+        for width in [0, 1, RING_WIDTH - 1, RING_WIDTH + 1, 3 * RING_WIDTH] {
+            let keys: Vec<u64> = (0..width as u64)
+                .map(|j| if j % 4 == 2 { 0 } else { j + 1 })
+                .collect();
+            let log = RefCell::new(Vec::new());
+            let mut out = vec![Some(u64::MAX); width + 1];
+            drive_ring(
+                &keys,
+                &mut out,
+                |key| {
+                    log.borrow_mut().push(Event::Start(key));
+                    (key != 0).then_some((key, key % 5))
+                },
+                |(key, pending)| {
+                    let retired = *pending == 0;
+                    log.borrow_mut().push(Event::Step { key: *key, retired });
+                    *pending = pending.saturating_sub(1);
+                    retired.then_some(Some(*key * 10))
+                },
+            );
+            let want: Vec<Option<u64>> = keys.iter().map(|&k| (k != 0).then_some(k * 10)).collect();
+            assert_eq!(
+                out[..width],
+                want,
+                "width {width}: each result in its own slot"
+            );
+            assert_eq!(out[width], Some(u64::MAX), "width {width}: past the keys");
+
+            // Replay the log: the keys in flight, and for each key started
+            // by a refill, the keys that must step before its first step.
+            let (mut in_flight, mut owed) = (Vec::new(), HashMap::new());
+            let (mut retired_keys, mut stepped) = (Vec::new(), false);
+            for event in log.into_inner() {
+                match event {
+                    Event::Start(0) => {}
+                    Event::Start(key) => {
+                        assert!(in_flight.len() < RING_WIDTH, "width {width}: ring overfull");
+                        if stepped {
+                            owed.insert(key, in_flight.clone());
+                        }
+                        in_flight.push(key);
+                    }
+                    Event::Step { key, retired } => {
+                        assert_ne!(key, 0, "width {width}: a declined key takes no step");
+                        assert!(
+                            in_flight.contains(&key),
+                            "width {width}: {key} not in flight"
+                        );
+                        if let Some(before) = owed.remove(&key) {
+                            assert_eq!(
+                                before,
+                                [] as [u64; 0],
+                                "width {width}: {key} stepped first"
+                            );
+                        }
+                        for before in owed.values_mut() {
+                            before.retain(|&k| k != key);
+                        }
+                        if retired {
+                            in_flight.retain(|&k| k != key);
+                            retired_keys.push(key);
+                        }
+                        stepped = true;
+                    }
+                }
+            }
+            let mut live: Vec<u64> = keys.iter().copied().filter(|&k| k != 0).collect();
+            live.sort_unstable();
+            retired_keys.sort_unstable();
+            assert_eq!(retired_keys, live, "width {width}: each key retired once");
+            assert!(in_flight.is_empty() && owed.is_empty(), "width {width}");
         }
     }
 

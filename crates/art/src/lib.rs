@@ -42,7 +42,7 @@ mod stats;
 mod tree;
 
 pub use arena::{arena_alloc_fail_count, arena_allocated_bytes};
-pub use batch::{BatchCursor, BatchStep, RING_WIDTH};
+pub use batch::{drive_ring, BatchCursor, BatchStep, RING_WIDTH};
 pub use node::{key_byte, key_bytes, NodePtr, NodeType, MAX_PREFIX};
 pub use olc::VersionLock;
 pub use stats::ArtStats;

@@ -11,7 +11,7 @@ use std::sync::{Arc, Weak};
 
 /// Install `key` into slot `i` unless a live key holds it.
 fn put(s: &SlotArray, i: usize, key: u64, value: u64) -> bool {
-    s.with_line(i, |g| match g.state().slots[g.own()] {
+    s.with_line(i, |g| match g.slot(g.own()) {
         SlotState::Occupied { .. } => false,
         SlotState::Empty | SlotState::Tombstone => {
             g.install(g.own(), key, value);
@@ -33,7 +33,7 @@ fn carved_pair(a: usize, b: usize) -> (SlotArray, SlotArray, Weak<Region>) {
 
 /// Slot `i`'s state, read under its line's lock.
 fn slot(s: &SlotArray, i: usize) -> SlotState {
-    s.with_line(i, |g| g.state().slots[g.own()])
+    s.with_line(i, |g| g.slot(g.own()))
 }
 
 fn all_empty(s: &SlotArray) -> bool {
