@@ -79,13 +79,10 @@ impl AltIndex {
         drive_ring(
             keys,
             out,
-            // Reserved key 0 reads `None`, as scalar `get` answers it.
-            |key| {
-                (key != 0).then(|| Flight {
-                    key,
-                    retry: resilience::Retry::new(),
-                    stage: predict(self, key, &guard),
-                })
+            |key| Flight {
+                key,
+                retry: resilience::Retry::new(),
+                stage: predict(self, key, &guard),
             },
             |fl| step(self, fl, &guard),
         );

@@ -154,7 +154,7 @@ impl Art {
         drive_ring(
             keys,
             out,
-            |key| Some(self.batch_cursor(key, &guard)),
+            |key| self.batch_cursor(key, &guard),
             |cur| match self.batch_step(cur) {
                 BatchStep::Pending => None,
                 BatchStep::Done(v) => Some(v),
@@ -167,20 +167,20 @@ impl Art {
 /// The one AMAC ring, which both indexes' `get_batch_amac` drive:
 /// `out[i]` gets `keys[i]`'s result, with up to [`RING_WIDTH`] lookups in
 /// flight. `start` begins a key's lookup, issuing its first prefetch, and
-/// `step` advances one by one stage, `Some(result)` once it is done. A key
-/// `start` declines reads `None` without taking a slot: ALT-index's
-/// reserved key 0 (a tree may hold key 0, so ART starts every key). The
-/// ring is stepped round-robin and a retired key's slot is refilled in
-/// place, so a fresh key's first step comes after every other key in
-/// flight has stepped once: a full revolution of other work between its
-/// prefetch and its first dereference. Once the keys run out, a retired
+/// `step` advances one by one stage, `Some(result)` once it is done. The
+/// reserved key 0, which no index stores, reads `None` without taking a
+/// slot: `start` never sees it. The ring is stepped round-robin and a
+/// retired key's slot is refilled in place, so a fresh key's first step
+/// comes after every other key in flight has stepped once: a full
+/// revolution of other work between its prefetch and its first
+/// dereference. Once the keys run out, a retired
 /// key's slot is removed, keeping the order of the rest.
 ///
 /// Panics if `out` is shorter than `keys`.
 pub fn drive_ring<S>(
     keys: &[u64],
     out: &mut [Option<u64>],
-    mut start: impl FnMut(u64) -> Option<S>,
+    mut start: impl FnMut(u64) -> S,
     mut step: impl FnMut(&mut S) -> Option<Option<u64>>,
 ) {
     assert!(
@@ -190,15 +190,15 @@ pub fn drive_ring<S>(
         keys.len()
     );
     let mut next = 0;
-    // The next key's lookup and its index, answering declined keys on the
-    // way.
+    // The next key's lookup and its index, answering the reserved key on
+    // the way.
     let mut fresh = |out: &mut [Option<u64>]| {
         while let Some(&key) = keys.get(next) {
             next += 1;
-            match start(key) {
-                Some(flight) => return Some((next - 1, flight)),
-                None => out[next - 1] = None,
+            if key != index_api::RESERVED_KEY {
+                return Some((next - 1, start(key)));
             }
+            out[next - 1] = None;
         }
         None
     };
@@ -282,8 +282,8 @@ mod tests {
         use std::cell::RefCell;
         use std::collections::HashMap;
         // A toy lookup: key `k` is pending for `k % 5` steps and retires
-        // with `10 k` on the next. Every fourth key is 0, which `start`
-        // declines, as ALT-index's does.
+        // with `10 k` on the next. Every fourth key is the reserved key 0,
+        // which the ring answers itself.
         #[derive(Clone, Copy, Debug)]
         enum Event {
             Start(u64),
@@ -300,7 +300,7 @@ mod tests {
                 &mut out,
                 |key| {
                     log.borrow_mut().push(Event::Start(key));
-                    (key != 0).then_some((key, key % 5))
+                    (key, key % 5)
                 },
                 |(key, pending)| {
                     let retired = *pending == 0;
@@ -323,8 +323,8 @@ mod tests {
             let (mut retired_keys, mut stepped) = (Vec::new(), false);
             for event in log.into_inner() {
                 match event {
-                    Event::Start(0) => {}
                     Event::Start(key) => {
+                        assert_ne!(key, 0, "width {width}: the reserved key is not started");
                         assert!(in_flight.len() < RING_WIDTH, "width {width}: ring overfull");
                         if stepped {
                             owed.insert(key, in_flight.clone());

@@ -271,12 +271,14 @@ impl Art {
     // -----------------------------------------------------------------
 
     /// Insert a new key. Returns `false` if the key already exists
-    /// (the value is left untouched).
+    /// (the value is left untouched) or is the reserved key 0, which no
+    /// index stores ([`index_api::RESERVED_KEY`]).
     pub fn insert(&self, key: u64, value: u64) -> bool {
         self.insert_inner(key, value, false)
     }
 
-    /// Insert or overwrite.
+    /// Insert or overwrite. Returns whether the key was new; the reserved
+    /// key 0 is refused like [`Art::insert`] refuses it.
     pub fn upsert(&self, key: u64, value: u64) -> bool {
         self.insert_inner(key, value, true)
     }
@@ -297,6 +299,9 @@ impl Art {
     }
 
     fn insert_inner(&self, key: u64, value: u64, overwrite: bool) -> bool {
+        if key == index_api::RESERVED_KEY {
+            return false;
+        }
         let guard = epoch::pin();
         // Structural writers have no pessimistic fallback: every restart
         // implies a *committed* conflicting write, so the retry loop
@@ -940,6 +945,19 @@ mod tests {
         assert_eq!(t.get(7), Some(71));
         assert!(t.upsert(8, 80));
         assert_eq!(t.get(8), Some(80));
+    }
+
+    #[test]
+    fn the_reserved_key_is_refused_and_reads_none() {
+        let t = Art::new();
+        t.insert(1, 10);
+        assert!(!t.insert(0, 5));
+        assert!(!t.upsert(0, 6));
+        assert!(!t.update(0, 7));
+        assert_eq!((t.get(0), t.remove(0), t.len()), (None, None, 1));
+        let mut out = [Some(9); 3];
+        t.get_batch_amac(&[0, 1, 0], &mut out);
+        assert_eq!(out, [None, Some(10), None]);
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! through prefix splits, merges, grows and shrinks) and what it counts: a
 //! hop is every node visited, the root and the leaf included, a null child
 //! not (the lookup length; `altbench` compares `alt.root_hops_mean` across
-//! commits for identity).
+//! commits for identity). The key universe includes the reserved key 0:
+//! inserting it returns `false` and stores nothing, so every read path
+//! reads `None` for it.
 
 use art::Art;
 use probe::SplitMix64;
@@ -66,9 +68,11 @@ proptest! {
             touched.push(k);
             match rng.next_below(10) {
                 0..=4 => {
-                    let fresh = !model.contains_key(&k);
+                    let fresh = k != 0 && !model.contains_key(&k);
                     prop_assert_eq!(tree.insert(k, step), fresh, "insert({:#x})", k);
-                    model.entry(k).or_insert(step);
+                    if fresh {
+                        model.insert(k, step);
+                    }
                 }
                 5..=7 => prop_assert_eq!(tree.remove(k), model.remove(&k), "remove({:#x})", k),
                 _ => {
@@ -81,6 +85,7 @@ proptest! {
         }
         let mut probes = touched.clone();
         probes.extend(touched.iter().map(|k| k ^ 1));
+        probes.push(0);
         check_reads(&tree, &model, &probes)?;
 
         // Thin the tree to a fifth: nodes shrink, two-child nodes merge

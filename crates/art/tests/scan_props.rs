@@ -56,7 +56,8 @@ fn build(seed: u64) -> (Art, BTreeMap<u64, u64>) {
             .iter()
             .map(|b| DEEP | b << 8 | rng.next_below(256)),
     );
-    // Strays, the ends of the key space among them now and then.
+    // Strays, the ends of the key space among them now and then (0 is
+    // the reserved key: its insert is refused, so it is never stored).
     for _ in 0..rng.next_below(40) {
         keys.push(rng.next_u64());
     }
@@ -69,8 +70,10 @@ fn build(seed: u64) -> (Art, BTreeMap<u64, u64>) {
     let tree = Art::new();
     let mut model = BTreeMap::new();
     for k in keys {
-        if model.insert(k, !k).is_none() {
-            assert!(tree.insert(k, !k));
+        let fresh = k != 0 && !model.contains_key(&k);
+        assert_eq!(tree.insert(k, !k), fresh, "insert({k:#x})");
+        if fresh {
+            model.insert(k, !k);
         }
     }
     // 48 -> 30 children: above the shrink threshold, so the Node48 stays.

@@ -12,7 +12,9 @@
 //!   the front-end's queue/completion machinery,
 //! * `batched` — the same front-end with the `--ring` width, so
 //!   concurrent in-flight requests accumulate into AMAC `get_batch`
-//!   rings (one submission queue per region shard, `--shards`).
+//!   rings (one submission queue per worker thread's stripe; the router
+//!   over `--shards` shards splits each ring into one `get_batch` per
+//!   shard that owns keys in it).
 //!
 //! `batched` vs `perkey` therefore isolates what batching buys on the
 //! serving path; `direct` shows the front-end's intrinsic overhead.

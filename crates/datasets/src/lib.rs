@@ -20,11 +20,9 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod analysis;
 pub mod gen;
 pub mod rng;
 pub mod sosd;
 
-pub use analysis::{difficulty, gap_spread, keys_per_model};
 pub use gen::{generate, generate_pairs, Dataset, ALL_DATASETS};
 pub use sosd::{load_sosd, maybe_load, write_sosd, SOSD_DIR_ENV};

@@ -102,28 +102,23 @@ pub trait ConcurrentIndex: Send + Sync {
         }
     }
 
-    /// Number of independent batch-submission domains this index exposes.
+    /// Number of independent batch-submission domains this index exposes:
+    /// partitions of the key space whose keys were once worth queueing
+    /// into the same [`ConcurrentIndex::get_batch`] ring. Always 1.
     ///
-    /// A *batch domain* is a partition of the key space whose keys are
-    /// worth accumulating into the **same** [`ConcurrentIndex::get_batch`]
-    /// ring: keys from one domain share the structures an AMAC engine
-    /// overlaps (one directory, one tree), so batching them together
-    /// actually hides the cache misses. A serving front-end keeps one
-    /// submission queue per (thread stripe, domain) pair and flushes each
-    /// queue as its own `get_batch` call (see `crates/region::BatchServer`).
-    ///
-    /// Monolithic indexes are one domain (the default). The range-sharded
-    /// region router overrides this with its shard count, which is fixed
-    /// when the router is bulk-loaded — the domain map is a **routing
-    /// hint**, not a correctness contract: `get_batch` must answer
-    /// correctly for any key mix regardless of domain.
+    /// No code in the workspace calls this or
+    /// [`ConcurrentIndex::batch_domain_of`], and no index overrides them:
+    /// the serving front-end keeps one submission queue per thread stripe
+    /// whatever the key, and the region router's `get_batch` groups a
+    /// mixed batch by shard itself. Both methods stay only because the
+    /// benchmark's `Traced` wrapper (`benchmark/src/trace.rs`) forwards
+    /// them; ROADMAP item 1(a) deletes them together with it.
     fn batch_domains(&self) -> usize {
         1
     }
 
-    /// The batch-submission domain `key` currently maps to, in
-    /// `0..self.batch_domains()`. See [`ConcurrentIndex::batch_domains`];
-    /// the default single-domain mapping sends every key to domain 0.
+    /// The batch-submission domain `key` maps to: always 0. See
+    /// [`ConcurrentIndex::batch_domains`], which says why it is kept.
     fn batch_domain_of(&self, key: Key) -> usize {
         let _ = key;
         0
@@ -410,8 +405,8 @@ mod tests {
         for k in [0u64, 1, 42, Key::MAX] {
             assert_eq!(idx.batch_domain_of(k), 0);
         }
-        // Object safety: the domain map must be reachable through a
-        // trait object (the serving front-end holds `dyn ConcurrentIndex`).
+        // Object safety: the domain map is reachable through a trait
+        // object.
         let dyn_idx: &dyn ConcurrentIndex = &idx;
         assert_eq!(dyn_idx.batch_domains(), 1);
     }

@@ -8,18 +8,18 @@
 //! * [`RegionIndex`] — the router. Bulk load cuts the key space at key
 //!   quantiles and builds one index per range; the shard list never
 //!   changes afterwards, so every operation binary-searches the bounds
-//!   and calls its shard's index directly. What the shards buy is one
-//!   batch domain each — per-shard submission queues for the serving
-//!   front-end, so each AMAC ring runs on one index — and a
-//!   range-partitioned bulk load.
+//!   and calls its shard's index directly. What the shards buy is a
+//!   range-partitioned bulk load. A `get_batch` of mixed keys runs one
+//!   `get_batch` per shard that owns some of them, so each AMAC ring
+//!   still runs on one index.
 //! * [`BatchServer`] — the serving front-end. Submission queues, one per
-//!   submitting thread's stripe and shard, accumulate in-flight gets;
-//!   the submitter that fills a ring, or the queue's group-commit leader
-//!   after one yield, executes one `get_batch` per queue, so the AMAC
-//!   engines see real batches on the serving path with no thread of the
-//!   server's own, and a request never leaves the worker that submitted
-//!   it. Admission control sheds load through the `resilience` retry
-//!   budget when the server stays saturated.
+//!   submitting thread's stripe whatever the key, accumulate in-flight
+//!   gets; the submitter that fills a ring, or the queue's group-commit
+//!   leader after one yield, executes one `get_batch` per queue, so the
+//!   AMAC engines see real batches on the serving path with no thread of
+//!   the server's own, and a request never leaves the worker that
+//!   submitted it. Admission control sheds load through the `resilience`
+//!   retry budget when the server stays saturated.
 //!
 //! The router is index-agnostic: any `ConcurrentIndex + BulkLoad` works
 //! as the per-shard engine (`RegionIndex<AltIndex>`, `RegionIndex<Art>`,

@@ -7,10 +7,16 @@
 //! directly: the router holds no lock, no epoch state and no retry loop.
 //! Each shard index only ever sees keys of its own range (bulk load
 //! partitions the input, and every write routes by key), so `range` and
-//! `scan` concatenate the shards' answers in order.
+//! `scan` concatenate the shards' answers in order, and `get_batch`
+//! groups a mixed batch by shard, 64 keys at a time, into one
+//! `get_batch` per owning shard.
 
 use crate::RegionConfig;
 use index_api::{BulkLoad, ConcurrentIndex, Key, Result, Value};
+
+/// Keys a `get_batch` groups by shard at a time: the width of its stack
+/// arrays and of the bit mask of positions still unanswered.
+const GROUP: usize = 64;
 
 /// One key-range shard: a contiguous inclusive range `[lo, hi]` and the
 /// index that owns it.
@@ -19,13 +25,6 @@ struct Shard<I> {
     /// `u64::MAX` for the last shard.
     hi: Key,
     index: I,
-}
-
-impl<I> Shard<I> {
-    /// Whether `key` lies in this shard's routed range.
-    fn owns(&self, key: Key) -> bool {
-        self.lo <= key && key <= self.hi
-    }
 }
 
 /// Snapshot of a router's structural counters (see
@@ -160,29 +159,37 @@ impl<I: ConcurrentIndex + BulkLoad> ConcurrentIndex for RegionIndex<I> {
             out.len(),
             keys.len()
         );
-        let Some(&first) = keys.first() else {
-            return;
-        };
-        let shard = &self.shards[self.idx_of(first)];
-        if keys.iter().all(|&k| shard.owns(k)) {
-            // One shard owns every key — what the serving front-end's
-            // per-domain queues send: its engine reads and writes the
-            // caller's slices directly.
-            return shard.index.get_batch(keys, &mut out[..keys.len()]);
+        // Up to `GROUP` keys at a time: note each key's shard, then hand
+        // every shard that owns some of them one `get_batch` of its own
+        // keys, gathered into stack arrays, and scatter its answers back
+        // to the caller's positions. `left` holds the positions not yet
+        // answered; its lowest names the next shard to call, and `mine`
+        // that shard's positions.
+        let (mut shard_of, mut own, mut at, mut got) =
+            ([0; GROUP], [0; GROUP], [0; GROUP], [None; GROUP]);
+        for (keys, out) in keys.chunks(GROUP).zip(out.chunks_mut(GROUP)) {
+            for (s, &k) in shard_of.iter_mut().zip(keys) {
+                *s = self.idx_of(k);
+            }
+            let mut left = u64::MAX >> (GROUP - keys.len());
+            while left != 0 {
+                let shard = shard_of[left.trailing_zeros() as usize];
+                let mut mine =
+                    (0..keys.len()).fold(0, |m, i| m | u64::from(shard_of[i] == shard) << i);
+                left &= !mine;
+                let mut n = 0;
+                while mine != 0 {
+                    let i = mine.trailing_zeros() as usize;
+                    (own[n], at[n]) = (keys[i], i);
+                    n += 1;
+                    mine &= mine - 1;
+                }
+                self.shards[shard].index.get_batch(&own[..n], &mut got[..n]);
+                for (&i, &v) in at[..n].iter().zip(&got) {
+                    out[i] = v;
+                }
+            }
         }
-        // Spans shards: no caller sends one (`BatchServer` flushes one
-        // batch domain at a time), so it is the trait's loop of `get`s.
-        for (&k, o) in keys.iter().zip(out.iter_mut()) {
-            *o = self.get(k);
-        }
-    }
-
-    fn batch_domains(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn batch_domain_of(&self, key: Key) -> usize {
-        self.idx_of(key)
     }
 
     fn range(&self, lo: Key, hi: Key, out: &mut Vec<(Key, Value)>) -> usize {
@@ -327,15 +334,92 @@ mod tests {
             .all(|&(lo, hi)| long.iter().any(|&k| lo <= k && k <= hi)));
     }
 
-    #[test]
-    fn batch_domains_track_shards() {
-        let idx = build(1000, 4);
-        assert_eq!(idx.batch_domains(), 4);
-        let mut seen = std::collections::BTreeSet::new();
-        for k in (10..=10_000).step_by(10) {
-            seen.insert(idx.batch_domain_of(k));
+    /// A [`MapIndex`] that records the keys of every `get_batch` call.
+    struct Recorded(MapIndex, std::sync::Mutex<Vec<Vec<Key>>>);
+
+    impl ConcurrentIndex for Recorded {
+        fn get(&self, key: Key) -> Option<Value> {
+            self.0.get(key)
         }
-        assert_eq!(seen.len(), 4);
+        fn get_batch(&self, keys: &[Key], out: &mut [Option<Value>]) {
+            self.1.lock().unwrap().push(keys.to_vec());
+            self.0.get_batch(keys, out)
+        }
+        fn insert(&self, k: Key, v: Value) -> Result<()> {
+            self.0.insert(k, v)
+        }
+        fn update(&self, k: Key, v: Value) -> Result<()> {
+            self.0.update(k, v)
+        }
+        fn remove(&self, k: Key) -> Option<Value> {
+            self.0.remove(k)
+        }
+        fn range(&self, lo: Key, hi: Key, out: &mut Vec<(Key, Value)>) -> usize {
+            self.0.range(lo, hi, out)
+        }
+        fn memory_usage(&self) -> usize {
+            self.0.memory_usage()
+        }
+        fn len(&self) -> usize {
+            self.0.len()
+        }
+        fn name(&self) -> &'static str {
+            "recorded"
+        }
+    }
+
+    impl BulkLoad for Recorded {
+        fn bulk_load(pairs: &[(Key, Value)]) -> Self {
+            Recorded(MapIndex::bulk_load(pairs), Default::default())
+        }
+    }
+
+    #[test]
+    fn a_mixed_batch_calls_each_owning_shard_with_its_own_keys() {
+        let idx: RegionIndex<Recorded> = RegionIndex::bulk_load_with(
+            &pairs(1000),
+            RegionConfig {
+                initial_shards: 4,
+                ..RegionConfig::default()
+            },
+        );
+        let b = idx.shard_bounds();
+        // 100 keys, interleaved over shards 0, 1 and 3, every tenth
+        // present; shard 2 owns none.
+        let keys: Vec<Key> = (0..100u64)
+            .map(|i| b[[0, 1, 3][i as usize % 3]].0 + 1 + i * 37 % 600)
+            .collect();
+        assert!(keys.iter().any(|k| k % 10 == 0) && keys.iter().any(|k| k % 10 != 0));
+        let mut out = vec![Some(0xDEAD); keys.len() + 1];
+        idx.get_batch(&keys, &mut out);
+        for (&k, &got) in keys.iter().zip(&out) {
+            assert_eq!(
+                got,
+                (k % 10 == 0 && k <= 10_000).then_some(k + 1),
+                "key {k}"
+            );
+        }
+        assert_eq!(out[keys.len()], Some(0xDEAD), "past the keys");
+        for (s, shard) in idx.shards.iter().enumerate() {
+            let calls = shard.index.1.lock().unwrap();
+            let mine: Vec<Key> = keys
+                .iter()
+                .copied()
+                .filter(|&k| idx.idx_of(k) == s)
+                .collect();
+            if mine.is_empty() {
+                assert!(calls.is_empty(), "shard {s} owns no key and is not called");
+                continue;
+            }
+            // One call per 64-key group that holds keys of this shard,
+            // each with those keys in the caller's order.
+            let groups = keys
+                .chunks(GROUP)
+                .filter(|g| g.iter().any(|&k| idx.idx_of(k) == s));
+            assert_eq!(calls.len(), groups.count(), "shard {s}");
+            assert!(calls.iter().all(|c| !c.is_empty() && c.len() <= GROUP));
+            assert_eq!(calls.concat(), mine, "shard {s}: its own keys, in order");
+        }
     }
 
     #[test]

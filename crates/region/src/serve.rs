@@ -2,8 +2,8 @@
 //! accumulate in-flight point lookups into `get_batch` rings.
 //!
 //! Every queued request is a `(key, oneshot)` pair in one of the server's
-//! queues: one per (thread stripe, batch domain), the stripe being the
-//! submitting thread's [`probe::striped::stripe_id`]. A request therefore
+//! queues: one per thread stripe, the submitting thread's
+//! [`probe::striped::stripe_id`], whatever the key. A request therefore
 //! only ever meets requests from its own worker thread (past
 //! [`STRIPES`] threads, from the threads sharing its stripe), and its
 //! whole life — push, leader yield, flush, wake-up — stays on that
@@ -27,8 +27,12 @@
 //! makes a new leader, so a nonempty queue always has a flush coming —
 //! also when the leader is cancelled: its flush is the `Drop` of a guard
 //! it holds across the yield, so a leader dropped mid-yield flushes on
-//! its way out. A flush works from stack arrays and leaves the queue its
-//! buffer: it allocates nothing.
+//! its way out. A leader flushes only the batch it leads: if a ring fill
+//! (or a saturated submitter) drained the queue while it yielded, what is
+//! queued now has a leader of its own, and cutting that batch short would
+//! leave one more leader per ring fill cycling through the run queue. A
+//! flush works from stack arrays and leaves the queue its buffer: it
+//! allocates nothing.
 //!
 //! In steady state nothing a request reads or writes on this path shares
 //! a line with what another worker writes: each queue has a 128-byte line
@@ -56,7 +60,7 @@
 //!
 //! A submitter that finds the server saturated — its spare empty, the
 //! global count at `max_depth` — first flushes whatever is queued on its
-//! own stripe and retries from the spare those flushes gave back. If the
+//! own stripe's queue and retries from the spare that flush gave back. If the
 //! server is still saturated it flushes every queue — the leaders that
 //! owe those flushes may be stuck behind it in the executor, or on other
 //! workers — and then retries through the `resilience` ladder (spin →
@@ -170,6 +174,14 @@ struct Pending {
     tx: oneshot::Sender<Option<Value>>,
 }
 
+/// One submission queue: the requests waiting for a flush, and how many
+/// flushes have drained it, which tells a leader whether the batch it
+/// leads is still the one queued.
+struct Queue {
+    pending: Vec<Pending>,
+    drains: u64,
+}
+
 /// A value on a 128-byte line of its own (two cache lines, so the
 /// adjacent-line prefetcher cannot pair it with a neighbour either).
 #[repr(align(128))]
@@ -180,10 +192,9 @@ struct Line<T>(T);
 /// tasks. See the module docs for the batching and overload protocol.
 pub struct BatchServer {
     index: Arc<dyn ConcurrentIndex>,
-    /// `STRIPES × domains` queues; a request goes to
-    /// `stripe_id() * domains + domain`.
-    queues: Vec<Line<Mutex<Vec<Pending>>>>,
-    domains: usize,
+    /// One queue per thread stripe; a request goes to its submitter's
+    /// `stripe_id()`.
+    queues: [Line<Mutex<Queue>>; STRIPES],
     cfg: ServeConfig,
     stats: StatsInner,
     /// Credits a stripe grants itself at a time: `ring_width` when
@@ -203,17 +214,24 @@ pub struct BatchServer {
 }
 
 /// Group-commit leadership, held across the leader's yield: dropping it
-/// flushes the leader's queue, whether the leader was resumed or
+/// flushes the batch the leader leads, whether the leader was resumed or
 /// cancelled.
 struct LeaderFlush<'a> {
     server: &'a BatchServer,
     queue: usize,
+    /// The queue's `drains` when the leader's push found it empty.
+    drains: u64,
 }
 
 impl Drop for LeaderFlush<'_> {
     fn drop(&mut self) {
         let s = self.server;
-        s.flush(lock(&s.queues[self.queue].0), &s.stats.leader_flushes);
+        let queue = lock(&s.queues[self.queue].0);
+        // Drained since (a ring filled, or a saturated submitter flushed
+        // it): what is queued now came after, and has a leader of its own.
+        if queue.drains == self.drains {
+            s.flush(queue, &s.stats.leader_flushes);
+        }
     }
 }
 
@@ -255,8 +273,7 @@ impl Credits {
 
 impl BatchServer {
     /// Build a server over `index` with one submission queue per thread
-    /// stripe and batch domain ([`ConcurrentIndex::batch_domains`] — the
-    /// region router reports its shard count, monolithic indexes report 1).
+    /// stripe.
     pub fn new(index: Arc<dyn ConcurrentIndex>, cfg: ServeConfig) -> Self {
         assert!(
             (1..=MAX_RING).contains(&cfg.ring_width),
@@ -266,7 +283,6 @@ impl BatchServer {
             cfg.max_depth >= cfg.ring_width,
             "max_depth must be at least ring_width"
         );
-        let domains = index.batch_domains().max(1);
         let chunk = if cfg.max_depth >= 2 * STRIPES * cfg.ring_width {
             cfg.ring_width
         } else {
@@ -274,10 +290,12 @@ impl BatchServer {
         };
         BatchServer {
             index,
-            queues: (0..STRIPES * domains)
-                .map(|_| Line(Mutex::new(Vec::with_capacity(cfg.ring_width))))
-                .collect(),
-            domains,
+            queues: std::array::from_fn(|_| {
+                Line(Mutex::new(Queue {
+                    pending: Vec::with_capacity(cfg.ring_width),
+                    drains: 0,
+                }))
+            }),
             cfg,
             stats: StatsInner::default(),
             chunk: chunk as u64,
@@ -342,12 +360,9 @@ impl BatchServer {
         }
     }
 
-    /// Flush every queue of the stripes in `stripes`.
-    fn flush_stripes(&self, stripes: std::ops::Range<usize>) {
-        let d = self.domains;
-        for queue in &self.queues[stripes.start * d..stripes.end * d] {
-            self.flush(lock(&queue.0), &self.stats.ring_flushes);
-        }
+    /// Flush stripe `q`'s queue inline: a saturated submitter's flush.
+    fn flush_inline(&self, q: usize) {
+        self.flush(lock(&self.queues[q].0), &self.stats.ring_flushes);
     }
 
     /// Execute one ring: drain the queue (at most `ring_width` deep, as
@@ -355,14 +370,15 @@ impl BatchServer {
     /// arrays, release it, run a single `get_batch` and complete every
     /// oneshot. One drain per call: coming back for requests pushed
     /// meanwhile would take the batch their own leader is forming.
-    fn flush(&self, mut queue: MutexGuard<'_, Vec<Pending>>, path: &Striped) {
-        let n = queue.len();
+    fn flush(&self, mut queue: MutexGuard<'_, Queue>, path: &Striped) {
+        let n = queue.pending.len();
         if n == 0 {
             return;
         }
+        queue.drains += 1;
         let mut keys = [0; MAX_RING];
         let mut txs = [const { None }; MAX_RING];
-        for (i, p) in queue.drain(..).enumerate() {
+        for (i, p) in queue.pending.drain(..).enumerate() {
             keys[i] = p.key;
             txs[i] = Some(p.tx);
         }
@@ -386,8 +402,7 @@ impl BatchServer {
     /// flushed (inline on ring fill, or by its queue's leader). Sheds
     /// with [`ServeError::Overloaded`] when admission control gives up.
     pub async fn get(&self, key: Key) -> Result<Option<Value>, ServeError> {
-        let (stripe, domains) = (striped::stripe_id(), self.domains);
-        let q = stripe * domains + self.index.batch_domain_of(key) % domains;
+        let stripe = striped::stripe_id();
         // Admission: take a credit, backing off (and finally shedding)
         // while the server is saturated. The waits block the executor
         // thread briefly — acceptable for the shimmed thread-per-worker
@@ -398,16 +413,16 @@ impl BatchServer {
             // Saturated. Whatever is still queued may be waiting for a
             // leader that the executor will not poll before this wait is
             // over — possibly one queued behind this very task, or one on
-            // another worker. This stripe's own queues come first: their
-            // flushes give their credits to this stripe's spare.
-            self.flush_stripes(stripe..stripe + 1);
+            // another worker. This stripe's own queue comes first: its
+            // flush gives its credits to this stripe's spare.
+            self.flush_inline(stripe);
             if self.take_spare(stripe) {
                 break;
             }
             // Then every queue: afterwards every in-flight request is
             // inside some thread's `get_batch`, and waiting for a credit
             // is waiting for the index only.
-            self.flush_stripes(0..STRIPES);
+            (0..STRIPES).for_each(|q| self.flush_inline(q));
             if retry.wait_or_escalate(&LayerCounters::UNCOUNTED) {
                 self.stats.shed.add(1);
                 return Err(ServeError::Overloaded);
@@ -415,17 +430,18 @@ impl BatchServer {
         }
         let (tx, rx) = oneshot::channel();
         let lead = {
-            let mut queue = lock(&self.queues[q].0);
-            queue.push(Pending { key, tx });
-            match queue.len() {
+            let mut queue = lock(&self.queues[stripe].0);
+            queue.pending.push(Pending { key, tx });
+            match queue.pending.len() {
                 len if len >= self.cfg.ring_width => {
                     self.flush(queue, &self.stats.ring_flushes);
-                    false
+                    None
                 }
-                len => len == 1,
+                1 => Some(queue.drains),
+                _ => None,
             }
         };
-        if lead {
+        if let Some(drains) = lead {
             // Group-commit leadership: the first submitter into an empty
             // queue yields to the executor once — which runs every task
             // its worker has queued first, so every peer that could push
@@ -434,7 +450,8 @@ impl BatchServer {
             // load: 1 when idle, up to ring_width under load.
             let _flush = LeaderFlush {
                 server: self,
-                queue: q,
+                queue: stripe,
+                drains,
             };
             tokio::task::yield_now().await;
         }
@@ -545,31 +562,14 @@ mod tests {
     type Held<'a> = Pin<Box<dyn Future<Output = Result<Option<Value>, ServeError>> + Send + 'a>>;
 
     /// The smallest server that takes credits two at a time: ring 2 and
-    /// `max_depth` 2 · STRIPES · 2, over 32 batch domains. Returns two
-    /// keys of each domain.
-    fn credit_server() -> (BatchServer, Vec<[Key; 2]>) {
-        let pairs: Vec<(Key, Value)> = (1..=640u64).map(|k| (k * 3, k)).collect();
-        let cfg = crate::RegionConfig {
-            initial_shards: 32,
-            ..Default::default()
-        };
-        let index = crate::RegionIndex::<MapIndex>::bulk_load_with(&pairs, cfg);
-        let keys = (0..32)
-            .map(|d| {
-                let mut of = pairs
-                    .iter()
-                    .map(|&(k, _)| k)
-                    .filter(|&k| index.batch_domain_of(k) == d);
-                [of.next().unwrap(), of.next().unwrap()]
-            })
-            .collect();
-        let cfg = ServeConfig {
+    /// `max_depth` 2 · STRIPES · 2.
+    fn credit_server() -> BatchServer {
+        let (srv, _) = server(ServeConfig {
             ring_width: 2,
             max_depth: 2 * STRIPES * 2,
-        };
-        let srv = BatchServer::new(Arc::new(index), cfg);
+        });
         assert_eq!(srv.credits().chunk, 2, "credits are engaged");
-        (srv, keys)
+        Arc::into_inner(srv).unwrap()
     }
 
     /// No stripe holds `chunk` spare credits or more, and the global
@@ -580,38 +580,57 @@ mod tests {
         assert!(c.spare.iter().all(|&s| s < c.chunk), "{c:?}");
     }
 
-    /// Polls a get of each of `keys` once on the calling thread, each a
-    /// leader of its own queue, and returns them all still pending. Before
-    /// each poll, the server counts as saturated for this stripe when its
-    /// spare is empty and the global count is at `max_depth`; the poll
-    /// must take the saturated path (flush queued work) then and only
-    /// then, and leave the credits bounded.
-    fn lead<'a>(srv: &'a BatchServer, keys: impl IntoIterator<Item = Key>) -> Vec<Held<'a>> {
+    /// Polls a get of `key` once on the calling thread, as the leader of
+    /// its stripe's queue, and returns it still pending. Before the poll,
+    /// the server counts as saturated for this stripe when its spare is
+    /// empty and the global count is at `max_depth`; the poll must take
+    /// the saturated path (flush queued work) then and only then, and
+    /// leave the credits bounded.
+    fn lead(srv: &BatchServer, key: Key) -> Held<'_> {
         let cx = &mut Context::from_waker(Waker::noop());
         let stripe = striped::stripe_id();
-        keys.into_iter()
-            .map(|key| {
-                let before = srv.credits();
-                let saturated =
-                    before.spare[stripe] == 0 && before.granted == srv.cfg.max_depth as u64;
-                let flushes = srv.stats().ring_flushes;
-                let mut get: Held<'a> = Box::pin(srv.get(key));
-                assert!(get.as_mut().poll(cx).is_pending(), "key {key} leads");
-                let flushed = srv.stats().ring_flushes > flushes;
-                assert_eq!(flushed, saturated, "key {key}, credits {before:?}");
-                assert_bounded(srv);
-                get
-            })
-            .collect()
+        let before = srv.credits();
+        let saturated = before.spare[stripe] == 0 && before.granted == srv.cfg.max_depth as u64;
+        let flushes = srv.stats().ring_flushes;
+        let mut get: Held<'_> = Box::pin(srv.get(key));
+        assert!(get.as_mut().poll(cx).is_pending(), "key {key} leads");
+        let flushed = srv.stats().ring_flushes > flushes;
+        assert_eq!(flushed, saturated, "key {key}, credits {before:?}");
+        assert_bounded(srv);
+        get
     }
 
-    /// Polls every held get to its answer.
-    fn answer(srv: &BatchServer, held: Vec<Held<'_>>) {
+    /// Polls held gets to their answers.
+    fn answer<'a>(srv: &BatchServer, held: impl IntoIterator<Item = Held<'a>>) {
         let cx = &mut Context::from_waker(Waker::noop());
         for mut get in held {
             assert!(matches!(get.as_mut().poll(cx), Poll::Ready(Ok(Some(_)))));
             assert_bounded(srv);
         }
+    }
+
+    /// Admits one request on `stripe` directly, as a submitter there
+    /// would, and checks the grant: taken from the stripe's spare if it has
+    /// one; else refused exactly when the global count is at `max_depth`;
+    /// else `min(chunk, max_depth − granted)` granted at once, all but the
+    /// one taken kept as spare. The credits stay bounded.
+    fn admit_on(srv: &BatchServer, stripe: usize) -> bool {
+        let before = srv.credits();
+        let max = srv.cfg.max_depth as u64;
+        let admitted = srv.admit(stripe);
+        let after = srv.credits();
+        let (granted, spare) = if before.spare[stripe] > 0 {
+            (before.granted, before.spare[stripe] - 1)
+        } else if before.granted == max {
+            (max, 0)
+        } else {
+            let grant = before.chunk.min(max - before.granted);
+            (before.granted + grant, grant - 1)
+        };
+        assert_eq!(admitted, after != before, "stripe {stripe}, {before:?}");
+        assert_eq!((after.granted, after.spare[stripe]), (granted, spare));
+        assert_bounded(srv);
+        admitted
     }
 
     #[test]
@@ -694,6 +713,46 @@ mod tests {
     }
 
     #[test]
+    fn a_leader_whose_batch_a_ring_fill_took_leaves_the_next_batch_to_its_leader() {
+        // A ring fill drains the first leader's batch; the next push makes
+        // a second leader. The first leader's resumption must not flush
+        // the second one's batch: a request pushed after it still joins
+        // that batch, and one flush carries both.
+        let (srv, _) = server(ServeConfig {
+            ring_width: 3,
+            max_depth: 8,
+        });
+        let cx = &mut Context::from_waker(Waker::noop());
+        let mut first = pin!(srv.get(3));
+        assert!(first.as_mut().poll(cx).is_pending(), "leads");
+        let mut follower = pin!(srv.get(6));
+        assert!(follower.as_mut().poll(cx).is_pending());
+        assert_eq!(
+            pin!(srv.get(9)).poll(cx),
+            Poll::Ready(Ok(Some(3))),
+            "fills the ring"
+        );
+        let mut second = pin!(srv.get(12));
+        assert!(
+            second.as_mut().poll(cx).is_pending(),
+            "leads the next batch"
+        );
+        assert_eq!(first.as_mut().poll(cx), Poll::Ready(Ok(Some(1))));
+        assert_eq!(srv.stats().leader_flushes, 0, "not its batch to flush");
+        let mut late = pin!(srv.get(15));
+        assert!(
+            late.as_mut().poll(cx).is_pending(),
+            "joins the second batch"
+        );
+        assert_eq!(second.as_mut().poll(cx), Poll::Ready(Ok(Some(4))));
+        assert_eq!(late.as_mut().poll(cx), Poll::Ready(Ok(Some(5))));
+        assert_eq!(follower.as_mut().poll(cx), Poll::Ready(Ok(Some(2))));
+        let st = srv.stats();
+        assert_eq!((st.ring_flushes, st.leader_flushes), (1, 1));
+        assert_eq!((st.flushes, st.batched_keys, st.served), (2, 5, 5));
+    }
+
+    #[test]
     fn cancelled_follower_leaks_no_admission_capacity() {
         let (srv, _) = server(ServeConfig {
             ring_width: 4,
@@ -727,45 +786,41 @@ mod tests {
 
     #[test]
     fn saturated_submitter_flushes_what_is_queued_instead_of_waiting() {
-        // Two queues (a two-shard router), one request in each: both
-        // slots are taken, neither ring is full, and the two leaders that
-        // would flush are not being polled. A third submitter must not
-        // wait for them (here it would wait out the whole ladder and
-        // shed): it flushes what is queued and takes a freed slot.
-        let pairs: Vec<(Key, Value)> = (1..=500u64).map(|k| (k * 3, k)).collect();
-        let cfg = crate::RegionConfig {
-            initial_shards: 2,
-            ..Default::default()
-        };
-        let index = crate::RegionIndex::<MapIndex>::bulk_load_with(&pairs, cfg);
-        let srv = BatchServer::new(
-            Arc::new(index),
-            ServeConfig {
-                ring_width: 2,
-                max_depth: 2,
-            },
-        );
+        // A leader and a follower of one queue hold two of three credits,
+        // a request inside some other worker's `get_batch` (admitted
+        // directly) the third; the ring (three wide) is not full, and the
+        // leader that would flush is not being polled. A third submitter
+        // must not wait for it (here it would wait out the whole ladder
+        // and shed): it flushes what is queued and takes a freed credit.
+        let (srv, _) = server(ServeConfig {
+            ring_width: 3,
+            max_depth: 3,
+        });
         let cx = &mut Context::from_waker(Waker::noop());
-        let (mut low, mut high) = (pin!(srv.get(3)), pin!(srv.get(1500)));
-        assert!(low.as_mut().poll(cx).is_pending());
-        assert!(high.as_mut().poll(cx).is_pending());
+        let (mut leader, mut follower) = (pin!(srv.get(3)), pin!(srv.get(1500)));
+        assert!(leader.as_mut().poll(cx).is_pending());
+        assert!(follower.as_mut().poll(cx).is_pending());
+        let elsewhere = (striped::stripe_id() + 1) % STRIPES;
+        assert!(srv.admit(elsewhere));
         let mut third = pin!(srv.get(6));
         assert!(
             third.as_mut().poll(cx).is_pending(),
             "admitted; now a leader"
         );
-        assert_eq!(low.as_mut().poll(cx), Poll::Ready(Ok(Some(1))));
-        assert_eq!(high.as_mut().poll(cx), Poll::Ready(Ok(Some(500))));
+        assert_eq!(leader.as_mut().poll(cx), Poll::Ready(Ok(Some(1))));
+        assert_eq!(follower.as_mut().poll(cx), Poll::Ready(Ok(Some(500))));
         assert_eq!(third.as_mut().poll(cx), Poll::Ready(Ok(Some(2))));
+        srv.give_back(elsewhere, 1);
+        assert_eq!(srv.credits().unanswered(), 0);
         let st = srv.stats();
         assert_eq!((st.shed, st.served, st.batched_keys), (0, 3, 3));
-        assert_eq!((st.ring_flushes, st.leader_flushes), (2, 1));
+        assert_eq!((st.ring_flushes, st.leader_flushes), (1, 1));
     }
 
     #[test]
-    fn two_threads_submitting_to_one_domain_form_two_batches() {
-        // One domain, two submitting threads: each thread's request leads
-        // a queue of its own, so neither waits for the other's leader.
+    fn two_threads_on_two_stripes_form_two_batches() {
+        // Two submitting threads on two stripes: each thread's request
+        // leads its stripe's queue, so neither waits for the other's leader.
         let (srv, _) = server(ServeConfig::default());
         let cx = &mut Context::from_waker(Waker::noop());
         let mut mine = pin!(srv.get(3));
@@ -788,7 +843,7 @@ mod tests {
     #[test]
     fn a_saturated_submitter_flushes_a_queue_another_threads_leader_owes() {
         // `saturated_submitter_flushes_what_is_queued_instead_of_waiting`
-        // across threads: one domain, one leader on each of two threads
+        // across threads: one leader on each of two threads' stripes
         // holding both slots, neither polled. A third submitter flushes
         // both queues, the other thread's too, and is admitted.
         let (srv, _) = server(ServeConfig {
@@ -869,82 +924,102 @@ mod tests {
 
     #[test]
     fn credits_are_granted_a_chunk_at_a_time_and_never_past_max_depth() {
-        // Three stripes lead one queue per domain each until the server
-        // saturates. `lead` checks every poll: the global count never
+        // Three stripes take credits until the server saturates: each of
+        // two leads its queue with a get, and the rest are admitted
+        // directly on chosen stripes. `admit_on` and `lead` check every
+        // step: grants come a chunk at a time, the global count never
         // passes `max_depth`, and the saturated path begins exactly when
         // the requests in flight plus the stripes' spare reach it.
-        let (srv, keys) = credit_server();
+        let srv = credit_server();
         let cx = &mut Context::from_waker(Waker::noop());
         let a = striped::stripe_id();
         // A full ring first: its flush leaves the global count odd, so a
         // later grant must stop one short of a chunk at `max_depth`.
-        let mut leader = pin!(srv.get(keys[0][0]));
+        let mut leader = pin!(srv.get(3));
         assert!(leader.as_mut().poll(cx).is_pending());
-        assert!(
-            pin!(srv.get(keys[0][1])).poll(cx).is_ready(),
-            "fills the ring"
-        );
+        assert!(pin!(srv.get(6)).poll(cx).is_ready(), "fills the ring");
         assert!(leader.as_mut().poll(cx).is_ready());
         let c = srv.credits();
         assert_eq!((c.granted, c.spare[a], c.unanswered()), (1, 1, 0));
-        let first = |n: usize| keys[..n].iter().map(|k| k[0]).collect::<Vec<_>>();
-        let mine = lead(&srv, first(21));
-        let (b, theirs) = off_stripe(&[a], || (striped::stripe_id(), lead(&srv, first(21))));
-        let (c_stripe, flushed, held, last) = off_stripe(&[a, b], || {
-            let held = lead(&srv, first(21));
-            let c = srv.credits();
-            assert_eq!(c.granted, srv.cfg.max_depth as u64, "{c:?}");
-            assert_eq!(c.unanswered() + c.spare.iter().sum::<u64>(), c.granted);
-            // Saturated: the next submitter here flushes its own stripe's
-            // 21 queues, takes a credit they gave back, and touches no
-            // other stripe's queue.
-            let flushes = srv.stats().ring_flushes;
-            let last = lead(&srv, [keys[21][0]]);
-            let flushed = srv.stats().ring_flushes - flushes;
-            (striped::stripe_id(), flushed, held, last)
-        });
-        assert_eq!(flushed, 21, "only its own stripe's queues");
+        let (b, theirs) = off_stripe(&[a], || (striped::stripe_id(), lead(&srv, 9)));
+        let y = (0..STRIPES).find(|s| ![a, b].contains(s)).unwrap();
+        for stripe in [b; 20].into_iter().chain([y; 21]) {
+            assert!(admit_on(&srv, stripe));
+        }
+        let held = lead(&srv, 12);
+        let mut direct_a = 0;
+        while admit_on(&srv, a) {
+            direct_a += 1;
+        }
+        assert_eq!(direct_a, 19, "the last grant stopped one short");
         let c = srv.credits();
-        assert_eq!(c.unanswered(), 21 + 21 + 1, "{c:?}");
-        assert_eq!(c.spare[c_stripe], 0, "the credit it took");
-        answer(&srv, mine);
-        answer(&srv, theirs);
-        answer(&srv, held);
-        answer(&srv, last);
+        assert_eq!(c.granted, srv.cfg.max_depth as u64, "{c:?}");
+        assert_eq!(c.unanswered() + c.spare.iter().sum::<u64>(), c.granted);
+        // Saturated: the next submitter here flushes its own stripe's
+        // queue, takes a credit it gave back, and touches no other
+        // stripe's queue.
+        let flushes = srv.stats().ring_flushes;
+        let last = lead(&srv, 15);
+        assert_eq!(
+            srv.stats().ring_flushes - flushes,
+            1,
+            "only its own stripe's queue"
+        );
+        let c = srv.credits();
+        assert_eq!(c.unanswered(), 21 + 21 + 20, "{c:?}");
+        assert_eq!(c.spare[a], 0, "the credit it took");
+        answer(&srv, [held, theirs, last]);
+        for (stripe, n) in [(a, direct_a), (b, 20), (y, 21)] {
+            srv.give_back(stripe, n);
+            assert_bounded(&srv);
+        }
         let c = srv.credits();
         assert_eq!(c.unanswered(), 0, "{c:?}");
         let st = srv.stats();
-        assert_eq!((st.shed, st.served, st.batched_keys), (0, 66, 66));
+        assert_eq!((st.shed, st.served, st.batched_keys), (0, 5, 5));
     }
 
     #[test]
     fn a_flush_from_another_stripe_hands_its_credits_back_within_the_bound() {
-        // Two stripes hold every credit in leaders; a third stripe, with
-        // nothing queued of its own, finds the server saturated and
-        // flushes their queues. The credits of those flushes go to its
-        // own stripe, which keeps less than a chunk and returns the rest.
-        let (srv, keys) = credit_server();
-        let all = || keys.iter().map(|k| k[0]).collect::<Vec<_>>();
+        // Two stripes hold every credit: one request each queued under a
+        // leader, the rest admitted directly. A third stripe, with nothing
+        // queued of its own, finds the server saturated and flushes their
+        // queues. The credits of those flushes go to its own stripe, which
+        // keeps less than a chunk and returns the rest.
+        let srv = credit_server();
         let a = striped::stripe_id();
-        let mine = lead(&srv, all());
-        let (b, theirs) = off_stripe(&[a], || (striped::stripe_id(), lead(&srv, all())));
+        let mine = lead(&srv, 3);
+        let (b, theirs) = off_stripe(&[a], || (striped::stripe_id(), lead(&srv, 6)));
+        let mut direct = 0;
+        for stripe in [a, b] {
+            while admit_on(&srv, stripe) {
+                direct += 1;
+            }
+        }
         let c = srv.credits();
         assert_eq!((c.granted, c.unanswered()), (64, 64), "{c:?}");
         let (c_stripe, third) = off_stripe(&[a, b], || {
-            let third = lead(&srv, [keys[0][1]]);
+            let third = lead(&srv, 9);
             (striped::stripe_id(), third)
         });
         let st = srv.stats();
-        assert_eq!(st.ring_flushes, 64, "every other stripe's queue");
+        assert_eq!(st.ring_flushes, 2, "every other stripe's queue");
         let c = srv.credits();
-        assert_eq!(c.unanswered(), 1, "{c:?}");
-        assert_eq!((c.granted, c.spare[c_stripe]), (1, 0), "{c:?}");
-        answer(&srv, mine);
-        answer(&srv, theirs);
-        answer(&srv, third);
+        assert_eq!(c.unanswered(), 63, "{c:?}");
+        assert_eq!((c.granted, c.spare[c_stripe]), (63, 0), "{c:?}");
+        // The directly admitted requests answered by a flush on the third
+        // stripe: it keeps one credit and returns the rest.
+        srv.give_back(c_stripe, direct);
+        let c = srv.credits();
+        assert_eq!(
+            (c.granted, c.spare[c_stripe], c.unanswered()),
+            (2, 1, 1),
+            "{c:?}"
+        );
+        answer(&srv, [mine, theirs, third]);
         let c = srv.credits();
         assert_eq!(c.unanswered(), 0, "{c:?}");
-        assert_eq!(srv.stats().served, 65);
+        assert_eq!(srv.stats().served, 3);
     }
 
     #[test]

@@ -43,8 +43,6 @@
 //!
 //! There is no I/O driver and no timer wheel: this workspace's serving
 //! front-end is CPU-bound (in-memory index lookups) and needs neither.
-//! `Builder::enable_all` is accepted and ignored so call sites stay
-//! source-compatible with the upstream crate.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -412,12 +410,6 @@ pub mod runtime {
             self
         }
 
-        /// Accepted for source compatibility; the shim has no I/O or
-        /// timer drivers to enable.
-        pub fn enable_all(&mut self) -> &mut Self {
-            self
-        }
-
         /// Build the runtime, spawning its worker threads.
         pub fn build(&mut self) -> std::io::Result<Runtime> {
             let shared = Arc::new(Shared::default());
@@ -440,11 +432,6 @@ pub mod runtime {
     }
 
     impl Runtime {
-        /// A runtime with the default worker count.
-        pub fn new() -> std::io::Result<Runtime> {
-            Builder::new_multi_thread().build()
-        }
-
         /// Spawn a future onto the pool, returning a handle to await
         /// its output.
         pub fn spawn<F>(&self, future: F) -> task::JoinHandle<F::Output>
