@@ -7,7 +7,8 @@
 //! ring of in-flight keys. Each key is a state machine:
 //!
 //! 1. **Predict** — locate the GPL model in the directory, compute the
-//!    predicted slot, issue a prefetch for the slot's cache line;
+//!    predicted slot, issue a prefetch for both cache lines of the slot's
+//!    bucket, its keys' and its values';
 //! 2. **Probe** — the optimistic line snapshot (same version protocol as
 //!    the scalar path). Learned-layer hits and conclusive misses finish
 //!    here; the verdict `Art` (no lane holds the key, its own lane is

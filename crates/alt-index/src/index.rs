@@ -4,9 +4,8 @@
 //! Operation flow follows Algorithm 2 of the paper: every operation first
 //! locates a GPL model with a binary search over the (flat, sorted) model
 //! directory, computes the key's predicted slot with one calculation, and
-//! then either finishes in that slot's cache line — the key's bucket of
-//! three lanes (DESIGN.md §3) — or searches the ART-OPT layer from its
-//! root.
+//! then either finishes in that slot's bucket — seven lanes in two cache
+//! lines (DESIGN.md §3) — or searches the ART-OPT layer from its root.
 
 use crate::config::AltConfig;
 use crate::dir::ModelDir;
@@ -209,9 +208,12 @@ impl AltIndex {
         let mut dl = None;
         loop {
             let m = self.dir.load(&guard).model_for(key);
-            let live = m
-                .slots
-                .with_line(m.predict(key), |g| m.is_live().then(|| f(m, g)));
+            let pred = m.predict(key);
+            // Both lines of the bucket at once: the lock's CAS misses on
+            // the keys' line, and a value store would miss on the other
+            // after it.
+            m.slots.prefetch(pred);
+            let live = m.slots.with_line(pred, |g| m.is_live().then(|| f(m, g)));
             if let Some(r) = live {
                 return r;
             }

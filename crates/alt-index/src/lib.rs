@@ -6,20 +6,20 @@
 //!
 //! * The **learned index layer** is a flat array of linear *GPL models*
 //!   (built by the Greedy Pessimistic Linear segmentation algorithm,
-//!   [`learned::gpl`]). Every key stored here sits in the 64-byte line
-//!   of its predicted slot — that slot or one of the line's two other
-//!   lanes — so this layer has **no prediction error** beyond one cache
-//!   line and never performs a secondary search.
+//!   [`learned::gpl`]). Every key stored here sits in the 128-byte
+//!   bucket of its predicted slot — that slot or one of the bucket's six
+//!   other lanes — so this layer has **no prediction error** beyond one
+//!   bucket and never performs a secondary search.
 //! * The **ART-OPT layer** ([`art`]) holds conflict data — keys whose
-//!   predicted line is full — and is searched from its root. (The
+//!   predicted bucket is full — and is searched from its root. (The
 //!   paper's fast pointer buffer, which let a model resume ART searches at
 //!   an intermediate node, was built, measured out of cache and withdrawn:
 //!   EXPERIMENTS.md "Fast pointers".)
 //!
-//! Concurrency: the paper's slot versions taken to the line (one version
-//! word per line, which a reader validates and a writer locks) in the
-//! learned layer, and optimistic lock coupling in ART (§III-E of the
-//! paper).
+//! Concurrency: the paper's slot versions taken to the bucket (one
+//! version word per bucket, which a reader validates and a writer locks)
+//! in the learned layer, and optimistic lock coupling in ART (§III-E of
+//! the paper).
 //! Overcrowded models are rebuilt on the fly (§III-F).
 //!
 //! # Quick start

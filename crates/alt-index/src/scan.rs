@@ -4,7 +4,7 @@
 //!
 //! Keys in a GPL model sit in the lines of their predicted slots, and the
 //! placement function is monotone, so walking lines in order yields keys
-//! in order, up to the at most three keys of one line, which the walk
+//! in order, up to the at most seven keys of one bucket, which the walk
 //! sorts; the slot-resident keys of a key interval lie inside the whole
 //! lines of the slot window its two ends predict to; models themselves
 //! are sorted, so the learned-layer side of the merge is a forward walk. A scan advances in

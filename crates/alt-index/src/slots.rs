@@ -1,29 +1,30 @@
 //! Slot arrays for GPL models: the learned layer's storage, with the
 //! paper's slot-granularity optimistic concurrency (§III-E) taken to the
-//! cache line.
+//! bucket.
 //!
-//! An array is a run of 64-byte `Line`s of three slots each: slot `i`
-//! is lane `i % 3` of line `i / 3`, so every slot lies in one cache line.
-//! The line is a bucket (DESIGN.md §3): a key's *own lane* is the slot it
-//! predicts, and it may also live in either other lane of that line. So
-//! the line is what a reader snapshots and what a writer locks, and its
-//! whole state is one atomic version word beside its three keys and
-//! values: bit 0 is the writer's lock (odd = a writer is in progress),
-//! one bit per lane says the lane was ever *claimed*, one more is the
-//! line's *spill bit*, set before a key predicted into the line goes to
-//! ART, and the bits above count writes. A writer CASes the lock bit on,
-//! decides over the line, and stores the word unlocked with one more
-//! write counted; a reader loads the word (retrying while it is locked),
-//! reads the line, and re-loads the word. An unclaimed lane is "never
-//! used"; a claimed lane whose key is 0 is a tombstone (the paper's
-//! remove "sets the key to zero").
+//! An array is a run of 128-byte `Line`s, buckets of seven slots: slot
+//! `i` is lane `i % 7` of bucket `i / 7`. A bucket is two cache lines,
+//! its version word and seven keys in the first and its seven values in
+//! the second. It is the unit a key is predicted into (DESIGN.md §3 "A
+//! line is a bucket"): a key's *own lane* is the slot it predicts, and it
+//! may also live in any other lane of that bucket. So the bucket is what
+//! a reader snapshots and what a writer locks, and its whole state is one
+//! atomic version word beside its keys and values: bit 0 is the writer's
+//! lock (odd = a writer is in progress), bits 1–7 say each lane was ever
+//! *claimed*, bit 8 is the bucket's *spill bit*, set before a key
+//! predicted into the bucket goes to ART, and the bits from 9 up count
+//! writes. A writer CASes the lock bit on, decides over the bucket, and
+//! stores the word unlocked with one more write counted; a reader loads
+//! the word (retrying while it is locked), reads the bucket, and re-loads
+//! the word. An unclaimed lane is "never used"; a claimed lane whose key
+//! is 0 is a tombstone (the paper's remove "sets the key to zero").
 //!
-//! A line has one view: its word and its three keys. The optimistic read
-//! ([`SlotArray::probe`]) and the lock holder ([`LineGuard::probe`]) give
-//! a key the same verdict from them through one function, `verdict`; a
-//! writer's [`LineGuard::find`] and [`LineGuard::free_lane`] read the
+//! A bucket has one view: its word and its seven keys. The optimistic
+//! read ([`SlotArray::probe`]) and the lock holder ([`LineGuard::probe`])
+//! give a key the same verdict from them through one function, `verdict`;
+//! a writer's [`LineGuard::find`] and [`LineGuard::free_lane`] read the
 //! same word and keys; and the scan's [`SlotArray::read_sorted`] and the
-//! retrain's [`LineGuard::sorted`] sort the same three entries.
+//! retrain's [`LineGuard::sorted`] sort the same seven entries.
 //! [`SlotState`] is only how a test observes one lane.
 //!
 //! Storage is a [`Region`] of zeroed memory, and nothing here ever writes
@@ -42,21 +43,24 @@ use std::sync::Arc;
 /// Most cache lines one [`SlotArray::prefetch_window`] call asks for.
 const PREFETCH_LINES: usize = 16;
 
-/// Slots per cache line: the lanes a key may live in.
-pub const LANES: usize = 3;
+/// Slots per bucket: the lanes a key may live in.
+pub const LANES: usize = 7;
 
-/// Bytes of one [`Line`]: a cache line.
+/// Bytes of one [`Line`]: a bucket, two cache lines.
 const LINE: usize = std::mem::size_of::<Line>();
 
-/// Version bit 0: a writer holds the line.
-const LOCKED: u64 = 1;
-/// Version bit 4: a key predicted into the line went to ART. Set under the
-/// lock (or by the private build), never cleared.
-const SPILL: u64 = 16;
-/// What each unlock adds: one write, counted above the flag bits.
-const WRITE: u64 = 32;
+/// Bytes of a cache line: the offset of a bucket's values.
+const CACHE_LINE: usize = 64;
 
-/// Version bits 1..=3, the claimed bit of `lane`: the lane had a key
+/// Version bit 0: a writer holds the bucket.
+const LOCKED: u64 = 1;
+/// Version bit 8: a key predicted into the bucket went to ART. Set under
+/// the lock (or by the private build), never cleared.
+const SPILL: u64 = 1 << 8;
+/// What each unlock adds: one write, counted above the flag bits.
+const WRITE: u64 = 1 << 9;
+
+/// Version bits 1..=7, the claimed bit of `lane`: the lane had a key
 /// installed once. The first install sets it under the lock, the unlock's
 /// Release publishes it, nothing clears it.
 #[inline(always)]
@@ -118,15 +122,30 @@ pub enum Probe {
     Art,
 }
 
-/// A line's three entries ascending by key: three compare-exchanges.
+/// A bucket's seven entries from its keys and values, ascending by key,
+/// ties in lane order. A lane with no live key is key 0 and sorts first:
+/// an unclaimed lane's key is still the region's zero, and a tombstone's
+/// is 0, so the key word alone says whether a lane is live. Each entry
+/// goes to its rank, counted from the 21 compares of the pairs of lanes
+/// with no branch on the keys. A 16-comparator network compiled to a
+/// branch per compare-exchange on which way a bucket's dead lanes and
+/// out-of-order keys fall, and cost a scan about twice as much per bucket
+/// (EXPERIMENTS.md "A bucket is 128 B").
 #[inline(always)]
-fn sort3(mut e: [(u64, u64); LANES]) -> [(u64, u64); LANES] {
-    for (a, b) in [(0, 1), (1, 2), (0, 1)] {
-        if e[a].0 > e[b].0 {
-            e.swap(a, b);
+fn sort7(key: [u64; LANES], value: [u64; LANES]) -> [(u64, u64); LANES] {
+    let mut rank = [0; LANES];
+    for i in 0..LANES {
+        for j in i + 1..LANES {
+            let after = usize::from(key[i] > key[j]);
+            rank[i] += after;
+            rank[j] += 1 - after;
         }
     }
-    e
+    let mut out = [(0, 0); LANES];
+    for lane in 0..LANES {
+        out[rank[lane]] = (key[lane], value[lane]);
+    }
+    out
 }
 
 /// The claimed bit of each lane of word `v` whose key in `k` is `key`,
@@ -134,7 +153,8 @@ fn sort3(mut e: [(u64, u64); LANES]) -> [(u64, u64); LANES] {
 /// and tests race it.
 #[inline(always)]
 fn hits(v: u64, k: [u64; LANES], key: u64) -> u64 {
-    (u64::from(k[0] == key) << 1 | u64::from(k[1] == key) << 2 | u64::from(k[2] == key) << 3) & v
+    let hit = |l: usize| u64::from(k[l] == key) << (l + 1);
+    (hit(0) | hit(1) | hit(2) | hit(3) | hit(4) | hit(5) | hit(6)) & v
 }
 
 /// The lane of the lowest claimed bit in a nonzero mask.
@@ -165,9 +185,10 @@ fn verdict(line: &Line, v: u64, k: [u64; LANES], own: usize, key: u64) -> Probe 
     }
 }
 
-/// Three slots in one cache line under one version word, each other
-/// field indexed by lane.
-#[repr(C, align(64))]
+/// Seven slots in one bucket under one version word, each other field
+/// indexed by lane: the word and the keys fill the first cache line, the
+/// values the second (and 8 bytes of padding).
+#[repr(C, align(128))]
 struct Line {
     version: AtomicU64,
     key: [AtomicU64; LANES],
@@ -175,25 +196,23 @@ struct Line {
 }
 
 impl Line {
-    /// The three keys, or the three values: one Acquire load each.
+    /// The seven keys, or the seven values: one Acquire load each,
+    /// written out. A reader validates across these loads, and in a debug
+    /// build a closure per lane made its window wider than the gaps a
+    /// writer in a tight loop leaves: every read ran out its retry budget
+    /// (`concurrent_readers_never_observe_torn_slots` 0.2 s → 120 s).
     #[inline(always)]
     fn words(words: &[AtomicU64; LANES]) -> [u64; LANES] {
-        let [a, b, c] = words;
+        let [a, b, c, d, e, f, g] = words;
         [
             a.load(Ordering::Acquire),
             b.load(Ordering::Acquire),
             c.load(Ordering::Acquire),
+            d.load(Ordering::Acquire),
+            e.load(Ordering::Acquire),
+            f.load(Ordering::Acquire),
+            g.load(Ordering::Acquire),
         ]
-    }
-
-    /// The line's three entries ascending by key, with keys `key` and its
-    /// values loaded now, a lane with no live key as key 0, which sorts
-    /// first: an unclaimed lane's key is still the region's zero, and a
-    /// tombstone's is 0, so the key word alone says whether a lane is live.
-    #[inline(always)]
-    fn sorted(&self, key: [u64; LANES]) -> [(u64, u64); LANES] {
-        let value = Line::words(&self.value);
-        sort3([(key[0], value[0]), (key[1], value[1]), (key[2], value[2])])
     }
 }
 
@@ -219,8 +238,9 @@ unsafe impl Sync for SlotArray {}
 impl SlotArray {
     /// An array of `capacity` empty slots, in a heap region of its own.
     /// The heap block is only word-aligned (`Region::heap`), so it is
-    /// over-allocated by the most that aligning its start to a line can
-    /// skip, and [`SlotArray::carve`] starts at the first line boundary.
+    /// over-allocated by the most that aligning its start to a bucket can
+    /// skip, and [`SlotArray::carve`] starts at the first 128-byte
+    /// boundary.
     pub fn new(capacity: usize) -> Self {
         let slack = LINE - std::mem::align_of::<u64>();
         let region = Region::heap(Self::footprint(capacity) + slack);
@@ -242,14 +262,14 @@ impl SlotArray {
         }
     }
 
-    /// Bytes an array of `capacity` slots takes in a region: whole lines
-    /// of three slots.
+    /// Bytes an array of `capacity` slots takes in a region: whole
+    /// buckets of seven slots.
     pub fn footprint(capacity: usize) -> usize {
         capacity.div_ceil(LANES) * LINE
     }
 
     /// Arrays of the given capacities laid back to back in `region`, each
-    /// [`SlotArray::footprint`] bytes, from its first 64-byte boundary on
+    /// [`SlotArray::footprint`] bytes, from its first 128-byte boundary on
     /// (its start, in a mapped region). The region is freed when the last
     /// of them drops. Taking it by value is what makes each array's bytes
     /// its own: no region is carved twice.
@@ -284,29 +304,30 @@ impl SlotArray {
             .collect()
     }
 
-    /// The array's lines, the last one's spare lanes included.
+    /// The array's buckets, the last one's spare lanes included.
     #[inline(always)]
     fn lines(&self) -> &[Line] {
-        // SAFETY: `carve` placed `capacity.div_ceil(3)` lines at `lines`,
+        // SAFETY: `carve` placed `capacity.div_ceil(7)` buckets at `lines`,
         // aligned and inside the region this array keeps alive; the
         // region started zeroed, which is a valid `Line` (atomics only).
         unsafe { std::slice::from_raw_parts(self.lines, self.capacity.div_ceil(LANES)) }
     }
 
-    /// The line slot `i` lies in. Panics unless `i < capacity`: the last
-    /// line's spare lanes are never a slot.
+    /// The bucket slot `i` lies in. Panics unless `i < capacity`: the
+    /// last bucket's spare lanes are never a slot.
     #[inline(always)]
     fn line(&self, i: usize) -> &Line {
         assert!(i < self.capacity, "slot index out of range");
-        // SAFETY: `i < capacity` (just checked), so line `i / 3` is one of
-        // the `capacity.div_ceil(3)` lines `carve` placed, as in `lines`.
+        // SAFETY: `i < capacity` (just checked), so bucket `i / 7` is one
+        // of the `capacity.div_ceil(7)` buckets `carve` placed, as in
+        // `lines`.
         // (A second bounds check here once kept the slot read from being
         // inlined into `get` and the batch stage.)
         unsafe { &*self.lines.add(i / LANES) }
     }
 
-    /// How many lanes of slot `i`'s line are slots: three, except in the
-    /// last line of a capacity that is not a multiple of three.
+    /// How many lanes of slot `i`'s bucket are slots: seven, except in
+    /// the last bucket of a capacity that is not a multiple of seven.
     #[inline]
     fn lanes_of(&self, i: usize) -> usize {
         (self.capacity - i / LANES * LANES).min(LANES)
@@ -329,34 +350,39 @@ impl SlotArray {
         Self::footprint(self.capacity)
     }
 
-    /// Hint the CPU to fetch slot `i`'s line ahead of a
-    /// [`SlotArray::probe`]: the one line that holds every lane the key
-    /// may live in. The batched lookup issues this one ring revolution
-    /// before the probe; the scalar `get` issues it before it warms the
-    /// key's ART path, so the two misses overlap.
+    /// Hint the CPU to fetch slot `i`'s bucket ahead of a
+    /// [`SlotArray::probe`] or a writer's lock: both its cache lines, the
+    /// keys' and the values', issued together so their misses overlap
+    /// (a value line asked for only once the verdict found its lane costs
+    /// most of a second miss). The batched lookup issues this one ring
+    /// revolution before the probe; the scalar `get` issues it before it
+    /// warms the key's ART path, so all three misses overlap.
     #[inline]
     pub fn prefetch(&self, i: usize) {
         debug_assert!(i < self.capacity);
-        prefetch::prefetch_read(self.lines.wrapping_add(i / LANES) as *const u8);
+        let bucket = self.lines.wrapping_add(i / LANES) as *const u8;
+        prefetch::prefetch_read(bucket);
+        prefetch::prefetch_read(bucket.wrapping_add(CACHE_LINE));
     }
 
     /// Hint the CPU to fetch the slots `from..=to` ahead of a walk over
-    /// them, up to `PREFETCH_LINES` cache lines (a longer walk is a
-    /// sequential stream the hardware picks up by itself).
+    /// them, up to `PREFETCH_LINES` cache lines, both of each bucket's (a
+    /// longer walk is a sequential stream the hardware picks up by
+    /// itself).
     pub fn prefetch_window(&self, from: usize, to: usize) {
         let to = to.min(self.capacity() - 1);
         if from > to {
             return;
         }
         let (first, last) = (from / LANES, to / LANES);
-        for line in first..=last.min(first + PREFETCH_LINES - 1) {
-            prefetch::prefetch_read(self.lines.wrapping_add(line) as *const u8);
+        for bucket in first..=last.min(first + PREFETCH_LINES / 2 - 1) {
+            self.prefetch(bucket * LANES);
         }
     }
 
-    /// The lines of `from..=to` whose version word is locked or has a
-    /// claimed lane, ascending, each as its first slot: every line of the
-    /// window a key was ever installed in, and any a writer holds. Each
+    /// The buckets of `from..=to` whose version word is locked or has a
+    /// claimed lane, ascending, each as its first slot: every bucket of
+    /// the window a key was ever installed in, and any a writer holds. Each
     /// still has to go through a read; the ones left out need not — a
     /// word read neither locked nor claimed means every lane was `Empty`
     /// at that load, which is what a read would have returned then.
@@ -378,10 +404,10 @@ impl SlotArray {
         })
     }
 
-    /// Bit `j` set for each line `first + j` below `end`, at most 64 of
+    /// Bit `j` set for each bucket `first + j` below `end`, at most 64 of
     /// them, whose word is locked or has a claimed lane below the
-    /// capacity (the last line's spare lanes never count): one load per
-    /// line and no branch on it. A walk that branched per slot cost osm's
+    /// capacity (the last bucket's spare lanes never count): one load per
+    /// bucket and no branch on it. A walk that branched per slot cost osm's
     /// 100-key scans about a quarter more per key.
     #[inline]
     fn held(&self, first: usize, end: usize) -> u64 {
@@ -411,7 +437,7 @@ impl SlotArray {
     /// The one optimistic read of slot `i`'s line, with the version it was
     /// taken at for a later [`SlotArray::version_unchanged`]: load the
     /// word, and if `settled` answers from it alone, that is the answer;
-    /// else, once the word is unlocked, load the three keys, let `read`
+    /// else, once the word is unlocked, load the seven keys, let `read`
     /// take what else it needs, and re-load the word. Backs off (spin →
     /// yield → park) while a writer is mid-flight; once the retry budget
     /// is exhausted it reads under the writers' own line lock, so the
@@ -468,7 +494,7 @@ impl SlotArray {
     /// The reader's verdict on `key`, predicted to slot `i`, from one
     /// snapshot of the slot's line, with the version it was taken at: the
     /// one `verdict`, with no more loads than it needs — the word, the
-    /// three keys, the matching lane's value, and the word again. An own
+    /// seven keys, the matching lane's value, and the word again. An own
     /// lane neither claimed nor locked is the `Absent` rule with nothing
     /// to validate. Out of cache the get loop is bound by how many misses
     /// of consecutive gets overlap, so every instruction here counts:
@@ -484,15 +510,23 @@ impl SlotArray {
         )
     }
 
-    /// Slot `i`'s line as a scan walks it: its three entries ascending by
-    /// key, a lane with no live key as key 0 (`Line::sorted`). One
-    /// snapshot of the keys and values, with no [`SlotState`]s: a
-    /// whole-line view and a general sort of its live keys per line cost
-    /// `scan_mix` about a tenth of its throughput (EXPERIMENTS.md "A line
-    /// is a bucket").
+    /// Slot `i`'s bucket as a scan walks it: its seven entries ascending
+    /// by key, a lane with no live key as key 0 (`sort7`). One snapshot
+    /// of the keys and values, sorted once it validated, with no
+    /// [`SlotState`]s: a whole-line view and a general sort of its live
+    /// keys per line cost `scan_mix` about a tenth of its throughput
+    /// (EXPERIMENTS.md "A line is a bucket").
     #[inline]
     pub fn read_sorted(&self, i: usize) -> [(u64, u64); LANES] {
-        self.snapshot(i, |_| None, |line, _, key| line.sorted(key))
+        let (key, value) = self.entries(i);
+        sort7(key, value)
+    }
+
+    /// Slot `i`'s bucket's keys and values, lane by lane, from one
+    /// snapshot.
+    #[inline(always)]
+    fn entries(&self, i: usize) -> ([u64; LANES], [u64; LANES]) {
+        self.snapshot(i, |_| None, |line, _, key| (key, Line::words(&line.value)))
             .0
     }
 
@@ -563,14 +597,10 @@ impl SlotArray {
 
     /// Iterate live entries line by line, yielding `(slot, key, value)`
     /// in slot order. Snapshot-consistent per line, not across lines. A
-    /// lane is live when its key is not 0, as in `Line::sorted`.
+    /// lane is live when its key is not 0, as in `sort7`.
     pub fn for_each_live(&self, mut f: impl FnMut(usize, u64, u64)) {
         for first in self.walk(0, usize::MAX) {
-            let ((key, value), _) = self.snapshot(
-                first,
-                |_| None,
-                |line, _, key| (key, Line::words(&line.value)),
-            );
+            let (key, value) = self.entries(first);
             for lane in (0..self.lanes_of(first)).filter(|&l| key[l] != 0) {
                 f(first + lane, key[lane], value[lane]);
             }
@@ -690,7 +720,7 @@ impl LineGuard<'_> {
     /// The line's entries ascending by key, a lane with no live key as
     /// key 0: [`SlotArray::read_sorted`]'s view, under the lock.
     pub fn sorted(&self) -> [(u64, u64); LANES] {
-        self.line.sorted(Line::words(&self.line.key))
+        sort7(Line::words(&self.line.key), Line::words(&self.line.value))
     }
 
     /// The lane a key that is in no lane of this line should take: its
@@ -813,33 +843,39 @@ mod tests {
     }
 
     #[test]
-    fn three_slots_share_each_line_and_nothing_past_the_capacity_is_a_slot() {
-        for capacity in (1..=7).chain([2_998, 2_999, 3_000]) {
+    fn seven_slots_share_each_bucket_and_nothing_past_the_capacity_is_a_slot() {
+        for capacity in (1..=15).chain([6_998, 6_999, 7_000]) {
             let s = SlotArray::new(capacity);
-            assert_eq!(SlotArray::footprint(capacity), capacity.div_ceil(3) * 64);
+            assert_eq!(SlotArray::footprint(capacity), capacity.div_ceil(7) * 128);
             for i in 0..capacity {
-                let (line, lane) = (s.line(i), i % 3);
-                let ends = [
-                    (&line.version as *const AtomicU64 as usize, 8),
-                    (&line.key[lane] as *const AtomicU64 as usize, 8),
-                    (&line.value[lane] as *const AtomicU64 as usize, 8),
-                ];
-                let line = ends[0].0 / 64;
-                for (addr, size) in ends {
-                    assert_eq!(addr / 64, line, "slot {i} of {capacity}");
-                    assert_eq!((addr + size - 1) / 64, line, "slot {i} of {capacity}");
-                }
+                let (line, lane) = (s.line(i), i % 7);
+                let addr = |word: &AtomicU64| word as *const AtomicU64 as usize;
+                let bucket = addr(&line.version) / 128;
                 assert_eq!(
-                    line - s.lines as usize / 64,
-                    i / 3,
+                    bucket - s.lines as usize / 128,
+                    i / 7,
                     "slot {i} of {capacity}"
                 );
+                // The word and the keys in the first cache line, the values
+                // in the second.
+                for (word, half) in [
+                    (&line.version, 0),
+                    (&line.key[lane], 0),
+                    (&line.value[lane], 1),
+                ] {
+                    assert_eq!(addr(word) / 64, bucket * 2 + half, "slot {i} of {capacity}");
+                    assert_eq!(
+                        (addr(word) + 7) / 64,
+                        bucket * 2 + half,
+                        "slot {i} of {capacity}"
+                    );
+                }
             }
-            // Claim the last line's spare lanes behind the array's back,
-            // with keys: alone they do not make the line held, and beside
+            // Claim the last bucket's spare lanes behind the array's back,
+            // with keys: alone they do not make the bucket held, and beside
             // claimed slots a walk still stops at the last slot.
             let last = s.lines().last().unwrap();
-            for lane in (capacity - 1) % 3 + 1..LANES {
+            for lane in (capacity - 1) % 7 + 1..LANES {
                 last.key[lane].store(u64::MAX - lane as u64, Ordering::Relaxed);
                 last.version.fetch_or(claimed(lane), Ordering::Relaxed);
             }
@@ -848,7 +884,7 @@ mod tests {
                 assert!(s.place_unsync(i, i as u64 + 1, 0));
             }
             let walk: Vec<usize> = s.walk(0, usize::MAX).collect();
-            assert_eq!(walk, (0..capacity).step_by(3).collect::<Vec<_>>());
+            assert_eq!(walk, (0..capacity).step_by(7).collect::<Vec<_>>());
             let mut live = Vec::new();
             s.for_each_live(|i, _, _| live.push(i));
             assert_eq!(
@@ -874,15 +910,15 @@ mod tests {
         let empty: Vec<bool> = (0..200)
             .map(|i| read(&s, i).0 == SlotState::Empty)
             .collect();
-        // Slot 101's line lock holds slots 99, 100 and 101. The walk
-        // yields the first slot of each line of the window with a held
-        // slot, whichever lanes the window starts and ends at.
+        // Slot 101's bucket lock holds slots 98 to 104. The walk yields
+        // the first slot of each bucket of the window with a held slot,
+        // whichever lanes the window starts and ends at.
         s.with_line(101, |_| {
             for from in 0..200 {
                 for to in from..(from + 250).min(260) {
-                    let mut expect: Vec<usize> = (from / 3 * 3..(to.min(199) / 3 * 3 + 3).min(200))
-                        .filter(|&i| (99..=101).contains(&i) || !empty[i])
-                        .map(|i| i / 3 * 3)
+                    let mut expect: Vec<usize> = (from / 7 * 7..(to.min(199) / 7 * 7 + 7).min(200))
+                        .filter(|&i| (98..=104).contains(&i) || !empty[i])
+                        .map(|i| i / 7 * 7)
                         .collect();
                     expect.dedup();
                     let walk: Vec<usize> = s.walk(from, to).collect();
@@ -894,15 +930,16 @@ mod tests {
 
     #[test]
     fn every_array_starts_on_a_cache_line() {
-        let aligned = |s: &SlotArray| (s.lines as usize).is_multiple_of(64);
+        // On a bucket's boundary, which is a pair of cache lines'.
+        let aligned = |s: &SlotArray| (s.lines as usize).is_multiple_of(128);
         for capacity in (1..=7).chain([64, 65, 777]) {
             assert!(aligned(&SlotArray::new(capacity)), "heap, {capacity}");
         }
         let heap = SlotArray::for_group(&[5, 64, 65]);
         assert!(heap.iter().all(aligned), "a heap group");
         assert!(!Arc::ptr_eq(heap[0].region(), heap[1].region()));
-        // 34.1 MB together: one shared mapped region.
-        let mapped = SlotArray::for_group(&[1_000_000, 600_000]);
+        // 34.7 MB together: one shared mapped region.
+        let mapped = SlotArray::for_group(&[1_000_000, 900_000]);
         assert!(Arc::ptr_eq(mapped[0].region(), mapped[1].region()));
         assert!(mapped.iter().all(aligned), "a mapped group");
         let (a, b, _) = carved_pair(100, 7);
@@ -994,13 +1031,13 @@ mod tests {
     #[test]
     fn a_walk_yields_a_slot_held_for_its_first_claim() {
         let s = SlotArray::new(100);
-        s.with_line(70, |g| {
-            assert_eq!(s.walk(0, 99).collect::<Vec<_>>(), [69], "locked");
+        s.with_line(72, |g| {
+            assert_eq!(s.walk(0, 99).collect::<Vec<_>>(), [70], "locked");
             g.install(1, 7, 70);
-            assert_eq!(s.walk(0, 99).collect::<Vec<_>>(), [69]);
+            assert_eq!(s.walk(0, 99).collect::<Vec<_>>(), [70]);
         });
-        assert_eq!(s.walk(0, 99).collect::<Vec<_>>(), [69], "claimed");
-        assert_eq!(read(&s, 70).0, SlotState::Occupied { key: 7, value: 70 });
+        assert_eq!(s.walk(0, 99).collect::<Vec<_>>(), [70], "claimed");
+        assert_eq!(read(&s, 71).0, SlotState::Occupied { key: 7, value: 70 });
     }
 
     #[test]
@@ -1009,13 +1046,14 @@ mod tests {
         for i in [3, 64, 70, 130, 199] {
             put(&s, i, i as u64 + 1, 1);
         }
-        // Lines 1, 21, 23, 43 and 66: a window's edge lines count whole.
+        // Buckets 0, 9, 10, 18 and 28: a window's edge buckets count
+        // whole.
         let walk = |from, to| s.walk(from, to).collect::<Vec<_>>();
-        assert_eq!(walk(0, 199), [3, 63, 69, 129, 198]);
-        assert_eq!(walk(6, 128), [63, 69]);
-        assert_eq!(walk(4, 129), [3, 63, 69, 129]);
-        assert_eq!(walk(70, 70), [69]);
-        assert_eq!(walk(131, 500), [129, 198], "clamped to the last slot");
+        assert_eq!(walk(0, 199), [0, 63, 70, 126, 196]);
+        assert_eq!(walk(7, 125), [63, 70]);
+        assert_eq!(walk(6, 126), [0, 63, 70, 126]);
+        assert_eq!(walk(70, 70), [70]);
+        assert_eq!(walk(131, 500), [126, 196], "clamped to the last slot");
         assert_eq!(walk(71, 70), [] as [usize; 0]);
     }
 
@@ -1043,94 +1081,113 @@ mod tests {
 
     #[test]
     fn the_verdict_reads_every_lane_then_the_own_lane_then_the_spill_bit() {
-        // Line 1 is slots 3, 4, 5: keys 30 and 40 own slots 3 and 4, key
-        // 50 sits in lane 2 (slot 5) though it predicts slot 4.
-        let s = SlotArray::new(9);
-        put_lane(&s, 3, 0, 30);
-        put_lane(&s, 4, 1, 40);
-        put_lane(&s, 4, 2, 50);
+        // Bucket 1 is slots 7 to 13: keys 30 and 40 own slots 7 and 8, key
+        // 50 sits in lane 2 (slot 9) though it predicts slot 8.
+        let s = SlotArray::new(21);
+        put_lane(&s, 7, 0, 30);
+        put_lane(&s, 8, 1, 40);
+        put_lane(&s, 8, 2, 50);
         let verdict = |i: usize, key: u64| match s.probe(i, key).0 {
             Probe::Hit(v) => Some(v),
             Probe::Absent => None,
             Probe::Art => Some(u64::MAX),
         };
-        assert_eq!(verdict(4, 50), Some(500), "a hit in another lane");
-        assert_eq!(verdict(3, 40), Some(400), "from any claimed own lane");
-        assert_eq!(verdict(4, 41), None, "own lane claimed, line never spilled");
-        s.with_line(4, |g| g.spill());
-        assert_eq!(verdict(4, 41), Some(u64::MAX), "past the spill bit: ART");
-        assert_eq!(verdict(7, 41), None, "the spill bit is the line's own");
-        assert_eq!(verdict(6, 41), None, "own lane never claimed");
-        take(&s, 4, 40);
-        assert_eq!(verdict(4, 41), Some(u64::MAX), "a tombstone is claimed");
-        assert_eq!(verdict(4, 50), Some(500));
-        assert!(spilled(&s, 5));
-        s.with_line(5, |g| {
+        assert_eq!(verdict(8, 50), Some(500), "a hit in another lane");
+        assert_eq!(verdict(7, 40), Some(400), "from any claimed own lane");
+        assert_eq!(
+            verdict(8, 41),
+            None,
+            "own lane claimed, bucket never spilled"
+        );
+        s.with_line(8, |g| g.spill());
+        assert_eq!(verdict(8, 41), Some(u64::MAX), "past the spill bit: ART");
+        assert_eq!(verdict(15, 41), None, "the spill bit is the bucket's own");
+        assert_eq!(verdict(10, 41), None, "own lane never claimed");
+        take(&s, 8, 40);
+        assert_eq!(verdict(8, 41), Some(u64::MAX), "a tombstone is claimed");
+        assert_eq!(verdict(8, 50), Some(500));
+        assert!(spilled(&s, 13));
+        s.with_line(9, |g| {
             assert_eq!(g.own(), 2);
             assert_eq!(g.find(50), Some((2, 500)));
             assert_eq!(
                 g.sorted().map(|e| e.0),
-                [0, 30, 50],
-                "a tombstone reads key 0"
+                [0, 0, 0, 0, 0, 30, 50],
+                "a tombstone reads key 0, as do unclaimed lanes"
             );
-            assert_eq!(g.sorted()[1..], [(30, 300), (50, 500)]);
+            assert_eq!(g.sorted()[5..], [(30, 300), (50, 500)]);
         });
     }
 
     #[test]
     fn the_reader_and_the_lock_holder_give_one_verdict() {
-        // Every unlocked word of a line of one to three lanes, spilled or
-        // not, every own lane, and the looked-for key in no lane, in one
-        // lane, or removed from one (a tombstone): the optimistic probe
+        // Every unlocked word of a bucket of one to seven lanes — each of
+        // its claimed masks, spilled or not — every own lane, and every
+        // placement of the looked-for key: in no lane or in one claimed
+        // lane, each other claimed lane holding another key or a
+        // tombstone (an unclaimed lane's key is 0). The optimistic probe
         // and the lock holder's agree, and `find` names the lane of every
-        // hit. A lane is unclaimed (key 0), another key, the key, or a
-        // tombstone; a key leaves its own lane only once that lane is
-        // claimed, so a line with the key outside an unclaimed own lane is
-        // one no write makes, and is skipped.
+        // hit. A key leaves its own lane only once that lane is claimed,
+        // so a bucket with the key outside an unclaimed own lane is one
+        // no write makes, and is skipped.
         const KEY: u64 = 7;
         let mut seen = [0usize; 3];
         for capacity in 1..=LANES {
             let s = SlotArray::new(capacity);
-            for code in 0..4usize.pow(capacity as u32) {
-                let lanes: Vec<usize> = (0..capacity)
-                    .map(|l| code / 4usize.pow(l as u32) % 4)
-                    .collect();
-                let at: Vec<usize> = (0..capacity).filter(|&l| lanes[l] == 2).collect();
-                if at.len() > 1 {
-                    continue;
-                }
+            let line = s.line(0);
+            for mask in 0..1usize << capacity {
                 let claims = (0..capacity)
-                    .filter(|&l| lanes[l] != 0)
+                    .filter(|&l| mask >> l & 1 != 0)
                     .fold(0, |c, l| c | claimed(l));
-                for spill in [0, SPILL] {
-                    for own in 0..capacity {
-                        if at.first().is_some_and(|&l| l != own) && claims & claimed(own) == 0 {
+                let places = (0..capacity).filter(|&l| mask >> l & 1 != 0);
+                for at in std::iter::once(None).chain(places.map(Some)) {
+                    // Which of the other claimed lanes are tombstones.
+                    for dead in (0..1usize << capacity).filter(|d| d & !mask == 0) {
+                        if at.is_some_and(|l| dead >> l & 1 != 0) {
                             continue;
                         }
-                        let line = s.line(0);
-                        line.version
-                            .store((5 * WRITE) | claims | spill, Ordering::Relaxed);
-                        for (l, &what) in lanes.iter().enumerate() {
-                            let key = [0, 100 + l as u64, KEY, 0][what];
+                        for l in 0..capacity {
+                            let key = match () {
+                                _ if at == Some(l) => KEY,
+                                _ if mask >> l & 1 == 0 || dead >> l & 1 != 0 => 0,
+                                _ => 100 + l as u64,
+                            };
                             line.key[l].store(key, Ordering::Relaxed);
                             line.value[l].store(1000 + l as u64, Ordering::Relaxed);
                         }
-                        let want = match at.first() {
-                            Some(&l) => Probe::Hit(1000 + l as u64),
-                            None if claims & claimed(own) == 0 || spill == 0 => Probe::Absent,
-                            None => Probe::Art,
-                        };
-                        let case = format!("lanes {lanes:?}, spill {spill}, own {own}");
-                        assert_eq!(s.probe(own, KEY).0, want, "reader, {case}");
-                        let (held, found) = s.with_line(own, |g| (g.probe(KEY), g.find(KEY)));
-                        assert_eq!(held, want, "lock holder, {case}");
-                        let hit = found.map(|(lane, value)| (lane, Probe::Hit(value)));
-                        assert_eq!(hit, at.first().map(|&l| (l, want)), "find, {case}");
-                        seen[match want {
-                            Probe::Hit(_) => 0,
-                            Probe::Absent => 1,
-                            Probe::Art => 2,
-                        }] += 1;
+                        for spill in [0, SPILL] {
+                            line.version
+                                .store((5 * WRITE) | claims | spill, Ordering::Relaxed);
+                            for own in 0..capacity {
+                                if at.is_some_and(|l| l != own) && claims & claimed(own) == 0 {
+                                    continue;
+                                }
+                                let want = match at {
+                                    Some(l) => Probe::Hit(1000 + l as u64),
+                                    None if claims & claimed(own) == 0 || spill == 0 => {
+                                        Probe::Absent
+                                    }
+                                    None => Probe::Art,
+                                };
+                                let case = || {
+                                    format!("mask {mask:b}, dead {dead:b}, key at {at:?}, spill {spill}, own {own}")
+                                };
+                                assert_eq!(s.probe(own, KEY).0, want, "reader, {}", case());
+                                let (held, found) =
+                                    s.with_line(own, |g| (g.probe(KEY), g.find(KEY)));
+                                assert_eq!(held, want, "lock holder, {}", case());
+                                let hit = found.map(|(lane, value)| (lane, Probe::Hit(value)));
+                                assert_eq!(hit, at.map(|l| (l, want)), "find, {}", case());
+                                // The holder's unlock counted a write.
+                                line.version
+                                    .store((5 * WRITE) | claims | spill, Ordering::Relaxed);
+                                seen[match want {
+                                    Probe::Hit(_) => 0,
+                                    Probe::Absent => 1,
+                                    Probe::Art => 2,
+                                }] += 1;
+                            }
+                        }
                     }
                 }
             }
@@ -1141,9 +1198,46 @@ mod tests {
         );
     }
 
+    /// The `n`th of the 5,040 orders of `keys` (`n` in factorial base).
+    fn nth_order(keys: [u64; LANES], mut n: usize) -> [u64; LANES] {
+        let mut rest = keys.to_vec();
+        std::array::from_fn(|i| {
+            let pick = n % (LANES - i);
+            n /= LANES - i;
+            rest.remove(pick)
+        })
+    }
+
+    #[test]
+    fn sort7_orders_every_permutation_of_seven_keys() {
+        const KEYS: [u64; LANES] = [10, 20, 30, 40, 50, 60, 70];
+        let mut orders = std::collections::HashSet::new();
+        for n in 0..5_040 {
+            let lanes = nth_order(KEYS, n);
+            orders.insert(lanes);
+            let sorted = sort7(lanes, lanes.map(|k| k * 10));
+            assert_eq!(sorted, KEYS.map(|k| (k, k * 10)), "{lanes:?}");
+        }
+        assert_eq!(orders.len(), 5_040, "every order once");
+        // Dead lanes (key 0, a tombstone's value left behind) sort first,
+        // in lane order, the live keys after them in order, whichever
+        // lanes are dead.
+        for dead in 0..1usize << LANES {
+            for n in (0..5_040).step_by(97) {
+                let lanes = nth_order(KEYS, n);
+                let key: [u64; LANES] =
+                    std::array::from_fn(|l| if dead >> l & 1 == 1 { 0 } else { lanes[l] });
+                let value = std::array::from_fn(|l| 1_000 + l as u64);
+                let mut want: Vec<(u64, u64)> = key.into_iter().zip(value).collect();
+                want.sort_by_key(|e| e.0);
+                assert_eq!(sort7(key, value)[..], want[..], "{key:?}");
+            }
+        }
+    }
+
     #[test]
     fn a_line_lists_its_keys_ascending_whatever_their_lanes() {
-        let s = SlotArray::new(3);
+        let s = SlotArray::new(7);
         assert_eq!(s.read_sorted(0), [(0, 0); LANES], "no live key reads 0");
         for (lane, key) in [(0, 30), (1, 10), (2, 20)] {
             put_lane(&s, 0, lane, key);
@@ -1152,25 +1246,21 @@ mod tests {
         s.for_each_live(|i, k, _| walk.push((i, k)));
         assert_eq!(walk, [(0, 30), (1, 10), (2, 20)], "slot order");
 
-        for lanes in [
-            [10, 20, 30],
-            [10, 30, 20],
-            [20, 10, 30],
-            [20, 30, 10],
-            [30, 10, 20],
-            [30, 20, 10],
-        ] {
-            let s = SlotArray::new(3);
+        const KEYS: [u64; LANES] = [10, 20, 30, 40, 50, 60, 70];
+        for n in (0..5_040).step_by(13) {
+            let lanes = nth_order(KEYS, n);
+            let s = SlotArray::new(7);
             for (lane, key) in lanes.into_iter().enumerate() {
                 put_lane(&s, 0, lane, key);
             }
-            assert_eq!(s.read_sorted(1), [(10, 100), (20, 200), (30, 300)]);
+            assert_eq!(s.read_sorted(1), KEYS.map(|k| (k, k * 10)));
             assert_eq!(s.with_line(1, |g| g.sorted()), s.read_sorted(1));
             // A tombstone reads key 0, ahead of the live keys.
             assert_eq!(take(&s, 1, lanes[1]), Some(lanes[1] * 10));
-            let mut rest = [lanes[0], lanes[2]];
+            let mut rest = lanes;
+            rest[1] = 0;
             rest.sort_unstable();
-            assert_eq!(s.read_sorted(1).map(|e| e.0), [0, rest[0], rest[1]]);
+            assert_eq!(s.read_sorted(1).map(|e| e.0), rest);
             assert_eq!(
                 s.with_line(1, |g| g.sorted()),
                 s.read_sorted(1),
@@ -1181,16 +1271,16 @@ mod tests {
 
     #[test]
     fn the_build_takes_a_free_lane_of_the_line_then_spills() {
-        // Capacity 5: line 1 has two lanes, slots 3 and 4.
-        let s = SlotArray::new(5);
-        assert!(s.place_unsync(3, 1, 1));
-        assert!(!s.place_unsync(3, 2, 2), "own lane taken");
-        assert!(s.place_in_line_unsync(3, 2, 2), "lane 1 is free");
-        assert!(!s.place_in_line_unsync(3, 3, 3), "no lane left");
-        assert!(spilled(&s, 3));
-        assert!(!spilled(&s, 0), "another line");
+        // Capacity 9: bucket 1 has two lanes, slots 7 and 8.
+        let s = SlotArray::new(9);
+        assert!(s.place_unsync(7, 1, 1));
+        assert!(!s.place_unsync(7, 2, 2), "own lane taken");
+        assert!(s.place_in_line_unsync(7, 2, 2), "lane 1 is free");
+        assert!(!s.place_in_line_unsync(7, 3, 3), "no lane left");
+        assert!(spilled(&s, 7));
+        assert!(!spilled(&s, 0), "another bucket");
         assert_eq!(
-            s.with_line(4, |g| g.slot(2)),
+            s.with_line(8, |g| g.slot(2)),
             SlotState::Empty,
             "the spare lane is never a slot"
         );
@@ -1199,7 +1289,7 @@ mod tests {
 
     #[test]
     fn a_free_lane_is_the_own_one_then_a_tombstone_then_an_empty_one() {
-        let s = SlotArray::new(5);
+        let s = SlotArray::new(9);
         let free = |i: usize| s.with_line(i, |g| g.free_lane());
         assert_eq!(free(1), Some(1), "own lane empty");
         put_lane(&s, 1, 1, 7);
@@ -1210,38 +1300,42 @@ mod tests {
         assert_eq!(free(2), Some(2), "own tombstone");
         put_lane(&s, 1, 0, 9);
         put_lane(&s, 1, 2, 10);
-        assert_eq!(free(1), None, "full line");
-        // Line 1 of capacity 5 has lanes 0 and 1 only.
-        put_lane(&s, 3, 0, 11);
-        put_lane(&s, 3, 1, 12);
-        assert_eq!(free(4), None, "the spare lane is not free");
+        assert_eq!(free(1), Some(3), "the first empty lane");
+        for lane in 3..LANES {
+            put_lane(&s, 1, lane, 10 + lane as u64);
+        }
+        assert_eq!(free(1), None, "full bucket");
+        // Bucket 1 of capacity 9 has lanes 0 and 1 only.
+        put_lane(&s, 7, 0, 21);
+        put_lane(&s, 7, 1, 22);
+        assert_eq!(free(8), None, "the spare lanes are not free");
     }
 
     #[test]
     fn a_write_to_one_lane_moves_every_lanes_version() {
-        // A reader's ART miss re-checks the version of its own slot's line,
-        // so a writer of any other lane of the line must move it.
-        let s = SlotArray::new(3);
-        let before: Vec<u64> = (0..3).map(|i| s.version(i)).collect();
-        put_lane(&s, 2, 2, 5);
+        // A reader's ART miss re-checks the version of its own slot's
+        // bucket, so a writer of any other lane of the bucket must move it.
+        let s = SlotArray::new(7);
+        let before: Vec<u64> = (0..7).map(|i| s.version(i)).collect();
+        put_lane(&s, 6, 6, 5);
         for (i, v) in before.into_iter().enumerate() {
             assert!(!s.version_unchanged(i, v), "lane {i}");
         }
-        assert_eq!(read(&s, 0).0, SlotState::Empty, "lanes 0 and 1 unclaimed");
+        assert_eq!(read(&s, 0).0, SlotState::Empty, "lanes 0 to 5 unclaimed");
     }
 
     #[test]
     fn a_sweep_at_lane_0_waits_for_a_writer_of_lane_2() {
-        // A writer whose key predicts lane 2 holds the whole line, so a
-        // sweep that locks the line for lane 0 waits for it and then sees
-        // the writer's install (DESIGN.md §14).
+        // A writer whose key predicts lane 2 holds the whole bucket, so a
+        // sweep that locks the bucket for lane 0 waits for it and then
+        // sees the writer's install (DESIGN.md §14).
         use std::sync::atomic::AtomicBool;
-        let s = SlotArray::new(6);
+        let s = SlotArray::new(14);
         let done = AtomicBool::new(false);
         let (held_tx, held) = std::sync::mpsc::channel();
         std::thread::scope(|scope| {
             scope.spawn(|| {
-                s.with_line(5, |g| {
+                s.with_line(9, |g| {
                     held_tx.send(()).unwrap();
                     std::thread::sleep(std::time::Duration::from_millis(200));
                     g.install(g.own(), 77, 770);
@@ -1249,54 +1343,55 @@ mod tests {
                 })
             });
             held.recv().unwrap();
-            assert_eq!(s.walk(3, 5).collect::<Vec<_>>(), [3], "locked");
-            let swept = s.with_line(3, |g| {
+            assert_eq!(s.walk(7, 13).collect::<Vec<_>>(), [7], "locked");
+            let swept = s.with_line(7, |g| {
                 assert!(done.load(Ordering::Relaxed), "the sweep passed a held line");
                 g.sorted()
             });
-            assert_eq!(swept, [(0, 0), (0, 0), (77, 770)]);
+            assert_eq!(swept[..6], [(0, 0); 6]);
+            assert_eq!(swept[6], (77, 770));
         });
     }
 
     #[test]
     fn a_read_past_its_retry_budget_takes_the_line_lock_and_its_version() {
-        // A writer holds line 1 far past the reader's whole retry budget
+        // A writer holds bucket 1 far past the reader's whole retry budget
         // (a few ms of spins, yields and parks), so the probe escalates to
         // the line lock and returns once the writer releases, with the
         // word its own unlock stored: the writer's unlock counted one
         // write, the reader's a second.
-        let s = SlotArray::new(6);
+        let s = SlotArray::new(14);
         let (held_tx, held) = std::sync::mpsc::channel();
         let (verdict, v) = std::thread::scope(|scope| {
             scope.spawn(|| {
-                s.with_line(4, |g| {
+                s.with_line(8, |g| {
                     held_tx.send(()).unwrap();
                     std::thread::sleep(std::time::Duration::from_millis(500));
                     g.install(g.own(), 44, 440);
                 })
             });
             held.recv().unwrap();
-            s.probe(4, 44)
+            s.probe(8, 44)
         });
         assert!(matches!(verdict, Probe::Hit(440)), "{verdict:?}");
         assert_eq!(v, claimed(1) + 2 * WRITE, "the escalated read's unlock");
-        assert!(s.version_unchanged(4, v), "no write since");
-        assert!(s.version_unchanged(5, v), "one word for the line");
-        assert_eq!(read(&s, 3).0, SlotState::Empty);
+        assert!(s.version_unchanged(8, v), "no write since");
+        assert!(s.version_unchanged(13, v), "one word for the bucket");
+        assert_eq!(read(&s, 7).0, SlotState::Empty);
         assert!(
-            s.version_unchanged(4, v),
+            s.version_unchanged(8, v),
             "an optimistic read writes nothing"
         );
-        put_lane(&s, 5, 2, 55);
-        assert!(!s.version_unchanged(4, v), "a write to another lane");
+        put_lane(&s, 9, 2, 55);
+        assert!(!s.version_unchanged(8, v), "a write to another lane");
     }
 
     #[test]
     fn slot_and_model_sizes_are_pinned() {
         // What the cache-line counts of a slot hit (DESIGN.md §3) and the
         // model header's layout are reasoned from.
-        assert_eq!(std::mem::size_of::<Line>(), 64);
-        assert_eq!(std::mem::align_of::<Line>(), 64);
+        assert_eq!(std::mem::size_of::<Line>(), 128);
+        assert_eq!(std::mem::align_of::<Line>(), 128);
         assert_eq!(std::mem::size_of::<SlotArray>(), 24);
         assert_eq!(std::mem::size_of::<crate::model::GplModel>(), 72);
     }
@@ -1399,7 +1494,8 @@ mod tests {
 
     #[test]
     fn adjacent_carved_arrays_are_isolated() {
-        // A's last slot is lane 0 of its 34th line; B starts on the next.
+        // A's last slots are lanes 0 and 1 of its 15th bucket; B starts on
+        // the next.
         let (a, b, _) = carved_pair(100, 100);
         for i in 64..100 {
             assert!(put(&a, i, i as u64 + 1, 1));
@@ -1440,15 +1536,17 @@ mod tests {
     #[test]
     fn a_shared_region_places_keys_as_heap_arrays_do() {
         use crate::{AltConfig, AltIndex};
-        // fb 450k, seed 7: 35.8 MiB of slot arrays. One build thread is
-        // one group, carved from one shared region; two are two ~18 MiB
+        // fb 500k, seed 7: 34.4 MiB of slot arrays. One build thread
+        // is one group, carved from one shared region; two are two ~17 MiB
         // groups of heap arrays. Both give the same pinned layout. The key
         // count was 400k until slots came three to a line: its arrays
         // shrank to 31.5 MiB, below `SHARED_REGION_MIN`, so it grew to
-        // keep one shared region, which moved both digests.
-        // The second fill pass, which seats an evicted key in a free lane of
-        // its line, moved the layout digest again and left the spans alone.
-        let pairs = datasets::generate_pairs(datasets::Dataset::Fb, 450_000, 7);
+        // 450k and kept one shared region, which moved both digests. The
+        // second fill pass, which seats an evicted key in a free lane of
+        // its line, moved the layout digest again and left the spans
+        // alone. Seven lanes to a 128-byte bucket shrank 450k's arrays to
+        // 30.8 MiB, so it grew to 500k, which moved both digests again.
+        let pairs = datasets::generate_pairs(datasets::Dataset::Fb, 500_000, 7);
         for build_threads in [1, 2] {
             let idx = AltIndex::bulk_load_with(
                 &pairs,
@@ -1460,8 +1558,8 @@ mod tests {
             let spans = idx.directory_spans();
             let bytes: usize = spans.iter().map(|s| SlotArray::footprint(s.1)).sum();
             assert!(bytes >= SHARED_REGION_MIN, "{bytes} B is one shared region");
-            assert_eq!(idx.learned_layout_digest(), 0xa72b_6ffb_70d5_001e);
-            assert_eq!(spans_digest(&spans), 0x326b_dc0b_c8bf_8c22);
+            assert_eq!(idx.learned_layout_digest(), 0x186b_e3f6_43e7_edcc);
+            assert_eq!(spans_digest(&spans), 0xfdf5_9d51_63dd_50e8);
         }
     }
 

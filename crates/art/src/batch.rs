@@ -202,14 +202,23 @@ pub fn drive_ring<S>(
         }
         None
     };
-    let mut ring = Vec::with_capacity(RING_WIDTH.min(keys.len()));
-    ring.extend(std::iter::from_fn(|| fresh(out)).take(RING_WIDTH));
+    // On the stack, so a call allocates nothing; the first `len` places
+    // are in flight.
+    let mut ring: [Option<(usize, S)>; RING_WIDTH] = std::array::from_fn(|_| None);
+    let mut len = 0;
+    while len < RING_WIDTH {
+        let Some(flight) = fresh(out) else { break };
+        ring[len] = Some(flight);
+        len += 1;
+    }
     let mut i = 0;
-    while !ring.is_empty() {
-        if i >= ring.len() {
+    while len > 0 {
+        if i >= len {
             i = 0;
         }
-        let (ki, s) = &mut ring[i];
+        let (ki, s) = ring[i]
+            .as_mut()
+            .expect("the first `len` places are in flight");
         let Some(result) = step(s) else {
             i += 1;
             continue;
@@ -217,11 +226,15 @@ pub fn drive_ring<S>(
         out[*ki] = result;
         match fresh(out) {
             Some(flight) => {
-                ring[i] = flight;
+                ring[i] = Some(flight);
                 i += 1;
             }
             None => {
-                ring.remove(i);
+                // Retire in place and close the gap, keeping the order of
+                // the rest.
+                ring[i] = None;
+                ring[i..len].rotate_left(1);
+                len -= 1;
             }
         }
     }

@@ -1,6 +1,6 @@
 //! A line is a bucket (DESIGN.md §3): a key whose predicted slot the bulk
-//! load gave another key keeps a free lane of that slot's cache line, and
-//! goes to ART only when the line is full. On 1M generated keys, seed 1,
+//! load gave another key keeps a free lane of that slot's bucket (seven
+//! lanes in 128 bytes), and goes to ART only when the bucket is full. On 1M generated keys, seed 1,
 //! every other key bulk-loaded and the others withheld (the benchmark's
 //! `Alternate` layout), these pin what that buys, read through
 //! `AltIndex::stats()`, and that gets, absent keys and scans stay exact.
@@ -27,11 +27,12 @@ fn alternate(ds: Dataset) -> (Vec<(u64, u64)>, Vec<u64>) {
 #[test]
 fn a_conflict_key_keeps_its_line_and_every_key_is_served() {
     // (dataset, keys in ART after the bulk load): deterministic for the
-    // seed, the generator and the build.
+    // seed, the generator and the build. Three lanes to a 64-byte line
+    // left fb 122,345, osm 33,191 and longlat 136,009.
     for (ds, pinned_in_art) in [
-        (Dataset::Fb, 122_345),
-        (Dataset::Osm, 33_191),
-        (Dataset::Longlat, 136_009),
+        (Dataset::Fb, 58_238),
+        (Dataset::Osm, 10_918),
+        (Dataset::Longlat, 122_444),
         (Dataset::Libio, 0),
     ] {
         let (bulk, absent) = alternate(ds);
@@ -48,7 +49,7 @@ fn a_conflict_key_keeps_its_line_and_every_key_is_served() {
         assert_eq!(s.keys_in_learned + s.keys_in_art, bulk.len());
         assert_eq!(s.keys_in_art, pinned_in_art, "{}", ds.name());
         match ds {
-            Dataset::Fb => assert!(s.learned_share() >= 0.7, "fb {}", s.learned_share()),
+            Dataset::Fb => assert!(s.learned_share() >= 0.85, "fb {}", s.learned_share()),
             Dataset::Libio => assert_eq!(s.learned_share(), 1.0),
             _ => {}
         }
@@ -89,10 +90,11 @@ fn scans_come_back_ascending_when_a_lines_keys_are_not() {
     let (bulk, absent) = alternate(Dataset::Fb);
     let idx = AltIndex::bulk_load_default(&bulk);
     // A key the second fill pass seats in a lane below a smaller key's own
-    // leaves its line out of key order; fb has many such lines.
+    // leaves its bucket out of key order; fb has many such buckets (58,352
+    // of three lanes, 70,322 of seven).
     let unsorted = idx.lines_out_of_key_order();
     println!("fb: {unsorted} lines out of key order after the bulk load");
-    assert_eq!(unsorted, 58_352);
+    assert_eq!(unsorted, 70_322);
     let mut oracle: BTreeMap<u64, u64> = bulk.iter().copied().collect();
     let check = |idx: &AltIndex, oracle: &BTreeMap<u64, u64>, what: &str| {
         let mut got = Vec::new();
