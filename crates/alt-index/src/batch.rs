@@ -2,18 +2,17 @@
 //!
 //! The scalar [`AltIndex::get`] is one model prediction plus one slot
 //! probe — which makes its cost almost entirely cache misses: the
-//! directory line, the predicted slot's line, and (for conflict keys)
+//! directory line, the predicted slot's bucket, and (for conflict keys)
 //! the ART descent. This module overlaps those misses across a small
 //! ring of in-flight keys. Each key is a state machine:
 //!
 //! 1. **Predict** — locate the GPL model in the directory, compute the
 //!    predicted slot, issue a prefetch for both cache lines of the slot's
 //!    bucket, its keys' and its values';
-//! 2. **Probe** — the optimistic line snapshot (same version protocol as
-//!    the scalar path). Learned-layer hits and conclusive misses finish
-//!    here; the verdict `Art` (no lane holds the key, its own lane is
-//!    claimed and the line spilled) prefetches the ART root and hands
-//!    off to
+//! 2. **Probe** — the optimistic bucket snapshot (same version protocol
+//!    as the scalar path). Learned-layer hits and conclusive misses finish
+//!    here; the verdict `Art` (no lane holds the key and the bucket
+//!    spilled) prefetches the ART root and hands off to
 //! 3. **ART descent** — the interleaved engine of `art::batch`, one
 //!    prefetch-then-advance hop per step.
 //!
@@ -24,7 +23,7 @@
 //! (the predict stage) and its step.
 //!
 //! Per-key linearizability: every transition runs the scalar protocol
-//! itself — the same line snapshot and the one reader's verdict on it
+//! itself — the same bucket snapshot and the one reader's verdict on it
 //! ([`SlotArray::probe`](crate::slots::SlotArray::probe)), the one
 //! [`GplModel::miss_is_final`] re-validation before a miss is declared
 //! conclusive, the same per-key retry budget escalating to
@@ -195,8 +194,8 @@ mod tests {
     #[test]
     fn batch_sees_removals_and_art_residents() {
         let (idx, pairs) = sample_index(AltConfig::default());
-        // Remove every 11th key, then re-insert neighbours so tombstones
-        // and ART conflicts both appear on the lookup path.
+        // Remove every 11th key, then re-insert neighbours so removed
+        // keys and ART conflicts both appear on the lookup path.
         let mut removed = Vec::new();
         for p in pairs.iter().step_by(11) {
             idx.remove(p.0);

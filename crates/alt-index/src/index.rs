@@ -10,7 +10,7 @@
 use crate::config::AltConfig;
 use crate::dir::ModelDir;
 use crate::model::{fill, placement, GplModel};
-use crate::slots::{LineGuard, Probe, SlotArray};
+use crate::slots::{BucketGuard, Probe, SlotArray};
 use art::Art;
 use crossbeam_epoch::{self as epoch, RcuCell};
 use index_api::{IndexError, Result};
@@ -132,11 +132,11 @@ impl AltIndex {
 
     /// Point lookup.
     ///
-    /// The line's miss and the first ART miss are paid together, not one
-    /// after the other: the predicted line is prefetched, then
+    /// The bucket's miss and the first ART miss are paid together, not
+    /// one after the other: the predicted bucket is prefetched, then
     /// [`Art::warm`] walks the tree's cached top and prefetches the first
-    /// node it does not expect cached, and only then is the line read. The
-    /// verdict comes from the line snapshot and, on conflict data, the
+    /// node it does not expect cached, and only then is the bucket read.
+    /// The verdict comes from the bucket snapshot and, on conflict data, the
     /// authoritative ART read, exactly as without the hints; they only
     /// decide which lines are warm when those reads run.
     pub fn get(&self, key: u64) -> Option<u64> {
@@ -175,10 +175,10 @@ impl AltIndex {
     /// Guaranteed-progress lookup fallback, used once the optimistic
     /// loop's retry budget is exhausted: the writer protocol, reading.
     ///
-    /// [`AltIndex::with_live_model`] holds the predicted line's *write
+    /// [`AltIndex::with_live_model`] holds the predicted bucket's *write
     /// lock* of the key's live model. Every writer of `key` decides under
     /// that lock, and a retrain that could retire the model and move keys
-    /// between the layers has to take it first, so a line-or-ART miss
+    /// between the layers has to take it first, so a bucket-or-ART miss
     /// observed under it is conclusive without any version re-validation.
     pub(crate) fn get_pessimistic(&self, key: u64) -> Option<u64> {
         self.with_live_model(key, |_, g| match g.probe(key) {
@@ -189,21 +189,25 @@ impl AltIndex {
     }
 
     /// Run `f` on the live model that owns `key`, under the write lock of
-    /// the line `key` predicts into: the entry of every writer and of
+    /// the bucket `key` predicts into: the entry of every writer and of
     /// [`AltIndex::get_pessimistic`].
     ///
-    /// A retrain stores `Closing` on the model, then sweeps its lines,
-    /// taking each line's lock in turn. A writer that finds the model
-    /// `Live` under its line lock holds that line ahead of the sweep, so
-    /// the retrain collects what `f` does; one that locks the line after
-    /// the sweep has passed sees `Closing` through the lock's
+    /// A retrain stores `Closing` on the model, then sweeps its buckets,
+    /// taking each bucket's lock in turn. A writer that finds the model
+    /// `Live` under its bucket lock holds that bucket ahead of the sweep,
+    /// so the retrain collects what `f` does; one that locks the bucket
+    /// after the sweep has passed sees `Closing` through the lock's
     /// release/acquire, or `Retired` once the swap is done. Either way it
-    /// releases the line and goes again under `dir_lock`: no retrain runs
+    /// releases the bucket and goes again under `dir_lock`: no retrain runs
     /// while that is held, so the second pass finds the successor live,
-    /// and there is no third. Lock order is `dir_lock` → line lock → ART
+    /// and there is no third. Lock order is `dir_lock` → bucket lock → ART
     /// node locks, as in a retrain (DESIGN.md §11). One call site of `f`
     /// keeps it inlined into the writers.
-    fn with_live_model<R>(&self, key: u64, mut f: impl FnMut(&GplModel, &LineGuard<'_>) -> R) -> R {
+    fn with_live_model<R>(
+        &self,
+        key: u64,
+        mut f: impl FnMut(&GplModel, &BucketGuard<'_>) -> R,
+    ) -> R {
         let guard = epoch::pin();
         let mut dl = None;
         loop {
@@ -213,7 +217,7 @@ impl AltIndex {
             // the keys' line, and a value store would miss on the other
             // after it.
             m.slots.prefetch(pred);
-            let live = m.slots.with_line(pred, |g| m.is_live().then(|| f(m, g)));
+            let live = m.slots.with_bucket(pred, |g| m.is_live().then(|| f(m, g)));
             if let Some(r) = live {
                 return r;
             }
@@ -247,21 +251,22 @@ impl AltIndex {
     /// `overwrite` says whether it takes `value`. Returns whether the key
     /// was inserted.
     ///
-    /// The whole decision runs under the predicted line's write lock.
-    /// That line is the per-key serialization point: every writer of
-    /// `key` under this model generation predicts into the same line, so
+    /// The whole decision runs under the predicted bucket's write lock.
+    /// That bucket is the per-key serialization point: every writer of
+    /// `key` under this model generation predicts into the same bucket, so
     /// holding its lock across the ART presence check / ART publication
     /// means a racing claim and a racing ART insert of the same key can
     /// never interleave, neither can a remove between an upsert's "is it
-    /// there" and its write, and no two keys take one free lane. The
+    /// there" and its write, and no two keys shift one bucket at once. The
     /// earlier publish-then-recheck protocol let a losing insert
     /// transiently expose its value through ART before undoing it — a
     /// failed insert whose value concurrent readers could observe (caught
     /// by the chaos testkit's oracle).
     ///
-    /// The key goes to its own lane unless a live key holds it, else to
-    /// another free lane of the line, else — past the spill bit, set
-    /// first — to ART (DESIGN.md §3 "A line is a bucket").
+    /// The key takes its rank among the bucket's keys, the ones above it
+    /// shifting up a lane, unless the bucket is full: then it goes — past
+    /// the spill bit, set first — to ART (DESIGN.md §3 "A line is a
+    /// bucket").
     fn place(&self, key: u64, value: u64, overwrite: bool) -> bool {
         enum Placed {
             Slot,
@@ -276,7 +281,7 @@ impl AltIndex {
                 }
                 return Placed::Existed;
             }
-            let Some(lane) = g.free_lane() else {
+            if g.is_full() {
                 g.spill();
                 let in_art = overwrite && self.art.update(key, value);
                 return if in_art || !self.art.insert(key, value) {
@@ -286,10 +291,10 @@ impl AltIndex {
                     want_retrain = m.wants_retrain();
                     Placed::Art
                 };
-            };
+            }
             // The key may still live in ART, from before a lane came free;
             // checked under the lock so the answer cannot go stale before
-            // we claim. Only past a claimed own lane and the spill bit.
+            // we insert. Only past the spill bit.
             let in_art = match g.probe(key) {
                 Probe::Art if overwrite => self.art.update(key, value),
                 Probe::Art => self.art.get(key).is_some(),
@@ -298,7 +303,7 @@ impl AltIndex {
             if in_art {
                 Placed::Existed
             } else {
-                g.install(lane, key, value);
+                g.insert(key, value);
                 Placed::Slot
             }
         });
@@ -306,7 +311,7 @@ impl AltIndex {
             return false;
         }
         self.len.add(1);
-        // Outside `with_live_model`: the rebuild sweeps the line lock
+        // Outside `with_live_model`: the rebuild sweeps the bucket lock
         // this thread held, and waits for `dir_lock`.
         if want_retrain {
             self.trigger_retrain(key);
@@ -342,17 +347,16 @@ impl AltIndex {
         let removed = self.with_live_model(key, |_, g| {
             match g.find(key) {
                 Some((lane, value)) => {
-                    // Tombstone the lane AND clear the transient ART copy
+                    // Shift the key out AND clear the transient ART copy
                     // (retrain double-presence) in one critical section.
                     // With the ART clear outside the lock, a racing insert
-                    // of `key` could land in ART after another key
-                    // reclaimed the tombstone, and the late clear would
-                    // silently delete that *successful* insert (lost key,
-                    // caught by the chaos oracle). Under the lock no new
-                    // ART copy of `key` can appear: every inserter of `key`
-                    // must take this same line lock first.
-                    probe::chaos::point("slots.remove.pre_tombstone");
-                    g.clear(lane);
+                    // of `key` could land in ART once other keys filled
+                    // the bucket again, and the late clear would silently
+                    // delete that *successful* insert (lost key, caught by
+                    // the chaos oracle). Under the lock no new ART copy of
+                    // `key` can appear: every inserter of `key` must take
+                    // this same bucket lock first.
+                    g.remove(lane);
                     self.art.remove(key);
                     Some(value)
                 }
@@ -601,7 +605,7 @@ mod tests {
         assert_eq!(idx.get(10), None);
         assert_eq!(idx.remove(10), None, "double remove");
         assert_eq!(idx.len(), 999);
-        // The tombstoned slot accepts a new key that predicts there.
+        // The bucket the key left takes it back.
         idx.insert(10, 11).unwrap();
         assert_eq!(idx.get(10), Some(11));
         assert_eq!(idx.len(), 1000);
@@ -700,7 +704,7 @@ mod tests {
 
     #[test]
     fn a_pessimistic_get_does_not_wait_for_dir_lock() {
-        // The reader's fallback holds its live model's line lock, which
+        // The reader's fallback holds its live model's bucket lock, which
         // already keeps a retrain's sweep out: it must not queue behind
         // `dir_lock`.
         let idx = AltIndex::bulk_load_default(&pairs(1000, 10));

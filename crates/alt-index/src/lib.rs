@@ -7,9 +7,10 @@
 //! * The **learned index layer** is a flat array of linear *GPL models*
 //!   (built by the Greedy Pessimistic Linear segmentation algorithm,
 //!   [`learned::gpl`]). Every key stored here sits in the 128-byte
-//!   bucket of its predicted slot — that slot or one of the bucket's six
-//!   other lanes — so this layer has **no prediction error** beyond one
-//!   bucket and never performs a secondary search.
+//!   bucket of its predicted slot, whose seven lanes hold its keys sorted
+//!   from lane 0 up, so this layer has **no prediction error** beyond one
+//!   bucket, never performs a secondary search, and scans a bucket in
+//!   lane order.
 //! * The **ART-OPT layer** ([`art`]) holds conflict data — keys whose
 //!   predicted bucket is full — and is searched from its root. (The
 //!   paper's fast pointer buffer, which let a model resume ART searches at
@@ -17,7 +18,8 @@
 //!   EXPERIMENTS.md "Fast pointers".)
 //!
 //! Concurrency: the paper's slot versions taken to the bucket (one
-//! version word per bucket, which a reader validates and a writer locks)
+//! version word per bucket, which a reader validates and a writer locks
+//! while it shifts the bucket's keys)
 //! in the learned layer, and optimistic lock coupling in ART (§III-E of
 //! the paper).
 //! Overcrowded models are rebuilt on the fly (§III-F).

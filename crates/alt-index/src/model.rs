@@ -308,29 +308,22 @@ pub fn placement(
 }
 
 /// Place sorted `pairs` into a model with placement function `placement`
-/// over the empty array `slots`, in two passes. The first gives each key
-/// its predicted slot, the first key of each collision keeping it, exactly
-/// like bulk loading in §III-A. The second gives each key the first pass
-/// evicted a free lane of its predicted slot's line (DESIGN.md §3 "A line
-/// is a bucket"). Returns the model and the pairs that found none, in key
-/// order (conflict data for ART), each with its line's spill bit set.
+/// over the empty array `slots`, in one pass: each key goes to the bucket
+/// of its predicted slot, which takes keys in order, and so sorted, up to
+/// its lane count (§III-A's predicted slot, widened to the bucket:
+/// DESIGN.md §3 "A line is a bucket"). Returns the model and the pairs
+/// that found their bucket full, in key order (conflict data for ART),
+/// each bucket with its spill bit set.
 pub fn fill(
     pairs: &[(u64, u64)],
     placement: LinearModel,
     slots: SlotArray,
 ) -> (GplModel, Vec<(u64, u64)>) {
     let model = GplModel::with_slots(pairs[0].0, placement, slots, pairs.len());
-    let mut evicted = Vec::new();
-    for &(k, v) in pairs {
-        let slot = model.predict(k);
-        if !model.slots.place_unsync(slot, k, v) {
-            evicted.push((slot, k, v));
-        }
-    }
-    let conflicts = evicted
-        .into_iter()
-        .filter(|&(slot, k, v)| !model.slots.place_in_line_unsync(slot, k, v))
-        .map(|(_, k, v)| (k, v))
+    let conflicts = pairs
+        .iter()
+        .copied()
+        .filter(|&(k, v)| !model.slots.place_unsync(model.predict(k), k, v))
         .collect();
     (model, conflicts)
 }
@@ -338,7 +331,7 @@ pub fn fill(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::slots::{Probe, SlotState, LANES};
+    use crate::slots::{Probe, LANES};
 
     fn build_model(
         pairs: &[(u64, u64)],
@@ -361,13 +354,10 @@ mod tests {
             LinearModel::fit_endpoints(&pairs.iter().map(|p| p.0).collect::<Vec<_>>()).unwrap();
         let (m, conflicts) = build_model(&pairs, seg, 1.5);
         assert!(conflicts.is_empty(), "{} conflicts", conflicts.len());
-        // Every key is at exactly its predicted slot.
+        // Every key is in the bucket of its predicted slot.
         for &(k, v) in &pairs {
-            let slot = m.predict(k);
-            assert_eq!(
-                m.slots.with_line(slot, |g| g.slot(g.own())),
-                SlotState::Occupied { key: k, value: v }
-            );
+            let found = m.slots.with_bucket(m.predict(k), |g| g.find(k));
+            assert_eq!(found.map(|f| f.1), Some(v), "key {k}");
         }
     }
 
@@ -383,20 +373,19 @@ mod tests {
         for w in conflicts.windows(2) {
             assert!(w[0].0 < w[1].0);
         }
-        // The second pass seats evicted keys in their predicted line, and
-        // a key goes to ART only from a full line, which it marks spilled.
+        // Every seated key is in the bucket of its predicted slot, and a
+        // key goes to ART only from a full bucket, which it marks spilled.
         m.slots.for_each_live(|slot, k, _| {
             assert_eq!(
                 m.predict(k) / LANES,
                 slot / LANES,
-                "key {k} out of its line"
+                "key {k} out of its bucket"
             )
         });
         for &(k, _) in &conflicts {
-            let lanes = (m.slots.capacity() - m.predict(k) / LANES * LANES).min(LANES);
-            m.slots.with_line(m.predict(k), |g| {
-                assert!((0..lanes).all(|l| g.slot(l) != SlotState::Empty));
-                // In no lane, past a claimed own lane: `Art` is the spill bit.
+            m.slots.with_bucket(m.predict(k), |g| {
+                assert!(g.is_full());
+                // In no lane: `Art` is the spill bit.
                 assert_eq!(g.probe(k), Probe::Art, "conflict key {k}");
             });
         }
@@ -409,10 +398,7 @@ mod tests {
         assert!(conflicts.is_empty());
         assert_eq!(m.slots.capacity(), 1);
         assert_eq!(m.predict(42), 0);
-        assert_eq!(
-            m.slots.with_line(0, |g| g.slot(0)),
-            SlotState::Occupied { key: 42, value: 1 }
-        );
+        assert_eq!(m.slots.with_bucket(0, |g| g.find(42)), Some((0, 1)));
     }
 
     #[test]

@@ -73,20 +73,20 @@ impl AltIndex {
     /// The caller must hold `dir_lock` (directory frozen) and have closed
     /// the model.
     ///
-    /// The sweep takes every line's lock in order, `Empty` ones too: a
-    /// writer that found the model live may hold any line, and each lock
+    /// The sweep takes every bucket's lock in order, empty ones too: a
+    /// writer that found the model live may hold any bucket, and each lock
     /// waits it out. Every writer after it sees the model closed through
     /// that lock's release/acquire, which a sweep that only read unlocked
     /// words would not give it (DESIGN.md §14). So once the sweep is done
     /// no write to the span is in flight or still to come, and the ART
-    /// range read after it is final too. Lines are sorted against each
-    /// other and a line's keys are in no lane order, so each line's are
-    /// sorted as they are copied.
+    /// range read after it is final too. Buckets are sorted against each
+    /// other and each holds its keys ascending, so the copy is sorted.
     fn collect_span(&self, dir: &crate::dir::ModelDir, mi: usize, m: &GplModel) -> SpanSnapshot {
         let mut slot_pairs: Vec<(u64, u64)> = Vec::with_capacity(m.build_size);
         for i in (0..m.slots.capacity()).step_by(LANES) {
-            m.slots.with_line(i, |g| {
-                slot_pairs.extend(g.sorted().into_iter().filter(|e| e.0 != 0))
+            m.slots.with_bucket(i, |g| {
+                let (entries, n) = g.entries();
+                slot_pairs.extend_from_slice(&entries[..n]);
             });
         }
         let lo = if mi == 0 { 1 } else { m.first_key };
@@ -194,7 +194,7 @@ impl AltIndex {
         // resident that is not a conflict). Readers racing these deletes
         // see `retired` and retry against the new directory. Writers of
         // the new models do not wait for this pass, so each delete runs
-        // under the key's new line lock and only while a lane of that line
+        // under the key's new bucket lock and only while a lane of it
         // holds the key: one that removed the key and put it back into
         // ART since the swap made that ART entry its only copy. A panic
         // mid-pass leaves the remaining keys present in *both* layers —
@@ -207,7 +207,7 @@ impl AltIndex {
                 probe::chaos::point("retrain.absorb_remove");
                 probe::fail::point("retrain.absorb");
                 let m = published.model_for(k);
-                m.slots.with_line(m.predict(k), |g| {
+                m.slots.with_bucket(m.predict(k), |g| {
                     if g.find(k).is_some() {
                         self.art.remove(k);
                     }
@@ -252,7 +252,6 @@ mod tests {
     use crate::config::AltConfig;
     use crate::dir::ModelDir;
     use crate::index::AltIndex;
-    use crate::slots::SlotState;
     use std::collections::BTreeMap;
     use std::sync::Arc;
 
@@ -290,7 +289,7 @@ mod tests {
                 "conflicts not sorted and unique"
             );
 
-            // Live slot entries, each in the line of the slot its routed
+            // Live slot entries, each in the bucket of the slot its routed
             // model predicts (the only place a reader looks for it).
             let mut live: BTreeMap<u64, u64> = BTreeMap::new();
             for m in &dir.models {
@@ -315,25 +314,18 @@ mod tests {
             let mut union = live;
             union.extend(conflicts.iter().copied());
             proptest::prop_assert_eq!(union.into_iter().collect::<Vec<_>>(), pairs);
-            // The reader's invariants: a conflict key's own lane is never
-            // Empty (an Empty own lane reads as "key absent"), nor is any
-            // lane of its line free, and its line has spilled (a line that
-            // never spilled reads as "absent unless in a lane").
+            // The reader's invariants: a conflict key's bucket is full, and
+            // it has spilled (a bucket that never spilled reads as "absent
+            // unless in a lane").
             for &(k, _) in &conflicts {
                 let m = dir.model_for(k);
-                let lanes = (m.slots.capacity() - m.predict(k) / LANES * LANES).min(LANES);
-                let (slots, verdict) = m.slots.with_line(m.predict(k), |g| {
-                    ((0..lanes).map(|l| g.slot(l)).collect::<Vec<_>>(), g.probe(k))
-                });
-                proptest::prop_assert!(
-                    slots.iter().all(|s| s != &SlotState::Empty),
-                    "conflict key {k} predicts a line with an Empty lane"
-                );
-                // In no lane, past a claimed own lane: `Art` is the spill bit.
+                let (full, verdict) = m.slots.with_bucket(m.predict(k), |g| (g.is_full(), g.probe(k)));
+                proptest::prop_assert!(full, "conflict key {k} predicts a bucket with a free lane");
+                // In no lane: `Art` is the spill bit.
                 proptest::prop_assert_eq!(
                     verdict,
                     crate::slots::Probe::Art,
-                    "conflict key {} in a line that never spilled",
+                    "conflict key {} in a bucket that never spilled",
                     k
                 );
             }
@@ -501,23 +493,25 @@ mod tests {
     #[test]
     fn the_sweep_waits_for_a_writer_in_an_empty_slot() {
         // A writer that found the model live before the retrain closed it
-        // still holds an `Empty` slot it is about to claim. The sweep must
-        // wait for it and collect the key, not skip the slot and publish
+        // still holds a bucket it is about to insert into. The sweep must
+        // wait for it and collect the key, not skip the bucket and publish
         // without it.
-        the_sweep_collects_a_held_line(|_| true);
+        the_sweep_collects_a_held_bucket(|_| true);
     }
 
     #[test]
     fn the_sweep_waits_for_a_writer_in_lane_2() {
-        // The writer's key predicts lane 2, so it holds the line from lane
-        // 0 on; the sweep, which starts each line at lane 0, waits there.
-        the_sweep_collects_a_held_line(|pred| pred % LANES == 2);
+        // The writer's key predicts lane 2, so it holds the bucket from
+        // lane 0 on; the sweep, which starts each bucket at lane 0, waits
+        // there.
+        the_sweep_collects_a_held_bucket(|pred| pred % LANES == 2);
     }
 
-    /// Hold the line of a key of one model whose predicted slot is `Empty`
-    /// and passes `lane`, for 200 ms, while a retrain of that model
-    /// sweeps; the install made at the end of the hold must survive it.
-    fn the_sweep_collects_a_held_line(lane: impl Fn(usize) -> bool) {
+    /// Hold the bucket of an absent key of one model whose predicted slot
+    /// passes `lane` and whose bucket has a free lane, for 200 ms, while a
+    /// retrain of that model sweeps; the insert made at the end of the
+    /// hold must survive it.
+    fn the_sweep_collects_a_held_bucket(lane: impl Fn(usize) -> bool) {
         let pairs: Vec<(u64, u64)> = (1..=2_000u64).map(|i| (i * 1_000, i)).collect();
         let idx = AltIndex::bulk_load_with(
             &pairs,
@@ -534,19 +528,23 @@ mod tests {
             .find(|&k| {
                 Arc::ptr_eq(dir.model_for(k), m)
                     && lane(m.predict(k))
-                    && m.slots.with_line(m.predict(k), |g| g.slot(g.own())) == SlotState::Empty
+                    && m.slots.with_bucket(m.predict(k), |g| {
+                        g.find(k).is_none()
+                            && !g.is_full()
+                            && g.probe(k) == crate::slots::Probe::Absent
+                    })
             })
-            .expect("a key of the model predicting an empty slot");
+            .expect("an absent key of the model predicting a bucket with room");
         let pred = m.predict(key);
         let (held_tx, held) = std::sync::mpsc::channel();
         let count_while_held = std::thread::scope(|s| {
             let idx = &idx;
             let writer = s.spawn(move || {
-                m.slots.with_line(pred, |g| {
+                m.slots.with_bucket(pred, |g| {
                     held_tx.send(()).unwrap();
                     std::thread::sleep(std::time::Duration::from_millis(200));
                     let count = idx.retrain_count();
-                    g.install(g.own(), key, key);
+                    g.insert(key, key);
                     count
                 })
             });
@@ -556,9 +554,12 @@ mod tests {
             idx.retrain_span(target);
             writer.join().unwrap()
         });
-        assert_eq!(count_while_held, 0, "a retrain published past a held line");
+        assert_eq!(
+            count_while_held, 0,
+            "a retrain published past a held bucket"
+        );
         assert_eq!(idx.retrain_count(), 1);
-        assert_eq!(idx.get(key), Some(key), "the in-flight install was lost");
+        assert_eq!(idx.get(key), Some(key), "the in-flight insert was lost");
         for &(k, v) in &pairs {
             assert_eq!(idx.get(k), Some(v), "key {k}");
         }

@@ -2,11 +2,11 @@
 //! the learned layer merged with an ART range query — done in bounded
 //! key-interval chunks.
 //!
-//! Keys in a GPL model sit in the lines of their predicted slots, and the
-//! placement function is monotone, so walking lines in order yields keys
-//! in order, up to the at most seven keys of one bucket, which the walk
-//! sorts; the slot-resident keys of a key interval lie inside the whole
-//! lines of the slot window its two ends predict to; models themselves
+//! Keys in a GPL model sit in the buckets of their predicted slots, each
+//! bucket holds its keys ascending, and the placement function is
+//! monotone, so walking buckets in order yields keys in order; the
+//! slot-resident keys of a key interval lie inside the whole buckets of
+//! the slot window its two ends predict to; models themselves
 //! are sorted, so the learned-layer side of the merge is a forward walk. A scan advances in
 //! chunks `[cursor, kb]` sized from the models to hold about what it
 //! still needs: per chunk one ART read of the interval, then one walk of
@@ -120,9 +120,9 @@ impl AltIndex {
             probe::chaos::point("scan.chunk.post_art");
 
             // Step 2: the slot window of the same interval, widened to
-            // whole lines and read a line at a time, each line's keys
-            // sorted, merged with the ART side as it is walked; on the
-            // transient double-presence the slot copy wins.
+            // whole buckets and read a bucket at a time, its live lanes
+            // already in key order, merged with the ART side as it is
+            // walked; on the transient double-presence the slot copy wins.
             let mut from_art = art_side[..art_len].iter().copied().peekable();
             'walk: for (mi, m) in dir.models.iter().enumerate().skip(first) {
                 if mi > first && m.first_key > kb {
@@ -135,9 +135,8 @@ impl AltIndex {
                 };
                 let to = m.predict(kb) / LANES * LANES + LANES - 1;
                 for i in m.slots.walk(from, to) {
-                    for (key, value) in m.slots.read_sorted(i) {
-                        // A lane with no live key reads key 0, below
-                        // every cursor.
+                    let (entries, n) = m.slots.read_bucket(i);
+                    for &(key, value) in &entries[..n] {
                         if key < cursor || key > kb {
                             continue;
                         }

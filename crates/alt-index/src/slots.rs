@@ -2,37 +2,35 @@
 //! paper's slot-granularity optimistic concurrency (§III-E) taken to the
 //! bucket.
 //!
-//! An array is a run of 128-byte `Line`s, buckets of seven slots: slot
-//! `i` is lane `i % 7` of bucket `i / 7`. A bucket is two cache lines,
+//! An array is a run of 128-byte `Bucket`s of seven slots: slot `i` lies
+//! in bucket `i / 7`, which has seven lanes. A bucket is two cache lines,
 //! its version word and seven keys in the first and its seven values in
 //! the second. It is the unit a key is predicted into (DESIGN.md §3 "A
-//! line is a bucket"): a key's *own lane* is the slot it predicts, and it
-//! may also live in any other lane of that bucket. So the bucket is what
-//! a reader snapshots and what a writer locks, and its whole state is one
-//! atomic version word beside its keys and values: bit 0 is the writer's
-//! lock (odd = a writer is in progress), bits 1–7 say each lane was ever
-//! *claimed*, bit 8 is the bucket's *spill bit*, set before a key
-//! predicted into the bucket goes to ART, and the bits from 9 up count
-//! writes. A writer CASes the lock bit on, decides over the bucket, and
-//! stores the word unlocked with one more write counted; a reader loads
-//! the word (retrying while it is locked), reads the bucket, and re-loads
-//! the word. An unclaimed lane is "never used"; a claimed lane whose key
-//! is 0 is a tombstone (the paper's remove "sets the key to zero").
+//! line is a bucket"): a key predicted to slot `i` lives in some lane of
+//! bucket `i / 7` or, once that bucket spilled, in ART. A bucket keeps its
+//! live keys sorted: they fill lanes `0..n` ascending, and every lane from
+//! `n` up holds key 0. So the bucket is what a reader snapshots and what a
+//! writer locks, and its whole state is one atomic version word beside
+//! its keys and values: bit 0 is the writer's lock (odd = a writer is in
+//! progress), bits 1–3 are the live count `n`, bit 4 is the bucket's
+//! *spill bit*, set before a key predicted into the bucket goes to ART,
+//! and the bits from 5 up count writes. A writer CASes the lock bit on,
+//! decides over the bucket, shifts keys to keep them sorted, and stores
+//! the word unlocked with one more write counted; a reader loads the word
+//! (retrying while it is locked), reads the bucket, and re-loads the word.
 //!
 //! A bucket has one view: its word and its seven keys. The optimistic
-//! read ([`SlotArray::probe`]) and the lock holder ([`LineGuard::probe`])
+//! read ([`SlotArray::probe`]) and the lock holder ([`BucketGuard::probe`])
 //! give a key the same verdict from them through one function, `verdict`;
-//! a writer's [`LineGuard::find`] and [`LineGuard::free_lane`] read the
-//! same word and keys; and the scan's [`SlotArray::read_sorted`] and the
-//! retrain's [`LineGuard::sorted`] sort the same seven entries.
-//! [`SlotState`] is only how a test observes one lane.
+//! a writer's [`BucketGuard::find`] reads the same keys; and the scan's
+//! [`SlotArray::read_bucket`] and the retrain's [`BucketGuard::entries`]
+//! take lanes `0..n` as they are, already in key order.
 //!
 //! Storage is a [`Region`] of zeroed memory, and nothing here ever writes
-//! the zeros: all-zero memory *is* an array of `Empty` slots (word 0 is
-//! unlocked, unclaimed and unspilled). A bulk-load group large enough
-//! carves all its arrays out of one huge-page region
-//! ([`SlotArray::for_group`]); anything smaller gets a heap region per
-//! array.
+//! the zeros: all-zero memory *is* an array of empty buckets (word 0 is
+//! unlocked, empty and unspilled). A bulk-load group large enough carves
+//! all its arrays out of one huge-page region ([`SlotArray::for_group`]);
+//! anything smaller gets a heap region per array.
 
 use prefetch::pages::Region;
 use probe::chaos::Mutation;
@@ -46,26 +44,28 @@ const PREFETCH_LINES: usize = 16;
 /// Slots per bucket: the lanes a key may live in.
 pub const LANES: usize = 7;
 
-/// Bytes of one [`Line`]: a bucket, two cache lines.
-const LINE: usize = std::mem::size_of::<Line>();
+/// Bytes of one [`Bucket`]: two cache lines.
+const BUCKET: usize = std::mem::size_of::<Bucket>();
 
 /// Bytes of a cache line: the offset of a bucket's values.
 const CACHE_LINE: usize = 64;
 
 /// Version bit 0: a writer holds the bucket.
 const LOCKED: u64 = 1;
-/// Version bit 8: a key predicted into the bucket went to ART. Set under
+/// Version bits 1–3: the live count, in units of `ONE`.
+const COUNT: u64 = 0b1110;
+/// One live key in the count bits.
+const ONE: u64 = 1 << 1;
+/// Version bit 4: a key predicted into the bucket went to ART. Set under
 /// the lock (or by the private build), never cleared.
-const SPILL: u64 = 1 << 8;
+const SPILL: u64 = 1 << 4;
 /// What each unlock adds: one write, counted above the flag bits.
-const WRITE: u64 = 1 << 9;
+const WRITE: u64 = 1 << 5;
 
-/// Version bits 1..=7, the claimed bit of `lane`: the lane had a key
-/// installed once. The first install sets it under the lock, the unlock's
-/// Release publishes it, nothing clears it.
+/// The live count `n` of word `v`: lanes `0..n` hold the bucket's keys.
 #[inline(always)]
-const fn claimed(lane: usize) -> u64 {
-    2 << lane
+fn count(v: u64) -> usize {
+    ((v & COUNT) / ONE) as usize
 }
 
 /// Smallest group of arrays [`SlotArray::for_group`] maps as one shared
@@ -77,38 +77,7 @@ const fn claimed(lane: usize) -> u64 {
 /// where glibc had been serving the arrays from memory set-up freed.
 pub const SHARED_REGION_MIN: usize = 32 << 20;
 
-/// One consistent snapshot of a slot: how a test observes a lane
-/// ([`LineGuard::slot`]). The protocol itself decides from the version
-/// word and the keys.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SlotState {
-    /// Never claimed by any key.
-    Empty,
-    /// Claimed and holding a live entry.
-    Occupied {
-        /// The resident key.
-        key: u64,
-        /// Its value.
-        value: u64,
-    },
-    /// Claimed once, but the key was removed (key == 0).
-    Tombstone,
-}
-
-impl SlotState {
-    /// The state a lane's claimed bit and the key and value in it spell.
-    fn of(claimed: bool, key: u64, value: u64) -> Self {
-        if !claimed {
-            SlotState::Empty
-        } else if key == 0 {
-            SlotState::Tombstone
-        } else {
-            SlotState::Occupied { key, value }
-        }
-    }
-}
-
-/// What a reader looking for one key concludes from the line the model
+/// What a reader looking for one key concludes from the bucket the model
 /// predicts for it: the verdict of `get`, of the pessimistic fallback, of
 /// the batch engine's probe stage and of a writer alike.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,66 +91,38 @@ pub enum Probe {
     Art,
 }
 
-/// A bucket's seven entries from its keys and values, ascending by key,
-/// ties in lane order. A lane with no live key is key 0 and sorts first:
-/// an unclaimed lane's key is still the region's zero, and a tombstone's
-/// is 0, so the key word alone says whether a lane is live. Each entry
-/// goes to its rank, counted from the 21 compares of the pairs of lanes
-/// with no branch on the keys. A 16-comparator network compiled to a
-/// branch per compare-exchange on which way a bucket's dead lanes and
-/// out-of-order keys fall, and cost a scan about twice as much per bucket
-/// (EXPERIMENTS.md "A bucket is 128 B").
+/// Bit `l` set for each lane `l` of keys `k` that holds `key`, with no
+/// branch per lane: a debug build's get is this code as written, and
+/// tests race it. A lane at or past the live count holds key 0, which is
+/// never a key, so every lane may be compared.
 #[inline(always)]
-fn sort7(key: [u64; LANES], value: [u64; LANES]) -> [(u64, u64); LANES] {
-    let mut rank = [0; LANES];
-    for i in 0..LANES {
-        for j in i + 1..LANES {
-            let after = usize::from(key[i] > key[j]);
-            rank[i] += after;
-            rank[j] += 1 - after;
-        }
+fn hits(k: [u64; LANES], key: u64) -> u32 {
+    let hit = |l: usize| u32::from(k[l] == key) << l;
+    hit(0) | hit(1) | hit(2) | hit(3) | hit(4) | hit(5) | hit(6)
+}
+
+/// The verdict on a key no lane holds, from word `v`: ART past the spill
+/// bit, else absent.
+#[inline(always)]
+fn miss(v: u64) -> Probe {
+    if v & SPILL == 0 {
+        Probe::Absent
+    } else {
+        Probe::Art
     }
-    let mut out = [(0, 0); LANES];
-    for lane in 0..LANES {
-        out[rank[lane]] = (key[lane], value[lane]);
-    }
-    out
 }
 
-/// The claimed bit of each lane of word `v` whose key in `k` is `key`,
-/// with no branch per lane: a debug build's get is this code as written,
-/// and tests race it.
-#[inline(always)]
-fn hits(v: u64, k: [u64; LANES], key: u64) -> u64 {
-    let hit = |l: usize| u64::from(k[l] == key) << (l + 1);
-    (hit(0) | hit(1) | hit(2) | hit(3) | hit(4) | hit(5) | hit(6)) & v
-}
-
-/// The lane of the lowest claimed bit in a nonzero mask.
-#[inline(always)]
-fn lane_of(bits: u64) -> usize {
-    bits.trailing_zeros() as usize - 1
-}
-
-/// The one verdict on `key`, whose own lane is `own`, over `line` as its
-/// word `v` and keys `k` spell it (DESIGN.md §3 "A line is a bucket"):
-/// the value if a lane holds the key; else absent if the own lane was
-/// never claimed, for a key leaves it only when it is claimed, or if the
-/// line never spilled; else ART. The optimistic read
-/// ([`SlotArray::probe`]) and a read under the line lock
-/// ([`LineGuard::probe`]) both give it, and it loads only the matching
+/// The one verdict on `key` over `bucket` as its word `v` and keys `k`
+/// spell it (DESIGN.md §3 "A line is a bucket"): the value if a lane holds
+/// the key; else ART if the bucket spilled; else absent. The optimistic
+/// read ([`SlotArray::probe`]) and a read under the bucket lock
+/// ([`BucketGuard::probe`]) both give it, and it loads only the matching
 /// lane's value.
 #[inline(always)]
-fn verdict(line: &Line, v: u64, k: [u64; LANES], own: usize, key: u64) -> Probe {
-    let own = claimed(own);
-    let mut hits = hits(v, k, key);
-    if probe::chaos::mutated(Mutation::OwnLaneRead) {
-        hits &= own;
-    }
-    match hits {
-        0 if v & own == 0 || v & SPILL == 0 => Probe::Absent,
-        0 => Probe::Art,
-        _ => Probe::Hit(line.value[lane_of(hits)].load(Ordering::Acquire)),
+fn verdict(bucket: &Bucket, v: u64, k: [u64; LANES], key: u64) -> Probe {
+    match hits(k, key) {
+        0 => miss(v),
+        hits => Probe::Hit(bucket.value[hits.trailing_zeros() as usize].load(Ordering::Acquire)),
     }
 }
 
@@ -189,13 +130,13 @@ fn verdict(line: &Line, v: u64, k: [u64; LANES], own: usize, key: u64) -> Probe 
 /// indexed by lane: the word and the keys fill the first cache line, the
 /// values the second (and 8 bytes of padding).
 #[repr(C, align(128))]
-struct Line {
+struct Bucket {
     version: AtomicU64,
     key: [AtomicU64; LANES],
     value: [AtomicU64; LANES],
 }
 
-impl Line {
+impl Bucket {
     /// The seven keys, or the seven values: one Acquire load each,
     /// written out. A reader validates across these loads, and in a debug
     /// build a closure per lane made its window wider than the gaps a
@@ -214,15 +155,23 @@ impl Line {
             g.load(Ordering::Acquire),
         ]
     }
+
+    /// The bucket's entries lane by lane, and its live count from word
+    /// `v`: lanes `0..n` are its keys, ascending.
+    #[inline(always)]
+    fn entries(&self, v: u64, key: [u64; LANES]) -> ([(u64, u64); LANES], usize) {
+        let value = Self::words(&self.value);
+        (std::array::from_fn(|l| (key[l], value[l])), count(v))
+    }
 }
 
 /// A fixed-capacity array of versioned slots.
 ///
-/// The lines live in `region` at `lines`: a raw pointer kept in the
+/// The buckets live in `region` at `buckets`: a raw pointer kept in the
 /// struct itself, so a probe loads it from the model as it loaded a
-/// `Box<[Line]>`'s, with no hop through the `Arc`.
+/// `Box<[Bucket]>`'s, with no hop through the `Arc`.
 pub struct SlotArray {
-    lines: *const Line,
+    buckets: *const Bucket,
     capacity: usize,
     region: Arc<Region>,
 }
@@ -230,7 +179,7 @@ pub struct SlotArray {
 // SAFETY: the pointer addresses memory owned by `region` (kept alive by
 // the `Arc` beside it) and reserved for this array alone by `carve`; it
 // holds only atomics, so sharing or sending the array is sharing or
-// sending a `Box<[Line]>`, which is both.
+// sending a `Box<[Bucket]>`, which is both.
 unsafe impl Send for SlotArray {}
 // SAFETY: as above.
 unsafe impl Sync for SlotArray {}
@@ -242,7 +191,7 @@ impl SlotArray {
     /// skip, and [`SlotArray::carve`] starts at the first 128-byte
     /// boundary.
     pub fn new(capacity: usize) -> Self {
-        let slack = LINE - std::mem::align_of::<u64>();
+        let slack = BUCKET - std::mem::align_of::<u64>();
         let region = Region::heap(Self::footprint(capacity) + slack);
         Self::carve(region, &[capacity]).pop().expect("one array")
     }
@@ -265,7 +214,7 @@ impl SlotArray {
     /// Bytes an array of `capacity` slots takes in a region: whole
     /// buckets of seven slots.
     pub fn footprint(capacity: usize) -> usize {
-        capacity.div_ceil(LANES) * LINE
+        capacity.div_ceil(LANES) * BUCKET
     }
 
     /// Arrays of the given capacities laid back to back in `region`, each
@@ -283,7 +232,7 @@ impl SlotArray {
         );
         // Every pointer below is in bounds, aligned, and each array's
         // bytes are disjoint from the next's, because of this check.
-        let start = (region.as_ptr() as usize).wrapping_neg() % LINE;
+        let start = (region.as_ptr() as usize).wrapping_neg() % BUCKET;
         let total: usize = capacities.iter().map(|&c| Self::footprint(c)).sum();
         assert!(
             start + total <= region.size(),
@@ -296,7 +245,7 @@ impl SlotArray {
                 let base = region.as_ptr().wrapping_add(offset);
                 offset += Self::footprint(capacity);
                 Self {
-                    lines: base as *const Line,
+                    buckets: base as *const Bucket,
                     capacity,
                     region: Arc::clone(&region),
                 }
@@ -306,28 +255,30 @@ impl SlotArray {
 
     /// The array's buckets, the last one's spare lanes included.
     #[inline(always)]
-    fn lines(&self) -> &[Line] {
-        // SAFETY: `carve` placed `capacity.div_ceil(7)` buckets at `lines`,
-        // aligned and inside the region this array keeps alive; the
-        // region started zeroed, which is a valid `Line` (atomics only).
-        unsafe { std::slice::from_raw_parts(self.lines, self.capacity.div_ceil(LANES)) }
+    fn buckets(&self) -> &[Bucket] {
+        // SAFETY: `carve` placed `capacity.div_ceil(7)` buckets at
+        // `buckets`, aligned and inside the region this array keeps alive;
+        // the region started zeroed, which is a valid `Bucket` (atomics
+        // only).
+        unsafe { std::slice::from_raw_parts(self.buckets, self.capacity.div_ceil(LANES)) }
     }
 
     /// The bucket slot `i` lies in. Panics unless `i < capacity`: the
     /// last bucket's spare lanes are never a slot.
     #[inline(always)]
-    fn line(&self, i: usize) -> &Line {
+    fn bucket(&self, i: usize) -> &Bucket {
         assert!(i < self.capacity, "slot index out of range");
         // SAFETY: `i < capacity` (just checked), so bucket `i / 7` is one
         // of the `capacity.div_ceil(7)` buckets `carve` placed, as in
-        // `lines`.
+        // `buckets`.
         // (A second bounds check here once kept the slot read from being
         // inlined into `get` and the batch stage.)
-        unsafe { &*self.lines.add(i / LANES) }
+        unsafe { &*self.buckets.add(i / LANES) }
     }
 
-    /// How many lanes of slot `i`'s bucket are slots: seven, except in
-    /// the last bucket of a capacity that is not a multiple of seven.
+    /// How many lanes of slot `i`'s bucket are slots, and so the most
+    /// keys it holds: seven, except in the last bucket of a capacity that
+    /// is not a multiple of seven.
     #[inline]
     fn lanes_of(&self, i: usize) -> usize {
         (self.capacity - i / LANES * LANES).min(LANES)
@@ -360,7 +311,7 @@ impl SlotArray {
     #[inline]
     pub fn prefetch(&self, i: usize) {
         debug_assert!(i < self.capacity);
-        let bucket = self.lines.wrapping_add(i / LANES) as *const u8;
+        let bucket = self.buckets.wrapping_add(i / LANES) as *const u8;
         prefetch::prefetch_read(bucket);
         prefetch::prefetch_read(bucket.wrapping_add(CACHE_LINE));
     }
@@ -380,12 +331,11 @@ impl SlotArray {
         }
     }
 
-    /// The buckets of `from..=to` whose version word is locked or has a
-    /// claimed lane, ascending, each as its first slot: every bucket of
-    /// the window a key was ever installed in, and any a writer holds. Each
-    /// still has to go through a read; the ones left out need not — a
-    /// word read neither locked nor claimed means every lane was `Empty`
-    /// at that load, which is what a read would have returned then.
+    /// The buckets of `from..=to` whose version word is locked or counts
+    /// a live key, ascending, each as its first slot. Each still has to go
+    /// through a read; the ones left out need not — a word read neither
+    /// locked nor counting a key means the bucket was empty at that load,
+    /// which is what a read would have returned then.
     pub fn walk(&self, from: usize, to: usize) -> impl Iterator<Item = usize> + '_ {
         let to = to.min(self.capacity() - 1);
         let end = if from > to { 0 } else { to / LANES + 1 };
@@ -398,49 +348,46 @@ impl SlotArray {
                 bits = self.held(base, end);
                 base += 64;
             }
-            let line = base - 64 + bits.trailing_zeros() as usize;
+            let bucket = base - 64 + bits.trailing_zeros() as usize;
             bits &= bits - 1;
-            Some(line * LANES)
+            Some(bucket * LANES)
         })
     }
 
     /// Bit `j` set for each bucket `first + j` below `end`, at most 64 of
-    /// them, whose word is locked or has a claimed lane below the
-    /// capacity (the last bucket's spare lanes never count): one load per
+    /// them, whose word is locked or counts a live key: one load per
     /// bucket and no branch on it. A walk that branched per slot cost osm's
     /// 100-key scans about a quarter more per key.
     #[inline]
     fn held(&self, first: usize, end: usize) -> u64 {
-        let lines = &self.lines()[first..end.min(first + 64)];
-        lines.iter().enumerate().fold(0, |bits, (j, line)| {
-            // The claimed bits of the lanes that are slots.
-            let claims = claimed(self.lanes_of((first + j) * LANES)) - claimed(0);
-            let mask = LOCKED | claims;
-            bits | u64::from(line.version.load(Ordering::Acquire) & mask != 0) << j
+        let buckets = &self.buckets()[first..end.min(first + 64)];
+        buckets.iter().enumerate().fold(0, |bits, (j, bucket)| {
+            let v = bucket.version.load(Ordering::Acquire);
+            bits | u64::from(v & (LOCKED | COUNT) != 0) << j
         })
     }
 
-    /// Current version of slot `i`'s line (for later re-validation via
-    /// [`SlotArray::version_unchanged`]): it moves whenever the line was
+    /// Current version of slot `i`'s bucket (for later re-validation via
+    /// [`SlotArray::version_unchanged`]): it moves whenever the bucket was
     /// written, whichever lane changed.
     #[inline]
     pub fn version(&self, i: usize) -> u64 {
-        self.line(i).version.load(Ordering::Acquire)
+        self.bucket(i).version.load(Ordering::Acquire)
     }
 
-    /// Whether slot `i`'s line's version still equals `snapshot`.
+    /// Whether slot `i`'s bucket's version still equals `snapshot`.
     #[inline]
     pub fn version_unchanged(&self, i: usize, snapshot: u64) -> bool {
         self.version(i) == snapshot
     }
 
-    /// The one optimistic read of slot `i`'s line, with the version it was
-    /// taken at for a later [`SlotArray::version_unchanged`]: load the
+    /// The one optimistic read of slot `i`'s bucket, with the version it
+    /// was taken at for a later [`SlotArray::version_unchanged`]: load the
     /// word, and if `settled` answers from it alone, that is the answer;
     /// else, once the word is unlocked, load the seven keys, let `read`
     /// take what else it needs, and re-load the word. Backs off (spin →
     /// yield → park) while a writer is mid-flight; once the retry budget
-    /// is exhausted it reads under the writers' own line lock, so the
+    /// is exhausted it reads under the writers' own bucket lock, so the
     /// read completes even against a pathological writer schedule, and
     /// returns the word that lock's unlock stored, valid like any
     /// optimistic snapshot's.
@@ -449,25 +396,25 @@ impl SlotArray {
         &self,
         i: usize,
         settled: impl Fn(u64) -> Option<R>,
-        read: impl Fn(&Line, u64, [u64; LANES]) -> R,
+        read: impl Fn(&Bucket, u64, [u64; LANES]) -> R,
     ) -> (R, u64) {
-        let line = self.line(i);
+        let bucket = self.bucket(i);
         let mut retry = resilience::Retry::new();
         loop {
-            let v = line.version.load(Ordering::Acquire);
+            let v = bucket.version.load(Ordering::Acquire);
             if let Some(r) = settled(v) {
                 return (r, v);
             }
             if v & LOCKED == 0 {
-                let key = Line::words(&line.key);
+                let key = Bucket::words(&bucket.key);
                 probe::chaos::point("slots.read.between_loads");
-                let r = read(line, v, key);
+                let r = read(bucket, v, key);
                 probe::chaos::point("slots.read.pre_validate");
                 // The mutation self-test can skip this re-validation
                 // (chaos-mutate builds only) to prove the harness catches
                 // the resulting torn reads.
                 if probe::chaos::mutated(Mutation::SkipSlotRevalidation)
-                    || line.version.load(Ordering::Acquire) == v
+                    || bucket.version.load(Ordering::Acquire) == v
                 {
                     return (r, v);
                 }
@@ -480,134 +427,111 @@ impl SlotArray {
     }
 
     /// [`SlotArray::snapshot`]'s escalation: `read` under the writers' own
-    /// line lock, with the word its unlock stored. Cold and out of line:
+    /// bucket lock, with the word its unlock stored. Cold and out of line:
     /// the optimistic loop inlined into `get` carries only its call.
     #[cold]
     #[inline(never)]
-    fn escalate<R>(&self, i: usize, read: impl Fn(&Line, u64, [u64; LANES]) -> R) -> (R, u64) {
+    fn escalate<R>(&self, i: usize, read: impl Fn(&Bucket, u64, [u64; LANES]) -> R) -> (R, u64) {
         self.locked(i, |g| {
-            let v = g.line.version.load(Ordering::Relaxed);
-            read(g.line, v, Line::words(&g.line.key))
+            let (v, key) = g.view();
+            read(g.bucket, v, key)
         })
     }
 
     /// The reader's verdict on `key`, predicted to slot `i`, from one
-    /// snapshot of the slot's line, with the version it was taken at: the
-    /// one `verdict`, with no more loads than it needs — the word, the
-    /// seven keys, the matching lane's value, and the word again. An own
-    /// lane neither claimed nor locked is the `Absent` rule with nothing
-    /// to validate. Out of cache the get loop is bound by how many misses
-    /// of consecutive gets overlap, so every instruction here counts:
-    /// building a whole line view here instead cost `read_oc` about 5 % of
-    /// its throughput (EXPERIMENTS.md "A line is a bucket").
+    /// snapshot of the slot's bucket, with the version it was taken at:
+    /// the one `verdict`, with no more loads than it needs — the word, the
+    /// seven keys, the matching lane's value, and the word again. An
+    /// empty bucket's unlocked word is the verdict with nothing to
+    /// validate. Out of cache the get loop is bound by how many misses of
+    /// consecutive gets overlap, so every instruction here counts:
+    /// building a whole bucket view here instead cost `read_oc` about 5 %
+    /// of its throughput (EXPERIMENTS.md "A line is a bucket").
     #[inline]
     pub fn probe(&self, i: usize, key: u64) -> (Probe, u64) {
-        let own = i % LANES;
         self.snapshot(
             i,
-            |v| (v & (LOCKED | claimed(own)) == 0).then_some(Probe::Absent),
-            |line, v, k| verdict(line, v, k, own, key),
+            |v| (v & (LOCKED | COUNT) == 0).then(|| miss(v)),
+            |bucket, v, k| verdict(bucket, v, k, key),
         )
     }
 
-    /// Slot `i`'s bucket as a scan walks it: its seven entries ascending
-    /// by key, a lane with no live key as key 0 (`sort7`). One snapshot
-    /// of the keys and values, sorted once it validated, with no
-    /// [`SlotState`]s: a whole-line view and a general sort of its live
-    /// keys per line cost `scan_mix` about a tenth of its throughput
-    /// (EXPERIMENTS.md "A line is a bucket").
+    /// Slot `i`'s bucket as a scan walks it, from one snapshot: its seven
+    /// lanes' entries and its live count `n`. Lanes `0..n` are its keys,
+    /// ascending, so the walk takes them as they are.
     #[inline]
-    pub fn read_sorted(&self, i: usize) -> [(u64, u64); LANES] {
-        let (key, value) = self.entries(i);
-        sort7(key, value)
-    }
-
-    /// Slot `i`'s bucket's keys and values, lane by lane, from one
-    /// snapshot.
-    #[inline(always)]
-    fn entries(&self, i: usize) -> ([u64; LANES], [u64; LANES]) {
-        self.snapshot(i, |_| None, |line, _, key| (key, Line::words(&line.value)))
+    pub fn read_bucket(&self, i: usize) -> ([(u64, u64); LANES], usize) {
+        self.snapshot(i, |_| None, |bucket, v, key| bucket.entries(v, key))
             .0
     }
 
-    /// Run `f` with slot `i`'s line write-locked (its version odd). The
-    /// guard gives exclusive read/write access to the line; concurrent
+    /// Run `f` with slot `i`'s bucket write-locked (its version odd). The
+    /// guard gives exclusive read/write access to the bucket; concurrent
     /// optimistic readers spin (or retry their validation) until `f`
     /// returns, and the unlock counts one write. The lock is released
     /// even if `f` panics.
     ///
     /// This is the per-key serialization point: every key that predicts
-    /// a slot of the line decides here, so callers that must make a
-    /// multi-step decision atomically against other writers (e.g. "claim
-    /// a free lane unless the key already lives in ART") do the whole
-    /// decision inside `f`.
-    pub fn with_line<R>(&self, i: usize, f: impl FnOnce(&LineGuard<'_>) -> R) -> R {
+    /// a slot of the bucket decides here, so callers that must make a
+    /// multi-step decision atomically against other writers (e.g. "insert
+    /// unless the key already lives in ART") do the whole decision inside
+    /// `f`.
+    pub fn with_bucket<R>(&self, i: usize, f: impl FnOnce(&BucketGuard<'_>) -> R) -> R {
         self.locked(i, f).0
     }
 
-    /// [`SlotArray::with_line`], with the word its unlock stored.
-    fn locked<R>(&self, i: usize, f: impl FnOnce(&LineGuard<'_>) -> R) -> (R, u64) {
+    /// [`SlotArray::with_bucket`], with the word its unlock stored.
+    fn locked<R>(&self, i: usize, f: impl FnOnce(&BucketGuard<'_>) -> R) -> (R, u64) {
         struct Unlock<'a>(&'a AtomicU64);
         impl Drop for Unlock<'_> {
             fn drop(&mut self) {
                 unlock(self.0);
             }
         }
-        let guard = LineGuard {
-            line: self.line(i),
-            own: i % LANES,
+        let guard = BucketGuard {
+            bucket: self.bucket(i),
             lanes: self.lanes_of(i),
         };
-        lock(&guard.line.version);
-        let held = Unlock(&guard.line.version);
+        lock(&guard.bucket.version);
+        let held = Unlock(&guard.bucket.version);
         let r = f(&guard);
         std::mem::forget(held);
-        (r, unlock(&guard.line.version))
+        (r, unlock(&guard.bucket.version))
     }
 
-    /// Bulk placement during (re)construction, first pass: the array is
-    /// still private to one thread, so skip the version protocol. Installs
-    /// in slot `i` itself unless it is claimed.
+    /// Bulk placement during (re)construction, which pushes keys in
+    /// ascending order: the array is still private to one thread, so skip
+    /// the version protocol. Puts the key in the next lane of slot `i`'s
+    /// bucket, or, if the bucket is full, sets its spill bit and returns
+    /// `false` (the key goes to ART).
     pub fn place_unsync(&self, i: usize, key: u64, value: u64) -> bool {
-        let line = self.line(i);
-        let lane = i % LANES;
-        let v = line.version.load(Ordering::Relaxed);
-        if v & claimed(lane) != 0 {
+        let bucket = self.bucket(i);
+        let v = bucket.version.load(Ordering::Relaxed);
+        let n = count(v);
+        debug_assert!(n == 0 || bucket.key[n - 1].load(Ordering::Relaxed) < key);
+        if n == self.lanes_of(i) {
+            bucket.version.store(v | SPILL, Ordering::Relaxed);
             return false;
         }
-        line.key[lane].store(key, Ordering::Relaxed);
-        line.value[lane].store(value, Ordering::Relaxed);
-        line.version.store(v | claimed(lane), Ordering::Relaxed);
+        bucket.key[n].store(key, Ordering::Relaxed);
+        bucket.value[n].store(value, Ordering::Relaxed);
+        bucket.version.store(v + ONE, Ordering::Relaxed);
         true
     }
 
-    /// Bulk placement, second pass, for a key whose slot `i` the first
-    /// pass gave another key: the first unclaimed lane of the line, or,
-    /// if there is none, the line's spill bit set and `false` (the key
-    /// goes to ART).
-    pub fn place_in_line_unsync(&self, i: usize, key: u64, value: u64) -> bool {
-        let first = i - i % LANES;
-        let placed = (first..first + self.lanes_of(i)).any(|j| self.place_unsync(j, key, value));
-        if !placed {
-            let version = &self.line(i).version;
-            version.store(version.load(Ordering::Relaxed) | SPILL, Ordering::Relaxed);
-        }
-        placed
-    }
-
-    /// Iterate live entries line by line, yielding `(slot, key, value)`
-    /// in slot order. Snapshot-consistent per line, not across lines. A
-    /// lane is live when its key is not 0, as in `sort7`.
+    /// Iterate live entries bucket by bucket, yielding `(slot, key,
+    /// value)` in slot order, which is key order. Snapshot-consistent per
+    /// bucket, not across buckets.
     pub fn for_each_live(&self, mut f: impl FnMut(usize, u64, u64)) {
         for first in self.walk(0, usize::MAX) {
-            let (key, value) = self.entries(first);
-            for lane in (0..self.lanes_of(first)).filter(|&l| key[l] != 0) {
-                f(first + lane, key[lane], value[lane]);
+            let (entries, n) = self.read_bucket(first);
+            for (lane, &(key, value)) in entries[..n].iter().enumerate() {
+                f(first + lane, key, value);
             }
         }
     }
 
-    /// Count live entries (per-line consistent).
+    /// Count live entries (per-bucket consistent).
     pub fn live_count(&self) -> usize {
         let mut n = 0;
         self.for_each_live(|_, _, _| n += 1);
@@ -615,12 +539,12 @@ impl SlotArray {
     }
 }
 
-/// Lock a line by its version word (unlocked→locked CAS, backing off).
+/// Lock a bucket by its version word (unlocked→locked CAS, backing off).
 /// The caller must follow with [`unlock`]. The wait never escalates — the
 /// current holder's progress is this path's progress guarantee — but it
 /// does park past the budget so a long queue stops burning CPU. (Under
 /// the mutation self-test's `SharedLineLock` the CAS skips the lock bit's
-/// check, so a second writer takes a held line.)
+/// check, so a second writer takes a held bucket.)
 fn lock(version: &AtomicU64) {
     let mut retry = resilience::Retry::new();
     loop {
@@ -643,10 +567,10 @@ fn lock(version: &AtomicU64) {
     }
 }
 
-/// Release a line's lock: clear the lock bit and count one write, keeping
-/// the claimed and spill bits (the count wraps above them). Returns the
-/// word stored. Only the holder writes a locked word, so its own load
-/// sees the latest one.
+/// Release a bucket's lock: clear the lock bit and count one write,
+/// keeping the count and spill bits (the write count wraps above them).
+/// Returns the word stored. Only the holder writes a locked word, so its
+/// own load sees the latest one.
 #[inline]
 fn unlock(version: &AtomicU64) -> u64 {
     let v = (version.load(Ordering::Relaxed) & !LOCKED).wrapping_add(WRITE);
@@ -662,7 +586,7 @@ impl Drop for SlotArray {
     /// region has nothing to hand back: the region's own drop unmaps it.
     fn drop(&mut self) {
         if Arc::strong_count(&self.region) > 1 {
-            let offset = self.lines as usize - self.region.as_ptr() as usize;
+            let offset = self.buckets as usize - self.region.as_ptr() as usize;
             // SAFETY: `carve` reserved `offset..offset + footprint` for
             // this array alone, `&mut self` means nothing refers into it,
             // and `release` leaves the partial pages shared with a
@@ -672,174 +596,170 @@ impl Drop for SlotArray {
     }
 }
 
-/// Exclusive access to one write-locked line, handed to
-/// [`SlotArray::with_line`] closures. No version dance is needed inside:
-/// the line's version is odd for the guard's whole lifetime, so
+/// Exclusive access to one write-locked bucket, handed to
+/// [`SlotArray::with_bucket`] closures. No version dance is needed inside:
+/// the bucket's version is odd for the guard's whole lifetime, so
 /// optimistic readers cannot validate against anything the closure does.
-pub struct LineGuard<'a> {
-    line: &'a Line,
-    /// The lane of the slot the line was locked for.
-    own: usize,
-    /// Lanes of the line that are slots (below the array's capacity).
+pub struct BucketGuard<'a> {
+    bucket: &'a Bucket,
+    /// Lanes of the bucket that are slots (below the array's capacity).
     lanes: usize,
 }
 
-impl LineGuard<'_> {
-    /// The lane of the slot the line was locked for.
-    pub fn own(&self) -> usize {
-        self.own
-    }
-
-    /// The line's version word and keys, read under the lock: the word is
-    /// the holder's to write now, and its lock's Acquire ordered it after
-    /// the last unlock.
+impl BucketGuard<'_> {
+    /// The bucket's version word and keys, read under the lock: the word
+    /// is the holder's to write now, and its lock's Acquire ordered it
+    /// after the last unlock.
     fn view(&self) -> (u64, [u64; LANES]) {
-        let v = self.line.version.load(Ordering::Relaxed);
-        (v, Line::words(&self.line.key))
+        let v = self.bucket.version.load(Ordering::Relaxed);
+        (v, Bucket::words(&self.bucket.key))
     }
 
-    /// The lane holding `key`, and its value.
+    /// The live lane (below the count) holding `key`, and its value: the
+    /// lane a writer may overwrite or remove.
     pub fn find(&self, key: u64) -> Option<(usize, u64)> {
         let (v, k) = self.view();
-        let hits = hits(v, k, key);
-        (hits != 0).then(|| {
-            let lane = lane_of(hits);
-            (lane, self.line.value[lane].load(Ordering::Acquire))
-        })
+        let lane = (hits(k, key) & ((1 << count(v)) - 1)).trailing_zeros() as usize;
+        (lane < LANES).then(|| (lane, self.bucket.value[lane].load(Ordering::Acquire)))
     }
 
-    /// The reader's `verdict` on `key`, whose own lane this is, from the
-    /// locked line: what [`SlotArray::probe`] says of it. Writers ask it
-    /// for a key [`LineGuard::find`] did not find: `Art` is "it may be in
-    /// ART".
+    /// The reader's `verdict` on `key` from the locked bucket: what
+    /// [`SlotArray::probe`] says of it. Writers ask it for a key
+    /// [`BucketGuard::find`] did not find: `Art` is "it may be in ART".
     pub fn probe(&self, key: u64) -> Probe {
         let (v, k) = self.view();
-        verdict(self.line, v, k, self.own, key)
+        verdict(self.bucket, v, k, key)
     }
 
-    /// The line's entries ascending by key, a lane with no live key as
-    /// key 0: [`SlotArray::read_sorted`]'s view, under the lock.
-    pub fn sorted(&self) -> [(u64, u64); LANES] {
-        sort7(Line::words(&self.line.key), Line::words(&self.line.value))
+    /// The bucket's entries and live count: [`SlotArray::read_bucket`]'s
+    /// view, under the lock.
+    pub fn entries(&self) -> ([(u64, u64); LANES], usize) {
+        let (v, key) = self.view();
+        self.bucket.entries(v, key)
     }
 
-    /// The lane a key that is in no lane of this line should take: its
-    /// own lane unless a live key holds it, else a tombstone, else an
-    /// `Empty` lane (which some other key predicts, and would find
-    /// claimed), else none.
-    pub fn free_lane(&self) -> Option<usize> {
+    /// Whether every lane that is a slot holds a live key: a key that is
+    /// in none of them goes to ART.
+    pub fn is_full(&self) -> bool {
+        count(self.view().0) == self.lanes
+    }
+
+    /// Move lane `from`'s entry to lane `to`.
+    fn shift(&self, from: usize, to: usize) {
+        let (k, v) = (&self.bucket.key, &self.bucket.value);
+        k[to].store(k[from].load(Ordering::Relaxed), Ordering::Release);
+        v[to].store(v[from].load(Ordering::Relaxed), Ordering::Release);
+    }
+
+    /// Store `n` live keys in the word. Only the holder writes a locked
+    /// word, and the unlock's Release publishes it with the key and value
+    /// writes before it.
+    fn set_count(&self, v: u64, n: usize) {
+        let v = (v & !COUNT) | (n as u64 * ONE);
+        self.bucket.version.store(v, Ordering::Relaxed);
+    }
+
+    /// Insert `(key, value)` at its rank: the keys above it shift up one
+    /// lane. Callers decide from [`BucketGuard::find`] and
+    /// [`BucketGuard::is_full`] first.
+    pub fn insert(&self, key: u64, value: u64) {
         let (v, k) = self.view();
-        let is_claimed = |l: usize| v & claimed(l) != 0;
-        if !is_claimed(self.own) || k[self.own] == 0 {
-            return Some(self.own);
+        let n = count(v);
+        debug_assert!(key != 0 && n < self.lanes);
+        let at = k[..n].partition_point(|&x| x < key);
+        for lane in (at..n).rev() {
+            self.shift(lane, lane + 1);
         }
-        let lanes = 0..self.lanes;
-        lanes
-            .clone()
-            .find(|&l| is_claimed(l) && k[l] == 0)
-            .or_else(|| lanes.into_iter().find(|&l| !is_claimed(l)))
-    }
-
-    /// `lane` as a test observes it.
-    pub fn slot(&self, lane: usize) -> SlotState {
-        let (v, k) = self.view();
-        let value = self.line.value[lane].load(Ordering::Acquire);
-        SlotState::of(v & claimed(lane) != 0, k[lane], value)
-    }
-
-    /// Set `bits` in the line's version word. Only the holder writes a
-    /// locked word, and the unlock's Release publishes the bits with the
-    /// key and value writes before it.
-    fn mark(&self, bits: u64) {
-        let version = &self.line.version;
-        version.store(version.load(Ordering::Relaxed) | bits, Ordering::Relaxed);
-    }
-
-    /// Install `(key, value)` in `lane`, claiming it. Callers decide from
-    /// [`LineGuard::find`] and [`LineGuard::free_lane`] first; installing
-    /// over a live *different* key would lose its entry.
-    pub fn install(&self, lane: usize, key: u64, value: u64) {
-        debug_assert_ne!(key, 0);
-        debug_assert!(lane < self.lanes, "lane past the array's capacity");
-        let (k, v) = (&self.line.key[lane], &self.line.value[lane]);
-        if self.line.version.load(Ordering::Relaxed) & claimed(lane) != 0 {
-            k.store(key, Ordering::Release);
-            // Tombstone reclaim by a *different* key: the window between
-            // the two stores is where skipped read-side re-validation
-            // leaks the old resident's value.
-            probe::chaos::point("slots.claim.tombstone_write");
-            v.store(value, Ordering::Release);
-        } else {
-            k.store(key, Ordering::Release);
-            probe::chaos::point("slots.claim.mid_write");
-            v.store(value, Ordering::Release);
-            self.mark(claimed(lane));
-        }
+        // Between the shift and the new entry the key's lane holds its
+        // upper neighbour: where a skipped read-side re-validation leaks
+        // another key's value.
+        probe::chaos::point("slots.insert.shifted");
+        self.bucket.key[at].store(key, Ordering::Release);
+        self.bucket.value[at].store(value, Ordering::Release);
+        self.set_count(v, n + 1);
     }
 
     /// Overwrite `lane`'s value, leaving its key in place.
     pub fn set_value(&self, lane: usize, value: u64) {
-        self.line.value[lane].store(value, Ordering::Release);
+        self.bucket.value[lane].store(value, Ordering::Release);
     }
 
-    /// Tombstone `lane` (key := 0).
-    pub fn clear(&self, lane: usize) {
-        self.line.key[lane].store(0, Ordering::Release);
+    /// Remove `lane`'s entry: the keys above it shift down one lane, and
+    /// the lane they vacate is zeroed. (The mutation self-test's
+    /// `StaleVacatedLane` leaves it as it was, so the top key reads twice
+    /// or a removed one stays.)
+    pub fn remove(&self, lane: usize) {
+        let v = self.view().0;
+        let n = count(v);
+        debug_assert!(lane < n);
+        for lane in lane + 1..n {
+            self.shift(lane, lane - 1);
+        }
+        probe::chaos::point("slots.remove.shifted");
+        if !probe::chaos::mutated(Mutation::StaleVacatedLane) {
+            self.bucket.key[n - 1].store(0, Ordering::Release);
+            self.bucket.value[n - 1].store(0, Ordering::Release);
+        }
+        self.set_count(v, n - 1);
     }
 
-    /// Set the line's spill bit: a key predicted into it is about to go to
-    /// ART. Under the lock, before the ART insert, so a reader whose
+    /// Set the bucket's spill bit: a key predicted into it is about to go
+    /// to ART. Under the lock, before the ART insert, so a reader whose
     /// snapshot validates after this holder's unlock sees it.
     pub fn spill(&self) {
-        self.mark(SPILL);
+        let version = &self.bucket.version;
+        version.store(version.load(Ordering::Relaxed) | SPILL, Ordering::Relaxed);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::test_runner::TestCaseError;
+    use std::collections::BTreeMap;
 
-    /// Slot `i`'s state and the version it was read at, through the one
-    /// optimistic read of its line.
-    fn read(s: &SlotArray, i: usize) -> (SlotState, u64) {
-        let lane = i % LANES;
-        s.snapshot(
-            i,
-            |_| None,
-            |line, v, key| {
-                let value = line.value[lane].load(Ordering::Acquire);
-                SlotState::of(v & claimed(lane) != 0, key[lane], value)
-            },
-        )
+    /// The shape of every slot write: decide under the bucket's lock. This
+    /// one inserts into slot `i`'s bucket unless the key is there or the
+    /// bucket is full.
+    fn put(s: &SlotArray, i: usize, key: u64, value: u64) -> bool {
+        s.with_bucket(i, |g| {
+            let room = g.find(key).is_none() && !g.is_full();
+            if room {
+                g.insert(key, value);
+            }
+            room
+        })
     }
 
-    /// Whether slot `i`'s line has spilled.
+    /// Remove `key` from slot `i`'s bucket if it is there, as `remove`
+    /// does; returns the removed value.
+    fn take(s: &SlotArray, i: usize, key: u64) -> Option<u64> {
+        s.with_bucket(i, |g| {
+            let (lane, value) = g.find(key)?;
+            g.remove(lane);
+            Some(value)
+        })
+    }
+
+    /// Slot `i`'s bucket's live entries, from one optimistic read.
+    fn live(s: &SlotArray, i: usize) -> Vec<(u64, u64)> {
+        let (entries, n) = s.read_bucket(i);
+        entries[..n].to_vec()
+    }
+
+    /// Whether slot `i`'s bucket has spilled.
     fn spilled(s: &SlotArray, i: usize) -> bool {
         s.version(i) & SPILL != 0
     }
 
-    /// The shape of every slot write: decide under the line's lock. This
-    /// one installs in slot `i` itself unless a live key holds it.
-    fn put(s: &SlotArray, i: usize, key: u64, value: u64) -> bool {
-        s.with_line(i, |g| match g.slot(g.own()) {
-            SlotState::Occupied { .. } => false,
-            SlotState::Empty | SlotState::Tombstone => {
-                g.install(g.own(), key, value);
-                true
-            }
-        })
-    }
-
-    /// Tombstone slot `i` if it holds `key`, as `remove` does; returns the
-    /// removed value.
-    fn take(s: &SlotArray, i: usize, key: u64) -> Option<u64> {
-        s.with_line(i, |g| match g.slot(g.own()) {
-            SlotState::Occupied { key: k, value } if k == key => {
-                g.clear(g.own());
-                Some(value)
-            }
-            _ => None,
-        })
+    /// The verdict on `key` at slot `i`, a hit as its value and ART as
+    /// `u64::MAX`.
+    fn verdict_of(s: &SlotArray, i: usize, key: u64) -> Option<u64> {
+        match s.probe(i, key).0 {
+            Probe::Hit(v) => Some(v),
+            Probe::Absent => None,
+            Probe::Art => Some(u64::MAX),
+        }
     }
 
     #[test]
@@ -848,41 +768,40 @@ mod tests {
             let s = SlotArray::new(capacity);
             assert_eq!(SlotArray::footprint(capacity), capacity.div_ceil(7) * 128);
             for i in 0..capacity {
-                let (line, lane) = (s.line(i), i % 7);
+                let (bucket, lane) = (s.bucket(i), i % 7);
                 let addr = |word: &AtomicU64| word as *const AtomicU64 as usize;
-                let bucket = addr(&line.version) / 128;
+                let first = addr(&bucket.version) / 128;
                 assert_eq!(
-                    bucket - s.lines as usize / 128,
+                    first - s.buckets as usize / 128,
                     i / 7,
                     "slot {i} of {capacity}"
                 );
                 // The word and the keys in the first cache line, the values
                 // in the second.
                 for (word, half) in [
-                    (&line.version, 0),
-                    (&line.key[lane], 0),
-                    (&line.value[lane], 1),
+                    (&bucket.version, 0),
+                    (&bucket.key[lane], 0),
+                    (&bucket.value[lane], 1),
                 ] {
-                    assert_eq!(addr(word) / 64, bucket * 2 + half, "slot {i} of {capacity}");
+                    assert_eq!(addr(word) / 64, first * 2 + half, "slot {i} of {capacity}");
                     assert_eq!(
                         (addr(word) + 7) / 64,
-                        bucket * 2 + half,
+                        first * 2 + half,
                         "slot {i} of {capacity}"
                     );
                 }
-            }
-            // Claim the last bucket's spare lanes behind the array's back,
-            // with keys: alone they do not make the bucket held, and beside
-            // claimed slots a walk still stops at the last slot.
-            let last = s.lines().last().unwrap();
-            for lane in (capacity - 1) % 7 + 1..LANES {
-                last.key[lane].store(u64::MAX - lane as u64, Ordering::Relaxed);
-                last.version.fetch_or(claimed(lane), Ordering::Relaxed);
             }
             assert_eq!(s.walk(0, usize::MAX).next(), None, "capacity {capacity}");
             for i in 0..capacity {
                 assert!(s.place_unsync(i, i as u64 + 1, 0));
             }
+            // The last bucket's spare lanes are never a slot: it is full at
+            // the capacity, and the next key spills.
+            let last = capacity - 1;
+            assert!(!spilled(&s, last));
+            assert!(!s.place_unsync(last, u64::MAX, 0), "capacity {capacity}");
+            assert!(spilled(&s, last));
+            assert!(s.with_bucket(last, |g| g.is_full()));
             let walk: Vec<usize> = s.walk(0, usize::MAX).collect();
             assert_eq!(walk, (0..capacity).step_by(7).collect::<Vec<_>>());
             let mut live = Vec::new();
@@ -907,13 +826,11 @@ mod tests {
                 assert!(put(&s, i, i as u64 + 1, 1));
             }
         }
-        let empty: Vec<bool> = (0..200)
-            .map(|i| read(&s, i).0 == SlotState::Empty)
-            .collect();
+        let empty: Vec<bool> = (0..200).map(|i| live(&s, i).is_empty()).collect();
         // Slot 101's bucket lock holds slots 98 to 104. The walk yields
-        // the first slot of each bucket of the window with a held slot,
-        // whichever lanes the window starts and ends at.
-        s.with_line(101, |_| {
+        // the first slot of each bucket of the window that is held or
+        // has a key, whichever lanes the window starts and ends at.
+        s.with_bucket(101, |_| {
             for from in 0..200 {
                 for to in from..(from + 250).min(260) {
                     let mut expect: Vec<usize> = (from / 7 * 7..(to.min(199) / 7 * 7 + 7).min(200))
@@ -931,7 +848,7 @@ mod tests {
     #[test]
     fn every_array_starts_on_a_cache_line() {
         // On a bucket's boundary, which is a pair of cache lines'.
-        let aligned = |s: &SlotArray| (s.lines as usize).is_multiple_of(128);
+        let aligned = |s: &SlotArray| (s.buckets as usize).is_multiple_of(128);
         for capacity in (1..=7).chain([64, 65, 777]) {
             assert!(aligned(&SlotArray::new(capacity)), "heap, {capacity}");
         }
@@ -949,15 +866,10 @@ mod tests {
     #[test]
     fn empty_then_install_then_read() {
         let s = SlotArray::new(8);
-        assert_eq!(read(&s, 3).0, SlotState::Empty);
+        assert_eq!(live(&s, 3), []);
         assert!(put(&s, 3, 42, 420));
-        assert_eq!(
-            read(&s, 3).0,
-            SlotState::Occupied {
-                key: 42,
-                value: 420
-            }
-        );
+        assert_eq!(live(&s, 3), [(42, 420)], "in lane 0, whichever slot");
+        assert_eq!(verdict_of(&s, 3, 42), Some(420));
     }
 
     #[test]
@@ -965,35 +877,47 @@ mod tests {
         let s = SlotArray::new(4);
         put(&s, 0, 7, 70);
         assert!(!put(&s, 0, 7, 71), "same key");
-        assert!(!put(&s, 0, 8, 80), "other key");
-        assert_eq!(read(&s, 0).0, SlotState::Occupied { key: 7, value: 70 });
+        assert!(put(&s, 1, 8, 80), "another key takes the next lane");
+        assert_eq!(live(&s, 0), [(7, 70), (8, 80)]);
     }
 
     #[test]
-    fn tombstone_lifecycle() {
+    fn remove_lifecycle() {
         let s = SlotArray::new(4);
-        put(&s, 1, 9, 90);
+        for key in [9, 5, 7] {
+            put(&s, 1, key, key * 10);
+        }
         assert_eq!(take(&s, 1, 8), None, "wrong key");
-        assert_eq!(take(&s, 1, 9), Some(90));
-        assert_eq!(read(&s, 1).0, SlotState::Tombstone);
-        // A tombstone can be re-claimed by any key.
-        assert!(put(&s, 1, 11, 110));
+        assert_eq!(take(&s, 1, 5), Some(50));
+        // The keys above it shift down, and the lane they vacate reads 0.
         assert_eq!(
-            read(&s, 1).0,
-            SlotState::Occupied {
-                key: 11,
-                value: 110
-            }
+            s.read_bucket(1),
+            (
+                [(7, 70), (9, 90), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0)],
+                2
+            )
         );
+        assert_eq!(verdict_of(&s, 1, 5), None);
+        // Any key of the bucket takes its rank.
+        assert!(put(&s, 3, 8, 80));
+        assert_eq!(live(&s, 0), [(7, 70), (8, 80), (9, 90)]);
+        assert_eq!(take(&s, 0, 9), Some(90), "the top key");
+        assert_eq!(take(&s, 0, 7), Some(70), "the bottom key");
+        assert_eq!(
+            s.read_bucket(0),
+            ([(8, 80), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0)], 1)
+        );
+        assert_eq!(take(&s, 0, 8), Some(80));
+        assert!(all_empty(&s), "the walk skips an emptied bucket");
     }
 
     #[test]
     fn set_value_keeps_the_key() {
         let s = SlotArray::new(2);
         put(&s, 0, 5, 1);
-        let (_, v0) = read(&s, 0);
-        s.with_line(0, |g| g.set_value(0, 2));
-        assert_eq!(read(&s, 0).0, SlotState::Occupied { key: 5, value: 2 });
+        let v0 = s.version(0);
+        s.with_bucket(0, |g| g.set_value(0, 2));
+        assert_eq!(live(&s, 0), [(5, 2)]);
         assert!(
             !s.version_unchanged(0, v0),
             "a reader of the old value must notice"
@@ -1003,12 +927,12 @@ mod tests {
     #[test]
     fn versions_move_on_writes_only() {
         let s = SlotArray::new(2);
-        let (_, v0) = read(&s, 0);
-        let (_, v0b) = read(&s, 0);
-        assert_eq!(v0, v0b, "reads do not bump versions");
+        let v0 = s.version(0);
+        live(&s, 0);
+        assert_eq!(v0, s.version(0), "reads do not bump versions");
         put(&s, 0, 1, 1);
         assert!(!s.version_unchanged(0, v0));
-        let (_, v1) = read(&s, 0);
+        let v1 = s.version(0);
         assert!(v1 > v0);
         assert_eq!(v1 % 2, 0, "published versions are even");
     }
@@ -1017,27 +941,27 @@ mod tests {
     fn a_lock_only_round_trip_leaves_a_slot_empty() {
         // The round trip of the retrain's sweep and of an escalated read.
         let s = SlotArray::new(8);
-        let (_, v0) = read(&s, 3);
-        s.with_line(3, |g| assert_eq!(g.slot(0), SlotState::Empty));
-        let (state, v1) = s.locked(3, |g| g.slot(0));
-        assert_eq!(state, SlotState::Empty);
+        let v0 = s.version(3);
+        s.with_bucket(3, |g| assert_eq!(g.entries().1, 0));
+        let (n, v1) = s.locked(3, |g| g.entries().1);
+        assert_eq!(n, 0);
         assert_eq!(v1, s.version(3), "the lock returns the word it stored");
         assert_ne!(v1, v0, "each unlock counts a write");
         assert_eq!(v1 % 2, 0);
-        assert_eq!(read(&s, 3), (SlotState::Empty, v1));
-        assert!(all_empty(&s), "the walk skips an unclaimed slot");
+        assert_eq!(s.probe(3, 1), (Probe::Absent, v1));
+        assert!(all_empty(&s), "the walk skips an empty bucket");
     }
 
     #[test]
     fn a_walk_yields_a_slot_held_for_its_first_claim() {
         let s = SlotArray::new(100);
-        s.with_line(72, |g| {
+        s.with_bucket(72, |g| {
             assert_eq!(s.walk(0, 99).collect::<Vec<_>>(), [70], "locked");
-            g.install(1, 7, 70);
+            g.insert(7, 70);
             assert_eq!(s.walk(0, 99).collect::<Vec<_>>(), [70]);
         });
-        assert_eq!(s.walk(0, 99).collect::<Vec<_>>(), [70], "claimed");
-        assert_eq!(read(&s, 71).0, SlotState::Occupied { key: 7, value: 70 });
+        assert_eq!(s.walk(0, 99).collect::<Vec<_>>(), [70], "a live key");
+        assert_eq!(live(&s, 71), [(7, 70)]);
     }
 
     #[test]
@@ -1060,133 +984,123 @@ mod tests {
     #[test]
     fn an_unlock_keeps_the_claim_across_a_count_wrap() {
         let s = SlotArray::new(1);
-        // Unclaimed, at the highest count: the first claim's unlock wraps.
+        // Empty, at the highest write count: the first insert's unlock
+        // wraps.
         let top = !(WRITE - 1);
-        s.line(0).version.store(top, Ordering::Relaxed);
+        s.bucket(0).version.store(top, Ordering::Relaxed);
         assert!(put(&s, 0, 5, 50));
-        let (state, v) = read(&s, 0);
-        assert_eq!(state, SlotState::Occupied { key: 5, value: 50 });
-        assert_eq!(v % 2, 0);
-        // Claimed, at the highest count: a lock-only round trip wraps.
-        s.line(0).version.store(top | claimed(0), Ordering::Relaxed);
-        s.with_line(0, |_| ());
-        assert_eq!(read(&s, 0).0, SlotState::Occupied { key: 5, value: 50 });
+        assert_eq!(live(&s, 0), [(5, 50)]);
+        assert_eq!(s.version(0) % 2, 0);
+        // One live key, spilled, at the highest write count: a lock-only
+        // round trip wraps and keeps both.
+        s.bucket(0)
+            .version
+            .store(top | ONE | SPILL, Ordering::Relaxed);
+        s.with_bucket(0, |_| ());
+        assert_eq!(s.version(0), ONE | SPILL);
+        assert_eq!(live(&s, 0), [(5, 50)]);
         assert_eq!(s.walk(0, 0).collect::<Vec<_>>(), [0]);
     }
 
-    /// Install `key` in `lane` of slot `i`'s line under its lock.
-    fn put_lane(s: &SlotArray, i: usize, lane: usize, key: u64) {
-        s.with_line(i, |g| g.install(lane, key, key * 10));
-    }
-
     #[test]
-    fn the_verdict_reads_every_lane_then_the_own_lane_then_the_spill_bit() {
-        // Bucket 1 is slots 7 to 13: keys 30 and 40 own slots 7 and 8, key
-        // 50 sits in lane 2 (slot 9) though it predicts slot 8.
+    fn the_verdict_reads_every_lane_then_the_spill_bit() {
+        // Bucket 1 is slots 7 to 13: keys 30, 40 and 50 take lanes 0 to 2
+        // whichever of its slots they predict.
         let s = SlotArray::new(21);
-        put_lane(&s, 7, 0, 30);
-        put_lane(&s, 8, 1, 40);
-        put_lane(&s, 8, 2, 50);
-        let verdict = |i: usize, key: u64| match s.probe(i, key).0 {
-            Probe::Hit(v) => Some(v),
-            Probe::Absent => None,
-            Probe::Art => Some(u64::MAX),
-        };
-        assert_eq!(verdict(8, 50), Some(500), "a hit in another lane");
-        assert_eq!(verdict(7, 40), Some(400), "from any claimed own lane");
+        put(&s, 9, 50, 500);
+        put(&s, 7, 30, 300);
+        put(&s, 13, 40, 400);
+        assert_eq!(verdict_of(&s, 8, 50), Some(500), "a hit in any lane");
+        assert_eq!(verdict_of(&s, 12, 30), Some(300));
+        assert_eq!(verdict_of(&s, 8, 41), None, "bucket never spilled");
+        s.with_bucket(8, |g| g.spill());
         assert_eq!(
-            verdict(8, 41),
-            None,
-            "own lane claimed, bucket never spilled"
+            verdict_of(&s, 8, 41),
+            Some(u64::MAX),
+            "past the spill bit: ART"
         );
-        s.with_line(8, |g| g.spill());
-        assert_eq!(verdict(8, 41), Some(u64::MAX), "past the spill bit: ART");
-        assert_eq!(verdict(15, 41), None, "the spill bit is the bucket's own");
-        assert_eq!(verdict(10, 41), None, "own lane never claimed");
+        assert_eq!(
+            verdict_of(&s, 15, 41),
+            None,
+            "the spill bit is the bucket's own"
+        );
+        assert_eq!(verdict_of(&s, 1, 41), None, "an empty bucket");
         take(&s, 8, 40);
-        assert_eq!(verdict(8, 41), Some(u64::MAX), "a tombstone is claimed");
-        assert_eq!(verdict(8, 50), Some(500));
+        assert_eq!(verdict_of(&s, 8, 40), Some(u64::MAX), "a removed key: ART");
+        assert_eq!(verdict_of(&s, 8, 50), Some(500));
         assert!(spilled(&s, 13));
-        s.with_line(9, |g| {
-            assert_eq!(g.own(), 2);
-            assert_eq!(g.find(50), Some((2, 500)));
-            assert_eq!(
-                g.sorted().map(|e| e.0),
-                [0, 0, 0, 0, 0, 30, 50],
-                "a tombstone reads key 0, as do unclaimed lanes"
-            );
-            assert_eq!(g.sorted()[5..], [(30, 300), (50, 500)]);
+        s.with_bucket(9, |g| {
+            assert_eq!(g.find(50), Some((1, 500)));
+            assert_eq!(g.entries().0[..3], [(30, 300), (50, 500), (0, 0)]);
         });
     }
 
     #[test]
     fn the_reader_and_the_lock_holder_give_one_verdict() {
-        // Every unlocked word of a bucket of one to seven lanes — each of
-        // its claimed masks, spilled or not — every own lane, and every
-        // placement of the looked-for key: in no lane or in one claimed
-        // lane, each other claimed lane holding another key or a
-        // tombstone (an unclaimed lane's key is 0). The optimistic probe
-        // and the lock holder's agree, and `find` names the lane of every
-        // hit. A key leaves its own lane only once that lane is claimed,
-        // so a bucket with the key outside an unclaimed own lane is one
-        // no write makes, and is skipped.
-        const KEY: u64 = 7;
+        // Every unlocked word a bucket of one to seven lanes can hold —
+        // each live count `n`, spilled or not — and every placement of
+        // the looked-for key: in none of the live lanes (below, between
+        // or above them) or in each one, the other live lanes holding
+        // other keys in order and every lane from `n` up key 0. The
+        // optimistic probe and the lock holder's agree, and `find` names
+        // the lane of every hit.
+        const KEY: u64 = 100;
         let mut seen = [0usize; 3];
         for capacity in 1..=LANES {
             let s = SlotArray::new(capacity);
-            let line = s.line(0);
-            for mask in 0..1usize << capacity {
-                let claims = (0..capacity)
-                    .filter(|&l| mask >> l & 1 != 0)
-                    .fold(0, |c, l| c | claimed(l));
-                let places = (0..capacity).filter(|&l| mask >> l & 1 != 0);
-                for at in std::iter::once(None).chain(places.map(Some)) {
-                    // Which of the other claimed lanes are tombstones.
-                    for dead in (0..1usize << capacity).filter(|d| d & !mask == 0) {
-                        if at.is_some_and(|l| dead >> l & 1 != 0) {
-                            continue;
-                        }
-                        for l in 0..capacity {
+            let bucket = s.bucket(0);
+            for n in 0..=capacity {
+                // `rank` is how many live keys sort below KEY; `at` is the
+                // lane holding it, if any.
+                for rank in 0..=n {
+                    for at in [None, Some(rank)]
+                        .into_iter()
+                        .filter(|a| a.is_none_or(|l| l < n))
+                    {
+                        for l in 0..LANES {
                             let key = match () {
+                                _ if l >= n => 0,
                                 _ if at == Some(l) => KEY,
-                                _ if mask >> l & 1 == 0 || dead >> l & 1 != 0 => 0,
-                                _ => 100 + l as u64,
+                                _ if l < rank => 10 + l as u64,
+                                _ => 200 + l as u64,
                             };
-                            line.key[l].store(key, Ordering::Relaxed);
-                            line.value[l].store(1000 + l as u64, Ordering::Relaxed);
+                            bucket.key[l].store(key, Ordering::Relaxed);
+                            let value = if key == 0 { 0 } else { 1000 + l as u64 };
+                            bucket.value[l].store(value, Ordering::Relaxed);
                         }
                         for spill in [0, SPILL] {
-                            line.version
-                                .store((5 * WRITE) | claims | spill, Ordering::Relaxed);
-                            for own in 0..capacity {
-                                if at.is_some_and(|l| l != own) && claims & claimed(own) == 0 {
-                                    continue;
-                                }
-                                let want = match at {
-                                    Some(l) => Probe::Hit(1000 + l as u64),
-                                    None if claims & claimed(own) == 0 || spill == 0 => {
-                                        Probe::Absent
-                                    }
-                                    None => Probe::Art,
-                                };
-                                let case = || {
-                                    format!("mask {mask:b}, dead {dead:b}, key at {at:?}, spill {spill}, own {own}")
-                                };
-                                assert_eq!(s.probe(own, KEY).0, want, "reader, {}", case());
-                                let (held, found) =
-                                    s.with_line(own, |g| (g.probe(KEY), g.find(KEY)));
+                            let word = (5 * WRITE) | (n as u64 * ONE) | spill;
+                            bucket.version.store(word, Ordering::Relaxed);
+                            let want = match at {
+                                Some(l) => Probe::Hit(1000 + l as u64),
+                                None if spill == 0 => Probe::Absent,
+                                None => Probe::Art,
+                            };
+                            let case = || {
+                                format!("capacity {capacity}, n {n}, rank {rank}, key at {at:?}, spill {spill}")
+                            };
+                            for slot in 0..capacity {
+                                assert_eq!(
+                                    s.probe(slot, KEY).0,
+                                    want,
+                                    "reader, slot {slot}, {}",
+                                    case()
+                                );
+                                let (held, found, entries) = s.with_bucket(slot, |g| {
+                                    (g.probe(KEY), g.find(KEY), g.entries())
+                                });
                                 assert_eq!(held, want, "lock holder, {}", case());
                                 let hit = found.map(|(lane, value)| (lane, Probe::Hit(value)));
                                 assert_eq!(hit, at.map(|l| (l, want)), "find, {}", case());
+                                assert_eq!(entries.1, n, "{}", case());
                                 // The holder's unlock counted a write.
-                                line.version
-                                    .store((5 * WRITE) | claims | spill, Ordering::Relaxed);
-                                seen[match want {
-                                    Probe::Hit(_) => 0,
-                                    Probe::Absent => 1,
-                                    Probe::Art => 2,
-                                }] += 1;
+                                bucket.version.store(word, Ordering::Relaxed);
                             }
+                            seen[match want {
+                                Probe::Hit(_) => 0,
+                                Probe::Absent => 1,
+                                Probe::Art => 2,
+                            }] += 1;
                         }
                     }
                 }
@@ -1209,106 +1123,47 @@ mod tests {
     }
 
     #[test]
-    fn sort7_orders_every_permutation_of_seven_keys() {
+    fn a_line_lists_its_keys_ascending_whatever_their_lanes() {
+        // Inserted in every one of the 5,040 orders, seven keys come out
+        // ascending; removed in that order again, the rest stay so.
         const KEYS: [u64; LANES] = [10, 20, 30, 40, 50, 60, 70];
         let mut orders = std::collections::HashSet::new();
         for n in 0..5_040 {
-            let lanes = nth_order(KEYS, n);
-            orders.insert(lanes);
-            let sorted = sort7(lanes, lanes.map(|k| k * 10));
-            assert_eq!(sorted, KEYS.map(|k| (k, k * 10)), "{lanes:?}");
+            let order = nth_order(KEYS, n);
+            orders.insert(order);
+            let s = SlotArray::new(7);
+            for key in order {
+                assert!(put(&s, 3, key, key * 10));
+            }
+            assert_eq!(s.read_bucket(6), (KEYS.map(|k| (k, k * 10)), LANES));
+            assert_eq!(s.with_bucket(0, |g| g.entries()), s.read_bucket(6));
+            assert!(!put(&s, 3, 5, 50), "full");
+            let mut rest = KEYS.to_vec();
+            for key in order {
+                assert_eq!(take(&s, 3, key), Some(key * 10));
+                rest.retain(|&k| k != key);
+                let want: Vec<(u64, u64)> = rest.iter().map(|&k| (k, k * 10)).collect();
+                assert_eq!(live(&s, 0), want, "order {order:?}");
+            }
         }
         assert_eq!(orders.len(), 5_040, "every order once");
-        // Dead lanes (key 0, a tombstone's value left behind) sort first,
-        // in lane order, the live keys after them in order, whichever
-        // lanes are dead.
-        for dead in 0..1usize << LANES {
-            for n in (0..5_040).step_by(97) {
-                let lanes = nth_order(KEYS, n);
-                let key: [u64; LANES] =
-                    std::array::from_fn(|l| if dead >> l & 1 == 1 { 0 } else { lanes[l] });
-                let value = std::array::from_fn(|l| 1_000 + l as u64);
-                let mut want: Vec<(u64, u64)> = key.into_iter().zip(value).collect();
-                want.sort_by_key(|e| e.0);
-                assert_eq!(sort7(key, value)[..], want[..], "{key:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn a_line_lists_its_keys_ascending_whatever_their_lanes() {
-        let s = SlotArray::new(7);
-        assert_eq!(s.read_sorted(0), [(0, 0); LANES], "no live key reads 0");
-        for (lane, key) in [(0, 30), (1, 10), (2, 20)] {
-            put_lane(&s, 0, lane, key);
-        }
-        let mut walk = Vec::new();
-        s.for_each_live(|i, k, _| walk.push((i, k)));
-        assert_eq!(walk, [(0, 30), (1, 10), (2, 20)], "slot order");
-
-        const KEYS: [u64; LANES] = [10, 20, 30, 40, 50, 60, 70];
-        for n in (0..5_040).step_by(13) {
-            let lanes = nth_order(KEYS, n);
-            let s = SlotArray::new(7);
-            for (lane, key) in lanes.into_iter().enumerate() {
-                put_lane(&s, 0, lane, key);
-            }
-            assert_eq!(s.read_sorted(1), KEYS.map(|k| (k, k * 10)));
-            assert_eq!(s.with_line(1, |g| g.sorted()), s.read_sorted(1));
-            // A tombstone reads key 0, ahead of the live keys.
-            assert_eq!(take(&s, 1, lanes[1]), Some(lanes[1] * 10));
-            let mut rest = lanes;
-            rest[1] = 0;
-            rest.sort_unstable();
-            assert_eq!(s.read_sorted(1).map(|e| e.0), rest);
-            assert_eq!(
-                s.with_line(1, |g| g.sorted()),
-                s.read_sorted(1),
-                "lanes {lanes:?}, lane 1 removed"
-            );
-        }
     }
 
     #[test]
     fn the_build_takes_a_free_lane_of_the_line_then_spills() {
-        // Capacity 9: bucket 1 has two lanes, slots 7 and 8.
+        // Capacity 9: bucket 1 has two lanes, slots 7 and 8. Keys arrive
+        // ascending and take its lanes in order, whichever slot they
+        // predict.
         let s = SlotArray::new(9);
-        assert!(s.place_unsync(7, 1, 1));
-        assert!(!s.place_unsync(7, 2, 2), "own lane taken");
-        assert!(s.place_in_line_unsync(7, 2, 2), "lane 1 is free");
-        assert!(!s.place_in_line_unsync(7, 3, 3), "no lane left");
+        assert!(s.place_unsync(8, 1, 1));
+        assert!(s.place_unsync(7, 2, 2), "lane 1 is free");
+        assert!(!spilled(&s, 7));
+        assert!(!s.place_unsync(8, 3, 3), "no lane left");
         assert!(spilled(&s, 7));
         assert!(!spilled(&s, 0), "another bucket");
-        assert_eq!(
-            s.with_line(8, |g| g.slot(2)),
-            SlotState::Empty,
-            "the spare lane is never a slot"
-        );
+        assert_eq!(live(&s, 7), [(1, 1), (2, 2)]);
+        assert_eq!(verdict_of(&s, 8, 3), Some(u64::MAX));
         assert_eq!(s.live_count(), 2);
-    }
-
-    #[test]
-    fn a_free_lane_is_the_own_one_then_a_tombstone_then_an_empty_one() {
-        let s = SlotArray::new(9);
-        let free = |i: usize| s.with_line(i, |g| g.free_lane());
-        assert_eq!(free(1), Some(1), "own lane empty");
-        put_lane(&s, 1, 1, 7);
-        assert_eq!(free(1), Some(0), "an empty lane");
-        put_lane(&s, 1, 2, 8);
-        take(&s, 2, 8);
-        assert_eq!(free(1), Some(2), "a tombstone before an empty lane");
-        assert_eq!(free(2), Some(2), "own tombstone");
-        put_lane(&s, 1, 0, 9);
-        put_lane(&s, 1, 2, 10);
-        assert_eq!(free(1), Some(3), "the first empty lane");
-        for lane in 3..LANES {
-            put_lane(&s, 1, lane, 10 + lane as u64);
-        }
-        assert_eq!(free(1), None, "full bucket");
-        // Bucket 1 of capacity 9 has lanes 0 and 1 only.
-        put_lane(&s, 7, 0, 21);
-        put_lane(&s, 7, 1, 22);
-        assert_eq!(free(8), None, "the spare lanes are not free");
     }
 
     #[test]
@@ -1317,39 +1172,41 @@ mod tests {
         // bucket, so a writer of any other lane of the bucket must move it.
         let s = SlotArray::new(7);
         let before: Vec<u64> = (0..7).map(|i| s.version(i)).collect();
-        put_lane(&s, 6, 6, 5);
+        put(&s, 6, 5, 50);
         for (i, v) in before.into_iter().enumerate() {
             assert!(!s.version_unchanged(i, v), "lane {i}");
         }
-        assert_eq!(read(&s, 0).0, SlotState::Empty, "lanes 0 to 5 unclaimed");
+        assert_eq!(live(&s, 0), [(5, 50)]);
     }
 
     #[test]
     fn a_sweep_at_lane_0_waits_for_a_writer_of_lane_2() {
         // A writer whose key predicts lane 2 holds the whole bucket, so a
         // sweep that locks the bucket for lane 0 waits for it and then
-        // sees the writer's install (DESIGN.md §14).
+        // sees the writer's insert (DESIGN.md §14).
         use std::sync::atomic::AtomicBool;
         let s = SlotArray::new(14);
         let done = AtomicBool::new(false);
         let (held_tx, held) = std::sync::mpsc::channel();
         std::thread::scope(|scope| {
             scope.spawn(|| {
-                s.with_line(9, |g| {
+                s.with_bucket(9, |g| {
                     held_tx.send(()).unwrap();
                     std::thread::sleep(std::time::Duration::from_millis(200));
-                    g.install(g.own(), 77, 770);
+                    g.insert(77, 770);
                     done.store(true, Ordering::Relaxed);
                 })
             });
             held.recv().unwrap();
             assert_eq!(s.walk(7, 13).collect::<Vec<_>>(), [7], "locked");
-            let swept = s.with_line(7, |g| {
-                assert!(done.load(Ordering::Relaxed), "the sweep passed a held line");
-                g.sorted()
+            let (entries, n) = s.with_bucket(7, |g| {
+                assert!(
+                    done.load(Ordering::Relaxed),
+                    "the sweep passed a held bucket"
+                );
+                g.entries()
             });
-            assert_eq!(swept[..6], [(0, 0); 6]);
-            assert_eq!(swept[6], (77, 770));
+            assert_eq!(entries[..n], [(77, 770)]);
         });
     }
 
@@ -1357,32 +1214,32 @@ mod tests {
     fn a_read_past_its_retry_budget_takes_the_line_lock_and_its_version() {
         // A writer holds bucket 1 far past the reader's whole retry budget
         // (a few ms of spins, yields and parks), so the probe escalates to
-        // the line lock and returns once the writer releases, with the
+        // the bucket lock and returns once the writer releases, with the
         // word its own unlock stored: the writer's unlock counted one
         // write, the reader's a second.
         let s = SlotArray::new(14);
         let (held_tx, held) = std::sync::mpsc::channel();
         let (verdict, v) = std::thread::scope(|scope| {
             scope.spawn(|| {
-                s.with_line(8, |g| {
+                s.with_bucket(8, |g| {
                     held_tx.send(()).unwrap();
                     std::thread::sleep(std::time::Duration::from_millis(500));
-                    g.install(g.own(), 44, 440);
+                    g.insert(44, 440);
                 })
             });
             held.recv().unwrap();
             s.probe(8, 44)
         });
         assert!(matches!(verdict, Probe::Hit(440)), "{verdict:?}");
-        assert_eq!(v, claimed(1) + 2 * WRITE, "the escalated read's unlock");
+        assert_eq!(v, ONE + 2 * WRITE, "the escalated read's unlock");
         assert!(s.version_unchanged(8, v), "no write since");
         assert!(s.version_unchanged(13, v), "one word for the bucket");
-        assert_eq!(read(&s, 7).0, SlotState::Empty);
+        assert_eq!(live(&s, 7), [(44, 440)]);
         assert!(
             s.version_unchanged(8, v),
             "an optimistic read writes nothing"
         );
-        put_lane(&s, 9, 2, 55);
+        put(&s, 9, 55, 550);
         assert!(!s.version_unchanged(8, v), "a write to another lane");
     }
 
@@ -1390,35 +1247,42 @@ mod tests {
     fn slot_and_model_sizes_are_pinned() {
         // What the cache-line counts of a slot hit (DESIGN.md §3) and the
         // model header's layout are reasoned from.
-        assert_eq!(std::mem::size_of::<Line>(), 128);
-        assert_eq!(std::mem::align_of::<Line>(), 128);
+        assert_eq!(std::mem::size_of::<Bucket>(), 128);
+        assert_eq!(std::mem::align_of::<Bucket>(), 128);
         assert_eq!(std::mem::size_of::<SlotArray>(), 24);
         assert_eq!(std::mem::size_of::<crate::model::GplModel>(), 72);
     }
 
     #[test]
     fn place_unsync_respects_occupancy() {
+        // One bucket of four lanes takes four keys, and no fifth.
         let s = SlotArray::new(4);
-        assert!(s.place_unsync(2, 5, 50));
-        assert!(!s.place_unsync(2, 6, 60), "occupied slot rejects placement");
-        assert_eq!(read(&s, 2).0, SlotState::Occupied { key: 5, value: 50 });
+        for key in 1..=4 {
+            assert!(s.place_unsync(2, key, key * 10));
+        }
+        assert!(!s.place_unsync(2, 5, 50), "a full bucket rejects placement");
+        assert_eq!(live(&s, 0), [(1, 10), (2, 20), (3, 30), (4, 40)]);
     }
 
     #[test]
     fn for_each_live_skips_empty_and_tombstones() {
-        let s = SlotArray::new(8);
+        // Removed keys leave nothing behind; the live ones are listed by
+        // the slot of their lane.
+        let s = SlotArray::new(14);
         put(&s, 1, 10, 100);
         put(&s, 4, 40, 400);
-        put(&s, 6, 60, 600);
-        take(&s, 4, 40);
+        put(&s, 12, 60, 600);
+        take(&s, 4, 10);
         let mut seen = Vec::new();
         s.for_each_live(|i, k, v| seen.push((i, k, v)));
-        assert_eq!(seen, vec![(1, 10, 100), (6, 60, 600)]);
+        assert_eq!(seen, vec![(0, 40, 400), (7, 60, 600)]);
         assert_eq!(s.live_count(), 2);
     }
 
     #[test]
     fn concurrent_claims_one_winner_per_slot() {
+        // Eight threads race sixteen keys each into a 16-slot array: its
+        // buckets take seven, seven and two, one key per slot.
         use std::sync::Arc;
         let s = Arc::new(SlotArray::new(16));
         let mut handles = Vec::new();
@@ -1443,10 +1307,12 @@ mod tests {
     fn concurrent_readers_never_observe_torn_slots() {
         use std::sync::atomic::{AtomicBool, Ordering};
         use std::sync::Arc;
-        let s = Arc::new(SlotArray::new(1));
+        let s = Arc::new(SlotArray::new(7));
         put(&s, 0, 1, 1);
+        put(&s, 0, 1 << 40, 1 << 40);
         let stop = Arc::new(AtomicBool::new(false));
-        // Writer cycles key/value pairs where key == value.
+        // The writer cycles pairs where key == value below a fixed upper
+        // key, so every insert and remove shifts it.
         let w = {
             let s = Arc::clone(&s);
             let stop = Arc::clone(&stop);
@@ -1460,12 +1326,132 @@ mod tests {
             })
         };
         for _ in 0..200_000 {
-            if let (SlotState::Occupied { key, value }, _) = read(&s, 0) {
+            let (entries, n) = s.read_bucket(0);
+            assert!(n >= 1 && entries[..n].windows(2).all(|w| w[0].0 < w[1].0));
+            for &(key, value) in &entries[..n] {
                 assert_eq!(key, value, "torn read: {key} != {value}");
             }
         }
         stop.store(true, Ordering::Relaxed);
         w.join().unwrap();
+    }
+
+    /// One write of `key` to slot `i`'s bucket as the index's writers
+    /// make it, with `art` standing in for ART: op 0 inserts, 1 upserts,
+    /// 2 updates and 3 removes. Returns the value the key had.
+    fn write(
+        s: &SlotArray,
+        art: &mut BTreeMap<u64, u64>,
+        i: usize,
+        (op, key, value): (u8, u64, u64),
+    ) -> Option<u64> {
+        s.with_bucket(i, |g| {
+            if let Some((lane, old)) = g.find(key) {
+                match op {
+                    1 | 2 => g.set_value(lane, value),
+                    3 => g.remove(lane),
+                    _ => {}
+                }
+                return Some(old);
+            }
+            let old = match g.probe(key) {
+                Probe::Art => art.get(&key).copied(),
+                _ => None,
+            };
+            match (op, old) {
+                (0 | 1, None) if g.is_full() => {
+                    g.spill();
+                    art.insert(key, value);
+                }
+                (0 | 1, None) => g.insert(key, value),
+                (1 | 2, Some(_)) => {
+                    art.insert(key, value);
+                }
+                (3, Some(_)) => {
+                    art.remove(&key);
+                }
+                _ => {}
+            }
+            old
+        })
+    }
+
+    /// The bucket rule on every bucket of `s`, whose keys `route` to their
+    /// slots: lanes below the count bits' `n` hold the bucket's keys that
+    /// are not in `art`, ascending, with their `oracle` values; the lanes
+    /// from `n` up read 0; and every key's verdict agrees.
+    fn check_buckets(
+        s: &SlotArray,
+        route: impl Fn(u64) -> usize,
+        oracle: &BTreeMap<u64, u64>,
+        art: &BTreeMap<u64, u64>,
+        keys: u64,
+    ) -> Result<(), TestCaseError> {
+        for (b, bucket) in s.buckets().iter().enumerate() {
+            let v = bucket.version.load(Ordering::Relaxed);
+            let (k, val) = (Bucket::words(&bucket.key), Bucket::words(&bucket.value));
+            let want: Vec<(u64, u64)> = oracle
+                .iter()
+                .filter(|(key, _)| route(**key) / LANES == b && !art.contains_key(key))
+                .map(|(&key, &value)| (key, value))
+                .collect();
+            let n = count(v);
+            proptest::prop_assert_eq!(v & LOCKED, 0);
+            proptest::prop_assert_eq!(n, want.len(), "bucket {}: the count bits", b);
+            let lanes: Vec<(u64, u64)> = (0..n).map(|l| (k[l], val[l])).collect();
+            proptest::prop_assert_eq!(lanes, want, "bucket {}: lanes below n", b);
+            proptest::prop_assert!(
+                (n..LANES).all(|l| k[l] == 0 && val[l] == 0),
+                "bucket {}: a lane from n = {} up is not 0: {:?}",
+                b,
+                n,
+                k
+            );
+        }
+        for key in 1..=keys {
+            let i = route(key);
+            let want = match (oracle.get(&key), art.contains_key(&key)) {
+                (Some(_), true) => Probe::Art,
+                (Some(&v), false) => Probe::Hit(v),
+                (None, _) => miss(s.version(i)),
+            };
+            proptest::prop_assert_eq!(s.probe(i, key).0, want, "key {}", key);
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        /// Random inserts, upserts, updates and removes on one array
+        /// against a `BTreeMap`: after every one, each bucket holds its
+        /// live keys in lanes `0..n` ascending, reads 0 from lane `n` up,
+        /// and counts `n` in its word.
+        #[test]
+        fn a_bucket_keeps_its_keys_sorted_through_any_writes(
+            capacity in 1usize..22,
+            ops in proptest::collection::vec((0u8..4, 1u64..41), 0..160usize),
+        ) {
+            const KEYS: u64 = 40;
+            let s = SlotArray::new(capacity);
+            // Monotone, as a model's prediction is, and dense enough that
+            // buckets fill and spill.
+            let route = |key: u64| (key - 1) as usize * capacity / KEYS as usize;
+            let (mut oracle, mut art) = (BTreeMap::new(), BTreeMap::new());
+            for (step, &(op, key)) in ops.iter().enumerate() {
+                let value = key * 1_000 + step as u64;
+                let got = write(&s, &mut art, route(key), (op, key, value));
+                let want = match op {
+                    0 => oracle.get(&key).copied().or_else(|| {
+                        oracle.insert(key, value);
+                        None
+                    }),
+                    1 => oracle.insert(key, value),
+                    2 => oracle.get_mut(&key).map(|v| std::mem::replace(v, value)),
+                    _ => oracle.remove(&key),
+                };
+                proptest::prop_assert_eq!(got, want, "op {} of key {} at step {}", op, key, step);
+                check_buckets(&s, route, &oracle, &art, KEYS)?;
+            }
+        }
     }
 
     /// Arrays of `a` and `b` slots carved from one mapped region, A
@@ -1480,8 +1466,7 @@ mod tests {
     }
 
     fn all_empty(s: &SlotArray) -> bool {
-        (0..s.capacity()).all(|i| read(s, i).0 == SlotState::Empty)
-            && s.walk(0, usize::MAX).next().is_none()
+        (0..s.capacity()).all(|i| live(s, i).is_empty()) && s.walk(0, usize::MAX).next().is_none()
     }
 
     #[test]
@@ -1520,7 +1505,7 @@ mod tests {
         assert!(a_bytes.iter().all(|&x| x == 0), "A's first page went back");
         for i in 0..n {
             let (key, value) = (i as u64 + 1, i as u64);
-            assert_eq!(read(&b, i).0, SlotState::Occupied { key, value });
+            assert_eq!(live(&b, i)[i % LANES], (key, value));
         }
     }
 
@@ -1546,6 +1531,8 @@ mod tests {
         // its line, moved the layout digest again and left the spans
         // alone. Seven lanes to a 128-byte bucket shrank 450k's arrays to
         // 30.8 MiB, so it grew to 500k, which moved both digests again.
+        // Sorted buckets, filled in one pass, moved the layout digest
+        // again and left the spans alone.
         let pairs = datasets::generate_pairs(datasets::Dataset::Fb, 500_000, 7);
         for build_threads in [1, 2] {
             let idx = AltIndex::bulk_load_with(
@@ -1558,7 +1545,7 @@ mod tests {
             let spans = idx.directory_spans();
             let bytes: usize = spans.iter().map(|s| SlotArray::footprint(s.1)).sum();
             assert!(bytes >= SHARED_REGION_MIN, "{bytes} B is one shared region");
-            assert_eq!(idx.learned_layout_digest(), 0x186b_e3f6_43e7_edcc);
+            assert_eq!(idx.learned_layout_digest(), 0x033d_83a2_ba2c_e4fd);
             assert_eq!(spans_digest(&spans), 0xfdf5_9d51_63dd_50e8);
         }
     }

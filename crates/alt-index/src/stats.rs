@@ -123,34 +123,6 @@ impl AltIndex {
         h
     }
 
-    /// Lines whose live keys are not ascending in lane order: a key the
-    /// build or an insert seated in a free lane below a smaller key's own.
-    /// The scan and the retrain's collect sort a line's keys for these
-    /// (DESIGN.md §3 "A line is a bucket"). Quiescent-state helper, like
-    /// [`Self::learned_layout_digest`]. Hidden: only tests count these.
-    #[doc(hidden)]
-    pub fn lines_out_of_key_order(&self) -> usize {
-        let guard = epoch::pin();
-        let dir = self.dir.load(&guard);
-        let mut lines = 0;
-        for m in &dir.models {
-            let mut last = (usize::MAX, 0);
-            let mut out_of_order = false;
-            m.slots.for_each_live(|slot, key, _| {
-                let line = slot / crate::slots::LANES;
-                if line != last.0 {
-                    lines += usize::from(out_of_order);
-                    out_of_order = false;
-                } else if key < last.1 {
-                    out_of_order = true;
-                }
-                last = (line, key);
-            });
-            lines += usize::from(out_of_order);
-        }
-        lines
-    }
-
     /// For a key resident in the ART layer, measure the lookup length from
     /// the root. Returns `None` if the key is not an ART resident (slot
     /// hit or absent).

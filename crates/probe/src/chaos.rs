@@ -22,10 +22,11 @@
 //! [`mutated`] is the runtime selector of deliberately-broken protocol
 //! variants: with the `chaos-mutate` feature on and
 //! [`set_mutation`]`(Some(m))`, `alt-index`'s slot protocol runs
-//! [`Mutation`] `m` — a line snapshot that skips its version
-//! re-validation, a reader that looks only at its own lane, or a writer
-//! that locks only its own lane — and `tests/mutation_selftest.rs`
-//! asserts the oracle flags each within the CI seed matrix. The
+//! [`Mutation`] `m` — a bucket snapshot that skips its version
+//! re-validation, a remove that leaves the lane it vacates stale, or a
+//! bucket lock that admits a second holder — and
+//! `tests/mutation_selftest.rs` asserts the oracle flags each within the
+//! CI seed matrix. The
 //! selector is process-global, which is why that test lives in its **own**
 //! integration-test binary: cargo runs each test binary as a separate
 //! process, so enabling the mutation there cannot poison tests running
@@ -174,14 +175,13 @@ pub fn point(site: &'static str) {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum Mutation {
-    /// The line snapshot skips its version re-validation: a torn read.
+    /// The bucket snapshot skips its version re-validation: a torn read.
     SkipSlotRevalidation = 1,
-    /// A reader compares only its own lane: a key in another lane of its
-    /// line reads as missing.
-    OwnLaneRead = 2,
-    /// The line lock admits a second holder (its CAS skips the lock bit's
-    /// check): two writers of one line decide over the same free lane at
-    /// once.
+    /// A remove shifts the keys above its lane down but leaves the lane
+    /// they vacate as it was: a removed top key still reads as present.
+    StaleVacatedLane = 2,
+    /// The bucket lock admits a second holder (its CAS skips the lock
+    /// bit's check): two writers of one bucket shift its lanes at once.
     SharedLineLock = 3,
 }
 
@@ -301,7 +301,7 @@ mod tests {
     fn mutation_flag_needs_the_feature_and_the_switch() {
         let all = [
             Mutation::SkipSlotRevalidation,
-            Mutation::OwnLaneRead,
+            Mutation::StaleVacatedLane,
             Mutation::SharedLineLock,
         ];
         assert!(all.iter().all(|&m| !mutated(m)));

@@ -252,12 +252,19 @@ fn chaos_finedex() {
 #[test]
 #[cfg(feature = "chaos")]
 fn chaos_points_are_exercised() {
-    // One point per protocol the scenario's ops go through: slot read and
-    // claim, ART lock coupling, the scan's chunk (between its ART read
+    // Every slot-protocol point TESTING.md "Chaos points" lists for
+    // `slots.rs` and `index.rs` that a scenario's ops reach without
+    // contention (the bucket read, the held lock, the insert's and the
+    // remove's shift windows, the locked update), then one per other
+    // protocol: ART lock coupling, the scan's chunk (between its ART read
     // and its slot walk), and the epoch pin and retire under all of them.
-    const SITES: [&str; 6] = [
+    const SITES: [&str; 10] = [
+        "slots.read.between_loads",
         "slots.read.pre_validate",
         "slots.lock.held",
+        "slots.insert.shifted",
+        "slots.remove.shifted",
+        "slots.update.locked",
         "olc.validate",
         "scan.chunk.post_art",
         "epoch.pin.published",

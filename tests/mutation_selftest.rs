@@ -4,26 +4,29 @@
 //! Built with `--features chaos-mutate`, `alt-index`'s slot protocol runs
 //! whichever `probe::chaos::Mutation` `probe::chaos::set_mutation` selects:
 //!
-//! * `SkipSlotRevalidation` — the line snapshot skips its version
+//! * `SkipSlotRevalidation` — the bucket snapshot skips its version
 //!   re-validation, the classic torn-read bug in optimistic slot
 //!   protocols;
-//! * `OwnLaneRead` — a reader compares only the key's own lane, so a key
-//!   that took another lane of its line (DESIGN.md §3 "A line is a
-//!   bucket") reads as missing;
-//! * `SharedLineLock` — the line lock admits a second holder, so two
-//!   writers of one line can take the same free lane.
+//! * `StaleVacatedLane` — a remove shifts the keys above it down but
+//!   leaves the lane they vacate as it was, so the bucket's lanes from its
+//!   live count up are no longer 0 (DESIGN.md §3 "A line is a bucket")
+//!   and a removed top key still reads as present;
+//! * `SharedLineLock` — the bucket lock admits a second holder, so two
+//!   writers of one bucket shift its lanes at once.
 //!
-//! Chaos scenarios hammer individual lines (concurrent claim/update/
+//! Chaos scenarios hammer individual buckets (concurrent insert/update/
 //! remove of the same keys), and the oracle must flag a violation (a
 //! value that was never written, a lost update, or an impossible
 //! presence) of each mutation within the seed budget below — the same
 //! budget CI runs. Every scenario runs against the index as shipped,
 //! retraining on, and again with retraining off, and a catch in either
 //! counts: a retrain rebuilds a dense universe at one slot per key, which
-//! leaves few keys sharing a line to tear, to miss in another lane or to
-//! race for one. A skipped re-validation is caught in about one
-//! retrain-on run of the dense shapes in 30, and in three of eight with
-//! retraining off (TESTING.md "Mutation self-test").
+//! leaves few keys sharing a bucket to tear, to leave behind or to race
+//! for. With sorted buckets every insert and remove shifts keys between
+//! lanes under the readers, and each mutation was caught on the first
+//! seed's retrain-on run in each of three runs of this test: the first two
+//! by the oracle, `SharedLineLock` by a writer's own bound check (see
+//! `hunt_once`; TESTING.md "Mutation self-test").
 //!
 //! This test lives in its own integration-test binary on purpose: the
 //! mutation selector is process-global, and cargo gives every test binary
@@ -42,9 +45,9 @@ const SEED_BUDGET: u64 = 64;
 
 /// Tiny shared universes (8 threads × a few keys) with heavy churn: the
 /// skipped re-validation only becomes *observable* when a removed key's
-/// slot is reclaimed by a different key mid-read (a cross-key value
-/// leak), which needs same-slot remove/insert cycling, and two writers
-/// only race for a lane when their keys share a line. That takes keys
+/// lane is taken by a different key mid-read (a cross-key value leak),
+/// which needs same-bucket remove/insert cycling, and two writers only
+/// race when their keys share a bucket. That takes keys
 /// that share predicted slots — rare in the default sparse scenarios, so
 /// only a very dense universe keeps them shared.
 fn dense(seed: u64, keys_per_thread: usize) -> Scenario {
@@ -64,11 +67,32 @@ fn dense(seed: u64, keys_per_thread: usize) -> Scenario {
 fn hunt(mutation: Mutation, seed: u64) -> [Scenario; 2] {
     match mutation {
         Mutation::SkipSlotRevalidation => [dense(seed, 1), dense(seed, 2)],
-        // A reader's miss of its own key is caught exactly where each
-        // thread owns its keys; the shared shape catches it at the end.
-        Mutation::OwnLaneRead => [Scenario::disjoint(seed), dense(seed, 4)],
+        // A removed key that still reads as present is caught exactly
+        // where each thread owns its keys; the shared shape catches it at
+        // the end.
+        Mutation::StaleVacatedLane => [Scenario::disjoint(seed), dense(seed, 4)],
         Mutation::SharedLineLock => [dense(seed, 2), dense(seed, 4)],
     }
+}
+
+/// One hunting run of `scenario` against `mutation`: the oracle's report,
+/// if it flags one. Under `SharedLineLock` a writer's panic counts too:
+/// two holders of one bucket lock can both find room in it, and the
+/// second insert's bound check (`BucketGuard::insert`: not full) fails
+/// before the oracle sees the key it would lose. That check firing is the
+/// broken lock showing; any other mutation must be flagged by the oracle,
+/// and a panic under it fails this test as before.
+fn hunt_once(mutation: Mutation, scenario: &Scenario, retrain: bool) -> Option<String> {
+    let run = || scenario.run(&index_for(scenario, retrain));
+    let result = if mutation == Mutation::SharedLineLock {
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)) {
+            Ok(result) => result,
+            Err(_) => return Some("a writer panicked (its message is above)".into()),
+        }
+    } else {
+        run()
+    };
+    result.err().map(|report| report.to_string())
 }
 
 /// The scenario's initial pairs, bulk-loaded with retraining on or off.
@@ -82,7 +106,7 @@ fn index_for(scenario: &Scenario, retrain: bool) -> AltIndex {
 
 const MUTATIONS: [Mutation; 3] = [
     Mutation::SkipSlotRevalidation,
-    Mutation::OwnLaneRead,
+    Mutation::StaleVacatedLane,
     Mutation::SharedLineLock,
 ];
 
@@ -106,7 +130,7 @@ fn harness_detects_every_planted_mutation() {
         'seeds: for s in 0..SEED_BUDGET {
             for scenario in hunt(mutation, 0xBADC_0DE1 + s) {
                 for retrain in [true, false] {
-                    if let Err(report) = scenario.run(&index_for(&scenario, retrain)) {
+                    if let Some(report) = hunt_once(mutation, &scenario, retrain) {
                         caught = Some((s, retrain, report));
                         break 'seeds;
                     }

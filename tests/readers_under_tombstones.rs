@@ -1,5 +1,6 @@
-//! Writers against readers of an ART resident whose predicted slot is a
-//! tombstone.
+//! Writers against readers of an ART resident whose predicted bucket has a
+//! free lane again (the paper's tombstone: its remove zeroes the key in
+//! place, where a bucket here shifts its keys down).
 //!
 //! That is the state in which the paper's read path writes (Algorithm 2
 //! lines 10-13 move the key into the slot); here readers never write.
@@ -38,9 +39,10 @@ fn build_index() -> AltIndex {
     )
 }
 
-/// A key `k` such that `k` and `k + 1` predict the same slot and that slot
-/// is empty after bulk load (one slot covers ~800 key units here; same
-/// probe as `crates/alt-index/tests/remove_insert_race.rs`).
+/// A key `k` such that `k` and `k + 1` predict the same bucket and that
+/// bucket has exactly one free lane after bulk load (one slot covers ~800
+/// key units here; same probe as
+/// `crates/alt-index/tests/remove_insert_race.rs`).
 fn find_open_slot_key(idx: &AltIndex) -> u64 {
     for gap in 1..2_000u64 {
         for off in [101u64, 301, 501, 701] {
@@ -59,8 +61,8 @@ fn find_open_slot_key(idx: &AltIndex) -> u64 {
     panic!("no bulk-load gap with an empty predicted slot — layout changed?");
 }
 
-/// Put `key` in ART under a tombstoned predicted slot: the neighbour takes
-/// the slot, `key` overflows, the neighbour leaves.
+/// Put `key` in ART under a bucket with a free lane: the neighbour takes
+/// the last lane, `key` overflows, the neighbour leaves.
 fn park_in_art(idx: &AltIndex, key: u64, neighbour: u64, value: u64) {
     idx.remove(key);
     idx.remove(neighbour);
@@ -70,8 +72,8 @@ fn park_in_art(idx: &AltIndex, key: u64, neighbour: u64, value: u64) {
     assert!(idx.probe_art_hops(key).is_some(), "key must start in ART");
 }
 
-/// Remove and re-insert the slot-colliding neighbour until `stop`: the
-/// slot keeps cycling occupied -> tombstone -> reclaimed under the key.
+/// Remove and re-insert the bucket-sharing neighbour until `stop`: the
+/// bucket keeps cycling full -> one lane free -> full under the key.
 fn churn_neighbour(idx: &AltIndex, neighbour: u64, stop: impl Fn() -> bool) {
     let mut i = 0u64;
     while !stop() {
