@@ -1,14 +1,14 @@
 //! AMAC-style batched lookups across both tiers (see `DESIGN.md` §13).
 //!
-//! The scalar [`AltIndex::get`] is one model prediction plus one slot
+//! The scalar [`AltIndex::get`] is one model prediction plus one bucket
 //! probe — which makes its cost almost entirely cache misses: the
-//! directory line, the predicted slot's bucket, and (for conflict keys)
+//! directory line, the predicted bucket, and (for conflict keys)
 //! the ART descent. This module overlaps those misses across a small
 //! ring of in-flight keys. Each key is a state machine:
 //!
 //! 1. **Predict** — locate the GPL model in the directory, compute the
-//!    predicted slot, issue a prefetch for both cache lines of the slot's
-//!    bucket, its keys' and its values';
+//!    predicted bucket, issue a prefetch for both its cache lines, its
+//!    keys' and its values';
 //! 2. **Probe** — the optimistic bucket snapshot (same version protocol
 //!    as the scalar path). Learned-layer hits and conclusive misses finish
 //!    here; the verdict `Art` (no lane holds the key and the bucket
@@ -89,8 +89,8 @@ impl AltIndex {
     }
 }
 
-/// The predict stage: the key's (model, predicted slot) from the current
-/// directory, with the slot prefetch issued.
+/// The predict stage: the key's (model, predicted bucket) from the
+/// current directory, with the bucket prefetch issued.
 #[inline]
 fn predict<'g>(idx: &'g AltIndex, key: u64, guard: &'g Guard) -> Stage<'g> {
     let m: &'g GplModel = idx.dir.load(guard).model_for(key);
@@ -163,7 +163,7 @@ mod tests {
 
     fn sample_index(cfg: AltConfig) -> (AltIndex, Vec<(u64, u64)>) {
         // A mildly irregular key distribution so some keys conflict into
-        // ART and others sit in their predicted slots.
+        // ART and others sit in their predicted buckets.
         let pairs: Vec<(u64, u64)> = (1..=30_000u64).map(|i| (i * 7 + (i % 13) * 3, i)).collect();
         let mut pairs = pairs;
         pairs.sort_unstable();

@@ -11,12 +11,6 @@ pub struct AltConfig {
     /// Fixed at bulk load and also every retrain's ε: a retrain rebuilds
     /// its span exactly as bulk load would (DESIGN.md §14).
     pub epsilon: Option<f64>,
-    /// Sizes a build's slot budget: the slots every model would get at
-    /// `gap_factor` times GPL's cone-midpoint slope, summed over the
-    /// build. The slopes themselves are chosen under that budget, so it
-    /// no longer sets each model's spacing (DESIGN.md §3). The paper's
-    /// "array gaps scheme to handle some coming insertions".
-    pub gap_factor: f64,
     /// Enable dynamic retraining (§III-F): the thread whose insert
     /// tripped a model's overflow trigger rebuilds it. Off = overflowed
     /// models keep spilling into ART (part of the hot-write comparison).
@@ -48,7 +42,6 @@ impl Default for AltConfig {
     fn default() -> Self {
         Self {
             epsilon: None,
-            gap_factor: 1.25,
             retrain: true,
             build_threads: default_build_threads(),
         }

@@ -3,13 +3,13 @@
 //!
 //! Operation flow follows Algorithm 2 of the paper: every operation first
 //! locates a GPL model with a binary search over the (flat, sorted) model
-//! directory, computes the key's predicted slot with one calculation, and
-//! then either finishes in that slot's bucket — seven lanes in two cache
+//! directory, computes the key's predicted bucket with one calculation,
+//! and then either finishes in that bucket — seven lanes in two cache
 //! lines (DESIGN.md §3) — or searches the ART-OPT layer from its root.
 
 use crate::config::AltConfig;
 use crate::dir::ModelDir;
-use crate::model::{fill, placement, GplModel};
+use crate::model::{fill, placement, GplModel, GAP_FACTOR};
 use crate::slots::{BucketGuard, Probe, SlotArray};
 use art::Art;
 use crossbeam_epoch::{self as epoch, RcuCell};
@@ -72,8 +72,7 @@ impl AltIndex {
 
         let threads = cfg.build_threads.max(1);
         let t_start = metrics::now_ns();
-        let (models, conflicts, t_segmented) =
-            segment_and_build(pairs, epsilon, cfg.gap_factor, None, threads);
+        let (models, conflicts, t_segmented) = segment_and_build(pairs, epsilon, None, threads);
         let t_models = metrics::now_ns();
         // Conflict eviction into ART.
         art.insert_run(&conflicts, threads);
@@ -402,7 +401,6 @@ impl AltIndex {
 pub(crate) fn segment_and_build(
     pairs: &[(u64, u64)],
     epsilon: f64,
-    gap_factor: f64,
     route_floor: Option<u64>,
     threads: usize,
 ) -> (Vec<Arc<GplModel>>, Vec<(u64, u64)>, u64) {
@@ -423,18 +421,18 @@ pub(crate) fn segment_and_build(
     let t_segmented = metrics::now_ns();
     // Planned over the whole build before it is split into groups, so the
     // slopes do not depend on `threads`.
-    let plan = placement(pairs, &segments, gap_factor);
+    let plan = placement(pairs, &segments, GAP_FACTOR);
 
     let build_group = |group: std::ops::Range<usize>| {
         // The group's total size decides where its slot arrays live
         // (`SlotArray::for_group`).
-        let capacities: Vec<usize> = plan[group.clone()].iter().map(|p| p.1).collect();
+        let positions: Vec<usize> = plan[group.clone()].iter().map(|p| p.1).collect();
         let mut models = Vec::with_capacity(group.len());
         let mut conflicts = Vec::new();
         for ((seg, &(model, _)), slots) in segments[group.clone()]
             .iter()
             .zip(&plan[group])
-            .zip(SlotArray::for_group(&capacities))
+            .zip(SlotArray::for_group(&positions))
         {
             let (m, mut c) = fill(&pairs[seg.start..seg.start + seg.len], model, slots);
             models.push(m);

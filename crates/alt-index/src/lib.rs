@@ -6,11 +6,11 @@
 //!
 //! * The **learned index layer** is a flat array of linear *GPL models*
 //!   (built by the Greedy Pessimistic Linear segmentation algorithm,
-//!   [`learned::gpl`]). Every key stored here sits in the 128-byte
-//!   bucket of its predicted slot, whose seven lanes hold its keys sorted
-//!   from lane 0 up, so this layer has **no prediction error** beyond one
-//!   bucket, never performs a secondary search, and scans a bucket in
-//!   lane order.
+//!   [`learned::gpl`]). A model predicts a 128-byte bucket, and every key
+//!   stored here sits in the bucket its model predicts, whose seven lanes
+//!   hold its keys sorted from lane 0 up, so this layer has **no
+//!   prediction error** beyond one bucket, never performs a secondary
+//!   search, and scans a bucket in lane order.
 //! * The **ART-OPT layer** ([`art`]) holds conflict data — keys whose
 //!   predicted bucket is full — and is searched from its root. (The
 //!   paper's fast pointer buffer, which let a model resume ART searches at

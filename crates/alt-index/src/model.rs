@@ -1,5 +1,5 @@
 //! A GPL model: one linear segment of the flattened learned layer,
-//! holding its keys in the cache lines of their predicted slots.
+//! holding its keys in the buckets it predicts for them.
 
 use crate::slots::SlotArray;
 use learned::gpl::Segment;
@@ -15,10 +15,9 @@ const CLOSING: u8 = 1;
 const RETIRED: u8 = 2;
 
 /// One GPL model: a linear function plus a gapped slot array. Keys stored
-/// here sit in the line of `model.predict_clamped(key, capacity)`, in
-/// that slot or another lane of its line — the layer is
-/// prediction-error-free at line granularity (§III-A), so a lookup is one
-/// calculation plus one line probe.
+/// here sit in a lane of the bucket [`GplModel::predict`] gives them — the
+/// layer is prediction-error-free at bucket granularity (§III-A), so a
+/// lookup is one calculation plus one bucket probe.
 pub struct GplModel {
     /// Smallest key the model was built over (also the model anchor).
     pub first_key: u64,
@@ -40,12 +39,13 @@ pub struct GplModel {
 }
 
 impl GplModel {
-    /// Create a model with the given placement function and capacity.
-    pub fn new(first_key: u64, model: LinearModel, capacity: usize, build_size: usize) -> Self {
+    /// Create a model with the given placement function, over an array
+    /// planned for `positions` positions.
+    pub fn new(first_key: u64, model: LinearModel, positions: usize, build_size: usize) -> Self {
         Self::with_slots(
             first_key,
             model,
-            SlotArray::new(capacity.max(1)),
+            SlotArray::new(positions.max(1)),
             build_size,
         )
     }
@@ -67,19 +67,22 @@ impl GplModel {
         }
     }
 
-    /// The slot a key predicts to.
+    /// The bucket a key predicts to: the bucket of the placement
+    /// function's rounded position, clamped to the last one.
     #[inline]
     pub fn predict(&self, key: u64) -> usize {
-        self.model.predict_clamped(key, self.slots.capacity())
+        self.slots
+            .bucket_at(self.model.predict_clamped(key, usize::MAX))
     }
 
-    /// Roughly the last key that predicts to `slot`: the placement
-    /// function inverted, for sizing a scan chunk. Not exact — whoever
-    /// needs the slot of the returned key predicts it again.
-    pub fn key_near_slot(&self, slot: usize) -> u64 {
+    /// Roughly the last key that predicts to `bucket`: the placement
+    /// function inverted at the bucket's end, for sizing a scan chunk. Not
+    /// exact — whoever needs the bucket of the returned key predicts it
+    /// again.
+    pub fn last_key(&self, bucket: usize) -> u64 {
         // A zero slope (single-key model) divides to infinity; the cast
         // and the add both saturate.
-        let span = (slot as f64 + 0.5) / self.model.slope;
+        let span = (SlotArray::end_of(bucket) as f64 - 0.5) / self.model.slope;
         self.model.first_key.saturating_add(span as u64)
     }
 
@@ -89,10 +92,10 @@ impl GplModel {
         self.lifecycle.load(Ordering::Acquire) == RETIRED
     }
 
-    /// Whether writers may change this model. Read under a line lock: a
+    /// Whether writers may change this model. Read under a bucket lock: a
     /// retrain stores `Closing` before its sweep takes that lock, and the
     /// sweep's unlock (Release) and the writer's lock (Acquire) carry the
-    /// store to a writer that locks the line after the sweep has passed.
+    /// store to a writer that locks the bucket after the sweep has passed.
     #[inline]
     pub fn is_live(&self) -> bool {
         self.lifecycle.load(Ordering::Acquire) == LIVE
@@ -113,12 +116,12 @@ impl GplModel {
         self.lifecycle.store(RETIRED, Ordering::Release);
     }
 
-    /// Whether an ART miss for a key predicted to slot `pred`, whose line
-    /// was read at version `ver` before the descent, is conclusive:
-    /// nothing moved under the reader — the model has not been retired and
-    /// no writer of the key has been by since. They all decide under the
-    /// line's lock, and every unlock counts a write in the line's one
-    /// version word, so that word re-validates the whole line.
+    /// Whether an ART miss for a key predicted to bucket `pred`, read at
+    /// version `ver` before the descent, is conclusive: nothing moved
+    /// under the reader — the model has not been retired and no writer of
+    /// the key has been by since. They all decide under the bucket's lock,
+    /// and every unlock counts a write in the bucket's one version word,
+    /// so that word re-validates the whole bucket.
     #[inline(always)]
     pub fn miss_is_final(&self, pred: usize, ver: u64) -> bool {
         !self.is_retired() && self.slots.version_unchanged(pred, ver)
@@ -150,6 +153,12 @@ impl Drop for Closed<'_> {
         }
     }
 }
+
+/// What sizes every build's slot budget: the slots each model would get
+/// at this factor times GPL's cone-midpoint slope, summed over the build
+/// ([`placement`]). The paper's "array gaps scheme to handle some coming
+/// insertions".
+pub(crate) const GAP_FACTOR: f64 = 1.25;
 
 /// Gap-profile buckets: four per octave of a `u64` gap.
 const BUCKETS: usize = 64 * 4;
@@ -249,8 +258,9 @@ fn hull(mut choices: Vec<Choice>) -> Vec<Choice> {
 /// plan their whole build with this before anything is allocated
 /// ([`SlotArray::for_group`]).
 ///
-/// The budget is what GPL's cone midpoint times `gap_factor` gives every
-/// segment. A single price λ per slot picks each model's slope to maximise
+/// The budget is what GPL's cone midpoint times `gap_factor`
+/// (`GAP_FACTOR` in every build) gives every segment. A single price λ
+/// per slot picks each model's slope to maximise
 /// `residents − λ·slots`, ties to fewer slots; the smallest λ whose picks
 /// fit the budget is found by bisection. At a price above any segment's
 /// key count every model takes its fewest slots, at most the midpoint's,
@@ -308,12 +318,12 @@ pub fn placement(
 }
 
 /// Place sorted `pairs` into a model with placement function `placement`
-/// over the empty array `slots`, in one pass: each key goes to the bucket
-/// of its predicted slot, which takes keys in order, and so sorted, up to
-/// its lane count (§III-A's predicted slot, widened to the bucket:
-/// DESIGN.md §3 "A line is a bucket"). Returns the model and the pairs
-/// that found their bucket full, in key order (conflict data for ART),
-/// each bucket with its spill bit set.
+/// over the empty array `slots`, in one pass: each key goes to its
+/// predicted bucket, which takes keys in order, and so sorted, until it is
+/// full (§III-A's predicted slot, widened to the bucket: DESIGN.md §3 "A
+/// line is a bucket"). Returns the model and the pairs that found their
+/// bucket full, in key order (conflict data for ART), each bucket with
+/// its spill bit set.
 pub fn fill(
     pairs: &[(u64, u64)],
     placement: LinearModel,
@@ -331,7 +341,7 @@ pub fn fill(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::slots::{Probe, LANES};
+    use crate::slots::Probe;
 
     fn build_model(
         pairs: &[(u64, u64)],
@@ -354,7 +364,7 @@ mod tests {
             LinearModel::fit_endpoints(&pairs.iter().map(|p| p.0).collect::<Vec<_>>()).unwrap();
         let (m, conflicts) = build_model(&pairs, seg, 1.5);
         assert!(conflicts.is_empty(), "{} conflicts", conflicts.len());
-        // Every key is in the bucket of its predicted slot.
+        // Every key is in its predicted bucket.
         for &(k, v) in &pairs {
             let found = m.slots.with_bucket(m.predict(k), |g| g.find(k));
             assert_eq!(found.map(|f| f.1), Some(v), "key {k}");
@@ -373,14 +383,10 @@ mod tests {
         for w in conflicts.windows(2) {
             assert!(w[0].0 < w[1].0);
         }
-        // Every seated key is in the bucket of its predicted slot, and a
-        // key goes to ART only from a full bucket, which it marks spilled.
-        m.slots.for_each_live(|slot, k, _| {
-            assert_eq!(
-                m.predict(k) / LANES,
-                slot / LANES,
-                "key {k} out of its bucket"
-            )
+        // Every seated key is in its predicted bucket, and a key goes to
+        // ART only from a full bucket, which it marks spilled.
+        m.slots.for_each_live(|bucket, k, _| {
+            assert_eq!(m.predict(k), bucket, "key {k} out of its bucket")
         });
         for &(k, _) in &conflicts {
             m.slots.with_bucket(m.predict(k), |g| {
@@ -396,7 +402,7 @@ mod tests {
         let pairs = [(42u64, 1u64)];
         let (m, conflicts) = build_model(&pairs, LinearModel::point(42), 1.2);
         assert!(conflicts.is_empty());
-        assert_eq!(m.slots.capacity(), 1);
+        assert_eq!(m.slots.buckets(), 1);
         assert_eq!(m.predict(42), 0);
         assert_eq!(m.slots.with_bucket(0, |g| g.find(42)), Some((0, 1)));
     }

@@ -3,10 +3,10 @@
 //!
 //! When a model's overflow inserts exceed its build size, the span is
 //! rebuilt: live slot entries are merged with the span's ART residents
-//! and bulk-loaded again, by the bulk builder at the index's own ε and
-//! `gap_factor`, and the fresh model(s) are swapped into the directory
-//! RCU-style. ART keys absorbed by the new slots are then deleted from
-//! ART; keys that still conflict stay there.
+//! and bulk-loaded again, by the bulk builder at the index's own ε, and
+//! the fresh model(s) are swapped into the directory RCU-style. ART keys
+//! absorbed by the new slots are then deleted from ART; keys that still
+//! conflict stay there.
 //! If the retrained model was the last one, re-segmentation naturally
 //! grows new tail models for out-of-range insertions.
 //!
@@ -17,7 +17,6 @@
 
 use crate::index::{segment_and_build, AltIndex};
 use crate::model::GplModel;
-use crate::slots::LANES;
 use crossbeam_epoch as epoch;
 use probe::metrics::{self, Counter, Phase};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -83,8 +82,8 @@ impl AltIndex {
     /// other and each holds its keys ascending, so the copy is sorted.
     fn collect_span(&self, dir: &crate::dir::ModelDir, mi: usize, m: &GplModel) -> SpanSnapshot {
         let mut slot_pairs: Vec<(u64, u64)> = Vec::with_capacity(m.build_size);
-        for i in (0..m.slots.capacity()).step_by(LANES) {
-            m.slots.with_bucket(i, |g| {
+        for b in 0..m.slots.buckets() {
+            m.slots.with_bucket(b, |g| {
                 let (entries, n) = g.entries();
                 slot_pairs.extend_from_slice(&entries[..n]);
             });
@@ -149,16 +148,10 @@ impl AltIndex {
         // `art_inserts` stays high on purpose — the next overflow insert
         // retries (self-healing).
         probe::fail::point("retrain.build");
-        // The span's bulk load, at the index's own ε and `gap_factor`;
-        // the floor keeps the span's start. `conflicts` is key-sorted,
-        // each key once.
-        let (models, conflicts, _) = segment_and_build(
-            &span.merged,
-            self.epsilon,
-            self.cfg.gap_factor,
-            Some(m.first_key),
-            1,
-        );
+        // The span's bulk load, at the index's own ε; the floor keeps the
+        // span's start. `conflicts` is key-sorted, each key once.
+        let (models, conflicts, _) =
+            segment_and_build(&span.merged, self.epsilon, Some(m.first_key), 1);
         metrics::record_phase_ns(Phase::RetrainBuild, metrics::now_ns() - t_build);
 
         // Every conflicting key must be reachable through ART before the
@@ -281,7 +274,7 @@ mod tests {
         ) {
             let pairs: Vec<(u64, u64)> = keys.into_iter().map(|k| (k, k ^ 0xABCD)).collect();
             let floor = pairs[0].0.saturating_sub(floor_gap).max(1);
-            let (models, conflicts, _) = segment_and_build(&pairs, eps, 1.25, Some(floor), 1);
+            let (models, conflicts, _) = segment_and_build(&pairs, eps, Some(floor), 1);
             let dir = ModelDir::new(models);
             proptest::prop_assert_eq!(dir.first_keys[0], floor);
             proptest::prop_assert!(
@@ -289,14 +282,13 @@ mod tests {
                 "conflicts not sorted and unique"
             );
 
-            // Live slot entries, each in the bucket of the slot its routed
-            // model predicts (the only place a reader looks for it).
+            // Live slot entries, each in the bucket its routed model
+            // predicts (the only place a reader looks for it).
             let mut live: BTreeMap<u64, u64> = BTreeMap::new();
             for m in &dir.models {
                 let mut misplaced = None;
-                m.slots.for_each_live(|slot, k, v| {
-                    let placed =
-                        Arc::ptr_eq(dir.model_for(k), m) && m.predict(k) / LANES == slot / LANES;
+                m.slots.for_each_live(|bucket, k, v| {
+                    let placed = Arc::ptr_eq(dir.model_for(k), m) && m.predict(k) == bucket;
                     if !placed || live.insert(k, v).is_some() {
                         misplaced = Some(k);
                     }
@@ -501,16 +493,17 @@ mod tests {
 
     #[test]
     fn the_sweep_waits_for_a_writer_in_lane_2() {
-        // The writer's key predicts lane 2, so it holds the bucket from
-        // lane 0 on; the sweep, which starts each bucket at lane 0, waits
-        // there.
-        the_sweep_collects_a_held_bucket(|pred| pred % LANES == 2);
+        // The writer's key sorts above two keys of its bucket, so its
+        // insert takes lane 2; the sweep, which copies each bucket from
+        // lane 0 under its lock, waits for it and copies the shifted
+        // bucket.
+        the_sweep_collects_a_held_bucket(|lane| lane == 2);
     }
 
-    /// Hold the bucket of an absent key of one model whose predicted slot
-    /// passes `lane` and whose bucket has a free lane, for 200 ms, while a
-    /// retrain of that model sweeps; the insert made at the end of the
-    /// hold must survive it.
+    /// Hold the bucket of an absent key of one model whose insert takes a
+    /// lane that passes `lane` and whose bucket has a free lane, for
+    /// 200 ms, while a retrain of that model sweeps; the insert made at the
+    /// end of the hold must survive it.
     fn the_sweep_collects_a_held_bucket(lane: impl Fn(usize) -> bool) {
         let pairs: Vec<(u64, u64)> = (1..=2_000u64).map(|i| (i * 1_000, i)).collect();
         let idx = AltIndex::bulk_load_with(
@@ -527,9 +520,10 @@ mod tests {
         let key = (m.first_key..m.first_key + 100_000)
             .find(|&k| {
                 Arc::ptr_eq(dir.model_for(k), m)
-                    && lane(m.predict(k))
                     && m.slots.with_bucket(m.predict(k), |g| {
-                        g.find(k).is_none()
+                        let (entries, n) = g.entries();
+                        lane(entries[..n].iter().filter(|e| e.0 < k).count())
+                            && g.find(k).is_none()
                             && !g.is_full()
                             && g.probe(k) == crate::slots::Probe::Absent
                     })

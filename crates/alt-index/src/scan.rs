@@ -2,20 +2,18 @@
 //! the learned layer merged with an ART range query — done in bounded
 //! key-interval chunks.
 //!
-//! Keys in a GPL model sit in the buckets of their predicted slots, each
-//! bucket holds its keys ascending, and the placement function is
-//! monotone, so walking buckets in order yields keys in order; the
-//! slot-resident keys of a key interval lie inside the whole buckets of
-//! the slot window its two ends predict to; models themselves
-//! are sorted, so the learned-layer side of the merge is a forward walk. A scan advances in
-//! chunks `[cursor, kb]` sized from the models to hold about what it
-//! still needs: per chunk one ART read of the interval, then one walk of
-//! its slot window, merged as they come. DESIGN.md §18 has the protocol
-//! and its ordering argument.
+//! Keys in a GPL model sit in their predicted buckets, each bucket holds
+//! its keys ascending, and the prediction is monotone, so walking buckets
+//! in order yields keys in order; the slot-resident keys of a key interval
+//! lie in the window of buckets its two ends predict; models themselves
+//! are sorted, so the learned-layer side of the merge is a forward walk. A
+//! scan advances in chunks `[cursor, kb]` sized from the models to hold
+//! about what it still needs: per chunk one ART read of the interval, then
+//! one walk of its bucket window, merged as they come. DESIGN.md §18 has
+//! the protocol and its ordering argument.
 
 use crate::dir::ModelDir;
 use crate::index::AltIndex;
-use crate::slots::LANES;
 use crossbeam_epoch as epoch;
 use probe::metrics::{self, Counter};
 
@@ -98,13 +96,13 @@ impl AltIndex {
             let need = (full - had).min(CHUNK_KEYS);
             let first = dir.locate(cursor);
             let m = &dir.models[first];
-            let first_slot = m.predict(cursor);
+            let first_bucket = m.predict(cursor);
             // A quarter over: a chunk that comes up short costs another
             // ART descent, one that overshoots only the tail of its reads.
-            let mut kb = chunk_end(dir, first, first_slot, (need + need / 4 + 4) * boost)
+            let mut kb = chunk_end(dir, first, first_bucket, (need + need / 4 + 4) * boost)
                 .max(cursor)
                 .min(hi);
-            m.slots.prefetch_window(first_slot, m.predict(kb));
+            m.slots.prefetch_window(first_bucket, m.predict(kb));
 
             // Step 1: ART. A full buffer ends the chunk at its last key.
             let mut art_len = 0;
@@ -119,23 +117,18 @@ impl AltIndex {
             metrics::add(Counter::ScanArtKey, art_len as u64);
             probe::chaos::point("scan.chunk.post_art");
 
-            // Step 2: the slot window of the same interval, widened to
-            // whole buckets and read a bucket at a time, its live lanes
-            // already in key order, merged with the ART side as it is
-            // walked; on the transient double-presence the slot copy wins.
+            // Step 2: the bucket window of the same interval, read a bucket
+            // at a time, its live lanes already in key order, merged with
+            // the ART side as it is walked; on the transient
+            // double-presence the slot copy wins.
             let mut from_art = art_side[..art_len].iter().copied().peekable();
             'walk: for (mi, m) in dir.models.iter().enumerate().skip(first) {
                 if mi > first && m.first_key > kb {
                     break;
                 }
-                let from = if mi == first {
-                    first_slot / LANES * LANES
-                } else {
-                    0
-                };
-                let to = m.predict(kb) / LANES * LANES + LANES - 1;
-                for i in m.slots.walk(from, to) {
-                    let (entries, n) = m.slots.read_bucket(i);
+                let from = if mi == first { first_bucket } else { 0 };
+                for b in m.slots.walk(from, m.predict(kb)) {
+                    let (entries, n) = m.slots.read_bucket(b);
                     for &(key, value) in &entries[..n] {
                         if key < cursor || key > kb {
                             continue;
@@ -164,26 +157,26 @@ impl AltIndex {
     }
 }
 
-/// Where a chunk that starts at slot `from` of model `mi` should end to
-/// hold about `want` keys, going by each model's build-time density:
-/// inside `mi` if its remaining slots are expected to hold that many,
-/// else on through whole following models (fb has models of a few keys —
-/// a chunk per model would cost an ART descent each) to the one they run
-/// out in.
+/// Where a chunk that starts at bucket `from` of model `mi` should end to
+/// hold about `want` keys, going by each model's build-time keys per
+/// bucket: inside `mi` if its remaining buckets are expected to hold that
+/// many, else on through whole following models (fb has models of a few
+/// keys — a chunk per model would cost an ART descent each) to the one
+/// they run out in.
 fn chunk_end(dir: &ModelDir, mut mi: usize, mut from: usize, want: usize) -> u64 {
     let mut want = want as f64;
     loop {
         let m = &dir.models[mi];
-        let slots = m.slots.capacity();
-        let keys_per_slot = m.build_size.max(1) as f64 / slots as f64;
-        let to = from.saturating_add((want / keys_per_slot) as usize);
-        if to < slots {
-            return m.key_near_slot(to);
+        let buckets = m.slots.buckets();
+        let keys_per_bucket = m.build_size.max(1) as f64 / buckets as f64;
+        let to = from.saturating_add((want / keys_per_bucket) as usize);
+        if to < buckets {
+            return m.last_key(to);
         }
         let Some(next_first) = dir.upper_bound(mi) else {
             return u64::MAX;
         };
-        want -= (slots - from) as f64 * keys_per_slot;
+        want -= (buckets - from) as f64 * keys_per_bucket;
         if want <= 0.0 {
             return next_first - 1;
         }

@@ -2,12 +2,15 @@
 //! paper's slot-granularity optimistic concurrency (§III-E) taken to the
 //! bucket.
 //!
-//! An array is a run of 128-byte `Bucket`s of seven slots: slot `i` lies
-//! in bucket `i / 7`, which has seven lanes. A bucket is two cache lines,
-//! its version word and seven keys in the first and its seven values in
-//! the second. It is the unit a key is predicted into (DESIGN.md §3 "A
-//! line is a bucket"): a key predicted to slot `i` lives in some lane of
-//! bucket `i / 7` or, once that bucket spilled, in ART. A bucket keeps its
+//! An array is a run of 128-byte `Bucket`s of seven lanes each. A bucket
+//! is two cache lines, its version word and seven keys in the first and
+//! its seven values in the second. It is what a model predicts (DESIGN.md
+//! §3 "A line is a bucket"): the placement function's position divided by
+//! seven, clamped to the last bucket ([`SlotArray::bucket_at`]). A key
+//! lives in some lane of its predicted bucket or, once that bucket
+//! spilled, in ART. The lane count is this module's alone: the rest of the
+//! crate counts buckets, and a build's plan counts positions, which the
+//! array turns into buckets when it is made. A bucket keeps its
 //! live keys sorted: they fill lanes `0..n` ascending, and every lane from
 //! `n` up holds key 0. So the bucket is what a reader snapshots and what a
 //! writer locks, and its whole state is one atomic version word beside
@@ -41,8 +44,8 @@ use std::sync::Arc;
 /// Most cache lines one [`SlotArray::prefetch_window`] call asks for.
 const PREFETCH_LINES: usize = 16;
 
-/// Slots per bucket: the lanes a key may live in.
-pub const LANES: usize = 7;
+/// Lanes per bucket: the most keys it holds.
+const LANES: usize = 7;
 
 /// Bytes of one [`Bucket`]: two cache lines.
 const BUCKET: usize = std::mem::size_of::<Bucket>();
@@ -165,14 +168,14 @@ impl Bucket {
     }
 }
 
-/// A fixed-capacity array of versioned slots.
+/// A fixed-length array of versioned buckets.
 ///
-/// The buckets live in `region` at `buckets`: a raw pointer kept in the
-/// struct itself, so a probe loads it from the model as it loaded a
+/// The `len` buckets live in `region` at `buckets`: a raw pointer kept in
+/// the struct itself, so a probe loads it from the model as it loaded a
 /// `Box<[Bucket]>`'s, with no hop through the `Arc`.
 pub struct SlotArray {
     buckets: *const Bucket,
-    capacity: usize,
+    len: usize,
     region: Arc<Region>,
 }
 
@@ -185,109 +188,111 @@ unsafe impl Send for SlotArray {}
 unsafe impl Sync for SlotArray {}
 
 impl SlotArray {
-    /// An array of `capacity` empty slots, in a heap region of its own.
-    /// The heap block is only word-aligned (`Region::heap`), so it is
-    /// over-allocated by the most that aligning its start to a bucket can
-    /// skip, and [`SlotArray::carve`] starts at the first 128-byte
-    /// boundary.
-    pub fn new(capacity: usize) -> Self {
+    /// An empty array for a plan of `positions` predicted positions, in
+    /// a heap region of its own. The heap block is only word-aligned
+    /// (`Region::heap`), so it is over-allocated by the most that aligning
+    /// its start to a bucket can skip, and [`SlotArray::carve`] starts at
+    /// the first 128-byte boundary.
+    pub fn new(positions: usize) -> Self {
         let slack = BUCKET - std::mem::align_of::<u64>();
-        let region = Region::heap(Self::footprint(capacity) + slack);
-        Self::carve(region, &[capacity]).pop().expect("one array")
+        let region = Region::heap(Self::footprint(positions) + slack);
+        Self::carve(region, &[positions]).pop().expect("one array")
     }
 
-    /// Empty arrays of the given capacities, for one bulk-load group: all
+    /// Empty arrays for the given plans, for one bulk-load group: all
     /// carved from one huge-page region when they take at least
     /// [`SHARED_REGION_MIN`] bytes together (and the kernel maps it),
     /// otherwise each in a heap region of its own ([`SlotArray::new`]).
-    pub fn for_group(capacities: &[usize]) -> Vec<Self> {
-        let bytes: usize = capacities.iter().map(|&c| Self::footprint(c)).sum();
+    pub fn for_group(positions: &[usize]) -> Vec<Self> {
+        let bytes: usize = positions.iter().map(|&p| Self::footprint(p)).sum();
         match (bytes >= SHARED_REGION_MIN)
             .then(|| Region::mapped(bytes))
             .flatten()
         {
-            Some(region) => Self::carve(region, capacities),
-            None => capacities.iter().map(|&c| Self::new(c)).collect(),
+            Some(region) => Self::carve(region, positions),
+            None => positions.iter().map(|&p| Self::new(p)).collect(),
         }
     }
 
-    /// Bytes an array of `capacity` slots takes in a region: whole
-    /// buckets of seven slots.
-    pub fn footprint(capacity: usize) -> usize {
-        capacity.div_ceil(LANES) * BUCKET
+    /// Bytes an array planned for `positions` positions takes in a
+    /// region: the positions in whole buckets of seven lanes.
+    pub fn footprint(positions: usize) -> usize {
+        positions.div_ceil(LANES) * BUCKET
     }
 
-    /// Arrays of the given capacities laid back to back in `region`, each
+    /// Arrays for the given plans laid back to back in `region`, each
     /// [`SlotArray::footprint`] bytes, from its first 128-byte boundary on
     /// (its start, in a mapped region). The region is freed when the last
     /// of them drops. Taking it by value is what makes each array's bytes
     /// its own: no region is carved twice.
     ///
-    /// Panics if a capacity is 0 or the arrays do not fit.
-    pub fn carve(region: Region, capacities: &[usize]) -> Vec<Self> {
+    /// Panics if a plan has no position or the arrays do not fit.
+    pub fn carve(region: Region, positions: &[usize]) -> Vec<Self> {
         let region = Arc::new(region);
         assert!(
-            capacities.iter().all(|&c| c > 0),
-            "slot array needs at least one slot"
+            positions.iter().all(|&p| p > 0),
+            "slot array needs at least one bucket"
         );
         // Every pointer below is in bounds, aligned, and each array's
         // bytes are disjoint from the next's, because of this check.
         let start = (region.as_ptr() as usize).wrapping_neg() % BUCKET;
-        let total: usize = capacities.iter().map(|&c| Self::footprint(c)).sum();
+        let total: usize = positions.iter().map(|&p| Self::footprint(p)).sum();
         assert!(
             start + total <= region.size(),
             "slot arrays overrun their region"
         );
         let mut offset = start;
-        capacities
+        positions
             .iter()
-            .map(|&capacity| {
+            .map(|&p| {
                 let base = region.as_ptr().wrapping_add(offset);
-                offset += Self::footprint(capacity);
+                offset += Self::footprint(p);
                 Self {
                     buckets: base as *const Bucket,
-                    capacity,
+                    len: Self::footprint(p) / BUCKET,
                     region: Arc::clone(&region),
                 }
             })
             .collect()
     }
 
-    /// The array's buckets, the last one's spare lanes included.
+    /// The array's buckets.
     #[inline(always)]
-    fn buckets(&self) -> &[Bucket] {
-        // SAFETY: `carve` placed `capacity.div_ceil(7)` buckets at
-        // `buckets`, aligned and inside the region this array keeps alive;
-        // the region started zeroed, which is a valid `Bucket` (atomics
-        // only).
-        unsafe { std::slice::from_raw_parts(self.buckets, self.capacity.div_ceil(LANES)) }
+    fn all(&self) -> &[Bucket] {
+        // SAFETY: `carve` placed `len` buckets at `buckets`, aligned and
+        // inside the region this array keeps alive; the region started
+        // zeroed, which is a valid `Bucket` (atomics only).
+        unsafe { std::slice::from_raw_parts(self.buckets, self.len) }
     }
 
-    /// The bucket slot `i` lies in. Panics unless `i < capacity`: the
-    /// last bucket's spare lanes are never a slot.
+    /// Bucket `b`. Panics unless `b < len`.
     #[inline(always)]
-    fn bucket(&self, i: usize) -> &Bucket {
-        assert!(i < self.capacity, "slot index out of range");
-        // SAFETY: `i < capacity` (just checked), so bucket `i / 7` is one
-        // of the `capacity.div_ceil(7)` buckets `carve` placed, as in
-        // `buckets`.
-        // (A second bounds check here once kept the slot read from being
+    fn bucket(&self, b: usize) -> &Bucket {
+        assert!(b < self.len, "bucket index out of range");
+        // SAFETY: `b < len` (just checked), so bucket `b` is one of the
+        // `len` buckets `carve` placed, as in `all`.
+        // (A second bounds check here once kept the bucket read from being
         // inlined into `get` and the batch stage.)
-        unsafe { &*self.buckets.add(i / LANES) }
+        unsafe { &*self.buckets.add(b) }
     }
 
-    /// How many lanes of slot `i`'s bucket are slots, and so the most
-    /// keys it holds: seven, except in the last bucket of a capacity that
-    /// is not a multiple of seven.
+    /// Number of buckets.
     #[inline]
-    fn lanes_of(&self, i: usize) -> usize {
-        (self.capacity - i / LANES * LANES).min(LANES)
+    pub fn buckets(&self) -> usize {
+        self.len
     }
 
-    /// Number of slots.
-    #[inline]
-    pub fn capacity(&self) -> usize {
-        self.capacity
+    /// The bucket a placement function's rounded `position` predicts: the
+    /// bucket holding that position, or the last bucket past the end.
+    #[inline(always)]
+    pub fn bucket_at(&self, position: usize) -> usize {
+        (position / LANES).min(self.len - 1)
+    }
+
+    /// The first position past bucket `b`: where a placement function
+    /// stops predicting it.
+    pub fn end_of(b: usize) -> usize {
+        (b + 1) * LANES
     }
 
     /// The region this array lives in, shared with the other arrays
@@ -296,12 +301,12 @@ impl SlotArray {
         &self.region
     }
 
-    /// Bytes the array takes in its region: [`SlotArray::footprint`].
+    /// Bytes the array takes in its region.
     pub fn memory_usage(&self) -> usize {
-        Self::footprint(self.capacity)
+        self.len * BUCKET
     }
 
-    /// Hint the CPU to fetch slot `i`'s bucket ahead of a
+    /// Hint the CPU to fetch bucket `b` ahead of a
     /// [`SlotArray::probe`] or a writer's lock: both its cache lines, the
     /// keys' and the values', issued together so their misses overlap
     /// (a value line asked for only once the verdict found its lane costs
@@ -309,37 +314,34 @@ impl SlotArray {
     /// revolution before the probe; the scalar `get` issues it before it
     /// warms the key's ART path, so all three misses overlap.
     #[inline]
-    pub fn prefetch(&self, i: usize) {
-        debug_assert!(i < self.capacity);
-        let bucket = self.buckets.wrapping_add(i / LANES) as *const u8;
+    pub fn prefetch(&self, b: usize) {
+        debug_assert!(b < self.len);
+        let bucket = self.buckets.wrapping_add(b) as *const u8;
         prefetch::prefetch_read(bucket);
         prefetch::prefetch_read(bucket.wrapping_add(CACHE_LINE));
     }
 
-    /// Hint the CPU to fetch the slots `from..=to` ahead of a walk over
+    /// Hint the CPU to fetch the buckets `from..=to` ahead of a walk over
     /// them, up to `PREFETCH_LINES` cache lines, both of each bucket's (a
     /// longer walk is a sequential stream the hardware picks up by
     /// itself).
     pub fn prefetch_window(&self, from: usize, to: usize) {
-        let to = to.min(self.capacity() - 1);
-        if from > to {
-            return;
-        }
-        let (first, last) = (from / LANES, to / LANES);
-        for bucket in first..=last.min(first + PREFETCH_LINES / 2 - 1) {
-            self.prefetch(bucket * LANES);
+        let to = to
+            .min(self.len - 1)
+            .min(from.saturating_add(PREFETCH_LINES / 2 - 1));
+        for b in from..=to {
+            self.prefetch(b);
         }
     }
 
     /// The buckets of `from..=to` whose version word is locked or counts
-    /// a live key, ascending, each as its first slot. Each still has to go
-    /// through a read; the ones left out need not — a word read neither
-    /// locked nor counting a key means the bucket was empty at that load,
-    /// which is what a read would have returned then.
+    /// a live key, ascending. Each still has to go through a read; the
+    /// ones left out need not — a word read neither locked nor counting a
+    /// key means the bucket was empty at that load, which is what a read
+    /// would have returned then.
     pub fn walk(&self, from: usize, to: usize) -> impl Iterator<Item = usize> + '_ {
-        let to = to.min(self.capacity() - 1);
-        let end = if from > to { 0 } else { to / LANES + 1 };
-        let (mut base, mut bits) = (from / LANES, 0u64);
+        let end = to.min(self.len - 1) + 1;
+        let (mut base, mut bits) = (from, 0u64);
         std::iter::from_fn(move || {
             while bits == 0 {
                 if base >= end {
@@ -350,7 +352,7 @@ impl SlotArray {
             }
             let bucket = base - 64 + bits.trailing_zeros() as usize;
             bits &= bits - 1;
-            Some(bucket * LANES)
+            Some(bucket)
         })
     }
 
@@ -360,28 +362,28 @@ impl SlotArray {
     /// 100-key scans about a quarter more per key.
     #[inline]
     fn held(&self, first: usize, end: usize) -> u64 {
-        let buckets = &self.buckets()[first..end.min(first + 64)];
+        let buckets = &self.all()[first..end.min(first + 64)];
         buckets.iter().enumerate().fold(0, |bits, (j, bucket)| {
             let v = bucket.version.load(Ordering::Acquire);
             bits | u64::from(v & (LOCKED | COUNT) != 0) << j
         })
     }
 
-    /// Current version of slot `i`'s bucket (for later re-validation via
+    /// Current version of bucket `b` (for later re-validation via
     /// [`SlotArray::version_unchanged`]): it moves whenever the bucket was
     /// written, whichever lane changed.
     #[inline]
-    pub fn version(&self, i: usize) -> u64 {
-        self.bucket(i).version.load(Ordering::Acquire)
+    pub fn version(&self, b: usize) -> u64 {
+        self.bucket(b).version.load(Ordering::Acquire)
     }
 
-    /// Whether slot `i`'s bucket's version still equals `snapshot`.
+    /// Whether bucket `b`'s version still equals `snapshot`.
     #[inline]
-    pub fn version_unchanged(&self, i: usize, snapshot: u64) -> bool {
-        self.version(i) == snapshot
+    pub fn version_unchanged(&self, b: usize, snapshot: u64) -> bool {
+        self.version(b) == snapshot
     }
 
-    /// The one optimistic read of slot `i`'s bucket, with the version it
+    /// The one optimistic read of bucket `b`, with the version it
     /// was taken at for a later [`SlotArray::version_unchanged`]: load the
     /// word, and if `settled` answers from it alone, that is the answer;
     /// else, once the word is unlocked, load the seven keys, let `read`
@@ -394,11 +396,11 @@ impl SlotArray {
     #[inline(always)]
     fn snapshot<R>(
         &self,
-        i: usize,
+        b: usize,
         settled: impl Fn(u64) -> Option<R>,
         read: impl Fn(&Bucket, u64, [u64; LANES]) -> R,
     ) -> (R, u64) {
-        let bucket = self.bucket(i);
+        let bucket = self.bucket(b);
         let mut retry = resilience::Retry::new();
         loop {
             let v = bucket.version.load(Ordering::Acquire);
@@ -421,7 +423,7 @@ impl SlotArray {
             }
             metrics::incr(Counter::SlotReadRetry);
             if retry.wait_or_escalate(&crate::LAYER) {
-                return self.escalate(i, read);
+                return self.escalate(b, read);
             }
         }
     }
@@ -431,15 +433,15 @@ impl SlotArray {
     /// the optimistic loop inlined into `get` carries only its call.
     #[cold]
     #[inline(never)]
-    fn escalate<R>(&self, i: usize, read: impl Fn(&Bucket, u64, [u64; LANES]) -> R) -> (R, u64) {
-        self.locked(i, |g| {
+    fn escalate<R>(&self, b: usize, read: impl Fn(&Bucket, u64, [u64; LANES]) -> R) -> (R, u64) {
+        self.locked(b, |g| {
             let (v, key) = g.view();
             read(g.bucket, v, key)
         })
     }
 
-    /// The reader's verdict on `key`, predicted to slot `i`, from one
-    /// snapshot of the slot's bucket, with the version it was taken at:
+    /// The reader's verdict on `key`, predicted to bucket `b`, from one
+    /// snapshot of the bucket, with the version it was taken at:
     /// the one `verdict`, with no more loads than it needs — the word, the
     /// seven keys, the matching lane's value, and the word again. An
     /// empty bucket's unlocked word is the verdict with nothing to
@@ -448,40 +450,40 @@ impl SlotArray {
     /// building a whole bucket view here instead cost `read_oc` about 5 %
     /// of its throughput (EXPERIMENTS.md "A line is a bucket").
     #[inline]
-    pub fn probe(&self, i: usize, key: u64) -> (Probe, u64) {
+    pub fn probe(&self, b: usize, key: u64) -> (Probe, u64) {
         self.snapshot(
-            i,
+            b,
             |v| (v & (LOCKED | COUNT) == 0).then(|| miss(v)),
             |bucket, v, k| verdict(bucket, v, k, key),
         )
     }
 
-    /// Slot `i`'s bucket as a scan walks it, from one snapshot: its seven
-    /// lanes' entries and its live count `n`. Lanes `0..n` are its keys,
+    /// Bucket `b` as a scan walks it, from one snapshot: its seven lanes'
+    /// entries and its live count `n`. Lanes `0..n` are its keys,
     /// ascending, so the walk takes them as they are.
     #[inline]
-    pub fn read_bucket(&self, i: usize) -> ([(u64, u64); LANES], usize) {
-        self.snapshot(i, |_| None, |bucket, v, key| bucket.entries(v, key))
+    pub fn read_bucket(&self, b: usize) -> ([(u64, u64); LANES], usize) {
+        self.snapshot(b, |_| None, |bucket, v, key| bucket.entries(v, key))
             .0
     }
 
-    /// Run `f` with slot `i`'s bucket write-locked (its version odd). The
+    /// Run `f` with bucket `b` write-locked (its version odd). The
     /// guard gives exclusive read/write access to the bucket; concurrent
     /// optimistic readers spin (or retry their validation) until `f`
     /// returns, and the unlock counts one write. The lock is released
     /// even if `f` panics.
     ///
     /// This is the per-key serialization point: every key that predicts
-    /// a slot of the bucket decides here, so callers that must make a
+    /// the bucket decides here, so callers that must make a
     /// multi-step decision atomically against other writers (e.g. "insert
     /// unless the key already lives in ART") do the whole decision inside
     /// `f`.
-    pub fn with_bucket<R>(&self, i: usize, f: impl FnOnce(&BucketGuard<'_>) -> R) -> R {
-        self.locked(i, f).0
+    pub fn with_bucket<R>(&self, b: usize, f: impl FnOnce(&BucketGuard<'_>) -> R) -> R {
+        self.locked(b, f).0
     }
 
     /// [`SlotArray::with_bucket`], with the word its unlock stored.
-    fn locked<R>(&self, i: usize, f: impl FnOnce(&BucketGuard<'_>) -> R) -> (R, u64) {
+    fn locked<R>(&self, b: usize, f: impl FnOnce(&BucketGuard<'_>) -> R) -> (R, u64) {
         struct Unlock<'a>(&'a AtomicU64);
         impl Drop for Unlock<'_> {
             fn drop(&mut self) {
@@ -489,8 +491,7 @@ impl SlotArray {
             }
         }
         let guard = BucketGuard {
-            bucket: self.bucket(i),
-            lanes: self.lanes_of(i),
+            bucket: self.bucket(b),
         };
         lock(&guard.bucket.version);
         let held = Unlock(&guard.bucket.version);
@@ -501,15 +502,15 @@ impl SlotArray {
 
     /// Bulk placement during (re)construction, which pushes keys in
     /// ascending order: the array is still private to one thread, so skip
-    /// the version protocol. Puts the key in the next lane of slot `i`'s
-    /// bucket, or, if the bucket is full, sets its spill bit and returns
-    /// `false` (the key goes to ART).
-    pub fn place_unsync(&self, i: usize, key: u64, value: u64) -> bool {
-        let bucket = self.bucket(i);
+    /// the version protocol. Puts the key in the next lane of bucket `b`,
+    /// or, if the bucket is full, sets its spill bit and returns `false`
+    /// (the key goes to ART).
+    pub fn place_unsync(&self, b: usize, key: u64, value: u64) -> bool {
+        let bucket = self.bucket(b);
         let v = bucket.version.load(Ordering::Relaxed);
         let n = count(v);
         debug_assert!(n == 0 || bucket.key[n - 1].load(Ordering::Relaxed) < key);
-        if n == self.lanes_of(i) {
+        if n == LANES {
             bucket.version.store(v | SPILL, Ordering::Relaxed);
             return false;
         }
@@ -519,14 +520,14 @@ impl SlotArray {
         true
     }
 
-    /// Iterate live entries bucket by bucket, yielding `(slot, key,
-    /// value)` in slot order, which is key order. Snapshot-consistent per
-    /// bucket, not across buckets.
+    /// Iterate live entries bucket by bucket, yielding `(bucket, key,
+    /// value)` in key order. Snapshot-consistent per bucket, not across
+    /// buckets.
     pub fn for_each_live(&self, mut f: impl FnMut(usize, u64, u64)) {
-        for first in self.walk(0, usize::MAX) {
-            let (entries, n) = self.read_bucket(first);
-            for (lane, &(key, value)) in entries[..n].iter().enumerate() {
-                f(first + lane, key, value);
+        for b in self.walk(0, usize::MAX) {
+            let (entries, n) = self.read_bucket(b);
+            for &(key, value) in &entries[..n] {
+                f(b, key, value);
             }
         }
     }
@@ -591,7 +592,7 @@ impl Drop for SlotArray {
             // this array alone, `&mut self` means nothing refers into it,
             // and `release` leaves the partial pages shared with a
             // neighbour untouched.
-            unsafe { self.region.release(offset, Self::footprint(self.capacity)) };
+            unsafe { self.region.release(offset, self.memory_usage()) };
         }
     }
 }
@@ -602,8 +603,6 @@ impl Drop for SlotArray {
 /// optimistic readers cannot validate against anything the closure does.
 pub struct BucketGuard<'a> {
     bucket: &'a Bucket,
-    /// Lanes of the bucket that are slots (below the array's capacity).
-    lanes: usize,
 }
 
 impl BucketGuard<'_> {
@@ -638,10 +637,10 @@ impl BucketGuard<'_> {
         self.bucket.entries(v, key)
     }
 
-    /// Whether every lane that is a slot holds a live key: a key that is
-    /// in none of them goes to ART.
+    /// Whether every lane holds a live key: a key that is in none of them
+    /// goes to ART.
     pub fn is_full(&self) -> bool {
-        count(self.view().0) == self.lanes
+        count(self.view().0) == LANES
     }
 
     /// Move lane `from`'s entry to lane `to`.
@@ -665,7 +664,7 @@ impl BucketGuard<'_> {
     pub fn insert(&self, key: u64, value: u64) {
         let (v, k) = self.view();
         let n = count(v);
-        debug_assert!(key != 0 && n < self.lanes);
+        debug_assert!(key != 0 && n < LANES);
         let at = k[..n].partition_point(|&x| x < key);
         for lane in (at..n).rev() {
             self.shift(lane, lane + 1);
@@ -719,10 +718,10 @@ mod tests {
     use std::collections::BTreeMap;
 
     /// The shape of every slot write: decide under the bucket's lock. This
-    /// one inserts into slot `i`'s bucket unless the key is there or the
-    /// bucket is full.
-    fn put(s: &SlotArray, i: usize, key: u64, value: u64) -> bool {
-        s.with_bucket(i, |g| {
+    /// one inserts into bucket `b` unless the key is there or the bucket
+    /// is full.
+    fn put(s: &SlotArray, b: usize, key: u64, value: u64) -> bool {
+        s.with_bucket(b, |g| {
             let room = g.find(key).is_none() && !g.is_full();
             if room {
                 g.insert(key, value);
@@ -731,31 +730,31 @@ mod tests {
         })
     }
 
-    /// Remove `key` from slot `i`'s bucket if it is there, as `remove`
-    /// does; returns the removed value.
-    fn take(s: &SlotArray, i: usize, key: u64) -> Option<u64> {
-        s.with_bucket(i, |g| {
+    /// Remove `key` from bucket `b` if it is there, as `remove` does;
+    /// returns the removed value.
+    fn take(s: &SlotArray, b: usize, key: u64) -> Option<u64> {
+        s.with_bucket(b, |g| {
             let (lane, value) = g.find(key)?;
             g.remove(lane);
             Some(value)
         })
     }
 
-    /// Slot `i`'s bucket's live entries, from one optimistic read.
-    fn live(s: &SlotArray, i: usize) -> Vec<(u64, u64)> {
-        let (entries, n) = s.read_bucket(i);
+    /// Bucket `b`'s live entries, from one optimistic read.
+    fn live(s: &SlotArray, b: usize) -> Vec<(u64, u64)> {
+        let (entries, n) = s.read_bucket(b);
         entries[..n].to_vec()
     }
 
-    /// Whether slot `i`'s bucket has spilled.
-    fn spilled(s: &SlotArray, i: usize) -> bool {
-        s.version(i) & SPILL != 0
+    /// Whether bucket `b` has spilled.
+    fn spilled(s: &SlotArray, b: usize) -> bool {
+        s.version(b) & SPILL != 0
     }
 
-    /// The verdict on `key` at slot `i`, a hit as its value and ART as
+    /// The verdict on `key` in bucket `b`, a hit as its value and ART as
     /// `u64::MAX`.
-    fn verdict_of(s: &SlotArray, i: usize, key: u64) -> Option<u64> {
-        match s.probe(i, key).0 {
+    fn verdict_of(s: &SlotArray, b: usize, key: u64) -> Option<u64> {
+        match s.probe(b, key).0 {
             Probe::Hit(v) => Some(v),
             Probe::Absent => None,
             Probe::Art => Some(u64::MAX),
@@ -763,81 +762,80 @@ mod tests {
     }
 
     #[test]
-    fn seven_slots_share_each_bucket_and_nothing_past_the_capacity_is_a_slot() {
-        for capacity in (1..=15).chain([6_998, 6_999, 7_000]) {
-            let s = SlotArray::new(capacity);
-            assert_eq!(SlotArray::footprint(capacity), capacity.div_ceil(7) * 128);
-            for i in 0..capacity {
-                let (bucket, lane) = (s.bucket(i), i % 7);
+    fn every_bucket_has_seven_lanes_in_two_cache_lines() {
+        // A plan's positions in whole buckets, the last one's seven lanes
+        // included, wherever the positions end.
+        for positions in (1..=15).chain([6_998, 6_999, 7_000]) {
+            let s = SlotArray::new(positions);
+            let len = positions.div_ceil(7);
+            assert_eq!(s.buckets(), len, "{positions} positions");
+            assert_eq!(SlotArray::footprint(positions), len * 128);
+            assert_eq!(s.memory_usage(), len * 128);
+            for p in [0, positions - 1, positions, 7 * len, usize::MAX] {
+                assert_eq!(s.bucket_at(p), (p / 7).min(len - 1), "position {p}");
+            }
+            for b in 0..len {
+                let bucket = s.bucket(b);
                 let addr = |word: &AtomicU64| word as *const AtomicU64 as usize;
                 let first = addr(&bucket.version) / 128;
-                assert_eq!(
-                    first - s.buckets as usize / 128,
-                    i / 7,
-                    "slot {i} of {capacity}"
-                );
+                assert_eq!(first - s.buckets as usize / 128, b, "bucket {b}");
+                assert_eq!(SlotArray::end_of(b), 7 * (b + 1));
                 // The word and the keys in the first cache line, the values
                 // in the second.
-                for (word, half) in [
-                    (&bucket.version, 0),
-                    (&bucket.key[lane], 0),
-                    (&bucket.value[lane], 1),
-                ] {
-                    assert_eq!(addr(word) / 64, first * 2 + half, "slot {i} of {capacity}");
-                    assert_eq!(
-                        (addr(word) + 7) / 64,
-                        first * 2 + half,
-                        "slot {i} of {capacity}"
-                    );
+                for lane in 0..LANES {
+                    for (word, half) in [
+                        (&bucket.version, 0),
+                        (&bucket.key[lane], 0),
+                        (&bucket.value[lane], 1),
+                    ] {
+                        assert_eq!(addr(word) / 64, first * 2 + half, "bucket {b}");
+                        assert_eq!((addr(word) + 7) / 64, first * 2 + half, "bucket {b}");
+                    }
                 }
             }
-            assert_eq!(s.walk(0, usize::MAX).next(), None, "capacity {capacity}");
-            for i in 0..capacity {
-                assert!(s.place_unsync(i, i as u64 + 1, 0));
+            assert_eq!(s.walk(0, usize::MAX).next(), None, "{positions} positions");
+            // Every bucket, the last one too, takes seven keys, and the
+            // next key spills.
+            for b in 0..len {
+                for lane in 0..7 {
+                    assert!(s.place_unsync(b, (7 * b + lane) as u64 + 1, 0));
+                }
+                assert!(!spilled(&s, b));
+                assert!(!s.place_unsync(b, (7 * b) as u64 + 8, 0), "bucket {b}");
+                assert!(spilled(&s, b));
+                assert!(s.with_bucket(b, |g| g.is_full()));
             }
-            // The last bucket's spare lanes are never a slot: it is full at
-            // the capacity, and the next key spills.
-            let last = capacity - 1;
-            assert!(!spilled(&s, last));
-            assert!(!s.place_unsync(last, u64::MAX, 0), "capacity {capacity}");
-            assert!(spilled(&s, last));
-            assert!(s.with_bucket(last, |g| g.is_full()));
             let walk: Vec<usize> = s.walk(0, usize::MAX).collect();
-            assert_eq!(walk, (0..capacity).step_by(7).collect::<Vec<_>>());
+            assert_eq!(walk, (0..len).collect::<Vec<_>>());
             let mut live = Vec::new();
-            s.for_each_live(|i, _, _| live.push(i));
-            assert_eq!(
-                live,
-                (0..capacity).collect::<Vec<_>>(),
-                "capacity {capacity}"
-            );
+            s.for_each_live(|b, key, _| live.push((b, key)));
+            let want: Vec<(usize, u64)> = (0..7 * len).map(|i| (i / 7, i as u64 + 1)).collect();
+            assert_eq!(live, want, "{positions} positions");
         }
     }
 
     #[test]
-    fn a_walk_matches_a_slot_by_slot_filter_from_any_lane() {
+    fn a_walk_matches_a_bucket_by_bucket_filter_from_any_bucket() {
         let s = SlotArray::new(200);
+        let len = s.buckets();
         let mut x: u64 = 0x9e37_79b9_7f4a_7c15;
-        for i in 0..200 {
+        for b in 0..len {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
             if x.is_multiple_of(3) {
-                assert!(put(&s, i, i as u64 + 1, 1));
+                assert!(put(&s, b, b as u64 + 1, 1));
             }
         }
-        let empty: Vec<bool> = (0..200).map(|i| live(&s, i).is_empty()).collect();
-        // Slot 101's bucket lock holds slots 98 to 104. The walk yields
-        // the first slot of each bucket of the window that is held or
-        // has a key, whichever lanes the window starts and ends at.
-        s.with_bucket(101, |_| {
-            for from in 0..200 {
-                for to in from..(from + 250).min(260) {
-                    let mut expect: Vec<usize> = (from / 7 * 7..(to.min(199) / 7 * 7 + 7).min(200))
-                        .filter(|&i| (98..=104).contains(&i) || !empty[i])
-                        .map(|i| i / 7 * 7)
+        let empty: Vec<bool> = (0..len).map(|b| live(&s, b).is_empty()).collect();
+        // Bucket 14 is held. The walk yields each bucket of the window
+        // that is held or has a key, wherever the window starts and ends.
+        s.with_bucket(14, |_| {
+            for from in 0..len {
+                for to in from..(from + 40).min(45) {
+                    let expect: Vec<usize> = (from..=to.min(len - 1))
+                        .filter(|&b| b == 14 || !empty[b])
                         .collect();
-                    expect.dedup();
                     let walk: Vec<usize> = s.walk(from, to).collect();
                     assert_eq!(walk, expect, "{from}..={to}");
                 }
@@ -866,10 +864,10 @@ mod tests {
     #[test]
     fn empty_then_install_then_read() {
         let s = SlotArray::new(8);
-        assert_eq!(live(&s, 3), []);
-        assert!(put(&s, 3, 42, 420));
-        assert_eq!(live(&s, 3), [(42, 420)], "in lane 0, whichever slot");
-        assert_eq!(verdict_of(&s, 3, 42), Some(420));
+        assert_eq!(live(&s, 1), []);
+        assert!(put(&s, 1, 42, 420));
+        assert_eq!(live(&s, 1), [(42, 420)], "in lane 0");
+        assert_eq!(verdict_of(&s, 1, 42), Some(420));
     }
 
     #[test]
@@ -877,7 +875,7 @@ mod tests {
         let s = SlotArray::new(4);
         put(&s, 0, 7, 70);
         assert!(!put(&s, 0, 7, 71), "same key");
-        assert!(put(&s, 1, 8, 80), "another key takes the next lane");
+        assert!(put(&s, 0, 8, 80), "another key takes the next lane");
         assert_eq!(live(&s, 0), [(7, 70), (8, 80)]);
     }
 
@@ -885,21 +883,21 @@ mod tests {
     fn remove_lifecycle() {
         let s = SlotArray::new(4);
         for key in [9, 5, 7] {
-            put(&s, 1, key, key * 10);
+            put(&s, 0, key, key * 10);
         }
-        assert_eq!(take(&s, 1, 8), None, "wrong key");
-        assert_eq!(take(&s, 1, 5), Some(50));
+        assert_eq!(take(&s, 0, 8), None, "wrong key");
+        assert_eq!(take(&s, 0, 5), Some(50));
         // The keys above it shift down, and the lane they vacate reads 0.
         assert_eq!(
-            s.read_bucket(1),
+            s.read_bucket(0),
             (
                 [(7, 70), (9, 90), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0)],
                 2
             )
         );
-        assert_eq!(verdict_of(&s, 1, 5), None);
+        assert_eq!(verdict_of(&s, 0, 5), None);
         // Any key of the bucket takes its rank.
-        assert!(put(&s, 3, 8, 80));
+        assert!(put(&s, 0, 8, 80));
         assert_eq!(live(&s, 0), [(7, 70), (8, 80), (9, 90)]);
         assert_eq!(take(&s, 0, 9), Some(90), "the top key");
         assert_eq!(take(&s, 0, 7), Some(70), "the bottom key");
@@ -941,44 +939,42 @@ mod tests {
     fn a_lock_only_round_trip_leaves_a_slot_empty() {
         // The round trip of the retrain's sweep and of an escalated read.
         let s = SlotArray::new(8);
-        let v0 = s.version(3);
-        s.with_bucket(3, |g| assert_eq!(g.entries().1, 0));
-        let (n, v1) = s.locked(3, |g| g.entries().1);
+        let v0 = s.version(1);
+        s.with_bucket(1, |g| assert_eq!(g.entries().1, 0));
+        let (n, v1) = s.locked(1, |g| g.entries().1);
         assert_eq!(n, 0);
-        assert_eq!(v1, s.version(3), "the lock returns the word it stored");
+        assert_eq!(v1, s.version(1), "the lock returns the word it stored");
         assert_ne!(v1, v0, "each unlock counts a write");
         assert_eq!(v1 % 2, 0);
-        assert_eq!(s.probe(3, 1), (Probe::Absent, v1));
+        assert_eq!(s.probe(1, 1), (Probe::Absent, v1));
         assert!(all_empty(&s), "the walk skips an empty bucket");
     }
 
     #[test]
     fn a_walk_yields_a_slot_held_for_its_first_claim() {
         let s = SlotArray::new(100);
-        s.with_bucket(72, |g| {
-            assert_eq!(s.walk(0, 99).collect::<Vec<_>>(), [70], "locked");
+        s.with_bucket(10, |g| {
+            assert_eq!(s.walk(0, 14).collect::<Vec<_>>(), [10], "locked");
             g.insert(7, 70);
-            assert_eq!(s.walk(0, 99).collect::<Vec<_>>(), [70]);
+            assert_eq!(s.walk(0, 14).collect::<Vec<_>>(), [10]);
         });
-        assert_eq!(s.walk(0, 99).collect::<Vec<_>>(), [70], "a live key");
-        assert_eq!(live(&s, 71), [(7, 70)]);
+        assert_eq!(s.walk(0, 14).collect::<Vec<_>>(), [10], "a live key");
+        assert_eq!(live(&s, 10), [(7, 70)]);
     }
 
     #[test]
     fn a_walk_covers_exactly_its_window() {
         let s = SlotArray::new(200);
-        for i in [3, 64, 70, 130, 199] {
-            put(&s, i, i as u64 + 1, 1);
+        for b in [0, 9, 10, 18, 28] {
+            put(&s, b, b as u64 + 1, 1);
         }
-        // Buckets 0, 9, 10, 18 and 28: a window's edge buckets count
-        // whole.
         let walk = |from, to| s.walk(from, to).collect::<Vec<_>>();
-        assert_eq!(walk(0, 199), [0, 63, 70, 126, 196]);
-        assert_eq!(walk(7, 125), [63, 70]);
-        assert_eq!(walk(6, 126), [0, 63, 70, 126]);
-        assert_eq!(walk(70, 70), [70]);
-        assert_eq!(walk(131, 500), [126, 196], "clamped to the last slot");
-        assert_eq!(walk(71, 70), [] as [usize; 0]);
+        assert_eq!(walk(0, 28), [0, 9, 10, 18, 28]);
+        assert_eq!(walk(1, 17), [9, 10]);
+        assert_eq!(walk(0, 18), [0, 9, 10, 18]);
+        assert_eq!(walk(10, 10), [10]);
+        assert_eq!(walk(18, 500), [18, 28], "clamped to the last bucket");
+        assert_eq!(walk(11, 10), [] as [usize; 0]);
     }
 
     #[test]
@@ -1004,32 +1000,32 @@ mod tests {
 
     #[test]
     fn the_verdict_reads_every_lane_then_the_spill_bit() {
-        // Bucket 1 is slots 7 to 13: keys 30, 40 and 50 take lanes 0 to 2
-        // whichever of its slots they predict.
+        // Keys 30, 40 and 50 take lanes 0 to 2 of bucket 1 in key order,
+        // whatever order they arrive in.
         let s = SlotArray::new(21);
-        put(&s, 9, 50, 500);
-        put(&s, 7, 30, 300);
-        put(&s, 13, 40, 400);
-        assert_eq!(verdict_of(&s, 8, 50), Some(500), "a hit in any lane");
-        assert_eq!(verdict_of(&s, 12, 30), Some(300));
-        assert_eq!(verdict_of(&s, 8, 41), None, "bucket never spilled");
-        s.with_bucket(8, |g| g.spill());
+        put(&s, 1, 50, 500);
+        put(&s, 1, 30, 300);
+        put(&s, 1, 40, 400);
+        assert_eq!(verdict_of(&s, 1, 50), Some(500), "a hit in any lane");
+        assert_eq!(verdict_of(&s, 1, 30), Some(300));
+        assert_eq!(verdict_of(&s, 1, 41), None, "bucket never spilled");
+        s.with_bucket(1, |g| g.spill());
         assert_eq!(
-            verdict_of(&s, 8, 41),
+            verdict_of(&s, 1, 41),
             Some(u64::MAX),
             "past the spill bit: ART"
         );
         assert_eq!(
-            verdict_of(&s, 15, 41),
+            verdict_of(&s, 2, 41),
             None,
             "the spill bit is the bucket's own"
         );
-        assert_eq!(verdict_of(&s, 1, 41), None, "an empty bucket");
-        take(&s, 8, 40);
-        assert_eq!(verdict_of(&s, 8, 40), Some(u64::MAX), "a removed key: ART");
-        assert_eq!(verdict_of(&s, 8, 50), Some(500));
-        assert!(spilled(&s, 13));
-        s.with_bucket(9, |g| {
+        assert_eq!(verdict_of(&s, 0, 41), None, "an empty bucket");
+        take(&s, 1, 40);
+        assert_eq!(verdict_of(&s, 1, 40), Some(u64::MAX), "a removed key: ART");
+        assert_eq!(verdict_of(&s, 1, 50), Some(500));
+        assert!(spilled(&s, 1));
+        s.with_bucket(1, |g| {
             assert_eq!(g.find(50), Some((1, 500)));
             assert_eq!(g.entries().0[..3], [(30, 300), (50, 500), (0, 0)]);
         });
@@ -1037,8 +1033,8 @@ mod tests {
 
     #[test]
     fn the_reader_and_the_lock_holder_give_one_verdict() {
-        // Every unlocked word a bucket of one to seven lanes can hold —
-        // each live count `n`, spilled or not — and every placement of
+        // Every unlocked word a bucket can hold — each live count `n`,
+        // spilled or not — and every placement of
         // the looked-for key: in none of the live lanes (below, between
         // or above them) or in each one, the other live lanes holding
         // other keys in order and every lane from `n` up key 0. The
@@ -1046,62 +1042,50 @@ mod tests {
         // the lane of every hit.
         const KEY: u64 = 100;
         let mut seen = [0usize; 3];
-        for capacity in 1..=LANES {
-            let s = SlotArray::new(capacity);
-            let bucket = s.bucket(0);
-            for n in 0..=capacity {
-                // `rank` is how many live keys sort below KEY; `at` is the
-                // lane holding it, if any.
-                for rank in 0..=n {
-                    for at in [None, Some(rank)]
-                        .into_iter()
-                        .filter(|a| a.is_none_or(|l| l < n))
-                    {
-                        for l in 0..LANES {
-                            let key = match () {
-                                _ if l >= n => 0,
-                                _ if at == Some(l) => KEY,
-                                _ if l < rank => 10 + l as u64,
-                                _ => 200 + l as u64,
-                            };
-                            bucket.key[l].store(key, Ordering::Relaxed);
-                            let value = if key == 0 { 0 } else { 1000 + l as u64 };
-                            bucket.value[l].store(value, Ordering::Relaxed);
-                        }
-                        for spill in [0, SPILL] {
-                            let word = (5 * WRITE) | (n as u64 * ONE) | spill;
-                            bucket.version.store(word, Ordering::Relaxed);
-                            let want = match at {
-                                Some(l) => Probe::Hit(1000 + l as u64),
-                                None if spill == 0 => Probe::Absent,
-                                None => Probe::Art,
-                            };
-                            let case = || {
-                                format!("capacity {capacity}, n {n}, rank {rank}, key at {at:?}, spill {spill}")
-                            };
-                            for slot in 0..capacity {
-                                assert_eq!(
-                                    s.probe(slot, KEY).0,
-                                    want,
-                                    "reader, slot {slot}, {}",
-                                    case()
-                                );
-                                let (held, found, entries) = s.with_bucket(slot, |g| {
-                                    (g.probe(KEY), g.find(KEY), g.entries())
-                                });
-                                assert_eq!(held, want, "lock holder, {}", case());
-                                let hit = found.map(|(lane, value)| (lane, Probe::Hit(value)));
-                                assert_eq!(hit, at.map(|l| (l, want)), "find, {}", case());
-                                assert_eq!(entries.1, n, "{}", case());
-                                // The holder's unlock counted a write.
-                                bucket.version.store(word, Ordering::Relaxed);
-                            }
-                            seen[match want {
-                                Probe::Hit(_) => 0,
-                                Probe::Absent => 1,
-                                Probe::Art => 2,
-                            }] += 1;
-                        }
+        let s = SlotArray::new(LANES);
+        let bucket = s.bucket(0);
+        for n in 0..=LANES {
+            // `rank` is how many live keys sort below KEY; `at` is the
+            // lane holding it, if any.
+            for rank in 0..=n {
+                for at in [None, Some(rank)]
+                    .into_iter()
+                    .filter(|a| a.is_none_or(|l| l < n))
+                {
+                    for l in 0..LANES {
+                        let key = match () {
+                            _ if l >= n => 0,
+                            _ if at == Some(l) => KEY,
+                            _ if l < rank => 10 + l as u64,
+                            _ => 200 + l as u64,
+                        };
+                        bucket.key[l].store(key, Ordering::Relaxed);
+                        let value = if key == 0 { 0 } else { 1000 + l as u64 };
+                        bucket.value[l].store(value, Ordering::Relaxed);
+                    }
+                    for spill in [0, SPILL] {
+                        let word = (5 * WRITE) | (n as u64 * ONE) | spill;
+                        bucket.version.store(word, Ordering::Relaxed);
+                        let want = match at {
+                            Some(l) => Probe::Hit(1000 + l as u64),
+                            None if spill == 0 => Probe::Absent,
+                            None => Probe::Art,
+                        };
+                        let case = || format!("n {n}, rank {rank}, key at {at:?}, spill {spill}");
+                        assert_eq!(s.probe(0, KEY).0, want, "reader, {}", case());
+                        let (held, found, entries) =
+                            s.with_bucket(0, |g| (g.probe(KEY), g.find(KEY), g.entries()));
+                        assert_eq!(held, want, "lock holder, {}", case());
+                        let hit = found.map(|(lane, value)| (lane, Probe::Hit(value)));
+                        assert_eq!(hit, at.map(|l| (l, want)), "find, {}", case());
+                        assert_eq!(entries.1, n, "{}", case());
+                        // The holder's unlock counted a write.
+                        bucket.version.store(word, Ordering::Relaxed);
+                        seen[match want {
+                            Probe::Hit(_) => 0,
+                            Probe::Absent => 1,
+                            Probe::Art => 2,
+                        }] += 1;
                     }
                 }
             }
@@ -1133,14 +1117,14 @@ mod tests {
             orders.insert(order);
             let s = SlotArray::new(7);
             for key in order {
-                assert!(put(&s, 3, key, key * 10));
+                assert!(put(&s, 0, key, key * 10));
             }
-            assert_eq!(s.read_bucket(6), (KEYS.map(|k| (k, k * 10)), LANES));
-            assert_eq!(s.with_bucket(0, |g| g.entries()), s.read_bucket(6));
-            assert!(!put(&s, 3, 5, 50), "full");
+            assert_eq!(s.read_bucket(0), (KEYS.map(|k| (k, k * 10)), LANES));
+            assert_eq!(s.with_bucket(0, |g| g.entries()), s.read_bucket(0));
+            assert!(!put(&s, 0, 5, 50), "full");
             let mut rest = KEYS.to_vec();
             for key in order {
-                assert_eq!(take(&s, 3, key), Some(key * 10));
+                assert_eq!(take(&s, 0, key), Some(key * 10));
                 rest.retain(|&k| k != key);
                 let want: Vec<(u64, u64)> = rest.iter().map(|&k| (k, k * 10)).collect();
                 assert_eq!(live(&s, 0), want, "order {order:?}");
@@ -1151,46 +1135,48 @@ mod tests {
 
     #[test]
     fn the_build_takes_a_free_lane_of_the_line_then_spills() {
-        // Capacity 9: bucket 1 has two lanes, slots 7 and 8. Keys arrive
-        // ascending and take its lanes in order, whichever slot they
-        // predict.
+        // Nine positions: two buckets of seven lanes. Keys arrive
+        // ascending and take bucket 1's lanes in order, then spill.
         let s = SlotArray::new(9);
-        assert!(s.place_unsync(8, 1, 1));
-        assert!(s.place_unsync(7, 2, 2), "lane 1 is free");
-        assert!(!spilled(&s, 7));
-        assert!(!s.place_unsync(8, 3, 3), "no lane left");
-        assert!(spilled(&s, 7));
+        for key in 1..=7 {
+            assert!(s.place_unsync(1, key, key), "lane {} is free", key - 1);
+        }
+        assert!(!spilled(&s, 1));
+        assert!(!s.place_unsync(1, 8, 8), "no lane left");
+        assert!(spilled(&s, 1));
         assert!(!spilled(&s, 0), "another bucket");
-        assert_eq!(live(&s, 7), [(1, 1), (2, 2)]);
-        assert_eq!(verdict_of(&s, 8, 3), Some(u64::MAX));
-        assert_eq!(s.live_count(), 2);
+        assert_eq!(live(&s, 1), (1..=7).map(|k| (k, k)).collect::<Vec<_>>());
+        assert_eq!(verdict_of(&s, 1, 8), Some(u64::MAX));
+        assert_eq!(s.live_count(), 7);
     }
 
     #[test]
     fn a_write_to_one_lane_moves_every_lanes_version() {
-        // A reader's ART miss re-checks the version of its own slot's
-        // bucket, so a writer of any other lane of the bucket must move it.
+        // A reader's ART miss re-checks its bucket's one version word, so
+        // a writer of any lane of the bucket must move it.
         let s = SlotArray::new(7);
-        let before: Vec<u64> = (0..7).map(|i| s.version(i)).collect();
-        put(&s, 6, 5, 50);
-        for (i, v) in before.into_iter().enumerate() {
-            assert!(!s.version_unchanged(i, v), "lane {i}");
+        for lane in 0..LANES {
+            let before = s.version(0);
+            put(&s, 0, lane as u64 + 1, 50);
+            assert!(!s.version_unchanged(0, before), "lane {lane}");
         }
-        assert_eq!(live(&s, 0), [(5, 50)]);
+        assert_eq!(live(&s, 0).len(), LANES);
     }
 
     #[test]
     fn a_sweep_at_lane_0_waits_for_a_writer_of_lane_2() {
-        // A writer whose key predicts lane 2 holds the whole bucket, so a
-        // sweep that locks the bucket for lane 0 waits for it and then
-        // sees the writer's insert (DESIGN.md §14).
+        // A writer whose key takes lane 2 holds the whole bucket, so a
+        // sweep that locks the bucket to copy it from lane 0 waits for it
+        // and then sees the writer's insert (DESIGN.md §14).
         use std::sync::atomic::AtomicBool;
         let s = SlotArray::new(14);
+        put(&s, 1, 10, 100);
+        put(&s, 1, 20, 200);
         let done = AtomicBool::new(false);
         let (held_tx, held) = std::sync::mpsc::channel();
         std::thread::scope(|scope| {
             scope.spawn(|| {
-                s.with_bucket(9, |g| {
+                s.with_bucket(1, |g| {
                     held_tx.send(()).unwrap();
                     std::thread::sleep(std::time::Duration::from_millis(200));
                     g.insert(77, 770);
@@ -1198,15 +1184,15 @@ mod tests {
                 })
             });
             held.recv().unwrap();
-            assert_eq!(s.walk(7, 13).collect::<Vec<_>>(), [7], "locked");
-            let (entries, n) = s.with_bucket(7, |g| {
+            assert_eq!(s.walk(0, 1).collect::<Vec<_>>(), [1], "locked");
+            let (entries, n) = s.with_bucket(1, |g| {
                 assert!(
                     done.load(Ordering::Relaxed),
                     "the sweep passed a held bucket"
                 );
                 g.entries()
             });
-            assert_eq!(entries[..n], [(77, 770)]);
+            assert_eq!(entries[..n], [(10, 100), (20, 200), (77, 770)]);
         });
     }
 
@@ -1221,26 +1207,25 @@ mod tests {
         let (held_tx, held) = std::sync::mpsc::channel();
         let (verdict, v) = std::thread::scope(|scope| {
             scope.spawn(|| {
-                s.with_bucket(8, |g| {
+                s.with_bucket(1, |g| {
                     held_tx.send(()).unwrap();
                     std::thread::sleep(std::time::Duration::from_millis(500));
                     g.insert(44, 440);
                 })
             });
             held.recv().unwrap();
-            s.probe(8, 44)
+            s.probe(1, 44)
         });
         assert!(matches!(verdict, Probe::Hit(440)), "{verdict:?}");
         assert_eq!(v, ONE + 2 * WRITE, "the escalated read's unlock");
-        assert!(s.version_unchanged(8, v), "no write since");
-        assert!(s.version_unchanged(13, v), "one word for the bucket");
-        assert_eq!(live(&s, 7), [(44, 440)]);
+        assert!(s.version_unchanged(1, v), "no write since");
+        assert_eq!(live(&s, 1), [(44, 440)]);
         assert!(
-            s.version_unchanged(8, v),
+            s.version_unchanged(1, v),
             "an optimistic read writes nothing"
         );
-        put(&s, 9, 55, 550);
-        assert!(!s.version_unchanged(8, v), "a write to another lane");
+        put(&s, 1, 55, 550);
+        assert!(!s.version_unchanged(1, v), "a write to another lane");
     }
 
     #[test]
@@ -1255,43 +1240,47 @@ mod tests {
 
     #[test]
     fn place_unsync_respects_occupancy() {
-        // One bucket of four lanes takes four keys, and no fifth.
+        // Four positions are one bucket of seven lanes: it takes seven
+        // keys, and no eighth.
         let s = SlotArray::new(4);
-        for key in 1..=4 {
-            assert!(s.place_unsync(2, key, key * 10));
+        for key in 1..=7 {
+            assert!(s.place_unsync(0, key, key * 10));
         }
-        assert!(!s.place_unsync(2, 5, 50), "a full bucket rejects placement");
-        assert_eq!(live(&s, 0), [(1, 10), (2, 20), (3, 30), (4, 40)]);
+        assert!(!s.place_unsync(0, 8, 80), "a full bucket rejects placement");
+        assert_eq!(
+            live(&s, 0),
+            (1..=7).map(|k| (k, k * 10)).collect::<Vec<_>>()
+        );
     }
 
     #[test]
     fn for_each_live_skips_empty_and_tombstones() {
         // Removed keys leave nothing behind; the live ones are listed by
-        // the slot of their lane.
+        // their bucket.
         let s = SlotArray::new(14);
-        put(&s, 1, 10, 100);
-        put(&s, 4, 40, 400);
-        put(&s, 12, 60, 600);
-        take(&s, 4, 10);
+        put(&s, 0, 10, 100);
+        put(&s, 0, 40, 400);
+        put(&s, 1, 60, 600);
+        take(&s, 0, 10);
         let mut seen = Vec::new();
-        s.for_each_live(|i, k, v| seen.push((i, k, v)));
-        assert_eq!(seen, vec![(0, 40, 400), (7, 60, 600)]);
+        s.for_each_live(|b, k, v| seen.push((b, k, v)));
+        assert_eq!(seen, vec![(0, 40, 400), (1, 60, 600)]);
         assert_eq!(s.live_count(), 2);
     }
 
     #[test]
     fn concurrent_claims_one_winner_per_slot() {
-        // Eight threads race sixteen keys each into a 16-slot array: its
-        // buckets take seven, seven and two, one key per slot.
+        // Eight threads race sixteen keys each into an array of two
+        // buckets: fourteen lanes, each claimed by one key.
         use std::sync::Arc;
-        let s = Arc::new(SlotArray::new(16));
+        let s = Arc::new(SlotArray::new(14));
         let mut handles = Vec::new();
         for t in 1..=8u64 {
             let s = Arc::clone(&s);
             handles.push(std::thread::spawn(move || {
                 let mut wins = 0;
                 for i in 0..16 {
-                    if put(&s, i, t * 100 + i as u64, t) {
+                    if put(&s, i % 2, t * 100 + i as u64, t) {
                         wins += 1;
                     }
                 }
@@ -1299,8 +1288,8 @@ mod tests {
             }));
         }
         let total: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
-        assert_eq!(total, 16, "each slot claimed exactly once");
-        assert_eq!(s.live_count(), 16);
+        assert_eq!(total, 14, "each lane claimed exactly once");
+        assert_eq!(s.live_count(), 14);
     }
 
     #[test]
@@ -1336,16 +1325,16 @@ mod tests {
         w.join().unwrap();
     }
 
-    /// One write of `key` to slot `i`'s bucket as the index's writers
-    /// make it, with `art` standing in for ART: op 0 inserts, 1 upserts,
-    /// 2 updates and 3 removes. Returns the value the key had.
+    /// One write of `key` to bucket `b` as the index's writers make it,
+    /// with `art` standing in for ART: op 0 inserts, 1 upserts, 2 updates
+    /// and 3 removes. Returns the value the key had.
     fn write(
         s: &SlotArray,
         art: &mut BTreeMap<u64, u64>,
-        i: usize,
+        b: usize,
         (op, key, value): (u8, u64, u64),
     ) -> Option<u64> {
-        s.with_bucket(i, |g| {
+        s.with_bucket(b, |g| {
             if let Some((lane, old)) = g.find(key) {
                 match op {
                     1 | 2 => g.set_value(lane, value),
@@ -1377,7 +1366,7 @@ mod tests {
     }
 
     /// The bucket rule on every bucket of `s`, whose keys `route` to their
-    /// slots: lanes below the count bits' `n` hold the bucket's keys that
+    /// buckets: lanes below the count bits' `n` hold the bucket's keys that
     /// are not in `art`, ascending, with their `oracle` values; the lanes
     /// from `n` up read 0; and every key's verdict agrees.
     fn check_buckets(
@@ -1387,12 +1376,12 @@ mod tests {
         art: &BTreeMap<u64, u64>,
         keys: u64,
     ) -> Result<(), TestCaseError> {
-        for (b, bucket) in s.buckets().iter().enumerate() {
+        for (b, bucket) in s.all().iter().enumerate() {
             let v = bucket.version.load(Ordering::Relaxed);
             let (k, val) = (Bucket::words(&bucket.key), Bucket::words(&bucket.value));
             let want: Vec<(u64, u64)> = oracle
                 .iter()
-                .filter(|(key, _)| route(**key) / LANES == b && !art.contains_key(key))
+                .filter(|(key, _)| route(**key) == b && !art.contains_key(key))
                 .map(|(&key, &value)| (key, value))
                 .collect();
             let n = count(v);
@@ -1409,13 +1398,13 @@ mod tests {
             );
         }
         for key in 1..=keys {
-            let i = route(key);
+            let b = route(key);
             let want = match (oracle.get(&key), art.contains_key(&key)) {
                 (Some(_), true) => Probe::Art,
                 (Some(&v), false) => Probe::Hit(v),
-                (None, _) => miss(s.version(i)),
+                (None, _) => miss(s.version(b)),
             };
-            proptest::prop_assert_eq!(s.probe(i, key).0, want, "key {}", key);
+            proptest::prop_assert_eq!(s.probe(b, key).0, want, "key {}", key);
         }
         Ok(())
     }
@@ -1427,14 +1416,14 @@ mod tests {
         /// and counts `n` in its word.
         #[test]
         fn a_bucket_keeps_its_keys_sorted_through_any_writes(
-            capacity in 1usize..22,
+            positions in 1usize..22,
             ops in proptest::collection::vec((0u8..4, 1u64..41), 0..160usize),
         ) {
             const KEYS: u64 = 40;
-            let s = SlotArray::new(capacity);
+            let s = SlotArray::new(positions);
             // Monotone, as a model's prediction is, and dense enough that
             // buckets fill and spill.
-            let route = |key: u64| (key - 1) as usize * capacity / KEYS as usize;
+            let route = |key: u64| s.bucket_at((key - 1) as usize * positions / KEYS as usize);
             let (mut oracle, mut art) = (BTreeMap::new(), BTreeMap::new());
             for (step, &(op, key)) in ops.iter().enumerate() {
                 let value = key * 1_000 + step as u64;
@@ -1454,8 +1443,9 @@ mod tests {
         }
     }
 
-    /// Arrays of `a` and `b` slots carved from one mapped region, A
-    /// first, and a handle that says whether the region still exists.
+    /// Arrays planned for `a` and `b` positions carved from one mapped
+    /// region, A first, and a handle that says whether the region still
+    /// exists.
     fn carved_pair(a: usize, b: usize) -> (SlotArray, SlotArray, std::sync::Weak<Region>) {
         let bytes = SlotArray::footprint(a) + SlotArray::footprint(b);
         let region = Region::mapped(bytes).expect("map a region");
@@ -1466,7 +1456,7 @@ mod tests {
     }
 
     fn all_empty(s: &SlotArray) -> bool {
-        (0..s.capacity()).all(|i| live(s, i).is_empty()) && s.walk(0, usize::MAX).next().is_none()
+        (0..s.buckets()).all(|b| live(s, b).is_empty()) && s.walk(0, usize::MAX).next().is_none()
     }
 
     #[test]
@@ -1479,21 +1469,23 @@ mod tests {
 
     #[test]
     fn adjacent_carved_arrays_are_isolated() {
-        // A's last slots are lanes 0 and 1 of its 15th bucket; B starts on
-        // the next.
+        // A is 15 buckets, and B starts on the next: A's last buckets,
+        // every lane full, are A's alone.
         let (a, b, _) = carved_pair(100, 100);
-        for i in 64..100 {
-            assert!(put(&a, i, i as u64 + 1, 1));
+        for bucket in 9..15 {
+            for lane in 0..LANES {
+                assert!(put(&a, bucket, (bucket * LANES + lane) as u64 + 1, 1));
+            }
         }
-        assert!(all_empty(&b), "A's last slots are A's alone");
-        assert_eq!(a.live_count(), 36);
+        assert!(all_empty(&b), "A's last buckets are A's alone");
+        assert_eq!(a.live_count(), 42);
     }
 
     #[test]
     fn releasing_a_leaves_a_filled_b_intact() {
         // Many pages each, so A's drop has whole pages to release.
-        let n = 3000;
-        let (a, b, weak) = carved_pair(n, n);
+        let (a, b, weak) = carved_pair(3000, 3000);
+        let n = b.buckets();
         for i in 0..n {
             assert!(put(&a, i, i as u64 + 1, 1));
             assert!(put(&b, i, i as u64 + 1, i as u64));
@@ -1505,7 +1497,7 @@ mod tests {
         assert!(a_bytes.iter().all(|&x| x == 0), "A's first page went back");
         for i in 0..n {
             let (key, value) = (i as u64 + 1, i as u64);
-            assert_eq!(live(&b, i)[i % LANES], (key, value));
+            assert_eq!(live(&b, i), [(key, value)]);
         }
     }
 
@@ -1532,7 +1524,8 @@ mod tests {
         // alone. Seven lanes to a 128-byte bucket shrank 450k's arrays to
         // 30.8 MiB, so it grew to 500k, which moved both digests again.
         // Sorted buckets, filled in one pass, moved the layout digest
-        // again and left the spans alone.
+        // again and left the spans alone. Spans counted in buckets, and a
+        // last bucket that seats seven keys, moved both digests again.
         let pairs = datasets::generate_pairs(datasets::Dataset::Fb, 500_000, 7);
         for build_threads in [1, 2] {
             let idx = AltIndex::bulk_load_with(
@@ -1543,10 +1536,10 @@ mod tests {
                 },
             );
             let spans = idx.directory_spans();
-            let bytes: usize = spans.iter().map(|s| SlotArray::footprint(s.1)).sum();
+            let bytes: usize = spans.iter().map(|s| s.1 * BUCKET).sum();
             assert!(bytes >= SHARED_REGION_MIN, "{bytes} B is one shared region");
-            assert_eq!(idx.learned_layout_digest(), 0x033d_83a2_ba2c_e4fd);
-            assert_eq!(spans_digest(&spans), 0xfdf5_9d51_63dd_50e8);
+            assert_eq!(idx.learned_layout_digest(), 0x3873_6fd3_0e22_6cfb);
+            assert_eq!(spans_digest(&spans), 0x78f1_7953_a0d5_2748);
         }
     }
 

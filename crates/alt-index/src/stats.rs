@@ -80,8 +80,8 @@ impl AltIndex {
         }
     }
 
-    /// Directory layout snapshot: `(first_key, slot_capacity, build_size)`
-    /// per model, in directory order. Two indexes with equal spans have
+    /// Directory layout snapshot: `(first_key, buckets, build_size)` per
+    /// model, in directory order. Two indexes with equal spans have
     /// byte-equal learned-layer *shapes*; the build-equivalence suite pairs
     /// this with [`Self::learned_layout_digest`] (placement equality)
     /// to pin the serial-vs-parallel build contract.
@@ -90,12 +90,12 @@ impl AltIndex {
         let dir = self.dir.load(&guard);
         dir.models
             .iter()
-            .map(|m| (m.first_key, m.slots.capacity(), m.build_size))
+            .map(|m| (m.first_key, m.slots.buckets(), m.build_size))
             .collect()
     }
 
     /// FNV-1a digest of the learned layer's physical layout: every model's
-    /// span followed by every live slot's `(slot, key, value)`. Two builds
+    /// span followed by every live entry's `(bucket, key, value)`. Two builds
     /// with equal digests placed every slot-resident key identically.
     /// Quiescent-state helper (walks slots unversioned) for the
     /// build-equivalence suite — not meaningful under concurrent writes.
@@ -113,9 +113,9 @@ impl AltIndex {
         let dir = self.dir.load(&guard);
         for m in &dir.models {
             mix(m.first_key);
-            mix(m.slots.capacity() as u64);
-            m.slots.for_each_live(|slot, k, v| {
-                mix(slot as u64);
+            mix(m.slots.buckets() as u64);
+            m.slots.for_each_live(|bucket, k, v| {
+                mix(bucket as u64);
                 mix(k);
                 mix(v);
             });

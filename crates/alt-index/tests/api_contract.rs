@@ -29,13 +29,6 @@ fn configs() -> Vec<(&'static str, AltConfig)> {
                 ..Default::default()
             },
         ),
-        (
-            "dense-gaps",
-            AltConfig {
-                gap_factor: 1.0,
-                ..Default::default()
-            },
-        ),
     ]
 }
 

@@ -216,18 +216,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
             ..Sweep::BASE
         },
     ),
-    // gap factor sweep, balanced: throughput vs memory
-    sweep(
-        "abl-d",
-        "ablation",
-        Sweep {
-            data: Data::First,
-            builds: &[Build::Alt("ALT-index", |c, gap| c.gap_factor = gap)],
-            axis: Axis::Build(&[1.0, 1.25, 1.5, 2.0, 3.0]),
-            cols: &[Col::Mb],
-            ..Sweep::BASE
-        },
-    ),
     // free-form: seven index kinds under --mix r,i,s or --ycsb d|e
     func("ycsb", "ycsb", studies::ycsb),
     // construction time across --build-threads, speedup vs serial
@@ -310,7 +298,7 @@ mod tests {
         expect.extend(["fig7a", "fig7b", "fig7c", "fig7d", "fig7e"]);
         expect.extend(["fig8a", "fig8b", "fig8c", "fig8d", "fig8e", "fig9"]);
         expect.extend(["fig10c", "fig10d"]);
-        expect.extend(["abl-b", "abl-d", "ycsb"]);
+        expect.extend(["abl-b", "ycsb"]);
         expect.extend(["bulk_build", "batch_lookup", "retrain_shift"]);
         expect.push("service_throughput");
         let got: Vec<&str> = EXPERIMENTS.iter().map(|e| e.id).collect();
@@ -329,8 +317,8 @@ mod tests {
         );
         assert_eq!(ids(&["fig7", "--part", "C"]), ["fig7c"]);
         assert_eq!(ids(&["fig10", "--part", "e"]), [] as [&str; 0]);
-        assert_eq!(ids(&["ablation"]), ["abl-b", "abl-d"]);
-        assert_eq!(ids(&["ablation", "--part", "d"]), ["abl-d"]);
+        assert_eq!(ids(&["ablation"]), ["abl-b"]);
+        assert_eq!(ids(&["ablation", "--part", "b"]), ["abl-b"]);
         assert_eq!(ids(&["ablation", "--part", "c"]), [] as [&str; 0]);
         // An id names its part itself; table order, not argument order.
         assert_eq!(ids(&["fig8e,fig3"]), ["fig3a", "fig3b", "fig8e"]);

@@ -61,7 +61,7 @@ pub enum Axis {
     Theta(&'static [f64]),
     /// Bulk-loaded share of the keys, overriding [`Sweep::split`].
     InitRatio(&'static [f64]),
-    /// A build parameter (ε, gap factor) handed to every [`Build`].
+    /// A build parameter (ε) handed to every [`Build`].
     Build(&'static [f64]),
 }
 
@@ -71,8 +71,6 @@ pub enum Col {
     P999,
     /// `learned_share` of an [`Build::Alt`] index after the run.
     LearnedShare,
-    /// `mb`: `memory_usage` after the run.
-    Mb,
     /// `read_hit_rate` of the run's reads.
     ReadHitRate,
 }
@@ -252,7 +250,6 @@ pub fn run_sweep(args: &Args, id: &str, sweep: &Sweep) {
                             let alt = alt.as_ref().expect("learned_share needs Build::Alt");
                             row.value("learned_share", alt.stats().learned_share())
                         }
-                        Col::Mb => row.value("mb", idx.memory_usage() as f64 / (1 << 20) as f64),
                         Col::ReadHitRate => row.value(
                             "read_hit_rate",
                             match r.reads {

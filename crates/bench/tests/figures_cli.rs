@@ -24,7 +24,7 @@ fn list_prints_every_id_and_an_unknown_name_fails_listing_them() {
     let list = figures(&["--list"]);
     assert!(list.status.success());
     let ids = String::from_utf8(list.stdout).unwrap();
-    assert_eq!(ids.lines().count(), 26, "{ids}");
+    assert_eq!(ids.lines().count(), 25, "{ids}");
 
     for args in [&["fig11"][..], &["--keys", "1k"]] {
         let out = figures(args);

@@ -288,6 +288,16 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicBool;
 
+    /// The participant registry is process-global, and a collection
+    /// advances the epoch only once every pinned participant has caught
+    /// up: a sibling test that holds a pin can stall another's storm. The
+    /// tests that pin run one at a time.
+    static PINNING: Mutex<()> = Mutex::new(());
+
+    fn one_at_a_time() -> std::sync::MutexGuard<'static, ()> {
+        PINNING.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Retire `COLLECT_EVERY` no-op closures under one pin: the last of
     /// them leaves a full queue, so this thread collects.
     fn collect_by_retiring() {
@@ -300,6 +310,7 @@ mod tests {
 
     #[test]
     fn pin_unpin_tracks_depth() {
+        let _serial = one_at_a_time();
         let g1 = pin();
         let g2 = pin();
         drop(g1);
@@ -309,6 +320,7 @@ mod tests {
 
     #[test]
     fn load_and_replace() {
+        let _serial = one_at_a_time();
         let cell = RcuCell::new(vec![1, 2, 3]);
         let guard = pin();
         let old = cell.load(&guard);
@@ -321,6 +333,7 @@ mod tests {
 
     #[test]
     fn deferred_drop_eventually_runs() {
+        let _serial = one_at_a_time();
         struct Flag(Arc<AtomicBool>);
         impl Drop for Flag {
             fn drop(&mut self) {
@@ -350,6 +363,7 @@ mod tests {
 
     #[test]
     fn concurrent_swap_and_read_is_safe() {
+        let _serial = one_at_a_time();
         let cell = Arc::new(RcuCell::new(0u64));
         let stop = Arc::new(AtomicBool::new(false));
         let readers: Vec<_> = (0..4)
@@ -407,6 +421,7 @@ mod tests {
 
     #[test]
     fn readers_pinned_across_a_retirement_storm_never_see_a_reclaimed_value() {
+        let _serial = one_at_a_time();
         const SWAPS: u64 = 20_000;
         let drops = Arc::new(AtomicUsize::new(0));
         let cell = RcuCell::new(Canary::new(0, &drops));
@@ -458,6 +473,7 @@ mod tests {
 
     #[test]
     fn dropping_the_outer_guard_first_keeps_the_thread_pinned() {
+        let _serial = one_at_a_time();
         let drops = Arc::new(AtomicUsize::new(0));
         let cell = RcuCell::new(Canary::new(0, &drops));
         let outer = pin();
@@ -498,6 +514,7 @@ mod tests {
 
     #[test]
     fn a_read_only_thread_never_runs_a_deferred_destructor() {
+        let _serial = one_at_a_time();
         /// Records the thread its drop runs on.
         struct Noted(Arc<Mutex<Vec<std::thread::ThreadId>>>);
         impl Drop for Noted {

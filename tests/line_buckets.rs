@@ -1,5 +1,5 @@
 //! A line is a bucket (DESIGN.md §3): a key takes a lane of its predicted
-//! slot's bucket (seven lanes in 128 bytes, its keys kept ascending), and
+//! bucket (seven lanes in 128 bytes, its keys kept ascending), and
 //! goes to ART only when the bucket is full. On 1M generated keys, seed 1,
 //! every other key bulk-loaded and the others withheld (the benchmark's
 //! `Alternate` layout), these pin what that buys, read through
@@ -30,11 +30,13 @@ fn a_conflict_key_keeps_its_line_and_every_key_is_served() {
     // seed, the generator and the build. Three lanes to a 64-byte line
     // left fb 122,345, osm 33,191 and longlat 136,009. Sorted buckets,
     // filled in one pass, seat as many keys per bucket as the two passes
-    // before them did, so these did not move.
+    // before them did, so these did not move. A model's last bucket
+    // seats seven keys since models predict buckets, not the positions
+    // its plan left in it: fb was 58,238, osm 10,918, longlat 122,444.
     for (ds, pinned_in_art) in [
-        (Dataset::Fb, 58_238),
-        (Dataset::Osm, 10_918),
-        (Dataset::Longlat, 122_444),
+        (Dataset::Fb, 56_843),
+        (Dataset::Osm, 10_859),
+        (Dataset::Longlat, 122_107),
         (Dataset::Libio, 0),
     ] {
         let (bulk, absent) = alternate(ds);

@@ -9,10 +9,9 @@ use alt_index::{AltConfig, AltIndex};
 use prefetch::pages::Region;
 use std::sync::{Arc, Weak};
 
-/// Insert `key` into slot `i`'s bucket unless it is there or the bucket
-/// is full.
-fn put(s: &SlotArray, i: usize, key: u64, value: u64) -> bool {
-    s.with_bucket(i, |g| {
+/// Insert `key` into bucket `b` unless it is there or the bucket is full.
+fn put(s: &SlotArray, b: usize, key: u64, value: u64) -> bool {
+    s.with_bucket(b, |g| {
         let room = g.find(key).is_none() && !g.is_full();
         if room {
             g.insert(key, value);
@@ -21,8 +20,9 @@ fn put(s: &SlotArray, i: usize, key: u64, value: u64) -> bool {
     })
 }
 
-/// Arrays of `a` and `b` slots carved from one mapped region, A first,
-/// and a handle that says whether the region still exists.
+/// Arrays planned for `a` and `b` positions carved from one mapped
+/// region, A first, and a handle that says whether the region still
+/// exists.
 fn carved_pair(a: usize, b: usize) -> (SlotArray, SlotArray, Weak<Region>) {
     let bytes = SlotArray::footprint(a) + SlotArray::footprint(b);
     let region = Region::mapped(bytes).expect("map a region");
@@ -32,14 +32,14 @@ fn carved_pair(a: usize, b: usize) -> (SlotArray, SlotArray, Weak<Region>) {
     (a, b, weak)
 }
 
-/// Slot `i`'s bucket's live entries, read under its lock.
-fn live(s: &SlotArray, i: usize) -> Vec<(u64, u64)> {
-    let (entries, n) = s.with_bucket(i, |g| g.entries());
+/// Bucket `b`'s live entries, read under its lock.
+fn live(s: &SlotArray, b: usize) -> Vec<(u64, u64)> {
+    let (entries, n) = s.with_bucket(b, |g| g.entries());
     entries[..n].to_vec()
 }
 
 fn all_empty(s: &SlotArray) -> bool {
-    (0..s.capacity()).all(|i| live(s, i).is_empty()) && s.walk(0, usize::MAX).next().is_none()
+    (0..s.buckets()).all(|b| live(s, b).is_empty()) && s.walk(0, usize::MAX).next().is_none()
 }
 
 #[test]
@@ -52,21 +52,25 @@ fn a_fresh_region_reads_empty_at_every_slot() {
 
 #[test]
 fn adjacent_carved_arrays_are_isolated() {
-    // A's last bucket holds two slots in its seven lanes; B starts on the
-    // next bucket.
+    // B starts on the bucket after A's last; A's last buckets, every lane
+    // full, are A's alone.
     let (a, b, _) = carved_pair(100, 100);
-    for i in 64..100 {
-        assert!(put(&a, i, i as u64 + 1, 1));
+    let mut key = 0;
+    for bucket in a.buckets() - 6..a.buckets() {
+        while put(&a, bucket, key + 1, 1) {
+            key += 1;
+        }
+        assert!(a.with_bucket(bucket, |g| g.is_full()));
     }
-    assert!(all_empty(&b), "A's last slots are A's alone");
-    assert_eq!(a.live_count(), 36);
+    assert!(all_empty(&b), "A's last buckets are A's alone");
+    assert_eq!(a.live_count(), key as usize);
 }
 
 #[test]
 fn releasing_a_leaves_a_filled_b_intact() {
     // Many pages each, so A's drop has whole pages to release.
-    let n = 3000;
-    let (a, b, weak) = carved_pair(n, n);
+    let (a, b, weak) = carved_pair(3000, 3000);
+    let n = b.buckets();
     for i in 0..n {
         assert!(put(&a, i, i as u64 + 1, 1));
         assert!(put(&b, i, i as u64 + 1, i as u64));
@@ -75,7 +79,7 @@ fn releasing_a_leaves_a_filled_b_intact() {
     assert!(weak.upgrade().is_some(), "B keeps the region");
     for i in 0..n {
         let (key, value) = (i as u64 + 1, i as u64);
-        assert_eq!(live(&b, i)[i % 7], (key, value), "slot {i}");
+        assert_eq!(live(&b, i), [(key, value)], "bucket {i}");
     }
 }
 
@@ -101,7 +105,8 @@ fn a_shared_region_places_keys_as_heap_arrays_do() {
     // alone. Seven lanes to a 128-byte bucket shrank 450k's arrays to
     // 30.8 MiB, so it grew to 500k, which moved both digests again. Sorted
     // buckets, filled in one pass, moved the layout digest again and left
-    // the spans alone.
+    // the spans alone. Spans counted in buckets, and a last bucket that
+    // seats seven keys, moved both digests again.
     let pairs = datasets::generate_pairs(datasets::Dataset::Fb, 500_000, 7);
     for build_threads in [1, 2] {
         let idx = AltIndex::bulk_load_with(
@@ -112,9 +117,10 @@ fn a_shared_region_places_keys_as_heap_arrays_do() {
             },
         );
         let spans = idx.directory_spans();
-        let bytes: usize = spans.iter().map(|s| SlotArray::footprint(s.1)).sum();
+        // 128 bytes a bucket.
+        let bytes: usize = spans.iter().map(|s| s.1 * 128).sum();
         assert!(bytes >= SHARED_REGION_MIN, "{bytes} B is one shared region");
-        assert_eq!(idx.learned_layout_digest(), 0x033d_83a2_ba2c_e4fd);
+        assert_eq!(idx.learned_layout_digest(), 0x3873_6fd3_0e22_6cfb);
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for &(first, cap, size) in &spans {
             for x in [first, cap as u64, size as u64] {
@@ -124,6 +130,6 @@ fn a_shared_region_places_keys_as_heap_arrays_do() {
                 }
             }
         }
-        assert_eq!(h, 0xfdf5_9d51_63dd_50e8, "directory_spans moved");
+        assert_eq!(h, 0x78f1_7953_a0d5_2748, "directory_spans moved");
     }
 }
