@@ -58,12 +58,6 @@ impl ModelDir {
         self.models.len()
     }
 
-    /// Whether the directory is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.models.is_empty()
-    }
-
     /// Index of the model responsible for `key`: the rightmost model whose
     /// first key is <= `key`, or model 0 for keys below every model.
     #[inline]

@@ -131,13 +131,9 @@ impl AltIndex {
 
     /// Point lookup.
     ///
-    /// The bucket's miss and the first ART miss are paid together, not
-    /// one after the other: the predicted bucket is prefetched, then
-    /// [`Art::warm`] walks the tree's cached top and prefetches the first
-    /// node it does not expect cached, and only then is the bucket read.
-    /// The verdict comes from the bucket snapshot and, on conflict data, the
-    /// authoritative ART read, exactly as without the hints; they only
-    /// decide which lines are warm when those reads run.
+    /// The predicted bucket is read first: both its lines are prefetched
+    /// together, then its snapshot gives the verdict. Only conflict data
+    /// goes on to the authoritative ART read, which starts at the root.
     pub fn get(&self, key: u64) -> Option<u64> {
         if key == 0 {
             return None;
@@ -149,7 +145,6 @@ impl AltIndex {
             let m = dir.model_for(key);
             let pred = m.predict(key);
             m.slots.prefetch(pred);
-            self.art.warm(key, &guard);
             let (verdict, ver) = m.slots.probe(pred, key);
             // A conclusive answer returns; what falls out of the match is
             // a verdict a concurrent retrain or writer may have undone.
@@ -212,10 +207,6 @@ impl AltIndex {
         loop {
             let m = self.dir.load(&guard).model_for(key);
             let pred = m.predict(key);
-            // Both lines of the bucket at once: the lock's CAS misses on
-            // the keys' line, and a value store would miss on the other
-            // after it.
-            m.slots.prefetch(pred);
             let live = m.slots.with_bucket(pred, |g| m.is_live().then(|| f(m, g)));
             if let Some(r) = live {
                 return r;

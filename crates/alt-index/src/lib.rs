@@ -48,14 +48,14 @@
 
 mod api;
 mod batch;
-pub mod config;
-pub mod dir;
+mod config;
+mod dir;
 pub mod index;
-pub mod model;
-pub mod retrain;
-pub mod scan;
+mod model;
+mod retrain;
+mod scan;
 pub mod slots;
-pub mod stats;
+mod stats;
 
 pub use config::{default_build_threads, AltConfig};
 pub use index::AltIndex;

@@ -307,12 +307,11 @@ impl SlotArray {
     }
 
     /// Hint the CPU to fetch bucket `b` ahead of a
-    /// [`SlotArray::probe`] or a writer's lock: both its cache lines, the
-    /// keys' and the values', issued together so their misses overlap
+    /// [`SlotArray::probe`]: both its cache lines, the keys' and the
+    /// values', issued together so their misses overlap
     /// (a value line asked for only once the verdict found its lane costs
     /// most of a second miss). The batched lookup issues this one ring
-    /// revolution before the probe; the scalar `get` issues it before it
-    /// warms the key's ART path, so all three misses overlap.
+    /// revolution before the probe; the scalar `get` right before it.
     #[inline]
     pub fn prefetch(&self, b: usize) {
         debug_assert!(b < self.len);

@@ -1,10 +1,10 @@
 //! `get` answers as a map does on an index with both kinds of resident.
 //!
-//! The scalar get prefetches the predicted slot and warms the key's ART
-//! path before it reads the slot; the hints must change no answer. On a
-//! 200k-key fb index (about half its keys in ART) every bulk key and 10k
-//! absent keys, some between bulk keys and some outside their range, are
-//! looked up and compared with a `BTreeMap`.
+//! The scalar get prefetches its predicted bucket, reads it, and goes on
+//! to ART only on conflict data; both paths must answer as a map does.
+//! On a 200k-key fb index, which holds keys in both layers, every bulk
+//! key and 10k absent keys, some between bulk keys and some outside their
+//! range, are looked up and compared with a `BTreeMap`.
 
 use alt_index::AltIndex;
 use datasets::{generate_pairs, Dataset};

@@ -19,7 +19,7 @@
 //! * Child pointers are `usize` with bit 0 tagging leaves. Null is 0.
 
 use crate::olc::VersionLock;
-use std::mem::{needs_drop, offset_of};
+use std::mem::needs_drop;
 use std::sync::atomic::{AtomicU16, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 
 /// Maximum stored prefix bytes (8-byte keys → at most 7 shared bytes
@@ -395,9 +395,6 @@ impl Node48 {
 /// may be dereferenced before that validation succeeds (DESIGN.md §15).
 /// A caller that holds the node's write lock meets this trivially — no
 /// writer races its load, and the version it would validate is its own.
-/// The one exception is the hint-only walk (`Art::warm`), which reads the
-/// child's header unvalidated because it believes nothing it reads; the
-/// caller's epoch pin keeps even a stale child allocated.
 pub unsafe fn find_child(p: NodePtr, byte: u8) -> NodePtr {
     match view(p) {
         Node::Sorted { keys, children } => match sorted_pos(keys, header(p).count(), byte) {
@@ -677,17 +674,6 @@ pub fn key_byte(key: u64, depth: usize) -> u8 {
     (key >> (56 - 8 * depth)) as u8
 }
 
-/// Where a Node256 at `p` keeps its child pointer for `byte`: pure
-/// address arithmetic, nothing is read. A hint-only walker prefetches it
-/// before it knows `p`'s layout, because a Node256's child for most bytes
-/// sits on another cache line than its header; at any other layout the
-/// address is one that a prefetch may name and a read never does.
-#[inline(always)]
-pub(crate) fn n256_child_addr(p: NodePtr, byte: u8) -> *const u8 {
-    p.wrapping_add(offset_of!(Node256, children) + byte as usize * size_of::<AtomicUsize>())
-        as *const u8
-}
-
 /// The big-endian byte array of a key.
 #[inline]
 pub fn key_bytes(key: u64) -> [u8; 8] {
@@ -697,6 +683,7 @@ pub fn key_bytes(key: u64) -> [u8; 8] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::mem::offset_of;
 
     #[test]
     fn prefix_word_roundtrips() {
@@ -717,19 +704,6 @@ mod tests {
         for (i, expected) in (1..=8).enumerate() {
             assert_eq!(key_byte(k, i), expected as u8);
         }
-    }
-
-    #[test]
-    fn n256_child_addr_is_the_child_slot() {
-        let p = alloc(NodeType::N256);
-        // SAFETY: `p` is a fresh Node256 no other thread can see.
-        let n = unsafe { &*(p as *const Node256) };
-        for byte in [0u8, 1, 5, 127, 255] {
-            let slot = &n.children[byte as usize] as *const AtomicUsize as *const u8;
-            assert_eq!(n256_child_addr(p, byte), slot, "byte {byte}");
-        }
-        // SAFETY: as above; nothing refers to `p` any more.
-        unsafe { dealloc(p) };
     }
 
     /// The arena's five size classes and `art.arena_bytes_per_key` depend

@@ -125,61 +125,6 @@ impl Art {
         (leaf.map(|l| unsafe { leaf_value(l) }), hops)
     }
 
-    /// Warm the lines a lookup of `key` is about to miss on, and read
-    /// nothing else: follow the key's path through the tree's cached top
-    /// (`WARM_HOPS` hops from the root through nodes with more than one
-    /// child), then prefetch the first node reached — its header line and,
-    /// in case it is a Node256 without a prefix, the line that holds its
-    /// child for the key's next byte. `AltIndex::get` calls it between its
-    /// slot prefetch and its slot read, so an ART-resident key's first tree
-    /// miss overlaps the slot's miss instead of following it.
-    ///
-    /// Only the root can have a single child (every other node merges into
-    /// its parent when it drops to one), and a root over one child is a
-    /// level every path shares, cached like the one below it: it costs no
-    /// hop, so the walk ends at the same level whether the keys share their
-    /// first byte (fb) or not (osm).
-    ///
-    /// Hint-only: it takes no version snapshot and validates none, never
-    /// waits on a locked node, has no chaos point and returns nothing. A
-    /// torn or stale read — a child count, a prefix that a writer is
-    /// changing in place, a child — sends it down a wrong path, which costs
-    /// one wasted prefetch. It stops early at a null child, at a leaf
-    /// (which it prefetches, not reads), at a prefix that rules the key
-    /// out, and after the key's eighth byte, so it takes at most eight
-    /// steps whatever it reads.
-    ///
-    /// `_guard` is the caller's pin. Every pointer the walk reads was in
-    /// the tree at some instant after the pin began, so it is retired
-    /// after that instant and stays allocated until the pin drops: the
-    /// argument that keeps an optimistic reader's stale child pointer
-    /// dereferenceable (DESIGN.md §15), with no validation after it
-    /// because nothing read here is believed.
-    #[inline]
-    pub fn warm(&self, key: u64, _guard: &Guard) {
-        let (mut p, mut depth, mut hops) = (self.root, 0, 0);
-        while hops < WARM_HOPS && p != 0 && !node::is_leaf(p) {
-            // SAFETY: `p` is an internal node read from this tree under the
-            // caller's pin `_guard`, so it is still allocated (above), and
-            // its prefix word and child count are atomics.
-            let hdr = unsafe { node::header(p) };
-            let (prefix, plen) = hdr.prefix();
-            if depth + plen >= 8 || prefix_mismatch(&prefix[..plen], key, depth) < plen {
-                return;
-            }
-            hops += usize::from(hdr.count() > 1);
-            depth += plen;
-            // SAFETY: as above; the search reads atomics inside `p`, and
-            // the child it returns is only walked as a hint under `_guard`.
-            p = unsafe { node::find_child(p, node::key_byte(key, depth)) };
-            depth += 1;
-        }
-        prefetch_node(p);
-        if p != 0 && !node::is_leaf(p) && depth < 8 {
-            prefetch::prefetch_read(node::n256_child_addr(p, node::key_byte(key, depth)));
-        }
-    }
-
     /// `key`'s leaf and the number of nodes visited on the way (every
     /// node, the root and the leaf included, a null child not): optimistic
     /// descents from the root until one validates, then — retry budget
@@ -656,31 +601,6 @@ impl Art {
     }
 }
 
-/// Hops [`Art::warm`] follows from the root before it prefetches, counting
-/// only nodes with more than one child: the levels that stay cached when
-/// the tree does not. The ART of `read_oc`'s fb index (3.6M of its 8M
-/// keys) by depth:
-///
-/// | depth | internal nodes | layouts | node bytes | leaves | counted |
-/// |---|---|---|---|---|---|
-/// | 1 (root) | 1 | Node256, one child | 2 KB | — | no |
-/// | 2 | 1 | Node256, 126 children, 3-byte prefix | 2 KB | — | hop 1 |
-/// | 3 | 126 | 125 Node256, 1 Node48 | 0.3 MB | — | hop 2 |
-/// | 4 | 30,517 | 18,401 Node256, 10,821 Node48, 1,295 smaller | 45.5 MB | 21 | |
-/// | 5 | 940k | 792k Node4, 148k Node16 | 75.6 MB | 636k | |
-/// | 6 | — | — | — | 2.98M | |
-///
-/// Depth 4 is the first level that misses, so two counted hops end at the
-/// node whose miss can overlap the slot's. osm's keys spread over the
-/// root's 256 children, so there the root is hop 1 and the walk again ends
-/// at the first level that misses. One hop prefetches a node that is
-/// cached anyway. Three hops, or a walk to the leaf, make every get wait
-/// for the first miss before its slot is read: against no walk at all,
-/// three hops lost on median latency and the full walk on throughput too
-/// (EXPERIMENTS.md "The scalar get overlaps its slot miss and its tree
-/// miss").
-const WARM_HOPS: usize = 2;
-
 /// Prefetch the allocation behind a (possibly leaf-tagged) node pointer:
 /// its first line, which holds an internal node's header or a leaf's key
 /// and value.
@@ -1136,156 +1056,6 @@ mod tests {
                 assert_eq!(t.get(k), None, "even {k}");
             }
         }
-    }
-
-    /// Keys whose paths run through three levels of internal nodes (four
-    /// values in each of the top three bytes), so both of `warm`'s hops
-    /// cross an internal node.
-    fn three_level_tree() -> (Art, Vec<u64>) {
-        let t = Art::new();
-        let keys: Vec<u64> = (0..64u64)
-            .map(|i| {
-                0x0101_0100_0000_00AB + ((i >> 4 & 3) << 56 | (i >> 2 & 3) << 48 | (i & 3) << 40)
-            })
-            .collect();
-        for &k in &keys {
-            assert!(t.insert(k, !k));
-        }
-        (t, keys)
-    }
-
-    /// `warm` is a hint: it must not wait for a writer. Another thread
-    /// write-locks every internal node on a key's path and holds the
-    /// locks until the walk is over or 20 s have passed; a walk that waited
-    /// on a lock (through `read_lock_spin`, say) would take the 20 s.
-    #[test]
-    fn warm_returns_while_the_path_is_write_locked() {
-        use std::sync::atomic::AtomicBool;
-        use std::sync::Barrier;
-        use std::time::{Duration, Instant};
-        let (t, keys) = three_level_tree();
-        let key = keys[21];
-        let locked = Barrier::new(2);
-        let done = AtomicBool::new(false);
-        let took = std::thread::scope(|s| {
-            s.spawn(|| {
-                let _guard = epoch::pin();
-                let mut path = vec![t.root];
-                for depth in 0..2 {
-                    let p = *path.last().unwrap();
-                    // SAFETY: `p` is a live internal node of a tree no
-                    // other thread writes, read under `_guard`.
-                    path.push(unsafe { node::find_child(p, node::key_byte(key, depth)) });
-                }
-                // Each is an internal node: the three-level shape holds.
-                assert!(path.iter().all(|&p| p != 0 && !node::is_leaf(p)));
-                for &p in &path {
-                    // SAFETY: as above.
-                    assert!(unsafe { node::header(p) }.version.lock());
-                }
-                locked.wait();
-                let deadline = Instant::now() + Duration::from_secs(20);
-                while !done.load(Ordering::Acquire) && Instant::now() < deadline {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                for &p in &path {
-                    // SAFETY: as above; this thread holds each lock.
-                    unsafe { node::header(p) }.version.unlock();
-                }
-            });
-            locked.wait();
-            let start = Instant::now();
-            t.warm(key, &epoch::pin());
-            let took = start.elapsed();
-            done.store(true, Ordering::Release);
-            took
-        });
-        assert!(
-            took < Duration::from_secs(5),
-            "warm waited {took:?} on a locked path"
-        );
-        for &k in &keys {
-            assert_eq!(t.get(k), Some(!k));
-        }
-    }
-
-    /// The walk's early stops: an empty tree, a root over one leaf, a key
-    /// that a compressed prefix rules out, and paths that reach a leaf
-    /// within the two hops. It never treats a leaf as a node (in a debug
-    /// build `node::header` asserts it is not handed one) and leaves the
-    /// tree as it found it.
-    #[test]
-    fn warm_stops_at_empty_leaf_and_prefix_mismatch() {
-        let guard = epoch::pin();
-        let t = Art::new();
-        t.warm(42, &guard);
-        assert!(t.insert(42, 1));
-        t.warm(42, &guard);
-        t.warm(43, &guard);
-        t.warm(u64::MAX, &guard);
-        assert_eq!((t.get(42), t.len()), (Some(1), 1));
-
-        // One cluster under a depth-1 node with a five-byte prefix, and
-        // scattered keys, so the root is internal.
-        let base = 0x0102_0304_0506_0000u64;
-        let t = Art::new();
-        let mut keys: Vec<u64> = (1..=300u64).map(|i| base + i).collect();
-        keys.extend((2..=32u64).map(|i| i << 56 | 0xAB));
-        for &k in &keys {
-            t.insert(k, !k);
-        }
-        let diverging = [
-            0x0102_FF04_0506_0001, // inside the cluster's prefix
-            0x0102_0304_05FF_0001, // at its last byte
-            0x0300_0000_0000_00AC, // a scattered leaf's neighbour
-            0xFF00_0000_0000_0000, // no child at the root
-        ];
-        for &k in keys.iter().chain(&diverging) {
-            t.warm(k, &guard);
-        }
-        for &k in &keys {
-            assert_eq!(t.get(k), Some(!k));
-        }
-        for k in diverging {
-            assert_eq!(t.get(k), None);
-        }
-        assert_eq!(t.len(), keys.len());
-    }
-
-    /// Walks beside writers that grow, shrink and split the nodes under
-    /// them: every pointer a hint-only walk reads stays allocated under
-    /// its pin (under `--features chaos`, the shift windows are widened).
-    #[test]
-    fn warm_beside_writers_that_replace_nodes() {
-        use std::sync::atomic::AtomicBool;
-        let (t, keys) = three_level_tree();
-        let stop = AtomicBool::new(false);
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                for round in 0..200u64 {
-                    // Byte 2 fans out past 48 under one node, then empties.
-                    let extra: Vec<u64> = (5..=200u64)
-                        .map(|b| 1 << 56 | 1 << 48 | b << 40 | round)
-                        .collect();
-                    extra.iter().for_each(|&k| assert!(t.insert(k, k)));
-                    extra.iter().for_each(|&k| assert_eq!(t.remove(k), Some(k)));
-                }
-                stop.store(true, Ordering::Release);
-            });
-            s.spawn(|| {
-                while !stop.load(Ordering::Acquire) {
-                    let guard = epoch::pin();
-                    for &k in &keys {
-                        t.warm(k, &guard);
-                        t.warm(k ^ (0xFF << 40), &guard);
-                    }
-                }
-            });
-        });
-        for &k in &keys {
-            assert_eq!(t.get(k), Some(!k));
-        }
-        assert_eq!(t.len(), keys.len());
     }
 
     /// A cluster of three keys that share six bytes below the root's
